@@ -59,6 +59,7 @@ from .temporal import (
     coalgebra_violations,
     gfp_modality,
     oracle_for,
+    oracle_mismatches,
 )
 
 KINDS = (
@@ -105,6 +106,8 @@ class Declaration:
         got = self.get(key)
         if got is None:
             raise BuildError(f"{self.kind} {self.name}: missing entry '{key}'")
+        if not got:
+            raise BuildError(f"{self.kind} {self.name}: empty entry '{key}'")
         return got
 
 
@@ -468,16 +471,8 @@ def _build_coalgebra(ws: Workspace, d: Declaration):
         if count > ws.max_size:
             ws.refuse(f"coalgebra-oracle {d.name}", count)
             return
-        from itertools import chain, combinations
-
         lifts = ["stream"] if kind == "stream" else ["forall", "exists"]
-        mism = []
-        for lift in lifts:
-            for r in range(len(states) + 1):
-                for combo in combinations(states, r):
-                    alpha = frozenset(combo)
-                    if gfp_modality(c, lift, alpha) != oracle_for(c, lift, alpha):
-                        mism.append(f"{lift} at {sorted(alpha)}")
+        mism = [f"{lift} at {sorted(alpha)}" for lift, alpha in oracle_mismatches(c, lifts)]
         ws.verdict(f"coalgebra-oracle {d.name}", mism)
 
 

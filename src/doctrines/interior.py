@@ -80,7 +80,8 @@ def stable_elements(op: InteriorOp, x: str) -> tuple[str, ...]:
     fixed = tuple(a for a in op.doctrine.fibers[x].elements if box.apply(a) == a)
     image = tuple(sorted({box.apply(a) for a in op.doctrine.fibers[x].elements},
                          key=op.doctrine.fibers[x].index))
-    assert fixed == image, "image of an interior operator must equal its fixed points"
+    if fixed != image:
+        raise ValueError(f"box at {x} is not idempotent: its image differs from its fixed points")
     return fixed
 
 
@@ -96,8 +97,8 @@ def stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
         mapping = {}
         for a in fibers[y].elements:
             img = m.apply(a)
-            # naturality makes this impossible to break; keep the guard anyway
-            assert img in fibers[x].elements, f"reindexing along {t} does not preserve stability"
+            if img not in fibers[x].elements:
+                raise ValueError(f"reindexing along {t} does not preserve stability")
             mapping[a] = img
         reindex[t] = MonotoneMap(fibers[y], fibers[x], mapping)
     stable = Doctrine(P.base, fibers, reindex)

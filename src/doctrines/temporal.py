@@ -4,32 +4,22 @@ independent path/orbit/SCC oracles for G, AG and EG, and the packaging of the
 operator as an interior operator over a finite category of coalgebra
 homomorphisms.
 
-The operator iterates Ψ(β) = α ∩ step⁻¹(lift(β)) from the full state set, so
-it never materializes any infinite unfolding; the oracles decide the same
-property by explicit orbit, reachability, or cycle arguments.
+The operator iterates Ψ(β) = α ∩ step⁻¹(lift(β)) from the full state set, one
+subset per step, so it never materializes any infinite unfolding; the oracles
+decide the same property by explicit orbit, reachability, or cycle arguments.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .doctrine import Doctrine
 from .fincat import fin_category, function_arrow_name
 from .interior import InteriorOp
-from .order import (
-    MonotoneMap,
-    label_subset,
-    powerset_lattice,
-    subset_label,
-)
-
-
-@lru_cache(maxsize=64)
-def _cached_powerset_lattice(states: tuple[str, ...]):
-    return powerset_lattice(states)
+from .order import MonotoneMap, label_subset, subset_label
 
 
 STREAM, TREE = "stream", "tree"
@@ -86,25 +76,59 @@ def default_lift(c: FCoalgebra, lift: str | None) -> str:
 
 def gfp_modality(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str]:
     """Greatest fixed point of Ψ(β) = α ∩ step⁻¹(lift β) on the powerset of
-    the state set, computed with the shared fixed-point engine."""
+    the state set, reached by iterating Ψ down from the full state set."""
     return gfp_modality_trace(c, lift, alpha)[-1]
 
 
+def _psi_monotone_violation(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> str | None:
+    """The first cover pair on which Ψ fails to be monotone, or None.
+
+    A state s enters Ψ(β) iff s is in α and its lift predicate holds of β,
+    and the predicate reads β only through β ∩ succ(s). So Ψ is monotone
+    exactly when, for every s in α, the predicate is monotone on the subsets
+    of the distinct successors of s; covers suffice, k·2^(k-1) pairs for k
+    successors."""
+    for s in c.states:
+        if s not in alpha:
+            continue
+        kids = tuple(dict.fromkeys(c.successors(s)))
+        for r in range(len(kids) + 1):
+            for lower in combinations(kids, r):
+                low = frozenset(lower)
+                if not step_satisfies_lift(c, lift, s, low):
+                    continue
+                for t in kids:
+                    if t not in low and not step_satisfies_lift(c, lift, s, low | {t}):
+                        return (
+                            f"at state {s}: lift {lift} holds on {subset_label(low, kids)}"
+                            f" but not on {subset_label(low | {t}, kids)}"
+                        )
+    return None
+
+
 def gfp_modality_trace(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[frozenset[str]]:
+    """The Ψ-chain β₀ = S, βₖ₊₁ = Ψ(βₖ), ending with the repeated fixed point.
+    Rejects a non-monotone Ψ and a chain that fails to descend."""
     if not alpha <= set(c.states):
         raise ValueError("alpha mentions unknown states")
-    lat = _cached_powerset_lattice(tuple(c.states))
-    mapping = {}
-    for lbl in lat.carrier.elements:
-        beta = label_subset(lbl)
-        psi = frozenset(
+    bad = _psi_monotone_violation(c, lift, alpha)
+    if bad is not None:
+        raise ValueError("gfp: Ψ is not monotone " + bad)
+    beta = frozenset(c.states)
+    trace = [beta]
+    while True:
+        nxt = frozenset(
             s for s in c.states if s in alpha and step_satisfies_lift(c, lift, s, beta)
         )
-        mapping[lbl] = subset_label(psi, c.states)
-    from .order import gfp_trace
-
-    f = MonotoneMap(lat.carrier, lat.carrier, mapping)
-    return [label_subset(lbl) for lbl in gfp_trace(lat, f)]
+        if not nxt <= beta:
+            raise ValueError(
+                f"gfp: Ψ-chain does not descend at step {len(trace)}:"
+                f" it adds {subset_label(nxt - beta, c.states)}"
+            )
+        trace.append(nxt)
+        if nxt == beta:
+            return trace
+        beta = nxt
 
 
 def g_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
@@ -178,6 +202,19 @@ def oracle_for(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str
     if lift == "exists":
         return eg_oracle(c, alpha)
     raise ValueError(f"unknown lift {lift}")
+
+
+def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, frozenset[str]]]:
+    """Every (lift, α) on which the box disagrees with its oracle, α running
+    over all subsets of the states by size, then by positions of members."""
+    out = []
+    for lift in lifts:
+        for r in range(len(c.states) + 1):
+            for combo in combinations(c.states, r):
+                alpha = frozenset(combo)
+                if gfp_modality(c, lift, alpha) != oracle_for(c, lift, alpha):
+                    out.append((lift, alpha))
+    return out
 
 
 def coalgebra_homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[dict]:

@@ -109,6 +109,22 @@ def test_cli_exit_two_on_parse_error(tmp_path):
     assert "parse error" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "query q { run: }",
+        "coalgebra M { kind: ; states: a; step: a=a }",
+    ],
+)
+def test_cli_exit_two_on_empty_entry(tmp_path, text):
+    f = tmp_path / "m.dct"
+    f.write_text(text)
+    r = _cli("check", str(f))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "empty entry" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_exit_two_on_missing_file():
     r = _cli("check", "/nonexistent/path.dct")
     assert r.returncode == 2

@@ -1,3 +1,5 @@
+import pytest
+
 from doctrines.doctrine import Doctrine, OneArrow, check_doctrine, check_one_arrow
 from doctrines.fincat import discrete_category, identity_functor
 from doctrines.interior import (
@@ -104,6 +106,30 @@ def test_stable_subdoctrine_inclusion_is_modal_from_identity_to_box():
     from doctrines.interior import identity_interior as idop
 
     assert check_modal_one_arrow(inc, idop(stable), op) == []
+
+
+def test_stable_elements_rejects_non_idempotent_box():
+    # non-transitive frame: j({1,2}) = {1} is in the image but j({1}) = {}
+    worlds = ["1", "2", "3"]
+    rel = {("1", "1"), ("2", "2"), ("3", "3"), ("1", "2"), ("2", "3")}
+    d = _one_fiber_doctrine(worlds)
+    op = InteriorOp(d, {"*": _kripke_box_map(worlds, rel, d.fibers["*"])})
+    with pytest.raises(ValueError, match="not idempotent"):
+        stable_elements(op, "*")
+    with pytest.raises(ValueError, match="not idempotent"):
+        stable_subdoctrine(op)
+
+
+def test_stable_subdoctrine_rejects_non_natural_box():
+    # idempotent in each fiber, but {b1,b2} is stable at B while its
+    # reindexing along any arrow into B is not stable at A
+    d = powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]})
+    fa, fb = d.fibers["A"], d.fibers["B"]
+    box_a = MonotoneMap(fa, fa, {lbl: "{}" for lbl in fa.elements})
+    box_b = MonotoneMap(fb, fb, {lbl: lbl if lbl == "{b1,b2}" else "{}" for lbl in fb.elements})
+    op = InteriorOp(d, {"A": box_a, "B": box_b})
+    with pytest.raises(ValueError, match="does not preserve stability"):
+        stable_subdoctrine(op)
 
 
 def test_modal_one_arrow_identity_case():

@@ -4,8 +4,17 @@ from itertools import chain, combinations
 import pytest
 
 from doctrines.doctrine import check_doctrine
+from doctrines import temporal
 from doctrines.interior import check_interior
-from doctrines.order import label_subset, subset_label
+from doctrines.order import (
+    MonotoneMap,
+    gfp_trace,
+    label_subset,
+    post_fixed_join,
+    powerset_lattice,
+    subset_label,
+)
+from doctrines.suite import STREAM_A, TREE_S, TREE_T
 from doctrines.temporal import (
     FCoalgebra,
     ag_oracle,
@@ -15,6 +24,7 @@ from doctrines.temporal import (
     gfp_modality,
     gfp_modality_trace,
     oracle_for,
+    oracle_mismatches,
     random_coalgebra,
     random_subset,
     temporal_doctrine,
@@ -144,3 +154,82 @@ def test_lift_kind_mismatch_rejected():
         temporal_doctrine([STREAM2], "forall")
     with pytest.raises(ValueError):
         g_oracle(TREE3, frozenset())
+
+
+def _psi_table_trace(c, lift, alpha, lat):
+    """The Ψ-chain the way a generic lattice engine sees it: Ψ tabulated on
+    every subset (successor predicates written out here), then
+    `order.gfp_trace` from the top."""
+    def holds(s, beta):
+        if lift == "stream":
+            return c.step[s] in beta
+        kids = c.step[s]
+        return all(t in beta for t in kids) if lift == "forall" else any(t in beta for t in kids)
+
+    mapping = {}
+    for lbl in lat.carrier.elements:
+        beta = label_subset(lbl)
+        mapping[lbl] = subset_label([s for s in c.states if s in alpha and holds(s, beta)], c.states)
+    f = MonotoneMap(lat.carrier, lat.carrier, mapping)
+    return [label_subset(x) for x in gfp_trace(lat, f)], label_subset(post_fixed_join(lat, f))
+
+
+def _engine_cases():
+    rng = random.Random(11)
+    cases = [(STREAM_A, "stream"), (TREE_T, "forall"), (TREE_T, "exists"), (TREE_S, "forall"), (TREE_S, "exists")]
+    for _ in range(6):
+        cases.append((random_coalgebra(rng, "stream", 6, "R"), "stream"))
+        t = random_coalgebra(rng, "tree", 6, "R")
+        cases.append((t, "forall"))
+        cases.append((t, "exists"))
+    return cases
+
+
+@pytest.mark.parametrize("c,lift", _engine_cases())
+def test_psi_chain_equals_table_engine_and_oracles_for_every_alpha(c, lift):
+    lat = powerset_lattice(c.states)
+    for alpha in all_subsets(c.states):
+        trace = gfp_modality_trace(c, lift, alpha)
+        table_trace, post_fixed = _psi_table_trace(c, lift, alpha, lat)
+        assert trace == table_trace
+        assert trace[-1] == post_fixed == oracle_for(c, lift, alpha)
+
+
+def test_oracle_mismatches_reports_planted_disagreement_in_sweep_order(monkeypatch):
+    # an oracle that is wrong exactly on alpha = {s1}, for either lift
+    real = temporal.oracle_for
+    planted = frozenset({"s1"})
+
+    def wrong_at_s1(c, lift, alpha):
+        got = real(c, lift, alpha)
+        return got ^ {"s0"} if alpha == planted else got
+
+    monkeypatch.setattr(temporal, "oracle_for", wrong_at_s1)
+    assert oracle_mismatches(TREE_T, ["forall", "exists"]) == [("forall", planted), ("exists", planted)]
+
+
+def test_non_monotone_lift_is_rejected_naming_the_state(monkeypatch):
+    real = temporal.step_satisfies_lift
+
+    def flipped_at_s1(c, lift, s, beta):
+        got = real(c, lift, s, beta)
+        return not got if s == "s1" else got
+
+    monkeypatch.setattr(temporal, "step_satisfies_lift", flipped_at_s1)
+    with pytest.raises(ValueError, match=r"not monotone at state s1: lift exists holds on \{\} but not on \{s1\}"):
+        gfp_modality_trace(TREE_T, "exists", frozenset({"s0", "s1"}))
+    # Ψ ignores the predicate outside alpha, so the flip is harmless there
+    assert gfp_modality(TREE_T, "exists", frozenset({"s0", "s2"})) == frozenset()
+
+
+def test_chain_that_climbs_is_rejected(monkeypatch):
+    # reads beta outside the successors of s0, so the cover scan passes, but
+    # the chain goes {s0,s1} -> {s1} -> {s0,s1}
+    real = temporal.step_satisfies_lift
+
+    def reads_itself_at_s0(c, lift, s, beta):
+        return "s0" not in beta if s == "s0" else real(c, lift, s, beta)
+
+    monkeypatch.setattr(temporal, "step_satisfies_lift", reads_itself_at_s0)
+    with pytest.raises(ValueError, match=r"does not descend at step 2: it adds \{s0\}"):
+        gfp_modality_trace(STREAM_A, "stream", frozenset({"s0", "s1"}))
