@@ -282,7 +282,7 @@ def factorize2_report(A: DoctrineAdjunction) -> dict:
     for x in A.p.base.objects:
         image = {A.lam[x].apply(a) for a in A.p.fibers[x].elements}
         missed = [s for s in stable.fibers[x].elements if s not in image]
-        extra = [s for s in sorted(image) if s not in stable.fibers[x].elements]
+        extra = [s for s in sorted(image) if s not in stable.fibers[x]]
         surj[x] = {"holds": not missed and not extra, "missed": missed, "outside_stable": extra}
         seen: dict = {}
         collisions = []

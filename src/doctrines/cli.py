@@ -244,6 +244,18 @@ def _map_entry(atom):
     return key, body
 
 
+CLOSURES = ("none", "refl", "trans", "refl-trans")
+
+
+def _closure(d: Declaration) -> str:
+    closure = (d.get("closure") or ["refl-trans"])[0]
+    if closure not in CLOSURES:
+        raise BuildError(
+            f"{d.kind} {d.name}: unknown closure '{closure}' (expected one of {', '.join(CLOSURES)})"
+        )
+    return closure
+
+
 def _named_sets(atoms):
     out = {}
     for a in atoms:
@@ -284,15 +296,33 @@ class Workspace:
             {
                 "name": name,
                 "pass": False,
-                "witnesses": [f"refused: enumeration of {count} items exceeds --max-size {self.max_size}"],
+                "witnesses": [f"refused: estimated work {count} exceeds --max-size {self.max_size}"],
             }
         )
+
+
+def _pointwise_doctrine_work(sets, carrier: int, order_pairs: int) -> int:
+    """Work of building and law-checking C^(−) over the full function
+    category on `sets`, for a poset C of `carrier` elements and `order_pairs`
+    related pairs. The fiber over Y has carrier^|Y| elements and
+    order_pairs^|Y| pairs; the pairs are enumerated once and scanned once per
+    reindexing map into Y, and each composable pair of arrows into Z compares
+    two maps on the fiber over Z."""
+    sizes = [len(v) for v in sets.values()]
+
+    def arrows_into(m: int) -> int:
+        return sum(m ** n for n in sizes)
+
+    return sum(
+        order_pairs ** m * arrows_into(m) + carrier ** m * sum(m ** n * arrows_into(n) for n in sizes)
+        for m in sizes
+    )
 
 
 def _build_poset(ws: Workspace, d: Declaration):
     elements = d.need("elements")
     pairs = _pairs(d.get("pairs", []))
-    closure = (d.get("closure") or ["refl-trans"])[0]
+    closure = _closure(d)
     rel = close_relation(elements, pairs, closure)
     got = check_poset(elements, rel)
     if isinstance(got, list):
@@ -326,14 +356,14 @@ def _build_category(ws: Workspace, d: Declaration):
 def _build_frame(ws: Workspace, d: Declaration):
     worlds = d.need("worlds")
     pairs = _pairs(d.get("rel", []))
-    closure = (d.get("closure") or ["refl-trans"])[0]
+    closure = _closure(d)
     rel = close_relation(worlds, pairs, closure)
     frame = KripkeFrame(tuple(worlds), rel)
     ws.frames[d.name] = frame
     ws.verdict(f"kripke-frame {d.name}", frame_violations(frame))
     sets = _named_sets(d.get("sets", []))
     if sets:
-        count = sum((2 ** len(frame.worlds)) ** len(v) for v in sets.values())
+        count = _pointwise_doctrine_work(sets, 2 ** len(frame.worlds), 3 ** len(frame.worlds))
         if count > ws.max_size:
             ws.refuse(f"kripke-doctrine {d.name}", count)
             return
@@ -348,7 +378,7 @@ def _build_frame(ws: Workspace, d: Declaration):
 def _build_quantale(ws: Workspace, d: Declaration):
     elements = d.need("elements")
     pairs = _pairs(d.get("pairs", []))
-    closure = (d.get("closure") or ["refl-trans"])[0]
+    closure = _closure(d)
     rel = close_relation(elements, pairs, closure)
     got = check_poset(elements, rel)
     if isinstance(got, list):
@@ -374,7 +404,10 @@ def _build_quantale(ws: Workspace, d: Declaration):
     ws.quantales[d.name] = q
     sets = _named_sets(d.get("sets", []))
     if sets:
-        count = sum(len(elements) ** len(v) for v in sets.values())
+        # plus the residuation check of the bang laws, one test per triple of a fiber
+        count = _pointwise_doctrine_work(sets, len(elements), len(lat.carrier.relation)) + sum(
+            len(elements) ** (3 * len(v)) for v in sets.values()
+        )
         if count > ws.max_size:
             ws.refuse(f"quantale-doctrine {d.name}", count)
             return
@@ -467,7 +500,9 @@ def _build_coalgebra(ws: Workspace, d: Declaration):
     ws.verdict(f"coalgebra {d.name}", bad)
     if not bad:
         ws.coalgebras[d.name] = c
-        count = 2 ** len(states)
+        # one Ψ-chain and one oracle run per subset, each O(n + edges)
+        edges = sum(len(c.successors(s)) for s in c.states)
+        count = 2 ** len(states) * (len(states) + edges)
         if count > ws.max_size:
             ws.refuse(f"coalgebra-oracle {d.name}", count)
             return
@@ -612,11 +647,15 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         if count > ws.max_size:
             ws.refuse("topological-doctrine", count)
         else:
-            tdoc, top = topological_doctrine(ws.spaces)
-            ws.doctrines["topological.doctrine"] = tdoc
-            ws.interiors["topological.interior"] = top
-            ws.verdict("topological-doctrine", check_doctrine(tdoc))
-            ws.verdict("topological-interior", interior_violations(top))
+            try:
+                tdoc, top = topological_doctrine(ws.spaces)
+            except (KeyError, ValueError) as e:
+                ws.verdict("topological-doctrine", [f"build failed: {e}"])
+            else:
+                ws.doctrines["topological.doctrine"] = tdoc
+                ws.interiors["topological.interior"] = top
+                ws.verdict("topological-doctrine", check_doctrine(tdoc))
+                ws.verdict("topological-interior", interior_violations(top))
     for frame_name, group in ws.presheaves.items():
         count = sum(
             1
@@ -626,7 +665,11 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         if count > ws.max_size:
             ws.refuse(f"presheaf-instance {frame_name}", count)
             continue
-        adj, families, op = presheaf_instance(group)
+        try:
+            adj, families, op = presheaf_instance(group)
+        except (KeyError, ValueError) as e:
+            ws.verdict(f"presheaf-instance {frame_name}", [f"build failed: {e}"])
+            continue
         ws.adjunctions[f"presheaf.{frame_name}.adjunction"] = adj
         ws.doctrines[f"presheaf.{frame_name}.families"] = families
         ws.interiors[f"presheaf.{frame_name}.box"] = op
@@ -774,22 +817,27 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
         what = flags.get("what")
         if not src or not what:
             raise BuildError("derive needs --from and one of --modality/--comonad/--adjunction")
-        _derive_into(ws, f"derive {src} {what}", src, what)
+        label = f"derive {src} {what}"
+        try:
+            _derive_into(ws, label, src, what)
+        except (KeyError, ValueError) as e:
+            ws.verdict(label, [f"derive failed: {e}"])
     elif command == "em":
         src = flags.get("from")
-        if src in ws.interiors:
-            c = mc(ws.interiors[src])
-        elif src in ws.comonads:
-            c = ws.comonads[src]
-        else:
+        if src not in ws.interiors and src not in ws.comonads:
             raise BuildError(f"em: unresolved comonad or interior '{src}'")
-        bundle = em_doctrine(c)
-        ws.outputs[f"em {src}"] = {
-            "coalgebras": list(bundle.em.base.objects),
-            "fibers": {o: list(bundle.em.fibers[o].elements) for o in bundle.em.base.objects},
-        }
-        ws.verdict(f"em {src}", check_doctrine(bundle.em))
-        ws.verdict(f"em-adjunction {src}", adjunction_violations(em_adjunction(c)))
+        try:
+            c = mc(ws.interiors[src]) if src in ws.interiors else ws.comonads[src]
+            bundle = em_doctrine(c)
+        except (KeyError, ValueError) as e:
+            ws.verdict(f"em {src}", [f"em failed: {e}"])
+        else:
+            ws.outputs[f"em {src}"] = {
+                "coalgebras": list(bundle.em.base.objects),
+                "fibers": {o: list(bundle.em.fibers[o].elements) for o in bundle.em.base.objects},
+            }
+            ws.verdict(f"em {src}", check_doctrine(bundle.em))
+            ws.verdict(f"em-adjunction {src}", adjunction_violations(em_adjunction(c)))
     elif command == "factor":
         src = flags.get("from")
         A = ws.adjunctions.get(src)
@@ -815,6 +863,9 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
         if lift is None:
             raise BuildError(f"temporal: unknown op '{opname}' (expected G, AG or EG)")
         alpha = label_subset(flags.get("alpha", "{}"))
+        unknown = sorted(alpha - set(c.states))
+        if unknown:
+            raise BuildError(f"temporal: alpha mentions unknown states {unknown}")
         got = gfp_modality(c, lift, alpha)
         want = oracle_for(c, lift, alpha)
         from .order import subset_label

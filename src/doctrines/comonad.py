@@ -144,7 +144,7 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
         mapping = {}
         for a in fibers[o2].elements:
             img = m.apply(a)
-            if img not in fibers[o1].elements:
+            if img not in fibers[o1]:
                 raise ValueError(f"reindexing along {f} leaves the EM fiber at {a}")
             mapping[a] = img
         reindex[f] = MonotoneMap(fibers[o2], fibers[o1], mapping)
@@ -282,7 +282,7 @@ def comparison_arrow(A: DoctrineAdjunction) -> OneArrow:
         mapping = {}
         for a in A.p.fibers[x].elements:
             v = A.lam[x].apply(a)
-            if v not in target.elements:
+            if v not in target:
                 raise ValueError(f"lambda does not land in the EM fiber at ({x},{a})")
             mapping[a] = v
         parts[x] = MonotoneMap(A.p.fibers[x], target, mapping)

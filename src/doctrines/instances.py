@@ -10,7 +10,7 @@ where the induced operator has a second characterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -51,9 +51,16 @@ from .order import (
 class KripkeFrame:
     worlds: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
+    _successors: dict = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        succ: dict = {}
+        for (u, v) in self.rel:
+            succ.setdefault(u, set()).add(v)
+        object.__setattr__(self, "_successors", {u: frozenset(vs) for u, vs in succ.items()})
 
     def successors(self, w: str) -> frozenset[str]:
-        return frozenset(v for (u, v) in self.rel if u == w)
+        return self._successors.get(w, frozenset())
 
 
 def frame_violations(frame: KripkeFrame) -> list[str]:
@@ -79,26 +86,37 @@ def fun_label(mapping: Mapping[str, str], domain: Sequence[str]) -> str:
     return "[" + ";".join(f"{d}:{mapping[d]}" for d in domain) + "]"
 
 
-def _function_fiber(domain: Sequence[str], codomain_labels: Sequence[str], codomain_poset: FinPoset) -> tuple[FinPoset, dict]:
-    """Poset of all functions domain → codomain, ordered pointwise."""
-    domain = list(domain)
-    if not domain:
-        lbl = "[]"
-        return FinPoset((lbl,), frozenset({(lbl, lbl)})), {lbl: {}}
-    combos = list(product(codomain_labels, repeat=len(domain)))
+def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> tuple[FinPoset, dict]:
+    """Poset of all assignments of an element of factors[i] to keys[i],
+    labelled by `fun_label` and ordered pointwise. The assignments above m
+    are the product of the up-sets of its values, so the build costs the
+    Π|≤ᵢ| related pairs rather than a test of every pair."""
+    keys = list(keys)
     decode = {}
     labels = []
-    for combo in combos:
-        m = dict(zip(domain, combo))
-        lbl = fun_label(m, domain)
+    label_of = {}
+    for combo in product(*(f.elements for f in factors)):
+        m = dict(zip(keys, combo))
+        lbl = fun_label(m, keys)
         labels.append(lbl)
         decode[lbl] = m
+        label_of[combo] = lbl
+    ups = []
+    for f in factors:
+        up = {c: [] for c in f.elements}
+        for (a, b) in f.relation:
+            up[a].append(b)
+        ups.append(up)
     rel = set()
-    for l1 in labels:
-        for l2 in labels:
-            if all(codomain_poset.leq(decode[l1][d], decode[l2][d]) for d in domain):
-                rel.add((l1, l2))
+    for combo, lbl in label_of.items():
+        for above in product(*(up[c] for up, c in zip(ups, combo))):
+            rel.add((lbl, label_of[above]))
     return FinPoset(tuple(labels), frozenset(rel)), decode
+
+
+def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> tuple[FinPoset, dict]:
+    """Poset of all functions domain → codomain, ordered pointwise."""
+    return _pointwise_fiber(domain, [codomain] * len(domain))
 
 
 def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, FunctionCategory]:
@@ -128,8 +146,6 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     category on `sets`; the operator postcomposes with the frame box. The
     interior laws hold iff the frame is a preorder (check_interior reports
     the failure otherwise)."""
-    world_sets = subsets_in_order(frame.worlds)
-    world_labels = [subset_label(s, frame.worlds) for s in world_sets]
     from .order import powerset_poset
 
     wposet = powerset_poset(frame.worlds)
@@ -137,7 +153,7 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     base = fc.category
     fibers, decode = {}, {}
     for x in base.objects:
-        fibers[x], decode[x] = _function_fiber(sets[x], world_labels, wposet)
+        fibers[x], decode[x] = _function_fiber(sets[x], wposet)
     reindex = {}
     for a in base.arrow_names():
         s, d = base.src(a), base.dst(a)
@@ -148,16 +164,16 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
             mapping[lbl] = fun_label({e: alpha[g[e]] for e in sets[s]}, sets[s])
         reindex[a] = MonotoneMap(fibers[d], fibers[s], mapping)
     doc = Doctrine(base, fibers, reindex)
+    box = {
+        lbl: subset_label(kripke_box(frame, label_subset(lbl)), frame.worlds)
+        for lbl in wposet.elements
+    }
     parts = {}
     for x in base.objects:
         mapping = {}
         for lbl in fibers[x].elements:
             alpha = decode[x][lbl]
-            boxed = {
-                e: subset_label(kripke_box(frame, label_subset(alpha[e])), frame.worlds)
-                for e in sets[x]
-            }
-            mapping[lbl] = fun_label(boxed, sets[x])
+            mapping[lbl] = fun_label({e: box[alpha[e]] for e in sets[x]}, sets[x])
         parts[x] = MonotoneMap(fibers[x], fibers[x], mapping)
     return doc, InteriorOp(doc, parts)
 
@@ -208,24 +224,26 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
                 composition[(gn, fn)] = function_arrow_name(fs, gd, comp, fams[fs].carrier)
     base = fin_category([f.name for f in families], arrows, identities, composition)
 
+    def supersets(low, within):
+        return [low | extra for extra in subsets_in_order([e for e in within if e not in low])]
+
     fibers, decode = {}, {}
     for f in families:
-        subs = subsets_in_order(f.carrier)
-        labels, dec = [], {}
-        for carrier_sub in subs:
+        labels, dec, label_of = [], {}, {}
+        for carrier_sub in subsets_in_order(f.carrier):
             sub_order = [e for e in f.carrier if e in carrier_sub]
             for parts_combo in product(subsets_in_order(sub_order), repeat=len(worlds)):
                 parts = dict(zip(worlds, parts_combo))
                 lbl = family_element_label(carrier_sub, parts, f.carrier, worlds)
                 labels.append(lbl)
                 dec[lbl] = (carrier_sub, parts)
+                label_of[(carrier_sub, parts_combo)] = lbl
+        # the elements above (c, p) are the (c', p') with c ⊆ c' and p[w] ⊆ p'[w] ⊆ c'
         rel = set()
-        for l1 in labels:
-            c1, p1 = dec[l1]
-            for l2 in labels:
-                c2, p2 = dec[l2]
-                if c1 <= c2 and all(p1[w] <= p2[w] for w in worlds):
-                    rel.add((l1, l2))
+        for (c1, p1), l1 in label_of.items():
+            for c2 in supersets(c1, f.carrier):
+                for p2 in product(*(supersets(part, c2) for part in p1)):
+                    rel.add((l1, label_of[(c2, p2)]))
         fibers[f.name] = FinPoset(tuple(labels), frozenset(rel))
         decode[f.name] = dec
 
@@ -597,8 +615,8 @@ def quantale_doctrine(
     q_fibers, q_decode = {}, {}
     c_fibers, c_decode = {}, {}
     for x in base.objects:
-        q_fibers[x], q_decode[x] = _function_fiber(sets[x], q.lattice.carrier.elements, q.lattice.carrier)
-        c_fibers[x], c_decode[x] = _function_fiber(sets[x], core.elements, core.sub)
+        q_fibers[x], q_decode[x] = _function_fiber(sets[x], q.lattice.carrier)
+        c_fibers[x], c_decode[x] = _function_fiber(sets[x], core.sub)
     def _reindex(fibers, decode):
         out = {}
         for a in base.arrow_names():
@@ -650,7 +668,7 @@ class FiberMonoid:
 def quantale_monoid_ops(q: FiniteQuantale, x_elements: Sequence[str]) -> FiberMonoid:
     """Pointwise monoid structure and residuation on the fiber Q^X; the
     residuation adjunction is verified exhaustively."""
-    fiber, decode = _function_fiber(x_elements, q.lattice.carrier.elements, q.lattice.carrier)
+    fiber, decode = _function_fiber(x_elements, q.lattice.carrier)
     unit = fun_label({e: q.unit for e in x_elements}, x_elements)
     star, imp = {}, {}
     for l1 in fiber.elements:
@@ -684,7 +702,7 @@ def bang_law_suite(
     core = core_override if core_override is not None else quantale_core(q)
     report = {"law1": [], "law2": [], "law3": [], "law4": []}
     for name, elements in sets.items():
-        fiber, decode = _function_fiber(elements, q.lattice.carrier.elements, q.lattice.carrier)
+        fiber, decode = _function_fiber(elements, q.lattice.carrier)
         ops = quantale_monoid_ops(q, elements)
         def bang(lbl):
             a = decode[lbl]
@@ -877,28 +895,21 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
                 composition[(gn, fn)] = name
     base = fin_category([d.name for d in presheaves], arrows, identities, composition)
 
+    from .order import powerset_poset, sub_poset
+
     fibers, decode = {}, {}
     sub_fibers = {}
     for d in presheaves:
+        # families ordered pointwise: labels are `presheaf_family_label`s
         worlds = list(d.base.objects)
-        labels, dec = [], {}
-        for combo in product(*[subsets_in_order(d.at[w]) for w in worlds]):
-            parts = dict(zip(worlds, combo))
-            lbl = presheaf_family_label(parts, d)
-            labels.append(lbl)
-            dec[lbl] = parts
-        rel = frozenset(
-            (l1, l2)
-            for l1 in labels
-            for l2 in labels
-            if all(dec[l1][w] <= dec[l2][w] for w in worlds)
-        )
-        fibers[d.name] = FinPoset(tuple(labels), rel)
+        fibers[d.name], by_world = _pointwise_fiber(worlds, [powerset_poset(d.at[w]) for w in worlds])
+        subset_of = {
+            w: {subset_label(s, d.at[w]): s for s in subsets_in_order(d.at[w])} for w in worlds
+        }
+        dec = {lbl: {w: subset_of[w][v] for w, v in m.items()} for lbl, m in by_world.items()}
         decode[d.name] = dec
-        from .order import sub_poset
-
         sub_fibers[d.name] = sub_poset(
-            fibers[d.name], [l for l in labels if is_subpresheaf(d, dec[l])]
+            fibers[d.name], [l for l in fibers[d.name].elements if is_subpresheaf(d, dec[l])]
         )
 
     def _reindex(fibs):

@@ -97,7 +97,7 @@ def stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
         mapping = {}
         for a in fibers[y].elements:
             img = m.apply(a)
-            if img not in fibers[x].elements:
+            if img not in fibers[x]:
                 raise ValueError(f"reindexing along {t} does not preserve stability")
             mapping[a] = img
         reindex[t] = MonotoneMap(fibers[y], fibers[x], mapping)

@@ -111,9 +111,19 @@ def gfp_modality_trace(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[
     Rejects a non-monotone Ψ and a chain that fails to descend."""
     if not alpha <= set(c.states):
         raise ValueError("alpha mentions unknown states")
+    _require_psi_monotone(c, lift, alpha)
+    return _psi_chain(c, lift, alpha)
+
+
+def _require_psi_monotone(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> None:
     bad = _psi_monotone_violation(c, lift, alpha)
     if bad is not None:
         raise ValueError("gfp: Ψ is not monotone " + bad)
+
+
+def _psi_chain(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[frozenset[str]]:
+    """The Ψ-chain itself, for a Ψ already known to be monotone; rejects a
+    chain that fails to descend."""
     beta = frozenset(c.states)
     trace = [beta]
     while True:
@@ -206,13 +216,19 @@ def oracle_for(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str
 
 def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, frozenset[str]]]:
     """Every (lift, α) on which the box disagrees with its oracle, α running
-    over all subsets of the states by size, then by positions of members."""
+    over all subsets of the states by size, then by positions of members.
+
+    Ψ's monotonicity is checked once per lift, over all states: Ψ_α is
+    monotone iff the lift is monotone at every state of α, so a failure is
+    first met at the singleton of the first failing state, with the same
+    message a per-α check would raise there."""
     out = []
     for lift in lifts:
+        _require_psi_monotone(c, lift, frozenset(c.states))
         for r in range(len(c.states) + 1):
             for combo in combinations(c.states, r):
                 alpha = frozenset(combo)
-                if gfp_modality(c, lift, alpha) != oracle_for(c, lift, alpha):
+                if _psi_chain(c, lift, alpha)[-1] != oracle_for(c, lift, alpha):
                     out.append((lift, alpha))
     return out
 

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doctrines.cli import (
     ModelDocument,
     ParseError,
+    main,
     parse_text,
     run,
     serialize,
@@ -171,3 +176,102 @@ def test_cli_suite_json_deterministic_and_exit_codes():
     assert report["seed"] == 7
     assert all(v["pass"] for v in report["verdicts"])
     assert len(report["verdicts"]) == 11
+
+
+def _main(tmp_path, text, *args):
+    """Run the CLI in-process on `text`; any escaping exception fails the test."""
+    f = tmp_path / "m.dct"
+    f.write_text(text)
+    return main([args[0], str(f), *args[1:]])
+
+
+def test_cli_temporal_alpha_with_unknown_state_is_usage_error(tmp_path, capsys):
+    text = "coalgebra M { kind: tree; states: s1 s2; step: s1=(s1) s2=() }"
+    rc = _main(tmp_path, text, "temporal", "--coalgebra", "M", "--op", "EG", "--alpha", "{s0}")
+    assert rc == 2
+    assert "alpha mentions unknown states ['s0']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, verdict",
+    [
+        (("em", "--from", "K.box"), "em K.box"),
+        (("derive", "--from", "K.box", "--comonad"), "derive K.box comonad"),
+        (("derive", "--from", "K.box", "--adjunction"), "derive K.box adjunction"),
+    ],
+)
+def test_cli_construction_on_invalid_interior_is_failing_verdict(tmp_path, capsys, args, verdict):
+    text = "kripke-frame K { worlds: w1 w2; rel: w1->w2; closure: none; sets: D=x }"
+    assert _main(tmp_path, text, *args) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {verdict}" in out
+    assert "invalid interior operator: axiom T fails" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "poset P { elements: a b; pairs: a->b; closure: refl-tran }",
+        "kripke-frame K { worlds: w1 w2; rel: w1->w2; closure: refl-tran }",
+        "quantale Q { elements: 0 1; pairs: 0->1; closure: refl-tran; unit: 1; tensor: 0*0=0 0*1=0 1*1=1 }",
+    ],
+)
+def test_cli_unknown_closure_is_usage_error(tmp_path, capsys, text):
+    assert _main(tmp_path, text, "check") == 2
+    assert "unknown closure 'refl-tran'" in capsys.readouterr().err
+
+
+def test_cli_size_guard_counts_work(tmp_path, capsys):
+    chain = [f"c{i}" for i in range(12)]
+    rel = " ".join(f"{a}->{b}" for a, b in zip(chain, chain[1:]))
+    frame = f"kripke-frame K {{ worlds: {' '.join(chain)}; rel: {rel}; sets: D=x }}"
+    states = [f"s{i}" for i in range(14)]
+    step = " ".join(f"{s}=({t})" for s, t in zip(states, states[1:] + states[:1]))
+    tree = f"coalgebra T {{ kind: tree; states: {' '.join(states)}; step: {step} }}"
+    for text, name in ((frame, "kripke-doctrine K"), (tree, "coalgebra-oracle T")):
+        assert _main(tmp_path, text, "check") == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {name}\n  - refused: estimated work" in out
+    assert _main(tmp_path, MODEL, "check") == 0
+    assert "refused" not in capsys.readouterr().out
+
+
+MODEL_TOKENS = re.findall(r"\S+|\n", MODEL)
+MUTATION_COMMANDS = [
+    ("check",),
+    ("em", "--from", "K.box"),
+    ("derive", "--from", "K.box", "--comonad"),
+    ("derive", "--from", "L3.adjunction", "--modality"),
+    ("factor", "--from", "L3.adjunction"),
+    ("temporal", "--coalgebra", "M", "--op", "EG", "--alpha", "{s0,s1}"),
+]
+
+
+@st.composite
+def mutated_model(draw):
+    """MODEL with one to three short token runs deleted, inserted from
+    elsewhere in MODEL, or duplicated in place."""
+    tokens = list(MODEL_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(range(len(tokens) + 1)))
+        k = draw(st.sampled_from((1, 2, 3)))
+        op = draw(st.sampled_from(("delete", "insert", "duplicate")))
+        if op == "delete":
+            del tokens[i : i + k]
+        elif op == "insert":
+            j = draw(st.sampled_from(range(len(MODEL_TOKENS))))
+            tokens[i:i] = MODEL_TOKENS[j : j + k]
+        else:
+            tokens[i:i] = tokens[i : i + k]
+    return " ".join(tokens)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=mutated_model())
+def test_cli_exit_code_contract_holds_on_mutated_models(tmp_path_factory, text):
+    f = tmp_path_factory.mktemp("mut") / "m.dct"
+    f.write_text(text)
+    for command in MUTATION_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([command[0], str(f), *command[1:]])
+        assert rc in (0, 1, 2), (rc, text, command)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from doctrines.adjunction import check_adjunction, galois_violations, triviality_checks
@@ -42,7 +44,16 @@ from doctrines.instances import (
     subpresheaf_union_oracle,
     topological_doctrine,
 )
-from doctrines.order import chain_poset, fin_poset, label_subset, subset_label
+from doctrines.instances import _function_fiber, fun_label
+from doctrines.order import (
+    FinPoset,
+    chain_poset,
+    fin_poset,
+    label_subset,
+    powerset_poset,
+    subset_label,
+    subsets_in_order,
+)
 
 from util import powerset_doctrine_over
 
@@ -375,3 +386,79 @@ def test_bang_laws_on_powerset_monoid_quantale():
     )
     rep = bang_law_suite(z2, {"X": ["x"]})
     assert rep["pass"], rep
+
+
+def _all_pairs_order(labels, below):
+    """Reference: the order on `labels` by testing every pair."""
+    return FinPoset(tuple(labels), frozenset((l1, l2) for l1 in labels for l2 in labels if below(l1, l2)))
+
+
+def _all_pairs_function_fiber(domain, codomain):
+    decode = {}
+    for combo in product(codomain.elements, repeat=len(domain)):
+        m = dict(zip(domain, combo))
+        decode[fun_label(m, domain)] = m
+    return _all_pairs_order(
+        list(decode), lambda l1, l2: all(codomain.leq(decode[l1][d], decode[l2][d]) for d in domain)
+    )
+
+
+FIBER_CODOMAINS = [powerset_poset([f"w{i}" for i in range(n)]) for n in range(5)] + [
+    chain_poset(["0", "1", "2", "3"]),
+    fin_poset(["b", "l", "r"], [("b", "l"), ("b", "r")]),  # a V: l and r have no join
+]
+
+
+@pytest.mark.parametrize("codomain", FIBER_CODOMAINS, ids=lambda c: f"{len(c.elements)}el")
+@pytest.mark.parametrize("size", range(3))
+def test_function_fiber_equals_all_pairs_reference(codomain, size):
+    domain = [f"d{i}" for i in range(size)]
+    got, decode = _function_fiber(domain, codomain)
+    want = _all_pairs_function_fiber(domain, codomain)
+    assert got.elements == want.elements
+    assert got.relation == want.relation
+    assert all(fun_label(decode[lbl], domain) == lbl for lbl in got.elements)
+
+
+def test_presheaf_fibers_equal_all_pairs_reference():
+    group = _two_chain_presheaves()
+    _, families, _ = presheaf_instance(group)
+    for d in group:
+        worlds = list(d.base.objects)
+        decode = {}
+        for combo in product(*[subsets_in_order(d.at[w]) for w in worlds]):
+            parts = dict(zip(worlds, combo))
+            decode[presheaf_family_label(parts, d)] = parts
+        want = _all_pairs_order(
+            list(decode), lambda l1, l2: all(decode[l1][w] <= decode[l2][w] for w in worlds)
+        )
+        got = families.fibers[d.name]
+        assert got.elements == want.elements
+        assert got.relation == want.relation
+
+
+@pytest.mark.parametrize("frame", [CHAIN2, KripkeFrame(("u",), frozenset({("u", "u")}))], ids=["2w", "1w"])
+def test_fam_doctrine_fibers_equal_all_pairs_reference(frame):
+    from doctrines.instances import family_element_label
+
+    worlds = frame.worlds
+    fams = [
+        IndexedFamily("X", ("a", "b"), {w: frozenset({"a"}) for w in worlds}),
+        IndexedFamily("Y", ("c", "d", "e"), {w: frozenset({"c", "e"}) for w in worlds}),
+    ]
+    doc, _ = fam_doctrine(frame, fams)
+    for f in fams:
+        decode = {}
+        for c in subsets_in_order(f.carrier):
+            inside = [e for e in f.carrier if e in c]
+            for combo in product(subsets_in_order(inside), repeat=len(worlds)):
+                parts = dict(zip(worlds, combo))
+                decode[family_element_label(c, parts, f.carrier, worlds)] = (c, parts)
+        want = _all_pairs_order(
+            list(decode),
+            lambda l1, l2: decode[l1][0] <= decode[l2][0]
+            and all(decode[l1][1][w] <= decode[l2][1][w] for w in worlds),
+        )
+        got = doc.fibers[f.name]
+        assert got.elements == want.elements
+        assert got.relation == want.relation

@@ -20,6 +20,9 @@ from doctrines.order import (
     poset_height,
     post_fixed_join,
     powerset_lattice,
+    powerset_poset,
+    product_poset,
+    sub_poset,
     subset_label,
     subsets_in_order,
 )
@@ -110,6 +113,59 @@ def test_subset_labels_roundtrip():
     ground = ["a", "b", "c"]
     for s in subsets_in_order(ground):
         assert label_subset(subset_label(s, ground)) == s
+
+
+def _all_pairs_powerset(ground):
+    """Reference: the inclusion order by testing every pair of subsets."""
+    subsets = subsets_in_order(ground)
+    labels = [subset_label(s, ground) for s in subsets]
+    rel = frozenset(
+        (labels[i], labels[j])
+        for i, s in enumerate(subsets)
+        for j, t in enumerate(subsets)
+        if s <= t
+    )
+    return FinPoset(tuple(labels), rel)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_powerset_poset_equals_all_pairs_reference(n):
+    ground = [f"p{i}" for i in range(n)]
+    got, want = powerset_poset(ground), _all_pairs_powerset(ground)
+    assert got.elements == want.elements
+    assert got.relation == want.relation
+
+
+def test_product_poset_equals_all_pairs_reference():
+    p = fin_poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    q = chain_poset(["0", "1", "2"])
+    got = product_poset(p, q)
+    label = lambda a, b: f"({a}|{b})"
+    assert got.elements == tuple(label(a, b) for a in p.elements for b in q.elements)
+    assert got.relation == frozenset(
+        (label(a, b), label(c, d))
+        for a in p.elements for b in q.elements
+        for c in p.elements for d in q.elements
+        if p.leq(a, c) and q.leq(b, d)
+    )
+
+
+def test_index_and_membership_use_positions():
+    p = chain_poset(["x", "y", "z"])
+    assert [p.index(e) for e in p.elements] == [0, 1, 2]
+    assert "y" in p and "w" not in p
+    with pytest.raises(ValueError):
+        p.index("w")
+
+
+def test_sub_poset_keeps_order_and_restricts_relation():
+    p = powerset_poset(["a", "b"])
+    sub = sub_poset(p, ["{a,b}", "{}", "{b}"])
+    assert sub.elements == ("{}", "{b}", "{a,b}")
+    assert sub.relation == frozenset(
+        (x, y) for (x, y) in p.relation if x in sub.elements and y in sub.elements
+    )
+    assert "{a}" not in sub
 
 
 def test_gfp_identity_is_top():

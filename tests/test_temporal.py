@@ -233,3 +233,37 @@ def test_chain_that_climbs_is_rejected(monkeypatch):
     monkeypatch.setattr(temporal, "step_satisfies_lift", reads_itself_at_s0)
     with pytest.raises(ValueError, match=r"does not descend at step 2: it adds \{s0\}"):
         gfp_modality_trace(STREAM_A, "stream", frozenset({"s0", "s1"}))
+
+
+def test_sweep_checks_monotonicity_once_per_lift_with_the_per_alpha_message(monkeypatch):
+    c = FCoalgebra("N", "tree", ("s0", "s1", "s2", "s3"),
+                   {"s0": ("s1",), "s1": (), "s2": ("s0", "s3"), "s3": ("s3",)})
+    real = temporal.step_satisfies_lift
+
+    def exists_flipped_at_s2(c, lift, s, beta):
+        got = real(c, lift, s, beta)
+        return not got if (lift, s) == ("exists", "s2") else got
+
+    monkeypatch.setattr(temporal, "step_satisfies_lift", exists_flipped_at_s2)
+    # the message the first failing alpha of the sweep raises on its own
+    first = None
+    for r in range(len(c.states) + 1):
+        for combo in combinations(c.states, r):
+            try:
+                gfp_modality(c, "exists", frozenset(combo))
+            except ValueError as e:
+                first = str(e)
+                break
+        if first:
+            break
+    assert first is not None and "at state s2" in first
+
+    scans = []
+    real_scan = temporal._psi_monotone_violation
+    monkeypatch.setattr(
+        temporal, "_psi_monotone_violation", lambda *a: scans.append(a[1]) or real_scan(*a)
+    )
+    with pytest.raises(ValueError) as e:
+        oracle_mismatches(c, ["forall", "exists"])
+    assert str(e.value) == first
+    assert scans == ["forall", "exists"]
