@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 from .adjunction import (  # noqa: F401
     DoctrineAdjunction,
+    adjunction_violations,
     am_modality,
     base_change_adjunction,
-    check_adjunction,
     factorize,
     factorize2_report,
     triviality_checks,
@@ -16,16 +16,16 @@ from .adjunction import (  # noqa: F401
 )
 from .comonad import (  # noqa: F401
     DoctrineComonad,
-    check_comonad,
     cm_modality,
     cmd_of_adjunction,
+    comonad_violations,
     em_adjunction,
     em_doctrine,
     ma,
     mc,
 )
-from .doctrine import Doctrine, OneArrow, TwoArrow, check_doctrine, check_one_arrow  # noqa: F401
+from .doctrine import Doctrine, OneArrow, TwoArrow, doctrine_violations, one_arrow_violations  # noqa: F401
 from .fincat import FinCategory, Functor, NatTransformation, check_category  # noqa: F401
-from .interior import InteriorOp, check_interior, stable_elements, stable_subdoctrine  # noqa: F401
-from .order import FinLattice, FinPoset, MonotoneMap, check_monotone, check_poset, gfp, powerset_lattice  # noqa: F401
+from .interior import InteriorOp, interior_violations, stable_elements, stable_subdoctrine  # noqa: F401
+from .order import FinLattice, FinPoset, MonotoneMap, check_poset, gfp, monotone_violations, powerset_lattice  # noqa: F401
 from .temporal import FCoalgebra, ag_oracle, eg_oracle, g_oracle, gfp_modality, temporal_doctrine  # noqa: F401

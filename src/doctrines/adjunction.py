@@ -76,6 +76,8 @@ def eps_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
 
 
 def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
+    """Empty list iff the Cat adjunction, both 1-arrows, and both lax 2-arrows
+    are valid; violations carry (i)/(ii)/(iii) tags with witnesses."""
     out = []
     if A.left.src != A.p.base or A.left.dst != A.q.base:
         return ["(i) left functor boundary mismatch"]
@@ -91,12 +93,6 @@ def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
     out.extend("(iii) eta: " + v for v in two_arrow_violations(eta_two_arrow(A)))
     out.extend("(iii) eps: " + v for v in two_arrow_violations(eps_two_arrow(A)))
     return out
-
-
-def check_adjunction(A: DoctrineAdjunction) -> list[str]:
-    """Empty list iff the Cat adjunction, both 1-arrows, and both lax 2-arrows
-    are valid; violations carry (i)/(ii)/(iii) tags with witnesses."""
-    return adjunction_violations(A)
 
 
 def identity_adjunction(P: Doctrine) -> DoctrineAdjunction:
@@ -433,10 +429,6 @@ def adj_morphism_violations(m: AdjMorphism) -> list[str]:
     return out
 
 
-def check_adj_morphism(m: AdjMorphism) -> list[str]:
-    return adj_morphism_violations(m)
-
-
 def identity_adj_morphism(A: DoctrineAdjunction) -> AdjMorphism:
     return AdjMorphism(
         A,
@@ -506,10 +498,6 @@ def adj_two_cell_violations(c: AdjTwoCell) -> list[str]:
         if lhs != rhs:
             out.append(f"theta square fails at {y}")
     return out
-
-
-def check_adj_two_cell(c: AdjTwoCell) -> list[str]:
-    return adj_two_cell_violations(c)
 
 
 def am_functor(m: AdjMorphism) -> OneArrow:

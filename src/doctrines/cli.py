@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import __version__
 from .adjunction import (
     adjunction_violations,
+    am_modality,
     factorization_composites_agree,
     factorize,
     factorize2_report,
@@ -24,17 +25,24 @@ from .adjunction import (
     vertical_adjunction,
 )
 from .comonad import (
-    check_comonad,
     cm_modality,
     cmd_of_adjunction,
+    comonad_violations,
     em_adjunction,
     em_doctrine,
     ma,
     mc,
     DoctrineComonad,
 )
-from .doctrine import Doctrine, check_doctrine
-from .fincat import check_category
+from .doctrine import Doctrine, doctrine_violations
+from .fincat import (
+    Functor,
+    NatTransformation,
+    check_category,
+    compose_functors,
+    identity_functor,
+    poset_category,
+)
 from .instances import (
     FinPresheaf,
     FiniteTopSpace,
@@ -42,18 +50,25 @@ from .instances import (
     bang_law_suite,
     frame_violations,
     kripke_doctrine,
-    presheaf_decode,
-    presheaf_family_label,
     presheaf_instance,
+    presheaf_oracle_mismatches,
+    presheaf_violations,
     quantale_doctrine,
     quantale_violations,
     space_violations,
-    subpresheaf_union_oracle,
     topological_doctrine,
     FiniteQuantale,
 )
 from .interior import InteriorOp, interior_violations
-from .order import MonotoneMap, check_poset, close_relation, label_subset, lattice_from_poset
+from .order import (
+    MonotoneMap,
+    check_poset,
+    close_relation,
+    identity_map,
+    label_subset,
+    lattice_from_poset,
+    subset_label,
+)
 from .temporal import (
     FCoalgebra,
     coalgebra_violations,
@@ -256,12 +271,20 @@ def _closure(d: Declaration) -> str:
     return closure
 
 
-def _named_sets(atoms):
-    out = {}
-    for a in atoms:
-        key, body = a.split("=", 1)
-        out[key] = [e for e in body.split(",") if e]
-    return out
+def _distinct(d: Declaration, key: str, names):
+    """`names` as a list, or a BuildError naming the first one that repeats."""
+    seen = set()
+    for n in names:
+        if n in seen:
+            raise BuildError(f"{d.kind} {d.name}: duplicate identifier '{n}' in '{key}'")
+        seen.add(n)
+    return list(names)
+
+
+def _named_sets(d: Declaration):
+    pairs = [a.split("=", 1) for a in d.get("sets", [])]
+    _distinct(d, "sets", [key for key, _ in pairs])
+    return {key: _distinct(d, "sets", [e for e in body.split(",") if e]) for key, body in pairs}
 
 
 class Workspace:
@@ -354,14 +377,14 @@ def _build_category(ws: Workspace, d: Declaration):
 
 
 def _build_frame(ws: Workspace, d: Declaration):
-    worlds = d.need("worlds")
+    worlds = _distinct(d, "worlds", d.need("worlds"))
     pairs = _pairs(d.get("rel", []))
     closure = _closure(d)
     rel = close_relation(worlds, pairs, closure)
     frame = KripkeFrame(tuple(worlds), rel)
     ws.frames[d.name] = frame
     ws.verdict(f"kripke-frame {d.name}", frame_violations(frame))
-    sets = _named_sets(d.get("sets", []))
+    sets = _named_sets(d)
     if sets:
         count = _pointwise_doctrine_work(sets, 2 ** len(frame.worlds), 3 ** len(frame.worlds))
         if count > ws.max_size:
@@ -371,7 +394,7 @@ def _build_frame(ws: Workspace, d: Declaration):
         ws.frame_sets[d.name] = sets
         ws.doctrines[f"{d.name}.doctrine"] = doc
         ws.interiors[f"{d.name}.box"] = op
-        ws.verdict(f"kripke-doctrine {d.name}", check_doctrine(doc))
+        ws.verdict(f"kripke-doctrine {d.name}", doctrine_violations(doc))
         ws.verdict(f"kripke-interior {d.name}", interior_violations(op))
 
 
@@ -402,7 +425,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
     if bad:
         return
     ws.quantales[d.name] = q
-    sets = _named_sets(d.get("sets", []))
+    sets = _named_sets(d)
     if sets:
         # plus the residuation check of the bang laws, one test per triple of a fiber
         count = _pointwise_doctrine_work(sets, len(elements), len(lat.carrier.relation)) + sum(
@@ -426,7 +449,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
 
 
 def _build_topspace(ws: Workspace, d: Declaration):
-    points = d.need("points")
+    points = _distinct(d, "points", d.need("points"))
     opens = frozenset(label_subset(a) for a in d.need("opens"))
     space = FiniteTopSpace(d.name, tuple(points), opens)
     bad = space_violations(space)
@@ -440,9 +463,7 @@ def _build_presheaf(ws: Workspace, d: Declaration):
     frame = ws.frames.get(frame_name)
     if frame is None:
         raise BuildError(f"presheaf {d.name}: unresolved frame '{frame_name}'")
-    from .order import check_poset as _chk
-
-    got = _chk(frame.worlds, frame.rel)
+    got = check_poset(frame.worlds, frame.rel)
     if isinstance(got, list):
         raise BuildError(f"presheaf {d.name}: frame '{frame_name}' must be an antisymmetric preorder")
     base = poset_category_cached(ws, frame_name, got)
@@ -451,7 +472,7 @@ def _build_presheaf(ws: Workspace, d: Declaration):
         key, body = atom.split("=", 1)
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
-        at[key] = tuple(e for e in body.split(",") if e)
+        at[key] = tuple(_distinct(d, "at", [e for e in body.split(",") if e]))
     act = {}
     for atom in d.get("act", []):
         key, mapping = _map_entry(atom)
@@ -464,8 +485,6 @@ def _build_presheaf(ws: Workspace, d: Declaration):
         if f not in act:
             raise BuildError(f"presheaf {d.name}: missing action along {f}")
     psh = FinPresheaf(d.name, base, at, act)
-    from .instances import presheaf_violations
-
     bad = presheaf_violations(psh)
     ws.verdict(f"presheaf {d.name}", bad)
     if not bad:
@@ -475,15 +494,13 @@ def _build_presheaf(ws: Workspace, d: Declaration):
 def poset_category_cached(ws: Workspace, frame_name: str, poset):
     key = f"__frame_base_{frame_name}"
     if key not in ws.categories:
-        from .fincat import poset_category
-
         ws.categories[key] = poset_category(poset)
     return ws.categories[key]
 
 
 def _build_coalgebra(ws: Workspace, d: Declaration):
     kind = d.need("kind")[0]
-    states = d.need("states")
+    states = _distinct(d, "states", d.need("states"))
     step = {}
     for atom in d.need("step"):
         key, body = atom.split("=", 1)
@@ -536,11 +553,9 @@ def _build_doctrine(ws: Workspace, d: Declaration):
     for x in base.objects:
         ident = base.id(x)
         if ident not in reindex and x in fibers:
-            from .order import identity_map
-
             reindex[ident] = identity_map(fibers[x])
     doc = Doctrine(base, fibers, reindex)
-    bad = check_doctrine(doc)
+    bad = doctrine_violations(doc)
     ws.verdict(f"doctrine {d.name}", bad)
     if not bad:
         ws.doctrines[d.name] = doc
@@ -586,8 +601,6 @@ def _build_comonad(ws: Workspace, d: Declaration):
     p = ws.doctrines.get(d.need("p")[0])
     if p is None:
         raise BuildError(f"comonad {d.name}: unresolved doctrine reference")
-    from .fincat import Functor, NatTransformation, compose_functors, identity_functor, identity_nat
-
     base = p.base
     if d.get("k-obj") is not None:
         obj_map = dict(_map_entry(a) for a in d.need("k-obj"))
@@ -608,7 +621,7 @@ def _build_comonad(ws: Workspace, d: Declaration):
         obj, mapping = _map_entry(atom)
         kappa[obj] = MonotoneMap(p.fibers[obj], p.fibers[K.obj_map[obj]], mapping)
     c = DoctrineComonad(p, K, kappa, mu, nu)
-    bad = check_comonad(c)
+    bad = comonad_violations(c)
     ws.verdict(f"comonad {d.name}", bad)
     if not bad:
         ws.comonads[d.name] = c
@@ -637,8 +650,6 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
             continue
         try:
             BUILDERS[d.kind](ws, d)
-        except BuildError as e:
-            raise
         except (KeyError, ValueError) as e:
             ws.verdict(f"{d.kind} {d.name}", [f"build failed: {e}"])
     # cross-declaration groups
@@ -654,14 +665,10 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
             else:
                 ws.doctrines["topological.doctrine"] = tdoc
                 ws.interiors["topological.interior"] = top
-                ws.verdict("topological-doctrine", check_doctrine(tdoc))
+                ws.verdict("topological-doctrine", doctrine_violations(tdoc))
                 ws.verdict("topological-interior", interior_violations(top))
     for frame_name, group in ws.presheaves.items():
-        count = sum(
-            1
-            for d in group
-            for _ in range(max(1, 2 ** sum(len(d.at[w]) for w in d.base.objects)))
-        )
+        count = sum(2 ** sum(len(d.at[w]) for w in d.base.objects) for d in group)
         if count > ws.max_size:
             ws.refuse(f"presheaf-instance {frame_name}", count)
             continue
@@ -675,13 +682,7 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         ws.interiors[f"presheaf.{frame_name}.box"] = op
         ws.verdict(f"presheaf-adjunction {frame_name}", adjunction_violations(adj))
         ws.verdict(f"presheaf-interior {frame_name}", interior_violations(op))
-        mism = []
-        for d in group:
-            for lbl in families.fibers[d.name].elements:
-                parts = presheaf_decode(lbl, d)
-                want = presheaf_family_label(subpresheaf_union_oracle(d, parts), d)
-                if op.parts[d.name].apply(lbl) != want:
-                    mism.append(f"{d.name} at {lbl}")
+        mism = [f"{name} at {lbl}" for name, lbl in presheaf_oracle_mismatches(group, op)]
         ws.verdict(f"presheaf-oracle {frame_name}", mism)
     return ws
 
@@ -700,15 +701,7 @@ def _run_queries(ws: Workspace):
                 if lift is None:
                     raise BuildError(f"query {q.name}: unknown temporal op '{op}'")
                 alpha = label_subset(q.need("alpha")[0])
-                got = gfp_modality(c, lift, alpha)
-                want = oracle_for(c, lift, alpha)
-                from .order import subset_label
-
-                ws.outputs[f"query {q.name}"] = subset_label(got, c.states)
-                ws.verdict(
-                    f"query {q.name}",
-                    [] if got == want else [f"fixpoint {sorted(got)} differs from oracle {sorted(want)}"],
-                )
+                _temporal_into(ws, f"query {q.name}", c, lift, alpha, "fixpoint {got} differs from oracle {want}")
             elif mode == "check":
                 target = q.need("target")[0]
                 found = [v for v in ws.verdicts if v["name"].split(" ", 1)[-1].startswith(target)]
@@ -722,24 +715,29 @@ def _run_queries(ws: Workspace):
                 _derive_into(ws, f"query {q.name}", src, what)
             else:
                 raise BuildError(f"query {q.name}: unknown run mode '{mode}'")
-        except BuildError as e:
-            raise
         except (KeyError, ValueError) as e:
             ws.verdict(f"query {q.name}", [f"query failed: {e}"])
+
+
+def _temporal_into(ws: Workspace, label: str, c: FCoalgebra, lift: str, alpha: frozenset, differs: str):
+    """Box α on c, output it under `label`, and check it against its oracle;
+    `differs` words a disagreement, formatted with the sorted `got` and `want`."""
+    got = gfp_modality(c, lift, alpha)
+    want = oracle_for(c, lift, alpha)
+    ws.outputs[label] = subset_label(got, c.states)
+    ws.verdict(label, [] if got == want else [differs.format(got=sorted(got), want=sorted(want))])
 
 
 def _derive_into(ws: Workspace, label: str, src: str, what: str):
     if src in ws.adjunctions:
         A = ws.adjunctions[src]
         if what == "modality":
-            from .adjunction import am_modality
-
             doc, op = am_modality(A)
             ws.outputs[label] = _box_tables(op)
             ws.verdict(label, interior_violations(op))
         elif what == "comonad":
             c = cmd_of_adjunction(A)
-            ws.verdict(label, check_comonad(c))
+            ws.verdict(label, comonad_violations(c))
         else:
             raise BuildError(f"{label}: cannot derive '{what}' from an adjunction")
     elif src in ws.comonads:
@@ -756,7 +754,7 @@ def _derive_into(ws: Workspace, label: str, src: str, what: str):
     elif src in ws.interiors:
         op = ws.interiors[src]
         if what == "comonad":
-            ws.verdict(label, check_comonad(mc(op)))
+            ws.verdict(label, comonad_violations(mc(op)))
         elif what == "adjunction":
             ws.verdict(label, adjunction_violations(ma(op)))
         elif what == "modality":
@@ -836,7 +834,7 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
                 "coalgebras": list(bundle.em.base.objects),
                 "fibers": {o: list(bundle.em.fibers[o].elements) for o in bundle.em.base.objects},
             }
-            ws.verdict(f"em {src}", check_doctrine(bundle.em))
+            ws.verdict(f"em {src}", doctrine_violations(bundle.em))
             ws.verdict(f"em-adjunction {src}", adjunction_violations(em_adjunction(c)))
     elif command == "factor":
         src = flags.get("from")
@@ -866,15 +864,7 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
         unknown = sorted(alpha - set(c.states))
         if unknown:
             raise BuildError(f"temporal: alpha mentions unknown states {unknown}")
-        got = gfp_modality(c, lift, alpha)
-        want = oracle_for(c, lift, alpha)
-        from .order import subset_label
-
-        ws.outputs[f"temporal {opname} {cname}"] = subset_label(got, c.states)
-        ws.verdict(
-            f"temporal {opname} {cname}",
-            [] if got == want else [f"fixpoint differs from oracle {sorted(want)}"],
-        )
+        _temporal_into(ws, f"temporal {opname} {cname}", c, lift, alpha, "fixpoint differs from oracle {want}")
     else:
         raise BuildError(f"unknown command '{command}'")
     report["verdicts"] = ws.verdicts
@@ -906,7 +896,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", help="run every law suite declared in a model file")
     p_check.add_argument("file")
-    p_check.add_argument("--all", action="store_true", help="run all checks (default)")
     p_check.add_argument("--target", help="restrict the report to verdicts matching a name")
     p_derive = sub.add_parser("derive", help="run a construction and report its law suite")
     p_derive.add_argument("file")

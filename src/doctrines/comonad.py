@@ -11,11 +11,13 @@ from typing import Mapping
 from .adjunction import (
     AdjMorphism,
     DoctrineAdjunction,
+    adj_morphism_violations,
     adjunction_violations,
     am_doctrine,
     am_functor,
     am_modality,
     identity_adj_morphism,
+    vertical_adjunction,
 )
 from .doctrine import (
     Doctrine,
@@ -38,8 +40,8 @@ from .fincat import (
     identity_nat,
     nat_violations,
 )
-from .interior import InteriorOp, interior_violations, stable_subdoctrine
-from .order import MonotoneMap, compose_maps, identity_map
+from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
+from .order import MonotoneMap, compose_maps, identity_map, sub_poset
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ def cmd_arrow(c: DoctrineComonad) -> OneArrow:
 
 
 def comonad_violations(c: DoctrineComonad) -> list[str]:
+    """Empty list iff the base comonad laws, the 1-arrow, and both lax
+    inequalities hold; violations carry (i)/(ii)/(iii) tags."""
     out = []
     if c.k.src != c.p.base or c.k.dst != c.p.base:
         return ["(i) K is not an endofunctor of the base"]
@@ -81,12 +85,6 @@ def comonad_violations(c: DoctrineComonad) -> list[str]:
             if not P.fibers[kx].leq(lhs.apply(a), counit.apply(a)):
                 out.append(f"(iii) counit inequality fails at ({x},{a})")
     return out
-
-
-def check_comonad(c: DoctrineComonad) -> list[str]:
-    """Empty list iff the base comonad laws, the 1-arrow, and both lax
-    inequalities hold; violations carry (i)/(ii)/(iii) tags."""
-    return comonad_violations(c)
 
 
 def identity_comonad(P: Doctrine) -> DoctrineComonad:
@@ -134,8 +132,6 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
         for a in fib.elements:
             if closure.apply(closure.apply(a)) != closure.apply(a):
                 raise ValueError(f"closure not idempotent at ({o},{a})")
-        from .order import sub_poset
-
         fibers[o] = sub_poset(fib, members)
     reindex = {}
     for f in data.category.arrow_names():
@@ -329,8 +325,6 @@ def modality_comparison_check(A: DoctrineAdjunction) -> dict:
             mismatches.append(x)
     parts = {x: identity_map(ql.fibers[x]) for x in A.p.base.objects}
     k_id = OneArrow(ql, op_k.doctrine, comp.functor, parts)
-    from .interior import modal_one_arrow_violations
-
     modal = modal_one_arrow_violations(k_id, op_a, op_k)
     return {
         "tables_equal": mismatches == [],
@@ -365,8 +359,6 @@ def ma(op: InteriorOp) -> DoctrineAdjunction:
         )
         for x in P.base.objects
     }
-    from .adjunction import vertical_adjunction
-
     return vertical_adjunction(stable, P, dict(inclusion.parts), rho)
 
 
@@ -417,8 +409,6 @@ def local_adjunction_checks(A: DoctrineAdjunction) -> dict:
     """Triangle-law checks for the local adjunction between the modality and
     adjunction constructions: nabla is a homomorphism MA(AM(A)) → A, and its
     modal image is the identity on AM(A)."""
-    from .adjunction import adj_morphism_violations
-
     n = nabla(A)
     morphism = adj_morphism_violations(n)
     am_of_nabla = am_functor(n)
@@ -492,10 +482,6 @@ def cmd_morphism_violations(m: CmdMorphism) -> list[str]:
     return out
 
 
-def check_cmd_morphism(m: CmdMorphism) -> list[str]:
-    return cmd_morphism_violations(m)
-
-
 def mc_morphism(arrow: OneArrow, op_src: InteriorOp, op_dst: InteriorOp) -> CmdMorphism:
     """MC on 1-arrows: a modal 1-arrow becomes a comonad morphism with θ = id."""
     theta = NatTransformation(
@@ -528,10 +514,6 @@ def cmd_two_cell_violations(c: CmdTwoCell) -> list[str]:
         if lhs != rhs:
             out.append(f"two-cell square fails at {x}")
     return out
-
-
-def check_cmd_two_cell(c: CmdTwoCell) -> list[str]:
-    return cmd_two_cell_violations(c)
 
 
 def em_universal_factor(

@@ -37,14 +37,9 @@ class Doctrine:
     fibers: Mapping[str, FinPoset]
     reindex: Mapping[str, MonotoneMap]  # arrow name -> fiber(dst) → fiber(src)
 
-    def fiber(self, x: str) -> FinPoset:
-        return self.fibers[x]
-
-    def r(self, arrow: str) -> MonotoneMap:
-        return self.reindex[arrow]
-
 
 def doctrine_violations(d: Doctrine) -> list[str]:
+    """Empty list iff identity and composition contravariance laws hold."""
     out = []
     for x in d.base.objects:
         if x not in d.fibers:
@@ -75,19 +70,6 @@ def doctrine_violations(d: Doctrine) -> list[str]:
     return out
 
 
-def check_doctrine(d: Doctrine) -> list[str]:
-    """Empty list iff identity and composition contravariance laws hold."""
-    return doctrine_violations(d)
-
-
-def valid_doctrine(base, fibers, reindex) -> Doctrine:
-    d = Doctrine(base, dict(fibers), dict(reindex))
-    bad = doctrine_violations(d)
-    if bad:
-        raise ValueError("not a doctrine: " + "; ".join(bad[:5]))
-    return d
-
-
 def constant_doctrine(base: FinCategory, fiber: FinPoset) -> Doctrine:
     return Doctrine(
         base,
@@ -106,9 +88,6 @@ class OneArrow:
     functor: Functor
     parts: Mapping[str, MonotoneMap]
 
-    def at(self, x: str) -> MonotoneMap:
-        return self.parts[x]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneArrow):
             return NotImplemented
@@ -121,6 +100,7 @@ class OneArrow:
 
 
 def one_arrow_violations(a: OneArrow) -> list[str]:
+    """Empty list iff the fiber family is natural (as an equality of maps)."""
     out = []
     P, Q = a.src, a.dst
     if a.functor.src != P.base or a.functor.dst != Q.base:
@@ -143,11 +123,6 @@ def one_arrow_violations(a: OneArrow) -> list[str]:
         if lhs != rhs:
             out.append(f"naturality fails along {t}")
     return out
-
-
-def check_one_arrow(a: OneArrow) -> list[str]:
-    """Empty list iff the fiber family is natural (as an equality of maps)."""
-    return one_arrow_violations(a)
 
 
 def identity_one_arrow(P: Doctrine) -> OneArrow:
@@ -199,10 +174,6 @@ def two_arrow_violations(t: TwoArrow) -> list[str]:
             if not Q.fibers[a.functor.obj_map[x]].leq(fx.apply(alpha), rein.apply(gx.apply(alpha))):
                 out.append(f"lax inequality fails at ({x},{alpha})")
     return out
-
-
-def check_two_arrow(t: TwoArrow) -> list[str]:
-    return two_arrow_violations(t)
 
 
 def identity_two_arrow(a: OneArrow) -> TwoArrow:

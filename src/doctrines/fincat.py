@@ -8,7 +8,8 @@ dedicated constructors since that is how most instances enter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from itertools import product
+from typing import Iterable, Mapping, Sequence, Union
 
 from .order import FinPoset
 
@@ -166,7 +167,7 @@ def full_function_category(sets: Mapping[str, Sequence[str]]) -> FunctionCategor
     graph_of = {}
     for a in names:
         for b in names:
-            for mapping in _all_functions(sets[a], sets[b]):
+            for mapping in all_functions(sets[a], sets[b]):
                 n = function_arrow_name(a, b, mapping, sets[a])
                 arrows.append((n, a, b))
                 graph_of[n] = mapping
@@ -181,16 +182,11 @@ def full_function_category(sets: Mapping[str, Sequence[str]]) -> FunctionCategor
     return FunctionCategory(cat, {k: tuple(v) for k, v in sets.items()}, graph_of)
 
 
-def _all_functions(src: Sequence[str], dst: Sequence[str]):
-    if not src:
-        yield {}
-        return
-    if not dst:
-        return
-    from itertools import product
-
-    for images in product(dst, repeat=len(src)):
-        yield dict(zip(src, images))
+def all_functions(src: Iterable[str], dst: Iterable[str]):
+    """Every function src → dst as a graph dict, images in `itertools.product`
+    order; one empty function when src is empty, none when only dst is."""
+    src = tuple(src)
+    return (dict(zip(src, images)) for images in product(dst, repeat=len(src)))
 
 
 def function_graph(cat_arrow_name: str) -> dict[str, str]:
@@ -255,10 +251,6 @@ def functor_violations(F: Functor) -> list[str]:
     return out
 
 
-def check_functor(F: Functor) -> list[str]:
-    return functor_violations(F)
-
-
 def fin_functor(src, dst, obj_map, arr_map) -> Functor:
     F = Functor(src, dst, dict(obj_map), dict(arr_map))
     bad = functor_violations(F)
@@ -318,10 +310,6 @@ def nat_violations(t: NatTransformation) -> list[str]:
     return out
 
 
-def check_nat(t: NatTransformation) -> list[str]:
-    return nat_violations(t)
-
-
 def fin_nat(src, dst, components) -> NatTransformation:
     t = NatTransformation(src, dst, dict(components))
     bad = nat_violations(t)
@@ -332,14 +320,6 @@ def fin_nat(src, dst, components) -> NatTransformation:
 
 def identity_nat(F: Functor) -> NatTransformation:
     return NatTransformation(F, F, {x: F.dst.id(F.obj_map[x]) for x in F.src.objects})
-
-
-def vcompose_nats(s: NatTransformation, t: NatTransformation) -> NatTransformation:
-    """s·t (t first), componentwise composition."""
-    D = t.src.dst
-    return NatTransformation(
-        t.src, s.dst, {x: D.comp(s.components[x], t.components[x]) for x in t.src.src.objects}
-    )
 
 
 def whisker_functor_nat(H: Functor, t: NatTransformation) -> NatTransformation:

@@ -11,7 +11,7 @@ where the induced operator has a second characterization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .adjunction import DoctrineAdjunction, vertical_adjunction, vertical_modality
@@ -19,25 +19,32 @@ from .doctrine import (
     Doctrine,
     OneArrow,
     ProductData,
+    pair_label,
     power_doctrine,
     restrict_doctrine,
+    square_doctrine,
 )
 from .fincat import (
     FinCategory,
     Functor,
     FunctionCategory,
+    all_functions,
     fin_category,
     full_function_category,
     function_arrow_name,
 )
-from .interior import InteriorOp
+from .interior import InteriorOp, identity_interior
 from .order import (
     FinLattice,
     FinPoset,
     MonotoneMap,
+    chain_poset,
     identity_map,
     label_subset,
     lattice_from_poset,
+    powerset_lattice,
+    powerset_poset,
+    sub_poset,
     subset_label,
     subsets_in_order,
 )
@@ -123,8 +130,6 @@ def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, Func
     """Powerset doctrine over the full function category, inverse-image reindexing."""
     fc = full_function_category(sets)
     base = fc.category
-    from .order import powerset_poset
-
     fibers = {x: powerset_poset(sets[x]) for x in base.objects}
     reindex = {}
     for a in base.arrow_names():
@@ -144,10 +149,8 @@ def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, Func
 def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, InteriorOp]:
     """Fibers are world-valued predicates pw(W)^D over the full function
     category on `sets`; the operator postcomposes with the frame box. The
-    interior laws hold iff the frame is a preorder (check_interior reports
+    interior laws hold iff the frame is a preorder (interior_violations reports
     the failure otherwise)."""
-    from .order import powerset_poset
-
     wposet = powerset_poset(frame.worlds)
     fc = full_function_category(sets)
     base = fc.category
@@ -205,7 +208,7 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
     arrows, graphs = [], {}
     for f1 in families:
         for f2 in families:
-            for g in _all_functions_list(f1.carrier, f2.carrier):
+            for g in all_functions(f1.carrier, f2.carrier):
                 if all(
                     all(g[e] in f2.parts[w] for e in f1.parts[w]) for w in worlds
                 ):
@@ -273,15 +276,6 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
             mapping[lbl] = family_element_label(c, boxed, f.carrier, worlds)
         parts_maps[f.name] = MonotoneMap(fibers[f.name], fibers[f.name], mapping)
     return doc, InteriorOp(doc, parts_maps)
-
-
-def _all_functions_list(src, dst):
-    src = list(src)
-    if not src:
-        return [{}]
-    if not dst:
-        return []
-    return [dict(zip(src, images)) for images in product(list(dst), repeat=len(src))]
 
 
 def constant_family_arrow(
@@ -373,7 +367,7 @@ def interior_of(space: FiniteTopSpace, a: frozenset[str]) -> frozenset[str]:
 def open_continuous_maps(s: FiniteTopSpace, t: FiniteTopSpace) -> list[dict]:
     """All functions that are both continuous and open, by brute force."""
     out = []
-    for g in _all_functions_list(s.points, t.points):
+    for g in all_functions(s.points, t.points):
         continuous = all(
             frozenset(p for p in s.points if g[p] in u) in s.opens for u in t.opens
         )
@@ -411,8 +405,6 @@ def topological_doctrine(spaces: Sequence[FiniteTopSpace]) -> tuple[Doctrine, In
                 comp = {p: graphs[gn][graphs[fn][p]] for p in by_name[fs].points}
                 composition[(gn, fn)] = function_arrow_name(fs, gd, comp, by_name[fs].points)
     base = fin_category([s.name for s in spaces], arrows, identities, composition)
-    from .order import powerset_poset
-
     fibers = {s.name: powerset_poset(s.points) for s in spaces}
     reindex = {}
     for (n, sn, dn) in arrows:
@@ -452,8 +444,6 @@ def forgetful_top_arrow(spaces: Sequence[FiniteTopSpace]) -> tuple[OneArrow, Int
     arr_map = {a: a for a in src_doc.base.arrow_names()}
     functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
     parts = {s.name: identity_map(src_doc.fibers[s.name]) for s in spaces}
-    from .interior import identity_interior
-
     return OneArrow(src_doc, dst_doc, functor, parts), src_op, identity_interior(dst_doc)
 
 
@@ -513,8 +503,6 @@ def valid_quantale(name, lattice, tensor, unit) -> FiniteQuantale:
 
 
 def bool_quantale() -> FiniteQuantale:
-    from .order import chain_poset
-
     lat = lattice_from_poset(chain_poset(["0", "1"]))
     tensor = {(a, b): lat.meet[(a, b)] for a in "01" for b in "01"}
     return valid_quantale("bool", lat, tensor, "1")
@@ -522,8 +510,6 @@ def bool_quantale() -> FiniteQuantale:
 
 def lukasiewicz3() -> FiniteQuantale:
     """The 3-chain 0 ≤ h ≤ 1 with x⊗y = max(0, x+y−1)."""
-    from .order import chain_poset
-
     lat = lattice_from_poset(chain_poset(["0", "h", "1"]))
     val = {"0": 0.0, "h": 0.5, "1": 1.0}
     back = {0.0: "0", 0.5: "h", 1.0: "1"}
@@ -537,8 +523,6 @@ def lukasiewicz3() -> FiniteQuantale:
 
 def powerset_monoid_quantale(elements: Sequence[str], op: Mapping[tuple[str, str], str], unit: str) -> FiniteQuantale:
     """pw(M) for a finite commutative monoid M, with elementwise products."""
-    from .order import powerset_lattice
-
     lat = powerset_lattice(elements)
     tensor = {}
     for l1 in lat.carrier.elements:
@@ -571,14 +555,12 @@ def quantale_core(q: FiniteQuantale) -> QuantaleCore:
         for b in core:
             if q.tensor[(a, b)] not in core:
                 raise ValueError(f"core not closed under tensor at ({a},{b})")
-    for fam in subsets_in_order(core) if len(core) <= 8 else []:
-        join = lat.bottom
-        for y in sorted(fam, key=lat.carrier.index):
-            join = lat.join[(join, y)]
-        if join not in core:
-            raise ValueError(f"core not closed under the join of {sorted(fam)}")
-    from .order import sub_poset
-
+    # closed under every finite join iff it holds the empty join and each binary one
+    if lat.bottom not in core:
+        raise ValueError("core not closed under the join of []")
+    for a, b in combinations(core, 2):
+        if lat.join[(a, b)] not in core:
+            raise ValueError(f"core not closed under the join of {sorted((a, b))}")
     sub = sub_poset(lat.carrier, core)
     iota = MonotoneMap(sub, lat.carrier, {x: x for x in core})
     r_map = {}
@@ -731,8 +713,6 @@ def fake_core(q: FiniteQuantale) -> QuantaleCore:
     not a valid core, used as the negative control for the bang laws."""
     lat = q.lattice
     els = [x for x in lat.carrier.elements if lat.carrier.leq(x, q.unit)]
-    from .order import sub_poset
-
     sub = sub_poset(lat.carrier, els)
     iota = MonotoneMap(sub, lat.carrier, {x: x for x in els})
     r_map = {}
@@ -792,7 +772,7 @@ def presheaf_violations(d: FinPresheaf) -> list[str]:
 def presheaf_nat_transformations(d: FinPresheaf, e: FinPresheaf) -> list[dict]:
     """All natural families of functions d ⇒ e, by brute force."""
     worlds = list(d.base.objects)
-    per_world = [_all_functions_list(d.at[w], e.at[w]) for w in worlds]
+    per_world = [all_functions(d.at[w], e.at[w]) for w in worlds]
     out = []
     for combo in product(*per_world):
         phi = dict(zip(worlds, combo))
@@ -895,8 +875,6 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
                 composition[(gn, fn)] = name
     base = fin_category([d.name for d in presheaves], arrows, identities, composition)
 
-    from .order import powerset_poset, sub_poset
-
     fibers, decode = {}, {}
     sub_fibers = {}
     for d in presheaves:
@@ -970,6 +948,18 @@ def presheaf_decode(doc_fiber_label: str, d: FinPresheaf) -> dict:
     return out
 
 
+def presheaf_oracle_mismatches(presheaves: Sequence[FinPresheaf], op: InteriorOp) -> list[tuple[str, str]]:
+    """Every (presheaf, family) on which the box of `presheaf_instance`
+    disagrees with `subpresheaf_union_oracle`, families in fiber order."""
+    out = []
+    for d in presheaves:
+        for lbl in op.doctrine.fibers[d.name].elements:
+            want = presheaf_family_label(subpresheaf_union_oracle(d, presheaf_decode(lbl, d)), d)
+            if op.parts[d.name].apply(lbl) != want:
+                out.append((d.name, lbl))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Subobjects over finite sets, computed by pullback
 
@@ -980,8 +970,6 @@ def subobject_doctrine_finset(sets: Mapping[str, Sequence[str]]) -> Doctrine:
     the powerset doctrine up to a natural fiberwise bijection."""
     fc = full_function_category(sets)
     base = fc.category
-    from .order import powerset_poset
-
     fibers = {x: powerset_poset(sets[x]) for x in base.objects}
     reindex = {}
     for a in base.arrow_names():
@@ -1003,8 +991,6 @@ def subobject_doctrine_finset(sets: Mapping[str, Sequence[str]]) -> Doctrine:
 def conjunction_adjunction(P: Doctrine) -> DoctrineAdjunction:
     """Diagonal ⊣ meet between P and its square; every fiber must have binary
     meets preserved by reindexing."""
-    from .doctrine import pair_label, square_doctrine
-
     meets = {}
     for x in P.base.objects:
         meets[x] = lattice_from_poset(P.fibers[x]).meet

@@ -19,9 +19,6 @@ class InteriorOp:
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]
 
-    def at(self, x: str) -> MonotoneMap:
-        return self.parts[x]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteriorOp):
             return NotImplemented
@@ -35,6 +32,7 @@ def identity_interior(P: Doctrine) -> InteriorOp:
 
 
 def interior_violations(op: InteriorOp) -> list[str]:
+    """Empty list iff naturality, T, and 4 hold everywhere (idempotence rechecked)."""
     out = []
     P = op.doctrine
     for x in P.base.objects:
@@ -67,11 +65,6 @@ def interior_violations(op: InteriorOp) -> list[str]:
         if compose_maps(box, box) != box:
             out.append(f"idempotence fails at {x}")
     return out
-
-
-def check_interior(op: InteriorOp) -> list[str]:
-    """Empty list iff naturality, T, and 4 hold everywhere (idempotence rechecked)."""
-    return interior_violations(op)
 
 
 def stable_elements(op: InteriorOp, x: str) -> tuple[str, ...]:
@@ -115,6 +108,8 @@ def stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
 
 
 def modal_one_arrow_violations(a: OneArrow, op_src: InteriorOp, op_dst: InteriorOp) -> list[str]:
+    """Empty list iff f_X ∘ box_X ≤ box'_{FX} ∘ f_X everywhere; also verifies
+    the equivalent stability-preservation equality."""
     out = list(one_arrow_violations(a))
     if out:
         return out
@@ -142,9 +137,3 @@ def modal_one_arrow_violations(a: OneArrow, op_src: InteriorOp, op_dst: Interior
             if lhs != rhs:
                 out.append(f"stability preservation fails at ({x},{alpha})")
     return out
-
-
-def check_modal_one_arrow(a: OneArrow, op_src: InteriorOp, op_dst: InteriorOp) -> list[str]:
-    """Empty list iff f_X ∘ box_X ≤ box'_{FX} ∘ f_X everywhere; also verifies
-    the equivalent stability-preservation equality."""
-    return modal_one_arrow_violations(a, op_src, op_dst)

@@ -152,9 +152,6 @@ class MonotoneMap:
     def apply(self, x: str) -> str:
         return self.mapping[x]
 
-    def __call__(self, x: str) -> str:
-        return self.mapping[x]
-
     def graph(self) -> tuple[tuple[str, str], ...]:
         return tuple((x, self.mapping[x]) for x in self.src.elements)
 
@@ -169,6 +166,7 @@ class MonotoneMap:
 
 
 def monotone_violations(m: MonotoneMap) -> list[str]:
+    """Empty list iff order-preservation holds on every related pair."""
     out = []
     for x in m.src.elements:
         if x not in m.mapping:
@@ -184,11 +182,6 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
         if not m.dst.leq(m.mapping[a], m.mapping[b]):
             out.append(f"order not preserved on ({a},{b})")
     return sorted(out)
-
-
-def check_monotone(m: MonotoneMap) -> list[str]:
-    """Empty list iff order-preservation holds on every related pair."""
-    return monotone_violations(m)
 
 
 def monotone_map(src: FinPoset, dst: FinPoset, mapping: Mapping[str, str]) -> MonotoneMap:

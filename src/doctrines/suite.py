@@ -24,12 +24,13 @@ from .adjunction import (
     left_arrow,
     random_vertical_adjunction,
     triviality_checks,
+    vertical_modality,
 )
 from .comonad import (
     DoctrineComonad,
-    check_comonad,
     cm_modality,
     cmd_of_adjunction,
+    comonad_violations,
     comparison_arrow,
     em_adjunction,
     em_doctrine,
@@ -43,7 +44,16 @@ from .comonad import (
     modality_comparison_check,
 )
 from .doctrine import Doctrine
-from .fincat import Functor, NatTransformation, compose_functors, function_arrow_name
+from .fincat import (
+    Functor,
+    NatTransformation,
+    compose_functors,
+    fin_functor,
+    fin_nat,
+    function_arrow_name,
+    identity_functor,
+    poset_category,
+)
 from .instances import (
     FinPresheaf,
     FiniteTopSpace,
@@ -52,6 +62,7 @@ from .instances import (
     bang_law_suite,
     bool_quantale,
     conjunction_adjunction,
+    conjunction_modality,
     fake_core,
     fam_doctrine,
     forall_instance,
@@ -59,14 +70,15 @@ from .instances import (
     lukasiewicz3,
     powerset_doctrine,
     presheaf_decode,
-    presheaf_family_label,
     presheaf_instance,
+    presheaf_nat_transformations,
+    presheaf_oracle_mismatches,
     is_subpresheaf,
-    subpresheaf_union_oracle,
     quantale_doctrine,
+    topological_doctrine,
 )
-from .interior import InteriorOp, interior_violations, stable_elements
-from .order import identity_map, label_subset
+from .interior import InteriorOp, identity_interior, interior_violations, stable_elements
+from .order import MonotoneMap, chain_poset, fin_poset, identity_map, label_subset, powerset_poset, subset_label
 from .temporal import (
     FCoalgebra,
     gfp_modality_trace,
@@ -137,8 +149,6 @@ def bundled_fam():
 
 @lru_cache(maxsize=1)
 def bundled_topological():
-    from .instances import topological_doctrine
-
     return topological_doctrine(SPACES)
 
 
@@ -152,9 +162,6 @@ def bundled_quantale_doctrines():
 
 @lru_cache(maxsize=1)
 def two_chain_presheaves():
-    from .fincat import poset_category
-    from .order import chain_poset
-
     base = poset_category(chain_poset(["w1", "w2"]))
     d1 = FinPresheaf(
         "D1",
@@ -191,9 +198,6 @@ def bundled_temporal():
 
 @lru_cache(maxsize=1)
 def diamond_comonad() -> DoctrineComonad:
-    from .fincat import poset_category
-    from .order import MonotoneMap, fin_poset, powerset_poset, subset_label
-
     p = fin_poset(
         ["bot", "a", "b", "top"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
     )
@@ -212,8 +216,6 @@ def diamond_comonad() -> DoctrineComonad:
             },
         )
     doc = Doctrine(base, fibers, reindex)
-    from .fincat import fin_functor, fin_nat, identity_functor
-
     k = {"bot": "bot", "a": "a", "b": "bot", "top": "a"}
     K = fin_functor(
         base, base, k, {t: f"{k[base.src(t)]}<={k[base.dst(t)]}" for t in base.arrow_names()}
@@ -248,8 +250,6 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
     # L restricts a presheaf (and a natural transformation) to the world w2
     obj_map = {"D1": "S", "D2": "S"}
     arr_map = {}
-    from .instances import presheaf_nat_transformations
-
     by_name = {"D1": d1, "D2": d2}
     comps = {}
     for dn in ("D1", "D2"):
@@ -280,8 +280,6 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
         eta_comps[dn] = next(
             n for n, c in comps.items() if n.startswith(f"{dn}=>D1#") and c == phi
         )
-    from .fincat import identity_functor, identity_nat
-
     eta = NatTransformation(identity_functor(psh_base), compose_functors(R, L), eta_comps)
     eps = NatTransformation(
         compose_functors(L, R), identity_functor(set_base), {"S": set_base.id("S")}
@@ -291,9 +289,6 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
 
 @lru_cache(maxsize=1)
 def rounding_base_change() -> DoctrineAdjunction:
-    from .fincat import fin_functor, fin_nat, identity_functor, poset_category
-    from .order import MonotoneMap, chain_poset, powerset_poset
-
     big = poset_category(chain_poset(["0", "1", "2"]))
     small = poset_category(chain_poset(["0", "2"]))
     up = {"0": "0", "1": "2", "2": "2"}
@@ -331,8 +326,6 @@ def identity_powerset_adjunction() -> DoctrineAdjunction:
 def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     ops = []
     doc, _ = powerset_doctrine({"A": ["a1"], "B": ["b1", "b2"]})
-    from .interior import identity_interior
-
     ops.append(("identity", identity_interior(doc)))
     for name, (d, op) in bundled_kripke().items():
         ops.append((name, op))
@@ -343,8 +336,6 @@ def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     ops.append(("presheaf", bundled_presheaf()[2]))
     for tname, (tdoc, top) in bundled_temporal().items():
         ops.append((tname, top))
-    from .instances import conjunction_modality
-
     conj_doc, _ = powerset_doctrine({"A": ["a1", "a2"]})
     ops.append(("conjunction", conjunction_modality(conj_doc)))
     ops.append(("forall", forall_instance({"Y": ["y"]}, "X", ["0", "1"])[1]))
@@ -433,8 +424,6 @@ def criterion_am_modality(seed: int) -> dict:
 
 
 def criterion_factorization() -> dict:
-    from .adjunction import vertical_modality
-
     details = []
     ok = True
     for name, A in bundled_adjunctions():
@@ -469,7 +458,7 @@ def criterion_comonad_suite() -> dict:
     details = []
     ok = True
     for name, c in bundled_comonads():
-        bad = check_comonad(c)
+        bad = comonad_violations(c)
         if bad:
             ok = False
             details.append(f"{name}: " + "; ".join(bad[:3]))
@@ -630,13 +619,7 @@ def criterion_presheaf_oracle() -> dict:
     details = []
     ok = True
     adj, families, op = bundled_presheaf()
-    mismatch = 0
-    for d in two_chain_presheaves():
-        for lbl in families.fibers[d.name].elements:
-            parts = presheaf_decode(lbl, d)
-            want = presheaf_family_label(subpresheaf_union_oracle(d, parts), d)
-            if op.parts[d.name].apply(lbl) != want:
-                mismatch += 1
+    mismatch = len(presheaf_oracle_mismatches(two_chain_presheaves(), op))
     details.append(f"box equals union-of-subfamilies oracle on every family ({mismatch} mismatches)")
     ok = ok and mismatch == 0
     stable_ok = True

@@ -17,9 +17,9 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .doctrine import Doctrine
-from .fincat import fin_category, function_arrow_name
+from .fincat import all_functions, fin_category, function_arrow_name
 from .interior import InteriorOp
-from .order import MonotoneMap, label_subset, subset_label
+from .order import MonotoneMap, label_subset, powerset_poset, subset_label, subsets_in_order
 
 
 STREAM, TREE = "stream", "tree"
@@ -66,12 +66,6 @@ def step_satisfies_lift(c: FCoalgebra, lift: str, s: str, beta: frozenset[str]) 
     if lift == "exists":
         return any(t in beta for t in kids)
     raise ValueError(f"unknown lift {lift}")
-
-
-def default_lift(c: FCoalgebra, lift: str | None) -> str:
-    if lift is not None:
-        return lift
-    return "stream" if c.kind == STREAM else "forall"
 
 
 def gfp_modality(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str]:
@@ -225,11 +219,9 @@ def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, fr
     out = []
     for lift in lifts:
         _require_psi_monotone(c, lift, frozenset(c.states))
-        for r in range(len(c.states) + 1):
-            for combo in combinations(c.states, r):
-                alpha = frozenset(combo)
-                if _psi_chain(c, lift, alpha)[-1] != oracle_for(c, lift, alpha):
-                    out.append((lift, alpha))
+        for alpha in subsets_in_order(c.states):
+            if _psi_chain(c, lift, alpha)[-1] != oracle_for(c, lift, alpha):
+                out.append((lift, alpha))
     return out
 
 
@@ -237,14 +229,10 @@ def coalgebra_homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[dict]:
     """All step-compatible functions, by brute force."""
     if c1.kind != c2.kind:
         return []
-    from itertools import product
-
     out = []
-    states = list(c1.states)
-    for images in product(c2.states, repeat=len(states)):
-        h = dict(zip(states, images))
+    for h in all_functions(c1.states, c2.states):
         ok = True
-        for s in states:
+        for s in c1.states:
             if c1.kind == STREAM:
                 if h[c1.step[s]] != c2.step[h[s]]:
                     ok = False
@@ -289,8 +277,6 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
                 comp = {s: graphs[gn][graphs[fn][s]] for s in by_name[fs].states}
                 composition[(gn, fn)] = function_arrow_name(fs, gd, comp, by_name[fs].states)
     base = fin_category([c.name for c in coalgebras], arrows, identities, composition)
-    from .order import powerset_poset
-
     fibers = {c.name: powerset_poset(c.states) for c in coalgebras}
     reindex = {}
     for (n, sn, dn) in arrows:

@@ -10,9 +10,9 @@ from doctrines.adjunction import (
     am_functor_2cell,
     am_modality,
     base_change_adjunction,
-    check_adj_morphism,
-    check_adj_two_cell,
-    check_adjunction,
+    adj_morphism_violations,
+    adj_two_cell_violations,
+    adjunction_violations,
     compose_adj_morphisms,
     eta_two_arrow,
     eps_two_arrow,
@@ -28,7 +28,7 @@ from doctrines.adjunction import (
     vertical_adjunction,
     vertical_modality,
 )
-from doctrines.doctrine import Doctrine, check_two_arrow, identity_one_arrow
+from doctrines.doctrine import Doctrine, two_arrow_violations, identity_one_arrow
 from doctrines.fincat import (
     compose_functors,
     fin_functor,
@@ -37,7 +37,7 @@ from doctrines.fincat import (
     identity_nat,
     poset_category,
 )
-from doctrines.interior import check_interior, identity_interior
+from doctrines.interior import interior_violations, identity_interior
 from doctrines.order import MonotoneMap, chain_poset, identity_map, powerset_poset
 
 from util import powerset_doctrine_over
@@ -46,10 +46,10 @@ from util import powerset_doctrine_over
 def test_identity_adjunction_passes():
     d = powerset_doctrine_over({"A": ["a1"], "B": ["b1"]})
     A = identity_adjunction(d)
-    assert check_adjunction(A) == []
+    assert adjunction_violations(A) == []
     assert is_vertical(A)
-    assert check_two_arrow(eta_two_arrow(A)) == []
-    assert check_two_arrow(eps_two_arrow(A)) == []
+    assert two_arrow_violations(eta_two_arrow(A)) == []
+    assert two_arrow_violations(eps_two_arrow(A)) == []
 
 
 def test_identity_vertical_modality_is_identity():
@@ -64,7 +64,7 @@ def test_bad_galois_pair_tagged_iii():
     lam = {"A": identity_map(fib)}
     rho = {"A": MonotoneMap(fib, fib, {l: "{}" for l in fib.elements})}
     A = vertical_adjunction(d, d, lam, rho)
-    out = check_adjunction(A)
+    out = adjunction_violations(A)
     assert out and all(v.startswith("(iii)") for v in out)
 
 
@@ -72,10 +72,10 @@ def test_random_vertical_adjunctions_valid_and_galois(seed=11):
     rng = random.Random(seed)
     for _ in range(10):
         A = random_vertical_adjunction(rng)
-        assert check_adjunction(A) == []
+        assert adjunction_violations(A) == []
         assert galois_violations(A) == []
         op = vertical_modality(A)
-        assert check_interior(op) == []
+        assert interior_violations(op) == []
 
 
 def test_vertical_and_am_modality_agree_on_verticals(seed=5):
@@ -114,7 +114,7 @@ def test_base_change_adjunction_rounding_instance():
     big, small, L, R, eta, eps = _rounding_base_adjunction()
     Q = _doctrine_over_small(small)
     A = base_change_adjunction(Q, L, R, eta, eps)
-    assert check_adjunction(A) == []
+    assert adjunction_violations(A) == []
     assert not is_vertical(A)
     doc, op = am_modality(A)
     # the base-change adjunction never contributes modality content
@@ -126,8 +126,8 @@ def test_factorize_base_change_has_identity_vertical_part():
     Q = _doctrine_over_small(small)
     A = base_change_adjunction(Q, L, R, eta, eps)
     vert, bc = factorize(A)
-    assert check_adjunction(vert) == []
-    assert check_adjunction(bc) == []
+    assert adjunction_violations(vert) == []
+    assert adjunction_violations(bc) == []
     assert vert == identity_adjunction(vert.p)
     assert factorization_composites_agree(A) == []
 
@@ -135,8 +135,8 @@ def test_factorize_base_change_has_identity_vertical_part():
 def test_factorize_vertical_has_identity_base_change_part(seed=3):
     A = random_vertical_adjunction(random.Random(seed))
     vert, bc = factorize(A)
-    assert check_adjunction(vert) == []
-    assert check_adjunction(bc) == []
+    assert adjunction_violations(vert) == []
+    assert adjunction_violations(bc) == []
     assert bc == identity_adjunction(A.q)
     assert factorization_composites_agree(A) == []
 
@@ -199,13 +199,13 @@ def test_factorize2_on_base_change_instance():
 def test_identity_adj_morphism_and_am_functor(seed=31):
     A = random_vertical_adjunction(random.Random(seed))
     m = identity_adj_morphism(A)
-    assert check_adj_morphism(m) == []
+    assert adj_morphism_violations(m) == []
     arrow = am_functor(m)
     assert arrow == identity_one_arrow(am_modality(A)[0])
-    from doctrines.interior import check_modal_one_arrow
+    from doctrines.interior import modal_one_arrow_violations
 
     _, op = am_modality(A)
-    assert check_modal_one_arrow(arrow, op, op) == []
+    assert modal_one_arrow_violations(arrow, op, op) == []
 
 
 def test_am_functor_distributes_over_composition(seed=37):
@@ -213,7 +213,7 @@ def test_am_functor_distributes_over_composition(seed=37):
     m = identity_adj_morphism(A)
     n = identity_adj_morphism(A)
     comp = compose_adj_morphisms(n, m)
-    assert check_adj_morphism(comp) == []
+    assert adj_morphism_violations(comp) == []
     from doctrines.doctrine import compose_one_arrows
 
     assert am_functor(comp) == compose_one_arrows(am_functor(n), am_functor(m))
@@ -227,14 +227,14 @@ def test_broken_theta_names_object(seed=41):
     x = A.q.base.objects[0]
     bad = AdjMorphism(A, A, good.fun_p, good.parts_p, good.fun_q, good.parts_q,
                       fin_nat(good.theta.src, good.theta.dst, comps))
-    assert check_adj_morphism(bad) == []
+    assert adj_morphism_violations(bad) == []
     # corrupting the eta square: swap parts_p for a non-commuting family
     drop = {
         xx: MonotoneMap(A.p.fibers[xx], A.p.fibers[xx], {l: A.p.fibers[xx].elements[0] for l in A.p.fibers[xx].elements})
         for xx in A.p.base.objects
     }
     harmed = AdjMorphism(A, A, good.fun_p, drop, good.fun_q, good.parts_q, good.theta)
-    out = check_adj_morphism(harmed)
+    out = adj_morphism_violations(harmed)
     assert out
 
 
@@ -244,9 +244,9 @@ def test_identity_two_cell(seed=43):
     from doctrines.doctrine import identity_two_arrow
 
     cell = AdjTwoCell(m, m, identity_two_arrow(p_arrow_of(m)), identity_two_arrow(q_arrow_of(m)))
-    assert check_adj_two_cell(cell) == []
+    assert adj_two_cell_violations(cell) == []
     two = am_functor_2cell(cell)
-    assert check_two_arrow(two) == []
+    assert two_arrow_violations(two) == []
 
 
 def p_arrow_of(m):

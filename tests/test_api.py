@@ -1,0 +1,87 @@
+"""Static checks on the library source: one name per law, real checks only.
+
+Each law has one public name, its `*_violations` function; a public function
+whose body only passes its own parameters on to another function is a second
+name for that function. Invariants are enforced by raising, never by
+`assert`, which `python -O` strips.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "doctrines").glob("*.py"))
+
+
+def _functions(tree: ast.Module):
+    """Module-level functions and the methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+
+
+def _is_alias(fn: ast.FunctionDef) -> bool:
+    """Whether the body, past a docstring, is only `return g(<fn's own parameters>)`."""
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    passed = list(call.args) + [k.value for k in call.keywords]
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    return all(isinstance(a, ast.Name) for a in passed) and [a.id for a in passed] == params
+
+
+def _aliases(source: str) -> list[str]:
+    return [fn.name for fn in _functions(ast.parse(source)) if not fn.name.startswith("_") and _is_alias(fn)]
+
+
+def test_no_public_function_only_forwards_its_parameters():
+    found = [f"{path.name}: {name}" for path in SOURCES for name in _aliases(path.read_text())]
+    assert found == []
+
+
+def test_no_assert_statements_in_the_library():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_alias_scan_flags_a_planted_alias_and_nothing_else():
+    source = '''
+def law_violations(a, b):
+    return []
+
+
+def check_law(a, b):
+    """A second name for the law."""
+    return law_violations(a, b)
+
+
+def check_law_by_keyword(a, b):
+    return law_violations(a, b=b)
+
+
+def first_violation(a, b):
+    return law_violations(a, b)[0]
+
+
+def law_holds(a, b):
+    return law_violations(b, a)
+
+
+def _private_alias(a, b):
+    return law_violations(a, b)
+
+
+class Law:
+    def violations(self):
+        return law_violations(self)
+'''
+    assert _aliases(source) == ["check_law", "check_law_by_keyword", "violations"]

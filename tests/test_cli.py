@@ -236,6 +236,31 @@ def test_cli_size_guard_counts_work(tmp_path, capsys):
     assert "refused" not in capsys.readouterr().out
 
 
+def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
+    # 2^40 families: a guard that steps through them would never return
+    elements = ",".join(f"e{i}" for i in range(40))
+    text = f"kripke-frame K {{ worlds: w }}\npresheaf P {{ frame: K; at: w={{{elements}}} }}"
+    assert _main(tmp_path, text, "check") == 1
+    out = capsys.readouterr().out
+    assert "FAIL presheaf-instance K\n  - refused: estimated work 1099511627776 exceeds --max-size 200000" in out
+
+
+@pytest.mark.parametrize(
+    "text, duplicate",
+    [
+        ("kripke-frame K { worlds: w1 w1 w2; rel: w1->w2; sets: D=x }", "'w1' in 'worlds'"),
+        ("coalgebra M { kind: stream; states: a a b; step: a=b b=a }", "'a' in 'states'"),
+        ("topspace S { points: p p; opens: {} {p} }", "'p' in 'points'"),
+        ("kripke-frame K { worlds: w1 w2; rel: w1->w2; sets: D=x D=y }", "'D' in 'sets'"),
+        ("quantale Q { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1=0 1*1=1; sets: X=x,x }", "'x' in 'sets'"),
+        ("kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; at: w1={a,a} w2={a}; act: w1->w2=a>a }", "'a' in 'at'"),
+    ],
+)
+def test_cli_duplicate_identifier_is_usage_error(tmp_path, capsys, text, duplicate):
+    assert _main(tmp_path, text, "check") == 2
+    assert f"duplicate identifier {duplicate}" in capsys.readouterr().err
+
+
 MODEL_TOKENS = re.findall(r"\S+|\n", MODEL)
 MUTATION_COMMANDS = [
     ("check",),
@@ -269,6 +294,12 @@ def mutated_model(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(text=mutated_model())
 def test_cli_exit_code_contract_holds_on_mutated_models(tmp_path_factory, text):
+    try:
+        doc = parse_text(text)
+    except ParseError:
+        pass
+    else:
+        assert parse_text(serialize(doc)) == doc, text
     f = tmp_path_factory.mktemp("mut") / "m.dct"
     f.write_text(text)
     for command in MUTATION_COMMANDS:

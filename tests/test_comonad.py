@@ -4,7 +4,7 @@ import pytest
 
 from doctrines.adjunction import (
     am_modality,
-    check_adjunction,
+    adjunction_violations,
     identity_adjunction,
     left_arrow,
     random_vertical_adjunction,
@@ -12,9 +12,9 @@ from doctrines.adjunction import (
 from doctrines.comonad import (
     CmdTwoCell,
     DoctrineComonad,
-    check_cmd_morphism,
-    check_cmd_two_cell,
-    check_comonad,
+    cmd_morphism_violations,
+    cmd_two_cell_violations,
+    comonad_violations,
     cm_modality,
     cmd_arrow,
     cmd_of_adjunction,
@@ -34,8 +34,8 @@ from doctrines.comonad import (
 )
 from doctrines.doctrine import (
     Doctrine,
-    check_one_arrow,
-    check_two_arrow,
+    one_arrow_violations,
+    two_arrow_violations,
     identity_one_arrow,
     identity_two_arrow,
 )
@@ -48,7 +48,7 @@ from doctrines.fincat import (
     identity_nat,
     poset_category,
 )
-from doctrines.interior import InteriorOp, check_interior, identity_interior, stable_subdoctrine
+from doctrines.interior import InteriorOp, interior_violations, identity_interior, stable_subdoctrine
 from doctrines.order import (
     MonotoneMap,
     fin_poset,
@@ -100,11 +100,11 @@ def diamond_comonad():
 
 def test_identity_comonad_passes():
     d = powerset_doctrine_over({"A": ["a1"], "B": ["b1"]})
-    assert check_comonad(identity_comonad(d)) == []
+    assert comonad_violations(identity_comonad(d)) == []
 
 
 def test_diamond_comonad_passes():
-    assert check_comonad(diamond_comonad()) == []
+    assert comonad_violations(diamond_comonad()) == []
 
 
 def test_diamond_comonad_planted_kappa_fails_iii():
@@ -113,7 +113,7 @@ def test_diamond_comonad_planted_kappa_fails_iii():
     kappa = dict(c.kappa)
     kappa["a"] = identity_map(c.p.fibers["a"])
     bad = DoctrineComonad(c.p, c.k, kappa, c.mu, c.nu)
-    out = check_comonad(bad)
+    out = comonad_violations(bad)
     assert out and any(v.startswith("(iii)") or "naturality" in v for v in out)
 
 
@@ -123,8 +123,8 @@ def test_em_doctrine_identity_comonad_keeps_fibers():
     assert len(bundle.em.base.objects) == 1
     o = bundle.em.base.objects[0]
     assert bundle.em.fibers[o].elements == d.fibers["A"].elements
-    assert check_one_arrow(bundle.forgetful) == []
-    assert check_two_arrow(bundle.universal) == []
+    assert one_arrow_violations(bundle.forgetful) == []
+    assert two_arrow_violations(bundle.universal) == []
 
 
 def test_em_doctrine_diamond_fibers_are_proper_suborders():
@@ -140,15 +140,15 @@ def test_em_doctrine_diamond_fibers_are_proper_suborders():
 def test_em_adjunction_identity_and_diamond():
     d = powerset_doctrine_over({"A": ["a1"]})
     A = em_adjunction(identity_comonad(d))
-    assert check_adjunction(A) == []
+    assert adjunction_violations(A) == []
     A2 = em_adjunction(diamond_comonad())
-    assert check_adjunction(A2) == []
+    assert adjunction_violations(A2) == []
 
 
 def test_cm_modality_matches_am_of_em_adjunction():
     for c in (identity_comonad(powerset_doctrine_over({"A": ["a1"]})), diamond_comonad()):
         op = cm_modality(c)
-        assert check_interior(op) == []
+        assert interior_violations(op) == []
         doc, op2 = am_modality(em_adjunction(c))
         assert doc == op.doctrine
         assert op2 == op
@@ -169,7 +169,7 @@ def test_cmd_of_adjunction_on_random_verticals(seed=7):
     for _ in range(5):
         A = random_vertical_adjunction(rng)
         c = cmd_of_adjunction(A)
-        assert check_comonad(c) == []
+        assert comonad_violations(c) == []
         # em fibers are the stable elements of the induced modality
         from doctrines.adjunction import vertical_modality
 
@@ -186,7 +186,7 @@ def test_comparison_arrow_and_modality_comparison(seed=13):
     for _ in range(5):
         A = random_vertical_adjunction(rng)
         comp = comparison_arrow(A)
-        assert check_one_arrow(comp) == []
+        assert one_arrow_violations(comp) == []
         rep = modality_comparison_check(A)
         assert rep["pass"], rep
 
@@ -209,9 +209,9 @@ def test_mc_and_ma_on_interior_ops():
     )
     for op in (identity_interior(d), drop):
         c = mc(op)
-        assert check_comonad(c) == []
+        assert comonad_violations(c) == []
         A = ma(op)
-        assert check_adjunction(A) == []
+        assert adjunction_violations(A) == []
         assert ma_agrees_with_em_of_mc(op) == []
         # inclusion ⊣ box: inclusion(s) ≤ β ⟺ s ≤ box(β)
         from doctrines.adjunction import galois_violations
@@ -256,9 +256,9 @@ def test_cmd_morphism_identity_and_mc_of_modal_arrow():
     d = powerset_doctrine_over({"A": ["a1"]})
     op = identity_interior(d)
     m = mc_morphism(identity_one_arrow(d), op, op)
-    assert check_cmd_morphism(m) == []
+    assert cmd_morphism_violations(m) == []
     cell = CmdTwoCell(m, m, identity_two_arrow(identity_one_arrow(d)))
-    assert check_cmd_two_cell(cell) == []
+    assert cmd_two_cell_violations(cell) == []
 
 
 def test_cmd_morphism_broken_theta():
@@ -274,12 +274,12 @@ def test_cmd_morphism_broken_theta():
     from doctrines.comonad import CmdMorphism
 
     good = CmdMorphism(c, c, arrow, theta)
-    assert check_cmd_morphism(good) == []
+    assert cmd_morphism_violations(good) == []
     bad_theta = NatTransformation(
         theta.src, theta.dst, dict(theta.components) | {"top": "bot<=a"}
     )
     bad = CmdMorphism(c, c, arrow, bad_theta)
-    assert check_cmd_morphism(bad) != []
+    assert cmd_morphism_violations(bad) != []
 
 
 def test_em_universal_factor_at_forgetful_is_identity():
@@ -350,21 +350,21 @@ def test_nabla_on_nonvertical_base_change():
 
 
 def test_unit_comparison_morphism_on_bundled_and_random(seed=47):
-    from doctrines.adjunction import check_adj_morphism, am_functor, am_modality
+    from doctrines.adjunction import adj_morphism_violations, am_functor, am_modality
     from doctrines.comonad import unit_comparison_morphism
-    from doctrines.interior import check_modal_one_arrow
+    from doctrines.interior import modal_one_arrow_violations
 
     cases = [identity_adjunction(powerset_doctrine_over({"A": ["a1"]}))]
     rng = random.Random(seed)
     cases.extend(random_vertical_adjunction(rng) for _ in range(4))
     for A in cases:
         m = unit_comparison_morphism(A)
-        assert check_adj_morphism(m) == []
+        assert adj_morphism_violations(m) == []
         arrow = am_functor(m)
         _, op_a = am_modality(A)
         _, op_b = am_modality(m.dst)
         # the modal image maps stable elements to stable elements
-        assert check_modal_one_arrow(arrow, op_a, op_b) == []
+        assert modal_one_arrow_violations(arrow, op_a, op_b) == []
 
 
 def test_mc_morphism_on_real_modal_arrows():
@@ -374,7 +374,7 @@ def test_mc_morphism_on_real_modal_arrows():
     frame = KripkeFrame(("w1", "w2"), frozenset({("w1", "w1"), ("w2", "w2"), ("w1", "w2")}))
     arrow, op_src, op_dst = constant_family_arrow(frame, {"S": ["s", "t"]})
     m = mc_morphism(arrow, op_src, op_dst)
-    assert check_cmd_morphism(m) == []
+    assert cmd_morphism_violations(m) == []
     arrow2, op2_src, op2_dst = forgetful_top_arrow(list(SPACES))
     m2 = mc_morphism(arrow2, op2_src, op2_dst)
-    assert check_cmd_morphism(m2) == []
+    assert cmd_morphism_violations(m2) == []

@@ -5,9 +5,9 @@ from doctrines.doctrine import (
     OneArrow,
     ProductData,
     TwoArrow,
-    check_doctrine,
-    check_one_arrow,
-    check_two_arrow,
+    doctrine_violations,
+    one_arrow_violations,
+    two_arrow_violations,
     compose_one_arrows,
     constant_doctrine,
     identity_one_arrow,
@@ -37,12 +37,12 @@ SETS3 = {"A": ["a1"], "B": ["b1", "b2"], "C": ["c1", "c2"]}
 def test_constant_doctrine_passes():
     base = poset_category(chain_poset(["x", "y"]))
     d = constant_doctrine(base, chain_poset(["0", "1"]))
-    assert check_doctrine(d) == []
+    assert doctrine_violations(d) == []
 
 
 def test_powerset_doctrine_passes_law_scan():
     d = powerset_doctrine_over(SETS3)
-    assert check_doctrine(d) == []
+    assert doctrine_violations(d) == []
 
 
 def test_corrupted_reindex_names_the_pair():
@@ -55,14 +55,14 @@ def test_corrupted_reindex_names_the_pair():
     m = bad[gf]
     bad[gf] = MonotoneMap(m.src, m.dst, {lbl: "{}" for lbl in m.src.elements})
     harmed = Doctrine(d.base, d.fibers, bad)
-    out = check_doctrine(harmed)
+    out = doctrine_violations(harmed)
     assert any("contravariance fails" in v and g in v and f in v for v in out)
 
 
 def test_identity_one_arrow_and_composition_unit():
     d = powerset_doctrine_over(SETS3)
     i = identity_one_arrow(d)
-    assert check_one_arrow(i) == []
+    assert one_arrow_violations(i) == []
     assert compose_one_arrows(i, i) == i
 
 
@@ -72,7 +72,7 @@ def test_one_arrow_naturality_violation_witnessed():
     parts = dict(i.parts)
     parts["A"] = MonotoneMap(d.fibers["A"], d.fibers["A"], {"{}": "{}", "{a1}": "{}"})
     broken = OneArrow(d, d, i.functor, parts)
-    assert any("naturality fails" in v for v in check_one_arrow(broken))
+    assert any("naturality fails" in v for v in one_arrow_violations(broken))
 
 
 def test_triple_composition_associativity_table_equality():
@@ -85,16 +85,16 @@ def test_triple_composition_associativity_table_equality():
     assert compose_one_arrows(compose_one_arrows(diag2, diag), i) == compose_one_arrows(
         diag2, compose_one_arrows(diag, i)
     )
-    assert check_one_arrow(left) == []
+    assert one_arrow_violations(left) == []
 
 
 def test_identity_two_arrow_and_vertical_composition():
     d = powerset_doctrine_over({"A": ["a1"], "B": ["b1"]})
     i = identity_one_arrow(d)
     t = identity_two_arrow(i)
-    assert check_two_arrow(t) == []
+    assert two_arrow_violations(t) == []
     tt = vertical_compose_two_arrows(t, t)
-    assert check_two_arrow(tt) == []
+    assert two_arrow_violations(tt) == []
 
 
 def test_two_arrow_mismatched_middle_rejected():
@@ -116,9 +116,9 @@ def test_two_arrow_lax_violation_witnessed():
     )
     # drop ≤ id holds; id ≤ drop fails at {a1}
     ok = TwoArrow(drop, i, identity_two_arrow(i).theta)
-    assert check_two_arrow(ok) == []
+    assert two_arrow_violations(ok) == []
     bad = TwoArrow(i, drop, identity_two_arrow(i).theta)
-    out = check_two_arrow(bad)
+    out = two_arrow_violations(bad)
     assert any("(A,{a1})" in v for v in out)
 
 
@@ -133,16 +133,16 @@ def test_whiskering_preserves_two_arrow_validity():
         },
     )
     t = TwoArrow(drop, i, identity_two_arrow(i).theta)
-    assert check_two_arrow(whisker_arrow_two(i, t)) == []
-    assert check_two_arrow(whisker_two_arrow(t, i)) == []
+    assert two_arrow_violations(whisker_arrow_two(i, t)) == []
+    assert two_arrow_violations(whisker_two_arrow(t, i)) == []
 
 
 def test_square_doctrine_fiber_sizes_and_diagonal():
     d = powerset_doctrine_over({"A": ["a1"]})
     sq, diag = square_doctrine(d)
-    assert check_doctrine(sq) == []
+    assert doctrine_violations(sq) == []
     assert len(sq.fibers["A"].elements) == 4
-    assert check_one_arrow(diag) == []
+    assert one_arrow_violations(diag) == []
     assert diag.parts["A"].apply("{a1}") == pair_label("{a1}", "{a1}")
 
 
@@ -173,9 +173,9 @@ def test_power_doctrine_with_terminal_factor_is_identity():
     }
     times = {f: f for f in d.base.arrow_names()}
     powered, weakening = power_doctrine(d, d.base, "One", products, times)
-    assert check_doctrine(powered) == []
+    assert doctrine_violations(powered) == []
     assert powered.fibers == d.fibers
-    assert check_one_arrow(weakening) == []
+    assert one_arrow_violations(weakening) == []
 
 
 def test_power_doctrine_powerset_instance():
@@ -196,9 +196,9 @@ def test_power_doctrine_powerset_instance():
     )
     times = {a: d.base.id("YxX") for a in sub.arrow_names()}
     powered, weakening = power_doctrine(d, sub, "X", products, times)
-    assert check_doctrine(powered) == []
+    assert doctrine_violations(powered) == []
     assert len(powered.fibers["Y"].elements) == 4
-    assert check_one_arrow(weakening) == []
+    assert one_arrow_violations(weakening) == []
 
 
 def test_compose_meet_after_diagonal_is_tabled_composite():

@@ -5,9 +5,10 @@ from doctrines.fincat import (
     Functor,
     NatTransformation,
     adjunction_cat,
+    all_functions,
     check_category,
-    check_functor,
-    check_nat,
+    functor_violations,
+    nat_violations,
     coalgebra_category,
     compose_functors,
     constant_functor,
@@ -74,6 +75,18 @@ def test_poset_category_and_hom_sizes():
             assert sizes.get((a, b), 0) == len(c.hom(a, b))
 
 
+def test_function_enumeration_in_product_order_with_empty_edge_cases():
+    assert list(all_functions([], [])) == [{}]
+    assert list(all_functions([], ["x"])) == [{}]
+    assert list(all_functions(["a"], [])) == []
+    assert list(all_functions(["a", "b"], ["x", "y"])) == [
+        {"a": "x", "b": "x"},
+        {"a": "x", "b": "y"},
+        {"a": "y", "b": "x"},
+        {"a": "y", "b": "y"},
+    ]
+
+
 def test_full_function_category_laws_and_graphs():
     fc = full_function_category({"A": ["a1", "a2"], "B": ["b1"]})
     c = fc.category
@@ -90,15 +103,15 @@ def test_full_function_category_laws_and_graphs():
 
 def test_identity_and_constant_functor():
     c = poset_category(chain_poset(["x", "y"]))
-    assert check_functor(identity_functor(c)) == []
-    assert check_functor(constant_functor(c, c, "y")) == []
+    assert functor_violations(identity_functor(c)) == []
+    assert functor_violations(constant_functor(c, c, "y")) == []
 
 
 def test_broken_functor_reports_witness():
     c = poset_category(chain_poset(["x", "y"]))
     d = discrete_category(["x", "y"])
     F = Functor(c, d, {"x": "x", "y": "y"}, {a: d.id(c.src(a)) for a in c.arrow_names()})
-    bad = check_functor(F)
+    bad = functor_violations(F)
     assert any("boundary not preserved" in v for v in bad)
 
 
@@ -106,12 +119,12 @@ def test_identity_nat_and_whiskering():
     c = poset_category(chain_poset(["x", "y"]))
     F = identity_functor(c)
     t = identity_nat(F)
-    assert check_nat(t) == []
+    assert nat_violations(t) == []
     G = constant_functor(c, c, "y")
     # components x ↦ the unique arrow x→y give a nat transformation Id ⇒ const_y
     s = fin_nat(F, G, {"x": "x<=y", "y": "y<=y"})
-    assert check_nat(whisker_functor_nat(identity_functor(c), s)) == []
-    assert check_nat(whisker_nat_functor(s, identity_functor(c))) == []
+    assert nat_violations(whisker_functor_nat(identity_functor(c), s)) == []
+    assert nat_violations(whisker_nat_functor(s, identity_functor(c))) == []
 
 
 def test_nat_component_swapped_fails():
@@ -119,7 +132,7 @@ def test_nat_component_swapped_fails():
     F = identity_functor(c)
     G = constant_functor(c, c, "y")
     t = NatTransformation(F, G, {"x": "x<=x", "y": "y<=y"})
-    assert check_nat(t) != []
+    assert nat_violations(t) != []
 
 
 def test_identity_adjunction():
@@ -176,7 +189,7 @@ def test_coalgebra_category_identity_comonad():
     data = coalgebra_category(I, identity_nat(I), identity_nat(I))
     # only c = id qualifies, so EM ≅ C
     assert len(data.category.objects) == len(c.objects)
-    assert check_functor(data.forgetful) == []
+    assert functor_violations(data.forgetful) == []
 
 
 def test_coalgebra_category_meet_comonad():

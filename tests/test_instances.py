@@ -2,17 +2,19 @@ from itertools import product
 
 import pytest
 
-from doctrines.adjunction import check_adjunction, galois_violations, triviality_checks
-from doctrines.doctrine import check_doctrine, check_one_arrow
+from doctrines.adjunction import adjunction_violations, galois_violations, triviality_checks
+from doctrines.doctrine import doctrine_violations, one_arrow_violations
 from doctrines.fincat import poset_category
 from doctrines.interior import (
-    check_interior,
-    check_modal_one_arrow,
+    interior_violations,
+    modal_one_arrow_violations,
     identity_interior,
     stable_elements,
 )
+from doctrines import instances
 from doctrines.instances import (
     FinPresheaf,
+    FiniteQuantale,
     FiniteTopSpace,
     IndexedFamily,
     KripkeFrame,
@@ -37,6 +39,7 @@ from doctrines.instances import (
     presheaf_instance,
     presheaf_decode,
     presheaf_family_label,
+    presheaf_oracle_mismatches,
     quantale_core,
     quantale_doctrine,
     quantale_monoid_ops,
@@ -50,6 +53,7 @@ from doctrines.order import (
     chain_poset,
     fin_poset,
     label_subset,
+    powerset_lattice,
     powerset_poset,
     subset_label,
     subsets_in_order,
@@ -77,14 +81,14 @@ def test_frame_violations_on_non_preorder():
 
 def test_kripke_doctrine_singleton_set_is_pw_w():
     doc, op = kripke_doctrine(CHAIN2, {"D": ["d"]})
-    assert check_doctrine(doc) == []
-    assert check_interior(op) == []
+    assert doctrine_violations(doc) == []
+    assert interior_violations(op) == []
     assert len(doc.fibers["D"].elements) == 4
 
 
 def test_kripke_doctrine_pointwise_matches_box():
     doc, op = kripke_doctrine(CHAIN2, {"D": ["x", "y"]})
-    assert check_interior(op) == []
+    assert interior_violations(op) == []
     assert len(doc.fibers["D"].elements) == 16
     # pointwise comparison against the frame-level box
     from doctrines.instances import _decode_fun_label
@@ -99,7 +103,7 @@ def test_kripke_doctrine_pointwise_matches_box():
 def test_kripke_doctrine_non_preorder_reported():
     bad = KripkeFrame(("1", "2", "3"), frozenset({("1", "1"), ("2", "2"), ("3", "3"), ("1", "2"), ("2", "3")}))
     doc, op = kripke_doctrine(bad, {"D": ["d"]})
-    out = check_interior(op)
+    out = interior_violations(op)
     assert any("axiom 4" in v for v in out)
 
 
@@ -107,8 +111,8 @@ def test_fam_doctrine_single_world_reduces_to_identity_on_parts():
     one = KripkeFrame(("w",), frozenset({("w", "w")}))
     fam = IndexedFamily("X", ("a",), {"w": frozenset({"a"})})
     doc, op = fam_doctrine(one, [fam])
-    assert check_doctrine(doc) == []
-    assert check_interior(op) == []
+    assert doctrine_violations(doc) == []
+    assert interior_violations(op) == []
     # box is the identity: intersection over the singleton successor set
     for lbl in doc.fibers["X"].elements:
         assert op.parts["X"].apply(lbl) == lbl
@@ -117,8 +121,8 @@ def test_fam_doctrine_single_world_reduces_to_identity_on_parts():
 def test_fam_doctrine_two_world_chain_intersects_parts():
     famX = IndexedFamily("X", ("a", "b"), {"w1": frozenset({"a"}), "w2": frozenset({"a", "b"})})
     doc, op = fam_doctrine(CHAIN2, [famX])
-    assert check_doctrine(doc) == []
-    assert check_interior(op) == []
+    assert doctrine_violations(doc) == []
+    assert interior_violations(op) == []
     from doctrines.instances import family_element_label
 
     lbl = family_element_label(
@@ -139,8 +143,8 @@ def test_fam_doctrine_two_world_chain_intersects_parts():
 
 def test_constant_family_arrow_is_modal():
     arrow, op_src, op_dst = constant_family_arrow(CHAIN2, {"S": ["s", "t"]})
-    assert check_one_arrow(arrow) == []
-    assert check_modal_one_arrow(arrow, op_src, op_dst) == []
+    assert one_arrow_violations(arrow) == []
+    assert modal_one_arrow_violations(arrow, op_src, op_dst) == []
 
 
 def _spaces():
@@ -166,8 +170,8 @@ def test_interior_of_examples():
 
 def test_topological_doctrine_and_interior():
     doc, op = topological_doctrine(_spaces())
-    assert check_doctrine(doc) == []
-    assert check_interior(op) == []
+    assert doctrine_violations(doc) == []
+    assert interior_violations(op) == []
     # stable elements at each space are exactly the opens
     for s in _spaces():
         got = set(stable_elements(op, s.name))
@@ -195,8 +199,8 @@ def test_naturality_fails_for_a_continuous_non_open_map():
 
 def test_forgetful_top_arrow_is_modal():
     arrow, op_src, op_dst = forgetful_top_arrow(_spaces())
-    assert check_one_arrow(arrow) == []
-    assert check_modal_one_arrow(arrow, op_src, op_dst) == []
+    assert one_arrow_violations(arrow) == []
+    assert modal_one_arrow_violations(arrow, op_src, op_dst) == []
 
 
 def test_quantale_cores():
@@ -214,17 +218,35 @@ def test_quantale_cores():
     assert cz.elements == ("{}", "{e}")
 
 
+@pytest.mark.parametrize("ground", ["abc", "abcd"])
+def test_quantale_core_join_check_is_exact_at_any_size(ground):
+    # pw(ground) with x⊗y = x∩y, except that an intersection of exactly two
+    # points counts as empty: the core is the subsets of size other than 2,
+    # closed under ⊗ but not under binary joins. Above 8 core elements
+    # (ground "abcd" has 10) the join check used to be skipped.
+    lat = powerset_lattice(ground)
+
+    def tensor(x, y):
+        both = label_subset(x) & label_subset(y)
+        return subset_label(() if len(both) == 2 else both, ground)
+
+    els = lat.carrier.elements
+    q = FiniteQuantale("pairs-vanish", lat, {(x, y): tensor(x, y) for x in els for y in els}, lat.top)
+    with pytest.raises(ValueError, match=r"core not closed under the join of \['\{a\}', '\{b\}'\]"):
+        quantale_core(q)
+
+
 def test_quantale_doctrine_bool_bang_is_identity():
     q = bool_quantale()
     doc, adj, bang = quantale_doctrine(q, {"X": ["x"]})
-    assert check_adjunction(adj) == []
+    assert adjunction_violations(adj) == []
     assert bang == identity_interior(doc)
 
 
 def test_quantale_doctrine_luk3_bang():
     q = lukasiewicz3()
     doc, adj, bang = quantale_doctrine(q, {"X": ["x"]})
-    assert check_adjunction(adj) == []
+    assert adjunction_violations(adj) == []
     assert galois_violations(adj) == []
     # !(x ↦ h) = (x ↦ 0), !(x ↦ 1) = (x ↦ 1)
     assert bang.parts["X"].apply("[x:h]") == "[x:0]"
@@ -294,8 +316,8 @@ def _two_chain_presheaves():
 def test_presheaf_instance_laws_and_oracle():
     presheaves = _two_chain_presheaves()
     adj, families, op = presheaf_instance(presheaves)
-    assert check_adjunction(adj) == []
-    assert check_interior(op) == []
+    assert adjunction_violations(adj) == []
+    assert interior_violations(op) == []
     for d in presheaves:
         for lbl in families.fibers[d.name].elements:
             parts = presheaf_decode(lbl, d)
@@ -316,6 +338,22 @@ def test_presheaf_box_example_on_constant_presheaf():
     lbl2 = presheaf_family_label({"w1": frozenset({"a", "b"}), "w2": frozenset({"b"})}, d1)
     want = presheaf_family_label({"w1": frozenset({"b"}), "w2": frozenset({"b"})}, d1)
     assert op.parts["D1"].apply(lbl2) == want
+
+
+def test_presheaf_oracle_mismatches_reports_planted_disagreement_in_fiber_order(monkeypatch):
+    presheaves = _two_chain_presheaves()
+    _, families, op = presheaf_instance(presheaves)
+    assert presheaf_oracle_mismatches(presheaves, op) == []
+    # an oracle that is wrong exactly on the top family of each presheaf
+    real = instances.subpresheaf_union_oracle
+    tops = {d.name: families.fibers[d.name].elements[-1] for d in presheaves}
+
+    def wrong_at_top(d, parts):
+        got = real(d, parts)
+        return {w: frozenset() for w in got} if presheaf_family_label(parts, d) == tops[d.name] else got
+
+    monkeypatch.setattr(instances, "subpresheaf_union_oracle", wrong_at_top)
+    assert presheaf_oracle_mismatches(presheaves, op) == [(d.name, tops[d.name]) for d in presheaves]
 
 
 def test_presheaf_stable_elements_are_subpresheaves():
@@ -345,13 +383,13 @@ def test_subobject_doctrine_matches_powerset():
     sub = subobject_doctrine_finset(sets)
     pw, _ = powerset_doctrine(sets)
     assert sub == pw
-    assert check_doctrine(sub) == []
+    assert doctrine_violations(sub) == []
 
 
 def test_conjunction_modality_examples():
     d = powerset_doctrine_over({"A": ["a1", "a2"]})
     adj = conjunction_adjunction(d)
-    assert check_adjunction(adj) == []
+    assert adjunction_violations(adj) == []
     op = conjunction_modality(d)
     from doctrines.doctrine import pair_label
 
@@ -365,8 +403,8 @@ def test_conjunction_modality_examples():
 
 def test_forall_instance_examples():
     adj, op = forall_instance({"Y": ["y"]}, "X", ["0", "1"])
-    assert check_adjunction(adj) == []
-    assert check_interior(op) == []
+    assert adjunction_violations(adj) == []
+    assert interior_violations(op) == []
     # α = {(y,0)} fails at (y,1): box is empty
     assert op.parts["Y"].apply("{y*0}") == "{}"
     # the full relation is fixed

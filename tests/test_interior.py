@@ -1,11 +1,11 @@
 import pytest
 
-from doctrines.doctrine import Doctrine, OneArrow, check_doctrine, check_one_arrow
+from doctrines.doctrine import Doctrine, OneArrow, doctrine_violations, one_arrow_violations
 from doctrines.fincat import discrete_category, identity_functor
 from doctrines.interior import (
     InteriorOp,
-    check_interior,
-    check_modal_one_arrow,
+    interior_violations,
+    modal_one_arrow_violations,
     identity_interior,
     stable_elements,
     stable_subdoctrine,
@@ -40,7 +40,7 @@ def _kripke_box_map(worlds, rel, fiber):
 
 def test_identity_interior_passes_everywhere():
     d = powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]})
-    assert check_interior(identity_interior(d)) == []
+    assert interior_violations(identity_interior(d)) == []
 
 
 def test_kripke_interior_on_preorder_frame_passes():
@@ -48,7 +48,7 @@ def test_kripke_interior_on_preorder_frame_passes():
     rel = {("w1", "w1"), ("w2", "w2"), ("w1", "w2")}
     d = _one_fiber_doctrine(worlds)
     op = InteriorOp(d, {"*": _kripke_box_map(worlds, rel, d.fibers["*"])})
-    assert check_interior(op) == []
+    assert interior_violations(op) == []
 
 
 def test_non_transitive_frame_fails_axiom_4_with_witness():
@@ -56,7 +56,7 @@ def test_non_transitive_frame_fails_axiom_4_with_witness():
     rel = {("1", "1"), ("2", "2"), ("3", "3"), ("1", "2"), ("2", "3")}
     d = _one_fiber_doctrine(worlds)
     op = InteriorOp(d, {"*": _kripke_box_map(worlds, rel, d.fibers["*"])})
-    out = check_interior(op)
+    out = interior_violations(op)
     assert any("axiom 4 fails" in v for v in out)
     # brute-force witness: j({1,2}) = {1} but j(j({1,2})) = {}
     assert any("{1,2}" in v for v in out)
@@ -84,8 +84,8 @@ def test_stable_subdoctrine_identity_keeps_everything():
     d = powerset_doctrine_over({"A": ["a1"]})
     stable, inc = stable_subdoctrine(identity_interior(d))
     assert stable.fibers["A"].elements == d.fibers["A"].elements
-    assert check_doctrine(stable) == []
-    assert check_one_arrow(inc) == []
+    assert doctrine_violations(stable) == []
+    assert one_arrow_violations(inc) == []
 
 
 def test_stable_subdoctrine_inclusion_is_modal_from_identity_to_box():
@@ -101,11 +101,11 @@ def test_stable_subdoctrine_inclusion_is_modal_from_identity_to_box():
             for x in d.base.objects
         },
     )
-    assert check_interior(op) == []
+    assert interior_violations(op) == []
     stable, inc = stable_subdoctrine(op)
     from doctrines.interior import identity_interior as idop
 
-    assert check_modal_one_arrow(inc, idop(stable), op) == []
+    assert modal_one_arrow_violations(inc, idop(stable), op) == []
 
 
 def test_stable_elements_rejects_non_idempotent_box():
@@ -137,7 +137,7 @@ def test_modal_one_arrow_identity_case():
     op = identity_interior(d)
     from doctrines.doctrine import identity_one_arrow
 
-    assert check_modal_one_arrow(identity_one_arrow(d), op, op) == []
+    assert modal_one_arrow_violations(identity_one_arrow(d), op, op) == []
 
 
 def test_modal_one_arrow_violation_witnessed():
@@ -149,7 +149,7 @@ def test_modal_one_arrow_violation_witnessed():
     ident = identity_interior(d)
     arrow = OneArrow(d, d, identity_functor(d.base), {"*": identity_map(d.fibers["*"])})
     # id ∘ j ≤ id ∘ id holds (j deflationary): passes toward identity operator
-    assert check_modal_one_arrow(arrow, op, ident) == []
+    assert modal_one_arrow_violations(arrow, op, ident) == []
     # but from the identity operator toward j it fails: id ≰ j pointwise
-    out = check_modal_one_arrow(arrow, ident, op)
+    out = modal_one_arrow_violations(arrow, ident, op)
     assert any("modal inequality fails" in v for v in out)

@@ -5,7 +5,7 @@ from doctrines.order import (
     FinPoset,
     MonotoneMap,
     chain_poset,
-    check_monotone,
+    monotone_violations,
     check_poset,
     compose_maps,
     constant_map,
@@ -65,23 +65,23 @@ def test_poset_axioms_hold_on_constructed():
                 assert p.leq(a, d)
 
 
-def test_check_monotone_identity_and_constant():
+def test_monotone_violations_identity_and_constant():
     p = chain_poset(["0", "1", "2"])
-    assert check_monotone(identity_map(p)) == []
-    assert check_monotone(constant_map(p, p, "0")) == []
+    assert monotone_violations(identity_map(p)) == []
+    assert monotone_violations(constant_map(p, p, "0")) == []
 
 
-def test_check_monotone_swap_violation():
+def test_monotone_violations_swap_violation():
     p = chain_poset(["a", "b"])
     m = MonotoneMap(p, p, {"a": "b", "b": "a"})
-    bad = check_monotone(m)
+    bad = monotone_violations(m)
     assert any("(a,b)" in v for v in bad)
 
 
 def test_monotone_image_outside_dst():
     p = chain_poset(["a", "b"])
     m = MonotoneMap(p, p, {"a": "a", "b": "zzz"})
-    assert any("outside" in v for v in check_monotone(m))
+    assert any("outside" in v for v in monotone_violations(m))
 
 
 def test_compose_maps_extensional_equality():

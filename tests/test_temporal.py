@@ -3,9 +3,9 @@ from itertools import chain, combinations
 
 import pytest
 
-from doctrines.doctrine import check_doctrine
+from doctrines.doctrine import doctrine_violations
 from doctrines import temporal
-from doctrines.interior import check_interior
+from doctrines.interior import interior_violations
 from doctrines.order import (
     MonotoneMap,
     gfp_trace,
@@ -116,8 +116,8 @@ def test_monotone_in_alpha():
 
 def test_temporal_doctrine_single_coalgebra():
     doc, op = temporal_doctrine([STREAM2], "stream")
-    assert check_doctrine(doc) == []
-    assert check_interior(op) == []
+    assert doctrine_violations(doc) == []
+    assert interior_violations(op) == []
 
 
 def test_temporal_doctrine_with_quotient_homomorphism():
@@ -126,16 +126,16 @@ def test_temporal_doctrine_with_quotient_homomorphism():
     homs = coalgebra_homomorphisms(a, b)
     assert {"s0": "t", "s1": "t"} in homs
     doc, op = temporal_doctrine([a, b], "stream")
-    assert check_doctrine(doc) == []
-    assert check_interior(op) == []
+    assert doctrine_violations(doc) == []
+    assert interior_violations(op) == []
 
 
 def test_temporal_doctrine_trees_both_lifts():
     t2 = FCoalgebra("S", "tree", ("u", "v"), {"u": ("v", "v"), "v": ("v",)})
     for lift in ("forall", "exists"):
         doc, op = temporal_doctrine([TREE3, t2], lift)
-        assert check_doctrine(doc) == []
-        assert check_interior(op) == []
+        assert doctrine_violations(doc) == []
+        assert interior_violations(op) == []
 
 
 def test_random_suite_oracle_equivalence_seeded():
