@@ -243,20 +243,37 @@ def _pairs(atoms):
     return out
 
 
-def _map_entry(atom):
-    """'x=a>b,c>d' -> ('x', {'a': 'b', 'c': 'd'}); 'x=v' -> ('x', 'v')."""
+def _map_entry(d: Declaration, key: str, atom: str):
+    """'x=a>b,c>d' -> ('x', {'a': 'b', 'c': 'd'}); 'x=v' -> ('x', 'v'). A
+    source that repeats inside the map is a BuildError."""
     if "=" not in atom:
         raise BuildError(f"expected 'name=value', got '{atom}'")
-    key, body = atom.split("=", 1)
-    if ">" in body:
-        mapping = {}
-        for part in body.split(","):
-            if ">" not in part:
-                raise BuildError(f"expected 'a>b' inside '{atom}'")
-            a, b = part.split(">", 1)
-            mapping[a] = b
-        return key, mapping
-    return key, body
+    name, body = atom.split("=", 1)
+    if ">" not in body:
+        return name, body
+    pairs = []
+    for part in body.split(","):
+        if ">" not in part:
+            raise BuildError(f"expected 'a>b' inside '{atom}'")
+        pairs.append(part.split(">", 1))
+    _distinct(d, key, [a for a, _ in pairs])
+    return name, dict(pairs)
+
+
+def _map_entries(d: Declaration, key: str, atoms) -> dict:
+    """The `_map_entry` atoms of entry `key` as one dict; a name that repeats
+    is a BuildError."""
+    entries = [_map_entry(d, key, atom) for atom in atoms]
+    _distinct(d, key, [name for name, _ in entries])
+    return dict(entries)
+
+
+def _entries(d: Declaration, key: str, atoms) -> list:
+    """The `name=body` atoms of entry `key` as [name, body] pairs; a name that
+    repeats is a BuildError."""
+    pairs = [atom.split("=", 1) for atom in atoms]
+    _distinct(d, key, [name for name, _ in pairs])
+    return pairs
 
 
 CLOSURES = ("none", "refl", "trans", "refl-trans")
@@ -282,8 +299,7 @@ def _distinct(d: Declaration, key: str, names):
 
 
 def _named_sets(d: Declaration):
-    pairs = [a.split("=", 1) for a in d.get("sets", [])]
-    _distinct(d, "sets", [key for key, _ in pairs])
+    pairs = _entries(d, "sets", d.get("sets", []))
     return {key: _distinct(d, "sets", [e for e in body.split(",") if e]) for key, body in pairs}
 
 
@@ -362,10 +378,9 @@ def _build_category(ws: Workspace, d: Declaration):
         name, typ = atom.split("=", 1)
         srcdst = _pairs([typ])[0]
         arrows.append((name, srcdst[0], srcdst[1]))
-    identities = dict(_map_entry(a) for a in d.need("identities"))
+    identities = _map_entries(d, "identities", d.need("identities"))
     composition = {}
-    for atom in d.get("compose", []):
-        lhs, result = atom.split("=", 1)
+    for lhs, result in _entries(d, "compose", d.get("compose", [])):
         g, f = lhs.split(".", 1)
         composition[(g, f)] = result
     got = check_category(objects, arrows, identities, composition)
@@ -414,8 +429,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
         return
     unit = d.need("unit")[0]
     tensor = {}
-    for atom in d.need("tensor"):
-        lhs, result = atom.split("=", 1)
+    for lhs, result in _entries(d, "tensor", d.need("tensor")):
         a, b = lhs.split("*", 1)
         tensor[(a, b)] = result
         tensor.setdefault((b, a), result)
@@ -468,14 +482,12 @@ def _build_presheaf(ws: Workspace, d: Declaration):
         raise BuildError(f"presheaf {d.name}: frame '{frame_name}' must be an antisymmetric preorder")
     base = poset_category_cached(ws, frame_name, got)
     at = {}
-    for atom in d.need("at"):
-        key, body = atom.split("=", 1)
+    for key, body in _entries(d, "at", d.need("at")):
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
         at[key] = tuple(_distinct(d, "at", [e for e in body.split(",") if e]))
     act = {}
-    for atom in d.get("act", []):
-        key, mapping = _map_entry(atom)
+    for key, mapping in _map_entries(d, "act", d.get("act", [])).items():
         src, dst = key.split("->", 1)
         act[f"{src}<={dst}"] = mapping
     for w in base.objects:
@@ -502,8 +514,7 @@ def _build_coalgebra(ws: Workspace, d: Declaration):
     kind = d.need("kind")[0]
     states = _distinct(d, "states", d.need("states"))
     step = {}
-    for atom in d.need("step"):
-        key, body = atom.split("=", 1)
+    for key, body in _entries(d, "step", d.need("step")):
         if kind == "stream":
             step[key] = body
         else:
@@ -540,12 +551,10 @@ def _build_doctrine(ws: Workspace, d: Declaration):
     if base is None:
         raise BuildError(f"doctrine {d.name}: unresolved category '{base_name}'")
     fibers = {}
-    for atom in d.need("fiber"):
-        obj, ref = atom.split("=", 1)
+    for obj, ref in _entries(d, "fiber", d.need("fiber")):
         fibers[obj] = _resolve_fiber(ws, ref)
     reindex = {}
-    for atom in d.get("reindex", []):
-        arrow, mapping = _map_entry(atom)
+    for arrow, mapping in _map_entries(d, "reindex", d.get("reindex", [])).items():
         if not base.has_arrow(arrow):
             raise BuildError(f"doctrine {d.name}: unresolved arrow '{arrow}'")
         x, y = base.src(arrow), base.dst(arrow)
@@ -567,8 +576,7 @@ def _build_interior(ws: Workspace, d: Declaration):
     if doc is None:
         raise BuildError(f"interior {d.name}: unresolved doctrine '{ref}'")
     parts = {}
-    for atom in d.need("box"):
-        obj, mapping = _map_entry(atom)
+    for obj, mapping in _map_entries(d, "box", d.need("box")).items():
         parts[obj] = MonotoneMap(doc.fibers[obj], doc.fibers[obj], mapping)
     op = InteriorOp(doc, parts)
     bad = interior_violations(op)
@@ -583,11 +591,9 @@ def _build_adjunction(ws: Workspace, d: Declaration):
     if p is None or q is None:
         raise BuildError(f"adjunction {d.name}: unresolved doctrine reference")
     lam, rho = {}, {}
-    for atom in d.need("lam"):
-        obj, mapping = _map_entry(atom)
+    for obj, mapping in _map_entries(d, "lam", d.need("lam")).items():
         lam[obj] = MonotoneMap(p.fibers[obj], q.fibers[obj], mapping)
-    for atom in d.need("rho"):
-        obj, mapping = _map_entry(atom)
+    for obj, mapping in _map_entries(d, "rho", d.need("rho")).items():
         rho[obj] = MonotoneMap(q.fibers[obj], p.fibers[obj], mapping)
     A = vertical_adjunction(p, q, lam, rho)
     bad = adjunction_violations(A)
@@ -603,22 +609,21 @@ def _build_comonad(ws: Workspace, d: Declaration):
         raise BuildError(f"comonad {d.name}: unresolved doctrine reference")
     base = p.base
     if d.get("k-obj") is not None:
-        obj_map = dict(_map_entry(a) for a in d.need("k-obj"))
-        arr_map = dict(_map_entry(a) for a in d.need("k-arr"))
+        obj_map = _map_entries(d, "k-obj", d.need("k-obj"))
+        arr_map = _map_entries(d, "k-arr", d.need("k-arr"))
         K = Functor(base, base, obj_map, arr_map)
     else:
         K = identity_functor(base)
     if d.get("mu") is not None:
-        mu = NatTransformation(K, compose_functors(K, K), dict(_map_entry(a) for a in d.need("mu")))
+        mu = NatTransformation(K, compose_functors(K, K), _map_entries(d, "mu", d.need("mu")))
     else:
         mu = NatTransformation(K, compose_functors(K, K), {x: base.id(K.obj_map[x]) for x in base.objects})
     if d.get("nu") is not None:
-        nu = NatTransformation(K, identity_functor(base), dict(_map_entry(a) for a in d.need("nu")))
+        nu = NatTransformation(K, identity_functor(base), _map_entries(d, "nu", d.need("nu")))
     else:
         nu = NatTransformation(K, identity_functor(base), {x: base.id(x) for x in base.objects})
     kappa = {}
-    for atom in d.need("kappa"):
-        obj, mapping = _map_entry(atom)
+    for obj, mapping in _map_entries(d, "kappa", d.need("kappa")).items():
         kappa[obj] = MonotoneMap(p.fibers[obj], p.fibers[K.obj_map[obj]], mapping)
     c = DoctrineComonad(p, K, kappa, mu, nu)
     bad = comonad_violations(c)

@@ -13,6 +13,7 @@ from typing import Mapping, NamedTuple
 
 from .fincat import (
     FinCategory,
+    FunctionCategory,
     Functor,
     NatTransformation,
     compose_functors,
@@ -26,8 +27,11 @@ from .order import (
     MonotoneMap,
     compose_maps,
     identity_map,
+    label_subset,
     monotone_violations,
+    powerset_poset,
     product_poset,
+    subset_label,
 )
 
 
@@ -76,6 +80,22 @@ def constant_doctrine(base: FinCategory, fiber: FinPoset) -> Doctrine:
         {x: fiber for x in base.objects},
         {a: identity_map(fiber) for a in base.arrow_names()},
     )
+
+
+def inverse_image_doctrine(fc: FunctionCategory) -> Doctrine:
+    """Powerset fibers over a function category, reindexed along g: X → Y by
+    inverse image, B ↦ {e ∈ X | g(e) ∈ B}."""
+    base = fc.category
+    fibers = {x: powerset_poset(fc.sets[x]) for x in base.objects}
+    reindex = {}
+    for (a, s, d) in base.arrows:
+        g, ground = fc.graphs[a], fc.sets[s]
+        mapping = {}
+        for lbl in fibers[d].elements:
+            target = label_subset(lbl)
+            mapping[lbl] = subset_label([e for e in ground if g[e] in target], ground)
+        reindex[a] = MonotoneMap(fibers[d], fibers[s], mapping)
+    return Doctrine(base, fibers, reindex)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .order import FinPoset
 
@@ -150,27 +150,32 @@ def function_arrow_name(src_obj: str, dst_obj: str, mapping: Mapping[str, str], 
 
 @dataclass(frozen=True)
 class FunctionCategory:
-    """A full function category together with the graph of every arrow."""
+    """A function category together with the graph of every arrow."""
 
     category: FinCategory
     sets: Mapping[str, tuple[str, ...]]
     graphs: Mapping[str, Mapping[str, str]]
 
-    def graph(self, arrow: str) -> Mapping[str, str]:
-        return self.graphs[arrow]
 
-
-def full_function_category(sets: Mapping[str, Sequence[str]]) -> FunctionCategory:
-    """Full subcategory of finite sets on the named carriers: all functions."""
+def full_function_category(
+    sets: Mapping[str, Sequence[str]],
+    admits: Callable[[str, str, Mapping[str, str]], bool] | None = None,
+) -> FunctionCategory:
+    """The category on the named finite carriers whose arrows are the
+    functions `admits(src, dst, graph)` accepts (every function when `admits`
+    is None), named by `function_arrow_name` and composed as functions. The
+    accepted functions must contain the identities and be closed under
+    composition; `fin_category` rejects them otherwise."""
     names = list(sets)
     arrows = []
     graph_of = {}
     for a in names:
         for b in names:
             for mapping in all_functions(sets[a], sets[b]):
-                n = function_arrow_name(a, b, mapping, sets[a])
-                arrows.append((n, a, b))
-                graph_of[n] = mapping
+                if admits is None or admits(a, b, mapping):
+                    n = function_arrow_name(a, b, mapping, sets[a])
+                    arrows.append((n, a, b))
+                    graph_of[n] = mapping
     identities = {a: function_arrow_name(a, a, {e: e for e in sets[a]}, sets[a]) for a in names}
     composition = {}
     for (gn, gs, gd) in arrows:

@@ -19,6 +19,7 @@ from .doctrine import (
     Doctrine,
     OneArrow,
     ProductData,
+    inverse_image_doctrine,
     pair_label,
     power_doctrine,
     restrict_doctrine,
@@ -126,24 +127,40 @@ def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> tuple[FinPoset
     return _pointwise_fiber(domain, [codomain] * len(domain))
 
 
-def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, FunctionCategory]:
-    """Powerset doctrine over the full function category, inverse-image reindexing."""
-    fc = full_function_category(sets)
-    base = fc.category
-    fibers = {x: powerset_poset(sets[x]) for x in base.objects}
+def _function_doctrine(fc: FunctionCategory, codomain: FinPoset) -> tuple[Doctrine, dict]:
+    """The doctrine codomain^X over `fc`, reindexed along g by precomposition
+    α ↦ α∘g, and the decoding of every fiber's labels."""
+    fibers, decode = {}, {}
+    for x in fc.category.objects:
+        fibers[x], decode[x] = _function_fiber(fc.sets[x], codomain)
     reindex = {}
-    for a in base.arrow_names():
-        s, d = base.src(a), base.dst(a)
-        g = fc.graphs[a]
+    for (a, s, d) in fc.category.arrows:
+        g, domain = fc.graphs[a], fc.sets[s]
         reindex[a] = MonotoneMap(
             fibers[d],
             fibers[s],
-            {
-                lbl: subset_label([e for e in sets[s] if g[e] in label_subset(lbl)], sets[s])
-                for lbl in fibers[d].elements
-            },
+            {lbl: fun_label({e: alpha[g[e]] for e in domain}, domain) for lbl, alpha in decode[d].items()},
         )
-    return Doctrine(base, fibers, reindex), fc
+    return Doctrine(fc.category, fibers, reindex), decode
+
+
+def _postcompose(fc: FunctionCategory, src: Doctrine, decode: dict, dst: Doctrine, f) -> dict[str, MonotoneMap]:
+    """The fiber maps α ↦ f∘α from the function doctrine `src`, whose labels
+    `decode` reads, to `dst`, one per object of `fc`."""
+    return {
+        x: MonotoneMap(
+            src.fibers[x],
+            dst.fibers[x],
+            {lbl: fun_label({e: f(alpha[e]) for e in fc.sets[x]}, fc.sets[x]) for lbl, alpha in decode[x].items()},
+        )
+        for x in fc.category.objects
+    }
+
+
+def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, FunctionCategory]:
+    """Powerset doctrine over the full function category, inverse-image reindexing."""
+    fc = full_function_category(sets)
+    return inverse_image_doctrine(fc), fc
 
 
 def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, InteriorOp]:
@@ -153,32 +170,12 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     the failure otherwise)."""
     wposet = powerset_poset(frame.worlds)
     fc = full_function_category(sets)
-    base = fc.category
-    fibers, decode = {}, {}
-    for x in base.objects:
-        fibers[x], decode[x] = _function_fiber(sets[x], wposet)
-    reindex = {}
-    for a in base.arrow_names():
-        s, d = base.src(a), base.dst(a)
-        g = fc.graphs[a]
-        mapping = {}
-        for lbl in fibers[d].elements:
-            alpha = decode[d][lbl]
-            mapping[lbl] = fun_label({e: alpha[g[e]] for e in sets[s]}, sets[s])
-        reindex[a] = MonotoneMap(fibers[d], fibers[s], mapping)
-    doc = Doctrine(base, fibers, reindex)
+    doc, decode = _function_doctrine(fc, wposet)
     box = {
         lbl: subset_label(kripke_box(frame, label_subset(lbl)), frame.worlds)
         for lbl in wposet.elements
     }
-    parts = {}
-    for x in base.objects:
-        mapping = {}
-        for lbl in fibers[x].elements:
-            alpha = decode[x][lbl]
-            mapping[lbl] = fun_label({e: box[alpha[e]] for e in sets[x]}, sets[x])
-        parts[x] = MonotoneMap(fibers[x], fibers[x], mapping)
-    return doc, InteriorOp(doc, parts)
+    return doc, InteriorOp(doc, _postcompose(fc, doc, decode, doc, box.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +202,14 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
     intersects the parts over all successor worlds."""
     worlds = frame.worlds
     fams = {f.name: f for f in families}
-    arrows, graphs = [], {}
-    for f1 in families:
-        for f2 in families:
-            for g in all_functions(f1.carrier, f2.carrier):
-                if all(
-                    all(g[e] in f2.parts[w] for e in f1.parts[w]) for w in worlds
-                ):
-                    n = function_arrow_name(f1.name, f2.name, g, f1.carrier)
-                    arrows.append((n, f1.name, f2.name))
-                    graphs[n] = g
-    identities = {
-        f.name: function_arrow_name(f.name, f.name, {e: e for e in f.carrier}, f.carrier)
-        for f in families
-    }
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                comp = {e: graphs[gn][graphs[fn][e]] for e in fams[fs].carrier}
-                composition[(gn, fn)] = function_arrow_name(fs, gd, comp, fams[fs].carrier)
-    base = fin_category([f.name for f in families], arrows, identities, composition)
+    if len(fams) != len(families):
+        raise ValueError("duplicate family names")
+
+    def keeps_parts(s, d, g):
+        return all(g[e] in fams[d].parts[w] for w in worlds for e in fams[s].parts[w])
+
+    fc = full_function_category({f.name: f.carrier for f in families}, keeps_parts)
+    base = fc.category
 
     def supersets(low, within):
         return [low | extra for extra in subsets_in_order([e for e in within if e not in low])]
@@ -251,8 +235,8 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
         decode[f.name] = dec
 
     reindex = {}
-    for (n, s, d) in arrows:
-        g = graphs[n]
+    for (n, s, d) in base.arrows:
+        g = fc.graphs[n]
         mapping = {}
         for lbl in fibers[d].elements:
             c, p = decode[d][lbl]
@@ -364,19 +348,14 @@ def interior_of(space: FiniteTopSpace, a: frozenset[str]) -> frozenset[str]:
     return acc
 
 
+def _open_and_continuous(s: FiniteTopSpace, t: FiniteTopSpace, g: Mapping[str, str]) -> bool:
+    continuous = all(frozenset(p for p in s.points if g[p] in u) in s.opens for u in t.opens)
+    return continuous and all(frozenset(g[p] for p in u) in t.opens for u in s.opens)
+
+
 def open_continuous_maps(s: FiniteTopSpace, t: FiniteTopSpace) -> list[dict]:
     """All functions that are both continuous and open, by brute force."""
-    out = []
-    for g in all_functions(s.points, t.points):
-        continuous = all(
-            frozenset(p for p in s.points if g[p] in u) in s.opens for u in t.opens
-        )
-        if not continuous:
-            continue
-        is_open = all(frozenset(g[p] for p in u) in t.opens for u in s.opens)
-        if is_open:
-            out.append(g)
-    return out
+    return [g for g in all_functions(s.points, t.points) if _open_and_continuous(s, t, g)]
 
 
 def topological_doctrine(spaces: Sequence[FiniteTopSpace]) -> tuple[Doctrine, InteriorOp]:
@@ -387,47 +366,19 @@ def topological_doctrine(spaces: Sequence[FiniteTopSpace]) -> tuple[Doctrine, In
         if bad:
             raise ValueError(f"invalid space {s.name}: " + "; ".join(bad[:3]))
     by_name = {s.name: s for s in spaces}
-    arrows, graphs = [], {}
-    for s in spaces:
-        for t in spaces:
-            for g in open_continuous_maps(s, t):
-                n = function_arrow_name(s.name, t.name, g, s.points)
-                arrows.append((n, s.name, t.name))
-                graphs[n] = g
-    identities = {
-        s.name: function_arrow_name(s.name, s.name, {p: p for p in s.points}, s.points)
-        for s in spaces
-    }
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                comp = {p: graphs[gn][graphs[fn][p]] for p in by_name[fs].points}
-                composition[(gn, fn)] = function_arrow_name(fs, gd, comp, by_name[fs].points)
-    base = fin_category([s.name for s in spaces], arrows, identities, composition)
-    fibers = {s.name: powerset_poset(s.points) for s in spaces}
-    reindex = {}
-    for (n, sn, dn) in arrows:
-        g = graphs[n]
-        reindex[n] = MonotoneMap(
-            fibers[dn],
-            fibers[sn],
-            {
-                lbl: subset_label(
-                    [p for p in by_name[sn].points if g[p] in label_subset(lbl)],
-                    by_name[sn].points,
-                )
-                for lbl in fibers[dn].elements
-            },
-        )
-    doc = Doctrine(base, fibers, reindex)
+    if len(by_name) != len(spaces):
+        raise ValueError("duplicate space names")
+    fc = full_function_category(
+        {s.name: s.points for s in spaces}, lambda a, b, g: _open_and_continuous(by_name[a], by_name[b], g)
+    )
+    doc = inverse_image_doctrine(fc)
     parts = {
         s.name: MonotoneMap(
-            fibers[s.name],
-            fibers[s.name],
+            doc.fibers[s.name],
+            doc.fibers[s.name],
             {
                 lbl: subset_label(interior_of(s, label_subset(lbl)), s.points)
-                for lbl in fibers[s.name].elements
+                for lbl in doc.fibers[s.name].elements
             },
         )
         for s in spaces
@@ -474,23 +425,15 @@ def quantale_violations(q: FiniteQuantale) -> list[str]:
             for c in els:
                 if q.tensor[(q.tensor[(a, b)], c)] != q.tensor[(a, q.tensor[(b, c)])]:
                     out.append(f"associativity fails at ({a},{b},{c})")
-    # distributivity over all joins; for larger carriers the binary+empty cases
-    # generate every finite join
-    if len(els) <= 8:
-        families = subsets_in_order(els)
-    else:
-        families = [frozenset()] + [frozenset({a, b}) for a in els for b in els]
+    # distributivity over every finite join holds iff it holds over the empty
+    # join and over each binary one
+    lat = q.lattice
     for x in els:
-        for fam in families:
-            join = q.lattice.bottom
-            for y in sorted(fam, key=q.lattice.carrier.index):
-                join = q.lattice.join[(join, y)]
-            lhs = q.tensor[(x, join)]
-            rhs = q.lattice.bottom
-            for y in sorted(fam, key=q.lattice.carrier.index):
-                rhs = q.lattice.join[(rhs, q.tensor[(x, y)])]
-            if lhs != rhs:
-                out.append(f"tensor does not distribute over the join of {sorted(fam)} at {x}")
+        if q.tensor[(x, lat.bottom)] != lat.bottom:
+            out.append(f"tensor does not distribute over the join of [] at {x}")
+        for a, b in combinations(els, 2):
+            if q.tensor[(x, lat.join[(a, b)])] != lat.join[(q.tensor[(x, a)], q.tensor[(x, b)])]:
+                out.append(f"tensor does not distribute over the join of {sorted((a, b))} at {x}")
     return out
 
 
@@ -593,48 +536,10 @@ def quantale_doctrine(
     vertical adjunction ⟨ι∘−⟩ ⊣ ⟨r∘−⟩ between them, and the induced bang."""
     core = quantale_core(q)
     fc = full_function_category(sets)
-    base = fc.category
-    q_fibers, q_decode = {}, {}
-    c_fibers, c_decode = {}, {}
-    for x in base.objects:
-        q_fibers[x], q_decode[x] = _function_fiber(sets[x], q.lattice.carrier)
-        c_fibers[x], c_decode[x] = _function_fiber(sets[x], core.sub)
-    def _reindex(fibers, decode):
-        out = {}
-        for a in base.arrow_names():
-            s, d = base.src(a), base.dst(a)
-            g = fc.graphs[a]
-            out[a] = MonotoneMap(
-                fibers[d],
-                fibers[s],
-                {
-                    lbl: fun_label({e: decode[d][lbl][g[e]] for e in sets[s]}, sets[s])
-                    for lbl in fibers[d].elements
-                },
-            )
-        return out
-
-    Qdoc = Doctrine(base, q_fibers, _reindex(q_fibers, q_decode))
-    Cdoc = Doctrine(base, c_fibers, _reindex(c_fibers, c_decode))
-    lam = {
-        x: MonotoneMap(
-            c_fibers[x],
-            q_fibers[x],
-            {lbl: fun_label(c_decode[x][lbl], sets[x]) for lbl in c_fibers[x].elements},
-        )
-        for x in base.objects
-    }
-    rho = {
-        x: MonotoneMap(
-            q_fibers[x],
-            c_fibers[x],
-            {
-                lbl: fun_label({e: core.r.apply(q_decode[x][lbl][e]) for e in sets[x]}, sets[x])
-                for lbl in q_fibers[x].elements
-            },
-        )
-        for x in base.objects
-    }
+    Qdoc, q_decode = _function_doctrine(fc, q.lattice.carrier)
+    Cdoc, c_decode = _function_doctrine(fc, core.sub)
+    lam = _postcompose(fc, Cdoc, c_decode, Qdoc, core.iota.apply)
+    rho = _postcompose(fc, Qdoc, q_decode, Cdoc, core.r.apply)
     adj = vertical_adjunction(Cdoc, Qdoc, lam, rho)
     bang = vertical_modality(adj)
     return Qdoc, adj, bang
@@ -790,6 +695,14 @@ def presheaf_nat_transformations(d: FinPresheaf, e: FinPresheaf) -> list[dict]:
     return out
 
 
+def presheaf_arrow_name(d: FinPresheaf, e: FinPresheaf, phi: Mapping[str, Mapping[str, str]]) -> str:
+    """The name of the natural transformation phi: d ⇒ e as an arrow of the
+    category of presheaves of `presheaf_instance`."""
+    return f"{d.name}=>{e.name}#" + ",".join(
+        f"{w}:" + "".join(f"{x}>{phi[w][x]};" for x in d.at[w]) for w in d.base.objects
+    )
+
+
 def presheaf_family_label(parts: Mapping[str, frozenset], d: FinPresheaf) -> str:
     return "[" + ";".join(f"{w}:{subset_label(parts[w], d.at[w])}" for w in d.base.objects) + "]"
 
@@ -850,29 +763,21 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
     arrows, comps = [], {}
     for d in presheaves:
         for e in presheaves:
-            for i, phi in enumerate(presheaf_nat_transformations(d, e)):
-                n = f"{d.name}=>{e.name}#" + ",".join(
-                    f"{w}:" + "".join(f"{x}>{phi[w][x]};" for x in d.at[w]) for w in d.base.objects
-                )
+            for phi in presheaf_nat_transformations(d, e):
+                n = presheaf_arrow_name(d, e, phi)
                 arrows.append((n, d.name, e.name))
                 comps[n] = phi
-    identities = {}
-    for d in presheaves:
-        ident = {w: {x: x for x in d.at[w]} for w in d.base.objects}
-        name = next(n for (n, s, t) in arrows if s == d.name and t == d.name and comps[n] == ident)
-        identities[d.name] = name
+    identities = {
+        d.name: presheaf_arrow_name(d, d, {w: {x: x for x in d.at[w]} for w in d.base.objects})
+        for d in presheaves
+    }
     composition = {}
     for (gn, gs, gd) in arrows:
         for (fn, fs, fd) in arrows:
             if fd == gs:
-                phi = {
-                    w: {x: comps[gn][w][comps[fn][w][x]] for x in by_name[fs].at[w]}
-                    for w in by_name[fs].base.objects
-                }
-                name = next(
-                    n for (n, s, t) in arrows if s == fs and t == gd and comps[n] == phi
-                )
-                composition[(gn, fn)] = name
+                d = by_name[fs]
+                phi = {w: {x: comps[gn][w][comps[fn][w][x]] for x in d.at[w]} for w in d.base.objects}
+                composition[(gn, fn)] = presheaf_arrow_name(d, by_name[gd], phi)
     base = fin_category([d.name for d in presheaves], arrows, identities, composition)
 
     fibers, decode = {}, {}
@@ -1041,22 +946,10 @@ def forall_instance(
         pname = f"{y}x{x_name}"
         prods[y] = pname
         all_sets[pname] = [pair_elem(e, x) for e in els for x in x_elements]
-    P, fc = powerset_doctrine(all_sets)
-    base = fc.category
+    P, _ = powerset_doctrine(all_sets)
     names = list(y_sets)
-    sub = fin_category(
-        names,
-        [(a, base.src(a), base.dst(a)) for a in base.arrow_names() if base.src(a) in names and base.dst(a) in names],
-        {y: base.id(y) for y in names},
-        {
-            (g, f): base.comp(g, f)
-            for g in base.arrow_names()
-            for f in base.arrow_names()
-            if base.src(g) in names and base.dst(g) in names
-            and base.src(f) in names and base.dst(f) in names
-            and base.dst(f) == base.src(g)
-        },
-    )
+    sub_fc = full_function_category(y_sets)
+    sub = sub_fc.category
     products = {}
     for y in names:
         pname = prods[y]
@@ -1072,7 +965,7 @@ def forall_instance(
     times = {}
     for f in sub.arrow_names():
         y, z = sub.src(f), sub.dst(f)
-        g = fc.graphs[f]
+        g = sub_fc.graphs[f]
         lifted = {
             pair_elem(e, x): pair_elem(g[e], x) for e in y_sets[y] for x in x_elements
         }

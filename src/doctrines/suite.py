@@ -69,6 +69,7 @@ from .instances import (
     kripke_doctrine,
     lukasiewicz3,
     powerset_doctrine,
+    presheaf_arrow_name,
     presheaf_decode,
     presheaf_instance,
     presheaf_nat_transformations,
@@ -248,38 +249,22 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
     Q, fc = powerset_doctrine(sets)
     set_base = fc.category
     # L restricts a presheaf (and a natural transformation) to the world w2
-    obj_map = {"D1": "S", "D2": "S"}
-    arr_map = {}
-    by_name = {"D1": d1, "D2": d2}
-    comps = {}
-    for dn in ("D1", "D2"):
-        for en in ("D1", "D2"):
-            for phi in presheaf_nat_transformations(by_name[dn], by_name[en]):
-                n = f"{dn}=>{en}#" + ",".join(
-                    f"{w}:" + "".join(f"{x}>{phi[w][x]};" for x in by_name[dn].at[w])
-                    for w in by_name[dn].base.objects
-                )
-                comps[n] = phi
-    for a in psh_base.arrow_names():
-        phi = comps[a]
-        arr_map[a] = function_arrow_name("S", "S", phi["w2"], sets["S"])
-    L = Functor(psh_base, set_base, obj_map, arr_map)
+    arr_map = {
+        presheaf_arrow_name(d, e, phi): function_arrow_name("S", "S", phi["w2"], sets["S"])
+        for d in (d1, d2)
+        for e in (d1, d2)
+        for phi in presheaf_nat_transformations(d, e)
+    }
+    L = Functor(psh_base, set_base, {"D1": "S", "D2": "S"}, arr_map)
     # R sends the set S to the constant presheaf on it, which is D1
-    r_obj = {"S": "D1"}
-    r_arr = {}
-    for g in set_base.arrow_names():
-        graph = fc.graphs[g]
-        phi = {"w1": dict(graph), "w2": dict(graph)}
-        name = next(n for n, c in comps.items() if n.startswith("D1=>D1#") and c == phi)
-        r_arr[g] = name
-    R = Functor(set_base, psh_base, r_obj, r_arr)
-    eta_comps = {}
-    for dn in ("D1", "D2"):
-        d = by_name[dn]
-        phi = {"w1": {x: d.act["w1<=w2"][x] for x in d.at["w1"]}, "w2": {x: x for x in d.at["w2"]}}
-        eta_comps[dn] = next(
-            n for n, c in comps.items() if n.startswith(f"{dn}=>D1#") and c == phi
+    r_arr = {g: presheaf_arrow_name(d1, d1, {"w1": graph, "w2": graph}) for g, graph in fc.graphs.items()}
+    R = fin_functor(set_base, psh_base, {"S": "D1"}, r_arr)
+    eta_comps = {
+        d.name: presheaf_arrow_name(
+            d, d1, {"w1": {x: d.act["w1<=w2"][x] for x in d.at["w1"]}, "w2": {x: x for x in d.at["w2"]}}
         )
+        for d in (d1, d2)
+    }
     eta = NatTransformation(identity_functor(psh_base), compose_functors(R, L), eta_comps)
     eps = NatTransformation(
         compose_functors(L, R), identity_functor(set_base), {"S": set_base.id("S")}

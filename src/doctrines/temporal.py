@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .doctrine import Doctrine
-from .fincat import all_functions, fin_category, function_arrow_name
+from .doctrine import Doctrine, inverse_image_doctrine
+from .fincat import all_functions, full_function_category
 from .interior import InteriorOp
-from .order import MonotoneMap, label_subset, powerset_poset, subset_label, subsets_in_order
+from .order import MonotoneMap, label_subset, subset_label, subsets_in_order
 
 
 STREAM, TREE = "stream", "tree"
@@ -225,25 +225,19 @@ def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, fr
     return out
 
 
+def _is_homomorphism(c1: FCoalgebra, c2: FCoalgebra, h: Mapping[str, str]) -> bool:
+    """Whether h commutes with the steps of two coalgebras of one kind:
+    h∘step₁ = step₂∘h, successors in order."""
+    if c1.kind == STREAM:
+        return all(h[c1.step[s]] == c2.step[h[s]] for s in c1.states)
+    return all(tuple(h[t] for t in c1.step[s]) == tuple(c2.step[h[s]]) for s in c1.states)
+
+
 def coalgebra_homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[dict]:
     """All step-compatible functions, by brute force."""
     if c1.kind != c2.kind:
         return []
-    out = []
-    for h in all_functions(c1.states, c2.states):
-        ok = True
-        for s in c1.states:
-            if c1.kind == STREAM:
-                if h[c1.step[s]] != c2.step[h[s]]:
-                    ok = False
-                    break
-            else:
-                if tuple(h[t] for t in c1.step[s]) != tuple(c2.step[h[s]]):
-                    ok = False
-                    break
-        if ok:
-            out.append(h)
-    return out
+    return [h for h in all_functions(c1.states, c2.states) if _is_homomorphism(c1, c2, h)]
 
 
 def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doctrine, InteriorOp]:
@@ -259,47 +253,19 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
         if lift in ("forall", "exists") and c.kind != TREE:
             raise ValueError("tree lift over a non-tree coalgebra")
     by_name = {c.name: c for c in coalgebras}
-    arrows, graphs = [], {}
-    for c1 in coalgebras:
-        for c2 in coalgebras:
-            for h in coalgebra_homomorphisms(c1, c2):
-                n = function_arrow_name(c1.name, c2.name, h, c1.states)
-                arrows.append((n, c1.name, c2.name))
-                graphs[n] = h
-    identities = {
-        c.name: function_arrow_name(c.name, c.name, {s: s for s in c.states}, c.states)
-        for c in coalgebras
-    }
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                comp = {s: graphs[gn][graphs[fn][s]] for s in by_name[fs].states}
-                composition[(gn, fn)] = function_arrow_name(fs, gd, comp, by_name[fs].states)
-    base = fin_category([c.name for c in coalgebras], arrows, identities, composition)
-    fibers = {c.name: powerset_poset(c.states) for c in coalgebras}
-    reindex = {}
-    for (n, sn, dn) in arrows:
-        h = graphs[n]
-        reindex[n] = MonotoneMap(
-            fibers[dn],
-            fibers[sn],
-            {
-                lbl: subset_label(
-                    [s for s in by_name[sn].states if h[s] in label_subset(lbl)],
-                    by_name[sn].states,
-                )
-                for lbl in fibers[dn].elements
-            },
-        )
-    doc = Doctrine(base, fibers, reindex)
+    if len(by_name) != len(coalgebras):
+        raise ValueError("duplicate coalgebra names")
+    fc = full_function_category(
+        {c.name: c.states for c in coalgebras}, lambda a, b, h: _is_homomorphism(by_name[a], by_name[b], h)
+    )
+    doc = inverse_image_doctrine(fc)
     parts = {
         c.name: MonotoneMap(
-            fibers[c.name],
-            fibers[c.name],
+            doc.fibers[c.name],
+            doc.fibers[c.name],
             {
                 lbl: subset_label(gfp_modality(c, lift, label_subset(lbl)), c.states)
-                for lbl in fibers[c.name].elements
+                for lbl in doc.fibers[c.name].elements
             },
         )
         for c in coalgebras

@@ -245,6 +245,13 @@ def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
     assert "FAIL presheaf-instance K\n  - refused: estimated work 1099511627776 exceeds --max-size 200000" in out
 
 
+# a one-object doctrine D on the one-point poset P, for the cases below
+ONE_OBJECT = """poset P { elements: a }
+category C { objects: x; arrows: i=x->x; identities: x=i; compose: i.i=i }
+doctrine D { base: C; fiber: x=P }
+"""
+
+
 @pytest.mark.parametrize(
     "text, duplicate",
     [
@@ -254,6 +261,24 @@ def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
         ("kripke-frame K { worlds: w1 w2; rel: w1->w2; sets: D=x D=y }", "'D' in 'sets'"),
         ("quantale Q { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1=0 1*1=1; sets: X=x,x }", "'x' in 'sets'"),
         ("kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; at: w1={a,a} w2={a}; act: w1->w2=a>a }", "'a' in 'at'"),
+        # the left-hand keys of map-valued entries, and the sources inside one 'a>b' map
+        ("coalgebra M { kind: stream; states: a b; step: a=a a=b b=b }", "'a' in 'step'"),
+        ("kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; at: w1={a} w1={a} w2={a}; act: w1->w2=a>a }", "'w1' in 'at'"),
+        ("kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; at: w1={a} w2={a}; act: w1->w2=a>a w1->w2=a>a }", "'w1->w2' in 'act'"),
+        ("kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; at: w1={a,b} w2={a,b}; act: w1->w2=a>a,a>b,b>b }", "'a' in 'act'"),
+        ("quantale Q { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1=0 1*1=1 1*1=0 }", "'1*1' in 'tensor'"),
+        ("category C { objects: x; arrows: i=x->x; identities: x=i x=i; compose: i.i=i }", "'x' in 'identities'"),
+        ("category C { objects: x; arrows: i=x->x; identities: x=i; compose: i.i=i i.i=i }", "'i.i' in 'compose'"),
+        (f"{ONE_OBJECT}doctrine E {{ base: C; fiber: x=P x=P }}", "'x' in 'fiber'"),
+        (f"{ONE_OBJECT}doctrine E {{ base: C; fiber: x=P; reindex: i=a>a i=a>a }}", "'i' in 'reindex'"),
+        (f"{ONE_OBJECT}interior I {{ doctrine: D; box: x=a>a x=a>a }}", "'x' in 'box'"),
+        (f"{ONE_OBJECT}adjunction A {{ p: D; q: D; lam: x=a>a x=a>a; rho: x=a>a }}", "'x' in 'lam'"),
+        (f"{ONE_OBJECT}adjunction A {{ p: D; q: D; lam: x=a>a; rho: x=a>a x=a>a }}", "'x' in 'rho'"),
+        (f"{ONE_OBJECT}comonad W {{ p: D; k-obj: x=x x=x; k-arr: i=i; kappa: x=a>a }}", "'x' in 'k-obj'"),
+        (f"{ONE_OBJECT}comonad W {{ p: D; k-obj: x=x; k-arr: i=i i=i; kappa: x=a>a }}", "'i' in 'k-arr'"),
+        (f"{ONE_OBJECT}comonad W {{ p: D; mu: x=i x=i; kappa: x=a>a }}", "'x' in 'mu'"),
+        (f"{ONE_OBJECT}comonad W {{ p: D; nu: x=i x=i; kappa: x=a>a }}", "'x' in 'nu'"),
+        (f"{ONE_OBJECT}comonad W {{ p: D; kappa: x=a>a x=a>a }}", "'x' in 'kappa'"),
     ],
 )
 def test_cli_duplicate_identifier_is_usage_error(tmp_path, capsys, text, duplicate):

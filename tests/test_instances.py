@@ -4,7 +4,7 @@ import pytest
 
 from doctrines.adjunction import adjunction_violations, galois_violations, triviality_checks
 from doctrines.doctrine import doctrine_violations, one_arrow_violations
-from doctrines.fincat import poset_category
+from doctrines.fincat import all_functions, fin_category, full_function_category, poset_category
 from doctrines.interior import (
     interior_violations,
     modal_one_arrow_violations,
@@ -31,11 +31,13 @@ from doctrines.instances import (
     interior_of,
     kripke_box,
     kripke_doctrine,
+    lukasiewicz3,
     largest_subpresheaf,
     lukasiewicz3,
     open_continuous_maps,
     powerset_doctrine,
     powerset_monoid_quantale,
+    presheaf_nat_transformations,
     presheaf_instance,
     presheaf_decode,
     presheaf_family_label,
@@ -43,6 +45,7 @@ from doctrines.instances import (
     quantale_core,
     quantale_doctrine,
     quantale_monoid_ops,
+    quantale_violations,
     subobject_doctrine_finset,
     subpresheaf_union_oracle,
     topological_doctrine,
@@ -53,13 +56,17 @@ from doctrines.order import (
     chain_poset,
     fin_poset,
     label_subset,
+    lattice_from_poset,
+    product_poset,
     powerset_lattice,
     powerset_poset,
     subset_label,
     subsets_in_order,
 )
 
-from util import powerset_doctrine_over
+from doctrines.suite import SPACES
+from doctrines.temporal import FCoalgebra, temporal_doctrine
+from util import function_category_reference, inverse_image_reference, powerset_doctrine_over
 
 
 CHAIN2 = KripkeFrame(("w1", "w2"), frozenset({("w1", "w1"), ("w2", "w2"), ("w1", "w2")}))
@@ -500,3 +507,151 @@ def test_fam_doctrine_fibers_equal_all_pairs_reference(frame):
         got = doc.fibers[f.name]
         assert got.elements == want.elements
         assert got.relation == want.relation
+
+
+def _two_world_families(worlds):
+    """Two families whose parts grow along the worlds, so the parts test
+    differs from world to world."""
+    return [
+        IndexedFamily("X", ("a", "b"), {w: frozenset("a" if i == 0 else "ab") for i, w in enumerate(worlds)}),
+        IndexedFamily("Y", ("c", "d", "e"), {w: frozenset("c" if i == 0 else "ce") for i, w in enumerate(worlds)}),
+    ]
+
+
+@pytest.mark.parametrize("frame", [CHAIN2, KripkeFrame(("u",), frozenset({("u", "u")}))], ids=["2w", "1w"])
+def test_fam_doctrine_base_equals_reference_loops(frame):
+    fams = {f.name: f for f in _two_world_families(frame.worlds)}
+    doc, _ = fam_doctrine(frame, list(fams.values()))
+
+    def homs(x, y):
+        return [
+            g
+            for g in all_functions(fams[x].carrier, fams[y].carrier)
+            if all(all(g[e] in fams[y].parts[w] for e in fams[x].parts[w]) for w in frame.worlds)
+        ]
+
+    assert doc.base == function_category_reference({n: f.carrier for n, f in fams.items()}, homs)
+
+
+def test_topological_doctrine_equals_reference_loops():
+    doc, _ = topological_doctrine(SPACES)
+    by_name = {s.name: s for s in SPACES}
+    sets = {s.name: s.points for s in SPACES}
+    base = function_category_reference(sets, lambda x, y: open_continuous_maps(by_name[x], by_name[y]))
+    assert doc.base == base
+    assert doc == inverse_image_reference(base, sets)
+
+
+def test_presheaf_base_equals_reference_search():
+    group = _two_chain_presheaves()
+    _, families, _ = presheaf_instance(group)
+    by_name = {d.name: d for d in group}
+    arrows, comps = [], {}
+    for d in group:
+        for e in group:
+            for phi in presheaf_nat_transformations(d, e):
+                n = f"{d.name}=>{e.name}#" + ",".join(
+                    f"{w}:" + "".join(f"{x}>{phi[w][x]};" for x in d.at[w]) for w in d.base.objects
+                )
+                arrows.append((n, d.name, e.name))
+                comps[n] = phi
+    identities = {}
+    for d in group:
+        ident = {w: {x: x for x in d.at[w]} for w in d.base.objects}
+        identities[d.name] = next(n for (n, s, t) in arrows if s == d.name and t == d.name and comps[n] == ident)
+    composition = {}
+    for (gn, gs, gd) in arrows:
+        for (fn, fs, fd) in arrows:
+            if fd == gs:
+                phi = {
+                    w: {x: comps[gn][w][comps[fn][w][x]] for x in by_name[fs].at[w]}
+                    for w in by_name[fs].base.objects
+                }
+                composition[(gn, fn)] = next(n for (n, s, t) in arrows if s == fs and t == gd and comps[n] == phi)
+    assert families.base == fin_category([d.name for d in group], arrows, identities, composition)
+
+
+def _precomposition_reference(fc, sets, decode, fibers):
+    """Reference: along each arrow g: X → Y, the map α ↦ α∘g on fiber labels."""
+    out = {}
+    for a in fc.category.arrow_names():
+        s, d = fc.category.src(a), fc.category.dst(a)
+        g = fc.graphs[a]
+        out[a] = {lbl: fun_label({e: decode[d][lbl][g[e]] for e in sets[s]}, sets[s]) for lbl in fibers[d].elements}
+    return out
+
+
+KRIPKE_CASES = [
+    (CHAIN2, {"D": ["x"], "E": ["x", "y"]}),
+    (KripkeFrame(("u", "v"), frozenset({("u", "u"), ("v", "v"), ("u", "v"), ("v", "u")})), {"D": ["x", "y"]}),
+]
+
+
+@pytest.mark.parametrize("frame, sets", KRIPKE_CASES, ids=["chain2", "clique2"])
+def test_kripke_doctrine_maps_equal_reference_loops(frame, sets):
+    doc, op = kripke_doctrine(frame, sets)
+    fc = full_function_category(sets)
+    wposet = powerset_poset(frame.worlds)
+    decode = {x: _function_fiber(sets[x], wposet)[1] for x in sets}
+    reindex = _precomposition_reference(fc, sets, decode, doc.fibers)
+    assert {a: m.mapping for a, m in doc.reindex.items()} == reindex
+    box = {lbl: subset_label(kripke_box(frame, label_subset(lbl)), frame.worlds) for lbl in wposet.elements}
+    for x in sets:
+        want = {
+            lbl: fun_label({e: box[decode[x][lbl][e]] for e in sets[x]}, sets[x])
+            for lbl in doc.fibers[x].elements
+        }
+        assert op.parts[x].mapping == want
+
+
+@pytest.mark.parametrize("q", [bool_quantale(), lukasiewicz3()], ids=["bool", "luk3"])
+def test_quantale_doctrine_maps_equal_reference_loops(q):
+    sets = {"X": ["x"], "Y": ["x", "y"]}
+    Qdoc, adj, _ = quantale_doctrine(q, sets)
+    core = quantale_core(q)
+    fc = full_function_category(sets)
+    q_decode = {x: _function_fiber(sets[x], q.lattice.carrier)[1] for x in sets}
+    c_decode = {x: _function_fiber(sets[x], core.sub)[1] for x in sets}
+    assert adj.q is Qdoc
+    assert {a: m.mapping for a, m in Qdoc.reindex.items()} == _precomposition_reference(fc, sets, q_decode, Qdoc.fibers)
+    assert {a: m.mapping for a, m in adj.p.reindex.items()} == _precomposition_reference(fc, sets, c_decode, adj.p.fibers)
+    for x in sets:
+        assert adj.lam[x].mapping == {lbl: fun_label(c_decode[x][lbl], sets[x]) for lbl in adj.p.fibers[x].elements}
+        assert adj.rho[x].mapping == {
+            lbl: fun_label({e: core.r.apply(q_decode[x][lbl][e]) for e in sets[x]}, sets[x])
+            for lbl in Qdoc.fibers[x].elements
+        }
+
+
+M3 = fin_poset(["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+def _meet_quantale(poset, unit):
+    lat = lattice_from_poset(poset)
+    return FiniteQuantale("meet", lat, dict(lat.meet), unit)
+
+
+def test_quantale_distributivity_reports_each_failing_binary_join_once():
+    # M3 is not distributive: a ∧ (b ∨ c) = a but (a ∧ b) ∨ (a ∧ c) = 0
+    assert quantale_violations(_meet_quantale(M3, "1")) == [
+        "tensor does not distribute over the join of ['b', 'c'] at a",
+        "tensor does not distribute over the join of ['a', 'c'] at b",
+        "tensor does not distribute over the join of ['a', 'b'] at c",
+    ]
+    # 10 elements: above the size where every family used to be walked
+    big = _meet_quantale(product_poset(M3, chain_poset(["0", "1"]), lambda x, i: x + i), "11")
+    got = quantale_violations(big)
+    assert len(got) == len(set(got)) == 24
+
+
+def test_repeated_object_names_are_rejected():
+    fam = IndexedFamily("X", ("a",), {w: frozenset("a") for w in CHAIN2.worlds})
+    stream = FCoalgebra("A", "stream", ("s",), {"s": "s"})
+    builds = [
+        lambda: fam_doctrine(CHAIN2, [fam, fam]),
+        lambda: topological_doctrine([SPACES[0], SPACES[0]]),
+        lambda: temporal_doctrine([stream, stream], "stream"),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="duplicate"):
+            build()

@@ -14,7 +14,7 @@ from doctrines.order import (
     powerset_lattice,
     subset_label,
 )
-from doctrines.suite import STREAM_A, TREE_S, TREE_T
+from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T
 from doctrines.temporal import (
     FCoalgebra,
     ag_oracle,
@@ -29,6 +29,7 @@ from doctrines.temporal import (
     random_subset,
     temporal_doctrine,
 )
+from util import function_category_reference, inverse_image_reference
 
 
 STREAM2 = FCoalgebra("A", "stream", ("s0", "s1"), {"s0": "s1", "s1": "s1"})
@@ -267,3 +268,24 @@ def test_sweep_checks_monotonicity_once_per_lift_with_the_per_alpha_message(monk
         oracle_mismatches(c, ["forall", "exists"])
     assert str(e.value) == first
     assert scans == ["forall", "exists"]
+
+
+def _coalgebra_groups():
+    """The bundled groups, then seeded random groups of one to three
+    coalgebras with at most 4 states each."""
+    yield [STREAM_A, STREAM_B], "stream"
+    yield [TREE_T, TREE_S], "forall"
+    rng = random.Random(11)
+    for _ in range(16):
+        kind, lift = rng.choice([("stream", "stream"), ("tree", "forall"), ("tree", "exists")])
+        yield [random_coalgebra(rng, kind, 4, name=f"C{i}") for i in range(rng.randint(1, 3))], lift
+
+
+@pytest.mark.parametrize("group, lift", list(_coalgebra_groups()))
+def test_temporal_doctrine_equals_reference_loops(group, lift):
+    doc, _ = temporal_doctrine(group, lift)
+    by_name = {c.name: c for c in group}
+    sets = {c.name: c.states for c in group}
+    base = function_category_reference(sets, lambda x, y: coalgebra_homomorphisms(by_name[x], by_name[y]))
+    assert doc.base == base
+    assert doc == inverse_image_reference(base, sets)
