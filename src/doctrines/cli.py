@@ -9,8 +9,8 @@ fails, 2 usage or parse error.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -38,12 +38,14 @@ from .doctrine import Doctrine, doctrine_violations
 from .fincat import (
     Functor,
     NatTransformation,
+    all_functions,
     check_category,
     compose_functors,
     identity_functor,
     poset_category,
 )
 from .instances import (
+    _open_and_continuous,
     FinPresheaf,
     FiniteTopSpace,
     KripkeFrame,
@@ -303,6 +305,18 @@ def _named_sets(d: Declaration):
     return {key: _distinct(d, "sets", [e for e in body.split(",") if e]) for key, body in pairs}
 
 
+WITNESSES_SHOWN = 8
+
+
+def _verdict(name: str, passed: bool, witnesses: list) -> dict:
+    """A report verdict with the first WITNESSES_SHOWN witnesses and, when
+    there are more, how many were left out."""
+    v = {"name": name, "pass": passed, "witnesses": witnesses[:WITNESSES_SHOWN]}
+    if len(witnesses) > WITNESSES_SHOWN:
+        v["witnesses_omitted"] = len(witnesses) - WITNESSES_SHOWN
+    return v
+
+
 class Workspace:
     """Everything built from a document, plus the law-suite verdicts."""
 
@@ -326,9 +340,7 @@ class Workspace:
         self.outputs = {}
 
     def verdict(self, name: str, witnesses: list[str]):
-        self.verdicts.append(
-            {"name": name, "pass": not witnesses, "witnesses": [str(w) for w in witnesses[:8]]}
-        )
+        self.verdicts.append(_verdict(name, not witnesses, [str(w) for w in witnesses]))
 
     def refuse(self, name: str, count: int):
         self.verdicts.append(
@@ -356,6 +368,20 @@ def _pointwise_doctrine_work(sets, carrier: int, order_pairs: int) -> int:
         order_pairs ** m * arrows_into(m) + carrier ** m * sum(m ** n * arrows_into(n) for n in sizes)
         for m in sizes
     )
+
+
+def _topological_work(spaces) -> int:
+    """Work of `category_violations` as written on the base of the
+    topological doctrine: every pair of its A arrows, plus A for each
+    composable pair. Counting the arrows tests each function once."""
+    hom = {
+        (s.name, t.name): sum(1 for g in all_functions(s.points, t.points) if _open_and_continuous(s, t, g))
+        for s in spaces
+        for t in spaces
+    }
+    arrows = sum(hom.values())
+    composable = sum(hom[a.name, b.name] * hom[b.name, c.name] for a in spaces for b in spaces for c in spaces)
+    return arrows * arrows + composable * arrows
 
 
 def _build_poset(ws: Workspace, d: Declaration):
@@ -659,7 +685,11 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
             ws.verdict(f"{d.kind} {d.name}", [f"build failed: {e}"])
     # cross-declaration groups
     if ws.spaces:
-        count = sum(2 ** len(s.points) for s in ws.spaces)
+        # two stages: the functions to test for openness and continuity, then
+        # the law scans over the arrows that pass
+        count = sum(len(t.points) ** len(s.points) for s in ws.spaces for t in ws.spaces)
+        if count <= ws.max_size:
+            count = _topological_work(ws.spaces)
         if count > ws.max_size:
             ws.refuse("topological-doctrine", count)
         else:
@@ -797,11 +827,7 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
         acc = run_acceptance(seed)
         for c in acc["criteria"]:
             report["verdicts"].append(
-                {
-                    "name": f"criterion {c['id']}: {c['title']}",
-                    "pass": c["pass"],
-                    "witnesses": [] if c["pass"] else c["details"][:8],
-                }
+                _verdict(f"criterion {c['id']}: {c['title']}", c["pass"], [] if c["pass"] else c["details"])
             )
         report["outputs"]["criteria-details"] = {
             f"criterion {c['id']}": c["details"] for c in acc["criteria"]
@@ -885,6 +911,8 @@ def render_text(report: dict) -> str:
         lines.append(("PASS " if v["pass"] else "FAIL ") + v["name"])
         for w in v["witnesses"]:
             lines.append(f"  - {w}")
+        if "witnesses_omitted" in v:
+            lines.append(f"  (+{v['witnesses_omitted']} more)")
     for key, value in report["outputs"].items():
         lines.append(f"{key}: {json.dumps(value)}")
     n = len(report["verdicts"])
@@ -893,55 +921,249 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="doctrines", description=__doc__)
-    ap.add_argument("--json", action="store_true", help="emit a structured report")
-    ap.add_argument("--seed", type=int, default=7, help="seed for randomized suites")
-    ap.add_argument("--max-size", type=int, default=200000, help="refuse enumerations above this size")
-    sub = ap.add_subparsers(dest="command", required=True)
-    p_check = sub.add_parser("check", help="run every law suite declared in a model file")
-    p_check.add_argument("file")
-    p_check.add_argument("--target", help="restrict the report to verdicts matching a name")
-    p_derive = sub.add_parser("derive", help="run a construction and report its law suite")
-    p_derive.add_argument("file")
-    p_derive.add_argument("--from", dest="source", required=True)
-    g = p_derive.add_mutually_exclusive_group(required=True)
-    g.add_argument("--modality", action="store_true")
-    g.add_argument("--comonad", action="store_true")
-    g.add_argument("--adjunction", action="store_true")
-    p_em = sub.add_parser("em", help="dump the Eilenberg-Moore doctrine of a comonad")
-    p_em.add_argument("file")
-    p_em.add_argument("--from", dest="source", required=True)
-    p_factor = sub.add_parser("factor", help="both factorization theorems for an adjunction")
-    p_factor.add_argument("file")
-    p_factor.add_argument("--from", dest="source", required=True)
-    p_temporal = sub.add_parser("temporal", help="G/AG/EG queries with oracle cross-checks")
-    p_temporal.add_argument("file")
-    p_temporal.add_argument("--coalgebra", required=True)
-    p_temporal.add_argument("--op", required=True)
-    p_temporal.add_argument("--alpha", default="{}")
-    sub.add_parser("suite", help="run the full acceptance suite")
-    return ap
+# Plain classes, not dataclasses: generating a dataclass runs `exec` and
+# costs about a millisecond at import, which every CLI call pays.
+class Option:
+    """One `--name` of the command line. With a `metavar` it takes one value,
+    converted by `convert`; without, it is a flag that stores `const`. An
+    option that is not required starts at `default`."""
+
+    def __init__(self, dest, help, metavar=None, convert=str, const=True, default=None, required=False):
+        self.dest, self.help, self.metavar, self.convert = dest, help, metavar, convert
+        self.const, self.default, self.required = const, default, required
+
+
+class Level:
+    """The options of the top level or of one command, its positional (FILE,
+    COMMAND or none), and the flags of which exactly one must be given."""
+
+    def __init__(self, help, options, positional="FILE", one_of=()):
+        self.help, self.options, self.positional, self.one_of = help, options, positional, one_of
+
+
+HELP = Option("help", "show this help and exit")
+FROM = Option("from", "the declared or built object to start from", "NAME", required=True)
+
+TOP = Level(
+    __doc__,
+    {
+        "--json": Option("json", "emit a structured report", default=False),
+        "--seed": Option("seed", "seed for randomized suites", "INT", int, default=7),
+        "--max-size": Option("max_size", "refuse enumerations above this size", "INT", int, default=200000),
+    },
+    "COMMAND",
+)
+
+COMMANDS = {
+    "check": Level(
+        "run every law suite declared in a model file",
+        {"--target": Option("target", "restrict the report to verdicts matching a name", "NAME")},
+    ),
+    "derive": Level(
+        "run a construction and report its law suite",
+        {
+            "--from": FROM,
+            "--modality": Option("what", "derive the interior operator", const="modality"),
+            "--comonad": Option("what", "derive the comonad", const="comonad"),
+            "--adjunction": Option("what", "derive the adjunction", const="adjunction"),
+        },
+        one_of=("--modality", "--comonad", "--adjunction"),
+    ),
+    "em": Level("dump the Eilenberg-Moore doctrine of a comonad", {"--from": FROM}),
+    "factor": Level("both factorization theorems for an adjunction", {"--from": FROM}),
+    "temporal": Level(
+        "G/AG/EG queries with oracle cross-checks",
+        {
+            "--coalgebra": Option("coalgebra", "the coalgebra to query", "NAME", required=True),
+            "--op": Option("op", "G, AG or EG", "OP", required=True),
+            "--alpha": Option("alpha", "the states of alpha, as {s0,s1}", "SET", default="{}"),
+        },
+    ),
+    "suite": Level("run the full acceptance suite", {}, None),
+}
+
+# compiled on first use: most command lines never reach it
+NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+class UsageExit(Exception):
+    """The command line ends the program before any command runs: `text` is
+    the help (status 0) or the usage and error (status 2)."""
+
+    def __init__(self, status: int, text: str):
+        super().__init__(text)
+        self.status, self.text = status, text
+
+
+class _Malformed(Exception):
+    pass
+
+
+def _usage(name: str | None) -> str:
+    level = COMMANDS[name] if name else TOP
+    words = ["usage: doctrines", *([name] if name else []), "[-h]"]
+    for s, o in level.options.items():
+        if s not in level.one_of:
+            word = s if o.metavar is None else f"{s} {o.metavar}"
+            words.append(word if o.required else f"[{word}]")
+    if level.one_of:
+        words.append("(" + " | ".join(level.one_of) + ")")
+    words += {"FILE": ["FILE"], "COMMAND": ["COMMAND", "..."], None: []}[level.positional]
+    return " ".join(words)
+
+
+def _help(name: str | None) -> str:
+    level = COMMANDS[name] if name else TOP
+    rows = [("-h, --help", HELP.help)] + [
+        (s if o.metavar is None else f"{s} {o.metavar}", o.help + ("" if o.default in (None, False) else f" (default {o.default})"))
+        for s, o in level.options.items()
+    ]
+    if name:
+        body = [level.help]
+    else:
+        body = [level.help.strip(), "", "commands:", *(f"  {n:<10}{c.help}" for n, c in COMMANDS.items())]
+    width = max(len(r) for r, _ in rows) + 2
+    return "\n".join([_usage(name), "", *body, "", "options:", *(f"  {r:<{width}}{h}" for r, h in rows)])
+
+
+def _classify(token: str, options: dict):
+    """How argparse reads one token against the option strings of a level:
+    None for a positional, else (option string, attached value or None), the
+    option string None for an unknown option. A long option may be
+    abbreviated to a unique prefix; `-h` may carry more flags (`-hh`)."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in options:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        matches, value = [o for o in options if o.startswith(name)], (value if eq else None)
+    else:
+        matches, value = [o for o in options if o == token[:2]], token[2:]
+    if len(matches) > 1:
+        raise _Malformed(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(NEGATIVE_NUMBER, token) or " " in token:
+        return None
+    return None, None
+
+
+def _scan(args: list[str], options: dict):
+    """The pattern of one level, a letter per token: O an option, A a
+    positional, - the first `--` (every token after it is an A); and the
+    option tokens as `_classify` reads them."""
+    pattern, found = [], {}
+    for i, token in enumerate(args):
+        if token == "--":
+            pattern.append("-" + "A" * (len(args) - i - 1))
+            break
+        found[i] = _classify(token, options)
+        pattern.append("A" if found[i] is None else "O")
+    return "".join(pattern), found
+
+
+def _option_run(args: list[str], pattern: str, i: int, option, options: dict):
+    """The (option string, value) pairs the option token at `i` stands for,
+    and the index after them. A flag takes no value; an attached value of a
+    one-dash flag names more one-dash flags. Any other option takes its
+    attached value or else the next positional token."""
+    s, value = option
+    taken = []
+    while options[s].metavar is None:
+        if value is None:
+            return taken + [(s, None)], i + 1
+        if s.startswith("--") or not value or "-" + value[0] not in options:
+            raise _Malformed(f"argument {s}: ignored explicit argument {value!r}")
+        taken.append((s, None))
+        s, value = "-" + value[0], value[1:] or None
+    if value is not None:
+        return taken + [(s, value)], i + 1
+    if not pattern.startswith("A", i + 1):
+        raise _Malformed(f"argument {s}: expected one argument")
+    return taken + [(s, args[i + 1])], i + 2
+
+
+def _read_level(name: str | None, args: list[str], flags: dict):
+    """Read the top level (`name` None) or command `name` into `flags`, in
+    argparse's order: options as they come, `-h` exiting with help at once.
+    Returns the tokens no rule took and the tokens of the positional."""
+    level = COMMANDS[name] if name else TOP
+    options = {"-h": HELP, "--help": HELP, **level.options}
+    flags.update((o.dest, o.default) for s, o in level.options.items() if not o.required and s not in level.one_of)
+    pattern, found = _scan(args, options)
+    seen, extras, values = set(), [], None
+    i = 0
+    while i < len(args):
+        option = found.get(i)
+        if option and option[0]:
+            taken, i = _option_run(args, pattern, i, option, options)
+            for s, value in taken:
+                opt = options[s]
+                if opt is HELP:
+                    raise UsageExit(0, _help(name))
+                clash = [o for o in level.one_of if o in seen and o != s] if s in level.one_of else []
+                if clash:
+                    raise _Malformed(f"argument {s}: not allowed with argument {clash[0]}")
+                try:
+                    flags[opt.dest] = opt.const if opt.metavar is None else opt.convert(value)
+                except ValueError:
+                    raise _Malformed(f"argument {s}: invalid {opt.convert.__name__} value: {value!r}") from None
+                seen.add(s)
+        elif option is None and values is None and level.positional and pattern.startswith(("A", "-A"), i):
+            # argparse's nargs patterns: FILE takes `-?A-?` of the pattern,
+            # COMMAND `-?A` and everything after it
+            end = i + 1 + (pattern[i] == "-")
+            end = len(args) if level.positional == "COMMAND" else end + pattern.startswith("-", end)
+            values, i = args[i:end], end
+        else:
+            extras.append(args[i])
+            i += 1
+    missing = [s for s, o in level.options.items() if o.required and s not in seen]
+    if level.positional and values is None:
+        missing.append(level.positional)
+    if missing:
+        raise _Malformed(f"the following arguments are required: {', '.join(missing)}")
+    if level.one_of and not seen.intersection(level.one_of):
+        raise _Malformed(f"one of the arguments {' '.join(level.one_of)} is required")
+    return extras, values
+
+
+def parse_argv(argv: list[str]) -> dict:
+    """The `flags` of a command line: `json`, `seed`, `max_size`, `command`,
+    the model `file` and the command's options. Raises UsageExit on `-h` and
+    on a malformed command line."""
+    flags = {}
+    try:
+        extras, (name, *rest) = _read_level(None, list(argv), flags)
+        if name not in COMMANDS:
+            raise _Malformed(f"argument COMMAND: invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
+        flags["command"] = name
+        more, values = _read_level(name, rest, flags)
+        if values:
+            if "--" in values:
+                values.remove("--")
+            flags["file"] = values[0]
+        if extras + more:
+            raise _Malformed(f"unrecognized arguments: {' '.join(extras + more)}")
+    except _Malformed as e:
+        raise UsageExit(2, f"{_usage(flags.get('command'))}\ndoctrines: error: {e}") from None
+    return flags
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
-    flags = {"seed": args.seed, "max_size": args.max_size}
-    if args.command == "derive":
-        flags["from"] = args.source
-        flags["what"] = "modality" if args.modality else ("comonad" if args.comonad else "adjunction")
-    elif args.command in ("em", "factor"):
-        flags["from"] = args.source
-    elif args.command == "temporal":
-        flags.update({"coalgebra": args.coalgebra, "op": args.op, "alpha": args.alpha})
-    elif args.command == "check":
-        flags["target"] = args.target
+    try:
+        flags = parse_argv(sys.argv[1:] if argv is None else argv)
+    except UsageExit as e:
+        print(e.text, file=sys.stderr if e.status else sys.stdout)
+        return e.status
     try:
         document = None
-        if args.command != "suite":
-            document = parse(getattr(args, "file"))
-        report = run(document, args.command, flags)
+        if flags["command"] != "suite":
+            document = parse(flags["file"])
+        report = run(document, flags["command"], flags)
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return 2
@@ -951,7 +1173,7 @@ def main(argv=None) -> int:
     except BuildError as e:
         print(str(e), file=sys.stderr)
         return 2
-    if args.json:
+    if flags["json"]:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
         sys.stdout.write(render_text(report))

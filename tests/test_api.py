@@ -3,10 +3,12 @@
 Each law has one public name, its `*_violations` function; a public function
 whose body only passes its own parameters on to another function is a second
 name for that function. Invariants are enforced by raising, never by
-`assert`, which `python -O` strips. A module imports only the names it uses.
+`assert`, which `python -O` strips. A module imports only the names it uses,
+and only from the package itself or the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "doctrines").glob("*.py"))
@@ -132,3 +134,39 @@ def draw(rng: random.Random) -> int:
     return rng.randrange(3)
 """
     assert _unused_imports(source) == ["Mapping", "powerset_poset"]
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Modules an import statement anywhere in `source` names that are
+    neither relative nor in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [m for m in found if m.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_library_imports_only_the_standard_library():
+    assert [f"{path.name}: {m}" for path in SOURCES for m in _foreign_imports(path.read_text())] == []
+
+
+def test_foreign_import_scan_flags_planted_imports_and_nothing_else():
+    source = """
+from __future__ import annotations
+
+import os.path
+import numpy as np
+from collections.abc import Mapping
+from hypothesis import given
+
+from . import order
+from .order import subset_label
+
+
+def f():
+    import scipy.sparse
+    from .suite import run_acceptance
+"""
+    assert _foreign_imports(source) == ["numpy", "hypothesis", "scipy.sparse"]

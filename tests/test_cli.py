@@ -4,18 +4,30 @@ import json
 import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doctrines.cli import (
     ModelDocument,
     ParseError,
+    UsageExit,
+    Workspace,
+    build_workspace,
     main,
+    parse_argv,
     parse_text,
+    render_text,
     run,
     serialize,
 )
+from util import argparse_flags
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
 
 MODEL = """
 # sample workbench model
@@ -245,6 +257,54 @@ def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
     assert "FAIL presheaf-instance K\n  - refused: estimated work 1099511627776 exceeds --max-size 200000" in out
 
 
+DISCRETE_4 = "{} {a} {b} {c} {d} {a,b} {a,c} {a,d} {b,c} {b,d} {c,d} {a,b,c} {a,b,d} {a,c,d} {b,c,d} {a,b,c,d}"
+
+
+def test_cli_topological_size_guard_bounds_the_law_scans(tmp_path, capsys):
+    # each of the 9 homs admits all 256 functions: A = 2,304 arrows and
+    # 3 * 768^2 composable pairs, so the scan is A^2 + 1,769,472 * A
+    text = "\n".join(f"topspace {n} {{ points: a b c d; opens: {DISCRETE_4} }}" for n in "ABC")
+    t0 = time.perf_counter()
+    assert _main(tmp_path, text, "check") == 1
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert "FAIL topological-doctrine\n  - refused: estimated work 4082171904 exceeds --max-size 200000" in out
+    # stage 1 refuses before testing a function: 2 * 2 * 12^12 of them
+    points = " ".join(f"p{i}" for i in range(12))
+    text = "\n".join(f"topspace {n} {{ points: {points}; opens: {{}} {{{points.replace(' ', ',')}}} }}" for n in "AB")
+    assert _main(tmp_path, text, "check") == 1
+    assert f"refused: estimated work {4 * 12 ** 12} exceeds" in capsys.readouterr().out
+
+
+def test_cli_topological_size_guard_admits_the_benchmark_spaces():
+    models = {r.model for r in workloads.requests_for("modal", 0) if r.model and "topspace" in r.model}
+    assert models
+    for text in models:
+        ws = build_workspace(parse_text(text), 200000)
+        assert [v["name"] for v in ws.verdicts if v["name"].startswith("topological")] == [
+            "topological-doctrine",
+            "topological-interior",
+        ]
+        assert all(v["pass"] for v in ws.verdicts)
+
+
+def test_cut_witnesses_are_counted(monkeypatch):
+    ws = Workspace(200000)
+    ws.verdict("planted", [f"w{i}" for i in range(11)])
+    ws.verdict("eight", [f"w{i}" for i in range(8)])
+    assert ws.verdicts[0] == {
+        "name": "planted", "pass": False, "witnesses": [f"w{i}" for i in range(8)], "witnesses_omitted": 3,
+    }
+    assert "witnesses_omitted" not in ws.verdicts[1]
+    from doctrines import suite
+
+    criterion = {"id": 1, "title": "planted", "pass": False, "details": [f"d{i}" for i in range(11)]}
+    monkeypatch.setattr(suite, "run_acceptance", lambda seed: {"criteria": [criterion]})
+    report = run(None, "suite", {})
+    assert report["verdicts"][0]["witnesses_omitted"] == 3
+    assert render_text(report).splitlines()[2:11] == [*(f"  - d{i}" for i in range(8)), "  (+3 more)"]
+
+
 # a one-object doctrine D on the one-point poset P, for the cases below
 ONE_OBJECT = """poset P { elements: a }
 category C { objects: x; arrows: i=x->x; identities: x=i; compose: i.i=i }
@@ -331,3 +391,148 @@ def test_cli_exit_code_contract_holds_on_mutated_models(tmp_path_factory, text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = main([command[0], str(f), *command[1:]])
         assert rc in (0, 1, 2), (rc, text, command)
+
+
+COMMAND_NAMES = ("check", "derive", "em", "factor", "temporal", "suite")
+LONG_OPTIONS = (
+    "--json", "--seed", "--max-size", "--target", "--from", "--modality", "--comonad",
+    "--adjunction", "--coalgebra", "--op", "--alpha", "--help",
+)
+# every spelling of a long option: the full name and each shorter prefix
+SPELLINGS = {o: tuple(o[:k] for k in range(3, len(o) + 1)) for o in LONG_OPTIONS}
+VALUES = ("7", "-3", "x", "{s0}", "h")
+ARGV_TOKENS = (
+    *COMMAND_NAMES,
+    *(p for o in LONG_OPTIONS for p in SPELLINGS[o]),
+    *(f"{o}={v}" for o in LONG_OPTIONS for v in VALUES),
+    *VALUES,
+    "FILE", "-", "--", "-h", "--bogus",
+)
+# (required, optional) parts after the command; a part is the option that
+# takes a value, a bare flag, or FILE; ONE_OF is derive's exactly-one-of group
+ONE_OF = ("--modality", "--comonad", "--adjunction")
+COMMAND_PARTS = {
+    "check": (("FILE",), ("--target",)),
+    "derive": (("FILE", "--from", ONE_OF), ()),
+    "em": (("FILE", "--from"), ()),
+    "factor": (("FILE", "--from"), ()),
+    "temporal": (("FILE", "--coalgebra", "--op"), ("--alpha",)),
+    "suite": ((), ()),
+}
+BENCH_ARGV = sorted(
+    {r.argv for w in workloads.WORKLOADS for seed in range(8) for r in workloads.requests_for(w, seed)}
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line (options in any order, spelled in full or
+    by a prefix, with `=value` or a separate value, some repeated, FILE
+    possibly after `--`), then up to three tokens inserted, deleted or
+    replaced."""
+
+    def valued(option):
+        spelled = draw(st.sampled_from(SPELLINGS[option]))
+        value = draw(st.sampled_from(VALUES[:2] if option in ("--seed", "--max-size") else VALUES))
+        return draw(st.sampled_from(([spelled, value], [f"{spelled}={value}"])))
+
+    def part(p):
+        if p == "FILE":
+            return draw(st.sampled_from((["FILE"], ["--", "FILE"])))
+        if p == ONE_OF:
+            return [draw(st.sampled_from(ONE_OF))]
+        return valued(p)
+
+    name = draw(st.sampled_from(COMMAND_NAMES))
+    required, optional = COMMAND_PARTS[name]
+    parts = [part(p) for p in required] + [part(p) for p in optional if draw(st.booleans())]
+    parts += [part(p) for p in required + optional if p != "FILE" and draw(st.integers(0, 3)) == 0]
+    parts = draw(st.permutations(parts))
+    head = [draw(st.sampled_from((["--json"], valued("--seed"), valued("--max-size")))) for _ in range(draw(st.integers(0, 2)))]
+    argv = [t for chunk in head for t in chunk] + [name] + [t for chunk in parts for t in chunk]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        i = draw(st.integers(0, len(argv)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        token = draw(st.sampled_from(ARGV_TOKENS))
+        if op == "insert":
+            argv.insert(i, token)
+        elif argv:
+            argv[min(i, len(argv) - 1) : min(i, len(argv) - 1) + 1] = [token] if op == "replace" else []
+    return argv
+
+
+def _agrees_with_argparse(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = argparse_flags(argv)
+        except SystemExit as e:
+            want = e.code
+    try:
+        got = parse_argv(argv)
+    except UsageExit as e:
+        got = e.status
+    assert got == want, argv
+    if isinstance(want, int):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == want, argv
+        if want == 0:
+            assert out.getvalue().startswith("usage: doctrines"), argv
+        else:
+            assert err.getvalue().startswith("usage: doctrines") and "doctrines: error: " in err.getvalue(), argv
+            assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(argv=st.one_of(command_lines(), command_lines(), st.lists(st.sampled_from(ARGV_TOKENS), max_size=8)))
+def test_parse_argv_agrees_with_argparse(argv):
+    _agrees_with_argparse(argv)
+
+
+for _argv in BENCH_ARGV:
+    test_parse_argv_agrees_with_argparse = example(argv=list(_argv))(test_parse_argv_agrees_with_argparse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["temporal", "--coalgebra", "M", "--op=EG", "FILE", "--alp", "{s0}"],
+        ["--seed", "-3", "--max=5", "derive", "--mod", "--from", "A", "--", "FILE"],
+        ["check", "FILE", "--target", "a", "--target", "b"],
+        ["derive", "FILE", "--from", "A", "--modality", "--comonad"],
+        ["check", "FILE", "--"],
+        ["check", "--", "--"],
+        ["check", "-hh"],
+        ["check", "-hx"],
+        ["--json=h", "suite"],
+        ["-h=h"],
+        ["-h="],
+        ["--bogus", "check", "-h"],
+        ["check", "-h", "--=x"],
+        ["--json", "--", "check", "FILE"],
+        ["--seed", "--", "check", "FILE"],
+        [],
+    ],
+)
+def test_parse_argv_agrees_with_argparse_on_edge_cases(argv):
+    _agrees_with_argparse(argv)
+
+
+def test_parse_argv_reads_the_grammar():
+    assert parse_argv(["temporal", "--coalgebra", "M", "--op=EG", "FILE", "--alp", "{s0}", "--alpha", "{s1}"]) == {
+        "json": False, "seed": 7, "max_size": 200000, "command": "temporal",
+        "coalgebra": "M", "op": "EG", "alpha": "{s1}", "file": "FILE",
+    }
+    assert parse_argv(["--js", "--seed=-3", "suite"]) == {"json": True, "seed": -3, "max_size": 200000, "command": "suite"}
+
+
+def test_cli_call_imports_no_argparse_gettext_locale_or_shutil(tmp_path):
+    f = tmp_path / "m.dct"
+    f.write_text(MODEL)
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; "
+        f"rc = doctrines.cli.main(['--json', 'check', {str(f)!r}]); "
+        "sys.stderr.write(f'{rc} {sorted(set(sys.modules) & {\"argparse\", \"gettext\", \"locale\", \"shutil\"})}')"
+    )
+    r = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert r.stderr == "0 []"

@@ -1,6 +1,8 @@
 """Shared builders for tests; deliberately independent of doctrines.instances
 so instance constructors can be cross-checked against these."""
 
+import argparse
+
 from doctrines.doctrine import Doctrine
 from doctrines.fincat import fin_category, full_function_category, function_arrow_name, function_graph
 from doctrines.order import MonotoneMap, label_subset, powerset_poset, subset_label
@@ -48,3 +50,55 @@ def function_category_reference(sets, homs):
                 comp = {e: graphs[gn][graphs[fn][e]] for e in sets[fs]}
                 composition[(gn, fn)] = function_arrow_name(fs, gd, comp, sets[fs])
     return fin_category(list(sets), arrows, identities, composition)
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line grammar as argparse parsers: the reference that
+    `doctrines.cli.parse_argv` must agree with."""
+    ap = argparse.ArgumentParser(prog="doctrines")
+    ap.add_argument("--json", action="store_true", help="emit a structured report")
+    ap.add_argument("--seed", type=int, default=7, help="seed for randomized suites")
+    ap.add_argument("--max-size", type=int, default=200000, help="refuse enumerations above this size")
+    sub = ap.add_subparsers(dest="command", required=True)
+    p_check = sub.add_parser("check", help="run every law suite declared in a model file")
+    p_check.add_argument("file")
+    p_check.add_argument("--target", help="restrict the report to verdicts matching a name")
+    p_derive = sub.add_parser("derive", help="run a construction and report its law suite")
+    p_derive.add_argument("file")
+    p_derive.add_argument("--from", dest="source", required=True)
+    g = p_derive.add_mutually_exclusive_group(required=True)
+    g.add_argument("--modality", action="store_true")
+    g.add_argument("--comonad", action="store_true")
+    g.add_argument("--adjunction", action="store_true")
+    p_em = sub.add_parser("em", help="dump the Eilenberg-Moore doctrine of a comonad")
+    p_em.add_argument("file")
+    p_em.add_argument("--from", dest="source", required=True)
+    p_factor = sub.add_parser("factor", help="both factorization theorems for an adjunction")
+    p_factor.add_argument("file")
+    p_factor.add_argument("--from", dest="source", required=True)
+    p_temporal = sub.add_parser("temporal", help="G/AG/EG queries with oracle cross-checks")
+    p_temporal.add_argument("file")
+    p_temporal.add_argument("--coalgebra", required=True)
+    p_temporal.add_argument("--op", required=True)
+    p_temporal.add_argument("--alpha", default="{}")
+    sub.add_parser("suite", help="run the full acceptance suite")
+    return ap
+
+
+def argparse_flags(argv) -> dict:
+    """The `flags` of `argv` as argparse reads it; raises SystemExit (0 after
+    help, 2 on a malformed command line) where argparse exits."""
+    args = build_arg_parser().parse_args(argv)
+    flags = {"json": args.json, "seed": args.seed, "max_size": args.max_size, "command": args.command}
+    if args.command != "suite":
+        flags["file"] = args.file
+    if args.command == "derive":
+        flags["from"] = args.source
+        flags["what"] = "modality" if args.modality else ("comonad" if args.comonad else "adjunction")
+    elif args.command in ("em", "factor"):
+        flags["from"] = args.source
+    elif args.command == "temporal":
+        flags.update({"coalgebra": args.coalgebra, "op": args.op, "alpha": args.alpha})
+    elif args.command == "check":
+        flags["target"] = args.target
+    return flags
