@@ -12,8 +12,10 @@ from .doctrine import (
     Doctrine,
     OneArrow,
     TwoArrow,
+    base_change,
     compose_one_arrows,
     identity_one_arrow,
+    identity_parts,
     one_arrow_violations,
     two_arrow_violations,
 )
@@ -33,6 +35,7 @@ from .order import (
     identity_map,
     label_subset,
     powerset_poset,
+    restrict_map,
     subset_label,
 )
 
@@ -97,7 +100,7 @@ def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
 
 def identity_adjunction(P: Doctrine) -> DoctrineAdjunction:
     i = identity_functor(P.base)
-    ids = {x: identity_map(P.fibers[x]) for x in P.base.objects}
+    ids = identity_parts(P)
     return DoctrineAdjunction(P, P, i, ids, i, dict(ids), identity_nat(i), identity_nat(i))
 
 
@@ -154,12 +157,7 @@ def vertical_modality(A: DoctrineAdjunction) -> InteriorOp:
 
 def am_doctrine(A: DoctrineAdjunction) -> Doctrine:
     """The doctrine X ↦ Q(L X) over the base of P."""
-    base = A.p.base
-    return Doctrine(
-        base,
-        {x: A.q.fibers[A.left.obj_map[x]] for x in base.objects},
-        {t: A.q.reindex[A.left.arr_map[t]] for t in base.arrow_names()},
-    )
+    return base_change(A.q, A.left)
 
 
 def am_modality(A: DoctrineAdjunction) -> tuple[Doctrine, InteriorOp]:
@@ -188,14 +186,9 @@ def base_change_adjunction(
     bad = adjunction_cat(L, R, eta, eps)
     if bad:
         raise ValueError("base adjunction invalid: " + "; ".join(bad[:3]))
-    p = Doctrine(
-        L.src,
-        {x: Q.fibers[L.obj_map[x]] for x in L.src.objects},
-        {t: Q.reindex[L.arr_map[t]] for t in L.src.arrow_names()},
-    )
-    lam = {x: identity_map(Q.fibers[L.obj_map[x]]) for x in L.src.objects}
+    p = base_change(Q, L)
     rho = {y: Q.reindex[eps.components[y]] for y in Q.base.objects}
-    return DoctrineAdjunction(p, Q, L, lam, R, rho, eta, eps)
+    return DoctrineAdjunction(p, Q, L, identity_parts(p), R, rho, eta, eps)
 
 
 def factorize(A: DoctrineAdjunction) -> tuple[DoctrineAdjunction, DoctrineAdjunction]:
@@ -289,44 +282,17 @@ def factorize2_report(A: DoctrineAdjunction) -> dict:
             seen[v] = s
         inj[x] = {"holds": not collisions, "collisions": collisions}
 
-    lam_bar = {
-        x: MonotoneMap(
-            A.p.fibers[x],
-            stable.fibers[x],
-            {a: A.lam[x].apply(a) for a in A.p.fibers[x].elements},
-        )
-        for x in A.p.base.objects
-    }
-    rho_bar = {
-        x: MonotoneMap(
-            stable.fibers[x],
-            A.p.fibers[x],
-            {s: rho_prime[x].apply(s) for s in stable.fibers[x].elements},
-        )
-        for x in A.p.base.objects
-    }
+    lam_bar = {x: restrict_map(A.lam[x], A.p.fibers[x], stable.fibers[x]) for x in A.p.base.objects}
+    rho_bar = {x: restrict_map(rho_prime[x], stable.fibers[x], A.p.fibers[x]) for x in A.p.base.objects}
     upper_left = vertical_adjunction(A.p, stable, lam_bar, rho_bar)
 
-    u_arrow = {
-        x: MonotoneMap(
-            stable.fibers[x],
-            A.q.fibers[A.left.obj_map[x]],
-            {s: s for s in stable.fibers[x].elements},
-        )
-        for x in A.p.base.objects
-    }
     rho_upper = {}
     for y in A.q.base.objects:
         ry = A.right.obj_map[y]
-        into_ql = A.q.reindex[A.eps.components[y]]
-        boxed = compose_maps(op.parts[ry], into_ql)
-        rho_upper[y] = MonotoneMap(
-            A.q.fibers[y],
-            stable.fibers[ry],
-            {b: boxed.apply(b) for b in A.q.fibers[y].elements},
-        )
+        boxed = compose_maps(op.parts[ry], A.q.reindex[A.eps.components[y]])
+        rho_upper[y] = restrict_map(boxed, A.q.fibers[y], stable.fibers[ry])
     upper_right = DoctrineAdjunction(
-        stable, A.q, A.left, u_arrow, A.right, rho_upper, A.eta, A.eps
+        stable, A.q, A.left, dict(inclusion.parts), A.right, rho_upper, A.eta, A.eps
     )
 
     squares = {
@@ -434,9 +400,9 @@ def identity_adj_morphism(A: DoctrineAdjunction) -> AdjMorphism:
         A,
         A,
         identity_functor(A.p.base),
-        {x: identity_map(A.p.fibers[x]) for x in A.p.base.objects},
+        identity_parts(A.p),
         identity_functor(A.q.base),
-        {y: identity_map(A.q.fibers[y]) for y in A.q.base.objects},
+        identity_parts(A.q),
         identity_nat(A.right),
     )
 

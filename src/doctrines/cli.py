@@ -245,6 +245,13 @@ def _pairs(atoms):
     return out
 
 
+def _set_atom(atom: str) -> frozenset:
+    """The members of a set atom '{a,b}'; an atom without braces is a BuildError."""
+    if len(atom) < 2 or atom[0] != "{" or atom[-1] != "}":
+        raise BuildError(f"expected a set '{{a,b}}', got '{atom}'")
+    return label_subset(atom)
+
+
 def _map_entry(d: Declaration, key: str, atom: str):
     """'x=a>b,c>d' -> ('x', {'a': 'b', 'c': 'd'}); 'x=v' -> ('x', 'v'). A
     source that repeats inside the map is a BuildError."""
@@ -490,7 +497,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
 
 def _build_topspace(ws: Workspace, d: Declaration):
     points = _distinct(d, "points", d.need("points"))
-    opens = frozenset(label_subset(a) for a in d.need("opens"))
+    opens = frozenset(_set_atom(a) for a in d.need("opens"))
     space = FiniteTopSpace(d.name, tuple(points), opens)
     bad = space_violations(space)
     ws.verdict(f"topspace {d.name}", bad)
@@ -735,7 +742,7 @@ def _run_queries(ws: Workspace):
                 lift = LIFT_OF_OP.get(op)
                 if lift is None:
                     raise BuildError(f"query {q.name}: unknown temporal op '{op}'")
-                alpha = label_subset(q.need("alpha")[0])
+                alpha = _set_atom(q.need("alpha")[0])
                 _temporal_into(ws, f"query {q.name}", c, lift, alpha, "fixpoint {got} differs from oracle {want}")
             elif mode == "check":
                 target = q.need("target")[0]
@@ -891,11 +898,15 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
         lift = LIFT_OF_OP.get(opname)
         if lift is None:
             raise BuildError(f"temporal: unknown op '{opname}' (expected G, AG or EG)")
-        alpha = label_subset(flags.get("alpha", "{}"))
+        alpha = _set_atom(flags.get("alpha", "{}"))
         unknown = sorted(alpha - set(c.states))
         if unknown:
             raise BuildError(f"temporal: alpha mentions unknown states {unknown}")
-        _temporal_into(ws, f"temporal {opname} {cname}", c, lift, alpha, "fixpoint differs from oracle {want}")
+        label = f"temporal {opname} {cname}"
+        try:
+            _temporal_into(ws, label, c, lift, alpha, "fixpoint differs from oracle {want}")
+        except (KeyError, ValueError) as e:
+            ws.verdict(label, [f"temporal failed: {e}"])
     else:
         raise BuildError(f"unknown command '{command}'")
     report["verdicts"] = ws.verdicts

@@ -23,15 +23,19 @@ from .doctrine import (
     Doctrine,
     OneArrow,
     TwoArrow,
+    base_change,
     compose_one_arrows,
     identity_one_arrow,
+    identity_parts,
     one_arrow_violations,
+    sub_doctrine,
     two_arrow_violations,
 )
 from .fincat import (
     CoalgebraData,
     Functor,
     NatTransformation,
+    coalgebra_arrow_name,
     coalgebra_category,
     coalgebra_object_name,
     comonad_cat_violations,
@@ -41,7 +45,7 @@ from .fincat import (
     nat_violations,
 )
 from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
-from .order import MonotoneMap, compose_maps, identity_map, sub_poset
+from .order import MonotoneMap, compose_maps, restrict_map
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def identity_comonad(P: Doctrine) -> DoctrineComonad:
     return DoctrineComonad(
         P,
         i,
-        {x: identity_map(P.fibers[x]) for x in P.base.objects},
+        identity_parts(P),
         identity_nat(i),
         identity_nat(i),
     )
@@ -115,7 +119,7 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
         raise ValueError("invalid comonad: " + "; ".join(bad[:3]))
     P = c.p
     data = coalgebra_category(c.k, c.mu, c.nu)
-    fibers = {}
+    keep = {}
     for o in data.category.objects:
         carrier, struct = data.carrier[o], data.structure[o]
         closure = compose_maps(P.reindex[struct], c.kappa[carrier])
@@ -132,30 +136,13 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
         for a in fib.elements:
             if closure.apply(closure.apply(a)) != closure.apply(a):
                 raise ValueError(f"closure not idempotent at ({o},{a})")
-        fibers[o] = sub_poset(fib, members)
-    reindex = {}
-    for f in data.category.arrow_names():
-        o1, o2 = data.category.src(f), data.category.dst(f)
-        m = P.reindex[data.forgetful.arr_map[f]]
-        mapping = {}
-        for a in fibers[o2].elements:
-            img = m.apply(a)
-            if img not in fibers[o1]:
-                raise ValueError(f"reindexing along {f} leaves the EM fiber at {a}")
-            mapping[a] = img
-        reindex[f] = MonotoneMap(fibers[o2], fibers[o1], mapping)
-    em = Doctrine(data.category, fibers, reindex)
-    forgetful = OneArrow(
-        em,
-        P,
-        data.forgetful,
-        {
-            o: MonotoneMap(fibers[o], P.fibers[data.carrier[o]], {a: a for a in fibers[o].elements})
-            for o in data.category.objects
-        },
+        keep[o] = members
+    em, inclusion = sub_doctrine(
+        base_change(P, data.forgetful), keep, "reindexing along {t} leaves the EM fiber at {a}"
     )
+    forgetful = OneArrow(em, P, data.forgetful, inclusion.parts)
     for o in data.category.objects:
-        imgs = [forgetful.parts[o].apply(a) for a in fibers[o].elements]
+        imgs = [forgetful.parts[o].apply(a) for a in em.fibers[o].elements]
         if len(set(imgs)) != len(imgs):
             raise ValueError(f"forgetful fiber map not injective at {o}")
     universal_nat = NatTransformation(
@@ -183,46 +170,29 @@ def em_adjunction(c: DoctrineComonad) -> DoctrineAdjunction:
     free_arr = {}
     for t in base.arrow_names():
         x, y = base.src(t), base.dst(t)
-        free_arr[t] = f"{free_obj[x]}=>{free_obj[y]}:{c.k.arr_map[t]}"
+        free_arr[t] = coalgebra_arrow_name(free_obj[x], free_obj[y], c.k.arr_map[t])
     free = Functor(base, emcat, free_obj, free_arr)
     eta = NatTransformation(
         identity_functor(emcat),
         compose_functors(free, data.forgetful),
-        {o: f"{o}=>{free_obj[data.carrier[o]]}:{data.structure[o]}" for o in emcat.objects},
+        {o: coalgebra_arrow_name(o, free_obj[data.carrier[o]], data.structure[o]) for o in emcat.objects},
     )
     eps = NatTransformation(
         compose_functors(data.forgetful, free),
         identity_functor(base),
         {x: c.nu.components[x] for x in base.objects},
     )
-    rho = {}
-    for x in base.objects:
-        target = bundle.em.fibers[free_obj[x]]
-        rho[x] = MonotoneMap(
-            P.fibers[x], target, {a: c.kappa[x].apply(a) for a in P.fibers[x].elements}
-        )
+    rho = {x: restrict_map(c.kappa[x], P.fibers[x], bundle.em.fibers[free_obj[x]]) for x in base.objects}
     return DoctrineAdjunction(
         bundle.em, P, data.forgetful, dict(bundle.forgetful.parts), free, rho, eta, eps
     )
 
 
-def cm_doctrine(c: DoctrineComonad, bundle: EMDoctrineBundle | None = None) -> Doctrine:
-    """The doctrine ⟨X,c⟩ ↦ P(X) over the coalgebra category."""
-    if bundle is None:
-        bundle = em_doctrine(c)
-    data = bundle.coalgebras
-    return Doctrine(
-        data.category,
-        {o: c.p.fibers[data.carrier[o]] for o in data.category.objects},
-        {f: c.p.reindex[data.forgetful.arr_map[f]] for f in data.category.arrow_names()},
-    )
-
-
 def cm_modality(c: DoctrineComonad) -> InteriorOp:
-    """The comonadic interior operator box at ⟨X,c⟩ = P(c)∘κ_X."""
-    bundle = em_doctrine(c)
-    data = bundle.coalgebras
-    doc = cm_doctrine(c, bundle)
+    """The comonadic interior operator box at ⟨X,c⟩ = P(c)∘κ_X on the doctrine
+    ⟨X,c⟩ ↦ P(X) over the coalgebra category."""
+    data = em_doctrine(c).coalgebras
+    doc = base_change(c.p, data.forgetful)
     parts = {
         o: compose_maps(c.p.reindex[data.structure[o]], c.kappa[data.carrier[o]])
         for o in data.category.objects
@@ -270,7 +240,7 @@ def comparison_arrow(A: DoctrineAdjunction) -> OneArrow:
     arr = {}
     for t in A.p.base.arrow_names():
         x, y = A.p.base.src(t), A.p.base.dst(t)
-        arr[t] = f"{obj[x]}=>{obj[y]}:{A.left.arr_map[t]}"
+        arr[t] = coalgebra_arrow_name(obj[x], obj[y], A.left.arr_map[t])
     functor = Functor(A.p.base, emcat, obj, arr)
     parts = {}
     for x in A.p.base.objects:
@@ -306,7 +276,7 @@ def unit_comparison_morphism(A: DoctrineAdjunction) -> AdjMorphism:
         comp.functor,
         dict(comp.parts),
         identity_functor(A.q.base),
-        {y: identity_map(A.q.fibers[y]) for y in A.q.base.objects},
+        identity_parts(A.q),
         theta,
     )
 
@@ -323,8 +293,7 @@ def modality_comparison_check(A: DoctrineAdjunction) -> dict:
         kx = comp.functor.obj_map[x]
         if op_a.parts[x] != op_k.parts[kx]:
             mismatches.append(x)
-    parts = {x: identity_map(ql.fibers[x]) for x in A.p.base.objects}
-    k_id = OneArrow(ql, op_k.doctrine, comp.functor, parts)
+    k_id = OneArrow(ql, op_k.doctrine, comp.functor, identity_parts(ql))
     modal = modal_one_arrow_violations(k_id, op_a, op_k)
     return {
         "tables_equal": mismatches == [],
@@ -351,14 +320,7 @@ def ma(op: InteriorOp) -> DoctrineAdjunction:
         raise ValueError("invalid interior operator: " + "; ".join(bad[:3]))
     P = op.doctrine
     stable, inclusion = stable_subdoctrine(op)
-    rho = {
-        x: MonotoneMap(
-            P.fibers[x],
-            stable.fibers[x],
-            {a: op.parts[x].apply(a) for a in P.fibers[x].elements},
-        )
-        for x in P.base.objects
-    }
+    rho = {x: restrict_map(op.parts[x], P.fibers[x], stable.fibers[x]) for x in P.base.objects}
     return vertical_adjunction(stable, P, dict(inclusion.parts), rho)
 
 
@@ -387,21 +349,15 @@ def nabla(A: DoctrineAdjunction) -> AdjMorphism:
     src = ma(op)
     parts_p = {}
     for x in A.p.base.objects:
-        lx = A.left.obj_map[x]
-        rho_prime = compose_maps(A.p.reindex[A.eta.components[x]], A.rho[lx])
-        parts_p[x] = MonotoneMap(
-            src.p.fibers[x],
-            A.p.fibers[x],
-            {s: rho_prime.apply(s) for s in src.p.fibers[x].elements},
-        )
-    parts_q = {x: identity_map(ql.fibers[x]) for x in A.p.base.objects}
+        rho_prime = compose_maps(A.p.reindex[A.eta.components[x]], A.rho[A.left.obj_map[x]])
+        parts_p[x] = restrict_map(rho_prime, src.p.fibers[x], A.p.fibers[x])
     theta = NatTransformation(
         compose_functors(identity_functor(A.p.base), src.right),
         compose_functors(A.right, A.left),
         dict(A.eta.components),
     )
     return AdjMorphism(
-        src, A, identity_functor(A.p.base), parts_p, A.left, parts_q, theta
+        src, A, identity_functor(A.p.base), parts_p, A.left, identity_parts(ql), theta
     )
 
 
@@ -516,12 +472,13 @@ def cmd_two_cell_violations(c: CmdTwoCell) -> list[str]:
     return out
 
 
-def em_universal_factor(
-    c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransformation, candidate_cap: int = 10_000
-) -> OneArrow:
+CANDIDATE_CAP = 10_000
+
+
+def em_universal_factor(c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransformation) -> OneArrow:
     """Factor a coherent pair ⟨⟨X,x⟩, ξ⟩ through the forgetful 1-arrow of the
     EM doctrine; uniqueness is certified by exhaustive search over all
-    candidate factorizations (up to `candidate_cap` of them)."""
+    candidate factorizations (up to CANDIDATE_CAP of them)."""
     P = c.p
     if x_arrow.dst != P:
         raise ValueError("x must land in the comonad's doctrine")
@@ -554,16 +511,12 @@ def em_universal_factor(
     arr = {}
     for t in x_arrow.src.base.arrow_names():
         d1, d2 = x_arrow.src.base.src(t), x_arrow.src.base.dst(t)
-        arr[t] = f"{obj[d1]}=>{obj[d2]}:{X.arr_map[t]}"
+        arr[t] = coalgebra_arrow_name(obj[d1], obj[d2], X.arr_map[t])
     functor = Functor(x_arrow.src.base, emcat, obj, arr)
-    parts = {}
-    for d in x_arrow.src.base.objects:
-        target = bundle.em.fibers[obj[d]]
-        parts[d] = MonotoneMap(
-            x_arrow.src.fibers[d],
-            target,
-            {b: x_arrow.parts[d].apply(b) for b in x_arrow.src.fibers[d].elements},
-        )
+    parts = {
+        d: restrict_map(x_arrow.parts[d], x_arrow.src.fibers[d], bundle.em.fibers[obj[d]])
+        for d in x_arrow.src.base.objects
+    }
     factor = OneArrow(x_arrow.src, bundle.em, functor, parts)
 
     # uniqueness: every functor over X with the right universal 2-cell data
@@ -580,7 +533,7 @@ def em_universal_factor(
     count = 1
     for m in per_object:
         count *= len(m)
-    if count > candidate_cap:
+    if count > CANDIDATE_CAP:
         raise ValueError(f"uniqueness search needs {count} candidates, above the cap")
     witnesses = []
     for combo in product(*per_object):
@@ -588,8 +541,7 @@ def em_universal_factor(
         ok = True
         for t in x_arrow.src.base.arrow_names():
             d1, d2 = x_arrow.src.base.src(t), x_arrow.src.base.dst(t)
-            name = f"{cand[d1]}=>{cand[d2]}:{X.arr_map[t]}"
-            if not emcat.has_arrow(name):
+            if not emcat.has_arrow(coalgebra_arrow_name(cand[d1], cand[d2], X.arr_map[t])):
                 ok = False
                 break
         if ok:

@@ -1,6 +1,6 @@
 """Doctrines (posets indexed over a finite category), their 1-arrows and
-lax 2-arrows, and the derived square/power doctrines used by the connective
-modalities.
+lax 2-arrows, and the derived doctrines: change of base, full sub-doctrines,
+and the square/power doctrines used by the connective modalities.
 
 Reindexing is stored contravariantly: the map attached to an arrow t: X → Y
 goes fiber(Y) → fiber(X). All equalities between maps are extensional.
@@ -9,7 +9,7 @@ goes fiber(Y) → fiber(X). All equalities between maps are extensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .fincat import (
     FinCategory,
@@ -31,6 +31,8 @@ from .order import (
     monotone_violations,
     powerset_poset,
     product_poset,
+    restrict_map,
+    sub_poset,
     subset_label,
 )
 
@@ -98,6 +100,16 @@ def inverse_image_doctrine(fc: FunctionCategory) -> Doctrine:
     return Doctrine(base, fibers, reindex)
 
 
+def base_change(P: Doctrine, F: Functor) -> Doctrine:
+    """P∘F: over each object X of F's source the fiber of P at F X,
+    reindexed along F t."""
+    return Doctrine(
+        F.src,
+        {x: P.fibers[F.obj_map[x]] for x in F.src.objects},
+        {t: P.reindex[F.arr_map[t]] for t in F.src.arrow_names()},
+    )
+
+
 @dataclass(frozen=True)
 class OneArrow:
     """A doctrine morphism ⟨F, f⟩: functor on bases plus a fiberwise family
@@ -145,10 +157,13 @@ def one_arrow_violations(a: OneArrow) -> list[str]:
     return out
 
 
+def identity_parts(P: Doctrine) -> dict[str, MonotoneMap]:
+    """The identity map of every fiber of P."""
+    return {x: identity_map(P.fibers[x]) for x in P.base.objects}
+
+
 def identity_one_arrow(P: Doctrine) -> OneArrow:
-    return OneArrow(
-        P, P, identity_functor(P.base), {x: identity_map(P.fibers[x]) for x in P.base.objects}
-    )
+    return OneArrow(P, P, identity_functor(P.base), identity_parts(P))
 
 
 def compose_one_arrows(b: OneArrow, a: OneArrow) -> OneArrow:
@@ -164,6 +179,27 @@ def compose_one_arrows(b: OneArrow, a: OneArrow) -> OneArrow:
             for x in a.src.base.objects
         },
     )
+
+
+def sub_doctrine(P: Doctrine, keep: Mapping[str, Sequence[str]], leaves: str) -> tuple[Doctrine, OneArrow]:
+    """The full sub-doctrine of P on the elements `keep[X]` of each fiber,
+    reindexed by restriction, with its inclusion 1-arrow. Raises
+    ValueError(leaves.format(t=..., a=...)) at the first arrow t and element
+    a, in base order, whose reindexed image is not kept."""
+    fibers = {x: sub_poset(P.fibers[x], keep[x]) for x in P.base.objects}
+    reindex = {}
+    for t in P.base.arrow_names():
+        x, y = P.base.src(t), P.base.dst(t)
+        m = P.reindex[t]
+        for a in fibers[y].elements:
+            if m.apply(a) not in fibers[x]:
+                raise ValueError(leaves.format(t=t, a=a))
+        reindex[t] = restrict_map(m, fibers[y], fibers[x])
+    sub = Doctrine(P.base, fibers, reindex)
+    inclusion = {
+        x: MonotoneMap(fibers[x], P.fibers[x], {a: a for a in fibers[x].elements}) for x in P.base.objects
+    }
+    return sub, OneArrow(sub, P, identity_functor(P.base), inclusion)
 
 
 @dataclass(frozen=True)
@@ -284,11 +320,8 @@ class ProductData(NamedTuple):
 
 def restrict_doctrine(P: Doctrine, sub: FinCategory) -> Doctrine:
     """P over a subcategory of its base (objects and arrows must belong to it)."""
-    return Doctrine(
-        sub,
-        {x: P.fibers[x] for x in sub.objects},
-        {a: P.reindex[a] for a in sub.arrow_names()},
-    )
+    inclusion = Functor(sub, P.base, {x: x for x in sub.objects}, {a: a for a in sub.arrow_names()})
+    return base_change(P, inclusion)
 
 
 def power_doctrine(
@@ -324,9 +357,7 @@ def power_doctrine(
             raise ValueError(f"{f}×id does not commute with first projections")
         if P.base.comp(products[z].proj2, fx) != products[y].proj2:
             raise ValueError(f"{f}×id does not commute with second projections")
-    fibers = {y: P.fibers[products[y].prod_obj] for y in sub.objects}
-    reindex = {f: P.reindex[times[f]] for f in sub.arrow_names()}
-    powered = Doctrine(sub, fibers, reindex)
+    powered = base_change(P, Functor(sub, P.base, {y: products[y].prod_obj for y in sub.objects}, times))
     weakening = OneArrow(
         restrict_doctrine(P, sub),
         powered,

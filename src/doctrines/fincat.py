@@ -417,6 +417,10 @@ def coalgebra_object_name(base_obj: str, structure_arrow: str) -> str:
     return f"<{base_obj}|{structure_arrow}>"
 
 
+def coalgebra_arrow_name(src: str, dst: str, base_arrow: str) -> str:
+    return f"{src}=>{dst}:{base_arrow}"
+
+
 def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation) -> CoalgebraData:
     """Eilenberg-Moore category of ⟨K,μ,ν⟩: objects are pairs ⟨C,c⟩ with the
     counit/coassociativity squares, arrows are base arrows commuting with the
@@ -441,16 +445,16 @@ def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation)
         for o2 in objs:
             for f in C.hom(carrier[o1], carrier[o2]):
                 if C.comp(structure[o2], f) == C.comp(K.arr_map[f], structure[o1]):
-                    n = f"{o1}=>{o2}:{f}"
+                    n = coalgebra_arrow_name(o1, o2, f)
                     arrows.append((n, o1, o2))
                     arrow_base[n] = f
-    identities = {o: f"{o}=>{o}:{C.id(carrier[o])}" for o in objs}
+    identities = {o: coalgebra_arrow_name(o, o, C.id(carrier[o])) for o in objs}
     composition = {}
     for (gn, gs, gd) in arrows:
         for (fn, fs, fd) in arrows:
             if fd == gs:
                 base = C.comp(arrow_base[gn], arrow_base[fn])
-                composition[(gn, fn)] = f"{fs}=>{gd}:{base}"
+                composition[(gn, fn)] = coalgebra_arrow_name(fs, gd, base)
     em = fin_category(objs, arrows, identities, composition)
     U = fin_functor(em, C, dict(carrier), dict(arrow_base))
     return CoalgebraData(em, U, carrier, structure)

@@ -19,11 +19,13 @@ from .doctrine import (
     Doctrine,
     OneArrow,
     ProductData,
+    identity_parts,
     inverse_image_doctrine,
     pair_label,
     power_doctrine,
     restrict_doctrine,
     square_doctrine,
+    sub_doctrine,
 )
 from .fincat import (
     FinCategory,
@@ -40,7 +42,6 @@ from .order import (
     FinPoset,
     MonotoneMap,
     chain_poset,
-    identity_map,
     label_subset,
     lattice_from_poset,
     powerset_lattice,
@@ -394,8 +395,7 @@ def forgetful_top_arrow(spaces: Sequence[FiniteTopSpace]) -> tuple[OneArrow, Int
     obj_map = {s.name: s.name for s in spaces}
     arr_map = {a: a for a in src_doc.base.arrow_names()}
     functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
-    parts = {s.name: identity_map(src_doc.fibers[s.name]) for s in spaces}
-    return OneArrow(src_doc, dst_doc, functor, parts), src_op, identity_interior(dst_doc)
+    return OneArrow(src_doc, dst_doc, functor, identity_parts(src_doc)), src_op, identity_interior(dst_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +780,7 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
                 composition[(gn, fn)] = presheaf_arrow_name(d, by_name[gd], phi)
     base = fin_category([d.name for d in presheaves], arrows, identities, composition)
 
-    fibers, decode = {}, {}
-    sub_fibers = {}
+    fibers, decode, keep = {}, {}, {}
     for d in presheaves:
         # families ordered pointwise: labels are `presheaf_family_label`s
         worlds = list(d.base.objects)
@@ -791,47 +790,26 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
         }
         dec = {lbl: {w: subset_of[w][v] for w, v in m.items()} for lbl, m in by_world.items()}
         decode[d.name] = dec
-        sub_fibers[d.name] = sub_poset(
-            fibers[d.name], [l for l in fibers[d.name].elements if is_subpresheaf(d, dec[l])]
-        )
+        keep[d.name] = [l for l in fibers[d.name].elements if is_subpresheaf(d, dec[l])]
 
-    def _reindex(fibs):
-        out = {}
-        for (n, sn, dn) in arrows:
-            phi = comps[n]
-            mapping = {}
-            for lbl in fibs[dn].elements:
-                parts = decode[dn][lbl]
-                pre = {
-                    w: frozenset(x for x in by_name[sn].at[w] if phi[w][x] in parts[w])
-                    for w in by_name[sn].base.objects
-                }
-                mapping[lbl] = presheaf_family_label(pre, by_name[sn])
-            out[n] = MonotoneMap(fibs[dn], fibs[sn], mapping)
-        return out
-
-    Qdoc = Doctrine(base, fibers, _reindex(fibers))
-    sub_reindex = {}
+    reindex = {}
     for (n, sn, dn) in arrows:
-        m = Qdoc.reindex[n]
-        sub_reindex[n] = MonotoneMap(
-            sub_fibers[dn],
-            sub_fibers[sn],
-            {l: m.apply(l) for l in sub_fibers[dn].elements},
-        )
-    Pdoc = Doctrine(base, sub_fibers, sub_reindex)
-    lam = {
-        d.name: MonotoneMap(
-            sub_fibers[d.name],
-            fibers[d.name],
-            {l: l for l in sub_fibers[d.name].elements},
-        )
-        for d in presheaves
-    }
+        phi = comps[n]
+        mapping = {}
+        for lbl in fibers[dn].elements:
+            parts = decode[dn][lbl]
+            pre = {
+                w: frozenset(x for x in by_name[sn].at[w] if phi[w][x] in parts[w])
+                for w in by_name[sn].base.objects
+            }
+            mapping[lbl] = presheaf_family_label(pre, by_name[sn])
+        reindex[n] = MonotoneMap(fibers[dn], fibers[sn], mapping)
+    Qdoc = Doctrine(base, fibers, reindex)
+    Pdoc, inclusion = sub_doctrine(Qdoc, keep, "reindexing along {t} leaves the subpresheaves at {a}")
     rho = {
         d.name: MonotoneMap(
             fibers[d.name],
-            sub_fibers[d.name],
+            Pdoc.fibers[d.name],
             {
                 lbl: presheaf_family_label(largest_subpresheaf(d, decode[d.name][lbl]), d)
                 for lbl in fibers[d.name].elements
@@ -839,7 +817,7 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
         )
         for d in presheaves
     }
-    adj = vertical_adjunction(Pdoc, Qdoc, lam, rho)
+    adj = vertical_adjunction(Pdoc, Qdoc, inclusion.parts, rho)
     op = vertical_modality(adj)
     return adj, Qdoc, op
 

@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .doctrine import Doctrine, OneArrow, one_arrow_violations
-from .fincat import identity_functor
-from .order import MonotoneMap, compose_maps, identity_map, monotone_violations, sub_poset
+from .doctrine import Doctrine, OneArrow, identity_parts, one_arrow_violations, sub_doctrine
+from .order import MonotoneMap, compose_maps, monotone_violations
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class InteriorOp:
 
 
 def identity_interior(P: Doctrine) -> InteriorOp:
-    return InteriorOp(P, {x: identity_map(P.fibers[x]) for x in P.base.objects})
+    return InteriorOp(P, identity_parts(P))
 
 
 def interior_violations(op: InteriorOp) -> list[str]:
@@ -82,29 +81,8 @@ def stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
     """The doctrine of box-stable elements over the same base, with its
     inclusion 1-arrow; reindexing is the restriction of the ambient one."""
     P = op.doctrine
-    fibers = {x: sub_poset(P.fibers[x], stable_elements(op, x)) for x in P.base.objects}
-    reindex = {}
-    for t in P.base.arrow_names():
-        x, y = P.base.src(t), P.base.dst(t)
-        m = P.reindex[t]
-        mapping = {}
-        for a in fibers[y].elements:
-            img = m.apply(a)
-            if img not in fibers[x]:
-                raise ValueError(f"reindexing along {t} does not preserve stability")
-            mapping[a] = img
-        reindex[t] = MonotoneMap(fibers[y], fibers[x], mapping)
-    stable = Doctrine(P.base, fibers, reindex)
-    inclusion = OneArrow(
-        stable,
-        P,
-        identity_functor(P.base),
-        {
-            x: MonotoneMap(fibers[x], P.fibers[x], {a: a for a in fibers[x].elements})
-            for x in P.base.objects
-        },
-    )
-    return stable, inclusion
+    keep = {x: stable_elements(op, x) for x in P.base.objects}
+    return sub_doctrine(P, keep, "reindexing along {t} does not preserve stability")
 
 
 def modal_one_arrow_violations(a: OneArrow, op_src: InteriorOp, op_dst: InteriorOp) -> list[str]:

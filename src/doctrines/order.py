@@ -202,6 +202,11 @@ def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(f.src, g.dst, {x: g.mapping[f.mapping[x]] for x in f.src.elements})
 
 
+def restrict_map(m: MonotoneMap, src: FinPoset, dst: FinPoset) -> MonotoneMap:
+    """m on the elements of `src`, into `dst` (unchecked: every image must lie in `dst`)."""
+    return MonotoneMap(src, dst, {x: m.mapping[x] for x in src.elements})
+
+
 def constant_map(src: FinPoset, dst: FinPoset, value: str) -> MonotoneMap:
     return MonotoneMap(src, dst, {x: value for x in src.elements})
 

@@ -4,14 +4,18 @@ Each law has one public name, its `*_violations` function; a public function
 whose body only passes its own parameters on to another function is a second
 name for that function. Invariants are enforced by raising, never by
 `assert`, which `python -O` strips. A module imports only the names it uses,
-and only from the package itself or the standard library.
+and only from the package itself or the standard library. Every module-level
+function and class is named somewhere in `src/`, `tests/` or `bench/` outside
+its own definition.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "doctrines").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "doctrines").glob("*.py"))
 
 
 def _functions(tree: ast.Module):
@@ -170,3 +174,70 @@ def f():
     from .suite import run_acceptance
 """
     assert _foreign_imports(source) == ["numpy", "hypothesis", "scipy.sparse"]
+
+
+CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _identifiers(nodes) -> Counter:
+    """How often each name is read: as a variable, an attribute or an imported name."""
+    found = Counter()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def _references(corpus: list[str]) -> Counter:
+    used = Counter()
+    for text in corpus:
+        used += _identifiers(ast.walk(ast.parse(text)))
+    return used
+
+
+def _unreferenced(source: str, used: Counter) -> list[str]:
+    """Module-level functions and classes of `source` that the corpus counted
+    in `used` (which holds `source` too) names nowhere outside their own
+    definition."""
+    defs = [n for n in ast.parse(source).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    return [d.name for d in defs if used[d.name] == _identifiers(ast.walk(d))[d.name]]
+
+
+def test_every_library_function_and_class_is_referenced():
+    used = _references([path.read_text() for path in CORPUS])
+    found = [f"{path.name}: {name}" for path in SOURCES for name in _unreferenced(path.read_text(), used)]
+    assert found == []
+
+
+def test_dead_code_scan_flags_planted_definitions_and_nothing_else():
+    source = '''
+def used():
+    return helper()
+
+
+def helper():
+    return 1
+
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+
+class Unused:
+    def again(self):
+        return Unused()
+
+
+def _private():
+    return 0
+'''
+    other = '''
+from .lib import used
+
+value = lib._private()
+'''
+    assert _unreferenced(source, _references([source, other])) == ["recursive", "Unused"]

@@ -204,6 +204,29 @@ def test_cli_temporal_alpha_with_unknown_state_is_usage_error(tmp_path, capsys):
     assert "alpha mentions unknown states ['s0']" in capsys.readouterr().err
 
 
+def test_cli_temporal_op_of_the_wrong_kind_is_failing_verdict(tmp_path, capsys):
+    text = "coalgebra T { kind: tree; states: a b; step: a=(b) b=() }"
+    assert _main(tmp_path, text, "temporal", "--coalgebra", "T", "--op", "G", "--alpha", "{a}") == 1
+    out = capsys.readouterr().out
+    assert "FAIL temporal G T\n  - temporal failed: g_oracle needs a stream coalgebra" in out
+
+
+STREAM = "coalgebra S { kind: stream; states: s1 s2; step: s1=s2 s2=s1 }"
+
+
+@pytest.mark.parametrize(
+    "text, args, atom",
+    [
+        (STREAM, ("temporal", "--coalgebra", "S", "--op", "G", "--alpha", "s1"), "s1"),
+        (f"{STREAM}\nquery q {{ run: temporal; coalgebra: S; op: G; alpha: s1 }}", ("check",), "s1"),
+        ("topspace X { points: a b; opens: {} a {a,b} }", ("check",), "a"),
+    ],
+)
+def test_cli_set_atom_without_braces_is_usage_error(tmp_path, capsys, text, args, atom):
+    assert _main(tmp_path, text, *args) == 2
+    assert f"expected a set '{{a,b}}', got '{atom}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args, verdict",
     [

@@ -5,21 +5,25 @@ from doctrines.doctrine import (
     OneArrow,
     ProductData,
     TwoArrow,
+    base_change,
     doctrine_violations,
     one_arrow_violations,
     two_arrow_violations,
     compose_one_arrows,
     constant_doctrine,
     identity_one_arrow,
+    identity_parts,
     identity_two_arrow,
     pair_label,
     power_doctrine,
     square_doctrine,
+    sub_doctrine,
     vertical_compose_two_arrows,
     whisker_arrow_two,
     whisker_two_arrow,
 )
 from doctrines.fincat import (
+    compose_functors,
     fin_nat,
     full_function_category,
     function_arrow_name,
@@ -27,6 +31,7 @@ from doctrines.fincat import (
     poset_category,
 )
 from doctrines.order import MonotoneMap, chain_poset, compose_maps, identity_map
+from doctrines.suite import presheaf_restriction_base_change, rounding_base_change
 
 from util import powerset_doctrine_over
 
@@ -216,3 +221,44 @@ def test_compose_meet_after_diagonal_is_tabled_composite():
     for x in d.base.objects:
         assert comp.parts[x] == compose_maps(meet.parts[x], diag.parts[x])
         assert comp.parts[x].graph() == tuple((a, a) for a in d.fibers[x].elements)
+
+
+BASE_CHANGES = [rounding_base_change, presheaf_restriction_base_change]
+
+
+@pytest.mark.parametrize("adjunction", BASE_CHANGES)
+def test_base_change_along_the_identity_is_the_doctrine(adjunction):
+    A = adjunction()
+    for P in (A.p, A.q):
+        assert base_change(P, identity_functor(P.base)) == P
+
+
+@pytest.mark.parametrize("adjunction", BASE_CHANGES)
+def test_base_change_composes_and_gives_doctrines(adjunction):
+    # L: C → D and R: D → C; P over C and Q over D
+    A = adjunction()
+    for P, G, F in ((A.q, A.left, A.right), (A.p, A.right, A.left)):
+        along_gf = base_change(P, compose_functors(G, F))
+        assert base_change(base_change(P, G), F) == along_gf
+        assert doctrine_violations(base_change(P, G)) == []
+        assert doctrine_violations(along_gf) == []
+
+
+def test_sub_doctrine_keeping_every_element_is_the_doctrine():
+    P = rounding_base_change().q
+    sub, inclusion = sub_doctrine(P, {x: P.fibers[x].elements for x in P.base.objects}, "unused {t} {a}")
+    assert sub == P
+    assert inclusion == OneArrow(P, P, identity_functor(P.base), identity_parts(P))
+
+
+@pytest.mark.parametrize(
+    "leaves",
+    ["reindexing along {t} does not preserve stability", "reindexing along {t} leaves the EM fiber at {a}"],
+)
+def test_sub_doctrine_not_closed_under_reindexing_names_the_first_witness(leaves):
+    # over the chain 0 <= 2, reindexing along 0<=2 sends {q} to {}, which is not kept at 0
+    P = rounding_base_change().q
+    keep = {"0": ["{p}"], "2": ["{p}", "{q}", "{p,q}"]}
+    with pytest.raises(ValueError) as err:
+        sub_doctrine(P, keep, leaves)
+    assert str(err.value) == leaves.format(t="0<=2", a="{q}")
