@@ -29,7 +29,6 @@ from .comonad import (
     cmd_of_adjunction,
     comonad_violations,
     em_adjunction,
-    em_doctrine,
     ma,
     mc,
     DoctrineComonad,
@@ -864,16 +863,16 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
             raise BuildError(f"em: unresolved comonad or interior '{src}'")
         try:
             c = mc(ws.interiors[src]) if src in ws.interiors else ws.comonads[src]
-            bundle = em_doctrine(c)
+            A = em_adjunction(c)
         except (KeyError, ValueError) as e:
             ws.verdict(f"em {src}", [f"em failed: {e}"])
         else:
             ws.outputs[f"em {src}"] = {
-                "coalgebras": list(bundle.em.base.objects),
-                "fibers": {o: list(bundle.em.fibers[o].elements) for o in bundle.em.base.objects},
+                "coalgebras": list(A.p.base.objects),
+                "fibers": {o: list(A.p.fibers[o].elements) for o in A.p.base.objects},
             }
-            ws.verdict(f"em {src}", doctrine_violations(bundle.em))
-            ws.verdict(f"em-adjunction {src}", adjunction_violations(em_adjunction(c)))
+            ws.verdict(f"em {src}", doctrine_violations(A.p))
+            ws.verdict(f"em-adjunction {src}", adjunction_violations(A))
     elif command == "factor":
         src = flags.get("from")
         A = ws.adjunctions.get(src)

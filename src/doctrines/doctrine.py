@@ -66,6 +66,13 @@ def doctrine_violations(d: Doctrine) -> list[str]:
     for x in d.base.objects:
         if d.reindex[d.base.id(x)] != identity_map(d.fibers[x]):
             out.append(f"reindex(id_{x}) is not the identity")
+    # The arrows g with P(g∘f) = P f∘P g for every f are closed under
+    # composition (the base and map composition are associative).
+    B = d.base
+    if not out and all(
+        d.reindex[B.comp(g, f)] == compose_maps(d.reindex[f], d.reindex[g]) for g in B.generators for f in B.into[B.src(g)]
+    ):
+        return out
     for g in d.base.arrow_names():
         for f in d.base.arrow_names():
             if d.base.dst(f) == d.base.src(g):

@@ -8,6 +8,7 @@ dedicated constructors since that is how most instances enter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -16,14 +17,21 @@ from .order import FinPoset
 
 @dataclass(frozen=True)
 class FinCategory:
+    """A category given by its tables. Only `check_category`, after a passing
+    law scan, and `discrete_category` construct one, so every instance is
+    associative with identities: the law checks on a generating set of
+    arrows in `functor_violations` and `doctrine_violations` rely on that."""
+
     objects: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (name, src, dst)
     identities: Mapping[str, str]  # object -> arrow name
     composition: Mapping[tuple[str, str], str]  # (g, f) -> g∘f when dst(f)=src(g)
     _by_name: dict = field(init=False, repr=False, compare=False, default=None)
+    _names: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", {n: (s, d) for (n, s, d) in self.arrows})
+        object.__setattr__(self, "_names", tuple(n for (n, _, _) in self.arrows))
 
     def src(self, a: str) -> str:
         return self._by_name[a][0]
@@ -42,10 +50,43 @@ class FinCategory:
         return self.composition[(g, f)]
 
     def arrow_names(self) -> tuple[str, ...]:
-        return tuple(n for (n, _, _) in self.arrows)
+        return self._names
+
+    @cached_property
+    def generators(self) -> tuple[str, ...]:
+        return generating_arrows(self.arrows, self.composition)
+
+    @cached_property
+    def into(self) -> dict[str, list[str]]:
+        """The arrows into each object, in declaration order."""
+        found = {x: [] for x in self.objects}
+        for (n, _, d) in self.arrows:
+            found[d].append(n)
+        return found
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return tuple(n for (n, s, d) in self.arrows if s == x and d == y)
+
+
+def generating_arrows(arrows: Sequence[tuple[str, str, str]], composition: Mapping[tuple[str, str], str]) -> tuple[str, ...]:
+    """Arrows that generate all arrows under a composition defined on every
+    composable pair, chosen in declaration order: an arrow is added when no
+    right-fold composite g1∘(g2∘(…)) of those added before it reaches it."""
+    dst = {n: d for (n, _, d) in arrows}
+    gens, out_of, reached, into = [], {}, set(), {}
+    for (n, s, _) in arrows:
+        if n in reached:
+            continue
+        gens.append(n)
+        out_of.setdefault(s, []).append(n)
+        todo = [n] + [composition[(n, x)] for x in into.get(s, ())]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                into.setdefault(dst[x], []).append(x)
+                todo.extend(composition[(g, x)] for g in out_of.get(dst[x], ()))
+    return tuple(gens)
 
 
 def category_violations(
@@ -87,6 +128,20 @@ def category_violations(
             out.append(f"right identity law fails at {fn}")
         if composition[(identities[fd], fn)] != fn:
             out.append(f"left identity law fails at {fn}")
+    if not out:
+        # Light's test: the middle arrows g that associate are closed under ∘.
+        ins, outs = {x: [] for x in objects}, {x: [] for x in objects}
+        for (n, s, d) in arrows:
+            ins[d].append(n)
+            outs[s].append(n)
+        gh = {g: [composition[(g, h)] for h in ins[by_name[g][0]]] for g in generating_arrows(arrows, composition)}
+        if all(
+            [composition[(f, x)] for x in gh[g]] == [composition[(fg, h)] for h in ins[by_name[g][0]]]
+            for g in gh
+            for f in outs[by_name[g][1]]
+            for fg in [composition[(f, g)]]
+        ):
+            return out
     for (hn, hs, hd) in arrows:
         for (gn, gs, gd) in arrows:
             if hd != gs:
@@ -248,6 +303,13 @@ def functor_violations(F: Functor) -> list[str]:
     for x in F.src.objects:
         if F.arr_map[F.src.id(x)] != F.dst.id(F.obj_map[x]):
             out.append(f"identity not preserved at {x}")
+    # The arrows g with F(g∘f) = F g∘F f for every f are closed under
+    # composition, since both categories are associative.
+    C = F.src
+    if not out and all(
+        F.arr_map[C.comp(g, f)] == F.dst.comp(F.arr_map[g], F.arr_map[f]) for g in C.generators for f in C.into[C.src(g)]
+    ):
+        return out
     for g in F.src.arrow_names():
         for f in F.src.arrow_names():
             if F.src.dst(f) == F.src.src(g):
@@ -458,24 +520,3 @@ def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation)
     em = fin_category(objs, arrows, identities, composition)
     U = fin_functor(em, C, dict(carrier), dict(arrow_base))
     return CoalgebraData(em, U, carrier, structure)
-
-
-def hom_sizes_by_closure(C: FinCategory) -> dict[tuple[str, str], int]:
-    """Hom-set sizes via closure of identities and generators under composition;
-    cross-check against the literal arrow list filter."""
-    reached = set(C.identities.values()) | set(C.arrow_names())
-    changed = True
-    while changed:
-        changed = False
-        for g in list(reached):
-            for f in list(reached):
-                if C.dst(f) == C.src(g):
-                    c = C.comp(g, f)
-                    if c not in reached:
-                        reached.add(c)
-                        changed = True
-    sizes: dict[tuple[str, str], int] = {}
-    for a in reached:
-        key = (C.src(a), C.dst(a))
-        sizes[key] = sizes.get(key, 0) + 1
-    return sizes

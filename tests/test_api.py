@@ -241,3 +241,61 @@ from .lib import used
 value = lib._private()
 '''
     assert _unreferenced(source, _references([source, other])) == ["recursive", "Unused"]
+
+
+def _callers(source: str, name: str) -> list[str]:
+    """Where `source` calls `name`, as a bare or attribute call: the enclosing
+    function as `outer.inner` (methods as `Class.method`), or `<module>`."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name):
+                    found.append(where)
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_checked_constructors_build_a_fin_category():
+    # functor_violations and doctrine_violations certify composition on a
+    # generating set of arrows, which is sound only for associative categories
+    found = {f"{path.stem}.{where}" for path in SOURCES for where in _callers(path.read_text(), "FinCategory")}
+    assert found and found <= {"fincat.check_category", "fincat.discrete_category"}
+
+
+def test_constructor_scan_flags_planted_calls_and_nothing_else():
+    source = '''
+from . import fincat
+from .fincat import FinCategory
+
+
+def check_category(a):
+    return FinCategory(a)
+
+
+def shortcut(a):
+    return FinCategory(a)
+
+
+class Builder:
+    def build(self):
+        def inner():
+            return fincat.FinCategory(1)
+
+        return inner()
+
+
+EMPTY = FinCategory(())
+
+
+def is_category(x):
+    return isinstance(x, FinCategory)
+'''
+    assert _callers(source, "FinCategory") == ["check_category", "shortcut", "Builder.build.inner", "<module>"]

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from doctrines.comonad import em_doctrine
 from doctrines.doctrine import (
     Doctrine,
     OneArrow,
@@ -30,10 +33,16 @@ from doctrines.fincat import (
     identity_functor,
     poset_category,
 )
-from doctrines.order import MonotoneMap, chain_poset, compose_maps, identity_map
-from doctrines.suite import presheaf_restriction_base_change, rounding_base_change
+from doctrines.order import MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations
+from doctrines.suite import (
+    bundled_adjunctions,
+    bundled_comonads,
+    bundled_interior_ops,
+    presheaf_restriction_base_change,
+    rounding_base_change,
+)
 
-from util import powerset_doctrine_over
+from util import doctrine_violations_reference, inverse_image_reference, powerset_doctrine_over, random_function_category
 
 
 SETS3 = {"A": ["a1"], "B": ["b1", "b2"], "C": ["c1", "c2"]}
@@ -262,3 +271,53 @@ def test_sub_doctrine_not_closed_under_reindexing_names_the_first_witness(leaves
     with pytest.raises(ValueError) as err:
         sub_doctrine(P, keep, leaves)
     assert str(err.value) == leaves.format(t="0<=2", a="{q}")
+
+
+def _with_value(d, a, lbl, value):
+    """d with the reindexing along a sending lbl to value."""
+    reindex = dict(d.reindex)
+    m = reindex[a]
+    reindex[a] = MonotoneMap(m.src, m.dst, {**m.mapping, lbl: value})
+    return Doctrine(d.base, d.fibers, reindex)
+
+
+def test_planted_monotone_reindexing_swap_gives_the_literal_contravariance_witnesses():
+    d = powerset_doctrine_over({"A": ["a1", "a2"], "B": ["b1", "b2"]})
+    ids = set(d.base.identities.values())
+    harmed = next(
+        h
+        for a in d.base.arrow_names()
+        if a not in ids
+        for lbl in d.reindex[a].src.elements
+        for value in d.reindex[a].dst.elements
+        if value != d.reindex[a].apply(lbl)
+        for h in [_with_value(d, a, lbl, value)]
+        if monotone_violations(h.reindex[a]) == []
+    )
+    got = doctrine_violations(harmed)
+    assert got == doctrine_violations_reference(harmed)
+    assert got and all(v.startswith("contravariance fails on") for v in got)
+
+
+def test_doctrine_laws_agree_with_the_literal_scan_on_random_doctrines():
+    rng = random.Random(3105)
+    verdicts = set()
+    for _ in range(60):
+        c, sets = random_function_category(rng)
+        d = inverse_image_reference(c, sets)
+        if rng.random() < 0.6:
+            a = rng.choice(c.arrow_names())
+            m = d.reindex[a]
+            d = _with_value(d, a, rng.choice(m.src.elements), rng.choice(m.dst.elements))
+        want = doctrine_violations_reference(d)
+        assert doctrine_violations(d) == want
+        verdicts.add(bool(want))
+    assert verdicts == {True, False}
+
+
+def test_bundled_doctrines_agree_with_the_literal_scan():
+    found = [op.doctrine for _, op in bundled_interior_ops()]
+    found += [P for _, A in bundled_adjunctions() for P in (A.p, A.q)]
+    found += [em_doctrine(c).em for _, c in bundled_comonads()]
+    for d in found:
+        assert doctrine_violations(d) == doctrine_violations_reference(d) == []

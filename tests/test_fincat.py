@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
+from doctrines.comonad import em_doctrine
 from doctrines.fincat import (
     FinCategory,
     Functor,
     NatTransformation,
     adjunction_cat,
     all_functions,
+    category_violations,
     check_category,
     functor_violations,
     nat_violations,
@@ -17,7 +21,7 @@ from doctrines.fincat import (
     fin_nat,
     full_function_category,
     function_graph,
-    hom_sizes_by_closure,
+    generating_arrows,
     identity_functor,
     identity_nat,
     one_object_monoid_category,
@@ -25,7 +29,16 @@ from doctrines.fincat import (
     whisker_functor_nat,
     whisker_nat_functor,
 )
-from doctrines.order import chain_poset, fin_poset
+from doctrines.order import chain_poset, fin_poset, powerset_poset
+from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_interior_ops
+
+from util import (
+    category_violations_reference,
+    closure,
+    functor_violations_reference,
+    hom_sizes_by_closure,
+    random_function_category,
+)
 
 
 def test_discrete_category_valid():
@@ -220,3 +233,138 @@ def test_functor_composition_associative_on_instances():
     assert compose_functors(H, compose_functors(G, F)) == compose_functors(compose_functors(H, G), F)
     assert compose_functors(identity_functor(c), F) == F
     assert compose_functors(F, identity_functor(c)) == F
+
+
+def _swap_composite(composition, arrows, g, f):
+    """The table with g∘f replaced by the next arrow of the same hom-set."""
+    ends = {n: (s, d) for (n, s, d) in arrows}
+    hom = [n for (n, s, d) in arrows if (s, d) == ends[composition[(g, f)]]]
+    table = dict(composition)
+    table[(g, f)] = hom[(hom.index(table[(g, f)]) + 1) % len(hom)]
+    return table
+
+
+def _non_identity_pair(c):
+    """The first composable pair (g, f) of non-identities whose composite's
+    hom-set has another arrow."""
+    ids = set(c.identities.values())
+    for (g, gs, _) in c.arrows:
+        for (f, _, fd) in c.arrows:
+            if fd == gs and not {g, f} & ids and len(c.hom(c.src(f), c.dst(g))) > 1:
+                return g, f
+    raise AssertionError("no such pair")
+
+
+def test_planted_non_associative_table_gives_the_literal_witnesses():
+    c = full_function_category({"A": ["a1", "a2"], "B": ["b1", "b2"]}).category
+    g, f = _non_identity_pair(c)
+    table = _swap_composite(c.composition, c.arrows, g, f)
+    got = category_violations(c.objects, c.arrows, c.identities, table)
+    assert got == category_violations_reference(c.objects, c.arrows, c.identities, table)
+    assert got and all(v.startswith("associativity fails on") for v in got)
+
+
+def test_planted_functor_with_one_wrong_composite_image_gives_the_literal_witnesses():
+    c = full_function_category({"A": ["a1", "a2"], "B": ["b1", "b2"]}).category
+    g, f = _non_identity_pair(c)
+    gf = c.comp(g, f)
+    hom = c.hom(c.src(gf), c.dst(gf))
+    arr_map = {a: a for a in c.arrow_names()}
+    arr_map[gf] = hom[(hom.index(gf) + 1) % len(hom)]
+    F = Functor(c, c, {x: x for x in c.objects}, arr_map)
+    got = functor_violations(F)
+    assert got == functor_violations_reference(F)
+    assert got and all(v.startswith("composition not preserved on") for v in got)
+
+
+def _one_object_table(rng):
+    """A random table on one object with the identity laws built in."""
+    elements = ["e"] + [f"m{i}" for i in range(rng.randint(1, 3))]
+    table = {(x, y): rng.choice(elements) for x in elements for y in elements}
+    table.update({("e", x): x for x in elements})
+    table.update({(x, "e"): x for x in elements})
+    return ["*"], [(x, "*", "*") for x in elements], {"*": "e"}, table
+
+
+def test_category_laws_agree_with_the_literal_scan_on_random_tables():
+    rng = random.Random(20211)
+    verdicts = set()
+    for _ in range(150):
+        if rng.random() < 0.5:
+            table = _one_object_table(rng)
+        else:
+            c, _ = random_function_category(rng)
+            table = (c.objects, c.arrows, c.identities, c.composition)
+            if rng.random() < 0.6:
+                g, f = rng.choice([(g, f) for (g, gs, _) in c.arrows for (f, _, fd) in c.arrows if fd == gs])
+                table = table[:3] + (_swap_composite(c.composition, c.arrows, g, f),)
+        want = category_violations_reference(*table)
+        assert category_violations(*table) == want
+        verdicts.add(bool(want))
+    assert verdicts == {True, False}
+
+
+def test_functor_laws_agree_with_the_literal_scan_on_random_functors():
+    rng = random.Random(1407)
+    verdicts = set()
+    for _ in range(60):
+        c, _ = random_function_category(rng)
+        arr_map = {a: a for a in c.arrow_names()}
+        for _ in range(rng.randint(0, 2)):
+            a = rng.choice(c.arrow_names())
+            arr_map[a] = rng.choice(c.hom(c.src(a), c.dst(a)))
+        F = Functor(c, c, {x: x for x in c.objects}, arr_map)
+        want = functor_violations_reference(F)
+        assert functor_violations(F) == want
+        verdicts.add(bool(want))
+    assert verdicts == {True, False}
+
+
+def test_bundled_functors_agree_with_the_literal_scan():
+    functors = [em_doctrine(c).coalgebras.forgetful for _, c in bundled_comonads()]
+    for _, A in bundled_adjunctions():
+        functors += [A.left, A.right]
+    for F in functors:
+        assert functor_violations(F) == functor_violations_reference(F) == []
+
+
+def _bundled_categories():
+    found = [op.doctrine.base for _, op in bundled_interior_ops()]
+    found += [A.p.base for _, A in bundled_adjunctions()] + [A.q.base for _, A in bundled_adjunctions()]
+    found += [em_doctrine(c).coalgebras.category for _, c in bundled_comonads()]
+    found.append(poset_category(powerset_poset(["p", "q", "r"])))
+    found.append(full_function_category({x: [f"{x}{i}" for i in range(3)] for x in "ABC"}).category)
+    return found
+
+
+def test_generators_generate_every_arrow():
+    rng = random.Random(77)
+    cats = _bundled_categories() + [random_function_category(rng)[0] for _ in range(40)]
+    for c in cats:
+        assert c.generators == generating_arrows(c.arrows, c.composition)
+        assert closure(c.arrows, c.composition, c.generators) == set(c.arrow_names())
+
+
+class _CountingDict(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_associativity_is_certified_on_generators_without_the_literal_scan():
+    c = full_function_category({x: [f"{x}{i}" for i in range(3)] for x in "ABC"}).category
+    table = _CountingDict(c.composition)
+    assert category_violations(c.objects, c.arrows, c.identities, table) == []
+    A, G, hom_in = len(c.arrows), len(c.generators), len(c.arrows) // len(c.objects)
+    # boundaries, identity laws, the search for G (each reached arrow times
+    # each generator), then 1 + 2·|in| per (generator, f) plus |in| per generator
+    bound = A * hom_in + 2 * A + A * G + G * hom_in * (2 + 2 * hom_in)
+    literal = 4 * A * hom_in**2
+    assert A == 243 and G < 40
+    assert table.lookups <= bound < literal // 5

@@ -52,6 +52,196 @@ def function_category_reference(sets, homs):
     return fin_category(list(sets), arrows, identities, composition)
 
 
+def random_function_category(rng):
+    """The category of finite sets generated by a few random functions
+    between one to three carriers of one to three points, closed under
+    composition by brute force."""
+    sets = {x: [f"{x.lower()}{i}" for i in range(rng.randint(1, 3))] for x in "XYZ"[: rng.randint(1, 3)]}
+    reached = {(x, x, tuple(sets[x])) for x in sets}
+    for _ in range(rng.randint(0, 4)):
+        x, y = rng.choice(list(sets)), rng.choice(list(sets))
+        reached.add((x, y, tuple(rng.choice(sets[y]) for _ in sets[x])))
+    changed = True
+    while changed:
+        changed = False
+        for (x, y, f) in list(reached):
+            for (y2, z, g) in list(reached):
+                if y2 == y:
+                    gf = (x, z, tuple(g[sets[y].index(e)] for e in f))
+                    if gf not in reached:
+                        reached.add(gf)
+                        changed = True
+
+    def homs(x, y):
+        return [dict(zip(sets[x], f)) for (a, b, f) in sorted(reached) if (a, b) == (x, y)]
+
+    return function_category_reference(sets, homs), sets
+
+
+def category_violations_reference(objects, arrows, identities, composition):
+    """Every category law by the literal scan, associativity on every
+    composable triple: the reference for `fincat.category_violations`."""
+    out = []
+    names = [n for (n, _, _) in arrows]
+    if len(set(names)) != len(names):
+        out.append("duplicate arrow names")
+    if len(set(objects)) != len(objects):
+        out.append("duplicate object names")
+    by_name = {n: (s, d) for (n, s, d) in arrows}
+    for (n, s, d) in arrows:
+        if s not in objects or d not in objects:
+            out.append(f"arrow {n} has dangling src/dst")
+    for x in objects:
+        i = identities.get(x)
+        if i is None or i not in by_name:
+            out.append(f"missing identity for {x}")
+        elif by_name[i] != (x, x):
+            out.append(f"identity of {x} is not an endo-arrow")
+    if out:
+        return out
+    for (gn, gs, gd) in arrows:
+        for (fn, fs, fd) in arrows:
+            if fd == gs:
+                c = composition.get((gn, fn))
+                if c is None:
+                    out.append(f"composition undefined for ({gn},{fn})")
+                elif c not in by_name or by_name[c] != (fs, gd):
+                    out.append(f"composite ({gn},{fn}) has wrong boundary")
+    if out:
+        return out
+    for (fn, fs, fd) in arrows:
+        if composition[(fn, identities[fs])] != fn:
+            out.append(f"right identity law fails at {fn}")
+        if composition[(identities[fd], fn)] != fn:
+            out.append(f"left identity law fails at {fn}")
+    for (hn, hs, hd) in arrows:
+        for (gn, gs, gd) in arrows:
+            if hd != gs:
+                continue
+            for (fn, fs, fd) in arrows:
+                if gd != fs:
+                    continue
+                if composition[(fn, composition[(gn, hn)])] != composition[(composition[(fn, gn)], hn)]:
+                    out.append(f"associativity fails on ({fn},{gn},{hn})")
+    return out
+
+
+def functor_violations_reference(F):
+    """Every functor law by the literal scan, composition on every composable
+    pair, read off the raw tables: the reference for `fincat.functor_violations`."""
+    out = []
+    C, D = F.src, F.dst
+    c_ends = {n: (s, d) for (n, s, d) in C.arrows}
+    d_ends = {n: (s, d) for (n, s, d) in D.arrows}
+    for x in C.objects:
+        if x not in F.obj_map:
+            out.append(f"unmapped object {x}")
+        elif F.obj_map[x] not in D.objects:
+            out.append(f"object image outside target: {x}")
+    for (a, _, _) in C.arrows:
+        if a not in F.arr_map:
+            out.append(f"unmapped arrow {a}")
+        elif F.arr_map[a] not in d_ends:
+            out.append(f"arrow image outside target: {a}")
+    if out:
+        return out
+    for (a, s, d) in C.arrows:
+        if d_ends[F.arr_map[a]] != (F.obj_map[s], F.obj_map[d]):
+            out.append(f"boundary not preserved at {a}")
+    if out:
+        return out
+    for x in C.objects:
+        if F.arr_map[C.identities[x]] != D.identities[F.obj_map[x]]:
+            out.append(f"identity not preserved at {x}")
+    for (g, gs, _) in C.arrows:
+        for (f, _, fd) in C.arrows:
+            if fd == gs:
+                if F.arr_map[C.composition[(g, f)]] != D.composition[(F.arr_map[g], F.arr_map[f])]:
+                    out.append(f"composition not preserved on ({g},{f})")
+    return out
+
+
+def _monotone_reference(m):
+    out = []
+    for x in m.src.elements:
+        if x not in m.mapping:
+            out.append(f"not total: no image for {x}")
+        elif m.mapping[x] not in m.dst.elements:
+            out.append(f"image outside target poset: {x} -> {m.mapping[x]}")
+    for k in m.mapping:
+        if k not in m.src.elements:
+            out.append(f"graph mentions unknown source element: {k}")
+    if out:
+        return out
+    for (a, b) in m.src.relation:
+        if (m.mapping[a], m.mapping[b]) not in m.dst.relation:
+            out.append(f"order not preserved on ({a},{b})")
+    return sorted(out)
+
+
+def doctrine_violations_reference(d):
+    """Every doctrine law by the literal scan, contravariance on every
+    composable pair, with maps compared by their graphs: the reference for
+    `doctrine.doctrine_violations`."""
+    out = []
+    B = d.base
+    ends = {n: (s, t) for (n, s, t) in B.arrows}
+    for x in B.objects:
+        if x not in d.fibers:
+            out.append(f"missing fiber at {x}")
+    for (a, _, _) in B.arrows:
+        if a not in d.reindex:
+            out.append(f"missing reindexing along {a}")
+    if out:
+        return out
+    for (a, s, t) in B.arrows:
+        m = d.reindex[a]
+        if m.src != d.fibers[t] or m.dst != d.fibers[s]:
+            out.append(f"reindexing along {a} has wrong boundary")
+            continue
+        out.extend(f"reindexing along {a}: {v}" for v in _monotone_reference(m))
+    if out:
+        return out
+    for x in B.objects:
+        m = d.reindex[B.identities[x]]
+        if any(m.mapping[e] != e for e in d.fibers[x].elements):
+            out.append(f"reindex(id_{x}) is not the identity")
+    for (g, gs, _) in B.arrows:
+        for (f, _, fd) in B.arrows:
+            if fd == gs:
+                lhs, pf, pg = d.reindex[B.composition[(g, f)]], d.reindex[f], d.reindex[g]
+                if any(lhs.mapping[e] != pf.mapping[pg.mapping[e]] for e in lhs.src.elements):
+                    out.append(f"contravariance fails on ({g},{f})")
+    return out
+
+
+def closure(arrows, composition, start):
+    """The arrows reached from `start` by composing reached pairs until
+    nothing new appears."""
+    dst = {n: d for (n, _, d) in arrows}
+    src = {n: s for (n, s, _) in arrows}
+    reached = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for g in list(reached):
+            for f in list(reached):
+                if dst[f] == src[g] and composition[(g, f)] not in reached:
+                    reached.add(composition[(g, f)])
+                    changed = True
+    return reached
+
+
+def hom_sizes_by_closure(C):
+    """Hom-set sizes via closure of identities and generators under composition;
+    cross-check against the literal arrow list filter."""
+    sizes = {}
+    for a in closure(C.arrows, C.composition, set(C.identities.values()) | set(C.arrow_names())):
+        key = (C.src(a), C.dst(a))
+        sizes[key] = sizes.get(key, 0) + 1
+    return sizes
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     """The command-line grammar as argparse parsers: the reference that
     `doctrines.cli.parse_argv` must agree with."""
