@@ -27,5 +27,5 @@ from .comonad import (  # noqa: F401
 from .doctrine import Doctrine, OneArrow, TwoArrow, doctrine_violations, one_arrow_violations  # noqa: F401
 from .fincat import FinCategory, Functor, NatTransformation, check_category  # noqa: F401
 from .interior import InteriorOp, interior_violations, stable_elements, stable_subdoctrine  # noqa: F401
-from .order import FinLattice, FinPoset, MonotoneMap, check_poset, gfp, monotone_violations, powerset_lattice  # noqa: F401
+from .order import FinLattice, FinPoset, MonotoneMap, check_poset, monotone_violations  # noqa: F401
 from .temporal import FCoalgebra, ag_oracle, eg_oracle, g_oracle, gfp_modality, temporal_doctrine  # noqa: F401

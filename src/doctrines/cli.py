@@ -37,20 +37,19 @@ from .doctrine import Doctrine, doctrine_violations
 from .fincat import (
     Functor,
     NatTransformation,
-    all_functions,
     check_category,
     compose_functors,
     identity_functor,
     poset_category,
 )
 from .instances import (
-    _open_and_continuous,
     FinPresheaf,
     FiniteTopSpace,
     KripkeFrame,
     bang_law_suite,
     frame_violations,
     kripke_doctrine,
+    open_continuous_homs,
     presheaf_instance,
     presheaf_oracle_mismatches,
     presheaf_violations,
@@ -251,27 +250,29 @@ def _set_atom(atom: str) -> frozenset:
     return label_subset(atom)
 
 
-def _map_entry(d: Declaration, key: str, atom: str):
-    """'x=a>b,c>d' -> ('x', {'a': 'b', 'c': 'd'}); 'x=v' -> ('x', 'v'). A
-    source that repeats inside the map is a BuildError."""
+def _map_entry(d: Declaration, key: str, atom: str, shape: type):
+    """'x=a>b,c>d' -> ('x', {'a': 'b', 'c': 'd'}) when `shape` is dict (an
+    empty body is the empty map); 'x=v' -> ('x', 'v') when it is str. An atom
+    of the other shape, or a source that repeats inside the map, is a
+    BuildError."""
     if "=" not in atom:
         raise BuildError(f"expected 'name=value', got '{atom}'")
     name, body = atom.split("=", 1)
-    if ">" not in body:
+    if shape is str:
+        if ">" in body:
+            raise BuildError(f"{d.kind} {d.name}: entry '{key}' expects 'name=value', got the map '{atom}'")
         return name, body
-    pairs = []
-    for part in body.split(","):
-        if ">" not in part:
-            raise BuildError(f"expected 'a>b' inside '{atom}'")
-        pairs.append(part.split(">", 1))
+    pairs = [part.split(">", 1) for part in body.split(",")] if body else []
+    if any(len(pair) != 2 for pair in pairs):
+        raise BuildError(f"{d.kind} {d.name}: entry '{key}' expects a map 'name=a>b,c>d', got '{atom}'")
     _distinct(d, key, [a for a, _ in pairs])
     return name, dict(pairs)
 
 
-def _map_entries(d: Declaration, key: str, atoms) -> dict:
-    """The `_map_entry` atoms of entry `key` as one dict; a name that repeats
-    is a BuildError."""
-    entries = [_map_entry(d, key, atom) for atom in atoms]
+def _map_entries(d: Declaration, key: str, atoms, shape: type) -> dict:
+    """The `_map_entry` atoms of entry `key`, each of `shape`, as one dict; a
+    name that repeats is a BuildError."""
+    entries = [_map_entry(d, key, atom, shape) for atom in atoms]
     _distinct(d, key, [name for name, _ in entries])
     return dict(entries)
 
@@ -376,15 +377,11 @@ def _pointwise_doctrine_work(sets, carrier: int, order_pairs: int) -> int:
     )
 
 
-def _topological_work(spaces) -> int:
+def _topological_work(spaces, homs) -> int:
     """Work of `category_violations` as written on the base of the
-    topological doctrine: every pair of its A arrows, plus A for each
-    composable pair. Counting the arrows tests each function once."""
-    hom = {
-        (s.name, t.name): sum(1 for g in all_functions(s.points, t.points) if _open_and_continuous(s, t, g))
-        for s in spaces
-        for t in spaces
-    }
+    topological doctrine, whose arrows are the `open_continuous_homs` `homs`:
+    every pair of its A arrows, plus A for each composable pair."""
+    hom = {pair: len(gs) for pair, gs in homs.items()}
     arrows = sum(hom.values())
     composable = sum(hom[a.name, b.name] * hom[b.name, c.name] for a in spaces for b in spaces for c in spaces)
     return arrows * arrows + composable * arrows
@@ -410,7 +407,7 @@ def _build_category(ws: Workspace, d: Declaration):
         name, typ = atom.split("=", 1)
         srcdst = _pairs([typ])[0]
         arrows.append((name, srcdst[0], srcdst[1]))
-    identities = _map_entries(d, "identities", d.need("identities"))
+    identities = _map_entries(d, "identities", d.need("identities"), str)
     composition = {}
     for lhs, result in _entries(d, "compose", d.get("compose", [])):
         g, f = lhs.split(".", 1)
@@ -519,7 +516,7 @@ def _build_presheaf(ws: Workspace, d: Declaration):
             body = body[1:-1]
         at[key] = tuple(_distinct(d, "at", [e for e in body.split(",") if e]))
     act = {}
-    for key, mapping in _map_entries(d, "act", d.get("act", [])).items():
+    for key, mapping in _map_entries(d, "act", d.get("act", []), dict).items():
         src, dst = key.split("->", 1)
         act[f"{src}<={dst}"] = mapping
     for w in base.objects:
@@ -586,7 +583,7 @@ def _build_doctrine(ws: Workspace, d: Declaration):
     for obj, ref in _entries(d, "fiber", d.need("fiber")):
         fibers[obj] = _resolve_fiber(ws, ref)
     reindex = {}
-    for arrow, mapping in _map_entries(d, "reindex", d.get("reindex", [])).items():
+    for arrow, mapping in _map_entries(d, "reindex", d.get("reindex", []), dict).items():
         if not base.has_arrow(arrow):
             raise BuildError(f"doctrine {d.name}: unresolved arrow '{arrow}'")
         x, y = base.src(arrow), base.dst(arrow)
@@ -608,7 +605,7 @@ def _build_interior(ws: Workspace, d: Declaration):
     if doc is None:
         raise BuildError(f"interior {d.name}: unresolved doctrine '{ref}'")
     parts = {}
-    for obj, mapping in _map_entries(d, "box", d.need("box")).items():
+    for obj, mapping in _map_entries(d, "box", d.need("box"), dict).items():
         parts[obj] = MonotoneMap(doc.fibers[obj], doc.fibers[obj], mapping)
     op = InteriorOp(doc, parts)
     bad = interior_violations(op)
@@ -623,9 +620,9 @@ def _build_adjunction(ws: Workspace, d: Declaration):
     if p is None or q is None:
         raise BuildError(f"adjunction {d.name}: unresolved doctrine reference")
     lam, rho = {}, {}
-    for obj, mapping in _map_entries(d, "lam", d.need("lam")).items():
+    for obj, mapping in _map_entries(d, "lam", d.need("lam"), dict).items():
         lam[obj] = MonotoneMap(p.fibers[obj], q.fibers[obj], mapping)
-    for obj, mapping in _map_entries(d, "rho", d.need("rho")).items():
+    for obj, mapping in _map_entries(d, "rho", d.need("rho"), dict).items():
         rho[obj] = MonotoneMap(q.fibers[obj], p.fibers[obj], mapping)
     A = vertical_adjunction(p, q, lam, rho)
     bad = adjunction_violations(A)
@@ -641,21 +638,21 @@ def _build_comonad(ws: Workspace, d: Declaration):
         raise BuildError(f"comonad {d.name}: unresolved doctrine reference")
     base = p.base
     if d.get("k-obj") is not None:
-        obj_map = _map_entries(d, "k-obj", d.need("k-obj"))
-        arr_map = _map_entries(d, "k-arr", d.need("k-arr"))
+        obj_map = _map_entries(d, "k-obj", d.need("k-obj"), str)
+        arr_map = _map_entries(d, "k-arr", d.need("k-arr"), str)
         K = Functor(base, base, obj_map, arr_map)
     else:
         K = identity_functor(base)
     if d.get("mu") is not None:
-        mu = NatTransformation(K, compose_functors(K, K), _map_entries(d, "mu", d.need("mu")))
+        mu = NatTransformation(K, compose_functors(K, K), _map_entries(d, "mu", d.need("mu"), str))
     else:
         mu = NatTransformation(K, compose_functors(K, K), {x: base.id(K.obj_map[x]) for x in base.objects})
     if d.get("nu") is not None:
-        nu = NatTransformation(K, identity_functor(base), _map_entries(d, "nu", d.need("nu")))
+        nu = NatTransformation(K, identity_functor(base), _map_entries(d, "nu", d.need("nu"), str))
     else:
         nu = NatTransformation(K, identity_functor(base), {x: base.id(x) for x in base.objects})
     kappa = {}
-    for obj, mapping in _map_entries(d, "kappa", d.need("kappa")).items():
+    for obj, mapping in _map_entries(d, "kappa", d.need("kappa"), dict).items():
         kappa[obj] = MonotoneMap(p.fibers[obj], p.fibers[K.obj_map[obj]], mapping)
     c = DoctrineComonad(p, K, kappa, mu, nu)
     bad = comonad_violations(c)
@@ -695,12 +692,13 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         # the law scans over the arrows that pass
         count = sum(len(t.points) ** len(s.points) for s in ws.spaces for t in ws.spaces)
         if count <= ws.max_size:
-            count = _topological_work(ws.spaces)
+            homs = open_continuous_homs(ws.spaces)
+            count = _topological_work(ws.spaces, homs)
         if count > ws.max_size:
             ws.refuse("topological-doctrine", count)
         else:
             try:
-                tdoc, top = topological_doctrine(ws.spaces)
+                tdoc, top = topological_doctrine(ws.spaces, homs)
             except (KeyError, ValueError) as e:
                 ws.verdict("topological-doctrine", [f"build failed: {e}"])
             else:

@@ -1,8 +1,8 @@
-"""Finite posets, monotone maps, lattices, and the greatest-fixed-point engine.
+"""Finite posets, monotone maps and lattices.
 
 Everything here is exhaustively finite: element identifiers are opaque
-strings, enumeration order is declaration order, and all law checks are
-literal scans over the data.
+strings, enumeration order is declaration order, and every failing law is
+reported by a literal scan over the data.
 """
 
 from __future__ import annotations
@@ -14,17 +14,56 @@ from typing import Iterable, Mapping, Sequence, Union
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset: elements in declaration order plus the full leq relation."""
+    """A finite poset: elements in declaration order, the full leq relation,
+    and its covering pairs.
+
+    Invariant: every instance is a partial order on distinct elements. Only
+    the builders `check_poset` (after its axiom scan), `chain_poset`,
+    `antichain_poset`, `sub_poset`, `product_poset`, `powerset_poset` and the
+    fiber builders of `instances` construct one, each from a relation that is
+    a partial order by construction; a repeated element raises here. The
+    cover certificate of `monotone_violations` relies on it: every a <= b is
+    a chain of covers, and the target's <= is reflexive and transitive.
+
+    `covers` is the Hasse diagram, the pairs a < b with nothing strictly
+    between. A builder that enumerates the order by its structure passes it;
+    for any other poset `hasse()` derives it from the relation on first use."""
 
     elements: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
+    covers: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
     _position: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        position = {}
-        for i, e in enumerate(self.elements):
-            position.setdefault(e, i)
+        position = {e: i for i, e in enumerate(self.elements)}
+        if len(position) != len(self.elements):
+            repeated = next(e for i, e in enumerate(self.elements) if position[e] != i)
+            raise ValueError(f"repeated poset element {repeated!r}")
         object.__setattr__(self, "_position", position)
+
+    def hasse(self) -> tuple[tuple[str, str], ...]:
+        """The covering pairs, derived once from the relation when no builder
+        passed them. With strict up-sets as bitmasks, b covers a iff b is in
+        the up-set of a and in the up-set of nothing in it: Θ(|relation|)
+        big-integer operations."""
+        if self.covers is None:
+            pos = self._position
+            strict = [0] * len(self.elements)
+            pairs = [(pos[a], pos[b]) for (a, b) in self.relation if a != b]
+            for i, j in pairs:
+                strict[i] |= 1 << j
+            beyond = [0] * len(self.elements)
+            for i, j in pairs:
+                beyond[i] |= strict[j]
+            covers = []
+            for i, a in enumerate(self.elements):
+                rest = strict[i] & ~beyond[i]
+                while rest:
+                    low = rest & -rest
+                    covers.append((a, self.elements[low.bit_length() - 1]))
+                    rest ^= low
+            object.__setattr__(self, "covers", tuple(covers))
+        return self.covers
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.relation
@@ -115,11 +154,11 @@ def fin_poset(
 
 def chain_poset(labels: Sequence[str]) -> FinPoset:
     pairs = [(labels[i], labels[j]) for i in range(len(labels)) for j in range(i, len(labels))]
-    return FinPoset(tuple(labels), frozenset(pairs))
+    return FinPoset(tuple(labels), frozenset(pairs), tuple(zip(labels, labels[1:])))
 
 
 def antichain_poset(labels: Sequence[str]) -> FinPoset:
-    return FinPoset(tuple(labels), frozenset((x, x) for x in labels))
+    return FinPoset(tuple(labels), frozenset((x, x) for x in labels), ())
 
 
 def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
@@ -166,7 +205,8 @@ class MonotoneMap:
 
 
 def monotone_violations(m: MonotoneMap) -> list[str]:
-    """Empty list iff order-preservation holds on every related pair."""
+    """Empty list iff order-preservation holds on every related pair; checked
+    on the covering pairs of the source first."""
     out = []
     for x in m.src.elements:
         if x not in m.mapping:
@@ -178,6 +218,12 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
             out.append(f"graph mentions unknown source element: {k}")
     if out:
         return out
+    # every a <= b is a chain of covers and the target's <= is reflexive and
+    # transitive, so preserving the covers certifies a pass; on a miss the
+    # scan below finds the witnesses
+    mapping, rel = m.mapping, m.dst.relation
+    if all((mapping[a], mapping[b]) in rel for (a, b) in m.src.hasse()):
+        return []
     for (a, b) in m.src.relation:
         if not m.dst.leq(m.mapping[a], m.mapping[b]):
             out.append(f"order not preserved on ({a},{b})")
@@ -294,7 +340,8 @@ def subsets_in_order(ground: Sequence[str]) -> list[frozenset[str]]:
 def powerset_poset(ground: Sequence[str]) -> FinPoset:
     """Subsets in `subsets_in_order` order under inclusion. Each subset, as a
     bitmask m of ground positions, walks only its supersets (t ↦ (t+1) | m),
-    so the build costs the 3ⁿ related pairs rather than 4ⁿ tests."""
+    so the build costs the 3ⁿ related pairs rather than 4ⁿ tests; its covers
+    add one point each, n·2ⁿ⁻¹ pairs."""
     n = len(ground)
     label_of = {}
     for r in range(n + 1):
@@ -309,61 +356,6 @@ def powerset_poset(ground: Sequence[str]) -> FinPoset:
             if t == full:
                 break
             t = (t + 1) | m
-    return FinPoset(tuple(label_of.values()), frozenset(rel))
-
-
-def powerset_lattice(ground: Sequence[str]) -> FinLattice:
-    """The lattice of all subsets of `ground` under inclusion."""
-    p = powerset_poset(ground)
-    meet, join = {}, {}
-    for a in p.elements:
-        sa = label_subset(a)
-        for b in p.elements:
-            sb = label_subset(b)
-            meet[(a, b)] = subset_label(sa & sb, ground)
-            join[(a, b)] = subset_label(sa | sb, ground)
-    return FinLattice(p, meet, join, subset_label(ground, ground), subset_label((), ground))
-
-
-def gfp_trace(lattice: FinLattice, f: MonotoneMap) -> list[str]:
-    """Iterates x0=top, x_{n+1}=f(x_n) until stationary; rejects non-monotone f."""
-    if f.src != lattice.carrier or f.dst != lattice.carrier:
-        raise ValueError("gfp: f is not an endomap of the lattice carrier")
-    bad = monotone_violations(f)
-    if bad:
-        raise ValueError("gfp: f is not monotone: " + "; ".join(bad))
-    x = lattice.top
-    trace = [x]
-    while True:
-        nxt = f.apply(x)
-        trace.append(nxt)
-        if nxt == x:
-            return trace
-        x = nxt
-
-
-def gfp(lattice: FinLattice, f: MonotoneMap) -> str:
-    """Greatest fixed point of a monotone endomap, by iteration from top."""
-    return gfp_trace(lattice, f)[-1]
-
-
-def post_fixed_join(lattice: FinLattice, f: MonotoneMap) -> str:
-    """Join of all post-fixed points; independent oracle for `gfp`."""
-    acc = lattice.bottom
-    for x in lattice.carrier.elements:
-        if lattice.carrier.leq(x, f.apply(x)):
-            acc = lattice.join[(acc, x)]
-    return acc
-
-
-def poset_height(p: FinPoset) -> int:
-    """Length (number of elements) of the longest chain."""
-    best = {e: 1 for e in p.elements}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in p.relation:
-            if a != b and best[b] < best[a] + 1:
-                best[b] = best[a] + 1
-                changed = True
-    return max(best.values()) if best else 0
+    bits = [1 << i for i in range(n)]
+    covers = [(lbl, label_of[m | b]) for m, lbl in label_of.items() for b in bits if not m & b]
+    return FinPoset(tuple(label_of.values()), frozenset(rel), tuple(covers))

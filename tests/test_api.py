@@ -299,3 +299,59 @@ def is_category(x):
     return isinstance(x, FinCategory)
 '''
     assert _callers(source, "FinCategory") == ["check_category", "shortcut", "Builder.build.inner", "<module>"]
+
+
+# the builders that may construct a FinPoset: each builds a partial order,
+# which the cover certificate of monotone_violations needs
+FIN_POSET_BUILDERS = {
+    "order.check_poset",
+    "order.chain_poset",
+    "order.antichain_poset",
+    "order.sub_poset",
+    "order.product_poset",
+    "order.powerset_poset",
+    "instances._pointwise_fiber",
+    "instances.fam_doctrine",
+}
+
+
+def _unlisted_callers(sources: dict, name: str, allowed: set) -> list[str]:
+    """The `module.where` places in `sources` (module stem to text) that call
+    `name` and are not in `allowed`."""
+    found = [f"{stem}.{where}" for stem, text in sources.items() for where in _callers(text, name)]
+    return [where for where in found if where not in allowed]
+
+
+def test_only_the_named_builders_build_a_fin_poset():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert any(_callers(text, "FinPoset") for text in sources.values())
+    assert _unlisted_callers(sources, "FinPoset", FIN_POSET_BUILDERS) == []
+
+
+def test_fin_poset_scan_flags_planted_calls_and_nothing_else():
+    order = '''
+def powerset_poset(ground):
+    return FinPoset(tuple(ground), frozenset(), ())
+
+
+def shortcut(elements):
+    return FinPoset(elements, frozenset())
+'''
+    instances = '''
+from . import order
+
+
+def _pointwise_fiber(keys, factors):
+    return order.FinPoset((), frozenset())
+
+
+class Fibers:
+    def build(self):
+        return [order.FinPoset((), frozenset()) for _ in range(2)]
+
+
+def is_poset(x):
+    return isinstance(x, order.FinPoset)
+'''
+    sources = {"order": order, "instances": instances}
+    assert _unlisted_callers(sources, "FinPoset", FIN_POSET_BUILDERS) == ["order.shortcut", "instances.Fibers.build"]

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,54 @@ doctrine D { base: C; fiber: x=P }
 def test_cli_duplicate_identifier_is_usage_error(tmp_path, capsys, text, duplicate):
     assert _main(tmp_path, text, "check") == 2
     assert f"duplicate identifier {duplicate}" in capsys.readouterr().err
+
+
+TWO_WORLDS = "kripke-frame K { worlds: c0 c1; rel: c0->c1 }\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a map entry written as a scalar
+        (f"{ONE_OBJECT}doctrine E {{ base: C; fiber: x=P; reindex: i=a }}", "doctrine E: entry 'reindex' expects a map 'name=a>b,c>d', got 'i=a'"),
+        (f"{ONE_OBJECT}interior I {{ doctrine: D; box: x=a }}", "interior I: entry 'box' expects a map 'name=a>b,c>d', got 'x=a'"),
+        (f"{ONE_OBJECT}comonad W {{ p: D; kappa: x=a }}", "comonad W: entry 'kappa' expects a map 'name=a>b,c>d', got 'x=a'"),
+        (f"{TWO_WORLDS}presheaf S {{ frame: K; at: c0={{a}} c1={{a}}; act: c0->c1=a }}", "presheaf S: entry 'act' expects a map 'name=a>b,c>d', got 'c0->c1=a'"),
+        # a scalar entry written as a map
+        (f"{ONE_OBJECT}comonad W {{ p: D; mu: x=a>b; kappa: x=a>a }}", "comonad W: entry 'mu' expects 'name=value', got the map 'x=a>b'"),
+        ("category C { objects: x; arrows: i=x->x; identities: x=a>b; compose: i.i=i }", "category C: entry 'identities' expects 'name=value', got the map 'x=a>b'"),
+    ],
+)
+def test_cli_map_entry_of_the_wrong_shape_is_usage_error(tmp_path, capsys, text, message):
+    assert _main(tmp_path, text, "check") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_tests_each_topological_function_once(monkeypatch):
+    from doctrines import cli, instances
+
+    tested = Counter()
+    test = instances._open_and_continuous
+
+    def counting(s, t, g):
+        tested[s.name, t.name, tuple(g.values())] += 1
+        return test(s, t, g)
+
+    monkeypatch.setattr(instances, "_open_and_continuous", counting)
+    # and under any name the command line binds it to
+    monkeypatch.setattr(cli, "_open_and_continuous", counting, raising=False)
+    text = "topspace sier { points: bot top; opens: {} {top} {bot,top} }\ntopspace V { points: a b c; opens: {} {a} {a,b,c} }"
+    ws = build_workspace(parse_text(text), 200000)
+    assert {v["name"]: v["pass"] for v in ws.verdicts}["topological-doctrine"]
+    # every function between the spaces, each tested once
+    assert len(tested) == 2**2 + 3**2 + 2**3 + 3**3
+    assert set(tested.values()) == {1}
+
+
+def test_cli_world_names_whose_subset_labels_collide_fail_the_build(tmp_path, capsys):
+    # {a,b} labels both the subset {'a,b'} and the subset {'a', 'b'}
+    assert _main(tmp_path, "kripke-frame K { worlds: a,b a b; rel: a->b; sets: D=x }", "check") == 1
+    assert "build failed: repeated poset element '{a,b}'" in capsys.readouterr().out
 
 
 MODEL_TOKENS = re.findall(r"\S+|\n", MODEL)

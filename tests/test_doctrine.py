@@ -42,7 +42,14 @@ from doctrines.suite import (
     rounding_base_change,
 )
 
-from util import doctrine_violations_reference, inverse_image_reference, powerset_doctrine_over, random_function_category
+from util import (
+    covers_by_definition,
+    doctrine_violations_reference,
+    inverse_image_reference,
+    monotone_violations_reference,
+    powerset_doctrine_over,
+    random_function_category,
+)
 
 
 SETS3 = {"A": ["a1"], "B": ["b1", "b2"], "C": ["c1", "c2"]}
@@ -321,3 +328,22 @@ def test_bundled_doctrines_agree_with_the_literal_scan():
     found += [em_doctrine(c).em for _, c in bundled_comonads()]
     for d in found:
         assert doctrine_violations(d) == doctrine_violations_reference(d) == []
+
+
+def test_bundled_fibers_and_fiber_maps_agree_with_the_definitions():
+    docs, maps = [], []
+    for _, op in bundled_interior_ops():
+        docs.append(op.doctrine)
+        maps += op.parts.values()
+    for _, A in bundled_adjunctions():
+        docs += [A.p, A.q]
+        maps += [*A.lam.values(), *A.rho.values()]
+    for _, c in bundled_comonads():
+        docs += [c.p, em_doctrine(c).em]
+        maps += c.kappa.values()
+    maps += [m for d in docs for m in d.reindex.values()]
+    fibers = {id(f): f for d in docs for f in d.fibers.values()}
+    for f in fibers.values():
+        assert set(f.hasse()) == covers_by_definition(f)
+    for m in maps:
+        assert monotone_violations(m) == monotone_violations_reference(m) == []

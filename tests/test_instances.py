@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from doctrines.instances import (
     FiniteTopSpace,
     IndexedFamily,
     KripkeFrame,
+    QuantaleCore,
     bang_law_suite,
     bool_quantale,
     conjunction_adjunction,
@@ -36,7 +38,6 @@ from doctrines.instances import (
     lukasiewicz3,
     open_continuous_maps,
     powerset_doctrine,
-    powerset_monoid_quantale,
     presheaf_nat_transformations,
     presheaf_instance,
     presheaf_decode,
@@ -46,19 +47,19 @@ from doctrines.instances import (
     quantale_doctrine,
     quantale_monoid_ops,
     quantale_violations,
-    subobject_doctrine_finset,
     subpresheaf_union_oracle,
     topological_doctrine,
 )
-from doctrines.instances import _function_fiber, fun_label
+from doctrines.instances import _function_fiber, _pointwise_fiber, fun_label
 from doctrines.order import (
     FinPoset,
+    antichain_poset,
     chain_poset,
     fin_poset,
+    identity_map,
     label_subset,
     lattice_from_poset,
     product_poset,
-    powerset_lattice,
     powerset_poset,
     subset_label,
     subsets_in_order,
@@ -66,7 +67,17 @@ from doctrines.order import (
 
 from doctrines.suite import SPACES
 from doctrines.temporal import FCoalgebra, temporal_doctrine
-from util import function_category_reference, inverse_image_reference, powerset_doctrine_over
+from util import (
+    bang_law_report_reference,
+    covers_by_definition,
+    function_category_reference,
+    inverse_image_reference,
+    powerset_doctrine_over,
+    powerset_lattice,
+    powerset_monoid_quantale,
+    residuation_failures_reference,
+    subobject_doctrine_finset,
+)
 
 
 CHAIN2 = KripkeFrame(("w1", "w2"), frozenset({("w1", "w1"), ("w2", "w2"), ("w1", "w2")}))
@@ -293,6 +304,84 @@ def test_bang_law_suite_positive_and_fake_core():
     rep = bang_law_suite(luk, {"X": ["x"]}, core_override=fake_core(luk))
     assert not rep["pass"]
     assert rep["law2"]
+
+
+def _z2():
+    return powerset_monoid_quantale(
+        ["e", "a"], {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}, "e"
+    )
+
+
+def _identity_core(q):
+    """Every element kept and ! the identity: a planted core that fails law 1
+    wherever the unit is not the top."""
+    carrier = q.lattice.carrier
+    return QuantaleCore(carrier.elements, carrier, identity_map(carrier), identity_map(carrier))
+
+
+BANG_SETS = {"E": [], "X": ["x"], "Y": ["y1", "y2"]}
+
+
+@pytest.mark.parametrize("make", [bool_quantale, lukasiewicz3, _z2], ids=["bool", "luk3", "z2"])
+@pytest.mark.parametrize("core", ["real", "fake", "identity"])
+def test_bang_law_suite_equals_the_literal_loops(make, core):
+    q = make()
+    override = {"real": None, "fake": fake_core(q), "identity": _identity_core(q)}[core]
+    want = bang_law_report_reference(q, BANG_SETS, override or quantale_core(q))
+    assert bang_law_suite(q, BANG_SETS, core_override=override) == want
+    for keys in BANG_SETS.values():
+        assert residuation_failures_reference(q, keys) == []
+
+
+def test_bang_law_controls_fail_where_expected():
+    luk, z2 = lukasiewicz3(), _z2()
+    assert bang_law_suite(luk, BANG_SETS, core_override=fake_core(luk))["law2"]
+    assert bang_law_suite(z2, BANG_SETS, core_override=_identity_core(z2))["law1"]
+
+
+def _planted_non_residuated():
+    """The chain 0 ≤ h ≤ 1 with ⊗ the minimum except h⊗h = 1: ⊗ is not
+    monotone, so h⊗h ≤ h fails while h ≤ (h ⇒ h) = 1 holds."""
+    rank = {"0": 0, "h": 1, "1": 2}
+    tensor = {(a, b): min(a, b, key=rank.get) for a in rank for b in rank}
+    tensor[("h", "h")] = "1"
+    return FiniteQuantale("planted", lattice_from_poset(chain_poset(list(rank))), tensor, "1")
+
+
+@pytest.mark.parametrize("keys", [[], ["x"], ["x", "y"]])
+def test_residuation_on_a_planted_tensor_equals_the_literal_loop(keys):
+    q = _planted_non_residuated()
+    want = residuation_failures_reference(q, keys)
+    # on the empty set the fiber has one element and the law holds
+    assert bool(want) == bool(keys)
+    if not want:
+        quantale_monoid_ops(q, keys)
+        return
+    first = re.escape("residuation adjunction fails at ({},{},{})".format(*want[0]))
+    with pytest.raises(ValueError, match=first):
+        quantale_monoid_ops(q, keys)
+    with pytest.raises(ValueError, match=first):
+        bang_law_suite(q, {"X": keys}, core_override=fake_core(q))
+
+
+DIAMOND = fin_poset(["b", "l", "r", "t"], [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")])
+POINTWISE_FACTORS = {
+    "chains": [chain_poset(["0", "1", "2"]), chain_poset(["a", "b"])],
+    "diamonds": [DIAMOND, DIAMOND],
+    "antichains": [antichain_poset(["p", "q"]), antichain_poset(["u", "v", "w"])],
+    "mixed": [DIAMOND, chain_poset(["0", "1"]), antichain_poset(["p", "q"]), powerset_poset(["a", "b"])],
+    "V": [fin_poset(["b", "l", "r"], [("b", "l"), ("b", "r")])] * 3,
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("name", POINTWISE_FACTORS)
+def test_pointwise_fiber_covers_equal_the_definition(name):
+    factors = POINTWISE_FACTORS[name]
+    fiber, _ = _pointwise_fiber([f"k{i}" for i in range(len(factors))], factors)
+    want = covers_by_definition(fiber)
+    assert set(fiber.hasse()) == want and len(fiber.hasse()) == len(want)
+    assert set(FinPoset(fiber.elements, fiber.relation).hasse()) == want
 
 
 def _two_chain_presheaves():

@@ -1,30 +1,37 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from doctrines.order import (
     FinPoset,
     MonotoneMap,
+    antichain_poset,
     chain_poset,
     monotone_violations,
     check_poset,
     compose_maps,
     constant_map,
     fin_poset,
-    gfp,
-    gfp_trace,
     identity_map,
     label_subset,
     lattice_from_poset,
     lattice_violations,
     monotone_map,
-    poset_height,
-    post_fixed_join,
-    powerset_lattice,
     powerset_poset,
     product_poset,
     sub_poset,
     subset_label,
     subsets_in_order,
+)
+from util import (
+    covers_by_definition,
+    gfp,
+    gfp_trace,
+    monotone_violations_reference,
+    poset_height,
+    post_fixed_join,
+    powerset_lattice,
 )
 
 
@@ -246,3 +253,90 @@ def test_gfp_iteration_bounded_by_height(data):
 
 def test_height_of_powerset():
     assert poset_height(powerset_lattice(["a", "b"]).carrier) == 3
+
+
+def test_repeated_element_is_rejected():
+    with pytest.raises(ValueError, match="repeated poset element 'a'"):
+        FinPoset(("a", "b", "a"), frozenset({("a", "a"), ("b", "b")}))
+
+
+def _random_poset(rng, n):
+    """A random partial order on n elements, closed by `fin_poset` (so its
+    covers are derived, not emitted)."""
+    els = [f"p{i}" for i in rng.sample(range(n), n)]
+    return fin_poset(els, [(els[i], els[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3])
+
+
+BUILT = [powerset_poset([f"g{i}" for i in range(n)]) for n in range(7)] + [
+    chain_poset(["0", "1", "2", "3"]),
+    chain_poset(["only"]),
+    antichain_poset(["a", "b", "c"]),
+    antichain_poset([]),
+]
+
+
+@pytest.mark.parametrize("p", BUILT, ids=lambda p: f"{len(p.elements)}el-{len(p.relation)}rel")
+def test_builder_covers_equal_the_definition_and_the_derived_covers(p):
+    assert p.covers is not None
+    want = covers_by_definition(p)
+    assert set(p.hasse()) == want and len(p.hasse()) == len(want)
+    assert set(FinPoset(p.elements, p.relation).hasse()) == want
+
+
+def test_powerset_covers_are_n_times_half_the_subsets():
+    for n in range(7):
+        assert len(powerset_poset([f"g{i}" for i in range(n)]).hasse()) == n * 2 ** n // 2
+
+
+def test_derived_covers_equal_the_definition_on_random_posets():
+    rng = random.Random(8)
+    for _ in range(100):
+        p = _random_poset(rng, rng.randint(0, 8))
+        assert p.covers is None
+        assert set(p.hasse()) == covers_by_definition(p)
+        assert p.covers is not None
+
+
+def _random_monotone(rng, src, dst):
+    """A random monotone map: elements in order of down-set size, each sent to
+    a random common upper bound of the images below it (`dst` has a top)."""
+    mapping = {}
+    for x in sorted(src.elements, key=lambda x: len(src.down(x))):
+        below = [mapping[y] for y in src.down(x) if y != x]
+        mapping[x] = rng.choice([v for v in dst.elements if all(dst.leq(b, v) for b in below)])
+    return MonotoneMap(src, dst, mapping)
+
+
+def test_monotone_violations_equal_the_literal_scan_on_random_maps():
+    rng = random.Random(9)
+    failing = 0
+    for i in range(200):
+        src = rng.choice(
+            [
+                lambda: _random_poset(rng, rng.randint(1, 7)),
+                lambda: powerset_poset([f"g{i}" for i in range(rng.randint(0, 3))]),
+                lambda: chain_poset([f"c{i}" for i in range(rng.randint(1, 5))]),
+            ]
+        )()
+        top = _random_poset(rng, rng.randint(2, 5))
+        dst = fin_poset((*top.elements, "top"), [*top.relation, *((e, "top") for e in top.elements)])
+        m = _random_monotone(rng, src, dst)
+        assert monotone_violations_reference(m) == []
+        if i % 2:
+            # swap the images of two elements that have different ones, and
+            # half the time of two comparable ones, which always breaks it
+            mapping = dict(m.mapping)
+            pairs = [(a, b) for a in src.elements for b in src.elements if mapping[a] < mapping[b]]
+            comparable = [(a, b) for (a, b) in pairs if src.leq(a, b) or src.leq(b, a)]
+            if comparable and rng.random() < 0.5:
+                pairs = comparable
+            if pairs:
+                a, b = rng.choice(pairs)
+                mapping[a], mapping[b] = mapping[b], mapping[a]
+            m = MonotoneMap(src, dst, mapping)
+        got = monotone_violations(m)
+        assert got == monotone_violations_reference(m)
+        failing += bool(got)
+    # 42 of the 100 swapped maps are not monotone at this seed, so the
+    # certificate is tested on both sides
+    assert failing >= 40

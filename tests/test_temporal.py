@@ -6,14 +6,7 @@ import pytest
 from doctrines.doctrine import doctrine_violations
 from doctrines import temporal
 from doctrines.interior import interior_violations
-from doctrines.order import (
-    MonotoneMap,
-    gfp_trace,
-    label_subset,
-    post_fixed_join,
-    powerset_lattice,
-    subset_label,
-)
+from doctrines.order import MonotoneMap, label_subset, subset_label
 from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T
 from doctrines.temporal import (
     FCoalgebra,
@@ -29,7 +22,7 @@ from doctrines.temporal import (
     random_subset,
     temporal_doctrine,
 )
-from util import function_category_reference, inverse_image_reference
+from util import function_category_reference, gfp_trace, inverse_image_reference, post_fixed_join, powerset_lattice
 
 
 STREAM2 = FCoalgebra("A", "stream", ("s0", "s1"), {"s0": "s1", "s1": "s1"})

@@ -1,11 +1,14 @@
-"""Shared builders for tests; deliberately independent of doctrines.instances
-so instance constructors can be cross-checked against these."""
+"""Shared builders and reference oracles for tests; deliberately independent
+of the doctrines.instances constructors (only `valid_quantale` is borrowed,
+to validate a quantale) so those can be cross-checked against these."""
 
 import argparse
+from itertools import product
 
 from doctrines.doctrine import Doctrine
 from doctrines.fincat import fin_category, full_function_category, function_arrow_name, function_graph
-from doctrines.order import MonotoneMap, label_subset, powerset_poset, subset_label
+from doctrines.instances import valid_quantale
+from doctrines.order import FinLattice, MonotoneMap, label_subset, powerset_poset, subset_label
 
 
 def powerset_doctrine_over(sets):
@@ -161,7 +164,9 @@ def functor_violations_reference(F):
     return out
 
 
-def _monotone_reference(m):
+def monotone_violations_reference(m):
+    """Every monotonicity failure of `m` by the literal scan of every related
+    pair of its source: the reference for `order.monotone_violations`."""
     out = []
     for x in m.src.elements:
         if x not in m.mapping:
@@ -199,7 +204,7 @@ def doctrine_violations_reference(d):
         if m.src != d.fibers[t] or m.dst != d.fibers[s]:
             out.append(f"reindexing along {a} has wrong boundary")
             continue
-        out.extend(f"reindexing along {a}: {v}" for v in _monotone_reference(m))
+        out.extend(f"reindexing along {a}: {v}" for v in monotone_violations_reference(m))
     if out:
         return out
     for x in B.objects:
@@ -213,6 +218,174 @@ def doctrine_violations_reference(d):
                 if any(lhs.mapping[e] != pf.mapping[pg.mapping[e]] for e in lhs.src.elements):
                     out.append(f"contravariance fails on ({g},{f})")
     return out
+
+
+def covers_by_definition(p):
+    """The pairs a < b of `p` with no element strictly between them, by
+    testing every triple: the reference for `FinPoset.hasse`."""
+    rel = p.relation
+    return {
+        (a, b)
+        for (a, b) in rel
+        if a != b and not any(c not in (a, b) and (a, c) in rel and (c, b) in rel for c in p.elements)
+    }
+
+
+def _pointwise(q, keys):
+    """The functions keys → Q as tuples of values in `itertools.product`
+    order, their labels, and the pointwise order, ⊗ and unit."""
+    order = q.lattice.carrier.relation
+    fns = list(product(q.lattice.carrier.elements, repeat=len(keys)))
+
+    def label(f):
+        return "[" + ";".join(f"{e}:{v}" for e, v in zip(keys, f)) + "]"
+
+    def leq(f, g):
+        return all((a, b) in order for a, b in zip(f, g))
+
+    def star(f, g):
+        return tuple(q.tensor[(a, b)] for a, b in zip(f, g))
+
+    return fns, label, leq, star, tuple(q.unit for _ in keys)
+
+
+def residuation_failures_reference(q, keys):
+    """Every triple (α, β, γ) of Q^keys, labelled, at which α⊗γ ≤ β and
+    γ ≤ (α⇒β) disagree, by the literal loop over the fiber with ⇒ the join of
+    {z : a⊗z ≤ b} pointwise: the reference for `instances.quantale_monoid_ops`."""
+    fns, label, leq, star, _ = _pointwise(q, keys)
+    carrier = q.lattice.carrier
+
+    def residual(a, b):
+        best = q.lattice.bottom
+        for z in carrier.elements:
+            if (q.tensor[(a, z)], b) in carrier.relation:
+                best = q.lattice.join[(best, z)]
+        return best
+
+    out = []
+    for f in fns:
+        for g in fns:
+            imp = tuple(residual(a, b) for a, b in zip(f, g))
+            for h in fns:
+                if leq(star(f, h), g) != leq(h, imp):
+                    out.append((label(f), label(g), label(h)))
+    return out
+
+
+def bang_law_report_reference(q, sets, core):
+    """The report of `instances.bang_law_suite` by the literal loops over
+    every fiber, with ! = ι∘r applied pointwise through the raw maps."""
+    report = {"law1": [], "law2": [], "law3": [], "law4": []}
+    for name, keys in sets.items():
+        fns, label, leq, star, unit = _pointwise(q, keys)
+
+        def bang(f):
+            return tuple(core.iota.mapping[core.r.mapping[v]] for v in f)
+
+        for f in fns:
+            if not leq(bang(f), unit):
+                report["law1"].append(f"({name},{label(f)})")
+            if not leq(bang(f), star(bang(f), bang(f))):
+                report["law2"].append(f"({name},{label(f)})")
+        if not leq(unit, bang(unit)):
+            report["law3"].append(f"({name},unit)")
+        for f in fns:
+            for g in fns:
+                if not leq(star(bang(f), bang(g)), bang(star(f, g))):
+                    report["law4"].append(f"({name},{label(f)},{label(g)})")
+    report["pass"] = not any(report[k] for k in ("law1", "law2", "law3", "law4"))
+    return report
+
+
+def powerset_lattice(ground):
+    """The lattice of all subsets of `ground` under inclusion."""
+    p = powerset_poset(ground)
+    meet, join = {}, {}
+    for a in p.elements:
+        sa = label_subset(a)
+        for b in p.elements:
+            sb = label_subset(b)
+            meet[(a, b)] = subset_label(sa & sb, ground)
+            join[(a, b)] = subset_label(sa | sb, ground)
+    return FinLattice(p, meet, join, subset_label(ground, ground), subset_label((), ground))
+
+
+def gfp_trace(lattice, f):
+    """Iterates x0=top, x_{n+1}=f(x_n) until stationary; rejects non-monotone f."""
+    if f.src != lattice.carrier or f.dst != lattice.carrier:
+        raise ValueError("gfp: f is not an endomap of the lattice carrier")
+    bad = monotone_violations_reference(f)
+    if bad:
+        raise ValueError("gfp: f is not monotone: " + "; ".join(bad))
+    x = lattice.top
+    trace = [x]
+    while True:
+        nxt = f.apply(x)
+        trace.append(nxt)
+        if nxt == x:
+            return trace
+        x = nxt
+
+
+def gfp(lattice, f):
+    """Greatest fixed point of a monotone endomap, by iteration from top."""
+    return gfp_trace(lattice, f)[-1]
+
+
+def post_fixed_join(lattice, f):
+    """Join of all post-fixed points; independent oracle for `gfp`."""
+    acc = lattice.bottom
+    for x in lattice.carrier.elements:
+        if lattice.carrier.leq(x, f.apply(x)):
+            acc = lattice.join[(acc, x)]
+    return acc
+
+
+def poset_height(p):
+    """Length (number of elements) of the longest chain."""
+    best = {e: 1 for e in p.elements}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in p.relation:
+            if a != b and best[b] < best[a] + 1:
+                best[b] = best[a] + 1
+                changed = True
+    return max(best.values()) if best else 0
+
+
+def powerset_monoid_quantale(elements, op, unit):
+    """pw(M) for a finite commutative monoid M, with elementwise products."""
+    lat = powerset_lattice(elements)
+    tensor = {}
+    for l1 in lat.carrier.elements:
+        s1 = label_subset(l1)
+        for l2 in lat.carrier.elements:
+            s2 = label_subset(l2)
+            prod_set = {op[(a, b)] for a in s1 for b in s2}
+            tensor[(l1, l2)] = subset_label(prod_set, elements)
+    return valid_quantale("pw-monoid", lat, tensor, subset_label({unit}, elements))
+
+
+def subobject_doctrine_finset(sets):
+    """Subobject doctrine over a finite-set fragment with reindexing computed
+    by an explicit pullback (pairs construction), not by inverse image; it is
+    the powerset doctrine up to a natural fiberwise bijection."""
+    fc = full_function_category(sets)
+    base = fc.category
+    fibers = {x: powerset_poset(sets[x]) for x in base.objects}
+    reindex = {}
+    for a in base.arrow_names():
+        s, d = base.src(a), base.dst(a)
+        g = fc.graphs[a]
+        mapping = {}
+        for lbl in fibers[d].elements:
+            target = label_subset(lbl)
+            pullback_pairs = [(e, m) for e in sets[s] for m in target if g[e] == m]
+            mapping[lbl] = subset_label({e for (e, _) in pullback_pairs}, sets[s])
+        reindex[a] = MonotoneMap(fibers[d], fibers[s], mapping)
+    return Doctrine(base, fibers, reindex)
 
 
 def closure(arrows, composition, start):
