@@ -27,6 +27,7 @@ from .fincat import (
     discrete_category,
     identity_functor,
     identity_nat,
+    same_functor_composite,
 )
 from .interior import InteriorOp, interior_violations, stable_subdoctrine
 from .order import (
@@ -36,6 +37,7 @@ from .order import (
     label_subset,
     powerset_poset,
     restrict_map,
+    same_composite,
     subset_label,
 )
 
@@ -93,8 +95,23 @@ def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
     out.extend("(ii) right: " + v for v in one_arrow_violations(right_arrow(A)))
     if out:
         return out
-    out.extend("(iii) eta: " + v for v in two_arrow_violations(eta_two_arrow(A)))
-    out.extend("(iii) eps: " + v for v in two_arrow_violations(eps_two_arrow(A)))
+    # (i) and (ii) have proved what two_arrow_violations checks before the lax
+    # inequalities: both 2-arrows join parallel 1-arrows, and η: Id ⇒ RL and
+    # ε: LR ⇒ Id are natural transformations with those boundaries
+    P, Q, L, R = A.p, A.q, A.left, A.right
+    for x in P.base.objects:
+        lam, rho, back = A.lam[x].mapping, A.rho[L.obj_map[x]].mapping, P.reindex[A.eta.components[x]].mapping
+        fib = P.fibers[x]
+        out.extend(
+            f"(iii) eta: lax inequality fails at ({x},{a})" for a in fib.elements if not fib.leq(a, back[rho[lam[a]]])
+        )
+    for y in Q.base.objects:
+        ry = R.obj_map[y]
+        lam, rho, back = A.lam[ry].mapping, A.rho[y].mapping, Q.reindex[A.eps.components[y]].mapping
+        fib = Q.fibers[L.obj_map[ry]]
+        out.extend(
+            f"(iii) eps: lax inequality fails at ({y},{b})" for b in Q.fibers[y].elements if not fib.leq(lam[rho[b]], back[b])
+        )
     return out
 
 
@@ -367,7 +384,7 @@ def adj_morphism_violations(m: AdjMorphism) -> list[str]:
     if out:
         return out
     A, B = m.src, m.dst
-    if compose_functors(m.fun_q, A.left) != compose_functors(B.left, m.fun_p):
+    if not same_functor_composite(m.fun_q, A.left, B.left, m.fun_p):
         out.append("G L^A != L^B F")
         return out
     basePB = B.p.base
@@ -388,9 +405,7 @@ def adj_morphism_violations(m: AdjMorphism) -> list[str]:
     right = compose_one_arrows(right_arrow(B), q_arrow(m))
     out.extend("theta: " + v for v in two_arrow_violations(TwoArrow(left, right, m.theta)))
     for x in A.p.base.objects:
-        lhs = compose_maps(m.parts_q[A.left.obj_map[x]], A.lam[x])
-        rhs = compose_maps(B.lam[m.fun_p.obj_map[x]], m.parts_p[x])
-        if lhs != rhs:
+        if not same_composite(m.parts_q[A.left.obj_map[x]], A.lam[x], B.lam[m.fun_p.obj_map[x]], m.parts_p[x]):
             out.append(f"lambda coincidence fails at {x}")
     return out
 

@@ -349,6 +349,15 @@ class Workspace:
     def verdict(self, name: str, witnesses: list[str]):
         self.verdicts.append(_verdict(name, not witnesses, [str(w) for w in witnesses]))
 
+    def attempt(self, name: str, construct, *args):
+        """`construct(*args)`, or None after recording the KeyError or
+        ValueError it raised as a failed build under `name`."""
+        try:
+            return construct(*args)
+        except (KeyError, ValueError) as e:
+            self.verdict(name, [f"build failed: {e}"])
+            return None
+
     def refuse(self, name: str, count: int):
         self.verdicts.append(
             {
@@ -434,7 +443,10 @@ def _build_frame(ws: Workspace, d: Declaration):
         if count > ws.max_size:
             ws.refuse(f"kripke-doctrine {d.name}", count)
             return
-        doc, op = kripke_doctrine(frame, sets)
+        built = ws.attempt(f"kripke-doctrine {d.name}", kripke_doctrine, frame, sets)
+        if built is None:
+            return
+        doc, op = built
         ws.frame_sets[d.name] = sets
         ws.doctrines[f"{d.name}.doctrine"] = doc
         ws.interiors[f"{d.name}.box"] = op
@@ -477,8 +489,11 @@ def _build_quantale(ws: Workspace, d: Declaration):
         if count > ws.max_size:
             ws.refuse(f"quantale-doctrine {d.name}", count)
             return
+        built = ws.attempt(f"quantale-doctrine {d.name}", quantale_doctrine, q, sets)
+        if built is None:
+            return
         ws.quantale_sets[d.name] = sets
-        doc, adj, bang = quantale_doctrine(q, sets)
+        doc, adj, bang = built
         ws.doctrines[f"{d.name}.doctrine"] = doc
         ws.adjunctions[f"{d.name}.adjunction"] = adj
         ws.interiors[f"{d.name}.bang"] = bang
@@ -682,10 +697,7 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         if d.kind == "query":
             ws.queries.append(d)
             continue
-        try:
-            BUILDERS[d.kind](ws, d)
-        except (KeyError, ValueError) as e:
-            ws.verdict(f"{d.kind} {d.name}", [f"build failed: {e}"])
+        ws.attempt(f"{d.kind} {d.name}", BUILDERS[d.kind], ws, d)
     # cross-declaration groups
     if ws.spaces:
         # two stages: the functions to test for openness and continuity, then
@@ -697,11 +709,9 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         if count > ws.max_size:
             ws.refuse("topological-doctrine", count)
         else:
-            try:
-                tdoc, top = topological_doctrine(ws.spaces, homs)
-            except (KeyError, ValueError) as e:
-                ws.verdict("topological-doctrine", [f"build failed: {e}"])
-            else:
+            built = ws.attempt("topological-doctrine", topological_doctrine, ws.spaces, homs)
+            if built is not None:
+                tdoc, top = built
                 ws.doctrines["topological.doctrine"] = tdoc
                 ws.interiors["topological.interior"] = top
                 ws.verdict("topological-doctrine", doctrine_violations(tdoc))
@@ -711,11 +721,10 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         if count > ws.max_size:
             ws.refuse(f"presheaf-instance {frame_name}", count)
             continue
-        try:
-            adj, families, op = presheaf_instance(group)
-        except (KeyError, ValueError) as e:
-            ws.verdict(f"presheaf-instance {frame_name}", [f"build failed: {e}"])
+        built = ws.attempt(f"presheaf-instance {frame_name}", presheaf_instance, group)
+        if built is None:
             continue
+        adj, families, op = built
         ws.adjunctions[f"presheaf.{frame_name}.adjunction"] = adj
         ws.doctrines[f"presheaf.{frame_name}.families"] = families
         ws.interiors[f"presheaf.{frame_name}.box"] = op
@@ -1168,16 +1177,15 @@ def main(argv=None) -> int:
         print(e.text, file=sys.stderr if e.status else sys.stdout)
         return e.status
     try:
-        document = None
-        if flags["command"] != "suite":
-            document = parse(flags["file"])
-        report = run(document, flags["command"], flags)
+        document = None if flags["command"] == "suite" else parse(flags["file"])
+    except (OSError, UnicodeDecodeError):
+        print(f"cannot read file: {flags['file']}", file=sys.stderr)
+        return 2
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"cannot read file: {e.filename}", file=sys.stderr)
-        return 2
+    try:
+        report = run(document, flags["command"], flags)
     except BuildError as e:
         print(str(e), file=sys.stderr)
         return 2

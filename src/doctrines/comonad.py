@@ -43,6 +43,7 @@ from .fincat import (
     identity_functor,
     identity_nat,
     nat_violations,
+    same_functor_composite,
 )
 from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
 from .order import MonotoneMap, compose_maps, restrict_map
@@ -413,7 +414,7 @@ def cmd_morphism_violations(m: CmdMorphism) -> list[str]:
         return out
     F = m.arrow.functor
     K, J = m.src.k, m.dst.k
-    if m.theta.src != compose_functors(F, K) or m.theta.dst != compose_functors(J, F):
+    if not same_functor_composite(F, K, m.theta.src) or not same_functor_composite(J, F, m.theta.dst):
         return ["theta has wrong functor boundary"]
     out.extend("theta: " + v for v in nat_violations(m.theta))
     if out:

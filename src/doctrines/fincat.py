@@ -271,6 +271,8 @@ class Functor:
         return self.arr_map[a]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Functor):
             return NotImplemented
         return (
@@ -346,6 +348,35 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     )
 
 
+def is_identity_functor(H: Functor, C: FinCategory) -> bool:
+    """Whether H is the identity functor of C, read off H's tables."""
+    return (
+        H.src == C
+        and H.dst == C
+        and all(H.obj_map[x] == x for x in C.objects)
+        and all(H.arr_map[a] == a for a in C.arrow_names())
+    )
+
+
+def same_functor_composite(G: Functor, F: Functor, G2: Functor, F2: Functor | None = None) -> bool:
+    """Whether G∘F is the same functor as G2∘F2 (as G2 when `F2` is None),
+    compared object by object and arrow by arrow up to the first difference,
+    without building either composite. Raises as `compose_functors` does
+    when a pair does not compose."""
+    if F.dst != G.src or (F2 is not None and F2.dst != G2.src):
+        raise ValueError("compose_functors: boundary mismatch")
+    if F.src != (G2.src if F2 is None else F2.src) or G.dst != G2.dst:
+        return False
+    C = F.src
+    if F2 is None:
+        return all(G.obj_map[F.obj_map[x]] == G2.obj_map[x] for x in C.objects) and all(
+            G.arr_map[F.arr_map[a]] == G2.arr_map[a] for a in C.arrow_names()
+        )
+    return all(G.obj_map[F.obj_map[x]] == G2.obj_map[F2.obj_map[x]] for x in C.objects) and all(
+        G.arr_map[F.arr_map[a]] == G2.arr_map[F2.arr_map[a]] for a in C.arrow_names()
+    )
+
+
 @dataclass(frozen=True)
 class NatTransformation:
     src: Functor
@@ -413,9 +444,9 @@ def adjunction_cat(L: Functor, R: Functor, eta: NatTransformation, eps: NatTrans
     C, D = L.src, L.dst
     if R.src != D or R.dst != C:
         return ["boundary mismatch: R must go back from the target of L"]
-    if eta.src != identity_functor(C) or eta.dst != compose_functors(R, L):
+    if not is_identity_functor(eta.src, C) or not same_functor_composite(R, L, eta.dst):
         out.append("eta has wrong boundary (expected Id => RL)")
-    if eps.src != compose_functors(L, R) or eps.dst != identity_functor(D):
+    if not same_functor_composite(L, R, eps.src) or not is_identity_functor(eps.dst, D):
         out.append("eps has wrong boundary (expected LR => Id)")
     if out:
         return out
@@ -440,10 +471,9 @@ def comonad_cat_violations(K: Functor, mu: NatTransformation, nu: NatTransformat
     C = K.src
     if K.dst != C:
         return ["K is not an endofunctor"]
-    KK = compose_functors(K, K)
-    if mu.src != K or mu.dst != KK:
+    if mu.src != K or not same_functor_composite(K, K, mu.dst):
         out.append("mu has wrong boundary (expected K => KK)")
-    if nu.src != K or nu.dst != identity_functor(C):
+    if nu.src != K or not is_identity_functor(nu.dst, C):
         out.append("nu has wrong boundary (expected K => Id)")
     if out:
         return out

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .doctrine import Doctrine, OneArrow, identity_parts, one_arrow_violations, sub_doctrine
-from .order import MonotoneMap, compose_maps, monotone_violations
+from .order import MonotoneMap, monotone_violations, same_composite
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def interior_violations(op: InteriorOp) -> list[str]:
         return out
     for t in P.base.arrow_names():
         x, y = P.base.src(t), P.base.dst(t)
-        if compose_maps(op.parts[x], P.reindex[t]) != compose_maps(P.reindex[t], op.parts[y]):
+        if not same_composite(op.parts[x], P.reindex[t], P.reindex[t], op.parts[y]):
             out.append(f"naturality fails along {t}")
     for x in P.base.objects:
         box = op.parts[x]
@@ -61,7 +61,7 @@ def interior_violations(op: InteriorOp) -> list[str]:
     # idempotence is a consequence of T and 4; recheck it anyway
     for x in P.base.objects:
         box = op.parts[x]
-        if compose_maps(box, box) != box:
+        if not same_composite(box, box, box):
             out.append(f"idempotence fails at {x}")
     return out
 

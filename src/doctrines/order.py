@@ -195,12 +195,15 @@ class MonotoneMap:
         return tuple((x, self.mapping[x]) for x in self.src.elements)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, MonotoneMap):
             return NotImplemented
+        mine, theirs = self.mapping, other.mapping
         return (
             self.src == other.src
             and self.dst == other.dst
-            and self.graph() == other.graph()
+            and all(mine[x] == theirs[x] for x in self.src.elements)
         )
 
 
@@ -246,6 +249,22 @@ def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     if f.dst != g.src:
         raise ValueError("compose_maps: boundary mismatch")
     return MonotoneMap(f.src, g.dst, {x: g.mapping[f.mapping[x]] for x in f.src.elements})
+
+
+def same_composite(g: MonotoneMap, f: MonotoneMap, g2: MonotoneMap, f2: MonotoneMap | None = None) -> bool:
+    """Whether g∘f is the same map as g2∘f2 (as g2 when `f2` is None),
+    compared image by image up to the first difference, without building
+    either composite. Raises as `compose_maps` does when a pair does not
+    compose."""
+    if f.dst != g.src or (f2 is not None and f2.dst != g2.src):
+        raise ValueError("compose_maps: boundary mismatch")
+    if f.src != (g2.src if f2 is None else f2.src) or g.dst != g2.dst:
+        return False
+    gm, fm, gm2 = g.mapping, f.mapping, g2.mapping
+    if f2 is None:
+        return all(gm[fm[x]] == gm2[x] for x in f.src.elements)
+    fm2 = f2.mapping
+    return all(gm[fm[x]] == gm2[fm2[x]] for x in f.src.elements)
 
 
 def restrict_map(m: MonotoneMap, src: FinPoset, dst: FinPoset) -> MonotoneMap:

@@ -33,7 +33,6 @@ from .comonad import (
     comonad_violations,
     comparison_arrow,
     em_adjunction,
-    em_doctrine,
     em_universal_factor,
     identity_comonad,
     local_adjunction_checks,
@@ -448,8 +447,7 @@ def criterion_comonad_suite() -> dict:
             ok = False
             details.append(f"{name}: " + "; ".join(bad[:3]))
             continue
-        bundle = em_doctrine(c)  # raises unless fibers are the closure fixpoints
-        A = em_adjunction(c)
+        A = em_adjunction(c)  # raises unless the EM fibers are the closure fixpoints
         bad = adjunction_violations(A)
         if bad:
             ok = False

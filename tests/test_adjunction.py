@@ -38,9 +38,9 @@ from doctrines.fincat import (
     poset_category,
 )
 from doctrines.interior import interior_violations, identity_interior
-from doctrines.order import MonotoneMap, chain_poset, identity_map, powerset_poset
+from doctrines.order import MonotoneMap, chain_poset, identity_map, monotone_violations, powerset_poset
 
-from util import powerset_doctrine_over
+from util import compose_reference, lax_inequalities_reference, powerset_doctrine_over, same_graph_reference
 
 
 def test_identity_adjunction_passes():
@@ -267,3 +267,81 @@ def test_vertical_factor_reproduces_the_modality(seed=53):
         A = random_vertical_adjunction(rng)
         vert, _ = factorize(A)
         assert vertical_modality(vert) == am_modality(A)[1]
+
+
+def _with_fiber_value(A, side, x, a, value):
+    """A with λ_x (side "lam") or ρ_x (side "rho") sending a to value."""
+    maps = dict(getattr(A, side))
+    m = maps[x]
+    maps[x] = MonotoneMap(m.src, m.dst, {**m.mapping, a: value})
+    lam, rho = (maps, A.rho) if side == "lam" else (A.lam, maps)
+    return DoctrineAdjunction(A.p, A.q, A.left, lam, A.right, rho, A.eta, A.eps)
+
+
+def test_lowered_lambda_value_fails_only_its_eta_inequality():
+    # λ(α) ≤ β iff α ≤ ρ(β), so α ≤ ρ(v) fails for every v below λ(α); no
+    # other inequality moves, and monotone λ keeps the discrete-base squares
+    rng = random.Random(1207)
+    planted = 0
+    for _ in range(20):
+        A = random_vertical_adjunction(rng)
+        assert adjunction_violations(A) == lax_inequalities_reference(A) == []
+        for x in A.p.base.objects:
+            lam, qf = A.lam[x], A.q.fibers[x]
+            for a in lam.src.elements:
+                for v in qf.elements:
+                    B = _with_fiber_value(A, "lam", x, a, v)
+                    if v == lam.apply(a) or not qf.leq(v, lam.apply(a)) or monotone_violations(B.lam[x]):
+                        continue
+                    assert adjunction_violations(B) == lax_inequalities_reference(B) == [
+                        f"(iii) eta: lax inequality fails at ({x},{a})"
+                    ]
+                    planted += 1
+    assert planted
+
+
+def test_adjunction_violations_agree_with_the_reference_on_random_vertical_adjunctions():
+    rng = random.Random(2203)
+    verdicts = set()
+    for _ in range(100):
+        A = random_vertical_adjunction(rng)
+        if rng.random() < 0.7:
+            side = rng.choice(("lam", "rho"))
+            x = rng.choice(A.p.base.objects)
+            m = getattr(A, side)[x]
+            B = _with_fiber_value(A, side, x, rng.choice(m.src.elements), rng.choice(m.dst.elements))
+            if not monotone_violations(getattr(B, side)[x]):
+                A = B
+        got = adjunction_violations(A)
+        assert got == lax_inequalities_reference(A)
+        verdicts.add(bool(got))
+    assert verdicts == {True, False}
+
+
+
+def test_planted_q_part_fails_only_the_lambda_coincidence():
+    # raising g at a value of λ keeps g monotone above the identity, so the
+    # θ inequality ρ ≤ ρ∘g still holds and only g∘λ = λ∘f fails
+    rng = random.Random(4409)
+    planted = 0
+    for _ in range(20):
+        A = random_vertical_adjunction(rng)
+        m = identity_adj_morphism(A)
+        for x in A.q.base.objects:
+            q = A.q.fibers[x]
+            for b in {A.lam[x].apply(a) for a in A.p.fibers[x].elements}:
+                for v in q.elements:
+                    part = MonotoneMap(q, q, {**m.parts_q[x].mapping, b: v})
+                    if v == b or not q.leq(b, v) or monotone_violations(part):
+                        continue
+                    harmed = AdjMorphism(A, A, m.fun_p, m.parts_p, m.fun_q, {**m.parts_q, x: part}, m.theta)
+                    want = [
+                        f"lambda coincidence fails at {y}"
+                        for y in A.p.base.objects
+                        if not same_graph_reference(
+                            compose_reference(harmed.parts_q[y], A.lam[y]), compose_reference(A.lam[y], harmed.parts_p[y])
+                        )
+                    ]
+                    assert adj_morphism_violations(harmed) == want == [f"lambda coincidence fails at {x}"]
+                    planted += 1
+    assert planted

@@ -355,3 +355,88 @@ def is_poset(x):
 '''
     sources = {"order": order, "instances": instances}
     assert _unlisted_callers(sources, "FinPoset", FIN_POSET_BUILDERS) == ["order.shortcut", "instances.Fibers.build"]
+
+
+# law checks compare maps and functors pointwise (order.same_composite,
+# fincat.same_functor_composite, fincat.is_identity_functor) instead of
+# building the two sides and comparing the results
+BUILT_TO_COMPARE = {"compose_maps", "compose_functors", "identity_functor", "identity_map"}
+
+
+def _built_by(node) -> str | None:
+    """The name of the BUILT_TO_COMPARE function `node` calls, if it is such a call."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in BUILT_TO_COMPARE:
+            return name
+    return None
+
+
+def _compared_constructions(source: str) -> list[str]:
+    """`function: call`, sorted, for each operand of an `==` or `!=`
+    comparison inside a `*_violations` function or method of `source` that
+    is a call to one of BUILT_TO_COMPARE, or a plain name the function
+    assigns such a call to."""
+    found = []
+    for fn in _functions(ast.parse(source)):
+        if not fn.name.endswith("_violations"):
+            continue
+        named = {
+            target.id: _built_by(node.value)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and _built_by(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Compare) or not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                continue
+            for operand in (node.left, *node.comparators):
+                name = named.get(operand.id) if isinstance(operand, ast.Name) else _built_by(operand)
+                if name:
+                    found.append(f"{fn.name}: {name}")
+    return sorted(found)
+
+
+def test_no_law_check_compares_a_map_or_functor_it_built():
+    assert [f"{path.name}: {hit}" for path in SOURCES for hit in _compared_constructions(path.read_text())] == []
+
+
+def test_compared_construction_scan_flags_planted_comparisons_and_nothing_else():
+    source = '''
+from . import fincat
+from .order import compose_maps, identity_map
+
+
+def reindex_violations(d, x, g, f, h):
+    out = []
+    if d.reindex[x] != identity_map(d.fibers[x]):
+        out.append("identity")
+    if compose_maps(g, f) == h:
+        out.append("composite")
+    if fincat.compose_functors(g, f) != h or h is identity_map(x):
+        out.append("functor")
+    gf = compose_maps(g, f)
+    if gf != h:
+        out.append("named composite")
+    if compose_maps(g, f).apply(x) == x or g <= identity_map(x):
+        out.append("not flagged: an image and an order")
+    return out
+
+
+class Arrow:
+    def law_violations(self):
+        return [] if fincat.identity_functor(self.base) == self.functor else ["not the identity"]
+
+
+def factor(g, f, h):
+    return compose_maps(g, f) == h
+'''
+    assert _compared_constructions(source) == [
+        "law_violations: identity_functor",
+        "reindex_violations: compose_functors",
+        "reindex_violations: compose_maps",
+        "reindex_violations: compose_maps",
+        "reindex_violations: identity_map",
+    ]

@@ -148,6 +148,18 @@ def test_cli_exit_two_on_missing_file():
     assert r.returncode == 2
 
 
+def test_cli_exit_two_on_a_model_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "m.dct"
+    f.write_bytes(b"poset P { elements: \xff\xfe }")
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == f"cannot read file: {f}\n"
+
+
+def test_cli_exit_two_on_a_directory_given_as_the_model_file(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"cannot read file: {tmp_path}\n"
+
+
 def test_cli_exit_two_on_unknown_command():
     r = _cli("frobnicate")
     assert r.returncode == 2
@@ -416,6 +428,16 @@ def test_cli_world_names_whose_subset_labels_collide_fail_the_build(tmp_path, ca
     # {a,b} labels both the subset {'a,b'} and the subset {'a', 'b'}
     assert _main(tmp_path, "kripke-frame K { worlds: a,b a b; rel: a->b; sets: D=x }", "check") == 1
     assert "build failed: repeated poset element '{a,b}'" in capsys.readouterr().out
+
+
+def test_cli_a_failed_doctrine_build_is_its_own_verdict(tmp_path, capsys):
+    # the frame itself is fine; only the doctrine over it cannot be built
+    f = tmp_path / "m.dct"
+    f.write_text("kripke-frame K { worlds: a,b a b; rel: a->b; sets: D=x }")
+    assert main(["--json", "check", str(f)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["name"], v["pass"]) for v in verdicts] == [("kripke-frame K", True), ("kripke-doctrine K", False)]
+    assert verdicts[1]["witnesses"] == ["build failed: repeated poset element '{a,b}'"]
 
 
 MODEL_TOKENS = re.findall(r"\S+|\n", MODEL)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from doctrines.adjunction import left_arrow
 from doctrines.comonad import em_doctrine
 from doctrines.doctrine import (
     Doctrine,
@@ -47,6 +48,7 @@ from util import (
     doctrine_violations_reference,
     inverse_image_reference,
     monotone_violations_reference,
+    naturality_reference,
     powerset_doctrine_over,
     random_function_category,
 )
@@ -347,3 +349,39 @@ def test_bundled_fibers_and_fiber_maps_agree_with_the_definitions():
         assert set(f.hasse()) == covers_by_definition(f)
     for m in maps:
         assert monotone_violations(m) == monotone_violations_reference(m) == []
+
+
+@pytest.mark.parametrize("name", ["quantale-luk3", "base-change-rounding", "ma-topological"])
+def test_planted_reindexing_value_fails_only_its_naturality_square(name):
+    # P.reindex[t] enters only the square along t, which fails exactly when
+    # the fiber map at the source of t tells the new value from the old one
+    arrow = left_arrow(dict(bundled_adjunctions())[name])
+    P = arrow.src
+    assert one_arrow_violations(arrow) == naturality_reference(arrow) == []
+    failed = 0
+    for t in P.base.arrow_names():
+        m, fx = P.reindex[t], arrow.parts[P.base.src(t)]
+        for lbl in m.src.elements:
+            for value in m.dst.elements:
+                planted = _with_value(P, t, lbl, value)
+                if value == m.apply(lbl) or monotone_violations(planted.reindex[t]):
+                    continue
+                a = OneArrow(planted, arrow.dst, arrow.functor, arrow.parts)
+                got = one_arrow_violations(a)
+                assert got == naturality_reference(a)
+                assert got == ([f"naturality fails along {t}"] if fx.apply(value) != fx.apply(m.apply(lbl)) else [])
+                failed += bool(got)
+    assert failed
+
+
+def test_naturality_square_off_its_boundary_raises_as_composition_does():
+    arrow = left_arrow(dict(bundled_adjunctions())["base-change-rounding"])
+    P = arrow.src
+    t = next(t for t in P.base.arrow_names() if P.fibers[P.base.src(t)] != P.fibers[P.base.dst(t)])
+    # the reindexing along t: X → Y now lands in the fiber at Y, not at X
+    y = P.base.dst(t)
+    planted = Doctrine(P.base, P.fibers, {**P.reindex, t: identity_map(P.fibers[y])})
+    a = OneArrow(planted, arrow.dst, arrow.functor, arrow.parts)
+    for check in (one_arrow_violations, naturality_reference):
+        with pytest.raises(ValueError, match="^compose_maps: boundary mismatch$"):
+            check(a)

@@ -24,8 +24,10 @@ from doctrines.fincat import (
     generating_arrows,
     identity_functor,
     identity_nat,
+    is_identity_functor,
     one_object_monoid_category,
     poset_category,
+    same_functor_composite,
     whisker_functor_nat,
     whisker_nat_functor,
 )
@@ -368,3 +370,55 @@ def test_associativity_is_certified_on_generators_without_the_literal_scan():
     literal = 4 * A * hom_in**2
     assert A == 243 and G < 40
     assert table.lookups <= bound < literal // 5
+
+
+def _tables(F):
+    return F.src, F.dst, dict(F.obj_map), dict(F.arr_map)
+
+
+def test_functor_comparisons_agree_with_built_composites_on_random_endofunctors():
+    rng = random.Random(1903)
+    seen = set()
+    for _ in range(60):
+        c, _ = random_function_category(rng)
+
+        def draw():
+            """A constant endofunctor, or the identity tables with at most
+            one arrow sent elsewhere in its hom-set."""
+            if rng.random() < 0.3:
+                return constant_functor(c, c, rng.choice(c.objects))
+            arr = {a: a for a in c.arrow_names()}
+            a = rng.choice(c.arrow_names())
+            arr[a] = rng.choice(c.hom(c.src(a), c.dst(a)))
+            return Functor(c, c, {x: x for x in c.objects}, arr)
+
+        G, F, G2, F2 = draw(), draw(), draw(), draw()
+        composite, other = compose_functors(G, F), compose_functors(G2, F2)
+        same = _tables(composite) == _tables(other)
+        assert same_functor_composite(G, F, G2, F2) == same
+        assert same_functor_composite(G, F, composite)
+        assert same_functor_composite(G, F, G2) == (_tables(composite) == _tables(G2))
+        assert is_identity_functor(G, c) == (_tables(G) == _tables(identity_functor(c)))
+        seen.add((same, is_identity_functor(G, c)))
+    assert {s for s, _ in seen} == {True, False} and {i for _, i in seen} == {True, False}
+
+
+def test_functor_comparison_off_its_boundary_raises_as_composition_does():
+    c = poset_category(chain_poset(["x", "y"]))
+    d = discrete_category(["x"])
+    F = constant_functor(d, c, "x")
+    with pytest.raises(ValueError, match="^compose_functors: boundary mismatch$"):
+        compose_functors(F, F)
+    with pytest.raises(ValueError, match="^compose_functors: boundary mismatch$"):
+        same_functor_composite(F, F, F)
+    assert not is_identity_functor(F, c) and not is_identity_functor(F, d)
+
+
+def test_adjunction_with_a_unit_off_its_boundary_names_it():
+    big = poset_category(chain_poset(["0", "1", "2"]))
+    I = identity_functor(big)
+    K = constant_functor(big, big, "2")
+    eta = NatTransformation(I, K, {x: f"{x}<=2" for x in big.objects})
+    assert adjunction_cat(I, I, eta, identity_nat(I)) == ["eta has wrong boundary (expected Id => RL)"]
+    eps = NatTransformation(K, I, {x: f"{x}<=2" for x in big.objects})
+    assert adjunction_cat(I, I, identity_nat(I), eps) == ["eps has wrong boundary (expected LR => Id)"]

@@ -14,11 +14,13 @@ from doctrines.order import (
     MonotoneMap,
     identity_map,
     label_subset,
+    monotone_violations,
     powerset_poset,
     subset_label,
 )
+from doctrines.suite import bundled_interior_ops
 
-from util import powerset_doctrine_over
+from util import interior_violations_reference, powerset_doctrine_over
 
 
 def _one_fiber_doctrine(ground):
@@ -153,3 +155,41 @@ def test_modal_one_arrow_violation_witnessed():
     # but from the identity operator toward j it fails: id ≰ j pointwise
     out = modal_one_arrow_violations(arrow, ident, op)
     assert any("modal inequality fails" in v for v in out)
+
+
+@pytest.mark.parametrize("name", ["topological", "temporal-G", "kripke-chain3", "fam-chain2"])
+def test_planted_box_value_agrees_with_the_reference_and_names_only_its_object(name):
+    op = dict(bundled_interior_ops())[name]
+    P = op.doctrine
+    assert interior_violations(op) == interior_violations_reference(op) == []
+    singles = set()
+    for x in P.base.objects:
+        box = op.parts[x]
+        touching = {t for t in P.base.arrow_names() if x in (P.base.src(t), P.base.dst(t))}
+        for a in box.src.elements:
+            for value in box.dst.elements:
+                changed = MonotoneMap(box.src, box.dst, {**box.mapping, a: value})
+                if value == box.apply(a) or monotone_violations(changed):
+                    continue
+                planted = InteriorOp(P, {**op.parts, x: changed})
+                got = interior_violations(planted)
+                assert got == interior_violations_reference(planted)
+                for v in got:
+                    if v.startswith("naturality fails along "):
+                        assert v[len("naturality fails along ") :] in touching
+                    else:
+                        assert v.startswith((f"axiom T fails at ({x},", f"axiom 4 fails at ({x},", f"idempotence fails at {x}"))
+                if len(got) == 1:
+                    singles.add(got[0])
+    assert singles
+
+
+def test_interior_naturality_square_off_its_boundary_raises_as_composition_does():
+    op = dict(bundled_interior_ops())["topological"]
+    P = op.doctrine
+    t = next(t for t in P.base.arrow_names() if P.fibers[P.base.src(t)] != P.fibers[P.base.dst(t)])
+    y = P.base.dst(t)
+    planted = InteriorOp(Doctrine(P.base, P.fibers, {**P.reindex, t: identity_map(P.fibers[y])}), op.parts)
+    for check in (interior_violations, interior_violations_reference):
+        with pytest.raises(ValueError, match="^compose_maps: boundary mismatch$"):
+            check(planted)

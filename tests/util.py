@@ -220,6 +220,99 @@ def doctrine_violations_reference(d):
     return out
 
 
+def compose_reference(g, f):
+    """g∘f as a map built by its own loop, refusing with the error of
+    `order.compose_maps` when f does not land in the source of g."""
+    if (f.dst.elements, f.dst.relation) != (g.src.elements, g.src.relation):
+        raise ValueError("compose_maps: boundary mismatch")
+    return MonotoneMap(f.src, g.dst, {x: g.mapping[f.mapping[x]] for x in f.src.elements})
+
+
+def same_graph_reference(m, n):
+    """Whether m and n have the same source, target and graph, compared as
+    whole tuples."""
+
+    def whole(k):
+        ends = (k.src.elements, k.src.relation, k.dst.elements, k.dst.relation)
+        return ends, tuple((x, k.mapping[x]) for x in k.src.elements)
+
+    return whole(m) == whole(n)
+
+
+def naturality_reference(a):
+    """The naturality witnesses of the 1-arrow `a`, both sides of every
+    square composed and compared by their graphs: the reference for the last
+    step of `doctrine.one_arrow_violations`."""
+    P, Q, F = a.src, a.dst, a.functor
+    out = []
+    for (t, x, y) in P.base.arrows:
+        lhs = compose_reference(a.parts[x], P.reindex[t])
+        rhs = compose_reference(Q.reindex[F.arr_map[t]], a.parts[y])
+        if not same_graph_reference(lhs, rhs):
+            out.append(f"naturality fails along {t}")
+    return out
+
+
+def interior_violations_reference(op):
+    """Every interior-operator law by the literal scan, naturality and
+    idempotence by composing maps and comparing graphs: the reference for
+    `interior.interior_violations`."""
+    P = op.doctrine
+    out = []
+    for x in P.base.objects:
+        m = op.parts.get(x)
+        if m is None:
+            out.append(f"missing box at {x}")
+        elif m.src != P.fibers[x] or m.dst != P.fibers[x]:
+            out.append(f"box at {x} is not a fiber endomap")
+        else:
+            out.extend(f"box at {x}: {v}" for v in monotone_violations_reference(m))
+    if out:
+        return out
+    for (t, x, y) in P.base.arrows:
+        lhs = compose_reference(op.parts[x], P.reindex[t])
+        rhs = compose_reference(P.reindex[t], op.parts[y])
+        if not same_graph_reference(lhs, rhs):
+            out.append(f"naturality fails along {t}")
+    for x in P.base.objects:
+        box, rel = op.parts[x].mapping, P.fibers[x].relation
+        for a in P.fibers[x].elements:
+            if (box[a], a) not in rel:
+                out.append(f"axiom T fails at ({x},{a})")
+            if (box[a], box[box[a]]) not in rel:
+                out.append(f"axiom 4 fails at ({x},{a})")
+    if out:
+        return out
+    for x in P.base.objects:
+        if not same_graph_reference(compose_reference(op.parts[x], op.parts[x]), op.parts[x]):
+            out.append(f"idempotence fails at {x}")
+    return out
+
+
+def lax_inequalities_reference(A):
+    """The step (iii) witnesses of `adjunction.adjunction_violations`: α ≤
+    P(η_X)(ρ_{LX}(λ_X α)) and λ_{RY}(ρ_Y β) ≤ Q(ε_Y) β, with each side's
+    composite built as a map first."""
+    P, Q, L, R = A.p, A.q, A.left, A.right
+    out = []
+    for x in P.base.objects:
+        unit = compose_reference(P.reindex[A.eta.components[x]], compose_reference(A.rho[L.obj_map[x]], A.lam[x]))
+        rel = P.fibers[x].relation
+        out.extend(
+            f"(iii) eta: lax inequality fails at ({x},{a})" for a in P.fibers[x].elements if (a, unit.mapping[a]) not in rel
+        )
+    for y in Q.base.objects:
+        ry = R.obj_map[y]
+        counit, back = compose_reference(A.lam[ry], A.rho[y]), Q.reindex[A.eps.components[y]]
+        rel = Q.fibers[L.obj_map[ry]].relation
+        out.extend(
+            f"(iii) eps: lax inequality fails at ({y},{b})"
+            for b in Q.fibers[y].elements
+            if (counit.mapping[b], back.mapping[b]) not in rel
+        )
+    return out
+
+
 def covers_by_definition(p):
     """The pairs a < b of `p` with no element strictly between them, by
     testing every triple: the reference for `FinPoset.hasse`."""
