@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .doctrine import (
@@ -27,6 +28,7 @@ from .fincat import (
     discrete_category,
     identity_functor,
     identity_nat,
+    is_identity_functor,
     same_functor_composite,
 )
 from .interior import InteriorOp, interior_violations, stable_subdoctrine
@@ -44,7 +46,10 @@ from .order import (
 
 @dataclass(frozen=True)
 class DoctrineAdjunction:
-    """The octuple presentation of an adjunction between doctrines."""
+    """The octuple presentation of an adjunction between doctrines. A value
+    is never changed after it is built, tables included, so its law verdict
+    and the constructions derived from it are computed once and kept on it;
+    a construction that raises keeps nothing and raises again."""
 
     p: Doctrine
     q: Doctrine
@@ -54,6 +59,25 @@ class DoctrineAdjunction:
     rho: Mapping[str, MonotoneMap]  # Y -> Q Y → P(R Y)
     eta: NatTransformation  # Id ⇒ R L
     eps: NatTransformation  # L R ⇒ Id
+
+    @cached_property
+    def _verdict(self) -> tuple[str, ...]:
+        return tuple(_adjunction_scan(self))
+
+    @cached_property
+    def _am(self) -> tuple[Doctrine, InteriorOp]:
+        return _am_modality(self)
+
+    @cached_property
+    def _factors(self) -> tuple[DoctrineAdjunction, DoctrineAdjunction]:
+        return _factorize(self)
+
+    @cached_property
+    def _cmd(self):
+        """The induced comonad; comonad imports this module, so it is looked up late."""
+        from .comonad import _comonad_of
+
+        return _comonad_of(self)
 
 
 def left_arrow(A: DoctrineAdjunction) -> OneArrow:
@@ -82,7 +106,12 @@ def eps_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
 
 def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
     """Empty list iff the Cat adjunction, both 1-arrows, and both lax 2-arrows
-    are valid; violations carry (i)/(ii)/(iii) tags with witnesses."""
+    are valid; violations carry (i)/(ii)/(iii) tags with witnesses. A fresh
+    list on every call."""
+    return list(A._verdict)
+
+
+def _adjunction_scan(A: DoctrineAdjunction) -> list[str]:
     out = []
     if A.left.src != A.p.base or A.left.dst != A.q.base:
         return ["(i) left functor boundary mismatch"]
@@ -130,13 +159,13 @@ def vertical_adjunction(P: Doctrine, Q: Doctrine, lam, rho) -> DoctrineAdjunctio
 
 
 def is_vertical(A: DoctrineAdjunction) -> bool:
-    i = identity_functor(A.p.base)
+    """Identity base functors, and η and ε the identity transformation of the
+    identity functor."""
+    C = A.p.base
     return (
-        A.p.base == A.q.base
-        and A.left == i
-        and A.right == i
-        and A.eta == identity_nat(i)
-        and A.eps == identity_nat(i)
+        A.q.base == C
+        and all(is_identity_functor(F, C) for F in (A.left, A.right, A.eta.src, A.eta.dst, A.eps.src, A.eps.dst))
+        and A.eta.components == C.identities == A.eps.components
     )
 
 
@@ -178,7 +207,12 @@ def am_doctrine(A: DoctrineAdjunction) -> Doctrine:
 
 
 def am_modality(A: DoctrineAdjunction) -> tuple[Doctrine, InteriorOp]:
-    """The interior operator λ ∘ P(η) ∘ (ρ at L−) on the doctrine X ↦ Q(L X)."""
+    """The interior operator λ ∘ P(η) ∘ (ρ at L−) on the doctrine X ↦ Q(L X),
+    built once per adjunction."""
+    return A._am
+
+
+def _am_modality(A: DoctrineAdjunction) -> tuple[Doctrine, InteriorOp]:
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
@@ -210,7 +244,12 @@ def base_change_adjunction(
 
 def factorize(A: DoctrineAdjunction) -> tuple[DoctrineAdjunction, DoctrineAdjunction]:
     """Split A into a vertical adjunction into QL followed by the base-change
-    adjunction; composing the two legs gives back A's 1-arrows on the nose."""
+    adjunction; composing the two legs gives back A's 1-arrows on the nose.
+    Built once per adjunction."""
+    return A._factors
+
+
+def _factorize(A: DoctrineAdjunction) -> tuple[DoctrineAdjunction, DoctrineAdjunction]:
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))

@@ -5,6 +5,7 @@ comparisons, and the interior-operator round trip (vertical comonads)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping
 
@@ -51,13 +52,24 @@ from .order import MonotoneMap, compose_maps, restrict_map
 
 @dataclass(frozen=True)
 class DoctrineComonad:
-    """The quadruple presentation of a comonad on a doctrine."""
+    """The quadruple presentation of a comonad on a doctrine. A value is
+    never changed after it is built, tables included, so its law verdict and
+    its Eilenberg-Moore doctrine are computed once and kept on it; a build
+    that raises keeps nothing and raises again."""
 
     p: Doctrine
     k: Functor
     kappa: Mapping[str, MonotoneMap]  # X -> P X → P(K X)
     mu: NatTransformation  # K ⇒ K K
     nu: NatTransformation  # K ⇒ Id
+
+    @cached_property
+    def _verdict(self) -> tuple[str, ...]:
+        return tuple(_comonad_scan(self))
+
+    @cached_property
+    def _em(self) -> EMDoctrineBundle:
+        return _em_bundle(self)
 
 
 def cmd_arrow(c: DoctrineComonad) -> OneArrow:
@@ -66,7 +78,12 @@ def cmd_arrow(c: DoctrineComonad) -> OneArrow:
 
 def comonad_violations(c: DoctrineComonad) -> list[str]:
     """Empty list iff the base comonad laws, the 1-arrow, and both lax
-    inequalities hold; violations carry (i)/(ii)/(iii) tags."""
+    inequalities hold; violations carry (i)/(ii)/(iii) tags. A fresh list on
+    every call."""
+    return list(c._verdict)
+
+
+def _comonad_scan(c: DoctrineComonad) -> list[str]:
     out = []
     if c.k.src != c.p.base or c.k.dst != c.p.base:
         return ["(i) K is not an endofunctor of the base"]
@@ -114,7 +131,12 @@ class EMDoctrineBundle:
 def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
     """The Eilenberg-Moore doctrine: over the category of coalgebras, the fiber
     at ⟨C,c⟩ is the suborder of elements below their own comonadic closure;
-    those are exactly the fixed points of the idempotent P(c)∘κ_C."""
+    those are exactly the fixed points of the idempotent P(c)∘κ_C. Built
+    once per comonad."""
+    return c._em
+
+
+def _em_bundle(c: DoctrineComonad) -> EMDoctrineBundle:
     bad = comonad_violations(c)
     if bad:
         raise ValueError("invalid comonad: " + "; ".join(bad[:3]))
@@ -206,7 +228,12 @@ def cm_modality(c: DoctrineComonad) -> InteriorOp:
 
 
 def cmd_of_adjunction(A: DoctrineAdjunction) -> DoctrineComonad:
-    """The comonad ⟨LR, (λR)ρ, LηR, ε⟩ on Q induced by an adjunction."""
+    """The comonad ⟨LR, (λR)ρ, LηR, ε⟩ on Q induced by an adjunction, built
+    once per adjunction."""
+    return A._cmd
+
+
+def _comonad_of(A: DoctrineAdjunction) -> DoctrineComonad:
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))

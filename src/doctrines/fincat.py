@@ -57,6 +57,10 @@ class FinCategory:
         return generating_arrows(self.arrows, self.composition)
 
     @cached_property
+    def _identity(self) -> Functor:
+        return Functor(self, self, {x: x for x in self.objects}, {a: a for a in self.arrow_names()})
+
+    @cached_property
     def into(self) -> dict[str, list[str]]:
         """The arrows into each object, in declaration order."""
         found = {x: [] for x in self.objects}
@@ -259,10 +263,18 @@ def function_graph(cat_arrow_name: str) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class Functor:
+    """A functor given by its object and arrow tables. A value is never
+    changed after it is built, tables included, so its law verdict is
+    computed once and kept on it."""
+
     src: FinCategory
     dst: FinCategory
     obj_map: Mapping[str, str]
     arr_map: Mapping[str, str]
+
+    @cached_property
+    def _verdict(self) -> tuple[str, ...]:
+        return tuple(_functor_scan(self))
 
     def on_obj(self, x: str) -> str:
         return self.obj_map[x]
@@ -284,6 +296,12 @@ class Functor:
 
 
 def functor_violations(F: Functor) -> list[str]:
+    """Empty list iff F maps into its target and preserves boundaries,
+    identities and composition; a fresh list on every call."""
+    return list(F._verdict)
+
+
+def _functor_scan(F: Functor) -> list[str]:
     out = []
     for x in F.src.objects:
         if x not in F.obj_map:
@@ -329,7 +347,8 @@ def fin_functor(src, dst, obj_map, arr_map) -> Functor:
 
 
 def identity_functor(C: FinCategory) -> Functor:
-    return Functor(C, C, {x: x for x in C.objects}, {a: a for a in C.arrow_names()})
+    """The identity functor of C, one shared value per category."""
+    return C._identity
 
 
 def constant_functor(C: FinCategory, D: FinCategory, obj: str) -> Functor:

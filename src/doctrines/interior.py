@@ -4,6 +4,7 @@ the stable subdoctrine, and morphisms that respect the operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .doctrine import Doctrine, OneArrow, identity_parts, one_arrow_violations, sub_doctrine
@@ -13,10 +14,16 @@ from .order import MonotoneMap, monotone_violations, same_composite
 @dataclass(frozen=True)
 class InteriorOp:
     """A natural family of monotone fiber endomaps that is deflationary (T)
-    and satisfies the 4 axiom, hence is idempotent."""
+    and satisfies the 4 axiom, hence is idempotent. A value is never changed
+    after it is built, `parts` included, so its law verdict is computed once
+    and kept on it."""
 
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]
+
+    @cached_property
+    def _verdict(self) -> tuple[str, ...]:
+        return tuple(_interior_scan(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteriorOp):
@@ -31,7 +38,12 @@ def identity_interior(P: Doctrine) -> InteriorOp:
 
 
 def interior_violations(op: InteriorOp) -> list[str]:
-    """Empty list iff naturality, T, and 4 hold everywhere (idempotence rechecked)."""
+    """Empty list iff naturality, T, and 4 hold everywhere (idempotence
+    rechecked); a fresh list on every call."""
+    return list(op._verdict)
+
+
+def _interior_scan(op: InteriorOp) -> list[str]:
     out = []
     P = op.doctrine
     for x in P.base.objects:

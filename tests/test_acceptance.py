@@ -88,6 +88,35 @@ def test_criterion_11_presheaf_oracle():
     _report(S.criterion_presheaf_oracle())
 
 
+def test_suite_scans_each_value_and_builds_each_em_doctrine_once(monkeypatch):
+    # verdicts and EM doctrines are kept on their values, so the suite, which
+    # passes one value through several constructions, scans it only once
+    from doctrines import adjunction, comonad, interior
+
+    calls = {}
+
+    def count(module, name):
+        scan = getattr(module, name)
+
+        def counted(value):
+            # holding the value keeps its id from being reused
+            calls.setdefault((name, id(value)), [value, 0])[1] += 1
+            return scan(value)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [
+        (adjunction, "_adjunction_scan"),
+        (comonad, "_comonad_scan"),
+        (interior, "_interior_scan"),
+        (comonad, "_em_bundle"),
+    ]:
+        count(module, name)
+    assert S.run_acceptance(SEED)["pass"]
+    assert {name for name, _ in calls} == {"_adjunction_scan", "_comonad_scan", "_interior_scan", "_em_bundle"}
+    assert [(name, n) for (name, _), (_, n) in calls.items() if n > 1] == []
+
+
 def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "doctrines.cli", *args], capture_output=True, text=True

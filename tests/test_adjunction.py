@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,13 +29,17 @@ from doctrines.adjunction import (
     vertical_adjunction,
     vertical_modality,
 )
+from doctrines.comonad import cmd_of_adjunction
 from doctrines.doctrine import Doctrine, two_arrow_violations, identity_one_arrow
 from doctrines.fincat import (
+    Functor,
+    NatTransformation,
     compose_functors,
     fin_functor,
     fin_nat,
     identity_functor,
     identity_nat,
+    one_object_monoid_category,
     poset_category,
 )
 from doctrines.interior import interior_violations, identity_interior
@@ -58,14 +63,62 @@ def test_identity_vertical_modality_is_identity():
     assert op == identity_interior(d)
 
 
-def test_bad_galois_pair_tagged_iii():
+def _bad_galois_pair() -> DoctrineAdjunction:
+    """λ the identity and ρ constantly {}: only the lax inequalities fail."""
     d = powerset_doctrine_over({"A": ["a1"]})
     fib = d.fibers["A"]
     lam = {"A": identity_map(fib)}
     rho = {"A": MonotoneMap(fib, fib, {l: "{}" for l in fib.elements})}
-    A = vertical_adjunction(d, d, lam, rho)
-    out = adjunction_violations(A)
+    return vertical_adjunction(d, d, lam, rho)
+
+
+def test_bad_galois_pair_tagged_iii():
+    out = adjunction_violations(_bad_galois_pair())
     assert out and all(v.startswith("(iii)") for v in out)
+
+
+def test_adjunction_verdict_repeats_as_a_fresh_list():
+    A = _bad_galois_pair()
+    first, second = adjunction_violations(A), adjunction_violations(A)
+    assert first and first == second and first is not second
+    first.append("tampered")
+    assert adjunction_violations(A) == second
+
+
+@pytest.mark.parametrize("build", [am_modality, factorize, cmd_of_adjunction])
+def test_construction_on_an_invalid_adjunction_raises_the_same_error_every_time(build):
+    A = _bad_galois_pair()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            build(A)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] and messages[0].startswith("invalid adjunction: (iii)")
+
+
+def test_constructions_are_built_once_per_adjunction(seed=59):
+    A = random_vertical_adjunction(random.Random(seed))
+    assert am_modality(A) is am_modality(A)
+    assert factorize(A) is factorize(A)
+    # an equal adjunction built on its own gets its own constructions
+    B = replace(A)
+    assert B == A and am_modality(B) is not am_modality(A)
+    assert am_modality(B)[1] == am_modality(A)[1]
+
+
+def test_is_vertical_reads_the_identity_off_the_tables():
+    z2 = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
+    base = one_object_monoid_category("*", ["e", "a"], "e", z2)
+    fiber = powerset_poset(["p"])
+    d = Doctrine(base, {"*": fiber}, {t: identity_map(fiber) for t in base.arrow_names()})
+    A = identity_adjunction(d)
+    assert is_vertical(A)
+    # an identity functor built on its own, not the shared one, still reads as the identity
+    i = Functor(base, base, {"*": "*"}, {"e": "e", "a": "a"})
+    assert is_vertical(replace(A, left=i, eta=NatTransformation(i, i, {"*": "e"})))
+    # η with the non-identity component a, and L sending a to e, are not vertical
+    assert not is_vertical(replace(A, eta=NatTransformation(i, i, {"*": "a"})))
+    assert not is_vertical(replace(A, left=Functor(base, base, {"*": "*"}, {"e": "e", "a": "e"})))
 
 
 def test_random_vertical_adjunctions_valid_and_galois(seed=11):

@@ -243,24 +243,28 @@ value = lib._private()
     assert _unreferenced(source, _references([source, other])) == ["recursive", "Unused"]
 
 
+def _placed(node, where: str = "<module>"):
+    """Every node below `node` with where it sits: the enclosing function as
+    `outer.inner` (methods as `Class.method`), or `<module>`."""
+    for child in ast.iter_child_nodes(node):
+        yield child, where
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if where == "<module>" else f"{where}.{child.name}"
+        yield from _placed(child, inner)
+
+
 def _callers(source: str, name: str) -> list[str]:
-    """Where `source` calls `name`, as a bare or attribute call: the enclosing
-    function as `outer.inner` (methods as `Class.method`), or `<module>`."""
-    found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name):
-                    found.append(where)
-            inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = child.name if where == "<module>" else f"{where}.{child.name}"
-            visit(child, inner)
-
-    visit(ast.parse(source), "<module>")
-    return found
+    """Where `source` calls `name`, as a bare or attribute call."""
+    return [
+        where
+        for node, where in _placed(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+    ]
 
 
 def test_only_the_checked_constructors_build_a_fin_category():
@@ -439,4 +443,87 @@ def factor(g, f, h):
         "reindex_violations: compose_maps",
         "reindex_violations: compose_maps",
         "reindex_violations: identity_map",
+    ]
+
+
+# Law verdicts and derived constructions are kept on the value they belong
+# to (adjunction, comonad, interior operator, functor), which is sound only
+# while no value changes after it is built: library code never writes into
+# the tables a value holds, and sets its own attributes only in
+# `__post_init__`.
+TABLE_FIELDS = {
+    "lam", "rho", "kappa", "parts", "reindex", "fibers",
+    "obj_map", "arr_map", "components", "mapping", "identities", "composition",
+}
+MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
+# FinPoset.hasse fills its `covers` field, which takes no part in equality,
+# with the covering pairs of its own relation, once
+MEMO_WRITES = {"order.FinPoset.hasse: object.__setattr__"}
+
+
+def _value_writes(source: str) -> list[str]:
+    """`where: what` for each write into a table field of a value (`x.lam[k] = v`,
+    `x.lam[k] |= v`, `del x.lam[k]`, `x.lam = v`, `x.lam.update(…)` and the
+    other MUTATORS), and for each `object.__setattr__` call outside `__post_init__`."""
+    found = []
+    for node, where in _placed(ast.parse(source)):
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            field = node.value if isinstance(node, ast.Subscript) else node
+            if isinstance(field, ast.Attribute) and field.attr in TABLE_FIELDS:
+                found.append(f"{where}: {field.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            if f.attr in MUTATORS and isinstance(f.value, ast.Attribute) and f.value.attr in TABLE_FIELDS:
+                found.append(f"{where}: {f.value.attr}.{f.attr}")
+            elif f.attr == "__setattr__" and isinstance(f.value, ast.Name) and f.value.id == "object":
+                if not where.endswith("__post_init__"):
+                    found.append(f"{where}: object.__setattr__")
+    return found
+
+
+def test_no_library_code_writes_into_a_built_value():
+    found = [f"{path.stem}.{hit}" for path in SOURCES for hit in _value_writes(path.read_text())]
+    assert sorted(found) == sorted(MEMO_WRITES)
+
+
+def test_value_write_scan_flags_planted_writes_and_nothing_else():
+    source = '''
+class Value:
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {})
+
+    def memo(self):
+        object.__setattr__(self, "_index", {})
+
+
+def build(parts, fibers):
+    parts["x"] = 1
+    table = {}
+    table["y"] = fibers["x"]
+    return Value(parts)
+
+
+def tamper(op, A, F, t, d):
+    op.parts["x"] = None
+    A.lam["x"] |= A.rho["x"]
+    del F.obj_map["a"]
+    F.arr_map.update({})
+    t.components.setdefault("x", "id")
+    first, A.kappa["x"] = 1, 2
+    d.reindex = {}
+
+
+def read(op, d):
+    d._cache["x"] = 1
+    return op.parts["x"], op.parts.get("x"), dict(op.parts), d.fibers.copy()
+'''
+    assert _value_writes(source) == [
+        "Value.memo: object.__setattr__",
+        "tamper: parts",
+        "tamper: lam",
+        "tamper: obj_map",
+        "tamper: arr_map.update",
+        "tamper: components.setdefault",
+        "tamper: kappa",
+        "tamper: reindex",
     ]

@@ -107,14 +107,44 @@ def test_diamond_comonad_passes():
     assert comonad_violations(diamond_comonad()) == []
 
 
-def test_diamond_comonad_planted_kappa_fails_iii():
+def _inflated_diamond_comonad() -> DoctrineComonad:
+    """The diamond comonad with κ at `a` inflated to the identity: the
+    counit inequality breaks at {p}."""
     c = diamond_comonad()
-    # inflate kappa at `a` to the identity: counit inequality breaks at {p}
     kappa = dict(c.kappa)
     kappa["a"] = identity_map(c.p.fibers["a"])
-    bad = DoctrineComonad(c.p, c.k, kappa, c.mu, c.nu)
-    out = comonad_violations(bad)
+    return DoctrineComonad(c.p, c.k, kappa, c.mu, c.nu)
+
+
+def test_diamond_comonad_planted_kappa_fails_iii():
+    out = comonad_violations(_inflated_diamond_comonad())
     assert out and any(v.startswith("(iii)") or "naturality" in v for v in out)
+
+
+def test_comonad_verdict_repeats_as_a_fresh_list():
+    c = _inflated_diamond_comonad()
+    first, second = comonad_violations(c), comonad_violations(c)
+    assert first and first == second and first is not second
+    first.append("tampered")
+    assert comonad_violations(c) == second
+
+
+def test_em_doctrine_of_an_invalid_comonad_raises_the_same_error_every_time():
+    c = _inflated_diamond_comonad()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            em_doctrine(c)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] and messages[0].startswith("invalid comonad: ")
+
+
+def test_em_doctrine_and_induced_comonad_are_built_once(seed=61):
+    c = diamond_comonad()
+    assert em_doctrine(c) is em_doctrine(c)
+    A = random_vertical_adjunction(random.Random(seed))
+    assert cmd_of_adjunction(A) is cmd_of_adjunction(A)
+    assert em_doctrine(cmd_of_adjunction(A)) is em_doctrine(cmd_of_adjunction(A))
 
 
 def test_em_doctrine_identity_comonad_keeps_fibers():

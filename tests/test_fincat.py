@@ -130,6 +130,20 @@ def test_broken_functor_reports_witness():
     assert any("boundary not preserved" in v for v in bad)
 
 
+def test_functor_verdict_repeats_as_a_fresh_list_and_identity_functors_are_shared():
+    c = poset_category(chain_poset(["x", "y"]))
+    d = discrete_category(["x", "y"])
+    F = Functor(c, d, {"x": "x", "y": "y"}, {a: d.id(c.src(a)) for a in c.arrow_names()})
+    first, second = functor_violations(F), functor_violations(F)
+    assert first and first == second and first is not second
+    first.append("tampered")
+    assert functor_violations(F) == second
+    assert identity_functor(c) is identity_functor(c)
+    assert identity_functor(c) == Functor(c, c, {x: x for x in c.objects}, {a: a for a in c.arrow_names()})
+    twin = poset_category(chain_poset(["x", "y"]))
+    assert identity_functor(twin) is not identity_functor(c) and identity_functor(twin) == identity_functor(c)
+
+
 def test_identity_nat_and_whiskering():
     c = poset_category(chain_poset(["x", "y"]))
     F = identity_functor(c)

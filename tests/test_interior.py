@@ -64,6 +64,17 @@ def test_non_transitive_frame_fails_axiom_4_with_witness():
     assert any("{1,2}" in v for v in out)
 
 
+def test_interior_verdict_repeats_as_a_fresh_list():
+    worlds = ["1", "2", "3"]
+    rel = {("1", "1"), ("2", "2"), ("3", "3"), ("1", "2"), ("2", "3")}
+    d = _one_fiber_doctrine(worlds)
+    op = InteriorOp(d, {"*": _kripke_box_map(worlds, rel, d.fibers["*"])})
+    first, second = interior_violations(op), interior_violations(op)
+    assert first and first == second and first is not second
+    first.append("tampered")
+    assert interior_violations(op) == second
+
+
 def test_stable_elements_identity_is_whole_fiber():
     d = powerset_doctrine_over({"A": ["a1"]})
     op = identity_interior(d)
