@@ -483,7 +483,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
     sets = _named_sets(d)
     if sets:
         # plus the residuation check of the bang laws, one test per triple of a fiber
-        count = _pointwise_doctrine_work(sets, len(elements), len(lat.carrier.relation)) + sum(
+        count = _pointwise_doctrine_work(sets, len(elements), sum(m.bit_count() for m in lat.carrier.ups)) + sum(
             len(elements) ** (3 * len(v)) for v in sets.values()
         )
         if count > ws.max_size:

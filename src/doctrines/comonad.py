@@ -342,7 +342,12 @@ def mc(op: InteriorOp) -> DoctrineComonad:
 
 
 def ma(op: InteriorOp) -> DoctrineAdjunction:
-    """The stable-subdoctrine adjunction ⟨Id, inclusion⟩ ⊣ ⟨Id, box⟩."""
+    """The stable-subdoctrine adjunction ⟨Id, inclusion⟩ ⊣ ⟨Id, box⟩, built
+    once per operator."""
+    return op._ma
+
+
+def _ma(op: InteriorOp) -> DoctrineAdjunction:
     bad = interior_violations(op)
     if bad:
         raise ValueError("invalid interior operator: " + "; ".join(bad[:3]))

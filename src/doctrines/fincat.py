@@ -187,7 +187,7 @@ def discrete_category(objects: Sequence[str]) -> FinCategory:
 
 def poset_category(p: FinPoset) -> FinCategory:
     """The category with at most one arrow x→y, present iff x ≤ y."""
-    arrows = [(f"{a}<={b}", a, b) for (a, b) in sorted(p.relation, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))]
+    arrows = [(f"{a}<={b}", a, b) for a in p.elements for b in p.up(a)]
     identities = {x: f"{x}<={x}" for x in p.elements}
     composition = {}
     for (gn, gs, gd) in arrows:

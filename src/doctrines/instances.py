@@ -44,7 +44,9 @@ from .order import (
     chain_poset,
     label_subset,
     lattice_from_poset,
+    poset_from_pairs,
     powerset_poset,
+    product_ups,
     sub_poset,
     subset_label,
     subsets_in_order,
@@ -96,30 +98,21 @@ def fun_label(mapping: Mapping[str, str], domain: Sequence[str]) -> str:
 
 def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> tuple[FinPoset, dict]:
     """Poset of all assignments of an element of factors[i] to keys[i],
-    labelled by `fun_label` and ordered pointwise. The assignments above m
-    are the product of the up-sets of its values, so the build costs the
-    Π|≤ᵢ| related pairs rather than a test of every pair; m is covered by
-    raising one value to a cover of it in its factor."""
+    labelled by `fun_label` and ordered pointwise. The up-set masks are built
+    one factor at a time by `product_ups`, from the last factor, whose
+    positions have stride 1, to the first; m is covered by raising one value
+    to a cover of it in its factor."""
     keys = list(keys)
     decode = {}
     labels = []
-    label_of = {}
     for combo in product(*(f.elements for f in factors)):
         m = dict(zip(keys, combo))
         lbl = fun_label(m, keys)
         labels.append(lbl)
         decode[lbl] = m
-        label_of[combo] = lbl
-    ups = []
-    for f in factors:
-        up = {c: [] for c in f.elements}
-        for (a, b) in f.relation:
-            up[a].append(b)
-        ups.append(up)
-    rel = set()
-    for combo, lbl in label_of.items():
-        for above in product(*(up[c] for up, c in zip(ups, combo))):
-            rel.add((lbl, label_of[above]))
+    ups = [1]
+    for f in reversed(factors):
+        ups = product_ups(f, ups)
     # raising the value at key k from c to a cover d moves the assignment's
     # position in `labels` by (index of d - index of c) times the stride of k
     stride, raises = 1, []
@@ -130,12 +123,12 @@ def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> tuple[
         raises.insert(0, steps)
         stride *= len(f.elements)
     covers = [
-        (lbl, labels[i + step])
-        for i, (combo, lbl) in enumerate(label_of.items())
+        (labels[i], labels[i + step])
+        for i, combo in enumerate(product(*(f.elements for f in factors)))
         for steps, c in zip(raises, combo)
         for step in steps[c]
     ]
-    return FinPoset(tuple(labels), frozenset(rel), tuple(covers)), decode
+    return FinPoset(tuple(labels), tuple(ups), tuple(covers)), decode
 
 
 def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> tuple[FinPoset, dict]:
@@ -247,7 +240,7 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
             for c2 in supersets(c1, f.carrier):
                 for p2 in product(*(supersets(part, c2) for part in p1)):
                     rel.add((l1, label_of[(c2, p2)]))
-        fibers[f.name] = FinPoset(tuple(labels), frozenset(rel))
+        fibers[f.name] = poset_from_pairs(labels, rel)
         decode[f.name] = dec
 
     reindex = {}

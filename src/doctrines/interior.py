@@ -15,8 +15,9 @@ from .order import MonotoneMap, monotone_violations, same_composite
 class InteriorOp:
     """A natural family of monotone fiber endomaps that is deflationary (T)
     and satisfies the 4 axiom, hence is idempotent. A value is never changed
-    after it is built, `parts` included, so its law verdict is computed once
-    and kept on it."""
+    after it is built, `parts` included, so its law verdict, its stable
+    subdoctrine and its adjunction `comonad.ma` are computed once and kept on
+    it; a build that raises keeps nothing and raises again."""
 
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]
@@ -24,6 +25,17 @@ class InteriorOp:
     @cached_property
     def _verdict(self) -> tuple[str, ...]:
         return tuple(_interior_scan(self))
+
+    @cached_property
+    def _stable(self) -> tuple[Doctrine, OneArrow]:
+        return _stable_subdoctrine(self)
+
+    @cached_property
+    def _ma(self):
+        """The stable-subdoctrine adjunction; comonad imports this module, so it is looked up late."""
+        from .comonad import _ma
+
+        return _ma(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteriorOp):
@@ -91,7 +103,12 @@ def stable_elements(op: InteriorOp, x: str) -> tuple[str, ...]:
 
 def stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
     """The doctrine of box-stable elements over the same base, with its
-    inclusion 1-arrow; reindexing is the restriction of the ambient one."""
+    inclusion 1-arrow; reindexing is the restriction of the ambient one.
+    Built once per operator."""
+    return op._stable
+
+
+def _stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
     P = op.doctrine
     keep = {x: stable_elements(op, x) for x in P.base.objects}
     return sub_doctrine(P, keep, "reindexing along {t} does not preserve stability")

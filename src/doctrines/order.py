@@ -8,31 +8,50 @@ reported by a literal scan over the data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset: elements in declaration order, the full leq relation,
-    and its covering pairs.
+    """A finite poset: elements in declaration order, the order as one up-set
+    bitmask per element, and its covering pairs.
+
+    Mask invariant: bit j of `ups[i]` is set iff elements[i] <= elements[j]
+    (the bit-vector encoding of Aït-Kaci, Boyer, Lincoln and Nasr, TOPLAS
+    11(1), 1989). Equality and hash are on `(elements, ups)`.
 
     Invariant: every instance is a partial order on distinct elements. Only
-    the builders `check_poset` (after its axiom scan), `chain_poset`,
-    `antichain_poset`, `sub_poset`, `product_poset`, `powerset_poset` and the
-    fiber builders of `instances` construct one, each from a relation that is
-    a partial order by construction; a repeated element raises here. The
-    cover certificate of `monotone_violations` relies on it: every a <= b is
-    a chain of covers, and the target's <= is reflexive and transitive.
+    the builders `poset_from_pairs` (from a relation that is already a
+    partial order; `check_poset` after its axiom scan and `fam_doctrine`),
+    `chain_poset`, `antichain_poset`, `sub_poset`, `product_poset`,
+    `powerset_poset` and `instances._pointwise_fiber` construct one, each
+    from masks that encode a partial order by construction; a repeated
+    element raises here. The cover certificate of `monotone_violations`
+    relies on it: every a <= b is a chain of covers, and the target's <= is
+    reflexive and transitive.
 
     `covers` is the Hasse diagram, the pairs a < b with nothing strictly
     between. A builder that enumerates the order by its structure passes it;
-    for any other poset `hasse()` derives it from the relation on first use."""
+    for any other poset `hasse()` derives it from the masks on first use.
+    `relation`, the set of pairs a <= b, is built from the masks on first
+    use: only the literal scan of a failing check reads it."""
 
     elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
+    ups: tuple[int, ...]
     covers: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
     _position: dict = field(init=False, repr=False, compare=False, default=None)
+    _up: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         position = {e: i for i, e in enumerate(self.elements)}
@@ -40,33 +59,40 @@ class FinPoset:
             repeated = next(e for i, e in enumerate(self.elements) if position[e] != i)
             raise ValueError(f"repeated poset element {repeated!r}")
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_up", dict(zip(self.elements, self.ups)))
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        els = self.elements
+        return frozenset((a, els[j]) for a, u in zip(els, self.ups) for j in _positions(u))
 
     def hasse(self) -> tuple[tuple[str, str], ...]:
-        """The covering pairs, derived once from the relation when no builder
-        passed them. With strict up-sets as bitmasks, b covers a iff b is in
-        the up-set of a and in the up-set of nothing in it: Θ(|relation|)
-        big-integer operations."""
+        """The covering pairs, derived once from the masks when no builder
+        passed them: b covers a iff b is in the strict up-set of a and in the
+        strict up-set of nothing in it, Θ(|relation|) big-integer operations."""
         if self.covers is None:
-            pos = self._position
-            strict = [0] * len(self.elements)
-            pairs = [(pos[a], pos[b]) for (a, b) in self.relation if a != b]
-            for i, j in pairs:
-                strict[i] |= 1 << j
-            beyond = [0] * len(self.elements)
-            for i, j in pairs:
-                beyond[i] |= strict[j]
+            els = self.elements
+            strict = [u ^ (1 << i) for i, u in enumerate(self.ups)]
             covers = []
-            for i, a in enumerate(self.elements):
-                rest = strict[i] & ~beyond[i]
+            for a, above in zip(els, strict):
+                beyond, rest = 0, above
                 while rest:
                     low = rest & -rest
-                    covers.append((a, self.elements[low.bit_length() - 1]))
+                    beyond |= strict[low.bit_length() - 1]
+                    rest ^= low
+                rest = above & ~beyond
+                while rest:
+                    low = rest & -rest
+                    covers.append((a, els[low.bit_length() - 1]))
                     rest ^= low
             object.__setattr__(self, "covers", tuple(covers))
         return self.covers
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.relation
+        try:
+            return self._up[a] >> self._position[b] & 1 == 1
+        except KeyError:
+            return False
 
     def index(self, a: str) -> int:
         try:
@@ -75,13 +101,45 @@ class FinPoset:
             raise ValueError(f"{a!r} is not an element of the poset") from None
 
     def down(self, a: str) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self.leq(x, a))
+        i = self._position[a]
+        return tuple(x for x, u in zip(self.elements, self.ups) if u >> i & 1)
 
     def up(self, a: str) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self.leq(a, x))
+        return tuple(map(self.elements.__getitem__, _positions(self.ups[self._position[a]])))
 
     def __contains__(self, a: str) -> bool:
         return a in self._position
+
+
+def poset_from_pairs(elements: Sequence[str], relation: Iterable[tuple[str, str]]) -> FinPoset:
+    """The poset on `elements` whose <= is `relation`, which must already be
+    a partial order on them (unchecked: `check_poset` checks first)."""
+    position = {e: i for i, e in enumerate(elements)}
+    ups = [0] * len(elements)
+    for a, b in relation:
+        ups[position[a]] |= 1 << position[b]
+    return FinPoset(tuple(elements), tuple(ups))
+
+
+def product_ups(outer: FinPoset, inner: Sequence[int]) -> list[int]:
+    """The up-set masks of outer × I in lexicographic position order, where
+    `inner` are the masks of a poset I on len(inner) positions. The row of
+    (c, ·) is I's masks shifted into block c, ORed with the rows of the
+    elements covering c; rows are filled in order of increasing up-set size,
+    so each cover's row is ready first whatever the declaration order."""
+    size = len(inner)
+    pos = outer._position
+    above = [[] for _ in outer.elements]
+    for c, d in outer.hasse():
+        above[pos[c]].append(pos[d])
+    rows = [None] * len(outer.elements)
+    for c in sorted(range(len(outer.elements)), key=list(map(int.bit_count, outer.ups)).__getitem__):
+        shift = c * size
+        row = [u << shift for u in inner]
+        for d in above[c]:
+            row = list(map(or_, row, rows[d]))
+        rows[c] = row
+    return [u for row in rows for u in row]
 
 
 def poset_violations(elements: Sequence[str], relation: Iterable[tuple[str, str]]) -> list[str]:
@@ -117,7 +175,7 @@ def check_poset(
     bad = poset_violations(elements, relation)
     if bad:
         return bad
-    return FinPoset(tuple(elements), frozenset(relation))
+    return poset_from_pairs(elements, relation)
 
 
 def close_relation(
@@ -153,19 +211,31 @@ def fin_poset(
 
 
 def chain_poset(labels: Sequence[str]) -> FinPoset:
-    pairs = [(labels[i], labels[j]) for i in range(len(labels)) for j in range(i, len(labels))]
-    return FinPoset(tuple(labels), frozenset(pairs), tuple(zip(labels, labels[1:])))
+    n = len(labels)
+    ups = tuple((1 << n) - (1 << i) for i in range(n))
+    return FinPoset(tuple(labels), ups, tuple(zip(labels, labels[1:])))
 
 
 def antichain_poset(labels: Sequence[str]) -> FinPoset:
-    return FinPoset(tuple(labels), frozenset((x, x) for x in labels), ())
+    return FinPoset(tuple(labels), tuple(1 << i for i in range(len(labels))), ())
 
 
 def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
+    """The induced order on the members of `elements`, in p's order: each
+    kept mask is compressed to the bits of the kept positions."""
     wanted = set(elements)
-    keep = [e for e in p.elements if e in wanted]
-    rel = frozenset((a, b) for (a, b) in p.relation if a in wanted and b in wanted)
-    return FinPoset(tuple(keep), rel)
+    kept = [i for i, e in enumerate(p.elements) if e in wanted]
+    keep = sum(map((1).__lshift__, kept))
+    bit = {i: 1 << t for t, i in enumerate(kept)}  # the new bit of each kept position
+    ups = []
+    for i in kept:
+        rest, up = p.ups[i] & keep, 0
+        while rest:
+            low = rest & -rest
+            up |= bit[low.bit_length() - 1]
+            rest ^= low
+        ups.append(up)
+    return FinPoset(tuple(map(p.elements.__getitem__, kept)), tuple(ups))
 
 
 def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
@@ -173,11 +243,7 @@ def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
     if label is None:
         label = lambda a, b: f"({a}|{b})"
     elems = tuple(label(a, b) for a in p.elements for b in q.elements)
-    names = {(a, b): label(a, b) for a in p.elements for b in q.elements}
-    rel = frozenset(
-        (names[(a, b)], names[(c, d)]) for (a, c) in p.relation for (b, d) in q.relation
-    )
-    return FinPoset(elems, rel)
+    return FinPoset(elems, tuple(product_ups(p, q.ups)))
 
 
 @dataclass(frozen=True)
@@ -224,8 +290,8 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
     # every a <= b is a chain of covers and the target's <= is reflexive and
     # transitive, so preserving the covers certifies a pass; on a miss the
     # scan below finds the witnesses
-    mapping, rel = m.mapping, m.dst.relation
-    if all((mapping[a], mapping[b]) in rel for (a, b) in m.src.hasse()):
+    mapping, up, pos = m.mapping, m.dst._up, m.dst._position
+    if all(up[mapping[a]] >> pos[mapping[b]] & 1 for (a, b) in m.src.hasse()):
         return []
     for (a, b) in m.src.relation:
         if not m.dst.leq(m.mapping[a], m.mapping[b]):
@@ -357,24 +423,24 @@ def subsets_in_order(ground: Sequence[str]) -> list[frozenset[str]]:
 
 
 def powerset_poset(ground: Sequence[str]) -> FinPoset:
-    """Subsets in `subsets_in_order` order under inclusion. Each subset, as a
-    bitmask m of ground positions, walks only its supersets (t ↦ (t+1) | m),
-    so the build costs the 3ⁿ related pairs rather than 4ⁿ tests; its covers
-    add one point each, n·2ⁿ⁻¹ pairs."""
+    """Subsets in `subsets_in_order` order under inclusion. A subset's covers
+    add one point each, n·2ⁿ⁻¹ pairs; its up-set mask is its own bit ORed with
+    the masks of its covers, filled from the largest subsets down, one OR per
+    cover."""
     n = len(ground)
     label_of = {}
     for r in range(n + 1):
         for combo in combinations(range(n), r):
             label_of[sum(1 << i for i in combo)] = subset_label((ground[i] for i in combo), ground)
-    full = (1 << n) - 1
-    rel = set()
-    for m, lbl in label_of.items():
-        t = m
-        while True:
-            rel.add((lbl, label_of[t]))
-            if t == full:
-                break
-            t = (t + 1) | m
     bits = [1 << i for i in range(n)]
+    subsets = list(label_of)
+    position = {m: i for i, m in enumerate(subsets)}
+    ups = [0] * len(subsets)
+    for i in reversed(range(len(subsets))):
+        m, up = subsets[i], 1 << i
+        for b in bits:
+            if not m & b:
+                up |= ups[position[m | b]]
+        ups[i] = up
     covers = [(lbl, label_of[m | b]) for m, lbl in label_of.items() for b in bits if not m & b]
-    return FinPoset(tuple(label_of.values()), frozenset(rel), tuple(covers))
+    return FinPoset(tuple(label_of.values()), tuple(ups), tuple(covers))

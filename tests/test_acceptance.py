@@ -89,8 +89,9 @@ def test_criterion_11_presheaf_oracle():
 
 
 def test_suite_scans_each_value_and_builds_each_em_doctrine_once(monkeypatch):
-    # verdicts and EM doctrines are kept on their values, so the suite, which
-    # passes one value through several constructions, scans it only once
+    # verdicts, EM doctrines, stable subdoctrines and ma adjunctions are kept
+    # on their values, so the suite, which passes one value through several
+    # constructions, scans or builds from it only once
     from doctrines import adjunction, comonad, interior
 
     calls = {}
@@ -105,15 +106,29 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    # the bundled values are built afresh, so nothing an earlier test kept on
+    # them hides a build from the count
+    for value in vars(S).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
     for module, name in [
         (adjunction, "_adjunction_scan"),
         (comonad, "_comonad_scan"),
         (interior, "_interior_scan"),
         (comonad, "_em_bundle"),
+        (comonad, "_ma"),
+        (interior, "_stable_subdoctrine"),
     ]:
         count(module, name)
     assert S.run_acceptance(SEED)["pass"]
-    assert {name for name, _ in calls} == {"_adjunction_scan", "_comonad_scan", "_interior_scan", "_em_bundle"}
+    assert {name for name, _ in calls} == {
+        "_adjunction_scan",
+        "_comonad_scan",
+        "_interior_scan",
+        "_em_bundle",
+        "_ma",
+        "_stable_subdoctrine",
+    }
     assert [(name, n) for (name, _), (_, n) in calls.items() if n > 1] == []
 
 

@@ -305,9 +305,11 @@ def is_category(x):
     assert _callers(source, "FinCategory") == ["check_category", "shortcut", "Builder.build.inner", "<module>"]
 
 
-# the builders that may construct a FinPoset: each builds a partial order,
-# which the cover certificate of monotone_violations needs
+# the builders that may construct a FinPoset, directly or through
+# poset_from_pairs: each builds a partial order, which the cover certificate
+# of monotone_violations needs
 FIN_POSET_BUILDERS = {
+    "order.poset_from_pairs",
     "order.check_poset",
     "order.chain_poset",
     "order.antichain_poset",
@@ -328,8 +330,9 @@ def _unlisted_callers(sources: dict, name: str, allowed: set) -> list[str]:
 
 def test_only_the_named_builders_build_a_fin_poset():
     sources = {path.stem: path.read_text() for path in SOURCES}
-    assert any(_callers(text, "FinPoset") for text in sources.values())
-    assert _unlisted_callers(sources, "FinPoset", FIN_POSET_BUILDERS) == []
+    for name in ("FinPoset", "poset_from_pairs"):
+        assert any(_callers(text, name) for text in sources.values())
+        assert _unlisted_callers(sources, name, FIN_POSET_BUILDERS) == []
 
 
 def test_fin_poset_scan_flags_planted_calls_and_nothing_else():
@@ -457,7 +460,7 @@ TABLE_FIELDS = {
 }
 MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
 # FinPoset.hasse fills its `covers` field, which takes no part in equality,
-# with the covering pairs of its own relation, once
+# with the covering pairs of its own up-set masks, once
 MEMO_WRITES = {"order.FinPoset.hasse: object.__setattr__"}
 
 

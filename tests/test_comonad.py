@@ -249,6 +249,36 @@ def test_mc_and_ma_on_interior_ops():
         assert galois_violations(A) == []
 
 
+def test_ma_and_stable_subdoctrine_are_built_once_per_operator():
+    d = powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]})
+    op = identity_interior(d)
+    assert ma(op) is ma(op)
+    assert stable_subdoctrine(op) is stable_subdoctrine(op)
+    assert ma(op).p is stable_subdoctrine(op)[0]
+    # a separately built equal operator gets its own
+    other = identity_interior(d)
+    assert other == op and ma(other) is not ma(op)
+
+
+def test_ma_of_an_invalid_operator_raises_the_same_error_every_time():
+    d = powerset_doctrine_over({"A": ["a1"]})
+    # every fiber element sent to the top: inflationary, so axiom T fails
+    op = InteriorOp(
+        d,
+        {
+            x: MonotoneMap(d.fibers[x], d.fibers[x], {l: d.fibers[x].elements[-1] for l in d.fibers[x].elements})
+            for x in d.base.objects
+        },
+    )
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            ma(op)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] and messages[0].startswith("invalid interior operator: ")
+    assert "_ma" not in vars(op)
+
+
 def test_local_adjunction_checks(seed=19):
     rng = random.Random(seed)
     for _ in range(5):

@@ -52,13 +52,13 @@ from doctrines.instances import (
 )
 from doctrines.instances import _function_fiber, _pointwise_fiber, fun_label
 from doctrines.order import (
-    FinPoset,
     antichain_poset,
     chain_poset,
     fin_poset,
     identity_map,
     label_subset,
     lattice_from_poset,
+    poset_from_pairs,
     product_poset,
     powerset_poset,
     subset_label,
@@ -381,7 +381,7 @@ def test_pointwise_fiber_covers_equal_the_definition(name):
     fiber, _ = _pointwise_fiber([f"k{i}" for i in range(len(factors))], factors)
     want = covers_by_definition(fiber)
     assert set(fiber.hasse()) == want and len(fiber.hasse()) == len(want)
-    assert set(FinPoset(fiber.elements, fiber.relation).hasse()) == want
+    assert set(poset_from_pairs(fiber.elements, fiber.relation).hasse()) == want
 
 
 def _two_chain_presheaves():
@@ -524,7 +524,7 @@ def test_bang_laws_on_powerset_monoid_quantale():
 
 def _all_pairs_order(labels, below):
     """Reference: the order on `labels` by testing every pair."""
-    return FinPoset(tuple(labels), frozenset((l1, l2) for l1 in labels for l2 in labels if below(l1, l2)))
+    return poset_from_pairs(labels, [(l1, l2) for l1 in labels for l2 in labels if below(l1, l2)])
 
 
 def _all_pairs_function_fiber(domain, codomain):

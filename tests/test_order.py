@@ -18,6 +18,7 @@ from doctrines.order import (
     lattice_from_poset,
     lattice_violations,
     monotone_map,
+    poset_from_pairs,
     powerset_poset,
     product_poset,
     sub_poset,
@@ -32,6 +33,7 @@ from util import (
     poset_height,
     post_fixed_join,
     powerset_lattice,
+    powerset_poset_reference,
 )
 
 
@@ -132,15 +134,15 @@ def _all_pairs_powerset(ground):
         for j, t in enumerate(subsets)
         if s <= t
     )
-    return FinPoset(tuple(labels), rel)
+    return poset_from_pairs(labels, rel)
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_powerset_poset_equals_all_pairs_reference(n):
     ground = [f"p{i}" for i in range(n)]
-    got, want = powerset_poset(ground), _all_pairs_powerset(ground)
-    assert got.elements == want.elements
-    assert got.relation == want.relation
+    got, want, walked = powerset_poset(ground), _all_pairs_powerset(ground), powerset_poset_reference(ground)
+    assert got.elements == want.elements == walked.elements
+    assert got.relation == want.relation == walked.relation
 
 
 def test_product_poset_equals_all_pairs_reference():
@@ -257,7 +259,7 @@ def test_height_of_powerset():
 
 def test_repeated_element_is_rejected():
     with pytest.raises(ValueError, match="repeated poset element 'a'"):
-        FinPoset(("a", "b", "a"), frozenset({("a", "a"), ("b", "b")}))
+        poset_from_pairs(("a", "b", "a"), frozenset({("a", "a"), ("b", "b")}))
 
 
 def _random_poset(rng, n):
@@ -280,7 +282,7 @@ def test_builder_covers_equal_the_definition_and_the_derived_covers(p):
     assert p.covers is not None
     want = covers_by_definition(p)
     assert set(p.hasse()) == want and len(p.hasse()) == len(want)
-    assert set(FinPoset(p.elements, p.relation).hasse()) == want
+    assert set(poset_from_pairs(p.elements, p.relation).hasse()) == want
 
 
 def test_powerset_covers_are_n_times_half_the_subsets():

@@ -1,14 +1,15 @@
 """Shared builders and reference oracles for tests; deliberately independent
 of the doctrines.instances constructors (only `valid_quantale` is borrowed,
-to validate a quantale) so those can be cross-checked against these."""
+to validate a quantale, and `fun_label`, to name an assignment) so those can
+be cross-checked against these."""
 
 import argparse
-from itertools import product
+from itertools import combinations, product
 
 from doctrines.doctrine import Doctrine
 from doctrines.fincat import fin_category, full_function_category, function_arrow_name, function_graph
-from doctrines.instances import valid_quantale
-from doctrines.order import FinLattice, MonotoneMap, label_subset, powerset_poset, subset_label
+from doctrines.instances import fun_label, valid_quantale
+from doctrines.order import FinLattice, MonotoneMap, label_subset, poset_from_pairs, powerset_poset, subset_label
 
 
 def powerset_doctrine_over(sets):
@@ -322,6 +323,48 @@ def covers_by_definition(p):
         for (a, b) in rel
         if a != b and not any(c not in (a, b) and (a, c) in rel and (c, b) in rel for c in p.elements)
     }
+
+
+def powerset_poset_reference(ground):
+    """The inclusion order on the subsets of `ground`, in `powerset_poset`
+    order, as a set of pairs: each subset, as a bitmask m of ground
+    positions, walks only its supersets (t ↦ (t+1) | m), so the build costs
+    the 3ⁿ related pairs."""
+    n = len(ground)
+    label_of = {}
+    for r in range(n + 1):
+        for combo in combinations(range(n), r):
+            label_of[sum(1 << i for i in combo)] = subset_label((ground[i] for i in combo), ground)
+    full = (1 << n) - 1
+    rel = set()
+    for m, lbl in label_of.items():
+        t = m
+        while True:
+            rel.add((lbl, label_of[t]))
+            if t == full:
+                break
+            t = (t + 1) | m
+    return poset_from_pairs(list(label_of.values()), rel)
+
+
+def pointwise_fiber_reference(keys, factors):
+    """The pointwise order on the assignments of an element of factors[i] to
+    keys[i], in `instances._pointwise_fiber` order and labels, as a set of
+    pairs: the assignments above m are the product of the up-sets of its
+    values, Π|≤ᵢ| related pairs."""
+    keys = list(keys)
+    label_of = {combo: fun_label(dict(zip(keys, combo)), keys) for combo in product(*(f.elements for f in factors))}
+    ups = []
+    for f in factors:
+        up = {c: [] for c in f.elements}
+        for (a, b) in f.relation:
+            up[a].append(b)
+        ups.append(up)
+    rel = set()
+    for combo, lbl in label_of.items():
+        for above in product(*(up[c] for up, c in zip(ups, combo))):
+            rel.add((lbl, label_of[above]))
+    return poset_from_pairs(list(label_of.values()), rel)
 
 
 def _pointwise(q, keys):
