@@ -45,7 +45,8 @@ class FinPoset:
     between. A builder that enumerates the order by its structure passes it;
     for any other poset `hasse()` derives it from the masks on first use.
     `relation`, the set of pairs a <= b, is built from the masks on first
-    use: only the literal scan of a failing check reads it."""
+    use; the library never reads it (the literal scan of a failing check
+    walks the masks), so it is there for callers that want the pairs."""
 
     elements: tuple[str, ...]
     ups: tuple[int, ...]
@@ -75,16 +76,10 @@ class FinPoset:
             strict = [u ^ (1 << i) for i, u in enumerate(self.ups)]
             covers = []
             for a, above in zip(els, strict):
-                beyond, rest = 0, above
-                while rest:
-                    low = rest & -rest
-                    beyond |= strict[low.bit_length() - 1]
-                    rest ^= low
-                rest = above & ~beyond
-                while rest:
-                    low = rest & -rest
-                    covers.append((a, els[low.bit_length() - 1]))
-                    rest ^= low
+                beyond = 0
+                for j in _positions(above):
+                    beyond |= strict[j]
+                covers.extend((a, els[j]) for j in _positions(above & ~beyond))
             object.__setattr__(self, "covers", tuple(covers))
         return self.covers
 
@@ -227,15 +222,8 @@ def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
     kept = [i for i, e in enumerate(p.elements) if e in wanted]
     keep = sum(map((1).__lshift__, kept))
     bit = {i: 1 << t for t, i in enumerate(kept)}  # the new bit of each kept position
-    ups = []
-    for i in kept:
-        rest, up = p.ups[i] & keep, 0
-        while rest:
-            low = rest & -rest
-            up |= bit[low.bit_length() - 1]
-            rest ^= low
-        ups.append(up)
-    return FinPoset(tuple(map(p.elements.__getitem__, kept)), tuple(ups))
+    ups = tuple(sum(bit[j] for j in _positions(p.ups[i] & keep)) for i in kept)
+    return FinPoset(tuple(map(p.elements.__getitem__, kept)), ups)
 
 
 def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
@@ -293,9 +281,13 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
     mapping, up, pos = m.mapping, m.dst._up, m.dst._position
     if all(up[mapping[a]] >> pos[mapping[b]] & 1 for (a, b) in m.src.hasse()):
         return []
-    for (a, b) in m.src.relation:
-        if not m.dst.leq(m.mapping[a], m.mapping[b]):
-            out.append(f"order not preserved on ({a},{b})")
+    els, dst_ups = m.src.elements, m.dst.ups
+    image = [pos[mapping[a]] for a in els]
+    for i, a in enumerate(els):
+        above = dst_ups[image[i]]
+        for j in _positions(m.src.ups[i]):
+            if not above >> image[j] & 1:
+                out.append(f"order not preserved on ({a},{els[j]})")
     return sorted(out)
 
 

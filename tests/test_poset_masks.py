@@ -138,6 +138,6 @@ def test_a_planted_non_monotone_map_still_gets_its_literal_witnesses():
     assert "relation" not in vars(fiber)
     want = sorted(f"order not preserved on ({a},{top})" for a in fiber.elements if a not in (bottom, top))
     assert monotone_violations(m) == want
-    # the literal scan read the pair set, and kept it on the fiber
-    assert "relation" in vars(fiber) and len(fiber.relation) == 3**9
+    # the literal scan walked the masks and built no pair set
+    assert "relation" not in vars(fiber)
     assert monotone_violations(MonotoneMap(fiber, fiber, {a: a for a in fiber.elements})) == []

@@ -12,7 +12,7 @@ operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
 timed on 3-6 worlds: its fiber has 4^n elements and 9^n related pairs, so
 at 8 worlds it would hold 43 M pairs as a pair set. Each measurement runs
 in a fresh interpreter that imports the library from one checkout's `src`,
-and the two checkouts take turns at each size, `--rounds` times; a row is
+and the two checkouts take turns at each size, `ROUNDS` times; a row is
 the best of each side's timings (`REPEATS` per interpreter).
 
 `end-to-end` runs `bench/run.py` in the two checkouts in turn, alternating
@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ONE_KEY_WORLDS = range(8, 14)
 TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
+ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
 
 
@@ -97,7 +98,7 @@ def layers(args) -> None:
     rows = {}
     for n in [*TWO_KEY_WORLDS, *ONE_KEY_WORLDS]:
         sides = [("parent", args.parent), ("change", args.change)]
-        for k in range(args.rounds):
+        for k in range(ROUNDS):
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
                 child = subprocess.run(
                     [sys.executable, __file__, "measure", "--src", str(checkout / "src"), "--worlds", str(n)],
@@ -143,7 +144,6 @@ def main() -> None:
     lay = sub.add_parser("layers")
     lay.add_argument("--parent", type=Path, required=True)
     lay.add_argument("--change", type=Path, default=ROOT)
-    lay.add_argument("--rounds", type=int, default=4)
     lay.add_argument("--out", type=Path, required=True)
     one = sub.add_parser("measure")
     one.add_argument("--src", type=Path, required=True)
