@@ -15,7 +15,6 @@ from .doctrine import (
     TwoArrow,
     base_change,
     compose_one_arrows,
-    identity_one_arrow,
     identity_parts,
     one_arrow_violations,
     two_arrow_violations,
@@ -24,7 +23,6 @@ from .fincat import (
     Functor,
     NatTransformation,
     adjunction_cat,
-    compose_functors,
     discrete_category,
     identity_functor,
     identity_nat,
@@ -86,22 +84,6 @@ def left_arrow(A: DoctrineAdjunction) -> OneArrow:
 
 def right_arrow(A: DoctrineAdjunction) -> OneArrow:
     return OneArrow(A.q, A.p, A.right, dict(A.rho))
-
-
-def eta_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
-    return TwoArrow(
-        identity_one_arrow(A.p),
-        compose_one_arrows(right_arrow(A), left_arrow(A)),
-        A.eta,
-    )
-
-
-def eps_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
-    return TwoArrow(
-        compose_one_arrows(left_arrow(A), right_arrow(A)),
-        identity_one_arrow(A.q),
-        A.eps,
-    )
 
 
 def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
@@ -461,65 +443,6 @@ def identity_adj_morphism(A: DoctrineAdjunction) -> AdjMorphism:
     )
 
 
-def compose_adj_morphisms(n: AdjMorphism, m: AdjMorphism) -> AdjMorphism:
-    """n∘m for m: A→B, n: B→C."""
-    if m.dst != n.src:
-        raise ValueError("compose_adj_morphisms: boundary mismatch")
-    theta = {}
-    for y in m.src.q.base.objects:
-        theta[y] = n.dst.p.base.comp(
-            n.theta.components[m.fun_q.obj_map[y]],
-            n.fun_p.arr_map[m.theta.components[y]],
-        )
-    return AdjMorphism(
-        m.src,
-        n.dst,
-        compose_functors(n.fun_p, m.fun_p),
-        {
-            x: compose_maps(n.parts_p[m.fun_p.obj_map[x]], m.parts_p[x])
-            for x in m.src.p.base.objects
-        },
-        compose_functors(n.fun_q, m.fun_q),
-        {
-            y: compose_maps(n.parts_q[m.fun_q.obj_map[y]], m.parts_q[y])
-            for y in m.src.q.base.objects
-        },
-        NatTransformation(
-            compose_functors(compose_functors(n.fun_p, m.fun_p), m.src.right),
-            compose_functors(n.dst.right, compose_functors(n.fun_q, m.fun_q)),
-            theta,
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class AdjTwoCell:
-    src: AdjMorphism
-    dst: AdjMorphism
-    alpha: TwoArrow  # between the p-side 1-arrows
-    beta: TwoArrow  # between the q-side 1-arrows
-
-
-def adj_two_cell_violations(c: AdjTwoCell) -> list[str]:
-    out = []
-    out.extend("alpha: " + v for v in two_arrow_violations(c.alpha))
-    out.extend("beta: " + v for v in two_arrow_violations(c.beta))
-    if out:
-        return out
-    m, n = c.src, c.dst
-    B = m.dst
-    for x in m.src.p.base.objects:
-        if B.left.arr_map[c.alpha.theta.components[x]] != c.beta.theta.components[m.src.left.obj_map[x]]:
-            out.append(f"L^B alpha != beta L^A at {x}")
-    basePB = B.p.base
-    for y in m.src.q.base.objects:
-        lhs = basePB.comp(n.theta.components[y], c.alpha.theta.components[m.src.right.obj_map[y]])
-        rhs = basePB.comp(B.right.arr_map[c.beta.theta.components[y]], m.theta.components[y])
-        if lhs != rhs:
-            out.append(f"theta square fails at {y}")
-    return out
-
-
 def am_functor(m: AdjMorphism) -> OneArrow:
     """The modal 1-arrow ⟨F, g at L^A−⟩ between the induced modal doctrines."""
     src_doc, _ = am_modality(m.src)
@@ -530,10 +453,6 @@ def am_functor(m: AdjMorphism) -> OneArrow:
         m.fun_p,
         {x: m.parts_q[m.src.left.obj_map[x]] for x in m.src.p.base.objects},
     )
-
-
-def am_functor_2cell(c: AdjTwoCell) -> TwoArrow:
-    return TwoArrow(am_functor(c.src), am_functor(c.dst), c.alpha.theta)
 
 
 def random_vertical_adjunction(rng: random.Random, max_objects: int = 2, max_ground: int = 4) -> DoctrineAdjunction:

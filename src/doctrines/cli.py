@@ -225,14 +225,6 @@ def parse(path: str) -> ModelDocument:
         return parse_text(fh.read())
 
 
-def serialize(doc: ModelDocument) -> str:
-    lines = []
-    for d in doc.declarations:
-        body = "; ".join(f"{k}: " + " ".join(atoms) for k, atoms in d.entries)
-        lines.append(f"{d.kind} {d.name} {{ {body} }}")
-    return "\n".join(lines) + "\n"
-
-
 def _pairs(atoms):
     out = []
     for a in atoms:

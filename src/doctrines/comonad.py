@@ -44,7 +44,6 @@ from .fincat import (
     identity_functor,
     identity_nat,
     nat_violations,
-    same_functor_composite,
 )
 from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
 from .order import MonotoneMap, compose_maps, restrict_map
@@ -283,32 +282,6 @@ def comparison_arrow(A: DoctrineAdjunction) -> OneArrow:
     return OneArrow(A.p, bundle.em, functor, parts)
 
 
-def unit_comparison_morphism(A: DoctrineAdjunction) -> AdjMorphism:
-    """The unit of the comonad/adjunction 2-adjunction at A: the adjunction
-    homomorphism from A into the EM adjunction of its induced comonad, built
-    from the comparison arrow on the one side and the identity on the other."""
-    B = em_adjunction(cmd_of_adjunction(A))
-    comp = comparison_arrow(A)
-    emcat = B.p.base
-    theta = NatTransformation(
-        compose_functors(comp.functor, A.right),
-        compose_functors(B.right, identity_functor(A.q.base)),
-        {
-            y: emcat.id(comp.functor.obj_map[A.right.obj_map[y]])
-            for y in A.q.base.objects
-        },
-    )
-    return AdjMorphism(
-        A,
-        B,
-        comp.functor,
-        dict(comp.parts),
-        identity_functor(A.q.base),
-        identity_parts(A.q),
-        theta,
-    )
-
-
 def modality_comparison_check(A: DoctrineAdjunction) -> dict:
     """The adjunction modality equals the comonadic modality along the
     comparison functor, and ⟨K, id⟩ is a modal 1-arrow between the two."""
@@ -424,85 +397,6 @@ def local_adjunction_checks_modal(op: InteriorOp) -> dict:
         and n.theta.components == dict(ident.theta.components)
     )
     return {"nabla_at_ma_is_identity": same, "pass": same}
-
-
-@dataclass(frozen=True)
-class CmdMorphism:
-    """A morphism of comonads: a 1-arrow of doctrines plus a 2-cell θ: FK ⇒ JF
-    commuting with counits and comultiplications."""
-
-    src: DoctrineComonad
-    dst: DoctrineComonad
-    arrow: OneArrow
-    theta: NatTransformation
-
-
-def cmd_morphism_violations(m: CmdMorphism) -> list[str]:
-    out = []
-    if m.arrow.src != m.src.p or m.arrow.dst != m.dst.p:
-        return ["arrow boundary mismatch"]
-    out.extend("arrow: " + v for v in one_arrow_violations(m.arrow))
-    if out:
-        return out
-    F = m.arrow.functor
-    K, J = m.src.k, m.dst.k
-    if not same_functor_composite(F, K, m.theta.src) or not same_functor_composite(J, F, m.theta.dst):
-        return ["theta has wrong functor boundary"]
-    out.extend("theta: " + v for v in nat_violations(m.theta))
-    if out:
-        return out
-    baseB = m.dst.p.base
-    for x in m.src.p.base.objects:
-        lhs = baseB.comp(m.dst.nu.components[F.obj_map[x]], m.theta.components[x])
-        if lhs != F.arr_map[m.src.nu.components[x]]:
-            out.append(f"counit diagram fails at {x}")
-        lhs = baseB.comp(
-            J.arr_map[m.theta.components[x]],
-            baseB.comp(m.theta.components[K.obj_map[x]], F.arr_map[m.src.mu.components[x]]),
-        )
-        rhs = baseB.comp(m.dst.mu.components[F.obj_map[x]], m.theta.components[x])
-        if lhs != rhs:
-            out.append(f"comultiplication diagram fails at {x}")
-    if out:
-        return out
-    lhs_arrow = compose_one_arrows(m.arrow, cmd_arrow(m.src))
-    rhs_arrow = compose_one_arrows(cmd_arrow(m.dst), m.arrow)
-    out.extend("theta 2-arrow: " + v for v in two_arrow_violations(TwoArrow(lhs_arrow, rhs_arrow, m.theta)))
-    return out
-
-
-def mc_morphism(arrow: OneArrow, op_src: InteriorOp, op_dst: InteriorOp) -> CmdMorphism:
-    """MC on 1-arrows: a modal 1-arrow becomes a comonad morphism with θ = id."""
-    theta = NatTransformation(
-        compose_functors(arrow.functor, identity_functor(arrow.src.base)),
-        compose_functors(identity_functor(arrow.dst.base), arrow.functor),
-        {x: arrow.dst.base.id(arrow.functor.obj_map[x]) for x in arrow.src.base.objects},
-    )
-    return CmdMorphism(mc(op_src), mc(op_dst), arrow, theta)
-
-
-@dataclass(frozen=True)
-class CmdTwoCell:
-    src: CmdMorphism
-    dst: CmdMorphism
-    alpha: TwoArrow
-
-
-def cmd_two_cell_violations(c: CmdTwoCell) -> list[str]:
-    out = list("alpha: " + v for v in two_arrow_violations(c.alpha))
-    if out:
-        return out
-    m, n = c.src, c.dst
-    if c.alpha.src != m.arrow or c.alpha.dst != n.arrow:
-        return ["alpha does not connect the two morphism arrows"]
-    baseB = m.dst.p.base
-    J, K = m.dst.k, m.src.k
-    for x in m.src.p.base.objects:
-        lhs = baseB.comp(J.arr_map[c.alpha.theta.components[x]], m.theta.components[x])
-        rhs = baseB.comp(n.theta.components[x], c.alpha.theta.components[K.obj_map[x]])
-        if lhs != rhs:
-            out.append(f"two-cell square fails at {x}")
-    return out
 
 
 CANDIDATE_CAP = 10_000

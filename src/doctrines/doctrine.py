@@ -19,7 +19,6 @@ from .fincat import (
     compose_functors,
     functor_violations,
     identity_functor,
-    identity_nat,
     nat_violations,
 )
 from .order import (
@@ -81,14 +80,6 @@ def doctrine_violations(d: Doctrine) -> list[str]:
             if B.dst(f) == B.src(g) and not same_composite(P[f], P[g], P[B.comp(g, f)]):
                 out.append(f"contravariance fails on ({g},{f})")
     return out
-
-
-def constant_doctrine(base: FinCategory, fiber: FinPoset) -> Doctrine:
-    return Doctrine(
-        base,
-        {x: fiber for x in base.objects},
-        {a: identity_map(fiber) for a in base.arrow_names()},
-    )
 
 
 def inverse_image_doctrine(fc: FunctionCategory) -> Doctrine:
@@ -235,46 +226,6 @@ def two_arrow_violations(t: TwoArrow) -> list[str]:
             if not Q.fibers[a.functor.obj_map[x]].leq(fx.apply(alpha), rein.apply(gx.apply(alpha))):
                 out.append(f"lax inequality fails at ({x},{alpha})")
     return out
-
-
-def identity_two_arrow(a: OneArrow) -> TwoArrow:
-    return TwoArrow(a, a, identity_nat(a.functor))
-
-
-def vertical_compose_two_arrows(z: TwoArrow, t: TwoArrow) -> TwoArrow:
-    """Componentwise composite of t: a ⇒ a' and z: a' ⇒ a''."""
-    if t.dst != z.src:
-        raise ValueError("vertical_compose_two_arrows: middle 1-arrow mismatch")
-    D = t.src.dst.base
-    theta = NatTransformation(
-        t.theta.src,
-        z.theta.dst,
-        {
-            x: D.comp(z.theta.components[x], t.theta.components[x])
-            for x in t.src.src.base.objects
-        },
-    )
-    return TwoArrow(t.src, z.dst, theta)
-
-
-def whisker_arrow_two(b: OneArrow, t: TwoArrow) -> TwoArrow:
-    """Left whiskering b·t for b composable after both boundaries of t."""
-    theta = NatTransformation(
-        compose_functors(b.functor, t.src.functor),
-        compose_functors(b.functor, t.dst.functor),
-        {x: b.functor.arr_map[t.theta.components[x]] for x in t.src.src.base.objects},
-    )
-    return TwoArrow(compose_one_arrows(b, t.src), compose_one_arrows(b, t.dst), theta)
-
-
-def whisker_two_arrow(t: TwoArrow, a: OneArrow) -> TwoArrow:
-    """Right whiskering t·a for a composable before both boundaries of t."""
-    theta = NatTransformation(
-        compose_functors(t.src.functor, a.functor),
-        compose_functors(t.dst.functor, a.functor),
-        {x: t.theta.components[a.functor.obj_map[x]] for x in a.src.base.objects},
-    )
-    return TwoArrow(compose_one_arrows(t.src, a), compose_one_arrows(t.dst, a), theta)
 
 
 def pair_label(a: str, b: str) -> str:

@@ -197,11 +197,6 @@ def poset_category(p: FinPoset) -> FinCategory:
     return fin_category(p.elements, arrows, identities, composition)
 
 
-def one_object_monoid_category(obj: str, elements: Sequence[str], unit: str, table: Mapping[tuple[str, str], str]) -> FinCategory:
-    arrows = [(e, obj, obj) for e in elements]
-    return fin_category([obj], arrows, {obj: unit}, dict(table))
-
-
 def function_arrow_name(src_obj: str, dst_obj: str, mapping: Mapping[str, str], src_order: Sequence[str]) -> str:
     graph = ",".join(f"{e}>{mapping[e]}" for e in src_order)
     return f"{src_obj}->{dst_obj}:{graph}"
@@ -251,14 +246,6 @@ def all_functions(src: Iterable[str], dst: Iterable[str]):
     order; one empty function when src is empty, none when only dst is."""
     src = tuple(src)
     return (dict(zip(src, images)) for images in product(dst, repeat=len(src)))
-
-
-def function_graph(cat_arrow_name: str) -> dict[str, str]:
-    """Recover the graph of a full_function_category arrow from its name."""
-    body = cat_arrow_name.split(":", 1)[1]
-    if not body:
-        return {}
-    return dict(pair.split(">") for pair in body.split(","))
 
 
 @dataclass(frozen=True)
@@ -351,10 +338,6 @@ def identity_functor(C: FinCategory) -> Functor:
     return C._identity
 
 
-def constant_functor(C: FinCategory, D: FinCategory, obj: str) -> Functor:
-    return Functor(C, D, {x: obj for x in C.objects}, {a: D.id(obj) for a in C.arrow_names()})
-
-
 def compose_functors(G: Functor, F: Functor) -> Functor:
     """G∘F (apply F first)."""
     if F.dst != G.src:
@@ -437,24 +420,6 @@ def fin_nat(src, dst, components) -> NatTransformation:
 
 def identity_nat(F: Functor) -> NatTransformation:
     return NatTransformation(F, F, {x: F.dst.id(F.obj_map[x]) for x in F.src.objects})
-
-
-def whisker_functor_nat(H: Functor, t: NatTransformation) -> NatTransformation:
-    """H·t : H∘F ⇒ H∘G, components H(t_X)."""
-    return NatTransformation(
-        compose_functors(H, t.src),
-        compose_functors(H, t.dst),
-        {x: H.arr_map[t.components[x]] for x in t.src.src.objects},
-    )
-
-
-def whisker_nat_functor(t: NatTransformation, H: Functor) -> NatTransformation:
-    """t·H : F∘H ⇒ G∘H, components t_{H X}."""
-    return NatTransformation(
-        compose_functors(t.src, H),
-        compose_functors(t.dst, H),
-        {x: t.components[H.obj_map[x]] for x in H.src.objects},
-    )
 
 
 def adjunction_cat(L: Functor, R: Functor, eta: NatTransformation, eps: NatTransformation) -> list[str]:

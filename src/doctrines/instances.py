@@ -17,9 +17,7 @@ from typing import Mapping, Sequence
 from .adjunction import DoctrineAdjunction, vertical_adjunction, vertical_modality
 from .doctrine import (
     Doctrine,
-    OneArrow,
     ProductData,
-    identity_parts,
     inverse_image_doctrine,
     pair_label,
     power_doctrine,
@@ -29,14 +27,13 @@ from .doctrine import (
 )
 from .fincat import (
     FinCategory,
-    Functor,
     FunctionCategory,
     all_functions,
     fin_category,
     full_function_category,
     function_arrow_name,
 )
-from .interior import InteriorOp, identity_interior
+from .interior import InteriorOp
 from .order import (
     FinLattice,
     FinPoset,
@@ -271,55 +268,6 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
     return doc, InteriorOp(doc, parts_maps)
 
 
-def constant_family_arrow(
-    frame: KripkeFrame, sets: Mapping[str, Sequence[str]]
-) -> tuple[OneArrow, InteriorOp, InteriorOp]:
-    """The 1-arrow from world-valued predicates to constant families:
-    an element s lands in the part at w iff w satisfies the predicate at s."""
-    src_doc, src_op = kripke_doctrine(frame, sets)
-    families = [
-        IndexedFamily(name, tuple(sets[name]), {w: frozenset(sets[name]) for w in frame.worlds})
-        for name in sets
-    ]
-    dst_doc, dst_op = fam_doctrine(frame, families)
-    fams = {f.name: f for f in families}
-    obj_map = {name: name for name in sets}
-    arr_map = {}
-    for a in src_doc.base.arrow_names():
-        s, d = src_doc.base.src(a), src_doc.base.dst(a)
-        # same graph, renamed as a family arrow
-        g_body = a.split(":", 1)[1]
-        arr_map[a] = f"{s}->{d}:{g_body}"
-    functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
-    parts = {}
-    for name in sets:
-        mapping = {}
-        fib = src_doc.fibers[name]
-        for lbl in fib.elements:
-            # decode the function label back through reconstruction
-            alpha = _decode_fun_label(lbl, sets[name])
-            fam_parts = {
-                w: frozenset(s for s in sets[name] if w in label_subset(alpha[s]))
-                for w in frame.worlds
-            }
-            mapping[lbl] = family_element_label(
-                frozenset(sets[name]), fam_parts, fams[name].carrier, frame.worlds
-            )
-        parts[name] = MonotoneMap(fib, dst_doc.fibers[name], mapping)
-    return OneArrow(src_doc, dst_doc, functor, parts), src_op, dst_op
-
-
-def _decode_fun_label(lbl: str, domain: Sequence[str]) -> dict:
-    body = lbl[1:-1]
-    if not body:
-        return {}
-    out = {}
-    for chunk in body.split(";"):
-        k, v = chunk.split(":", 1)
-        out[k] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Finite topological spaces
 
@@ -404,17 +352,6 @@ def topological_doctrine(
         for s in spaces
     }
     return doc, InteriorOp(doc, parts)
-
-
-def forgetful_top_arrow(spaces: Sequence[FiniteTopSpace]) -> tuple[OneArrow, InteriorOp, InteriorOp]:
-    """⟨U, id⟩ from the topological doctrine to the plain powerset doctrine."""
-    src_doc, src_op = topological_doctrine(spaces)
-    sets = {s.name: list(s.points) for s in spaces}
-    dst_doc, _ = powerset_doctrine(sets)
-    obj_map = {s.name: s.name for s in spaces}
-    arr_map = {a: a for a in src_doc.base.arrow_names()}
-    functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
-    return OneArrow(src_doc, dst_doc, functor, identity_parts(src_doc)), src_op, identity_interior(dst_doc)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ class FinPoset:
     Invariant: every instance is a partial order on distinct elements. Only
     the builders `poset_from_pairs` (from a relation that is already a
     partial order; `check_poset` after its axiom scan and `fam_doctrine`),
-    `chain_poset`, `antichain_poset`, `sub_poset`, `product_poset`,
-    `powerset_poset` and `instances._pointwise_fiber` construct one, each
-    from masks that encode a partial order by construction; a repeated
+    `chain_poset`, `sub_poset`, `product_poset`, `powerset_poset` and
+    `instances._pointwise_fiber` construct one, each from masks that encode
+    a partial order by construction; a repeated
     element raises here. The cover certificate of `monotone_violations`
     relies on it: every a <= b is a chain of covers, and the target's <= is
     reflexive and transitive.
@@ -211,10 +211,6 @@ def chain_poset(labels: Sequence[str]) -> FinPoset:
     return FinPoset(tuple(labels), ups, tuple(zip(labels, labels[1:])))
 
 
-def antichain_poset(labels: Sequence[str]) -> FinPoset:
-    return FinPoset(tuple(labels), tuple(1 << i for i in range(len(labels))), ())
-
-
 def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
     """The induced order on the members of `elements`, in p's order: each
     kept mask is compressed to the bits of the kept positions."""
@@ -291,14 +287,6 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
     return sorted(out)
 
 
-def monotone_map(src: FinPoset, dst: FinPoset, mapping: Mapping[str, str]) -> MonotoneMap:
-    m = MonotoneMap(src, dst, dict(mapping))
-    bad = monotone_violations(m)
-    if bad:
-        raise ValueError("not monotone: " + "; ".join(bad))
-    return m
-
-
 def identity_map(p: FinPoset) -> MonotoneMap:
     return MonotoneMap(p, p, {x: x for x in p.elements})
 
@@ -330,10 +318,6 @@ def restrict_map(m: MonotoneMap, src: FinPoset, dst: FinPoset) -> MonotoneMap:
     return MonotoneMap(src, dst, {x: m.mapping[x] for x in src.elements})
 
 
-def constant_map(src: FinPoset, dst: FinPoset, value: str) -> MonotoneMap:
-    return MonotoneMap(src, dst, {x: value for x in src.elements})
-
-
 @dataclass(frozen=True)
 class FinLattice:
     carrier: FinPoset
@@ -353,29 +337,6 @@ def _brute_sup(p: FinPoset, a: str, b: str):
     upper = [x for x in p.elements if p.leq(a, x) and p.leq(b, x)]
     best = [x for x in upper if all(p.leq(x, y) for y in upper)]
     return best[0] if len(best) == 1 else None
-
-
-def lattice_violations(l: FinLattice) -> list[str]:
-    """Tables must agree with brute-force inf/sup; top/bottom must be extreme."""
-    out = []
-    p = l.carrier
-    for a in p.elements:
-        if not p.leq(a, l.top):
-            out.append(f"top is not above {a}")
-        if not p.leq(l.bottom, a):
-            out.append(f"bottom is not below {a}")
-    for a in p.elements:
-        for b in p.elements:
-            inf, sup = _brute_inf(p, a, b), _brute_sup(p, a, b)
-            if inf is None:
-                out.append(f"no meet for ({a},{b})")
-            elif l.meet.get((a, b)) != inf:
-                out.append(f"meet table wrong at ({a},{b}): {l.meet.get((a,b))} != {inf}")
-            if sup is None:
-                out.append(f"no join for ({a},{b})")
-            elif l.join.get((a, b)) != sup:
-                out.append(f"join table wrong at ({a},{b}): {l.join.get((a,b))} != {sup}")
-    return out
 
 
 def lattice_from_poset(p: FinPoset) -> FinLattice:

@@ -17,13 +17,12 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .doctrine import Doctrine, inverse_image_doctrine
-from .fincat import all_functions, full_function_category
+from .fincat import full_function_category
 from .interior import InteriorOp
 from .order import MonotoneMap, label_subset, subset_label, subsets_in_order
 
 
 STREAM, TREE = "stream", "tree"
-LIFTS = ("stream", "forall", "exists")
 
 
 @dataclass(frozen=True)
@@ -231,13 +230,6 @@ def _is_homomorphism(c1: FCoalgebra, c2: FCoalgebra, h: Mapping[str, str]) -> bo
     if c1.kind == STREAM:
         return all(h[c1.step[s]] == c2.step[h[s]] for s in c1.states)
     return all(tuple(h[t] for t in c1.step[s]) == tuple(c2.step[h[s]]) for s in c1.states)
-
-
-def coalgebra_homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[dict]:
-    """All step-compatible functions, by brute force."""
-    if c1.kind != c2.kind:
-        return []
-    return [h for h in all_functions(c1.states, c2.states) if _is_homomorphism(c1, c2, h)]
 
 
 def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doctrine, InteriorOp]:

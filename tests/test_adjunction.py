@@ -1,22 +1,16 @@
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
 from doctrines.adjunction import (
     AdjMorphism,
-    AdjTwoCell,
     DoctrineAdjunction,
     am_functor,
-    am_functor_2cell,
     am_modality,
     base_change_adjunction,
     adj_morphism_violations,
-    adj_two_cell_violations,
     adjunction_violations,
-    compose_adj_morphisms,
-    eta_two_arrow,
-    eps_two_arrow,
     factorization_composites_agree,
     factorize,
     factorize2_report,
@@ -24,13 +18,15 @@ from doctrines.adjunction import (
     identity_adj_morphism,
     identity_adjunction,
     is_vertical,
+    left_arrow,
     random_vertical_adjunction,
+    right_arrow,
     triviality_checks,
     vertical_adjunction,
     vertical_modality,
 )
 from doctrines.comonad import cmd_of_adjunction
-from doctrines.doctrine import Doctrine, two_arrow_violations, identity_one_arrow
+from doctrines.doctrine import Doctrine, TwoArrow, compose_one_arrows, two_arrow_violations, identity_one_arrow
 from doctrines.fincat import (
     Functor,
     NatTransformation,
@@ -39,13 +35,100 @@ from doctrines.fincat import (
     fin_nat,
     identity_functor,
     identity_nat,
-    one_object_monoid_category,
     poset_category,
 )
 from doctrines.interior import interior_violations, identity_interior
-from doctrines.order import MonotoneMap, chain_poset, identity_map, monotone_violations, powerset_poset
+from doctrines.order import MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations, powerset_poset
 
-from util import compose_reference, lax_inequalities_reference, powerset_doctrine_over, same_graph_reference
+from util import (
+    compose_reference,
+    identity_two_arrow,
+    lax_inequalities_reference,
+    one_object_monoid_category,
+    powerset_doctrine_over,
+    same_graph_reference,
+)
+
+
+# AM on 2-cells, composites of adjunction morphisms, and the unit and counit
+# as 2-arrows: the library builds none of them, these tests check them.
+def eta_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
+    return TwoArrow(
+        identity_one_arrow(A.p),
+        compose_one_arrows(right_arrow(A), left_arrow(A)),
+        A.eta,
+    )
+
+
+def eps_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
+    return TwoArrow(
+        compose_one_arrows(left_arrow(A), right_arrow(A)),
+        identity_one_arrow(A.q),
+        A.eps,
+    )
+
+
+def compose_adj_morphisms(n: AdjMorphism, m: AdjMorphism) -> AdjMorphism:
+    """n∘m for m: A→B, n: B→C."""
+    if m.dst != n.src:
+        raise ValueError("compose_adj_morphisms: boundary mismatch")
+    theta = {}
+    for y in m.src.q.base.objects:
+        theta[y] = n.dst.p.base.comp(
+            n.theta.components[m.fun_q.obj_map[y]],
+            n.fun_p.arr_map[m.theta.components[y]],
+        )
+    return AdjMorphism(
+        m.src,
+        n.dst,
+        compose_functors(n.fun_p, m.fun_p),
+        {
+            x: compose_maps(n.parts_p[m.fun_p.obj_map[x]], m.parts_p[x])
+            for x in m.src.p.base.objects
+        },
+        compose_functors(n.fun_q, m.fun_q),
+        {
+            y: compose_maps(n.parts_q[m.fun_q.obj_map[y]], m.parts_q[y])
+            for y in m.src.q.base.objects
+        },
+        NatTransformation(
+            compose_functors(compose_functors(n.fun_p, m.fun_p), m.src.right),
+            compose_functors(n.dst.right, compose_functors(n.fun_q, m.fun_q)),
+            theta,
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class AdjTwoCell:
+    src: AdjMorphism
+    dst: AdjMorphism
+    alpha: TwoArrow  # between the p-side 1-arrows
+    beta: TwoArrow  # between the q-side 1-arrows
+
+
+def adj_two_cell_violations(c: AdjTwoCell) -> list[str]:
+    out = []
+    out.extend("alpha: " + v for v in two_arrow_violations(c.alpha))
+    out.extend("beta: " + v for v in two_arrow_violations(c.beta))
+    if out:
+        return out
+    m, n = c.src, c.dst
+    B = m.dst
+    for x in m.src.p.base.objects:
+        if B.left.arr_map[c.alpha.theta.components[x]] != c.beta.theta.components[m.src.left.obj_map[x]]:
+            out.append(f"L^B alpha != beta L^A at {x}")
+    basePB = B.p.base
+    for y in m.src.q.base.objects:
+        lhs = basePB.comp(n.theta.components[y], c.alpha.theta.components[m.src.right.obj_map[y]])
+        rhs = basePB.comp(B.right.arr_map[c.beta.theta.components[y]], m.theta.components[y])
+        if lhs != rhs:
+            out.append(f"theta square fails at {y}")
+    return out
+
+
+def am_functor_2cell(c: AdjTwoCell) -> TwoArrow:
+    return TwoArrow(am_functor(c.src), am_functor(c.dst), c.alpha.theta)
 
 
 def test_identity_adjunction_passes():
@@ -267,8 +350,6 @@ def test_am_functor_distributes_over_composition(seed=37):
     n = identity_adj_morphism(A)
     comp = compose_adj_morphisms(n, m)
     assert adj_morphism_violations(comp) == []
-    from doctrines.doctrine import compose_one_arrows
-
     assert am_functor(comp) == compose_one_arrows(am_functor(n), am_functor(m))
 
 
@@ -294,8 +375,6 @@ def test_broken_theta_names_object(seed=41):
 def test_identity_two_cell(seed=43):
     A = random_vertical_adjunction(random.Random(seed))
     m = identity_adj_morphism(A)
-    from doctrines.doctrine import identity_two_arrow
-
     cell = AdjTwoCell(m, m, identity_two_arrow(p_arrow_of(m)), identity_two_arrow(q_arrow_of(m)))
     assert adj_two_cell_violations(cell) == []
     two = am_functor_2cell(cell)

@@ -5,8 +5,10 @@ whose body only passes its own parameters on to another function is a second
 name for that function. Invariants are enforced by raising, never by
 `assert`, which `python -O` strips. A module imports only the names it uses,
 and only from the package itself or the standard library. Every module-level
-function and class is named somewhere in `src/`, `tests/` or `bench/` outside
-its own definition.
+function, class and name bound by assignment (dunder names such as
+`__version__` aside) is named by a library module, `__init__` included,
+outside its own definition: a definition that only tests, the benchmark or
+the tools name belongs with them, not in the library.
 """
 
 import ast
@@ -176,9 +178,6 @@ def f():
     assert _foreign_imports(source) == ["numpy", "hypothesis", "scipy.sparse"]
 
 
-CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
-
-
 def _identifiers(nodes) -> Counter:
     """How often each name is read: as a variable, an attribute or an imported name."""
     found = Counter()
@@ -199,16 +198,28 @@ def _references(corpus: list[str]) -> Counter:
     return used
 
 
+def _definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class and name bound by
+    assignment, dunder names aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not name.id.startswith("__"):
+                        yield name.id, node
+
+
 def _unreferenced(source: str, used: Counter) -> list[str]:
-    """Module-level functions and classes of `source` that the corpus counted
-    in `used` (which holds `source` too) names nowhere outside their own
-    definition."""
-    defs = [n for n in ast.parse(source).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-    return [d.name for d in defs if used[d.name] == _identifiers(ast.walk(d))[d.name]]
+    """Module-level definitions of `source` that the corpus counted in `used`
+    (which holds `source` too) names nowhere outside their own definition."""
+    return [name for name, node in _definitions(ast.parse(source)) if used[name] == _identifiers(ast.walk(node))[name]]
 
 
 def test_every_library_function_and_class_is_referenced():
-    used = _references([path.read_text() for path in CORPUS])
+    used = _references([path.read_text() for path in SOURCES])
     found = [f"{path.name}: {name}" for path in SOURCES for name in _unreferenced(path.read_text(), used)]
     assert found == []
 
@@ -234,13 +245,31 @@ class Unused:
 
 def _private():
     return 0
+
+
+def tested_only():
+    return 2
+
+
+LIMIT: int = 3
+KINDS, UNUSED = ("a", "b"), ("c",)
+__version__ = "0"
 '''
     other = '''
 from .lib import used
 
-value = lib._private()
+value = lib._private() + LIMIT + len(KINDS)
 '''
-    assert _unreferenced(source, _references([source, other])) == ["recursive", "Unused"]
+    test = '''
+from doctrines.lib import tested_only
+
+
+def test_tested_only():
+    assert tested_only() == 2
+'''
+    assert _unreferenced(source, _references([source, other])) == ["recursive", "Unused", "tested_only", "UNUSED"]
+    # the test file's reference would pass tested_only; the scan reads library modules only
+    assert _unreferenced(source, _references([source, other, test])) == ["recursive", "Unused", "UNUSED"]
 
 
 def _placed(node, where: str = "<module>"):
@@ -312,7 +341,6 @@ FIN_POSET_BUILDERS = {
     "order.poset_from_pairs",
     "order.check_poset",
     "order.chain_poset",
-    "order.antichain_poset",
     "order.sub_poset",
     "order.product_poset",
     "order.powerset_poset",

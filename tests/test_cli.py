@@ -22,7 +22,6 @@ from doctrines.cli import (
     parse_text,
     render_text,
     run,
-    serialize,
 )
 from util import argparse_flags
 
@@ -61,11 +60,28 @@ def test_parse_empty_file_is_empty_document():
     assert parse_text("# only a comment\n") == ModelDocument(())
 
 
+def serialize(doc: ModelDocument) -> str:
+    lines = []
+    for d in doc.declarations:
+        body = "; ".join(f"{k}: " + " ".join(atoms) for k, atoms in d.entries)
+        lines.append(f"{d.kind} {d.name} {{ {body} }}")
+    return "\n".join(lines) + "\n"
+
+
 def test_parse_serialize_roundtrip():
     doc = parse_text(MODEL)
     again = parse_text(serialize(doc))
     assert again == doc
     assert parse_text(serialize(again)) == again
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_parse_serialize_roundtrip_on_generated_models(workload):
+    texts = [r.model for seed in range(4) for r in workloads.requests_for(workload, seed) if r.model]
+    assert texts
+    for text in texts:
+        doc = parse_text(text)
+        assert parse_text(serialize(doc)) == doc, text
 
 
 def test_parse_duplicate_name_rejected():

@@ -1,8 +1,11 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from doctrines.adjunction import (
+    AdjMorphism,
+    DoctrineAdjunction,
     am_modality,
     adjunction_violations,
     identity_adjunction,
@@ -10,10 +13,7 @@ from doctrines.adjunction import (
     random_vertical_adjunction,
 )
 from doctrines.comonad import (
-    CmdTwoCell,
     DoctrineComonad,
-    cmd_morphism_violations,
-    cmd_two_cell_violations,
     comonad_violations,
     cm_modality,
     cmd_arrow,
@@ -28,16 +28,18 @@ from doctrines.comonad import (
     ma,
     ma_agrees_with_em_of_mc,
     mc,
-    mc_morphism,
     modality_comparison_check,
     nabla,
 )
 from doctrines.doctrine import (
     Doctrine,
+    OneArrow,
+    TwoArrow,
+    compose_one_arrows,
     one_arrow_violations,
     two_arrow_violations,
     identity_one_arrow,
-    identity_two_arrow,
+    identity_parts,
 )
 from doctrines.fincat import (
     NatTransformation,
@@ -46,7 +48,9 @@ from doctrines.fincat import (
     fin_nat,
     identity_functor,
     identity_nat,
+    nat_violations,
     poset_category,
+    same_functor_composite,
 )
 from doctrines.interior import InteriorOp, interior_violations, identity_interior, stable_subdoctrine
 from doctrines.order import (
@@ -58,7 +62,121 @@ from doctrines.order import (
     subset_label,
 )
 
-from util import powerset_doctrine_over
+from util import (
+    antichain_poset,
+    constant_family_arrow,
+    forgetful_top_arrow,
+    identity_two_arrow,
+    one_object_monoid_category,
+    powerset_doctrine_over,
+)
+
+
+# MC on 1-arrows and 2-cells, and the unit of the comonad/adjunction
+# comparison: the library builds none of them, these tests check them.
+def unit_comparison_morphism(A: DoctrineAdjunction) -> AdjMorphism:
+    """The unit of the comonad/adjunction 2-adjunction at A: the adjunction
+    homomorphism from A into the EM adjunction of its induced comonad, built
+    from the comparison arrow on the one side and the identity on the other."""
+    B = em_adjunction(cmd_of_adjunction(A))
+    comp = comparison_arrow(A)
+    emcat = B.p.base
+    theta = NatTransformation(
+        compose_functors(comp.functor, A.right),
+        compose_functors(B.right, identity_functor(A.q.base)),
+        {
+            y: emcat.id(comp.functor.obj_map[A.right.obj_map[y]])
+            for y in A.q.base.objects
+        },
+    )
+    return AdjMorphism(
+        A,
+        B,
+        comp.functor,
+        dict(comp.parts),
+        identity_functor(A.q.base),
+        identity_parts(A.q),
+        theta,
+    )
+
+
+@dataclass(frozen=True)
+class CmdMorphism:
+    """A morphism of comonads: a 1-arrow of doctrines plus a 2-cell θ: FK ⇒ JF
+    commuting with counits and comultiplications."""
+
+    src: DoctrineComonad
+    dst: DoctrineComonad
+    arrow: OneArrow
+    theta: NatTransformation
+
+
+def cmd_morphism_violations(m: CmdMorphism) -> list[str]:
+    out = []
+    if m.arrow.src != m.src.p or m.arrow.dst != m.dst.p:
+        return ["arrow boundary mismatch"]
+    out.extend("arrow: " + v for v in one_arrow_violations(m.arrow))
+    if out:
+        return out
+    F = m.arrow.functor
+    K, J = m.src.k, m.dst.k
+    if not same_functor_composite(F, K, m.theta.src) or not same_functor_composite(J, F, m.theta.dst):
+        return ["theta has wrong functor boundary"]
+    out.extend("theta: " + v for v in nat_violations(m.theta))
+    if out:
+        return out
+    baseB = m.dst.p.base
+    for x in m.src.p.base.objects:
+        lhs = baseB.comp(m.dst.nu.components[F.obj_map[x]], m.theta.components[x])
+        if lhs != F.arr_map[m.src.nu.components[x]]:
+            out.append(f"counit diagram fails at {x}")
+        lhs = baseB.comp(
+            J.arr_map[m.theta.components[x]],
+            baseB.comp(m.theta.components[K.obj_map[x]], F.arr_map[m.src.mu.components[x]]),
+        )
+        rhs = baseB.comp(m.dst.mu.components[F.obj_map[x]], m.theta.components[x])
+        if lhs != rhs:
+            out.append(f"comultiplication diagram fails at {x}")
+    if out:
+        return out
+    lhs_arrow = compose_one_arrows(m.arrow, cmd_arrow(m.src))
+    rhs_arrow = compose_one_arrows(cmd_arrow(m.dst), m.arrow)
+    out.extend("theta 2-arrow: " + v for v in two_arrow_violations(TwoArrow(lhs_arrow, rhs_arrow, m.theta)))
+    return out
+
+
+def mc_morphism(arrow: OneArrow, op_src: InteriorOp, op_dst: InteriorOp) -> CmdMorphism:
+    """MC on 1-arrows: a modal 1-arrow becomes a comonad morphism with θ = id."""
+    theta = NatTransformation(
+        compose_functors(arrow.functor, identity_functor(arrow.src.base)),
+        compose_functors(identity_functor(arrow.dst.base), arrow.functor),
+        {x: arrow.dst.base.id(arrow.functor.obj_map[x]) for x in arrow.src.base.objects},
+    )
+    return CmdMorphism(mc(op_src), mc(op_dst), arrow, theta)
+
+
+@dataclass(frozen=True)
+class CmdTwoCell:
+    src: CmdMorphism
+    dst: CmdMorphism
+    alpha: TwoArrow
+
+
+def cmd_two_cell_violations(c: CmdTwoCell) -> list[str]:
+    out = list("alpha: " + v for v in two_arrow_violations(c.alpha))
+    if out:
+        return out
+    m, n = c.src, c.dst
+    if c.alpha.src != m.arrow or c.alpha.dst != n.arrow:
+        return ["alpha does not connect the two morphism arrows"]
+    baseB = m.dst.p.base
+    J, K = m.dst.k, m.src.k
+    for x in m.src.p.base.objects:
+        lhs = baseB.comp(J.arr_map[c.alpha.theta.components[x]], m.theta.components[x])
+        rhs = baseB.comp(n.theta.components[x], c.alpha.theta.components[K.obj_map[x]])
+        if lhs != rhs:
+            out.append(f"two-cell square fails at {x}")
+    return out
 
 
 def diamond_comonad():
@@ -331,8 +449,6 @@ def test_cmd_morphism_broken_theta():
         compose_functors(c.k, arrow.functor),
         {x: base.id(c.k.obj_map[x]) for x in base.objects},
     )
-    from doctrines.comonad import CmdMorphism
-
     good = CmdMorphism(c, c, arrow, theta)
     assert cmd_morphism_violations(good) == []
     bad_theta = NatTransformation(
@@ -364,9 +480,6 @@ def test_em_universal_factor_of_comparison_data(seed=3):
 def test_em_universal_factor_rejects_broken_xi():
     # identity comonad over the Z/2 one-object base: the non-identity arrow is
     # natural (abelian monoid) but fails the counit coherence
-    from doctrines.fincat import one_object_monoid_category
-    from doctrines.order import antichain_poset
-
     table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
     base = one_object_monoid_category("*", ["e", "a"], "e", table)
     fiber = antichain_poset(["u", "v"])
@@ -411,7 +524,6 @@ def test_nabla_on_nonvertical_base_change():
 
 def test_unit_comparison_morphism_on_bundled_and_random(seed=47):
     from doctrines.adjunction import adj_morphism_violations, am_functor, am_modality
-    from doctrines.comonad import unit_comparison_morphism
     from doctrines.interior import modal_one_arrow_violations
 
     cases = [identity_adjunction(powerset_doctrine_over({"A": ["a1"]}))]
@@ -428,7 +540,7 @@ def test_unit_comparison_morphism_on_bundled_and_random(seed=47):
 
 
 def test_mc_morphism_on_real_modal_arrows():
-    from doctrines.instances import constant_family_arrow, forgetful_top_arrow, KripkeFrame
+    from doctrines.instances import KripkeFrame
     from doctrines.suite import SPACES
 
     frame = KripkeFrame(("w1", "w2"), frozenset({("w1", "w1"), ("w2", "w2"), ("w1", "w2")}))

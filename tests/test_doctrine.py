@@ -14,19 +14,16 @@ from doctrines.doctrine import (
     one_arrow_violations,
     two_arrow_violations,
     compose_one_arrows,
-    constant_doctrine,
     identity_one_arrow,
     identity_parts,
-    identity_two_arrow,
     pair_label,
     power_doctrine,
     square_doctrine,
     sub_doctrine,
-    vertical_compose_two_arrows,
-    whisker_arrow_two,
-    whisker_two_arrow,
 )
 from doctrines.fincat import (
+    FinCategory,
+    NatTransformation,
     compose_functors,
     fin_nat,
     full_function_category,
@@ -34,7 +31,7 @@ from doctrines.fincat import (
     identity_functor,
     poset_category,
 )
-from doctrines.order import MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations
+from doctrines.order import FinPoset, MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations
 from doctrines.suite import (
     bundled_adjunctions,
     bundled_comonads,
@@ -46,12 +43,58 @@ from doctrines.suite import (
 from util import (
     covers_by_definition,
     doctrine_violations_reference,
+    identity_two_arrow,
     inverse_image_reference,
     monotone_violations_reference,
     naturality_reference,
     powerset_doctrine_over,
     random_function_category,
 )
+
+
+# Constant doctrines and the composites of 2-arrows, which only these tests use.
+def constant_doctrine(base: FinCategory, fiber: FinPoset) -> Doctrine:
+    return Doctrine(
+        base,
+        {x: fiber for x in base.objects},
+        {a: identity_map(fiber) for a in base.arrow_names()},
+    )
+
+
+def vertical_compose_two_arrows(z: TwoArrow, t: TwoArrow) -> TwoArrow:
+    """Componentwise composite of t: a ⇒ a' and z: a' ⇒ a''."""
+    if t.dst != z.src:
+        raise ValueError("vertical_compose_two_arrows: middle 1-arrow mismatch")
+    D = t.src.dst.base
+    theta = NatTransformation(
+        t.theta.src,
+        z.theta.dst,
+        {
+            x: D.comp(z.theta.components[x], t.theta.components[x])
+            for x in t.src.src.base.objects
+        },
+    )
+    return TwoArrow(t.src, z.dst, theta)
+
+
+def whisker_arrow_two(b: OneArrow, t: TwoArrow) -> TwoArrow:
+    """Left whiskering b·t for b composable after both boundaries of t."""
+    theta = NatTransformation(
+        compose_functors(b.functor, t.src.functor),
+        compose_functors(b.functor, t.dst.functor),
+        {x: b.functor.arr_map[t.theta.components[x]] for x in t.src.src.base.objects},
+    )
+    return TwoArrow(compose_one_arrows(b, t.src), compose_one_arrows(b, t.dst), theta)
+
+
+def whisker_two_arrow(t: TwoArrow, a: OneArrow) -> TwoArrow:
+    """Right whiskering t·a for a composable before both boundaries of t."""
+    theta = NatTransformation(
+        compose_functors(t.src.functor, a.functor),
+        compose_functors(t.dst.functor, a.functor),
+        {x: t.theta.components[a.functor.obj_map[x]] for x in a.src.base.objects},
+    )
+    return TwoArrow(compose_one_arrows(t.src, a), compose_one_arrows(t.dst, a), theta)
 
 
 SETS3 = {"A": ["a1"], "B": ["b1", "b2"], "C": ["c1", "c2"]}

@@ -15,21 +15,16 @@ from doctrines.fincat import (
     nat_violations,
     coalgebra_category,
     compose_functors,
-    constant_functor,
     discrete_category,
     fin_functor,
     fin_nat,
     full_function_category,
-    function_graph,
     generating_arrows,
     identity_functor,
     identity_nat,
     is_identity_functor,
-    one_object_monoid_category,
     poset_category,
     same_functor_composite,
-    whisker_functor_nat,
-    whisker_nat_functor,
 )
 from doctrines.order import chain_poset, fin_poset, powerset_poset
 from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_interior_ops
@@ -37,10 +32,35 @@ from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_inter
 from util import (
     category_violations_reference,
     closure,
+    function_graph,
     functor_violations_reference,
     hom_sizes_by_closure,
+    one_object_monoid_category,
     random_function_category,
 )
+
+
+# Constant functors and whiskering, which only these tests use.
+def constant_functor(C: FinCategory, D: FinCategory, obj: str) -> Functor:
+    return Functor(C, D, {x: obj for x in C.objects}, {a: D.id(obj) for a in C.arrow_names()})
+
+
+def whisker_functor_nat(H: Functor, t: NatTransformation) -> NatTransformation:
+    """H·t : H∘F ⇒ H∘G, components H(t_X)."""
+    return NatTransformation(
+        compose_functors(H, t.src),
+        compose_functors(H, t.dst),
+        {x: H.arr_map[t.components[x]] for x in t.src.src.objects},
+    )
+
+
+def whisker_nat_functor(t: NatTransformation, H: Functor) -> NatTransformation:
+    """t·H : F∘H ⇒ G∘H, components t_{H X}."""
+    return NatTransformation(
+        compose_functors(t.src, H),
+        compose_functors(t.dst, H),
+        {x: t.components[H.obj_map[x]] for x in H.src.objects},
+    )
 
 
 def test_discrete_category_valid():

@@ -24,11 +24,9 @@ from doctrines.instances import (
     bool_quantale,
     conjunction_adjunction,
     conjunction_modality,
-    constant_family_arrow,
     fake_core,
     fam_doctrine,
     forall_instance,
-    forgetful_top_arrow,
     frame_violations,
     interior_of,
     kripke_box,
@@ -52,7 +50,6 @@ from doctrines.instances import (
 )
 from doctrines.instances import _function_fiber, _pointwise_fiber, fun_label
 from doctrines.order import (
-    antichain_poset,
     chain_poset,
     fin_poset,
     identity_map,
@@ -68,8 +65,11 @@ from doctrines.order import (
 from doctrines.suite import SPACES
 from doctrines.temporal import FCoalgebra, temporal_doctrine
 from util import (
+    antichain_poset,
     bang_law_report_reference,
+    constant_family_arrow,
     covers_by_definition,
+    forgetful_top_arrow,
     function_category_reference,
     inverse_image_reference,
     powerset_doctrine_over,
@@ -109,7 +109,7 @@ def test_kripke_doctrine_pointwise_matches_box():
     assert interior_violations(op) == []
     assert len(doc.fibers["D"].elements) == 16
     # pointwise comparison against the frame-level box
-    from doctrines.instances import _decode_fun_label
+    from util import _decode_fun_label
 
     for lbl in doc.fibers["D"].elements:
         alpha = _decode_fun_label(lbl, ["x", "y"])

@@ -4,14 +4,15 @@ from itertools import chain, combinations
 import pytest
 
 from doctrines.doctrine import doctrine_violations
+from doctrines.fincat import all_functions
 from doctrines import temporal
 from doctrines.interior import interior_violations
 from doctrines.order import MonotoneMap, label_subset, subset_label
 from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T
 from doctrines.temporal import (
     FCoalgebra,
+    _is_homomorphism,
     ag_oracle,
-    coalgebra_homomorphisms,
     eg_oracle,
     g_oracle,
     gfp_modality,
@@ -23,6 +24,13 @@ from doctrines.temporal import (
     temporal_doctrine,
 )
 from util import function_category_reference, gfp_trace, inverse_image_reference, post_fixed_join, powerset_lattice
+
+
+def coalgebra_homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[dict]:
+    """All step-compatible functions, by brute force."""
+    if c1.kind != c2.kind:
+        return []
+    return [h for h in all_functions(c1.states, c2.states) if _is_homomorphism(c1, c2, h)]
 
 
 STREAM2 = FCoalgebra("A", "stream", ("s0", "s1"), {"s0": "s1", "s1": "s1"})

@@ -1,15 +1,29 @@
-"""Shared builders and reference oracles for tests; deliberately independent
-of the doctrines.instances constructors (only `valid_quantale` is borrowed,
-to validate a quantale, and `fun_label`, to name an assignment) so those can
-be cross-checked against these."""
+"""Shared builders and reference oracles for tests. The references are
+deliberately independent of the doctrines.instances constructors (only
+`valid_quantale` is borrowed, to validate a quantale, and `fun_label`, to
+name an assignment) so those can be cross-checked against these. The
+constructions at the end, which the library does not use, build on them."""
 
 import argparse
 from itertools import combinations, product
+from typing import Mapping, Sequence
 
-from doctrines.doctrine import Doctrine
-from doctrines.fincat import fin_category, full_function_category, function_arrow_name, function_graph
-from doctrines.instances import fun_label, valid_quantale
-from doctrines.order import FinLattice, MonotoneMap, label_subset, poset_from_pairs, powerset_poset, subset_label
+from doctrines.doctrine import Doctrine, OneArrow, TwoArrow, identity_parts
+from doctrines.fincat import FinCategory, Functor, fin_category, full_function_category, function_arrow_name, identity_nat
+from doctrines.instances import (
+    FiniteTopSpace,
+    IndexedFamily,
+    KripkeFrame,
+    fam_doctrine,
+    family_element_label,
+    fun_label,
+    kripke_doctrine,
+    powerset_doctrine,
+    topological_doctrine,
+    valid_quantale,
+)
+from doctrines.interior import InteriorOp, identity_interior
+from doctrines.order import FinLattice, FinPoset, MonotoneMap, label_subset, poset_from_pairs, powerset_poset, subset_label
 
 
 def powerset_doctrine_over(sets):
@@ -601,3 +615,85 @@ def argparse_flags(argv) -> dict:
     elif args.command == "check":
         flags["target"] = args.target
     return flags
+
+
+# Constructions the library does not use, shared by several test modules.
+def function_graph(cat_arrow_name: str) -> dict[str, str]:
+    """Recover the graph of a full_function_category arrow from its name."""
+    body = cat_arrow_name.split(":", 1)[1]
+    if not body:
+        return {}
+    return dict(pair.split(">") for pair in body.split(","))
+
+
+def one_object_monoid_category(obj: str, elements: Sequence[str], unit: str, table: Mapping[tuple[str, str], str]) -> FinCategory:
+    arrows = [(e, obj, obj) for e in elements]
+    return fin_category([obj], arrows, {obj: unit}, dict(table))
+
+
+def identity_two_arrow(a: OneArrow) -> TwoArrow:
+    return TwoArrow(a, a, identity_nat(a.functor))
+
+
+def antichain_poset(labels: Sequence[str]) -> FinPoset:
+    return FinPoset(tuple(labels), tuple(1 << i for i in range(len(labels))), ())
+
+
+def constant_family_arrow(
+    frame: KripkeFrame, sets: Mapping[str, Sequence[str]]
+) -> tuple[OneArrow, InteriorOp, InteriorOp]:
+    """The 1-arrow from world-valued predicates to constant families:
+    an element s lands in the part at w iff w satisfies the predicate at s."""
+    src_doc, src_op = kripke_doctrine(frame, sets)
+    families = [
+        IndexedFamily(name, tuple(sets[name]), {w: frozenset(sets[name]) for w in frame.worlds})
+        for name in sets
+    ]
+    dst_doc, dst_op = fam_doctrine(frame, families)
+    fams = {f.name: f for f in families}
+    obj_map = {name: name for name in sets}
+    arr_map = {}
+    for a in src_doc.base.arrow_names():
+        s, d = src_doc.base.src(a), src_doc.base.dst(a)
+        # same graph, renamed as a family arrow
+        g_body = a.split(":", 1)[1]
+        arr_map[a] = f"{s}->{d}:{g_body}"
+    functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
+    parts = {}
+    for name in sets:
+        mapping = {}
+        fib = src_doc.fibers[name]
+        for lbl in fib.elements:
+            # decode the function label back through reconstruction
+            alpha = _decode_fun_label(lbl, sets[name])
+            fam_parts = {
+                w: frozenset(s for s in sets[name] if w in label_subset(alpha[s]))
+                for w in frame.worlds
+            }
+            mapping[lbl] = family_element_label(
+                frozenset(sets[name]), fam_parts, fams[name].carrier, frame.worlds
+            )
+        parts[name] = MonotoneMap(fib, dst_doc.fibers[name], mapping)
+    return OneArrow(src_doc, dst_doc, functor, parts), src_op, dst_op
+
+
+def _decode_fun_label(lbl: str, domain: Sequence[str]) -> dict:
+    body = lbl[1:-1]
+    if not body:
+        return {}
+    out = {}
+    for chunk in body.split(";"):
+        k, v = chunk.split(":", 1)
+        out[k] = v
+    return out
+
+
+def forgetful_top_arrow(spaces: Sequence[FiniteTopSpace]) -> tuple[OneArrow, InteriorOp, InteriorOp]:
+    """⟨U, id⟩ from the topological doctrine to the plain powerset doctrine."""
+    src_doc, src_op = topological_doctrine(spaces)
+    sets = {s.name: list(s.points) for s in spaces}
+    dst_doc, _ = powerset_doctrine(sets)
+    obj_map = {s.name: s.name for s in spaces}
+    arr_map = {a: a for a in src_doc.base.arrow_names()}
+    functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
+    return OneArrow(src_doc, dst_doc, functor, identity_parts(src_doc)), src_op, identity_interior(dst_doc)
