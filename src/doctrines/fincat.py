@@ -1,8 +1,7 @@
 """Finite categories, functors, and natural transformations with full law checking.
 
 Categories are explicit composition tables, so every law check is a finite
-table scan. Poset-categories and full function categories on finite sets get
-dedicated constructors since that is how most instances enter.
+table scan. Only `check_category` and `concrete_category` construct one.
 """
 
 from __future__ import annotations
@@ -10,16 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 from .order import FinPoset
 
 
 @dataclass(frozen=True)
 class FinCategory:
-    """A category given by its tables. Only `check_category`, after a passing
-    law scan, and `discrete_category` construct one, so every instance is
-    associative with identities: the law checks on a generating set of
+    """A category given by its tables. Only `check_category` (after a law
+    scan) and `concrete_category` (by lookup) construct one, so every instance
+    is associative with identities: the law checks on a generating set of
     arrows in `functor_violations` and `doctrine_violations` rely on that."""
 
     objects: tuple[str, ...]
@@ -171,35 +170,63 @@ def check_category(
     return FinCategory(tuple(objects), tuple(arrows), dict(identities), dict(composition))
 
 
-def fin_category(objects, arrows, identities, composition) -> FinCategory:
-    got = check_category(objects, arrows, identities, composition)
-    if isinstance(got, list):
-        raise ValueError("not a category: " + "; ".join(got[:5]))
-    return got
+def concrete_category(
+    objects: Sequence[str],
+    arrows: Sequence[tuple[str, str, str]],
+    payload: Mapping[str, Hashable],
+    identity: Mapping[str, Hashable],
+    compose: Callable[[Hashable, Hashable], Hashable],
+) -> FinCategory:
+    """The subcategory of a known category whose arrows `(name, src, dst)`
+    carry `payload[name]`, with `identity[x]` the payload of x's identity and
+    `compose(g, f)` that of g∘f, an operation the caller guarantees associative
+    and unital. Identities and composites (over composable pairs only) are
+    found by looking up (src, dst, payload); a miss raises with the first
+    witnesses of `category_violations`."""
+    into, name_of = {x: [] for x in objects}, {}
+    for (n, s, d) in arrows:
+        name_of.setdefault((s, d, payload[n]), n)
+        if d in into:
+            into[d].append((n, s))
+    identities = {x: name_of[x, x, identity[x]] for x in objects if (x, x, identity[x]) in name_of}
+    composition = {
+        (g, f): name_of.get((s, d, compose(payload[g], payload[f]))) for (g, gs, d) in arrows for (f, s) in into.get(gs, ())
+    }
+    if (
+        len(into) == len(objects) == len(identities)
+        and len(name_of) == len(arrows) == len({n for (n, _, _) in arrows})
+        and all(s in into and d in into for (_, s, d) in arrows)
+        and None not in composition.values()
+    ):
+        return FinCategory(tuple(objects), tuple(arrows), identities, composition)
+    composition = {k: c for k, c in composition.items() if c is not None}
+    bad = category_violations(objects, arrows, identities, composition)
+    raise ValueError("not a category: " + "; ".join(bad[:5]))
+
+
+def _thin_category(objects: Sequence[str], arrows: Sequence[tuple[str, str, str]]) -> FinCategory:
+    """At most one arrow between two objects, so every payload is ()."""
+    units = dict.fromkeys([*objects, *(n for (n, _, _) in arrows)], ())
+    return concrete_category(objects, arrows, units, units, lambda g, f: ())
 
 
 def discrete_category(objects: Sequence[str]) -> FinCategory:
-    arrows = [(f"id_{x}", x, x) for x in objects]
-    identities = {x: f"id_{x}" for x in objects}
-    composition = {(f"id_{x}", f"id_{x}"): f"id_{x}" for x in objects}
-    return FinCategory(tuple(objects), tuple(arrows), identities, composition)
+    return _thin_category(objects, [(f"id_{x}", x, x) for x in objects])
 
 
 def poset_category(p: FinPoset) -> FinCategory:
     """The category with at most one arrow x→y, present iff x ≤ y."""
-    arrows = [(f"{a}<={b}", a, b) for a in p.elements for b in p.up(a)]
-    identities = {x: f"{x}<={x}" for x in p.elements}
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                composition[(gn, fn)] = f"{fs}<={gd}"
-    return fin_category(p.elements, arrows, identities, composition)
+    return _thin_category(p.elements, [(f"{a}<={b}", a, b) for a in p.elements for b in p.up(a)])
 
 
 def function_arrow_name(src_obj: str, dst_obj: str, mapping: Mapping[str, str], src_order: Sequence[str]) -> str:
     graph = ",".join(f"{e}>{mapping[e]}" for e in src_order)
     return f"{src_obj}->{dst_obj}:{graph}"
+
+
+def compose_images(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
+    """g∘f for functions given as image positions in source order."""
+    return tuple(g[i] for i in f)
 
 
 @dataclass(frozen=True)
@@ -219,25 +246,19 @@ def full_function_category(
     functions `admits(src, dst, graph)` accepts (every function when `admits`
     is None), named by `function_arrow_name` and composed as functions. The
     accepted functions must contain the identities and be closed under
-    composition; `fin_category` rejects them otherwise."""
+    composition; `concrete_category` rejects them otherwise."""
     names = list(sets)
-    arrows = []
-    graph_of = {}
-    for a in names:
-        for b in names:
-            for mapping in all_functions(sets[a], sets[b]):
-                if admits is None or admits(a, b, mapping):
-                    n = function_arrow_name(a, b, mapping, sets[a])
-                    arrows.append((n, a, b))
-                    graph_of[n] = mapping
-    identities = {a: function_arrow_name(a, a, {e: e for e in sets[a]}, sets[a]) for a in names}
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                comp = {e: graph_of[gn][graph_of[fn][e]] for e in sets[fs]}
-                composition[(gn, fn)] = function_arrow_name(fs, gd, comp, sets[fs])
-    cat = fin_category(names, arrows, identities, composition)
+    arrows, graph_of, images = [], {}, {}
+    for a, b in product(names, names):
+        for image in product(range(len(sets[b])), repeat=len(sets[a])):
+            mapping = {e: sets[b][i] for e, i in zip(sets[a], image)}
+            if admits is None or admits(a, b, mapping):
+                n = function_arrow_name(a, b, mapping, sets[a])
+                arrows.append((n, a, b))
+                graph_of[n] = mapping
+                images[n] = image
+    identity = {a: tuple(range(len(sets[a]))) for a in names}
+    cat = concrete_category(names, arrows, images, identity, compose_images)
     return FunctionCategory(cat, {k: tuple(v) for k, v in sets.items()}, graph_of)
 
 
@@ -500,37 +521,25 @@ def coalgebra_arrow_name(src: str, dst: str, base_arrow: str) -> str:
 def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation) -> CoalgebraData:
     """Eilenberg-Moore category of ⟨K,μ,ν⟩: objects are pairs ⟨C,c⟩ with the
     counit/coassociativity squares, arrows are base arrows commuting with the
-    structure maps."""
+    structure maps, composed as base arrows."""
     bad = comonad_cat_violations(K, mu, nu)
     if bad:
         raise ValueError("comonad laws fail: " + "; ".join(bad[:5]))
     C = K.src
-    objs, carrier, structure = [], {}, {}
-    for x in C.objects:
-        for c in C.hom(x, K.obj_map[x]):
-            if C.comp(nu.components[x], c) != C.id(x):
-                continue
-            if C.comp(K.arr_map[c], c) != C.comp(mu.components[x], c):
-                continue
-            name = coalgebra_object_name(x, c)
-            objs.append(name)
-            carrier[name] = x
-            structure[name] = c
+    structure = {
+        coalgebra_object_name(x, c): c
+        for x in C.objects
+        for c in C.hom(x, K.obj_map[x])
+        if C.comp(nu.components[x], c) == C.id(x) and C.comp(K.arr_map[c], c) == C.comp(mu.components[x], c)
+    }
+    objs, carrier = list(structure), {o: C.src(c) for o, c in structure.items()}
     arrows, arrow_base = [], {}
-    for o1 in objs:
-        for o2 in objs:
-            for f in C.hom(carrier[o1], carrier[o2]):
-                if C.comp(structure[o2], f) == C.comp(K.arr_map[f], structure[o1]):
-                    n = coalgebra_arrow_name(o1, o2, f)
-                    arrows.append((n, o1, o2))
-                    arrow_base[n] = f
-    identities = {o: coalgebra_arrow_name(o, o, C.id(carrier[o])) for o in objs}
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                base = C.comp(arrow_base[gn], arrow_base[fn])
-                composition[(gn, fn)] = coalgebra_arrow_name(fs, gd, base)
-    em = fin_category(objs, arrows, identities, composition)
-    U = fin_functor(em, C, dict(carrier), dict(arrow_base))
-    return CoalgebraData(em, U, carrier, structure)
+    for o1, o2 in product(objs, objs):
+        for f in C.hom(carrier[o1], carrier[o2]):
+            if C.comp(structure[o2], f) == C.comp(K.arr_map[f], structure[o1]):
+                n = coalgebra_arrow_name(o1, o2, f)
+                arrows.append((n, o1, o2))
+                arrow_base[n] = f
+    em = concrete_category(objs, arrows, arrow_base, {o: C.id(carrier[o]) for o in objs}, C.comp)
+    # U is a functor by construction: its arrow map reads off the payloads
+    return CoalgebraData(em, Functor(em, C, dict(carrier), dict(arrow_base)), carrier, structure)

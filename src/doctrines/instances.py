@@ -29,7 +29,8 @@ from .fincat import (
     FinCategory,
     FunctionCategory,
     all_functions,
-    fin_category,
+    compose_images,
+    concrete_category,
     full_function_category,
     function_arrow_name,
 )
@@ -655,23 +656,13 @@ def presheaf_violations(d: FinPresheaf) -> list[str]:
 
 def presheaf_nat_transformations(d: FinPresheaf, e: FinPresheaf) -> list[dict]:
     """All natural families of functions d ⇒ e, by brute force."""
-    worlds = list(d.base.objects)
-    per_world = [all_functions(d.at[w], e.at[w]) for w in worlds]
-    out = []
-    for combo in product(*per_world):
-        phi = dict(zip(worlds, combo))
-        ok = True
-        for f in d.base.arrow_names():
-            w, v = d.base.src(f), d.base.dst(f)
-            for x in d.at[w]:
-                if phi[v][d.act[f][x]] != e.act[f][phi[w][x]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(phi)
-    return out
+    worlds, B = list(d.base.objects), d.base
+    phis = (dict(zip(worlds, combo)) for combo in product(*(all_functions(d.at[w], e.at[w]) for w in worlds)))
+    return [
+        phi
+        for phi in phis
+        if all(phi[B.dst(f)][d.act[f][x]] == e.act[f][phi[B.src(f)][x]] for f in B.arrow_names() for x in d.at[B.src(f)])
+    ]
 
 
 def presheaf_arrow_name(d: FinPresheaf, e: FinPresheaf, phi: Mapping[str, Mapping[str, str]]) -> str:
@@ -739,25 +730,18 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
     if any(d.base != presheaves[0].base for d in presheaves):
         raise ValueError("presheaves must share a base")
     by_name = {d.name: d for d in presheaves}
-    arrows, comps = [], {}
+    arrows, comps, images = [], {}, {}
     for d in presheaves:
         for e in presheaves:
             for phi in presheaf_nat_transformations(d, e):
                 n = presheaf_arrow_name(d, e, phi)
                 arrows.append((n, d.name, e.name))
                 comps[n] = phi
-    identities = {
-        d.name: presheaf_arrow_name(d, d, {w: {x: x for x in d.at[w]} for w in d.base.objects})
-        for d in presheaves
-    }
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                d = by_name[fs]
-                phi = {w: {x: comps[gn][w][comps[fn][w][x]] for x in d.at[w]} for w in d.base.objects}
-                composition[(gn, fn)] = presheaf_arrow_name(d, by_name[gd], phi)
-    base = fin_category([d.name for d in presheaves], arrows, identities, composition)
+                images[n] = tuple(tuple(e.at[w].index(phi[w][x]) for x in d.at[w]) for w in d.base.objects)
+    identity = {d.name: tuple(tuple(range(len(d.at[w]))) for w in d.base.objects) for d in presheaves}
+    base = concrete_category(
+        [d.name for d in presheaves], arrows, images, identity, lambda g, f: tuple(map(compose_images, g, f))
+    )
 
     fibers, decode, keep = {}, {}, {}
     for d in presheaves:

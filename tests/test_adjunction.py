@@ -34,7 +34,6 @@ from doctrines.fincat import (
     fin_functor,
     fin_nat,
     identity_functor,
-    identity_nat,
     poset_category,
 )
 from doctrines.interior import interior_violations, identity_interior

@@ -120,6 +120,12 @@ def test_no_unused_imports_in_the_library():
     assert found == []
 
 
+def test_no_unused_imports_in_the_tests_and_tools():
+    paths = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    found = [f"{path.parent.name}/{path.name}: {name}" for path in paths for name in _unused_imports(path.read_text())]
+    assert found == []
+
+
 def test_unused_import_scan_flags_a_planted_import_and_nothing_else():
     source = """
 from __future__ import annotations
@@ -300,7 +306,7 @@ def test_only_the_checked_constructors_build_a_fin_category():
     # functor_violations and doctrine_violations certify composition on a
     # generating set of arrows, which is sound only for associative categories
     found = {f"{path.stem}.{where}" for path in SOURCES for where in _callers(path.read_text(), "FinCategory")}
-    assert found and found <= {"fincat.check_category", "fincat.discrete_category"}
+    assert found and found <= {"fincat.check_category", "fincat.concrete_category"}
 
 
 def test_constructor_scan_flags_planted_calls_and_nothing_else():

@@ -285,19 +285,28 @@ def test_cli_unknown_closure_is_usage_error(tmp_path, capsys, text):
     assert "unknown closure 'refl-tran'" in capsys.readouterr().err
 
 
-def test_cli_size_guard_counts_work(tmp_path, capsys):
-    chain = [f"c{i}" for i in range(12)]
+def _chain_frame(worlds: int) -> str:
+    chain = [f"c{i}" for i in range(worlds)]
     rel = " ".join(f"{a}->{b}" for a, b in zip(chain, chain[1:]))
-    frame = f"kripke-frame K {{ worlds: {' '.join(chain)}; rel: {rel}; sets: D=x }}"
+    return f"kripke-frame K {{ worlds: {' '.join(chain)}; rel: {rel}; sets: D=x }}"
+
+
+def test_cli_size_guard_counts_work(tmp_path, capsys):
     states = [f"s{i}" for i in range(14)]
     step = " ".join(f"{s}=({t})" for s, t in zip(states, states[1:] + states[:1]))
     tree = f"coalgebra T {{ kind: tree; states: {' '.join(states)}; step: {step} }}"
-    for text, name in ((frame, "kripke-doctrine K"), (tree, "coalgebra-oracle T")):
+    # one carrier D=x: the fiber's W·2^(W−1) covers plus its 2^W elements,
+    # 278,528 at 15 worlds
+    for text, refusal in (
+        (_chain_frame(15), "FAIL kripke-doctrine K\n  - refused: estimated work 278528 exceeds --max-size 200000"),
+        (tree, "FAIL coalgebra-oracle T\n  - refused: estimated work"),
+    ):
         assert _main(tmp_path, text, "check") == 1
-        out = capsys.readouterr().out
-        assert f"FAIL {name}\n  - refused: estimated work" in out
-    assert _main(tmp_path, MODEL, "check") == 0
-    assert "refused" not in capsys.readouterr().out
+        assert refusal in capsys.readouterr().out
+    # 12 worlds: 28,672, admitted
+    for text in (MODEL, _chain_frame(12)):
+        assert _main(tmp_path, text, "check") == 0
+        assert "refused" not in capsys.readouterr().out
 
 
 def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
@@ -313,14 +322,15 @@ DISCRETE_4 = "{} {a} {b} {c} {d} {a,b} {a,c} {a,d} {b,c} {b,d} {c,d} {a,b,c} {a,
 
 
 def test_cli_topological_size_guard_bounds_the_law_scans(tmp_path, capsys):
-    # each of the 9 homs admits all 256 functions: A = 2,304 arrows and
-    # 3 * 768^2 composable pairs, so the scan is A^2 + 1,769,472 * A
+    # each of the 9 homs admits all 256 functions: A = 2,304 arrows, each an
+    # inverse-image map on a 16-element fiber, and 3 * 768^2 = 1,769,472
+    # composable pairs, each one lookup plus a comparison on a 16-element fiber
     text = "\n".join(f"topspace {n} {{ points: a b c d; opens: {DISCRETE_4} }}" for n in "ABC")
     t0 = time.perf_counter()
     assert _main(tmp_path, text, "check") == 1
     assert time.perf_counter() - t0 < 1.0
     out = capsys.readouterr().out
-    assert "FAIL topological-doctrine\n  - refused: estimated work 4082171904 exceeds --max-size 200000" in out
+    assert "FAIL topological-doctrine\n  - refused: estimated work 30117888 exceeds --max-size 200000" in out
     # stage 1 refuses before testing a function: 2 * 2 * 12^12 of them
     points = " ".join(f"p{i}" for i in range(12))
     text = "\n".join(f"topspace {n} {{ points: {points}; opens: {{}} {{{points.replace(' ', ',')}}} }}" for n in "AB")

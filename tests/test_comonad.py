@@ -29,7 +29,6 @@ from doctrines.comonad import (
     ma_agrees_with_em_of_mc,
     mc,
     modality_comparison_check,
-    nabla,
 )
 from doctrines.doctrine import (
     Doctrine,
@@ -47,7 +46,6 @@ from doctrines.fincat import (
     fin_functor,
     fin_nat,
     identity_functor,
-    identity_nat,
     nat_violations,
     poset_category,
     same_functor_composite,

@@ -25,7 +25,6 @@ from doctrines.fincat import (
     FinCategory,
     NatTransformation,
     compose_functors,
-    fin_nat,
     full_function_category,
     function_arrow_name,
     identity_functor,
@@ -43,6 +42,7 @@ from doctrines.suite import (
 from util import (
     covers_by_definition,
     doctrine_violations_reference,
+    fin_category,
     identity_two_arrow,
     inverse_image_reference,
     monotone_violations_reference,
@@ -252,8 +252,6 @@ def test_power_doctrine_powerset_instance():
     proj2 = function_arrow_name("YxX", "X", {"y*0": "0", "y*1": "1"}, base_sets["YxX"])
     products = {"Y": ProductData("YxX", proj1, proj2, pairs)}
     # restrict to the single object Y, where product data is total
-    from doctrines.fincat import fin_category
-
     sub = fin_category(
         ["Y"],
         [(a, "Y", "Y") for a in d.base.hom("Y", "Y")],

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from doctrines.fincat import (
     nat_violations,
     coalgebra_category,
     compose_functors,
+    concrete_category,
     discrete_category,
     fin_functor,
     fin_nat,
@@ -32,6 +34,8 @@ from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_inter
 from util import (
     category_violations_reference,
     closure,
+    fin_category,
+    function_category_reference,
     function_graph,
     functor_violations_reference,
     hom_sizes_by_closure,
@@ -456,3 +460,132 @@ def test_adjunction_with_a_unit_off_its_boundary_names_it():
     assert adjunction_cat(I, I, eta, identity_nat(I)) == ["eta has wrong boundary (expected Id => RL)"]
     eps = NatTransformation(K, I, {x: f"{x}<=2" for x in big.objects})
     assert adjunction_cat(I, I, identity_nat(I), eps) == ["eps has wrong boundary (expected LR => Id)"]
+
+
+# concrete_category and its five callers, each against a reference that fills
+# the whole table by its own loops and proves the laws by the full scan
+
+
+def _random_poset(rng):
+    n = rng.randint(1, 5)
+    names = [f"e{i}" for i in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    rng.shuffle(names)
+    return fin_poset(names, pairs)
+
+
+def _assert_lawful(c):
+    assert category_violations(*_parts(c)) == []
+
+
+def test_discrete_and_poset_categories_equal_check_category_tables():
+    rng = random.Random(14)
+    for _ in range(30):
+        p = _random_poset(rng)
+        got = discrete_category(p.elements)
+        assert got == check_category(
+            p.elements,
+            [(f"id_{x}", x, x) for x in p.elements],
+            {x: f"id_{x}" for x in p.elements},
+            {(f"id_{x}", f"id_{x}"): f"id_{x}" for x in p.elements},
+        )
+        _assert_lawful(got)
+        got = poset_category(p)
+        arrows = [(f"{a}<={b}", a, b) for a in p.elements for b in p.elements if p.leq(a, b)]
+        composition = {(g, f): f"{fs}<={gd}" for (g, gs, gd) in arrows for (f, fs, fd) in arrows if fd == gs}
+        want = check_category(p.elements, arrows, {x: f"{x}<={x}" for x in p.elements}, composition)
+        assert isinstance(want, FinCategory) and got == want
+        _assert_lawful(got)
+
+
+def test_function_categories_equal_the_reference_loops():
+    rng = random.Random(15)
+    for _ in range(30):
+        want, sets = random_function_category(rng)
+        admitted = {(want.src(n), want.dst(n), tuple(function_graph(n).values())) for n in want.arrow_names()}
+        got = full_function_category(sets, lambda x, y, g: (x, y, tuple(g.values())) in admitted)
+        assert got.category == want
+        assert got.graphs == {n: function_graph(n) for n in want.arrow_names()}
+        _assert_lawful(got.category)
+        full = full_function_category(sets).category
+        assert full == function_category_reference(sets, lambda x, y: list(all_functions(sets[x], sets[y])))
+        _assert_lawful(full)
+
+
+def _coalgebra_reference(K, mu, nu):
+    """The category of coalgebras by the loops `coalgebra_category` ran before
+    it looked composites up: every composable pair named, the laws proved by
+    the full scan."""
+    C = K.src
+    objs, carrier = [], {}
+    for x in C.objects:
+        for c in C.hom(x, K.obj_map[x]):
+            if C.comp(nu.components[x], c) == C.id(x) and C.comp(K.arr_map[c], c) == C.comp(mu.components[x], c):
+                objs.append(f"<{x}|{c}>")
+                carrier[f"<{x}|{c}>"] = (x, c)
+    arrows, base = [], {}
+    for o1 in objs:
+        for o2 in objs:
+            for f in C.hom(carrier[o1][0], carrier[o2][0]):
+                if C.comp(carrier[o2][1], f) == C.comp(K.arr_map[f], carrier[o1][1]):
+                    arrows.append((f"{o1}=>{o2}:{f}", o1, o2))
+                    base[f"{o1}=>{o2}:{f}"] = f
+    identities = {o: f"{o}=>{o}:{C.id(carrier[o][0])}" for o in objs}
+    composition = {
+        (g, f): f"{fs}=>{gd}:{C.comp(base[g], base[f])}" for (g, gs, gd) in arrows for (f, fs, fd) in arrows if fd == gs
+    }
+    em = fin_category(objs, arrows, identities, composition)
+    return em, fin_functor(em, C, {o: carrier[o][0] for o in objs}, base)
+
+
+def _random_interior_comonad(rng):
+    """K = the greatest member of a random set S below each element, on a
+    random poset category, when every element has one (else S = everything)."""
+    p = _random_poset(rng)
+    for _ in range(20):
+        keep = [x for x in p.elements if rng.random() < 0.6]
+        below = {x: [s for s in keep if p.leq(s, x)] for x in p.elements}
+        top = {x: [s for s in below[x] if all(p.leq(t, s) for t in below[x])] for x in p.elements}
+        if all(top.values()):
+            k = {x: top[x][0] for x in p.elements}
+            break
+    else:
+        k = {x: x for x in p.elements}
+    c = poset_category(p)
+    K = fin_functor(c, c, k, {t: f"{k[c.src(t)]}<={k[c.dst(t)]}" for t in c.arrow_names()})
+    mu = fin_nat(K, compose_functors(K, K), {x: f"{k[x]}<={k[x]}" for x in c.objects})
+    nu = fin_nat(K, identity_functor(c), {x: f"{k[x]}<={x}" for x in c.objects})
+    return K, mu, nu
+
+
+def test_coalgebra_categories_equal_the_reference_loops():
+    rng = random.Random(16)
+    comonads = [(c.k, c.mu, c.nu) for _, c in bundled_comonads()] + [_random_interior_comonad(rng) for _ in range(30)]
+    for K, mu, nu in comonads:
+        data = coalgebra_category(K, mu, nu)
+        em, U = _coalgebra_reference(K, mu, nu)
+        assert data.category == em
+        assert _tables(data.forgetful) == _tables(U)
+        assert functor_violations(data.forgetful) == []
+        _assert_lawful(data.category)
+
+
+def test_concrete_category_rejects_planted_misses():
+    sets = {"A": ["a0", "a1", "a2"]}
+    rotations = {("a0", "a1", "a2"), ("a1", "a2", "a0")}  # identity and one rotation, not its square
+    rotation = "A->A:a0>a1,a1>a2,a2>a0"
+    with pytest.raises(ValueError, match="^" + re.escape(f"not a category: composition undefined for ({rotation},{rotation})") + "$"):
+        full_function_category(sets, lambda x, y, g: tuple(g.values()) in rotations)
+    with pytest.raises(ValueError, match="^not a category: missing identity for A$"):
+        full_function_category(sets, lambda x, y, g: len(set(g.values())) == 1)
+
+    def thin(g, f):
+        return ()
+
+    with pytest.raises(ValueError, match="^not a category: duplicate arrow names$"):
+        concrete_category(["x"], [("i", "x", "x"), ("i", "x", "x")], {"i": ()}, {"x": ()}, thin)
+    # a repeated key: every composite with j is looked up as i
+    with pytest.raises(ValueError, match="^not a category: right identity law fails at j; left identity law fails at j$"):
+        concrete_category(["x"], [("i", "x", "x"), ("j", "x", "x")], {"i": (), "j": ()}, {"x": ()}, thin)
+    with pytest.raises(ValueError, match="^not a category: arrow i has dangling src/dst; missing identity for x$"):
+        concrete_category(["x"], [("i", "x", "y")], {"i": ()}, {"x": ()}, thin)

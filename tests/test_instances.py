@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -5,7 +6,7 @@ import pytest
 
 from doctrines.adjunction import adjunction_violations, galois_violations, triviality_checks
 from doctrines.doctrine import doctrine_violations, one_arrow_violations
-from doctrines.fincat import all_functions, fin_category, full_function_category, poset_category
+from doctrines.fincat import all_functions, category_violations, full_function_category, poset_category
 from doctrines.interior import (
     interior_violations,
     modal_one_arrow_violations,
@@ -69,6 +70,7 @@ from util import (
     bang_law_report_reference,
     constant_family_arrow,
     covers_by_definition,
+    fin_category,
     forgetful_top_arrow,
     function_category_reference,
     inverse_image_reference,
@@ -631,9 +633,9 @@ def test_topological_doctrine_equals_reference_loops():
     assert doc == inverse_image_reference(base, sets)
 
 
-def test_presheaf_base_equals_reference_search():
-    group = _two_chain_presheaves()
-    _, families, _ = presheaf_instance(group)
+def _presheaf_base_reference(group):
+    """The category of the presheaves `group`, each composite found by a
+    search over the arrows and the laws proved by the full scan."""
     by_name = {d.name: d for d in group}
     arrows, comps = [], {}
     for d in group:
@@ -657,7 +659,36 @@ def test_presheaf_base_equals_reference_search():
                     for w in by_name[fs].base.objects
                 }
                 composition[(gn, fn)] = next(n for (n, s, t) in arrows if s == fs and t == gd and comps[n] == phi)
-    assert families.base == fin_category([d.name for d in group], arrows, identities, composition)
+    return fin_category([d.name for d in group], arrows, identities, composition)
+
+
+def _random_chain_presheaves(rng):
+    """Two or three presheaves on a chain of one to three worlds, each with
+    random maps along the covers, composed along the longer arrows."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 3))]
+    base = poset_category(chain_poset(worlds))
+    group = []
+    for k in range(rng.randint(2, 3)):
+        at = {w: tuple(f"x{i}" for i in range(rng.randint(1, 2))) for w in worlds}
+        step = [{x: rng.choice(at[v]) for x in at[w]} for w, v in zip(worlds, worlds[1:])]
+        act = {}
+        for i, w in enumerate(worlds):
+            along = {x: x for x in at[w]}
+            for j in range(i, len(worlds)):
+                act[f"{w}<={worlds[j]}"] = along
+                if j + 1 < len(worlds):
+                    along = {x: step[j][y] for x, y in along.items()}
+        group.append(FinPresheaf(f"D{k}", base, at, act))
+    return group
+
+
+def test_presheaf_base_equals_reference_search():
+    rng = random.Random(17)
+    for group in [_two_chain_presheaves()] + [_random_chain_presheaves(rng) for _ in range(20)]:
+        _, families, _ = presheaf_instance(group)
+        base = families.base
+        assert base == _presheaf_base_reference(group)
+        assert category_violations(base.objects, base.arrows, base.identities, base.composition) == []
 
 
 def _precomposition_reference(fc, sets, decode, fibers):

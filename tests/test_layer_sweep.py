@@ -10,13 +10,19 @@ ROOT = Path(__file__).resolve().parent.parent
 ONE_KEY_LAYERS = ("powerset_poset", "_pointwise_fiber", "kripke_doctrine", "interior_violations", "em_doctrine(mc(op))")
 
 
-def _measure(worlds: int) -> list[dict]:
-    argv = [sys.executable, str(ROOT / "tools" / "layer_sweep.py"), "measure", "--src", str(ROOT / "src"), "--worlds", str(worlds)]
+def _measure(flag: str, size: int) -> list[dict]:
+    argv = [sys.executable, str(ROOT / "tools" / "layer_sweep.py"), "measure", "--src", str(ROOT / "src"), flag, str(size)]
     return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout)
 
 
 def test_layer_sweep_measures_the_two_key_row_and_every_one_key_layer():
-    two_key, one_key = _measure(3), _measure(8)
+    two_key, one_key = _measure("--worlds", 3), _measure("--worlds", 8)
     assert [(r["layer"], r["keys"], r["worlds"]) for r in two_key] == [("_pointwise_fiber", 2, 3)]
     assert [(r["layer"], r["keys"], r["worlds"]) for r in one_key] == [(layer, 1, 8) for layer in ONE_KEY_LAYERS]
     assert all(r["s"] > 0 for r in two_key + one_key)
+
+
+def test_layer_sweep_measures_the_function_category_row():
+    rows = _measure("--arrows", 243)
+    assert [(r["layer"], r["arrows"]) for r in rows] == [("full_function_category", 243)]
+    assert rows[0]["s"] > 0

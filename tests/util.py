@@ -9,7 +9,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from doctrines.doctrine import Doctrine, OneArrow, TwoArrow, identity_parts
-from doctrines.fincat import FinCategory, Functor, fin_category, full_function_category, function_arrow_name, identity_nat
+from doctrines.fincat import FinCategory, Functor, check_category, full_function_category, function_arrow_name, identity_nat
 from doctrines.instances import (
     FiniteTopSpace,
     IndexedFamily,
@@ -47,6 +47,15 @@ def inverse_image_reference(base, sets):
             mapping[lbl] = subset_label(preimage, sets[src_obj])
         reindex[a] = MonotoneMap(fibers[dst_obj], fibers[src_obj], mapping)
     return Doctrine(base, fibers, reindex)
+
+
+def fin_category(objects, arrows, identities, composition) -> FinCategory:
+    """The category of the given tables after the full law scan of
+    `check_category`, raising on a failing law."""
+    got = check_category(objects, arrows, identities, composition)
+    if isinstance(got, list):
+        raise ValueError("not a category: " + "; ".join(got[:5]))
+    return got
 
 
 def function_category_reference(sets, homs):

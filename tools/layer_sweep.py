@@ -1,16 +1,18 @@
-"""Layer sweeps of the order kernel and the Kripke doctrine, written to a
-BENCH_*.json file; standard library only.
+"""Layer sweeps of the order kernel, the Kripke doctrine and the function
+category, written to a BENCH_*.json file; standard library only.
 
-    python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_12.json
+    python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_14.json
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
-        --workload modal --seeds 40 41 42 --out BENCH_12.json
+        --workload modal --seeds 40 41 42 --out BENCH_14.json
 
 `layers` times, on Kripke chains of 8-13 worlds with one carrier D = {x}:
 `powerset_poset` of the worlds, `_pointwise_fiber` with one key over that
 powerset, the `kripke_doctrine` build, `interior_violations` of its
 operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
 timed on 3-6 worlds: its fiber has 4^n elements and 9^n related pairs, so
-at 8 worlds it would hold 43 M pairs as a pair set. Each measurement runs
+at 8 worlds it would hold 43 M pairs as a pair set. `full_function_category`
+is timed at A = 243, 428 and 1,024 arrows: on 3 carriers of 3 points, on
+carriers of 4 and 3 points, and on 2 carriers of 4 points. Each measurement runs
 in a fresh interpreter that imports the library from one checkout's `src`,
 and the two checkouts take turns at each size, `ROUNDS` times; a row is
 the best of each side's timings (`REPEATS` per interpreter).
@@ -37,6 +39,8 @@ ONE_KEY_WORLDS = range(8, 14)
 TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
 ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
+# arrows A = Σ |Y|^|X| over ordered pairs of carriers -> the carrier sizes
+FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4)}
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
 
 
@@ -82,6 +86,14 @@ def measure(n: int) -> list[dict]:
     return [{"layer": name, "keys": 1, "worlds": n, "s": _best(fn)} for name, fn in rows]
 
 
+def measure_function_category(arrows: int) -> list[dict]:
+    """The `full_function_category` row at `arrows` arrows, timed in this interpreter."""
+    from doctrines.fincat import full_function_category
+
+    sets = {f"X{i}": [f"x{i}_{j}" for j in range(m)] for i, m in enumerate(FUNCTION_CARRIERS[arrows])}
+    return [{"layer": "full_function_category", "arrows": arrows, "s": _best(lambda: full_function_category(sets))}]
+
+
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
          "checkout, measured in turns on one machine. end_to_end: every bench/run.py run of both, and their medians.")
 
@@ -96,20 +108,23 @@ def _load(path: Path) -> dict:
 def layers(args) -> None:
     out = _load(args.out)
     rows = {}
-    for n in [*TWO_KEY_WORLDS, *ONE_KEY_WORLDS]:
+    sizes = [("--worlds", n) for n in [*TWO_KEY_WORLDS, *ONE_KEY_WORLDS]] + [("--arrows", a) for a in FUNCTION_CARRIERS]
+    for flag, n in sizes:
         sides = [("parent", args.parent), ("change", args.change)]
         for k in range(ROUNDS):
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
                 child = subprocess.run(
-                    [sys.executable, __file__, "measure", "--src", str(checkout / "src"), "--worlds", str(n)],
+                    [sys.executable, __file__, "measure", "--src", str(checkout / "src"), flag, str(n)],
                     capture_output=True, text=True, check=True,
                 )
                 for r in json.loads(child.stdout):
-                    row = rows.setdefault((r["layer"], r["keys"], r["worlds"]),
-                                          {"layer": r["layer"], "keys": r["keys"], "worlds": r["worlds"]})
-                    row[f"{side}_s"] = round(min(r["s"], row.get(f"{side}_s", r["s"])), 5)
-        print([row for key, row in rows.items() if key[2] == n], flush=True)
-    out["layers"] = sorted(rows.values(), key=lambda r: (r["layer"], r["keys"], r["worlds"]))
+                    s = r.pop("s")
+                    row = rows.setdefault(tuple(r.items()), r)
+                    row[f"{side}_s"] = round(min(s, row.get(f"{side}_s", s)), 5)
+        print([row for row in rows.values() if row.get(flag[2:]) == n], flush=True)
+    out["layers"] = sorted(
+        rows.values(), key=lambda r: (r["layer"], r.get("keys", 0), r.get("worlds", 0), r.get("arrows", 0))
+    )
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
@@ -147,7 +162,9 @@ def main() -> None:
     lay.add_argument("--out", type=Path, required=True)
     one = sub.add_parser("measure")
     one.add_argument("--src", type=Path, required=True)
-    one.add_argument("--worlds", type=int, required=True)
+    size = one.add_mutually_exclusive_group(required=True)
+    size.add_argument("--worlds", type=int)
+    size.add_argument("--arrows", type=int, choices=sorted(FUNCTION_CARRIERS))
     e2e = sub.add_parser("end-to-end")
     e2e.add_argument("--parent", type=Path, required=True)
     e2e.add_argument("--change", type=Path, default=ROOT)
@@ -157,7 +174,7 @@ def main() -> None:
     args = ap.parse_args()
     if args.mode == "measure":
         sys.path.insert(0, str(args.src.resolve()))
-        print(json.dumps(measure(args.worlds)))
+        print(json.dumps(measure(args.worlds) if args.arrows is None else measure_function_category(args.arrows)))
     elif args.mode == "layers":
         layers(args)
     else:
