@@ -34,11 +34,10 @@ from .order import (
     MonotoneMap,
     compose_maps,
     identity_map,
-    label_subset,
     powerset_poset,
     restrict_map,
     same_composite,
-    subset_label,
+    value_map,
 )
 
 
@@ -469,20 +468,8 @@ def random_vertical_adjunction(rng: random.Random, max_objects: int = 2, max_gro
         p_fibers[x] = powerset_poset(g1)
         q_fibers[x] = powerset_poset(g2)
         targets = {a: frozenset(rng.sample(g2, rng.randint(0, len(g2)))) for a in g1}
-        lam_map = {}
-        for lbl in p_fibers[x].elements:
-            s = label_subset(lbl)
-            acc = frozenset()
-            for a in g1:
-                if a in s:
-                    acc |= targets[a]
-            lam_map[lbl] = subset_label(acc, g2)
-        rho_map = {}
-        for lbl in q_fibers[x].elements:
-            b = label_subset(lbl)
-            rho_map[lbl] = subset_label([a for a in g1 if targets[a] <= b], g1)
-        lam[x] = MonotoneMap(p_fibers[x], q_fibers[x], lam_map)
-        rho[x] = MonotoneMap(q_fibers[x], p_fibers[x], rho_map)
+        lam[x] = value_map(p_fibers[x], q_fibers[x], lambda s: frozenset().union(*(targets[a] for a in s)))
+        rho[x] = value_map(q_fibers[x], p_fibers[x], lambda b: frozenset(a for a in g1 if targets[a] <= b))
     P = Doctrine(base, p_fibers, {base.id(x): identity_map(p_fibers[x]) for x in objs})
     Q = Doctrine(base, q_fibers, {base.id(x): identity_map(q_fibers[x]) for x in objs})
     return vertical_adjunction(P, Q, lam, rho)

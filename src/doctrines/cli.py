@@ -324,9 +324,6 @@ class Workspace:
         self.posets = {}
         self.categories = {}
         self.frames = {}
-        self.frame_sets = {}
-        self.quantales = {}
-        self.quantale_sets = {}
         self.spaces = []
         self.presheaves = {}
         self.coalgebras = {}
@@ -443,7 +440,6 @@ def _build_frame(ws: Workspace, d: Declaration):
         if built is None:
             return
         doc, op = built
-        ws.frame_sets[d.name] = sets
         ws.doctrines[f"{d.name}.doctrine"] = doc
         ws.interiors[f"{d.name}.box"] = op
         ws.verdict(f"kripke-doctrine {d.name}", doctrine_violations(doc))
@@ -475,7 +471,6 @@ def _build_quantale(ws: Workspace, d: Declaration):
     ws.verdict(f"quantale {d.name}", bad)
     if bad:
         return
-    ws.quantales[d.name] = q
     sets = _named_sets(d)
     if sets:
         # plus the residuation check of the bang laws, one test per triple of a fiber
@@ -488,7 +483,6 @@ def _build_quantale(ws: Workspace, d: Declaration):
         built = ws.attempt(f"quantale-doctrine {d.name}", quantale_doctrine, q, sets)
         if built is None:
             return
-        ws.quantale_sets[d.name] = sets
         doc, adj, bang = built
         ws.doctrines[f"{d.name}.doctrine"] = doc
         ws.adjunctions[f"{d.name}.adjunction"] = adj
@@ -532,7 +526,7 @@ def _build_presheaf(ws: Workspace, d: Declaration):
         act[f"{src}<={dst}"] = mapping
     for w in base.objects:
         act.setdefault(base.id(w), {e: e for e in at.get(w, ())})
-    # fill composites along reflexivity/transitivity when determined
+    # every non-identity arrow of the frame, composites included, needs an explicit action
     for f in base.arrow_names():
         if f not in act:
             raise BuildError(f"presheaf {d.name}: missing action along {f}")

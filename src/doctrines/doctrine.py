@@ -26,14 +26,14 @@ from .order import (
     MonotoneMap,
     compose_maps,
     identity_map,
-    label_subset,
     monotone_violations,
     powerset_poset,
     product_poset,
     restrict_map,
     same_composite,
     sub_poset,
-    subset_label,
+    value_graph,
+    value_map,
 )
 
 
@@ -90,11 +90,7 @@ def inverse_image_doctrine(fc: FunctionCategory) -> Doctrine:
     reindex = {}
     for (a, s, d) in base.arrows:
         g, ground = fc.graphs[a], fc.sets[s]
-        mapping = {}
-        for lbl in fibers[d].elements:
-            target = label_subset(lbl)
-            mapping[lbl] = subset_label([e for e in ground if g[e] in target], ground)
-        reindex[a] = MonotoneMap(fibers[d], fibers[s], mapping)
+        reindex[a] = value_map(fibers[d], fibers[s], lambda target: frozenset(e for e in ground if g[e] in target))
     return Doctrine(base, fibers, reindex)
 
 
@@ -233,32 +229,19 @@ def pair_label(a: str, b: str) -> str:
 
 
 def square_doctrine(P: Doctrine) -> tuple[Doctrine, OneArrow]:
-    """The doctrine of componentwise-ordered pairs, with the diagonal 1-arrow."""
+    """The doctrine of componentwise-ordered pairs, with the diagonal 1-arrow;
+    a pair's value is the pair of its components' values."""
     fibers = {x: product_poset(P.fibers[x], P.fibers[x], pair_label) for x in P.base.objects}
     reindex = {}
     for t in P.base.arrow_names():
-        x, y = P.base.src(t), P.base.dst(t)
-        m = P.reindex[t]
-        reindex[t] = MonotoneMap(
-            fibers[y],
-            fibers[x],
-            {
-                pair_label(a, b): pair_label(m.apply(a), m.apply(b))
-                for a in P.fibers[y].elements
-                for b in P.fibers[y].elements
-            },
-        )
+        m = value_graph(P.reindex[t])
+        reindex[t] = value_map(fibers[P.base.dst(t)], fibers[P.base.src(t)], lambda ab: (m[ab[0]], m[ab[1]]))
     squared = Doctrine(P.base, fibers, reindex)
     diagonal = OneArrow(
         P,
         squared,
         identity_functor(P.base),
-        {
-            x: MonotoneMap(
-                P.fibers[x], fibers[x], {a: pair_label(a, a) for a in P.fibers[x].elements}
-            )
-            for x in P.base.objects
-        },
+        {x: value_map(P.fibers[x], fibers[x], lambda a: (a, a)) for x in P.base.objects},
     )
     return squared, diagonal
 

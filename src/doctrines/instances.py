@@ -19,7 +19,6 @@ from .doctrine import (
     Doctrine,
     ProductData,
     inverse_image_doctrine,
-    pair_label,
     power_doctrine,
     restrict_doctrine,
     square_doctrine,
@@ -40,6 +39,7 @@ from .order import (
     FinPoset,
     MonotoneMap,
     chain_poset,
+    compose_maps,
     label_subset,
     lattice_from_poset,
     poset_from_pairs,
@@ -48,6 +48,8 @@ from .order import (
     sub_poset,
     subset_label,
     subsets_in_order,
+    value_graph,
+    value_map,
 )
 
 
@@ -94,20 +96,15 @@ def fun_label(mapping: Mapping[str, str], domain: Sequence[str]) -> str:
     return "[" + ";".join(f"{d}:{mapping[d]}" for d in domain) + "]"
 
 
-def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> tuple[FinPoset, dict]:
+def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPoset:
     """Poset of all assignments of an element of factors[i] to keys[i],
-    labelled by `fun_label` and ordered pointwise. The up-set masks are built
-    one factor at a time by `product_ups`, from the last factor, whose
-    positions have stride 1, to the first; m is covered by raising one value
-    to a cover of it in its factor."""
+    labelled by `fun_label`, valued by the tuple of the factors' values in
+    key order, and ordered pointwise. The up-set masks are built one factor
+    at a time by `product_ups`, from the last factor, whose positions have
+    stride 1, to the first; m is covered by raising one value to a cover of
+    it in its factor."""
     keys = list(keys)
-    decode = {}
-    labels = []
-    for combo in product(*(f.elements for f in factors)):
-        m = dict(zip(keys, combo))
-        lbl = fun_label(m, keys)
-        labels.append(lbl)
-        decode[lbl] = m
+    labels = [fun_label(dict(zip(keys, combo)), keys) for combo in product(*(f.elements for f in factors))]
     ups = [1]
     for f in reversed(factors):
         ups = product_ups(f, ups)
@@ -126,42 +123,36 @@ def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> tuple[
         for steps, c in zip(raises, combo)
         for step in steps[c]
     ]
-    return FinPoset(tuple(labels), tuple(ups), tuple(covers)), decode
+    values = tuple(product(*(f.values for f in factors)))
+    return FinPoset(tuple(labels), tuple(ups), tuple(covers), values)
 
 
-def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> tuple[FinPoset, dict]:
+def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> FinPoset:
     """Poset of all functions domain → codomain, ordered pointwise."""
     return _pointwise_fiber(domain, [codomain] * len(domain))
 
 
-def _function_doctrine(fc: FunctionCategory, codomain: FinPoset) -> tuple[Doctrine, dict]:
+def _function_doctrine(fc: FunctionCategory, codomain: FinPoset) -> Doctrine:
     """The doctrine codomain^X over `fc`, reindexed along g by precomposition
-    α ↦ α∘g, and the decoding of every fiber's labels."""
-    fibers, decode = {}, {}
-    for x in fc.category.objects:
-        fibers[x], decode[x] = _function_fiber(fc.sets[x], codomain)
+    α ↦ α∘g: the value of α∘g reads α's value at the position of each g(e)."""
+    fibers = {x: _function_fiber(fc.sets[x], codomain) for x in fc.category.objects}
     reindex = {}
     for (a, s, d) in fc.category.arrows:
-        g, domain = fc.graphs[a], fc.sets[s]
-        reindex[a] = MonotoneMap(
-            fibers[d],
-            fibers[s],
-            {lbl: fun_label({e: alpha[g[e]] for e in domain}, domain) for lbl, alpha in decode[d].items()},
-        )
-    return Doctrine(fc.category, fibers, reindex), decode
+        g, at = fc.graphs[a], {e: i for i, e in enumerate(fc.sets[d])}
+        positions = [at[g[e]] for e in fc.sets[s]]
+        reindex[a] = value_map(fibers[d], fibers[s], lambda alpha: tuple(map(alpha.__getitem__, positions)))
+    return Doctrine(fc.category, fibers, reindex)
 
 
-def _postcompose(fc: FunctionCategory, src: Doctrine, decode: dict, dst: Doctrine, f) -> dict[str, MonotoneMap]:
-    """The fiber maps α ↦ f∘α from the function doctrine `src`, whose labels
-    `decode` reads, to `dst`, one per object of `fc`."""
-    return {
-        x: MonotoneMap(
-            src.fibers[x],
-            dst.fibers[x],
-            {lbl: fun_label({e: f(alpha[e]) for e in fc.sets[x]}, fc.sets[x]) for lbl, alpha in decode[x].items()},
-        )
-        for x in fc.category.objects
-    }
+def _pointwise_map(src: FinPoset, dst: FinPoset, table: Mapping) -> MonotoneMap:
+    """α ↦ f∘α between two pointwise fibers, f given on the codomain's values by `table`."""
+    return value_map(src, dst, lambda alpha: tuple(map(table.__getitem__, alpha)))
+
+
+def _postcompose(src: Doctrine, dst: Doctrine, table: Mapping) -> dict[str, MonotoneMap]:
+    """The fiber maps α ↦ f∘α from the function doctrine `src` to `dst`, one
+    per object, where `table` gives f once per codomain value."""
+    return {x: _pointwise_map(src.fibers[x], dst.fibers[x], table) for x in src.base.objects}
 
 
 def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, FunctionCategory]:
@@ -176,13 +167,9 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     interior laws hold iff the frame is a preorder (interior_violations reports
     the failure otherwise)."""
     wposet = powerset_poset(frame.worlds)
-    fc = full_function_category(sets)
-    doc, decode = _function_doctrine(fc, wposet)
-    box = {
-        lbl: subset_label(kripke_box(frame, label_subset(lbl)), frame.worlds)
-        for lbl in wposet.elements
-    }
-    return doc, InteriorOp(doc, _postcompose(fc, doc, decode, doc, box.__getitem__))
+    doc = _function_doctrine(full_function_category(sets), wposet)
+    box = {a: kripke_box(frame, a) for a in wposet.values}
+    return doc, InteriorOp(doc, _postcompose(doc, doc, box))
 
 
 # ---------------------------------------------------------------------------
@@ -221,51 +208,40 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
     def supersets(low, within):
         return [low | extra for extra in subsets_in_order([e for e in within if e not in low])]
 
-    fibers, decode = {}, {}
+    fibers = {}
     for f in families:
-        labels, dec, label_of = [], {}, {}
+        label_of = {}
         for carrier_sub in subsets_in_order(f.carrier):
             sub_order = [e for e in f.carrier if e in carrier_sub]
-            for parts_combo in product(subsets_in_order(sub_order), repeat=len(worlds)):
-                parts = dict(zip(worlds, parts_combo))
-                lbl = family_element_label(carrier_sub, parts, f.carrier, worlds)
-                labels.append(lbl)
-                dec[lbl] = (carrier_sub, parts)
-                label_of[(carrier_sub, parts_combo)] = lbl
+            for parts in product(subsets_in_order(sub_order), repeat=len(worlds)):
+                label = family_element_label(carrier_sub, dict(zip(worlds, parts)), f.carrier, worlds)
+                label_of[(carrier_sub, parts)] = label
         # the elements above (c, p) are the (c', p') with c ⊆ c' and p[w] ⊆ p'[w] ⊆ c'
         rel = set()
         for (c1, p1), l1 in label_of.items():
             for c2 in supersets(c1, f.carrier):
                 for p2 in product(*(supersets(part, c2) for part in p1)):
                     rel.add((l1, label_of[(c2, p2)]))
-        fibers[f.name] = poset_from_pairs(labels, rel)
-        decode[f.name] = dec
+        fibers[f.name] = poset_from_pairs(list(label_of.values()), rel, list(label_of))
 
-    reindex = {}
-    for (n, s, d) in base.arrows:
-        g = fc.graphs[n]
-        mapping = {}
-        for lbl in fibers[d].elements:
-            c, p = decode[d][lbl]
-            c_pre = frozenset(e for e in fams[s].carrier if g[e] in c)
-            p_pre = {w: frozenset(e for e in fams[s].carrier if g[e] in p[w]) for w in worlds}
-            mapping[lbl] = family_element_label(c_pre, p_pre, fams[s].carrier, worlds)
-        reindex[n] = MonotoneMap(fibers[d], fibers[s], mapping)
+    def inverse_image(carrier, g):
+        def pre(part):
+            return frozenset(e for e in carrier if g[e] in part)
+
+        return lambda cp: (pre(cp[0]), tuple(map(pre, cp[1])))
+
+    reindex = {
+        n: value_map(fibers[d], fibers[s], inverse_image(fams[s].carrier, fc.graphs[n])) for (n, s, d) in base.arrows
+    }
     doc = Doctrine(base, fibers, reindex)
 
-    parts_maps = {}
-    for f in families:
-        mapping = {}
-        for lbl in fibers[f.name].elements:
-            c, p = decode[f.name][lbl]
-            boxed = {
-                w: frozenset.intersection(*[p[v] for v in sorted(frame.successors(w))])
-                if frame.successors(w)
-                else c
-                for w in worlds
-            }
-            mapping[lbl] = family_element_label(c, boxed, f.carrier, worlds)
-        parts_maps[f.name] = MonotoneMap(fibers[f.name], fibers[f.name], mapping)
+    successors = [[worlds.index(v) for v in sorted(frame.successors(w))] for w in worlds]
+
+    def box(cp):
+        c, p = cp
+        return c, tuple(frozenset.intersection(*[p[v] for v in vs]) if vs else c for vs in successors)
+
+    parts_maps = {f.name: value_map(fibers[f.name], fibers[f.name], box) for f in families}
     return doc, InteriorOp(doc, parts_maps)
 
 
@@ -341,17 +317,7 @@ def topological_doctrine(
         {s.name: s.points for s in spaces}, lambda a, b, g: tuple(g.values()) in admitted[a, b]
     )
     doc = inverse_image_doctrine(fc)
-    parts = {
-        s.name: MonotoneMap(
-            doc.fibers[s.name],
-            doc.fibers[s.name],
-            {
-                lbl: subset_label(interior_of(s, label_subset(lbl)), s.points)
-                for lbl in doc.fibers[s.name].elements
-            },
-        )
-        for s in spaces
-    }
+    parts = {s.name: value_map(doc.fibers[s.name], doc.fibers[s.name], lambda a: interior_of(s, a)) for s in spaces}
     return doc, InteriorOp(doc, parts)
 
 
@@ -480,10 +446,10 @@ def quantale_doctrine(
     vertical adjunction ⟨ι∘−⟩ ⊣ ⟨r∘−⟩ between them, and the induced bang."""
     core = quantale_core(q)
     fc = full_function_category(sets)
-    Qdoc, q_decode = _function_doctrine(fc, q.lattice.carrier)
-    Cdoc, c_decode = _function_doctrine(fc, core.sub)
-    lam = _postcompose(fc, Cdoc, c_decode, Qdoc, core.iota.apply)
-    rho = _postcompose(fc, Qdoc, q_decode, Cdoc, core.r.apply)
+    Qdoc = _function_doctrine(fc, q.lattice.carrier)
+    Cdoc = _function_doctrine(fc, core.sub)
+    lam = _postcompose(Cdoc, Qdoc, value_graph(core.iota))
+    rho = _postcompose(Qdoc, Cdoc, value_graph(core.r))
     adj = vertical_adjunction(Cdoc, Qdoc, lam, rho)
     bang = vertical_modality(adj)
     return Qdoc, adj, bang
@@ -491,6 +457,9 @@ def quantale_doctrine(
 
 @dataclass(frozen=True)
 class FiberMonoid:
+    """The fiber Q^X with its pointwise unit, ⊗ and ⇒."""
+
+    fiber: FinPoset
     unit: str
     star: Mapping[tuple[str, str], str]
     residuation: Mapping[tuple[str, str], str]
@@ -521,17 +490,21 @@ def quantale_monoid_ops(q: FiniteQuantale, x_elements: Sequence[str]) -> FiberMo
     Q^X are pointwise, so the adjunction holds on Q^X when it holds on Q³;
     only when it fails there are the triples of the fiber scanned."""
     residual, holds_on_q = _residuals(q)
-    fiber, decode = _function_fiber(x_elements, q.lattice.carrier)
-    unit = fun_label({e: q.unit for e in x_elements}, x_elements)
-    star, imp = {}, {}
-    for l1 in fiber.elements:
-        a = decode[l1]
-        for l2 in fiber.elements:
-            b = decode[l2]
-            star[(l1, l2)] = fun_label({e: q.tensor[(a[e], b[e])] for e in x_elements}, x_elements)
-            imp[(l1, l2)] = fun_label({e: residual[(a[e], b[e])] for e in x_elements}, x_elements)
+    carrier = q.lattice.carrier
+    fiber = _function_fiber(x_elements, carrier)
+    at, value = fiber.by_value, carrier.value
+    elements = list(zip(fiber.elements, fiber.values))
+
+    def pointwise(op):
+        on_values = {(value(a), value(b)): value(c) for (a, b), c in op.items()}
+        return {
+            (l1, l2): at[tuple(map(on_values.__getitem__, zip(a, b)))] for l1, a in elements for l2, b in elements
+        }
+
+    unit = at[(value(q.unit),) * len(x_elements)]
+    star, imp = pointwise(q.tensor), pointwise(residual)
     if holds_on_q:
-        return FiberMonoid(unit, star, imp)
+        return FiberMonoid(fiber, unit, star, imp)
     for l1 in fiber.elements:
         for l2 in fiber.elements:
             for l3 in fiber.elements:
@@ -539,7 +512,7 @@ def quantale_monoid_ops(q: FiniteQuantale, x_elements: Sequence[str]) -> FiberMo
                 rhs = fiber.leq(l3, imp[(l1, l2)])
                 if lhs != rhs:
                     raise ValueError(f"residuation adjunction fails at ({l1},{l2},{l3})")
-    return FiberMonoid(unit, star, imp)
+    return FiberMonoid(fiber, unit, star, imp)
 
 
 def _bang_laws_hold_on_q(q: FiniteQuantale, core: QuantaleCore) -> bool:
@@ -568,13 +541,11 @@ def bang_law_suite(
     if _residuals(q)[1] and _bang_laws_hold_on_q(q, core):
         report["pass"] = True
         return report
+    bang_on_q = value_graph(compose_maps(core.iota, core.r))
     for name, elements in sets.items():
-        fiber, decode = _function_fiber(elements, q.lattice.carrier)
         ops = quantale_monoid_ops(q, elements)
-        def bang(lbl):
-            a = decode[lbl]
-            return fun_label({e: core.iota.apply(core.r.apply(a[e])) for e in elements}, elements)
-
+        fiber = ops.fiber
+        bang = _pointwise_map(fiber, fiber, bang_on_q).apply
         for l1 in fiber.elements:
             b1 = bang(l1)
             if not fiber.leq(b1, ops.unit):
@@ -743,40 +714,29 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
         [d.name for d in presheaves], arrows, images, identity, lambda g, f: tuple(map(compose_images, g, f))
     )
 
-    fibers, decode, keep = {}, {}, {}
+    # families ordered pointwise: labels are `presheaf_family_label`s, values
+    # the tuples of parts in world order
+    worlds = list(presheaves[0].base.objects)
+    fibers = {d.name: _pointwise_fiber(worlds, [powerset_poset(d.at[w]) for w in worlds]) for d in presheaves}
+    keep = {}
     for d in presheaves:
-        # families ordered pointwise: labels are `presheaf_family_label`s
-        worlds = list(d.base.objects)
-        fibers[d.name], by_world = _pointwise_fiber(worlds, [powerset_poset(d.at[w]) for w in worlds])
-        subset_of = {
-            w: {subset_label(s, d.at[w]): s for s in subsets_in_order(d.at[w])} for w in worlds
-        }
-        dec = {lbl: {w: subset_of[w][v] for w, v in m.items()} for lbl, m in by_world.items()}
-        decode[d.name] = dec
-        keep[d.name] = [l for l in fibers[d.name].elements if is_subpresheaf(d, dec[l])]
-
+        fiber = fibers[d.name]
+        keep[d.name] = [a for a, v in zip(fiber.elements, fiber.values) if is_subpresheaf(d, dict(zip(worlds, v)))]
     reindex = {}
     for (n, sn, dn) in arrows:
-        phi = comps[n]
-        mapping = {}
-        for lbl in fibers[dn].elements:
-            parts = decode[dn][lbl]
-            pre = {
-                w: frozenset(x for x in by_name[sn].at[w] if phi[w][x] in parts[w])
-                for w in by_name[sn].base.objects
-            }
-            mapping[lbl] = presheaf_family_label(pre, by_name[sn])
-        reindex[n] = MonotoneMap(fibers[dn], fibers[sn], mapping)
+        phi, at = comps[n], by_name[sn].at
+        reindex[n] = value_map(
+            fibers[dn],
+            fibers[sn],
+            lambda parts: tuple(frozenset(x for x in at[w] if phi[w][x] in part) for w, part in zip(worlds, parts)),
+        )
     Qdoc = Doctrine(base, fibers, reindex)
     Pdoc, inclusion = sub_doctrine(Qdoc, keep, "reindexing along {t} leaves the subpresheaves at {a}")
     rho = {
-        d.name: MonotoneMap(
+        d.name: value_map(
             fibers[d.name],
             Pdoc.fibers[d.name],
-            {
-                lbl: presheaf_family_label(largest_subpresheaf(d, decode[d.name][lbl]), d)
-                for lbl in fibers[d.name].elements
-            },
+            lambda parts: tuple(largest_subpresheaf(d, dict(zip(worlds, parts))).values()),
         )
         for d in presheaves
     }
@@ -824,18 +784,11 @@ def conjunction_adjunction(P: Doctrine) -> DoctrineAdjunction:
                 if m.apply(meets[y][(a, b)]) != meets[x][(m.apply(a), m.apply(b))]:
                     raise ValueError(f"reindexing along {t} does not preserve meets at ({a},{b})")
     squared, diagonal = square_doctrine(P)
-    rho = {
-        x: MonotoneMap(
-            squared.fibers[x],
-            P.fibers[x],
-            {
-                pair_label(a, b): meets[x][(a, b)]
-                for a in P.fibers[x].elements
-                for b in P.fibers[x].elements
-            },
-        )
-        for x in P.base.objects
-    }
+    rho = {}
+    for x in P.base.objects:
+        value = P.fibers[x].value
+        meet = {(value(a), value(b)): value(c) for (a, b), c in meets[x].items()}
+        rho[x] = value_map(squared.fibers[x], P.fibers[x], meet.__getitem__)
     return vertical_adjunction(P, squared, dict(diagonal.parts), rho)
 
 
@@ -889,15 +842,13 @@ def forall_instance(
         times[f] = function_arrow_name(prods[y], prods[z], lifted, all_sets[prods[y]])
     powered, weakening = power_doctrine(P, sub, x_name, products, times)
     restricted = restrict_doctrine(P, sub)
-    rho = {}
-    for y in names:
-        mapping = {}
-        for lbl in powered.fibers[y].elements:
-            alpha = label_subset(lbl)
-            kept = [
-                e for e in y_sets[y] if all(pair_elem(e, x) in alpha for x in x_elements)
-            ]
-            mapping[lbl] = subset_label(kept, y_sets[y])
-        rho[y] = MonotoneMap(powered.fibers[y], restricted.fibers[y], mapping)
+    rho = {
+        y: value_map(
+            powered.fibers[y],
+            restricted.fibers[y],
+            lambda alpha: frozenset(e for e in y_sets[y] if all(pair_elem(e, x) in alpha for x in x_elements)),
+        )
+        for y in names
+    }
     adj = vertical_adjunction(restricted, powered, dict(weakening.parts), rho)
     return adj, vertical_modality(adj)

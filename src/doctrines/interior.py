@@ -109,8 +109,13 @@ def _stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
 
 
 def modal_one_arrow_violations(a: OneArrow, op_src: InteriorOp, op_dst: InteriorOp) -> list[str]:
-    """Empty list iff f_X ∘ box_X ≤ box'_{FX} ∘ f_X everywhere; also verifies
-    the equivalent stability-preservation equality."""
+    """Empty list iff f_X ∘ box_X ≤ box'_{FX} ∘ f_X everywhere.
+
+    Precondition: both operators are interior operators (their
+    `interior_violations` are empty). Then the inequality alone makes f map
+    stable elements to stable elements, so that equality is not checked
+    again: at □α it gives f(□α) = f(□□α) ≤ □′f(□α), and T for □′ gives
+    □′f(□α) ≤ f(□α)."""
     out = list(one_arrow_violations(a))
     if out:
         return out
@@ -125,16 +130,4 @@ def modal_one_arrow_violations(a: OneArrow, op_src: InteriorOp, op_dst: Interior
         for alpha in a.src.fibers[x].elements:
             if not fib2.leq(fx.apply(box.apply(alpha)), box2.apply(fx.apply(alpha))):
                 out.append(f"modal inequality fails at ({x},{alpha})")
-    if out:
-        return out
-    # equivalent reading: f maps stable elements to stable elements
-    for x in a.src.base.objects:
-        fx = a.parts[x]
-        box = op_src.parts[x]
-        box2 = op_dst.parts[F.obj_map[x]]
-        for alpha in a.src.fibers[x].elements:
-            lhs = box2.apply(fx.apply(box.apply(alpha)))
-            rhs = fx.apply(box.apply(alpha))
-            if lhs != rhs:
-                out.append(f"stability preservation fails at ({x},{alpha})")
     return out

@@ -31,6 +31,16 @@ class FinPoset:
     (the bit-vector encoding of Aït-Kaci, Boyer, Lincoln and Nasr, TOPLAS
     11(1), 1989). Equality and hash are on `(elements, ups)`.
 
+    Value invariant: `values[i]` is the hashable value elements[i] stands
+    for, distinct across the poset, set by its builder: a powerset element's
+    frozenset, a pointwise element's tuple of its factors' values, a family's
+    (carrier subset, tuple of parts); `sub_poset` and `product_poset` carry
+    their inputs' values over, and every other builder leaves the label
+    itself. A repeated value raises, as a repeated element does. Values take
+    no part in equality or hash. A map between fibers is the function on
+    values it computes, read back through `value_map`, so no label is parsed
+    or printed again.
+
     Invariant: every instance is a partial order on distinct elements. Only
     the builders `poset_from_pairs` (from a relation that is already a
     partial order; `check_poset` after its axiom scan and `fam_doctrine`),
@@ -51,6 +61,7 @@ class FinPoset:
     elements: tuple[str, ...]
     ups: tuple[int, ...]
     covers: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
+    values: tuple | None = field(default=None, repr=False, compare=False)
     _position: dict = field(init=False, repr=False, compare=False, default=None)
     _up: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -59,8 +70,23 @@ class FinPoset:
         if len(position) != len(self.elements):
             repeated = next(e for i, e in enumerate(self.elements) if position[e] != i)
             raise ValueError(f"repeated poset element {repeated!r}")
+        if self.values is None:
+            object.__setattr__(self, "values", self.elements)
+        else:
+            last = {v: i for i, v in enumerate(self.values)}
+            if len(last) != len(self.values):
+                repeated = next(v for i, v in enumerate(self.values) if last[v] != i)
+                raise ValueError(f"repeated poset value {repeated!r}")
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_up", dict(zip(self.elements, self.ups)))
+
+    @cached_property
+    def by_value(self) -> dict:
+        """The element of each value, built on first use."""
+        return dict(zip(self.values, self.elements))
+
+    def value(self, a: str):
+        return self.values[self._position[a]]
 
     @cached_property
     def relation(self) -> frozenset[tuple[str, str]]:
@@ -106,14 +132,17 @@ class FinPoset:
         return a in self._position
 
 
-def poset_from_pairs(elements: Sequence[str], relation: Iterable[tuple[str, str]]) -> FinPoset:
+def poset_from_pairs(
+    elements: Sequence[str], relation: Iterable[tuple[str, str]], values: Sequence | None = None
+) -> FinPoset:
     """The poset on `elements` whose <= is `relation`, which must already be
-    a partial order on them (unchecked: `check_poset` checks first)."""
+    a partial order on them (unchecked: `check_poset` checks first), with
+    the given `values` (by default the labels)."""
     position = {e: i for i, e in enumerate(elements)}
     ups = [0] * len(elements)
     for a, b in relation:
         ups[position[a]] |= 1 << position[b]
-    return FinPoset(tuple(elements), tuple(ups))
+    return FinPoset(tuple(elements), tuple(ups), values=None if values is None else tuple(values))
 
 
 def product_ups(outer: FinPoset, inner: Sequence[int]) -> list[int]:
@@ -219,15 +248,17 @@ def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
     keep = sum(map((1).__lshift__, kept))
     bit = {i: 1 << t for t, i in enumerate(kept)}  # the new bit of each kept position
     ups = tuple(sum(bit[j] for j in _positions(p.ups[i] & keep)) for i in kept)
-    return FinPoset(tuple(map(p.elements.__getitem__, kept)), ups)
+    return FinPoset(tuple(map(p.elements.__getitem__, kept)), ups, values=tuple(map(p.values.__getitem__, kept)))
 
 
 def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
-    """Componentwise-ordered product; labels default to '(a|b)'."""
+    """Componentwise-ordered product; labels default to '(a|b)', and the
+    value of (a, b) is the pair of their values."""
     if label is None:
         label = lambda a, b: f"({a}|{b})"
     elems = tuple(label(a, b) for a in p.elements for b in q.elements)
-    return FinPoset(elems, tuple(product_ups(p, q.ups)))
+    values = tuple((u, v) for u in p.values for v in q.values)
+    return FinPoset(elems, tuple(product_ups(p, q.ups)), values=values)
 
 
 @dataclass(frozen=True)
@@ -255,6 +286,25 @@ class MonotoneMap:
             and self.dst == other.dst
             and all(mine[x] == theirs[x] for x in self.src.elements)
         )
+
+
+def value_map(src: FinPoset, dst: FinPoset, f) -> MonotoneMap:
+    """The map sending each element of `src` to the element of `dst` whose
+    value is f(its value), looked up in `dst.by_value`; raises ValueError
+    naming the first source element whose image value `dst` does not hold."""
+    at = dst.by_value
+    mapping = {}
+    for a, v in zip(src.elements, src.values):
+        try:
+            mapping[a] = at[f(v)]
+        except KeyError:
+            raise ValueError(f"the image of {a!r} is not a value of the target poset") from None
+    return MonotoneMap(src, dst, mapping)
+
+
+def value_graph(m: MonotoneMap) -> dict:
+    """The map `m` as a function on values: each source value to its image's value."""
+    return {m.src.value(a): m.dst.value(b) for a, b in m.mapping.items()}
 
 
 def monotone_violations(m: MonotoneMap) -> list[str]:
@@ -381,10 +431,11 @@ def powerset_poset(ground: Sequence[str]) -> FinPoset:
     the masks of its covers, filled from the largest subsets down, one OR per
     cover."""
     n = len(ground)
-    label_of = {}
+    label_of, values = {}, []
     for r in range(n + 1):
         for combo in combinations(range(n), r):
             label_of[sum(1 << i for i in combo)] = subset_label((ground[i] for i in combo), ground)
+            values.append(frozenset(ground[i] for i in combo))
     bits = [1 << i for i in range(n)]
     subsets = list(label_of)
     position = {m: i for i, m in enumerate(subsets)}
@@ -396,4 +447,4 @@ def powerset_poset(ground: Sequence[str]) -> FinPoset:
                 up |= ups[position[m | b]]
         ups[i] = up
     covers = [(lbl, label_of[m | b]) for m, lbl in label_of.items() for b in bits if not m & b]
-    return FinPoset(tuple(label_of.values()), tuple(ups), tuple(covers))
+    return FinPoset(tuple(label_of.values()), tuple(ups), tuple(covers), tuple(values))

@@ -78,7 +78,7 @@ from .instances import (
     topological_doctrine,
 )
 from .interior import InteriorOp, identity_interior, interior_violations, stable_elements
-from .order import MonotoneMap, chain_poset, fin_poset, identity_map, label_subset, powerset_poset, subset_label
+from .order import MonotoneMap, chain_poset, fin_poset, identity_map, powerset_poset, value_map
 from .temporal import (
     FCoalgebra,
     gfp_modality_trace,
@@ -206,15 +206,8 @@ def diamond_comonad() -> DoctrineComonad:
     fibers = {x: powerset_poset(attach[x]) for x in base.objects}
     reindex = {}
     for t in base.arrow_names():
-        x, y = base.src(t), base.dst(t)
-        reindex[t] = MonotoneMap(
-            fibers[y],
-            fibers[x],
-            {
-                lbl: subset_label(label_subset(lbl) & set(attach[x]), attach[x])
-                for lbl in fibers[y].elements
-            },
-        )
+        kept = set(attach[base.src(t)])
+        reindex[t] = value_map(fibers[base.dst(t)], fibers[base.src(t)], lambda a: a & kept)
     doc = Doctrine(base, fibers, reindex)
     k = {"bot": "bot", "a": "a", "b": "bot", "top": "a"}
     K = fin_functor(
@@ -223,17 +216,7 @@ def diamond_comonad() -> DoctrineComonad:
     mu = fin_nat(K, compose_functors(K, K), {x: f"{k[x]}<={k[x]}" for x in base.objects})
     nu = fin_nat(K, identity_functor(base), {x: f"{k[x]}<={x}" for x in base.objects})
     prune = {"bot": set(), "a": {"q"}, "b": set(), "top": {"q"}}
-    kappa = {
-        x: MonotoneMap(
-            fibers[x],
-            fibers[k[x]],
-            {
-                lbl: subset_label(label_subset(lbl) & prune[x], attach[k[x]])
-                for lbl in fibers[x].elements
-            },
-        )
-        for x in base.objects
-    }
+    kappa = {x: value_map(fibers[x], fibers[k[x]], lambda a: a & prune[x]) for x in base.objects}
     return DoctrineComonad(doc, K, kappa, mu, nu)
 
 

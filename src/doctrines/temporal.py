@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp
-from .order import MonotoneMap, label_subset, subset_label, subsets_in_order
+from .order import subset_label, subsets_in_order, value_map
 
 
 STREAM, TREE = "stream", "tree"
@@ -252,14 +252,7 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     )
     doc = inverse_image_doctrine(fc)
     parts = {
-        c.name: MonotoneMap(
-            doc.fibers[c.name],
-            doc.fibers[c.name],
-            {
-                lbl: subset_label(gfp_modality(c, lift, label_subset(lbl)), c.states)
-                for lbl in doc.fibers[c.name].elements
-            },
-        )
+        c.name: value_map(doc.fibers[c.name], doc.fibers[c.name], lambda alpha: gfp_modality(c, lift, alpha))
         for c in coalgebras
     }
     return doc, InteriorOp(doc, parts)

@@ -398,6 +398,50 @@ def is_poset(x):
     assert _unlisted_callers(sources, "FinPoset", FIN_POSET_BUILDERS) == ["order.shortcut", "instances.Fibers.build"]
 
 
+# a map between fibers is read off the values its elements keep
+# (order.value_map); a label is parsed back into a subset only where model
+# text is read, and in the presheaf oracle, which stays independent of the
+# engine it checks
+LABEL_READERS = {"cli._set_atom", "instances.presheaf_decode"}
+
+
+def test_only_the_model_reader_and_the_presheaf_oracle_parse_a_subset_label():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert any(_callers(text, "label_subset") for text in sources.values())
+    assert _unlisted_callers(sources, "label_subset", LABEL_READERS) == []
+
+
+def test_label_reader_scan_flags_planted_calls_and_nothing_else():
+    cli = '''
+from .order import label_subset
+
+
+def _set_atom(atom):
+    return label_subset(atom)
+
+
+def _frame_worlds(atom):
+    return sorted(label_subset(atom))
+'''
+    instances = '''
+from . import order
+
+
+def presheaf_decode(label, d):
+    return {w: order.label_subset(v) for w, v in label}
+
+
+def kripke_doctrine(frame, sets):
+    box = {lbl: order.label_subset(lbl) for lbl in sets}
+    return box, order.subset_label(box, frame)
+
+
+READER = order.label_subset
+'''
+    sources = {"cli": cli, "instances": instances}
+    assert _unlisted_callers(sources, "label_subset", LABEL_READERS) == ["cli._frame_worlds", "instances.kripke_doctrine"]
+
+
 # law checks compare maps and functors pointwise (order.same_composite,
 # fincat.same_functor_composite, fincat.is_identity_functor) instead of
 # building the two sides and comparing the results

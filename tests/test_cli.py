@@ -429,6 +429,17 @@ def test_cli_map_entry_of_the_wrong_shape_is_usage_error(tmp_path, capsys, text,
     assert message in capsys.readouterr().err
 
 
+def test_cli_presheaf_without_the_action_along_a_composite_is_usage_error(tmp_path, capsys):
+    # the refl-trans closure of w1->w2->w3 has the arrow w1<=w3, whose action
+    # is determined by the other two but must still be written out
+    text = (
+        "kripke-frame K { worlds: w1 w2 w3; rel: w1->w2 w2->w3 }\n"
+        "presheaf P { frame: K; at: w1={a} w2={a} w3={a}; act: w1->w2=a>a w2->w3=a>a }"
+    )
+    assert _main(tmp_path, text, "check") == 2
+    assert "presheaf P: missing action along w1<=w3" in capsys.readouterr().err
+
+
 def test_cli_tests_each_topological_function_once(monkeypatch):
     from doctrines import cli, instances
 

@@ -49,7 +49,7 @@ from doctrines.instances import (
     subpresheaf_union_oracle,
     topological_doctrine,
 )
-from doctrines.instances import _function_fiber, _pointwise_fiber, fun_label
+from doctrines.instances import _function_fiber, _pointwise_fiber
 from doctrines.order import (
     chain_poset,
     fin_poset,
@@ -67,6 +67,7 @@ from doctrines.suite import SPACES
 from doctrines.temporal import FCoalgebra, temporal_doctrine
 from util import (
     antichain_poset,
+    assignments,
     bang_law_report_reference,
     constant_family_arrow,
     covers_by_definition,
@@ -74,11 +75,14 @@ from util import (
     forgetful_top_arrow,
     function_category_reference,
     inverse_image_reference,
+    postcomposition_reference,
     powerset_doctrine_over,
     powerset_lattice,
     powerset_monoid_quantale,
+    precomposition_reference,
     residuation_failures_reference,
     subobject_doctrine_finset,
+    subset_map_reference,
 )
 
 
@@ -380,7 +384,7 @@ POINTWISE_FACTORS = {
 @pytest.mark.parametrize("name", POINTWISE_FACTORS)
 def test_pointwise_fiber_covers_equal_the_definition(name):
     factors = POINTWISE_FACTORS[name]
-    fiber, _ = _pointwise_fiber([f"k{i}" for i in range(len(factors))], factors)
+    fiber = _pointwise_fiber([f"k{i}" for i in range(len(factors))], factors)
     want = covers_by_definition(fiber)
     assert set(fiber.hasse()) == want and len(fiber.hasse()) == len(want)
     assert set(poset_from_pairs(fiber.elements, fiber.relation).hasse()) == want
@@ -530,10 +534,7 @@ def _all_pairs_order(labels, below):
 
 
 def _all_pairs_function_fiber(domain, codomain):
-    decode = {}
-    for combo in product(codomain.elements, repeat=len(domain)):
-        m = dict(zip(domain, combo))
-        decode[fun_label(m, domain)] = m
+    decode = assignments(domain, codomain)
     return _all_pairs_order(
         list(decode), lambda l1, l2: all(codomain.leq(decode[l1][d], decode[l2][d]) for d in domain)
     )
@@ -549,11 +550,13 @@ FIBER_CODOMAINS = [powerset_poset([f"w{i}" for i in range(n)]) for n in range(5)
 @pytest.mark.parametrize("size", range(3))
 def test_function_fiber_equals_all_pairs_reference(codomain, size):
     domain = [f"d{i}" for i in range(size)]
-    got, decode = _function_fiber(domain, codomain)
+    got = _function_fiber(domain, codomain)
     want = _all_pairs_function_fiber(domain, codomain)
     assert got.elements == want.elements
     assert got.relation == want.relation
-    assert all(fun_label(decode[lbl], domain) == lbl for lbl in got.elements)
+    # each element's value is the tuple of the values its label assigns
+    decode = assignments(domain, codomain)
+    assert got.values == tuple(tuple(codomain.value(decode[lbl][e]) for e in domain) for lbl in got.elements)
 
 
 def test_presheaf_fibers_equal_all_pairs_reference():
@@ -691,16 +694,6 @@ def test_presheaf_base_equals_reference_search():
         assert category_violations(base.objects, base.arrows, base.identities, base.composition) == []
 
 
-def _precomposition_reference(fc, sets, decode, fibers):
-    """Reference: along each arrow g: X → Y, the map α ↦ α∘g on fiber labels."""
-    out = {}
-    for a in fc.category.arrow_names():
-        s, d = fc.category.src(a), fc.category.dst(a)
-        g = fc.graphs[a]
-        out[a] = {lbl: fun_label({e: decode[d][lbl][g[e]] for e in sets[s]}, sets[s]) for lbl in fibers[d].elements}
-    return out
-
-
 KRIPKE_CASES = [
     (CHAIN2, {"D": ["x"], "E": ["x", "y"]}),
     (KripkeFrame(("u", "v"), frozenset({("u", "u"), ("v", "v"), ("u", "v"), ("v", "u")})), {"D": ["x", "y"]}),
@@ -712,16 +705,10 @@ def test_kripke_doctrine_maps_equal_reference_loops(frame, sets):
     doc, op = kripke_doctrine(frame, sets)
     fc = full_function_category(sets)
     wposet = powerset_poset(frame.worlds)
-    decode = {x: _function_fiber(sets[x], wposet)[1] for x in sets}
-    reindex = _precomposition_reference(fc, sets, decode, doc.fibers)
-    assert {a: m.mapping for a, m in doc.reindex.items()} == reindex
-    box = {lbl: subset_label(kripke_box(frame, label_subset(lbl)), frame.worlds) for lbl in wposet.elements}
+    assert {a: m.mapping for a, m in doc.reindex.items()} == precomposition_reference(fc, wposet)
+    box = subset_map_reference(wposet, frame.worlds, lambda a: kripke_box(frame, a))
     for x in sets:
-        want = {
-            lbl: fun_label({e: box[decode[x][lbl][e]] for e in sets[x]}, sets[x])
-            for lbl in doc.fibers[x].elements
-        }
-        assert op.parts[x].mapping == want
+        assert op.parts[x].mapping == postcomposition_reference(sets[x], wposet, box)
 
 
 @pytest.mark.parametrize("q", [bool_quantale(), lukasiewicz3()], ids=["bool", "luk3"])
@@ -730,17 +717,12 @@ def test_quantale_doctrine_maps_equal_reference_loops(q):
     Qdoc, adj, _ = quantale_doctrine(q, sets)
     core = quantale_core(q)
     fc = full_function_category(sets)
-    q_decode = {x: _function_fiber(sets[x], q.lattice.carrier)[1] for x in sets}
-    c_decode = {x: _function_fiber(sets[x], core.sub)[1] for x in sets}
     assert adj.q is Qdoc
-    assert {a: m.mapping for a, m in Qdoc.reindex.items()} == _precomposition_reference(fc, sets, q_decode, Qdoc.fibers)
-    assert {a: m.mapping for a, m in adj.p.reindex.items()} == _precomposition_reference(fc, sets, c_decode, adj.p.fibers)
+    assert {a: m.mapping for a, m in Qdoc.reindex.items()} == precomposition_reference(fc, q.lattice.carrier)
+    assert {a: m.mapping for a, m in adj.p.reindex.items()} == precomposition_reference(fc, core.sub)
     for x in sets:
-        assert adj.lam[x].mapping == {lbl: fun_label(c_decode[x][lbl], sets[x]) for lbl in adj.p.fibers[x].elements}
-        assert adj.rho[x].mapping == {
-            lbl: fun_label({e: core.r.apply(q_decode[x][lbl][e]) for e in sets[x]}, sets[x])
-            for lbl in Qdoc.fibers[x].elements
-        }
+        assert adj.lam[x].mapping == postcomposition_reference(sets[x], core.sub, core.iota.mapping)
+        assert adj.rho[x].mapping == postcomposition_reference(sets[x], q.lattice.carrier, core.r.mapping)
 
 
 M3 = fin_poset(["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])

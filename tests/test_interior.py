@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from doctrines.doctrine import Doctrine, OneArrow, doctrine_violations, one_arrow_violations
+from doctrines.doctrine import Doctrine, OneArrow, doctrine_violations, identity_one_arrow, one_arrow_violations
 from doctrines.fincat import discrete_category, identity_functor
 from doctrines.interior import (
     InteriorOp,
@@ -204,3 +206,33 @@ def test_interior_naturality_square_off_its_boundary_raises_as_composition_does(
     for check in (interior_violations, interior_violations_reference):
         with pytest.raises(ValueError, match="^compose_maps: boundary mismatch$"):
             check(planted)
+
+
+def _modal_arrows(op):
+    """Modal 1-arrows between interior operators, built from `op` on P: the
+    identity and the box itself from op to op, the identity from op to the
+    identity operator, and the inclusion of the stable subdoctrine."""
+    P = op.doctrine
+    stable, inclusion = stable_subdoctrine(op)
+    return [
+        (identity_one_arrow(P), op, op),
+        (OneArrow(P, P, identity_functor(P.base), dict(op.parts)), op, op),
+        (identity_one_arrow(P), op, identity_interior(P)),
+        (inclusion, identity_interior(stable), op),
+    ]
+
+
+def test_modal_arrows_between_interior_operators_map_stable_elements_to_stable_elements():
+    # modal_one_arrow_violations checks only the modal inequality: between
+    # interior operators it implies box'(f(box a)) = f(box a), pinned here
+    rng = random.Random(15)
+    for name, op in bundled_interior_ops():
+        for arrow, op_src, op_dst in _modal_arrows(op):
+            assert interior_violations(op_src) == interior_violations(op_dst) == [], name
+            assert modal_one_arrow_violations(arrow, op_src, op_dst) == [], name
+            for x in arrow.src.base.objects:
+                f, box, box2 = arrow.parts[x], op_src.parts[x], op_dst.parts[arrow.functor.obj_map[x]]
+                elements = arrow.src.fibers[x].elements
+                for alpha in rng.sample(elements, min(len(elements), 16)):
+                    image = f.apply(box.apply(alpha))
+                    assert box2.apply(image) == image, (name, x, alpha)

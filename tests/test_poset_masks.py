@@ -2,6 +2,7 @@
 references, and the pair set built only by a failing check."""
 
 import json
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -70,9 +71,10 @@ def test_masks_encode_the_closed_relation(p):
 def test_pointwise_fiber_equals_the_pair_set_reference(data, keys):
     factors = [data.draw(shuffled_posets(prefix=f"f{k}_", max_size=4 if keys < 3 else 3)) for k in range(keys)]
     names = [f"k{k}" for k in range(keys)]
-    got, decode = _pointwise_fiber(names, factors)
+    got = _pointwise_fiber(names, factors)
     _same_order(got, pointwise_fiber_reference(names, factors))
-    assert list(decode) == list(got.elements)
+    # the factors keep their labels as values, so each value is the assignment itself
+    assert got.values == tuple(product(*(f.elements for f in factors)))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -390,6 +390,45 @@ def pointwise_fiber_reference(keys, factors):
     return poset_from_pairs(list(label_of.values()), rel)
 
 
+def assignments(domain, codomain):
+    """Every assignment of an element of `codomain` to each member of
+    `domain`, as a dict, by its `fun_label`, in `itertools.product` order."""
+    out = {}
+    for combo in product(codomain.elements, repeat=len(domain)):
+        m = dict(zip(domain, combo))
+        out[fun_label(m, domain)] = m
+    return out
+
+
+def subset_map_reference(src, ground, f):
+    """The graph of the map sending each subset in the powerset fiber `src`
+    to f(it) ⊆ `ground`, by parsing and printing labels: the reference for
+    `order.value_map` on powerset fibers."""
+    return {lbl: subset_label(f(label_subset(lbl)), ground) for lbl in src.elements}
+
+
+def precomposition_reference(fc, codomain):
+    """Along each arrow g: X → Y of the function category `fc`, the graph of
+    α ↦ α∘g between the fibers of functions into `codomain`, on labels: the
+    reference for the reindexing of `instances._function_doctrine`."""
+    out = {}
+    for a in fc.category.arrow_names():
+        s, d = fc.category.src(a), fc.category.dst(a)
+        g = fc.graphs[a]
+        out[a] = {
+            lbl: fun_label({e: alpha[g[e]] for e in fc.sets[s]}, fc.sets[s])
+            for lbl, alpha in assignments(fc.sets[d], codomain).items()
+        }
+    return out
+
+
+def postcomposition_reference(domain, codomain, f):
+    """The graph of α ↦ f∘α on the fiber of functions `domain` → `codomain`,
+    on labels, f given by `codomain` label: the reference for
+    `instances._postcompose`."""
+    return {lbl: fun_label({e: f[alpha[e]] for e in domain}, domain) for lbl, alpha in assignments(domain, codomain).items()}
+
+
 def _pointwise(q, keys):
     """The functions keys → Q as tuples of values in `itertools.product`
     order, their labels, and the pointwise order, ⊗ and unit."""
