@@ -324,6 +324,7 @@ class Workspace:
         self.posets = {}
         self.categories = {}
         self.frames = {}
+        self.frame_bases = {}  # frame name -> its poset category, apart from user categories
         self.spaces = []
         self.presheaves = {}
         self.coalgebras = {}
@@ -514,7 +515,9 @@ def _build_presheaf(ws: Workspace, d: Declaration):
     got = check_poset(frame.worlds, frame.rel)
     if isinstance(got, list):
         raise BuildError(f"presheaf {d.name}: frame '{frame_name}' must be an antisymmetric preorder")
-    base = poset_category_cached(ws, frame_name, got)
+    if frame_name not in ws.frame_bases:
+        ws.frame_bases[frame_name] = poset_category(got)
+    base = ws.frame_bases[frame_name]
     at = {}
     for key, body in _entries(d, "at", d.need("at")):
         if body.startswith("{") and body.endswith("}"):
@@ -537,13 +540,6 @@ def _build_presheaf(ws: Workspace, d: Declaration):
         ws.presheaves.setdefault(frame_name, []).append(psh)
 
 
-def poset_category_cached(ws: Workspace, frame_name: str, poset):
-    key = f"__frame_base_{frame_name}"
-    if key not in ws.categories:
-        ws.categories[key] = poset_category(poset)
-    return ws.categories[key]
-
-
 def _build_coalgebra(ws: Workspace, d: Declaration):
     kind = d.need("kind")[0]
     states = _distinct(d, "states", d.need("states"))
@@ -562,7 +558,8 @@ def _build_coalgebra(ws: Workspace, d: Declaration):
     ws.verdict(f"coalgebra {d.name}", bad)
     if not bad:
         ws.coalgebras[d.name] = c
-        # one Ψ-chain and one oracle run per subset, each O(n + edges)
+        # one O(n + edges) oracle pass for each of the 2ⁿ subsets α; the sweep's
+        # Ψ steps (one table read each) and its 2ⁿ-entry tables are left out
         edges = sum(len(c.successors(s)) for s in c.states)
         count = 2 ** len(states) * (len(states) + edges)
         if count > ws.max_size:

@@ -1,25 +1,27 @@
 """Finite-scale temporal semantics: stream and finitely-branching-tree
 coalgebras, the predicate lifts driving a greatest-fixed-point box operator,
-independent path/orbit/SCC oracles for G, AG and EG, and the packaging of the
-operator as an interior operator over a finite category of coalgebra
-homomorphisms.
+independent reachability and strongly-connected-component oracles for G, AG
+and EG, and the packaging of the operator as an interior operator over a
+finite category of coalgebra homomorphisms.
 
-The operator iterates Ψ(β) = α ∩ step⁻¹(lift(β)) from the full state set, one
-subset per step, so it never materializes any infinite unfolding; the oracles
-decide the same property by explicit orbit, reachability, or cycle arguments.
+A box iterates Ψ(β) = α ∩ step⁻¹(lift(β)) from the full state set, one subset
+per step, so it never materializes any infinite unfolding; the oracle sweep
+boxes every α at once on bit masks. The oracles decide the same property by
+reachability or Tarjan's components, from their own reading of the step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp
-from .order import subset_label, subsets_in_order, value_map
+from .order import subset_label, value_map
 
 
 STREAM, TREE = "stream", "tree"
@@ -39,6 +41,24 @@ class FCoalgebra:
         if self.kind == STREAM:
             return (self.step[s],)
         return tuple(self.step[s])
+
+    @cached_property
+    def _oracle_graph(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """The oracles' own reading of the step, made once from `successors`:
+        per state, its distinct successor positions, its successor mask, and
+        its reflexive reachable mask, found by DFS."""
+        index = {s: i for i, s in enumerate(self.states)}
+        succ = [sorted({index[t] for t in self.successors(s)}) for s in self.states]
+        reach = []
+        for x in range(len(succ)):
+            seen, frontier = 1 << x, [x]
+            while frontier:
+                for t in succ[frontier.pop()]:
+                    if not seen >> t & 1:
+                        seen |= 1 << t
+                        frontier.append(t)
+            reach.append(seen)
+        return succ, [sum(1 << t for t in kids) for kids in succ], reach
 
 
 def coalgebra_violations(c: FCoalgebra) -> list[str]:
@@ -134,93 +154,125 @@ def _psi_chain(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[frozense
         beta = nxt
 
 
-def g_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
-    """Orbit oracle for streams: x qualifies iff every iterate stays in alpha."""
-    if c.kind != STREAM:
-        raise ValueError("g_oracle needs a stream coalgebra")
-    out = set()
-    for x in c.states:
-        seen = []
-        cur = x
-        ok = True
-        while cur not in seen:
-            if cur not in alpha:
-                ok = False
+def _mask_states(c: FCoalgebra, mask: int) -> frozenset[str]:
+    return frozenset(s for i, s in enumerate(c.states) if mask >> i & 1)
+
+
+def _gfp_table(c: FCoalgebra, lift: str) -> list[int]:
+    """νΨ_α for every α ⊆ S, states as bits. pre[γ] holds the states with a
+    successor in γ (one OR per entry), so Ψ_α(β) = α ∩ Φ(β) with Φ(β) = pre[β]
+    for the stream and exists lifts and S ∖ pre[S ∖ β] for forall: one read.
+
+    α runs down from S, and below S its chain starts at the fixed point X of
+    α″ = α plus its lowest missing state. That is sound: Ψ_α(X) = α ∩ Φ(X) ⊆
+    α″ ∩ Φ(X) = X, so νΨ_α ⊆ X and the monotone Ψ_α descends from X to νΨ_α."""
+    pred = [sum(1 << i for i, s in enumerate(c.states) if t in c.successors(s)) for t in c.states]
+    pre = [0] * (1 << len(pred))
+    for gamma in range(1, len(pre)):
+        pre[gamma] = pre[gamma & (gamma - 1)] | pred[(gamma & -gamma).bit_length() - 1]
+    full = len(pre) - 1
+    gfp = [0] * len(pre)
+    for alpha in range(full, -1, -1):
+        beta = full if alpha == full else gfp[alpha | (alpha + 1) & ~alpha]
+        while True:
+            nxt = alpha & ~pre[full ^ beta] if lift == "forall" else alpha & pre[beta]
+            if nxt & ~beta:
+                raise ValueError(f"gfp: Ψ-chain of {sorted(_mask_states(c, alpha))} does not descend")
+            if nxt == beta:
                 break
-            seen.append(cur)
-            cur = c.step[cur]
-        if ok:
-            out.add(x)
-    return frozenset(out)
+            beta = nxt
+        gfp[alpha] = beta
+    return gfp
 
 
-def _reachable(c: FCoalgebra, x: str) -> frozenset[str]:
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        s = frontier.pop()
-        for t in c.successors(s):
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return frozenset(seen)
+def _eg_mask(c: FCoalgebra, alpha: int) -> int:
+    """EG as Clarke, Emerson and Sistla decide it: the states of α from which,
+    inside the α-induced subgraph, a nontrivial strongly connected component
+    (two or more states, or one with a self-loop) is reachable. Tarjan's
+    algorithm emits components sinks first, so the backward closure is one
+    test per component as it is emitted, and the pass is O(n + e)."""
+    succ, masks, _ = c._oracle_graph
+    order, low, stack, on, good = {}, {}, [], 0, 0
+    for root in range(len(succ)):
+        if root in order or not alpha >> root & 1:
+            continue
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, kids = work[-1]
+            if v not in order:
+                order[v] = low[v] = len(order)
+                stack.append(v)
+                on |= 1 << v
+            for w in kids:
+                if alpha >> w & 1 and w not in order:
+                    work.append((w, iter(succ[w])))
+                    break
+                if on >> w & 1 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    comp = out = 0
+                    while not comp >> v & 1:
+                        w = stack.pop()
+                        comp |= 1 << w
+                        out |= masks[w]
+                    on ^= comp
+                    if comp != 1 << v or masks[v] >> v & 1 or out & good:
+                        good |= comp
+    return good
 
 
-def ag_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
-    """Reachability oracle for trees: x qualifies iff everything reachable
-    from x (including x) lies in alpha."""
-    if c.kind != TREE:
-        raise ValueError("ag_oracle needs a tree coalgebra")
-    return frozenset(x for x in c.states if _reachable(c, x) <= alpha)
+_ORACLES = {"stream": ("g_oracle", STREAM), "forall": ("ag_oracle", TREE), "exists": ("eg_oracle", TREE)}
 
 
-def eg_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
-    """Cycle oracle for trees: x qualifies iff inside the alpha-induced
-    subgraph some cycle is reachable from x; decided by transitive closure,
-    independently of the fixed-point iteration."""
-    if c.kind != TREE:
-        raise ValueError("eg_oracle needs a tree coalgebra")
-    nodes = [s for s in c.states if s in alpha]
-    reach = {(a, b): False for a in nodes for b in nodes}
-    for a in nodes:
-        for b in c.successors(a):
-            if b in alpha:
-                reach[(a, b)] = True
-    for k in nodes:
-        for a in nodes:
-            for b in nodes:
-                if reach[(a, k)] and reach[(k, b)]:
-                    reach[(a, b)] = True
-    cyclic = [s for s in nodes if reach[(s, s)]]
-    return frozenset(
-        x for x in nodes if any(x == s or reach[(x, s)] for s in cyclic)
-    )
+def _oracle_mask(c: FCoalgebra, lift: str, alpha: int) -> int:
+    """The oracle for `lift` on α, states as bits. G and AG: the states whose
+    reflexive reachable set lies in α; EG: `_eg_mask`."""
+    if lift not in _ORACLES:
+        raise ValueError(f"unknown lift {lift}")
+    name, kind = _ORACLES[lift]
+    if c.kind != kind:
+        raise ValueError(f"{name} needs a {kind} coalgebra")
+    if lift == "exists":
+        return _eg_mask(c, alpha)
+    return sum(1 << x for x, r in enumerate(c._oracle_graph[2]) if not r & ~alpha)
 
 
 def oracle_for(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str]:
-    if lift == "stream":
-        return g_oracle(c, alpha)
-    if lift == "forall":
-        return ag_oracle(c, alpha)
-    if lift == "exists":
-        return eg_oracle(c, alpha)
-    raise ValueError(f"unknown lift {lift}")
+    return _mask_states(c, _oracle_mask(c, lift, sum(1 << i for i, s in enumerate(c.states) if s in alpha)))
+
+
+def g_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
+    """Orbit oracle for streams: x qualifies iff its orbit lies in alpha."""
+    return oracle_for(c, "stream", alpha)
+
+
+def ag_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
+    """Reachability oracle for trees: x qualifies iff all it reaches lies in alpha."""
+    return oracle_for(c, "forall", alpha)
+
+
+def eg_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
+    """Cycle oracle for trees: x qualifies iff inside alpha it reaches a nontrivial strongly connected component."""
+    return oracle_for(c, "exists", alpha)
 
 
 def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, frozenset[str]]]:
-    """Every (lift, α) on which the box disagrees with its oracle, α running
-    over all subsets of the states by size, then by positions of members.
-
-    Ψ's monotonicity is checked once per lift, over all states: Ψ_α is
-    monotone iff the lift is monotone at every state of α, so a failure is
-    first met at the singleton of the first failing state, with the same
-    message a per-α check would raise there."""
+    """Every (lift, α) on which the box of `_gfp_table` disagrees with its
+    oracle, α running over all subsets of the states by size, then by
+    positions of members. Ψ's monotonicity is checked once per lift, over all
+    states: Ψ_α is monotone iff the lift is monotone at every state of α, so a
+    failure is first met at the singleton of the first failing state, with
+    the same message a per-α check would raise there."""
     out = []
     for lift in lifts:
         _require_psi_monotone(c, lift, frozenset(c.states))
-        for alpha in subsets_in_order(c.states):
-            if _psi_chain(c, lift, alpha)[-1] != oracle_for(c, lift, alpha):
-                out.append((lift, alpha))
+        bad = [alpha for alpha, got in enumerate(_gfp_table(c, lift)) if got != _oracle_mask(c, lift, alpha)]
+        bad.sort(key=lambda m: (m.bit_count(), [i for i in range(len(c.states)) if m >> i & 1]))
+        out.extend((lift, _mask_states(c, alpha)) for alpha in bad)
     return out
 
 

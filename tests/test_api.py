@@ -8,7 +8,8 @@ and only from the package itself or the standard library. Every module-level
 function, class and name bound by assignment (dunder names such as
 `__version__` aside) is named by a library module, `__init__` included,
 outside its own definition: a definition that only tests, the benchmark or
-the tools name belongs with them, not in the library.
+the tools name belongs with them, not in the library. The temporal oracles
+reach no code of the fixed-point engine they check.
 """
 
 import ast
@@ -607,4 +608,85 @@ def read(op, d):
         "tamper: components.setdefault",
         "tamper: kappa",
         "tamper: reindex",
+    ]
+
+
+# the G, AG and EG oracles decide what the fixed-point engine computes, so
+# they must not share its code: neither they nor any temporal.py function,
+# method or module-level name they reach may name the engine
+ORACLES = ("g_oracle", "ag_oracle", "eg_oracle", "oracle_for")
+ENGINE = ("_psi_chain", "step_satisfies_lift", "_gfp_table")
+
+
+def _is_engine(name: str) -> bool:
+    return name in ENGINE or name.startswith("gfp_modality")
+
+
+def _oracle_reach(source: str) -> dict[str, set]:
+    """The definitions of `source` (functions, methods and module-level names)
+    that the ORACLES reach through names and attributes, without passing
+    through the engine, each with the names it reads."""
+    tree = ast.parse(source)
+    defs = {fn.name: fn for fn in _functions(tree)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            defs.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+    reached, todo = {}, [name for name in ORACLES if name in defs]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        reached[name] |= {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
+        todo.extend(n for n in reached[name] if n in defs and not _is_engine(n))
+    return reached
+
+
+def _engine_names_reached_by_oracles(source: str) -> list[str]:
+    return sorted(f"{where}: {name}" for where, names in _oracle_reach(source).items() for name in names if _is_engine(name))
+
+
+def test_temporal_oracles_reach_no_engine_code():
+    source = (ROOT / "src" / "doctrines" / "temporal.py").read_text()
+    assert {"eg_oracle", "_oracle_mask", "_eg_mask", "_oracle_graph"} <= set(_oracle_reach(source))
+    assert _engine_names_reached_by_oracles(source) == []
+
+
+def test_oracle_independence_scan_flags_planted_engine_references_and_nothing_else():
+    source = '''
+def _psi_chain(c, lift, alpha):
+    return [alpha]
+
+
+def _gfp_table(c, lift):
+    return [_psi_chain(c, lift, a)[-1] for a in c]
+
+
+def _shortcut(c, lift, alpha):
+    return _gfp_table(c, lift)[alpha]
+
+
+_STEP = step_satisfies_lift
+
+
+class FCoalgebra:
+    def _graph(self):
+        return _STEP
+
+
+def oracle_for(c, lift, alpha):
+    return _shortcut(c, lift, alpha)
+
+
+def eg_oracle(c, alpha):
+    return c._graph(), temporal.gfp_modality_trace
+
+
+def unrelated(c):
+    return gfp_modality(c)
+'''
+    assert _engine_names_reached_by_oracles(source) == [
+        "_STEP: step_satisfies_lift",
+        "_shortcut: _gfp_table",
+        "eg_oracle: gfp_modality_trace",
     ]

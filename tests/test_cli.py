@@ -440,6 +440,19 @@ def test_cli_presheaf_without_the_action_along_a_composite_is_usage_error(tmp_pa
     assert "presheaf P: missing action along w1<=w3" in capsys.readouterr().err
 
 
+def test_cli_user_category_named_like_a_frame_base_does_not_shadow_it(tmp_path, capsys):
+    # a discrete category under the name a frame's base category once took
+    # in the category namespace; the presheaf must still see the chain c0 <= c1
+    text = (
+        "kripke-frame C { worlds: c0 c1; rel: c0->c1 }\n"
+        "category __frame_base_C { objects: c0 c1; arrows: i0=c0->c0 i1=c1->c1;"
+        " identities: c0=i0 c1=i1; compose: i0.i0=i0 i1.i1=i1 }\n"
+        "presheaf D { frame: C; at: c0={d0} c1={d1} }"
+    )
+    assert _main(tmp_path, text, "check") == 2
+    assert "presheaf D: missing action along c0<=c1" in capsys.readouterr().err
+
+
 def test_cli_tests_each_topological_function_once(monkeypatch):
     from doctrines import cli, instances
 

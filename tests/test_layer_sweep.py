@@ -26,3 +26,12 @@ def test_layer_sweep_measures_the_function_category_row():
     rows = _measure("--arrows", 243)
     assert [(r["layer"], r["arrows"]) for r in rows] == [("full_function_category", 243)]
     assert rows[0]["s"] > 0
+
+
+def test_layer_sweep_measures_the_temporal_sweep_rows():
+    rows = _measure("--states", 10)
+    assert [(r["layer"], r["kind"], r["states"]) for r in rows] == [
+        ("oracle_mismatches", "tree", 10),
+        ("oracle_mismatches", "stream", 10),
+    ]
+    assert all(r["s"] > 0 for r in rows)

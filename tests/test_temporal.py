@@ -7,7 +7,7 @@ from doctrines.doctrine import doctrine_violations
 from doctrines.fincat import all_functions
 from doctrines import temporal
 from doctrines.interior import interior_violations
-from doctrines.order import MonotoneMap, label_subset, subset_label
+from doctrines.order import MonotoneMap, label_subset, subset_label, subsets_in_order
 from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T
 from doctrines.temporal import (
     FCoalgebra,
@@ -23,7 +23,16 @@ from doctrines.temporal import (
     random_subset,
     temporal_doctrine,
 )
-from util import function_category_reference, gfp_trace, inverse_image_reference, post_fixed_join, powerset_lattice
+from util import (
+    ag_oracle_reference,
+    eg_oracle_reference,
+    function_category_reference,
+    g_oracle_reference,
+    gfp_trace,
+    inverse_image_reference,
+    post_fixed_join,
+    powerset_lattice,
+)
 
 
 def coalgebra_homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[dict]:
@@ -154,8 +163,11 @@ def test_random_suite_oracle_equivalence_seeded():
 def test_lift_kind_mismatch_rejected():
     with pytest.raises(ValueError):
         temporal_doctrine([STREAM2], "forall")
-    with pytest.raises(ValueError):
-        g_oracle(TREE3, frozenset())
+    for oracle, c in ((g_oracle, TREE3), (ag_oracle, STREAM2), (eg_oracle, STREAM2)):
+        with pytest.raises(ValueError, match=f"{oracle.__name__} needs a"):
+            oracle(c, frozenset())
+    with pytest.raises(ValueError, match="unknown lift"):
+        oracle_for(TREE3, "always", frozenset())
 
 
 def _psi_table_trace(c, lift, alpha, lat):
@@ -198,16 +210,73 @@ def test_psi_chain_equals_table_engine_and_oracles_for_every_alpha(c, lift):
 
 
 def test_oracle_mismatches_reports_planted_disagreement_in_sweep_order(monkeypatch):
-    # an oracle that is wrong exactly on alpha = {s1}, for either lift
-    real = temporal.oracle_for
+    # an oracle that is wrong exactly on alpha = {s1}, for either lift; the
+    # sweep asks its oracle for each alpha through temporal._oracle_mask, on
+    # bit masks by position in TREE_T.states (s0 -> 1, s1 -> 2, s2 -> 4)
+    real = temporal._oracle_mask
     planted = frozenset({"s1"})
 
     def wrong_at_s1(c, lift, alpha):
         got = real(c, lift, alpha)
-        return got ^ {"s0"} if alpha == planted else got
+        return got ^ 1 if alpha == 2 else got
 
-    monkeypatch.setattr(temporal, "oracle_for", wrong_at_s1)
+    monkeypatch.setattr(temporal, "_oracle_mask", wrong_at_s1)
     assert oracle_mismatches(TREE_T, ["forall", "exists"]) == [("forall", planted), ("exists", planted)]
+
+
+def test_oracle_mismatches_are_listed_by_size_then_positions(monkeypatch):
+    # the sweep visits alpha from the full set down; the report still runs
+    # {s1}, {s2}, {s0,s2}, {s0,s1,s2}, as subsets_in_order lists them
+    real = temporal._oracle_mask
+    monkeypatch.setattr(temporal, "_oracle_mask", lambda c, lift, alpha: real(c, lift, alpha) ^ (alpha in (7, 5, 4, 2)))
+    want = [frozenset(s) for s in ({"s1"}, {"s2"}, {"s0", "s2"}, {"s0", "s1", "s2"})]
+    assert oracle_mismatches(TREE_T, ["exists"]) == [("exists", a) for a in want]
+    assert [a for a in subsets_in_order(TREE_T.states) if a in want] == want
+
+
+def _sweep_cases():
+    """Seeded random streams and trees of 0 to 10 states; tree steps hold 0
+    to 3 successors, so empty tuples, repeats and self-loops all occur."""
+    rng = random.Random(16)
+    for n in range(11):
+        for k in range(3 if n < 9 else 2):
+            states = tuple(f"q{i}" for i in range(n))
+            yield FCoalgebra(f"S{n}_{k}", "stream", states, {s: rng.choice(states) for s in states}), ("stream",)
+            step = {s: tuple(rng.choice(states) for _ in range(rng.randint(0, 3))) for s in states}
+            yield FCoalgebra(f"T{n}_{k}", "tree", states, step), ("forall", "exists")
+
+
+def test_sweep_cases_hold_every_step_shape():
+    trees = [c for c, _ in _sweep_cases() if c.kind == "tree"]
+    kids = [c.step[s] for c in trees for s in c.states]
+    assert {len(c.states) for c, _ in _sweep_cases()} == set(range(11))
+    assert () in kids and any(len(set(k)) < len(k) for k in kids)
+    assert any(s in c.step[s] for c in trees for s in c.states)
+    assert any(c.step[s] == s for c, _ in _sweep_cases() if c.kind == "stream" for s in c.states)
+
+
+REFERENCES = {"stream": g_oracle_reference, "forall": ag_oracle_reference, "exists": eg_oracle_reference}
+ORACLES = {"stream": g_oracle, "forall": ag_oracle, "exists": eg_oracle}
+
+
+@pytest.mark.parametrize("c, lifts", list(_sweep_cases()), ids=lambda x: getattr(x, "name", ""))
+def test_oracles_and_sweep_table_equal_their_references_for_every_alpha(c, lifts):
+    for lift in lifts:
+        table = temporal._gfp_table(c, lift)
+        for mask, alpha in enumerate(_masked_subsets(c.states)):
+            want = REFERENCES[lift](c, alpha)
+            assert ORACLES[lift](c, alpha) == oracle_for(c, lift, alpha) == want
+            assert table[mask] == _mask_of(c.states, temporal._psi_chain(c, lift, alpha)[-1])
+    assert oracle_mismatches(c, lifts) == []
+
+
+def _masked_subsets(states):
+    """Every subset of `states`, the one at index m holding the states at the bits of m."""
+    return [frozenset(s for i, s in enumerate(states) if m >> i & 1) for m in range(1 << len(states))]
+
+
+def _mask_of(states, subset):
+    return sum(1 << i for i, s in enumerate(states) if s in subset)
 
 
 def test_non_monotone_lift_is_rejected_naming_the_state(monkeypatch):

@@ -540,6 +540,66 @@ def post_fixed_join(lattice, f):
     return acc
 
 
+def g_oracle_reference(c, alpha):
+    """Orbit walk: x qualifies iff every iterate of the stream step stays in alpha."""
+    if c.kind != "stream":
+        raise ValueError("g_oracle needs a stream coalgebra")
+    out = set()
+    for x in c.states:
+        seen = []
+        cur = x
+        ok = True
+        while cur not in seen:
+            if cur not in alpha:
+                ok = False
+                break
+            seen.append(cur)
+            cur = c.step[cur]
+        if ok:
+            out.add(x)
+    return frozenset(out)
+
+
+def _reachable_reference(c, x):
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        s = frontier.pop()
+        for t in c.successors(s):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return frozenset(seen)
+
+
+def ag_oracle_reference(c, alpha):
+    """Per-state reachability: x qualifies iff everything reachable from x
+    (including x) lies in alpha."""
+    if c.kind != "tree":
+        raise ValueError("ag_oracle needs a tree coalgebra")
+    return frozenset(x for x in c.states if _reachable_reference(c, x) <= alpha)
+
+
+def eg_oracle_reference(c, alpha):
+    """Floyd–Warshall: x qualifies iff inside the alpha-induced subgraph x
+    reaches a state that reaches itself in one step or more."""
+    if c.kind != "tree":
+        raise ValueError("eg_oracle needs a tree coalgebra")
+    nodes = [s for s in c.states if s in alpha]
+    reach = {(a, b): False for a in nodes for b in nodes}
+    for a in nodes:
+        for b in c.successors(a):
+            if b in alpha:
+                reach[(a, b)] = True
+    for k in nodes:
+        for a in nodes:
+            for b in nodes:
+                if reach[(a, k)] and reach[(k, b)]:
+                    reach[(a, b)] = True
+    cyclic = [s for s in nodes if reach[(s, s)]]
+    return frozenset(x for x in nodes if any(x == s or reach[(x, s)] for s in cyclic))
+
+
 def poset_height(p):
     """Length (number of elements) of the longest chain."""
     best = {e: 1 for e in p.elements}

@@ -1,9 +1,10 @@
-"""Layer sweeps of the order kernel, the Kripke doctrine and the function
-category, written to a BENCH_*.json file; standard library only.
+"""Layer sweeps of the order kernel, the Kripke doctrine, the function
+category and the temporal oracle sweep, written to a BENCH_*.json file;
+standard library only.
 
-    python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_14.json
+    python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_16.json
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
-        --workload modal --seeds 40 41 42 --out BENCH_14.json
+        --workload modal --seeds 40 41 42 --out BENCH_16.json
 
 `layers` times, on Kripke chains of 8-13 worlds with one carrier D = {x}:
 `powerset_poset` of the worlds, `_pointwise_fiber` with one key over that
@@ -12,10 +13,15 @@ operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
 timed on 3-6 worlds: its fiber has 4^n elements and 9^n related pairs, so
 at 8 worlds it would hold 43 M pairs as a pair set. `full_function_category`
 is timed at A = 243, 428 and 1,024 arrows: on 3 carriers of 3 points, on
-carriers of 4 and 3 points, and on 2 carriers of 4 points. Each measurement runs
-in a fresh interpreter that imports the library from one checkout's `src`,
-and the two checkouts take turns at each size, `ROUNDS` times; a row is
-the best of each side's timings (`REPEATS` per interpreter).
+carriers of 4 and 3 points, and on 2 carriers of 4 points. `temporal.oracle_mismatches`,
+the 2^n sweep that checks the gfp box against its oracle for every subset, is
+timed on a seeded random tree (both lifts, 0-3 successors per state) and a
+seeded random stream of 10-18 states. Each measurement runs in a fresh
+interpreter that imports the library from one checkout's `src`, and the two
+checkouts take turns at each size, `ROUNDS` times; a row is the best of each
+side's timings (`REPEATS` per interpreter). A temporal row is the best of
+`TEMPORAL_ROUNDS` interpreters, each timing once, since the sweep before its
+bitmask rewrite took over a minute at 18 states.
 
 `end-to-end` runs `bench/run.py` in the two checkouts in turn, alternating
 which goes first, adds every run to those already recorded for the
@@ -28,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -41,12 +48,14 @@ REPEATS = 3  # timings per layer in one interpreter
 ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
 # arrows A = Σ |Y|^|X| over ordered pairs of carriers -> the carrier sizes
 FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4)}
+TEMPORAL_STATES = range(10, 19, 2)
+TEMPORAL_ROUNDS = 2
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
 
 
-def _best(fn) -> float:
+def _best(fn, repeats: int = REPEATS) -> float:
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t)
@@ -94,6 +103,27 @@ def measure_function_category(arrows: int) -> list[dict]:
     return [{"layer": "full_function_category", "arrows": arrows, "s": _best(lambda: full_function_category(sets))}]
 
 
+def measure_temporal(n: int) -> list[dict]:
+    """The `oracle_mismatches` rows at n states, a tree and a stream, timed once
+    each in this interpreter on a coalgebra built afresh, so nothing kept on
+    it from an earlier call is reused."""
+    from doctrines.temporal import FCoalgebra, oracle_mismatches
+
+    def coalgebra(kind: str) -> FCoalgebra:
+        rng = random.Random(f"{kind}:{n}")
+        states = tuple(f"s{i}" for i in range(n))
+        if kind == "stream":
+            return FCoalgebra("M", kind, states, {s: rng.choice(states) for s in states})
+        return FCoalgebra("M", kind, states, {s: tuple(rng.choice(states) for _ in range(rng.randint(0, 3))) for s in states})
+
+    lifts = {"tree": ["forall", "exists"], "stream": ["stream"]}
+    return [
+        {"layer": "oracle_mismatches", "kind": kind, "states": n,
+         "s": _best(lambda: oracle_mismatches(coalgebra(kind), lifts[kind]), 1)}
+        for kind in ("tree", "stream")
+    ]
+
+
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
          "checkout, measured in turns on one machine. end_to_end: every bench/run.py run of both, and their medians.")
 
@@ -109,9 +139,9 @@ def layers(args) -> None:
     out = _load(args.out)
     rows = {}
     sizes = [("--worlds", n) for n in [*TWO_KEY_WORLDS, *ONE_KEY_WORLDS]] + [("--arrows", a) for a in FUNCTION_CARRIERS]
-    for flag, n in sizes:
+    for flag, n in sizes + [("--states", n) for n in TEMPORAL_STATES]:
         sides = [("parent", args.parent), ("change", args.change)]
-        for k in range(ROUNDS):
+        for k in range(TEMPORAL_ROUNDS if flag == "--states" else ROUNDS):
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
                 child = subprocess.run(
                     [sys.executable, __file__, "measure", "--src", str(checkout / "src"), flag, str(n)],
@@ -123,7 +153,8 @@ def layers(args) -> None:
                     row[f"{side}_s"] = round(min(s, row.get(f"{side}_s", s)), 5)
         print([row for row in rows.values() if row.get(flag[2:]) == n], flush=True)
     out["layers"] = sorted(
-        rows.values(), key=lambda r: (r["layer"], r.get("keys", 0), r.get("worlds", 0), r.get("arrows", 0))
+        rows.values(),
+        key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("worlds", 0), r.get("arrows", 0), r.get("states", 0)),
     )
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
@@ -165,6 +196,7 @@ def main() -> None:
     size = one.add_mutually_exclusive_group(required=True)
     size.add_argument("--worlds", type=int)
     size.add_argument("--arrows", type=int, choices=sorted(FUNCTION_CARRIERS))
+    size.add_argument("--states", type=int)
     e2e = sub.add_parser("end-to-end")
     e2e.add_argument("--parent", type=Path, required=True)
     e2e.add_argument("--change", type=Path, default=ROOT)
@@ -174,7 +206,12 @@ def main() -> None:
     args = ap.parse_args()
     if args.mode == "measure":
         sys.path.insert(0, str(args.src.resolve()))
-        print(json.dumps(measure(args.worlds) if args.arrows is None else measure_function_category(args.arrows)))
+        if args.worlds is not None:
+            print(json.dumps(measure(args.worlds)))
+        elif args.arrows is not None:
+            print(json.dumps(measure_function_category(args.arrows)))
+        else:
+            print(json.dumps(measure_temporal(args.states)))
     elif args.mode == "layers":
         layers(args)
     else:
