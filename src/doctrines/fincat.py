@@ -521,17 +521,19 @@ def coalgebra_arrow_name(src: str, dst: str, base_arrow: str) -> str:
 def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation) -> CoalgebraData:
     """Eilenberg-Moore category of ⟨K,μ,ν⟩: objects are pairs ⟨C,c⟩ with the
     counit/coassociativity squares, arrows are base arrows commuting with the
-    structure maps, composed as base arrows."""
+    structure maps, composed as base arrows. Two coalgebras named alike raise."""
     bad = comonad_cat_violations(K, mu, nu)
     if bad:
         raise ValueError("comonad laws fail: " + "; ".join(bad[:5]))
     C = K.src
-    structure = {
-        coalgebra_object_name(x, c): c
-        for x in C.objects
-        for c in C.hom(x, K.obj_map[x])
-        if C.comp(nu.components[x], c) == C.id(x) and C.comp(K.arr_map[c], c) == C.comp(mu.components[x], c)
-    }
+    structure = {}
+    for x in C.objects:
+        for c in C.hom(x, K.obj_map[x]):
+            if C.comp(nu.components[x], c) == C.id(x) and C.comp(K.arr_map[c], c) == C.comp(mu.components[x], c):
+                name = coalgebra_object_name(x, c)
+                if name in structure:
+                    raise ValueError(f"repeated coalgebra name {name!r}")
+                structure[name] = c
     objs, carrier = list(structure), {o: C.src(c) for o, c in structure.items()}
     arrows, arrow_base = [], {}
     for o1, o2 in product(objs, objs):

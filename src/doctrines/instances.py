@@ -44,7 +44,7 @@ from .order import (
     lattice_from_poset,
     poset_from_pairs,
     powerset_poset,
-    product_ups,
+    product_order,
     sub_poset,
     subset_label,
     subsets_in_order,
@@ -85,13 +85,6 @@ def frame_violations(frame: KripkeFrame) -> list[str]:
     return out
 
 
-def kripke_box(frame: KripkeFrame, a: frozenset[str]) -> frozenset[str]:
-    """Worlds whose every successor lies in `a`."""
-    if not a <= set(frame.worlds):
-        raise ValueError("subset mentions unknown worlds")
-    return frozenset(w for w in frame.worlds if frame.successors(w) <= a)
-
-
 def fun_label(mapping: Mapping[str, str], domain: Sequence[str]) -> str:
     return "[" + ";".join(f"{d}:{mapping[d]}" for d in domain) + "]"
 
@@ -99,22 +92,17 @@ def fun_label(mapping: Mapping[str, str], domain: Sequence[str]) -> str:
 def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPoset:
     """Poset of all assignments of an element of factors[i] to keys[i],
     labelled by `fun_label`, valued by the tuple of the factors' values in
-    key order, and ordered pointwise. The up-set masks are built one factor
-    at a time by `product_ups`, from the last factor, whose positions have
-    stride 1, to the first; m is covered by raising one value to a cover of
-    it in its factor."""
+    key order, and ordered pointwise by `product_order`; m is covered by
+    raising one value to a cover of it in its factor."""
     keys = list(keys)
     labels = [fun_label(dict(zip(keys, combo)), keys) for combo in product(*(f.elements for f in factors))]
-    ups = [1]
-    for f in reversed(factors):
-        ups = product_ups(f, ups)
     # raising the value at key k from c to a cover d moves the assignment's
     # position in `labels` by (index of d - index of c) times the stride of k
     stride, raises = 1, []
     for f in reversed(factors):
-        steps = {c: [] for c in f.elements}
+        steps, at = {c: [] for c in f.elements}, dict(zip(f.elements, range(0, stride * len(f.elements), stride)))
         for (c, d) in f.hasse():
-            steps[c].append((f.index(d) - f.index(c)) * stride)
+            steps[c].append(at[d] - at[c])
         raises.insert(0, steps)
         stride *= len(f.elements)
     covers = [
@@ -124,7 +112,7 @@ def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPos
         for step in steps[c]
     ]
     values = tuple(product(*(f.values for f in factors)))
-    return FinPoset(tuple(labels), tuple(ups), tuple(covers), values)
+    return FinPoset(tuple(labels), covers=tuple(covers), values=values, **product_order(factors))
 
 
 def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> FinPoset:
@@ -165,10 +153,12 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     """Fibers are world-valued predicates pw(W)^D over the full function
     category on `sets`; the operator postcomposes with the frame box. The
     interior laws hold iff the frame is a preorder (interior_violations reports
-    the failure otherwise)."""
+    the failure otherwise). A code's box: the worlds whose successors it holds."""
     wposet = powerset_poset(frame.worlds)
     doc = _function_doctrine(full_function_category(sets), wposet)
-    box = {a: kripke_box(frame, a) for a in wposet.values}
+    value_of = dict(zip(wposet.codes, wposet.values))
+    succ = [(1 << i, sum(1 << frame.worlds.index(v) for v in frame.successors(w))) for i, w in enumerate(frame.worlds)]
+    box = {value_of[c]: value_of[sum(b for b, s in succ if not s & ~c)] for c in wposet.codes}
     return doc, InteriorOp(doc, _postcompose(doc, doc, box))
 
 

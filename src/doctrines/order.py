@@ -24,12 +24,21 @@ def _positions(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset: elements in declaration order, the order as one up-set
-    bitmask per element, and its covering pairs.
+    """A finite poset: elements in declaration order, the order in one of two
+    encodings, and its covering pairs.
 
-    Mask invariant: bit j of `ups[i]` is set iff elements[i] <= elements[j]
-    (the bit-vector encoding of Aït-Kaci, Boyer, Lincoln and Nasr, TOPLAS
-    11(1), 1989). Equality and hash are on `(elements, ups)`.
+    Masks, `ups`: bit j of `ups[i]` is set iff elements[i] <= elements[j]
+    (Aït-Kaci, Boyer, Lincoln and Nasr, TOPLAS 11(1), 1989); they fit any
+    poset, and posets from pairs, chains, quantale fibers and `fam_doctrine`
+    families have them. Codes, `codes`: bits of ground points, with
+    elements[i] <= elements[j] iff codes[i] & ~codes[j] == 0; they fit the
+    subposets of a Boolean lattice (Davey and Priestley, *Introduction to
+    Lattices and Order*, 2002). `powerset_poset` codes a subset by its
+    bitmask, `_pointwise_fiber` and `product_poset` concatenate the codes of
+    code factors (pw(W)^D ≅ pw(W×D)), and `sub_poset` keeps them. Exactly one
+    encoding is given; `leq`, `up`, `down`, `hasse`, `relation` and the scans
+    of `monotone_violations` read either, and equality and hash are on the
+    elements and their order, whatever encodes it.
 
     Value invariant: `values[i]` is the hashable value elements[i] stands
     for, distinct across the poset, set by its builder: a powerset element's
@@ -45,27 +54,27 @@ class FinPoset:
     the builders `poset_from_pairs` (from a relation that is already a
     partial order; `check_poset` after its axiom scan and `fam_doctrine`),
     `chain_poset`, `sub_poset`, `product_poset`, `powerset_poset` and
-    `instances._pointwise_fiber` construct one, each from masks that encode
-    a partial order by construction; a repeated
-    element raises here. The cover certificate of `monotone_violations`
-    relies on it: every a <= b is a chain of covers, and the target's <= is
-    reflexive and transitive.
+    `instances._pointwise_fiber` construct one, each from masks or codes that
+    encode a partial order by construction; a repeated element raises here.
+    The cover certificate of `monotone_violations` relies on it: every a <= b
+    is a chain of covers, and the target's <= is reflexive and transitive.
 
     `covers` is the Hasse diagram, the pairs a < b with nothing strictly
-    between. A builder that enumerates the order by its structure passes it;
-    for any other poset `hasse()` derives it from the masks on first use.
-    `relation`, the set of pairs a <= b, is built from the masks on first
-    use; the library never reads it (the literal scan of a failing check
-    walks the masks), so it is there for callers that want the pairs."""
+    between: passed by a builder that enumerates the order by its structure,
+    else derived by `hasse()` on first use. `relation`, the pairs a <= b, is
+    built on first use for callers that want it; the library never reads it."""
 
     elements: tuple[str, ...]
-    ups: tuple[int, ...]
+    ups: tuple[int, ...] | None = None
     covers: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
     values: tuple | None = field(default=None, repr=False, compare=False)
+    codes: tuple[int, ...] | None = None
     _position: dict = field(init=False, repr=False, compare=False, default=None)
-    _up: dict = field(init=False, repr=False, compare=False, default=None)
+    _bits: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if (self.ups is None) == (self.codes is None):
+            raise ValueError("a poset takes exactly one of up-set masks and codes")
         position = {e: i for i, e in enumerate(self.elements)}
         if len(position) != len(self.elements):
             repeated = next(e for i, e in enumerate(self.elements) if position[e] != i)
@@ -78,7 +87,17 @@ class FinPoset:
                 repeated = next(v for i, v in enumerate(self.values) if last[v] != i)
                 raise ValueError(f"repeated poset value {repeated!r}")
         object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_up", dict(zip(self.elements, self.ups)))
+        object.__setattr__(self, "_bits", dict(zip(self.elements, self.ups if self.codes is None else self.codes)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FinPoset):
+            return NotImplemented
+        return self is other or self.elements == other.elements and (
+            (self.ups, self.codes) == (other.ups, other.codes) or all(self.up(a) == other.up(a) for a in self.elements)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
 
     @cached_property
     def by_value(self) -> dict:
@@ -90,28 +109,39 @@ class FinPoset:
 
     @cached_property
     def relation(self) -> frozenset[tuple[str, str]]:
-        els = self.elements
-        return frozenset((a, els[j]) for a, u in zip(els, self.ups) for j in _positions(u))
+        return frozenset((a, b) for a in self.elements for b in self.up(a))
 
     def hasse(self) -> tuple[tuple[str, str], ...]:
-        """The covering pairs, derived once from the masks when no builder
-        passed them: b covers a iff b is in the strict up-set of a and in the
-        strict up-set of nothing in it, Θ(|relation|) big-integer operations."""
+        """The covering pairs, derived once when no builder passed them. With
+        masks, b covers a iff b is in the strict up-set of a and in the strict
+        up-set of nothing in it, Θ(|relation|) big-integer operations. With
+        codes, in order of size, b covers a iff its code strictly contains
+        a's and no cover found before, O(n²) tests on n codes."""
         if self.covers is None:
-            els = self.elements
-            strict = [u ^ (1 << i) for i, u in enumerate(self.ups)]
-            covers = []
-            for a, above in zip(els, strict):
-                beyond = 0
-                for j in _positions(above):
-                    beyond |= strict[j]
-                covers.extend((a, els[j]) for j in _positions(above & ~beyond))
+            els, covers = self.elements, []
+            if self.codes is None:
+                strict = [u ^ (1 << i) for i, u in enumerate(self.ups)]
+                for a, above in zip(els, strict):
+                    beyond = 0
+                    for j in _positions(above):
+                        beyond |= strict[j]
+                    covers.extend((a, els[j]) for j in _positions(above & ~beyond))
+            else:
+                by_size = sorted(zip(self.codes, els), key=lambda cb: cb[0].bit_count())
+                for a, c in zip(els, self.codes):
+                    found = []
+                    for d, b in by_size:
+                        if d != c and not c & ~d and all(f & ~d for f in found):
+                            found.append(d)
+                            covers.append((a, b))
             object.__setattr__(self, "covers", tuple(covers))
         return self.covers
 
     def leq(self, a: str, b: str) -> bool:
         try:
-            return self._up[a] >> self._position[b] & 1 == 1
+            if self.codes is None:
+                return self._bits[a] >> self._position[b] & 1 == 1
+            return not self._bits[a] & ~self._bits[b]
         except KeyError:
             return False
 
@@ -122,11 +152,13 @@ class FinPoset:
             raise ValueError(f"{a!r} is not an element of the poset") from None
 
     def down(self, a: str) -> tuple[str, ...]:
-        i = self._position[a]
-        return tuple(x for x, u in zip(self.elements, self.ups) if u >> i & 1)
+        return tuple(x for x in self.elements if self.leq(x, a))
 
     def up(self, a: str) -> tuple[str, ...]:
-        return tuple(map(self.elements.__getitem__, _positions(self.ups[self._position[a]])))
+        if self.codes is None:
+            return tuple(map(self.elements.__getitem__, _positions(self._bits[a])))
+        c = self._bits[a]
+        return tuple(x for x, d in zip(self.elements, self.codes) if not c & ~d)
 
     def __contains__(self, a: str) -> bool:
         return a in self._position
@@ -145,25 +177,37 @@ def poset_from_pairs(
     return FinPoset(tuple(elements), tuple(ups), values=None if values is None else tuple(values))
 
 
-def product_ups(outer: FinPoset, inner: Sequence[int]) -> list[int]:
-    """The up-set masks of outer × I in lexicographic position order, where
-    `inner` are the masks of a poset I on len(inner) positions. The row of
-    (c, ·) is I's masks shifted into block c, ORed with the rows of the
-    elements covering c; rows are filled in order of increasing up-set size,
-    so each cover's row is ready first whatever the declaration order."""
-    size = len(inner)
-    pos = outer._position
-    above = [[] for _ in outer.elements]
-    for c, d in outer.hasse():
-        above[pos[c]].append(pos[d])
-    rows = [None] * len(outer.elements)
-    for c in sorted(range(len(outer.elements)), key=list(map(int.bit_count, outer.ups)).__getitem__):
-        shift = c * size
-        row = [u << shift for u in inner]
-        for d in above[c]:
-            row = list(map(or_, row, rows[d]))
-        rows[c] = row
-    return [u for row in rows for u in row]
+def product_order(factors: Sequence[FinPoset]) -> dict:
+    """The order of the product of `factors` in lexicographic position order,
+    as the keyword of `FinPoset` that holds it: the factors' codes
+    concatenated when they all have codes (pw(A) × pw(B) ≅ pw(A + B)), else
+    up-set masks, one factor at a time from the last, whose positions have
+    stride 1, to the first. For a factor P and the masks of the product I of
+    the factors after it, the row of (c, ·) is I's masks shifted into block
+    c, ORed with the rows of the elements covering c; rows are filled from
+    the largest codes or the smallest up-sets, so each cover's row is ready
+    first whatever the declaration order."""
+    if all(f.ups is None for f in factors):
+        codes = [0]
+        for f in factors:
+            width = max(f.codes, default=0).bit_length()
+            codes = [c << width | d for c in codes for d in f.codes]
+        return {"codes": tuple(codes)}
+    ups = [1]
+    for f in reversed(factors):
+        size, pos = len(ups), f._position
+        above = [[] for _ in f.elements]
+        for c, d in f.hasse():
+            above[pos[c]].append(pos[d])
+        rows = [None] * len(f.elements)
+        rank = [-c.bit_count() for c in f.codes] if f.ups is None else list(map(int.bit_count, f.ups))
+        for c in sorted(range(len(f.elements)), key=rank.__getitem__):
+            row = [u << c * size for u in ups]
+            for d in above[c]:
+                row = list(map(or_, row, rows[d]))
+            rows[c] = row
+        ups = [u for row in rows for u in row]
+    return {"ups": tuple(ups)}
 
 
 def poset_violations(elements: Sequence[str], relation: Iterable[tuple[str, str]]) -> list[str]:
@@ -241,14 +285,18 @@ def chain_poset(labels: Sequence[str]) -> FinPoset:
 
 
 def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
-    """The induced order on the members of `elements`, in p's order: each
-    kept mask is compressed to the bits of the kept positions."""
+    """The induced order on the members of `elements`, in p's order: kept
+    codes stay as they are, and each kept mask is compressed to the bits of
+    the kept positions."""
     wanted = set(elements)
     kept = [i for i, e in enumerate(p.elements) if e in wanted]
+    labels, values = tuple(map(p.elements.__getitem__, kept)), tuple(map(p.values.__getitem__, kept))
+    if p.ups is None:
+        return FinPoset(labels, codes=tuple(map(p.codes.__getitem__, kept)), values=values)
     keep = sum(map((1).__lshift__, kept))
     bit = {i: 1 << t for t, i in enumerate(kept)}  # the new bit of each kept position
     ups = tuple(sum(bit[j] for j in _positions(p.ups[i] & keep)) for i in kept)
-    return FinPoset(tuple(map(p.elements.__getitem__, kept)), ups, values=tuple(map(p.values.__getitem__, kept)))
+    return FinPoset(labels, ups, values=values)
 
 
 def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
@@ -258,7 +306,7 @@ def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
         label = lambda a, b: f"({a}|{b})"
     elems = tuple(label(a, b) for a in p.elements for b in q.elements)
     values = tuple((u, v) for u in p.values for v in q.values)
-    return FinPoset(elems, tuple(product_ups(p, q.ups)), values=values)
+    return FinPoset(elems, values=values, **product_order([p, q]))
 
 
 @dataclass(frozen=True)
@@ -324,16 +372,16 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
     # every a <= b is a chain of covers and the target's <= is reflexive and
     # transitive, so preserving the covers certifies a pass; on a miss the
     # scan below finds the witnesses
-    mapping, up, pos = m.mapping, m.dst._up, m.dst._position
-    if all(up[mapping[a]] >> pos[mapping[b]] & 1 for (a, b) in m.src.hasse()):
+    mapping, bits, pos = m.mapping, m.dst._bits, m.dst._position
+    if m.dst.codes is None:
+        kept = all(bits[mapping[a]] >> pos[mapping[b]] & 1 for (a, b) in m.src.hasse())
+    else:
+        kept = all(not bits[mapping[a]] & ~bits[mapping[b]] for (a, b) in m.src.hasse())
+    if kept:
         return []
-    els, dst_ups = m.src.elements, m.dst.ups
-    image = [pos[mapping[a]] for a in els]
-    for i, a in enumerate(els):
-        above = dst_ups[image[i]]
-        for j in _positions(m.src.ups[i]):
-            if not above >> image[j] & 1:
-                out.append(f"order not preserved on ({a},{els[j]})")
+    leq = m.dst.leq
+    for a in m.src.elements:
+        out.extend(f"order not preserved on ({a},{b})" for b in m.src.up(a) if not leq(mapping[a], mapping[b]))
     return sorted(out)
 
 
@@ -426,25 +474,15 @@ def subsets_in_order(ground: Sequence[str]) -> list[frozenset[str]]:
 
 
 def powerset_poset(ground: Sequence[str]) -> FinPoset:
-    """Subsets in `subsets_in_order` order under inclusion. A subset's covers
-    add one point each, n·2ⁿ⁻¹ pairs; its up-set mask is its own bit ORed with
-    the masks of its covers, filled from the largest subsets down, one OR per
-    cover."""
+    """Subsets in `subsets_in_order` order under inclusion, labelled as by
+    `subset_label` and coded by their bitmask of ground positions. A
+    subset's covers add one point each, n·2ⁿ⁻¹ pairs."""
     n = len(ground)
+    bits = [1 << i for i in range(n)]
     label_of, values = {}, []
     for r in range(n + 1):
         for combo in combinations(range(n), r):
-            label_of[sum(1 << i for i in combo)] = subset_label((ground[i] for i in combo), ground)
-            values.append(frozenset(ground[i] for i in combo))
-    bits = [1 << i for i in range(n)]
-    subsets = list(label_of)
-    position = {m: i for i, m in enumerate(subsets)}
-    ups = [0] * len(subsets)
-    for i in reversed(range(len(subsets))):
-        m, up = subsets[i], 1 << i
-        for b in bits:
-            if not m & b:
-                up |= ups[position[m | b]]
-        ups[i] = up
+            label_of[sum(map(bits.__getitem__, combo))] = "{" + ",".join(map(ground.__getitem__, combo)) + "}"
+            values.append(frozenset(map(ground.__getitem__, combo)))
     covers = [(lbl, label_of[m | b]) for m, lbl in label_of.items() for b in bits if not m & b]
-    return FinPoset(tuple(label_of.values()), tuple(ups), tuple(covers), tuple(values))
+    return FinPoset(tuple(label_of.values()), covers=tuple(covers), values=tuple(values), codes=tuple(label_of))

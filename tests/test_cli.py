@@ -453,6 +453,26 @@ def test_cli_user_category_named_like_a_frame_base_does_not_shadow_it(tmp_path, 
     assert "presheaf D: missing action along c0<=c1" in capsys.readouterr().err
 
 
+COLLIDING_COALGEBRAS = """
+poset P { elements: p0 p1; pairs: p0->p1 }
+category C { objects: a|b a; arrows: c=a|b->a|b b|c=a->a; identities: a|b=c a=b|c; compose: c.c=c b|c.b|c=b|c }
+doctrine D { base: C; fiber: a|b=P a=P }
+comonad K { p: D; kappa: a|b=p0>p0,p1>p1 a=p0>p0,p1>p1 }
+"""
+
+
+def test_cli_coalgebras_whose_names_collide_fail_the_em_build(tmp_path, capsys):
+    # the identity coalgebras <a|b|c> of object a|b (identity c) and of
+    # object a (identity b|c) print alike; the model itself is valid
+    assert _main(tmp_path, COLLIDING_COALGEBRAS, "check") == 0
+    capsys.readouterr()
+    f = tmp_path / "m.dct"
+    assert main(["--json", "em", str(f), "--from", "K"]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["name"], v["pass"]) for v in verdicts][-2:] == [("comonad K", True), ("em K", False)]
+    assert verdicts[-1]["witnesses"] == ["em failed: repeated coalgebra name '<a|b|c>'"]
+
+
 def test_cli_tests_each_topological_function_once(monkeypatch):
     from doctrines import cli, instances
 

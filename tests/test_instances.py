@@ -30,7 +30,6 @@ from doctrines.instances import (
     forall_instance,
     frame_violations,
     interior_of,
-    kripke_box,
     kripke_doctrine,
     lukasiewicz3,
     largest_subpresheaf,
@@ -75,6 +74,7 @@ from util import (
     forgetful_top_arrow,
     function_category_reference,
     inverse_image_reference,
+    kripke_box,
     postcomposition_reference,
     powerset_doctrine_over,
     powerset_lattice,

@@ -1,6 +1,7 @@
 """Smoke test of tools/layer_sweep.py: its `measure` mode, which every layer
 row of a BENCH_*.json file comes from, still finds and times each layer."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -35,3 +36,17 @@ def test_layer_sweep_measures_the_temporal_sweep_rows():
         ("oracle_mismatches", "stream", 10),
     ]
     assert all(r["s"] > 0 for r in rows)
+
+
+def test_layer_sweep_measures_the_chain_check_row_with_its_peak_rss():
+    rows = _measure("--check-worlds", 4)
+    assert [(r["layer"], r["worlds"]) for r in rows] == [("check", 4)]
+    assert rows[0]["s"] > 0 and rows[0]["peak_rss_mb"] > 0
+
+
+def test_layer_sweep_sizes_reach_15_worlds_and_a_16_world_check_on_the_change_side_only():
+    spec = importlib.util.spec_from_file_location("layer_sweep", ROOT / "tools" / "layer_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert max(sweep.ONE_KEY_WORLDS) == 15
+    assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16] and sweep.CHANGE_ONLY_CHECK_WORLDS == {16}

@@ -135,11 +135,12 @@ def test_a_planted_non_monotone_map_still_gets_its_literal_witnesses():
     rel = frozenset((a, b) for i, a in enumerate(NINE_WORLDS) for b in NINE_WORLDS[i:])
     doc, _ = kripke_doctrine(KripkeFrame(tuple(NINE_WORLDS), rel), {"D": ["x"]})
     fiber = doc.fibers["D"]
+    assert fiber.ups is None
     bottom, top = fiber.elements[0], fiber.elements[-1]
     m = MonotoneMap(fiber, fiber, {a: bottom if a == top else a for a in fiber.elements})
     assert "relation" not in vars(fiber)
     want = sorted(f"order not preserved on ({a},{top})" for a in fiber.elements if a not in (bottom, top))
     assert monotone_violations(m) == want
-    # the literal scan walked the masks and built no pair set
+    # the fiber has bit codes; the literal scan walked `up` and built no pair set
     assert "relation" not in vars(fiber)
     assert monotone_violations(MonotoneMap(fiber, fiber, {a: a for a in fiber.elements})) == []

@@ -15,7 +15,6 @@ from doctrines.instances import (
     _pointwise_fiber,
     _postcompose,
     fam_doctrine,
-    kripke_box,
     powerset_doctrine,
 )
 from doctrines.order import (
@@ -31,7 +30,7 @@ from doctrines.order import (
     value_graph,
     value_map,
 )
-from util import postcomposition_reference, precomposition_reference, subset_map_reference
+from util import kripke_box, postcomposition_reference, precomposition_reference, subset_map_reference
 
 CHAIN2 = KripkeFrame(("w1", "w2"), frozenset({("w1", "w1"), ("w2", "w2"), ("w1", "w2")}))
 DIAMOND = fin_poset(["b", "l", "r", "t"], [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")])

@@ -337,6 +337,15 @@ def lax_inequalities_reference(A):
     return out
 
 
+def kripke_box(frame, a):
+    """The worlds of `frame` whose every successor lies in the subset `a`, by
+    frozenset inclusion: the box oracle for `instances.kripke_doctrine`,
+    which computes its box table on bit codes."""
+    if not a <= set(frame.worlds):
+        raise ValueError("subset mentions unknown worlds")
+    return frozenset(w for w in frame.worlds if frame.successors(w) <= a)
+
+
 def covers_by_definition(p):
     """The pairs a < b of `p` with no element strictly between them, by
     testing every triple: the reference for `FinPoset.hasse`."""

@@ -1,12 +1,12 @@
 """Layer sweeps of the order kernel, the Kripke doctrine, the function
-category and the temporal oracle sweep, written to a BENCH_*.json file;
-standard library only.
+category and the temporal oracle sweep, and the whole `check` of a Kripke
+chain, written to a BENCH_*.json file; standard library only.
 
-    python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_16.json
+    python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_17.json
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
-        --workload modal --seeds 40 41 42 --out BENCH_16.json
+        --workload modal --seeds 40 41 42 --out BENCH_17.json
 
-`layers` times, on Kripke chains of 8-13 worlds with one carrier D = {x}:
+`layers` times, on Kripke chains of 8-15 worlds with one carrier D = {x}:
 `powerset_poset` of the worlds, `_pointwise_fiber` with one key over that
 powerset, the `kripke_doctrine` build, `interior_violations` of its
 operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
@@ -21,7 +21,12 @@ interpreter that imports the library from one checkout's `src`, and the two
 checkouts take turns at each size, `ROUNDS` times; a row is the best of each
 side's timings (`REPEATS` per interpreter). A temporal row is the best of
 `TEMPORAL_ROUNDS` interpreters, each timing once, since the sweep before its
-bitmask rewrite took over a minute at 18 states.
+bitmask rewrite took over a minute at 18 states. A `check` row runs the
+command line's `check` on a Kripke chain of 12-16 worlds once per fresh
+interpreter, and records the best time and the least peak RSS of the
+interpreter over `ROUNDS` of them; the 16-world row runs on the change side
+only: a parent that keeps up-set masks for the 2^16-element Boolean fiber
+would need about 1.5 GB there (4x per world from its 384 MB at 15 worlds).
 
 `end-to-end` runs `bench/run.py` in the two checkouts in turn, alternating
 which goes first, adds every run to those already recorded for the
@@ -31,18 +36,22 @@ workload, and records the per-side medians of all of them.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ONE_KEY_WORLDS = range(8, 14)
+ONE_KEY_WORLDS = range(8, 16)
 TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
 ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
@@ -50,6 +59,8 @@ ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 tim
 FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4)}
 TEMPORAL_STATES = range(10, 19, 2)
 TEMPORAL_ROUNDS = 2
+CHECK_WORLDS = range(12, 17)
+CHANGE_ONLY_CHECK_WORLDS = {16}
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
 
 
@@ -124,8 +135,31 @@ def measure_temporal(n: int) -> list[dict]:
     ]
 
 
+def measure_check(n: int) -> list[dict]:
+    """The `check` row at n worlds: `doctrines --json check` on an n-world
+    Kripke chain with one carrier, timed once in this interpreter, and the
+    interpreter's peak RSS, import included."""
+    from doctrines.cli import main
+
+    worlds = [f"w{i}" for i in range(n)]
+    model = (f"kripke-frame K {{ worlds: {' '.join(worlds)}; "
+             f"rel: {' '.join(f'{a}->{b}' for a, b in zip(worlds, worlds[1:]))}; closure: refl-trans; sets: D=x }}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.dct"
+        path.write_text(model)
+        t = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--json", "--max-size", str(10**15), "check", str(path)])
+        s = time.perf_counter() - t
+    if code != 0:
+        raise SystemExit(f"check on the {n}-world chain exited {code}")
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
+    return [{"layer": "check", "worlds": n, "s": s, "peak_rss_mb": rss_mb}]
+
+
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
-         "checkout, measured in turns on one machine. end_to_end: every bench/run.py run of both, and their medians.")
+         "checkout, measured in turns on one machine; a check row also has each side's least peak RSS in MB. "
+         "end_to_end: every bench/run.py run of both, and their medians.")
 
 
 def _load(path: Path) -> dict:
@@ -139,8 +173,12 @@ def layers(args) -> None:
     out = _load(args.out)
     rows = {}
     sizes = [("--worlds", n) for n in [*TWO_KEY_WORLDS, *ONE_KEY_WORLDS]] + [("--arrows", a) for a in FUNCTION_CARRIERS]
-    for flag, n in sizes + [("--states", n) for n in TEMPORAL_STATES]:
+    sizes += [("--states", n) for n in TEMPORAL_STATES] + [("--check-worlds", n) for n in CHECK_WORLDS]
+    for flag, n in sizes:
         sides = [("parent", args.parent), ("change", args.change)]
+        if flag == "--check-worlds" and n in CHANGE_ONLY_CHECK_WORLDS:
+            sides = sides[1:]
+        at_size = {}
         for k in range(TEMPORAL_ROUNDS if flag == "--states" else ROUNDS):
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
                 child = subprocess.run(
@@ -148,10 +186,13 @@ def layers(args) -> None:
                     capture_output=True, text=True, check=True,
                 )
                 for r in json.loads(child.stdout):
-                    s = r.pop("s")
-                    row = rows.setdefault(tuple(r.items()), r)
+                    s, rss = r.pop("s"), r.pop("peak_rss_mb", None)
+                    key = tuple(r.items())
+                    row = at_size[key] = rows.setdefault(key, r)
                     row[f"{side}_s"] = round(min(s, row.get(f"{side}_s", s)), 5)
-        print([row for row in rows.values() if row.get(flag[2:]) == n], flush=True)
+                    if rss is not None:
+                        row[f"{side}_peak_rss_mb"] = round(min(rss, row.get(f"{side}_peak_rss_mb", rss)), 1)
+        print(list(at_size.values()), flush=True)
     out["layers"] = sorted(
         rows.values(),
         key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("worlds", 0), r.get("arrows", 0), r.get("states", 0)),
@@ -197,6 +238,7 @@ def main() -> None:
     size.add_argument("--worlds", type=int)
     size.add_argument("--arrows", type=int, choices=sorted(FUNCTION_CARRIERS))
     size.add_argument("--states", type=int)
+    size.add_argument("--check-worlds", type=int)
     e2e = sub.add_parser("end-to-end")
     e2e.add_argument("--parent", type=Path, required=True)
     e2e.add_argument("--change", type=Path, default=ROOT)
@@ -210,6 +252,8 @@ def main() -> None:
             print(json.dumps(measure(args.worlds)))
         elif args.arrows is not None:
             print(json.dumps(measure_function_category(args.arrows)))
+        elif args.check_worlds is not None:
+            print(json.dumps(measure_check(args.check_worlds)))
         else:
             print(json.dumps(measure_temporal(args.states)))
     elif args.mode == "layers":
