@@ -5,9 +5,8 @@ stable subdoctrine, triviality dichotomies, and adjunction morphisms."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from .doctrine import (
     Doctrine,
@@ -37,11 +36,12 @@ from .order import (
     powerset_poset,
     restrict_map,
     same_composite,
+    value_class,
     value_map,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class DoctrineAdjunction:
     """The octuple presentation of an adjunction between doctrines. A value
     is never changed after it is built, tables included, so its law verdict
@@ -376,7 +376,7 @@ def factorize2_report(A: DoctrineAdjunction) -> dict:
     return report
 
 
-@dataclass(frozen=True)
+@value_class
 class AdjMorphism:
     """A homomorphism of doctrine adjunctions ⟨F, f, G, g, θ⟩."""
 

@@ -9,10 +9,9 @@ fails, 2 usage or parse error.
 
 from __future__ import annotations
 
+import gc
 import json
-import re
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .adjunction import (
@@ -68,6 +67,7 @@ from .order import (
     label_subset,
     lattice_from_poset,
     subset_label,
+    value_class,
 )
 from .temporal import (
     FCoalgebra,
@@ -105,7 +105,7 @@ class BuildError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Declaration:
     kind: str
     name: str
@@ -126,7 +126,7 @@ class Declaration:
         return got
 
 
-@dataclass(frozen=True)
+@value_class
 class ModelDocument:
     declarations: tuple[Declaration, ...]
 
@@ -925,8 +925,8 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Plain classes, not dataclasses: generating a dataclass runs `exec` and
-# costs about a millisecond at import, which every CLI call pays.
+# Plain classes, not value classes: an option is only read, never compared,
+# hashed or frozen.
 class Option:
     """One `--name` of the command line. With a `metavar` it takes one value,
     converted by `convert`; without, it is a flag that stores `const`. An
@@ -985,10 +985,6 @@ COMMANDS = {
     ),
     "suite": Level("run the full acceptance suite", {}, None),
 }
-
-# compiled on first use: most command lines never reach it
-NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
-
 
 class UsageExit(Exception):
     """The command line ends the program before any command runs: `text` is
@@ -1050,9 +1046,17 @@ def _classify(token: str, options: dict):
         raise _Malformed(f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], value
-    if re.match(NEGATIVE_NUMBER, token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None
     return None, None
+
+
+def _negative_number(token: str) -> bool:
+    r"""Whether argparse reads `token`, which starts with `-`, as a negative
+    number: a match of `^-\d+$|^-\d*\.\d+$`, where `$` also matches before
+    one final newline and `\d` accepts what `str.isdecimal` accepts."""
+    whole, point, fraction = token[1:].removesuffix("\n").partition(".")
+    return (not whole or whole.isdecimal()) and fraction.isdecimal() if point else whole.isdecimal()
 
 
 def _scan(args: list[str], options: dict):
@@ -1181,6 +1185,11 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(render_text(report))
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1
+
+
+# The import's objects live as long as the process: frozen out of the
+# collector's generations (an O(1) splice), no collection in a command visits them.
+gc.freeze()
 
 
 if __name__ == "__main__":

@@ -4,10 +4,9 @@ comparisons, and the interior-operator round trip (vertical comonads)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import product
-from typing import Mapping
 
 from .adjunction import (
     AdjMorphism,
@@ -46,10 +45,10 @@ from .fincat import (
     nat_violations,
 )
 from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
-from .order import MonotoneMap, compose_maps, restrict_map
+from .order import MonotoneMap, compose_maps, restrict_map, value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class DoctrineComonad:
     """The quadruple presentation of a comonad on a doctrine. A value is
     never changed after it is built, tables included, so its law verdict and
@@ -119,7 +118,7 @@ def identity_comonad(P: Doctrine) -> DoctrineComonad:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class EMDoctrineBundle:
     em: Doctrine
     forgetful: OneArrow

@@ -8,8 +8,7 @@ goes fiber(Y) → fiber(X). All equalities between maps are extensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from collections.abc import Mapping, Sequence
 
 from .fincat import (
     FinCategory,
@@ -32,12 +31,13 @@ from .order import (
     restrict_map,
     same_composite,
     sub_poset,
+    value_class,
     value_graph,
     value_map,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class Doctrine:
     base: FinCategory
     fibers: Mapping[str, FinPoset]
@@ -104,7 +104,7 @@ def base_change(P: Doctrine, F: Functor) -> Doctrine:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class OneArrow:
     """A doctrine morphism ⟨F, f⟩: functor on bases plus a fiberwise family
     f_X: srcfiber(X) → dstfiber(F X), natural in X."""
@@ -194,7 +194,7 @@ def sub_doctrine(P: Doctrine, keep: Mapping[str, Sequence[str]], leaves: str) ->
     return sub, OneArrow(sub, P, identity_functor(P.base), inclusion)
 
 
-@dataclass(frozen=True)
+@value_class
 class TwoArrow:
     """A lax 2-cell θ between parallel 1-arrows: natural transformation of the
     functor parts with f_X ≤ Q(θ_X) ∘ f'_X pointwise."""
@@ -246,7 +246,8 @@ def square_doctrine(P: Doctrine) -> tuple[Doctrine, OneArrow]:
     return squared, diagonal
 
 
-class ProductData(NamedTuple):
+@value_class
+class ProductData:
     """Chosen binary product of a base object with the fixed object: the
     product object, both projections, and the pairing of elements (used by
     set-level instances to decode product carriers)."""

@@ -6,15 +6,14 @@ table scan. Only `check_category` and `concrete_category` construct one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import product
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
-from .order import FinPoset
+from .order import Field, FinPoset, value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class FinCategory:
     """A category given by its tables. Only `check_category` (after a law
     scan) and `concrete_category` (by lookup) construct one, so every instance
@@ -25,8 +24,8 @@ class FinCategory:
     arrows: tuple[tuple[str, str, str], ...]  # (name, src, dst)
     identities: Mapping[str, str]  # object -> arrow name
     composition: Mapping[tuple[str, str], str]  # (g, f) -> g∘f when dst(f)=src(g)
-    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
-    _names: tuple = field(init=False, repr=False, compare=False, default=None)
+    _by_name: dict = Field(init=False, repr=False, compare=False)
+    _names: tuple = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", {n: (s, d) for (n, s, d) in self.arrows})
@@ -162,7 +161,7 @@ def check_category(
     arrows: Sequence[tuple[str, str, str]],
     identities: Mapping[str, str],
     composition: Mapping[tuple[str, str], str],
-) -> Union[FinCategory, list[str]]:
+) -> FinCategory | list[str]:
     """A valid category, or the exact failing law instances."""
     bad = category_violations(objects, arrows, identities, composition)
     if bad:
@@ -229,7 +228,7 @@ def compose_images(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[i] for i in f)
 
 
-@dataclass(frozen=True)
+@value_class
 class FunctionCategory:
     """A function category together with the graph of every arrow."""
 
@@ -269,7 +268,7 @@ def all_functions(src: Iterable[str], dst: Iterable[str]):
     return (dict(zip(src, images)) for images in product(dst, repeat=len(src)))
 
 
-@dataclass(frozen=True)
+@value_class
 class Functor:
     """A functor given by its object and arrow tables. A value is never
     changed after it is built, tables included, so its law verdict is
@@ -400,7 +399,7 @@ def same_functor_composite(G: Functor, F: Functor, G2: Functor, F2: Functor | No
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class NatTransformation:
     src: Functor
     dst: Functor
@@ -499,7 +498,7 @@ def comonad_cat_violations(K: Functor, mu: NatTransformation, nu: NatTransformat
     return out
 
 
-@dataclass(frozen=True)
+@value_class
 class CoalgebraData:
     """Category of coalgebras for a base comonad, plus the forgetful functor
     and the structure arrow of each coalgebra object."""

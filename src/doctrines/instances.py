@@ -10,9 +10,8 @@ where the induced operator has a second characterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from itertools import combinations, product
-from typing import Mapping, Sequence
 
 from .adjunction import DoctrineAdjunction, vertical_adjunction, vertical_modality
 from .doctrine import (
@@ -35,6 +34,7 @@ from .fincat import (
 )
 from .interior import InteriorOp
 from .order import (
+    Field,
     FinLattice,
     FinPoset,
     MonotoneMap,
@@ -48,6 +48,7 @@ from .order import (
     sub_poset,
     subset_label,
     subsets_in_order,
+    value_class,
     value_graph,
     value_map,
 )
@@ -57,11 +58,11 @@ from .order import (
 # Kripke frames
 
 
-@dataclass(frozen=True)
+@value_class
 class KripkeFrame:
     worlds: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
-    _successors: dict = field(init=False, repr=False, compare=False, default=None)
+    _successors: dict = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         succ: dict = {}
@@ -166,7 +167,7 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
 # W-indexed families
 
 
-@dataclass(frozen=True)
+@value_class
 class IndexedFamily:
     name: str
     carrier: tuple[str, ...]
@@ -239,7 +240,7 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
 # Finite topological spaces
 
 
-@dataclass(frozen=True)
+@value_class
 class FiniteTopSpace:
     name: str
     points: tuple[str, ...]
@@ -315,7 +316,7 @@ def topological_doctrine(
 # Finite commutative quantales
 
 
-@dataclass(frozen=True)
+@value_class
 class FiniteQuantale:
     name: str
     lattice: FinLattice
@@ -377,7 +378,7 @@ def lukasiewicz3() -> FiniteQuantale:
     return valid_quantale("luk3", lat, tensor, "1")
 
 
-@dataclass(frozen=True)
+@value_class
 class QuantaleCore:
     elements: tuple[str, ...]
     sub: FinPoset
@@ -445,7 +446,7 @@ def quantale_doctrine(
     return Qdoc, adj, bang
 
 
-@dataclass(frozen=True)
+@value_class
 class FiberMonoid:
     """The fiber Q^X with its pointwise unit, ⊗ and ⇒."""
 
@@ -575,7 +576,7 @@ def fake_core(q: FiniteQuantale) -> QuantaleCore:
 # Finite presheaves
 
 
-@dataclass(frozen=True)
+@value_class
 class FinPresheaf:
     """A finite-set-valued functor on a finite base category; the action sends
     an arrow f: w → v to a function at(w) → at(v)."""

@@ -3,15 +3,14 @@ the stable subdoctrine, and morphisms that respect the operators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from .doctrine import Doctrine, OneArrow, identity_parts, one_arrow_violations, sub_doctrine
-from .order import MonotoneMap, monotone_violations, same_composite
+from .order import MonotoneMap, monotone_violations, same_composite, value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class InteriorOp:
     """A natural family of monotone fiber endomaps that is deflationary (T)
     and satisfies the 4 axiom, hence is idempotent. A value is never changed

@@ -7,11 +7,102 @@ reported by a literal scan over the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import combinations
-from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import attrgetter, or_
+
+_REQUIRED = object()
+
+
+class Field:
+    """A field of a `value_class` with options, in place of a plain default:
+    it starts at `default` unless the constructor gives it (which it cannot
+    without `init`); `compare` and `repr` say whether ==, hash and repr read it."""
+
+    def __init__(self, default=None, init=True, repr=True, compare=True):
+        self.default, self.init, self.repr, self.compare = default, init, repr, compare
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+def value_class(cls):
+    """Make `cls` a frozen value over the fields its body annotates, in
+    order, as `dataclasses.dataclass(frozen=True)` does for what the library
+    uses, with shared methods instead of generated code (whose `exec` every
+    command line would pay at import). A field is required unless assigned a
+    default or a `Field`. The constructor takes the init fields by position
+    or keyword, raises TypeError on a missing, unknown, repeated or surplus
+    one, sets each field by `object.__setattr__` (which keeps CPython's fast
+    attribute reads), then calls the class's `__post_init__`, looked up at
+    each construction. Assigning or deleting an attribute raises
+    AttributeError. ==, hash and repr read the fields in order; a class keeps
+    its own `__eq__`, `__hash__` and `__repr__`, and gets the field hash when
+    it defines only `__eq__`."""
+    own = cls.__dict__
+    specs = {}
+    for name in own.get("__annotations__", ()):
+        spec = own.get(name, _REQUIRED)
+        if name in own:
+            delattr(cls, name)
+        specs[name] = spec if isinstance(spec, Field) else Field(spec)
+    names = tuple(specs)
+    init = tuple(n for n, s in specs.items() if s.init)
+    defaults = {n: s.default for n, s in specs.items() if s.default is not _REQUIRED}
+    positional = len(names) if init == names else -1  # the arity of the fast path
+    compared = tuple(n for n, s in specs.items() if s.compare)
+    fields_of = attrgetter(*compared)
+    key = fields_of if len(compared) > 1 else lambda self: (fields_of(self),)
+    shown = tuple(n for n, s in specs.items() if s.repr)
+
+    def bind(args, kwargs) -> list:
+        """The value of each field, in order, for a constructor call."""
+        if len(args) > len(init):
+            raise TypeError(f"{cls.__name__}() takes {len(init)} arguments but {len(args)} were given")
+        given = dict(zip(init, args))
+        for name, value in kwargs.items():
+            if name not in init:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            given[name] = value
+        missing = [n for n in init if n not in given and n not in defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(map(repr, missing))}")
+        return [given[n] if n in given else defaults[n] for n in names]
+
+    def __init__(self, *args, **kwargs):
+        values = args if len(args) == positional and not kwargs else bind(args, kwargs)
+        i = 0  # an index, not zip: no pair to build and unpack per field
+        for name in names:
+            object.__setattr__(self, name, values[i])
+            i += 1
+        post_init = own.get("__post_init__")
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+
+    if own.get("__hash__") is None:
+        cls.__hash__ = __hash__
+    for name, method in (("__eq__", __eq__), ("__repr__", __repr__)):
+        if name not in own:
+            setattr(cls, name, method)
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, _frozen, _frozen
+    return cls
 
 
 def _positions(mask: int) -> Iterator[int]:
@@ -22,7 +113,7 @@ def _positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
+@value_class
 class FinPoset:
     """A finite poset: elements in declaration order, the order in one of two
     encodings, and its covering pairs.
@@ -66,11 +157,11 @@ class FinPoset:
 
     elements: tuple[str, ...]
     ups: tuple[int, ...] | None = None
-    covers: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
-    values: tuple | None = field(default=None, repr=False, compare=False)
+    covers: tuple[tuple[str, str], ...] | None = Field(repr=False, compare=False)
+    values: tuple | None = Field(repr=False, compare=False)
     codes: tuple[int, ...] | None = None
-    _position: dict = field(init=False, repr=False, compare=False, default=None)
-    _bits: dict = field(init=False, repr=False, compare=False, default=None)
+    _position: dict = Field(init=False, repr=False, compare=False)
+    _bits: dict = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.ups is None) == (self.codes is None):
@@ -238,7 +329,7 @@ def poset_violations(elements: Sequence[str], relation: Iterable[tuple[str, str]
 
 def check_poset(
     elements: Sequence[str], relation: Iterable[tuple[str, str]]
-) -> Union[FinPoset, list[str]]:
+) -> FinPoset | list[str]:
     """The poset if all axioms hold, otherwise the violation list."""
     bad = poset_violations(elements, relation)
     if bad:
@@ -309,7 +400,7 @@ def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
     return FinPoset(elems, values=values, **product_order([p, q]))
 
 
-@dataclass(frozen=True)
+@value_class
 class MonotoneMap:
     """A total order-preserving map given by its graph."""
 
@@ -416,7 +507,7 @@ def restrict_map(m: MonotoneMap, src: FinPoset, dst: FinPoset) -> MonotoneMap:
     return MonotoneMap(src, dst, {x: m.mapping[x] for x in src.elements})
 
 
-@dataclass(frozen=True)
+@value_class
 class FinLattice:
     carrier: FinPoset
     meet: Mapping[tuple[str, str], str]

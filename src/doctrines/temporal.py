@@ -13,21 +13,20 @@ reachability or Tarjan's components, from their own reading of the step.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp
-from .order import subset_label, value_map
+from .order import subset_label, value_class, value_map
 
 
 STREAM, TREE = "stream", "tree"
 
 
-@dataclass(frozen=True)
+@value_class
 class FCoalgebra:
     """A finite coalgebra: one successor per state (stream) or a finite
     ordered tuple of successors (tree, possibly empty)."""

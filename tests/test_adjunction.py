@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -183,7 +183,7 @@ def test_constructions_are_built_once_per_adjunction(seed=59):
     assert am_modality(A) is am_modality(A)
     assert factorize(A) is factorize(A)
     # an equal adjunction built on its own gets its own constructions
-    B = replace(A)
+    B = DoctrineAdjunction(A.p, A.q, A.left, A.lam, A.right, A.rho, A.eta, A.eps)
     assert B == A and am_modality(B) is not am_modality(A)
     assert am_modality(B)[1] == am_modality(A)[1]
 
@@ -197,10 +197,11 @@ def test_is_vertical_reads_the_identity_off_the_tables():
     assert is_vertical(A)
     # an identity functor built on its own, not the shared one, still reads as the identity
     i = Functor(base, base, {"*": "*"}, {"e": "e", "a": "a"})
-    assert is_vertical(replace(A, left=i, eta=NatTransformation(i, i, {"*": "e"})))
+    assert is_vertical(DoctrineAdjunction(A.p, A.q, i, A.lam, A.right, A.rho, NatTransformation(i, i, {"*": "e"}), A.eps))
     # η with the non-identity component a, and L sending a to e, are not vertical
-    assert not is_vertical(replace(A, eta=NatTransformation(i, i, {"*": "a"})))
-    assert not is_vertical(replace(A, left=Functor(base, base, {"*": "*"}, {"e": "e", "a": "e"})))
+    assert not is_vertical(DoctrineAdjunction(A.p, A.q, A.left, A.lam, A.right, A.rho, NatTransformation(i, i, {"*": "a"}), A.eps))
+    not_identity = Functor(base, base, {"*": "*"}, {"e": "e", "a": "e"})
+    assert not is_vertical(DoctrineAdjunction(A.p, A.q, not_identity, A.lam, A.right, A.rho, A.eta, A.eps))
 
 
 def test_random_vertical_adjunctions_valid_and_galois(seed=11):

@@ -531,8 +531,8 @@ def factor(g, f, h):
 # Law verdicts and derived constructions are kept on the value they belong
 # to (adjunction, comonad, interior operator, functor), which is sound only
 # while no value changes after it is built: library code never writes into
-# the tables a value holds, and sets its own attributes only in
-# `__post_init__`.
+# the tables a value holds, and sets its own attributes only while it is
+# built, in the value-class constructor and in `__post_init__`.
 TABLE_FIELDS = {
     "lam", "rho", "kappa", "parts", "reindex", "fibers",
     "obj_map", "arr_map", "components", "mapping", "identities", "composition",
@@ -541,6 +541,9 @@ MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "_
 # FinPoset.hasse fills its `covers` field, which takes no part in equality,
 # with the covering pairs of its own up-set masks, once
 MEMO_WRITES = {"order.FinPoset.hasse: object.__setattr__"}
+# the constructor every value class shares (order.value_class) sets each
+# field once, before the value is returned
+CONSTRUCTION_WRITES = {"order.value_class.__init__: object.__setattr__"}
 
 
 def _value_writes(source: str) -> list[str]:
@@ -565,7 +568,7 @@ def _value_writes(source: str) -> list[str]:
 
 def test_no_library_code_writes_into_a_built_value():
     found = [f"{path.stem}.{hit}" for path in SOURCES for hit in _value_writes(path.read_text())]
-    assert sorted(found) == sorted(MEMO_WRITES)
+    assert sorted(found) == sorted(MEMO_WRITES | CONSTRUCTION_WRITES)
 
 
 def test_value_write_scan_flags_planted_writes_and_nothing_else():
@@ -608,6 +611,59 @@ def read(op, d):
         "tamper: components.setdefault",
         "tamper: kappa",
         "tamper: reindex",
+    ]
+
+
+# Value classes are built by order.value_class, with shared methods: the
+# library generates and compiles no code, so importing it loads neither
+# `dataclasses` (which runs `exec` for every method it makes and pulls in
+# `inspect` and `ast`) nor `typing`.
+CODE_GENERATORS = {"dataclasses", "typing"}
+COMPILERS = {"exec", "compile"}
+
+
+def _code_generation(source: str) -> list[str]:
+    """`line: what` for each import of a CODE_GENERATORS module and each
+    call of a builtin in COMPILERS, by its bare name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(f"{node.lineno}: import {a.name}" for a in node.names if a.name.split(".")[0] in CODE_GENERATORS)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] in CODE_GENERATORS:
+            found.append(f"{node.lineno}: from {node.module}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in COMPILERS:
+            found.append(f"{node.lineno}: {node.func.id}")
+    return found
+
+
+def test_library_imports_no_code_generator_and_compiles_no_code():
+    assert [f"{path.name}:{hit}" for path in SOURCES for hit in _code_generation(path.read_text())] == []
+
+
+def test_code_generation_scan_flags_planted_imports_and_calls_and_nothing_else():
+    source = """
+from __future__ import annotations
+
+import re
+import typing
+from collections.abc import Mapping
+from dataclasses import dataclass
+from . import typing as local
+
+
+def make(name):
+    import dataclasses_json
+    from typing import NamedTuple
+
+    exec(f"def {name}(): pass")
+    return compile("1", "<x>", "eval"), re.compile(name), local.compile(name)
+"""
+    assert _code_generation(source) == [
+        "5: import typing",
+        "7: from dataclasses",
+        "13: from typing",
+        "15: exec",
+        "16: compile",
     ]
 
 

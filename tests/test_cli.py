@@ -657,6 +657,9 @@ for _argv in BENCH_ARGV:
     test_parse_argv_agrees_with_argparse = example(argv=list(_argv))(test_parse_argv_agrees_with_argparse)
 
 
+NEGATIVE_NUMBER_EDGES = ["-5", "-5\n", "-5\n\n", "-.5", "-1.", "-1.5", "-1.5.2", "-٣", "-", "--5", "-5 "]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -676,6 +679,9 @@ for _argv in BENCH_ARGV:
         ["--json", "--", "check", "FILE"],
         ["--seed", "--", "check", "FILE"],
         [],
+        # argparse reads `^-\d+$|^-\d*\.\d+$` as a negative number, not an option
+        *(["--seed", token, "suite"] for token in NEGATIVE_NUMBER_EDGES),
+        *(["check", "FILE", "--target", token] for token in NEGATIVE_NUMBER_EDGES),
     ],
 )
 def test_parse_argv_agrees_with_argparse_on_edge_cases(argv):
@@ -690,13 +696,31 @@ def test_parse_argv_reads_the_grammar():
     assert parse_argv(["--js", "--seed=-3", "suite"]) == {"json": True, "seed": -3, "max_size": 200000, "command": "suite"}
 
 
-def test_cli_call_imports_no_argparse_gettext_locale_or_shutil(tmp_path):
+def _modules_a_check_loads(tmp_path, names: set) -> str:
+    """The exit status of `--json check` on MODEL in a fresh `python -S`
+    interpreter, and which of `names` it has loaded by the end."""
     f = tmp_path / "m.dct"
     f.write_text(MODEL)
     probe = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; "
         f"rc = doctrines.cli.main(['--json', 'check', {str(f)!r}]); "
-        "sys.stderr.write(f'{rc} {sorted(set(sys.modules) & {\"argparse\", \"gettext\", \"locale\", \"shutil\"})}')"
+        f"loaded = sorted(set(sys.modules).intersection({sorted(names)!r})); "
+        "sys.stderr.write(f'{rc} {loaded}')"
     )
-    r = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
-    assert r.stderr == "0 []"
+    return subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True).stderr
+
+
+def test_cli_call_imports_no_argparse_gettext_locale_or_shutil(tmp_path):
+    assert _modules_a_check_loads(tmp_path, {"argparse", "gettext", "locale", "shutil"}) == "0 []"
+
+
+def test_cli_call_imports_no_code_generator_or_typing(tmp_path):
+    # dataclasses would run `exec` for each method it makes, and pulls in
+    # inspect, ast, dis and tokenize
+    assert _modules_a_check_loads(tmp_path, {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}) == "0 []"
+
+
+def test_cli_import_moves_its_objects_out_of_the_collectors_generations():
+    probe = f"import gc, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; print(gc.get_freeze_count())"
+    r = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    assert int(r.stdout) > 1_000

@@ -50,3 +50,15 @@ def test_layer_sweep_sizes_reach_15_worlds_and_a_16_world_check_on_the_change_si
     spec.loader.exec_module(sweep)
     assert max(sweep.ONE_KEY_WORLDS) == 15
     assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16] and sweep.CHANGE_ONLY_CHECK_WORLDS == {16}
+
+
+def test_layer_sweep_times_the_command_line_import_in_turns(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, str(ROOT / "tools" / "layer_sweep.py"), "import", "--parent", str(ROOT), "--change", str(ROOT)]
+    subprocess.run([*argv, "--out", str(out)], capture_output=True, text=True, check=True, timeout=300)
+    [row] = json.loads(out.read_text())["import"]
+    assert row["layer"] == "import doctrines.cli" and row["interpreters"] >= 20
+    for side in ("parent", "change"):
+        assert 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
+        # the package and every module but `suite`, which loads on demand
+        assert row[f"{side}_modules"] >= 10

@@ -1,0 +1,139 @@
+"""The library's frozen value classes (`order.value_class`) are built,
+compared, hashed and shown as `dataclasses.dataclass(frozen=True)` builds
+them: each test compares a class with its dataclass twin, declared by the
+same body, or pins what the library's own classes keep."""
+
+import dataclasses
+
+import pytest
+
+from doctrines.cli import ModelDocument
+from doctrines.order import Field, FinPoset, MonotoneMap, chain_poset, identity_map, value_class
+
+FROZEN = dataclasses.dataclass(frozen=True)
+
+
+def _point(decorate, field):
+    @decorate
+    class Point:
+        x: int
+        y: int = 0
+        label: str = field(default="p", repr=False, compare=False)
+        _total: int = field(init=False, repr=False, compare=False, default=None)
+
+        def __post_init__(self):
+            object.__setattr__(self, "_total", self.x + self.y)
+
+    return Point
+
+
+Point, Twin = _point(value_class, Field), _point(FROZEN, dataclasses.field)
+
+CALLS = [
+    ((1,), {}),
+    ((1, 2), {}),
+    ((1, 2, "q"), {}),
+    ((), {"x": 1}),
+    ((1,), {"y": 2}),
+    ((), {"label": "r", "x": 3}),
+]
+BAD_CALLS = [
+    ((), {}),  # missing
+    ((), {"y": 2}),  # missing
+    ((1, 2, "q", 4), {}),  # surplus
+    ((1,), {"x": 2}),  # repeated
+    ((1,), {"z": 3}),  # unknown
+    ((1,), {"_total": 3}),  # not an init field
+]
+
+
+@pytest.mark.parametrize("args, kwargs", CALLS)
+def test_a_constructor_call_sets_the_fields_a_dataclass_sets(args, kwargs):
+    got, want = Point(*args, **kwargs), Twin(*args, **kwargs)
+    assert vars(got) == vars(want)
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("args, kwargs", BAD_CALLS)
+def test_a_missing_unknown_repeated_or_surplus_argument_raises_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        Twin(*args, **kwargs)
+    with pytest.raises(TypeError):
+        Point(*args, **kwargs)
+
+
+def test_assigning_or_deleting_an_attribute_raises_attribute_error():
+    p = Point(1, 2)
+    for name in ("x", "label", "_total", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert vars(p) == {"x": 1, "y": 2, "label": "p", "_total": 3}
+    m = identity_map(chain_poset(["a"]))
+    with pytest.raises(AttributeError):
+        m.mapping = {}
+
+
+def test_fields_out_of_the_comparison_stay_out_of_eq_and_hash():
+    assert Point(1, 2, "a") == Point(1, 2, "b") and hash(Point(1, 2, "a")) == hash(Point(1, 2, "b"))
+    assert Point(1, 2) != Point(2, 1)
+    # instances of another class are never equal, even with the same fields
+    assert Point(1, 2) != Twin(1, 2) and Twin(1, 2) != Point(1, 2)
+    # the values and covers of a poset take no part in its equality
+    p = chain_poset(["a", "b"])
+    assert FinPoset(p.elements, p.ups, values=("u", "v")) == FinPoset(p.elements, p.ups, covers=p.hasse())
+
+
+def test_a_single_compared_field_hashes_as_a_one_tuple():
+    One, OneTwin = (decorate(type("One", (), {"__annotations__": {"n": "int"}})) for decorate in (value_class, FROZEN))
+    assert hash(One(5)) == hash(OneTwin(5)) == hash((5,))
+    assert One(5) == One(5) != One(6)
+    assert hash(ModelDocument(())) == hash(((),))
+
+
+def test_a_class_keeps_its_own_eq_and_hash_and_one_with_only_eq_gets_the_field_hash():
+    def named(decorate):
+        @decorate
+        class Named:
+            name: str
+            tag: int
+
+            def __eq__(self, other):
+                return isinstance(other, Named) and self.name == other.name
+
+        return Named
+
+    Named, NamedTwin = named(value_class), named(FROZEN)
+    assert Named("a", 1) == Named("a", 2)
+    assert hash(Named("a", 1)) == hash(NamedTwin("a", 1)) == hash(("a", 1))
+    # FinPoset hashes its elements alone, MonotoneMap keeps its pointwise __eq__
+    p = chain_poset(["a", "b"])
+    assert hash(p) == hash(("a", "b"))
+    assert MonotoneMap(p, p, {"b": "b", "a": "a"}) == identity_map(p)
+
+
+def test_library_reprs_show_the_repr_fields_in_order():
+    assert repr(chain_poset(["a", "b"])) == "FinPoset(elements=('a', 'b'), ups=(3, 2), codes=None)"
+    p = chain_poset(["a"])
+    assert repr(identity_map(p)) == f"MonotoneMap(src={p!r}, dst={p!r}, mapping={{'a': 'a'}})"
+
+
+def test_post_init_is_looked_up_at_each_construction(monkeypatch):
+    seen = []
+    monkeypatch.setattr(Point, "__post_init__", lambda self: seen.append(self.x))
+    Point(4)
+    # a class without a __post_init__ of its own calls one patched in later
+    monkeypatch.setattr(MonotoneMap, "__post_init__", lambda self: seen.append(len(self.mapping)), raising=False)
+    identity_map(chain_poset(["a", "b"]))
+    assert seen == [4, 2]
+    monkeypatch.undo()
+    assert Point(4)._total == 4
+    identity_map(chain_poset(["a", "b"]))
+    assert seen == [4, 2]
+
+
+def test_every_value_class_shares_one_constructor_and_keeps_no_defaults_on_the_class():
+    assert Point.__init__.__code__ is MonotoneMap.__init__.__code__ is FinPoset.__init__.__code__
+    assert not any(hasattr(FinPoset, name) for name in ("ups", "covers", "values", "codes", "_position", "_bits"))

@@ -1,8 +1,10 @@
 """Layer sweeps of the order kernel, the Kripke doctrine, the function
-category and the temporal oracle sweep, and the whole `check` of a Kripke
-chain, written to a BENCH_*.json file; standard library only.
+category and the temporal oracle sweep, the whole `check` of a Kripke
+chain, and the import of the command line, written to a BENCH_*.json file;
+standard library only.
 
     python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_17.json
+    python tools/layer_sweep.py import --parent ../parent --change . --out BENCH_18.json
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
         --workload modal --seeds 40 41 42 --out BENCH_17.json
 
@@ -28,6 +30,12 @@ interpreter over `ROUNDS` of them; the 16-world row runs on the change side
 only: a parent that keeps up-set masks for the 2^16-element Boolean fiber
 would need about 1.5 GB there (4x per world from its 384 MB at 15 worlds).
 
+`import` times `import doctrines.cli` in fresh `python -S` interpreters
+(no site hook imports anything first), each importing from one checkout's
+`src` compiled to bytecode beforehand, the two sides taking turns one
+interpreter at a time, `IMPORT_ROUNDS` per side. Its row has each
+side's best and median time and the number of modules the import loaded.
+
 `end-to-end` runs `bench/run.py` in the two checkouts in turn, alternating
 which goes first, adds every run to those already recorded for the
 workload, and records the per-side medians of all of them.
@@ -36,6 +44,7 @@ workload, and records the per-side medians of all of them.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import io
 import json
@@ -61,6 +70,13 @@ TEMPORAL_STATES = range(10, 19, 2)
 TEMPORAL_ROUNDS = 2
 CHECK_WORLDS = range(12, 17)
 CHANGE_ONLY_CHECK_WORLDS = {16}
+IMPORT_ROUNDS = 20
+# run as `python -S -c IMPORT_PROBE SRC`: the seconds `import doctrines.cli`
+# takes and the number of modules it adds
+IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); n = len(sys.modules); t = time.perf_counter(); "
+    "import doctrines.cli; print(time.perf_counter() - t, len(sys.modules) - n)"
+)
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
 
 
@@ -159,11 +175,13 @@ def measure_check(n: int) -> list[dict]:
 
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
          "checkout, measured in turns on one machine; a check row also has each side's least peak RSS in MB. "
-         "end_to_end: every bench/run.py run of both, and their medians.")
+         "import: `import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and "
+         "median seconds and the modules it loaded. end_to_end: every bench/run.py run of both, and their medians.")
 
 
 def _load(path: Path) -> dict:
     out = json.loads(path.read_text()) if path.exists() else {"layers": [], "end_to_end": []}
+    out.setdefault("import", [])
     out["about"] = ABOUT
     out["machine"] = {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()}
     return out
@@ -197,6 +215,26 @@ def layers(args) -> None:
         rows.values(),
         key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("worlds", 0), r.get("arrows", 0), r.get("states", 0)),
     )
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+
+
+def import_rows(args) -> None:
+    out = _load(args.out)
+    sides = [("parent", args.parent), ("change", args.change)]
+    for _, checkout in sides:
+        compileall.compile_dir(checkout / "src" / "doctrines", quiet=1)
+    times, modules = {"parent": [], "change": []}, {}
+    for i in range(2 * IMPORT_ROUNDS):
+        side, checkout = sides[i % 2]
+        argv = [sys.executable, "-S", "-c", IMPORT_PROBE, str(checkout / "src")]
+        s, modules[side] = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+        times[side].append(float(s))
+    row = {"layer": "import doctrines.cli", "interpreters": len(times["parent"])}
+    for side, sample in times.items():
+        row.update({f"{side}_s": round(min(sample), 5), f"{side}_median_s": round(statistics.median(sample), 5),
+                    f"{side}_modules": int(modules[side])})
+    print(row, flush=True)
+    out["import"] = [row]
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
@@ -239,6 +277,10 @@ def main() -> None:
     size.add_argument("--arrows", type=int, choices=sorted(FUNCTION_CARRIERS))
     size.add_argument("--states", type=int)
     size.add_argument("--check-worlds", type=int)
+    imp = sub.add_parser("import")
+    imp.add_argument("--parent", type=Path, required=True)
+    imp.add_argument("--change", type=Path, default=ROOT)
+    imp.add_argument("--out", type=Path, required=True)
     e2e = sub.add_parser("end-to-end")
     e2e.add_argument("--parent", type=Path, required=True)
     e2e.add_argument("--change", type=Path, default=ROOT)
@@ -258,6 +300,8 @@ def main() -> None:
             print(json.dumps(measure_temporal(args.states)))
     elif args.mode == "layers":
         layers(args)
+    elif args.mode == "import":
+        import_rows(args)
     else:
         end_to_end(args)
 
