@@ -9,6 +9,7 @@ adjunctions and comonads, plus one runner per acceptance criterion. The CLI
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .adjunction import (
@@ -22,8 +23,8 @@ from .adjunction import (
     identity_adjunction,
     is_vertical,
     left_arrow,
-    random_vertical_adjunction,
     triviality_checks,
+    vertical_adjunction,
     vertical_modality,
 )
 from .comonad import (
@@ -47,6 +48,7 @@ from .fincat import (
     Functor,
     NatTransformation,
     compose_functors,
+    discrete_category,
     fin_functor,
     fin_nat,
     function_arrow_name,
@@ -80,12 +82,11 @@ from .instances import (
 from .interior import InteriorOp, identity_interior, interior_violations, stable_elements
 from .order import MonotoneMap, chain_poset, fin_poset, identity_map, powerset_poset, value_map
 from .temporal import (
+    STREAM,
     FCoalgebra,
     gfp_modality_trace,
     oracle_for,
     oracle_mismatches,
-    random_coalgebra,
-    random_subset,
     temporal_doctrine,
 )
 
@@ -336,6 +337,45 @@ def bundled_comonads() -> list[tuple[str, DoctrineComonad]]:
     out.append(("cmd-presheaf", cmd_of_adjunction(bundled_presheaf()[0])))
     out.append(("diamond", diamond_comonad()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Seeded random instances
+
+
+def random_vertical_adjunction(rng: random.Random, max_objects: int = 2, max_ground: int = 4) -> DoctrineAdjunction:
+    """Sample a vertical adjunction over a discrete base: per fiber, a
+    join-preserving map between powersets (union along a random assignment
+    of atoms to subsets) together with its computed right adjoint."""
+    n_obj = rng.randint(1, max_objects)
+    objs = [f"X{i}" for i in range(n_obj)]
+    base = discrete_category(objs)
+    p_fibers, q_fibers, lam, rho = {}, {}, {}, {}
+    for x in objs:
+        g1 = [f"a{i}" for i in range(rng.randint(1, max_ground))]
+        g2 = [f"b{i}" for i in range(rng.randint(1, max_ground))]
+        p_fibers[x] = powerset_poset(g1)
+        q_fibers[x] = powerset_poset(g2)
+        targets = {a: frozenset(rng.sample(g2, rng.randint(0, len(g2)))) for a in g1}
+        lam[x] = value_map(p_fibers[x], q_fibers[x], lambda s: frozenset().union(*(targets[a] for a in s)))
+        rho[x] = value_map(q_fibers[x], p_fibers[x], lambda b: frozenset(a for a in g1 if targets[a] <= b))
+    P = Doctrine(base, p_fibers, {base.id(x): identity_map(p_fibers[x]) for x in objs})
+    Q = Doctrine(base, q_fibers, {base.id(x): identity_map(q_fibers[x]) for x in objs})
+    return vertical_adjunction(P, Q, lam, rho)
+
+
+def random_coalgebra(rng: random.Random, kind: str, max_states: int, name: str = "M") -> FCoalgebra:
+    n = rng.randint(1, max_states)
+    states = tuple(f"s{i}" for i in range(n))
+    if kind == STREAM:
+        step = {s: states[rng.randrange(n)] for s in states}
+    else:
+        step = {s: tuple(states[rng.randrange(n)] for _ in range(rng.randint(0, 3))) for s in states}
+    return FCoalgebra(name, kind, states, step)
+
+
+def random_subset(rng: random.Random, states: Sequence[str]) -> frozenset[str]:
+    return frozenset(s for s in states if rng.random() < 0.5)
 
 
 # ---------------------------------------------------------------------------

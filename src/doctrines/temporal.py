@@ -12,7 +12,6 @@ reachability or Tarjan's components, from their own reading of the step.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import combinations
@@ -308,19 +307,3 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     }
     return doc, InteriorOp(doc, parts)
 
-
-def random_coalgebra(rng: random.Random, kind: str, max_states: int, name: str = "M") -> FCoalgebra:
-    n = rng.randint(1, max_states)
-    states = tuple(f"s{i}" for i in range(n))
-    if kind == STREAM:
-        step = {s: states[rng.randrange(n)] for s in states}
-    else:
-        step = {
-            s: tuple(states[rng.randrange(n)] for _ in range(rng.randint(0, 3)))
-            for s in states
-        }
-    return FCoalgebra(name, kind, states, step)
-
-
-def random_subset(rng: random.Random, states: Sequence[str]) -> frozenset[str]:
-    return frozenset(s for s in states if rng.random() < 0.5)

@@ -19,7 +19,6 @@ from doctrines.adjunction import (
     identity_adjunction,
     is_vertical,
     left_arrow,
-    random_vertical_adjunction,
     right_arrow,
     triviality_checks,
     vertical_adjunction,
@@ -31,6 +30,7 @@ from doctrines.fincat import (
     Functor,
     NatTransformation,
     compose_functors,
+    discrete_category,
     fin_functor,
     fin_nat,
     identity_functor,
@@ -38,6 +38,7 @@ from doctrines.fincat import (
 )
 from doctrines.interior import interior_violations, identity_interior
 from doctrines.order import MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations, powerset_poset
+from doctrines.suite import random_vertical_adjunction
 
 from util import (
     compose_reference,
@@ -144,6 +145,31 @@ def test_identity_vertical_modality_is_identity():
     op = vertical_modality(identity_adjunction(d))
     assert op == identity_interior(d)
 
+
+def _galois_failing_adjunction() -> DoctrineAdjunction:
+    """One object with the fiber 0 < 1 < 2 on both sides, reindexed along
+    the identity by {0↦0, 1↦2, 2↦2}, so P(id) ≠ id; λ = id and ρ = P(id).
+    No adjunction scan checks the doctrine laws, and this one passes."""
+    base = discrete_category(["*"])
+    fib = chain_poset(["0", "1", "2"])
+    up = MonotoneMap(fib, fib, {"0": "0", "1": "2", "2": "2"})
+    d = Doctrine(base, {"*": fib}, {"id_*": up})
+    return vertical_adjunction(d, d, {"*": identity_map(fib)}, {"*": up})
+
+
+def test_vertical_modality_refuses_a_pair_that_is_not_galois():
+    A = _galois_failing_adjunction()
+    assert adjunction_violations(A) == []
+    with pytest.raises(ValueError, match=r"^galois fails at \(\*,2,1\)$"):
+        vertical_modality(A)
+
+
+def test_am_modality_refuses_an_induced_operator_that_is_not_interior():
+    # λ∘P(id)∘ρ sends 1 to 2, so axiom T fails though the adjunction scan passes
+    A = _galois_failing_adjunction()
+    assert adjunction_violations(A) == []
+    with pytest.raises(ValueError, match=r"^induced modality is not interior: axiom T fails at \(\*,1\)$"):
+        am_modality(A)
 
 def _bad_galois_pair() -> DoctrineAdjunction:
     """λ the identity and ρ constantly {}: only the lax inequalities fail."""

@@ -720,6 +720,11 @@ def test_cli_call_imports_no_code_generator_or_typing(tmp_path):
     assert _modules_a_check_loads(tmp_path, {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}) == "0 []"
 
 
+def test_cli_call_imports_no_random(tmp_path):
+    # the seeded generators live in `suite`, which only the suite command imports
+    assert _modules_a_check_loads(tmp_path, {"random"}) == "0 []"
+
+
 def test_cli_import_moves_its_objects_out_of_the_collectors_generations():
     probe = f"import gc, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; print(gc.get_freeze_count())"
     r = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)

@@ -10,7 +10,7 @@ from doctrines.adjunction import (
     adjunction_violations,
     identity_adjunction,
     left_arrow,
-    random_vertical_adjunction,
+    vertical_modality,
 )
 from doctrines.comonad import (
     DoctrineComonad,
@@ -41,11 +41,14 @@ from doctrines.doctrine import (
     identity_parts,
 )
 from doctrines.fincat import (
+    Functor,
     NatTransformation,
     compose_functors,
+    discrete_category,
     fin_functor,
     fin_nat,
     identity_functor,
+    identity_nat,
     nat_violations,
     poset_category,
     same_functor_composite,
@@ -53,18 +56,23 @@ from doctrines.fincat import (
 from doctrines.interior import InteriorOp, interior_violations, identity_interior, stable_subdoctrine
 from doctrines.order import (
     MonotoneMap,
+    chain_poset,
     fin_poset,
     identity_map,
     label_subset,
     powerset_poset,
     subset_label,
 )
+from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_interior_ops, random_vertical_adjunction
 
 from util import (
     antichain_poset,
+    comparison_landing_reference,
     constant_family_arrow,
+    em_fibers_reference,
     forgetful_top_arrow,
     identity_two_arrow,
+    injective_reference,
     one_object_monoid_category,
     powerset_doctrine_over,
 )
@@ -548,3 +556,77 @@ def test_mc_morphism_on_real_modal_arrows():
     arrow2, op2_src, op2_dst = forgetful_top_arrow(list(SPACES))
     m2 = mc_morphism(arrow2, op2_src, op2_dst)
     assert cmd_morphism_violations(m2) == []
+
+
+# The EM constructions no longer re-check what the comonad and adjunction
+# scans imply; these tests assert the dropped checks against references.
+def _comonads_with_em_doctrines():
+    rng = random.Random(71)
+    yield from bundled_comonads()
+    for name, op in bundled_interior_ops():
+        yield f"mc-{name}", mc(op)
+    for i in range(10):
+        yield f"mc-random-vertical-{i}", mc(vertical_modality(random_vertical_adjunction(rng)))
+    for name, A in _adjunctions_with_comparison_arrows():
+        yield f"cmd-{name}", cmd_of_adjunction(A)
+
+
+def _adjunctions_with_comparison_arrows():
+    """The bundled adjunctions, then the suite's 50 seeded random vertical
+    adjunctions (seed 7)."""
+    yield from bundled_adjunctions()
+    rng = random.Random(7)
+    for i in range(50):
+        yield f"random-vertical-{i}", random_vertical_adjunction(rng)
+
+
+def test_em_fibers_inclusions_and_universal_two_arrow_agree_with_the_references():
+    assert comonad_violations(_inflated_diamond_comonad())
+    for name, c in _comonads_with_em_doctrines():
+        assert comonad_violations(c) == [], name
+        bundle = em_doctrine(c)
+        assert {o: bundle.em.fibers[o].elements for o in bundle.em.base.objects} == em_fibers_reference(c), name
+        assert all(injective_reference(bundle.forgetful.parts[o]) for o in bundle.em.base.objects), name
+        assert two_arrow_violations(bundle.universal) == [], name
+        factor = em_universal_factor(c, bundle.forgetful, bundle.universal.theta)
+        assert compose_one_arrows(bundle.forgetful, factor) == bundle.forgetful, name
+
+
+def test_comparison_arrows_and_universal_factors_agree_with_the_references():
+    for name, A in _adjunctions_with_comparison_arrows():
+        c = cmd_of_adjunction(A)
+        assert comparison_landing_reference(A) == [], name
+        xi = NatTransformation(
+            A.left,
+            compose_functors(c.k, A.left),
+            {x: A.left.arr_map[A.eta.components[x]] for x in A.p.base.objects},
+        )
+        factor = em_universal_factor(c, left_arrow(A), xi)
+        assert compose_one_arrows(em_doctrine(c).forgetful, factor) == left_arrow(A), name
+        assert factor == comparison_arrow(A), name
+
+
+def test_em_doctrine_refuses_a_closure_that_is_not_deflationary():
+    # the comonad laws scan no doctrine law: here P(id) is constant, so the
+    # identity comonad's closure P(id)∘κ inflates 0 to 2 though its scan passes
+    base = discrete_category(["*"])
+    fiber = chain_poset(["0", "1", "2"])
+    d = Doctrine(base, {"*": fiber}, {"id_*": MonotoneMap(fiber, fiber, {"0": "2", "1": "2", "2": "2"})})
+    K = identity_functor(base)
+    kappa = MonotoneMap(fiber, fiber, {"0": "0", "1": "0", "2": "2"})
+    c = DoctrineComonad(d, K, {"*": kappa}, identity_nat(K), identity_nat(K))
+    assert comonad_violations(c) == []
+    with pytest.raises(ValueError, match=r"^closure not deflationary at \(<\*\|id_\*>,0\)$"):
+        em_doctrine(c)
+
+
+def test_em_universal_factor_refuses_an_x_whose_functor_leaves_a_hom_set():
+    # X sends bot<=a to the identity of bot, outside the hom-set (bot, a)
+    c = identity_comonad(diamond_comonad().p)
+    base = c.p.base
+    x_arrow = identity_one_arrow(c.p)
+    X = Functor(base, base, dict(x_arrow.functor.obj_map), dict(x_arrow.functor.arr_map) | {"bot<=a": "bot<=bot"})
+    x_bad = OneArrow(c.p, c.p, X, dict(x_arrow.parts))
+    xi = NatTransformation(X, compose_functors(c.k, X), {x: base.id(x) for x in base.objects})
+    with pytest.raises(ValueError, match=r"^x is not a 1-arrow: functor: boundary not preserved at bot<=a"):
+        em_universal_factor(c, x_bad, xi)

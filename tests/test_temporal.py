@@ -8,7 +8,7 @@ from doctrines.fincat import all_functions
 from doctrines import temporal
 from doctrines.interior import interior_violations
 from doctrines.order import MonotoneMap, label_subset, subset_label, subsets_in_order
-from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T
+from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T, random_coalgebra, random_subset
 from doctrines.temporal import (
     FCoalgebra,
     _is_homomorphism,
@@ -19,8 +19,6 @@ from doctrines.temporal import (
     gfp_modality_trace,
     oracle_for,
     oracle_mismatches,
-    random_coalgebra,
-    random_subset,
     temporal_doctrine,
 )
 from util import (

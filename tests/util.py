@@ -9,7 +9,17 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from doctrines.doctrine import Doctrine, OneArrow, TwoArrow, identity_parts
-from doctrines.fincat import FinCategory, Functor, check_category, full_function_category, function_arrow_name, identity_nat
+from doctrines.comonad import cmd_of_adjunction
+from doctrines.fincat import (
+    FinCategory,
+    Functor,
+    check_category,
+    coalgebra_category,
+    coalgebra_object_name,
+    full_function_category,
+    function_arrow_name,
+    identity_nat,
+)
 from doctrines.instances import (
     FiniteTopSpace,
     IndexedFamily,
@@ -336,6 +346,42 @@ def lax_inequalities_reference(A):
         )
     return out
 
+
+def em_fibers_reference(c):
+    """The EM fibers by definition, by coalgebra name: the elements below
+    their own closure P(c)∘κ_C, composed as a map. `comonad.em_doctrine`
+    keeps the closure's fixed points and no longer compares the two."""
+    data = coalgebra_category(c.k, c.mu, c.nu)
+    out = {}
+    for o in data.category.objects:
+        x = data.carrier[o]
+        closure, rel = compose_reference(c.p.reindex[data.structure[o]], c.kappa[x]), c.p.fibers[x].relation
+        out[o] = tuple(a for a in c.p.fibers[x].elements if (a, closure.mapping[a]) in rel)
+    return out
+
+
+def injective_reference(m):
+    """Whether the map `m` sends distinct elements to distinct images."""
+    return len({m.mapping[a] for a in m.src.elements}) == len(m.src.elements)
+
+
+def comparison_landing_reference(A):
+    """The two raises `comonad.comparison_arrow` no longer has, from A's
+    tables and the fixed points of its comonad's closures: each ⟨LX, Lη_X⟩
+    is a coalgebra, and λ_X sends every element into the EM fiber there."""
+    fibers = em_fibers_reference(cmd_of_adjunction(A))
+    out = []
+    for x in A.p.base.objects:
+        o = coalgebra_object_name(A.left.obj_map[x], A.left.arr_map[A.eta.components[x]])
+        if o not in fibers:
+            out.append(f"comparison object {o} is not a coalgebra")
+            continue
+        out.extend(
+            f"lambda does not land in the EM fiber at ({x},{a})"
+            for a in A.p.fibers[x].elements
+            if A.lam[x].mapping[a] not in fibers[o]
+        )
+    return out
 
 def kripke_box(frame, a):
     """The worlds of `frame` whose every successor lies in the subset `a`, by
