@@ -44,6 +44,12 @@ class Doctrine:
     reindex: Mapping[str, MonotoneMap]  # arrow name -> fiber(dst) → fiber(src)
 
 
+def _reindex_fits(d: Doctrine, t: str) -> bool:
+    """Whether the reindexing along t goes fiber(dst t) → fiber(src t)."""
+    m = d.reindex[t]
+    return m.src == d.fibers[d.base.dst(t)] and m.dst == d.fibers[d.base.src(t)]
+
+
 def doctrine_violations(d: Doctrine) -> list[str]:
     """Empty list iff identity and composition contravariance laws hold."""
     out = []
@@ -56,11 +62,10 @@ def doctrine_violations(d: Doctrine) -> list[str]:
     if out:
         return out
     for a in d.base.arrow_names():
-        m = d.reindex[a]
-        if m.src != d.fibers[d.base.dst(a)] or m.dst != d.fibers[d.base.src(a)]:
+        if not _reindex_fits(d, a):
             out.append(f"reindexing along {a} has wrong boundary")
             continue
-        out.extend(f"reindexing along {a}: {v}" for v in monotone_violations(m))
+        out.extend(f"reindexing along {a}: {v}" for v in monotone_violations(d.reindex[a]))
     if out:
         return out
     for x in d.base.objects:
@@ -143,9 +148,17 @@ def one_arrow_violations(a: OneArrow) -> list[str]:
     if out:
         return out
     for t in P.base.arrow_names():
-        x, y = P.base.src(t), P.base.dst(t)
-        if not same_composite(a.parts[x], P.reindex[t], Q.reindex[a.functor.arr_map[t]], a.parts[y]):
-            out.append(f"naturality fails along {t}")
+        x, y, ft = P.base.src(t), P.base.dst(t), a.functor.arr_map[t]
+        try:
+            natural = same_composite(a.parts[x], P.reindex[t], Q.reindex[ft], a.parts[y])
+        except ValueError:  # a reindexing map is off its boundary, named below
+            natural = False
+        if not natural:
+            out.append(
+                f"source reindexing along {t} has wrong boundary" if not _reindex_fits(P, t)
+                else f"target reindexing along {ft} has wrong boundary" if not _reindex_fits(Q, ft)
+                else f"naturality fails along {t}"
+            )
     return out
 
 

@@ -113,7 +113,7 @@ def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPos
         for step in steps[c]
     ]
     values = tuple(product(*(f.values for f in factors)))
-    return FinPoset(tuple(labels), covers=tuple(covers), values=values, **product_order(factors))
+    return FinPoset(tuple(labels), product_order(factors), tuple(covers), values)
 
 
 def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> FinPoset:

@@ -7,10 +7,10 @@ reported by a literal scan over the data.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import combinations
-from operator import attrgetter, or_
+from operator import attrgetter
 
 _REQUIRED = object()
 
@@ -105,31 +105,21 @@ def value_class(cls):
     return cls
 
 
-def _positions(mask: int) -> Iterator[int]:
-    """The positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @value_class
 class FinPoset:
-    """A finite poset: elements in declaration order, the order in one of two
-    encodings, and its covering pairs.
+    """A finite poset: elements in declaration order, the order as bit codes,
+    and its covering pairs.
 
-    Masks, `ups`: bit j of `ups[i]` is set iff elements[i] <= elements[j]
-    (Aït-Kaci, Boyer, Lincoln and Nasr, TOPLAS 11(1), 1989); they fit any
-    poset, and posets from pairs, chains, quantale fibers and `fam_doctrine`
-    families have them. Codes, `codes`: bits of ground points, with
-    elements[i] <= elements[j] iff codes[i] & ~codes[j] == 0; they fit the
-    subposets of a Boolean lattice (Davey and Priestley, *Introduction to
-    Lattices and Order*, 2002). `powerset_poset` codes a subset by its
-    bitmask, `_pointwise_fiber` and `product_poset` concatenate the codes of
-    code factors (pw(W)^D ≅ pw(W×D)), and `sub_poset` keeps them. Exactly one
-    encoding is given; `leq`, `up`, `down`, `hasse`, `relation` and the scans
-    of `monotone_violations` read either, and equality and hash are on the
-    elements and their order, whatever encodes it.
+    `codes[i]` is an int with elements[i] <= elements[j] iff
+    codes[i] & ~codes[j] == 0: the poset embeds in the Boolean lattice of its
+    codes' bits (Davey and Priestley, *Introduction to Lattices and Order*,
+    2002), and every finite poset does, by a ↦ ↓a. `powerset_poset` codes a
+    subset by its bitmask; `poset_from_pairs` and `chain_poset` code an
+    element by its down-set (bit j set iff elements[j] <= it); products
+    concatenate their factors' codes, since ↓(a, b) = ↓a × ↓b
+    (`product_order`); `sub_poset` keeps the codes it is given. Two builders
+    can code one order differently, so equality and hash are on the elements
+    and their order, not on the codes.
 
     Value invariant: `values[i]` is the hashable value elements[i] stands
     for, distinct across the poset, set by its builder: a powerset element's
@@ -145,10 +135,10 @@ class FinPoset:
     the builders `poset_from_pairs` (from a relation that is already a
     partial order; `check_poset` after its axiom scan and `fam_doctrine`),
     `chain_poset`, `sub_poset`, `product_poset`, `powerset_poset` and
-    `instances._pointwise_fiber` construct one, each from masks or codes that
-    encode a partial order by construction; a repeated element raises here.
-    The cover certificate of `monotone_violations` relies on it: every a <= b
-    is a chain of covers, and the target's <= is reflexive and transitive.
+    `instances._pointwise_fiber` construct one, each from codes that encode
+    a partial order by construction; a repeated element raises here. The
+    cover certificate of `monotone_violations` relies on it: every a <= b is
+    a chain of covers, and the target's <= is reflexive and transitive.
 
     `covers` is the Hasse diagram, the pairs a < b with nothing strictly
     between: passed by a builder that enumerates the order by its structure,
@@ -156,16 +146,13 @@ class FinPoset:
     built on first use for callers that want it; the library never reads it."""
 
     elements: tuple[str, ...]
-    ups: tuple[int, ...] | None = None
+    codes: tuple[int, ...]
     covers: tuple[tuple[str, str], ...] | None = Field(repr=False, compare=False)
     values: tuple | None = Field(repr=False, compare=False)
-    codes: tuple[int, ...] | None = None
     _position: dict = Field(init=False, repr=False, compare=False)
-    _bits: dict = Field(init=False, repr=False, compare=False)
+    _code: dict = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.ups is None) == (self.codes is None):
-            raise ValueError("a poset takes exactly one of up-set masks and codes")
         position = {e: i for i, e in enumerate(self.elements)}
         if len(position) != len(self.elements):
             repeated = next(e for i, e in enumerate(self.elements) if position[e] != i)
@@ -178,13 +165,13 @@ class FinPoset:
                 repeated = next(v for i, v in enumerate(self.values) if last[v] != i)
                 raise ValueError(f"repeated poset value {repeated!r}")
         object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_bits", dict(zip(self.elements, self.ups if self.codes is None else self.codes)))
+        object.__setattr__(self, "_code", dict(zip(self.elements, self.codes)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinPoset):
             return NotImplemented
         return self is other or self.elements == other.elements and (
-            (self.ups, self.codes) == (other.ups, other.codes) or all(self.up(a) == other.up(a) for a in self.elements)
+            self.codes == other.codes or all(self.up(a) == other.up(a) for a in self.elements)
         )
 
     def __hash__(self) -> int:
@@ -203,36 +190,24 @@ class FinPoset:
         return frozenset((a, b) for a in self.elements for b in self.up(a))
 
     def hasse(self) -> tuple[tuple[str, str], ...]:
-        """The covering pairs, derived once when no builder passed them. With
-        masks, b covers a iff b is in the strict up-set of a and in the strict
-        up-set of nothing in it, Θ(|relation|) big-integer operations. With
-        codes, in order of size, b covers a iff its code strictly contains
-        a's and no cover found before, O(n²) tests on n codes."""
+        """The covering pairs, derived once when no builder passed them: in
+        order of size, b covers a iff its code strictly contains a's and no
+        cover found before, O(n²) tests on n codes."""
         if self.covers is None:
             els, covers = self.elements, []
-            if self.codes is None:
-                strict = [u ^ (1 << i) for i, u in enumerate(self.ups)]
-                for a, above in zip(els, strict):
-                    beyond = 0
-                    for j in _positions(above):
-                        beyond |= strict[j]
-                    covers.extend((a, els[j]) for j in _positions(above & ~beyond))
-            else:
-                by_size = sorted(zip(self.codes, els), key=lambda cb: cb[0].bit_count())
-                for a, c in zip(els, self.codes):
-                    found = []
-                    for d, b in by_size:
-                        if d != c and not c & ~d and all(f & ~d for f in found):
-                            found.append(d)
-                            covers.append((a, b))
+            by_size = sorted(zip(self.codes, els), key=lambda cb: cb[0].bit_count())
+            for a, c in zip(els, self.codes):
+                found = []
+                for d, b in by_size:
+                    if d != c and not c & ~d and all(f & ~d for f in found):
+                        found.append(d)
+                        covers.append((a, b))
             object.__setattr__(self, "covers", tuple(covers))
         return self.covers
 
     def leq(self, a: str, b: str) -> bool:
         try:
-            if self.codes is None:
-                return self._bits[a] >> self._position[b] & 1 == 1
-            return not self._bits[a] & ~self._bits[b]
+            return not self._code[a] & ~self._code[b]
         except KeyError:
             return False
 
@@ -246,9 +221,7 @@ class FinPoset:
         return tuple(x for x in self.elements if self.leq(x, a))
 
     def up(self, a: str) -> tuple[str, ...]:
-        if self.codes is None:
-            return tuple(map(self.elements.__getitem__, _positions(self._bits[a])))
-        c = self._bits[a]
+        c = self._code[a]
         return tuple(x for x, d in zip(self.elements, self.codes) if not c & ~d)
 
     def __contains__(self, a: str) -> bool:
@@ -262,43 +235,21 @@ def poset_from_pairs(
     a partial order on them (unchecked: `check_poset` checks first), with
     the given `values` (by default the labels)."""
     position = {e: i for i, e in enumerate(elements)}
-    ups = [0] * len(elements)
+    codes = [0] * len(elements)
     for a, b in relation:
-        ups[position[a]] |= 1 << position[b]
-    return FinPoset(tuple(elements), tuple(ups), values=None if values is None else tuple(values))
+        codes[position[b]] |= 1 << position[a]
+    return FinPoset(tuple(elements), tuple(codes), values=None if values is None else tuple(values))
 
 
-def product_order(factors: Sequence[FinPoset]) -> dict:
-    """The order of the product of `factors` in lexicographic position order,
-    as the keyword of `FinPoset` that holds it: the factors' codes
-    concatenated when they all have codes (pw(A) × pw(B) ≅ pw(A + B)), else
-    up-set masks, one factor at a time from the last, whose positions have
-    stride 1, to the first. For a factor P and the masks of the product I of
-    the factors after it, the row of (c, ·) is I's masks shifted into block
-    c, ORed with the rows of the elements covering c; rows are filled from
-    the largest codes or the smallest up-sets, so each cover's row is ready
-    first whatever the declaration order."""
-    if all(f.ups is None for f in factors):
-        codes = [0]
-        for f in factors:
-            width = max(f.codes, default=0).bit_length()
-            codes = [c << width | d for c in codes for d in f.codes]
-        return {"codes": tuple(codes)}
-    ups = [1]
-    for f in reversed(factors):
-        size, pos = len(ups), f._position
-        above = [[] for _ in f.elements]
-        for c, d in f.hasse():
-            above[pos[c]].append(pos[d])
-        rows = [None] * len(f.elements)
-        rank = [-c.bit_count() for c in f.codes] if f.ups is None else list(map(int.bit_count, f.ups))
-        for c in sorted(range(len(f.elements)), key=rank.__getitem__):
-            row = [u << c * size for u in ups]
-            for d in above[c]:
-                row = list(map(or_, row, rows[d]))
-            rows[c] = row
-        ups = [u for row in rows for u in row]
-    return {"ups": tuple(ups)}
+def product_order(factors: Sequence[FinPoset]) -> tuple[int, ...]:
+    """The codes of the product of `factors` in lexicographic position
+    order: the factors' codes concatenated, first factor highest, since
+    ↓(a, b) = ↓a × ↓b (pw(A) × pw(B) ≅ pw(A + B))."""
+    codes = [0]
+    for f in factors:
+        width = max(f.codes, default=0).bit_length()
+        codes = [c << width | d for c in codes for d in f.codes]
+    return tuple(codes)
 
 
 def poset_violations(elements: Sequence[str], relation: Iterable[tuple[str, str]]) -> list[str]:
@@ -370,24 +321,17 @@ def fin_poset(
 
 
 def chain_poset(labels: Sequence[str]) -> FinPoset:
-    n = len(labels)
-    ups = tuple((1 << n) - (1 << i) for i in range(n))
-    return FinPoset(tuple(labels), ups, tuple(zip(labels, labels[1:])))
+    """The chain labels[0] < labels[1] < …, element i coded by its down-set."""
+    return FinPoset(tuple(labels), tuple((2 << i) - 1 for i in range(len(labels))), tuple(zip(labels, labels[1:])))
 
 
 def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
-    """The induced order on the members of `elements`, in p's order: kept
-    codes stay as they are, and each kept mask is compressed to the bits of
-    the kept positions."""
+    """The induced order on the members of `elements`, in p's order, with
+    their codes kept."""
     wanted = set(elements)
     kept = [i for i, e in enumerate(p.elements) if e in wanted]
-    labels, values = tuple(map(p.elements.__getitem__, kept)), tuple(map(p.values.__getitem__, kept))
-    if p.ups is None:
-        return FinPoset(labels, codes=tuple(map(p.codes.__getitem__, kept)), values=values)
-    keep = sum(map((1).__lshift__, kept))
-    bit = {i: 1 << t for t, i in enumerate(kept)}  # the new bit of each kept position
-    ups = tuple(sum(bit[j] for j in _positions(p.ups[i] & keep)) for i in kept)
-    return FinPoset(labels, ups, values=values)
+    pick = lambda xs: tuple(map(xs.__getitem__, kept))
+    return FinPoset(pick(p.elements), pick(p.codes), values=pick(p.values))
 
 
 def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
@@ -397,7 +341,7 @@ def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
         label = lambda a, b: f"({a}|{b})"
     elems = tuple(label(a, b) for a in p.elements for b in q.elements)
     values = tuple((u, v) for u in p.values for v in q.values)
-    return FinPoset(elems, values=values, **product_order([p, q]))
+    return FinPoset(elems, product_order([p, q]), values=values)
 
 
 @value_class
@@ -463,12 +407,8 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
     # every a <= b is a chain of covers and the target's <= is reflexive and
     # transitive, so preserving the covers certifies a pass; on a miss the
     # scan below finds the witnesses
-    mapping, bits, pos = m.mapping, m.dst._bits, m.dst._position
-    if m.dst.codes is None:
-        kept = all(bits[mapping[a]] >> pos[mapping[b]] & 1 for (a, b) in m.src.hasse())
-    else:
-        kept = all(not bits[mapping[a]] & ~bits[mapping[b]] for (a, b) in m.src.hasse())
-    if kept:
+    mapping, code = m.mapping, m.dst._code
+    if all(not code[mapping[a]] & ~code[mapping[b]] for (a, b) in m.src.hasse()):
         return []
     leq = m.dst.leq
     for a in m.src.elements:
@@ -576,4 +516,4 @@ def powerset_poset(ground: Sequence[str]) -> FinPoset:
             label_of[sum(map(bits.__getitem__, combo))] = "{" + ",".join(map(ground.__getitem__, combo)) + "}"
             values.append(frozenset(map(ground.__getitem__, combo)))
     covers = [(lbl, label_of[m | b]) for m, lbl in label_of.items() for b in bits if not m & b]
-    return FinPoset(tuple(label_of.values()), covers=tuple(covers), values=tuple(values), codes=tuple(label_of))
+    return FinPoset(tuple(label_of.values()), tuple(label_of), tuple(covers), tuple(values))

@@ -67,6 +67,7 @@ from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_inter
 
 from util import (
     antichain_poset,
+    closure_idempotence_reference,
     comparison_landing_reference,
     constant_family_arrow,
     em_fibers_reference,
@@ -618,6 +619,24 @@ def test_em_doctrine_refuses_a_closure_that_is_not_deflationary():
     assert comonad_violations(c) == []
     with pytest.raises(ValueError, match=r"^closure not deflationary at \(<\*\|id_\*>,0\)$"):
         em_doctrine(c)
+
+
+def test_every_em_closure_whose_comonad_scan_passes_is_idempotent():
+    # em_doctrine does not check cl∘cl = cl: its docstring proves it from the scan
+    cases = [*bundled_comonads(), *((f"mc-{name}", mc(op)) for name, op in bundled_interior_ops())]
+    cases += [(f"cmd-{name}", cmd_of_adjunction(A)) for name, A in _adjunctions_with_comparison_arrows()]
+    for name, c in cases:
+        assert comonad_violations(c) == [], name
+        assert closure_idempotence_reference(c) == [], name
+    # the reference does flag a closure that is not idempotent, here
+    # P(id_*) = {0↦0, 1↦0, 2↦1} with κ = id; the comultiplication inequality fails first
+    base = discrete_category(["*"])
+    fiber = chain_poset(["0", "1", "2"])
+    d = Doctrine(base, {"*": fiber}, {"id_*": MonotoneMap(fiber, fiber, {"0": "0", "1": "0", "2": "1"})})
+    K = identity_functor(base)
+    c = DoctrineComonad(d, K, {"*": identity_map(fiber)}, identity_nat(K), identity_nat(K))
+    assert closure_idempotence_reference(c) == [("<*|id_*>", "2")]
+    assert "(iii) comultiplication inequality fails at (*,2)" in comonad_violations(c)
 
 
 def test_em_universal_factor_refuses_an_x_whose_functor_leaves_a_hom_set():

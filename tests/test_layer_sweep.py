@@ -29,6 +29,12 @@ def test_layer_sweep_measures_the_function_category_row():
     assert rows[0]["s"] > 0
 
 
+def test_layer_sweep_measures_the_quantale_row():
+    rows = _measure("--quantale-points", 2)
+    assert [(r["layer"], r["points"]) for r in rows] == [("quantale", 2)]
+    assert rows[0]["s"] > 0
+
+
 def test_layer_sweep_measures_the_temporal_sweep_rows():
     rows = _measure("--states", 10)
     assert [(r["layer"], r["kind"], r["states"]) for r in rows] == [

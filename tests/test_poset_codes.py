@@ -1,16 +1,18 @@
-"""Boolean fibers ordered by bit codes: the code builders against the
-pair-set references, extensional equality across the two encodings, the
-Kripke box table against its frozenset oracle, and no up-set masks built
-for a Boolean fiber on the passing paths."""
+"""Fibers ordered by bit codes: the code builders against the pair-set
+references, products coded by concatenating their factors' codes,
+extensional equality across codings of one order, the Kripke box table
+against its frozenset oracle, and each Boolean fiber coded by its subsets'
+bitmasks on the passing paths."""
 
 import json
 import random
+from itertools import product
 
 import pytest
 
 from doctrines import instances, order
 from doctrines.cli import main
-from doctrines.instances import KripkeFrame, _pointwise_fiber, kripke_doctrine
+from doctrines.instances import KripkeFrame, _pointwise_fiber, kripke_doctrine, lukasiewicz3, quantale_doctrine
 from doctrines.order import (
     FinPoset,
     MonotoneMap,
@@ -44,6 +46,15 @@ def _restricted(p, kept):
     )
 
 
+def _concatenated_codes(factors):
+    """The codes of the product of `factors` in position order: each
+    factor's code in a block as wide as its widest code, the first factor's
+    block highest."""
+    widths = [max(f.codes, default=0).bit_length() for f in factors]
+    shifts = [sum(widths[k + 1:]) for k in range(len(factors))]
+    return tuple(sum(c << s for c, s in zip(combo, shifts)) for combo in product(*(f.codes for f in factors)))
+
+
 def _ground(rng, prefix, top=3):
     return [f"{prefix}{i}" for i in range(rng.randint(0, top))]
 
@@ -52,7 +63,6 @@ def _ground(rng, prefix, top=3):
 def test_powerset_poset_has_codes_equal_to_the_pair_set_reference(n):
     ground = [f"p{i}" for i in range(n)]
     got = powerset_poset(ground)
-    assert got.ups is None
     assert got.codes == tuple(sum(1 << ground.index(x) for x in v) for v in got.values)
     _same_as_reference(got, powerset_poset_reference(ground))
 
@@ -64,7 +74,7 @@ def test_pointwise_fiber_of_powersets_has_codes_equal_to_the_reference(seed, key
     factors = [powerset_poset(_ground(rng, f"g{k}_", 3 if keys < 3 else 2)) for k in range(keys)]
     names = [f"k{k}" for k in range(keys)]
     got = _pointwise_fiber(names, factors)
-    assert got.ups is None
+    assert got.codes == _concatenated_codes(factors)
     _same_as_reference(got, pointwise_fiber_reference(names, factors))
 
 
@@ -76,7 +86,10 @@ def test_pointwise_fiber_of_mixed_factors_has_masks_equal_to_the_reference(seed)
     rng.shuffle(factors)
     names = ["k0", "k1", "k2"]
     got = _pointwise_fiber(names, factors)
-    assert got.codes is None
+    # a chain factor is coded by its down-sets, 1, 3, 7, …, in its own block
+    chains = [f for f in factors if isinstance(f.values[0], str)]
+    assert chains and all(f.codes == tuple((2 << i) - 1 for i in range(len(f.elements))) for f in chains)
+    assert got.codes == _concatenated_codes(factors)
     _same_as_reference(got, pointwise_fiber_reference(names, factors))
 
 
@@ -87,7 +100,7 @@ def test_sub_poset_of_a_code_poset_keeps_codes_and_derives_its_covers(seed):
     p = rng.choice([powerset_poset(_ground(rng, "g", 4)), pointwise])
     kept = [e for e in p.elements if rng.random() < 0.6]
     got = sub_poset(p, kept)
-    assert got.ups is None and got.covers is None
+    assert got.codes == tuple(p.codes[p.index(e)] for e in got.elements) and got.covers is None
     _same_as_reference(got, _restricted(p, kept))
     assert got.values == tuple(p.value(e) for e in got.elements)
 
@@ -104,28 +117,29 @@ def test_product_poset_of_code_posets_has_codes_equal_to_the_reference(seed):
         {(label(a, b), label(c, d)) for (a, c) in p.relation for (b, d) in q.relation},
     )
     got = product_poset(p, q)
-    assert got.ups is None
+    assert got.codes == _concatenated_codes([p, q])
     _same_as_reference(got, want)
-    mixed = product_poset(p, chain_poset(["0", "1"]))
-    assert mixed.codes is None
+    chain = chain_poset(["0", "1"])
+    mixed = product_poset(p, chain)
+    assert chain.codes == (1, 3) and mixed.codes == _concatenated_codes([p, chain])
     _same_as_reference(mixed, poset_from_pairs(mixed.elements, mixed.relation))
 
 
 def test_equality_and_hash_are_on_the_order_not_its_encoding():
     p = powerset_poset(["a", "b"])
-    masks = poset_from_pairs(p.elements, p.relation)
-    assert masks.codes is None and p == masks and masks == p and hash(p) == hash(masks)
+    downsets = poset_from_pairs(p.elements, p.relation)
+    # each element coded by the positions of its down-set: {} {a} {b} {a,b}
+    assert downsets.codes == (0b1, 0b11, 0b101, 0b1111) and p.codes == (0, 1, 2, 3)
+    assert p == downsets and downsets == p and hash(p) == hash(downsets)
     # other codes, the same order: {a} and {b} swap their bits
     assert FinPoset(p.elements, codes=(0, 2, 1, 3)) == p
     # other codes, another order: {a} <= {b} here
     assert FinPoset(p.elements, codes=(0, 1, 3, 7)) != p
-    assert FinPoset(p.elements, codes=(0, 1, 3, 7)) != masks
+    assert FinPoset(p.elements, codes=(0, 1, 3, 7)) != downsets
     assert chain_poset(p.elements) != p and p != chain_poset(p.elements)
     assert FinPoset(p.elements, codes=(0, 1, 3, 7)) == chain_poset(p.elements)
-    with pytest.raises(ValueError, match="exactly one of up-set masks and codes"):
+    with pytest.raises(TypeError, match="missing required arguments: 'codes'"):
         FinPoset(p.elements)
-    with pytest.raises(ValueError, match="exactly one of up-set masks and codes"):
-        FinPoset(masks.elements, masks.ups, codes=p.codes)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -133,13 +147,29 @@ def test_a_non_monotone_map_on_a_code_poset_gets_the_witnesses_of_its_mask_twin(
     rng = random.Random(f"monotone:{seed}")
     whole = powerset_poset(["a", "b", "c"])
     p = rng.choice([whole, sub_poset(whole, ["{}", "{a}", "{b}", "{a,b}", "{a,b,c}"])])
-    twin = poset_from_pairs(p.elements, p.relation)
+    twin = poset_from_pairs(p.elements, p.relation)  # the same order, coded by down-sets
     mapping = {a: rng.choice(p.elements) for a in p.elements}
     got = monotone_violations(MonotoneMap(p, p, mapping))
     assert got == monotone_violations(MonotoneMap(twin, twin, mapping))
     assert got == sorted(
         f"order not preserved on ({a},{b})" for (a, b) in p.relation if (mapping[a], mapping[b]) not in p.relation
     )
+
+
+def test_the_modal_quantale_fiber_has_27_codes_of_9_bits():
+    # the 3-chain Lukasiewicz quantale of the modal workload at |X| = 3
+    q = lukasiewicz3()
+    keys = ["x0", "x1", "x2"]
+    doc, _, _ = quantale_doctrine(q, {"X": keys})
+    fiber, chain = doc.fibers["X"], q.lattice.carrier
+    assert chain.codes == (1, 3, 7)
+    assert fiber.codes == tuple(a << 6 | b << 3 | c for a in chain.codes for b in chain.codes for c in chain.codes)
+    assert len(fiber.codes) == 27 and max(fiber.codes).bit_length() == 9
+    want = pointwise_fiber_reference(keys, [chain] * 3)
+    assert fiber.elements == want.elements
+    assert [[fiber.leq(a, b) for b in fiber.elements] for a in fiber.elements] == [
+        [want.leq(a, b) for b in want.elements] for a in want.elements
+    ]
 
 
 def _random_frame(rng, n):
@@ -172,7 +202,7 @@ def test_the_box_oracle_is_tried_on_frames_that_are_not_preorders():
 
 
 def test_passing_paths_never_build_a_boolean_fibers_masks(tmp_path, monkeypatch, capsys):
-    built, mask_factors = [], []
+    built, products = [], []
     post_init, product_order = FinPoset.__post_init__, order.product_order
 
     def kept(self):
@@ -181,8 +211,7 @@ def test_passing_paths_never_build_a_boolean_fibers_masks(tmp_path, monkeypatch,
 
     def recorded(factors):
         got = product_order(factors)
-        if "ups" in got:
-            mask_factors.extend(factors)
+        products.append((list(factors), got))
         return got
 
     monkeypatch.setattr(FinPoset, "__post_init__", kept)
@@ -202,6 +231,8 @@ def test_passing_paths_never_build_a_boolean_fibers_masks(tmp_path, monkeypatch,
     subsets = lambda v: isinstance(v, frozenset) or isinstance(v, tuple) and all(isinstance(x, frozenset) for x in v)
     boolean = [p for p in built if all(map(subsets, p.values))]
     assert max(len(p.elements) for p in boolean) == 2**9
-    assert [p for p in boolean if p.ups is not None] == []
-    assert [p for p in mask_factors if p.ups is None] == []
+    # a subset's code has one bit per point, where its down-set code would have 2^|subset|
+    size = lambda v: len(v) if isinstance(v, frozenset) else sum(map(len, v))
+    assert [p for p in boolean if any(c.bit_count() != size(v) for c, v in zip(p.codes, p.values))] == []
+    assert products and [got for factors, got in products if got != _concatenated_codes(factors)] == []
     assert [p for p in built if "relation" in vars(p)] == []

@@ -1,5 +1,7 @@
-"""Posets stored as up-set bitmasks: the mask builders against the pair-set
-references, and the pair set built only by a failing check."""
+"""Posets ordered by bit codes, on posets that are not Boolean lattices:
+`fin_poset` codes each element by its down-set, and the pointwise, sub- and
+product builders agree with the pair-set references; the pair set is built
+only by a failing check."""
 
 import json
 from itertools import product
@@ -15,6 +17,7 @@ from doctrines.order import (
     fin_poset,
     monotone_violations,
     poset_from_pairs,
+    powerset_poset,
     product_poset,
     sub_poset,
 )
@@ -59,6 +62,7 @@ def test_masks_encode_the_closed_relation(p):
     assert any(rank[a] > rank[b] for (a, b) in p.relation)
     assert p.relation == close_relation(p.elements, p.relation, "refl-trans")
     assert poset_from_pairs(p.elements, p.relation) == p
+    assert p.codes == tuple(sum(1 << j for j, b in enumerate(p.elements) if (b, a) in p.relation) for a in p.elements)
     for a in p.elements:
         assert p.up(a) == tuple(b for b in p.elements if (a, b) in p.relation)
         assert p.down(a) == tuple(b for b in p.elements if (b, a) in p.relation)
@@ -135,7 +139,8 @@ def test_a_planted_non_monotone_map_still_gets_its_literal_witnesses():
     rel = frozenset((a, b) for i, a in enumerate(NINE_WORLDS) for b in NINE_WORLDS[i:])
     doc, _ = kripke_doctrine(KripkeFrame(tuple(NINE_WORLDS), rel), {"D": ["x"]})
     fiber = doc.fibers["D"]
-    assert fiber.ups is None
+    # one key: the fiber's codes are the worlds' subset bitmasks
+    assert fiber.codes == powerset_poset(NINE_WORLDS).codes
     bottom, top = fiber.elements[0], fiber.elements[-1]
     m = MonotoneMap(fiber, fiber, {a: bottom if a == top else a for a in fiber.elements})
     assert "relation" not in vars(fiber)

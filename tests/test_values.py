@@ -90,8 +90,8 @@ def test_a_repeated_value_raises_as_a_repeated_element_does():
 
 def test_values_take_no_part_in_equality():
     p = chain_poset(["0", "1"])
-    assert FinPoset(p.elements, p.ups, values=(5, 6)) == p
-    assert hash(FinPoset(p.elements, p.ups, values=(5, 6))) == hash(p)
+    assert FinPoset(p.elements, p.codes, values=(5, 6)) == p
+    assert hash(FinPoset(p.elements, p.codes, values=(5, 6))) == hash(p)
 
 
 def test_value_graph_reads_a_map_on_values():

@@ -276,12 +276,20 @@ def same_graph_reference(m, n):
 def naturality_reference(a):
     """The naturality witnesses of the 1-arrow `a`, both sides of every
     square composed and compared by their graphs: the reference for the last
-    step of `doctrine.one_arrow_violations`."""
+    step of `doctrine.one_arrow_violations`. A square whose reindexing map
+    does not go fiber(dst) → fiber(src) is reported and not composed."""
     P, Q, F = a.src, a.dst, a.functor
     out = []
     for (t, x, y) in P.base.arrows:
-        lhs = compose_reference(a.parts[x], P.reindex[t])
-        rhs = compose_reference(Q.reindex[F.arr_map[t]], a.parts[y])
+        r, s = P.reindex[t], Q.reindex[F.arr_map[t]]
+        if (r.src, r.dst) != (P.fibers[y], P.fibers[x]):
+            out.append(f"source reindexing along {t} has wrong boundary")
+            continue
+        if (s.src, s.dst) != (Q.fibers[F.obj_map[y]], Q.fibers[F.obj_map[x]]):
+            out.append(f"target reindexing along {F.arr_map[t]} has wrong boundary")
+            continue
+        lhs = compose_reference(a.parts[x], r)
+        rhs = compose_reference(s, a.parts[y])
         if not same_graph_reference(lhs, rhs):
             out.append(f"naturality fails along {t}")
     return out
@@ -357,6 +365,19 @@ def em_fibers_reference(c):
         x = data.carrier[o]
         closure, rel = compose_reference(c.p.reindex[data.structure[o]], c.kappa[x]), c.p.fibers[x].relation
         out[o] = tuple(a for a in c.p.fibers[x].elements if (a, closure.mapping[a]) in rel)
+    return out
+
+
+def closure_idempotence_reference(c):
+    """The (coalgebra name, element) pairs at which the closure
+    cl = P(c)∘κ_C, composed as a map, has cl(cl a) ≠ cl a. `comonad.em_doctrine`
+    no longer checks idempotence: its docstring proves it from the scan."""
+    data = coalgebra_category(c.k, c.mu, c.nu)
+    out = []
+    for o in data.category.objects:
+        x = data.carrier[o]
+        cl = compose_reference(c.p.reindex[data.structure[o]], c.kappa[x]).mapping
+        out.extend((o, a) for a in c.p.fibers[x].elements if cl[cl[a]] != cl[a])
     return out
 
 
@@ -799,7 +820,7 @@ def identity_two_arrow(a: OneArrow) -> TwoArrow:
 
 
 def antichain_poset(labels: Sequence[str]) -> FinPoset:
-    return FinPoset(tuple(labels), tuple(1 << i for i in range(len(labels))), ())
+    return FinPoset(tuple(labels), codes=tuple(1 << i for i in range(len(labels))), covers=())
 
 
 def constant_family_arrow(

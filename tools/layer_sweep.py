@@ -1,7 +1,7 @@
-"""Layer sweeps of the order kernel, the Kripke doctrine, the function
-category and the temporal oracle sweep, the whole `check` of a Kripke
-chain, and the import of the command line, written to a BENCH_*.json file;
-standard library only.
+"""Layer sweeps of the order kernel, the Kripke doctrine, the quantale
+doctrine, the function category and the temporal oracle sweep, the whole
+`check` of a Kripke chain, and the import of the command line, written to a
+BENCH_*.json file; standard library only.
 
     python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_17.json
     python tools/layer_sweep.py import --parent ../parent --change . --out BENCH_18.json
@@ -13,7 +13,11 @@ standard library only.
 powerset, the `kripke_doctrine` build, `interior_violations` of its
 operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
 timed on 3-6 worlds: its fiber has 4^n elements and 9^n related pairs, so
-at 8 worlds it would hold 43 M pairs as a pair set. `full_function_category`
+at 8 worlds it would hold 43 M pairs as a pair set. The quantale row times,
+on the 4-chain Łukasiewicz quantale Q (x⊗y = max(0, x+y−3) on ranks 0-3)
+over one carrier X of 2-4 points, `quantale_doctrine`, `adjunction_violations`
+of its vertical adjunction and `em_doctrine(mc(bang))` together, from a
+fresh build each time; its fiber Q^X has 4^|X| elements. `full_function_category`
 is timed at A = 243, 428 and 1,024 arrows: on 3 carriers of 3 points, on
 carriers of 4 and 3 points, and on 2 carriers of 4 points. `temporal.oracle_mismatches`,
 the 2^n sweep that checks the gfp box against its oracle for every subset, is
@@ -66,6 +70,7 @@ REPEATS = 3  # timings per layer in one interpreter
 ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
 # arrows A = Σ |Y|^|X| over ordered pairs of carriers -> the carrier sizes
 FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4)}
+QUANTALE_POINTS = range(2, 5)
 TEMPORAL_STATES = range(10, 19, 2)
 TEMPORAL_ROUNDS = 2
 CHECK_WORLDS = range(12, 17)
@@ -120,6 +125,26 @@ def measure(n: int) -> list[dict]:
         ("em_doctrine(mc(op))", lambda: em_doctrine(mc(fresh_op()))),
     ]
     return [{"layer": name, "keys": 1, "worlds": n, "s": _best(fn)} for name, fn in rows]
+
+
+def measure_quantale(n: int) -> list[dict]:
+    """The quantale row at |X| = n, timed in this interpreter."""
+    from doctrines.adjunction import adjunction_violations
+    from doctrines.comonad import em_doctrine, mc
+    from doctrines.instances import quantale_doctrine, valid_quantale
+    from doctrines.order import chain_poset, lattice_from_poset
+
+    ranks = ["0", "a", "b", "1"]
+    tensor = {(x, y): ranks[max(0, i + j - 3)] for i, x in enumerate(ranks) for j, y in enumerate(ranks)}
+    q = valid_quantale("luk4", lattice_from_poset(chain_poset(ranks)), tensor, "1")
+    sets = {"X": [f"x{i}" for i in range(n)]}
+
+    def run():
+        _, adj, bang = quantale_doctrine(q, sets)
+        adjunction_violations(adj)
+        em_doctrine(mc(bang))
+
+    return [{"layer": "quantale", "points": n, "s": _best(run)}]
 
 
 def measure_function_category(arrows: int) -> list[dict]:
@@ -191,6 +216,7 @@ def layers(args) -> None:
     out = _load(args.out)
     rows = {}
     sizes = [("--worlds", n) for n in [*TWO_KEY_WORLDS, *ONE_KEY_WORLDS]] + [("--arrows", a) for a in FUNCTION_CARRIERS]
+    sizes += [("--quantale-points", n) for n in QUANTALE_POINTS]
     sizes += [("--states", n) for n in TEMPORAL_STATES] + [("--check-worlds", n) for n in CHECK_WORLDS]
     for flag, n in sizes:
         sides = [("parent", args.parent), ("change", args.change)]
@@ -213,7 +239,8 @@ def layers(args) -> None:
         print(list(at_size.values()), flush=True)
     out["layers"] = sorted(
         rows.values(),
-        key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("worlds", 0), r.get("arrows", 0), r.get("states", 0)),
+        key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("worlds", 0), r.get("arrows", 0),
+                       r.get("points", 0), r.get("states", 0)),
     )
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
@@ -275,6 +302,7 @@ def main() -> None:
     size = one.add_mutually_exclusive_group(required=True)
     size.add_argument("--worlds", type=int)
     size.add_argument("--arrows", type=int, choices=sorted(FUNCTION_CARRIERS))
+    size.add_argument("--quantale-points", type=int)
     size.add_argument("--states", type=int)
     size.add_argument("--check-worlds", type=int)
     imp = sub.add_parser("import")
@@ -294,6 +322,8 @@ def main() -> None:
             print(json.dumps(measure(args.worlds)))
         elif args.arrows is not None:
             print(json.dumps(measure_function_category(args.arrows)))
+        elif args.quantale_points is not None:
+            print(json.dumps(measure_quantale(args.quantale_points)))
         elif args.check_worlds is not None:
             print(json.dumps(measure_check(args.check_worlds)))
         else:
