@@ -5,7 +5,6 @@ stable subdoctrine, triviality dichotomies, and adjunction morphisms."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 
 from .doctrine import (
     Doctrine,
@@ -31,6 +30,7 @@ from .order import (
     MonotoneMap,
     compose_maps,
     identity_map,
+    kept,
     restrict_map,
     same_composite,
     value_class,
@@ -41,8 +41,8 @@ from .order import (
 class DoctrineAdjunction:
     """The octuple presentation of an adjunction between doctrines. A value
     is never changed after it is built, tables included, so its law verdict
-    and the constructions derived from it are computed once and kept on it;
-    a construction that raises keeps nothing and raises again."""
+    and the constructions derived from it are computed once and kept on it
+    (`order.kept`)."""
 
     p: Doctrine
     q: Doctrine
@@ -53,25 +53,6 @@ class DoctrineAdjunction:
     eta: NatTransformation  # Id ⇒ R L
     eps: NatTransformation  # L R ⇒ Id
 
-    @cached_property
-    def _verdict(self) -> tuple[str, ...]:
-        return tuple(_adjunction_scan(self))
-
-    @cached_property
-    def _am(self) -> tuple[Doctrine, InteriorOp]:
-        return _am_modality(self)
-
-    @cached_property
-    def _factors(self) -> tuple[DoctrineAdjunction, DoctrineAdjunction]:
-        return _factorize(self)
-
-    @cached_property
-    def _cmd(self):
-        """The induced comonad; comonad imports this module, so it is looked up late."""
-        from .comonad import _comonad_of
-
-        return _comonad_of(self)
-
 
 def left_arrow(A: DoctrineAdjunction) -> OneArrow:
     return OneArrow(A.p, A.q, A.left, dict(A.lam))
@@ -81,14 +62,11 @@ def right_arrow(A: DoctrineAdjunction) -> OneArrow:
     return OneArrow(A.q, A.p, A.right, dict(A.rho))
 
 
+@kept
 def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
     """Empty list iff the Cat adjunction, both 1-arrows, and both lax 2-arrows
     are valid; violations carry (i)/(ii)/(iii) tags with witnesses. A fresh
     list on every call."""
-    return list(A._verdict)
-
-
-def _adjunction_scan(A: DoctrineAdjunction) -> list[str]:
     out = []
     if A.left.src != A.p.base or A.left.dst != A.q.base:
         return ["(i) left functor boundary mismatch"]
@@ -181,13 +159,10 @@ def am_doctrine(A: DoctrineAdjunction) -> Doctrine:
     return base_change(A.q, A.left)
 
 
+@kept
 def am_modality(A: DoctrineAdjunction) -> tuple[Doctrine, InteriorOp]:
     """The interior operator λ ∘ P(η) ∘ (ρ at L−) on the doctrine X ↦ Q(L X),
     built once per adjunction."""
-    return A._am
-
-
-def _am_modality(A: DoctrineAdjunction) -> tuple[Doctrine, InteriorOp]:
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
@@ -217,14 +192,11 @@ def base_change_adjunction(
     return DoctrineAdjunction(p, Q, L, identity_parts(p), R, rho, eta, eps)
 
 
+@kept
 def factorize(A: DoctrineAdjunction) -> tuple[DoctrineAdjunction, DoctrineAdjunction]:
     """Split A into a vertical adjunction into QL followed by the base-change
     adjunction; composing the two legs gives back A's 1-arrows on the nose.
     Built once per adjunction."""
-    return A._factors
-
-
-def _factorize(A: DoctrineAdjunction) -> tuple[DoctrineAdjunction, DoctrineAdjunction]:
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))

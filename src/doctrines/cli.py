@@ -225,16 +225,6 @@ def parse(path: str) -> ModelDocument:
         return parse_text(fh.read())
 
 
-def _pairs(atoms):
-    out = []
-    for a in atoms:
-        if "->" not in a:
-            raise BuildError(f"expected a relation atom 'a->b', got '{a}'")
-        left, right = a.split("->", 1)
-        out.append((left, right))
-    return out
-
-
 def _set_atom(atom: str) -> frozenset:
     """The members of a set atom '{a,b}'; an atom without braces is a BuildError."""
     if len(atom) < 2 or atom[0] != "{" or atom[-1] != "}":
@@ -242,14 +232,25 @@ def _set_atom(atom: str) -> frozenset:
     return label_subset(atom)
 
 
+def _split(d: Declaration, key: str, atom: str, sep: str, form: str) -> list[str]:
+    """`atom` of entry `key` cut at its first `sep`; an atom without `sep` is
+    a BuildError that names the entry and the expected `form`."""
+    if sep not in atom:
+        raise BuildError(f"{d.kind} {d.name}: entry '{key}' expects {form}, got '{atom}'")
+    return atom.split(sep, 1)
+
+
+def _pairs(d: Declaration, key: str) -> list[tuple[str, str]]:
+    """The relation atoms 'a->b' of entry `key` as pairs."""
+    return [tuple(_split(d, key, atom, "->", "a relation atom 'a->b'")) for atom in d.get(key, [])]
+
+
 def _map_entry(d: Declaration, key: str, atom: str, shape: type):
     """'x=a>b,c>d' -> ('x', {'a': 'b', 'c': 'd'}) when `shape` is dict (an
     empty body is the empty map); 'x=v' -> ('x', 'v') when it is str. An atom
-    of the other shape, or a source that repeats inside the map, is a
-    BuildError."""
-    if "=" not in atom:
-        raise BuildError(f"expected 'name=value', got '{atom}'")
-    name, body = atom.split("=", 1)
+    without '=' or of the other shape, or a source that repeats inside the
+    map, is a BuildError."""
+    name, body = _split(d, key, atom, "=", "'name=value'")
     if shape is str:
         if ">" in body:
             raise BuildError(f"{d.kind} {d.name}: entry '{key}' expects 'name=value', got the map '{atom}'")
@@ -270,9 +271,9 @@ def _map_entries(d: Declaration, key: str, atoms, shape: type) -> dict:
 
 
 def _entries(d: Declaration, key: str, atoms) -> list:
-    """The `name=body` atoms of entry `key` as [name, body] pairs; a name that
-    repeats is a BuildError."""
-    pairs = [atom.split("=", 1) for atom in atoms]
+    """The `name=body` atoms of entry `key` as [name, body] pairs; an atom
+    without '=', or a name that repeats, is a BuildError."""
+    pairs = [_split(d, key, atom, "=", "'name=value'") for atom in atoms]
     _distinct(d, key, [name for name, _ in pairs])
     return pairs
 
@@ -391,7 +392,7 @@ def _topological_work(spaces, homs) -> int:
 
 def _build_poset(ws: Workspace, d: Declaration):
     elements = d.need("elements")
-    pairs = _pairs(d.get("pairs", []))
+    pairs = _pairs(d, "pairs")
     closure = _closure(d)
     rel = close_relation(elements, pairs, closure)
     got = check_poset(elements, rel)
@@ -406,13 +407,12 @@ def _build_category(ws: Workspace, d: Declaration):
     objects = d.need("objects")
     arrows = []
     for atom in d.get("arrows", []):
-        name, typ = atom.split("=", 1)
-        srcdst = _pairs([typ])[0]
-        arrows.append((name, srcdst[0], srcdst[1]))
+        name, typ = _split(d, "arrows", atom, "=", "'name=a->b'")
+        arrows.append((name, *_split(d, "arrows", typ, "->", "'name=a->b'")))
     identities = _map_entries(d, "identities", d.need("identities"), str)
     composition = {}
     for lhs, result in _entries(d, "compose", d.get("compose", [])):
-        g, f = lhs.split(".", 1)
+        g, f = _split(d, "compose", lhs, ".", "a composite 'g.f'")
         composition[(g, f)] = result
     got = check_category(objects, arrows, identities, composition)
     if isinstance(got, list):
@@ -424,7 +424,7 @@ def _build_category(ws: Workspace, d: Declaration):
 
 def _build_frame(ws: Workspace, d: Declaration):
     worlds = _distinct(d, "worlds", d.need("worlds"))
-    pairs = _pairs(d.get("rel", []))
+    pairs = _pairs(d, "rel")
     closure = _closure(d)
     rel = close_relation(worlds, pairs, closure)
     frame = KripkeFrame(tuple(worlds), rel)
@@ -449,7 +449,7 @@ def _build_frame(ws: Workspace, d: Declaration):
 
 def _build_quantale(ws: Workspace, d: Declaration):
     elements = d.need("elements")
-    pairs = _pairs(d.get("pairs", []))
+    pairs = _pairs(d, "pairs")
     closure = _closure(d)
     rel = close_relation(elements, pairs, closure)
     got = check_poset(elements, rel)
@@ -464,7 +464,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
     unit = d.need("unit")[0]
     tensor = {}
     for lhs, result in _entries(d, "tensor", d.need("tensor")):
-        a, b = lhs.split("*", 1)
+        a, b = _split(d, "tensor", lhs, "*", "a product 'a*b'")
         tensor[(a, b)] = result
         tensor.setdefault((b, a), result)
     q = FiniteQuantale(d.name, lat, tensor, unit)
@@ -525,7 +525,7 @@ def _build_presheaf(ws: Workspace, d: Declaration):
         at[key] = tuple(_distinct(d, "at", [e for e in body.split(",") if e]))
     act = {}
     for key, mapping in _map_entries(d, "act", d.get("act", []), dict).items():
-        src, dst = key.split("->", 1)
+        src, dst = _split(d, "act", key, "->", "an arrow 'v->w'")
         act[f"{src}<={dst}"] = mapping
     for w in base.objects:
         act.setdefault(base.id(w), {e: e for e in at.get(w, ())})

@@ -5,7 +5,6 @@ comparisons, and the interior-operator round trip (vertical comonads)."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 
 from .adjunction import (
     AdjMorphism,
@@ -43,15 +42,15 @@ from .fincat import (
     nat_violations,
 )
 from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
-from .order import MonotoneMap, compose_maps, restrict_map, value_class
+from .order import MonotoneMap, compose_maps, kept, restrict_map, value_class
 
 
 @value_class
 class DoctrineComonad:
     """The quadruple presentation of a comonad on a doctrine. A value is
     never changed after it is built, tables included, so its law verdict and
-    its Eilenberg-Moore doctrine are computed once and kept on it; a build
-    that raises keeps nothing and raises again."""
+    its Eilenberg-Moore doctrine are computed once and kept on it
+    (`order.kept`)."""
 
     p: Doctrine
     k: Functor
@@ -59,27 +58,16 @@ class DoctrineComonad:
     mu: NatTransformation  # K ⇒ K K
     nu: NatTransformation  # K ⇒ Id
 
-    @cached_property
-    def _verdict(self) -> tuple[str, ...]:
-        return tuple(_comonad_scan(self))
-
-    @cached_property
-    def _em(self) -> EMDoctrineBundle:
-        return _em_bundle(self)
-
 
 def cmd_arrow(c: DoctrineComonad) -> OneArrow:
     return OneArrow(c.p, c.p, c.k, dict(c.kappa))
 
 
+@kept
 def comonad_violations(c: DoctrineComonad) -> list[str]:
     """Empty list iff the base comonad laws, the 1-arrow, and both lax
     inequalities hold; violations carry (i)/(ii)/(iii) tags. A fresh list on
     every call."""
-    return list(c._verdict)
-
-
-def _comonad_scan(c: DoctrineComonad) -> list[str]:
     out = []
     if c.k.src != c.p.base or c.k.dst != c.p.base:
         return ["(i) K is not an endofunctor of the base"]
@@ -124,18 +112,16 @@ class EMDoctrineBundle:
     coalgebras: CoalgebraData
 
 
+@kept
 def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
     """The Eilenberg-Moore doctrine: over the category of coalgebras, the fiber
     at ⟨C,c⟩ is the suborder of elements below their own comonadic closure;
     those are exactly the fixed points of the idempotent P(c)∘κ_C. Built
-    once per comonad."""
-    return c._em
+    once per comonad; an invalid comonad raises.
 
-
-def _em_bundle(c: DoctrineComonad) -> EMDoctrineBundle:
-    """The EM bundle of a comonad whose scan passes. One pass over each
-    closure table cl = P(c)∘κ_C checks deflation, cl a ≤ a, which the scan
-    does not imply. The rest follows from it and the scan, and is not checked:
+    One pass over each closure table cl = P(c)∘κ_C checks deflation,
+    cl a ≤ a, which the comonad scan does not imply. The rest follows from
+    it and the scan, and is not checked:
     - cl is idempotent. On a finite base μ is invertible (each μ along C, KC,
       K²C, … is split by ν, so invertible once the tower repeats, and
       K(ν_Y)∘μ_Y = id with ν natural along μ_X makes μ_X invertible when μ_KX
@@ -225,13 +211,10 @@ def cm_modality(c: DoctrineComonad) -> InteriorOp:
     return op
 
 
+@kept
 def cmd_of_adjunction(A: DoctrineAdjunction) -> DoctrineComonad:
     """The comonad ⟨LR, (λR)ρ, LηR, ε⟩ on Q induced by an adjunction, built
     once per adjunction."""
-    return A._cmd
-
-
-def _comonad_of(A: DoctrineAdjunction) -> DoctrineComonad:
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
@@ -306,13 +289,10 @@ def mc(op: InteriorOp) -> DoctrineComonad:
     return DoctrineComonad(P, i, dict(op.parts), identity_nat(i), identity_nat(i))
 
 
+@kept
 def ma(op: InteriorOp) -> DoctrineAdjunction:
     """The stable-subdoctrine adjunction ⟨Id, inclusion⟩ ⊣ ⟨Id, box⟩, built
     once per operator."""
-    return op._ma
-
-
-def _ma(op: InteriorOp) -> DoctrineAdjunction:
     bad = interior_violations(op)
     if bad:
         raise ValueError("invalid interior operator: " + "; ".join(bad[:3]))

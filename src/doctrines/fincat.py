@@ -10,7 +10,7 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import product
 
-from .order import Field, FinPoset, value_class
+from .order import Field, FinPoset, kept, value_class
 
 
 @value_class
@@ -53,10 +53,6 @@ class FinCategory:
     @cached_property
     def generators(self) -> tuple[str, ...]:
         return generating_arrows(self.arrows, self.composition)
-
-    @cached_property
-    def _identity(self) -> Functor:
-        return Functor(self, self, {x: x for x in self.objects}, {a: a for a in self.arrow_names()})
 
     @cached_property
     def into(self) -> dict[str, list[str]]:
@@ -272,16 +268,12 @@ def all_functions(src: Iterable[str], dst: Iterable[str]):
 class Functor:
     """A functor given by its object and arrow tables. A value is never
     changed after it is built, tables included, so its law verdict is
-    computed once and kept on it."""
+    computed once and kept on it (`order.kept`)."""
 
     src: FinCategory
     dst: FinCategory
     obj_map: Mapping[str, str]
     arr_map: Mapping[str, str]
-
-    @cached_property
-    def _verdict(self) -> tuple[str, ...]:
-        return tuple(_functor_scan(self))
 
     def on_obj(self, x: str) -> str:
         return self.obj_map[x]
@@ -302,13 +294,10 @@ class Functor:
         )
 
 
+@kept
 def functor_violations(F: Functor) -> list[str]:
     """Empty list iff F maps into its target and preserves boundaries,
     identities and composition; a fresh list on every call."""
-    return list(F._verdict)
-
-
-def _functor_scan(F: Functor) -> list[str]:
     out = []
     for x in F.src.objects:
         if x not in F.obj_map:
@@ -353,9 +342,10 @@ def fin_functor(src, dst, obj_map, arr_map) -> Functor:
     return F
 
 
+@kept
 def identity_functor(C: FinCategory) -> Functor:
     """The identity functor of C, one shared value per category."""
-    return C._identity
+    return Functor(C, C, {x: x for x in C.objects}, {a: a for a in C.arrow_names()})
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:

@@ -4,10 +4,9 @@ the stable subdoctrine, and morphisms that respect the operators."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 
 from .doctrine import Doctrine, OneArrow, identity_parts, one_arrow_violations, sub_doctrine
-from .order import MonotoneMap, monotone_violations, same_composite, value_class
+from .order import MonotoneMap, kept, monotone_violations, same_composite, value_class
 
 
 @value_class
@@ -16,25 +15,10 @@ class InteriorOp:
     and satisfies the 4 axiom, hence is idempotent. A value is never changed
     after it is built, `parts` included, so its law verdict, its stable
     subdoctrine and its adjunction `comonad.ma` are computed once and kept on
-    it; a build that raises keeps nothing and raises again."""
+    it (`order.kept`)."""
 
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]
-
-    @cached_property
-    def _verdict(self) -> tuple[str, ...]:
-        return tuple(_interior_scan(self))
-
-    @cached_property
-    def _stable(self) -> tuple[Doctrine, OneArrow]:
-        return _stable_subdoctrine(self)
-
-    @cached_property
-    def _ma(self):
-        """The stable-subdoctrine adjunction; comonad imports this module, so it is looked up late."""
-        from .comonad import _ma
-
-        return _ma(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteriorOp):
@@ -48,13 +32,10 @@ def identity_interior(P: Doctrine) -> InteriorOp:
     return InteriorOp(P, identity_parts(P))
 
 
+@kept
 def interior_violations(op: InteriorOp) -> list[str]:
     """Empty list iff naturality, T, and 4 hold everywhere (T and 4 make
     each box idempotent); a fresh list on every call."""
-    return list(op._verdict)
-
-
-def _interior_scan(op: InteriorOp) -> list[str]:
     out = []
     P = op.doctrine
     for x in P.base.objects:
@@ -94,14 +75,11 @@ def stable_elements(op: InteriorOp, x: str) -> tuple[str, ...]:
     return fixed
 
 
+@kept
 def stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
     """The doctrine of box-stable elements over the same base, with its
     inclusion 1-arrow; reindexing is the restriction of the ambient one.
     Built once per operator."""
-    return op._stable
-
-
-def _stable_subdoctrine(op: InteriorOp) -> tuple[Doctrine, OneArrow]:
     P = op.doctrine
     keep = {x: stable_elements(op, x) for x in P.base.objects}
     return sub_doctrine(P, keep, "reindexing along {t} does not preserve stability")

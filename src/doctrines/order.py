@@ -8,7 +8,7 @@ reported by a literal scan over the data.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 from operator import attrgetter
 
@@ -103,6 +103,25 @@ def value_class(cls):
             setattr(cls, name, method)
     cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, _frozen, _frozen
     return cls
+
+
+def kept(build):
+    """`build` kept on the value it is called with, which must never change
+    after it is built: the first call stores `build(v)` in `v.__dict__`, as
+    `cached_property` does, under the build's dotted name, which no field can
+    have, so ==, hash and repr do not see it. A build that raises keeps
+    nothing and raises again; a list comes back as a fresh copy."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def get(v):
+        kept_on = v.__dict__
+        if key not in kept_on:
+            kept_on[key] = build(v)
+        found = kept_on[key]
+        return found.copy() if type(found) is list else found
+
+    return get
 
 
 @value_class

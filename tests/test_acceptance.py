@@ -86,46 +86,47 @@ def test_criterion_11_presheaf_oracle():
     _report(S.criterion_presheaf_oracle())
 
 
-def test_suite_scans_each_value_and_builds_each_em_doctrine_once(monkeypatch):
+def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
     # verdicts, EM doctrines, stable subdoctrines and ma adjunctions are kept
-    # on their values, so the suite, which passes one value through several
-    # constructions, scans or builds from it only once
-    from doctrines import adjunction, comonad, interior
+    # on their values (order.kept), so the suite, which passes one value
+    # through several constructions, scans or builds from it only once; a
+    # profile hook counts the runs of each kept build's own code per value
+    from doctrines import adjunction, comonad, fincat, interior
 
+    builds = {
+        fn.__wrapped__.__code__: name
+        for module in (fincat, interior, adjunction, comonad)
+        for name, fn in vars(module).items()
+        if callable(fn) and getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "__wrapped__")
+    }
+    assert len(builds) == 11
     calls = {}
 
-    def count(module, name):
-        scan = getattr(module, name)
-
-        def counted(value):
+    def profile(frame, event, arg):
+        name = builds.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            value = frame.f_locals[frame.f_code.co_varnames[0]]
             # holding the value keeps its id from being reused
             calls.setdefault((name, id(value)), [value, 0])[1] += 1
-            return scan(value)
-
-        monkeypatch.setattr(module, name, counted)
 
     # the bundled values are built afresh, so nothing an earlier test kept on
     # them hides a build from the count
     for value in vars(S).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
-    for module, name in [
-        (adjunction, "_adjunction_scan"),
-        (comonad, "_comonad_scan"),
-        (interior, "_interior_scan"),
-        (comonad, "_em_bundle"),
-        (comonad, "_ma"),
-        (interior, "_stable_subdoctrine"),
-    ]:
-        count(module, name)
-    assert S.run_acceptance(SEED)["pass"]
-    assert {name for name, _ in calls} == {
-        "_adjunction_scan",
-        "_comonad_scan",
-        "_interior_scan",
-        "_em_bundle",
-        "_ma",
-        "_stable_subdoctrine",
+    sys.setprofile(profile)
+    try:
+        passed = S.run_acceptance(SEED)["pass"]
+    finally:
+        sys.setprofile(None)
+    assert passed
+    assert {name for name, _ in calls} >= {
+        "adjunction_violations",
+        "comonad_violations",
+        "interior_violations",
+        "em_doctrine",
+        "ma",
+        "stable_subdoctrine",
     }
     assert [(name, n) for (name, _), (_, n) in calls.items() if n > 1] == []
 

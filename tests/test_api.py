@@ -2,7 +2,10 @@
 
 Each law has one public name, its `*_violations` function; a public function
 whose body only passes its own parameters on to another function is a second
-name for that function. Invariants are enforced by raising, never by
+name for that function, and so are a public function that only reads an
+attribute of its one parameter and a `cached_property` that only passes
+`self` to a module-level function (a verdict or construction is kept on its
+value by `order.kept` on the one public function). Invariants are enforced by raising, never by
 `assert`, which `python -O` strips. A module imports only the names it uses,
 and only from the package itself or the standard library. Every module-level
 function, class and name bound by assignment (dunder names such as
@@ -30,21 +33,69 @@ def _functions(tree: ast.Module):
             yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
 
 
-def _is_alias(fn: ast.FunctionDef) -> bool:
-    """Whether the body, past a docstring, is only `return g(<fn's own parameters>)`."""
-    body = fn.body
-    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+def _params(fn: ast.FunctionDef) -> list[str]:
+    return [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+
+
+def _returned(fn: ast.FunctionDef) -> ast.expr | None:
+    """What `fn` returns when its body, past a docstring and any imports, is
+    only a `return`."""
+    body = [s for s in fn.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
         body = body[1:]
-    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+    return body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+
+
+def _unwrapped(node, wrapper: str):
+    """The argument of `wrapper(x)` when `node` is that call, else `node`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == wrapper and len(node.args) == 1:
+        return node.args[0] if not node.keywords else node
+    return node
+
+
+def _is_alias(fn: ast.FunctionDef) -> bool:
+    """Whether the body is only `return g(<fn's own parameters>)`."""
+    call = _returned(fn)
+    if not isinstance(call, ast.Call):
         return False
-    call = body[0].value
     passed = list(call.args) + [k.value for k in call.keywords]
-    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
-    return all(isinstance(a, ast.Name) for a in passed) and [a.id for a in passed] == params
+    return all(isinstance(a, ast.Name) for a in passed) and [a.id for a in passed] == _params(fn)
+
+
+def _reads_an_attribute(fn: ast.FunctionDef) -> bool:
+    """Whether the body is only `return p.<attr>` or `return list(p.<attr>)`
+    on fn's one parameter p."""
+    read = _unwrapped(_returned(fn), "list")
+    return (
+        isinstance(read, ast.Attribute) and isinstance(read.value, ast.Name) and [read.value.id] == _params(fn)
+    )
+
+
+def _forwards_self(fn: ast.FunctionDef) -> bool:
+    """Whether `fn` is a `cached_property` whose body only returns `g(self)`
+    or `tuple(g(self))` for a module-level function g."""
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "cached_property" for d in fn.decorator_list):
+        return False
+    call = _unwrapped(_returned(fn), "tuple")
+    return (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and not call.keywords
+        and [getattr(a, "id", None) for a in call.args] == _params(fn)[:1] == ["self"]
+    )
 
 
 def _aliases(source: str) -> list[str]:
-    return [fn.name for fn in _functions(ast.parse(source)) if not fn.name.startswith("_") and _is_alias(fn)]
+    """Public functions and methods that only forward their parameters,
+    public module-level functions that only read an attribute, and cached
+    properties that only forward `self`, in source order."""
+    tree = ast.parse(source)
+    return [
+        fn.name
+        for fn in _functions(tree)
+        if not fn.name.startswith("_") and (_is_alias(fn) or fn in tree.body and _reads_an_attribute(fn))
+        or _forwards_self(fn)
+    ]
 
 
 def test_no_public_function_only_forwards_its_parameters():
@@ -89,11 +140,66 @@ def _private_alias(a, b):
     return law_violations(a, b)
 
 
+def law_verdict(a):
+    """A verdict read off the value."""
+    return a._verdict
+
+
+def law_verdict_copy(a):
+    return list(a._verdict)
+
+
+def law_field(a, b):
+    return a.field
+
+
+def law_size(a):
+    return len(a.parts)
+
+
+def _private_read(a):
+    return a._verdict
+
+
 class Law:
     def violations(self):
         return law_violations(self)
+
+    def parts(self):
+        return self.parts
+
+    @cached_property
+    def _verdict(self):
+        return tuple(law_violations(self))
+
+    @cached_property
+    def _built(self):
+        """A construction imported late."""
+        from .other import build
+
+        return build(self)
+
+    @cached_property
+    def _counted(self):
+        return len(law_violations(self))
+
+    @cached_property
+    def _pair(self):
+        return law_violations(self, self)
+
+    @cached_property
+    def _method(self):
+        return self.build()
 '''
-    assert _aliases(source) == ["check_law", "check_law_by_keyword", "violations"]
+    assert _aliases(source) == [
+        "check_law",
+        "check_law_by_keyword",
+        "law_verdict",
+        "law_verdict_copy",
+        "violations",
+        "_verdict",
+        "_built",
+    ]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -341,6 +447,47 @@ def is_category(x):
     assert _callers(source, "FinCategory") == ["check_category", "shortcut", "Builder.build.inner", "<module>"]
 
 
+# a module imports what it needs at its top; the one late import keeps
+# `suite`, and `random` with it, off the command path until `suite` runs
+LATE_IMPORTS = {"cli.run: suite"}
+
+
+def _late_imports(source: str) -> list[str]:
+    """`where: module` for each import statement inside a function or class."""
+    return [
+        f"{where}: {node.module if isinstance(node, ast.ImportFrom) else node.names[0].name}"
+        for node, where in _placed(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and where != "<module>"
+    ]
+
+
+def test_no_library_function_imports_late_but_the_suite_command():
+    found = {f"{path.stem}.{hit}" for path in SOURCES for hit in _late_imports(path.read_text())}
+    assert found == LATE_IMPORTS
+
+
+def test_late_import_scan_flags_planted_imports_and_nothing_else():
+    source = '''
+import os
+from .order import kept
+
+
+def run():
+    from .suite import run_acceptance
+
+    return run_acceptance
+
+
+class Value:
+    def _ma(self):
+        import json
+        from .comonad import ma
+
+        return ma(self)
+'''
+    assert _late_imports(source) == ["run: suite", "Value._ma: json", "Value._ma: comonad"]
+
+
 # the builders that may construct a FinPoset, directly or through
 # poset_from_pairs: each builds a partial order, which the cover certificate
 # of monotone_violations needs
@@ -529,17 +676,17 @@ def factor(g, f, h):
 
 
 # Law verdicts and derived constructions are kept on the value they belong
-# to (adjunction, comonad, interior operator, functor), which is sound only
-# while no value changes after it is built: library code never writes into
-# the tables a value holds, and sets its own attributes only while it is
-# built, in the value-class constructor and in `__post_init__`.
+# to (adjunction, comonad, interior operator, functor; `order.kept`), which
+# is sound only while no value changes after it is built: library code never
+# writes into the tables a value holds, and sets its own fields only while it
+# is built, in the value-class constructor and in `__post_init__`.
 TABLE_FIELDS = {
     "lam", "rho", "kappa", "parts", "reindex", "fibers",
     "obj_map", "arr_map", "components", "mapping", "identities", "composition",
 }
 MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
 # FinPoset.hasse fills its `covers` field, which takes no part in equality,
-# with the covering pairs of its own up-set masks, once
+# with the covering pairs of its own codes, once
 MEMO_WRITES = {"order.FinPoset.hasse: object.__setattr__"}
 # the constructor every value class shares (order.value_class) sets each
 # field once, before the value is returned

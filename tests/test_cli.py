@@ -422,6 +422,20 @@ TWO_WORLDS = "kripke-frame K { worlds: c0 c1; rel: c0->c1 }\n"
         # a scalar entry written as a map
         (f"{ONE_OBJECT}comonad W {{ p: D; mu: x=a>b; kappa: x=a>a }}", "comonad W: entry 'mu' expects 'name=value', got the map 'x=a>b'"),
         ("category C { objects: x; arrows: i=x->x; identities: x=a>b; compose: i.i=i }", "category C: entry 'identities' expects 'name=value', got the map 'x=a>b'"),
+        # an atom without its '='
+        ("category C { objects: a; arrows: f; identities: a=f }", "category C: entry 'arrows' expects 'name=a->b', got 'f'"),
+        ("category C { objects: x; arrows: i=x->x; identities: x=i; compose: i.i }", "category C: entry 'compose' expects 'name=value', got 'i.i'"),
+        ("category C { objects: x; arrows: i=x->x; identities: x }", "category C: entry 'identities' expects 'name=value', got 'x'"),
+        (f"{ONE_OBJECT}doctrine E {{ base: C; fiber: x }}", "doctrine E: entry 'fiber' expects 'name=value', got 'x'"),
+        (f"{ONE_OBJECT}interior I {{ doctrine: D; box: x }}", "interior I: entry 'box' expects 'name=value', got 'x'"),
+        ("kripke-frame K { worlds: c0 c1; rel: c0->c1; sets: p }", "kripke-frame K: entry 'sets' expects 'name=value', got 'p'"),
+        ("quantale Q { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1 1*1=1 }", "quantale Q: entry 'tensor' expects 'name=value', got '0*1'"),
+        ("coalgebra M { kind: stream; states: a b; step: a=b b }", "coalgebra M: entry 'step' expects 'name=value', got 'b'"),
+        (f"{TWO_WORLDS}presheaf S {{ frame: K; at: c0={{a}} c1 }}", "presheaf S: entry 'at' expects 'name=value', got 'c1'"),
+        # a name without its separator
+        ("category C { objects: x; arrows: i=x->x; identities: x=i; compose: ii=i }", "category C: entry 'compose' expects a composite 'g.f', got 'ii'"),
+        ("quantale Q { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 01=0 1*1=1 }", "quantale Q: entry 'tensor' expects a product 'a*b', got '01'"),
+        (f"{TWO_WORLDS}presheaf S {{ frame: K; at: c0={{a}} c1={{a}}; act: c0=a>a }}", "presheaf S: entry 'act' expects an arrow 'v->w', got 'c0'"),
     ],
 )
 def test_cli_map_entry_of_the_wrong_shape_is_usage_error(tmp_path, capsys, text, message):

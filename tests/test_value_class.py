@@ -1,14 +1,15 @@
 """The library's frozen value classes (`order.value_class`) are built,
 compared, hashed and shown as `dataclasses.dataclass(frozen=True)` builds
 them: each test compares a class with its dataclass twin, declared by the
-same body, or pins what the library's own classes keep."""
+same body, or pins what the library's own classes keep. `order.kept` keeps
+a build's result on a value without changing what the value is."""
 
 import dataclasses
 
 import pytest
 
 from doctrines.cli import ModelDocument
-from doctrines.order import Field, FinPoset, MonotoneMap, chain_poset, identity_map, value_class
+from doctrines.order import Field, FinPoset, MonotoneMap, chain_poset, identity_map, kept, value_class
 
 FROZEN = dataclasses.dataclass(frozen=True)
 
@@ -137,3 +138,71 @@ def test_post_init_is_looked_up_at_each_construction(monkeypatch):
 def test_every_value_class_shares_one_constructor_and_keeps_no_defaults_on_the_class():
     assert Point.__init__.__code__ is MonotoneMap.__init__.__code__ is FinPoset.__init__.__code__
     assert not any(hasattr(FinPoset, name) for name in ("codes", "covers", "values", "_position", "_code"))
+
+
+def _kept_norm():
+    """A kept build that records each value it runs on."""
+    runs = []
+
+    def norm(p):
+        runs.append(p)
+        return [p.x, p.y]
+
+    return kept(norm), norm, runs
+
+
+def test_a_kept_entry_leaves_eq_hash_and_repr_unchanged():
+    get, norm, runs = _kept_norm()
+    p, q = Point(1, 2), Point(1, 2)
+    before = (p == q, hash(p), repr(p))
+    assert get(p) == [1, 2] and get(p) == [1, 2] and runs == [p]
+    assert vars(p).keys() - vars(q).keys() == {f"{__name__}.{norm.__qualname__}"}
+    assert (p == q, hash(p), repr(p)) == before == (True, hash(q), repr(q))
+
+
+def test_a_build_that_raises_keeps_nothing_and_raises_again():
+    runs = []
+
+    def fails(p):
+        runs.append(p)
+        raise ValueError(f"no build for {p.x}")
+
+    get, p = kept(fails), Point(1, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no build for 1"):
+            get(p)
+    assert runs == [p, p]
+    assert vars(p) == vars(Point(1, 2))
+
+
+def test_a_kept_list_comes_back_as_a_fresh_copy_and_anything_else_as_itself():
+    get, _, runs = _kept_norm()
+    p = Point(3)
+    first, second = get(p), get(p)
+    assert first == second == [3, 0] and first is not second
+    first.append("tampered")
+    assert get(p) == [3, 0] and len(runs) == 1
+    pair = kept(lambda p: (p.x, []))
+    assert pair(p) is pair(p)
+
+
+def test_a_separately_built_equal_value_gets_its_own_entry():
+    get, _, runs = _kept_norm()
+    p, q = Point(1, 2), Point(1, 2)
+    assert p == q and get(p) == get(q) and get(p) == get(q)
+    assert runs == [p, q] and runs[0] is p and runs[1] is q
+
+
+def test_a_kept_function_carries_the_name_module_and_doc_of_its_build():
+    get, norm, _ = _kept_norm()
+    assert (get.__module__, get.__name__, get.__qualname__, get.__wrapped__) == (
+        norm.__module__,
+        "norm",
+        norm.__qualname__,
+        norm,
+    )
+    # the library's kept functions, as the per-layer tracing finds them
+    from doctrines import comonad
+
+    assert comonad.em_doctrine.__module__ == "doctrines.comonad" and comonad.em_doctrine.__name__ == "em_doctrine"
+    assert comonad.em_doctrine.__doc__ == comonad.em_doctrine.__wrapped__.__doc__
