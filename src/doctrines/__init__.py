@@ -28,4 +28,4 @@ from .doctrine import Doctrine, OneArrow, TwoArrow, doctrine_violations, one_arr
 from .fincat import FinCategory, Functor, NatTransformation, check_category  # noqa: F401
 from .interior import InteriorOp, interior_violations, stable_elements, stable_subdoctrine  # noqa: F401
 from .order import FinLattice, FinPoset, MonotoneMap, check_poset, monotone_violations  # noqa: F401
-from .temporal import FCoalgebra, ag_oracle, eg_oracle, g_oracle, gfp_modality, temporal_doctrine  # noqa: F401
+from .temporal import FCoalgebra, gfp_modality, temporal_doctrine  # noqa: F401

@@ -197,7 +197,10 @@ def em_adjunction(c: DoctrineComonad) -> DoctrineAdjunction:
 
 def cm_modality(c: DoctrineComonad) -> InteriorOp:
     """The comonadic interior operator box at ⟨X,c⟩ = P(c)∘κ_X on the doctrine
-    ⟨X,c⟩ ↦ P(X) over the coalgebra category."""
+    ⟨X,c⟩ ↦ P(X) over the coalgebra category. T and 4 follow from what
+    `em_doctrine` checks, but monotonicity and naturality rest on P's
+    reindexing, which no comonad scan checks: P(c) may reverse order when
+    c is no identity, so the box is checked here."""
     data = em_doctrine(c).coalgebras
     doc = base_change(c.p, data.forgetful)
     parts = {

@@ -4,22 +4,25 @@ independent reachability and strongly-connected-component oracles for G, AG
 and EG, and the packaging of the operator as an interior operator over a
 finite category of coalgebra homomorphisms.
 
-A box iterates Ψ(β) = α ∩ step⁻¹(lift(β)) from the full state set, one subset
-per step, so it never materializes any infinite unfolding; the oracle sweep
-boxes every α at once on bit masks. The oracles decide the same property by
-reachability or Tarjan's components, from their own reading of the step.
+One engine computes every box, on bit masks: Ψ(β) = α ∩ step⁻¹(lift(β)) is
+iterated down from the full state set, one mask per step, so no infinite
+unfolding is ever materialized. `gfp_modality_trace` boxes one α (the
+`temporal` command, queries and the suite) and `_gfp_table` every α at once
+(the oracle sweep and `temporal_doctrine`), both from the one reading of the
+step in `_pred_masks`, whose docstring proves Ψ monotone and the chains
+descending. The oracles decide the same property by reachability or
+Tarjan's components, from their own reading of the step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import combinations
 
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp
-from .order import subset_label, value_class, value_map
+from .order import MonotoneMap, value_class
 
 
 STREAM, TREE = "stream", "tree"
@@ -73,83 +76,55 @@ def coalgebra_violations(c: FCoalgebra) -> list[str]:
     return out
 
 
-def step_satisfies_lift(c: FCoalgebra, lift: str, s: str, beta: frozenset[str]) -> bool:
-    """Whether the step at s lands in the lifted predicate."""
-    if lift == "stream":
-        return c.step[s] in beta
-    kids = c.step[s]
-    if lift == "forall":
-        return all(t in beta for t in kids)
-    if lift == "exists":
-        return any(t in beta for t in kids)
-    raise ValueError(f"unknown lift {lift}")
-
-
 def gfp_modality(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str]:
     """Greatest fixed point of Ψ(β) = α ∩ step⁻¹(lift β) on the powerset of
     the state set, reached by iterating Ψ down from the full state set."""
     return gfp_modality_trace(c, lift, alpha)[-1]
 
 
-def _psi_monotone_violation(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> str | None:
-    """The first cover pair on which Ψ fails to be monotone, or None.
+def _pred_masks(c: FCoalgebra, lift: str) -> list[int]:
+    """The engine's one reading of the step, after rejecting an unknown lift:
+    per state t, the mask of the states that have t as a successor. With
+    pre(γ) the union of pred[t] over t in γ, the states whose lift holds on β
+    are Φ(β) = pre(β) for the stream and exists lifts and S ∖ pre(S ∖ β) for
+    forall, and Ψ_α(β) = α ∩ Φ(β).
 
-    A state s enters Ψ(β) iff s is in α and its lift predicate holds of β,
-    and the predicate reads β only through β ∩ succ(s). So Ψ is monotone
-    exactly when, for every s in α, the predicate is monotone on the subsets
-    of the distinct successors of s; covers suffice, k·2^(k-1) pairs for k
-    successors."""
-    for s in c.states:
-        if s not in alpha:
-            continue
-        kids = tuple(dict.fromkeys(c.successors(s)))
-        for r in range(len(kids) + 1):
-            for lower in combinations(kids, r):
-                low = frozenset(lower)
-                if not step_satisfies_lift(c, lift, s, low):
-                    continue
-                for t in kids:
-                    if t not in low and not step_satisfies_lift(c, lift, s, low | {t}):
-                        return (
-                            f"at state {s}: lift {lift} holds on {subset_label(low, kids)}"
-                            f" but not on {subset_label(low | {t}, kids)}"
-                        )
-    return None
+    Ψ_α is monotone for every α and lift: pre is a union over the members
+    of its argument, so β ⊆ β′ gives pre(β) ⊆ pre(β′) and
+    S ∖ pre(S ∖ β) ⊆ S ∖ pre(S ∖ β′). A chain from a post-fixed point X,
+    Ψ_α(X) ⊆ X, therefore descends (Ψ_α(βₖ) ⊆ βₖ gives
+    Ψ_α(βₖ₊₁) ⊆ Ψ_α(βₖ) = βₖ₊₁), reaches a fixed point within |X| steps,
+    and that fixed point is νΨ_α whenever νΨ_α ⊆ X (Tarski, Pacific J. Math.
+    5, 1955): by induction νΨ_α = Ψ_α(νΨ_α) ⊆ Ψ_α(βₖ) = βₖ₊₁. The full set S
+    is such an X for every α."""
+    _known_lift(lift)
+    index = {s: i for i, s in enumerate(c.states)}
+    pred = [0] * len(index)
+    for i, s in enumerate(c.states):
+        for t in c.successors(s):
+            pred[index[t]] |= 1 << i
+    return pred
 
 
 def gfp_modality_trace(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[frozenset[str]]:
-    """The Ψ-chain β₀ = S, βₖ₊₁ = Ψ(βₖ), ending with the repeated fixed point.
-    Rejects a non-monotone Ψ and a chain that fails to descend."""
+    """The Ψ-chain β₀ = S, βₖ₊₁ = Ψ(βₖ), ending with the repeated fixed point;
+    each step ORs the `_pred_masks` of β's members (or of S ∖ β's)."""
     if not alpha <= set(c.states):
         raise ValueError("alpha mentions unknown states")
-    _require_psi_monotone(c, lift, alpha)
-    return _psi_chain(c, lift, alpha)
-
-
-def _require_psi_monotone(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> None:
-    bad = _psi_monotone_violation(c, lift, alpha)
-    if bad is not None:
-        raise ValueError("gfp: Ψ is not monotone " + bad)
-
-
-def _psi_chain(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[frozenset[str]]:
-    """The Ψ-chain itself, for a Ψ already known to be monotone; rejects a
-    chain that fails to descend."""
-    beta = frozenset(c.states)
-    trace = [beta]
+    pred = _pred_masks(c, lift)
+    full = (1 << len(pred)) - 1
+    a = sum(1 << i for i, s in enumerate(c.states) if s in alpha)
+    chain = [full]
     while True:
-        nxt = frozenset(
-            s for s in c.states if s in alpha and step_satisfies_lift(c, lift, s, beta)
-        )
-        if not nxt <= beta:
-            raise ValueError(
-                f"gfp: Ψ-chain does not descend at step {len(trace)}:"
-                f" it adds {subset_label(nxt - beta, c.states)}"
-            )
-        trace.append(nxt)
-        if nxt == beta:
-            return trace
-        beta = nxt
+        beta = chain[-1]
+        gamma = full ^ beta if lift == "forall" else beta
+        pre = 0
+        for t, p in enumerate(pred):
+            if gamma >> t & 1:
+                pre |= p
+        chain.append(a & ~pre if lift == "forall" else a & pre)
+        if chain[-1] == beta:
+            return [_mask_states(c, m) for m in chain]
 
 
 def _mask_states(c: FCoalgebra, mask: int) -> frozenset[str]:
@@ -157,14 +132,14 @@ def _mask_states(c: FCoalgebra, mask: int) -> frozenset[str]:
 
 
 def _gfp_table(c: FCoalgebra, lift: str) -> list[int]:
-    """νΨ_α for every α ⊆ S, states as bits. pre[γ] holds the states with a
-    successor in γ (one OR per entry), so Ψ_α(β) = α ∩ Φ(β) with Φ(β) = pre[β]
-    for the stream and exists lifts and S ∖ pre[S ∖ β] for forall: one read.
+    """νΨ_α for every α ⊆ S, states as bits. pre[γ] is filled for every γ
+    with one OR per entry, so each Ψ step is one table read.
 
     α runs down from S, and below S its chain starts at the fixed point X of
-    α″ = α plus its lowest missing state. That is sound: Ψ_α(X) = α ∩ Φ(X) ⊆
-    α″ ∩ Φ(X) = X, so νΨ_α ⊆ X and the monotone Ψ_α descends from X to νΨ_α."""
-    pred = [sum(1 << i for i, s in enumerate(c.states) if t in c.successors(s)) for t in c.states]
+    α″ = α plus its lowest missing state. X is post-fixed for Ψ_α:
+    Ψ_α(X) = α ∩ Φ(X) ⊆ α″ ∩ Φ(X) = X, and νΨ_α ⊆ νΨ_α″ = X since Ψ_α ⊆ Ψ_α″,
+    so the chain from X descends to νΨ_α (`_pred_masks`)."""
+    pred = _pred_masks(c, lift)
     pre = [0] * (1 << len(pred))
     for gamma in range(1, len(pre)):
         pre[gamma] = pre[gamma & (gamma - 1)] | pred[(gamma & -gamma).bit_length() - 1]
@@ -174,8 +149,6 @@ def _gfp_table(c: FCoalgebra, lift: str) -> list[int]:
         beta = full if alpha == full else gfp[alpha | (alpha + 1) & ~alpha]
         while True:
             nxt = alpha & ~pre[full ^ beta] if lift == "forall" else alpha & pre[beta]
-            if nxt & ~beta:
-                raise ValueError(f"gfp: Ψ-chain of {sorted(_mask_states(c, alpha))} does not descend")
             if nxt == beta:
                 break
             beta = nxt
@@ -223,15 +196,21 @@ def _eg_mask(c: FCoalgebra, alpha: int) -> int:
     return good
 
 
+# each lift's oracle and the coalgebra kind it reads
 _ORACLES = {"stream": ("g_oracle", STREAM), "forall": ("ag_oracle", TREE), "exists": ("eg_oracle", TREE)}
+
+
+def _known_lift(lift: str) -> tuple[str, str]:
+    """The oracle name and coalgebra kind of `lift`; rejects an unknown lift."""
+    if lift not in _ORACLES:
+        raise ValueError(f"unknown lift {lift}")
+    return _ORACLES[lift]
 
 
 def _oracle_mask(c: FCoalgebra, lift: str, alpha: int) -> int:
     """The oracle for `lift` on α, states as bits. G and AG: the states whose
     reflexive reachable set lies in α; EG: `_eg_mask`."""
-    if lift not in _ORACLES:
-        raise ValueError(f"unknown lift {lift}")
-    name, kind = _ORACLES[lift]
+    name, kind = _known_lift(lift)
     if c.kind != kind:
         raise ValueError(f"{name} needs a {kind} coalgebra")
     if lift == "exists":
@@ -240,34 +219,16 @@ def _oracle_mask(c: FCoalgebra, lift: str, alpha: int) -> int:
 
 
 def oracle_for(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str]:
+    """The G, AG or EG oracle for the stream, forall or exists lift."""
     return _mask_states(c, _oracle_mask(c, lift, sum(1 << i for i, s in enumerate(c.states) if s in alpha)))
-
-
-def g_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
-    """Orbit oracle for streams: x qualifies iff its orbit lies in alpha."""
-    return oracle_for(c, "stream", alpha)
-
-
-def ag_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
-    """Reachability oracle for trees: x qualifies iff all it reaches lies in alpha."""
-    return oracle_for(c, "forall", alpha)
-
-
-def eg_oracle(c: FCoalgebra, alpha: frozenset[str]) -> frozenset[str]:
-    """Cycle oracle for trees: x qualifies iff inside alpha it reaches a nontrivial strongly connected component."""
-    return oracle_for(c, "exists", alpha)
 
 
 def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, frozenset[str]]]:
     """Every (lift, α) on which the box of `_gfp_table` disagrees with its
     oracle, α running over all subsets of the states by size, then by
-    positions of members. Ψ's monotonicity is checked once per lift, over all
-    states: Ψ_α is monotone iff the lift is monotone at every state of α, so a
-    failure is first met at the singleton of the first failing state, with
-    the same message a per-α check would raise there."""
+    positions of members."""
     out = []
     for lift in lifts:
-        _require_psi_monotone(c, lift, frozenset(c.states))
         bad = [alpha for alpha, got in enumerate(_gfp_table(c, lift)) if got != _oracle_mask(c, lift, alpha)]
         bad.sort(key=lambda m: (m.bit_count(), [i for i in range(len(c.states)) if m >> i & 1]))
         out.extend((lift, _mask_states(c, alpha)) for alpha in bad)
@@ -285,15 +246,15 @@ def _is_homomorphism(c1: FCoalgebra, c2: FCoalgebra, h: Mapping[str, str]) -> bo
 def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doctrine, InteriorOp]:
     """Powerset fibers over the category of coalgebra homomorphisms, with the
     greatest-fixed-point box as operator; naturality across homomorphisms is
-    part of the interior-law check."""
+    part of the interior-law check. Each box is read off one `_gfp_table`,
+    since a powerset fiber codes a subset by its bitmask of state positions."""
+    kind = _known_lift(lift)[1]
     for c in coalgebras:
         bad = coalgebra_violations(c)
         if bad:
             raise ValueError(f"invalid coalgebra {c.name}: " + "; ".join(bad[:3]))
-        if lift == "stream" and c.kind != STREAM:
-            raise ValueError("stream lift over a non-stream coalgebra")
-        if lift in ("forall", "exists") and c.kind != TREE:
-            raise ValueError("tree lift over a non-tree coalgebra")
+        if c.kind != kind:
+            raise ValueError(f"{kind} lift over a non-{kind} coalgebra")
     by_name = {c.name: c for c in coalgebras}
     if len(by_name) != len(coalgebras):
         raise ValueError("duplicate coalgebra names")
@@ -301,9 +262,9 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
         {c.name: c.states for c in coalgebras}, lambda a, b, h: _is_homomorphism(by_name[a], by_name[b], h)
     )
     doc = inverse_image_doctrine(fc)
-    parts = {
-        c.name: value_map(doc.fibers[c.name], doc.fibers[c.name], lambda alpha: gfp_modality(c, lift, alpha))
-        for c in coalgebras
-    }
+    parts = {}
+    for c in coalgebras:
+        fib, box = doc.fibers[c.name], _gfp_table(c, lift)
+        label = dict(zip(fib.codes, fib.elements))
+        parts[c.name] = MonotoneMap(fib, fib, {a: label[box[code]] for a, code in zip(fib.elements, fib.codes)})
     return doc, InteriorOp(doc, parts)
-

@@ -234,10 +234,15 @@ def test_cli_temporal_alpha_with_unknown_state_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_temporal_op_of_the_wrong_kind_is_failing_verdict(tmp_path, capsys):
+    # the engine boxes α under any lift, so the verdict is the oracle's refusal
     text = "coalgebra T { kind: tree; states: a b; step: a=(b) b=() }"
     assert _main(tmp_path, text, "temporal", "--coalgebra", "T", "--op", "G", "--alpha", "{a}") == 1
     out = capsys.readouterr().out
     assert "FAIL temporal G T\n  - temporal failed: g_oracle needs a stream coalgebra" in out
+    text = "coalgebra S { kind: stream; states: a b; step: a=b b=b }"
+    assert _main(tmp_path, text, "temporal", "--coalgebra", "S", "--op", "AG", "--alpha", "{a,b}") == 1
+    out = capsys.readouterr().out
+    assert "FAIL temporal AG S\n  - temporal failed: ag_oracle needs a tree coalgebra" in out
 
 
 STREAM = "coalgebra S { kind: stream; states: s1 s2; step: s1=s2 s2=s1 }"

@@ -71,6 +71,7 @@ from util import (
     comparison_landing_reference,
     constant_family_arrow,
     em_fibers_reference,
+    fin_category,
     forgetful_top_arrow,
     identity_two_arrow,
     injective_reference,
@@ -621,6 +622,30 @@ def test_em_doctrine_refuses_a_closure_that_is_not_deflationary():
     assert comonad_violations(c) == []
     with pytest.raises(ValueError, match=r"^closure not deflationary at \(<\*\|id_\*>,0\)$"):
         em_doctrine(c)
+
+
+def test_cm_modality_refuses_a_box_that_is_not_monotone():
+    # C ≅ D by i and j, and K sends both onto D, so ⟨C, i⟩ is a coalgebra
+    # whose box is P(i)∘κ_C. The comonad scan and the EM build never check
+    # that P(i) is monotone, and here it is not: it sends 0 < 1 to the two
+    # minimal points p, q of the fiber p < b > q, so the box sends p ≤ b to
+    # p and q
+    arrows = [("id_C", "C", "C"), ("id_D", "D", "D"), ("i", "C", "D"), ("j", "D", "C")]
+    between = {(s, d): a for a, s, d in arrows}  # one arrow each way: g∘f is the one from f's source to g's target
+    comp = {(g, f): between[fs, gd] for g, gs, gd in arrows for f, fs, fd in arrows if fd == gs}
+    base = fin_category(["C", "D"], arrows, {"C": "id_C", "D": "id_D"}, comp)
+    vee, two = fin_poset(["p", "q", "b"], [("p", "b"), ("q", "b")]), chain_poset(["0", "1"])
+    kappa = MonotoneMap(vee, two, {"p": "0", "q": "1", "b": "1"})
+    section = MonotoneMap(two, vee, {"0": "p", "1": "q"})
+    P = Doctrine(base, {"C": vee, "D": two}, {"id_C": identity_map(vee), "id_D": identity_map(two), "i": section, "j": kappa})
+    K = fin_functor(base, base, {"C": "D", "D": "D"}, {a: "id_D" for a, _, _ in arrows})
+    mu = fin_nat(K, compose_functors(K, K), {"C": "id_D", "D": "id_D"})
+    nu = fin_nat(K, identity_functor(base), {"C": "j", "D": "id_D"})
+    c = DoctrineComonad(P, K, {"C": kappa, "D": identity_map(two)}, mu, nu)
+    assert comonad_violations(c) == []
+    assert {o: f.elements for o, f in em_doctrine(c).em.fibers.items()} == {"<C|i>": ("p", "q"), "<D|id_D>": ("0", "1")}
+    with pytest.raises(ValueError, match=r"^comonadic modality is not interior: box at <C\|i>: order not preserved on \(p,b\)$"):
+        cm_modality(c)
 
 
 def test_every_em_closure_whose_comonad_scan_passes_is_idempotent():

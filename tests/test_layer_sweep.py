@@ -40,8 +40,11 @@ def test_layer_sweep_measures_the_temporal_sweep_rows():
     assert [(r["layer"], r["kind"], r["states"]) for r in rows] == [
         ("oracle_mismatches", "tree", 10),
         ("oracle_mismatches", "stream", 10),
+        ("gfp_modality", "tree", 10),
+        ("gfp_modality", "stream", 10),
     ]
     assert all(r["s"] > 0 for r in rows)
+    assert [r["alphas"] for r in rows[2:]] == [100, 100]
 
 
 def test_layer_sweep_measures_the_chain_check_row_with_its_peak_rss():

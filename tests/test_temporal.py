@@ -12,9 +12,6 @@ from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T, random_coalgebra
 from doctrines.temporal import (
     FCoalgebra,
     _is_homomorphism,
-    ag_oracle,
-    eg_oracle,
-    g_oracle,
     gfp_modality,
     gfp_modality_trace,
     oracle_for,
@@ -53,36 +50,36 @@ def all_subsets(states):
 def test_stream_example_from_orbit():
     # orbit of s0 reaches s1, which is outside alpha
     assert gfp_modality(STREAM2, "stream", frozenset({"s0"})) == frozenset()
-    assert g_oracle(STREAM2, frozenset({"s0"})) == frozenset()
+    assert oracle_for(STREAM2, "stream", frozenset({"s0"})) == frozenset()
     # alpha = everything: top is a fixed point
     assert gfp_modality(STREAM2, "stream", frozenset({"s0", "s1"})) == {"s0", "s1"}
 
 
 def test_tree_exists_example():
     alpha = frozenset({"s0", "s1"})
-    assert eg_oracle(TREE3, alpha) == {"s0", "s1"}
+    assert oracle_for(TREE3, "exists", alpha) == {"s0", "s1"}
     assert gfp_modality(TREE3, "exists", alpha) == {"s0", "s1"}
 
 
 def test_tree_forall_examples():
     # leaf in alpha is included: no successors
-    assert ag_oracle(TREE3, frozenset({"s2"})) == {"s2"}
-    assert ag_oracle(TREE3, frozenset(TREE3.states)) == set(TREE3.states)
+    assert oracle_for(TREE3, "forall", frozenset({"s2"})) == {"s2"}
+    assert oracle_for(TREE3, "forall", frozenset(TREE3.states)) == set(TREE3.states)
     # s0 reaches the leaf s2; dropping s2 excludes s0
-    assert ag_oracle(TREE3, frozenset({"s0", "s1"})) == {"s1"}
+    assert oracle_for(TREE3, "forall", frozenset({"s0", "s1"})) == {"s1"}
     assert gfp_modality(TREE3, "forall", frozenset({"s0", "s1"})) == {"s1"}
 
 
 def test_eg_empty_alpha_and_self_loop():
-    assert eg_oracle(TREE3, frozenset()) == frozenset()
+    assert oracle_for(TREE3, "exists", frozenset()) == frozenset()
     loop = FCoalgebra("L", "tree", ("x",), {"x": ("x",)})
-    assert eg_oracle(loop, frozenset({"x"})) == {"x"}
+    assert oracle_for(loop, "exists", frozenset({"x"})) == {"x"}
 
 
 def test_g_oracle_three_cycle():
     cyc = FCoalgebra("C", "stream", ("a", "b", "c"), {"a": "b", "b": "c", "c": "a"})
-    assert g_oracle(cyc, frozenset({"a", "b"})) == frozenset()
-    assert g_oracle(cyc, frozenset({"a", "b", "c"})) == {"a", "b", "c"}
+    assert oracle_for(cyc, "stream", frozenset({"a", "b"})) == frozenset()
+    assert oracle_for(cyc, "stream", frozenset({"a", "b", "c"})) == {"a", "b", "c"}
 
 
 def test_gfp_equals_oracles_exhaustively_small():
@@ -161,11 +158,31 @@ def test_random_suite_oracle_equivalence_seeded():
 def test_lift_kind_mismatch_rejected():
     with pytest.raises(ValueError):
         temporal_doctrine([STREAM2], "forall")
-    for oracle, c in ((g_oracle, TREE3), (ag_oracle, STREAM2), (eg_oracle, STREAM2)):
-        with pytest.raises(ValueError, match=f"{oracle.__name__} needs a"):
-            oracle(c, frozenset())
+    for lift, c, need in (("stream", TREE3, "g_oracle needs a stream"), ("forall", STREAM2, "ag_oracle needs a tree"),
+                          ("exists", STREAM2, "eg_oracle needs a tree")):
+        with pytest.raises(ValueError, match=f"^{need} coalgebra$"):
+            oracle_for(c, lift, frozenset())
     with pytest.raises(ValueError, match="unknown lift"):
         oracle_for(TREE3, "always", frozenset())
+
+
+@pytest.mark.parametrize("alpha", [frozenset(), frozenset({"s0"}), frozenset(TREE_T.states)])
+def test_unknown_lift_is_rejected_for_every_alpha(alpha):
+    for run in (gfp_modality, gfp_modality_trace):
+        with pytest.raises(ValueError, match="^unknown lift always$"):
+            run(TREE_T, "always", alpha)
+    for run in (temporal._gfp_table, lambda c, lift: oracle_mismatches(c, [lift])):
+        with pytest.raises(ValueError, match="^unknown lift always$"):
+            run(TREE_T, "always")
+
+
+def test_temporal_doctrine_rejects_an_unknown_lift_before_any_work():
+    # no coalgebra kind goes with "always", and B, whose step is missing,
+    # would fail its own check if the lift were not rejected first
+    broken = FCoalgebra("B", "stream", ("x",), {})
+    for group in ([STREAM_A], [broken], [TREE_T]):
+        with pytest.raises(ValueError, match="^unknown lift always$"):
+            temporal_doctrine(group, "always")
 
 
 def _psi_table_trace(c, lift, alpha, lat):
@@ -254,7 +271,6 @@ def test_sweep_cases_hold_every_step_shape():
 
 
 REFERENCES = {"stream": g_oracle_reference, "forall": ag_oracle_reference, "exists": eg_oracle_reference}
-ORACLES = {"stream": g_oracle, "forall": ag_oracle, "exists": eg_oracle}
 
 
 @pytest.mark.parametrize("c, lifts", list(_sweep_cases()), ids=lambda x: getattr(x, "name", ""))
@@ -263,8 +279,8 @@ def test_oracles_and_sweep_table_equal_their_references_for_every_alpha(c, lifts
         table = temporal._gfp_table(c, lift)
         for mask, alpha in enumerate(_masked_subsets(c.states)):
             want = REFERENCES[lift](c, alpha)
-            assert ORACLES[lift](c, alpha) == oracle_for(c, lift, alpha) == want
-            assert table[mask] == _mask_of(c.states, temporal._psi_chain(c, lift, alpha)[-1])
+            assert oracle_for(c, lift, alpha) == want
+            assert table[mask] == _mask_of(c.states, gfp_modality(c, lift, alpha))
     assert oracle_mismatches(c, lifts) == []
 
 
@@ -277,65 +293,16 @@ def _mask_of(states, subset):
     return sum(1 << i for i, s in enumerate(states) if s in subset)
 
 
-def test_non_monotone_lift_is_rejected_naming_the_state(monkeypatch):
-    real = temporal.step_satisfies_lift
-
-    def flipped_at_s1(c, lift, s, beta):
-        got = real(c, lift, s, beta)
-        return not got if s == "s1" else got
-
-    monkeypatch.setattr(temporal, "step_satisfies_lift", flipped_at_s1)
-    with pytest.raises(ValueError, match=r"not monotone at state s1: lift exists holds on \{\} but not on \{s1\}"):
-        gfp_modality_trace(TREE_T, "exists", frozenset({"s0", "s1"}))
-    # Ψ ignores the predicate outside alpha, so the flip is harmless there
-    assert gfp_modality(TREE_T, "exists", frozenset({"s0", "s2"})) == frozenset()
-
-
-def test_chain_that_climbs_is_rejected(monkeypatch):
-    # reads beta outside the successors of s0, so the cover scan passes, but
-    # the chain goes {s0,s1} -> {s1} -> {s0,s1}
-    real = temporal.step_satisfies_lift
-
-    def reads_itself_at_s0(c, lift, s, beta):
-        return "s0" not in beta if s == "s0" else real(c, lift, s, beta)
-
-    monkeypatch.setattr(temporal, "step_satisfies_lift", reads_itself_at_s0)
-    with pytest.raises(ValueError, match=r"does not descend at step 2: it adds \{s0\}"):
-        gfp_modality_trace(STREAM_A, "stream", frozenset({"s0", "s1"}))
-
-
-def test_sweep_checks_monotonicity_once_per_lift_with_the_per_alpha_message(monkeypatch):
-    c = FCoalgebra("N", "tree", ("s0", "s1", "s2", "s3"),
-                   {"s0": ("s1",), "s1": (), "s2": ("s0", "s3"), "s3": ("s3",)})
-    real = temporal.step_satisfies_lift
-
-    def exists_flipped_at_s2(c, lift, s, beta):
-        got = real(c, lift, s, beta)
-        return not got if (lift, s) == ("exists", "s2") else got
-
-    monkeypatch.setattr(temporal, "step_satisfies_lift", exists_flipped_at_s2)
-    # the message the first failing alpha of the sweep raises on its own
-    first = None
-    for r in range(len(c.states) + 1):
-        for combo in combinations(c.states, r):
-            try:
-                gfp_modality(c, "exists", frozenset(combo))
-            except ValueError as e:
-                first = str(e)
-                break
-        if first:
-            break
-    assert first is not None and "at state s2" in first
-
-    scans = []
-    real_scan = temporal._psi_monotone_violation
-    monkeypatch.setattr(
-        temporal, "_psi_monotone_violation", lambda *a: scans.append(a[1]) or real_scan(*a)
-    )
-    with pytest.raises(ValueError) as e:
-        oracle_mismatches(c, ["forall", "exists"])
-    assert str(e.value) == first
-    assert scans == ["forall", "exists"]
+@pytest.mark.parametrize("c", [c for c, lifts in _sweep_cases() if lifts == ("stream",)], ids=lambda c: c.name)
+def test_every_lift_boxes_a_stream_as_the_stream_lift_does(c):
+    # one successor per state: "all successors" and "some successor" both
+    # mean "the successor", in the one-α chain and in the sweep table alike
+    tables = {lift: temporal._gfp_table(c, lift) for lift in ("stream", "forall", "exists")}
+    for mask, alpha in enumerate(_masked_subsets(c.states)):
+        want = gfp_modality(c, "stream", alpha)
+        for lift in ("forall", "exists"):
+            assert gfp_modality(c, lift, alpha) == want
+        assert {lift: table[mask] for lift, table in tables.items()} == dict.fromkeys(tables, _mask_of(c.states, want))
 
 
 def _coalgebra_groups():

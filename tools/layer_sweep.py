@@ -22,12 +22,15 @@ is timed at A = 243, 428 and 1,024 arrows: on 3 carriers of 3 points, on
 carriers of 4 and 3 points, and on 2 carriers of 4 points. `temporal.oracle_mismatches`,
 the 2^n sweep that checks the gfp box against its oracle for every subset, is
 timed on a seeded random tree (both lifts, 0-3 successors per state) and a
-seeded random stream of 10-18 states. Each measurement runs in a fresh
-interpreter that imports the library from one checkout's `src`, and the two
-checkouts take turns at each size, `ROUNDS` times; a row is the best of each
-side's timings (`REPEATS` per interpreter). A temporal row is the best of
-`TEMPORAL_ROUNDS` interpreters, each timing once, since the sweep before its
-bitmask rewrite took over a minute at 18 states. A `check` row runs the
+seeded random stream of 10-18 states; `temporal.gfp_modality`, the one-α
+box of the `temporal` command, is timed on the same tree and stream over
+100 seeded subsets α, each boxed on its own under every lift of the kind.
+Each measurement runs in a fresh interpreter that imports the library from
+one checkout's `src`, and the two checkouts take turns at each size,
+`ROUNDS` times; a row is the best of each side's timings (`REPEATS` per
+interpreter). A temporal row is the best of `TEMPORAL_ROUNDS` interpreters,
+each timing the sweep once, since the sweep before its bitmask rewrite took
+over a minute at 18 states. A `check` row runs the
 command line's `check` on a Kripke chain of 12-16 worlds once per fresh
 interpreter, and records the best time and the least peak RSS of the
 interpreter over `ROUNDS` of them; the 16-world row runs on the change side
@@ -73,6 +76,7 @@ FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4)}
 QUANTALE_POINTS = range(2, 5)
 TEMPORAL_STATES = range(10, 19, 2)
 TEMPORAL_ROUNDS = 2
+ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
 CHECK_WORLDS = range(12, 17)
 CHANGE_ONLY_CHECK_WORLDS = {16}
 IMPORT_ROUNDS = 20
@@ -158,8 +162,12 @@ def measure_function_category(arrows: int) -> list[dict]:
 def measure_temporal(n: int) -> list[dict]:
     """The `oracle_mismatches` rows at n states, a tree and a stream, timed once
     each in this interpreter on a coalgebra built afresh, so nothing kept on
-    it from an earlier call is reused."""
-    from doctrines.temporal import FCoalgebra, oracle_mismatches
+    it from an earlier call is reused; then the `gfp_modality` rows, the
+    `temporal` command's path, on the same coalgebras: `ONE_ALPHA_COUNT`
+    seeded subsets α each boxed on its own under every lift of the kind."""
+    from doctrines.temporal import FCoalgebra, gfp_modality, oracle_mismatches
+
+    lifts = {"tree": ["forall", "exists"], "stream": ["stream"]}
 
     def coalgebra(kind: str) -> FCoalgebra:
         rng = random.Random(f"{kind}:{n}")
@@ -168,10 +176,18 @@ def measure_temporal(n: int) -> list[dict]:
             return FCoalgebra("M", kind, states, {s: rng.choice(states) for s in states})
         return FCoalgebra("M", kind, states, {s: tuple(rng.choice(states) for _ in range(rng.randint(0, 3))) for s in states})
 
-    lifts = {"tree": ["forall", "exists"], "stream": ["stream"]}
+    def one_alpha_each(kind: str) -> float:
+        c = coalgebra(kind)
+        rng = random.Random(f"alpha:{kind}:{n}")
+        alphas = [frozenset(s for s in c.states if rng.random() < 0.75) for _ in range(ONE_ALPHA_COUNT)]
+        return _best(lambda: [gfp_modality(c, lift, a) for a in alphas for lift in lifts[kind]])
+
     return [
         {"layer": "oracle_mismatches", "kind": kind, "states": n,
          "s": _best(lambda: oracle_mismatches(coalgebra(kind), lifts[kind]), 1)}
+        for kind in ("tree", "stream")
+    ] + [
+        {"layer": "gfp_modality", "kind": kind, "states": n, "alphas": ONE_ALPHA_COUNT, "s": one_alpha_each(kind)}
         for kind in ("tree", "stream")
     ]
 
