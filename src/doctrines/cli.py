@@ -558,10 +558,11 @@ def _build_coalgebra(ws: Workspace, d: Declaration):
     ws.verdict(f"coalgebra {d.name}", bad)
     if not bad:
         ws.coalgebras[d.name] = c
-        # one O(n + edges) oracle pass for each of the 2ⁿ subsets α; the sweep's
-        # Ψ steps (one table read each) and its 2ⁿ-entry tables are left out
-        edges = sum(len(c.successors(s)) for s in c.states)
-        count = 2 ** len(states) * (len(states) + edges)
+        # the sweep on planes of 2ⁿ bits, counted in 64-bit words: the EG
+        # oracle's n³ Warshall steps, then up to n + 1 engine rounds of
+        # n + edges plane operations; n³ also bounds the n² planes it keeps
+        n, edges = len(states), sum(len(c.successors(s)) for s in c.states)
+        count = (2**n + 63) // 64 * (n**3 + (n + 1) * (n + edges))
         if count > ws.max_size:
             ws.refuse(f"coalgebra-oracle {d.name}", count)
             return

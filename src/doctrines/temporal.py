@@ -5,13 +5,17 @@ and EG, and the packaging of the operator as an interior operator over a
 finite category of coalgebra homomorphisms.
 
 One engine computes every box, on bit masks: Ψ(β) = α ∩ step⁻¹(lift(β)) is
-iterated down from the full state set, one mask per step, so no infinite
-unfolding is ever materialized. `gfp_modality_trace` boxes one α (the
-`temporal` command, queries and the suite) and `_gfp_table` every α at once
-(the oracle sweep and `temporal_doctrine`), both from the one reading of the
-step in `_pred_masks`, whose docstring proves Ψ monotone and the chains
-descending. The oracles decide the same property by reachability or
-Tarjan's components, from their own reading of the step.
+iterated down from the full state set, so no infinite unfolding is ever
+materialized. `gfp_modality_trace` boxes one α (the `temporal` command,
+queries and the suite), one mask per step; `_gfp_planes` boxes every α at
+once (the oracle sweep and `temporal_doctrine`) on planes, ints of 2ⁿ bits
+whose bit α is the answer at α, so one bitwise operation takes one step in
+every lane. Both read the step from `_pred_masks`, whose docstring proves Ψ
+monotone and the chains descending. The oracles decide the same property by
+reachability or Tarjan's components for one α (`oracle_for`), and on
+planes for every α by reachability or a Warshall closure of α-paths
+(`_oracle_planes`, which the sweep XORs with the engine's), from their own
+reading of the step.
 """
 
 from __future__ import annotations
@@ -131,29 +135,55 @@ def _mask_states(c: FCoalgebra, mask: int) -> frozenset[str]:
     return frozenset(s for i, s in enumerate(c.states) if mask >> i & 1)
 
 
-def _gfp_table(c: FCoalgebra, lift: str) -> list[int]:
-    """νΨ_α for every α ⊆ S, states as bits. pre[γ] is filled for every γ
-    with one OR per entry, so each Ψ step is one table read.
+def _member_planes(n: int) -> list[int]:
+    """Per state x < n, the plane V[x] of 2ⁿ lanes whose bit α is set iff
+    bit x of α is: 2ˣ clear lanes, then 2ˣ set ones, doubled by shifts until
+    it spans every lane. It reads no step, so the engine and the oracles
+    share it."""
+    planes = []
+    for x in range(n):
+        plane, width = ((1 << (1 << x)) - 1) << (1 << x), 2 << x
+        while width < 1 << n:
+            plane |= plane << width
+            width <<= 1
+        planes.append(plane)
+    return planes
 
-    α runs down from S, and below S its chain starts at the fixed point X of
-    α″ = α plus its lowest missing state. X is post-fixed for Ψ_α:
-    Ψ_α(X) = α ∩ Φ(X) ⊆ α″ ∩ Φ(X) = X, and νΨ_α ⊆ νΨ_α″ = X since Ψ_α ⊆ Ψ_α″,
-    so the chain from X descends to νΨ_α (`_pred_masks`)."""
+
+def _gfp_planes(c: FCoalgebra, lift: str) -> list[int]:
+    """νΨ_α for every α ⊆ S at once, as planes: per state x, an int of 2ⁿ
+    bits whose bit α says whether x ∈ νΨ_α.
+
+    Z_x starts all ones, and each round sets every Z_x ← V[x] ∧ ⋁ Z_t
+    (stream, exists) or V[x] ∧ ⋀ Z_t (forall) from the previous round's
+    planes, t over x's successors as `_pred_masks` lists them, until no
+    plane changes. Bitwise operations act lane by lane. So if lane α holds
+    the set βₖ after round k, round k + 1 keeps x in lane α iff x ∈ α and
+    some successor (stream, exists) or every successor (forall) of x is in
+    βₖ: lane α holds βₖ₊₁ = α ∩ Φ(βₖ), and from β₀ = S it runs exactly
+    `gfp_modality_trace`'s chain for α. A lane at its fixed point keeps it,
+    so the rounds stop once the longest chain repeats, within n + 1 rounds,
+    and each lane α then holds νΨ_α (`_pred_masks`)."""
     pred = _pred_masks(c, lift)
-    pre = [0] * (1 << len(pred))
-    for gamma in range(1, len(pre)):
-        pre[gamma] = pre[gamma & (gamma - 1)] | pred[(gamma & -gamma).bit_length() - 1]
-    full = len(pre) - 1
-    gfp = [0] * len(pre)
-    for alpha in range(full, -1, -1):
-        beta = full if alpha == full else gfp[alpha | (alpha + 1) & ~alpha]
-        while True:
-            nxt = alpha & ~pre[full ^ beta] if lift == "forall" else alpha & pre[beta]
-            if nxt == beta:
-                break
-            beta = nxt
-        gfp[alpha] = beta
-    return gfp
+    member = _member_planes(len(pred))
+    succ = [[t for t, p in enumerate(pred) if p >> x & 1] for x in range(len(pred))]
+    planes = [(1 << (1 << len(pred))) - 1] * len(pred)
+    while True:
+        nxt = []
+        for x, kids in enumerate(succ):
+            if lift == "forall":
+                z = member[x]
+                for t in kids:
+                    z &= planes[t]
+            else:
+                z = 0
+                for t in kids:
+                    z |= planes[t]
+                z &= member[x]
+            nxt.append(z)
+        if nxt == planes:
+            return planes
+        planes = nxt
 
 
 def _eg_mask(c: FCoalgebra, alpha: int) -> int:
@@ -223,13 +253,64 @@ def oracle_for(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[str
     return _mask_states(c, _oracle_mask(c, lift, sum(1 << i for i, s in enumerate(c.states) if s in alpha)))
 
 
+def _oracle_planes(c: FCoalgebra, lift: str) -> list[int]:
+    """The oracle for `lift` on every α at once, in the planes of
+    `_gfp_planes`, from `_oracle_graph` alone. G and AG: per state x, the
+    AND of V[t] over x's reflexive reachable set. EG: a Warshall closure
+    (JACM 9(1), 1962) of R[x][y], the lanes with an α-path x → y of length
+    ≥ 1, from the edges x → y in lanes V[x] ∧ V[y]; x has an infinite
+    α-path iff it lies on an α-cycle or reaches a state that does, so EG
+    at x is V[x] ∧ (R[x][x] ∨ ⋁_y R[x][y] ∧ R[y][y]). Every lane of R[x][y]
+    has x ∈ α, and the y = x term is R[x][x], so that is ⋁_y R[x][y] ∧
+    R[y][y]."""
+    name, kind = _known_lift(lift)
+    if c.kind != kind:
+        raise ValueError(f"{name} needs a {kind} coalgebra")
+    succ, _, reach = c._oracle_graph
+    member = _member_planes(len(succ))
+    if lift != "exists":
+        planes = []
+        for r in reach:
+            z = (1 << (1 << len(succ))) - 1
+            for t, v in enumerate(member):
+                if r >> t & 1:
+                    z &= v
+            planes.append(z)
+        return planes
+    paths = [[0] * len(succ) for _ in succ]
+    for x, kids in enumerate(succ):
+        for t in kids:
+            paths[x][t] = member[x] & member[t]
+    for k, via in enumerate(paths):
+        for row in paths:
+            head = row[k]
+            if head:
+                for y, tail in enumerate(via):
+                    if tail:
+                        row[y] |= head & tail
+    cycles = [row[y] for y, row in enumerate(paths)]
+    planes = []
+    for row in paths:
+        z = 0
+        for head, cycle in zip(row, cycles):
+            z |= head & cycle
+        planes.append(z)
+    return planes
+
+
 def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, frozenset[str]]]:
-    """Every (lift, α) on which the box of `_gfp_table` disagrees with its
-    oracle, α running over all subsets of the states by size, then by
-    positions of members."""
+    """Every (lift, α) on which the box of `_gfp_planes` disagrees with
+    `_oracle_planes`: the set bits of their XOR, α running over all subsets
+    of the states by size, then by positions of members."""
     out = []
     for lift in lifts:
-        bad = [alpha for alpha, got in enumerate(_gfp_table(c, lift)) if got != _oracle_mask(c, lift, alpha)]
+        diff = 0
+        for got, want in zip(_gfp_planes(c, lift), _oracle_planes(c, lift)):
+            diff |= got ^ want
+        bad = []
+        while diff:
+            bad.append((diff & -diff).bit_length() - 1)
+            diff &= diff - 1
         bad.sort(key=lambda m: (m.bit_count(), [i for i in range(len(c.states)) if m >> i & 1]))
         out.extend((lift, _mask_states(c, alpha)) for alpha in bad)
     return out
@@ -246,8 +327,9 @@ def _is_homomorphism(c1: FCoalgebra, c2: FCoalgebra, h: Mapping[str, str]) -> bo
 def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doctrine, InteriorOp]:
     """Powerset fibers over the category of coalgebra homomorphisms, with the
     greatest-fixed-point box as operator; naturality across homomorphisms is
-    part of the interior-law check. Each box is read off one `_gfp_table`,
-    since a powerset fiber codes a subset by its bitmask of state positions."""
+    part of the interior-law check. Each box is read off the lanes of one
+    `_gfp_planes`, since a powerset fiber codes a subset by its bitmask of
+    state positions."""
     kind = _known_lift(lift)[1]
     for c in coalgebras:
         bad = coalgebra_violations(c)
@@ -264,7 +346,9 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     doc = inverse_image_doctrine(fc)
     parts = {}
     for c in coalgebras:
-        fib, box = doc.fibers[c.name], _gfp_table(c, lift)
+        fib, planes = doc.fibers[c.name], _gfp_planes(c, lift)
         label = dict(zip(fib.codes, fib.elements))
-        parts[c.name] = MonotoneMap(fib, fib, {a: label[box[code]] for a, code in zip(fib.elements, fib.codes)})
+        parts[c.name] = MonotoneMap(fib, fib, {
+            a: label[sum(1 << x for x, p in enumerate(planes) if p >> code & 1)] for a, code in zip(fib.elements, fib.codes)
+        })
     return doc, InteriorOp(doc, parts)

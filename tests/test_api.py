@@ -817,8 +817,8 @@ def make(name):
 # the G, AG and EG oracles decide what the fixed-point engine computes, so
 # they must not share its code: neither they nor any temporal.py function,
 # method or module-level name they reach may name the engine
-ORACLES = ("oracle_for", "_oracle_mask")
-ENGINE = ("_pred_masks", "_gfp_table")
+ORACLES = ("oracle_for", "_oracle_mask", "_oracle_planes")
+ENGINE = ("_pred_masks", "_gfp_planes")
 
 
 def _is_engine(name: str) -> bool:
@@ -851,23 +851,25 @@ def _engine_names_reached_by_oracles(source: str) -> list[str]:
 
 def test_temporal_oracles_reach_no_engine_code():
     source = (ROOT / "src" / "doctrines" / "temporal.py").read_text()
-    assert {"oracle_for", "_oracle_mask", "_eg_mask", "_oracle_graph"} <= set(_oracle_reach(source))
+    assert {"oracle_for", "_oracle_mask", "_eg_mask", "_oracle_graph", "_oracle_planes", "_member_planes"} <= set(
+        _oracle_reach(source)
+    )
     assert _engine_names_reached_by_oracles(source) == []
 
 
 def test_engine_lists_every_temporal_function_the_box_reaches():
     # an engine helper missing from ENGINE would let an oracle call it
-    # unflagged, so every function the two box entry points reach is on
-    # ENGINE, or is one of the two shared helpers that read no step
+    # unflagged, so every function the box entry points reach is on ENGINE,
+    # or is one of the three shared helpers that read no step
     tree = ast.parse((ROOT / "src" / "doctrines" / "temporal.py").read_text())
     defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    reached, todo = set(), ["gfp_modality", "gfp_modality_trace", "_gfp_table"]
+    reached, todo = set(), ["gfp_modality", "gfp_modality_trace", "_gfp_planes"]
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo.extend(n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs)
-    assert {n for n in reached if not _is_engine(n)} == {"_known_lift", "_mask_states"}
+    assert {n for n in reached if not _is_engine(n)} == {"_known_lift", "_mask_states", "_member_planes"}
     assert set(ENGINE) <= reached
 
 
@@ -877,12 +879,12 @@ def _pred_masks(c, lift):
     return [0 for s in c.states]
 
 
-def _gfp_table(c, lift):
+def _gfp_planes(c, lift):
     return _pred_masks(c, lift)
 
 
 def _shortcut(c, lift, alpha):
-    return _gfp_table(c, lift)[alpha]
+    return _gfp_planes(c, lift)[alpha]
 
 
 _STEP = _pred_masks
@@ -901,6 +903,10 @@ def _oracle_mask(c, lift, alpha):
     return c._graph(), temporal.gfp_modality_trace, _pred_masks(c, lift)
 
 
+def _oracle_planes(c, lift):
+    return _member_planes(len(c.states)), _gfp_planes(c, lift)
+
+
 def unrelated(c):
     return gfp_modality(c), _pred_masks(c, "forall")
 '''
@@ -908,5 +914,6 @@ def unrelated(c):
         "_STEP: _pred_masks",
         "_oracle_mask: _pred_masks",
         "_oracle_mask: gfp_modality_trace",
-        "_shortcut: _gfp_table",
+        "_oracle_planes: _gfp_planes",
+        "_shortcut: _gfp_planes",
     ]

@@ -314,6 +314,23 @@ def test_cli_size_guard_counts_work(tmp_path, capsys):
         assert "refused" not in capsys.readouterr().out
 
 
+def _cycle_tree(n: int) -> str:
+    states = [f"s{i}" for i in range(n)]
+    step = " ".join(f"{s}=({t})" for s, t in zip(states, states[1:] + states[:1]))
+    return f"coalgebra T {{ kind: tree; states: {' '.join(states)}; step: {step} }}"
+
+
+def test_cli_coalgebra_size_guard_admits_12_cycle_states_and_refuses_13(tmp_path, capsys):
+    # the plane sweep in 64-bit words, ⌈2ⁿ/64⌉·(n³ + (n+1)·(n+edges)):
+    # 64·(1,728 + 13·24) = 130,560 at 12 states, 128·(2,197 + 14·26) =
+    # 327,808 at 13, on either side of the default --max-size as before
+    assert _main(tmp_path, _cycle_tree(12), "check") == 0
+    assert "refused" not in capsys.readouterr().out
+    assert _main(tmp_path, _cycle_tree(13), "check") == 1
+    out = capsys.readouterr().out
+    assert "FAIL coalgebra-oracle T\n  - refused: estimated work 327808 exceeds --max-size 200000" in out
+
+
 def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
     # 2^40 families: a guard that steps through them would never return
     elements = ",".join(f"e{i}" for i in range(40))

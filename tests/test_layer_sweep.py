@@ -53,12 +53,30 @@ def test_layer_sweep_measures_the_chain_check_row_with_its_peak_rss():
     assert rows[0]["s"] > 0 and rows[0]["peak_rss_mb"] > 0
 
 
-def test_layer_sweep_sizes_reach_15_worlds_and_a_16_world_check_on_the_change_side_only():
+def _sweep_module():
     spec = importlib.util.spec_from_file_location("layer_sweep", ROOT / "tools" / "layer_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_layer_sweep_sizes_reach_15_worlds_and_a_16_world_check_on_the_change_side_only():
+    sweep = _sweep_module()
     assert max(sweep.ONE_KEY_WORLDS) == 15
     assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16] and sweep.CHANGE_ONLY_CHECK_WORLDS == {16}
+
+
+def test_layer_sweep_times_the_temporal_sweep_up_to_20_states():
+    assert list(_sweep_module().TEMPORAL_STATES) == [10, 12, 14, 16, 18, 20]
+    rows = _measure("--states", 20)
+    assert [(r["layer"], r["states"]) for r in rows] == [("oracle_mismatches", 20)] * 2 + [("gfp_modality", 20)] * 2
+    assert all(r["s"] > 0 for r in rows)
+
+
+def test_layer_sweep_rows_keep_4_significant_digits():
+    # 5 decimals kept one digit of a 20 us row; 4 significant digits keep four at any size
+    sig = _sweep_module()._sig
+    assert [sig(s) for s in (2.345678e-05, 0.000123449, 0.0123456, 19.31234)] == [2.346e-05, 0.0001234, 0.01235, 19.31]
 
 
 def test_layer_sweep_times_the_command_line_import_in_turns(tmp_path):

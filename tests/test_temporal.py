@@ -171,7 +171,7 @@ def test_unknown_lift_is_rejected_for_every_alpha(alpha):
     for run in (gfp_modality, gfp_modality_trace):
         with pytest.raises(ValueError, match="^unknown lift always$"):
             run(TREE_T, "always", alpha)
-    for run in (temporal._gfp_table, lambda c, lift: oracle_mismatches(c, [lift])):
+    for run in (temporal._gfp_planes, lambda c, lift: oracle_mismatches(c, [lift])):
         with pytest.raises(ValueError, match="^unknown lift always$"):
             run(TREE_T, "always")
 
@@ -226,27 +226,32 @@ def test_psi_chain_equals_table_engine_and_oracles_for_every_alpha(c, lift):
 
 def test_oracle_mismatches_reports_planted_disagreement_in_sweep_order(monkeypatch):
     # an oracle that is wrong exactly on alpha = {s1}, for either lift; the
-    # sweep asks its oracle for each alpha through temporal._oracle_mask, on
-    # bit masks by position in TREE_T.states (s0 -> 1, s1 -> 2, s2 -> 4)
-    real = temporal._oracle_mask
+    # sweep reads its oracle for every alpha from temporal._oracle_planes,
+    # lane alpha a bit mask by position in TREE_T.states (s0 -> 1, s1 -> 2,
+    # s2 -> 4), so s0's plane is flipped in lane 2
+    real = temporal._oracle_planes
     planted = frozenset({"s1"})
 
-    def wrong_at_s1(c, lift, alpha):
-        got = real(c, lift, alpha)
-        return got ^ 1 if alpha == 2 else got
+    def wrong_at_s1(c, lift):
+        got = real(c, lift)
+        return [got[0] ^ 1 << 2, *got[1:]]
 
-    monkeypatch.setattr(temporal, "_oracle_mask", wrong_at_s1)
+    monkeypatch.setattr(temporal, "_oracle_planes", wrong_at_s1)
     assert oracle_mismatches(TREE_T, ["forall", "exists"]) == [("forall", planted), ("exists", planted)]
 
 
 def test_oracle_mismatches_are_listed_by_size_then_positions(monkeypatch):
-    # the sweep visits alpha from the full set down; the report still runs
-    # {s1}, {s2}, {s0,s2}, {s0,s1,s2}, as subsets_in_order lists them
-    real = temporal._oracle_mask
-    monkeypatch.setattr(temporal, "_oracle_mask", lambda c, lift, alpha: real(c, lift, alpha) ^ (alpha in (7, 5, 4, 2)))
+    # the XOR of the planes yields alpha lowest lane first; the report runs
+    # {s1}, {s2}, {s0,s2}, {s0,s1,s2}, as subsets_in_order lists them, and
+    # {s2} (lane 4) before {s0,s1} (lane 3)
+    real = temporal._oracle_planes
+    lanes = sum(1 << alpha for alpha in (7, 5, 4, 2))
+    monkeypatch.setattr(temporal, "_oracle_planes", lambda c, lift: [real(c, lift)[0] ^ lanes, *real(c, lift)[1:]])
     want = [frozenset(s) for s in ({"s1"}, {"s2"}, {"s0", "s2"}, {"s0", "s1", "s2"})]
     assert oracle_mismatches(TREE_T, ["exists"]) == [("exists", a) for a in want]
     assert [a for a in subsets_in_order(TREE_T.states) if a in want] == want
+    monkeypatch.setattr(temporal, "_oracle_planes", lambda c, lift: [real(c, lift)[0] ^ 0b11000, *real(c, lift)[1:]])
+    assert oracle_mismatches(TREE_T, ["exists"]) == [("exists", frozenset({"s2"})), ("exists", frozenset({"s0", "s1"}))]
 
 
 def _sweep_cases():
@@ -276,11 +281,11 @@ REFERENCES = {"stream": g_oracle_reference, "forall": ag_oracle_reference, "exis
 @pytest.mark.parametrize("c, lifts", list(_sweep_cases()), ids=lambda x: getattr(x, "name", ""))
 def test_oracles_and_sweep_table_equal_their_references_for_every_alpha(c, lifts):
     for lift in lifts:
-        table = temporal._gfp_table(c, lift)
+        planes = temporal._gfp_planes(c, lift)
         for mask, alpha in enumerate(_masked_subsets(c.states)):
             want = REFERENCES[lift](c, alpha)
             assert oracle_for(c, lift, alpha) == want
-            assert table[mask] == _mask_of(c.states, gfp_modality(c, lift, alpha))
+            assert _lane(planes, mask) == _mask_of(c.states, gfp_modality(c, lift, alpha))
     assert oracle_mismatches(c, lifts) == []
 
 
@@ -293,16 +298,34 @@ def _mask_of(states, subset):
     return sum(1 << i for i, s in enumerate(states) if s in subset)
 
 
+def _lane(planes, alpha):
+    """Lane alpha of per-state planes: the mask of the states whose plane has bit alpha."""
+    return sum(1 << x for x, p in enumerate(planes) if p >> alpha & 1)
+
+
+@pytest.mark.parametrize("c, lifts", list(_sweep_cases()), ids=lambda x: getattr(x, "name", ""))
+def test_every_lane_of_the_planes_is_its_one_alpha_box_and_oracle(c, lifts):
+    # both plane sweeps build their lanes from the shared _member_planes, so
+    # each lane is held to the one-alpha engine and oracle, which do not
+    for lift in lifts:
+        engine, oracle = temporal._gfp_planes(c, lift), temporal._oracle_planes(c, lift)
+        assert len(engine) == len(oracle) == len(c.states)
+        assert all(0 <= p < 1 << (1 << len(c.states)) for p in engine + oracle)
+        for mask, alpha in enumerate(_masked_subsets(c.states)):
+            assert _lane(engine, mask) == _mask_of(c.states, gfp_modality_trace(c, lift, alpha)[-1])
+            assert _lane(oracle, mask) == temporal._oracle_mask(c, lift, mask)
+
+
 @pytest.mark.parametrize("c", [c for c, lifts in _sweep_cases() if lifts == ("stream",)], ids=lambda c: c.name)
 def test_every_lift_boxes_a_stream_as_the_stream_lift_does(c):
     # one successor per state: "all successors" and "some successor" both
-    # mean "the successor", in the one-α chain and in the sweep table alike
-    tables = {lift: temporal._gfp_table(c, lift) for lift in ("stream", "forall", "exists")}
+    # mean "the successor", in the one-α chain and in the sweep's planes alike
+    planes = {lift: temporal._gfp_planes(c, lift) for lift in ("stream", "forall", "exists")}
     for mask, alpha in enumerate(_masked_subsets(c.states)):
         want = gfp_modality(c, "stream", alpha)
         for lift in ("forall", "exists"):
             assert gfp_modality(c, lift, alpha) == want
-        assert {lift: table[mask] for lift, table in tables.items()} == dict.fromkeys(tables, _mask_of(c.states, want))
+        assert {lift: _lane(p, mask) for lift, p in planes.items()} == dict.fromkeys(planes, _mask_of(c.states, want))
 
 
 def _coalgebra_groups():

@@ -22,15 +22,16 @@ is timed at A = 243, 428 and 1,024 arrows: on 3 carriers of 3 points, on
 carriers of 4 and 3 points, and on 2 carriers of 4 points. `temporal.oracle_mismatches`,
 the 2^n sweep that checks the gfp box against its oracle for every subset, is
 timed on a seeded random tree (both lifts, 0-3 successors per state) and a
-seeded random stream of 10-18 states; `temporal.gfp_modality`, the one-α
+seeded random stream of 10-20 states; `temporal.gfp_modality`, the one-α
 box of the `temporal` command, is timed on the same tree and stream over
 100 seeded subsets α, each boxed on its own under every lift of the kind.
 Each measurement runs in a fresh interpreter that imports the library from
 one checkout's `src`, and the two checkouts take turns at each size,
 `ROUNDS` times; a row is the best of each side's timings (`REPEATS` per
-interpreter). A temporal row is the best of `TEMPORAL_ROUNDS` interpreters,
-each timing the sweep once, since the sweep before its bitmask rewrite took
-over a minute at 18 states. A `check` row runs the
+interpreter), to 4 significant digits. A temporal row is the best of
+`TEMPORAL_ROUNDS` interpreters, each timing the sweep once, since the sweep
+before its bitmask rewrite took over a minute at 18 states, and the sweep
+before its planes 19 s at 20. A `check` row runs the
 command line's `check` on a Kripke chain of 12-16 worlds once per fresh
 interpreter, and records the best time and the least peak RSS of the
 interpreter over `ROUNDS` of them; the 16-world row runs on the change side
@@ -74,7 +75,7 @@ ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 tim
 # arrows A = Σ |Y|^|X| over ordered pairs of carriers -> the carrier sizes
 FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4)}
 QUANTALE_POINTS = range(2, 5)
-TEMPORAL_STATES = range(10, 19, 2)
+TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
 CHECK_WORLDS = range(12, 17)
@@ -87,6 +88,11 @@ IMPORT_PROBE = (
     "import doctrines.cli; print(time.perf_counter() - t, len(sys.modules) - n)"
 )
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
+
+
+def _sig(s: float) -> float:
+    """`s` to 4 significant digits, so a sub-millisecond row keeps as many as a slow one."""
+    return float(f"{s:.4g}")
 
 
 def _best(fn, repeats: int = REPEATS) -> float:
@@ -249,7 +255,7 @@ def layers(args) -> None:
                     s, rss = r.pop("s"), r.pop("peak_rss_mb", None)
                     key = tuple(r.items())
                     row = at_size[key] = rows.setdefault(key, r)
-                    row[f"{side}_s"] = round(min(s, row.get(f"{side}_s", s)), 5)
+                    row[f"{side}_s"] = _sig(min(s, row.get(f"{side}_s", s)))
                     if rss is not None:
                         row[f"{side}_peak_rss_mb"] = round(min(rss, row.get(f"{side}_peak_rss_mb", rss)), 1)
         print(list(at_size.values()), flush=True)
@@ -274,7 +280,7 @@ def import_rows(args) -> None:
         times[side].append(float(s))
     row = {"layer": "import doctrines.cli", "interpreters": len(times["parent"])}
     for side, sample in times.items():
-        row.update({f"{side}_s": round(min(sample), 5), f"{side}_median_s": round(statistics.median(sample), 5),
+        row.update({f"{side}_s": _sig(min(sample)), f"{side}_median_s": _sig(statistics.median(sample)),
                     f"{side}_modules": int(modules[side])})
     print(row, flush=True)
     out["import"] = [row]
