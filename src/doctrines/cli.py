@@ -130,12 +130,6 @@ class Declaration:
 class ModelDocument:
     declarations: tuple[Declaration, ...]
 
-    def find(self, name: str):
-        for d in self.declarations:
-            if d.name == name:
-                return d
-        return None
-
 
 def tokenize(text: str):
     tokens = []
@@ -946,7 +940,6 @@ class Level:
         self.help, self.options, self.positional, self.one_of = help, options, positional, one_of
 
 
-HELP = Option("help", "show this help and exit")
 FROM = Option("from", "the declared or built object to start from", "NAME", required=True)
 
 TOP = Level(
@@ -987,6 +980,7 @@ COMMANDS = {
     "suite": Level("run the full acceptance suite", {}, None),
 }
 
+
 class UsageExit(Exception):
     """The command line ends the program before any command runs: `text` is
     the help (status 0) or the usage and error (status 2)."""
@@ -996,169 +990,94 @@ class UsageExit(Exception):
         self.status, self.text = status, text
 
 
-class _Malformed(Exception):
-    pass
-
-
-def _usage(name: str | None) -> str:
-    level = COMMANDS[name] if name else TOP
-    words = ["usage: doctrines", *([name] if name else []), "[-h]"]
-    for s, o in level.options.items():
-        if s not in level.one_of:
-            word = s if o.metavar is None else f"{s} {o.metavar}"
-            words.append(word if o.required else f"[{word}]")
-    if level.one_of:
-        words.append("(" + " | ".join(level.one_of) + ")")
-    words += {"FILE": ["FILE"], "COMMAND": ["COMMAND", "..."], None: []}[level.positional]
-    return " ".join(words)
-
-
-def _help(name: str | None) -> str:
-    level = COMMANDS[name] if name else TOP
-    rows = [("-h, --help", HELP.help)] + [
-        (s if o.metavar is None else f"{s} {o.metavar}", o.help + ("" if o.default in (None, False) else f" (default {o.default})"))
-        for s, o in level.options.items()
-    ]
-    if name:
-        body = [level.help]
-    else:
-        body = [level.help.strip(), "", "commands:", *(f"  {n:<10}{c.help}" for n, c in COMMANDS.items())]
-    width = max(len(r) for r, _ in rows) + 2
-    return "\n".join([_usage(name), "", *body, "", "options:", *(f"  {r:<{width}}{h}" for r, h in rows)])
-
-
-def _classify(token: str, options: dict):
-    """How argparse reads one token against the option strings of a level:
-    None for a positional, else (option string, attached value or None), the
-    option string None for an unknown option. A long option may be
-    abbreviated to a unique prefix; `-h` may carry more flags (`-hh`)."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in options:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in options:
-        return name, value
-    if token[1] == "-":
-        matches, value = [o for o in options if o.startswith(name)], (value if eq else None)
-    else:
-        matches, value = [o for o in options if o == token[:2]], token[2:]
-    if len(matches) > 1:
-        raise _Malformed(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if _negative_number(token) or " " in token:
-        return None
-    return None, None
-
-
-def _negative_number(token: str) -> bool:
-    r"""Whether argparse reads `token`, which starts with `-`, as a negative
-    number: a match of `^-\d+$|^-\d*\.\d+$`, where `$` also matches before
-    one final newline and `\d` accepts what `str.isdecimal` accepts."""
-    whole, point, fraction = token[1:].removesuffix("\n").partition(".")
-    return (not whole or whole.isdecimal()) and fraction.isdecimal() if point else whole.isdecimal()
-
-
-def _scan(args: list[str], options: dict):
-    """The pattern of one level, a letter per token: O an option, A a
-    positional, - the first `--` (every token after it is an A); and the
-    option tokens as `_classify` reads them."""
-    pattern, found = [], {}
-    for i, token in enumerate(args):
-        if token == "--":
-            pattern.append("-" + "A" * (len(args) - i - 1))
-            break
-        found[i] = _classify(token, options)
-        pattern.append("A" if found[i] is None else "O")
-    return "".join(pattern), found
-
-
-def _option_run(args: list[str], pattern: str, i: int, option, options: dict):
-    """The (option string, value) pairs the option token at `i` stands for,
-    and the index after them. A flag takes no value; an attached value of a
-    one-dash flag names more one-dash flags. Any other option takes its
-    attached value or else the next positional token."""
-    s, value = option
-    taken = []
-    while options[s].metavar is None:
-        if value is None:
-            return taken + [(s, None)], i + 1
-        if s.startswith("--") or not value or "-" + value[0] not in options:
-            raise _Malformed(f"argument {s}: ignored explicit argument {value!r}")
-        taken.append((s, None))
-        s, value = "-" + value[0], value[1:] or None
-    if value is not None:
-        return taken + [(s, value)], i + 1
-    if not pattern.startswith("A", i + 1):
-        raise _Malformed(f"argument {s}: expected one argument")
-    return taken + [(s, args[i + 1])], i + 2
-
-
-def _read_level(name: str | None, args: list[str], flags: dict):
-    """Read the top level (`name` None) or command `name` into `flags`, in
-    argparse's order: options as they come, `-h` exiting with help at once.
-    Returns the tokens no rule took and the tokens of the positional."""
-    level = COMMANDS[name] if name else TOP
-    options = {"-h": HELP, "--help": HELP, **level.options}
-    flags.update((o.dest, o.default) for s, o in level.options.items() if not o.required and s not in level.one_of)
-    pattern, found = _scan(args, options)
-    seen, extras, values = set(), [], None
-    i = 0
-    while i < len(args):
-        option = found.get(i)
-        if option and option[0]:
-            taken, i = _option_run(args, pattern, i, option, options)
-            for s, value in taken:
-                opt = options[s]
-                if opt is HELP:
-                    raise UsageExit(0, _help(name))
-                clash = [o for o in level.one_of if o in seen and o != s] if s in level.one_of else []
-                if clash:
-                    raise _Malformed(f"argument {s}: not allowed with argument {clash[0]}")
-                try:
-                    flags[opt.dest] = opt.const if opt.metavar is None else opt.convert(value)
-                except ValueError:
-                    raise _Malformed(f"argument {s}: invalid {opt.convert.__name__} value: {value!r}") from None
-                seen.add(s)
-        elif option is None and values is None and level.positional and pattern.startswith(("A", "-A"), i):
-            # argparse's nargs patterns: FILE takes `-?A-?` of the pattern,
-            # COMMAND `-?A` and everything after it
-            end = i + 1 + (pattern[i] == "-")
-            end = len(args) if level.positional == "COMMAND" else end + pattern.startswith("-", end)
-            values, i = args[i:end], end
-        else:
-            extras.append(args[i])
-            i += 1
-    missing = [s for s, o in level.options.items() if o.required and s not in seen]
-    if level.positional and values is None:
-        missing.append(level.positional)
-    if missing:
-        raise _Malformed(f"the following arguments are required: {', '.join(missing)}")
-    if level.one_of and not seen.intersection(level.one_of):
-        raise _Malformed(f"one of the arguments {' '.join(level.one_of)} is required")
-    return extras, values
-
-
 def parse_argv(argv: list[str]) -> dict:
     """The `flags` of a command line: `json`, `seed`, `max_size`, `command`,
-    the model `file` and the command's options. Raises UsageExit on `-h` and
-    on a malformed command line."""
-    flags = {}
-    try:
-        extras, (name, *rest) = _read_level(None, list(argv), flags)
-        if name not in COMMANDS:
-            raise _Malformed(f"argument COMMAND: invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
-        flags["command"] = name
-        more, values = _read_level(name, rest, flags)
-        if values:
-            if "--" in values:
-                values.remove("--")
-            flags["file"] = values[0]
-        if extras + more:
-            raise _Malformed(f"unrecognized arguments: {' '.join(extras + more)}")
-    except _Malformed as e:
-        raise UsageExit(2, f"{_usage(flags.get('command'))}\ndoctrines: error: {e}") from None
+    the model `file` and the command's options. A command line is read here
+    when every option in it is spelled in full and given once, each value is
+    attached (`--op=EG`) or the next word and does not start with `-`, and
+    it has the command, its required options, its FILE and exactly one of its
+    `one_of` flags; any other goes to `_argparse_flags`. Raises UsageExit on
+    `-h` and on a malformed command line."""
+    flags, level, seen = {}, TOP, set()
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            if level is TOP and word in COMMANDS:
+                flags["command"], level = word, COMMANDS[word]
+            elif level is TOP or not level.positional or "file" in flags:
+                return _argparse_flags(argv)
+            else:
+                flags["file"] = word
+            continue
+        s, eq, value = word.partition("=")
+        o = level.options.get(s)
+        if o is None or s in seen or (eq and o.metavar is None):
+            return _argparse_flags(argv)
+        seen.add(s)
+        if o.metavar is None:
+            flags[o.dest] = o.const
+            continue
+        if not eq:
+            value = next(words, "-")  # a missing value hands the line on as well
+        if value.startswith("-"):  # argparse drops a value `--`, even an attached one
+            return _argparse_flags(argv)
+        try:
+            flags[o.dest] = o.convert(value)
+        except ValueError:
+            return _argparse_flags(argv)
+    if (
+        level is TOP
+        or (level.positional and "file" not in flags)
+        or any(o.required and s not in seen for s, o in level.options.items())
+        or (level.one_of and len(seen.intersection(level.one_of)) != 1)
+    ):
+        return _argparse_flags(argv)
+    for lv in (TOP, level):
+        for s, o in lv.options.items():
+            if s not in lv.one_of:
+                flags.setdefault(o.dest, o.default)
+    return flags
+
+
+def _argparse_flags(argv: list[str]) -> dict:
+    """The `flags` of any command line, read by argparse parsers built from
+    `TOP` and `COMMANDS`, with help and errors raised as UsageExit. argparse
+    is imported here, off the path of a fully spelled command line: with the
+    `gettext`, `locale` and `shutil` it loads, building the parsers costs
+    several milliseconds, more than most commands."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            raise UsageExit(0, self.format_help().rstrip("\n"))
+
+        def error(self, message):
+            raise UsageExit(2, f"{self.format_usage()}doctrines: error: {message}")
+
+    def add(parser, level):
+        if level.positional == "FILE":
+            parser.add_argument("file", metavar="FILE")
+        group = parser.add_mutually_exclusive_group(required=True) if level.one_of else None
+        for s, o in level.options.items():
+            into = group if s in level.one_of else parser
+            if o.metavar is None:
+                into.add_argument(s, dest=o.dest, action="store_const", const=o.const, default=o.default, help=o.help)
+            else:
+                into.add_argument(
+                    s, dest=o.dest, metavar=o.metavar, type=o.convert, default=o.default, required=o.required,
+                    help=o.help,
+                )
+
+    top = Parser(prog="doctrines", description=TOP.help, formatter_class=argparse.RawDescriptionHelpFormatter)
+    add(top, TOP)
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, level in COMMANDS.items():
+        add(commands.add_parser(name, help=level.help, description=level.help), level)
+    flags = vars(top.parse_args(argv))
+    for level in (TOP, COMMANDS[flags["command"]]):
+        for s, o in level.options.items():
+            if isinstance(flags[o.dest], list):  # argparse drops an attached `--` (`--op=--`) and stores []
+                top.error(f"argument {s}: expected one argument")
     return flags
 
 

@@ -275,12 +275,6 @@ class Functor:
     obj_map: Mapping[str, str]
     arr_map: Mapping[str, str]
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_arr(self, a: str) -> str:
-        return self.arr_map[a]
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True

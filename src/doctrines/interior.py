@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .doctrine import Doctrine, OneArrow, identity_parts, one_arrow_violations, sub_doctrine
+from .doctrine import Doctrine, OneArrow, _reindex_fits, identity_parts, one_arrow_violations, sub_doctrine
 from .order import MonotoneMap, kept, monotone_violations, same_composite, value_class
 
 
@@ -50,8 +50,14 @@ def interior_violations(op: InteriorOp) -> list[str]:
         return out
     for t in P.base.arrow_names():
         x, y = P.base.src(t), P.base.dst(t)
-        if not same_composite(op.parts[x], P.reindex[t], P.reindex[t], op.parts[y]):
-            out.append(f"naturality fails along {t}")
+        try:
+            natural = same_composite(op.parts[x], P.reindex[t], P.reindex[t], op.parts[y])
+        except ValueError:  # the reindexing map is off its boundary, named below
+            natural = False
+        if not natural:
+            out.append(
+                f"naturality fails along {t}" if _reindex_fits(P, t) else f"reindexing along {t} has wrong boundary"
+            )
     for x in P.base.objects:
         box = op.parts[x]
         fib = P.fibers[x]

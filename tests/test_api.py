@@ -447,9 +447,11 @@ def is_category(x):
     assert _callers(source, "FinCategory") == ["check_category", "shortcut", "Builder.build.inner", "<module>"]
 
 
-# a module imports what it needs at its top; the one late import keeps
-# `suite`, and `random` with it, off the command path until `suite` runs
-LATE_IMPORTS = {"cli.run: suite"}
+# a module imports what it needs at its top; the late imports keep `suite`,
+# and `random` with it, off the command path until `suite` runs, and
+# `argparse`, with the `gettext` and `shutil` it loads, off every fully
+# spelled command line: only one that `parse_argv` hands on builds parsers
+LATE_IMPORTS = {"cli.run: suite", "cli._argparse_flags: argparse"}
 
 
 def _late_imports(source: str) -> list[str]:

@@ -732,6 +732,45 @@ def test_parse_argv_reads_the_grammar():
     assert parse_argv(["--js", "--seed=-3", "suite"]) == {"json": True, "seed": -3, "max_size": 200000, "command": "suite"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed=--", "suite"],
+        ["check", "FILE", "--target=--"],
+        ["temporal", "FILE", "--coalgebra", "M", "--op=--"],
+        ["temporal", "FILE", "--coalgebra=--", "--op", "EG"],
+        ["em", "FILE", "--from=--"],
+    ],
+)
+def test_an_attached_double_dash_value_is_a_usage_error(tmp_path, capsys, argv):
+    # argparse drops the value `--` of `--op=--` and stores [] for the option
+    f = tmp_path / "m.dct"
+    f.write_text(MODEL)
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: doctrines") and "doctrines: error: argument --" in err
+    assert "Traceback" not in err
+
+
+# the fully spelled `temporal` example of the README's command-line section
+README_TEMPORAL = ["temporal", "--coalgebra", "M", "--op", "EG", "FILE", "--alpha", "{s0}"]
+
+
+def test_every_benchmark_command_line_is_read_without_argparse():
+    # a command line that parse_argv hands to argparse pays for importing it
+    # and building its parsers; no benchmark request may pay that
+    argvs = [list(argv) for argv in BENCH_ARGV] + [README_TEMPORAL]
+    probe = (
+        f"import json, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from doctrines.cli import parse_argv; "
+        f"flags = [parse_argv(argv) for argv in {argvs!r}]; "
+        "print(json.dumps([flags, sorted(set(sys.modules).intersection({'argparse', 'gettext', 'shutil'}))]))"
+    )
+    r = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    flags, loaded = json.loads(r.stdout)
+    assert flags == [argparse_flags(argv) for argv in argvs]
+    assert loaded == []
+
+
 def _modules_a_check_loads(tmp_path, names: set) -> str:
     """The exit status of `--json check` on MODEL in a fresh `python -S`
     interpreter, and which of `names` it has loaded by the end."""

@@ -31,6 +31,7 @@ from doctrines.fincat import (
     identity_functor,
     poset_category,
 )
+from doctrines.interior import InteriorOp, interior_violations
 from doctrines.order import FinPoset, MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations
 from doctrines.suite import (
     bundled_adjunctions,
@@ -143,7 +144,8 @@ def test_one_arrow_naturality_violation_witnessed():
 
 
 def test_a_reindexing_map_with_the_wrong_boundary_is_reported_not_composed():
-    # one object, the 2-chain as its fiber, reindexed along id_* by a map of the 3-chain
+    # one object, the 2-chain as its fiber, reindexed along id_* by a map of the 3-chain;
+    # every law scan reports the square along id_*, none composes it
     base = discrete_category(["*"])
     two = chain_poset(["0", "1"])
     bad = Doctrine(base, {"*": two}, {"id_*": identity_map(chain_poset(["0", "1", "2"]))})
@@ -157,6 +159,7 @@ def test_a_reindexing_map_with_the_wrong_boundary_is_reported_not_composed():
         "(ii) left: source reindexing along id_* has wrong boundary",
         "(ii) right: source reindexing along id_* has wrong boundary",
     ]
+    assert interior_violations(InteriorOp(bad, identity_parts(bad))) == ["reindexing along id_* has wrong boundary"]
 
 
 def test_triple_composition_associativity_table_equality():

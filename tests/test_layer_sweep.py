@@ -89,3 +89,18 @@ def test_layer_sweep_times_the_command_line_import_in_turns(tmp_path):
         assert 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
         # the package and every module but `suite`, which loads on demand
         assert row[f"{side}_modules"] >= 10
+
+
+def test_layer_sweep_times_parse_argv_on_an_exact_and_a_handed_on_command_line(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, str(ROOT / "tools" / "layer_sweep.py"), "import", "--parent", str(ROOT), "--change", str(ROOT)]
+    subprocess.run([*argv, "--out", str(out)], capture_output=True, text=True, check=True, timeout=300)
+    exact, handed_on = json.loads(out.read_text())["parse"]
+    assert (exact["layer"], exact["read"], exact["argv"][:2]) == ("parse_argv", "exact", ["--json", "--max-size"])
+    assert (handed_on["layer"], handed_on["read"], handed_on["argv"]) == ("parse_argv", "handed on", ["--js", "check", "F"])
+    for row in (exact, handed_on):
+        assert row["interpreters"] >= 20
+        for side in ("parent", "change"):
+            assert 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
+    # the handed-on line imports argparse and builds its parsers: milliseconds, against microseconds
+    assert handed_on["change_median_s"] > 10 * exact["change_median_s"]

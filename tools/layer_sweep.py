@@ -43,6 +43,10 @@ would need about 1.5 GB there (4x per world from its 384 MB at 15 worlds).
 `src` compiled to bytecode beforehand, the two sides taking turns one
 interpreter at a time, `IMPORT_ROUNDS` per side. Its row has each
 side's best and median time and the number of modules the import loaded.
+Each of those interpreters then times its first `parse_argv` call on each
+command line of `PARSE_ARGV`: a fully spelled one, which the parser reads
+itself, and one it hands to argparse (`--js` abbreviates `--json`). The two
+`parse` rows have each side's best and median time.
 
 `end-to-end` runs `bench/run.py` in the two checkouts in turn, alternating
 which goes first, adds every run to those already recorded for the
@@ -81,11 +85,21 @@ ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 
 CHECK_WORLDS = range(12, 17)
 CHANGE_ONLY_CHECK_WORLDS = {16}
 IMPORT_ROUNDS = 20
+# a command line `parse_argv` reads itself, and one it hands to argparse
+PARSE_ARGV = {
+    "exact": ["--json", "--max-size", "1000000000000000", "temporal", "FILE", "--coalgebra", "M", "--op", "EG",
+              "--alpha", "{s0,s1}"],
+    "handed on": ["--js", "check", "F"],
+}
 # run as `python -S -c IMPORT_PROBE SRC`: the seconds `import doctrines.cli`
-# takes and the number of modules it adds
+# takes, the number of modules it adds, and the seconds of the first
+# `parse_argv` call on each PARSE_ARGV command line, in that order
 IMPORT_PROBE = (
     "import sys, time; sys.path.insert(0, sys.argv[1]); n = len(sys.modules); t = time.perf_counter(); "
-    "import doctrines.cli; print(time.perf_counter() - t, len(sys.modules) - n)"
+    "import doctrines.cli; out = [time.perf_counter() - t, len(sys.modules) - n]\n"
+    f"for argv in {list(PARSE_ARGV.values())!r}:\n"
+    "    t = time.perf_counter(); doctrines.cli.parse_argv(argv); out.append(time.perf_counter() - t)\n"
+    "print(*out)"
 )
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
 
@@ -223,7 +237,9 @@ def measure_check(n: int) -> list[dict]:
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
          "checkout, measured in turns on one machine; a check row also has each side's least peak RSS in MB. "
          "import: `import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and "
-         "median seconds and the modules it loaded. end_to_end: every bench/run.py run of both, and their medians.")
+         "median seconds and the modules it loaded. parse: in the same interpreters, the first `parse_argv` "
+         "call on a command line it reads itself and on one it hands to argparse, each side's best and median "
+         "seconds. end_to_end: every bench/run.py run of both, and their medians.")
 
 
 def _load(path: Path) -> dict:
@@ -272,18 +288,29 @@ def import_rows(args) -> None:
     sides = [("parent", args.parent), ("change", args.change)]
     for _, checkout in sides:
         compileall.compile_dir(checkout / "src" / "doctrines", quiet=1)
-    times, modules = {"parent": [], "change": []}, {}
+    times = {layer: {"parent": [], "change": []} for layer in ("import", *PARSE_ARGV)}
+    modules = {}
     for i in range(2 * IMPORT_ROUNDS):
         side, checkout = sides[i % 2]
         argv = [sys.executable, "-S", "-c", IMPORT_PROBE, str(checkout / "src")]
-        s, modules[side] = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
-        times[side].append(float(s))
-    row = {"layer": "import doctrines.cli", "interpreters": len(times["parent"])}
-    for side, sample in times.items():
-        row.update({f"{side}_s": _sig(min(sample)), f"{side}_median_s": _sig(statistics.median(sample)),
-                    f"{side}_modules": int(modules[side])})
-    print(row, flush=True)
+        s, modules[side], *parse_s = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+        for layer, t in zip(times, [s, *parse_s]):
+            times[layer][side].append(float(t))
+
+    def timed(row: dict, layer: str) -> dict:
+        row["interpreters"] = IMPORT_ROUNDS
+        for side, sample in times[layer].items():
+            row.update({f"{side}_s": _sig(min(sample)), f"{side}_median_s": _sig(statistics.median(sample))})
+        return row
+
+    row = timed({"layer": "import doctrines.cli"}, "import")
+    row.update((f"{side}_modules", int(n)) for side, n in modules.items())
     out["import"] = [row]
+    out["parse"] = [
+        timed({"layer": "parse_argv", "read": read, "argv": argv}, read) for read, argv in PARSE_ARGV.items()
+    ]
+    for row in out["import"] + out["parse"]:
+        print(row, flush=True)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
