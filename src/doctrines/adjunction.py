@@ -26,15 +26,7 @@ from .fincat import (
     same_functor_composite,
 )
 from .interior import InteriorOp, interior_violations, stable_subdoctrine
-from .order import (
-    MonotoneMap,
-    compose_maps,
-    identity_map,
-    kept,
-    restrict_map,
-    same_composite,
-    value_class,
-)
+from .order import MonotoneMap, compose_maps, is_identity_map, kept, restrict_map, same_composite, value_class
 
 
 @value_class
@@ -210,53 +202,63 @@ def factorize(A: DoctrineAdjunction) -> tuple[DoctrineAdjunction, DoctrineAdjunc
     return vertical, base_change
 
 
-def factorization_composites_agree(A: DoctrineAdjunction) -> list[str]:
+def _composite_differences(b: OneArrow, a: OneArrow, c: OneArrow) -> list[str]:
+    """Where b∘a differs from c, compared pointwise without building b∘a:
+    `on objects and arrows` when the functors differ, else `at X` for each
+    object X whose fiber maps differ. Raises as `compose_one_arrows` does
+    when b and a do not compose."""
+    if a.dst != b.src:
+        raise ValueError("compose_one_arrows: boundary mismatch")
+    if a.src != c.src or b.dst != c.dst:
+        return ["between other doctrines"]
+    if not same_functor_composite(b.functor, a.functor, c.functor):
+        return ["on objects and arrows"]
+    return [
+        f"at {x}"
+        for x in a.src.base.objects
+        if not same_composite(b.parts[a.functor.obj_map[x]], a.parts[x], c.parts[x])
+    ]
+
+
+def factorization_violations(A: DoctrineAdjunction) -> list[str]:
+    """The two legs of `factorize` compose back to A's left and right
+    1-arrows, compared pointwise."""
     vertical, base_change = factorize(A)
-    out = []
-    if compose_one_arrows(left_arrow(base_change), left_arrow(vertical)) != left_arrow(A):
-        out.append("left composite differs from the original left 1-arrow")
-    if compose_one_arrows(right_arrow(vertical), right_arrow(base_change)) != right_arrow(A):
-        out.append("right composite differs from the original right 1-arrow")
-    return out
+    left = _composite_differences(left_arrow(base_change), left_arrow(vertical), left_arrow(A))
+    right = _composite_differences(right_arrow(vertical), right_arrow(base_change), right_arrow(A))
+    return [f"left composite differs from the original left 1-arrow {w}" for w in left] + [
+        f"right composite differs from the original right 1-arrow {w}" for w in right
+    ]
 
 
-def triviality_checks(A: DoctrineAdjunction) -> dict:
-    """For a vertical adjunction: λρλ=λ, ρλρ=ρ, and both dichotomies
-    (λρ=id ⟺ ρ injective ⟺ λ surjective, and the dual), all by enumeration."""
+def triviality_violations(A: DoctrineAdjunction) -> list[str]:
+    """For a vertical adjunction, at each object: λρλ = λ, ρλρ = ρ, and both
+    dichotomies, λρ = id ⟺ ρ injective ⟺ λ surjective and ρλ = id ⟺ λ
+    injective ⟺ ρ surjective, all by enumeration. A dichotomy's witness
+    shows its three truth values."""
     if not is_vertical(A):
-        raise ValueError("triviality_checks requires a vertical adjunction")
+        raise ValueError("triviality_violations requires a vertical adjunction")
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
-    report: dict = {"absorption": [], "dichotomy_lr": {}, "dichotomy_rl": {}}
+    out = []
     for x in A.p.base.objects:
-        lam, rho = A.lam[x], A.rho[x]
-        if compose_maps(lam, compose_maps(rho, lam)) != lam:
-            report["absorption"].append(f"lam.rho.lam != lam at {x}")
-        if compose_maps(rho, compose_maps(lam, rho)) != rho:
-            report["absorption"].append(f"rho.lam.rho != rho at {x}")
-        lr_id = compose_maps(lam, rho) == identity_map(A.q.fibers[x])
-        rho_inj = len({rho.apply(b) for b in A.q.fibers[x].elements}) == len(A.q.fibers[x].elements)
-        lam_surj = {lam.apply(a) for a in A.p.fibers[x].elements} == set(A.q.fibers[x].elements)
-        report["dichotomy_lr"][x] = {
-            "lr_identity": lr_id,
-            "rho_injective": rho_inj,
-            "lambda_surjective": lam_surj,
-            "consistent": lr_id == rho_inj == lam_surj,
-        }
-        rl_id = compose_maps(rho, lam) == identity_map(A.p.fibers[x])
-        lam_inj = len({lam.apply(a) for a in A.p.fibers[x].elements}) == len(A.p.fibers[x].elements)
-        rho_surj = {rho.apply(b) for b in A.q.fibers[x].elements} == set(A.p.fibers[x].elements)
-        report["dichotomy_rl"][x] = {
-            "rl_identity": rl_id,
-            "lambda_injective": lam_inj,
-            "rho_surjective": rho_surj,
-            "consistent": rl_id == lam_inj == rho_surj,
-        }
-    report["pass"] = not report["absorption"] and all(
-        v["consistent"] for v in report["dichotomy_lr"].values()
-    ) and all(v["consistent"] for v in report["dichotomy_rl"].values())
-    return report
+        lam, rho, pf, qf = A.lam[x], A.rho[x], A.p.fibers[x], A.q.fibers[x]
+        lm, rm = lam.mapping, rho.mapping
+        if any(lm[rm[lm[a]]] != lm[a] for a in pf.elements):
+            out.append(f"lam.rho.lam != lam at {x}")
+        if any(rm[lm[rm[b]]] != rm[b] for b in qf.elements):
+            out.append(f"rho.lam.rho != rho at {x}")
+        lam_image, rho_image = {lm[a] for a in pf.elements}, {rm[b] for b in qf.elements}
+        lr_id = is_identity_map(lam, qf, rho)
+        rho_inj, lam_surj = len(rho_image) == len(qf.elements), lam_image == set(qf.elements)
+        if not lr_id == rho_inj == lam_surj:
+            out.append(f"lam.rho = id is {lr_id}, rho injective {rho_inj}, lam surjective {lam_surj} at {x}")
+        rl_id = is_identity_map(rho, pf, lam)
+        lam_inj, rho_surj = len(lam_image) == len(pf.elements), rho_image == set(pf.elements)
+        if not rl_id == lam_inj == rho_surj:
+            out.append(f"rho.lam = id is {rl_id}, lam injective {lam_inj}, rho surjective {rho_surj} at {x}")
+    return out
 
 
 def factorize2_report(A: DoctrineAdjunction) -> dict:
@@ -299,23 +301,19 @@ def factorize2_report(A: DoctrineAdjunction) -> dict:
     )
 
     squares = {
-        "top_left_then_top_right_equals_left": [],
-        "bottom_left_then_bottom_right_equals_left": [],
-        "top_right_then_top_left_adjoints_equal_right": [],
-        "bottom_right_then_bottom_left_adjoints_equal_right": [],
+        "top_left_then_top_right_equals_left": _composite_differences(
+            left_arrow(upper_right), left_arrow(upper_left), left_arrow(A)
+        ),
+        "bottom_left_then_bottom_right_equals_left": _composite_differences(
+            left_arrow(base_change), left_arrow(vertical), left_arrow(A)
+        ),
+        "top_right_then_top_left_adjoints_equal_right": _composite_differences(
+            right_arrow(upper_left), right_arrow(upper_right), right_arrow(A)
+        ),
+        "bottom_right_then_bottom_left_adjoints_equal_right": _composite_differences(
+            right_arrow(vertical), right_arrow(base_change), right_arrow(A)
+        ),
     }
-    top = compose_one_arrows(left_arrow(upper_right), left_arrow(upper_left))
-    if top != left_arrow(A):
-        squares["top_left_then_top_right_equals_left"].append("composite differs")
-    bottom = compose_one_arrows(left_arrow(base_change), left_arrow(vertical))
-    if bottom != left_arrow(A):
-        squares["bottom_left_then_bottom_right_equals_left"].append("composite differs")
-    top_r = compose_one_arrows(right_arrow(upper_left), right_arrow(upper_right))
-    if top_r != right_arrow(A):
-        squares["top_right_then_top_left_adjoints_equal_right"].append("composite differs")
-    bottom_r = compose_one_arrows(right_arrow(vertical), right_arrow(base_change))
-    if bottom_r != right_arrow(A):
-        squares["bottom_right_then_bottom_left_adjoints_equal_right"].append("composite differs")
 
     box_id = []
     for x in A.p.base.objects:
@@ -394,18 +392,6 @@ def adj_morphism_violations(m: AdjMorphism) -> list[str]:
         if not same_composite(m.parts_q[A.left.obj_map[x]], A.lam[x], B.lam[m.fun_p.obj_map[x]], m.parts_p[x]):
             out.append(f"lambda coincidence fails at {x}")
     return out
-
-
-def identity_adj_morphism(A: DoctrineAdjunction) -> AdjMorphism:
-    return AdjMorphism(
-        A,
-        A,
-        identity_functor(A.p.base),
-        identity_parts(A.p),
-        identity_functor(A.q.base),
-        identity_parts(A.q),
-        identity_nat(A.right),
-    )
 
 
 def am_functor(m: AdjMorphism) -> OneArrow:

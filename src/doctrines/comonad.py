@@ -11,10 +11,8 @@ from .adjunction import (
     DoctrineAdjunction,
     adj_morphism_violations,
     adjunction_violations,
-    am_doctrine,
     am_functor,
     am_modality,
-    identity_adj_morphism,
     vertical_adjunction,
 )
 from .doctrine import (
@@ -23,7 +21,6 @@ from .doctrine import (
     TwoArrow,
     base_change,
     compose_one_arrows,
-    identity_one_arrow,
     identity_parts,
     one_arrow_violations,
     sub_doctrine,
@@ -39,10 +36,11 @@ from .fincat import (
     compose_functors,
     identity_functor,
     identity_nat,
+    is_identity_functor,
     nat_violations,
 )
 from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
-from .order import MonotoneMap, compose_maps, kept, restrict_map, value_class
+from .order import MonotoneMap, compose_maps, is_identity_map, kept, restrict_map, value_class
 
 
 @value_class
@@ -260,26 +258,17 @@ def comparison_arrow(A: DoctrineAdjunction) -> OneArrow:
     return OneArrow(A.p, bundle.em, functor, parts)
 
 
-def modality_comparison_check(A: DoctrineAdjunction) -> dict:
+def modality_comparison_violations(A: DoctrineAdjunction) -> list[str]:
     """The adjunction modality equals the comonadic modality along the
-    comparison functor, and ⟨K, id⟩ is a modal 1-arrow between the two."""
+    comparison functor K, box table by box table, and ⟨K, id⟩ is a modal
+    1-arrow between the two."""
     ql, op_a = am_modality(A)
-    c = cmd_of_adjunction(A)
-    op_k = cm_modality(c)
-    comp = comparison_arrow(A)
-    mismatches = []
-    for x in A.p.base.objects:
-        kx = comp.functor.obj_map[x]
-        if op_a.parts[x] != op_k.parts[kx]:
-            mismatches.append(x)
-    k_id = OneArrow(ql, op_k.doctrine, comp.functor, identity_parts(ql))
-    modal = modal_one_arrow_violations(k_id, op_a, op_k)
-    return {
-        "tables_equal": mismatches == [],
-        "mismatched_objects": mismatches,
-        "comparison_modal_arrow": modal,
-        "pass": mismatches == [] and modal == [],
-    }
+    op_k = cm_modality(cmd_of_adjunction(A))
+    K = comparison_arrow(A).functor
+    out = [f"box tables differ at {x}" for x in A.p.base.objects if op_a.parts[x] != op_k.parts[K.obj_map[x]]]
+    k_id = OneArrow(ql, op_k.doctrine, K, identity_parts(ql))
+    out.extend("comparison arrow: " + v for v in modal_one_arrow_violations(k_id, op_a, op_k))
+    return out
 
 
 def mc(op: InteriorOp) -> DoctrineComonad:
@@ -305,21 +294,26 @@ def ma(op: InteriorOp) -> DoctrineAdjunction:
     return vertical_adjunction(stable, P, dict(inclusion.parts), rho)
 
 
-def ma_agrees_with_em_of_mc(op: InteriorOp) -> list[str]:
-    """ma(op) is the EM adjunction of mc(op) after identifying ⟨X,id⟩ with X."""
-    out = []
+def ma_em_violations(op: InteriorOp) -> list[str]:
+    """ma(op) is the EM adjunction of mc(op) after identifying ⟨X,id⟩ with
+    X: the same fibers, and the same fiber maps image by image."""
     direct = ma(op)
     via_em = em_adjunction(mc(op))
     base = op.doctrine.base
     rename = {coalgebra_object_name(x, base.id(x)): x for x in base.objects}
     if sorted(rename) != sorted(via_em.p.base.objects):
         return ["EM base of the vertical comonad is not the original base"]
+    out = []
     for o, x in rename.items():
-        if via_em.p.fibers[o].elements != direct.p.fibers[x].elements:
+        stable = direct.p.fibers[x].elements
+        if via_em.p.fibers[o].elements != stable:
             out.append(f"stable fiber mismatch at {x}")
-        if via_em.rho[x].graph() != direct.rho[x].graph():
+            continue
+        em_rho, rho = via_em.rho[x].mapping, direct.rho[x].mapping
+        if any(em_rho[b] != rho[b] for b in op.doctrine.fibers[x].elements):
             out.append(f"right adjoint fiber map mismatch at {x}")
-        if via_em.lam[o].graph() != direct.lam[x].graph():
+        em_lam, lam = via_em.lam[o].mapping, direct.lam[x].mapping
+        if any(em_lam[s] != lam[s] for s in stable):
             out.append(f"left adjoint fiber map mismatch at {x}")
     return out
 
@@ -342,36 +336,45 @@ def nabla(A: DoctrineAdjunction) -> AdjMorphism:
     )
 
 
-def local_adjunction_checks(A: DoctrineAdjunction) -> dict:
-    """Triangle-law checks for the local adjunction between the modality and
+def local_adjunction_violations(A: DoctrineAdjunction) -> list[str]:
+    """The triangle laws of the local adjunction between the modality and
     adjunction constructions: nabla is a homomorphism MA(AM(A)) → A, and its
-    modal image is the identity on AM(A)."""
+    modal image AM(nabla) is the identity 1-arrow of AM(A), table by table."""
     n = nabla(A)
-    morphism = adj_morphism_violations(n)
-    am_of_nabla = am_functor(n)
-    ident = identity_one_arrow(am_doctrine(A))
-    return {
-        "nabla_is_morphism": morphism,
-        "am_of_nabla_is_identity": am_of_nabla == ident,
-        "pass": morphism == [] and am_of_nabla == ident,
-    }
+    out = ["nabla: " + v for v in adj_morphism_violations(n)]
+    arrow = am_functor(n)
+    ql = am_modality(A)[0]
+    if arrow.src != ql or arrow.dst != ql or not is_identity_functor(arrow.functor, ql.base):
+        out.append("AM(nabla) is not the identity on objects and arrows")
+    out.extend(
+        f"AM(nabla) is not the identity at {x}"
+        for x in ql.base.objects
+        if not is_identity_map(arrow.parts[x], ql.fibers[x])
+    )
+    return out
 
 
-def local_adjunction_checks_modal(op: InteriorOp) -> dict:
-    """nabla at MA(⟨P,box⟩) is the identity morphism, by table equality."""
+def local_adjunction_modal_violations(op: InteriorOp) -> list[str]:
+    """nabla at MA(⟨P,box⟩) is the identity morphism of MA(⟨P,box⟩): both
+    functors, every fiber map and every component of θ, table by table."""
     A = ma(op)
     n = nabla(A)
-    ident = identity_adj_morphism(A)
-    same = (
-        n.src == A
-        and n.dst == A
-        and n.fun_p == ident.fun_p
-        and n.fun_q == ident.fun_q
-        and all(n.parts_p[x].graph() == ident.parts_p[x].graph() for x in A.p.base.objects)
-        and all(n.parts_q[x].graph() == ident.parts_q[x].graph() for x in A.q.base.objects)
-        and n.theta.components == dict(ident.theta.components)
+    out = [] if n.src == A and n.dst == A else ["nabla at MA is not an endomorphism of MA"]
+    for side, F, parts, D in (("p", n.fun_p, n.parts_p, A.p), ("q", n.fun_q, n.parts_q, A.q)):
+        if not is_identity_functor(F, D.base):
+            out.append(f"nabla's {side} functor is not the identity")
+        out.extend(
+            f"nabla's {side} fiber map is not the identity at {x}"
+            for x in D.base.objects
+            if not is_identity_map(parts[x], D.fibers[x])
+        )
+    base = A.p.base
+    out.extend(
+        f"theta is not the identity at {y}"
+        for y in A.q.base.objects
+        if n.theta.components[y] != base.id(A.right.obj_map[y])
     )
-    return {"nabla_at_ma_is_identity": same, "pass": same}
+    return out
 
 
 def em_universal_factor(c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransformation) -> OneArrow:

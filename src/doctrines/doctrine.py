@@ -167,10 +167,6 @@ def identity_parts(P: Doctrine) -> dict[str, MonotoneMap]:
     return {x: identity_map(P.fibers[x]) for x in P.base.objects}
 
 
-def identity_one_arrow(P: Doctrine) -> OneArrow:
-    return OneArrow(P, P, identity_functor(P.base), identity_parts(P))
-
-
 def compose_one_arrows(b: OneArrow, a: OneArrow) -> OneArrow:
     """b∘a: functor part composes, fiber part is (b at F_a X) ∘ (a at X)."""
     if a.dst != b.src:
@@ -262,13 +258,11 @@ def square_doctrine(P: Doctrine) -> tuple[Doctrine, OneArrow]:
 @value_class
 class ProductData:
     """Chosen binary product of a base object with the fixed object: the
-    product object, both projections, and the pairing of elements (used by
-    set-level instances to decode product carriers)."""
+    product object and both projections."""
 
     prod_obj: str
     proj1: str
     proj2: str
-    pair: Mapping[tuple[str, str], str]  # (left element, right element) -> product element
 
 
 def restrict_doctrine(P: Doctrine, sub: FinCategory) -> Doctrine:

@@ -389,9 +389,6 @@ class NatTransformation:
     dst: Functor
     components: Mapping[str, str]  # object of src.src -> arrow of src.dst
 
-    def at(self, x: str) -> str:
-        return self.components[x]
-
 
 def nat_violations(t: NatTransformation) -> list[str]:
     out = []

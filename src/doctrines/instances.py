@@ -526,7 +526,19 @@ def bang_law_suite(
     `core_override` lets tests plant a fake core. The order, ⊗, ⇒ and ! of
     each fiber Q^X are pointwise, so each fiber statement is a conjunction of
     statements on Q: when residuation and all four laws hold on Q, no fiber
-    is built."""
+    is built.
+
+    They hold on Q whenever Q passes `quantale_violations` and the core is
+    `quantale_core(q)`, so only a planted core builds fibers:
+    - residuation: ⊗ distributes over ⊥ and binary joins, so x⊗− preserves
+      finite joins and order; then x⊗(x⇒y) = ⋁{x⊗z | x⊗z ≤ y} ≤ y, and
+      x⊗z ≤ y ⟺ z ≤ (x⇒y);
+    - with ! = ι∘r, !x is in the core, whose elements lie below 1 and below
+      their own square: laws (1) !x ≤ 1 and (2) !x ≤ !x⊗!x;
+    - (3) 1 ≤ !1: 1 is in the core, so r(1) = 1;
+    - (4) !x⊗!y ≤ !(x⊗y): the core is closed under ⊗, and !x⊗!y ≤ x⊗y by
+      monotonicity, so !x⊗!y is a core element below x⊗y, and r(x⊗y) is
+      the largest one."""
     core = core_override if core_override is not None else quantale_core(q)
     report = {"law1": [], "law2": [], "law3": [], "law4": []}
     if _residuals(q)[1] and _bang_laws_hold_on_q(q, core):
@@ -820,9 +832,7 @@ def forall_instance(
         proj2 = function_arrow_name(
             pname, x_name, {pair_elem(e, x): x for e in y_sets[y] for x in x_elements}, all_sets[pname]
         )
-        products[y] = ProductData(
-            pname, proj1, proj2, {(e, x): pair_elem(e, x) for e in y_sets[y] for x in x_elements}
-        )
+        products[y] = ProductData(pname, proj1, proj2)
     times = {}
     for f in sub.arrow_names():
         y, z = sub.src(f), sub.dst(f)

@@ -236,9 +236,6 @@ class FinPoset:
         except KeyError:
             raise ValueError(f"{a!r} is not an element of the poset") from None
 
-    def down(self, a: str) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self.leq(x, a))
-
     def up(self, a: str) -> tuple[str, ...]:
         c = self._code[a]
         return tuple(x for x, d in zip(self.elements, self.codes) if not c & ~d)
@@ -374,9 +371,6 @@ class MonotoneMap:
     def apply(self, x: str) -> str:
         return self.mapping[x]
 
-    def graph(self) -> tuple[tuple[str, str], ...]:
-        return tuple((x, self.mapping[x]) for x in self.src.elements)
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -459,6 +453,21 @@ def same_composite(g: MonotoneMap, f: MonotoneMap, g2: MonotoneMap, f2: Monotone
         return all(gm[fm[x]] == gm2[x] for x in f.src.elements)
     fm2 = f2.mapping
     return all(gm[fm[x]] == gm2[fm2[x]] for x in f.src.elements)
+
+
+def is_identity_map(m: MonotoneMap, p: FinPoset, f: MonotoneMap | None = None) -> bool:
+    """Whether m (m∘f when `f` is given) is the identity map of p, compared
+    image by image up to the first difference, without building the
+    composite. Raises as `compose_maps` does when f and m do not compose."""
+    if f is not None and f.dst != m.src:
+        raise ValueError("compose_maps: boundary mismatch")
+    if (m if f is None else f).src != p or m.dst != p:
+        return False
+    mm = m.mapping
+    if f is None:
+        return all(mm[x] == x for x in p.elements)
+    fm = f.mapping
+    return all(mm[fm[x]] == x for x in p.elements)
 
 
 def restrict_map(m: MonotoneMap, src: FinPoset, dst: FinPoset) -> MonotoneMap:

@@ -17,13 +17,13 @@ from .adjunction import (
     adjunction_violations,
     am_modality,
     base_change_adjunction,
-    factorization_composites_agree,
+    factorization_violations,
     factorize,
     factorize2_report,
     identity_adjunction,
     is_vertical,
     left_arrow,
-    triviality_checks,
+    triviality_violations,
     vertical_adjunction,
     vertical_modality,
 )
@@ -36,12 +36,12 @@ from .comonad import (
     em_adjunction,
     em_universal_factor,
     identity_comonad,
-    local_adjunction_checks,
-    local_adjunction_checks_modal,
+    local_adjunction_modal_violations,
+    local_adjunction_violations,
     ma,
-    ma_agrees_with_em_of_mc,
+    ma_em_violations,
     mc,
-    modality_comparison_check,
+    modality_comparison_violations,
 )
 from .doctrine import Doctrine
 from .fincat import (
@@ -80,7 +80,7 @@ from .instances import (
     topological_doctrine,
 )
 from .interior import InteriorOp, identity_interior, interior_violations, stable_elements
-from .order import MonotoneMap, chain_poset, fin_poset, identity_map, powerset_poset, value_map
+from .order import MonotoneMap, chain_poset, fin_poset, identity_map, is_identity_map, powerset_poset, value_map
 from .temporal import (
     STREAM,
     FCoalgebra,
@@ -382,16 +382,18 @@ def random_subset(rng: random.Random, states: Sequence[str]) -> frozenset[str]:
 # Acceptance criteria
 
 
-def criterion_interior_suite() -> dict:
+def _case(details: list[str], name: str, bad: list[str], holds: str) -> bool:
+    """Record one case of a criterion, `name: holds` or `name: ` and the
+    first three witnesses in `bad`; whether it passed."""
+    details.append(f"{name}: " + ("; ".join(bad[:3]) if bad else holds))
+    return not bad
+
+
+def criterion_interior_suite() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, op in bundled_interior_ops():
-        bad = interior_violations(op)
-        if bad:
-            ok = False
-            details.append(f"{name}: " + "; ".join(bad[:3]))
-        else:
-            details.append(f"{name}: laws hold on {len(op.doctrine.base.objects)} objects")
+        ok &= _case(details, name, interior_violations(op), f"laws hold on {len(op.doctrine.base.objects)} objects")
     _, bad_op = kripke_doctrine(NON_TRANSITIVE, {"D": ["x"]})
     bad = interior_violations(bad_op)
     witnessed = any("axiom 4 fails" in v for v in bad)
@@ -400,10 +402,10 @@ def criterion_interior_suite() -> dict:
         + (f"witnessed ({[v for v in bad if 'axiom 4' in v][0]})" if witnessed else "MISSING")
     )
     ok = ok and witnessed
-    return {"id": 1, "title": "interior law suite", "pass": ok, "details": details}
+    return ok, details
 
 
-def criterion_am_modality(seed: int) -> dict:
+def criterion_am_modality(seed: int) -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, A in bundled_adjunctions():
@@ -427,27 +429,23 @@ def criterion_am_modality(seed: int) -> dict:
             failures += 1
     details.append(f"50 seeded random vertical adjunctions: {50 - failures} pass")
     ok = ok and failures == 0
-    return {"id": 2, "title": "adjunction-to-modality coherence", "pass": ok, "details": details}
+    return ok, details
 
 
-def criterion_factorization() -> dict:
+def criterion_factorization() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, A in bundled_adjunctions():
         vert, bc = factorize(A)
         bad = adjunction_violations(vert) + adjunction_violations(bc)
-        bad += factorization_composites_agree(A)
+        bad += factorization_violations(A)
         if not bad and vertical_modality(vert) != am_modality(A)[1]:
             bad = ["vertical factor does not reproduce the induced modality"]
-        if bad:
-            ok = False
-            details.append(f"{name}: " + "; ".join(bad[:3]))
-        else:
-            details.append(f"{name}: both factors valid, composites match bit-exactly")
-    return {"id": 3, "title": "factorization through the base change", "pass": ok, "details": details}
+        ok &= _case(details, name, bad, "both factors valid, composites match bit-exactly")
+    return ok, details
 
 
-def criterion_factorization2() -> dict:
+def criterion_factorization2() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, A in bundled_adjunctions():
@@ -458,10 +456,10 @@ def criterion_factorization2() -> dict:
         else:
             ok = False
             details.append(f"{name}: {rep}")
-    return {"id": 4, "title": "refined factorization through stable elements", "pass": ok, "details": details}
+    return ok, details
 
 
-def criterion_comonad_suite() -> dict:
+def criterion_comonad_suite() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, c in bundled_comonads():
@@ -484,7 +482,7 @@ def criterion_comonad_suite() -> dict:
             continue
         details.append(f"{name}: em fibers, adjunction, and modality agree")
     for name, op in bundled_interior_ops():
-        bad = ma_agrees_with_em_of_mc(op)
+        bad = ma_em_violations(op)
         if bad:
             ok = False
             details.append(f"{name}: MA disagrees with EM of MC: " + "; ".join(bad[:3]))
@@ -508,68 +506,48 @@ def criterion_comonad_suite() -> dict:
             details.append(f"{name}: universal factorization differs from the comparison arrow")
         else:
             details.append(f"{name}: universal factorization unique and equals the comparison arrow")
-    return {"id": 5, "title": "comonad suite", "pass": ok, "details": details}
+    return ok, details
 
 
-def criterion_comparison() -> dict:
+def criterion_comparison() -> tuple[bool, list[str]]:
     details = []
     ok = True
     targets = [(n, A) for n, A in bundled_adjunctions() if n.startswith("quantale") or n.startswith("presheaf")]
     for name, A in targets:
-        rep = modality_comparison_check(A)
-        if rep["pass"]:
-            details.append(f"{name}: tables equal, comparison arrow modal")
-        else:
-            ok = False
-            details.append(f"{name}: {rep}")
-    return {"id": 6, "title": "modality comparison", "pass": ok, "details": details}
+        ok &= _case(details, name, modality_comparison_violations(A), "tables equal, comparison arrow modal")
+    return ok, details
 
 
-def criterion_local_adjunction() -> dict:
+def criterion_local_adjunction() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, A in bundled_adjunctions():
-        rep = local_adjunction_checks(A)
-        if rep["pass"]:
-            details.append(f"{name}: AM(nabla) is the identity modal arrow")
-        else:
-            ok = False
-            details.append(f"{name}: {rep}")
+        ok &= _case(details, name, local_adjunction_violations(A), "AM(nabla) is the identity modal arrow")
     for name, op in bundled_interior_ops():
-        rep = local_adjunction_checks_modal(op)
-        if rep["pass"]:
-            details.append(f"{name}: nabla at MA is the identity morphism")
-        else:
-            ok = False
-            details.append(f"{name}: {rep}")
-    return {"id": 7, "title": "local adjunction triangle laws", "pass": ok, "details": details}
+        ok &= _case(details, name, local_adjunction_modal_violations(op), "nabla at MA is the identity morphism")
+    return ok, details
 
 
-def criterion_triviality() -> dict:
+def criterion_triviality() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, A in bundled_adjunctions():
         if not is_vertical(A):
             continue
-        rep = triviality_checks(A)
-        if rep["pass"]:
-            details.append(f"{name}: absorption and both dichotomies verified")
-        else:
-            ok = False
-            details.append(f"{name}: {rep}")
-    _, luk_adj, _ = bundled_quantale_doctrines()["luk3"]
-    rep = triviality_checks(luk_adj)
-    rl = all(v["rl_identity"] for v in rep["dichotomy_rl"].values())
-    lr = not any(v["lr_identity"] for v in rep["dichotomy_lr"].values())
+        ok &= _case(details, name, triviality_violations(A), "absorption and both dichotomies verified")
+    _, luk, _ = bundled_quantale_doctrines()["luk3"]
+    objects = luk.p.base.objects
+    rl = all(is_identity_map(luk.rho[x], luk.p.fibers[x], luk.lam[x]) for x in objects)
+    lr = not any(is_identity_map(luk.lam[x], luk.q.fibers[x], luk.rho[x]) for x in objects)
     if rl and lr:
         details.append("luk3: rho.lambda = id with lambda.rho != id, as expected")
     else:
         ok = False
         details.append("luk3: expected strictness pattern missing")
-    return {"id": 8, "title": "triviality dichotomies", "pass": ok, "details": details}
+    return ok, details
 
 
-def criterion_bang_laws() -> dict:
+def criterion_bang_laws() -> tuple[bool, list[str]]:
     details = []
     ok = True
     sets = {"X": ["x"], "Y": ["x", "y"], "Z": ["x", "y", "z"]}
@@ -587,10 +565,10 @@ def criterion_bang_laws() -> dict:
     else:
         ok = False
         details.append("fake core: law (2) unexpectedly held")
-    return {"id": 9, "title": "exponential (bang) laws", "pass": ok, "details": details}
+    return ok, details
 
 
-def criterion_temporal(seed: int) -> dict:
+def criterion_temporal(seed: int) -> tuple[bool, list[str]]:
     details = []
     ok = True
     rng = random.Random(seed)
@@ -618,10 +596,10 @@ def criterion_temporal(seed: int) -> dict:
                 random_mismatches += 1
     details.append(f"100 seeded random coalgebras (|A| <= 8): {random_mismatches} mismatches, {over_bound} over the iteration bound")
     ok = ok and random_mismatches == 0 and over_bound == 0
-    return {"id": 10, "title": "temporal oracle equivalence", "pass": ok, "details": details}
+    return ok, details
 
 
-def criterion_presheaf_oracle() -> dict:
+def criterion_presheaf_oracle() -> tuple[bool, list[str]]:
     details = []
     ok = True
     adj, families, op = bundled_presheaf()
@@ -640,13 +618,30 @@ def criterion_presheaf_oracle() -> dict:
             stable_ok = False
     details.append("stable elements are exactly the subpresheaves" if stable_ok else "stable elements differ from subpresheaves")
     ok = ok and stable_ok
-    return {"id": 11, "title": "presheaf modality oracle", "pass": ok, "details": details}
+    return ok, details
+
+
+# Criterion i is the i-th runner `run_acceptance` calls; each runner returns
+# whether it passed and one detail line per case it ran
+TITLES = (
+    "interior law suite",
+    "adjunction-to-modality coherence",
+    "factorization through the base change",
+    "refined factorization through stable elements",
+    "comonad suite",
+    "modality comparison",
+    "local adjunction triangle laws",
+    "triviality dichotomies",
+    "exponential (bang) laws",
+    "temporal oracle equivalence",
+    "presheaf modality oracle",
+)
 
 
 def run_acceptance(seed: int = 7) -> dict:
     """All library-level acceptance criteria (CLI determinism is criterion 12
     and lives in the CLI tests, since it exercises the process boundary)."""
-    criteria = [
+    runs = [
         criterion_interior_suite(),
         criterion_am_modality(seed),
         criterion_factorization(),
@@ -658,6 +653,10 @@ def run_acceptance(seed: int = 7) -> dict:
         criterion_bang_laws(),
         criterion_temporal(seed),
         criterion_presheaf_oracle(),
+    ]
+    criteria = [
+        {"id": i, "title": title, "pass": ok, "details": details}
+        for i, (title, (ok, details)) in enumerate(zip(TITLES, runs), start=1)
     ]
     return {
         "seed": seed,

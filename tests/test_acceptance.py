@@ -15,75 +15,71 @@ from doctrines import suite as S
 SEED = 7
 
 
-def _report(criterion: dict, budget: float | None = None, elapsed: float | None = None):
-    status = "PASS" if criterion["pass"] else "FAIL"
+def _report(n: int, result: tuple[bool, list[str]], budget: float | None = None, elapsed: float | None = None):
+    """Print criterion n's pass/fail line (and its details when it fails),
+    assert that it passed, and return its details."""
+    passed, details = result
     extra = f" [{elapsed:.1f}s]" if elapsed is not None else ""
-    print(f"ACCEPTANCE {criterion['id']}: {status} - {criterion['title']}{extra}")
-    if not criterion["pass"]:
-        for d in criterion["details"]:
+    print(f"ACCEPTANCE {n}: {'PASS' if passed else 'FAIL'} - {S.TITLES[n - 1]}{extra}")
+    if not passed:
+        for d in details:
             print("   ", d)
-    assert criterion["pass"], criterion["details"]
+    assert passed, details
     if budget is not None and elapsed is not None:
-        assert elapsed < budget, f"criterion {criterion['id']} exceeded {budget}s"
+        assert elapsed < budget, f"criterion {n} exceeded {budget}s"
+    return details
 
 
 def test_criterion_01_interior_law_suite():
     t = time.time()
-    c = S.criterion_interior_suite()
-    _report(c, budget=10.0, elapsed=time.time() - t)
-    assert any("witnessed" in d for d in c["details"])
+    details = _report(1, S.criterion_interior_suite(), budget=10.0, elapsed=time.time() - t)
+    assert any("witnessed" in d for d in details)
 
 
 def test_criterion_02_adjunction_to_modality():
     t = time.time()
-    c = S.criterion_am_modality(SEED)
-    _report(c, budget=30.0, elapsed=time.time() - t)
-    assert any("50 seeded random" in d and "50 pass" in d for d in c["details"])
+    details = _report(2, S.criterion_am_modality(SEED), budget=30.0, elapsed=time.time() - t)
+    assert any("50 seeded random" in d and "50 pass" in d for d in details)
 
 
 def test_criterion_03_factorization():
-    _report(S.criterion_factorization())
+    _report(3, S.criterion_factorization())
 
 
 def test_criterion_04_factorization_refined():
-    _report(S.criterion_factorization2())
+    _report(4, S.criterion_factorization2())
 
 
 def test_criterion_05_comonad_suite():
-    _report(S.criterion_comonad_suite())
+    _report(5, S.criterion_comonad_suite())
 
 
 def test_criterion_06_modality_comparison():
-    c = S.criterion_comparison()
-    _report(c)
-    named = " ".join(c["details"])
+    named = " ".join(_report(6, S.criterion_comparison()))
     assert "quantale" in named and "presheaf" in named
 
 
 def test_criterion_07_local_adjunction():
-    _report(S.criterion_local_adjunction())
+    _report(7, S.criterion_local_adjunction())
 
 
 def test_criterion_08_triviality_dichotomies():
-    c = S.criterion_triviality()
-    _report(c)
-    assert any("luk3" in d and "as expected" in d for d in c["details"])
+    details = _report(8, S.criterion_triviality())
+    assert any("luk3" in d and "as expected" in d for d in details)
 
 
 def test_criterion_09_bang_laws():
-    c = S.criterion_bang_laws()
-    _report(c)
-    assert any("fake core" in d and "law (2) fails" in d for d in c["details"])
+    details = _report(9, S.criterion_bang_laws())
+    assert any("fake core" in d and "law (2) fails" in d for d in details)
 
 
 def test_criterion_10_temporal_oracles():
     t = time.time()
-    c = S.criterion_temporal(SEED)
-    _report(c, budget=20.0, elapsed=time.time() - t)
+    _report(10, S.criterion_temporal(SEED), budget=20.0, elapsed=time.time() - t)
 
 
 def test_criterion_11_presheaf_oracle():
-    _report(S.criterion_presheaf_oracle())
+    _report(11, S.criterion_presheaf_oracle())
 
 
 def test_suite_scans_each_value_and_builds_each_em_doctrine_once():

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from doctrines import adjunction
 from doctrines.adjunction import (
     AdjMorphism,
     DoctrineAdjunction,
@@ -11,21 +12,20 @@ from doctrines.adjunction import (
     base_change_adjunction,
     adj_morphism_violations,
     adjunction_violations,
-    factorization_composites_agree,
+    factorization_violations,
     factorize,
     factorize2_report,
     galois_violations,
-    identity_adj_morphism,
     identity_adjunction,
     is_vertical,
     left_arrow,
     right_arrow,
-    triviality_checks,
+    triviality_violations,
     vertical_adjunction,
     vertical_modality,
 )
 from doctrines.comonad import cmd_of_adjunction
-from doctrines.doctrine import Doctrine, TwoArrow, compose_one_arrows, two_arrow_violations, identity_one_arrow
+from doctrines.doctrine import Doctrine, TwoArrow, compose_one_arrows, identity_parts, two_arrow_violations
 from doctrines.fincat import (
     Functor,
     NatTransformation,
@@ -34,24 +34,35 @@ from doctrines.fincat import (
     fin_functor,
     fin_nat,
     identity_functor,
+    identity_nat,
     poset_category,
 )
 from doctrines.interior import interior_violations, identity_interior
-from doctrines.order import MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations, powerset_poset
-from doctrines.suite import random_vertical_adjunction
+from doctrines.order import (
+    MonotoneMap,
+    chain_poset,
+    compose_maps,
+    identity_map,
+    is_identity_map,
+    monotone_violations,
+    powerset_poset,
+)
+from doctrines.suite import bundled_adjunctions, identity_powerset_adjunction, random_vertical_adjunction
 
 from util import (
     compose_reference,
+    identity_one_arrow,
     identity_two_arrow,
     lax_inequalities_reference,
+    moved_image,
     one_object_monoid_category,
     powerset_doctrine_over,
     same_graph_reference,
 )
 
 
-# AM on 2-cells, composites of adjunction morphisms, and the unit and counit
-# as 2-arrows: the library builds none of them, these tests check them.
+# AM on 2-cells, identity and composite adjunction morphisms, and the unit
+# and counit as 2-arrows: the library builds none of them, these tests check them.
 def eta_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
     return TwoArrow(
         identity_one_arrow(A.p),
@@ -65,6 +76,18 @@ def eps_two_arrow(A: DoctrineAdjunction) -> TwoArrow:
         compose_one_arrows(left_arrow(A), right_arrow(A)),
         identity_one_arrow(A.q),
         A.eps,
+    )
+
+
+def identity_adj_morphism(A: DoctrineAdjunction) -> AdjMorphism:
+    return AdjMorphism(
+        A,
+        A,
+        identity_functor(A.p.base),
+        identity_parts(A.p),
+        identity_functor(A.q.base),
+        identity_parts(A.q),
+        identity_nat(A.right),
     )
 
 
@@ -291,7 +314,7 @@ def test_factorize_base_change_has_identity_vertical_part():
     assert adjunction_violations(vert) == []
     assert adjunction_violations(bc) == []
     assert vert == identity_adjunction(vert.p)
-    assert factorization_composites_agree(A) == []
+    assert factorization_violations(A) == []
 
 
 def test_factorize_vertical_has_identity_base_change_part(seed=3):
@@ -300,29 +323,28 @@ def test_factorize_vertical_has_identity_base_change_part(seed=3):
     assert adjunction_violations(vert) == []
     assert adjunction_violations(bc) == []
     assert bc == identity_adjunction(A.q)
-    assert factorization_composites_agree(A) == []
+    assert factorization_violations(A) == []
 
 
 def test_factorize_composites_on_rounding_and_random(seed=17):
     rng = random.Random(seed)
     for _ in range(5):
         A = random_vertical_adjunction(rng)
-        assert factorization_composites_agree(A) == []
+        assert factorization_violations(A) == []
 
 
-def test_triviality_checks_identity():
+def test_triviality_violations_identity():
     d = powerset_doctrine_over({"A": ["a1"]})
-    rep = triviality_checks(identity_adjunction(d))
-    assert rep["pass"]
-    assert all(v["lr_identity"] for v in rep["dichotomy_lr"].values())
-    assert all(v["rl_identity"] for v in rep["dichotomy_rl"].values())
+    A = identity_adjunction(d)
+    assert triviality_violations(A) == []
+    for x in d.base.objects:
+        assert is_identity_map(A.lam[x], d.fibers[x], A.rho[x]) and is_identity_map(A.rho[x], d.fibers[x], A.lam[x])
 
 
-def test_triviality_checks_random(seed=23):
+def test_triviality_violations_random(seed=23):
     rng = random.Random(seed)
     for _ in range(15):
-        rep = triviality_checks(random_vertical_adjunction(rng))
-        assert rep["pass"], rep
+        assert triviality_violations(random_vertical_adjunction(rng)) == []
 
 
 def test_triviality_rejects_non_adjoint_pair():
@@ -332,7 +354,43 @@ def test_triviality_rejects_non_adjoint_pair():
     rho = {"A": MonotoneMap(fib, fib, {l: "{}" for l in fib.elements})}
     A = vertical_adjunction(d, d, lam, rho)
     with pytest.raises(ValueError):
-        triviality_checks(A)
+        triviality_violations(A)
+
+
+def test_factorization_and_triviality_violations_are_empty_on_every_bundled_adjunction():
+    for name, A in bundled_adjunctions():
+        assert factorization_violations(A) == [], name
+        if is_vertical(A):
+            assert triviality_violations(A) == [], name
+
+
+def test_factorization_violations_name_the_object_of_a_planted_vertical_leg(monkeypatch):
+    A = identity_powerset_adjunction()
+    vertical, base_change = factorize(A)
+    planted = DoctrineAdjunction(
+        vertical.p, vertical.q, vertical.left, {**vertical.lam, "B": moved_image(vertical.lam["B"])},
+        vertical.right, vertical.rho, vertical.eta, vertical.eps,
+    )
+    monkeypatch.setattr(adjunction, "factorize", lambda A: (planted, base_change))
+    assert factorization_violations(A) == ["left composite differs from the original left 1-arrow at B"]
+
+
+def test_triviality_violations_name_the_object_of_a_planted_non_adjoint_pair(monkeypatch):
+    # λ the identity, ρ constant at ⊥ on B: there λρλ ≠ λ, and both
+    # dichotomies split, as λ is bijective but neither λρ nor ρλ is the
+    # identity; on A both maps are identities
+    d = powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]})
+    lam = {x: identity_map(d.fibers[x]) for x in d.base.objects}
+    rho = {**lam, "B": MonotoneMap(d.fibers["B"], d.fibers["B"], {b: "{}" for b in d.fibers["B"].elements})}
+    A = vertical_adjunction(d, d, lam, rho)
+    with pytest.raises(ValueError, match="invalid adjunction"):
+        triviality_violations(A)
+    monkeypatch.setattr(adjunction, "adjunction_violations", lambda A: [])
+    assert triviality_violations(A) == [
+        "lam.rho.lam != lam at B",
+        "lam.rho = id is False, rho injective False, lam surjective True at B",
+        "rho.lam = id is False, lam injective True, rho surjective False at B",
+    ]
 
 
 def test_factorize2_identity_all_bijections():

@@ -1,21 +1,28 @@
 """Static checks on the library source: one name per law, real checks only.
 
-Each law has one public name, its `*_violations` function; a public function
-whose body only passes its own parameters on to another function is a second
-name for that function, and so are a public function that only reads an
-attribute of its one parameter and a `cached_property` that only passes
-`self` to a module-level function (a verdict or construction is kept on its
-value by `order.kept` on the one public function). Invariants are enforced by raising, never by
-`assert`, which `python -O` strips. A module imports only the names it uses,
+Each law has one public name, its `*_violations` function, which returns a
+witness list: only `check_poset` and `check_category` carry a `check_` name,
+no public name ends in `_check` or `_checks`, and only the two reports
+(`factorize2_report`, `bang_law_suite`) and `run_acceptance` return a dict
+with a "pass" key. A public function whose body only passes its own
+parameters on to another function is a second name for that function, and
+so are a public function that only reads an attribute of its one parameter
+and a `cached_property` that only passes `self` to a module-level function
+(a verdict or construction is kept on its value by `order.kept` on the one
+public function). Invariants are enforced by raising, never by `assert`,
+which `python -O` strips. A module imports only the names it uses,
 and only from the package itself or the standard library. Every module-level
 function, class and name bound by assignment (dunder names such as
 `__version__` aside) is named by a library module, `__init__` included,
 outside its own definition: a definition that only tests, the benchmark or
-the tools name belongs with them, not in the library. The temporal oracles
-reach no code of the fixed-point engine they check.
+the tools name belongs with them, not in the library, and so does a method
+or field of a library class that no code reads. The temporal oracles reach
+no code of the fixed-point engine they check.
 """
 
 import ast
+import builtins
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -593,9 +600,13 @@ READER = order.label_subset
 
 
 # law checks compare maps and functors pointwise (order.same_composite,
-# fincat.same_functor_composite, fincat.is_identity_functor) instead of
-# building the two sides and comparing the results
-BUILT_TO_COMPARE = {"compose_maps", "compose_functors", "identity_functor", "identity_map"}
+# order.is_identity_map, fincat.same_functor_composite,
+# fincat.is_identity_functor) instead of building the two sides and
+# comparing the results
+BUILT_TO_COMPARE = {
+    "compose_maps", "compose_functors", "identity_functor", "identity_map",
+    "compose_one_arrows", "identity_one_arrow", "identity_adj_morphism",
+}
 
 
 def _built_by(node) -> str | None:
@@ -665,16 +676,260 @@ class Arrow:
         return [] if fincat.identity_functor(self.base) == self.functor else ["not the identity"]
 
 
+def factorization_violations(A, b, a):
+    out = [] if compose_one_arrows(b, a) == left_arrow(A) else ["left composite"]
+    ident = identity_adj_morphism(A)
+    if nabla(A) != ident or identity_one_arrow(A.p) != b:
+        out.append("not the identity")
+    return out
+
+
 def factor(g, f, h):
     return compose_maps(g, f) == h
 '''
     assert _compared_constructions(source) == [
+        "factorization_violations: compose_one_arrows",
+        "factorization_violations: identity_adj_morphism",
+        "factorization_violations: identity_one_arrow",
         "law_violations: identity_functor",
         "reindex_violations: compose_functors",
         "reindex_violations: compose_maps",
         "reindex_violations: compose_maps",
         "reindex_violations: identity_map",
     ]
+
+
+# Each law has one name, its `*_violations` function; only `check_poset` and
+# `check_category` carry a `check_` name, because they validate and construct
+CHECK_NAMED = {"check_poset", "check_category"}
+
+
+def _check_names(source: str) -> list[str]:
+    """Public functions and methods of `source` named `check_*`, `*_check`
+    or `*_checks`, in source order."""
+    return [
+        fn.name
+        for fn in _functions(ast.parse(source))
+        if not fn.name.startswith("_") and (fn.name.startswith("check_") or fn.name.endswith(("_check", "_checks")))
+    ]
+
+
+def test_only_check_poset_and_check_category_carry_a_check_name():
+    found = [name for path in SOURCES for name in _check_names(path.read_text())]
+    assert sorted(found) == sorted(CHECK_NAMED)
+
+
+def test_check_name_scan_flags_planted_names_and_nothing_else():
+    source = '''
+def check_poset(elements, pairs):
+    return elements
+
+
+def triviality_checks(A):
+    return {"pass": True}
+
+
+def modality_comparison_check(A):
+    return []
+
+
+def _local_check(A):
+    return []
+
+
+def checked_violations(A):
+    return []
+
+
+class Law:
+    def law_check(self):
+        return []
+'''
+    assert _check_names(source) == ["check_poset", "triviality_checks", "modality_comparison_check", "law_check"]
+
+
+# The library's reports: the refined factorization's per-object maps, which
+# the `factor` command prints, the bang laws' per-law witnesses, which `check`
+# prints, and the acceptance suite's criteria. Every other verdict is a
+# `*_violations` witness list.
+REPORTS = {"adjunction.factorize2_report", "instances.bang_law_suite", "suite.run_acceptance"}
+
+
+def _own_nodes(fn: ast.FunctionDef):
+    """The nodes of fn's body outside the functions, lambdas and classes it defines."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    todo = [n for n in fn.body if not isinstance(n, nested)]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, nested))
+
+
+def _holds_pass(node) -> bool:
+    return isinstance(node, ast.Dict) and any(isinstance(k, ast.Constant) and k.value == "pass" for k in node.keys)
+
+
+def _pass_reports(source: str) -> list[str]:
+    """Functions and methods of `source`, nested ones included, that return
+    a dict with a "pass" key: a dict display holding the key, or a name the
+    function binds to one or sets the key on; sorted."""
+    found = []
+    for fn in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)):
+        nodes = list(_own_nodes(fn))
+        named = set()
+        for node in nodes:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and _holds_pass(node.value):
+                    named.add(target.id)
+                elif (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Name)
+                    and isinstance(target.slice, ast.Constant)
+                    and target.slice.value == "pass"
+                ):
+                    named.add(target.value.id)
+        returned = [n.value for n in nodes if isinstance(n, ast.Return)]
+        if any(_holds_pass(v) or isinstance(v, ast.Name) and v.id in named for v in returned):
+            found.append(fn.name)
+    return sorted(found)
+
+
+def test_only_the_reports_return_a_dict_with_a_pass_key():
+    found = {f"{path.stem}.{name}" for path in SOURCES for name in _pass_reports(path.read_text())}
+    assert found == REPORTS
+
+
+def test_pass_report_scan_flags_planted_reports_and_nothing_else():
+    source = '''
+def law_report(a):
+    return {"pass": not a, "witnesses": a}
+
+
+def built_report(a):
+    report = {"absorption": a}
+    report["pass"] = not a
+    return report
+
+
+def displayed(a):
+    rep = {"pass": True}
+    return rep
+
+
+def recorded(self, a):
+    v = {"name": a, "pass": not a}
+    self.verdicts.append(v)
+
+
+def law_violations(a):
+    return [f"pass {x}" for x in a]
+
+
+def rows(a):
+    def row(b):
+        return {"pass": b}
+
+    return [row(b) for b in a]
+
+
+class Suite:
+    def run(self):
+        return {"criteria": [], "pass": True}
+
+    def passed(self, rep):
+        return rep["pass"]
+'''
+    assert _pass_reports(source) == ["built_report", "displayed", "law_report", "row", "run"]
+
+
+def _reads(corpus: list[str]) -> set[str]:
+    """Every attribute name the corpus reads."""
+    return {
+        node.attr
+        for text in corpus
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _base_class(node):
+    """The class a base-class expression names: a builtin or `module.Class`."""
+    if isinstance(node, ast.Name):
+        return getattr(builtins, node.id, None)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return getattr(importlib.import_module(node.value.id), node.attr, None)
+    return None
+
+
+def _unread_members(source: str, corpus: list[str]) -> list[str]:
+    """`Class.member` for each method and annotated field of a class of
+    `source`, nested classes included, whose name the corpus never reads as
+    an attribute. Special methods, which the language calls, and overrides of
+    a method of a base class outside `source` are exempt."""
+    read = _reads(corpus)
+    found = []
+    for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
+        bases = [_base_class(b) for b in cls.bases]
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            special = name.startswith("__") and name.endswith("__")
+            if not special and not any(hasattr(b, name) for b in bases if b is not None) and name not in read:
+                found.append(f"{cls.name}.{name}")
+    return found
+
+
+def test_every_member_of_a_library_class_is_read():
+    corpus = [path.read_text() for d in ("src", "tests", "tools", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
+    found = [f"{path.stem}.{member}" for path in SOURCES for member in _unread_members(path.read_text(), corpus)]
+    assert found == []
+
+
+def test_unread_member_scan_flags_planted_members_and_nothing_else():
+    library = '''
+import argparse
+
+
+@value_class
+class Pair:
+    left: str
+    right: str
+    unused: int = 0
+
+    def swap(self):
+        return Pair(self.right, self.left)
+
+    def never(self):
+        return 1
+
+    def __eq__(self, other):
+        return self.left == other.left
+
+    def __contains__(self, a):
+        return a in (self.left, self.right)
+
+
+def parser():
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+        def extra(self):
+            return 0
+
+    return Parser
+'''
+    reader = '''
+def use(p):
+    p.unused = 3
+    return p.left, p.swap()
+'''
+    # a write is no read, and neither is a name in a string
+    assert _unread_members(library, [library, reader, "'never extra'"]) == ["Pair.unused", "Pair.never", "Parser.extra"]
 
 
 # Law verdicts and derived constructions are kept on the value they belong

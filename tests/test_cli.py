@@ -331,6 +331,47 @@ def test_cli_coalgebra_size_guard_admits_12_cycle_states_and_refuses_13(tmp_path
     assert "FAIL coalgebra-oracle T\n  - refused: estimated work 327808 exceeds --max-size 200000" in out
 
 
+GOEDEL_5 = (
+    "quantale G { elements: 0 a b c 1; pairs: 0->a a->b b->c c->1; unit: 1; tensor: "
+    + " ".join(f"{x}*{y}={x}" for i, x in enumerate("0abc1") for y in "0abc1"[i:])
+    + "; sets: X=x,y,z }"
+)
+
+
+def test_cli_quantale_size_guard_counts_the_build_and_no_fiber_of_the_bang_laws(tmp_path, capsys):
+    # the function doctrines over X: 3·4·5²·27 + 5³·27·27 = 99,225, under the
+    # default --max-size; the bang laws build no fiber of a valid quantale
+    assert _main(tmp_path, GOEDEL_5, "check") == 0
+    out = capsys.readouterr().out
+    assert "PASS quantale-bang-laws G" in out and out.endswith("RESULT: PASS (4/4)\n")
+
+
+def test_no_quantale_of_the_benchmark_or_test_models_makes_the_bang_laws_build_a_fiber(tmp_path, monkeypatch):
+    import doctrines.cli as cli
+    import doctrines.instances as instances
+
+    def refuse(q, x_elements):
+        raise AssertionError(f"bang_law_suite built the fiber {q.name}^{list(x_elements)}")
+
+    checked = []
+
+    def bang_law_suite(q, sets):
+        rep = instances.bang_law_suite(q, sets)
+        checked.append((q.name, rep["pass"]))
+        return rep
+
+    monkeypatch.setattr(instances, "quantale_monoid_ops", refuse)
+    monkeypatch.setattr(cli, "bang_law_suite", bang_law_suite)
+    models = {r.model for w in workloads.WORKLOADS for seed in range(8) for r in workloads.requests_for(w, seed)}
+    models = sorted(m for m in models | {MODEL, GOEDEL_5} if m and "quantale " in m)
+    for text in models:
+        with contextlib.redirect_stdout(io.StringIO()):
+            _main(tmp_path, text, "check")
+    assert len(checked) == len(models) and all(passed for _, passed in checked)
+    # every quantale the benchmark declares is among them
+    assert all(any(tensor in m for m in models) for _, _, tensor in workloads.QUANTALES_3 + workloads.QUANTALES_4)
+
+
 def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
     # 2^40 families: a guard that steps through them would never return
     elements = ",".join(f"e{i}" for i in range(40))
@@ -601,10 +642,12 @@ LONG_OPTIONS = (
 # every spelling of a long option: the full name and each shorter prefix
 SPELLINGS = {o: tuple(o[:k] for k in range(3, len(o) + 1)) for o in LONG_OPTIONS}
 VALUES = ("7", "-3", "x", "{s0}", "h")
+# an attached value may start with `-` too: `--op=--`, `--op=-`, `--op=-x`
+ATTACHED = (*VALUES, "--", "-", "-x")
 ARGV_TOKENS = (
     *COMMAND_NAMES,
     *(p for o in LONG_OPTIONS for p in SPELLINGS[o]),
-    *(f"{o}={v}" for o in LONG_OPTIONS for v in VALUES),
+    *(f"{o}={v}" for o in LONG_OPTIONS for v in ATTACHED),
     *VALUES,
     "FILE", "-", "--", "-h", "--bogus",
 )
@@ -633,8 +676,10 @@ def command_lines(draw):
 
     def valued(option):
         spelled = draw(st.sampled_from(SPELLINGS[option]))
-        value = draw(st.sampled_from(VALUES[:2] if option in ("--seed", "--max-size") else VALUES))
-        return draw(st.sampled_from(([spelled, value], [f"{spelled}={value}"])))
+        numeric = option in ("--seed", "--max-size")
+        if draw(st.booleans()):
+            return [spelled, draw(st.sampled_from(VALUES[:2] if numeric else VALUES))]
+        return [f"{spelled}={draw(st.sampled_from(VALUES[:2] if numeric else ATTACHED))}"]
 
     def part(p):
         if p == "FILE":
@@ -661,7 +706,15 @@ def command_lines(draw):
     return argv
 
 
-def _agrees_with_argparse(argv):
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    """A directory holding MODEL in a file named FILE."""
+    d = tmp_path_factory.mktemp("model")
+    (d / "FILE").write_text(MODEL)
+    return d
+
+
+def _agrees_with_argparse(argv, model_dir):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             want = argparse_flags(argv)
@@ -681,12 +734,18 @@ def _agrees_with_argparse(argv):
         else:
             assert err.getvalue().startswith("usage: doctrines") and "doctrines: error: " in err.getvalue(), argv
             assert "Traceback" not in err.getvalue()
+    elif want["command"] != "suite":
+        # a command line both parsers accept runs, with FILE naming MODEL
+        err = io.StringIO()
+        with contextlib.chdir(model_dir), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2) and "Traceback" not in err.getvalue(), argv
 
 
 @settings(max_examples=800, derandomize=True, deadline=None)
 @given(argv=st.one_of(command_lines(), command_lines(), st.lists(st.sampled_from(ARGV_TOKENS), max_size=8)))
-def test_parse_argv_agrees_with_argparse(argv):
-    _agrees_with_argparse(argv)
+def test_parse_argv_agrees_with_argparse(model_dir, argv):
+    _agrees_with_argparse(argv, model_dir)
 
 
 for _argv in BENCH_ARGV:
@@ -720,8 +779,8 @@ NEGATIVE_NUMBER_EDGES = ["-5", "-5\n", "-5\n\n", "-.5", "-1.", "-1.5", "-1.5.2",
         *(["check", "FILE", "--target", token] for token in NEGATIVE_NUMBER_EDGES),
     ],
 )
-def test_parse_argv_agrees_with_argparse_on_edge_cases(argv):
-    _agrees_with_argparse(argv)
+def test_parse_argv_agrees_with_argparse_on_edge_cases(model_dir, argv):
+    _agrees_with_argparse(argv, model_dir)
 
 
 def test_parse_argv_reads_the_grammar():

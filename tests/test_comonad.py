@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from doctrines import comonad
 from doctrines.adjunction import (
     AdjMorphism,
     DoctrineAdjunction,
@@ -23,12 +24,12 @@ from doctrines.comonad import (
     em_doctrine,
     em_universal_factor,
     identity_comonad,
-    local_adjunction_checks,
-    local_adjunction_checks_modal,
+    local_adjunction_modal_violations,
+    local_adjunction_violations,
     ma,
-    ma_agrees_with_em_of_mc,
+    ma_em_violations,
     mc,
-    modality_comparison_check,
+    modality_comparison_violations,
 )
 from doctrines.doctrine import (
     Doctrine,
@@ -37,7 +38,6 @@ from doctrines.doctrine import (
     compose_one_arrows,
     one_arrow_violations,
     two_arrow_violations,
-    identity_one_arrow,
     identity_parts,
 )
 from doctrines.fincat import (
@@ -63,7 +63,14 @@ from doctrines.order import (
     powerset_poset,
     subset_label,
 )
-from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_interior_ops, random_vertical_adjunction
+from doctrines.suite import (
+    bundled_adjunctions,
+    bundled_comonads,
+    bundled_interior_ops,
+    bundled_quantale_doctrines,
+    identity_powerset_adjunction,
+    random_vertical_adjunction,
+)
 
 from util import (
     antichain_poset,
@@ -73,8 +80,10 @@ from util import (
     em_fibers_reference,
     fin_category,
     forgetful_top_arrow,
+    identity_one_arrow,
     identity_two_arrow,
     injective_reference,
+    moved_image,
     one_object_monoid_category,
     powerset_doctrine_over,
 )
@@ -315,7 +324,7 @@ def test_cmd_of_adjunction_roundtrip_data():
         back = cmd_of_adjunction(em_adjunction(c))
         assert back.k == c.k
         for y in c.p.base.objects:
-            assert back.kappa[y].graph() == c.kappa[y].graph()
+            assert back.kappa[y].mapping == c.kappa[y].mapping
         assert back.mu.components == dict(c.mu.components)
         assert back.nu.components == dict(c.nu.components)
 
@@ -343,15 +352,13 @@ def test_comparison_arrow_and_modality_comparison(seed=13):
         A = random_vertical_adjunction(rng)
         comp = comparison_arrow(A)
         assert one_arrow_violations(comp) == []
-        rep = modality_comparison_check(A)
-        assert rep["pass"], rep
+        assert modality_comparison_violations(A) == []
 
 
 def test_comparison_identity_adjunction():
     d = powerset_doctrine_over({"A": ["a1"]})
     A = identity_adjunction(d)
-    rep = modality_comparison_check(A)
-    assert rep["pass"]
+    assert modality_comparison_violations(A) == []
 
 
 def test_mc_and_ma_on_interior_ops():
@@ -368,7 +375,7 @@ def test_mc_and_ma_on_interior_ops():
         assert comonad_violations(c) == []
         A = ma(op)
         assert adjunction_violations(A) == []
-        assert ma_agrees_with_em_of_mc(op) == []
+        assert ma_em_violations(op) == []
         # inclusion ⊣ box: inclusion(s) ≤ β ⟺ s ≤ box(β)
         from doctrines.adjunction import galois_violations
 
@@ -407,18 +414,16 @@ def test_ma_of_an_invalid_operator_raises_the_same_error_every_time():
     assert vars(op).keys() == {"doctrine", "parts", "doctrines.interior.interior_violations"}
 
 
-def test_local_adjunction_checks(seed=19):
+def test_local_adjunction_violations(seed=19):
     rng = random.Random(seed)
     for _ in range(5):
         A = random_vertical_adjunction(rng)
-        rep = local_adjunction_checks(A)
-        assert rep["pass"], rep
+        assert local_adjunction_violations(A) == []
 
 
-def test_local_adjunction_checks_identity():
+def test_local_adjunction_violations_identity():
     d = powerset_doctrine_over({"A": ["a1"]})
-    rep = local_adjunction_checks(identity_adjunction(d))
-    assert rep["pass"], rep
+    assert local_adjunction_violations(identity_adjunction(d)) == []
 
 
 def test_local_adjunction_modal_triangle(seed=19):
@@ -431,8 +436,7 @@ def test_local_adjunction_modal_triangle(seed=19):
         },
     )
     for op in (identity_interior(d), drop):
-        rep = local_adjunction_checks_modal(op)
-        assert rep["pass"], rep
+        assert local_adjunction_modal_violations(op) == []
     # and AM(MA(op)) recovers op on the nose
     for op in (identity_interior(d), drop):
         doc, op2 = am_modality(ma(op))
@@ -528,8 +532,68 @@ def test_nabla_on_nonvertical_base_change():
         },
     )
     A = base_change_adjunction(Q, L, R, eta, eps)
-    rep = local_adjunction_checks(A)
-    assert rep["pass"], rep
+    assert local_adjunction_violations(A) == []
+
+
+def test_comparison_and_local_adjunction_violations_are_empty_on_every_bundled_instance():
+    for name, A in bundled_adjunctions():
+        assert modality_comparison_violations(A) == [], name
+        assert local_adjunction_violations(A) == [], name
+    for name, op in bundled_interior_ops():
+        assert ma_em_violations(op) == [], name
+        assert local_adjunction_modal_violations(op) == [], name
+
+
+def test_modality_comparison_violations_name_the_object_of_a_planted_box(monkeypatch):
+    _, A, _ = bundled_quantale_doctrines()["luk3"]
+    o = comparison_arrow(A).functor.obj_map["Y"]
+    real = comonad.cm_modality
+
+    def planted(c):
+        op = real(c)
+        return InteriorOp(op.doctrine, {**op.parts, o: moved_image(op.parts[o])})
+
+    monkeypatch.setattr(comonad, "cm_modality", planted)
+    assert "box tables differ at Y" in modality_comparison_violations(A)
+    assert not any(" X" in w for w in modality_comparison_violations(A))
+
+
+def test_ma_em_violations_name_the_object_of_a_planted_right_adjoint(monkeypatch):
+    op = bundled_interior_ops()[0][1]  # the identity operator over A and B
+    real = comonad.em_adjunction
+
+    def planted(c):
+        A = real(c)
+        return DoctrineAdjunction(A.p, A.q, A.left, A.lam, A.right, {**A.rho, "B": moved_image(A.rho["B"])}, A.eta, A.eps)
+
+    monkeypatch.setattr(comonad, "em_adjunction", planted)
+    assert ma_em_violations(op) == ["right adjoint fiber map mismatch at B"]
+
+
+def _planted_nabla(monkeypatch, side: str):
+    """Make `comonad.nabla` move one image of its fiber map at B on `side`."""
+    real = comonad.nabla
+
+    def planted(A):
+        n = real(A)
+        parts = {"p": dict(n.parts_p), "q": dict(n.parts_q)}
+        parts[side]["B"] = moved_image(parts[side]["B"])
+        return AdjMorphism(n.src, n.dst, n.fun_p, parts["p"], n.fun_q, parts["q"], n.theta)
+
+    monkeypatch.setattr(comonad, "nabla", planted)
+
+
+def test_local_adjunction_violations_name_the_object_of_a_planted_nabla(monkeypatch):
+    _planted_nabla(monkeypatch, "q")
+    bad = local_adjunction_violations(identity_powerset_adjunction())
+    assert "AM(nabla) is not the identity at B" in bad
+    assert not any(w.endswith(" A") for w in bad)
+
+
+def test_local_adjunction_modal_violations_name_the_object_of_a_planted_nabla(monkeypatch):
+    _planted_nabla(monkeypatch, "p")
+    op = bundled_interior_ops()[0][1]  # the identity operator over A and B
+    assert local_adjunction_modal_violations(op) == ["nabla's p fiber map is not the identity at B"]
 
 
 def test_unit_comparison_morphism_on_bundled_and_random(seed=47):

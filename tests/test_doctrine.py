@@ -14,7 +14,6 @@ from doctrines.doctrine import (
     one_arrow_violations,
     two_arrow_violations,
     compose_one_arrows,
-    identity_one_arrow,
     identity_parts,
     pair_label,
     power_doctrine,
@@ -45,6 +44,7 @@ from util import (
     covers_by_definition,
     doctrine_violations_reference,
     fin_category,
+    identity_one_arrow,
     identity_two_arrow,
     inverse_image_reference,
     monotone_violations_reference,
@@ -255,7 +255,7 @@ def test_power_doctrine_with_terminal_factor_is_identity():
     d = powerset_doctrine_over(sets)
     # chosen product of anything with the terminal object is the object itself
     products = {
-        obj: ProductData(obj, d.base.id(obj), function_arrow_name(obj, "One", {e: "*" for e in sets[obj]}, sets[obj]), {(e, "*"): e for e in sets[obj]})
+        obj: ProductData(obj, d.base.id(obj), function_arrow_name(obj, "One", {e: "*" for e in sets[obj]}, sets[obj]))
         for obj in d.base.objects
     }
     times = {f: f for f in d.base.arrow_names()}
@@ -268,10 +268,9 @@ def test_power_doctrine_with_terminal_factor_is_identity():
 def test_power_doctrine_powerset_instance():
     base_sets, _ = _product_fragment()
     d = powerset_doctrine_over(base_sets)
-    pairs = {("y", "0"): "y*0", ("y", "1"): "y*1"}
     proj1 = function_arrow_name("YxX", "Y", {"y*0": "y", "y*1": "y"}, base_sets["YxX"])
     proj2 = function_arrow_name("YxX", "X", {"y*0": "0", "y*1": "1"}, base_sets["YxX"])
-    products = {"Y": ProductData("YxX", proj1, proj2, pairs)}
+    products = {"Y": ProductData("YxX", proj1, proj2)}
     # restrict to the single object Y, where product data is total
     sub = fin_category(
         ["Y"],
@@ -300,7 +299,7 @@ def test_compose_meet_after_diagonal_is_tabled_composite():
     comp = compose_one_arrows(meet, diag)
     for x in d.base.objects:
         assert comp.parts[x] == compose_maps(meet.parts[x], diag.parts[x])
-        assert comp.parts[x].graph() == tuple((a, a) for a in d.fibers[x].elements)
+        assert comp.parts[x].mapping == {a: a for a in d.fibers[x].elements}
 
 
 BASE_CHANGES = [rounding_base_change, presheaf_restriction_base_change]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from doctrines.doctrine import Doctrine, OneArrow, doctrine_violations, identity_one_arrow, one_arrow_violations
+from doctrines.doctrine import Doctrine, OneArrow, doctrine_violations, one_arrow_violations
 from doctrines.fincat import discrete_category, identity_functor
 from doctrines.interior import (
     InteriorOp,
@@ -22,7 +22,7 @@ from doctrines.order import (
 )
 from doctrines.suite import bundled_interior_ops
 
-from util import interior_violations_reference, powerset_doctrine_over
+from util import identity_one_arrow, interior_violations_reference, powerset_doctrine_over
 
 
 def _one_fiber_doctrine(ground):
@@ -150,8 +150,6 @@ def test_stable_subdoctrine_rejects_non_natural_box():
 def test_modal_one_arrow_identity_case():
     d = powerset_doctrine_over({"A": ["a1"]})
     op = identity_interior(d)
-    from doctrines.doctrine import identity_one_arrow
-
     assert modal_one_arrow_violations(identity_one_arrow(d), op, op) == []
 
 

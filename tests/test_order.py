@@ -25,6 +25,7 @@ from doctrines.order import (
 from util import (
     antichain_poset,
     covers_by_definition,
+    down,
     gfp,
     gfp_trace,
     monotone_violations_reference,
@@ -314,8 +315,8 @@ def _random_monotone(rng, src, dst):
     """A random monotone map: elements in order of down-set size, each sent to
     a random common upper bound of the images below it (`dst` has a top)."""
     mapping = {}
-    for x in sorted(src.elements, key=lambda x: len(src.down(x))):
-        below = [mapping[y] for y in src.down(x) if y != x]
+    for x in sorted(src.elements, key=lambda x: len(down(src, x))):
+        below = [mapping[y] for y in down(src, x) if y != x]
         mapping[x] = rng.choice([v for v in dst.elements if all(dst.leq(b, v) for b in below)])
     return MonotoneMap(src, dst, mapping)
 

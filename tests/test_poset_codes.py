@@ -24,7 +24,7 @@ from doctrines.order import (
     sub_poset,
 )
 from test_poset_masks import NINE_WORLD_MODEL, _same_order
-from util import kripke_box, pointwise_fiber_reference, powerset_poset_reference
+from util import down, kripke_box, pointwise_fiber_reference, powerset_poset_reference
 
 SEEDS = range(12)
 
@@ -35,7 +35,7 @@ def _same_as_reference(got, want):
     _same_order(got, want)
     assert got == want and want == got and hash(got) == hash(want)
     for a in got.elements:
-        assert got.up(a) == want.up(a) and got.down(a) == want.down(a)
+        assert got.up(a) == want.up(a) and down(got, a) == down(want, a)
         assert [got.leq(a, b) for b in got.elements] == [want.leq(a, b) for b in want.elements]
 
 

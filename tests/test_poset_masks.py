@@ -21,7 +21,7 @@ from doctrines.order import (
     product_poset,
     sub_poset,
 )
-from util import covers_by_definition, pointwise_fiber_reference
+from util import covers_by_definition, down, pointwise_fiber_reference
 
 
 def _is_linear_extension(declared, pairs):
@@ -65,7 +65,7 @@ def test_masks_encode_the_closed_relation(p):
     assert p.codes == tuple(sum(1 << j for j, b in enumerate(p.elements) if (b, a) in p.relation) for a in p.elements)
     for a in p.elements:
         assert p.up(a) == tuple(b for b in p.elements if (a, b) in p.relation)
-        assert p.down(a) == tuple(b for b in p.elements if (b, a) in p.relation)
+        assert down(p, a) == tuple(b for b in p.elements if (b, a) in p.relation)
         assert [p.leq(a, b) for b in p.elements] == [(a, b) in p.relation for b in p.elements]
     assert not p.leq(p.elements[0], "not an element")
 

@@ -18,6 +18,7 @@ from doctrines.fincat import (
     coalgebra_object_name,
     full_function_category,
     function_arrow_name,
+    identity_functor,
     identity_nat,
 )
 from doctrines.instances import (
@@ -784,8 +785,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def argparse_flags(argv) -> dict:
     """The `flags` of `argv` as argparse reads it; raises SystemExit (0 after
-    help, 2 on a malformed command line) where argparse exits."""
-    args = build_arg_parser().parse_args(argv)
+    help, 2 on a malformed command line) where argparse exits, and where it
+    drops an attached `--` (`--op=--`) and stores [] for the option."""
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    if any(isinstance(v, list) for v in vars(args).values()):
+        parser.error("expected one argument")
     flags = {"json": args.json, "seed": args.seed, "max_size": args.max_size, "command": args.command}
     if args.command != "suite":
         flags["file"] = args.file
@@ -815,8 +820,24 @@ def one_object_monoid_category(obj: str, elements: Sequence[str], unit: str, tab
     return fin_category([obj], arrows, {obj: unit}, dict(table))
 
 
+def identity_one_arrow(P: Doctrine) -> OneArrow:
+    return OneArrow(P, P, identity_functor(P.base), identity_parts(P))
+
+
 def identity_two_arrow(a: OneArrow) -> TwoArrow:
     return TwoArrow(a, a, identity_nat(a.functor))
+
+
+def moved_image(m: MonotoneMap) -> MonotoneMap:
+    """m with the image of its first source element moved to another element
+    of its target: a fault planted in a construction a check compares."""
+    a = m.src.elements[0]
+    return MonotoneMap(m.src, m.dst, {**m.mapping, a: next(b for b in m.dst.elements if b != m.mapping[a])})
+
+
+def down(p: FinPoset, a: str) -> tuple[str, ...]:
+    """The elements of p below a, in p's order."""
+    return tuple(x for x in p.elements if p.leq(x, a))
 
 
 def antichain_poset(labels: Sequence[str]) -> FinPoset:
