@@ -445,17 +445,29 @@ def criterion_factorization() -> tuple[bool, list[str]]:
     return ok, details
 
 
+def _factorize2_witnesses(rep: dict) -> list[str]:
+    """The failures a `factorize2_report` records, each naming its object or
+    stable element; empty iff the report passes."""
+    out = []
+    for x, surj in rep["lambda_surjective_onto_stable"].items():
+        out += [f"lambda misses the stable element ({x},{s})" for s in surj["missed"]]
+        out += [f"lambda leaves the stable fiber at ({x},{s})" for s in surj["outside_stable"]]
+    for x, inj in rep["eta_rho_injective_on_stable"].items():
+        out += [f"eta.rho' identifies ({x},{a}) and ({x},{b})" for a, b in inj["collisions"]]
+    for square, where in rep["squares"].items():
+        out += [f"{square} fails {w}" for w in where]
+    out += rep["box_identity_on_stable"]
+    for side in ("upper_left_adjunction", "upper_right_adjunction"):
+        out += [f"{side}: {w}" for w in rep[side]]
+    return out
+
+
 def criterion_factorization2() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, A in bundled_adjunctions():
-        rep = factorize2_report(A)
-        if rep["pass"]:
-            n_obj = len(A.p.base.objects)
-            details.append(f"{name}: surjective/injective with witnesses on {n_obj} objects")
-        else:
-            ok = False
-            details.append(f"{name}: {rep}")
+        holds = f"surjective/injective with witnesses on {len(A.p.base.objects)} objects"
+        ok &= _case(details, name, _factorize2_witnesses(factorize2_report(A)), holds)
     return ok, details
 
 
@@ -553,11 +565,8 @@ def criterion_bang_laws() -> tuple[bool, list[str]]:
     sets = {"X": ["x"], "Y": ["x", "y"], "Z": ["x", "y", "z"]}
     for q in (bool_quantale(), lukasiewicz3()):
         rep = bang_law_suite(q, sets)
-        if rep["pass"]:
-            details.append(f"{q.name}: laws (1)-(4) hold on fibers up to size 3")
-        else:
-            ok = False
-            details.append(f"{q.name}: {rep}")
+        bad = [f"law ({law[-1]}) fails at {w}" for law in ("law1", "law2", "law3", "law4") for w in rep[law]]
+        ok &= _case(details, q.name, bad, "laws (1)-(4) hold on fibers up to size 3")
     luk = lukasiewicz3()
     rep = bang_law_suite(luk, {"X": ["x"]}, core_override=fake_core(luk))
     if rep["law2"]:

@@ -10,6 +10,7 @@ import sys
 import time
 
 from doctrines import suite as S
+from doctrines.instances import fake_core, lukasiewicz3
 
 
 SEED = 7
@@ -71,6 +72,48 @@ def test_criterion_08_triviality_dichotomies():
 def test_criterion_09_bang_laws():
     details = _report(9, S.criterion_bang_laws())
     assert any("fake core" in d and "law (2) fails" in d for d in details)
+
+
+def test_failing_bang_laws_show_their_first_three_witnesses(monkeypatch):
+    real = S.bang_law_suite
+
+    def fake_everywhere(q, sets, core_override=None):
+        return real(q, sets, core_override=core_override or fake_core(q))
+
+    monkeypatch.setattr(S, "bang_law_suite", fake_everywhere)
+    passed, details = S.criterion_bang_laws()
+    assert not passed
+    # the fake core keeps every element of luk3, and h ≤ h⊗h = 0 fails
+    sets = {"X": ["x"], "Y": ["x", "y"], "Z": ["x", "y", "z"]}
+    assert len(real(lukasiewicz3(), sets, core_override=fake_core(lukasiewicz3()))["law2"]) > 3
+    assert details[:2] == [
+        "bool: laws (1)-(4) hold on fibers up to size 3",
+        "luk3: law (2) fails at (X,[x:h]); law (2) fails at (Y,[x:0;y:h]); law (2) fails at (Y,[x:h;y:0])",
+    ]
+
+
+def test_failing_refined_factorization_shows_its_first_three_witnesses(monkeypatch):
+    real = S.factorize2_report
+
+    def planted(A):
+        rep = real(A)
+        x = A.p.base.objects[0]
+        rep["lambda_surjective_onto_stable"] = {x: {"holds": False, "missed": ["m0", "m1"], "outside_stable": ["o0"]}}
+        rep["eta_rho_injective_on_stable"] = {x: {"holds": False, "collisions": [("c0", "c1")]}}
+        rep["pass"] = False
+        return rep
+
+    monkeypatch.setattr(S, "factorize2_report", planted)
+    passed, details = S.criterion_factorization2()
+    assert not passed
+    adjunctions = S.bundled_adjunctions()
+    assert len(details) == len(adjunctions)
+    for (name, A), line in zip(adjunctions, details):
+        x = A.p.base.objects[0]
+        assert line == (
+            f"{name}: lambda misses the stable element ({x},m0); lambda misses the stable element ({x},m1); "
+            f"lambda leaves the stable fiber at ({x},o0)"
+        )
 
 
 def test_criterion_10_temporal_oracles():

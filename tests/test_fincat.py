@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from doctrines.comonad import em_doctrine
+from doctrines.comonad import DoctrineComonad, comonad_violations, em_doctrine
+from doctrines.doctrine import Doctrine
 from doctrines.fincat import (
     FinCategory,
     Functor,
@@ -12,6 +13,7 @@ from doctrines.fincat import (
     all_functions,
     category_violations,
     check_category,
+    comonad_cat_violations,
     functor_violations,
     nat_violations,
     coalgebra_category,
@@ -28,7 +30,7 @@ from doctrines.fincat import (
     poset_category,
     same_functor_composite,
 )
-from doctrines.order import chain_poset, fin_poset, powerset_poset
+from doctrines.order import chain_poset, fin_poset, identity_map, powerset_poset
 from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_interior_ops
 
 from util import (
@@ -91,6 +93,53 @@ def test_z2_monoid_category():
     assert len(triples) == 8
     got = check_category(*_parts(c))
     assert isinstance(got, FinCategory)
+
+
+Z2 = (["e", "a"], {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"})
+# e, a nilpotent n with n∘n = z, and z absorbing; commutative
+NILPOTENT = (
+    ["e", "n", "z"],
+    {("e", x): x for x in "enz"} | {(x, "e"): x for x in "nz"} | {(x, y): "z" for x in "nz" for y in "nz"},
+)
+
+
+def _planted_comonad(monoid, k_arrows, mu, nu):
+    """⟨K, μ, ν⟩ on a one-object monoid category with the given components,
+    built by `fin_functor` and `fin_nat`, so K is a functor and μ, ν are
+    natural; and the same triple on the doctrine with one point per object."""
+    elements, table = monoid
+    C = one_object_monoid_category("*", elements, "e", table)
+    K = fin_functor(C, C, {"*": "*"}, k_arrows)
+    mu = fin_nat(K, compose_functors(K, K), {"*": mu})
+    nu = fin_nat(K, identity_functor(C), {"*": nu})
+    point = chain_poset(["t"])
+    P = Doctrine(C, {"*": point}, {f: identity_map(point) for f in elements})
+    return (K, mu, nu), DoctrineComonad(P, K, {"*": identity_map(point)}, mu, nu)
+
+
+COUNIT = ["counit law (K nu) mu = id fails at *", "counit law (nu K) mu = id fails at *"]
+
+
+@pytest.mark.parametrize(
+    ("mu", "nu", "want"),
+    [("e", "e", []), ("e", "a", COUNIT), ("a", "e", COUNIT)],
+    ids=["identity", "wrong nu", "wrong mu"],
+)
+def test_a_wrong_counit_or_comultiplication_on_z2_fails_the_counit_laws(mu, nu, want):
+    # Z2 is commutative, so every component is natural; with K = Id the
+    # counit laws read ν∘μ = e, and coassociativity μ∘μ = μ∘μ always holds
+    triple, c = _planted_comonad(Z2, {"e": "e", "a": "a"}, mu, nu)
+    assert comonad_cat_violations(*triple) == want
+    assert comonad_violations(c) == ["(i) " + v for v in want]
+
+
+def test_a_wrong_comultiplication_on_a_nilpotent_monoid_fails_coassociativity():
+    # K sends every arrow to e, so μ = n is natural, and ν = z is natural since
+    # z absorbs; K(μ)∘μ = n while μ∘μ = z, and K(ν)∘μ = n, ν∘μ = z
+    triple, c = _planted_comonad(NILPOTENT, {"e": "e", "n": "e", "z": "e"}, "n", "z")
+    want = [*COUNIT, "coassociativity fails at *"]
+    assert comonad_cat_violations(*triple) == want
+    assert comonad_violations(c) == ["(i) " + v for v in want]
 
 
 def test_planted_associativity_failure_reports_the_triple():

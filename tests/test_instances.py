@@ -43,13 +43,13 @@ from doctrines.instances import (
     presheaf_oracle_mismatches,
     quantale_core,
     quantale_doctrine,
-    quantale_monoid_ops,
     quantale_violations,
     subpresheaf_union_oracle,
     topological_doctrine,
 )
 from doctrines.instances import _function_fiber, _pointwise_fiber
 from doctrines.order import (
+    MonotoneMap,
     chain_poset,
     fin_poset,
     identity_map,
@@ -59,6 +59,7 @@ from doctrines.order import (
     poset_from_pairs,
     product_poset,
     powerset_poset,
+    sub_poset,
     subset_label,
     subsets_in_order,
 )
@@ -288,20 +289,6 @@ def test_luk3_triviality_dichotomy():
     assert not any(is_identity_map(adj.lam[x], adj.q.fibers[x], adj.rho[x]) for x in adj.p.base.objects)
 
 
-def test_quantale_monoid_ops_examples():
-    luk = lukasiewicz3()
-    ops = quantale_monoid_ops(luk, ["x"])
-    assert ops.unit == "[x:1]"
-    # unit law of residuation: e ⊸ β = β
-    assert ops.residuation[(ops.unit, "[x:h]")] == "[x:h]"
-    # h ⊸ 0 = h
-    assert ops.residuation[("[x:h]", "[x:0]")] == "[x:h]"
-    b = bool_quantale()
-    opsb = quantale_monoid_ops(b, ["x", "y"])
-    # pointwise implication: 1 ⊸ 0 = 0 and 0 ⊸ 0 = 1
-    assert opsb.residuation[("[x:1;y:0]", "[x:0;y:0]")] == "[x:0;y:1]"
-
-
 def test_bang_law_suite_positive_and_fake_core():
     for q in (bool_quantale(), lukasiewicz3()):
         rep = bang_law_suite(q, {"X": ["x"], "Y": ["x", "y"]})
@@ -345,6 +332,37 @@ def test_bang_law_controls_fail_where_expected():
     assert bang_law_suite(z2, BANG_SETS, core_override=_identity_core(z2))["law1"]
 
 
+def _bottom_core(q):
+    """Only ⊥ kept, so ! is constant ⊥: a planted core that fails law 3 alone."""
+    carrier, bottom = q.lattice.carrier, q.lattice.bottom
+    sub = sub_poset(carrier, [bottom])
+    iota = MonotoneMap(sub, carrier, {bottom: bottom})
+    return QuantaleCore((bottom,), sub, iota, MonotoneMap(carrier, sub, {x: bottom for x in carrier.elements}))
+
+
+@pytest.mark.parametrize("make", [bool_quantale, lukasiewicz3, _z2], ids=["bool", "luk3", "z2"])
+def test_a_core_without_the_unit_fails_law_3_on_every_nonempty_set(make):
+    q = make()
+    core = _bottom_core(q)
+    rep = bang_law_suite(q, BANG_SETS, core_override=core)
+    assert rep == bang_law_report_reference(q, BANG_SETS, core)
+    assert rep == {"law1": [], "law2": [], "law3": ["(X,unit)", "(Y,unit)"], "law4": [], "pass": False}
+
+
+def test_a_core_that_rounds_h_up_fails_law_4_where_a_coordinate_pair_is_h_h():
+    # ! sends h to 1 on luk3, so !h⊗!h = 1 while !(h⊗h) = !0 = 0
+    q = lukasiewicz3()
+    carrier = q.lattice.carrier
+    sub = sub_poset(carrier, ["0", "1"])
+    iota = MonotoneMap(sub, carrier, {"0": "0", "1": "1"})
+    core = QuantaleCore(("0", "1"), sub, iota, MonotoneMap(carrier, sub, {"0": "0", "h": "1", "1": "1"}))
+    rep = bang_law_suite(q, BANG_SETS, core_override=core)
+    assert rep == bang_law_report_reference(q, BANG_SETS, core)
+    assert rep["law1"] == rep["law2"] == rep["law3"] == []
+    # one pair on X; on Y, 9·9 pairs less the 8·8 with no coordinate pair (h, h)
+    assert rep["law4"][0] == "(X,[x:h],[x:h])" and len(rep["law4"]) == 1 + 81 - 64
+
+
 def _planted_non_residuated():
     """The chain 0 ≤ h ≤ 1 with ⊗ the minimum except h⊗h = 1: ⊗ is not
     monotone, so h⊗h ≤ h fails while h ≤ (h ⇒ h) = 1 holds."""
@@ -360,12 +378,8 @@ def test_residuation_on_a_planted_tensor_equals_the_literal_loop(keys):
     want = residuation_failures_reference(q, keys)
     # on the empty set the fiber has one element and the law holds
     assert bool(want) == bool(keys)
-    if not want:
-        quantale_monoid_ops(q, keys)
-        return
-    first = re.escape("residuation adjunction fails at ({},{},{})".format(*want[0]))
-    with pytest.raises(ValueError, match=first):
-        quantale_monoid_ops(q, keys)
+    # the tensor fails `quantale_violations`, so no set is decided
+    first = re.escape(f"invalid quantale planted: {quantale_violations(q)[0]}")
     with pytest.raises(ValueError, match=first):
         bang_law_suite(q, {"X": keys}, core_override=fake_core(q))
 

@@ -31,8 +31,12 @@ def test_layer_sweep_measures_the_function_category_row():
 
 def test_layer_sweep_measures_the_quantale_row():
     rows = _measure("--quantale-points", 2)
-    assert [(r["layer"], r["points"]) for r in rows] == [("quantale", 2)]
-    assert rows[0]["s"] > 0
+    assert [(r["layer"], r.get("core"), r["points"]) for r in rows] == [
+        ("quantale", None, 2),
+        ("bang_law_suite", "real", 2),
+        ("bang_law_suite", "fake", 2),
+    ]
+    assert all(r["s"] > 0 for r in rows)
 
 
 def test_layer_sweep_measures_the_temporal_sweep_rows():

@@ -527,7 +527,8 @@ def _pointwise(q, keys):
 def residuation_failures_reference(q, keys):
     """Every triple (α, β, γ) of Q^keys, labelled, at which α⊗γ ≤ β and
     γ ≤ (α⇒β) disagree, by the literal loop over the fiber with ⇒ the join of
-    {z : a⊗z ≤ b} pointwise: the reference for `instances.quantale_monoid_ops`."""
+    {z : a⊗z ≤ b} pointwise: empty on every quantale that passes
+    `quantale_violations`, as `instances.bang_law_suite`'s docstring proves."""
     fns, label, leq, star, _ = _pointwise(q, keys)
     carrier = q.lattice.carrier
 

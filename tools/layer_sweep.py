@@ -17,9 +17,12 @@ at 8 worlds it would hold 43 M pairs as a pair set. The quantale row times,
 on the 4-chain Łukasiewicz quantale Q (x⊗y = max(0, x+y−3) on ranks 0-3)
 over one carrier X of 2-4 points, `quantale_doctrine`, `adjunction_violations`
 of its vertical adjunction and `em_doctrine(mc(bang))` together, from a
-fresh build each time; its fiber Q^X has 4^|X| elements. `full_function_category`
-is timed at A = 243, 428 and 1,024 arrows: on 3 carriers of 3 points, on
-carriers of 4 and 3 points, and on 2 carriers of 4 points. `temporal.oracle_mismatches`,
+fresh build each time; its fiber Q^X has 4^|X| elements. `bang_law_suite`
+is timed on the same Q and X twice, with Q's own core and with `fake_core(q)`,
+which keeps every element, so law (2) fails and its witnesses are listed.
+`full_function_category` is timed at A = 243, 428 and 1,024 arrows: on 3
+carriers of 3 points, on carriers of 4 and 3 points, and on 2 carriers of 4
+points. `temporal.oracle_mismatches`,
 the 2^n sweep that checks the gfp box against its oracle for every subset, is
 timed on a seeded random tree (both lifts, 0-3 successors per state) and a
 seeded random stream of 10-20 states; `temporal.gfp_modality`, the one-α
@@ -155,7 +158,7 @@ def measure_quantale(n: int) -> list[dict]:
     """The quantale row at |X| = n, timed in this interpreter."""
     from doctrines.adjunction import adjunction_violations
     from doctrines.comonad import em_doctrine, mc
-    from doctrines.instances import quantale_doctrine, valid_quantale
+    from doctrines.instances import bang_law_suite, fake_core, quantale_doctrine, valid_quantale
     from doctrines.order import chain_poset, lattice_from_poset
 
     ranks = ["0", "a", "b", "1"]
@@ -168,7 +171,11 @@ def measure_quantale(n: int) -> list[dict]:
         adjunction_violations(adj)
         em_doctrine(mc(bang))
 
-    return [{"layer": "quantale", "points": n, "s": _best(run)}]
+    cores = {"real": None, "fake": fake_core(q)}
+    return [{"layer": "quantale", "points": n, "s": _best(run)}] + [
+        {"layer": "bang_law_suite", "core": core, "points": n, "s": _best(lambda: bang_law_suite(q, sets, override))}
+        for core, override in cores.items()
+    ]
 
 
 def measure_function_category(arrows: int) -> list[dict]:
@@ -277,8 +284,8 @@ def layers(args) -> None:
         print(list(at_size.values()), flush=True)
     out["layers"] = sorted(
         rows.values(),
-        key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("worlds", 0), r.get("arrows", 0),
-                       r.get("points", 0), r.get("states", 0)),
+        key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("core", ""), r.get("worlds", 0),
+                       r.get("arrows", 0), r.get("points", 0), r.get("states", 0)),
     )
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
