@@ -10,7 +10,6 @@ fails, 2 usage or parse error.
 from __future__ import annotations
 
 import gc
-import json
 import sys
 
 from . import __version__
@@ -46,6 +45,7 @@ from .instances import (
     FiniteTopSpace,
     KripkeFrame,
     bang_law_suite,
+    bang_law_witnesses,
     frame_violations,
     kripke_doctrine,
     open_continuous_homs,
@@ -473,11 +473,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
         ws.interiors[f"{d.name}.bang"] = bang
         ws.verdict(f"quantale-adjunction {d.name}", adjunction_violations(adj))
         ws.verdict(f"quantale-bang {d.name}", interior_violations(bang))
-        rep = bang_law_suite(q, sets)
-        ws.verdict(
-            f"quantale-bang-laws {d.name}",
-            [] if rep["pass"] else [f"{k}: {v[:2]}" for k, v in rep.items() if k != "pass" and v],
-        )
+        ws.verdict(f"quantale-bang-laws {d.name}", bang_law_witnesses(bang_law_suite(q, sets)))
 
 
 def _build_topspace(ws: Workspace, d: Declaration):
@@ -892,6 +888,60 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
     return report
 
 
+# The escapes of `json.dumps` with `ensure_ascii`, the default. The command
+# line writes JSON and reads none, so it writes it here: importing `json`
+# loads its decoder, with `re` and `enum`, and compiles the decoder's patterns.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _quote(s: str) -> str:
+    """`s` as a JSON string; TypeError if `s`, a dict key, is not a str."""
+    if type(s) is not str:
+        raise TypeError(f"keys must be str, not {type(s).__name__}")
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    out = []
+    for c in s:
+        n = ord(c)
+        if c in _ESCAPES:
+            out.append(_ESCAPES[c])
+        elif 0x20 <= n < 0x7F:
+            out.append(c)
+        elif n < 0x10000:
+            out.append(f"\\u{n:04x}")
+        else:  # a surrogate pair
+            n -= 0x10000
+            out.append(f"\\u{0xD800 | (n >> 10):04x}\\u{0xDC00 | (n & 0x3FF):04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _dumps(v, nl: str | None = None) -> str:
+    """`json.dumps(v)` for the values a report holds: str, int, bool, None,
+    lists, tuples and dicts with str keys; TypeError names any other type.
+    With `nl`, a newline and the indent of v's line, it is `json.dumps(v,
+    indent=2)` placed at that depth: `_dumps(v, "\\n")` is the whole of it."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is dict or t is list or t is tuple:
+        ends = "{}" if t is dict else "[]"
+        if not v:
+            return ends
+        inner = nl and nl + "  "
+        if t is dict:
+            items = [_quote(k) + ": " + _dumps(x, inner) for k, x in v.items()]
+        else:
+            items = [_dumps(x, inner) for x in v]
+        if nl is None:
+            return ends[0] + ", ".join(items) + ends[1]
+        return ends[0] + inner + ("," + inner).join(items) + nl + ends[1]
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if t is int:
+        return repr(v)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def render_text(report: dict) -> str:
     lines = [
         f"doctrines {report['command']} report (seed={report['seed']}, max-size={report['max_size']})"
@@ -903,7 +953,7 @@ def render_text(report: dict) -> str:
         if "witnesses_omitted" in v:
             lines.append(f"  (+{v['witnesses_omitted']} more)")
     for key, value in report["outputs"].items():
-        lines.append(f"{key}: {json.dumps(value)}")
+        lines.append(f"{key}: {_dumps(value)}")
     n = len(report["verdicts"])
     good = sum(1 for v in report["verdicts"] if v["pass"])
     lines.append(f"RESULT: {'PASS' if good == n else 'FAIL'} ({good}/{n})")
@@ -1091,7 +1141,7 @@ def main(argv=None) -> int:
         print(str(e), file=sys.stderr)
         return 2
     if flags["json"]:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_dumps(report, "\n") + "\n")
     else:
         sys.stdout.write(render_text(report))
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1

@@ -23,6 +23,7 @@ from .fincat import (
 from .order import (
     FinPoset,
     MonotoneMap,
+    _certified,
     compose_maps,
     identity_map,
     monotone_violations,
@@ -76,7 +77,7 @@ def doctrine_violations(d: Doctrine) -> list[str]:
     # The arrows g with P(g∘f) = P f∘P g for every f are closed under
     # composition (the base and map composition are associative).
     B, P = d.base, d.reindex
-    if not out and all(
+    if not out and _certified(
         same_composite(P[f], P[g], P[B.comp(g, f)]) for g in B.generators for f in B.into[B.src(g)]
     ):
         return out

@@ -501,6 +501,12 @@ def bang_law_suite(
     return report
 
 
+def bang_law_witnesses(report: dict) -> list[str]:
+    """One witness per element, pair or fiber at which a law of a
+    `bang_law_suite` report fails, `law (N) fails at W`; empty iff it passes."""
+    return [f"law ({law[-1]}) fails at {w}" for law in ("law1", "law2", "law3", "law4") for w in report[law]]
+
+
 def fake_core(q: FiniteQuantale) -> QuantaleCore:
     """The sub-poset of elements below the unit without the idempotence filter;
     not a valid core, used as the negative control for the bang laws."""

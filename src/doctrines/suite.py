@@ -61,6 +61,7 @@ from .instances import (
     IndexedFamily,
     KripkeFrame,
     bang_law_suite,
+    bang_law_witnesses,
     bool_quantale,
     conjunction_adjunction,
     conjunction_modality,
@@ -564,8 +565,7 @@ def criterion_bang_laws() -> tuple[bool, list[str]]:
     ok = True
     sets = {"X": ["x"], "Y": ["x", "y"], "Z": ["x", "y", "z"]}
     for q in (bool_quantale(), lukasiewicz3()):
-        rep = bang_law_suite(q, sets)
-        bad = [f"law ({law[-1]}) fails at {w}" for law in ("law1", "law2", "law3", "law4") for w in rep[law]]
+        bad = bang_law_witnesses(bang_law_suite(q, sets))
         ok &= _case(details, q.name, bad, "laws (1)-(4) hold on fibers up to size 3")
     luk = lukasiewicz3()
     rep = bang_law_suite(luk, {"X": ["x"]}, core_override=fake_core(luk))

@@ -16,6 +16,7 @@ from doctrines.cli import (
     ParseError,
     UsageExit,
     Workspace,
+    _dumps,
     build_workspace,
     main,
     parse_argv,
@@ -372,6 +373,29 @@ def test_no_quantale_of_the_benchmark_or_test_models_makes_the_bang_laws_build_a
     assert len(checked) == len(models) and all(passed for _, passed in checked)
     # every quantale the benchmark declares is among them
     assert all(any(tensor in m for m in models) for _, _, tensor in workloads.QUANTALES_3 + workloads.QUANTALES_4)
+
+
+def test_cli_bang_laws_give_one_witness_per_failing_element(tmp_path, capsys, monkeypatch):
+    import doctrines.cli as cli
+    import doctrines.instances as instances
+
+    # the fake core keeps h, whose square is 0, so law (2) fails at each of
+    # the 19 elements of L3^{x,y,z} with an h coordinate
+    f = tmp_path / "m.dct"
+    f.write_text(MODEL.replace("sets: X=x }", "sets: X=x,y,z }"))
+    assert main(["--json", "check", str(f)]) == 0
+    passing = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "bang_law_suite", lambda q, sets: instances.bang_law_suite(q, sets, instances.fake_core(q)))
+    assert main(["--json", "check", str(f)]) == 1
+    failing = json.loads(capsys.readouterr().out)
+    [verdict] = [v for v in failing["verdicts"] if v["name"] == "quantale-bang-laws L3"]
+    assert verdict.pop("pass") is False and verdict.pop("witnesses_omitted") == 11
+    witnesses = verdict.pop("witnesses")
+    assert witnesses[:2] == ["law (2) fails at (X,[x:0;y:0;z:h])", "law (2) fails at (X,[x:0;y:h;z:0])"]
+    assert len(witnesses) == 8 and all(w.startswith("law (2) fails at (X,[") for w in witnesses)
+    # every other verdict as in the passing report
+    verdict.update({"pass": True, "witnesses": []})
+    assert failing == passing
 
 
 def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
@@ -832,18 +856,119 @@ def test_every_benchmark_command_line_is_read_without_argparse():
     assert loaded == []
 
 
-def _modules_a_check_loads(tmp_path, names: set) -> str:
-    """The exit status of `--json check` on MODEL in a fresh `python -S`
-    interpreter, and which of `names` it has loaded by the end."""
+# strings that meet every escape of `json.dumps`: controls, DEL, lone
+# surrogates and characters beyond the BMP
+JSON_TEXT = st.text(st.characters(blacklist_categories=())) | st.text('\x00\x08\x0c\x1f\x7f"\\\n\r\t\ud800\udfff\U0001f600é∘ ')
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-(2**64)) | JSON_TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"a": [1, (True, None), []], "": {}, "\x7f\ud800\U0001f600\\": -(2**100)})
+def test_report_writer_writes_what_json_dumps_writes(value):
+    assert _dumps(value, "\n") == json.dumps(value, indent=2)
+    assert _dumps(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(0.5, "float"), ({"a": [0, {"b": 1.5}]}, "float"), ({1: "a"}, "int"), ([{"a": {(0, 1): 0}}], "tuple"), ({b"x"}, "set")],
+)
+def test_report_writer_names_a_type_it_cannot_write(value, kind):
+    for nl in (None, "\n"):
+        with pytest.raises(TypeError, match=kind):
+            _dumps(value, nl)
+
+
+def _runs_in_process(tmp_path, requests) -> list:
+    """Exit status, stdout and stderr of `main` on each (argv, model text)
+    of `requests`, in this process; FILE in an argv names the model's file."""
+    f = tmp_path / "m.dct"
+    out = []
+    for argv, model in requests:
+        if model is not None:
+            f.write_text(model)
+        with contextlib.redirect_stdout(io.StringIO()) as o, contextlib.redirect_stderr(io.StringIO()) as e:
+            rc = main([str(f) if a == "FILE" else a for a in argv])
+        out.append((rc, o.getvalue(), e.getvalue()))
+    return out
+
+
+SEED_3_REQUESTS = [(r.argv, r.model) for w in workloads.WORKLOADS for r in workloads.requests_for(w, 3)]
+
+
+def test_every_seed_3_benchmark_report_is_written_as_json_dumps_writes_it(tmp_path, monkeypatch):
+    import doctrines.cli as cli
+
+    reports, run_report = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda *args: reports.append(run_report(*args)) or reports[-1])
+    requests = SEED_3_REQUESTS + [(tuple(a for a in argv if a != "--json"), model) for argv, model in SEED_3_REQUESTS]
+    assert all(argv[0] == "--json" for argv, _ in SEED_3_REQUESTS)
+    written = _runs_in_process(tmp_path, requests)
+    assert len(reports) == len(requests)
+    monkeypatch.setattr(cli, "_dumps", json.dumps)  # `render_text` with json's compact lines
+    for (argv, _), (_, stdout, stderr), report in zip(requests, written, reports):
+        assert stderr == ""
+        assert stdout == (json.dumps(report, indent=2) + "\n" if "--json" in argv else render_text(report)), argv
+
+
+THREE_OBJECTS = """category C { objects: x y z; arrows: i=x->x j=y->y k=z->z f=x->y g=y->z h=x->z;
+             identities: x=i y=j z=k; compose: i.i=i j.j=j k.k=k f.i=f j.f=f g.j=g k.g=g h.i=h k.h=h g.f=h }
+"""
+
+
+def test_certificates_that_never_certify_change_no_report(tmp_path, monkeypatch):
+    # a certificate may only certify a pass: with each one refusing, every
+    # law runs its literal scan, and each report and exit status stays
+    from doctrines import order, suite
+
+    requests = [(("--json", "--seed", str(seed), "suite"), None) for seed in (7, 1, 2, 3)]
+    requests += [(("--json", "check", "FILE"), MODEL), *SEED_3_REQUESTS]
+    # no benchmark model declares a category, the one place Light's test runs
+    requests.append((("--json", "check", "FILE"), THREE_OBJECTS))
+
+    def runs():
+        # the suite's bundled values are built afresh, so no verdict kept on
+        # them in the other run is read
+        for value in vars(suite).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        return _runs_in_process(tmp_path, requests)
+
+    certified = runs()
+    refused_in = set()
+
+    def never(checks):
+        refused_in.add(sys._getframe(1).f_code.co_name)
+        return False
+
+    certify = order._certified
+    for name, module in list(sys.modules.items()):
+        if name.startswith("doctrines.") and getattr(module, "_certified", None) is certify:
+            monkeypatch.setattr(module, "_certified", never)
+    assert runs() == certified
+    assert refused_in == {"monotone_violations", "functor_violations", "doctrine_violations", "category_violations"}
+
+
+def _modules_a_check_loads(tmp_path, names: set, argvs=(("--json", "check", "FILE"),)) -> str:
+    """The exit status of each of `argvs` (by default `--json check`), run on
+    MODEL one after another in one fresh `python -S` interpreter, and which
+    of `names` it has loaded by the end."""
     f = tmp_path / "m.dct"
     f.write_text(MODEL)
+    argvs = [[str(f) if a == "FILE" else a for a in argv] for argv in argvs]
     probe = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; "
-        f"rc = doctrines.cli.main(['--json', 'check', {str(f)!r}]); "
+        f"rc = ''.join(str(doctrines.cli.main(argv)) for argv in {argvs!r}); "
         f"loaded = sorted(set(sys.modules).intersection({sorted(names)!r})); "
         "sys.stderr.write(f'{rc} {loaded}')"
     )
-    return subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True).stderr
+    run = subprocess.run([sys.executable, "-S", "-c", probe], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return run.stderr
 
 
 def test_cli_call_imports_no_argparse_gettext_locale_or_shutil(tmp_path):
@@ -859,6 +984,15 @@ def test_cli_call_imports_no_code_generator_or_typing(tmp_path):
 def test_cli_call_imports_no_random(tmp_path):
     # the seeded generators live in `suite`, which only the suite command imports
     assert _modules_a_check_loads(tmp_path, {"random"}) == "0 []"
+
+
+def test_cli_call_imports_no_json_re_or_enum(tmp_path):
+    # the reports are written by `cli._dumps`: importing `json` loads its
+    # decoder, which imports `re` and `enum` and compiles its patterns
+    assert workloads.GATE_MODEL == MODEL
+    argvs = [(*flags, *cmd) for cmd in workloads.GATE_COMMANDS for flags in (("--json",), ())]
+    argvs.append(("--json", "--seed", "7", "suite"))
+    assert _modules_a_check_loads(tmp_path, {"json", "re", "enum"}, argvs) == "0" * len(argvs) + " []"
 
 
 def test_cli_import_moves_its_objects_out_of_the_collectors_generations():

@@ -89,10 +89,14 @@ def test_layer_sweep_times_the_command_line_import_in_turns(tmp_path):
     subprocess.run([*argv, "--out", str(out)], capture_output=True, text=True, check=True, timeout=300)
     [row] = json.loads(out.read_text())["import"]
     assert row["layer"] == "import doctrines.cli" and row["interpreters"] >= 20
+    [check] = json.loads(out.read_text())["cold_check"]
+    assert (check["layer"], check["argv"], check["interpreters"]) == ("cold check", ["--json", "check", "FILE"], 20)
     for side in ("parent", "change"):
         assert 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
         # the package and every module but `suite`, which loads on demand
         assert row[f"{side}_modules"] >= 10
+        # the import is part of the cold check
+        assert row[f"{side}_s"] < check[f"{side}_s"] <= check[f"{side}_median_s"]
 
 
 def test_layer_sweep_times_parse_argv_on_an_exact_and_a_handed_on_command_line(tmp_path):

@@ -46,10 +46,14 @@ would need about 1.5 GB there (4x per world from its 384 MB at 15 worlds).
 `src` compiled to bytecode beforehand, the two sides taking turns one
 interpreter at a time, `IMPORT_ROUNDS` per side. Its row has each
 side's best and median time and the number of modules the import loaded.
-Each of those interpreters then times its first `parse_argv` call on each
-command line of `PARSE_ARGV`: a fully spelled one, which the parser reads
-itself, and one it hands to argparse (`--js` abbreviates `--json`). The two
-`parse` rows have each side's best and median time.
+Each of those interpreters then runs `main(["--json", "check", FILE])` on
+the model of the CLI tests (`bench/workloads.py` GATE_MODEL), its report
+written to a `StringIO`: the `cold check` row times the whole of it, import
+included, as a command process pays it. Last, each interpreter times its
+first `parse_argv` call on each command line of `PARSE_ARGV`: a fully
+spelled one, which the parser reads itself, and one it hands to argparse
+(`--js` abbreviates `--json`). The `cold check` and the two `parse` rows
+have each side's best and median time.
 
 `end-to-end` runs `bench/run.py` in the two checkouts in turn, alternating
 which goes first, adds every run to those already recorded for the
@@ -75,6 +79,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import GATE_MODEL  # noqa: E402
 ONE_KEY_WORLDS = range(8, 16)
 TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
@@ -94,12 +100,16 @@ PARSE_ARGV = {
               "--alpha", "{s0,s1}"],
     "handed on": ["--js", "check", "F"],
 }
-# run as `python -S -c IMPORT_PROBE SRC`: the seconds `import doctrines.cli`
-# takes, the number of modules it adds, and the seconds of the first
+# run as `python -S -c IMPORT_PROBE SRC FILE`: the seconds `import
+# doctrines.cli` takes, the number of modules it adds, the seconds of the
+# import and a `--json check` of FILE together, and the seconds of the first
 # `parse_argv` call on each PARSE_ARGV command line, in that order
 IMPORT_PROBE = (
-    "import sys, time; sys.path.insert(0, sys.argv[1]); n = len(sys.modules); t = time.perf_counter(); "
+    "import io, sys, time; sys.path.insert(0, sys.argv[1]); n = len(sys.modules); t = time.perf_counter(); "
     "import doctrines.cli; out = [time.perf_counter() - t, len(sys.modules) - n]\n"
+    "stdout, sys.stdout = sys.stdout, io.StringIO(); rc = doctrines.cli.main(['--json', 'check', sys.argv[2]])\n"
+    "sys.stdout = stdout; out.append(time.perf_counter() - t)\n"
+    "if rc != 0: raise SystemExit(f'check exited {rc}')\n"
     f"for argv in {list(PARSE_ARGV.values())!r}:\n"
     "    t = time.perf_counter(); doctrines.cli.parse_argv(argv); out.append(time.perf_counter() - t)\n"
     "print(*out)"
@@ -244,7 +254,9 @@ def measure_check(n: int) -> list[dict]:
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
          "checkout, measured in turns on one machine; a check row also has each side's least peak RSS in MB. "
          "import: `import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and "
-         "median seconds and the modules it loaded. parse: in the same interpreters, the first `parse_argv` "
+         "median seconds and the modules it loaded. cold_check: in the same interpreters, the import and a "
+         "`--json check` of the CLI tests' model together, each side's best and median seconds. parse: then, in "
+         "the same interpreters, the first `parse_argv` "
          "call on a command line it reads itself and on one it hands to argparse, each side's best and median "
          "seconds. end_to_end: every bench/run.py run of both, and their medians.")
 
@@ -295,14 +307,17 @@ def import_rows(args) -> None:
     sides = [("parent", args.parent), ("change", args.change)]
     for _, checkout in sides:
         compileall.compile_dir(checkout / "src" / "doctrines", quiet=1)
-    times = {layer: {"parent": [], "change": []} for layer in ("import", *PARSE_ARGV)}
+    times = {layer: {"parent": [], "change": []} for layer in ("import", "cold check", *PARSE_ARGV)}
     modules = {}
-    for i in range(2 * IMPORT_ROUNDS):
-        side, checkout = sides[i % 2]
-        argv = [sys.executable, "-S", "-c", IMPORT_PROBE, str(checkout / "src")]
-        s, modules[side], *parse_s = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
-        for layer, t in zip(times, [s, *parse_s]):
-            times[layer][side].append(float(t))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.dct"
+        model.write_text(GATE_MODEL)
+        for i in range(2 * IMPORT_ROUNDS):
+            side, checkout = sides[i % 2]
+            argv = [sys.executable, "-S", "-c", IMPORT_PROBE, str(checkout / "src"), str(model)]
+            s, modules[side], *rest = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+            for layer, t in zip(times, [s, *rest]):
+                times[layer][side].append(float(t))
 
     def timed(row: dict, layer: str) -> dict:
         row["interpreters"] = IMPORT_ROUNDS
@@ -313,10 +328,11 @@ def import_rows(args) -> None:
     row = timed({"layer": "import doctrines.cli"}, "import")
     row.update((f"{side}_modules", int(n)) for side, n in modules.items())
     out["import"] = [row]
+    out["cold_check"] = [timed({"layer": "cold check", "argv": ["--json", "check", "FILE"]}, "cold check")]
     out["parse"] = [
         timed({"layer": "parse_argv", "read": read, "argv": argv}, read) for read, argv in PARSE_ARGV.items()
     ]
-    for row in out["import"] + out["parse"]:
+    for row in out["import"] + out["cold_check"] + out["parse"]:
         print(row, flush=True)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
