@@ -27,5 +27,5 @@ from .comonad import (  # noqa: F401
 from .doctrine import Doctrine, OneArrow, TwoArrow, doctrine_violations, one_arrow_violations  # noqa: F401
 from .fincat import FinCategory, Functor, NatTransformation, check_category  # noqa: F401
 from .interior import InteriorOp, interior_violations, stable_elements, stable_subdoctrine  # noqa: F401
-from .order import FinLattice, FinPoset, MonotoneMap, check_poset, monotone_violations  # noqa: F401
+from .order import FinLattice, FinPoset, MonotoneMap, check_poset, graph_map, monotone_violations  # noqa: F401
 from .temporal import FCoalgebra, gfp_modality, temporal_doctrine  # noqa: F401

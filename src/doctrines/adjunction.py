@@ -76,17 +76,17 @@ def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
     # ε: LR ⇒ Id are natural transformations with those boundaries
     P, Q, L, R = A.p, A.q, A.left, A.right
     for x in P.base.objects:
-        lam, rho, back = A.lam[x].mapping, A.rho[L.obj_map[x]].mapping, P.reindex[A.eta.components[x]].mapping
-        fib = P.fibers[x]
+        lam, rho, back = A.lam[x].images, A.rho[L.obj_map[x]].images, P.reindex[A.eta.components[x]].images
+        leq = P.fibers[x].leq_at
         out.extend(
-            f"(iii) eta: lax inequality fails at ({x},{a})" for a in fib.elements if not fib.leq(a, back[rho[lam[a]]])
+            f"(iii) eta: lax inequality fails at ({x},{a})" for i, a in enumerate(P.fibers[x].elements) if not leq(i, back[rho[lam[i]]])
         )
     for y in Q.base.objects:
         ry = R.obj_map[y]
-        lam, rho, back = A.lam[ry].mapping, A.rho[y].mapping, Q.reindex[A.eps.components[y]].mapping
-        fib = Q.fibers[L.obj_map[ry]]
+        lam, rho, back = A.lam[ry].images, A.rho[y].images, Q.reindex[A.eps.components[y]].images
+        leq = Q.fibers[L.obj_map[ry]].leq_at
         out.extend(
-            f"(iii) eps: lax inequality fails at ({y},{b})" for b in Q.fibers[y].elements if not fib.leq(lam[rho[b]], back[b])
+            f"(iii) eps: lax inequality fails at ({y},{b})" for j, b in enumerate(Q.fibers[y].elements) if not leq(lam[rho[j]], back[j])
         )
     return out
 
@@ -120,11 +120,11 @@ def galois_violations(A: DoctrineAdjunction) -> list[str]:
     """Fiberwise adjunction λ_X(α) ≤ β ⟺ α ≤ ρ_X(β), for vertical A."""
     out = []
     for x in A.p.base.objects:
-        lam, rho = A.lam[x], A.rho[x]
+        lam, rho = A.lam[x].images, A.rho[x].images
         pf, qf = A.p.fibers[x], A.q.fibers[x]
-        for a in pf.elements:
-            for b in qf.elements:
-                if qf.leq(lam.apply(a), b) != pf.leq(a, rho.apply(b)):
+        for i, a in enumerate(pf.elements):
+            for j, b in enumerate(qf.elements):
+                if qf.leq_at(lam[i], j) != pf.leq_at(i, rho[j]):
                     out.append(f"galois fails at ({x},{a},{b})")
     return out
 
@@ -244,18 +244,18 @@ def triviality_violations(A: DoctrineAdjunction) -> list[str]:
     out = []
     for x in A.p.base.objects:
         lam, rho, pf, qf = A.lam[x], A.rho[x], A.p.fibers[x], A.q.fibers[x]
-        lm, rm = lam.mapping, rho.mapping
-        if any(lm[rm[lm[a]]] != lm[a] for a in pf.elements):
+        lm, rm = lam.images, rho.images
+        if any(lm[rm[u]] != u for u in lm):
             out.append(f"lam.rho.lam != lam at {x}")
-        if any(rm[lm[rm[b]]] != rm[b] for b in qf.elements):
+        if any(rm[lm[v]] != v for v in rm):
             out.append(f"rho.lam.rho != rho at {x}")
-        lam_image, rho_image = {lm[a] for a in pf.elements}, {rm[b] for b in qf.elements}
+        lam_image, rho_image = len(set(lm)), len(set(rm))  # positions: all of a fiber iff as many
         lr_id = is_identity_map(lam, qf, rho)
-        rho_inj, lam_surj = len(rho_image) == len(qf.elements), lam_image == set(qf.elements)
+        rho_inj, lam_surj = rho_image == len(qf.elements), lam_image == len(qf.elements)
         if not lr_id == rho_inj == lam_surj:
             out.append(f"lam.rho = id is {lr_id}, rho injective {rho_inj}, lam surjective {lam_surj} at {x}")
         rl_id = is_identity_map(rho, pf, lam)
-        lam_inj, rho_surj = len(lam_image) == len(pf.elements), rho_image == set(pf.elements)
+        lam_inj, rho_surj = lam_image == len(pf.elements), rho_image == len(pf.elements)
         if not rl_id == lam_inj == rho_surj:
             out.append(f"rho.lam = id is {rl_id}, lam injective {lam_inj}, rho surjective {rho_surj} at {x}")
     return out
@@ -274,14 +274,15 @@ def factorize2_report(A: DoctrineAdjunction) -> dict:
     surj: dict = {}
     inj: dict = {}
     for x in A.p.base.objects:
-        image = {A.lam[x].apply(a) for a in A.p.fibers[x].elements}
-        missed = [s for s in stable.fibers[x].elements if s not in image]
-        extra = [s for s in sorted(image) if s not in stable.fibers[x]]
+        lam, rho, kept = A.lam[x], rho_prime[x], stable.fibers[x]
+        image = set(lam.images)
+        missed = [s for s in kept.elements if lam.dst.index(s) not in image]
+        extra = [s for s in sorted(map(lam.dst.elements.__getitem__, image)) if s not in kept]
         surj[x] = {"holds": not missed and not extra, "missed": missed, "outside_stable": extra}
         seen: dict = {}
         collisions = []
-        for s in stable.fibers[x].elements:
-            v = rho_prime[x].apply(s)
+        for s in kept.elements:
+            v = rho.images[rho.src.index(s)]
             if v in seen:
                 collisions.append((seen[v], s))
             seen[v] = s
@@ -317,8 +318,10 @@ def factorize2_report(A: DoctrineAdjunction) -> dict:
 
     box_id = []
     for x in A.p.base.objects:
+        box = op.parts[x]
         for s in stable.fibers[x].elements:
-            if op.parts[x].apply(s) != s:
+            i = box.src.index(s)
+            if box.images[i] != i:
                 box_id.append(f"box not identity on stable element ({x},{s})")
 
     report = {

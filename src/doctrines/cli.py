@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import gc
 import sys
+from functools import reduce
+from operator import mul
 
 from . import __version__
 from .adjunction import (
@@ -50,6 +52,7 @@ from .instances import (
     kripke_doctrine,
     open_continuous_homs,
     presheaf_instance,
+    presheaf_nat_transformations,
     presheaf_oracle_mismatches,
     presheaf_violations,
     quantale_doctrine,
@@ -60,9 +63,9 @@ from .instances import (
 )
 from .interior import InteriorOp, interior_violations
 from .order import (
-    MonotoneMap,
     check_poset,
     close_relation,
+    graph_map,
     identity_map,
     label_subset,
     lattice_from_poset,
@@ -362,16 +365,16 @@ def _pointwise_doctrine_work(sets, carrier: int, covers: int) -> int:
     )
 
 
-def _topological_work(spaces, homs) -> int:
-    """Work of building and law-checking the topological doctrine on the open
-    continuous maps `homs`: each arrow X → Y's inverse-image map on the 2^|Y|
-    elements of the fiber at Y, and per composable pair X → Y → Z a composite
-    lookup and a comparison of two maps on the fiber at Z (the full
-    contravariance scan, which runs when the check on generators misses)."""
-    hom = {pair: len(gs) for pair, gs in homs.items()}
-    fiber = {s.name: 2 ** len(s.points) for s in spaces}
-    return sum(hom[a.name, b.name] * fiber[b.name] for a in spaces for b in spaces) + sum(
-        hom[a.name, b.name] * hom[b.name, c.name] * (1 + fiber[c.name]) for a in spaces for b in spaces for c in spaces
+def _hom_work(fiber: dict, homs: dict) -> int:
+    """Work of building and law-checking a doctrine with `fiber[X]` elements
+    at each object X over the category whose arrows X → Y are `homs[X, Y]`:
+    each arrow X → Y's reindexing map on the fiber at Y, and per composable
+    pair X → Y → Z a composite lookup and a comparison of two maps on the
+    fiber at Z (the full contravariance scan, which runs when the check on
+    generators misses)."""
+    hom = {pair: len(arrows) for pair, arrows in homs.items()}
+    return sum(hom[a, b] * fiber[b] for a in fiber for b in fiber) + sum(
+        hom[a, b] * hom[b, c] * (1 + fiber[c]) for a in fiber for b in fiber for c in fiber
     )
 
 
@@ -556,6 +559,19 @@ def _resolve_fiber(ws: Workspace, name: str):
     raise BuildError(f"unresolved poset reference '{name}'")
 
 
+def _graph_maps(d: Declaration, key: str, atoms, ends) -> dict:
+    """The `name=a>b,c>d` atoms of entry `key` as `graph_map`s between the posets
+    `ends(name)`; a refused graph fails the build, naming the entry and the name."""
+    maps = {}
+    for name, graph in _map_entries(d, key, atoms, dict).items():
+        src, dst = ends(name)
+        try:
+            maps[name] = graph_map(src, dst, graph)
+        except ValueError as e:
+            raise ValueError(f"{key} {name}: {e}") from None
+    return maps
+
+
 def _build_doctrine(ws: Workspace, d: Declaration):
     base_name = d.need("base")[0]
     base = ws.categories.get(base_name)
@@ -564,12 +580,13 @@ def _build_doctrine(ws: Workspace, d: Declaration):
     fibers = {}
     for obj, ref in _entries(d, "fiber", d.need("fiber")):
         fibers[obj] = _resolve_fiber(ws, ref)
-    reindex = {}
-    for arrow, mapping in _map_entries(d, "reindex", d.get("reindex", []), dict).items():
+
+    def ends(arrow):
         if not base.has_arrow(arrow):
             raise BuildError(f"doctrine {d.name}: unresolved arrow '{arrow}'")
-        x, y = base.src(arrow), base.dst(arrow)
-        reindex[arrow] = MonotoneMap(fibers[y], fibers[x], mapping)
+        return fibers[base.dst(arrow)], fibers[base.src(arrow)]
+
+    reindex = _graph_maps(d, "reindex", d.get("reindex", []), ends)
     for x in base.objects:
         ident = base.id(x)
         if ident not in reindex and x in fibers:
@@ -586,10 +603,7 @@ def _build_interior(ws: Workspace, d: Declaration):
     doc = ws.doctrines.get(ref)
     if doc is None:
         raise BuildError(f"interior {d.name}: unresolved doctrine '{ref}'")
-    parts = {}
-    for obj, mapping in _map_entries(d, "box", d.need("box"), dict).items():
-        parts[obj] = MonotoneMap(doc.fibers[obj], doc.fibers[obj], mapping)
-    op = InteriorOp(doc, parts)
+    op = InteriorOp(doc, _graph_maps(d, "box", d.need("box"), lambda x: (doc.fibers[x], doc.fibers[x])))
     bad = interior_violations(op)
     ws.verdict(f"interior {d.name}", bad)
     if not bad:
@@ -601,11 +615,8 @@ def _build_adjunction(ws: Workspace, d: Declaration):
     q = ws.doctrines.get(d.need("q")[0])
     if p is None or q is None:
         raise BuildError(f"adjunction {d.name}: unresolved doctrine reference")
-    lam, rho = {}, {}
-    for obj, mapping in _map_entries(d, "lam", d.need("lam"), dict).items():
-        lam[obj] = MonotoneMap(p.fibers[obj], q.fibers[obj], mapping)
-    for obj, mapping in _map_entries(d, "rho", d.need("rho"), dict).items():
-        rho[obj] = MonotoneMap(q.fibers[obj], p.fibers[obj], mapping)
+    lam = _graph_maps(d, "lam", d.need("lam"), lambda x: (p.fibers[x], q.fibers[x]))
+    rho = _graph_maps(d, "rho", d.need("rho"), lambda y: (q.fibers[y], p.fibers[y]))
     A = vertical_adjunction(p, q, lam, rho)
     bad = adjunction_violations(A)
     ws.verdict(f"adjunction {d.name}", bad)
@@ -633,9 +644,7 @@ def _build_comonad(ws: Workspace, d: Declaration):
         nu = NatTransformation(K, identity_functor(base), _map_entries(d, "nu", d.need("nu"), str))
     else:
         nu = NatTransformation(K, identity_functor(base), {x: base.id(x) for x in base.objects})
-    kappa = {}
-    for obj, mapping in _map_entries(d, "kappa", d.need("kappa"), dict).items():
-        kappa[obj] = MonotoneMap(p.fibers[obj], p.fibers[K.obj_map[obj]], mapping)
+    kappa = _graph_maps(d, "kappa", d.need("kappa"), lambda x: (p.fibers[x], p.fibers[K.obj_map[x]]))
     c = DoctrineComonad(p, K, kappa, mu, nu)
     bad = comonad_violations(c)
     ws.verdict(f"comonad {d.name}", bad)
@@ -672,7 +681,7 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         count = sum(len(t.points) ** len(s.points) for s in ws.spaces for t in ws.spaces)
         if count <= ws.max_size:
             homs = open_continuous_homs(ws.spaces)
-            count = _topological_work(ws.spaces, homs)
+            count = _hom_work({s.name: 2 ** len(s.points) for s in ws.spaces}, homs)
         if count > ws.max_size:
             ws.refuse("topological-doctrine", count)
         else:
@@ -684,11 +693,18 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
                 ws.verdict("topological-doctrine", doctrine_violations(tdoc))
                 ws.verdict("topological-interior", interior_violations(top))
     for frame_name, group in ws.presheaves.items():
-        count = sum(2 ** sum(len(d.at[w]) for w in d.base.objects) for d in group)
+        # two stages, as for the spaces: the Π_w |e(w)|^|d(w)| families of functions d → e to test
+        # for naturality, then the law scans on the 2^n families of a presheaf of n elements over
+        # the natural transformations, plus the 3^n subfamilies of them that its oracle walks
+        count = sum(reduce(mul, (len(e.at[w]) ** len(d.at[w]) for w in d.base.objects), 1) for d in group for e in group)
+        if count <= ws.max_size:
+            homs = {(d.name, e.name): presheaf_nat_transformations(d, e) for d in group for e in group}
+            sizes = {d.name: sum(len(d.at[w]) for w in d.base.objects) for d in group}
+            count = _hom_work({p: 2**n for p, n in sizes.items()}, homs) + sum(3**n for n in sizes.values())
         if count > ws.max_size:
             ws.refuse(f"presheaf-instance {frame_name}", count)
             continue
-        built = ws.attempt(f"presheaf-instance {frame_name}", presheaf_instance, group)
+        built = ws.attempt(f"presheaf-instance {frame_name}", presheaf_instance, group, homs)
         if built is None:
             continue
         adj, families, op = built

@@ -78,15 +78,12 @@ def comonad_violations(c: DoctrineComonad) -> list[str]:
     P = c.p
     for x in P.base.objects:
         kx = c.k.obj_map[x]
-        lhs = c.kappa[x]
-        comul = compose_maps(
-            P.reindex[c.mu.components[x]], compose_maps(c.kappa[kx], c.kappa[x])
-        )
-        counit = P.reindex[c.nu.components[x]]
-        for a in P.fibers[x].elements:
-            if not P.fibers[kx].leq(lhs.apply(a), comul.apply(a)):
+        comul = compose_maps(P.reindex[c.mu.components[x]], compose_maps(c.kappa[kx], c.kappa[x])).images
+        lhs, counit, fib = c.kappa[x].images, P.reindex[c.nu.components[x]].images, P.fibers[kx]
+        for i, a in enumerate(P.fibers[x].elements):
+            if not fib.leq_at(lhs[i], comul[i]):
                 out.append(f"(iii) comultiplication inequality fails at ({x},{a})")
-            if not P.fibers[kx].leq(lhs.apply(a), counit.apply(a)):
+            if not fib.leq_at(lhs[i], counit[i]):
                 out.append(f"(iii) counit inequality fails at ({x},{a})")
     return out
 
@@ -143,12 +140,12 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
     keep = {}
     for o in data.category.objects:
         carrier = data.carrier[o]
-        closure = compose_maps(P.reindex[data.structure[o]], c.kappa[carrier]).mapping
+        closure = compose_maps(P.reindex[data.structure[o]], c.kappa[carrier]).images
         fib = P.fibers[carrier]
-        for a in fib.elements:
-            if not fib.leq(closure[a], a):
+        for i, a in enumerate(fib.elements):
+            if not fib.leq_at(closure[i], i):
                 raise ValueError(f"closure not deflationary at ({o},{a})")
-        keep[o] = [a for a in fib.elements if closure[a] == a]
+        keep[o] = [a for i, a in enumerate(fib.elements) if closure[i] == i]
     em, inclusion = sub_doctrine(
         base_change(P, data.forgetful), keep, "reindexing along {t} leaves the EM fiber at {a}"
     )
@@ -309,11 +306,10 @@ def ma_em_violations(op: InteriorOp) -> list[str]:
         if via_em.p.fibers[o].elements != stable:
             out.append(f"stable fiber mismatch at {x}")
             continue
-        em_rho, rho = via_em.rho[x].mapping, direct.rho[x].mapping
-        if any(em_rho[b] != rho[b] for b in op.doctrine.fibers[x].elements):
+        # both fibers list the same elements, so equal positions are equal images
+        if via_em.rho[x].images != direct.rho[x].images:
             out.append(f"right adjoint fiber map mismatch at {x}")
-        em_lam, lam = via_em.lam[o].mapping, direct.lam[x].mapping
-        if any(em_lam[s] != lam[s] for s in stable):
+        if via_em.lam[o].images != direct.lam[x].images:
             out.append(f"left adjoint fiber map mismatch at {x}")
     return out
 
@@ -413,10 +409,9 @@ def em_universal_factor(c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransforma
             raise ValueError(f"comultiplication coherence fails at {d}")
     for d in x_arrow.src.base.objects:
         xd = X.obj_map[d]
-        closure = compose_maps(P.reindex[xi.components[d]], c.kappa[xd])
-        for b in x_arrow.src.fibers[d].elements:
-            v = x_arrow.parts[d].apply(b)
-            if not P.fibers[xd].leq(v, closure.apply(v)):
+        closure = compose_maps(P.reindex[xi.components[d]], c.kappa[xd]).images
+        for b, v in zip(x_arrow.src.fibers[d].elements, x_arrow.parts[d].images):
+            if not P.fibers[xd].leq_at(v, closure[v]):
                 raise ValueError(f"lax coherence fails at ({d},{b})")
 
     bundle = em_doctrine(c)

@@ -26,6 +26,7 @@ from .order import (
     _certified,
     compose_maps,
     identity_map,
+    is_identity_map,
     monotone_violations,
     powerset_poset,
     product_poset,
@@ -70,9 +71,7 @@ def doctrine_violations(d: Doctrine) -> list[str]:
     if out:
         return out
     for x in d.base.objects:
-        # the boundaries hold (checked above), so equal images make it the identity
-        m = d.reindex[d.base.id(x)].mapping
-        if any(m[a] != a for a in d.fibers[x].elements):
+        if not is_identity_map(d.reindex[d.base.id(x)], d.fibers[x]):
             out.append(f"reindex(id_{x}) is not the identity")
     # The arrows g with P(g∘f) = P f∘P g for every f are closed under
     # composition (the base and map composition are associative).
@@ -119,16 +118,6 @@ class OneArrow:
     dst: Doctrine
     functor: Functor
     parts: Mapping[str, MonotoneMap]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneArrow):
-            return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and self.functor == other.functor
-            and all(self.parts[x] == other.parts[x] for x in self.src.base.objects)
-        )
 
 
 def one_arrow_violations(a: OneArrow) -> list[str]:
@@ -198,9 +187,7 @@ def sub_doctrine(P: Doctrine, keep: Mapping[str, Sequence[str]], leaves: str) ->
                 raise ValueError(leaves.format(t=t, a=a))
         reindex[t] = restrict_map(m, fibers[y], fibers[x])
     sub = Doctrine(P.base, fibers, reindex)
-    inclusion = {
-        x: MonotoneMap(fibers[x], P.fibers[x], {a: a for a in fibers[x].elements}) for x in P.base.objects
-    }
+    inclusion = {x: restrict_map(identity_map(P.fibers[x]), fibers[x], P.fibers[x]) for x in P.base.objects}
     return sub, OneArrow(sub, P, identity_functor(P.base), inclusion)
 
 
@@ -226,10 +213,10 @@ def two_arrow_violations(t: TwoArrow) -> list[str]:
         return out
     Q = a.dst
     for x in a.src.base.objects:
-        fx, gx = a.parts[x], b.parts[x]
-        rein = Q.reindex[t.theta.components[x]]
-        for alpha in a.src.fibers[x].elements:
-            if not Q.fibers[a.functor.obj_map[x]].leq(fx.apply(alpha), rein.apply(gx.apply(alpha))):
+        fx, gx = a.parts[x].images, b.parts[x].images
+        rein, fib = Q.reindex[t.theta.components[x]].images, Q.fibers[a.functor.obj_map[x]]
+        for i, alpha in enumerate(a.src.fibers[x].elements):
+            if not fib.leq_at(fx[i], rein[gx[i]]):
                 out.append(f"lax inequality fails at ({x},{alpha})")
     return out
 

@@ -38,6 +38,7 @@ from .order import (
     FinLattice,
     FinPoset,
     MonotoneMap,
+    _positions,
     chain_poset,
     label_subset,
     lattice_from_poset,
@@ -97,17 +98,18 @@ def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPos
     keys = list(keys)
     labels = [fun_label(dict(zip(keys, combo)), keys) for combo in product(*(f.elements for f in factors))]
     # raising the value at key k from c to a cover d moves the assignment's
-    # position in `labels` by (index of d - index of c) times the stride of k
+    # position by (d - c) times the stride of k
     stride, raises = 1, []
     for f in reversed(factors):
-        steps, at = {c: [] for c in f.elements}, dict(zip(f.elements, range(0, stride * len(f.elements), stride)))
+        steps = [[] for _ in f.elements]
         for (c, d) in f.hasse():
-            steps[c].append(at[d] - at[c])
+            steps[c].append((d - c) * stride)
         raises.insert(0, steps)
         stride *= len(f.elements)
+    positions = _positions(len(labels))
     covers = [
-        (labels[i], labels[i + step])
-        for i, combo in enumerate(product(*(f.elements for f in factors)))
+        (i, positions[i + step])
+        for i, combo in zip(positions, product(*(range(len(f.elements)) for f in factors)))
         for steps, c in zip(raises, combo)
         for step in steps[c]
     ]
@@ -404,7 +406,7 @@ def quantale_core(q: FiniteQuantale) -> QuantaleCore:
         if lat.join[(a, b)] not in core:
             raise ValueError(f"core not closed under the join of {sorted((a, b))}")
     sub = sub_poset(lat.carrier, core)
-    iota = MonotoneMap(sub, lat.carrier, {x: x for x in core})
+    iota = MonotoneMap(sub, lat.carrier, tuple(map(lat.carrier.index, core)))
     r_map = {}
     for x in els:
         below = [y for y in core if lat.carrier.leq(y, x)]
@@ -414,7 +416,7 @@ def quantale_core(q: FiniteQuantale) -> QuantaleCore:
         if join not in core:
             raise ValueError(f"coreflection escapes the core at {x}")
         r_map[x] = join
-    r = MonotoneMap(lat.carrier, sub, r_map)
+    r = MonotoneMap(lat.carrier, sub, tuple(sub.index(r_map[x]) for x in els))
     for x in els:
         if not lat.carrier.leq(r_map[x], x):
             raise ValueError(f"iota∘r not deflationary at {x}")
@@ -513,15 +515,15 @@ def fake_core(q: FiniteQuantale) -> QuantaleCore:
     lat = q.lattice
     els = [x for x in lat.carrier.elements if lat.carrier.leq(x, q.unit)]
     sub = sub_poset(lat.carrier, els)
-    iota = MonotoneMap(sub, lat.carrier, {x: x for x in els})
-    r_map = {}
+    iota = MonotoneMap(sub, lat.carrier, tuple(map(lat.carrier.index, els)))
+    r = []
     for x in lat.carrier.elements:
         join = lat.bottom
         for y in els:
             if lat.carrier.leq(y, x):
                 join = lat.join[(join, y)]
-        r_map[x] = join
-    return QuantaleCore(tuple(els), sub, iota, MonotoneMap(lat.carrier, sub, r_map))
+        r.append(sub.index(join))
+    return QuantaleCore(tuple(els), sub, iota, MonotoneMap(lat.carrier, sub, tuple(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +632,13 @@ def subpresheaf_union_oracle(d: FinPresheaf, parts: Mapping[str, frozenset]) -> 
     return acc
 
 
-def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunction, Doctrine, InteriorOp]:
+def presheaf_instance(
+    presheaves: Sequence[FinPresheaf], homs: Mapping[tuple[str, str], list[dict]] | None = None
+) -> tuple[DoctrineAdjunction, Doctrine, InteriorOp]:
     """The vertical adjunction between the subpresheaf doctrine and the
     all-families doctrine over the category of the given presheaves, and the
-    induced largest-subpresheaf interior operator on families.
+    induced largest-subpresheaf interior operator on families. `homs` passes
+    their `presheaf_nat_transformations` by pair of names, when the caller has them.
 
     This is the finitely realizable vertical factor of the geometric-morphism
     construction; the operator it induces is the geometric one."""
@@ -647,7 +652,7 @@ def presheaf_instance(presheaves: Sequence[FinPresheaf]) -> tuple[DoctrineAdjunc
     arrows, comps, images = [], {}, {}
     for d in presheaves:
         for e in presheaves:
-            for phi in presheaf_nat_transformations(d, e):
+            for phi in presheaf_nat_transformations(d, e) if homs is None else homs[d.name, e.name]:
                 n = presheaf_arrow_name(d, e, phi)
                 arrows.append((n, d.name, e.name))
                 comps[n] = phi

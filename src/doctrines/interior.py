@@ -20,13 +20,6 @@ class InteriorOp:
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InteriorOp):
-            return NotImplemented
-        return self.doctrine == other.doctrine and all(
-            self.parts[x] == other.parts[x] for x in self.doctrine.base.objects
-        )
-
 
 def identity_interior(P: Doctrine) -> InteriorOp:
     return InteriorOp(P, identity_parts(P))
@@ -59,12 +52,11 @@ def interior_violations(op: InteriorOp) -> list[str]:
                 f"naturality fails along {t}" if _reindex_fits(P, t) else f"reindexing along {t} has wrong boundary"
             )
     for x in P.base.objects:
-        box = op.parts[x]
-        fib = P.fibers[x]
-        for a in fib.elements:
-            if not fib.leq(box.apply(a), a):
+        box, fib = op.parts[x].images, P.fibers[x]
+        for i, a in enumerate(fib.elements):
+            if not fib.leq_at(box[i], i):
                 out.append(f"axiom T fails at ({x},{a})")
-            if not fib.leq(box.apply(a), box.apply(box.apply(a))):
+            if not fib.leq_at(box[i], box[box[i]]):
                 out.append(f"axiom 4 fails at ({x},{a})")
     # no idempotence check: T at □a and 4 give □□a ≤ □a ≤ □□a, and fibers are antisymmetric
     return out
@@ -72,13 +64,11 @@ def interior_violations(op: InteriorOp) -> list[str]:
 
 def stable_elements(op: InteriorOp, x: str) -> tuple[str, ...]:
     """Fixed points of the box at x; equals the image of the box."""
-    box = op.parts[x]
-    fixed = tuple(a for a in op.doctrine.fibers[x].elements if box.apply(a) == a)
-    image = tuple(sorted({box.apply(a) for a in op.doctrine.fibers[x].elements},
-                         key=op.doctrine.fibers[x].index))
-    if fixed != image:
+    box = op.parts[x].images
+    fixed = [i for i, b in enumerate(box) if b == i]
+    if fixed != sorted(set(box)):
         raise ValueError(f"box at {x} is not idempotent: its image differs from its fixed points")
-    return fixed
+    return tuple(map(op.doctrine.fibers[x].elements.__getitem__, fixed))
 
 
 @kept
@@ -106,11 +96,9 @@ def modal_one_arrow_violations(a: OneArrow, op_src: InteriorOp, op_dst: Interior
         return ["operators do not live on the arrow's doctrines"]
     F = a.functor
     for x in a.src.base.objects:
-        fx = a.parts[x]
-        box = op_src.parts[x]
-        box2 = op_dst.parts[F.obj_map[x]]
+        fx, box, box2 = a.parts[x].images, op_src.parts[x].images, op_dst.parts[F.obj_map[x]].images
         fib2 = a.dst.fibers[F.obj_map[x]]
-        for alpha in a.src.fibers[x].elements:
-            if not fib2.leq(fx.apply(box.apply(alpha)), box2.apply(fx.apply(alpha))):
+        for i, alpha in enumerate(a.src.fibers[x].elements):
+            if not fib2.leq_at(fx[box[i]], box2[fx[i]]):
                 out.append(f"modal inequality fails at ({x},{alpha})")
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, wraps
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, eq
 
 _REQUIRED = object()
 
@@ -124,21 +124,31 @@ def kept(build):
     return get
 
 
+_POSITIONS: list[int] = []
+
+
+def _positions(n: int) -> list[int]:
+    """0, 1, … as one shared list of at least n ints: positions, covers and
+    images share one int object per position (above 256 each computed int is new)."""
+    _POSITIONS.extend(range(len(_POSITIONS), n))
+    return _POSITIONS
+
+
 @value_class
 class FinPoset:
     """A finite poset: elements in declaration order, the order as bit codes,
     and its covering pairs.
 
     `codes[i]` is an int with elements[i] <= elements[j] iff
-    codes[i] & ~codes[j] == 0: the poset embeds in the Boolean lattice of its
-    codes' bits (Davey and Priestley, *Introduction to Lattices and Order*,
-    2002), and every finite poset does, by a ↦ ↓a. `powerset_poset` codes a
-    subset by its bitmask; `poset_from_pairs` and `chain_poset` code an
-    element by its down-set (bit j set iff elements[j] <= it); products
-    concatenate their factors' codes, since ↓(a, b) = ↓a × ↓b
-    (`product_order`); `sub_poset` keeps the codes it is given. Two builders
-    can code one order differently, so equality and hash are on the elements
-    and their order, not on the codes.
+    codes[i] & ~codes[j] == 0 (`leq_at`): the poset embeds in the Boolean
+    lattice of its codes' bits (Davey and Priestley, *Introduction to
+    Lattices and Order*, 2002), and every finite poset does, by a ↦ ↓a.
+    `powerset_poset` codes a subset by its bitmask; `poset_from_pairs` and
+    `chain_poset` code an element by its down-set (bit j set iff
+    elements[j] <= it); products concatenate their factors' codes, since
+    ↓(a, b) = ↓a × ↓b (`product_order`); `sub_poset` keeps the codes it is
+    given. Two builders can code one order differently, so equality and hash
+    are on the elements and their order, not on the codes.
 
     Value invariant: `values[i]` is the hashable value elements[i] stands
     for, distinct across the poset, set by its builder: a powerset element's
@@ -159,20 +169,20 @@ class FinPoset:
     cover certificate of `monotone_violations` relies on it: every a <= b is
     a chain of covers, and the target's <= is reflexive and transitive.
 
-    `covers` is the Hasse diagram, the pairs a < b with nothing strictly
-    between: passed by a builder that enumerates the order by its structure,
-    else derived by `hasse()` on first use. `relation`, the pairs a <= b, is
-    built on first use for callers that want it; the library never reads it."""
+    `covers` is the Hasse diagram on positions, the (i, j) with elements[i] <
+    elements[j] and nothing strictly between: passed by a builder that
+    enumerates the order by its structure, else derived by `hasse()` on
+    first use. `relation`, the label pairs a <= b, is built on first use for
+    callers that want it; the library never reads it."""
 
     elements: tuple[str, ...]
     codes: tuple[int, ...]
-    covers: tuple[tuple[str, str], ...] | None = Field(repr=False, compare=False)
+    covers: tuple[tuple[int, int], ...] | None = Field(repr=False, compare=False)
     values: tuple | None = Field(repr=False, compare=False)
     _position: dict = Field(init=False, repr=False, compare=False)
-    _code: dict = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        position = {e: i for i, e in enumerate(self.elements)}
+        position = dict(zip(self.elements, _positions(len(self.elements))))
         if len(position) != len(self.elements):
             repeated = next(e for i, e in enumerate(self.elements) if position[e] != i)
             raise ValueError(f"repeated poset element {repeated!r}")
@@ -184,7 +194,6 @@ class FinPoset:
                 repeated = next(v for i, v in enumerate(self.values) if last[v] != i)
                 raise ValueError(f"repeated poset value {repeated!r}")
         object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_code", dict(zip(self.elements, self.codes)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinPoset):
@@ -198,8 +207,8 @@ class FinPoset:
 
     @cached_property
     def by_value(self) -> dict:
-        """The element of each value, built on first use."""
-        return dict(zip(self.values, self.elements))
+        """The position of each value, built on first use."""
+        return dict(zip(self.values, self._position.values()))
 
     def value(self, a: str):
         return self.values[self._position[a]]
@@ -208,25 +217,29 @@ class FinPoset:
     def relation(self) -> frozenset[tuple[str, str]]:
         return frozenset((a, b) for a in self.elements for b in self.up(a))
 
-    def hasse(self) -> tuple[tuple[str, str], ...]:
+    def hasse(self) -> tuple[tuple[int, int], ...]:
         """The covering pairs, derived once when no builder passed them: in
-        order of size, b covers a iff its code strictly contains a's and no
+        order of size, j covers i iff its code strictly contains i's and no
         cover found before, O(n²) tests on n codes."""
         if self.covers is None:
-            els, covers = self.elements, []
-            by_size = sorted(zip(self.codes, els), key=lambda cb: cb[0].bit_count())
-            for a, c in zip(els, self.codes):
+            covers = []
+            by_size = sorted(zip(self.codes, self._position.values()), key=lambda cj: cj[0].bit_count())
+            for i, c in zip(self._position.values(), self.codes):
                 found = []
-                for d, b in by_size:
+                for d, j in by_size:
                     if d != c and not c & ~d and all(f & ~d for f in found):
                         found.append(d)
-                        covers.append((a, b))
+                        covers.append((i, j))
             object.__setattr__(self, "covers", tuple(covers))
         return self.covers
 
+    def leq_at(self, i: int, j: int) -> bool:
+        """Whether elements[i] <= elements[j], by their codes."""
+        return not self.codes[i] & ~self.codes[j]
+
     def leq(self, a: str, b: str) -> bool:
         try:
-            return not self._code[a] & ~self._code[b]
+            return self.leq_at(self._position[a], self._position[b])
         except KeyError:
             return False
 
@@ -237,7 +250,7 @@ class FinPoset:
             raise ValueError(f"{a!r} is not an element of the poset") from None
 
     def up(self, a: str) -> tuple[str, ...]:
-        c = self._code[a]
+        c = self.codes[self._position[a]]
         return tuple(x for x, d in zip(self.elements, self.codes) if not c & ~d)
 
     def __contains__(self, a: str) -> bool:
@@ -338,7 +351,8 @@ def fin_poset(
 
 def chain_poset(labels: Sequence[str]) -> FinPoset:
     """The chain labels[0] < labels[1] < …, element i coded by its down-set."""
-    return FinPoset(tuple(labels), tuple((2 << i) - 1 for i in range(len(labels))), tuple(zip(labels, labels[1:])))
+    n, at = len(labels), _positions(len(labels))
+    return FinPoset(tuple(labels), tuple((2 << i) - 1 for i in range(n)), tuple(zip(at[:n], at[1:n])))
 
 
 def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
@@ -362,45 +376,50 @@ def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
 
 @value_class
 class MonotoneMap:
-    """A total order-preserving map given by its graph."""
+    """A total map: `images[i]` is the position in `dst` of the image of
+    src.elements[i]. Builders total into `dst` by construction make one, and
+    `graph_map` from a graph read from outside; `monotone_violations` checks
+    that it preserves the order."""
 
     src: FinPoset
     dst: FinPoset
-    mapping: Mapping[str, str]
+    images: tuple[int, ...]
 
     def apply(self, x: str) -> str:
-        return self.mapping[x]
+        return self.dst.elements[self.images[self.src._position[x]]]
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, MonotoneMap):
-            return NotImplemented
-        mine, theirs = self.mapping, other.mapping
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and all(mine[x] == theirs[x] for x in self.src.elements)
-        )
+
+def graph_map(src: FinPoset, dst: FinPoset, graph: Mapping[str, str]) -> MonotoneMap:
+    """The map whose graph, label to label, is `graph`; raises ValueError at
+    the first source element without an image or with one outside `dst`,
+    then at the first key of `graph` that is no source element."""
+    at = dst._position
+    for x in src.elements:
+        if x not in graph:
+            raise ValueError(f"not total: no image for {x}")
+        if graph[x] not in at:
+            raise ValueError(f"image outside target poset: {x} -> {graph[x]}")
+    if len(graph) != len(src.elements):
+        raise ValueError(f"graph mentions unknown source element: {next(k for k in graph if k not in src)}")
+    return MonotoneMap(src, dst, tuple(at[graph[x]] for x in src.elements))
 
 
 def value_map(src: FinPoset, dst: FinPoset, f) -> MonotoneMap:
     """The map sending each element of `src` to the element of `dst` whose
     value is f(its value), looked up in `dst.by_value`; raises ValueError
     naming the first source element whose image value `dst` does not hold."""
-    at = dst.by_value
-    mapping = {}
+    at, images = dst.by_value, []
     for a, v in zip(src.elements, src.values):
         try:
-            mapping[a] = at[f(v)]
+            images.append(at[f(v)])
         except KeyError:
             raise ValueError(f"the image of {a!r} is not a value of the target poset") from None
-    return MonotoneMap(src, dst, mapping)
+    return MonotoneMap(src, dst, tuple(images))
 
 
 def value_graph(m: MonotoneMap) -> dict:
     """The map `m` as a function on values: each source value to its image's value."""
-    return {m.src.value(a): m.dst.value(b) for a, b in m.mapping.items()}
+    return dict(zip(m.src.values, map(m.dst.values.__getitem__, m.images)))
 
 
 def _certified(checks) -> bool:
@@ -417,37 +436,26 @@ def _certified(checks) -> bool:
 def monotone_violations(m: MonotoneMap) -> list[str]:
     """Empty list iff order-preservation holds on every related pair; checked
     on the covering pairs of the source first."""
-    out = []
-    for x in m.src.elements:
-        if x not in m.mapping:
-            out.append(f"not total: no image for {x}")
-        elif m.mapping[x] not in m.dst:
-            out.append(f"image outside target poset: {x} -> {m.mapping[x]}")
-    for k in m.mapping:
-        if k not in m.src:
-            out.append(f"graph mentions unknown source element: {k}")
-    if out:
-        return out
     # every a <= b is a chain of covers and the target's <= is reflexive and
     # transitive, so preserving the covers certifies a pass; on a miss the
     # scan below finds the witnesses
-    mapping, code = m.mapping, m.dst._code
-    if _certified(not code[mapping[a]] & ~code[mapping[b]] for (a, b) in m.src.hasse()):
+    images, codes = m.images, m.dst.codes
+    if _certified(not codes[images[i]] & ~codes[images[j]] for (i, j) in m.src.hasse()):
         return []
-    leq = m.dst.leq
-    for a in m.src.elements:
-        out.extend(f"order not preserved on ({a},{b})" for b in m.src.up(a) if not leq(mapping[a], mapping[b]))
+    out, scan = [], list(zip(m.src.elements, m.src.codes, images))
+    for a, c, u in scan:
+        out.extend(f"order not preserved on ({a},{b})" for b, d, v in scan if not c & ~d and codes[u] & ~codes[v])
     return sorted(out)
 
 
 def identity_map(p: FinPoset) -> MonotoneMap:
-    return MonotoneMap(p, p, {x: x for x in p.elements})
+    return MonotoneMap(p, p, tuple(_positions(len(p.elements))[: len(p.elements)]))
 
 
 def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     if f.dst != g.src:
         raise ValueError("compose_maps: boundary mismatch")
-    return MonotoneMap(f.src, g.dst, {x: g.mapping[f.mapping[x]] for x in f.src.elements})
+    return MonotoneMap(f.src, g.dst, tuple(map(g.images.__getitem__, f.images)))
 
 
 def same_composite(g: MonotoneMap, f: MonotoneMap, g2: MonotoneMap, f2: MonotoneMap | None = None) -> bool:
@@ -459,11 +467,8 @@ def same_composite(g: MonotoneMap, f: MonotoneMap, g2: MonotoneMap, f2: Monotone
         raise ValueError("compose_maps: boundary mismatch")
     if f.src != (g2.src if f2 is None else f2.src) or g.dst != g2.dst:
         return False
-    gm, fm, gm2 = g.mapping, f.mapping, g2.mapping
-    if f2 is None:
-        return all(gm[fm[x]] == gm2[x] for x in f.src.elements)
-    fm2 = f2.mapping
-    return all(gm[fm[x]] == gm2[fm2[x]] for x in f.src.elements)
+    rhs = g2.images if f2 is None else map(g2.images.__getitem__, f2.images)
+    return all(map(eq, map(g.images.__getitem__, f.images), rhs))
 
 
 def is_identity_map(m: MonotoneMap, p: FinPoset, f: MonotoneMap | None = None) -> bool:
@@ -474,16 +479,14 @@ def is_identity_map(m: MonotoneMap, p: FinPoset, f: MonotoneMap | None = None) -
         raise ValueError("compose_maps: boundary mismatch")
     if (m if f is None else f).src != p or m.dst != p:
         return False
-    mm = m.mapping
-    if f is None:
-        return all(mm[x] == x for x in p.elements)
-    fm = f.mapping
-    return all(mm[fm[x]] == x for x in p.elements)
+    images = m.images if f is None else map(m.images.__getitem__, f.images)
+    return all(map(eq, images, range(len(p.elements))))
 
 
 def restrict_map(m: MonotoneMap, src: FinPoset, dst: FinPoset) -> MonotoneMap:
     """m on the elements of `src`, into `dst` (unchecked: every image must lie in `dst`)."""
-    return MonotoneMap(src, dst, {x: m.mapping[x] for x in src.elements})
+    at, position, els, images = dst._position, m.src._position, m.dst.elements, m.images
+    return MonotoneMap(src, dst, tuple([at[els[images[position[x]]]] for x in src.elements]))
 
 
 @value_class
@@ -554,5 +557,6 @@ def powerset_poset(ground: Sequence[str]) -> FinPoset:
         for combo in combinations(range(n), r):
             label_of[sum(map(bits.__getitem__, combo))] = "{" + ",".join(map(ground.__getitem__, combo)) + "}"
             values.append(frozenset(map(ground.__getitem__, combo)))
-    covers = [(lbl, label_of[m | b]) for m, lbl in label_of.items() for b in bits if not m & b]
+    position = dict(zip(label_of, _positions(len(label_of))))
+    covers = [(i, position[m | b]) for m, i in position.items() for b in bits if not m & b]
     return FinPoset(tuple(label_of.values()), tuple(label_of), tuple(covers), tuple(values))

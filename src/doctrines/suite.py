@@ -81,7 +81,7 @@ from .instances import (
     topological_doctrine,
 )
 from .interior import InteriorOp, identity_interior, interior_violations, stable_elements
-from .order import MonotoneMap, chain_poset, fin_poset, identity_map, is_identity_map, powerset_poset, value_map
+from .order import chain_poset, fin_poset, graph_map, identity_map, is_identity_map, powerset_poset, value_map
 from .temporal import (
     STREAM,
     FCoalgebra,
@@ -279,7 +279,7 @@ def rounding_base_change() -> DoctrineAdjunction:
         {
             small.id("0"): identity_map(f0),
             small.id("2"): identity_map(f2),
-            "0<=2": MonotoneMap(f2, f0, {"{}": "{}", "{p}": "{p}", "{q}": "{}", "{p,q}": "{p}"}),
+            "0<=2": graph_map(f2, f0, {"{}": "{}", "{p}": "{p}", "{q}": "{}", "{p,q}": "{p}"}),
         },
     )
     return base_change_adjunction(Q, L, R, eta, eps)

@@ -347,8 +347,8 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     parts = {}
     for c in coalgebras:
         fib, planes = doc.fibers[c.name], _gfp_planes(c, lift)
-        label = dict(zip(fib.codes, fib.elements))
-        parts[c.name] = MonotoneMap(fib, fib, {
-            a: label[sum(1 << x for x, p in enumerate(planes) if p >> code & 1)] for a, code in zip(fib.elements, fib.codes)
-        })
+        position = {code: i for i, code in enumerate(fib.codes)}
+        parts[c.name] = MonotoneMap(fib, fib, tuple(
+            position[sum(1 << x for x, p in enumerate(planes) if p >> code & 1)] for code in fib.codes
+        ))
     return doc, InteriorOp(doc, parts)

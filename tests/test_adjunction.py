@@ -39,9 +39,9 @@ from doctrines.fincat import (
 )
 from doctrines.interior import interior_violations, identity_interior
 from doctrines.order import (
-    MonotoneMap,
     chain_poset,
     compose_maps,
+    graph_map,
     identity_map,
     is_identity_map,
     monotone_violations,
@@ -51,6 +51,7 @@ from doctrines.suite import bundled_adjunctions, identity_powerset_adjunction, r
 
 from util import (
     compose_reference,
+    graph_of,
     identity_one_arrow,
     identity_two_arrow,
     lax_inequalities_reference,
@@ -175,7 +176,7 @@ def _galois_failing_adjunction() -> DoctrineAdjunction:
     No adjunction scan checks the doctrine laws, and this one passes."""
     base = discrete_category(["*"])
     fib = chain_poset(["0", "1", "2"])
-    up = MonotoneMap(fib, fib, {"0": "0", "1": "2", "2": "2"})
+    up = graph_map(fib, fib, {"0": "0", "1": "2", "2": "2"})
     d = Doctrine(base, {"*": fib}, {"id_*": up})
     return vertical_adjunction(d, d, {"*": identity_map(fib)}, {"*": up})
 
@@ -199,7 +200,7 @@ def _bad_galois_pair() -> DoctrineAdjunction:
     d = powerset_doctrine_over({"A": ["a1"]})
     fib = d.fibers["A"]
     lam = {"A": identity_map(fib)}
-    rho = {"A": MonotoneMap(fib, fib, {l: "{}" for l in fib.elements})}
+    rho = {"A": graph_map(fib, fib, {l: "{}" for l in fib.elements})}
     return vertical_adjunction(d, d, lam, rho)
 
 
@@ -290,7 +291,7 @@ def _doctrine_over_small(small):
     reindex = {
         small.id("0"): identity_map(f0),
         small.id("2"): identity_map(f2),
-        "0<=2": MonotoneMap(f2, f0, {"{}": "{}", "{p}": "{p}", "{q}": "{}", "{p,q}": "{p}"}),
+        "0<=2": graph_map(f2, f0, {"{}": "{}", "{p}": "{p}", "{q}": "{}", "{p,q}": "{p}"}),
     }
     return Doctrine(small, fibers, reindex)
 
@@ -351,7 +352,7 @@ def test_triviality_rejects_non_adjoint_pair():
     d = powerset_doctrine_over({"A": ["a1"]})
     fib = d.fibers["A"]
     lam = {"A": identity_map(fib)}
-    rho = {"A": MonotoneMap(fib, fib, {l: "{}" for l in fib.elements})}
+    rho = {"A": graph_map(fib, fib, {l: "{}" for l in fib.elements})}
     A = vertical_adjunction(d, d, lam, rho)
     with pytest.raises(ValueError):
         triviality_violations(A)
@@ -381,7 +382,7 @@ def test_triviality_violations_name_the_object_of_a_planted_non_adjoint_pair(mon
     # identity; on A both maps are identities
     d = powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]})
     lam = {x: identity_map(d.fibers[x]) for x in d.base.objects}
-    rho = {**lam, "B": MonotoneMap(d.fibers["B"], d.fibers["B"], {b: "{}" for b in d.fibers["B"].elements})}
+    rho = {**lam, "B": graph_map(d.fibers["B"], d.fibers["B"], {b: "{}" for b in d.fibers["B"].elements})}
     A = vertical_adjunction(d, d, lam, rho)
     with pytest.raises(ValueError, match="invalid adjunction"):
         triviality_violations(A)
@@ -448,7 +449,7 @@ def test_broken_theta_names_object(seed=41):
     assert adj_morphism_violations(bad) == []
     # corrupting the eta square: swap parts_p for a non-commuting family
     drop = {
-        xx: MonotoneMap(A.p.fibers[xx], A.p.fibers[xx], {l: A.p.fibers[xx].elements[0] for l in A.p.fibers[xx].elements})
+        xx: graph_map(A.p.fibers[xx], A.p.fibers[xx], {l: A.p.fibers[xx].elements[0] for l in A.p.fibers[xx].elements})
         for xx in A.p.base.objects
     }
     harmed = AdjMorphism(A, A, good.fun_p, drop, good.fun_q, good.parts_q, good.theta)
@@ -489,7 +490,7 @@ def _with_fiber_value(A, side, x, a, value):
     """A with λ_x (side "lam") or ρ_x (side "rho") sending a to value."""
     maps = dict(getattr(A, side))
     m = maps[x]
-    maps[x] = MonotoneMap(m.src, m.dst, {**m.mapping, a: value})
+    maps[x] = graph_map(m.src, m.dst, {**graph_of(m), a: value})
     lam, rho = (maps, A.rho) if side == "lam" else (A.lam, maps)
     return DoctrineAdjunction(A.p, A.q, A.left, lam, A.right, rho, A.eta, A.eps)
 
@@ -547,7 +548,7 @@ def test_planted_q_part_fails_only_the_lambda_coincidence():
             q = A.q.fibers[x]
             for b in {A.lam[x].apply(a) for a in A.p.fibers[x].elements}:
                 for v in q.elements:
-                    part = MonotoneMap(q, q, {**m.parts_q[x].mapping, b: v})
+                    part = graph_map(q, q, {**graph_of(m.parts_q[x]), b: v})
                     if v == b or not q.leq(b, v) or monotone_violations(part):
                         continue
                     harmed = AdjMorphism(A, A, m.fun_p, m.parts_p, m.fun_q, {**m.parts_q, x: part}, m.theta)

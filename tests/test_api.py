@@ -555,6 +555,57 @@ def is_poset(x):
     assert _unlisted_callers(sources, "FinPoset", FIN_POSET_BUILDERS) == ["order.shortcut", "instances.Fibers.build"]
 
 
+# the builders that may construct a MonotoneMap: each is total into its
+# target by construction (its images are positions it reads off the target,
+# or composes or restricts those of maps already built), except graph_map,
+# which checks a graph read from outside the library
+MONOTONE_MAP_BUILDERS = {
+    "order.graph_map",
+    "order.value_map",
+    "order.identity_map",
+    "order.compose_maps",
+    "order.restrict_map",
+    "instances.quantale_core",
+    "instances.fake_core",
+    "temporal.temporal_doctrine",
+}
+
+
+def test_only_the_named_builders_build_a_monotone_map():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert _unlisted_callers(sources, "MonotoneMap", MONOTONE_MAP_BUILDERS) == []
+    # every listed builder still builds one
+    assert {f"{stem}.{where}" for stem, text in sources.items() for where in _callers(text, "MonotoneMap")} == (
+        MONOTONE_MAP_BUILDERS
+    )
+
+
+def test_monotone_map_scan_flags_planted_calls_and_nothing_else():
+    order = '''
+def graph_map(src, dst, graph):
+    return MonotoneMap(src, dst, tuple(graph.values()))
+
+
+def from_labels(src, dst, labels):
+    return MonotoneMap(src, dst, labels)
+'''
+    cli = '''
+from . import order
+from .order import MonotoneMap
+
+
+def _build_interior(ws, d):
+    parts: dict[str, MonotoneMap] = {}
+    return [order.MonotoneMap(p, p, ()) for p in ws.posets], parts
+
+
+def _resolve_fiber(ws, name):
+    return isinstance(ws.posets[name], MonotoneMap)
+'''
+    sources = {"order": order, "cli": cli}
+    assert _unlisted_callers(sources, "MonotoneMap", MONOTONE_MAP_BUILDERS) == ["order.from_labels", "cli._build_interior"]
+
+
 # a map between fibers is read off the values its elements keep
 # (order.value_map); a label is parsed back into a subset only where model
 # text is read, and in the presheaf oracle, which stays independent of the

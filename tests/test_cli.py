@@ -399,12 +399,46 @@ def test_cli_bang_laws_give_one_witness_per_failing_element(tmp_path, capsys, mo
 
 
 def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
-    # 2^40 families: a guard that steps through them would never return
+    # 40^40 candidate transformations and 2^40 families: a guard that steps
+    # through either would never return
     elements = ",".join(f"e{i}" for i in range(40))
     text = f"kripke-frame K {{ worlds: w }}\npresheaf P {{ frame: K; at: w={{{elements}}} }}"
     assert _main(tmp_path, text, "check") == 1
     out = capsys.readouterr().out
-    assert "FAIL presheaf-instance K\n  - refused: estimated work 1099511627776 exceeds --max-size 200000" in out
+    assert f"FAIL presheaf-instance K\n  - refused: estimated work {40**40} exceeds --max-size 200000" in out
+
+
+@pytest.mark.parametrize(
+    "model, work",
+    [
+        # 5^5 * 5^5 candidate transformations of a 2-world chain presheaf into itself
+        ("kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; "
+         "at: w1={a,b,c,d,e} w2={a,b,c,d,e}; act: w1->w2=a>a,b>b,c>c,d>d,e>e }", 5**10),
+        # 3,125 natural endo-transformations of a 1-world presheaf: the law
+        # scans, 3125 * 32 + 3125^2 * 33, and the oracle's 3^5 subfamilies
+        ("kripke-frame K { worlds: w }\npresheaf P { frame: K; at: w={a,b,c,d,e} }", 3125 * 32 + 3125**2 * 33 + 3**5),
+    ],
+    ids=["candidates", "law-scans"],
+)
+def test_cli_presheaf_guard_counts_the_transformations_before_building_them(tmp_path, capsys, model, work):
+    start = time.perf_counter()
+    assert _main(tmp_path, model, "check") == 1
+    assert time.perf_counter() - start < 1
+    assert f"FAIL presheaf-instance K\n  - refused: estimated work {work} exceeds --max-size 200000" in capsys.readouterr().out
+
+
+def test_cli_presheaf_guard_counts_the_subfamilies_its_oracle_walks(tmp_path, capsys):
+    # a chain of 12 worlds with one element each: one natural transformation
+    # and 4,096 families, but 3^12 subfamilies for the oracle
+    worlds = [f"w{i}" for i in range(12)]
+    text = (
+        f"kripke-frame K {{ worlds: {' '.join(worlds)}; rel: {' '.join(f'{a}->{b}' for a, b in zip(worlds, worlds[1:]))} }}\n"
+        f"presheaf P {{ frame: K; at: {' '.join(f'{w}={{a}}' for w in worlds)}; "
+        f"act: {' '.join(f'{a}->{b}=a>a' for i, a in enumerate(worlds) for b in worlds[i + 1:])} }}"
+    )
+    assert _main(tmp_path, text, "check") == 1
+    want = f"refused: estimated work {4096 + 1 * 1 * 4097 + 3**12} exceeds --max-size 200000"
+    assert want in capsys.readouterr().out
 
 
 DISCRETE_4 = "{} {a} {b} {c} {d} {a,b} {a,c} {a,d} {b,c} {b,d} {c,d} {a,b,c} {a,b,d} {a,c,d} {b,c,d} {a,b,c,d}"
@@ -461,6 +495,38 @@ ONE_OBJECT = """poset P { elements: a }
 category C { objects: x; arrows: i=x->x; identities: x=i; compose: i.i=i }
 doctrine D { base: C; fiber: x=P }
 """
+
+
+TWO_ELEMENT = """poset P { elements: a b; pairs: a->b }
+category C { objects: x; arrows: i=x->x; identities: x=i; compose: i.i=i }
+doctrine D { base: C; fiber: x=P }
+"""
+# each site that reads a map graph from model text, with the graph at GRAPH
+GRAPH_SITES = {
+    "reindex i": "doctrine E { base: C; fiber: x=P; reindex: i=GRAPH }",
+    "box x": "interior I { doctrine: D; box: x=GRAPH }",
+    "lam x": "adjunction A { p: D; q: D; lam: x=GRAPH; rho: x=a>a,b>b }",
+    "rho x": "adjunction A { p: D; q: D; lam: x=a>a,b>b; rho: x=GRAPH }",
+    "kappa x": "comonad W { p: D; kappa: x=GRAPH }",
+}
+MALFORMED_GRAPHS = {
+    "a>a": "not total: no image for b",
+    "a>a,b>z": "image outside target poset: b -> z",
+    "a>a,b>b,c>a": "graph mentions unknown source element: c",
+}
+
+
+@pytest.mark.parametrize("site", GRAPH_SITES)
+@pytest.mark.parametrize("graph", MALFORMED_GRAPHS)
+def test_cli_a_malformed_map_graph_fails_the_build_of_its_declaration(tmp_path, capsys, site, graph):
+    declaration = GRAPH_SITES[site].replace("GRAPH", graph)
+    f = tmp_path / "m.dct"
+    f.write_text(TWO_ELEMENT + declaration)
+    assert main(["--json", "check", str(f)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    kind, name = declaration.split()[:2]
+    assert verdicts[-1] == {"name": f"{kind} {name}", "pass": False, "witnesses": [f"build failed: {site}: {MALFORMED_GRAPHS[graph]}"]}
+    assert all(v["pass"] for v in verdicts[:-1])
 
 
 @pytest.mark.parametrize(
@@ -952,6 +1018,61 @@ def test_certificates_that_never_certify_change_no_report(tmp_path, monkeypatch)
             monkeypatch.setattr(module, "_certified", never)
     assert runs() == certified
     assert refused_in == {"monotone_violations", "functor_violations", "doctrine_violations", "category_violations"}
+
+
+def _planted_certificate_failures() -> dict:
+    """One planted failure per certificate site, each a thunk returning its
+    verdict: a map that reverses a chain, a functor from Z/2 that sends the
+    generator to an idempotent, a doctrine over Z/2 whose reindexing along
+    the generator is constant, and a declared one-object category whose
+    composition has identities but does not associate."""
+    from doctrines.doctrine import Doctrine, doctrine_violations
+    from doctrines.fincat import Functor, category_violations, functor_violations
+    from doctrines.order import chain_poset, graph_map, identity_map, monotone_violations
+    from util import one_object_monoid_category
+
+    chain = chain_poset(["a", "b", "c"])
+    z2 = one_object_monoid_category("*", ["e", "s"], "e", {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"})
+    idem = one_object_monoid_category("*", ["e", "z"], "e", {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z", ("z", "z"): "z"})
+    two = chain_poset(["0", "1"])
+    table = {("e", x): x for x in "eab"} | {(x, "e"): x for x in "eab"}
+    table |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "a"}
+    return {
+        "monotone_violations": lambda: monotone_violations(graph_map(chain, chain, {"a": "c", "b": "b", "c": "a"})),
+        "functor_violations": lambda: functor_violations(Functor(z2, idem, {"*": "*"}, {"e": "e", "s": "z"})),
+        "doctrine_violations": lambda: doctrine_violations(
+            Doctrine(z2, {"*": two}, {"e": identity_map(two), "s": graph_map(two, two, {"0": "0", "1": "0"})})
+        ),
+        "category_violations": lambda: category_violations(["*"], [(x, "*", "*") for x in "eab"], {"*": "e"}, table),
+    }
+
+
+def test_only_the_literal_scan_names_a_failure_each_certificate_misses(monkeypatch):
+    # the converse of the literal-only run: on each planted failure the
+    # certificate misses and the literal scan names the witnesses, and a
+    # certificate forced to pass would hide them all
+    from doctrines import order
+
+    literal = {site: verdict() for site, verdict in _planted_certificate_failures().items()}
+    assert literal == {
+        "monotone_violations": ["order not preserved on (a,b)", "order not preserved on (a,c)", "order not preserved on (b,c)"],
+        "functor_violations": ["composition not preserved on (s,s)"],
+        "doctrine_violations": ["contravariance fails on (s,s)"],
+        # every triple of the two non-identities fails
+        "category_violations": [f"associativity fails on ({f},{g},{h})" for h in "ab" for g in "ab" for f in "ab"],
+    }
+    certified_in = set()
+
+    def always(checks):
+        certified_in.add(sys._getframe(1).f_code.co_name)
+        return True
+
+    certify = order._certified
+    for name, module in list(sys.modules.items()):
+        if name.startswith("doctrines.") and getattr(module, "_certified", None) is certify:
+            monkeypatch.setattr(module, "_certified", always)
+    assert {site: verdict() for site, verdict in _planted_certificate_failures().items()} == dict.fromkeys(literal, [])
+    assert certified_in == set(literal)
 
 
 def _modules_a_check_loads(tmp_path, names: set, argvs=(("--json", "check", "FILE"),)) -> str:

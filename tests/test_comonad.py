@@ -54,15 +54,7 @@ from doctrines.fincat import (
     same_functor_composite,
 )
 from doctrines.interior import InteriorOp, interior_violations, identity_interior, stable_subdoctrine
-from doctrines.order import (
-    MonotoneMap,
-    chain_poset,
-    fin_poset,
-    identity_map,
-    label_subset,
-    powerset_poset,
-    subset_label,
-)
+from doctrines.order import chain_poset, fin_poset, graph_map, identity_map, label_subset, powerset_poset, subset_label
 from doctrines.suite import (
     bundled_adjunctions,
     bundled_comonads,
@@ -80,6 +72,7 @@ from util import (
     em_fibers_reference,
     fin_category,
     forgetful_top_arrow,
+    graph_of,
     identity_one_arrow,
     identity_two_arrow,
     injective_reference,
@@ -206,7 +199,7 @@ def diamond_comonad():
     reindex = {}
     for t in base.arrow_names():
         x, y = base.src(t), base.dst(t)
-        reindex[t] = MonotoneMap(
+        reindex[t] = graph_map(
             fibers[y],
             fibers[x],
             {
@@ -222,7 +215,7 @@ def diamond_comonad():
     kappa = {}
     for x in base.objects:
         prune = {"bot": set(), "a": {"q"}, "b": set(), "top": {"q"}}[x]
-        kappa[x] = MonotoneMap(
+        kappa[x] = graph_map(
             fibers[x],
             fibers[k[x]],
             {
@@ -324,7 +317,7 @@ def test_cmd_of_adjunction_roundtrip_data():
         back = cmd_of_adjunction(em_adjunction(c))
         assert back.k == c.k
         for y in c.p.base.objects:
-            assert back.kappa[y].mapping == c.kappa[y].mapping
+            assert graph_of(back.kappa[y]) == graph_of(c.kappa[y])
         assert back.mu.components == dict(c.mu.components)
         assert back.nu.components == dict(c.nu.components)
 
@@ -366,7 +359,7 @@ def test_mc_and_ma_on_interior_ops():
     drop = InteriorOp(
         d,
         {
-            x: MonotoneMap(d.fibers[x], d.fibers[x], {l: "{}" for l in d.fibers[x].elements})
+            x: graph_map(d.fibers[x], d.fibers[x], {l: "{}" for l in d.fibers[x].elements})
             for x in d.base.objects
         },
     )
@@ -399,7 +392,7 @@ def test_ma_of_an_invalid_operator_raises_the_same_error_every_time():
     op = InteriorOp(
         d,
         {
-            x: MonotoneMap(d.fibers[x], d.fibers[x], {l: d.fibers[x].elements[-1] for l in d.fibers[x].elements})
+            x: graph_map(d.fibers[x], d.fibers[x], {l: d.fibers[x].elements[-1] for l in d.fibers[x].elements})
             for x in d.base.objects
         },
     )
@@ -431,7 +424,7 @@ def test_local_adjunction_modal_triangle(seed=19):
     drop = InteriorOp(
         d,
         {
-            x: MonotoneMap(d.fibers[x], d.fibers[x], {l: "{}" for l in d.fibers[x].elements})
+            x: graph_map(d.fibers[x], d.fibers[x], {l: "{}" for l in d.fibers[x].elements})
             for x in d.base.objects
         },
     )
@@ -500,7 +493,7 @@ def test_em_universal_factor_rejects_broken_xi():
     d = Doctrine(
         base,
         {"*": fiber},
-        {"e": identity_map(fiber), "a": MonotoneMap(fiber, fiber, {"u": "v", "v": "u"})},
+        {"e": identity_map(fiber), "a": graph_map(fiber, fiber, {"u": "v", "v": "u"})},
     )
     c = identity_comonad(d)
     x = identity_one_arrow(d)
@@ -528,7 +521,7 @@ def test_nabla_on_nonvertical_base_change():
         {
             small.id("0"): identity_map(f0),
             small.id("2"): identity_map(f2),
-            "0<=2": MonotoneMap(f2, f0, {"{}": "{}", "{p}": "{p}", "{q}": "{}", "{p,q}": "{p}"}),
+            "0<=2": graph_map(f2, f0, {"{}": "{}", "{p}": "{p}", "{q}": "{}", "{p,q}": "{p}"}),
         },
     )
     A = base_change_adjunction(Q, L, R, eta, eps)
@@ -679,9 +672,9 @@ def test_em_doctrine_refuses_a_closure_that_is_not_deflationary():
     # identity comonad's closure P(id)∘κ inflates 0 to 2 though its scan passes
     base = discrete_category(["*"])
     fiber = chain_poset(["0", "1", "2"])
-    d = Doctrine(base, {"*": fiber}, {"id_*": MonotoneMap(fiber, fiber, {"0": "2", "1": "2", "2": "2"})})
+    d = Doctrine(base, {"*": fiber}, {"id_*": graph_map(fiber, fiber, {"0": "2", "1": "2", "2": "2"})})
     K = identity_functor(base)
-    kappa = MonotoneMap(fiber, fiber, {"0": "0", "1": "0", "2": "2"})
+    kappa = graph_map(fiber, fiber, {"0": "0", "1": "0", "2": "2"})
     c = DoctrineComonad(d, K, {"*": kappa}, identity_nat(K), identity_nat(K))
     assert comonad_violations(c) == []
     with pytest.raises(ValueError, match=r"^closure not deflationary at \(<\*\|id_\*>,0\)$"):
@@ -699,8 +692,8 @@ def test_cm_modality_refuses_a_box_that_is_not_monotone():
     comp = {(g, f): between[fs, gd] for g, gs, gd in arrows for f, fs, fd in arrows if fd == gs}
     base = fin_category(["C", "D"], arrows, {"C": "id_C", "D": "id_D"}, comp)
     vee, two = fin_poset(["p", "q", "b"], [("p", "b"), ("q", "b")]), chain_poset(["0", "1"])
-    kappa = MonotoneMap(vee, two, {"p": "0", "q": "1", "b": "1"})
-    section = MonotoneMap(two, vee, {"0": "p", "1": "q"})
+    kappa = graph_map(vee, two, {"p": "0", "q": "1", "b": "1"})
+    section = graph_map(two, vee, {"0": "p", "1": "q"})
     P = Doctrine(base, {"C": vee, "D": two}, {"id_C": identity_map(vee), "id_D": identity_map(two), "i": section, "j": kappa})
     K = fin_functor(base, base, {"C": "D", "D": "D"}, {a: "id_D" for a, _, _ in arrows})
     mu = fin_nat(K, compose_functors(K, K), {"C": "id_D", "D": "id_D"})
@@ -723,7 +716,7 @@ def test_every_em_closure_whose_comonad_scan_passes_is_idempotent():
     # P(id_*) = {0↦0, 1↦0, 2↦1} with κ = id; the comultiplication inequality fails first
     base = discrete_category(["*"])
     fiber = chain_poset(["0", "1", "2"])
-    d = Doctrine(base, {"*": fiber}, {"id_*": MonotoneMap(fiber, fiber, {"0": "0", "1": "0", "2": "1"})})
+    d = Doctrine(base, {"*": fiber}, {"id_*": graph_map(fiber, fiber, {"0": "0", "1": "0", "2": "1"})})
     K = identity_functor(base)
     c = DoctrineComonad(d, K, {"*": identity_map(fiber)}, identity_nat(K), identity_nat(K))
     assert closure_idempotence_reference(c) == [("<*|id_*>", "2")]

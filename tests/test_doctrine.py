@@ -31,7 +31,7 @@ from doctrines.fincat import (
     poset_category,
 )
 from doctrines.interior import InteriorOp, interior_violations
-from doctrines.order import FinPoset, MonotoneMap, chain_poset, compose_maps, identity_map, monotone_violations
+from doctrines.order import FinPoset, chain_poset, compose_maps, graph_map, identity_map, monotone_violations
 from doctrines.suite import (
     bundled_adjunctions,
     bundled_comonads,
@@ -44,6 +44,7 @@ from util import (
     covers_by_definition,
     doctrine_violations_reference,
     fin_category,
+    graph_of,
     identity_one_arrow,
     identity_two_arrow,
     inverse_image_reference,
@@ -121,7 +122,7 @@ def test_corrupted_reindex_names_the_pair():
     # corrupt the composite's table only; the corrupted map stays monotone
     bad = dict(d.reindex)
     m = bad[gf]
-    bad[gf] = MonotoneMap(m.src, m.dst, {lbl: "{}" for lbl in m.src.elements})
+    bad[gf] = graph_map(m.src, m.dst, {lbl: "{}" for lbl in m.src.elements})
     harmed = Doctrine(d.base, d.fibers, bad)
     out = doctrine_violations(harmed)
     assert any("contravariance fails" in v and g in v and f in v for v in out)
@@ -138,7 +139,7 @@ def test_one_arrow_naturality_violation_witnessed():
     d = powerset_doctrine_over({"A": ["a1"], "B": ["b1"]})
     i = identity_one_arrow(d)
     parts = dict(i.parts)
-    parts["A"] = MonotoneMap(d.fibers["A"], d.fibers["A"], {"{}": "{}", "{a1}": "{}"})
+    parts["A"] = graph_map(d.fibers["A"], d.fibers["A"], {"{}": "{}", "{a1}": "{}"})
     broken = OneArrow(d, d, i.functor, parts)
     assert any("naturality fails" in v for v in one_arrow_violations(broken))
 
@@ -199,7 +200,7 @@ def test_two_arrow_lax_violation_witnessed():
     i = identity_one_arrow(d)
     drop = OneArrow(
         d, d, i.functor,
-        {"A": MonotoneMap(d.fibers["A"], d.fibers["A"], {"{}": "{}", "{a1}": "{}"})},
+        {"A": graph_map(d.fibers["A"], d.fibers["A"], {"{}": "{}", "{a1}": "{}"})},
     )
     # drop ≤ id holds; id ≤ drop fails at {a1}
     ok = TwoArrow(drop, i, identity_two_arrow(i).theta)
@@ -215,8 +216,8 @@ def test_whiskering_preserves_two_arrow_validity():
     drop = OneArrow(
         d, d, i.functor,
         {
-            "A": MonotoneMap(d.fibers["A"], d.fibers["A"], {"{}": "{}", "{a1}": "{}"}),
-            "B": MonotoneMap(d.fibers["B"], d.fibers["B"], {"{}": "{}", "{b1}": "{}"}),
+            "A": graph_map(d.fibers["A"], d.fibers["A"], {"{}": "{}", "{a1}": "{}"}),
+            "B": graph_map(d.fibers["B"], d.fibers["B"], {"{}": "{}", "{b1}": "{}"}),
         },
     )
     t = TwoArrow(drop, i, identity_two_arrow(i).theta)
@@ -299,7 +300,7 @@ def test_compose_meet_after_diagonal_is_tabled_composite():
     comp = compose_one_arrows(meet, diag)
     for x in d.base.objects:
         assert comp.parts[x] == compose_maps(meet.parts[x], diag.parts[x])
-        assert comp.parts[x].mapping == {a: a for a in d.fibers[x].elements}
+        assert graph_of(comp.parts[x]) == {a: a for a in d.fibers[x].elements}
 
 
 BASE_CHANGES = [rounding_base_change, presheaf_restriction_base_change]
@@ -347,7 +348,7 @@ def _with_value(d, a, lbl, value):
     """d with the reindexing along a sending lbl to value."""
     reindex = dict(d.reindex)
     m = reindex[a]
-    reindex[a] = MonotoneMap(m.src, m.dst, {**m.mapping, lbl: value})
+    reindex[a] = graph_map(m.src, m.dst, {**graph_of(m), lbl: value})
     return Doctrine(d.base, d.fibers, reindex)
 
 

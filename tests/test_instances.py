@@ -49,16 +49,16 @@ from doctrines.instances import (
 )
 from doctrines.instances import _function_fiber, _pointwise_fiber
 from doctrines.order import (
-    MonotoneMap,
     chain_poset,
     fin_poset,
+    graph_map,
     identity_map,
     is_identity_map,
     label_subset,
     lattice_from_poset,
     poset_from_pairs,
-    product_poset,
     powerset_poset,
+    product_poset,
     sub_poset,
     subset_label,
     subsets_in_order,
@@ -75,6 +75,7 @@ from util import (
     fin_category,
     forgetful_top_arrow,
     function_category_reference,
+    graph_of,
     inverse_image_reference,
     kripke_box,
     postcomposition_reference,
@@ -336,8 +337,8 @@ def _bottom_core(q):
     """Only ⊥ kept, so ! is constant ⊥: a planted core that fails law 3 alone."""
     carrier, bottom = q.lattice.carrier, q.lattice.bottom
     sub = sub_poset(carrier, [bottom])
-    iota = MonotoneMap(sub, carrier, {bottom: bottom})
-    return QuantaleCore((bottom,), sub, iota, MonotoneMap(carrier, sub, {x: bottom for x in carrier.elements}))
+    iota = graph_map(sub, carrier, {bottom: bottom})
+    return QuantaleCore((bottom,), sub, iota, graph_map(carrier, sub, {x: bottom for x in carrier.elements}))
 
 
 @pytest.mark.parametrize("make", [bool_quantale, lukasiewicz3, _z2], ids=["bool", "luk3", "z2"])
@@ -354,8 +355,8 @@ def test_a_core_that_rounds_h_up_fails_law_4_where_a_coordinate_pair_is_h_h():
     q = lukasiewicz3()
     carrier = q.lattice.carrier
     sub = sub_poset(carrier, ["0", "1"])
-    iota = MonotoneMap(sub, carrier, {"0": "0", "1": "1"})
-    core = QuantaleCore(("0", "1"), sub, iota, MonotoneMap(carrier, sub, {"0": "0", "h": "1", "1": "1"}))
+    iota = graph_map(sub, carrier, {"0": "0", "1": "1"})
+    core = QuantaleCore(("0", "1"), sub, iota, graph_map(carrier, sub, {"0": "0", "h": "1", "1": "1"}))
     rep = bang_law_suite(q, BANG_SETS, core_override=core)
     assert rep == bang_law_report_reference(q, BANG_SETS, core)
     assert rep["law1"] == rep["law2"] == rep["law3"] == []
@@ -719,10 +720,10 @@ def test_kripke_doctrine_maps_equal_reference_loops(frame, sets):
     doc, op = kripke_doctrine(frame, sets)
     fc = full_function_category(sets)
     wposet = powerset_poset(frame.worlds)
-    assert {a: m.mapping for a, m in doc.reindex.items()} == precomposition_reference(fc, wposet)
+    assert {a: graph_of(m) for a, m in doc.reindex.items()} == precomposition_reference(fc, wposet)
     box = subset_map_reference(wposet, frame.worlds, lambda a: kripke_box(frame, a))
     for x in sets:
-        assert op.parts[x].mapping == postcomposition_reference(sets[x], wposet, box)
+        assert graph_of(op.parts[x]) == postcomposition_reference(sets[x], wposet, box)
 
 
 @pytest.mark.parametrize("q", [bool_quantale(), lukasiewicz3()], ids=["bool", "luk3"])
@@ -732,11 +733,11 @@ def test_quantale_doctrine_maps_equal_reference_loops(q):
     core = quantale_core(q)
     fc = full_function_category(sets)
     assert adj.q is Qdoc
-    assert {a: m.mapping for a, m in Qdoc.reindex.items()} == precomposition_reference(fc, q.lattice.carrier)
-    assert {a: m.mapping for a, m in adj.p.reindex.items()} == precomposition_reference(fc, core.sub)
+    assert {a: graph_of(m) for a, m in Qdoc.reindex.items()} == precomposition_reference(fc, q.lattice.carrier)
+    assert {a: graph_of(m) for a, m in adj.p.reindex.items()} == precomposition_reference(fc, core.sub)
     for x in sets:
-        assert adj.lam[x].mapping == postcomposition_reference(sets[x], core.sub, core.iota.mapping)
-        assert adj.rho[x].mapping == postcomposition_reference(sets[x], q.lattice.carrier, core.r.mapping)
+        assert graph_of(adj.lam[x]) == postcomposition_reference(sets[x], core.sub, graph_of(core.iota))
+        assert graph_of(adj.rho[x]) == postcomposition_reference(sets[x], q.lattice.carrier, graph_of(core.r))
 
 
 M3 = fin_poset(["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])

@@ -12,17 +12,10 @@ from doctrines.interior import (
     stable_elements,
     stable_subdoctrine,
 )
-from doctrines.order import (
-    MonotoneMap,
-    identity_map,
-    label_subset,
-    monotone_violations,
-    powerset_poset,
-    subset_label,
-)
+from doctrines.order import graph_map, identity_map, label_subset, monotone_violations, powerset_poset, subset_label
 from doctrines.suite import bundled_interior_ops
 
-from util import identity_one_arrow, interior_violations_reference, powerset_doctrine_over
+from util import graph_of, identity_one_arrow, interior_violations_reference, powerset_doctrine_over
 
 
 def _one_fiber_doctrine(ground):
@@ -39,7 +32,7 @@ def _kripke_box_map(worlds, rel, fiber):
     for lbl in fiber.elements:
         a = label_subset(lbl)
         mapping[lbl] = subset_label({w for w in worlds if succ(w) <= a}, worlds)
-    return MonotoneMap(fiber, fiber, mapping)
+    return graph_map(fiber, fiber, mapping)
 
 
 def test_identity_interior_passes_everywhere():
@@ -112,7 +105,7 @@ def test_stable_subdoctrine_inclusion_is_modal_from_identity_to_box():
     op = InteriorOp(
         d,
         {
-            x: MonotoneMap(d.fibers[x], d.fibers[x], {l: "{}" for l in d.fibers[x].elements})
+            x: graph_map(d.fibers[x], d.fibers[x], {l: "{}" for l in d.fibers[x].elements})
             for x in d.base.objects
         },
     )
@@ -140,8 +133,8 @@ def test_stable_subdoctrine_rejects_non_natural_box():
     # reindexing along any arrow into B is not stable at A
     d = powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]})
     fa, fb = d.fibers["A"], d.fibers["B"]
-    box_a = MonotoneMap(fa, fa, {lbl: "{}" for lbl in fa.elements})
-    box_b = MonotoneMap(fb, fb, {lbl: lbl if lbl == "{b1,b2}" else "{}" for lbl in fb.elements})
+    box_a = graph_map(fa, fa, {lbl: "{}" for lbl in fa.elements})
+    box_b = graph_map(fb, fb, {lbl: lbl if lbl == "{b1,b2}" else "{}" for lbl in fb.elements})
     op = InteriorOp(d, {"A": box_a, "B": box_b})
     with pytest.raises(ValueError, match="does not preserve stability"):
         stable_subdoctrine(op)
@@ -179,7 +172,7 @@ def test_planted_box_value_agrees_with_the_reference_and_names_only_its_object(n
         touching = {t for t in P.base.arrow_names() if x in (P.base.src(t), P.base.dst(t))}
         for a in box.src.elements:
             for value in box.dst.elements:
-                changed = MonotoneMap(box.src, box.dst, {**box.mapping, a: value})
+                changed = graph_map(box.src, box.dst, {**graph_of(box), a: value})
                 if value == box.apply(a) or monotone_violations(changed):
                     continue
                 planted = InteriorOp(P, {**op.parts, x: changed})

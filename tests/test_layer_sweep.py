@@ -64,10 +64,10 @@ def _sweep_module():
     return sweep
 
 
-def test_layer_sweep_sizes_reach_15_worlds_and_a_16_world_check_on_the_change_side_only():
+def test_layer_sweep_sizes_reach_17_worlds_on_both_sides():
     sweep = _sweep_module()
-    assert max(sweep.ONE_KEY_WORLDS) == 15
-    assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16] and sweep.CHANGE_ONLY_CHECK_WORLDS == {16}
+    assert max(sweep.ONE_KEY_WORLDS) == 17
+    assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16, 17] and not hasattr(sweep, "CHANGE_ONLY_CHECK_WORLDS")
 
 
 def test_layer_sweep_times_the_temporal_sweep_up_to_20_states():

@@ -8,13 +8,14 @@ from doctrines.order import (
     FinPoset,
     MonotoneMap,
     chain_poset,
-    monotone_violations,
     check_poset,
     compose_maps,
     fin_poset,
+    graph_map,
     identity_map,
     label_subset,
     lattice_from_poset,
+    monotone_violations,
     poset_from_pairs,
     powerset_poset,
     product_poset,
@@ -28,6 +29,7 @@ from util import (
     down,
     gfp,
     gfp_trace,
+    graph_of,
     monotone_violations_reference,
     poset_height,
     post_fixed_join,
@@ -39,7 +41,7 @@ from util import (
 # The checked constructor of a monotone map, and constant maps, which only
 # these tests use.
 def monotone_map(src: FinPoset, dst: FinPoset, mapping: Mapping[str, str]) -> MonotoneMap:
-    m = MonotoneMap(src, dst, dict(mapping))
+    m = graph_map(src, dst, dict(mapping))
     bad = monotone_violations(m)
     if bad:
         raise ValueError("not monotone: " + "; ".join(bad))
@@ -47,7 +49,7 @@ def monotone_map(src: FinPoset, dst: FinPoset, mapping: Mapping[str, str]) -> Mo
 
 
 def constant_map(src: FinPoset, dst: FinPoset, value: str) -> MonotoneMap:
-    return MonotoneMap(src, dst, {x: value for x in src.elements})
+    return graph_map(src, dst, {x: value for x in src.elements})
 
 
 def test_check_poset_singleton():
@@ -95,15 +97,27 @@ def test_monotone_violations_identity_and_constant():
 
 def test_monotone_violations_swap_violation():
     p = chain_poset(["a", "b"])
-    m = MonotoneMap(p, p, {"a": "b", "b": "a"})
+    m = graph_map(p, p, {"a": "b", "b": "a"})
     bad = monotone_violations(m)
     assert any("(a,b)" in v for v in bad)
 
 
-def test_monotone_image_outside_dst():
+def test_graph_map_refuses_an_image_outside_dst():
     p = chain_poset(["a", "b"])
-    m = MonotoneMap(p, p, {"a": "a", "b": "zzz"})
-    assert any("outside" in v for v in monotone_violations(m))
+    with pytest.raises(ValueError, match="^image outside target poset: b -> zzz$"):
+        graph_map(p, p, {"a": "a", "b": "zzz"})
+
+
+def test_graph_map_refuses_a_graph_that_is_not_total_or_names_an_unknown_element():
+    p = chain_poset(["a", "b"])
+    with pytest.raises(ValueError, match="^not total: no image for a$"):
+        graph_map(p, p, {"b": "b"})
+    with pytest.raises(ValueError, match="^graph mentions unknown source element: c$"):
+        graph_map(p, p, {"a": "a", "c": "a", "b": "b"})
+    # source elements are checked in order, each before any key that is no source element
+    with pytest.raises(ValueError, match="^image outside target poset: a -> z$"):
+        graph_map(p, p, {"a": "z", "c": "a"})
+    assert graph_map(p, p, {"b": "b", "a": "b"}).images == (1, 1)
 
 
 def test_compose_maps_extensional_equality():
@@ -216,7 +230,7 @@ def test_gfp_intersection_example():
 def test_gfp_rejects_non_monotone():
     p = chain_poset(["a", "b"])
     lat = lattice_from_poset(p)
-    swap = MonotoneMap(p, p, {"a": "b", "b": "a"})
+    swap = graph_map(p, p, {"a": "b", "b": "a"})
     with pytest.raises(ValueError):
         gfp(lat, swap)
 
@@ -318,7 +332,7 @@ def _random_monotone(rng, src, dst):
     for x in sorted(src.elements, key=lambda x: len(down(src, x))):
         below = [mapping[y] for y in down(src, x) if y != x]
         mapping[x] = rng.choice([v for v in dst.elements if all(dst.leq(b, v) for b in below)])
-    return MonotoneMap(src, dst, mapping)
+    return graph_map(src, dst, mapping)
 
 
 def test_monotone_violations_equal_the_literal_scan_on_random_maps():
@@ -339,7 +353,7 @@ def test_monotone_violations_equal_the_literal_scan_on_random_maps():
         if i % 2:
             # swap the images of two elements that have different ones, and
             # half the time of two comparable ones, which always breaks it
-            mapping = dict(m.mapping)
+            mapping = dict(graph_of(m))
             pairs = [(a, b) for a in src.elements for b in src.elements if mapping[a] < mapping[b]]
             comparable = [(a, b) for (a, b) in pairs if src.leq(a, b) or src.leq(b, a)]
             if comparable and rng.random() < 0.5:
@@ -347,7 +361,7 @@ def test_monotone_violations_equal_the_literal_scan_on_random_maps():
             if pairs:
                 a, b = rng.choice(pairs)
                 mapping[a], mapping[b] = mapping[b], mapping[a]
-            m = MonotoneMap(src, dst, mapping)
+            m = graph_map(src, dst, mapping)
         got = monotone_violations(m)
         assert got == monotone_violations_reference(m)
         failing += bool(got)

@@ -15,8 +15,8 @@ from doctrines.cli import main
 from doctrines.instances import KripkeFrame, _pointwise_fiber, kripke_doctrine, lukasiewicz3, quantale_doctrine
 from doctrines.order import (
     FinPoset,
-    MonotoneMap,
     chain_poset,
+    graph_map,
     monotone_violations,
     poset_from_pairs,
     powerset_poset,
@@ -149,8 +149,8 @@ def test_a_non_monotone_map_on_a_code_poset_gets_the_witnesses_of_its_mask_twin(
     p = rng.choice([whole, sub_poset(whole, ["{}", "{a}", "{b}", "{a,b}", "{a,b,c}"])])
     twin = poset_from_pairs(p.elements, p.relation)  # the same order, coded by down-sets
     mapping = {a: rng.choice(p.elements) for a in p.elements}
-    got = monotone_violations(MonotoneMap(p, p, mapping))
-    assert got == monotone_violations(MonotoneMap(twin, twin, mapping))
+    got = monotone_violations(graph_map(p, p, mapping))
+    assert got == monotone_violations(graph_map(twin, twin, mapping))
     assert got == sorted(
         f"order not preserved on ({a},{b})" for (a, b) in p.relation if (mapping[a], mapping[b]) not in p.relation
     )

@@ -12,9 +12,9 @@ from doctrines.cli import main
 from doctrines.instances import KripkeFrame, _pointwise_fiber, kripke_doctrine
 from doctrines.order import (
     FinPoset,
-    MonotoneMap,
     close_relation,
     fin_poset,
+    graph_map,
     monotone_violations,
     poset_from_pairs,
     powerset_poset,
@@ -142,10 +142,10 @@ def test_a_planted_non_monotone_map_still_gets_its_literal_witnesses():
     # one key: the fiber's codes are the worlds' subset bitmasks
     assert fiber.codes == powerset_poset(NINE_WORLDS).codes
     bottom, top = fiber.elements[0], fiber.elements[-1]
-    m = MonotoneMap(fiber, fiber, {a: bottom if a == top else a for a in fiber.elements})
+    m = graph_map(fiber, fiber, {a: bottom if a == top else a for a in fiber.elements})
     assert "relation" not in vars(fiber)
     want = sorted(f"order not preserved on ({a},{top})" for a in fiber.elements if a not in (bottom, top))
     assert monotone_violations(m) == want
     # the fiber has bit codes; the literal scan walked `up` and built no pair set
     assert "relation" not in vars(fiber)
-    assert monotone_violations(MonotoneMap(fiber, fiber, {a: a for a in fiber.elements})) == []
+    assert monotone_violations(graph_map(fiber, fiber, {a: a for a in fiber.elements})) == []

@@ -7,7 +7,7 @@ from doctrines.doctrine import doctrine_violations
 from doctrines.fincat import all_functions
 from doctrines import temporal
 from doctrines.interior import interior_violations
-from doctrines.order import MonotoneMap, label_subset, subset_label, subsets_in_order
+from doctrines.order import graph_map, label_subset, subset_label, subsets_in_order
 from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T, random_coalgebra, random_subset
 from doctrines.temporal import (
     FCoalgebra,
@@ -199,7 +199,7 @@ def _psi_table_trace(c, lift, alpha, lat):
     for lbl in lat.carrier.elements:
         beta = label_subset(lbl)
         mapping[lbl] = subset_label([s for s in c.states if s in alpha and holds(s, beta)], c.states)
-    f = MonotoneMap(lat.carrier, lat.carrier, mapping)
+    f = graph_map(lat.carrier, lat.carrier, mapping)
     return [label_subset(x) for x in gfp_trace(lat, f)], label_subset(post_fixed_join(lat, f))
 
 

@@ -9,7 +9,7 @@ import dataclasses
 import pytest
 
 from doctrines.cli import ModelDocument
-from doctrines.order import Field, FinPoset, MonotoneMap, chain_poset, identity_map, kept, value_class
+from doctrines.order import Field, FinPoset, MonotoneMap, chain_poset, graph_map, identity_map, kept, value_class
 
 FROZEN = dataclasses.dataclass(frozen=True)
 
@@ -74,7 +74,7 @@ def test_assigning_or_deleting_an_attribute_raises_attribute_error():
     assert vars(p) == {"x": 1, "y": 2, "label": "p", "_total": 3}
     m = identity_map(chain_poset(["a"]))
     with pytest.raises(AttributeError):
-        m.mapping = {}
+        m.images = ()
 
 
 def test_fields_out_of_the_comparison_stay_out_of_eq_and_hash():
@@ -109,16 +109,19 @@ def test_a_class_keeps_its_own_eq_and_hash_and_one_with_only_eq_gets_the_field_h
     Named, NamedTwin = named(value_class), named(FROZEN)
     assert Named("a", 1) == Named("a", 2)
     assert hash(Named("a", 1)) == hash(NamedTwin("a", 1)) == hash(("a", 1))
-    # FinPoset hashes its elements alone, MonotoneMap keeps its pointwise __eq__
+    # FinPoset hashes its elements alone; MonotoneMap compares and hashes its
+    # fields, the two posets and the images, so a graph in any key order is
+    # the same value
     p = chain_poset(["a", "b"])
     assert hash(p) == hash(("a", "b"))
-    assert MonotoneMap(p, p, {"b": "b", "a": "a"}) == identity_map(p)
+    m = graph_map(p, p, {"b": "b", "a": "a"})
+    assert m == identity_map(p) and hash(m) == hash(identity_map(p)) == hash((p, p, (0, 1)))
 
 
 def test_library_reprs_show_the_repr_fields_in_order():
     assert repr(chain_poset(["a", "b"])) == "FinPoset(elements=('a', 'b'), codes=(1, 3))"
     p = chain_poset(["a"])
-    assert repr(identity_map(p)) == f"MonotoneMap(src={p!r}, dst={p!r}, mapping={{'a': 'a'}})"
+    assert repr(identity_map(p)) == f"MonotoneMap(src={p!r}, dst={p!r}, images=(0,))"
 
 
 def test_post_init_is_looked_up_at_each_construction(monkeypatch):
@@ -126,7 +129,7 @@ def test_post_init_is_looked_up_at_each_construction(monkeypatch):
     monkeypatch.setattr(Point, "__post_init__", lambda self: seen.append(self.x))
     Point(4)
     # a class without a __post_init__ of its own calls one patched in later
-    monkeypatch.setattr(MonotoneMap, "__post_init__", lambda self: seen.append(len(self.mapping)), raising=False)
+    monkeypatch.setattr(MonotoneMap, "__post_init__", lambda self: seen.append(len(self.images)), raising=False)
     identity_map(chain_poset(["a", "b"]))
     assert seen == [4, 2]
     monkeypatch.undo()
@@ -137,7 +140,7 @@ def test_post_init_is_looked_up_at_each_construction(monkeypatch):
 
 def test_every_value_class_shares_one_constructor_and_keeps_no_defaults_on_the_class():
     assert Point.__init__.__code__ is MonotoneMap.__init__.__code__ is FinPoset.__init__.__code__
-    assert not any(hasattr(FinPoset, name) for name in ("codes", "covers", "values", "_position", "_code"))
+    assert not any(hasattr(FinPoset, name) for name in ("codes", "covers", "values", "_position"))
 
 
 def _kept_norm():

@@ -34,7 +34,16 @@ from doctrines.instances import (
     valid_quantale,
 )
 from doctrines.interior import InteriorOp, identity_interior
-from doctrines.order import FinLattice, FinPoset, MonotoneMap, label_subset, poset_from_pairs, powerset_poset, subset_label
+from doctrines.order import (
+    FinLattice,
+    FinPoset,
+    MonotoneMap,
+    graph_map,
+    label_subset,
+    poset_from_pairs,
+    powerset_poset,
+    subset_label,
+)
 
 
 def powerset_doctrine_over(sets):
@@ -51,12 +60,12 @@ def inverse_image_reference(base, sets):
     for a in base.arrow_names():
         src_obj, dst_obj = base.src(a), base.dst(a)
         g = function_graph(a)
-        mapping = {}
+        graph = {}
         for lbl in fibers[dst_obj].elements:
             target = label_subset(lbl)
             preimage = [e for e in sets[src_obj] if g[e] in target]
-            mapping[lbl] = subset_label(preimage, sets[src_obj])
-        reindex[a] = MonotoneMap(fibers[dst_obj], fibers[src_obj], mapping)
+            graph[lbl] = subset_label(preimage, sets[src_obj])
+        reindex[a] = graph_map(fibers[dst_obj], fibers[src_obj], graph)
     return Doctrine(base, fibers, reindex)
 
 
@@ -199,24 +208,19 @@ def functor_violations_reference(F):
     return out
 
 
+def graph_of(m: MonotoneMap) -> dict[str, str]:
+    """The graph of `m`, label to label."""
+    return {a: m.dst.elements[i] for a, i in zip(m.src.elements, m.images)}
+
+
 def monotone_violations_reference(m):
     """Every monotonicity failure of `m` by the literal scan of every related
-    pair of its source: the reference for `order.monotone_violations`."""
-    out = []
-    for x in m.src.elements:
-        if x not in m.mapping:
-            out.append(f"not total: no image for {x}")
-        elif m.mapping[x] not in m.dst.elements:
-            out.append(f"image outside target poset: {x} -> {m.mapping[x]}")
-    for k in m.mapping:
-        if k not in m.src.elements:
-            out.append(f"graph mentions unknown source element: {k}")
-    if out:
-        return out
-    for (a, b) in m.src.relation:
-        if (m.mapping[a], m.mapping[b]) not in m.dst.relation:
-            out.append(f"order not preserved on ({a},{b})")
-    return sorted(out)
+    pair of its source, on its graph: the reference for
+    `order.monotone_violations`."""
+    graph = graph_of(m)
+    return sorted(
+        f"order not preserved on ({a},{b})" for (a, b) in m.src.relation if (graph[a], graph[b]) not in m.dst.relation
+    )
 
 
 def doctrine_violations_reference(d):
@@ -243,14 +247,14 @@ def doctrine_violations_reference(d):
     if out:
         return out
     for x in B.objects:
-        m = d.reindex[B.identities[x]]
-        if any(m.mapping[e] != e for e in d.fibers[x].elements):
+        m = graph_of(d.reindex[B.identities[x]])
+        if any(m[e] != e for e in d.fibers[x].elements):
             out.append(f"reindex(id_{x}) is not the identity")
     for (g, gs, _) in B.arrows:
         for (f, _, fd) in B.arrows:
             if fd == gs:
-                lhs, pf, pg = d.reindex[B.composition[(g, f)]], d.reindex[f], d.reindex[g]
-                if any(lhs.mapping[e] != pf.mapping[pg.mapping[e]] for e in lhs.src.elements):
+                lhs, pf, pg = (graph_of(d.reindex[n]) for n in (B.composition[(g, f)], f, g))
+                if any(lhs[e] != pf[pg[e]] for e in lhs):
                     out.append(f"contravariance fails on ({g},{f})")
     return out
 
@@ -260,7 +264,8 @@ def compose_reference(g, f):
     `order.compose_maps` when f does not land in the source of g."""
     if (f.dst.elements, f.dst.relation) != (g.src.elements, g.src.relation):
         raise ValueError("compose_maps: boundary mismatch")
-    return MonotoneMap(f.src, g.dst, {x: g.mapping[f.mapping[x]] for x in f.src.elements})
+    gg, fg = graph_of(g), graph_of(f)
+    return graph_map(f.src, g.dst, {x: gg[fg[x]] for x in f.src.elements})
 
 
 def same_graph_reference(m, n):
@@ -269,7 +274,7 @@ def same_graph_reference(m, n):
 
     def whole(k):
         ends = (k.src.elements, k.src.relation, k.dst.elements, k.dst.relation)
-        return ends, tuple((x, k.mapping[x]) for x in k.src.elements)
+        return ends, tuple(graph_of(k).items())
 
     return whole(m) == whole(n)
 
@@ -318,7 +323,7 @@ def interior_violations_reference(op):
         if not same_graph_reference(lhs, rhs):
             out.append(f"naturality fails along {t}")
     for x in P.base.objects:
-        box, rel = op.parts[x].mapping, P.fibers[x].relation
+        box, rel = graph_of(op.parts[x]), P.fibers[x].relation
         for a in P.fibers[x].elements:
             if (box[a], a) not in rel:
                 out.append(f"axiom T fails at ({x},{a})")
@@ -339,19 +344,19 @@ def lax_inequalities_reference(A):
     P, Q, L, R = A.p, A.q, A.left, A.right
     out = []
     for x in P.base.objects:
-        unit = compose_reference(P.reindex[A.eta.components[x]], compose_reference(A.rho[L.obj_map[x]], A.lam[x]))
+        unit = graph_of(compose_reference(P.reindex[A.eta.components[x]], compose_reference(A.rho[L.obj_map[x]], A.lam[x])))
         rel = P.fibers[x].relation
         out.extend(
-            f"(iii) eta: lax inequality fails at ({x},{a})" for a in P.fibers[x].elements if (a, unit.mapping[a]) not in rel
+            f"(iii) eta: lax inequality fails at ({x},{a})" for a in P.fibers[x].elements if (a, unit[a]) not in rel
         )
     for y in Q.base.objects:
         ry = R.obj_map[y]
-        counit, back = compose_reference(A.lam[ry], A.rho[y]), Q.reindex[A.eps.components[y]]
+        counit, back = graph_of(compose_reference(A.lam[ry], A.rho[y])), graph_of(Q.reindex[A.eps.components[y]])
         rel = Q.fibers[L.obj_map[ry]].relation
         out.extend(
             f"(iii) eps: lax inequality fails at ({y},{b})"
             for b in Q.fibers[y].elements
-            if (counit.mapping[b], back.mapping[b]) not in rel
+            if (counit[b], back[b]) not in rel
         )
     return out
 
@@ -364,8 +369,8 @@ def em_fibers_reference(c):
     out = {}
     for o in data.category.objects:
         x = data.carrier[o]
-        closure, rel = compose_reference(c.p.reindex[data.structure[o]], c.kappa[x]), c.p.fibers[x].relation
-        out[o] = tuple(a for a in c.p.fibers[x].elements if (a, closure.mapping[a]) in rel)
+        closure, rel = graph_of(compose_reference(c.p.reindex[data.structure[o]], c.kappa[x])), c.p.fibers[x].relation
+        out[o] = tuple(a for a in c.p.fibers[x].elements if (a, closure[a]) in rel)
     return out
 
 
@@ -377,14 +382,14 @@ def closure_idempotence_reference(c):
     out = []
     for o in data.category.objects:
         x = data.carrier[o]
-        cl = compose_reference(c.p.reindex[data.structure[o]], c.kappa[x]).mapping
+        cl = graph_of(compose_reference(c.p.reindex[data.structure[o]], c.kappa[x]))
         out.extend((o, a) for a in c.p.fibers[x].elements if cl[cl[a]] != cl[a])
     return out
 
 
 def injective_reference(m):
     """Whether the map `m` sends distinct elements to distinct images."""
-    return len({m.mapping[a] for a in m.src.elements}) == len(m.src.elements)
+    return len(set(graph_of(m).values())) == len(m.src.elements)
 
 
 def comparison_landing_reference(A):
@@ -398,10 +403,9 @@ def comparison_landing_reference(A):
         if o not in fibers:
             out.append(f"comparison object {o} is not a coalgebra")
             continue
+        lam = graph_of(A.lam[x])
         out.extend(
-            f"lambda does not land in the EM fiber at ({x},{a})"
-            for a in A.p.fibers[x].elements
-            if A.lam[x].mapping[a] not in fibers[o]
+            f"lambda does not land in the EM fiber at ({x},{a})" for a in A.p.fibers[x].elements if lam[a] not in fibers[o]
         )
     return out
 
@@ -415,11 +419,11 @@ def kripke_box(frame, a):
 
 
 def covers_by_definition(p):
-    """The pairs a < b of `p` with no element strictly between them, by
-    testing every triple: the reference for `FinPoset.hasse`."""
+    """The position pairs (i, j) of the a < b of `p` with no element strictly
+    between them, by testing every triple: the reference for `FinPoset.hasse`."""
     rel = p.relation
     return {
-        (a, b)
+        (p.index(a), p.index(b))
         for (a, b) in rel
         if a != b and not any(c not in (a, b) and (a, c) in rel and (c, b) in rel for c in p.elements)
     }
@@ -553,11 +557,12 @@ def bang_law_report_reference(q, sets, core):
     """The report of `instances.bang_law_suite` by the literal loops over
     every fiber, with ! = ι∘r applied pointwise through the raw maps."""
     report = {"law1": [], "law2": [], "law3": [], "law4": []}
+    iota, r = graph_of(core.iota), graph_of(core.r)
     for name, keys in sets.items():
         fns, label, leq, star, unit = _pointwise(q, keys)
 
         def bang(f):
-            return tuple(core.iota.mapping[core.r.mapping[v]] for v in f)
+            return tuple(iota[r[v]] for v in f)
 
         for f in fns:
             if not leq(bang(f), unit):
@@ -715,12 +720,12 @@ def subobject_doctrine_finset(sets):
     for a in base.arrow_names():
         s, d = base.src(a), base.dst(a)
         g = fc.graphs[a]
-        mapping = {}
+        graph = {}
         for lbl in fibers[d].elements:
             target = label_subset(lbl)
             pullback_pairs = [(e, m) for e in sets[s] for m in target if g[e] == m]
-            mapping[lbl] = subset_label({e for (e, _) in pullback_pairs}, sets[s])
-        reindex[a] = MonotoneMap(fibers[d], fibers[s], mapping)
+            graph[lbl] = subset_label({e for (e, _) in pullback_pairs}, sets[s])
+        reindex[a] = graph_map(fibers[d], fibers[s], graph)
     return Doctrine(base, fibers, reindex)
 
 
@@ -832,8 +837,9 @@ def identity_two_arrow(a: OneArrow) -> TwoArrow:
 def moved_image(m: MonotoneMap) -> MonotoneMap:
     """m with the image of its first source element moved to another element
     of its target: a fault planted in a construction a check compares."""
+    graph = graph_of(m)
     a = m.src.elements[0]
-    return MonotoneMap(m.src, m.dst, {**m.mapping, a: next(b for b in m.dst.elements if b != m.mapping[a])})
+    return graph_map(m.src, m.dst, {**graph, a: next(b for b in m.dst.elements if b != graph[a])})
 
 
 def down(p: FinPoset, a: str) -> tuple[str, ...]:
@@ -867,7 +873,7 @@ def constant_family_arrow(
     functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
     parts = {}
     for name in sets:
-        mapping = {}
+        graph = {}
         fib = src_doc.fibers[name]
         for lbl in fib.elements:
             # decode the function label back through reconstruction
@@ -876,10 +882,10 @@ def constant_family_arrow(
                 w: frozenset(s for s in sets[name] if w in label_subset(alpha[s]))
                 for w in frame.worlds
             }
-            mapping[lbl] = family_element_label(
+            graph[lbl] = family_element_label(
                 frozenset(sets[name]), fam_parts, fams[name].carrier, frame.worlds
             )
-        parts[name] = MonotoneMap(fib, dst_doc.fibers[name], mapping)
+        parts[name] = graph_map(fib, dst_doc.fibers[name], graph)
     return OneArrow(src_doc, dst_doc, functor, parts), src_op, dst_op
 
 

@@ -8,7 +8,7 @@ BENCH_*.json file; standard library only.
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
         --workload modal --seeds 40 41 42 --out BENCH_17.json
 
-`layers` times, on Kripke chains of 8-15 worlds with one carrier D = {x}:
+`layers` times, on Kripke chains of 8-17 worlds with one carrier D = {x}:
 `powerset_poset` of the worlds, `_pointwise_fiber` with one key over that
 powerset, the `kripke_doctrine` build, `interior_violations` of its
 operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
@@ -35,11 +35,9 @@ interpreter), to 4 significant digits. A temporal row is the best of
 `TEMPORAL_ROUNDS` interpreters, each timing the sweep once, since the sweep
 before its bitmask rewrite took over a minute at 18 states, and the sweep
 before its planes 19 s at 20. A `check` row runs the
-command line's `check` on a Kripke chain of 12-16 worlds once per fresh
+command line's `check` on a Kripke chain of 12-17 worlds once per fresh
 interpreter, and records the best time and the least peak RSS of the
-interpreter over `ROUNDS` of them; the 16-world row runs on the change side
-only: a parent that keeps up-set masks for the 2^16-element Boolean fiber
-would need about 1.5 GB there (4x per world from its 384 MB at 15 worlds).
+interpreter over `ROUNDS` of them.
 
 `import` times `import doctrines.cli` in fresh `python -S` interpreters
 (no site hook imports anything first), each importing from one checkout's
@@ -81,7 +79,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import GATE_MODEL  # noqa: E402
-ONE_KEY_WORLDS = range(8, 16)
+ONE_KEY_WORLDS = range(8, 18)
 TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
 ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
@@ -91,8 +89,7 @@ QUANTALE_POINTS = range(2, 5)
 TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
-CHECK_WORLDS = range(12, 17)
-CHANGE_ONLY_CHECK_WORLDS = {16}
+CHECK_WORLDS = range(12, 18)
 IMPORT_ROUNDS = 20
 # a command line `parse_argv` reads itself, and one it hands to argparse
 PARSE_ARGV = {
@@ -277,8 +274,6 @@ def layers(args) -> None:
     sizes += [("--states", n) for n in TEMPORAL_STATES] + [("--check-worlds", n) for n in CHECK_WORLDS]
     for flag, n in sizes:
         sides = [("parent", args.parent), ("change", args.change)]
-        if flag == "--check-worlds" and n in CHANGE_ONLY_CHECK_WORLDS:
-            sides = sides[1:]
         at_size = {}
         for k in range(TEMPORAL_ROUNDS if flag == "--states" else ROUNDS):
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
