@@ -24,6 +24,7 @@ from .order import (
     FinPoset,
     MonotoneMap,
     _certified,
+    _unions,
     compose_maps,
     identity_map,
     is_identity_map,
@@ -89,13 +90,18 @@ def doctrine_violations(d: Doctrine) -> list[str]:
 
 def inverse_image_doctrine(fc: FunctionCategory) -> Doctrine:
     """Powerset fibers over a function category, reindexed along g: X → Y by
-    inverse image, B ↦ {e ∈ X | g(e) ∈ B}."""
+    inverse image, B ↦ {e ∈ X | g(e) ∈ B}, on codes: the preimage of a
+    union is the union of its points' preimages, so the preimage of a code
+    t is that of t without its low bit, joined with its low bit's."""
     base = fc.category
     fibers = {x: powerset_poset(fc.sets[x]) for x in base.objects}
     reindex = {}
     for (a, s, d) in base.arrows:
-        g, ground = fc.graphs[a], fc.sets[s]
-        reindex[a] = value_map(fibers[d], fibers[s], lambda target: frozenset(e for e in ground if g[e] in target))
+        g, points = fc.graphs[a], dict.fromkeys(fc.sets[d], 0)
+        for i, e in enumerate(fc.sets[s]):
+            points[g[e]] |= 1 << i
+        pre, at = _unions(list(points.values())), fibers[s]._by_code
+        reindex[a] = MonotoneMap(fibers[d], fibers[s], tuple(at[pre[t]] for t in fibers[d].codes))
     return Doctrine(base, fibers, reindex)
 
 

@@ -39,6 +39,7 @@ from .order import (
     FinPoset,
     MonotoneMap,
     _positions,
+    _unions,
     chain_poset,
     label_subset,
     lattice_from_poset,
@@ -49,7 +50,6 @@ from .order import (
     subset_label,
     subsets_in_order,
     value_class,
-    value_graph,
     value_map,
 )
 
@@ -86,17 +86,18 @@ def frame_violations(frame: KripkeFrame) -> list[str]:
     return out
 
 
-def fun_label(mapping: Mapping[str, str], domain: Sequence[str]) -> str:
-    return "[" + ";".join(f"{d}:{mapping[d]}" for d in domain) + "]"
-
-
 def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPoset:
     """Poset of all assignments of an element of factors[i] to keys[i],
-    labelled by `fun_label`, valued by the tuple of the factors' values in
-    key order, and ordered pointwise by `product_order`; m is covered by
-    raising one value to a cover of it in its factor."""
-    keys = list(keys)
-    labels = [fun_label(dict(zip(keys, combo)), keys) for combo in product(*(f.elements for f in factors))]
+    labelled `[k:e;…]`, joined from each key's `k:e` parts, valued
+    by the tuple of the factors' values in key order, and ordered pointwise
+    by `product_order`; m is covered by raising one value to a cover of it
+    in its factor. A one-key fiber keeps its factor's codes and covers, so
+    one over a powerset is Boolean and derives its covers on first use."""
+    parts = [[f"{k}:{e}" for e in f.elements] for k, f in zip(keys, factors)]
+    labels = tuple("[" + ";".join(combo) + "]" for combo in product(*parts))
+    values = tuple(product(*(f.values for f in factors)))
+    if len(factors) == 1:
+        return FinPoset(labels, factors[0].codes, factors[0].covers, values)
     # raising the value at key k from c to a cover d moves the assignment's
     # position by (d - c) times the stride of k
     stride, raises = 1, []
@@ -113,8 +114,7 @@ def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPos
         for steps, c in zip(raises, combo)
         for step in steps[c]
     ]
-    values = tuple(product(*(f.values for f in factors)))
-    return FinPoset(tuple(labels), product_order(factors), tuple(covers), values)
+    return FinPoset(labels, product_order(factors), tuple(covers), values)
 
 
 def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> FinPoset:
@@ -122,26 +122,49 @@ def _function_fiber(domain: Sequence[str], codomain: FinPoset) -> FinPoset:
     return _pointwise_fiber(domain, [codomain] * len(domain))
 
 
+def _digit_images(parts: Sequence[Sequence[int]], size: int) -> tuple[int, ...]:
+    """Σ_k parts[k][a_k] for every tuple of digits a, in `itertools.product`
+    order (first digit slowest), built digit by digit: the images of a map
+    between function fibers whose target position is a sum of one term per
+    digit of the source position, as the shared positions of a target of
+    `size` elements."""
+    images = [0]
+    for part in parts:
+        images = [p + q for p in images for q in part]
+    return tuple(map(_positions(size).__getitem__, images))
+
+
 def _function_doctrine(fc: FunctionCategory, codomain: FinPoset) -> Doctrine:
-    """The doctrine codomain^X over `fc`, reindexed along g by precomposition
-    α ↦ α∘g: the value of α∘g reads α's value at the position of each g(e)."""
+    """The doctrine codomain^X over `fc`, reindexed along g: s → d by
+    precomposition α ↦ α∘g. With c = |codomain|, a fiber position is the
+    mixed-radix number Σ_k α_k·c^(|s|−1−k) of α's codomain positions, so α∘g
+    sits at Σ_j α_j·w_j, where w_j is the sum of the c^(|s|−1−k) over the
+    k with g(e_k) = e′_j."""
     fibers = {x: _function_fiber(fc.sets[x], codomain) for x in fc.category.objects}
+    c = len(codomain.elements)
     reindex = {}
     for (a, s, d) in fc.category.arrows:
-        g, at = fc.graphs[a], {e: i for i, e in enumerate(fc.sets[d])}
-        positions = [at[g[e]] for e in fc.sets[s]]
-        reindex[a] = value_map(fibers[d], fibers[s], lambda alpha: tuple(map(alpha.__getitem__, positions)))
+        g, weights, n = fc.graphs[a], dict.fromkeys(fc.sets[d], 0), len(fc.sets[s])
+        for k, e in enumerate(fc.sets[s]):
+            weights[g[e]] += c ** (n - 1 - k)
+        parts = [[digit * w for digit in range(c)] for w in weights.values()]
+        reindex[a] = MonotoneMap(fibers[d], fibers[s], _digit_images(parts, len(fibers[s].elements)))
     return Doctrine(fc.category, fibers, reindex)
 
 
-def _postcompose(src: Doctrine, dst: Doctrine, table: Mapping) -> dict[str, MonotoneMap]:
+def _postcompose(src: Doctrine, dst: Doctrine, table: Sequence[int], width: int) -> dict[str, MonotoneMap]:
     """The fiber maps α ↦ f∘α from the function doctrine `src` to `dst`, one
-    per object, where `table` gives f once per codomain value."""
-
-    def post(alpha):
-        return tuple(map(table.__getitem__, alpha))
-
-    return {x: value_map(src.fibers[x], dst.fibers[x], post) for x in src.base.objects}
+    per object, where table[i] is the position of f(i) among the `width`
+    elements of the target codomain, for i a position of the source
+    codomain: on n keys, f∘α sits at Σ_k table[α_k]·width^(n−1−k). n is the
+    length of a fiber element's value, the tuple of its codomain values."""
+    out = {}
+    for x in src.base.objects:
+        fiber, size = src.fibers[x], len(dst.fibers[x].elements)
+        n = len(fiber.values[0])
+        parts = [[t * width ** (n - 1 - k) for t in table] for k in range(n)]
+        out[x] = MonotoneMap(fiber, dst.fibers[x], _digit_images(parts, size))
+    return out
 
 
 def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, FunctionCategory]:
@@ -157,10 +180,13 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     the failure otherwise). A code's box: the worlds whose successors it holds."""
     wposet = powerset_poset(frame.worlds)
     doc = _function_doctrine(full_function_category(sets), wposet)
-    value_of = dict(zip(wposet.codes, wposet.values))
-    succ = [(1 << i, sum(1 << frame.worlds.index(v) for v in frame.successors(w))) for i, w in enumerate(frame.worlds)]
-    box = {value_of[c]: value_of[sum(b for b, s in succ if not s & ~c)] for c in wposet.codes}
-    return doc, InteriorOp(doc, _postcompose(doc, doc, box))
+    # w is outside the box of c iff a successor of w is outside c, so the
+    # worlds outside it are the union, over the v outside c, of v's predecessors
+    at, worlds = wposet._by_code, frame.worlds
+    pred = [sum(1 << i for i, w in enumerate(worlds) if v in frame.successors(w)) for v in worlds]
+    outside, top = _unions(pred), len(at) - 1
+    box = [at[top ^ outside[top ^ c]] for c in wposet.codes]
+    return doc, InteriorOp(doc, _postcompose(doc, doc, box, len(box)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +465,8 @@ def quantale_doctrine(
     fc = full_function_category(sets)
     Qdoc = _function_doctrine(fc, q.lattice.carrier)
     Cdoc = _function_doctrine(fc, core.sub)
-    lam = _postcompose(Cdoc, Qdoc, value_graph(core.iota))
-    rho = _postcompose(Qdoc, Cdoc, value_graph(core.r))
+    lam = _postcompose(Cdoc, Qdoc, core.iota.images, len(core.iota.dst.elements))
+    rho = _postcompose(Qdoc, Cdoc, core.r.images, len(core.r.dst.elements))
     adj = vertical_adjunction(Cdoc, Qdoc, lam, rho)
     bang = vertical_modality(adj)
     return Qdoc, adj, bang
@@ -621,15 +647,17 @@ def largest_subpresheaf(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
 
 def subpresheaf_union_oracle(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
     """Independent oracle: the union of all subfamilies of `parts` satisfying
-    the subpresheaf condition."""
+    the subpresheaf condition, tested as `is_subpresheaf` tests it, with each
+    arrow's action and its two worlds looked up once, not once per candidate."""
     worlds = list(d.base.objects)
     per_world = [subsets_in_order(sorted(parts[w], key=list(d.at[w]).index)) for w in worlds]
-    acc = {w: frozenset() for w in worlds}
-    for combo in product(*per_world):
-        cand = dict(zip(worlds, combo))
-        if is_subpresheaf(d, cand):
-            acc = {w: acc[w] | cand[w] for w in worlds}
-    return acc
+    at = {w: i for i, w in enumerate(worlds)}
+    actions = [(d.act[f], at[d.base.src(f)], at[d.base.dst(f)]) for f in d.base.arrow_names()]
+    acc = [frozenset()] * len(worlds)
+    for cand in product(*per_world):
+        if all(act[x] in cand[v] for act, w, v in actions for x in cand[w]):
+            acc = list(map(frozenset.union, acc, cand))
+    return dict(zip(worlds, acc))
 
 
 def presheaf_instance(

@@ -173,7 +173,13 @@ class FinPoset:
     elements[j] and nothing strictly between: passed by a builder that
     enumerates the order by its structure, else derived by `hasse()` on
     first use. `relation`, the label pairs a <= b, is built on first use for
-    callers that want it; the library never reads it."""
+    callers that want it; the library never reads it.
+
+    A Boolean poset, one whose codes are exactly 0 … 2ᵏ−1 (`powerset_poset`
+    and the pointwise fibers over powersets), is the lattice of subsets of k
+    bits; `_by_code`, its position of each code, is built once on first use
+    and read by the maps that compute on codes, by `hasse()` and by the meet
+    certificate of `monotone_violations`."""
 
     elements: tuple[str, ...]
     codes: tuple[int, ...]
@@ -217,19 +223,36 @@ class FinPoset:
     def relation(self) -> frozenset[tuple[str, str]]:
         return frozenset((a, b) for a in self.elements for b in self.up(a))
 
+    @cached_property
+    def _by_code(self) -> list[int] | None:
+        """The position of each code when the codes are exactly 0 … 2ᵏ−1,
+        else None: n distinct codes (distinct, since the order is
+        antisymmetric) of at most n − 1, for n a power of two."""
+        n, codes = len(self.codes), self.codes
+        if not n or n & (n - 1) or max(codes) != n - 1:
+            return None
+        return sorted(_positions(n)[:n], key=codes.__getitem__)
+
     def hasse(self) -> tuple[tuple[int, int], ...]:
-        """The covering pairs, derived once when no builder passed them: in
-        order of size, j covers i iff its code strictly contains i's and no
-        cover found before, O(n²) tests on n codes."""
+        """The covering pairs, derived once when no builder passed them. In a
+        Boolean poset a code's covers add one missing bit each, k·2ᵏ⁻¹ pairs
+        read off `_by_code`. Otherwise, in order of size, j covers i iff its
+        code strictly contains i's and no cover found before, O(n²) tests on
+        n codes."""
         if self.covers is None:
-            covers = []
-            by_size = sorted(zip(self.codes, self._position.values()), key=lambda cj: cj[0].bit_count())
-            for i, c in zip(self._position.values(), self.codes):
-                found = []
-                for d, j in by_size:
-                    if d != c and not c & ~d and all(f & ~d for f in found):
-                        found.append(d)
-                        covers.append((i, j))
+            at, positions = self._by_code, self._position.values()
+            if at is not None:
+                bits = [1 << b for b in range(len(at).bit_length() - 1)]
+                covers = [(i, at[c | b]) for i, c in zip(positions, self.codes) for b in bits if not c & b]
+            else:
+                covers = []
+                by_size = sorted(zip(self.codes, positions), key=lambda cj: cj[0].bit_count())
+                for i, c in zip(positions, self.codes):
+                    found = []
+                    for d, j in by_size:
+                        if d != c and not c & ~d and all(f & ~d for f in found):
+                            found.append(d)
+                            covers.append((i, j))
             object.__setattr__(self, "covers", tuple(covers))
         return self.covers
 
@@ -425,20 +448,41 @@ def value_graph(m: MonotoneMap) -> dict:
 def _certified(checks) -> bool:
     """Whether every one of `checks` holds: a certificate that a law scan
     passes, so the literal scan is skipped. It is the one seam of the
-    library's certificates (covers in `monotone_violations`, generators in
-    `functor_violations` and `doctrine_violations`, Light's test in
-    `category_violations`). A certificate may only certify a pass: on False
-    the literal scan runs and names the witnesses, so a run where it always
-    returns False reports the same."""
+    library's certificates (meets and covers in `monotone_violations`,
+    generators in `functor_violations` and `doctrine_violations`, Light's
+    test in `category_violations`). A certificate may only certify a pass: on
+    False the literal scan runs and names the witnesses, so a run where it
+    always returns False reports the same."""
     return all(checks)
+
+
+def _meets_certified(m: MonotoneMap) -> bool:
+    """Whether m, out of a Boolean poset, keeps the one-pass meet
+    certificate, which proves it monotone: with C(x) the code of m(x), top
+    ⊤ = 2ᵏ−1 and b the lowest bit missing from x, C(x) == C(x | b) & C(⊤ ^ b)
+    for every x ≠ ⊤, 2ᵏ steps where the covers take k·2ᵏ⁻¹.
+
+    Proof. By induction on the number of bits missing from x, C(x) = C(⊤) &
+    ⋀_{b∉x} C(⊤ ^ b): at x = ⊤ the meet is empty; else x | b misses the bits
+    of x but b, and C(⊤ ^ b) is the one term more. If x ⊆ y, every bit
+    missing from y is missing from x, so C(x) holds every term of C(y) and is
+    a subset of it, that is m(x) <= m(y) in the target's order by codes. A
+    monotone map that does not preserve these meets misses the certificate,
+    and the cover certificate decides it."""
+    codes, images, at = m.dst.codes, m.images, m.src._by_code
+    c, top = [codes[images[i]] for i in at], len(at) - 1
+    return _certified(c[x] == c[x | (b := ~x & (x + 1))] & c[top ^ b] for x in range(top))
 
 
 def monotone_violations(m: MonotoneMap) -> list[str]:
     """Empty list iff order-preservation holds on every related pair; checked
-    on the covering pairs of the source first."""
+    by the meet certificate first when the source is Boolean, then on the
+    covering pairs of the source."""
     # every a <= b is a chain of covers and the target's <= is reflexive and
     # transitive, so preserving the covers certifies a pass; on a miss the
     # scan below finds the witnesses
+    if m.src._by_code is not None and _meets_certified(m):
+        return []
     images, codes = m.images, m.dst.codes
     if _certified(not codes[images[i]] & ~codes[images[j]] for (i, j) in m.src.hasse()):
         return []
@@ -446,6 +490,16 @@ def monotone_violations(m: MonotoneMap) -> list[str]:
     for a, c, u in scan:
         out.extend(f"order not preserved on ({a},{b})" for b, d, v in scan if not c & ~d and codes[u] & ~codes[v])
     return sorted(out)
+
+
+def _unions(masks: Sequence[int]) -> list[int]:
+    """The union of the masks[j] with bit j in t, for every t < 2^len(masks):
+    the unions at t and at t + 2ʲ differ by masks[j] alone, so each step
+    doubles the table, 2ⁿ unions in all."""
+    unions = [0]
+    for mask in masks:
+        unions += [u | mask for u in unions]
+    return unions
 
 
 def identity_map(p: FinPoset) -> MonotoneMap:
@@ -548,8 +602,8 @@ def subsets_in_order(ground: Sequence[str]) -> list[frozenset[str]]:
 
 def powerset_poset(ground: Sequence[str]) -> FinPoset:
     """Subsets in `subsets_in_order` order under inclusion, labelled as by
-    `subset_label` and coded by their bitmask of ground positions. A
-    subset's covers add one point each, n·2ⁿ⁻¹ pairs."""
+    `subset_label` and coded by their bitmask of ground positions: a Boolean
+    poset, whose covers `hasse()` derives on first use."""
     n = len(ground)
     bits = [1 << i for i in range(n)]
     label_of, values = {}, []
@@ -557,6 +611,4 @@ def powerset_poset(ground: Sequence[str]) -> FinPoset:
         for combo in combinations(range(n), r):
             label_of[sum(map(bits.__getitem__, combo))] = "{" + ",".join(map(ground.__getitem__, combo)) + "}"
             values.append(frozenset(map(ground.__getitem__, combo)))
-    position = dict(zip(label_of, _positions(len(label_of))))
-    covers = [(i, position[m | b]) for m, i in position.items() for b in bits if not m & b]
-    return FinPoset(tuple(label_of.values()), tuple(label_of), tuple(covers), tuple(values))
+    return FinPoset(tuple(label_of.values()), tuple(label_of), values=tuple(values))

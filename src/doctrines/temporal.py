@@ -347,7 +347,7 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     parts = {}
     for c in coalgebras:
         fib, planes = doc.fibers[c.name], _gfp_planes(c, lift)
-        position = {code: i for i, code in enumerate(fib.codes)}
+        position = fib._by_code
         parts[c.name] = MonotoneMap(fib, fib, tuple(
             position[sum(1 << x for x, p in enumerate(planes) if p >> code & 1)] for code in fib.codes
         ))

@@ -555,19 +555,27 @@ def is_poset(x):
     assert _unlisted_callers(sources, "FinPoset", FIN_POSET_BUILDERS) == ["order.shortcut", "instances.Fibers.build"]
 
 
-# the builders that may construct a MonotoneMap: each is total into its
-# target by construction (its images are positions it reads off the target,
-# or composes or restricts those of maps already built), except graph_map,
-# which checks a graph read from outside the library
+# the builders that may construct a MonotoneMap, each with why it is total
+# into its target by construction, except graph_map, which checks a graph
+# read from outside the library
 MONOTONE_MAP_BUILDERS = {
-    "order.graph_map",
-    "order.value_map",
-    "order.identity_map",
-    "order.compose_maps",
-    "order.restrict_map",
-    "instances.quantale_core",
-    "instances.fake_core",
-    "temporal.temporal_doctrine",
+    "order.graph_map": "checks that a graph read from outside is total into dst",
+    "order.value_map": "looks each image value up in dst.by_value, raising on a miss",
+    "order.identity_map": "the positions of p itself",
+    "order.compose_maps": "indexes g's images by f's, positions of g.src = f.dst",
+    "order.restrict_map": "reads each image's position in dst off its label",
+    "instances.quantale_core": "positions read off the carrier and the core by `index`",
+    "instances.fake_core": "positions read off the carrier and the sub-poset by `index`",
+    "instances._function_doctrine": (
+        "α∘g has a codomain digit at each key of s, so its digit sum is a position of the fiber at s"
+    ),
+    "instances._postcompose": (
+        "table gives a target codomain position per digit, so the digit sum is a position of the target fiber"
+    ),
+    "doctrine.inverse_image_doctrine": (
+        "a preimage is a code of the source ground's bits, and a powerset holds every such code (_by_code)"
+    ),
+    "temporal.temporal_doctrine": "each box is a code of the coalgebra's states, read back through _by_code",
 }
 
 
@@ -576,7 +584,7 @@ def test_only_the_named_builders_build_a_monotone_map():
     assert _unlisted_callers(sources, "MonotoneMap", MONOTONE_MAP_BUILDERS) == []
     # every listed builder still builds one
     assert {f"{stem}.{where}" for stem, text in sources.items() for where in _callers(text, "MonotoneMap")} == (
-        MONOTONE_MAP_BUILDERS
+        set(MONOTONE_MAP_BUILDERS)
     )
 
 
@@ -604,6 +612,58 @@ def _resolve_fiber(ws, name):
 '''
     sources = {"order": order, "cli": cli}
     assert _unlisted_callers(sources, "MonotoneMap", MONOTONE_MAP_BUILDERS) == ["order.from_labels", "cli._build_interior"]
+
+
+# the builders that may construct a Functor, each with why it is a functor
+# or where its laws are checked
+FUNCTOR_BUILDERS = {
+    "fincat.fin_functor": "the checked constructor: raises unless functor_violations is empty",
+    "fincat.identity_functor": "the identity tables of a category",
+    "fincat.compose_functors": "composes the tables of two functors whose boundaries it checks",
+    "fincat.coalgebra_category": "U reads each coalgebra arrow's payload, which composes as in the base",
+    "doctrine.restrict_doctrine": "the inclusion of a subcategory, its objects and arrows as themselves",
+    "doctrine.power_doctrine": "f ↦ f×id_X, checked above to commute with both chosen projections",
+    "comonad.em_adjunction": "the free coalgebras: K on arrows, which is a coalgebra arrow by μ's naturality",
+    "comonad.comparison_arrow": "L on objects and arrows, landing in coalgebras by the adjunction's triangle laws",
+    "comonad.em_universal_factor": "X on arrows, into the coalgebras ξ that the coherence scan above admits",
+    "suite.presheaf_restriction_base_change": "restriction to the world w2, a functor by evaluation",
+    "cli._build_comonad": "K read from model text, whose laws the comonad verdict checks (functor_violations)",
+}
+
+
+def test_only_the_named_builders_build_a_functor():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert _unlisted_callers(sources, "Functor", FUNCTOR_BUILDERS) == []
+    # every listed builder still builds one
+    assert {f"{stem}.{where}" for stem, text in sources.items() for where in _callers(text, "Functor")} == (
+        set(FUNCTOR_BUILDERS)
+    )
+
+
+def test_functor_scan_flags_planted_calls_and_nothing_else():
+    fincat = '''
+def identity_functor(C):
+    return Functor(C, C, {}, {})
+
+
+def opposite(C):
+    return Functor(C, C, {x: x for x in C.objects}, {})
+'''
+    cli = '''
+from . import fincat
+from .fincat import Functor
+
+
+def _build_comonad(ws, d):
+    K: Functor = fincat.Functor(ws.base, ws.base, {}, {})
+    return K
+
+
+def _build_doctrine(ws, d):
+    return isinstance(ws.k, Functor), [fincat.Functor(b, b, {}, {}) for b in ws.bases]
+'''
+    sources = {"fincat": fincat, "cli": cli}
+    assert _unlisted_callers(sources, "Functor", FUNCTOR_BUILDERS) == ["fincat.opposite", "cli._build_doctrine"]
 
 
 # a map between fibers is read off the values its elements keep

@@ -1017,18 +1017,22 @@ def test_certificates_that_never_certify_change_no_report(tmp_path, monkeypatch)
         if name.startswith("doctrines.") and getattr(module, "_certified", None) is certify:
             monkeypatch.setattr(module, "_certified", never)
     assert runs() == certified
-    assert refused_in == {"monotone_violations", "functor_violations", "doctrine_violations", "category_violations"}
+    assert refused_in == {
+        "_meets_certified", "monotone_violations", "functor_violations", "doctrine_violations", "category_violations"
+    }
 
 
 def _planted_certificate_failures() -> dict:
     """One planted failure per certificate site, each a thunk returning its
-    verdict: a map that reverses a chain, a functor from Z/2 that sends the
-    generator to an idempotent, a doctrine over Z/2 whose reindexing along
-    the generator is constant, and a declared one-object category whose
-    composition has identities but does not associate."""
+    verdict: the complement map on pw(2), which keeps no meet and no order;
+    a map that reverses a chain, which has no meet certificate to try; a
+    functor from Z/2 that sends the generator to an idempotent; a doctrine
+    over Z/2 whose reindexing along the generator is constant; and a
+    declared one-object category whose composition has identities but does
+    not associate."""
     from doctrines.doctrine import Doctrine, doctrine_violations
     from doctrines.fincat import Functor, category_violations, functor_violations
-    from doctrines.order import chain_poset, graph_map, identity_map, monotone_violations
+    from doctrines.order import chain_poset, graph_map, identity_map, monotone_violations, powerset_poset
     from util import one_object_monoid_category
 
     chain = chain_poset(["a", "b", "c"])
@@ -1037,7 +1041,10 @@ def _planted_certificate_failures() -> dict:
     two = chain_poset(["0", "1"])
     table = {("e", x): x for x in "eab"} | {(x, "e"): x for x in "eab"}
     table |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "a"}
+    pw2 = powerset_poset(["p", "q"])
+    complement = {"{}": "{p,q}", "{p}": "{q}", "{q}": "{p}", "{p,q}": "{}"}
     return {
+        "_meets_certified": lambda: monotone_violations(graph_map(pw2, pw2, complement)),
         "monotone_violations": lambda: monotone_violations(graph_map(chain, chain, {"a": "c", "b": "b", "c": "a"})),
         "functor_violations": lambda: functor_violations(Functor(z2, idem, {"*": "*"}, {"e": "e", "s": "z"})),
         "doctrine_violations": lambda: doctrine_violations(
@@ -1055,6 +1062,11 @@ def test_only_the_literal_scan_names_a_failure_each_certificate_misses(monkeypat
 
     literal = {site: verdict() for site, verdict in _planted_certificate_failures().items()}
     assert literal == {
+        # every strict inclusion is reversed
+        "_meets_certified": [
+            f"order not preserved on ({a},{b})"
+            for a, b in [("{p}", "{p,q}"), ("{q}", "{p,q}"), ("{}", "{p,q}"), ("{}", "{p}"), ("{}", "{q}")]
+        ],
         "monotone_violations": ["order not preserved on (a,b)", "order not preserved on (a,c)", "order not preserved on (b,c)"],
         "functor_violations": ["composition not preserved on (s,s)"],
         "doctrine_violations": ["contravariance fails on (s,s)"],
@@ -1073,6 +1085,24 @@ def test_only_the_literal_scan_names_a_failure_each_certificate_misses(monkeypat
             monkeypatch.setattr(module, "_certified", always)
     assert {site: verdict() for site, verdict in _planted_certificate_failures().items()} == dict.fromkeys(literal, [])
     assert certified_in == set(literal)
+
+
+def test_a_monotone_map_that_keeps_no_meet_falls_back_to_the_cover_certificate(monkeypatch):
+    # ∅ ↦ ∅ and every other subset ↦ ⊤ is monotone but sends {p} ∧ {q} = ∅
+    # to ∅, not to ⊤ ∧ ⊤: the meet certificate misses it and the covers pass it
+    from doctrines import order
+
+    pw2 = order.powerset_poset(["p", "q"])
+    m = order.graph_map(pw2, pw2, {"{}": "{}", "{p}": "{p,q}", "{q}": "{p,q}", "{p,q}": "{p,q}"})
+    asked, certify = [], order._certified
+
+    def recorded(checks):
+        asked.append((sys._getframe(1).f_code.co_name, certify(checks)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(order, "_certified", recorded)
+    assert order.monotone_violations(m) == []
+    assert asked == [("_meets_certified", False), ("monotone_violations", True)]
 
 
 def _modules_a_check_loads(tmp_path, names: set, argvs=(("--json", "check", "FILE"),)) -> str:

@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ONE_KEY_LAYERS = ("powerset_poset", "_pointwise_fiber", "kripke_doctrine", "interior_violations", "em_doctrine(mc(op))")
+ONE_KEY_LAYERS = (
+    "powerset_poset", "_pointwise_fiber", "kripke_doctrine", "monotone_violations", "interior_violations",
+    "em_doctrine(mc(op))",
+)
 
 
 def _measure(flag: str, size: int) -> list[dict]:
@@ -64,10 +67,10 @@ def _sweep_module():
     return sweep
 
 
-def test_layer_sweep_sizes_reach_17_worlds_on_both_sides():
+def test_layer_sweep_sizes_reach_17_worlds_and_an_18_world_check_on_both_sides():
     sweep = _sweep_module()
     assert max(sweep.ONE_KEY_WORLDS) == 17
-    assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16, 17] and not hasattr(sweep, "CHANGE_ONLY_CHECK_WORLDS")
+    assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16, 17, 18] and not hasattr(sweep, "CHANGE_ONLY_CHECK_WORLDS")
 
 
 def test_layer_sweep_times_the_temporal_sweep_up_to_20_states():
@@ -112,3 +115,36 @@ def test_layer_sweep_times_parse_argv_on_an_exact_and_a_handed_on_command_line(t
             assert 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
     # the handed-on line imports argparse and builds its parsers: milliseconds, against microseconds
     assert handed_on["change_median_s"] > 10 * exact["change_median_s"]
+
+
+def test_end_to_end_runs_use_copies_of_both_checkouts_taken_before_the_first_run(tmp_path, monkeypatch):
+    # an edit to a checkout during a sweep must reach no run: the first run
+    # edits the change checkout's source, and every later run still reads
+    # the copy taken before it
+    sweep = _sweep_module()
+    checkouts = {}
+    for side in ("parent", "change"):
+        for part in ("src", "bench"):
+            (tmp_path / side / part).mkdir(parents=True)
+            (tmp_path / side / part / "marker.py").write_text(f"{side} {part}\n")
+        checkouts[side] = tmp_path / side
+    metrics = {m: {"value": 1.0} for m in sweep.METRICS}
+    seen, real_run = [], subprocess.run
+
+    def run(argv, cwd=None, **kwargs):
+        if cwd is None:  # `platform` asks the system, not a checkout
+            return real_run(argv, **kwargs)
+        cwd = Path(cwd)
+        seen.append((cwd, (cwd / "src" / "marker.py").read_text(), (cwd / "bench" / "marker.py").read_text()))
+        (checkouts["change"] / "src" / "marker.py").write_text("edited\n")
+        return subprocess.CompletedProcess(argv, 0, json.dumps({"correct": True, "metrics": metrics}) + "\n", "")
+
+    monkeypatch.setattr(sweep.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "end-to-end", "--parent", str(checkouts["parent"]), "--change",
+                                      str(checkouts["change"]), "--workload", "modal", "--seeds", "1", "2", "--out", str(out)])
+    sweep.main()
+    assert [text for _, text, _ in seen] == ["parent src\n", "change src\n", "change src\n", "parent src\n"]
+    assert [text for _, _, text in seen] == ["parent bench\n", "change bench\n", "change bench\n", "parent bench\n"]
+    assert all(tmp_path not in cwd.parents for cwd, _, _ in seen)
+    assert [r["side"] for r in json.loads(out.read_text())["end_to_end"][0]["runs"]] == ["parent", "change", "change", "parent"]

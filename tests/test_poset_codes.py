@@ -234,5 +234,9 @@ def test_passing_paths_never_build_a_boolean_fibers_masks(tmp_path, monkeypatch,
     # a subset's code has one bit per point, where its down-set code would have 2^|subset|
     size = lambda v: len(v) if isinstance(v, frozenset) else sum(map(len, v))
     assert [p for p in boolean if any(c.bit_count() != size(v) for c, v in zip(p.codes, p.values))] == []
-    assert products and [got for factors, got in products if got != _concatenated_codes(factors)] == []
+    assert [got for factors, got in products if got != _concatenated_codes(factors)] == []
+    # a one-key fiber over pw(W) keeps the codes of its powerset, so it builds no product
+    full = [p for p in boolean if len(p.elements) == 2**9]
+    powersets = [p for p in full if isinstance(p.values[0], frozenset)]
+    assert len(full) > len(powersets) > 0 and all(any(p.codes is q.codes for q in powersets) for p in full)
     assert [p for p in built if "relation" in vars(p)] == []

@@ -133,7 +133,8 @@ def test_function_doctrine_maps_by_value_equal_the_label_reindexing(seed):
     doc = _function_doctrine(fc, codomain)
     assert {a: graph_of(m) for a, m in doc.reindex.items()} == precomposition_reference(fc, codomain)
     f = {a: rng.choice(codomain.elements) for a in codomain.elements}
-    parts = _postcompose(doc, doc, {codomain.value(a): codomain.value(b) for a, b in f.items()})
+    # f as the target position of each codomain position
+    parts = _postcompose(doc, doc, [codomain.index(f[a]) for a in codomain.elements], len(codomain.elements))
     for x in sets:
         assert graph_of(parts[x]) == postcomposition_reference(sets[x], codomain, f)
 

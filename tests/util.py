@@ -1,8 +1,8 @@
 """Shared builders and reference oracles for tests. The references are
 deliberately independent of the doctrines.instances constructors (only
-`valid_quantale` is borrowed, to validate a quantale, and `fun_label`, to
-name an assignment) so those can be cross-checked against these. The
-constructions at the end, which the library does not use, build on them."""
+`valid_quantale` is borrowed, to validate a quantale) so those can be
+cross-checked against these. The constructions at the end, which the
+library does not use, build on them."""
 
 import argparse
 from itertools import combinations, product
@@ -27,7 +27,6 @@ from doctrines.instances import (
     KripkeFrame,
     fam_doctrine,
     family_element_label,
-    fun_label,
     kripke_doctrine,
     powerset_doctrine,
     topological_doctrine,
@@ -449,6 +448,12 @@ def powerset_poset_reference(ground):
                 break
             t = (t + 1) | m
     return poset_from_pairs(list(label_of.values()), rel)
+
+
+def fun_label(mapping: Mapping[str, str], domain: Sequence[str]) -> str:
+    """The label of an assignment in a function fiber, `[d:v;…]` in domain
+    order: the reference for the labels of `instances._pointwise_fiber`."""
+    return "[" + ";".join(f"{d}:{mapping[d]}" for d in domain) + "]"
 
 
 def pointwise_fiber_reference(keys, factors):

@@ -10,8 +10,8 @@ BENCH_*.json file; standard library only.
 
 `layers` times, on Kripke chains of 8-17 worlds with one carrier D = {x}:
 `powerset_poset` of the worlds, `_pointwise_fiber` with one key over that
-powerset, the `kripke_doctrine` build, `interior_violations` of its
-operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
+powerset, the `kripke_doctrine` build, `monotone_violations` of its box at
+D, `interior_violations` of its operator and `em_doctrine(mc(op))`. `_pointwise_fiber` with two keys is
 timed on 3-6 worlds: its fiber has 4^n elements and 9^n related pairs, so
 at 8 worlds it would hold 43 M pairs as a pair set. The quantale row times,
 on the 4-chain Łukasiewicz quantale Q (x⊗y = max(0, x+y−3) on ranks 0-3)
@@ -35,7 +35,7 @@ interpreter), to 4 significant digits. A temporal row is the best of
 `TEMPORAL_ROUNDS` interpreters, each timing the sweep once, since the sweep
 before its bitmask rewrite took over a minute at 18 states, and the sweep
 before its planes 19 s at 20. A `check` row runs the
-command line's `check` on a Kripke chain of 12-17 worlds once per fresh
+command line's `check` on a Kripke chain of 12-18 worlds once per fresh
 interpreter, and records the best time and the least peak RSS of the
 interpreter over `ROUNDS` of them.
 
@@ -53,9 +53,10 @@ spelled one, which the parser reads itself, and one it hands to argparse
 (`--js` abbreviates `--json`). The `cold check` and the two `parse` rows
 have each side's best and median time.
 
-`end-to-end` runs `bench/run.py` in the two checkouts in turn, alternating
-which goes first, adds every run to those already recorded for the
-workload, and records the per-side medians of all of them.
+`end-to-end` copies the `src` and `bench` of both checkouts to a temporary
+directory, runs `bench/run.py` in the two copies in turn, alternating which
+goes first, adds every run to those already recorded for the workload, and
+records the per-side medians of all of them.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ import os
 import platform
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -89,7 +91,7 @@ QUANTALE_POINTS = range(2, 5)
 TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
-CHECK_WORLDS = range(12, 18)
+CHECK_WORLDS = range(12, 19)
 IMPORT_ROUNDS = 20
 # a command line `parse_argv` reads itself, and one it hands to argparse
 PARSE_ARGV = {
@@ -133,7 +135,7 @@ def measure(n: int) -> list[dict]:
     from doctrines.comonad import em_doctrine, mc
     from doctrines.instances import KripkeFrame, _pointwise_fiber, kripke_doctrine
     from doctrines.interior import InteriorOp, interior_violations
-    from doctrines.order import powerset_poset
+    from doctrines.order import monotone_violations, powerset_poset
 
     worlds = [f"w{i}" for i in range(n)]
     p = powerset_poset(worlds)
@@ -155,6 +157,7 @@ def measure(n: int) -> list[dict]:
         ("powerset_poset", lambda: powerset_poset(worlds)),
         ("_pointwise_fiber", lambda: _pointwise_fiber(["x"], [p])),
         ("kripke_doctrine", build),
+        ("monotone_violations", lambda: monotone_violations(fresh_op().parts["D"])),
         ("interior_violations", lambda: interior_violations(fresh_op())),
         ("em_doctrine(mc(op))", lambda: em_doctrine(mc(fresh_op()))),
     ]
@@ -336,18 +339,26 @@ def end_to_end(args) -> None:
     out = _load(args.out)
     earlier = [e for e in out["end_to_end"] if e["workload"] == args.workload]
     runs = earlier[0]["runs"] if earlier else []
-    for k, seed in enumerate(args.seeds):
-        sides = [("parent", args.parent), ("change", args.change)]
-        for side, checkout in sides if k % 2 == 0 else sides[::-1]:
-            proc = subprocess.run(
-                [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed), "--seconds", "40"],
-                cwd=checkout, capture_output=True, text=True, check=True,
-            )
-            result = json.loads(proc.stdout.strip().splitlines()[-1])
-            run = {"side": side, "seed": seed, "correct": result["correct"],
-                   **{m: result["metrics"][m]["value"] for m in METRICS}}
-            runs.append(run)
-            print(run, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        # each side runs from a copy of its `src` and `bench` taken before
+        # the first run, so an edit to a checkout during the sweep reaches no run
+        sides = []
+        for side, checkout in [("parent", args.parent), ("change", args.change)]:
+            for part in ("src", "bench"):
+                shutil.copytree(checkout / part, Path(tmp) / side / part,
+                                ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
+            sides.append((side, Path(tmp) / side))
+        for k, seed in enumerate(args.seeds):
+            for side, copy in sides if k % 2 == 0 else sides[::-1]:
+                proc = subprocess.run(
+                    [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed), "--seconds", "40"],
+                    cwd=copy, capture_output=True, text=True, check=True,
+                )
+                result = json.loads(proc.stdout.strip().splitlines()[-1])
+                run = {"side": side, "seed": seed, "correct": result["correct"],
+                       **{m: result["metrics"][m]["value"] for m in METRICS}}
+                runs.append(run)
+                print(run, flush=True)
     medians = {
         side: {m: statistics.median(r[m] for r in runs if r["side"] == side) for m in METRICS}
         for side in ("parent", "change")
