@@ -735,7 +735,7 @@ def _run_queries(ws: Workspace):
                 _temporal_into(ws, f"query {q.name}", c, lift, alpha, "fixpoint {got} differs from oracle {want}")
             elif mode == "check":
                 target = q.need("target")[0]
-                found = [v for v in ws.verdicts if v["name"].split(" ", 1)[-1].startswith(target)]
+                found = [v for v in ws.verdicts if v["name"].split(" ", 1)[-1] == target]
                 ws.verdict(
                     f"query {q.name}",
                     [] if found and all(v["pass"] for v in found) else [f"target '{target}' has failing or missing verdicts"],

@@ -139,7 +139,7 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
     data = coalgebra_category(c.k, c.mu, c.nu)
     keep = {}
     for o in data.category.objects:
-        carrier = data.carrier[o]
+        carrier = data.forgetful.obj_map[o]
         closure = compose_maps(P.reindex[data.structure[o]], c.kappa[carrier]).images
         fib = P.fibers[carrier]
         for i, a in enumerate(fib.elements):
@@ -177,7 +177,7 @@ def em_adjunction(c: DoctrineComonad) -> DoctrineAdjunction:
     eta = NatTransformation(
         identity_functor(emcat),
         compose_functors(free, data.forgetful),
-        {o: coalgebra_arrow_name(o, free_obj[data.carrier[o]], data.structure[o]) for o in emcat.objects},
+        {o: coalgebra_arrow_name(o, free_obj[data.forgetful.obj_map[o]], data.structure[o]) for o in emcat.objects},
     )
     eps = NatTransformation(
         compose_functors(data.forgetful, free),
@@ -199,7 +199,7 @@ def cm_modality(c: DoctrineComonad) -> InteriorOp:
     data = em_doctrine(c).coalgebras
     doc = base_change(c.p, data.forgetful)
     parts = {
-        o: compose_maps(c.p.reindex[data.structure[o]], c.kappa[data.carrier[o]])
+        o: compose_maps(c.p.reindex[data.structure[o]], c.kappa[data.forgetful.obj_map[o]])
         for o in data.category.objects
     }
     op = InteriorOp(doc, parts)

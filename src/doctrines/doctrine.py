@@ -12,7 +12,6 @@ from collections.abc import Mapping, Sequence
 
 from .fincat import (
     FinCategory,
-    FunctionCategory,
     Functor,
     NatTransformation,
     compose_functors,
@@ -88,19 +87,19 @@ def doctrine_violations(d: Doctrine) -> list[str]:
     return out
 
 
-def inverse_image_doctrine(fc: FunctionCategory) -> Doctrine:
-    """Powerset fibers over a function category, reindexed along g: X → Y by
+def inverse_image_doctrine(base: FinCategory, sets: Mapping[str, Sequence[str]]) -> Doctrine:
+    """Powerset fibers over the function category `base` on `sets` (as
+    `full_function_category` builds it), reindexed along g: X → Y by
     inverse image, B ↦ {e ∈ X | g(e) ∈ B}, on codes: the preimage of a
     union is the union of its points' preimages, so the preimage of a code
     t is that of t without its low bit, joined with its low bit's."""
-    base = fc.category
-    fibers = {x: powerset_poset(fc.sets[x]) for x in base.objects}
+    fibers = {x: powerset_poset(sets[x]) for x in base.objects}
     reindex = {}
     for (a, s, d) in base.arrows:
-        g, points = fc.graphs[a], dict.fromkeys(fc.sets[d], 0)
-        for i, e in enumerate(fc.sets[s]):
-            points[g[e]] |= 1 << i
-        pre, at = _unions(list(points.values())), fibers[s]._by_code
+        points = [0] * len(sets[d])
+        for i, j in enumerate(base.payload[a]):
+            points[j] |= 1 << i
+        pre, at = _unions(points), fibers[s]._by_code
         reindex[a] = MonotoneMap(fibers[d], fibers[s], tuple(at[pre[t]] for t in fibers[d].codes))
     return Doctrine(base, fibers, reindex)
 

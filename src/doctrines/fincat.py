@@ -1,7 +1,7 @@
 """Finite categories, functors, and natural transformations with full law checking.
 
-Categories are explicit composition tables, so every law check is a finite
-table scan. Only `check_category` and `concrete_category` construct one.
+A category is its arrows with their payloads and the payload operation
+`compose`: g∘f is looked up by its payload when it is first asked for.
 """
 
 from __future__ import annotations
@@ -15,21 +15,34 @@ from .order import Field, FinPoset, _certified, kept, value_class
 
 @value_class
 class FinCategory:
-    """A category given by its tables. Only `check_category` (after a law
-    scan) and `concrete_category` (by lookup) construct one, so every instance
-    is associative with identities: the law checks on a generating set of
-    arrows in `functor_violations` and `doctrine_violations` rely on that."""
+    """A category given by its arrows, their payloads and `compose`. Only
+    `concrete_category` constructs one, so every instance is associative with
+    identities: the law checks on a generating set of arrows in
+    `functor_violations` and `doctrine_violations` rely on that. == compares
+    objects, arrows, identities and every composite."""
 
     objects: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (name, src, dst)
     identities: Mapping[str, str]  # object -> arrow name
-    composition: Mapping[tuple[str, str], str]  # (g, f) -> g∘f when dst(f)=src(g)
+    payload: Mapping[str, Hashable] = Field(repr=False, compare=False)  # arrow name -> payload
+    compose: Callable[[Hashable, Hashable], Hashable] = Field(repr=False, compare=False)
+    named: Mapping[tuple, str] = Field(repr=False, compare=False)  # (src, dst, payload) -> arrow name
+    generators: tuple[str, ...] = Field(repr=False, compare=False)
+    composites: dict = Field(repr=False, compare=False)  # (g, f) -> g∘f, kept once asked for
     _by_name: dict = Field(init=False, repr=False, compare=False)
     _names: tuple = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", {n: (s, d) for (n, s, d) in self.arrows})
         object.__setattr__(self, "_names", tuple(n for (n, _, _) in self.arrows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FinCategory):
+            return NotImplemented
+        return self is other or (
+            (self.objects, self.arrows, self.identities) == (other.objects, other.arrows, other.identities)
+            and all(self.comp(g, f) == other.comp(g, f) for (g, s, _) in self.arrows for f in self.into[s])
+        )
 
     def src(self, a: str) -> str:
         return self._by_name[a][0]
@@ -44,15 +57,18 @@ class FinCategory:
         return self.identities[x]
 
     def comp(self, g: str, f: str) -> str:
-        """g∘f, defined when dst(f) = src(g)."""
-        return self.composition[(g, f)]
+        """g∘f, defined when dst(f) = src(g): the arrow src(f) → dst(g) with
+        payload compose(payload g, payload f), kept the first time it is asked for."""
+        c = self.composites.get((g, f))
+        if c is None:
+            (s, m), (m2, d) = self._by_name[f], self._by_name[g]
+            if m != m2:
+                raise KeyError((g, f))
+            c = self.composites[g, f] = self.named[s, d, self.compose(self.payload[g], self.payload[f])]
+        return c
 
     def arrow_names(self) -> tuple[str, ...]:
         return self._names
-
-    @cached_property
-    def generators(self) -> tuple[str, ...]:
-        return generating_arrows(self.arrows, self.composition)
 
     @cached_property
     def into(self) -> dict[str, list[str]]:
@@ -66,10 +82,11 @@ class FinCategory:
         return tuple(n for (n, s, d) in self.arrows if s == x and d == y)
 
 
-def generating_arrows(arrows: Sequence[tuple[str, str, str]], composition: Mapping[tuple[str, str], str]) -> tuple[str, ...]:
-    """Arrows that generate all arrows under a composition defined on every
-    composable pair, chosen in declaration order: an arrow is added when no
-    right-fold composite g1∘(g2∘(…)) of those added before it reaches it."""
+def generating_arrows(arrows: Sequence[tuple[str, str, str]], composite: Callable[[tuple], str]) -> tuple[str, ...]:
+    """Arrows that generate all arrows under composition, `composite((g, f))`
+    naming g∘f, chosen in declaration order: an arrow is added when no
+    right-fold composite g1∘(g2∘(…)) of those added before it reaches it. The
+    walk asks for each generator g after each arrow x into src(g), once."""
     dst = {n: d for (n, _, d) in arrows}
     gens, out_of, reached, into = [], {}, set(), {}
     for (n, s, _) in arrows:
@@ -77,14 +94,35 @@ def generating_arrows(arrows: Sequence[tuple[str, str, str]], composition: Mappi
             continue
         gens.append(n)
         out_of.setdefault(s, []).append(n)
-        todo = [n] + [composition[(n, x)] for x in into.get(s, ())]
+        todo = [n] + [composite((n, x)) for x in into.get(s, ())]
         while todo:
             x = todo.pop()
             if x not in reached:
                 reached.add(x)
                 into.setdefault(dst[x], []).append(x)
-                todo.extend(composition[(g, x)] for g in out_of.get(dst[x], ()))
+                todo.extend(composite((g, x)) for g in out_of.get(dst[x], ()))
     return tuple(gens)
+
+
+def _shape_violations(objects: Sequence[str], arrows: Sequence, identities: Mapping[str, str]) -> list[str]:
+    """Repeated names, dangling arrows and missing or misplaced identities."""
+    out, known = [], set(objects)
+    names = [n for (n, _, _) in arrows]
+    if len(set(names)) != len(names):
+        out.append("duplicate arrow names")
+    if len(known) != len(objects):
+        out.append("duplicate object names")
+    by_name = {n: (s, d) for (n, s, d) in arrows}
+    for (n, s, d) in arrows:
+        if s not in known or d not in known:
+            out.append(f"arrow {n} has dangling src/dst")
+    for x in objects:
+        i = identities.get(x)
+        if i is None or i not in by_name:
+            out.append(f"missing identity for {x}")
+        elif by_name[i] != (x, x):
+            out.append(f"identity of {x} is not an endo-arrow")
+    return out
 
 
 def category_violations(
@@ -93,24 +131,10 @@ def category_violations(
     identities: Mapping[str, str],
     composition: Mapping[tuple[str, str], str],
 ) -> list[str]:
-    out = []
-    names = [n for (n, _, _) in arrows]
-    if len(set(names)) != len(names):
-        out.append("duplicate arrow names")
-    if len(set(objects)) != len(objects):
-        out.append("duplicate object names")
-    by_name = {n: (s, d) for (n, s, d) in arrows}
-    for (n, s, d) in arrows:
-        if s not in objects or d not in objects:
-            out.append(f"arrow {n} has dangling src/dst")
-    for x in objects:
-        i = identities.get(x)
-        if i is None or i not in by_name:
-            out.append(f"missing identity for {x}")
-        elif by_name[i] != (x, x):
-            out.append(f"identity of {x} is not an endo-arrow")
+    out = _shape_violations(objects, arrows, identities)
     if out:
         return out
+    by_name = {n: (s, d) for (n, s, d) in arrows}
     for (gn, gs, gd) in arrows:
         for (fn, fs, fd) in arrows:
             if fd == gs:
@@ -132,7 +156,8 @@ def category_violations(
         for (n, s, d) in arrows:
             ins[d].append(n)
             outs[s].append(n)
-        gh = {g: [composition[(g, h)] for h in ins[by_name[g][0]]] for g in generating_arrows(arrows, composition)}
+        walked = generating_arrows(arrows, composition.__getitem__)
+        gh = {g: [composition[(g, h)] for h in ins[by_name[g][0]]] for g in walked}
         if _certified(
             [composition[(f, x)] for x in gh[g]] == [composition[(fg, h)] for h in ins[by_name[g][0]]]
             for g in gh
@@ -158,11 +183,14 @@ def check_category(
     identities: Mapping[str, str],
     composition: Mapping[tuple[str, str], str],
 ) -> FinCategory | list[str]:
-    """A valid category, or the exact failing law instances."""
+    """A valid category, or the exact failing law instances: after the law
+    scan, `concrete_category` with each arrow's name as its payload and the
+    checked table as `compose`."""
     bad = category_violations(objects, arrows, identities, composition)
     if bad:
         return bad
-    return FinCategory(tuple(objects), tuple(arrows), dict(identities), dict(composition))
+    table = dict(composition)
+    return concrete_category(objects, arrows, {n: n for (n, _, _) in arrows}, identities, lambda g, f: table[g, f])
 
 
 def concrete_category(
@@ -175,34 +203,40 @@ def concrete_category(
     """The subcategory of a known category whose arrows `(name, src, dst)`
     carry `payload[name]`, with `identity[x]` the payload of x's identity and
     `compose(g, f)` that of g∘f, an operation the caller guarantees associative
-    and unital. Identities and composites (over composable pairs only) are
-    found by looking up (src, dst, payload); a miss raises with the first
-    witnesses of `category_violations`."""
-    into, name_of = {x: [] for x in objects}, {}
+    and unital. Identities and composites are found by looking up (src, dst,
+    payload), a composite only when it is asked for.
+
+    The walk of `generating_arrows` proves the arrows closed under
+    composition: it asks for every composite g∘x of a generator g after an
+    arrow x, and every arrow is a right fold g1∘(g2∘(…∘gk)) of generators, so
+    for composable f the payload of g∘f is that of g1∘(g2∘(…∘(gk∘f))), each
+    step of which composes a generator after an arrow. A miss raises `not a
+    category: composition undefined for (g,f)`; a repeated name or (src,
+    dst, payload) key, a dangling arrow or a missing identity raises first."""
+    ends, name_of, composites = {n: (s, d) for (n, s, d) in arrows}, {}, {}
     for (n, s, d) in arrows:
         name_of.setdefault((s, d, payload[n]), n)
-        if d in into:
-            into[d].append((n, s))
     identities = {x: name_of[x, x, identity[x]] for x in objects if (x, x, identity[x]) in name_of}
-    composition = {
-        (g, f): name_of.get((s, d, compose(payload[g], payload[f]))) for (g, gs, d) in arrows for (f, s) in into.get(gs, ())
-    }
-    if (
-        len(into) == len(objects) == len(identities)
-        and len(name_of) == len(arrows) == len({n for (n, _, _) in arrows})
-        and all(s in into and d in into for (_, s, d) in arrows)
-        and None not in composition.values()
-    ):
-        return FinCategory(tuple(objects), tuple(arrows), identities, composition)
-    composition = {k: c for k, c in composition.items() if c is not None}
-    bad = category_violations(objects, arrows, identities, composition)
-    raise ValueError("not a category: " + "; ".join(bad[:5]))
+    shared = [(name_of[s, d, payload[n]], n) for (n, s, d) in arrows if name_of[s, d, payload[n]] != n]
+    bad = _shape_violations(objects, arrows, identities) or [f"arrows {i} and {j} share a payload" for i, j in shared]
+    if bad:
+        raise ValueError("not a category: " + "; ".join(bad[:5]))
+
+    def composite(gf: tuple[str, str]) -> str:
+        g, f = gf
+        c = name_of.get((ends[f][0], ends[g][1], compose(payload[g], payload[f])))
+        if c is None:
+            raise ValueError(f"not a category: composition undefined for ({g},{f})")
+        composites[gf] = c
+        return c
+
+    gens = generating_arrows(arrows, composite)  # fills `composites`
+    return FinCategory(tuple(objects), tuple(arrows), identities, payload, compose, name_of, gens, composites)
 
 
 def _thin_category(objects: Sequence[str], arrows: Sequence[tuple[str, str, str]]) -> FinCategory:
     """At most one arrow between two objects, so every payload is ()."""
-    units = dict.fromkeys([*objects, *(n for (n, _, _) in arrows)], ())
-    return concrete_category(objects, arrows, units, units, lambda g, f: ())
+    return concrete_category(objects, arrows, {n: () for n, *_ in arrows}, dict.fromkeys(objects, ()), lambda g, f: ())
 
 
 def discrete_category(objects: Sequence[str]) -> FinCategory:
@@ -224,37 +258,26 @@ def compose_images(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[i] for i in f)
 
 
-@value_class
-class FunctionCategory:
-    """A function category together with the graph of every arrow."""
-
-    category: FinCategory
-    sets: Mapping[str, tuple[str, ...]]
-    graphs: Mapping[str, Mapping[str, str]]
-
-
 def full_function_category(
     sets: Mapping[str, Sequence[str]],
     admits: Callable[[str, str, Mapping[str, str]], bool] | None = None,
-) -> FunctionCategory:
+) -> FinCategory:
     """The category on the named finite carriers whose arrows are the
     functions `admits(src, dst, graph)` accepts (every function when `admits`
-    is None), named by `function_arrow_name` and composed as functions. The
-    accepted functions must contain the identities and be closed under
+    is None), named by `function_arrow_name`, with the position in sets[dst]
+    of each image, in source order, as payload, and composed as functions.
+    The accepted functions must contain the identities and be closed under
     composition; `concrete_category` rejects them otherwise."""
     names = list(sets)
-    arrows, graph_of, images = [], {}, {}
+    arrows, images = [], {}
     for a, b in product(names, names):
         for image in product(range(len(sets[b])), repeat=len(sets[a])):
             mapping = {e: sets[b][i] for e, i in zip(sets[a], image)}
             if admits is None or admits(a, b, mapping):
                 n = function_arrow_name(a, b, mapping, sets[a])
                 arrows.append((n, a, b))
-                graph_of[n] = mapping
                 images[n] = image
-    identity = {a: tuple(range(len(sets[a]))) for a in names}
-    cat = concrete_category(names, arrows, images, identity, compose_images)
-    return FunctionCategory(cat, {k: tuple(v) for k, v in sets.items()}, graph_of)
+    return concrete_category(names, arrows, images, {a: tuple(range(len(sets[a]))) for a in names}, compose_images)
 
 
 def all_functions(src: Iterable[str], dst: Iterable[str]):
@@ -486,7 +509,6 @@ class CoalgebraData:
 
     category: FinCategory
     forgetful: Functor
-    carrier: Mapping[str, str]  # coalgebra object -> base object
     structure: Mapping[str, str]  # coalgebra object -> base arrow c: C → KC
 
 
@@ -524,4 +546,4 @@ def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation)
                 arrow_base[n] = f
     em = concrete_category(objs, arrows, arrow_base, {o: C.id(carrier[o]) for o in objs}, C.comp)
     # U is a functor by construction: its arrow map reads off the payloads
-    return CoalgebraData(em, Functor(em, C, dict(carrier), dict(arrow_base)), carrier, structure)
+    return CoalgebraData(em, Functor(em, C, carrier, arrow_base), structure)

@@ -25,7 +25,6 @@ from .doctrine import (
 )
 from .fincat import (
     FinCategory,
-    FunctionCategory,
     all_functions,
     compose_images,
     concrete_category,
@@ -41,6 +40,7 @@ from .order import (
     _positions,
     _unions,
     chain_poset,
+    kept,
     label_subset,
     lattice_from_poset,
     poset_from_pairs,
@@ -134,22 +134,22 @@ def _digit_images(parts: Sequence[Sequence[int]], size: int) -> tuple[int, ...]:
     return tuple(map(_positions(size).__getitem__, images))
 
 
-def _function_doctrine(fc: FunctionCategory, codomain: FinPoset) -> Doctrine:
-    """The doctrine codomain^X over `fc`, reindexed along g: s → d by
+def _function_doctrine(base: FinCategory, sets: Mapping[str, Sequence[str]], codomain: FinPoset) -> Doctrine:
+    """The doctrine codomain^X over the function category `base` on `sets`, reindexed along g: s → d by
     precomposition α ↦ α∘g. With c = |codomain|, a fiber position is the
     mixed-radix number Σ_k α_k·c^(|s|−1−k) of α's codomain positions, so α∘g
     sits at Σ_j α_j·w_j, where w_j is the sum of the c^(|s|−1−k) over the
     k with g(e_k) = e′_j."""
-    fibers = {x: _function_fiber(fc.sets[x], codomain) for x in fc.category.objects}
+    fibers = {x: _function_fiber(sets[x], codomain) for x in base.objects}
     c = len(codomain.elements)
     reindex = {}
-    for (a, s, d) in fc.category.arrows:
-        g, weights, n = fc.graphs[a], dict.fromkeys(fc.sets[d], 0), len(fc.sets[s])
-        for k, e in enumerate(fc.sets[s]):
-            weights[g[e]] += c ** (n - 1 - k)
-        parts = [[digit * w for digit in range(c)] for w in weights.values()]
+    for (a, s, d) in base.arrows:
+        weights, n = [0] * len(sets[d]), len(sets[s])
+        for k, j in enumerate(base.payload[a]):
+            weights[j] += c ** (n - 1 - k)
+        parts = [[digit * w for digit in range(c)] for w in weights]
         reindex[a] = MonotoneMap(fibers[d], fibers[s], _digit_images(parts, len(fibers[s].elements)))
-    return Doctrine(fc.category, fibers, reindex)
+    return Doctrine(base, fibers, reindex)
 
 
 def _postcompose(src: Doctrine, dst: Doctrine, table: Sequence[int], width: int) -> dict[str, MonotoneMap]:
@@ -167,10 +167,9 @@ def _postcompose(src: Doctrine, dst: Doctrine, table: Sequence[int], width: int)
     return out
 
 
-def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, FunctionCategory]:
+def powerset_doctrine(sets: Mapping[str, Sequence[str]]) -> Doctrine:
     """Powerset doctrine over the full function category, inverse-image reindexing."""
-    fc = full_function_category(sets)
-    return inverse_image_doctrine(fc), fc
+    return inverse_image_doctrine(full_function_category(sets), sets)
 
 
 def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tuple[Doctrine, InteriorOp]:
@@ -179,7 +178,7 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     interior laws hold iff the frame is a preorder (interior_violations reports
     the failure otherwise). A code's box: the worlds whose successors it holds."""
     wposet = powerset_poset(frame.worlds)
-    doc = _function_doctrine(full_function_category(sets), wposet)
+    doc = _function_doctrine(full_function_category(sets), sets, wposet)
     # w is outside the box of c iff a successor of w is outside c, so the
     # worlds outside it are the union, over the v outside c, of v's predecessors
     at, worlds = wposet._by_code, frame.worlds
@@ -219,8 +218,7 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
     def keeps_parts(s, d, g):
         return all(g[e] in fams[d].parts[w] for w in worlds for e in fams[s].parts[w])
 
-    fc = full_function_category({f.name: f.carrier for f in families}, keeps_parts)
-    base = fc.category
+    base = full_function_category({f.name: f.carrier for f in families}, keeps_parts)
 
     def supersets(low, within):
         return [low | extra for extra in subsets_in_order([e for e in within if e not in low])]
@@ -241,15 +239,13 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
                     rel.add((l1, label_of[(c2, p2)]))
         fibers[f.name] = poset_from_pairs(list(label_of.values()), rel, list(label_of))
 
-    def inverse_image(carrier, g):
+    def inverse_image(s, d, image):
         def pre(part):
-            return frozenset(e for e in carrier if g[e] in part)
+            return frozenset(e for e, i in zip(fams[s].carrier, image) if fams[d].carrier[i] in part)
 
         return lambda cp: (pre(cp[0]), tuple(map(pre, cp[1])))
 
-    reindex = {
-        n: value_map(fibers[d], fibers[s], inverse_image(fams[s].carrier, fc.graphs[n])) for (n, s, d) in base.arrows
-    }
+    reindex = {n: value_map(fibers[d], fibers[s], inverse_image(s, d, base.payload[n])) for (n, s, d) in base.arrows}
     doc = Doctrine(base, fibers, reindex)
 
     successors = [[worlds.index(v) for v in sorted(frame.successors(w))] for w in worlds]
@@ -330,10 +326,9 @@ def topological_doctrine(
     if homs is None:
         homs = open_continuous_homs(spaces)
     admitted = {pair: {tuple(g.values()) for g in gs} for pair, gs in homs.items()}
-    fc = full_function_category(
-        {s.name: s.points for s in spaces}, lambda a, b, g: tuple(g.values()) in admitted[a, b]
-    )
-    doc = inverse_image_doctrine(fc)
+    points = {s.name: s.points for s in spaces}
+    base = full_function_category(points, lambda a, b, g: tuple(g.values()) in admitted[a, b])
+    doc = inverse_image_doctrine(base, points)
     parts = {s.name: value_map(doc.fibers[s.name], doc.fibers[s.name], lambda a: interior_of(s, a)) for s in spaces}
     return doc, InteriorOp(doc, parts)
 
@@ -462,9 +457,9 @@ def quantale_doctrine(
     """The doctrines Q^(−) and core^(−) over a finite-set fragment, the
     vertical adjunction ⟨ι∘−⟩ ⊣ ⟨r∘−⟩ between them, and the induced bang."""
     core = quantale_core(q)
-    fc = full_function_category(sets)
-    Qdoc = _function_doctrine(fc, q.lattice.carrier)
-    Cdoc = _function_doctrine(fc, core.sub)
+    base = full_function_category(sets)
+    Qdoc = _function_doctrine(base, sets, q.lattice.carrier)
+    Cdoc = _function_doctrine(base, sets, core.sub)
     lam = _postcompose(Cdoc, Qdoc, core.iota.images, len(core.iota.dst.elements))
     rho = _postcompose(Qdoc, Cdoc, core.r.images, len(core.r.dst.elements))
     adj = vertical_adjunction(Cdoc, Qdoc, lam, rho)
@@ -619,30 +614,24 @@ def presheaf_family_label(parts: Mapping[str, frozenset], d: FinPresheaf) -> str
     return "[" + ";".join(f"{w}:{subset_label(parts[w], d.at[w])}" for w in d.base.objects) + "]"
 
 
+@kept
+def _arrows_out(d: FinPresheaf) -> dict[str, list[tuple[Mapping[str, str], str]]]:
+    """The action and target world of every arrow out of each world."""
+    out = {w: [] for w in d.base.objects}
+    for (f, w, v) in d.base.arrows:
+        out[w].append((d.act[f], v))
+    return out
+
+
 def is_subpresheaf(d: FinPresheaf, parts: Mapping[str, frozenset]) -> bool:
-    for f in d.base.arrow_names():
-        w, v = d.base.src(f), d.base.dst(f)
-        for x in parts[w]:
-            if d.act[f][x] not in parts[v]:
-                return False
-    return True
+    return all(act[x] in parts[v] for w, out in _arrows_out(d).items() for act, v in out for x in parts[w])
 
 
 def largest_subpresheaf(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
     """Direct characterization: keep x at w iff every action image stays in
     the family."""
-    return {
-        w: frozenset(
-            x
-            for x in parts[w]
-            if all(
-                d.act[f][x] in parts[d.base.dst(f)]
-                for f in d.base.arrow_names()
-                if d.base.src(f) == w
-            )
-        )
-        for w in d.base.objects
-    }
+    out_of = _arrows_out(d)
+    return {w: frozenset(x for x in parts[w] if all(act[x] in parts[v] for act, v in out_of[w])) for w in out_of}
 
 
 def subpresheaf_union_oracle(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
@@ -677,13 +666,12 @@ def presheaf_instance(
     if any(d.base != presheaves[0].base for d in presheaves):
         raise ValueError("presheaves must share a base")
     by_name = {d.name: d for d in presheaves}
-    arrows, comps, images = [], {}, {}
+    arrows, images = [], {}
     for d in presheaves:
         for e in presheaves:
             for phi in presheaf_nat_transformations(d, e) if homs is None else homs[d.name, e.name]:
                 n = presheaf_arrow_name(d, e, phi)
                 arrows.append((n, d.name, e.name))
-                comps[n] = phi
                 images[n] = tuple(tuple(e.at[w].index(phi[w][x]) for x in d.at[w]) for w in d.base.objects)
     identity = {d.name: tuple(tuple(range(len(d.at[w]))) for w in d.base.objects) for d in presheaves}
     base = concrete_category(
@@ -700,11 +688,13 @@ def presheaf_instance(
         keep[d.name] = [a for a, v in zip(fiber.elements, fiber.values) if is_subpresheaf(d, dict(zip(worlds, v)))]
     reindex = {}
     for (n, sn, dn) in arrows:
-        phi, at = comps[n], by_name[sn].at
+        rows, at, to = images[n], by_name[sn].at, by_name[dn].at
         reindex[n] = value_map(
             fibers[dn],
             fibers[sn],
-            lambda parts: tuple(frozenset(x for x in at[w] if phi[w][x] in part) for w, part in zip(worlds, parts)),
+            lambda parts: tuple(
+                frozenset(x for x, j in zip(at[w], row) if to[w][j] in p) for w, row, p in zip(worlds, rows, parts)
+            ),
         )
     Qdoc = Doctrine(base, fibers, reindex)
     Pdoc, inclusion = sub_doctrine(Qdoc, keep, "reindexing along {t} leaves the subpresheaves at {a}")
@@ -792,10 +782,9 @@ def forall_instance(
         pname = f"{y}x{x_name}"
         prods[y] = pname
         all_sets[pname] = [pair_elem(e, x) for e in els for x in x_elements]
-    P, _ = powerset_doctrine(all_sets)
+    P = powerset_doctrine(all_sets)
     names = list(y_sets)
-    sub_fc = full_function_category(y_sets)
-    sub = sub_fc.category
+    sub = full_function_category(y_sets)
     products = {}
     for y in names:
         pname = prods[y]
@@ -809,9 +798,8 @@ def forall_instance(
     times = {}
     for f in sub.arrow_names():
         y, z = sub.src(f), sub.dst(f)
-        g = sub_fc.graphs[f]
         lifted = {
-            pair_elem(e, x): pair_elem(g[e], x) for e in y_sets[y] for x in x_elements
+            pair_elem(e, x): pair_elem(y_sets[z][i], x) for e, i in zip(y_sets[y], sub.payload[f]) for x in x_elements
         }
         times[f] = function_arrow_name(prods[y], prods[z], lifted, all_sets[prods[y]])
     powered, weakening = power_doctrine(P, sub, x_name, products, times)

@@ -51,7 +51,6 @@ from .fincat import (
     discrete_category,
     fin_functor,
     fin_nat,
-    function_arrow_name,
     identity_functor,
     poset_category,
 )
@@ -74,7 +73,6 @@ from .instances import (
     presheaf_arrow_name,
     presheaf_decode,
     presheaf_instance,
-    presheaf_nat_transformations,
     presheaf_oracle_mismatches,
     is_subpresheaf,
     quantale_doctrine,
@@ -229,19 +227,14 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
     d1, d2 = two_chain_presheaves()
     adj, families, op = bundled_presheaf()
     psh_base = families.base
-    sets = {"S": ["a", "b"]}
-    Q, fc = powerset_doctrine(sets)
-    set_base = fc.category
-    # L restricts a presheaf (and a natural transformation) to the world w2
-    arr_map = {
-        presheaf_arrow_name(d, e, phi): function_arrow_name("S", "S", phi["w2"], sets["S"])
-        for d in (d1, d2)
-        for e in (d1, d2)
-        for phi in presheaf_nat_transformations(d, e)
-    }
+    Q = powerset_doctrine({"S": ["a", "b"]})
+    set_base = Q.base
+    # L restricts a presheaf (and a natural transformation) to the world w2:
+    # D1 and D2 list a, b at w2 as S does, so a payload's w2 row is a function on S
+    arr_map = {n: set_base.named["S", "S", p[1]] for n, p in psh_base.payload.items()}
     L = Functor(psh_base, set_base, {"D1": "S", "D2": "S"}, arr_map)
     # R sends the set S to the constant presheaf on it, which is D1
-    r_arr = {g: presheaf_arrow_name(d1, d1, {"w1": graph, "w2": graph}) for g, graph in fc.graphs.items()}
+    r_arr = {g: psh_base.named["D1", "D1", (p, p)] for g, p in set_base.payload.items()}
     R = fin_functor(set_base, psh_base, {"S": "D1"}, r_arr)
     eta_comps = {
         d.name: presheaf_arrow_name(
@@ -250,9 +243,7 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
         for d in (d1, d2)
     }
     eta = NatTransformation(identity_functor(psh_base), compose_functors(R, L), eta_comps)
-    eps = NatTransformation(
-        compose_functors(L, R), identity_functor(set_base), {"S": set_base.id("S")}
-    )
+    eps = NatTransformation(compose_functors(L, R), identity_functor(set_base), {"S": set_base.id("S")})
     return base_change_adjunction(Q, L, R, eta, eps)
 
 
@@ -287,14 +278,14 @@ def rounding_base_change() -> DoctrineAdjunction:
 
 @lru_cache(maxsize=1)
 def identity_powerset_adjunction() -> DoctrineAdjunction:
-    doc, _ = powerset_doctrine({"A": ["a1"], "B": ["b1", "b2"]})
+    doc = powerset_doctrine({"A": ["a1"], "B": ["b1", "b2"]})
     return identity_adjunction(doc)
 
 
 @lru_cache(maxsize=1)
 def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     ops = []
-    doc, _ = powerset_doctrine({"A": ["a1"], "B": ["b1", "b2"]})
+    doc = powerset_doctrine({"A": ["a1"], "B": ["b1", "b2"]})
     ops.append(("identity", identity_interior(doc)))
     for name, (d, op) in bundled_kripke().items():
         ops.append((name, op))
@@ -305,7 +296,7 @@ def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     ops.append(("presheaf", bundled_presheaf()[2]))
     for tname, (tdoc, top) in bundled_temporal().items():
         ops.append((tname, top))
-    conj_doc, _ = powerset_doctrine({"A": ["a1", "a2"]})
+    conj_doc = powerset_doctrine({"A": ["a1", "a2"]})
     ops.append(("conjunction", conjunction_modality(conj_doc)))
     ops.append(("forall", forall_instance({"Y": ["y"]}, "X", ["0", "1"])[1]))
     return ops
@@ -316,7 +307,7 @@ def bundled_adjunctions() -> list[tuple[str, DoctrineAdjunction]]:
     out = [("identity", identity_powerset_adjunction())]
     for qname, (qdoc, qadj, bang) in bundled_quantale_doctrines().items():
         out.append((f"quantale-{qname}", qadj))
-    conj_doc, _ = powerset_doctrine({"A": ["a1", "a2"]})
+    conj_doc = powerset_doctrine({"A": ["a1", "a2"]})
     out.append(("conjunction", conjunction_adjunction(conj_doc)))
     out.append(("forall", forall_instance({"Y": ["y"]}, "X", ["0", "1"])[0]))
     out.append(("presheaf-vertical", bundled_presheaf()[0]))
@@ -330,7 +321,7 @@ def bundled_adjunctions() -> list[tuple[str, DoctrineAdjunction]]:
 
 @lru_cache(maxsize=1)
 def bundled_comonads() -> list[tuple[str, DoctrineComonad]]:
-    doc, _ = powerset_doctrine({"A": ["a1"]})
+    doc = powerset_doctrine({"A": ["a1"]})
     out = [("identity", identity_comonad(doc))]
     out.append(("mc-kripke-chain2", mc(bundled_kripke()["kripke-chain2"][1])))
     out.append(("mc-topological", mc(bundled_topological()[1])))

@@ -340,10 +340,9 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     by_name = {c.name: c for c in coalgebras}
     if len(by_name) != len(coalgebras):
         raise ValueError("duplicate coalgebra names")
-    fc = full_function_category(
-        {c.name: c.states for c in coalgebras}, lambda a, b, h: _is_homomorphism(by_name[a], by_name[b], h)
-    )
-    doc = inverse_image_doctrine(fc)
+    states = {c.name: c.states for c in coalgebras}
+    base = full_function_category(states, lambda a, b, h: _is_homomorphism(by_name[a], by_name[b], h))
+    doc = inverse_image_doctrine(base, states)
     parts = {}
     for c in coalgebras:
         fib, planes = doc.fibers[c.name], _gfp_planes(c, lift)

@@ -108,6 +108,25 @@ def test_run_check_on_model():
     assert report["outputs"]["query g1"] == "{s0,s1}"
 
 
+def test_check_query_reads_the_verdicts_of_its_exact_target():
+    # KX fails its laws; a query on K reads K's verdicts and not KX's, while
+    # `--target K` keeps its substring match and reports both
+    text = (
+        "kripke-frame K { worlds: w1 w2; rel: w1->w2; closure: refl-trans; sets: D=x }\n"
+        "kripke-frame KX { worlds: 1 2 3; rel: 1->2 2->3; closure: refl; sets: D=x }\n"
+        "query k { run: check; target: K }\n"
+        "query kx { run: check; target: KX }\n"
+        "query missing { run: check; target: KY }\n"
+    )
+    verdicts = {v["name"]: v for v in run(parse_text(text), "check", {"seed": 7, "max_size": 200000})["verdicts"]}
+    assert not verdicts["kripke-frame KX"]["pass"] and verdicts["kripke-frame K"]["pass"]
+    assert verdicts["query k"] == {"name": "query k", "pass": True, "witnesses": []}
+    assert verdicts["query kx"]["witnesses"] == ["target 'KX' has failing or missing verdicts"]
+    assert verdicts["query missing"]["witnesses"] == ["target 'KY' has failing or missing verdicts"]
+    targeted = run(parse_text(text), "check", {"seed": 7, "max_size": 200000, "target": "K"})["verdicts"]
+    assert {"kripke-frame K", "kripke-frame KX"} <= {v["name"] for v in targeted}
+
+
 def test_run_check_dangling_query_reference_is_usage_error():
     from doctrines.cli import BuildError
 

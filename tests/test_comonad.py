@@ -288,9 +288,9 @@ def test_em_doctrine_identity_comonad_keeps_fibers():
 def test_em_doctrine_diamond_fibers_are_proper_suborders():
     c = diamond_comonad()
     bundle = em_doctrine(c)
-    carriers = sorted(bundle.coalgebras.carrier.values())
+    carriers = sorted(bundle.coalgebras.forgetful.obj_map.values())
     assert carriers == ["a", "bot"]
-    by_carrier = {bundle.coalgebras.carrier[o]: o for o in bundle.em.base.objects}
+    by_carrier = {bundle.coalgebras.forgetful.obj_map[o]: o for o in bundle.em.base.objects}
     assert bundle.em.fibers[by_carrier["a"]].elements == ("{}", "{q}")
     assert bundle.em.fibers[by_carrier["bot"]].elements == ("{}",)
 
@@ -335,7 +335,7 @@ def test_cmd_of_adjunction_on_random_verticals(seed=7):
         stable, _ = stable_subdoctrine(op)
         bundle = em_doctrine(c)
         for o in bundle.em.base.objects:
-            x = bundle.coalgebras.carrier[o]
+            x = bundle.coalgebras.forgetful.obj_map[o]
             assert bundle.em.fibers[o].elements == stable.fibers[x].elements
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from doctrines.comonad import DoctrineComonad, comonad_violations, em_doctrine
 from doctrines.doctrine import Doctrine
+from doctrines.instances import presheaf_instance
 from doctrines.fincat import (
     FinCategory,
     Functor,
@@ -31,17 +32,22 @@ from doctrines.fincat import (
     same_functor_composite,
 )
 from doctrines.order import chain_poset, fin_poset, identity_map, powerset_poset
-from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_interior_ops
+from doctrines.suite import bundled_adjunctions, bundled_comonads, bundled_interior_ops, two_chain_presheaves
 
 from util import (
     category_violations_reference,
     closure,
+    composition_table,
     fin_category,
     function_category_reference,
     function_graph,
     functor_violations_reference,
     hom_sizes_by_closure,
     one_object_monoid_category,
+    payload_graph,
+    payload_search_reference,
+    presheaf_base_reference,
+    random_chain_presheaves,
     random_function_category,
 )
 
@@ -75,7 +81,7 @@ def test_discrete_category_valid():
 
 
 def _parts(c):
-    return c.objects, c.arrows, c.identities, c.composition
+    return c.objects, c.arrows, c.identities, composition_table(c)
 
 
 def test_z2_monoid_category():
@@ -176,16 +182,16 @@ def test_function_enumeration_in_product_order_with_empty_edge_cases():
 
 
 def test_full_function_category_laws_and_graphs():
-    fc = full_function_category({"A": ["a1", "a2"], "B": ["b1"]})
-    c = fc.category
+    sets = {"A": ["a1", "a2"], "B": ["b1"]}
+    c = full_function_category(sets)
     got = check_category(*_parts(c))
     assert isinstance(got, FinCategory)
     assert len(c.hom("A", "A")) == 4
     assert len(c.hom("A", "B")) == 1
     assert len(c.hom("B", "A")) == 2
     for n in c.arrow_names():
-        g = fc.graphs[n]
-        assert set(g) == set({"A": ["a1", "a2"], "B": ["b1"]}[c.src(n)])
+        g = payload_graph(sets, c, n)
+        assert set(g) == set(sets[c.src(n)])
         assert function_graph(n) == dict(g)
 
 
@@ -297,7 +303,7 @@ def test_coalgebra_category_identity_comonad():
 def test_coalgebra_category_meet_comonad():
     c, K, mu, nu = _meet_comonad_on_diamond()
     data = coalgebra_category(K, mu, nu)
-    carriers = sorted(data.carrier.values())
+    carriers = sorted(data.forgetful.obj_map.values())
     # coalgebras are exactly the objects below a
     assert carriers == ["a", "bot"]
     # forgetful is faithful: injective on hom-sets
@@ -311,7 +317,7 @@ def test_coalgebra_category_rejects_bad_structure():
     c, K, mu, nu = _meet_comonad_on_diamond()
     data = coalgebra_category(K, mu, nu)
     # b ≤ Kb = bot fails, so b carries no coalgebra
-    assert all(data.carrier[o] != "b" for o in data.category.objects)
+    assert all(data.forgetful.obj_map[o] != "b" for o in data.category.objects)
 
 
 def test_functor_composition_associative_on_instances():
@@ -345,16 +351,16 @@ def _non_identity_pair(c):
 
 
 def test_planted_non_associative_table_gives_the_literal_witnesses():
-    c = full_function_category({"A": ["a1", "a2"], "B": ["b1", "b2"]}).category
+    c = full_function_category({"A": ["a1", "a2"], "B": ["b1", "b2"]})
     g, f = _non_identity_pair(c)
-    table = _swap_composite(c.composition, c.arrows, g, f)
+    table = _swap_composite(composition_table(c), c.arrows, g, f)
     got = category_violations(c.objects, c.arrows, c.identities, table)
     assert got == category_violations_reference(c.objects, c.arrows, c.identities, table)
     assert got and all(v.startswith("associativity fails on") for v in got)
 
 
 def test_planted_functor_with_one_wrong_composite_image_gives_the_literal_witnesses():
-    c = full_function_category({"A": ["a1", "a2"], "B": ["b1", "b2"]}).category
+    c = full_function_category({"A": ["a1", "a2"], "B": ["b1", "b2"]})
     g, f = _non_identity_pair(c)
     gf = c.comp(g, f)
     hom = c.hom(c.src(gf), c.dst(gf))
@@ -383,10 +389,10 @@ def test_category_laws_agree_with_the_literal_scan_on_random_tables():
             table = _one_object_table(rng)
         else:
             c, _ = random_function_category(rng)
-            table = (c.objects, c.arrows, c.identities, c.composition)
+            table = _parts(c)
             if rng.random() < 0.6:
                 g, f = rng.choice([(g, f) for (g, gs, _) in c.arrows for (f, _, fd) in c.arrows if fd == gs])
-                table = table[:3] + (_swap_composite(c.composition, c.arrows, g, f),)
+                table = table[:3] + (_swap_composite(table[3], c.arrows, g, f),)
         want = category_violations_reference(*table)
         assert category_violations(*table) == want
         verdicts.add(bool(want))
@@ -422,7 +428,7 @@ def _bundled_categories():
     found += [A.p.base for _, A in bundled_adjunctions()] + [A.q.base for _, A in bundled_adjunctions()]
     found += [em_doctrine(c).coalgebras.category for _, c in bundled_comonads()]
     found.append(poset_category(powerset_poset(["p", "q", "r"])))
-    found.append(full_function_category({x: [f"{x}{i}" for i in range(3)] for x in "ABC"}).category)
+    found.append(full_function_category({x: [f"{x}{i}" for i in range(3)] for x in "ABC"}))
     return found
 
 
@@ -430,8 +436,9 @@ def test_generators_generate_every_arrow():
     rng = random.Random(77)
     cats = _bundled_categories() + [random_function_category(rng)[0] for _ in range(40)]
     for c in cats:
-        assert c.generators == generating_arrows(c.arrows, c.composition)
-        assert closure(c.arrows, c.composition, c.generators) == set(c.arrow_names())
+        table = composition_table(c)
+        assert c.generators == generating_arrows(c.arrows, table.__getitem__)
+        assert closure(c.arrows, table, c.generators) == set(c.arrow_names())
 
 
 class _CountingDict(dict):
@@ -447,8 +454,8 @@ class _CountingDict(dict):
 
 
 def test_associativity_is_certified_on_generators_without_the_literal_scan():
-    c = full_function_category({x: [f"{x}{i}" for i in range(3)] for x in "ABC"}).category
-    table = _CountingDict(c.composition)
+    c = full_function_category({x: [f"{x}{i}" for i in range(3)] for x in "ABC"})
+    table = _CountingDict(composition_table(c))
     assert category_violations(c.objects, c.arrows, c.identities, table) == []
     A, G, hom_in = len(c.arrows), len(c.generators), len(c.arrows) // len(c.objects)
     # boundaries, identity laws, the search for G (each reached arrow times
@@ -553,10 +560,10 @@ def test_function_categories_equal_the_reference_loops():
         want, sets = random_function_category(rng)
         admitted = {(want.src(n), want.dst(n), tuple(function_graph(n).values())) for n in want.arrow_names()}
         got = full_function_category(sets, lambda x, y, g: (x, y, tuple(g.values())) in admitted)
-        assert got.category == want
-        assert got.graphs == {n: function_graph(n) for n in want.arrow_names()}
-        _assert_lawful(got.category)
-        full = full_function_category(sets).category
+        assert got == want
+        assert {n: payload_graph(sets, got, n) for n in got.arrow_names()} == {n: function_graph(n) for n in want.arrow_names()}
+        _assert_lawful(got)
+        full = full_function_category(sets)
         assert full == function_category_reference(sets, lambda x, y: list(all_functions(sets[x], sets[y])))
         _assert_lawful(full)
 
@@ -633,8 +640,59 @@ def test_concrete_category_rejects_planted_misses():
 
     with pytest.raises(ValueError, match="^not a category: duplicate arrow names$"):
         concrete_category(["x"], [("i", "x", "x"), ("i", "x", "x")], {"i": ()}, {"x": ()}, thin)
-    # a repeated key: every composite with j is looked up as i
-    with pytest.raises(ValueError, match="^not a category: right identity law fails at j; left identity law fails at j$"):
+    # a repeated key: j would be looked up as i
+    with pytest.raises(ValueError, match="^not a category: arrows i and j share a payload$"):
         concrete_category(["x"], [("i", "x", "x"), ("j", "x", "x")], {"i": (), "j": ()}, {"x": ()}, thin)
     with pytest.raises(ValueError, match="^not a category: arrow i has dangling src/dst; missing identity for x$"):
         concrete_category(["x"], [("i", "x", "y")], {"i": ()}, {"x": ()}, thin)
+
+
+def _composable_pairs(c):
+    return [(g, f) for (g, gs, _) in c.arrows for (f, _, fd) in c.arrows if fd == gs]
+
+
+def _assert_composites_agree(got, want):
+    """got.comp and want.comp agree on every composable pair, asked twice of
+    got: once looked up, once kept."""
+    pairs = _composable_pairs(got)
+    assert pairs and got.arrows == want.arrows
+    wanted = [want.comp(g, f) for g, f in pairs]
+    assert [got.comp(g, f) for g, f in pairs] == wanted == [got.comp(g, f) for g, f in pairs]
+
+
+def test_composites_agree_with_the_full_table_references():
+    rng = random.Random(30)
+    for c in _bundled_categories():
+        _assert_composites_agree(c, payload_search_reference(c))
+    for _ in range(40):
+        want, sets = random_function_category(rng)
+        admitted = {(want.src(n), want.dst(n), tuple(function_graph(n).values())) for n in want.arrow_names()}
+        _assert_composites_agree(full_function_category(sets, lambda x, y, g: (x, y, tuple(g.values())) in admitted), want)
+    comonads = [(c.k, c.mu, c.nu) for _, c in bundled_comonads()] + [_random_interior_comonad(rng) for _ in range(20)]
+    for K, mu, nu in comonads:
+        _assert_composites_agree(coalgebra_category(K, mu, nu).category, _coalgebra_reference(K, mu, nu)[0])
+    for group in [list(two_chain_presheaves())] + [random_chain_presheaves(rng) for _ in range(20)]:
+        _assert_composites_agree(presheaf_instance(group)[1].base, presheaf_base_reference(group))
+
+
+def test_a_built_category_keeps_only_the_composites_of_its_generator_walk():
+    # the walk asks for each generator after each arrow into its source, and
+    # nothing fills the table of every composable pair
+    sets = {x: [f"{x}{i}" for i in range(3)] for x in "ABC"}
+    c = full_function_category(sets)
+    walked = {(g, f) for g in c.generators for f in c.into[c.src(g)]}
+    assert set(c.composites) == walked and len(walked) < len(_composable_pairs(c)) // 5
+    g, f = next(pair for pair in _composable_pairs(c) if pair not in walked)
+    want = function_category_reference(sets, lambda x, y: list(all_functions(sets[x], sets[y])))
+    assert c.comp(g, f) == c.composites[g, f] == want.comp(g, f)
+    a_to_b = c.hom("A", "B")[0]
+    with pytest.raises(KeyError):
+        c.comp(a_to_b, a_to_b)
+    assert (a_to_b, a_to_b) not in c.composites
+
+
+def test_categories_on_one_arrow_set_with_different_composites_differ():
+    z2 = one_object_monoid_category("*", Z2[0], "e", Z2[1])
+    idempotent = one_object_monoid_category("*", Z2[0], "e", {**Z2[1], ("a", "a"): "a"})
+    assert (z2.objects, z2.arrows, z2.identities) == (idempotent.objects, idempotent.arrows, idempotent.identities)
+    assert z2 != idempotent and z2 == one_object_monoid_category("*", Z2[0], "e", Z2[1])

@@ -36,7 +36,6 @@ from doctrines.instances import (
     lukasiewicz3,
     open_continuous_maps,
     powerset_doctrine,
-    presheaf_nat_transformations,
     presheaf_instance,
     presheaf_decode,
     presheaf_family_label,
@@ -70,9 +69,9 @@ from util import (
     antichain_poset,
     assignments,
     bang_law_report_reference,
+    composition_table,
     constant_family_arrow,
     covers_by_definition,
-    fin_category,
     forgetful_top_arrow,
     function_category_reference,
     graph_of,
@@ -83,6 +82,8 @@ from util import (
     powerset_lattice,
     powerset_monoid_quantale,
     precomposition_reference,
+    presheaf_base_reference,
+    random_chain_presheaves,
     residuation_failures_reference,
     subobject_doctrine_finset,
     subset_map_reference,
@@ -498,7 +499,7 @@ def test_one_world_presheaf_instance_trivial():
 def test_subobject_doctrine_matches_powerset():
     sets = {"A": ["a1", "a2"], "B": ["b1"]}
     sub = subobject_doctrine_finset(sets)
-    pw, _ = powerset_doctrine(sets)
+    pw = powerset_doctrine(sets)
     assert sub == pw
     assert doctrine_violations(sub) == []
 
@@ -651,62 +652,13 @@ def test_topological_doctrine_equals_reference_loops():
     assert doc == inverse_image_reference(base, sets)
 
 
-def _presheaf_base_reference(group):
-    """The category of the presheaves `group`, each composite found by a
-    search over the arrows and the laws proved by the full scan."""
-    by_name = {d.name: d for d in group}
-    arrows, comps = [], {}
-    for d in group:
-        for e in group:
-            for phi in presheaf_nat_transformations(d, e):
-                n = f"{d.name}=>{e.name}#" + ",".join(
-                    f"{w}:" + "".join(f"{x}>{phi[w][x]};" for x in d.at[w]) for w in d.base.objects
-                )
-                arrows.append((n, d.name, e.name))
-                comps[n] = phi
-    identities = {}
-    for d in group:
-        ident = {w: {x: x for x in d.at[w]} for w in d.base.objects}
-        identities[d.name] = next(n for (n, s, t) in arrows if s == d.name and t == d.name and comps[n] == ident)
-    composition = {}
-    for (gn, gs, gd) in arrows:
-        for (fn, fs, fd) in arrows:
-            if fd == gs:
-                phi = {
-                    w: {x: comps[gn][w][comps[fn][w][x]] for x in by_name[fs].at[w]}
-                    for w in by_name[fs].base.objects
-                }
-                composition[(gn, fn)] = next(n for (n, s, t) in arrows if s == fs and t == gd and comps[n] == phi)
-    return fin_category([d.name for d in group], arrows, identities, composition)
-
-
-def _random_chain_presheaves(rng):
-    """Two or three presheaves on a chain of one to three worlds, each with
-    random maps along the covers, composed along the longer arrows."""
-    worlds = [f"w{i}" for i in range(rng.randint(1, 3))]
-    base = poset_category(chain_poset(worlds))
-    group = []
-    for k in range(rng.randint(2, 3)):
-        at = {w: tuple(f"x{i}" for i in range(rng.randint(1, 2))) for w in worlds}
-        step = [{x: rng.choice(at[v]) for x in at[w]} for w, v in zip(worlds, worlds[1:])]
-        act = {}
-        for i, w in enumerate(worlds):
-            along = {x: x for x in at[w]}
-            for j in range(i, len(worlds)):
-                act[f"{w}<={worlds[j]}"] = along
-                if j + 1 < len(worlds):
-                    along = {x: step[j][y] for x, y in along.items()}
-        group.append(FinPresheaf(f"D{k}", base, at, act))
-    return group
-
-
 def test_presheaf_base_equals_reference_search():
     rng = random.Random(17)
-    for group in [_two_chain_presheaves()] + [_random_chain_presheaves(rng) for _ in range(20)]:
+    for group in [_two_chain_presheaves()] + [random_chain_presheaves(rng) for _ in range(20)]:
         _, families, _ = presheaf_instance(group)
         base = families.base
-        assert base == _presheaf_base_reference(group)
-        assert category_violations(base.objects, base.arrows, base.identities, base.composition) == []
+        assert base == presheaf_base_reference(group)
+        assert category_violations(base.objects, base.arrows, base.identities, composition_table(base)) == []
 
 
 KRIPKE_CASES = [
@@ -718,9 +670,9 @@ KRIPKE_CASES = [
 @pytest.mark.parametrize("frame, sets", KRIPKE_CASES, ids=["chain2", "clique2"])
 def test_kripke_doctrine_maps_equal_reference_loops(frame, sets):
     doc, op = kripke_doctrine(frame, sets)
-    fc = full_function_category(sets)
+    base = full_function_category(sets)
     wposet = powerset_poset(frame.worlds)
-    assert {a: graph_of(m) for a, m in doc.reindex.items()} == precomposition_reference(fc, wposet)
+    assert {a: graph_of(m) for a, m in doc.reindex.items()} == precomposition_reference(base, sets, wposet)
     box = subset_map_reference(wposet, frame.worlds, lambda a: kripke_box(frame, a))
     for x in sets:
         assert graph_of(op.parts[x]) == postcomposition_reference(sets[x], wposet, box)
@@ -731,10 +683,10 @@ def test_quantale_doctrine_maps_equal_reference_loops(q):
     sets = {"X": ["x"], "Y": ["x", "y"]}
     Qdoc, adj, _ = quantale_doctrine(q, sets)
     core = quantale_core(q)
-    fc = full_function_category(sets)
+    base = full_function_category(sets)
     assert adj.q is Qdoc
-    assert {a: graph_of(m) for a, m in Qdoc.reindex.items()} == precomposition_reference(fc, q.lattice.carrier)
-    assert {a: graph_of(m) for a, m in adj.p.reindex.items()} == precomposition_reference(fc, core.sub)
+    assert {a: graph_of(m) for a, m in Qdoc.reindex.items()} == precomposition_reference(base, sets, q.lattice.carrier)
+    assert {a: graph_of(m) for a, m in adj.p.reindex.items()} == precomposition_reference(base, sets, core.sub)
     for x in sets:
         assert graph_of(adj.lam[x]) == postcomposition_reference(sets[x], core.sub, graph_of(core.iota))
         assert graph_of(adj.rho[x]) == postcomposition_reference(sets[x], q.lattice.carrier, graph_of(core.r))

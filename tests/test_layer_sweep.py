@@ -29,7 +29,41 @@ def test_layer_sweep_measures_the_two_key_row_and_every_one_key_layer():
 def test_layer_sweep_measures_the_function_category_row():
     rows = _measure("--arrows", 243)
     assert [(r["layer"], r["arrows"]) for r in rows] == [("full_function_category", 243)]
-    assert rows[0]["s"] > 0
+    assert rows[0]["s"] > 0 and rows[0]["peak_rss_mb"] > 0
+
+
+def test_layer_sweep_measures_the_change_only_rows_with_their_peak_rss():
+    assert _sweep_module().CHANGE_ONLY == {("--arrows", 3125), ("--quantale-points", 5)}
+    rows = _measure("--arrows", 3125) + _measure("--quantale-points", 5)
+    assert [(r["layer"], r.get("arrows"), r.get("points")) for r in rows] == [
+        ("full_function_category", 3125, None),
+        ("quantale_doctrine", None, 5),
+        ("em_doctrine(mc(bang))", None, 5),
+    ]
+    assert all(r["s"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
+
+
+def test_layer_sweep_runs_the_change_only_rows_on_the_change_checkout_alone(tmp_path, monkeypatch):
+    sweep = _sweep_module()
+    seen, real_run = {}, subprocess.run
+
+    def run(argv, **kwargs):
+        if "measure" not in argv:  # `platform` asks the system, not a checkout
+            return real_run(argv, **kwargs)
+        seen.setdefault((argv[-2], int(argv[-1])), []).append(Path(argv[argv.index("--src") + 1]).parent.name)
+        row = {"layer": argv[-2], "size": int(argv[-1]), "s": 1.0}
+        return subprocess.CompletedProcess(argv, 0, json.dumps([row]), "")
+
+    monkeypatch.setattr(sweep.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "layers", "--parent", str(tmp_path / "parent"),
+                                      "--change", str(tmp_path / "change"), "--out", str(out)])
+    sweep.main()
+    assert {size for size, sides in seen.items() if "parent" not in sides} == sweep.CHANGE_ONLY
+    assert all(sides.count("change") == len(sides) for size, sides in seen.items() if size in sweep.CHANGE_ONLY)
+    assert all(sorted(set(sides)) == ["change", "parent"] for size, sides in seen.items() if size not in sweep.CHANGE_ONLY)
+    rows = {(r["layer"], r["size"]): r for r in json.loads(out.read_text())["layers"]}
+    assert "parent_s" not in rows["--arrows", 3125] and rows["--arrows", 1024]["parent_s"] == 1.0
 
 
 def test_layer_sweep_measures_the_quantale_row():

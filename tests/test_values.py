@@ -51,7 +51,7 @@ BUILT = {
     "powerset_poset": lambda: powerset_poset(["a", "b", "c"]),
     "_pointwise_fiber": lambda: _pointwise_fiber(["k", "m"], [powerset_poset(["a", "b"]), DIAMOND]),
     "fam_doctrine": _fam_fiber,
-    "square_doctrine": lambda: square_doctrine(powerset_doctrine({"A": ["a1", "a2"]})[0])[0].fibers["A"],
+    "square_doctrine": lambda: square_doctrine(powerset_doctrine({"A": ["a1", "a2"]}))[0].fibers["A"],
 }
 
 
@@ -129,9 +129,9 @@ def test_function_doctrine_maps_by_value_equal_the_label_reindexing(seed):
     rng = random.Random(seed)
     sets = {name: [f"{name.lower()}{i}" for i in range(rng.randint(0, 2))] for name in ("X", "Y")}
     codomain = rng.choice(CODOMAINS)
-    fc = full_function_category(sets)
-    doc = _function_doctrine(fc, codomain)
-    assert {a: graph_of(m) for a, m in doc.reindex.items()} == precomposition_reference(fc, codomain)
+    base = full_function_category(sets)
+    doc = _function_doctrine(base, sets, codomain)
+    assert {a: graph_of(m) for a, m in doc.reindex.items()} == precomposition_reference(base, sets, codomain)
     f = {a: rng.choice(codomain.elements) for a in codomain.elements}
     # f as the target position of each codomain position
     parts = _postcompose(doc, doc, [codomain.index(f[a]) for a in codomain.elements], len(codomain.elements))

@@ -20,8 +20,10 @@ from doctrines.fincat import (
     function_arrow_name,
     identity_functor,
     identity_nat,
+    poset_category,
 )
 from doctrines.instances import (
+    FinPresheaf,
     FiniteTopSpace,
     IndexedFamily,
     KripkeFrame,
@@ -29,6 +31,7 @@ from doctrines.instances import (
     family_element_label,
     kripke_doctrine,
     powerset_doctrine,
+    presheaf_nat_transformations,
     topological_doctrine,
     valid_quantale,
 )
@@ -37,6 +40,7 @@ from doctrines.order import (
     FinLattice,
     FinPoset,
     MonotoneMap,
+    chain_poset,
     graph_map,
     label_subset,
     poset_from_pairs,
@@ -48,7 +52,7 @@ from doctrines.order import (
 def powerset_doctrine_over(sets):
     """Powerset doctrine over the full function category on `sets`,
     with inverse-image reindexing."""
-    return inverse_image_reference(full_function_category(sets).category, sets)
+    return inverse_image_reference(full_function_category(sets), sets)
 
 
 def inverse_image_reference(base, sets):
@@ -66,6 +70,12 @@ def inverse_image_reference(base, sets):
             graph[lbl] = subset_label(preimage, sets[src_obj])
         reindex[a] = graph_map(fibers[dst_obj], fibers[src_obj], graph)
     return Doctrine(base, fibers, reindex)
+
+
+def composition_table(C) -> dict:
+    """g∘f for every composable pair (g, f) of C, asked of `C.comp`: the
+    full table, which a category no longer stores."""
+    return {(g, f): C.comp(g, f) for (g, gs, _) in C.arrows for f in C.into[gs]}
 
 
 def fin_category(objects, arrows, identities, composition) -> FinCategory:
@@ -122,6 +132,69 @@ def random_function_category(rng):
         return [dict(zip(sets[x], f)) for (a, b, f) in sorted(reached) if (a, b) == (x, y)]
 
     return function_category_reference(sets, homs), sets
+
+
+def payload_search_reference(C) -> FinCategory:
+    """C from its full table, each composite g∘f found by a search over the
+    arrows src(f) → dst(g) for the payload compose(payload g, payload f),
+    with no index and nothing kept, and the laws proved by the full scan:
+    the reference for `FinCategory.comp` on any category."""
+    composition = {}
+    for (g, gs, gd) in C.arrows:
+        for (f, fs, fd) in C.arrows:
+            if fd == gs:
+                p = C.compose(C.payload[g], C.payload[f])
+                composition[(g, f)] = next(n for (n, s, d) in C.arrows if (s, d) == (fs, gd) and C.payload[n] == p)
+    return fin_category(C.objects, C.arrows, C.identities, composition)
+
+
+def presheaf_base_reference(group):
+    """The category of the presheaves `group`, each composite found by a
+    search over the arrows and the laws proved by the full scan."""
+    by_name = {d.name: d for d in group}
+    arrows, comps = [], {}
+    for d in group:
+        for e in group:
+            for phi in presheaf_nat_transformations(d, e):
+                n = f"{d.name}=>{e.name}#" + ",".join(
+                    f"{w}:" + "".join(f"{x}>{phi[w][x]};" for x in d.at[w]) for w in d.base.objects
+                )
+                arrows.append((n, d.name, e.name))
+                comps[n] = phi
+    identities = {}
+    for d in group:
+        ident = {w: {x: x for x in d.at[w]} for w in d.base.objects}
+        identities[d.name] = next(n for (n, s, t) in arrows if s == d.name and t == d.name and comps[n] == ident)
+    composition = {}
+    for (gn, gs, gd) in arrows:
+        for (fn, fs, fd) in arrows:
+            if fd == gs:
+                phi = {
+                    w: {x: comps[gn][w][comps[fn][w][x]] for x in by_name[fs].at[w]}
+                    for w in by_name[fs].base.objects
+                }
+                composition[(gn, fn)] = next(n for (n, s, t) in arrows if s == fs and t == gd and comps[n] == phi)
+    return fin_category([d.name for d in group], arrows, identities, composition)
+
+
+def random_chain_presheaves(rng):
+    """Two or three presheaves on a chain of one to three worlds, each with
+    random maps along the covers, composed along the longer arrows."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 3))]
+    base = poset_category(chain_poset(worlds))
+    group = []
+    for k in range(rng.randint(2, 3)):
+        at = {w: tuple(f"x{i}" for i in range(rng.randint(1, 2))) for w in worlds}
+        step = [{x: rng.choice(at[v]) for x in at[w]} for w, v in zip(worlds, worlds[1:])]
+        act = {}
+        for i, w in enumerate(worlds):
+            along = {x: x for x in at[w]}
+            for j in range(i, len(worlds)):
+                act[f"{w}<={worlds[j]}"] = along
+                if j + 1 < len(worlds):
+                    along = {x: step[j][y] for x, y in along.items()}
+        group.append(FinPresheaf(f"D{k}", base, at, act))
+    return group
 
 
 def category_violations_reference(objects, arrows, identities, composition):
@@ -199,10 +272,11 @@ def functor_violations_reference(F):
     for x in C.objects:
         if F.arr_map[C.identities[x]] != D.identities[F.obj_map[x]]:
             out.append(f"identity not preserved at {x}")
+    c_table, d_table = composition_table(C), composition_table(D)
     for (g, gs, _) in C.arrows:
         for (f, _, fd) in C.arrows:
             if fd == gs:
-                if F.arr_map[C.composition[(g, f)]] != D.composition[(F.arr_map[g], F.arr_map[f])]:
+                if F.arr_map[c_table[(g, f)]] != d_table[(F.arr_map[g], F.arr_map[f])]:
                     out.append(f"composition not preserved on ({g},{f})")
     return out
 
@@ -249,10 +323,11 @@ def doctrine_violations_reference(d):
         m = graph_of(d.reindex[B.identities[x]])
         if any(m[e] != e for e in d.fibers[x].elements):
             out.append(f"reindex(id_{x}) is not the identity")
+    table = composition_table(B)
     for (g, gs, _) in B.arrows:
         for (f, _, fd) in B.arrows:
             if fd == gs:
-                lhs, pf, pg = (graph_of(d.reindex[n]) for n in (B.composition[(g, f)], f, g))
+                lhs, pf, pg = (graph_of(d.reindex[n]) for n in (table[(g, f)], f, g))
                 if any(lhs[e] != pf[pg[e]] for e in lhs):
                     out.append(f"contravariance fails on ({g},{f})")
     return out
@@ -367,7 +442,7 @@ def em_fibers_reference(c):
     data = coalgebra_category(c.k, c.mu, c.nu)
     out = {}
     for o in data.category.objects:
-        x = data.carrier[o]
+        x = data.forgetful.obj_map[o]
         closure, rel = graph_of(compose_reference(c.p.reindex[data.structure[o]], c.kappa[x])), c.p.fibers[x].relation
         out[o] = tuple(a for a in c.p.fibers[x].elements if (a, closure[a]) in rel)
     return out
@@ -380,7 +455,7 @@ def closure_idempotence_reference(c):
     data = coalgebra_category(c.k, c.mu, c.nu)
     out = []
     for o in data.category.objects:
-        x = data.carrier[o]
+        x = data.forgetful.obj_map[o]
         cl = graph_of(compose_reference(c.p.reindex[data.structure[o]], c.kappa[x]))
         out.extend((o, a) for a in c.p.fibers[x].elements if cl[cl[a]] != cl[a])
     return out
@@ -493,17 +568,18 @@ def subset_map_reference(src, ground, f):
     return {lbl: subset_label(f(label_subset(lbl)), ground) for lbl in src.elements}
 
 
-def precomposition_reference(fc, codomain):
-    """Along each arrow g: X → Y of the function category `fc`, the graph of
+def precomposition_reference(base, sets, codomain):
+    """Along each arrow g: X → Y of the function category `base` on `sets`,
+    read off the arrow's name, the graph of
     α ↦ α∘g between the fibers of functions into `codomain`, on labels: the
     reference for the reindexing of `instances._function_doctrine`."""
     out = {}
-    for a in fc.category.arrow_names():
-        s, d = fc.category.src(a), fc.category.dst(a)
-        g = fc.graphs[a]
+    for a in base.arrow_names():
+        s, d = base.src(a), base.dst(a)
+        g = function_graph(a)
         out[a] = {
-            lbl: fun_label({e: alpha[g[e]] for e in fc.sets[s]}, fc.sets[s])
-            for lbl, alpha in assignments(fc.sets[d], codomain).items()
+            lbl: fun_label({e: alpha[g[e]] for e in sets[s]}, sets[s])
+            for lbl, alpha in assignments(sets[d], codomain).items()
         }
     return out
 
@@ -718,13 +794,12 @@ def subobject_doctrine_finset(sets):
     """Subobject doctrine over a finite-set fragment with reindexing computed
     by an explicit pullback (pairs construction), not by inverse image; it is
     the powerset doctrine up to a natural fiberwise bijection."""
-    fc = full_function_category(sets)
-    base = fc.category
+    base = full_function_category(sets)
     fibers = {x: powerset_poset(sets[x]) for x in base.objects}
     reindex = {}
     for a in base.arrow_names():
         s, d = base.src(a), base.dst(a)
-        g = fc.graphs[a]
+        g = function_graph(a)
         graph = {}
         for lbl in fibers[d].elements:
             target = label_subset(lbl)
@@ -755,7 +830,7 @@ def hom_sizes_by_closure(C):
     """Hom-set sizes via closure of identities and generators under composition;
     cross-check against the literal arrow list filter."""
     sizes = {}
-    for a in closure(C.arrows, C.composition, set(C.identities.values()) | set(C.arrow_names())):
+    for a in closure(C.arrows, composition_table(C), set(C.identities.values()) | set(C.arrow_names())):
         key = (C.src(a), C.dst(a))
         sizes[key] = sizes.get(key, 0) + 1
     return sizes
@@ -824,6 +899,12 @@ def function_graph(cat_arrow_name: str) -> dict[str, str]:
     if not body:
         return {}
     return dict(pair.split(">") for pair in body.split(","))
+
+
+def payload_graph(sets, C, a) -> dict[str, str]:
+    """The graph of the arrow a of a function category C on `sets`, read off
+    its payload of image positions."""
+    return {e: sets[C.dst(a)][i] for e, i in zip(sets[C.src(a)], C.payload[a])}
 
 
 def one_object_monoid_category(obj: str, elements: Sequence[str], unit: str, table: Mapping[tuple[str, str], str]) -> FinCategory:
@@ -909,7 +990,7 @@ def forgetful_top_arrow(spaces: Sequence[FiniteTopSpace]) -> tuple[OneArrow, Int
     """⟨U, id⟩ from the topological doctrine to the plain powerset doctrine."""
     src_doc, src_op = topological_doctrine(spaces)
     sets = {s.name: list(s.points) for s in spaces}
-    dst_doc, _ = powerset_doctrine(sets)
+    dst_doc = powerset_doctrine(sets)
     obj_map = {s.name: s.name for s in spaces}
     arr_map = {a: a for a in src_doc.base.arrow_names()}
     functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)

@@ -22,7 +22,14 @@ is timed on the same Q and X twice, with Q's own core and with `fake_core(q)`,
 which keeps every element, so law (2) fails and its witnesses are listed.
 `full_function_category` is timed at A = 243, 428 and 1,024 arrows: on 3
 carriers of 3 points, on carriers of 4 and 3 points, and on 2 carriers of 4
-points. `temporal.oracle_mismatches`,
+points; its rows also have the interpreter's peak RSS.
+
+The CHANGE_ONLY rows run on the change checkout alone, since before
+composites were looked up on demand they took 18 s and 937 MB, and 40 s and
+2 GB: `full_function_category` at A = 3,125 (one carrier of 5 points), and
+on the same Q over one carrier X of 5 points, `quantale_doctrine`, then
+`em_doctrine(mc(bang))` of its bang, each timed once per interpreter, with
+the interpreter's peak RSS after both. `temporal.oracle_mismatches`,
 the 2^n sweep that checks the gfp box against its oracle for every subset, is
 timed on a seeded random tree (both lifts, 0-3 successors per state) and a
 seeded random stream of 10-20 states; `temporal.gfp_modality`, the one-α
@@ -86,8 +93,10 @@ TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
 ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
 # arrows A = Σ |Y|^|X| over ordered pairs of carriers -> the carrier sizes
-FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4)}
-QUANTALE_POINTS = range(2, 5)
+FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4), 3125: (5,)}
+QUANTALE_POINTS = range(2, 6)
+# (flag, size) of the rows measured on the change checkout alone
+CHANGE_ONLY = {("--arrows", 3125), ("--quantale-points", 5)}
 TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
@@ -175,6 +184,16 @@ def measure_quantale(n: int) -> list[dict]:
     tensor = {(x, y): ranks[max(0, i + j - 3)] for i, x in enumerate(ranks) for j, y in enumerate(ranks)}
     q = valid_quantale("luk4", lattice_from_poset(chain_poset(ranks)), tensor, "1")
     sets = {"X": [f"x{i}" for i in range(n)]}
+    if ("--quantale-points", n) in CHANGE_ONLY:
+        t = time.perf_counter()
+        bang = quantale_doctrine(q, sets)[2]
+        built = time.perf_counter() - t
+        t = time.perf_counter()
+        em_doctrine(mc(bang))
+        em = time.perf_counter() - t
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
+        return [{"layer": "quantale_doctrine", "points": n, "s": built, "peak_rss_mb": rss_mb},
+                {"layer": "em_doctrine(mc(bang))", "points": n, "s": em, "peak_rss_mb": rss_mb}]
 
     def run():
         _, adj, bang = quantale_doctrine(q, sets)
@@ -189,11 +208,14 @@ def measure_quantale(n: int) -> list[dict]:
 
 
 def measure_function_category(arrows: int) -> list[dict]:
-    """The `full_function_category` row at `arrows` arrows, timed in this interpreter."""
+    """The `full_function_category` row at `arrows` arrows, timed in this
+    interpreter, and the interpreter's peak RSS."""
     from doctrines.fincat import full_function_category
 
     sets = {f"X{i}": [f"x{i}_{j}" for j in range(m)] for i, m in enumerate(FUNCTION_CARRIERS[arrows])}
-    return [{"layer": "full_function_category", "arrows": arrows, "s": _best(lambda: full_function_category(sets))}]
+    s = _best(lambda: full_function_category(sets))
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
+    return [{"layer": "full_function_category", "arrows": arrows, "s": s, "peak_rss_mb": rss_mb}]
 
 
 def measure_temporal(n: int) -> list[dict]:
@@ -252,7 +274,8 @@ def measure_check(n: int) -> list[dict]:
 
 
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
-         "checkout, measured in turns on one machine; a check row also has each side's least peak RSS in MB. "
+         "checkout, measured in turns on one machine; a check, full_function_category or CHANGE_ONLY row "
+         "also has each side's least peak RSS in MB; a CHANGE_ONLY row has the change side alone. "
          "import: `import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and "
          "median seconds and the modules it loaded. cold_check: in the same interpreters, the import and a "
          "`--json check` of the CLI tests' model together, each side's best and median seconds. parse: then, in "
@@ -277,6 +300,8 @@ def layers(args) -> None:
     sizes += [("--states", n) for n in TEMPORAL_STATES] + [("--check-worlds", n) for n in CHECK_WORLDS]
     for flag, n in sizes:
         sides = [("parent", args.parent), ("change", args.change)]
+        if (flag, n) in CHANGE_ONLY:
+            sides = sides[1:]
         at_size = {}
         for k in range(TEMPORAL_ROUNDS if flag == "--states" else ROUNDS):
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
