@@ -10,6 +10,7 @@ from .adjunction import (  # noqa: F401
     base_change_adjunction,
     factorize,
     factorize2_report,
+    factorize2_violations,
     triviality_violations,
     vertical_adjunction,
     vertical_modality,

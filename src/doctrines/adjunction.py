@@ -130,19 +130,28 @@ def galois_violations(A: DoctrineAdjunction) -> list[str]:
 
 
 def vertical_modality(A: DoctrineAdjunction) -> InteriorOp:
-    """The interior operator λ∘ρ on Q for a vertical adjunction; the fiberwise
-    Galois property is verified along the way. With the adjunction scan it
-    makes λ∘ρ interior, which is not checked again: λρ is monotone and
-    natural, as λ and ρ are; T, λρβ ≤ β, is Galois at ρβ ≤ ρβ; and 4,
-    λρβ ≤ λρλρβ, is λ applied to ρβ ≤ ρλρβ, Galois at λρβ ≤ λρβ."""
+    """The interior operator λ∘ρ on Q for a vertical adjunction. The
+    adjunction scan proves the fiberwise Galois property (`galois_violations`),
+    which is not checked again, once reindexing along each identity is the
+    identity in P and in Q, as in any doctrine: then the scan makes λ and ρ
+    monotone with a ≤ ρλa and λρb ≤ b, so λa ≤ b gives a ≤ ρλa ≤ ρb, and
+    a ≤ ρb gives λa ≤ λρb ≤ b. With it λ∘ρ is interior, which is not checked
+    either: λρ is monotone and natural, as λ and ρ are; T, λρβ ≤ β, is Galois
+    at ρβ ≤ ρβ; and 4, λρβ ≤ λρλρβ, is λ applied to ρβ ≤ ρλρβ, Galois at
+    λρβ ≤ λρβ."""
     if not is_vertical(A):
         raise ValueError("vertical_modality requires identity base functors and identity unit/counit")
     bad = adjunction_violations(A)
     if bad:
         raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
-    bad = galois_violations(A)
+    bad = [
+        f"{side}: reindex(id_{x}) is not the identity"
+        for side, D in (("p", A.p), ("q", A.q))
+        for x in D.base.objects
+        if not is_identity_map(D.reindex[D.base.id(x)], D.fibers[x])
+    ]
     if bad:
-        raise ValueError("; ".join(bad[:3]))
+        raise ValueError("vertical_modality requires doctrines: " + "; ".join(bad[:3]))
     return InteriorOp(A.q, {x: compose_maps(A.lam[x], A.rho[x]) for x in A.q.base.objects})
 
 
@@ -220,9 +229,11 @@ def _composite_differences(b: OneArrow, a: OneArrow, c: OneArrow) -> list[str]:
     ]
 
 
+@kept
 def factorization_violations(A: DoctrineAdjunction) -> list[str]:
     """The two legs of `factorize` compose back to A's left and right
-    1-arrows, compared pointwise."""
+    1-arrows, compared pointwise: the bottom two squares of the refined
+    factorization. Scanned once per adjunction; a fresh list on every call."""
     vertical, base_change = factorize(A)
     left = _composite_differences(left_arrow(base_change), left_arrow(vertical), left_arrow(A))
     right = _composite_differences(right_arrow(vertical), right_arrow(base_change), right_arrow(A))
@@ -261,86 +272,63 @@ def triviality_violations(A: DoctrineAdjunction) -> list[str]:
     return out
 
 
-def factorize2_report(A: DoctrineAdjunction) -> dict:
-    """The refined factorization through the stable subdoctrine: per-object
-    surjectivity of λ onto the stable fibers, injectivity of P(η)∘ρL on them,
-    the four commuting composites, the box restricting to the identity, and
-    the two new adjunctions of the diagram."""
-    ql, op = am_modality(A)
-    stable, inclusion = stable_subdoctrine(op)
-    vertical, base_change = factorize(A)
-    rho_prime = vertical.rho
-
-    surj: dict = {}
-    inj: dict = {}
+@kept
+def factorize2_report(A: DoctrineAdjunction) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """The two per-object tables of the refined factorization that `factor`
+    prints, each object's witnesses: where λ misses a stable element or leaves
+    the stable fiber, and where P(η)∘ρL identifies two stable elements. Built
+    once per adjunction."""
+    _, op = am_modality(A)
+    stable = stable_subdoctrine(op)[0]
+    rho_prime = factorize(A)[0].rho
+    surjective, injective = {}, {}
     for x in A.p.base.objects:
-        lam, rho, kept = A.lam[x], rho_prime[x], stable.fibers[x]
+        lam, rho, fiber = A.lam[x], rho_prime[x], stable.fibers[x]
         image = set(lam.images)
-        missed = [s for s in kept.elements if lam.dst.index(s) not in image]
-        extra = [s for s in sorted(map(lam.dst.elements.__getitem__, image)) if s not in kept]
-        surj[x] = {"holds": not missed and not extra, "missed": missed, "outside_stable": extra}
-        seen: dict = {}
-        collisions = []
-        for s in kept.elements:
+        missed = [f"lambda misses the stable element ({x},{s})" for s in fiber.elements if lam.dst.index(s) not in image]
+        outside = sorted(map(lam.dst.elements.__getitem__, image))
+        surjective[x] = (*missed, *(f"lambda leaves the stable fiber at ({x},{s})" for s in outside if s not in fiber))
+        seen, collisions = {}, []
+        for s in fiber.elements:
             v = rho.images[rho.src.index(s)]
             if v in seen:
-                collisions.append((seen[v], s))
+                collisions.append(f"eta.rho' identifies ({x},{seen[v]}) and ({x},{s})")
             seen[v] = s
-        inj[x] = {"holds": not collisions, "collisions": collisions}
+        injective[x] = tuple(collisions)
+    return surjective, injective
 
+
+def factorize2_violations(A: DoctrineAdjunction) -> list[str]:
+    """The refined factorization through the stable subdoctrine: λ onto the
+    stable fibers and P(η)∘ρL injective on them (`factorize2_report`), the
+    four commuting composites, the bottom two of which are
+    `factorization_violations`, and the two new adjunctions of the diagram.
+
+    That the box is the identity on every stable element is not scanned:
+    `stable_subdoctrine` keeps at each object exactly `stable_elements`, the
+    elements the box fixes."""
+    surjective, injective = factorize2_report(A)
+    out = [w for table in (surjective, injective) for found in table.values() for w in found]
+    _, op = am_modality(A)
+    stable, inclusion = stable_subdoctrine(op)
+    rho_prime = factorize(A)[0].rho
     lam_bar = {x: restrict_map(A.lam[x], A.p.fibers[x], stable.fibers[x]) for x in A.p.base.objects}
     rho_bar = {x: restrict_map(rho_prime[x], stable.fibers[x], A.p.fibers[x]) for x in A.p.base.objects}
     upper_left = vertical_adjunction(A.p, stable, lam_bar, rho_bar)
-
     rho_upper = {}
     for y in A.q.base.objects:
         ry = A.right.obj_map[y]
         boxed = compose_maps(op.parts[ry], A.q.reindex[A.eps.components[y]])
         rho_upper[y] = restrict_map(boxed, A.q.fibers[y], stable.fibers[ry])
-    upper_right = DoctrineAdjunction(
-        stable, A.q, A.left, dict(inclusion.parts), A.right, rho_upper, A.eta, A.eps
-    )
-
-    squares = {
-        "top_left_then_top_right_equals_left": _composite_differences(
-            left_arrow(upper_right), left_arrow(upper_left), left_arrow(A)
-        ),
-        "bottom_left_then_bottom_right_equals_left": _composite_differences(
-            left_arrow(base_change), left_arrow(vertical), left_arrow(A)
-        ),
-        "top_right_then_top_left_adjoints_equal_right": _composite_differences(
-            right_arrow(upper_left), right_arrow(upper_right), right_arrow(A)
-        ),
-        "bottom_right_then_bottom_left_adjoints_equal_right": _composite_differences(
-            right_arrow(vertical), right_arrow(base_change), right_arrow(A)
-        ),
-    }
-
-    box_id = []
-    for x in A.p.base.objects:
-        box = op.parts[x]
-        for s in stable.fibers[x].elements:
-            i = box.src.index(s)
-            if box.images[i] != i:
-                box_id.append(f"box not identity on stable element ({x},{s})")
-
-    report = {
-        "lambda_surjective_onto_stable": surj,
-        "eta_rho_injective_on_stable": inj,
-        "squares": squares,
-        "box_identity_on_stable": box_id,
-        "upper_left_adjunction": adjunction_violations(upper_left),
-        "upper_right_adjunction": adjunction_violations(upper_right),
-    }
-    report["pass"] = (
-        all(v["holds"] for v in surj.values())
-        and all(v["holds"] for v in inj.values())
-        and not any(squares.values())
-        and not box_id
-        and not report["upper_left_adjunction"]
-        and not report["upper_right_adjunction"]
-    )
-    return report
+    upper_right = DoctrineAdjunction(stable, A.q, A.left, dict(inclusion.parts), A.right, rho_upper, A.eta, A.eps)
+    top_left = _composite_differences(left_arrow(upper_right), left_arrow(upper_left), left_arrow(A))
+    top_right = _composite_differences(right_arrow(upper_left), right_arrow(upper_right), right_arrow(A))
+    out += [f"top_left_then_top_right_equals_left fails {w}" for w in top_left]
+    out += [f"top_right_then_top_left_adjoints_equal_right fails {w}" for w in top_right]
+    out += factorization_violations(A)
+    out += [f"upper_left_adjunction: {w}" for w in adjunction_violations(upper_left)]
+    out += [f"upper_right_adjunction: {w}" for w in adjunction_violations(upper_right)]
+    return out
 
 
 @value_class

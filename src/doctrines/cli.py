@@ -21,6 +21,7 @@ from .adjunction import (
     factorization_violations,
     factorize,
     factorize2_report,
+    factorize2_violations,
     galois_violations,
     vertical_adjunction,
 )
@@ -46,8 +47,7 @@ from .instances import (
     FinPresheaf,
     FiniteTopSpace,
     KripkeFrame,
-    bang_law_suite,
-    bang_law_witnesses,
+    bang_law_violations,
     frame_violations,
     kripke_doctrine,
     open_continuous_homs,
@@ -462,7 +462,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
         return
     sets = _named_sets(d)
     if sets:
-        # the bang laws build no fiber of a valid quantale (`bang_law_suite`)
+        # the bang laws build no fiber of a valid quantale (`bang_law_violations`)
         count = _pointwise_doctrine_work(sets, len(elements), len(lat.carrier.hasse()))
         if count > ws.max_size:
             ws.refuse(f"quantale-doctrine {d.name}", count)
@@ -476,7 +476,7 @@ def _build_quantale(ws: Workspace, d: Declaration):
         ws.interiors[f"{d.name}.bang"] = bang
         ws.verdict(f"quantale-adjunction {d.name}", adjunction_violations(adj))
         ws.verdict(f"quantale-bang {d.name}", interior_violations(bang))
-        ws.verdict(f"quantale-bang-laws {d.name}", bang_law_witnesses(bang_law_suite(q, sets)))
+        ws.verdict(f"quantale-bang-laws {d.name}", bang_law_violations(q, sets))
 
 
 def _build_topspace(ws: Workspace, d: Declaration):
@@ -873,11 +873,11 @@ def run(document: ModelDocument | None, command: str, flags: dict) -> dict:
         ws.verdict(f"factor-vertical {src}", adjunction_violations(vert))
         ws.verdict(f"factor-base-change {src}", adjunction_violations(bc))
         ws.verdict(f"factor-composites {src}", factorization_violations(A))
-        rep = factorize2_report(A)
-        ws.verdict(f"factor-stable {src}", [] if rep["pass"] else ["refined factorization failed"])
+        ws.verdict(f"factor-stable {src}", factorize2_violations(A))
+        surjective, injective = factorize2_report(A)
         ws.outputs[f"factor {src}"] = {
-            "lambda-surjective": {k: v["holds"] for k, v in rep["lambda_surjective_onto_stable"].items()},
-            "eta-rho-injective": {k: v["holds"] for k, v in rep["eta_rho_injective_on_stable"].items()},
+            "lambda-surjective": {x: not found for x, found in surjective.items()},
+            "eta-rho-injective": {x: not found for x, found in injective.items()},
         }
     elif command == "temporal":
         cname = flags.get("coalgebra")

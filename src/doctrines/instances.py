@@ -75,7 +75,8 @@ class KripkeFrame:
 
 
 def frame_violations(frame: KripkeFrame) -> list[str]:
-    out = []
+    worlds = set(frame.worlds)
+    out = [f"relation mentions unknown world: ({a},{b})" for a, b in sorted(frame.rel) if not {a, b} <= worlds]
     for w in frame.worlds:
         if (w, w) not in frame.rel:
             out.append(f"not reflexive at {w}")
@@ -467,12 +468,14 @@ def quantale_doctrine(
     return Qdoc, adj, bang
 
 
-def bang_law_suite(
+def bang_law_violations(
     q: FiniteQuantale, sets: Mapping[str, Sequence[str]], core_override: QuantaleCore | None = None
-) -> dict:
+) -> list[str]:
     """The four exponential laws of the bang operator ! = ι∘r on every fiber
-    Q^X, decided on Q; `core_override` lets tests plant a fake core. Raises
-    ValueError, as `valid_quantale` does, unless Q passes `quantale_violations`.
+    Q^X, decided on Q: one witness `law (N) fails at W` per element, pair or
+    fiber W where law N fails, law by law and each in set and fiber order.
+    `core_override` lets tests plant a fake core. Raises ValueError, as
+    `valid_quantale` does, unless Q passes `quantale_violations`.
 
     Such a Q is residuated (Rosenthal, *Quantales and their Applications*,
     1990): ⊗ distributes over ⊥ and binary joins, so x⊗− preserves every join
@@ -503,31 +506,24 @@ def bang_law_suite(
     fails2 = {v(x) for x, b in bang.items() if not order.leq(b, t[(b, b)])}
     fails3 = not order.leq(q.unit, bang[q.unit])
     fails4 = {(v(x), v(y)) for x in bang for y in bang if not order.leq(t[(bang[x], bang[y])], bang[t[(x, y)]])}
-    report = {"law1": [], "law2": [], "law3": [], "law4": [], "pass": True}
     if not (fails1 or fails2 or fails3 or fails4):
-        return report
+        return []
+    law1, law2, law3, law4 = [], [], [], []
     for name, keys in sets.items():
         fiber = _function_fiber(keys, order)
         elements = list(zip(fiber.elements, fiber.values))
-        report["law1"] += [f"({name},{a})" for a, alpha in elements if not fails1.isdisjoint(alpha)]
-        report["law2"] += [f"({name},{a})" for a, alpha in elements if not fails2.isdisjoint(alpha)]
+        law1 += [f"({name},{a})" for a, alpha in elements if not fails1.isdisjoint(alpha)]
+        law2 += [f"({name},{a})" for a, alpha in elements if not fails2.isdisjoint(alpha)]
         if fails3 and keys:
-            report["law3"].append(f"({name},unit)")
+            law3.append(f"({name},unit)")
         if fails4:
-            report["law4"] += [
+            law4 += [
                 f"({name},{a},{b})"
                 for a, alpha in elements
                 for b, beta in elements
                 if not fails4.isdisjoint(zip(alpha, beta))
             ]
-    report["pass"] = not any(report[law] for law in ("law1", "law2", "law3", "law4"))
-    return report
-
-
-def bang_law_witnesses(report: dict) -> list[str]:
-    """One witness per element, pair or fiber at which a law of a
-    `bang_law_suite` report fails, `law (N) fails at W`; empty iff it passes."""
-    return [f"law ({law[-1]}) fails at {w}" for law in ("law1", "law2", "law3", "law4") for w in report[law]]
+    return [f"law ({n}) fails at {w}" for n, law in enumerate((law1, law2, law3, law4), 1) for w in law]
 
 
 def fake_core(q: FiniteQuantale) -> QuantaleCore:
@@ -634,14 +630,22 @@ def largest_subpresheaf(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
     return {w: frozenset(x for x in parts[w] if all(act[x] in parts[v] for act, v in out_of[w])) for w in out_of}
 
 
+@kept
+def _oracle_actions(d: FinPresheaf) -> tuple[tuple[Mapping[str, str], int, int], ...]:
+    """Each arrow's action and the positions of its two worlds, read once per
+    presheaf for `subpresheaf_union_oracle`, apart from the engine's `_arrows_out`."""
+    at = {w: i for i, w in enumerate(d.base.objects)}
+    return tuple((d.act[f], at[w], at[v]) for f, w, v in d.base.arrows)
+
+
 def subpresheaf_union_oracle(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
     """Independent oracle: the union of all subfamilies of `parts` satisfying
     the subpresheaf condition, tested as `is_subpresheaf` tests it, with each
-    arrow's action and its two worlds looked up once, not once per candidate."""
+    arrow's action and its two worlds read once per presheaf, not once per
+    family or candidate."""
     worlds = list(d.base.objects)
     per_world = [subsets_in_order(sorted(parts[w], key=list(d.at[w]).index)) for w in worlds]
-    at = {w: i for i, w in enumerate(worlds)}
-    actions = [(d.act[f], at[d.base.src(f)], at[d.base.dst(f)]) for f in d.base.arrow_names()]
+    actions = _oracle_actions(d)
     acc = [frozenset()] * len(worlds)
     for cand in product(*per_world):
         if all(act[x] in cand[v] for act, w, v in actions for x in cand[w]):

@@ -19,7 +19,7 @@ from .adjunction import (
     base_change_adjunction,
     factorization_violations,
     factorize,
-    factorize2_report,
+    factorize2_violations,
     identity_adjunction,
     is_vertical,
     left_arrow,
@@ -59,8 +59,7 @@ from .instances import (
     FiniteTopSpace,
     IndexedFamily,
     KripkeFrame,
-    bang_law_suite,
-    bang_law_witnesses,
+    bang_law_violations,
     bool_quantale,
     conjunction_adjunction,
     conjunction_modality,
@@ -437,29 +436,12 @@ def criterion_factorization() -> tuple[bool, list[str]]:
     return ok, details
 
 
-def _factorize2_witnesses(rep: dict) -> list[str]:
-    """The failures a `factorize2_report` records, each naming its object or
-    stable element; empty iff the report passes."""
-    out = []
-    for x, surj in rep["lambda_surjective_onto_stable"].items():
-        out += [f"lambda misses the stable element ({x},{s})" for s in surj["missed"]]
-        out += [f"lambda leaves the stable fiber at ({x},{s})" for s in surj["outside_stable"]]
-    for x, inj in rep["eta_rho_injective_on_stable"].items():
-        out += [f"eta.rho' identifies ({x},{a}) and ({x},{b})" for a, b in inj["collisions"]]
-    for square, where in rep["squares"].items():
-        out += [f"{square} fails {w}" for w in where]
-    out += rep["box_identity_on_stable"]
-    for side in ("upper_left_adjunction", "upper_right_adjunction"):
-        out += [f"{side}: {w}" for w in rep[side]]
-    return out
-
-
 def criterion_factorization2() -> tuple[bool, list[str]]:
     details = []
     ok = True
     for name, A in bundled_adjunctions():
         holds = f"surjective/injective with witnesses on {len(A.p.base.objects)} objects"
-        ok &= _case(details, name, _factorize2_witnesses(factorize2_report(A)), holds)
+        ok &= _case(details, name, factorize2_violations(A), holds)
     return ok, details
 
 
@@ -556,12 +538,11 @@ def criterion_bang_laws() -> tuple[bool, list[str]]:
     ok = True
     sets = {"X": ["x"], "Y": ["x", "y"], "Z": ["x", "y", "z"]}
     for q in (bool_quantale(), lukasiewicz3()):
-        bad = bang_law_witnesses(bang_law_suite(q, sets))
-        ok &= _case(details, q.name, bad, "laws (1)-(4) hold on fibers up to size 3")
+        ok &= _case(details, q.name, bang_law_violations(q, sets), "laws (1)-(4) hold on fibers up to size 3")
     luk = lukasiewicz3()
-    rep = bang_law_suite(luk, {"X": ["x"]}, core_override=fake_core(luk))
-    if rep["law2"]:
-        details.append(f"fake core: law (2) fails with witness {rep['law2'][0]}")
+    law2 = [w for w in bang_law_violations(luk, {"X": ["x"]}, core_override=fake_core(luk)) if w.startswith("law (2) ")]
+    if law2:
+        details.append("fake core: " + law2[0].replace(" at ", " with witness ", 1))
     else:
         ok = False
         details.append("fake core: law (2) unexpectedly held")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+from doctrines import adjunction
 from doctrines import suite as S
 from doctrines.instances import fake_core, lukasiewicz3
 
@@ -75,17 +76,18 @@ def test_criterion_09_bang_laws():
 
 
 def test_failing_bang_laws_show_their_first_three_witnesses(monkeypatch):
-    real = S.bang_law_suite
+    real = S.bang_law_violations
 
     def fake_everywhere(q, sets, core_override=None):
         return real(q, sets, core_override=core_override or fake_core(q))
 
-    monkeypatch.setattr(S, "bang_law_suite", fake_everywhere)
+    monkeypatch.setattr(S, "bang_law_violations", fake_everywhere)
     passed, details = S.criterion_bang_laws()
     assert not passed
     # the fake core keeps every element of luk3, and h ≤ h⊗h = 0 fails
     sets = {"X": ["x"], "Y": ["x", "y"], "Z": ["x", "y", "z"]}
-    assert len(real(lukasiewicz3(), sets, core_override=fake_core(lukasiewicz3()))["law2"]) > 3
+    bad = real(lukasiewicz3(), sets, core_override=fake_core(lukasiewicz3()))
+    assert len([w for w in bad if w.startswith("law (2) ")]) > 3
     assert details[:2] == [
         "bool: laws (1)-(4) hold on fibers up to size 3",
         "luk3: law (2) fails at (X,[x:h]); law (2) fails at (Y,[x:0;y:h]); law (2) fails at (Y,[x:h;y:0])",
@@ -93,17 +95,16 @@ def test_failing_bang_laws_show_their_first_three_witnesses(monkeypatch):
 
 
 def test_failing_refined_factorization_shows_its_first_three_witnesses(monkeypatch):
-    real = S.factorize2_report
+    real = adjunction.factorize2_report
 
     def planted(A):
-        rep = real(A)
+        surjective, injective = real(A)
         x = A.p.base.objects[0]
-        rep["lambda_surjective_onto_stable"] = {x: {"holds": False, "missed": ["m0", "m1"], "outside_stable": ["o0"]}}
-        rep["eta_rho_injective_on_stable"] = {x: {"holds": False, "collisions": [("c0", "c1")]}}
-        rep["pass"] = False
-        return rep
+        missed = (f"lambda misses the stable element ({x},m0)", f"lambda misses the stable element ({x},m1)")
+        surjective = {**surjective, x: (*missed, f"lambda leaves the stable fiber at ({x},o0)")}
+        return surjective, {**injective, x: (f"eta.rho' identifies ({x},c0) and ({x},c1)",)}
 
-    monkeypatch.setattr(S, "factorize2_report", planted)
+    monkeypatch.setattr(adjunction, "factorize2_report", planted)
     passed, details = S.criterion_factorization2()
     assert not passed
     adjunctions = S.bundled_adjunctions()
@@ -138,7 +139,7 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
         for name, fn in vars(module).items()
         if callable(fn) and getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "__wrapped__")
     }
-    assert len(builds) == 11
+    assert len(builds) == 13
     calls = {}
 
     def profile(frame, event, arg):
@@ -161,6 +162,8 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
     assert passed
     assert {name for name, _ in calls} >= {
         "adjunction_violations",
+        "factorization_violations",
+        "factorize2_report",
         "comonad_violations",
         "interior_violations",
         "em_doctrine",

@@ -15,6 +15,7 @@ from doctrines.adjunction import (
     factorization_violations,
     factorize,
     factorize2_report,
+    factorize2_violations,
     galois_violations,
     identity_adjunction,
     is_vertical,
@@ -37,7 +38,7 @@ from doctrines.fincat import (
     identity_nat,
     poset_category,
 )
-from doctrines.interior import interior_violations, identity_interior
+from doctrines.interior import interior_violations, identity_interior, stable_subdoctrine
 from doctrines.order import (
     chain_poset,
     compose_maps,
@@ -184,8 +185,20 @@ def _galois_failing_adjunction() -> DoctrineAdjunction:
 def test_vertical_modality_refuses_a_pair_that_is_not_galois():
     A = _galois_failing_adjunction()
     assert adjunction_violations(A) == []
-    with pytest.raises(ValueError, match=r"^galois fails at \(\*,2,1\)$"):
+    assert galois_violations(A) == ["galois fails at (*,2,1)"]
+    # the adjunction scan proves the Galois property on doctrines only
+    with pytest.raises(ValueError, match=r"^vertical_modality requires doctrines: p: reindex\(id_\*\) is not the identity; q: "):
         vertical_modality(A)
+
+
+def test_a_passing_adjunction_scan_has_an_empty_galois_scan():
+    # `vertical_modality` relies on this instead of scanning the Galois property
+    cases = [random_vertical_adjunction(random.Random(seed)) for seed in range(200)]
+    cases += [A for _, A in bundled_adjunctions() if is_vertical(A)]
+    assert len(cases) > 200
+    for A in cases:
+        if not adjunction_violations(A):
+            assert galois_violations(A) == []
 
 
 def test_am_modality_refuses_an_induced_operator_that_is_not_interior():
@@ -366,7 +379,7 @@ def test_factorization_and_triviality_violations_are_empty_on_every_bundled_adju
 
 
 def test_factorization_violations_name_the_object_of_a_planted_vertical_leg(monkeypatch):
-    A = identity_powerset_adjunction()
+    A = identity_adjunction(identity_powerset_adjunction().p)  # its own, not yet scanned
     vertical, base_change = factorize(A)
     planted = DoctrineAdjunction(
         vertical.p, vertical.q, vertical.left, {**vertical.lam, "B": moved_image(vertical.lam["B"])},
@@ -396,25 +409,49 @@ def test_triviality_violations_name_the_object_of_a_planted_non_adjoint_pair(mon
 
 def test_factorize2_identity_all_bijections():
     d = powerset_doctrine_over({"A": ["a1"]})
-    rep = factorize2_report(identity_adjunction(d))
-    assert rep["pass"], rep
-    assert all(v["holds"] for v in rep["lambda_surjective_onto_stable"].values())
-    assert all(v["holds"] for v in rep["eta_rho_injective_on_stable"].values())
+    A = identity_adjunction(d)
+    assert factorize2_violations(A) == []
+    assert factorize2_report(A) == ({"A": ()}, {"A": ()})
 
 
 def test_factorize2_random(seed=29):
     rng = random.Random(seed)
     for _ in range(10):
-        rep = factorize2_report(random_vertical_adjunction(rng))
-        assert rep["pass"], rep
-    assert rep["box_identity_on_stable"] == []
+        A = random_vertical_adjunction(rng)
+        assert factorize2_violations(A) == []
+        # no scan asks for it: the stable subdoctrine keeps the box's fixed points
+        op = am_modality(A)[1]
+        stable = stable_subdoctrine(op)[0]
+        for x in A.p.base.objects:
+            box = op.parts[x]
+            assert all(box.apply(s) == s for s in stable.fibers[x].elements)
 
 
 def test_factorize2_on_base_change_instance():
     big, small, L, R, eta, eps = _rounding_base_adjunction()
     Q = _doctrine_over_small(small)
-    rep = factorize2_report(base_change_adjunction(Q, L, R, eta, eps))
-    assert rep["pass"], rep
+    assert factorize2_violations(base_change_adjunction(Q, L, R, eta, eps)) == []
+
+
+def test_the_refined_factorization_repeats_the_bottom_squares_of_the_factorization(monkeypatch):
+    A = identity_adjunction(identity_powerset_adjunction().p)
+    vertical, base_change = factorize(A)
+    planted = DoctrineAdjunction(
+        vertical.p, vertical.q, vertical.left, {**vertical.lam, "B": moved_image(vertical.lam["B"])},
+        vertical.right, vertical.rho, vertical.eta, vertical.eps,
+    )
+    monkeypatch.setattr(adjunction, "factorize", lambda A: (planted, base_change))
+    bottom = ["left composite differs from the original left 1-arrow at B"]
+    assert factorization_violations(A) == bottom
+    assert bottom[0] in factorize2_violations(A)
+
+
+def test_the_bottom_squares_and_the_refined_tables_are_scanned_once_per_adjunction(monkeypatch):
+    A = random_vertical_adjunction(random.Random(61))
+    first = factorization_violations(A), factorize2_report(A)
+    monkeypatch.setattr(adjunction, "factorize", None)  # a second scan would call it
+    assert (factorization_violations(A), factorize2_report(A)) == first
+    assert factorize2_report(A) is first[1]
 
 
 def test_identity_adj_morphism_and_am_functor(seed=31):

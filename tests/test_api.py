@@ -2,9 +2,8 @@
 
 Each law has one public name, its `*_violations` function, which returns a
 witness list: only `check_poset` and `check_category` carry a `check_` name,
-no public name ends in `_check` or `_checks`, and only the two reports
-(`factorize2_report`, `bang_law_suite`) and `run_acceptance` return a dict
-with a "pass" key. A public function whose body only passes its own
+no public name ends in `_check` or `_checks`, and only the acceptance
+suite's report, `run_acceptance`, returns a dict with a "pass" key. A public function whose body only passes its own
 parameters on to another function is a second name for that function, and
 so are a public function that only reads an attribute of its one parameter
 and a `cached_property` that only passes `self` to a module-level function
@@ -860,11 +859,10 @@ class Law:
     assert _check_names(source) == ["check_poset", "triviality_checks", "modality_comparison_check", "law_check"]
 
 
-# The library's reports: the refined factorization's per-object maps, which
-# the `factor` command prints, the bang laws' per-law witnesses, which `check`
-# prints, and the acceptance suite's criteria. Every other verdict is a
-# `*_violations` witness list.
-REPORTS = {"adjunction.factorize2_report", "instances.bang_law_suite", "suite.run_acceptance"}
+# The library's one report: the acceptance suite's criteria. Every verdict,
+# the refined factorization and the bang laws included, is a `*_violations`
+# witness list.
+REPORTS = {"suite.run_acceptance"}
 
 
 def _own_nodes(fn: ast.FunctionDef):

@@ -24,7 +24,7 @@ from doctrines.cli import (
     render_text,
     run,
 )
-from util import argparse_flags
+from util import argparse_flags, identity_one_arrow
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -220,6 +220,36 @@ def test_cli_derive_and_factor_and_em(tmp_path):
     assert r.returncode == 0 and "em-adjunction K.box" in r.stdout
 
 
+def test_cli_factor_names_the_witnesses_of_a_failing_refined_factorization(tmp_path, capsys, monkeypatch):
+    from doctrines import adjunction
+
+    # a planted stable subdoctrine that keeps every element of L3^{x}: λ = ι
+    # misses h, and P(η)∘ρL = r sends 0 and h both to 0
+    monkeypatch.setattr(adjunction, "stable_subdoctrine", lambda op: (op.doctrine, identity_one_arrow(op.doctrine)))
+    f = tmp_path / "m.dct"
+    f.write_text(MODEL)
+    assert main(["--json", "factor", str(f), "--from", "L3.adjunction"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert verdicts["factor-composites L3.adjunction"]["pass"]
+    assert verdicts["factor-stable L3.adjunction"]["witnesses"][:2] == [
+        "lambda misses the stable element (X,[x:h])",
+        "eta.rho' identifies (X,[x:0]) and (X,[x:h])",
+    ]
+    assert report["outputs"]["factor L3.adjunction"] == {"lambda-surjective": {"X": False}, "eta-rho-injective": {"X": False}}
+
+
+def test_cli_kripke_frame_names_each_pair_with_an_undeclared_world(tmp_path, capsys):
+    text = "kripke-frame K { worlds: a; rel: c->a a->b; sets: D=x }"
+    assert _main(tmp_path, text, "check") == 1
+    assert capsys.readouterr().out.startswith(
+        "doctrines check report (seed=7, max-size=200000)\n"
+        "FAIL kripke-frame K\n"
+        "  - relation mentions unknown world: (a,b)\n"
+        "  - relation mentions unknown world: (c,a)\n"
+    )
+
+
 def test_cli_max_size_refusal(tmp_path):
     f = tmp_path / "m.dct"
     f.write_text(MODEL)
@@ -371,19 +401,19 @@ def test_no_quantale_of_the_benchmark_or_test_models_makes_the_bang_laws_build_a
     import doctrines.instances as instances
 
     def refuse(domain, codomain):
-        raise AssertionError(f"bang_law_suite built the fiber {list(codomain.elements)}^{list(domain)}")
+        raise AssertionError(f"bang_law_violations built the fiber {list(codomain.elements)}^{list(domain)}")
 
     checked = []
 
-    def bang_law_suite(q, sets):
+    def bang_law_violations(q, sets):
         # the doctrine build reads `_function_fiber` too, so refuse it only here
         with pytest.MonkeyPatch.context() as inside:
             inside.setattr(instances, "_function_fiber", refuse)
-            rep = instances.bang_law_suite(q, sets)
-        checked.append((q.name, rep["pass"]))
-        return rep
+            bad = instances.bang_law_violations(q, sets)
+        checked.append((q.name, not bad))
+        return bad
 
-    monkeypatch.setattr(cli, "bang_law_suite", bang_law_suite)
+    monkeypatch.setattr(cli, "bang_law_violations", bang_law_violations)
     models = {r.model for w in workloads.WORKLOADS for seed in range(8) for r in workloads.requests_for(w, seed)}
     models = sorted(m for m in models | {MODEL, GOEDEL_5} if m and "quantale " in m)
     for text in models:
@@ -404,7 +434,7 @@ def test_cli_bang_laws_give_one_witness_per_failing_element(tmp_path, capsys, mo
     f.write_text(MODEL.replace("sets: X=x }", "sets: X=x,y,z }"))
     assert main(["--json", "check", str(f)]) == 0
     passing = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(cli, "bang_law_suite", lambda q, sets: instances.bang_law_suite(q, sets, instances.fake_core(q)))
+    monkeypatch.setattr(cli, "bang_law_violations", lambda q, sets: instances.bang_law_violations(q, sets, instances.fake_core(q)))
     assert main(["--json", "check", str(f)]) == 1
     failing = json.loads(capsys.readouterr().out)
     [verdict] = [v for v in failing["verdicts"] if v["name"] == "quantale-bang-laws L3"]

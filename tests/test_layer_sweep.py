@@ -67,6 +67,7 @@ def test_layer_sweep_runs_the_change_only_rows_on_the_change_checkout_alone(tmp_
 
 
 def test_layer_sweep_measures_the_quantale_row():
+    # the bang rows time `bang_law_violations` under its earlier name, as recorded before
     rows = _measure("--quantale-points", 2)
     assert [(r["layer"], r.get("core"), r["points"]) for r in rows] == [
         ("quantale", None, 2),

@@ -613,7 +613,7 @@ def residuation_failures_reference(q, keys):
     """Every triple (α, β, γ) of Q^keys, labelled, at which α⊗γ ≤ β and
     γ ≤ (α⇒β) disagree, by the literal loop over the fiber with ⇒ the join of
     {z : a⊗z ≤ b} pointwise: empty on every quantale that passes
-    `quantale_violations`, as `instances.bang_law_suite`'s docstring proves."""
+    `quantale_violations`, as `instances.bang_law_violations`' docstring proves."""
     fns, label, leq, star, _ = _pointwise(q, keys)
     carrier = q.lattice.carrier
 
@@ -634,10 +634,10 @@ def residuation_failures_reference(q, keys):
     return out
 
 
-def bang_law_report_reference(q, sets, core):
-    """The report of `instances.bang_law_suite` by the literal loops over
-    every fiber, with ! = ι∘r applied pointwise through the raw maps."""
-    report = {"law1": [], "law2": [], "law3": [], "law4": []}
+def bang_law_violations_reference(q, sets, core):
+    """The witnesses of `instances.bang_law_violations` by the literal loops
+    over every fiber, with ! = ι∘r applied pointwise through the raw maps."""
+    laws = {1: [], 2: [], 3: [], 4: []}
     iota, r = graph_of(core.iota), graph_of(core.r)
     for name, keys in sets.items():
         fns, label, leq, star, unit = _pointwise(q, keys)
@@ -647,17 +647,16 @@ def bang_law_report_reference(q, sets, core):
 
         for f in fns:
             if not leq(bang(f), unit):
-                report["law1"].append(f"({name},{label(f)})")
+                laws[1].append(f"({name},{label(f)})")
             if not leq(bang(f), star(bang(f), bang(f))):
-                report["law2"].append(f"({name},{label(f)})")
+                laws[2].append(f"({name},{label(f)})")
         if not leq(unit, bang(unit)):
-            report["law3"].append(f"({name},unit)")
+            laws[3].append(f"({name},unit)")
         for f in fns:
             for g in fns:
                 if not leq(star(bang(f), bang(g)), bang(star(f, g))):
-                    report["law4"].append(f"({name},{label(f)},{label(g)})")
-    report["pass"] = not any(report[k] for k in ("law1", "law2", "law3", "law4"))
-    return report
+                    laws[4].append(f"({name},{label(f)},{label(g)})")
+    return [f"law ({n}) fails at {w}" for n, found in laws.items() for w in found]
 
 
 def powerset_lattice(ground):

@@ -17,9 +17,11 @@ at 8 worlds it would hold 43 M pairs as a pair set. The quantale row times,
 on the 4-chain Łukasiewicz quantale Q (x⊗y = max(0, x+y−3) on ranks 0-3)
 over one carrier X of 2-4 points, `quantale_doctrine`, `adjunction_violations`
 of its vertical adjunction and `em_doctrine(mc(bang))` together, from a
-fresh build each time; its fiber Q^X has 4^|X| elements. `bang_law_suite`
+fresh build each time; its fiber Q^X has 4^|X| elements. `bang_law_violations`
 is timed on the same Q and X twice, with Q's own core and with `fake_core(q)`,
-which keeps every element, so law (2) fails and its witnesses are listed.
+which keeps every element, so law (2) fails and its witnesses are listed; its
+rows keep the label `bang_law_suite`, the function's earlier name, so that
+they compare with the rows recorded before.
 `full_function_category` is timed at A = 243, 428 and 1,024 arrows: on 3
 carriers of 3 points, on carriers of 4 and 3 points, and on 2 carriers of 4
 points; its rows also have the interpreter's peak RSS.
@@ -177,7 +179,7 @@ def measure_quantale(n: int) -> list[dict]:
     """The quantale row at |X| = n, timed in this interpreter."""
     from doctrines.adjunction import adjunction_violations
     from doctrines.comonad import em_doctrine, mc
-    from doctrines.instances import bang_law_suite, fake_core, quantale_doctrine, valid_quantale
+    from doctrines.instances import bang_law_violations, fake_core, quantale_doctrine, valid_quantale
     from doctrines.order import chain_poset, lattice_from_poset
 
     ranks = ["0", "a", "b", "1"]
@@ -202,7 +204,7 @@ def measure_quantale(n: int) -> list[dict]:
 
     cores = {"real": None, "fake": fake_core(q)}
     return [{"layer": "quantale", "points": n, "s": _best(run)}] + [
-        {"layer": "bang_law_suite", "core": core, "points": n, "s": _best(lambda: bang_law_suite(q, sets, override))}
+        {"layer": "bang_law_suite", "core": core, "points": n, "s": _best(lambda: bang_law_violations(q, sets, override))}
         for core, override in cores.items()
     ]
 
