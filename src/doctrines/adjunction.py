@@ -26,7 +26,7 @@ from .fincat import (
     same_functor_composite,
 )
 from .interior import InteriorOp, interior_violations, stable_subdoctrine
-from .order import MonotoneMap, compose_maps, is_identity_map, kept, restrict_map, same_composite, value_class
+from .order import MonotoneMap, _require, compose_maps, is_identity_map, kept, restrict_map, same_composite, value_class
 
 
 @value_class
@@ -141,17 +141,14 @@ def vertical_modality(A: DoctrineAdjunction) -> InteriorOp:
     λρβ ≤ λρβ."""
     if not is_vertical(A):
         raise ValueError("vertical_modality requires identity base functors and identity unit/counit")
-    bad = adjunction_violations(A)
-    if bad:
-        raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
+    _require(adjunction_violations(A), "invalid adjunction")
     bad = [
         f"{side}: reindex(id_{x}) is not the identity"
         for side, D in (("p", A.p), ("q", A.q))
         for x in D.base.objects
         if not is_identity_map(D.reindex[D.base.id(x)], D.fibers[x])
     ]
-    if bad:
-        raise ValueError("vertical_modality requires doctrines: " + "; ".join(bad[:3]))
+    _require(bad, "vertical_modality requires doctrines")
     return InteriorOp(A.q, {x: compose_maps(A.lam[x], A.rho[x]) for x in A.q.base.objects})
 
 
@@ -164,9 +161,7 @@ def am_doctrine(A: DoctrineAdjunction) -> Doctrine:
 def am_modality(A: DoctrineAdjunction) -> tuple[Doctrine, InteriorOp]:
     """The interior operator λ ∘ P(η) ∘ (ρ at L−) on the doctrine X ↦ Q(L X),
     built once per adjunction."""
-    bad = adjunction_violations(A)
-    if bad:
-        raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
+    _require(adjunction_violations(A), "invalid adjunction")
     doc = am_doctrine(A)
     parts = {}
     for x in A.p.base.objects:
@@ -175,19 +170,19 @@ def am_modality(A: DoctrineAdjunction) -> tuple[Doctrine, InteriorOp]:
             A.lam[x], compose_maps(A.p.reindex[A.eta.components[x]], A.rho[lx])
         )
     op = InteriorOp(doc, parts)
-    bad = interior_violations(op)
-    if bad:
-        raise ValueError("induced modality is not interior: " + "; ".join(bad[:3]))
+    _require(interior_violations(op), "induced modality is not interior")
     return doc, op
 
 
 def base_change_adjunction(
     Q: Doctrine, L: Functor, R: Functor, eta: NatTransformation, eps: NatTransformation
 ) -> DoctrineAdjunction:
-    """Lift a Cat-adjunction on bases to the adjunction ⟨QL, Q, L, id, R, Qε⟩."""
-    bad = adjunction_cat(L, R, eta, eps)
-    if bad:
-        raise ValueError("base adjunction invalid: " + "; ".join(bad[:3]))
+    """Lift a Cat-adjunction on bases to ⟨QL, Q, L, id, R, Qε⟩, unchecked:
+    like `vertical_adjunction`, its verdict is `adjunction_violations`, whose
+    "(i)" part scans ⟨L, R, η, ε⟩ as a Cat-adjunction. `factorize`, its one
+    caller in the library, builds it only from an A that passed that scan on
+    ⟨A.left, A.right, A.eta, A.eps⟩, the same four values, so its base
+    adjunction holds there without a second scan."""
     p = base_change(Q, L)
     rho = {y: Q.reindex[eps.components[y]] for y in Q.base.objects}
     return DoctrineAdjunction(p, Q, L, identity_parts(p), R, rho, eta, eps)
@@ -198,9 +193,7 @@ def factorize(A: DoctrineAdjunction) -> tuple[DoctrineAdjunction, DoctrineAdjunc
     """Split A into a vertical adjunction into QL followed by the base-change
     adjunction; composing the two legs gives back A's 1-arrows on the nose.
     Built once per adjunction."""
-    bad = adjunction_violations(A)
-    if bad:
-        raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
+    _require(adjunction_violations(A), "invalid adjunction")
     ql = am_doctrine(A)
     rho_prime = {}
     for x in A.p.base.objects:
@@ -249,9 +242,7 @@ def triviality_violations(A: DoctrineAdjunction) -> list[str]:
     shows its three truth values."""
     if not is_vertical(A):
         raise ValueError("triviality_violations requires a vertical adjunction")
-    bad = adjunction_violations(A)
-    if bad:
-        raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
+    _require(adjunction_violations(A), "invalid adjunction")
     out = []
     for x in A.p.base.objects:
         lam, rho, pf, qf = A.lam[x], A.rho[x], A.p.fibers[x], A.q.fibers[x]

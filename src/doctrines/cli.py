@@ -502,12 +502,16 @@ def _build_presheaf(ws: Workspace, d: Declaration):
     base = ws.frame_bases[frame_name]
     at = {}
     for key, body in _entries(d, "at", d.need("at")):
+        if key not in base.objects:
+            raise BuildError(f"presheaf {d.name}: unresolved world '{key}'")
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
         at[key] = tuple(_distinct(d, "at", [e for e in body.split(",") if e]))
     act = {}
     for key, mapping in _map_entries(d, "act", d.get("act", []), dict).items():
         src, dst = _split(d, "act", key, "->", "an arrow 'v->w'")
+        if not base.has_arrow(f"{src}<={dst}"):
+            raise BuildError(f"presheaf {d.name}: unresolved arrow '{key}'")
         act[f"{src}<={dst}"] = mapping
     for w in base.objects:
         act.setdefault(base.id(w), {e: e for e in at.get(w, ())})
@@ -579,6 +583,8 @@ def _build_doctrine(ws: Workspace, d: Declaration):
         raise BuildError(f"doctrine {d.name}: unresolved category '{base_name}'")
     fibers = {}
     for obj, ref in _entries(d, "fiber", d.need("fiber")):
+        if obj not in base.objects:
+            raise BuildError(f"doctrine {d.name}: unresolved object '{obj}'")
         fibers[obj] = _resolve_fiber(ws, ref)
 
     def ends(arrow):

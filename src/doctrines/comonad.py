@@ -40,7 +40,7 @@ from .fincat import (
     nat_violations,
 )
 from .interior import InteriorOp, interior_violations, modal_one_arrow_violations, stable_subdoctrine
-from .order import MonotoneMap, compose_maps, is_identity_map, kept, restrict_map, value_class
+from .order import MonotoneMap, _require, compose_maps, is_identity_map, kept, restrict_map, value_class
 
 
 @value_class
@@ -132,9 +132,7 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
       each c: C → KC is a base arrow, its naturality square at an EM arrow f
       is c'∘f = Kf∘c, the condition `coalgebra_category` picks arrows by, and
       its lax inequality a ≤ P(c)κ_C a holds at every fixed point."""
-    bad = comonad_violations(c)
-    if bad:
-        raise ValueError("invalid comonad: " + "; ".join(bad[:3]))
+    _require(comonad_violations(c), "invalid comonad")
     P = c.p
     data = coalgebra_category(c.k, c.mu, c.nu)
     keep = {}
@@ -203,9 +201,7 @@ def cm_modality(c: DoctrineComonad) -> InteriorOp:
         for o in data.category.objects
     }
     op = InteriorOp(doc, parts)
-    bad = interior_violations(op)
-    if bad:
-        raise ValueError("comonadic modality is not interior: " + "; ".join(bad[:3]))
+    _require(interior_violations(op), "comonadic modality is not interior")
     return op
 
 
@@ -213,9 +209,7 @@ def cm_modality(c: DoctrineComonad) -> InteriorOp:
 def cmd_of_adjunction(A: DoctrineAdjunction) -> DoctrineComonad:
     """The comonad ⟨LR, (λR)ρ, LηR, ε⟩ on Q induced by an adjunction, built
     once per adjunction."""
-    bad = adjunction_violations(A)
-    if bad:
-        raise ValueError("invalid adjunction: " + "; ".join(bad[:3]))
+    _require(adjunction_violations(A), "invalid adjunction")
     K = compose_functors(A.left, A.right)
     kappa = {
         y: compose_maps(A.lam[A.right.obj_map[y]], A.rho[y]) for y in A.q.base.objects
@@ -270,9 +264,7 @@ def modality_comparison_violations(A: DoctrineAdjunction) -> list[str]:
 
 def mc(op: InteriorOp) -> DoctrineComonad:
     """An interior operator is exactly a vertical comonad."""
-    bad = interior_violations(op)
-    if bad:
-        raise ValueError("invalid interior operator: " + "; ".join(bad[:3]))
+    _require(interior_violations(op), "invalid interior operator")
     P = op.doctrine
     i = identity_functor(P.base)
     return DoctrineComonad(P, i, dict(op.parts), identity_nat(i), identity_nat(i))
@@ -282,9 +274,7 @@ def mc(op: InteriorOp) -> DoctrineComonad:
 def ma(op: InteriorOp) -> DoctrineAdjunction:
     """The stable-subdoctrine adjunction ⟨Id, inclusion⟩ ⊣ ⟨Id, box⟩, built
     once per operator."""
-    bad = interior_violations(op)
-    if bad:
-        raise ValueError("invalid interior operator: " + "; ".join(bad[:3]))
+    _require(interior_violations(op), "invalid interior operator")
     P = op.doctrine
     stable, inclusion = stable_subdoctrine(op)
     rho = {x: restrict_map(op.parts[x], P.fibers[x], stable.fibers[x]) for x in P.base.objects}
@@ -389,15 +379,11 @@ def em_universal_factor(c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransforma
     P = c.p
     if x_arrow.dst != P:
         raise ValueError("x must land in the comonad's doctrine")
-    bad = one_arrow_violations(x_arrow)
-    if bad:
-        raise ValueError("x is not a 1-arrow: " + "; ".join(bad[:3]))
+    _require(one_arrow_violations(x_arrow), "x is not a 1-arrow")
     X = x_arrow.functor
     if xi.src != X or xi.dst != compose_functors(c.k, X):
         raise ValueError("xi must be a natural transformation X ⇒ K X")
-    bad = nat_violations(xi)
-    if bad:
-        raise ValueError("xi not natural: " + "; ".join(bad[:3]))
+    _require(nat_violations(xi), "xi not natural")
     base = P.base
     for d in x_arrow.src.base.objects:
         xd = X.obj_map[d]

@@ -226,14 +226,10 @@ def two_arrow_violations(t: TwoArrow) -> list[str]:
     return out
 
 
-def pair_label(a: str, b: str) -> str:
-    return f"({a}|{b})"
-
-
 def square_doctrine(P: Doctrine) -> tuple[Doctrine, OneArrow]:
     """The doctrine of componentwise-ordered pairs, with the diagonal 1-arrow;
     a pair's value is the pair of its components' values."""
-    fibers = {x: product_poset(P.fibers[x], P.fibers[x], pair_label) for x in P.base.objects}
+    fibers = {x: product_poset(P.fibers[x], P.fibers[x]) for x in P.base.objects}
     reindex = {}
     for t in P.base.arrow_names():
         m = value_graph(P.reindex[t])

@@ -10,7 +10,7 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import product
 
-from .order import Field, FinPoset, _certified, kept, value_class
+from .order import Field, FinPoset, _certified, _require, kept, value_class
 
 
 @value_class
@@ -219,8 +219,7 @@ def concrete_category(
     identities = {x: name_of[x, x, identity[x]] for x in objects if (x, x, identity[x]) in name_of}
     shared = [(name_of[s, d, payload[n]], n) for (n, s, d) in arrows if name_of[s, d, payload[n]] != n]
     bad = _shape_violations(objects, arrows, identities) or [f"arrows {i} and {j} share a payload" for i, j in shared]
-    if bad:
-        raise ValueError("not a category: " + "; ".join(bad[:5]))
+    _require(bad, "not a category")
 
     def composite(gf: tuple[str, str]) -> str:
         g, f = gf
@@ -353,9 +352,7 @@ def functor_violations(F: Functor) -> list[str]:
 
 def fin_functor(src, dst, obj_map, arr_map) -> Functor:
     F = Functor(src, dst, dict(obj_map), dict(arr_map))
-    bad = functor_violations(F)
-    if bad:
-        raise ValueError("not a functor: " + "; ".join(bad[:5]))
+    _require(functor_violations(F), "not a functor")
     return F
 
 
@@ -436,9 +433,7 @@ def nat_violations(t: NatTransformation) -> list[str]:
 
 def fin_nat(src, dst, components) -> NatTransformation:
     t = NatTransformation(src, dst, dict(components))
-    bad = nat_violations(t)
-    if bad:
-        raise ValueError("not natural: " + "; ".join(bad[:5]))
+    _require(nat_violations(t), "not natural")
     return t
 
 
@@ -523,10 +518,12 @@ def coalgebra_arrow_name(src: str, dst: str, base_arrow: str) -> str:
 def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation) -> CoalgebraData:
     """Eilenberg-Moore category of ⟨K,μ,ν⟩: objects are pairs ⟨C,c⟩ with the
     counit/coassociativity squares, arrows are base arrows commuting with the
-    structure maps, composed as base arrows. Two coalgebras named alike raise."""
-    bad = comonad_cat_violations(K, mu, nu)
-    if bad:
-        raise ValueError("comonad laws fail: " + "; ".join(bad[:5]))
+    structure maps, composed as base arrows. Two coalgebras named alike raise.
+
+    ⟨K,μ,ν⟩ must be a comonad on the base, which is not checked here:
+    `comonad.em_doctrine`, the one caller in the library, builds it only from
+    a comonad that passed `comonad_violations`, whose "(i)" part is
+    `comonad_cat_violations` on the same K, μ and ν."""
     C = K.src
     structure = {}
     for x in C.objects:

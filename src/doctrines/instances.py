@@ -38,6 +38,7 @@ from .order import (
     FinPoset,
     MonotoneMap,
     _positions,
+    _require,
     _unions,
     chain_poset,
     kept,
@@ -319,9 +320,7 @@ def topological_doctrine(
     `homs` passes the `open_continuous_homs` of `spaces` when the caller has
     them, so that no function is tested twice."""
     for s in spaces:
-        bad = space_violations(s)
-        if bad:
-            raise ValueError(f"invalid space {s.name}: " + "; ".join(bad[:3]))
+        _require(space_violations(s), f"invalid space {s.name}")
     if len({s.name for s in spaces}) != len(spaces):
         raise ValueError("duplicate space names")
     if homs is None:
@@ -347,8 +346,8 @@ class FiniteQuantale:
 
 
 def quantale_violations(q: FiniteQuantale) -> list[str]:
-    out = []
     els = q.lattice.carrier.elements
+    out = [f"tensor mentions unknown element: ({a},{b})" for a, b in sorted(q.tensor) if a not in els or b not in els]
     for a in els:
         if q.tensor.get((a, q.unit)) != a or q.tensor.get((q.unit, a)) != a:
             out.append(f"unit law fails at {a}")
@@ -375,9 +374,7 @@ def quantale_violations(q: FiniteQuantale) -> list[str]:
 
 def valid_quantale(name, lattice, tensor, unit) -> FiniteQuantale:
     q = FiniteQuantale(name, lattice, dict(tensor), unit)
-    bad = quantale_violations(q)
-    if bad:
-        raise ValueError(f"invalid quantale {name}: " + "; ".join(bad[:3]))
+    _require(quantale_violations(q), f"invalid quantale {name}")
     return q
 
 
@@ -474,8 +471,8 @@ def bang_law_violations(
     """The four exponential laws of the bang operator ! = ι∘r on every fiber
     Q^X, decided on Q: one witness `law (N) fails at W` per element, pair or
     fiber W where law N fails, law by law and each in set and fiber order.
-    `core_override` lets tests plant a fake core. Raises ValueError, as
-    `valid_quantale` does, unless Q passes `quantale_violations`.
+    `core_override` lets tests plant a fake core. Raises ValueError, with
+    `valid_quantale`'s wording, unless Q passes `quantale_violations`.
 
     Such a Q is residuated (Rosenthal, *Quantales and their Applications*,
     1990): ⊗ distributes over ⊥ and binary joins, so x⊗− preserves every join
@@ -497,7 +494,7 @@ def bang_law_violations(
     giving (1) and (2); (3) 1 is in the core, so r(1) = 1; (4) the core is
     closed under ⊗, and !x⊗!y ≤ x⊗y by monotonicity, so !x⊗!y is a core
     element below x⊗y, and r(x⊗y) is the largest one."""
-    valid_quantale(q.name, q.lattice, q.tensor, q.unit)
+    _require(quantale_violations(q), f"invalid quantale {q.name}")
     core = core_override if core_override is not None else quantale_core(q)
     order, t = q.lattice.carrier, q.tensor
     bang = {x: core.iota.apply(core.r.apply(x)) for x in order.elements}
@@ -570,6 +567,7 @@ def presheaf_violations(d: FinPresheaf) -> list[str]:
         return out
     for f in d.base.arrow_names():
         w, v = d.base.src(f), d.base.dst(f)
+        out += [f"action along {f} mentions unknown element {e}" for e in sorted(set(d.act[f]) - set(d.at[w]))]
         for e in d.at[w]:
             if d.act[f].get(e) not in d.at[v]:
                 out.append(f"action along {f} not into the target carrier at {e}")
@@ -664,9 +662,7 @@ def presheaf_instance(
     This is the finitely realizable vertical factor of the geometric-morphism
     construction; the operator it induces is the geometric one."""
     for d in presheaves:
-        bad = presheaf_violations(d)
-        if bad:
-            raise ValueError(f"invalid presheaf {d.name}: " + "; ".join(bad[:3]))
+        _require(presheaf_violations(d), f"invalid presheaf {d.name}")
     if any(d.base != presheaves[0].base for d in presheaves):
         raise ValueError("presheaves must share a base")
     by_name = {d.name: d for d in presheaves}

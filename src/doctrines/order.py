@@ -330,6 +330,14 @@ def poset_violations(elements: Sequence[str], relation: Iterable[tuple[str, str]
     return out
 
 
+def _require(witnesses: list[str], what: str) -> None:
+    """The precondition of a construction defined only on values that pass a
+    law scan: raises ValueError `what: ` and the first three of the scan's
+    `witnesses` unless there are none."""
+    if witnesses:
+        raise ValueError(f"{what}: " + "; ".join(witnesses[:3]))
+
+
 def check_poset(
     elements: Sequence[str], relation: Iterable[tuple[str, str]]
 ) -> FinPoset | list[str]:
@@ -368,7 +376,7 @@ def fin_poset(
     rel = close_relation(elements, pairs, closure)
     got = check_poset(elements, rel)
     if isinstance(got, list):
-        raise ValueError("not a poset: " + "; ".join(got))
+        _require(got, "not a poset")
     return got
 
 
@@ -387,12 +395,10 @@ def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
     return FinPoset(pick(p.elements), pick(p.codes), values=pick(p.values))
 
 
-def product_poset(p: FinPoset, q: FinPoset, label=None) -> FinPoset:
-    """Componentwise-ordered product; labels default to '(a|b)', and the
-    value of (a, b) is the pair of their values."""
-    if label is None:
-        label = lambda a, b: f"({a}|{b})"
-    elems = tuple(label(a, b) for a in p.elements for b in q.elements)
+def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
+    """Componentwise-ordered product; (a, b) is labelled '(a|b)' and valued
+    by the pair of their values."""
+    elems = tuple(f"({a}|{b})" for a in p.elements for b in q.elements)
     values = tuple((u, v) for u in p.values for v in q.values)
     return FinPoset(elems, product_order([p, q]), values=values)
 

@@ -401,11 +401,12 @@ def criterion_am_modality(seed: int) -> tuple[bool, list[str]]:
     ok = True
     for name, A in bundled_adjunctions():
         try:
-            doc, op = am_modality(A)
-            details.append(f"{name}: induced operator passes")
+            am_modality(A)
         except ValueError as e:
-            ok = False
-            details.append(f"{name}: {e}")
+            bad = [str(e)]
+        else:
+            bad = []
+        ok &= _case(details, name, bad, "induced operator passes")
     rng = random.Random(seed)
     failures = 0
     for i in range(50):
@@ -450,30 +451,14 @@ def criterion_comonad_suite() -> tuple[bool, list[str]]:
     ok = True
     for name, c in bundled_comonads():
         bad = comonad_violations(c)
-        if bad:
-            ok = False
-            details.append(f"{name}: " + "; ".join(bad[:3]))
-            continue
-        A = em_adjunction(c)  # raises unless the EM fibers are the closure fixpoints
-        bad = adjunction_violations(A)
-        if bad:
-            ok = False
-            details.append(f"{name}: em adjunction invalid: " + "; ".join(bad[:3]))
-            continue
-        op = cm_modality(c)
-        doc2, op2 = am_modality(A)
-        if op2 != op:
-            ok = False
-            details.append(f"{name}: comonadic and adjunction modalities differ")
-            continue
-        details.append(f"{name}: em fibers, adjunction, and modality agree")
+        if not bad:
+            A = em_adjunction(c)  # raises unless the EM fibers are the closure fixpoints
+            bad = adjunction_violations(A)
+        if not bad and cm_modality(c) != am_modality(A)[1]:
+            bad = ["comonadic and adjunction modalities differ"]
+        ok &= _case(details, name, bad, "em fibers, adjunction, and modality agree")
     for name, op in bundled_interior_ops():
-        bad = ma_em_violations(op)
-        if bad:
-            ok = False
-            details.append(f"{name}: MA disagrees with EM of MC: " + "; ".join(bad[:3]))
-        else:
-            details.append(f"{name}: MA coincides with the EM adjunction of MC")
+        ok &= _case(details, name, ma_em_violations(op), "MA coincides with the EM adjunction of MC")
     for name, A in bundled_adjunctions():
         c = cmd_of_adjunction(A)
         xi = NatTransformation(
@@ -484,14 +469,10 @@ def criterion_comonad_suite() -> tuple[bool, list[str]]:
         try:
             factor = em_universal_factor(c, left_arrow(A), xi)
         except ValueError as e:
-            ok = False
-            details.append(f"{name}: universal factorization failed: {e}")
-            continue
-        if factor != comparison_arrow(A):
-            ok = False
-            details.append(f"{name}: universal factorization differs from the comparison arrow")
+            bad = [str(e)]
         else:
-            details.append(f"{name}: universal factorization unique and equals the comparison arrow")
+            bad = [] if factor == comparison_arrow(A) else ["universal factorization differs from the comparison arrow"]
+        ok &= _case(details, name, bad, "universal factorization unique and equals the comparison arrow")
     return ok, details
 
 

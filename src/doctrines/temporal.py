@@ -26,7 +26,7 @@ from functools import cached_property
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp
-from .order import MonotoneMap, value_class
+from .order import MonotoneMap, _require, value_class
 
 
 STREAM, TREE = "stream", "tree"
@@ -67,9 +67,9 @@ class FCoalgebra:
 
 
 def coalgebra_violations(c: FCoalgebra) -> list[str]:
-    out = []
     if c.kind not in (STREAM, TREE):
         return [f"unknown kind {c.kind}"]
+    out = [f"step at unknown state: {s}" for s in sorted(c.step) if s not in c.states]
     for s in c.states:
         if s not in c.step:
             out.append(f"step missing at {s}")
@@ -332,9 +332,7 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     state positions."""
     kind = _known_lift(lift)[1]
     for c in coalgebras:
-        bad = coalgebra_violations(c)
-        if bad:
-            raise ValueError(f"invalid coalgebra {c.name}: " + "; ".join(bad[:3]))
+        _require(coalgebra_violations(c), f"invalid coalgebra {c.name}")
         if c.kind != kind:
             raise ValueError(f"{kind} lift over a non-{kind} coalgebra")
     by_name = {c.name: c for c in coalgebras}

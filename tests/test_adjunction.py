@@ -320,6 +320,14 @@ def test_base_change_adjunction_rounding_instance():
     assert op == identity_interior(doc)
 
 
+def test_base_change_adjunction_leaves_an_invalid_base_adjunction_to_its_verdict():
+    # unchecked, like vertical_adjunction: the "(i)" part of the adjunction scan names the fault
+    big, small, L, R, eta, eps = _rounding_base_adjunction()
+    no_unit = NatTransformation(identity_functor(big), identity_functor(big), big.identities)
+    A = base_change_adjunction(_doctrine_over_small(small), L, R, no_unit, eps)
+    assert adjunction_violations(A) == ["(i) eta has wrong boundary (expected Id => RL)"]
+
+
 def test_factorize_base_change_has_identity_vertical_part():
     big, small, L, R, eta, eps = _rounding_base_adjunction()
     Q = _doctrine_over_small(small)

@@ -952,6 +952,75 @@ class Suite:
     assert _pass_reports(source) == ["built_report", "displayed", "law_report", "row", "run"]
 
 
+# A construction's precondition is one call of the guard `order._require`,
+# the one place a witness list becomes the text of an error
+def _joins_witnesses(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "join"
+        and isinstance(node.func.value, ast.Constant)
+        and node.func.value.value == "; "
+    )
+
+
+def _joined_raises(source: str) -> list[str]:
+    """Functions and methods of `source`, nested ones included, that raise
+    an exception built from a `"; ".join(...)`; sorted."""
+    return sorted(
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Raise) and node.exc is not None and any(map(_joins_witnesses, ast.walk(node.exc)))
+            for node in _own_nodes(fn)
+        )
+    )
+
+
+def test_only_the_guard_raises_an_error_that_joins_witnesses():
+    found = [f"{path.stem}.{name}" for path in SOURCES for name in _joined_raises(path.read_text())]
+    assert found == ["order._require"]
+
+
+def test_joined_raise_scan_flags_planted_raises_and_nothing_else():
+    source = '''
+def _require(witnesses, what):
+    if witnesses:
+        raise ValueError(f"{what}: " + "; ".join(witnesses[:3]))
+
+
+def em_doctrine(c):
+    bad = comonad_violations(c)
+    if bad:
+        raise ValueError("invalid comonad: " + "; ".join(bad[:5]))
+    return c
+
+
+def outer(c):
+    def inner(bad):
+        raise KeyError(f"missing: {'; '.join(bad)}")
+
+    return inner
+
+
+def other_separator(c):
+    raise ValueError(f"unknown closure (expected one of {', '.join(c)})")
+
+
+def joined_but_not_raised(details, bad):
+    details.append("; ".join(bad))
+    raise ValueError(bad[0])
+
+
+class Scan:
+    def run(self, bad):
+        if bad:
+            raise RuntimeError("laws fail: " + "; ".join(bad))
+'''
+    assert _joined_raises(source) == ["_require", "em_doctrine", "inner", "run"]
+
+
 def _reads(corpus: list[str]) -> set[str]:
     """Every attribute name the corpus reads."""
     return {

@@ -658,6 +658,43 @@ def test_cli_presheaf_without_the_action_along_a_composite_is_usage_error(tmp_pa
     assert "presheaf P: missing action along w1<=w3" in capsys.readouterr().err
 
 
+CHAIN_F = "kripke-frame F { worlds: w1 w2; rel: w1->w2 }\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"{CHAIN_F}presheaf S {{ frame: F; at: w1={{a}} w2={{a,b}} zz={{c}}; act: w1->w2=a>a w2->w1=b>a }}",
+         "presheaf S: unresolved world 'zz'"),
+        (f"{CHAIN_F}presheaf S {{ frame: F; at: w1={{a}} w2={{a,b}}; act: w1->w2=a>a w2->w1=b>a }}",
+         "presheaf S: unresolved arrow 'w2->w1'"),
+        (f"{ONE_OBJECT}doctrine E {{ base: C; fiber: x=P zz=P }}", "doctrine E: unresolved object 'zz'"),
+    ],
+)
+def test_cli_a_name_another_declaration_does_not_declare_is_usage_error(tmp_path, capsys, text, message):
+    assert _main(tmp_path, text, "check") == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, verdict, witnesses",
+    [
+        (f"{CHAIN_F}presheaf S {{ frame: F; at: w1={{a}} w2={{a,b}}; act: w1->w2=a>a,q>b }}", "presheaf S",
+         ["action along w1<=w2 mentions unknown element q"]),
+        ("quantale L { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1=0 1*1=1 1*zz=0 }", "quantale L",
+         ["tensor mentions unknown element: (1,zz)", "tensor mentions unknown element: (zz,1)"]),
+        ("coalgebra M { kind: stream; states: s0; step: s0=s0 zz=s0 }", "coalgebra M", ["step at unknown state: zz"]),
+    ],
+)
+def test_cli_a_block_that_names_its_own_undeclared_element_fails_its_verdict(tmp_path, capsys, text, verdict, witnesses):
+    # the quantale's model reads 1*zz as both (1,zz) and (zz,1)
+    f = tmp_path / "m.dct"
+    f.write_text(text)
+    assert main(["--json", "check", str(f)]) == 1
+    found = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+    assert found[verdict]["witnesses"] == witnesses
+
+
 def test_cli_user_category_named_like_a_frame_base_does_not_shadow_it(tmp_path, capsys):
     # a discrete category under the name a frame's base category once took
     # in the category namespace; the presheaf must still see the chain c0 <= c1

@@ -15,7 +15,6 @@ from doctrines.doctrine import (
     two_arrow_violations,
     compose_one_arrows,
     identity_parts,
-    pair_label,
     power_doctrine,
     square_doctrine,
     sub_doctrine,
@@ -231,7 +230,7 @@ def test_square_doctrine_fiber_sizes_and_diagonal():
     assert doctrine_violations(sq) == []
     assert len(sq.fibers["A"].elements) == 4
     assert one_arrow_violations(diag) == []
-    assert diag.parts["A"].apply("{a1}") == pair_label("{a1}", "{a1}")
+    assert diag.parts["A"].apply("{a1}") == "({a1}|{a1})"
 
 
 def test_square_of_one_point_fibers_is_isomorphic_to_p():

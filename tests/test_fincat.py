@@ -146,6 +146,9 @@ def test_a_wrong_comultiplication_on_a_nilpotent_monoid_fails_coassociativity():
     want = [*COUNIT, "coassociativity fails at *"]
     assert comonad_cat_violations(*triple) == want
     assert comonad_violations(c) == ["(i) " + v for v in want]
+    # the comonad scan is the one check of the K-laws before the coalgebras are built
+    with pytest.raises(ValueError, match="^" + re.escape("invalid comonad: " + "; ".join("(i) " + v for v in want)) + "$"):
+        em_doctrine(c)
 
 
 def test_planted_associativity_failure_reports_the_triple():

@@ -1,11 +1,15 @@
 """Smoke test of tools/layer_sweep.py: its `measure` mode, which every layer
-row of a BENCH_*.json file comes from, still finds and times each layer."""
+row of a BENCH_*.json file comes from, still finds and times each layer, and
+its `reports` mode finds a planted difference between two checkouts."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 ONE_KEY_LAYERS = (
@@ -183,3 +187,28 @@ def test_end_to_end_runs_use_copies_of_both_checkouts_taken_before_the_first_run
     assert [text for _, _, text in seen] == ["parent bench\n", "change bench\n", "change bench\n", "parent bench\n"]
     assert all(tmp_path not in cwd.parents for cwd, _, _ in seen)
     assert [r["side"] for r in json.loads(out.read_text())["end_to_end"][0]["runs"]] == ["parent", "change", "change", "parent"]
+
+
+def test_reports_finds_no_difference_against_itself_and_finds_a_planted_one(tmp_path, monkeypatch, capsys):
+    # the `check` of the CLI tests' model, with and without --json, at two seeds that give the same requests
+    sweep = _sweep_module()
+    every = sweep.requests_for
+    checks = lambda workload, seed: [r for r in every(workload, seed) if r.argv[-2:] == ("check", "FILE")]
+    monkeypatch.setattr(sweep, "requests_for", lambda workload, seed: checks(workload, seed) if workload == "gate" else [])
+    shutil.copytree(ROOT / "src", tmp_path / "change" / "src", ignore=shutil.ignore_patterns("__pycache__"))
+
+    def reports() -> tuple[int, list[str]]:
+        monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "reports", "--parent", str(ROOT), "--change",
+                                          str(tmp_path / "change"), "--seeds", "0", "1"])
+        with pytest.raises(SystemExit) as raised:
+            sweep.main()
+        return raised.value.code, capsys.readouterr().out.splitlines()
+
+    assert reports() == (0, ["0 of 2 requests differ"])
+    cli = tmp_path / "change" / "src" / "doctrines" / "cli.py"
+    cli.write_text(cli.read_text().replace('f"RESULT: ', 'f"RESULTS: '))
+    code, lines = reports()
+    # only the request without --json prints the result line
+    [check] = checks("gate", 0)
+    assert code == 1 and lines[1:] == ["1 of 2 requests differ"]
+    assert lines[0].endswith(f" {' '.join(check.argv[1:])}: stdout differ")

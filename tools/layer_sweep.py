@@ -1,12 +1,14 @@
 """Layer sweeps of the order kernel, the Kripke doctrine, the quantale
 doctrine, the function category and the temporal oracle sweep, the whole
 `check` of a Kripke chain, and the import of the command line, written to a
-BENCH_*.json file; standard library only.
+BENCH_*.json file, and a check that two checkouts write the same reports;
+standard library only.
 
     python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_17.json
     python tools/layer_sweep.py import --parent ../parent --change . --out BENCH_18.json
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
         --workload modal --seeds 40 41 42 --out BENCH_17.json
+    python tools/layer_sweep.py reports --parent ../parent --change . --seeds 0 1 2 3 4 5
 
 `layers` times, on Kripke chains of 8-17 worlds with one carrier D = {x}:
 `powerset_poset` of the worlds, `_pointwise_fiber` with one key over that
@@ -66,6 +68,14 @@ have each side's best and median time.
 directory, runs `bench/run.py` in the two copies in turn, alternating which
 goes first, adds every run to those already recorded for the workload, and
 records the per-side medians of all of them.
+
+`reports` copies the `src` of both checkouts to a temporary directory and
+runs every distinct request of `bench/workloads.py` `requests_for` for the
+`temporal`, `modal` and `gate` workloads at each seed, as the benchmark
+writes it (with `--json`) and without `--json`, once on each copy, each run
+in a fresh `python -S` interpreter reading the same model file. It prints
+each request whose exit status, stdout or stderr differs between the two,
+then the count, and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -89,7 +99,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import GATE_MODEL  # noqa: E402
+from workloads import GATE_MODEL, Request, requests_for  # noqa: E402
 ONE_KEY_WORLDS = range(8, 18)
 TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
@@ -125,6 +135,9 @@ IMPORT_PROBE = (
     "print(*out)"
 )
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
+REPORT_WORKLOADS = ("temporal", "modal", "gate")
+# run as `python -S -c RUN_CLI SRC ARGV...`: the command line on the library in SRC
+RUN_CLI = "import sys; sys.path.insert(0, sys.argv.pop(1)); from doctrines.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def _sig(s: float) -> float:
@@ -395,6 +408,40 @@ def end_to_end(args) -> None:
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
+def _report(src: Path, argv: list[str], cwd: Path) -> tuple:
+    """Exit status, stdout and stderr of the command line `argv` on the
+    library in `src`, the copy's own path written as SRC (a traceback names it)."""
+    proc = subprocess.run([sys.executable, "-S", "-c", RUN_CLI, str(src), *argv], cwd=cwd, capture_output=True, text=True)
+    return proc.returncode, proc.stdout.replace(str(src), "SRC"), proc.stderr.replace(str(src), "SRC")
+
+
+def reports(args) -> int:
+    requests = dict.fromkeys(
+        Request(argv, r.model)
+        for workload in REPORT_WORKLOADS
+        for seed in args.seeds
+        for r in requests_for(workload, seed)
+        for argv in (r.argv, tuple(a for a in r.argv if a != "--json"))
+    )
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {}
+        for side, checkout in [("parent", args.parent), ("change", args.change)]:
+            copies[side] = Path(tmp) / side / "src"
+            shutil.copytree(checkout / "src", copies[side], ignore=shutil.ignore_patterns("__pycache__"))
+        model = Path(tmp) / "model.dct"
+        for r in requests:
+            if r.model is not None:
+                model.write_text(r.model)
+            got = {side: _report(src, r.cli_argv(str(model)), Path(tmp)) for side, src in copies.items()}
+            parts = [part for part, a, b in zip(("exit status", "stdout", "stderr"), got["parent"], got["change"]) if a != b]
+            if parts:
+                differ += 1
+                print(f"{r.key} {' '.join(r.argv)}: {', '.join(parts)} differ", flush=True)
+    print(f"{differ} of {len(requests)} requests differ")
+    return 1 if differ else 0
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="mode", required=True)
@@ -420,6 +467,10 @@ def main() -> None:
     e2e.add_argument("--workload", required=True)
     e2e.add_argument("--seeds", type=int, nargs="+", required=True)
     e2e.add_argument("--out", type=Path, required=True)
+    rep = sub.add_parser("reports")
+    rep.add_argument("--parent", type=Path, required=True)
+    rep.add_argument("--change", type=Path, default=ROOT)
+    rep.add_argument("--seeds", type=int, nargs="+", required=True)
     args = ap.parse_args()
     if args.mode == "measure":
         sys.path.insert(0, str(args.src.resolve()))
@@ -437,6 +488,8 @@ def main() -> None:
         layers(args)
     elif args.mode == "import":
         import_rows(args)
+    elif args.mode == "reports":
+        raise SystemExit(reports(args))
     else:
         end_to_end(args)
 
