@@ -454,7 +454,8 @@ def _build_quantale(ws: Workspace, d: Declaration):
     for lhs, result in _entries(d, "tensor", d.need("tensor")):
         a, b = _split(d, "tensor", lhs, "*", "a product 'a*b'")
         tensor[(a, b)] = result
-        tensor.setdefault((b, a), result)
+        if a in got and b in got:  # a product naming an unknown element is one witness, as written
+            tensor.setdefault((b, a), result)
     q = FiniteQuantale(d.name, lat, tensor, unit)
     bad = quantale_violations(q)
     ws.verdict(f"quantale {d.name}", bad)

@@ -262,8 +262,10 @@ def modality_comparison_violations(A: DoctrineAdjunction) -> list[str]:
     return out
 
 
+@kept
 def mc(op: InteriorOp) -> DoctrineComonad:
-    """An interior operator is exactly a vertical comonad."""
+    """An interior operator is exactly a vertical comonad, built once per
+    operator, so its Eilenberg-Moore doctrine is too."""
     _require(interior_violations(op), "invalid interior operator")
     P = op.doctrine
     i = identity_functor(P.base)

@@ -199,12 +199,14 @@ def concrete_category(
     payload: Mapping[str, Hashable],
     identity: Mapping[str, Hashable],
     compose: Callable[[Hashable, Hashable], Hashable],
+    walk: Sequence[tuple[str, str, str]] | None = None,
 ) -> FinCategory:
     """The subcategory of a known category whose arrows `(name, src, dst)`
     carry `payload[name]`, with `identity[x]` the payload of x's identity and
     `compose(g, f)` that of g∘f, an operation the caller guarantees associative
     and unital. Identities and composites are found by looking up (src, dst,
-    payload), a composite only when it is asked for.
+    payload), a composite only when it is asked for. `walk` lists the same
+    arrows in the order `generating_arrows` takes them, by default `arrows`.
 
     The walk of `generating_arrows` proves the arrows closed under
     composition: it asks for every composite g∘x of a generator g after an
@@ -229,13 +231,17 @@ def concrete_category(
         composites[gf] = c
         return c
 
-    gens = generating_arrows(arrows, composite)  # fills `composites`
+    gens = generating_arrows(arrows if walk is None else walk, composite)  # fills `composites`
     return FinCategory(tuple(objects), tuple(arrows), identities, payload, compose, name_of, gens, composites)
 
 
-def _thin_category(objects: Sequence[str], arrows: Sequence[tuple[str, str, str]]) -> FinCategory:
+def _thin_category(
+    objects: Sequence[str], arrows: Sequence[tuple[str, str, str]], walk: Sequence[tuple[str, str, str]] | None = None
+) -> FinCategory:
     """At most one arrow between two objects, so every payload is ()."""
-    return concrete_category(objects, arrows, {n: () for n, *_ in arrows}, dict.fromkeys(objects, ()), lambda g, f: ())
+    return concrete_category(
+        objects, arrows, {n: () for n, *_ in arrows}, dict.fromkeys(objects, ()), lambda g, f: (), walk
+    )
 
 
 def discrete_category(objects: Sequence[str]) -> FinCategory:
@@ -243,8 +249,15 @@ def discrete_category(objects: Sequence[str]) -> FinCategory:
 
 
 def poset_category(p: FinPoset) -> FinCategory:
-    """The category with at most one arrow x→y, present iff x ≤ y."""
-    return _thin_category(p.elements, [(f"{a}<={b}", a, b) for a in p.elements for b in p.up(a)])
+    """The category with at most one arrow x→y, present iff x ≤ y, declared
+    out of each object in turn. The generator walk takes the identities
+    first, then the covers, then the other arrows, each of which is a chain
+    of covers and so already reached: the covers and identities are the
+    generators, where the declared order would keep every arrow of a chain."""
+    arrows = [(f"{a}<={b}", a, b) for a in p.elements for b in p.up(a)]
+    covers = {(p.elements[i], p.elements[j]) for i, j in p.hasse()}
+    rank = lambda t: 0 if t[1] == t[2] else 1 if t[1:] in covers else 2
+    return _thin_category(p.elements, arrows, sorted(arrows, key=rank))
 
 
 def function_arrow_name(src_obj: str, dst_obj: str, mapping: Mapping[str, str], src_order: Sequence[str]) -> str:

@@ -339,13 +339,19 @@ def topological_doctrine(
 
 @value_class
 class FiniteQuantale:
+    """A finite commutative quantale. A value is never changed after it is
+    built, `tensor` included, so its law verdict is computed once and kept
+    on it (`order.kept`)."""
+
     name: str
     lattice: FinLattice
     tensor: Mapping[tuple[str, str], str]
     unit: str
 
 
+@kept
 def quantale_violations(q: FiniteQuantale) -> list[str]:
+    """Every failing quantale law with its witness; a fresh list on every call."""
     els = q.lattice.carrier.elements
     out = [f"tensor mentions unknown element: ({a},{b})" for a, b in sorted(q.tensor) if a not in els or b not in els]
     for a in els:

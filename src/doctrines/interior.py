@@ -14,8 +14,8 @@ class InteriorOp:
     """A natural family of monotone fiber endomaps that is deflationary (T)
     and satisfies the 4 axiom, hence is idempotent. A value is never changed
     after it is built, `parts` included, so its law verdict, its stable
-    subdoctrine and its adjunction `comonad.ma` are computed once and kept on
-    it (`order.kept`)."""
+    subdoctrine, its adjunction `comonad.ma` and its comonad `comonad.mc` are
+    computed once and kept on it (`order.kept`)."""
 
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]

@@ -9,7 +9,6 @@ adjunctions and comonads, plus one runner per acceptance criterion. The CLI
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from functools import lru_cache
 
 from .adjunction import (
@@ -78,12 +77,22 @@ from .instances import (
     topological_doctrine,
 )
 from .interior import InteriorOp, identity_interior, interior_violations, stable_elements
-from .order import chain_poset, fin_poset, graph_map, identity_map, is_identity_map, powerset_poset, value_map
+from .order import (
+    MonotoneMap,
+    _unions,
+    chain_poset,
+    fin_poset,
+    graph_map,
+    identity_map,
+    is_identity_map,
+    powerset_poset,
+    value_map,
+)
 from .temporal import (
     STREAM,
     FCoalgebra,
-    gfp_modality_trace,
-    oracle_for,
+    _gfp_chain,
+    _oracle_mask,
     oracle_mismatches,
     temporal_doctrine,
 )
@@ -334,24 +343,41 @@ def bundled_comonads() -> list[tuple[str, DoctrineComonad]]:
 # Seeded random instances
 
 
+@lru_cache(maxsize=None)
+def _atoms_powerset(letter: str, k: int):
+    """The powerset of the atoms letter0 … letter(k−1), built once per process."""
+    return powerset_poset([f"{letter}{i}" for i in range(k)])
+
+
+@lru_cache(maxsize=None)
+def _discrete_base(n: int):
+    """The discrete category on X0 … X(n−1), built once per process."""
+    return discrete_category([f"X{i}" for i in range(n)])
+
+
 def random_vertical_adjunction(rng: random.Random, max_objects: int = 2, max_ground: int = 4) -> DoctrineAdjunction:
     """Sample a vertical adjunction over a discrete base: per fiber, a
     join-preserving map between powersets (union along a random assignment
-    of atoms to subsets) together with its computed right adjoint."""
+    of atoms to subsets) together with its right adjoint, both computed on
+    the fibers' bit codes. Atom i goes to the mask targets[i]; λ sends a
+    code to the union of its atoms' targets (`_unions`), and ρ sends b to
+    the code of the atoms whose target lies inside b."""
     n_obj = rng.randint(1, max_objects)
-    objs = [f"X{i}" for i in range(n_obj)]
-    base = discrete_category(objs)
+    base = _discrete_base(n_obj)
     p_fibers, q_fibers, lam, rho = {}, {}, {}, {}
-    for x in objs:
-        g1 = [f"a{i}" for i in range(rng.randint(1, max_ground))]
-        g2 = [f"b{i}" for i in range(rng.randint(1, max_ground))]
-        p_fibers[x] = powerset_poset(g1)
-        q_fibers[x] = powerset_poset(g2)
-        targets = {a: frozenset(rng.sample(g2, rng.randint(0, len(g2)))) for a in g1}
-        lam[x] = value_map(p_fibers[x], q_fibers[x], lambda s: frozenset().union(*(targets[a] for a in s)))
-        rho[x] = value_map(q_fibers[x], p_fibers[x], lambda b: frozenset(a for a in g1 if targets[a] <= b))
-    P = Doctrine(base, p_fibers, {base.id(x): identity_map(p_fibers[x]) for x in objs})
-    Q = Doctrine(base, q_fibers, {base.id(x): identity_map(q_fibers[x]) for x in objs})
+    for x in base.objects:
+        k1, k2 = rng.randint(1, max_ground), rng.randint(1, max_ground)
+        p = p_fibers[x] = _atoms_powerset("a", k1)
+        q = q_fibers[x] = _atoms_powerset("b", k2)
+        # rng.sample picks the same positions of range(k2) as of the atoms b0 … b(k2−1)
+        targets = [sum(1 << j for j in rng.sample(range(k2), rng.randint(0, k2))) for _ in range(k1)]
+        unions, p_at, q_at = _unions(targets), p._by_code, q._by_code
+        lam[x] = MonotoneMap(p, q, tuple(q_at[unions[a]] for a in p.codes))
+        rho[x] = MonotoneMap(q, p, tuple(
+            p_at[sum(1 << i for i, t in enumerate(targets) if not t & ~b)] for b in q.codes
+        ))
+    P = Doctrine(base, p_fibers, {base.id(x): identity_map(p_fibers[x]) for x in base.objects})
+    Q = Doctrine(base, q_fibers, {base.id(x): identity_map(q_fibers[x]) for x in base.objects})
     return vertical_adjunction(P, Q, lam, rho)
 
 
@@ -363,10 +389,6 @@ def random_coalgebra(rng: random.Random, kind: str, max_states: int, name: str =
     else:
         step = {s: tuple(states[rng.randrange(n)] for _ in range(rng.randint(0, 3))) for s in states}
     return FCoalgebra(name, kind, states, step)
-
-
-def random_subset(rng: random.Random, states: Sequence[str]) -> frozenset[str]:
-    return frozenset(s for s in states if rng.random() < 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +572,12 @@ def criterion_temporal(seed: int) -> tuple[bool, list[str]]:
         c = random_coalgebra(rng, kind, 8, f"M{i}")
         lift = "stream" if kind == "stream" else ("forall" if i % 4 == 1 else "exists")
         for _ in range(4):
-            alpha = random_subset(rng, c.states)
-            trace = gfp_modality_trace(c, lift, alpha)
-            if len(trace) - 2 > len(c.states) + 1:
+            # each state's bit drawn by one rng.random(), in state order
+            alpha = sum(1 << x for x in range(len(c.states)) if rng.random() < 0.5)
+            chain = _gfp_chain(c, lift, alpha)
+            if len(chain) - 2 > len(c.states) + 1:
                 over_bound += 1
-            if trace[-1] != oracle_for(c, lift, alpha):
+            if chain[-1] != _oracle_mask(c, lift, alpha):
                 random_mismatches += 1
     details.append(f"100 seeded random coalgebras (|A| <= 8): {random_mismatches} mismatches, {over_bound} over the iteration bound")
     ok = ok and random_mismatches == 0 and over_bound == 0

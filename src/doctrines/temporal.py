@@ -6,12 +6,13 @@ finite category of coalgebra homomorphisms.
 
 One engine computes every box, on bit masks: Ψ(β) = α ∩ step⁻¹(lift(β)) is
 iterated down from the full state set, so no infinite unfolding is ever
-materialized. `gfp_modality_trace` boxes one α (the `temporal` command,
-queries and the suite), one mask per step; `_gfp_planes` boxes every α at
-once (the oracle sweep and `temporal_doctrine`) on planes, ints of 2ⁿ bits
-whose bit α is the answer at α, so one bitwise operation takes one step in
-every lane. Both read the step from `_pred_masks`, whose docstring proves Ψ
-monotone and the chains descending. The oracles decide the same property by
+materialized. `_gfp_chain` boxes one α (the suite, and through
+`gfp_modality_trace` the `temporal` command and queries), one mask per step;
+`_gfp_planes` boxes every α at once (the oracle sweep and
+`temporal_doctrine`) on planes, ints of 2ⁿ bits whose bit α is the answer at
+α, so one bitwise operation takes one step in every lane. Both read the step
+from `_pred_masks`, kept on the coalgebra, whose docstring proves Ψ monotone
+and the chains descending. The oracles decide the same property by
 reachability or Tarjan's components for one α (`oracle_for`), and on
 planes for every α by reachability or a Warshall closure of α-paths
 (`_oracle_planes`, which the sweep XORs with the engine's), from their own
@@ -26,7 +27,7 @@ from functools import cached_property
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp
-from .order import MonotoneMap, _require, value_class
+from .order import MonotoneMap, _require, kept, value_class
 
 
 STREAM, TREE = "stream", "tree"
@@ -86,11 +87,12 @@ def gfp_modality(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> frozenset[s
     return gfp_modality_trace(c, lift, alpha)[-1]
 
 
-def _pred_masks(c: FCoalgebra, lift: str) -> list[int]:
-    """The engine's one reading of the step, after rejecting an unknown lift:
-    per state t, the mask of the states that have t as a successor. With
-    pre(γ) the union of pred[t] over t in γ, the states whose lift holds on β
-    are Φ(β) = pre(β) for the stream and exists lifts and S ∖ pre(S ∖ β) for
+@kept
+def _pred_masks(c: FCoalgebra) -> tuple[int, ...]:
+    """The engine's one reading of the step, kept on the coalgebra: per
+    state t, the mask of the states that have t as a successor. With pre(γ)
+    the union of pred[t] over t in γ, the states whose lift holds on β are
+    Φ(β) = pre(β) for the stream and exists lifts and S ∖ pre(S ∖ β) for
     forall, and Ψ_α(β) = α ∩ Φ(β).
 
     Ψ_α is monotone for every α and lift: pre is a union over the members
@@ -101,23 +103,21 @@ def _pred_masks(c: FCoalgebra, lift: str) -> list[int]:
     and that fixed point is νΨ_α whenever νΨ_α ⊆ X (Tarski, Pacific J. Math.
     5, 1955): by induction νΨ_α = Ψ_α(νΨ_α) ⊆ Ψ_α(βₖ) = βₖ₊₁. The full set S
     is such an X for every α."""
-    _known_lift(lift)
     index = {s: i for i, s in enumerate(c.states)}
     pred = [0] * len(index)
     for i, s in enumerate(c.states):
         for t in c.successors(s):
             pred[index[t]] |= 1 << i
-    return pred
+    return tuple(pred)
 
 
-def gfp_modality_trace(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[frozenset[str]]:
-    """The Ψ-chain β₀ = S, βₖ₊₁ = Ψ(βₖ), ending with the repeated fixed point;
-    each step ORs the `_pred_masks` of β's members (or of S ∖ β's)."""
-    if not alpha <= set(c.states):
-        raise ValueError("alpha mentions unknown states")
-    pred = _pred_masks(c, lift)
+def _gfp_chain(c: FCoalgebra, lift: str, alpha: int) -> list[int]:
+    """The Ψ-chain of α on masks, after rejecting an unknown lift: β₀ = S,
+    βₖ₊₁ = Ψ(βₖ), ending with the repeated fixed point; each step ORs the
+    `_pred_masks` of β's members (or of S ∖ β's)."""
+    _known_lift(lift)
+    pred = _pred_masks(c)
     full = (1 << len(pred)) - 1
-    a = sum(1 << i for i, s in enumerate(c.states) if s in alpha)
     chain = [full]
     while True:
         beta = chain[-1]
@@ -126,9 +126,18 @@ def gfp_modality_trace(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[
         for t, p in enumerate(pred):
             if gamma >> t & 1:
                 pre |= p
-        chain.append(a & ~pre if lift == "forall" else a & pre)
+        chain.append(alpha & ~pre if lift == "forall" else alpha & pre)
         if chain[-1] == beta:
-            return [_mask_states(c, m) for m in chain]
+            return chain
+
+
+def gfp_modality_trace(c: FCoalgebra, lift: str, alpha: frozenset[str]) -> list[frozenset[str]]:
+    """The Ψ-chain β₀ = S, βₖ₊₁ = Ψ(βₖ), ending with the repeated fixed
+    point, as state sets (`_gfp_chain`)."""
+    if not alpha <= set(c.states):
+        raise ValueError("alpha mentions unknown states")
+    a = sum(1 << i for i, s in enumerate(c.states) if s in alpha)
+    return [_mask_states(c, m) for m in _gfp_chain(c, lift, a)]
 
 
 def _mask_states(c: FCoalgebra, mask: int) -> frozenset[str]:
@@ -164,7 +173,8 @@ def _gfp_planes(c: FCoalgebra, lift: str) -> list[int]:
     `gfp_modality_trace`'s chain for α. A lane at its fixed point keeps it,
     so the rounds stop once the longest chain repeats, within n + 1 rounds,
     and each lane α then holds νΨ_α (`_pred_masks`)."""
-    pred = _pred_masks(c, lift)
+    _known_lift(lift)
+    pred = _pred_masks(c)
     member = _member_planes(len(pred))
     succ = [[t for t, p in enumerate(pred) if p >> x & 1] for x in range(len(pred))]
     planes = [(1 << (1 << len(pred))) - 1] * len(pred)

@@ -122,12 +122,31 @@ def test_criterion_10_temporal_oracles():
     _report(10, S.criterion_temporal(SEED), budget=20.0, elapsed=time.time() - t)
 
 
+def test_criterion_10_fails_when_the_mask_chain_drops_a_state(monkeypatch):
+    # the sweep of 400 random boxes compares each chain's end with the
+    # oracle, so a chain helper that loses a state of the box is caught
+    real = S._gfp_chain
+    dropped = []
+
+    def drop_lowest(c, lift, alpha):
+        chain = real(c, lift, alpha)
+        if chain[-1]:
+            dropped.append(alpha)
+        return chain[:-1] + [chain[-1] & (chain[-1] - 1)]
+
+    monkeypatch.setattr(S, "_gfp_chain", drop_lowest)
+    passed, details = S.criterion_temporal(SEED)
+    assert not passed and dropped
+    assert details[0].endswith(": 0 mismatches")
+    assert details[1] == f"100 seeded random coalgebras (|A| <= 8): {len(dropped)} mismatches, 0 over the iteration bound"
+
+
 def test_criterion_11_presheaf_oracle():
     _report(11, S.criterion_presheaf_oracle())
 
 
 def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
-    # verdicts, EM doctrines, stable subdoctrines and ma adjunctions are kept
+    # verdicts, EM doctrines, stable subdoctrines, ma adjunctions and mc comonads are kept
     # on their values (order.kept), so the suite, which passes one value
     # through several constructions, scans or builds from it only once; a
     # profile hook counts the runs of each kept build's own code per value
@@ -139,7 +158,7 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
         for name, fn in vars(module).items()
         if callable(fn) and getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "__wrapped__")
     }
-    assert len(builds) == 13
+    assert len(builds) == 14
     calls = {}
 
     def profile(frame, event, arg):
@@ -168,6 +187,7 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
         "interior_violations",
         "em_doctrine",
         "ma",
+        "mc",
         "stable_subdoctrine",
     }
     assert [(name, n) for (name, _), (_, n) in calls.items() if n > 1] == []

@@ -47,6 +47,7 @@ from doctrines.order import (
     is_identity_map,
     monotone_violations,
     powerset_poset,
+    value_map,
 )
 from doctrines.suite import bundled_adjunctions, identity_powerset_adjunction, random_vertical_adjunction
 
@@ -275,6 +276,36 @@ def test_random_vertical_adjunctions_valid_and_galois(seed=11):
         assert galois_violations(A) == []
         op = vertical_modality(A)
         assert interior_violations(op) == []
+
+
+def _random_vertical_adjunction_reference(rng, max_objects=2, max_ground=4):
+    """`random_vertical_adjunction` as the library built it on frozensets:
+    fresh powersets and base per sample, λ and ρ computed on values and read
+    back through `value_map`, with the same rng calls in the same order."""
+    objs = [f"X{i}" for i in range(rng.randint(1, max_objects))]
+    base = discrete_category(objs)
+    p_fibers, q_fibers, lam, rho = {}, {}, {}, {}
+    for x in objs:
+        g1 = [f"a{i}" for i in range(rng.randint(1, max_ground))]
+        g2 = [f"b{i}" for i in range(rng.randint(1, max_ground))]
+        p_fibers[x], q_fibers[x] = powerset_poset(g1), powerset_poset(g2)
+        targets = {a: frozenset(rng.sample(g2, rng.randint(0, len(g2)))) for a in g1}
+        lam[x] = value_map(p_fibers[x], q_fibers[x], lambda s: frozenset().union(*(targets[a] for a in s)))
+        rho[x] = value_map(q_fibers[x], p_fibers[x], lambda b: frozenset(a for a in g1 if targets[a] <= b))
+    P = Doctrine(base, p_fibers, {base.id(x): identity_map(p_fibers[x]) for x in objs})
+    Q = Doctrine(base, q_fibers, {base.id(x): identity_map(q_fibers[x]) for x in objs})
+    return vertical_adjunction(P, Q, lam, rho)
+
+
+def test_code_built_random_vertical_adjunctions_equal_the_frozenset_reference():
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            A, want = random_vertical_adjunction(rng), _random_vertical_adjunction_reference(ref_rng)
+            assert A.lam == want.lam and A.rho == want.rho
+            assert A == want
+        # both drew the same numbers, so the next sample starts alike too
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_vertical_and_am_modality_agree_on_verticals(seed=5):

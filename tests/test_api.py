@@ -576,6 +576,9 @@ MONOTONE_MAP_BUILDERS = {
         "a preimage is a code of the source ground's bits, and a powerset holds every such code (_by_code)"
     ),
     "temporal.temporal_doctrine": "each box is a code of the coalgebra's states, read back through _by_code",
+    "suite.random_vertical_adjunction": (
+        "a union of atom masks, or a mask of atoms, is a code of a powerset, read back through _by_code"
+    ),
 }
 
 
@@ -1257,7 +1260,7 @@ def make(name):
 # they must not share its code: neither they nor any temporal.py function,
 # method or module-level name they reach may name the engine
 ORACLES = ("oracle_for", "_oracle_mask", "_oracle_planes")
-ENGINE = ("_pred_masks", "_gfp_planes")
+ENGINE = ("_pred_masks", "_gfp_chain", "_gfp_planes")
 
 
 def _is_engine(name: str) -> bool:

@@ -396,6 +396,29 @@ def test_cli_quantale_size_guard_counts_the_build_and_no_fiber_of_the_bang_laws(
     assert "PASS quantale-bang-laws G" in out and out.endswith("RESULT: PASS (4/4)\n")
 
 
+def test_each_declared_quantale_with_sets_is_scanned_once(tmp_path, capsys):
+    # the quantale verdict's scan is kept on the quantale (order.kept), so
+    # the precondition of the bang laws reads it; a profile hook counts the
+    # runs of the scan's own code
+    from doctrines import instances
+
+    scan, scanned = instances.quantale_violations.__wrapped__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is scan:
+            scanned.append(frame.f_locals["q"].name)
+
+    text = MODEL + GOEDEL_5 + "\nquantale B { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1=0 1*1=1 }\n"
+    sys.setprofile(profile)
+    try:
+        code = _main(tmp_path, text, "check")
+    finally:
+        sys.setprofile(None)
+    out = capsys.readouterr().out
+    assert code == 0 and "PASS quantale-bang-laws L3" in out and "PASS quantale-bang-laws G" in out
+    assert scanned == ["L3", "G", "B"]
+
+
 def test_no_quantale_of_the_benchmark_or_test_models_makes_the_bang_laws_build_a_fiber(tmp_path, monkeypatch):
     import doctrines.cli as cli
     import doctrines.instances as instances
@@ -682,12 +705,12 @@ def test_cli_a_name_another_declaration_does_not_declare_is_usage_error(tmp_path
         (f"{CHAIN_F}presheaf S {{ frame: F; at: w1={{a}} w2={{a,b}}; act: w1->w2=a>a,q>b }}", "presheaf S",
          ["action along w1<=w2 mentions unknown element q"]),
         ("quantale L { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1=0 1*1=1 1*zz=0 }", "quantale L",
-         ["tensor mentions unknown element: (1,zz)", "tensor mentions unknown element: (zz,1)"]),
+         ["tensor mentions unknown element: (1,zz)"]),
         ("coalgebra M { kind: stream; states: s0; step: s0=s0 zz=s0 }", "coalgebra M", ["step at unknown state: zz"]),
     ],
 )
 def test_cli_a_block_that_names_its_own_undeclared_element_fails_its_verdict(tmp_path, capsys, text, verdict, witnesses):
-    # the quantale's model reads 1*zz as both (1,zz) and (zz,1)
+    # the quantale's model wrote 1*zz and not zz*1, so it gets one witness
     f = tmp_path / "m.dct"
     f.write_text(text)
     assert main(["--json", "check", str(f)]) == 1

@@ -99,6 +99,44 @@ def test_layer_sweep_measures_the_chain_check_row_with_its_peak_rss():
     assert rows[0]["s"] > 0 and rows[0]["peak_rss_mb"] > 0
 
 
+def test_layer_sweep_measures_each_suite_criterion_at_a_seed():
+    from doctrines import suite
+
+    sweep = _sweep_module()
+    # the runners of `run_acceptance`, one per title, each taking the seed if it is seeded
+    assert len(sweep.CRITERIA) == len(suite.TITLES) and set(sweep.SEEDED) <= set(sweep.CRITERIA)
+    assert all(callable(getattr(suite, f"criterion_{name}")) for name in sweep.CRITERIA)
+    rows = _measure("--suite-seed", 3)
+    assert [(r["layer"], r["criterion"], r["seed"]) for r in rows] == [("suite", i, 3) for i in range(1, 12)]
+    assert all(r["s"] > 0 for r in rows)
+
+
+def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, monkeypatch):
+    sweep = _sweep_module()
+    seen, real_run = [], subprocess.run
+
+    def run(argv, **kwargs):
+        if "measure" not in argv:  # `platform` asks the system, not a checkout
+            return real_run(argv, **kwargs)
+        side, seed = Path(argv[argv.index("--src") + 1]).parent.name, int(argv[-1])
+        seen.append((argv[-2], seed, side))
+        row = {"layer": "suite", "criterion": 1, "seed": seed, "s": 1.0 if side == "parent" else 0.5}
+        return subprocess.CompletedProcess(argv, 0, json.dumps([row]), "")
+
+    monkeypatch.setattr(sweep.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "suite", "--parent", str(tmp_path / "parent"),
+                                      "--change", str(tmp_path / "change"), "--out", str(out)])
+    sweep.main()
+    turns = [side for _, seed, side in seen if seed == 7]
+    assert turns == ["parent", "change", "change", "parent"] * (sweep.ROUNDS // 2)
+    assert [seed for _, seed, _ in seen[:: 2 * sweep.ROUNDS]] == [7, 1, 2, 3]
+    assert {flag for flag, _, _ in seen} == {"--suite-seed"}
+    assert json.loads(out.read_text())["suite"] == [
+        {"layer": "suite", "criterion": 1, "seed": seed, "parent_s": 1.0, "change_s": 0.5} for seed in (7, 1, 2, 3)
+    ]
+
+
 def _sweep_module():
     spec = importlib.util.spec_from_file_location("layer_sweep", ROOT / "tools" / "layer_sweep.py")
     sweep = importlib.util.module_from_spec(spec)

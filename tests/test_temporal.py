@@ -8,7 +8,7 @@ from doctrines.fincat import all_functions
 from doctrines import temporal
 from doctrines.interior import interior_violations
 from doctrines.order import graph_map, label_subset, subset_label, subsets_in_order
-from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T, random_coalgebra, random_subset
+from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T, random_coalgebra
 from doctrines.temporal import (
     FCoalgebra,
     _is_homomorphism,
@@ -27,6 +27,7 @@ from util import (
     inverse_image_reference,
     post_fixed_join,
     powerset_lattice,
+    random_subset,
 )
 
 

@@ -703,6 +703,12 @@ def post_fixed_join(lattice, f):
     return acc
 
 
+def random_subset(rng, states: Sequence[str]) -> frozenset[str]:
+    """A seeded subset of `states`: each member drawn by one rng.random(), in
+    state order, as the suite draws the bits of its α."""
+    return frozenset(s for s in states if rng.random() < 0.5)
+
+
 def g_oracle_reference(c, alpha):
     """Orbit walk: x qualifies iff every iterate of the stream step stays in alpha."""
     if c.kind != "stream":

@@ -9,6 +9,7 @@ standard library only.
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
         --workload modal --seeds 40 41 42 --out BENCH_17.json
     python tools/layer_sweep.py reports --parent ../parent --change . --seeds 0 1 2 3 4 5
+    python tools/layer_sweep.py suite --parent ../parent --change . --out BENCH_33.json
 
 `layers` times, on Kripke chains of 8-17 worlds with one carrier D = {x}:
 `powerset_poset` of the worlds, `_pointwise_fiber` with one key over that
@@ -64,6 +65,13 @@ spelled one, which the parser reads itself, and one it hands to argparse
 (`--js` abbreviates `--json`). The `cold check` and the two `parse` rows
 have each side's best and median time.
 
+`suite` times each acceptance criterion of `suite.run_acceptance`, in the
+order it runs them, at each seed the `gate` workload asks `--json suite` at
+(7, 1, 2 and 3): one fresh interpreter per side and seed runs the eleven
+criteria once each, as a `suite` request's process does, and the two sides
+take turns, `ROUNDS` times; a row is each side's best time for one
+criterion at one seed.
+
 `end-to-end` copies the `src` and `bench` of both checkouts to a temporary
 directory, runs `bench/run.py` in the two copies in turn, alternating which
 goes first, adds every run to those already recorded for the workload, and
@@ -113,6 +121,11 @@ TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
 CHECK_WORLDS = range(12, 19)
+SUITE_SEEDS = (7, 1, 2, 3)  # the seeds of the `gate` workload's `--json suite` requests
+# the criteria of `suite.run_acceptance` in its order, and those that take the seed
+CRITERIA = ("interior_suite", "am_modality", "factorization", "factorization2", "comonad_suite", "comparison",
+            "local_adjunction", "triviality", "bang_laws", "temporal", "presheaf_oracle")
+SEEDED = ("am_modality", "temporal")
 IMPORT_ROUNDS = 20
 # a command line `parse_argv` reads itself, and one it hands to argparse
 PARSE_ARGV = {
@@ -288,6 +301,23 @@ def measure_check(n: int) -> list[dict]:
     return [{"layer": "check", "worlds": n, "s": s, "peak_rss_mb": rss_mb}]
 
 
+def measure_suite(seed: int) -> list[dict]:
+    """The `suite` rows at `seed`: each criterion timed once, in order, in
+    this interpreter, as one `suite` request runs them."""
+    from doctrines import suite
+
+    rows = []
+    for i, name in enumerate(CRITERIA, start=1):
+        run = getattr(suite, f"criterion_{name}")
+        t = time.perf_counter()
+        passed, _ = run(seed) if name in SEEDED else run()
+        s = time.perf_counter() - t
+        if not passed:
+            raise SystemExit(f"criterion {i} failed at seed {seed}")
+        rows.append({"layer": "suite", "criterion": i, "seed": seed, "s": s})
+    return rows
+
+
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
          "checkout, measured in turns on one machine; a check, full_function_category or CHANGE_ONLY row "
          "also has each side's least peak RSS in MB; a CHANGE_ONLY row has the change side alone. "
@@ -296,7 +326,8 @@ ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of t
          "`--json check` of the CLI tests' model together, each side's best and median seconds. parse: then, in "
          "the same interpreters, the first `parse_argv` "
          "call on a command line it reads itself and on one it hands to argparse, each side's best and median "
-         "seconds. end_to_end: every bench/run.py run of both, and their medians.")
+         "seconds. suite: each acceptance criterion at each gate seed, a fresh interpreter per side and seed, each "
+         "side's best seconds. end_to_end: every bench/run.py run of both, and their medians.")
 
 
 def _load(path: Path) -> dict:
@@ -305,6 +336,27 @@ def _load(path: Path) -> dict:
     out["about"] = ABOUT
     out["machine"] = {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()}
     return out
+
+
+def _measure_in_turns(rows: dict, sides: list, flag: str, n: int, rounds: int) -> None:
+    """`measure flag n` in one fresh interpreter per side and round, the
+    sides taking turns; each row it returns joins `rows`, keeping each
+    side's best time and least peak RSS."""
+    at_size = {}
+    for k in range(rounds):
+        for side, checkout in sides if k % 2 == 0 else sides[::-1]:
+            child = subprocess.run(
+                [sys.executable, __file__, "measure", "--src", str(checkout / "src"), flag, str(n)],
+                capture_output=True, text=True, check=True,
+            )
+            for r in json.loads(child.stdout):
+                s, rss = r.pop("s"), r.pop("peak_rss_mb", None)
+                key = tuple(r.items())
+                row = at_size[key] = rows.setdefault(key, r)
+                row[f"{side}_s"] = _sig(min(s, row.get(f"{side}_s", s)))
+                if rss is not None:
+                    row[f"{side}_peak_rss_mb"] = round(min(rss, row.get(f"{side}_peak_rss_mb", rss)), 1)
+    print(list(at_size.values()), flush=True)
 
 
 def layers(args) -> None:
@@ -317,26 +369,21 @@ def layers(args) -> None:
         sides = [("parent", args.parent), ("change", args.change)]
         if (flag, n) in CHANGE_ONLY:
             sides = sides[1:]
-        at_size = {}
-        for k in range(TEMPORAL_ROUNDS if flag == "--states" else ROUNDS):
-            for side, checkout in sides if k % 2 == 0 else sides[::-1]:
-                child = subprocess.run(
-                    [sys.executable, __file__, "measure", "--src", str(checkout / "src"), flag, str(n)],
-                    capture_output=True, text=True, check=True,
-                )
-                for r in json.loads(child.stdout):
-                    s, rss = r.pop("s"), r.pop("peak_rss_mb", None)
-                    key = tuple(r.items())
-                    row = at_size[key] = rows.setdefault(key, r)
-                    row[f"{side}_s"] = _sig(min(s, row.get(f"{side}_s", s)))
-                    if rss is not None:
-                        row[f"{side}_peak_rss_mb"] = round(min(rss, row.get(f"{side}_peak_rss_mb", rss)), 1)
-        print(list(at_size.values()), flush=True)
+        _measure_in_turns(rows, sides, flag, n, TEMPORAL_ROUNDS if flag == "--states" else ROUNDS)
     out["layers"] = sorted(
         rows.values(),
         key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("core", ""), r.get("worlds", 0),
                        r.get("arrows", 0), r.get("points", 0), r.get("states", 0)),
     )
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+
+
+def suite_rows(args) -> None:
+    out = _load(args.out)
+    rows = {}
+    for seed in SUITE_SEEDS:
+        _measure_in_turns(rows, [("parent", args.parent), ("change", args.change)], "--suite-seed", seed, ROUNDS)
+    out["suite"] = sorted(rows.values(), key=lambda r: (r["criterion"], SUITE_SEEDS.index(r["seed"])))
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
@@ -457,6 +504,7 @@ def main() -> None:
     size.add_argument("--quantale-points", type=int)
     size.add_argument("--states", type=int)
     size.add_argument("--check-worlds", type=int)
+    size.add_argument("--suite-seed", type=int)
     imp = sub.add_parser("import")
     imp.add_argument("--parent", type=Path, required=True)
     imp.add_argument("--change", type=Path, default=ROOT)
@@ -467,6 +515,10 @@ def main() -> None:
     e2e.add_argument("--workload", required=True)
     e2e.add_argument("--seeds", type=int, nargs="+", required=True)
     e2e.add_argument("--out", type=Path, required=True)
+    sui = sub.add_parser("suite")
+    sui.add_argument("--parent", type=Path, required=True)
+    sui.add_argument("--change", type=Path, default=ROOT)
+    sui.add_argument("--out", type=Path, required=True)
     rep = sub.add_parser("reports")
     rep.add_argument("--parent", type=Path, required=True)
     rep.add_argument("--change", type=Path, default=ROOT)
@@ -482,12 +534,16 @@ def main() -> None:
             print(json.dumps(measure_quantale(args.quantale_points)))
         elif args.check_worlds is not None:
             print(json.dumps(measure_check(args.check_worlds)))
+        elif args.suite_seed is not None:
+            print(json.dumps(measure_suite(args.suite_seed)))
         else:
             print(json.dumps(measure_temporal(args.states)))
     elif args.mode == "layers":
         layers(args)
     elif args.mode == "import":
         import_rows(args)
+    elif args.mode == "suite":
+        suite_rows(args)
     elif args.mode == "reports":
         raise SystemExit(reports(args))
     else:
