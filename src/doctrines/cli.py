@@ -511,9 +511,10 @@ def _build_presheaf(ws: Workspace, d: Declaration):
     act = {}
     for key, mapping in _map_entries(d, "act", d.get("act", []), dict).items():
         src, dst = _split(d, "act", key, "->", "an arrow 'v->w'")
-        if not base.has_arrow(f"{src}<={dst}"):
+        arrow = base.named.get((src, dst, ()))
+        if arrow is None:
             raise BuildError(f"presheaf {d.name}: unresolved arrow '{key}'")
-        act[f"{src}<={dst}"] = mapping
+        act[arrow] = mapping
     for w in base.objects:
         act.setdefault(base.id(w), {e: e for e in at.get(w, ())})
     # every non-identity arrow of the frame, composites included, needs an explicit action

@@ -18,20 +18,17 @@ from .adjunction import (
 from .doctrine import (
     Doctrine,
     OneArrow,
-    TwoArrow,
     base_change,
-    compose_one_arrows,
     identity_parts,
     one_arrow_violations,
     sub_doctrine,
 )
 from .fincat import (
     CoalgebraData,
+    FinCategory,
     Functor,
     NatTransformation,
-    coalgebra_arrow_name,
     coalgebra_category,
-    coalgebra_object_name,
     comonad_cat_violations,
     compose_functors,
     identity_functor,
@@ -103,7 +100,6 @@ def identity_comonad(P: Doctrine) -> DoctrineComonad:
 class EMDoctrineBundle:
     em: Doctrine
     forgetful: OneArrow
-    universal: TwoArrow
     coalgebras: CoalgebraData
 
 
@@ -127,11 +123,7 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
     - the EM fiber {a | a ≤ cl a} is the fixed-point set of cl, by deflation
       and antisymmetry;
     - the forgetful fiber maps are injective: they are `sub_doctrine`'s
-      inclusions, the identity on elements;
-    - the universal 2-arrow is valid: its boundaries hold by construction,
-      each c: C → KC is a base arrow, its naturality square at an EM arrow f
-      is c'∘f = Kf∘c, the condition `coalgebra_category` picks arrows by, and
-      its lax inequality a ≤ P(c)κ_C a holds at every fixed point."""
+      inclusions, the identity on elements."""
     _require(comonad_violations(c), "invalid comonad")
     P = c.p
     data = coalgebra_category(c.k, c.mu, c.nu)
@@ -147,45 +139,41 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
     em, inclusion = sub_doctrine(
         base_change(P, data.forgetful), keep, "reindexing along {t} leaves the EM fiber at {a}"
     )
-    forgetful = OneArrow(em, P, data.forgetful, inclusion.parts)
-    universal_nat = NatTransformation(
-        data.forgetful,
-        compose_functors(c.k, data.forgetful),
-        {o: data.structure[o] for o in data.category.objects},
-    )
-    universal = TwoArrow(
-        forgetful, compose_one_arrows(cmd_arrow(c), forgetful), universal_nat
-    )
-    return EMDoctrineBundle(em, forgetful, universal, data)
+    return EMDoctrineBundle(em, OneArrow(em, P, data.forgetful, inclusion.parts), data)
+
+
+def _into_coalgebras(
+    data: CoalgebraData, D: FinCategory, structure: Mapping[str, str], arr_map: Mapping[str, str]
+) -> Functor:
+    """The functor D → EM sending d to the coalgebra whose structure arrow is
+    `structure[d]` and t to the EM arrow over the base arrow `arr_map[t]`
+    between those: coalgebras are found by their structure arrow, EM arrows
+    by their ends and base arrow. The caller proves each `structure[d]` a
+    coalgebra and each `arr_map[t]` a coalgebra arrow."""
+    em = data.category
+    obj = {d: data.by_structure[structure[d]] for d in D.objects}
+    arr = {t: em.named[obj[D.src(t)], obj[D.dst(t)], arr_map[t]] for t in D.arrow_names()}
+    return Functor(D, em, obj, arr)
 
 
 def em_adjunction(c: DoctrineComonad) -> DoctrineAdjunction:
     """The adjunction ⟨EM, P, U, u, K̂, κ, η, ν⟩ with K̂ the free-coalgebra
-    functor and η at ⟨X,c⟩ the structure arrow c itself."""
+    functor, ⟨KX, μ_X⟩ on objects and K on arrows (a coalgebra arrow by μ's
+    naturality), and η at ⟨X,c⟩ the structure arrow c itself."""
     bundle = em_doctrine(c)
     P, base = c.p, c.p.base
     data = bundle.coalgebras
     emcat = data.category
-    free_obj = {x: coalgebra_object_name(c.k.obj_map[x], c.mu.components[x]) for x in base.objects}
-    free_arr = {}
-    for t in base.arrow_names():
-        x, y = base.src(t), base.dst(t)
-        free_arr[t] = coalgebra_arrow_name(free_obj[x], free_obj[y], c.k.arr_map[t])
-    free = Functor(base, emcat, free_obj, free_arr)
+    free = _into_coalgebras(data, base, c.mu.components, c.k.arr_map)
     eta = NatTransformation(
         identity_functor(emcat),
         compose_functors(free, data.forgetful),
-        {o: coalgebra_arrow_name(o, free_obj[data.forgetful.obj_map[o]], data.structure[o]) for o in emcat.objects},
+        {o: emcat.named[o, free.obj_map[data.forgetful.obj_map[o]], data.structure[o]] for o in emcat.objects},
     )
-    eps = NatTransformation(
-        compose_functors(data.forgetful, free),
-        identity_functor(base),
-        {x: c.nu.components[x] for x in base.objects},
-    )
-    rho = {x: restrict_map(c.kappa[x], P.fibers[x], bundle.em.fibers[free_obj[x]]) for x in base.objects}
-    return DoctrineAdjunction(
-        bundle.em, P, data.forgetful, dict(bundle.forgetful.parts), free, rho, eta, eps
-    )
+    nu = {x: c.nu.components[x] for x in base.objects}
+    eps = NatTransformation(compose_functors(data.forgetful, free), identity_functor(base), nu)
+    rho = {x: restrict_map(c.kappa[x], P.fibers[x], bundle.em.fibers[free.obj_map[x]]) for x in base.objects}
+    return DoctrineAdjunction(bundle.em, P, data.forgetful, dict(bundle.forgetful.parts), free, rho, eta, eps)
 
 
 def cm_modality(c: DoctrineComonad) -> InteriorOp:
@@ -233,19 +221,11 @@ def comparison_arrow(A: DoctrineAdjunction) -> OneArrow:
     L applied to η's naturality square at η_X (LRLη_X∘Lη_X = Lη_RLX∘Lη_X).
     λ_X is monotone and natural along η_X, so it turns the unit's lax
     inequality a ≤ P(η_X)ρ_LX λ_X a into λ_X a ≤ Q(Lη_X)κ_LX λ_X a."""
-    c = cmd_of_adjunction(A)
-    bundle = em_doctrine(c)
-    emcat = bundle.coalgebras.category
-    obj = {
-        x: coalgebra_object_name(A.left.obj_map[x], A.left.arr_map[A.eta.components[x]])
-        for x in A.p.base.objects
-    }
-    arr = {}
-    for t in A.p.base.arrow_names():
-        x, y = A.p.base.src(t), A.p.base.dst(t)
-        arr[t] = coalgebra_arrow_name(obj[x], obj[y], A.left.arr_map[t])
-    functor = Functor(A.p.base, emcat, obj, arr)
-    parts = {x: restrict_map(A.lam[x], A.p.fibers[x], bundle.em.fibers[obj[x]]) for x in A.p.base.objects}
+    bundle = em_doctrine(cmd_of_adjunction(A))
+    base = A.p.base
+    structure = {x: A.left.arr_map[A.eta.components[x]] for x in base.objects}
+    functor = _into_coalgebras(bundle.coalgebras, base, structure, A.left.arr_map)
+    parts = {x: restrict_map(A.lam[x], A.p.fibers[x], bundle.em.fibers[functor.obj_map[x]]) for x in base.objects}
     return OneArrow(A.p, bundle.em, functor, parts)
 
 
@@ -289,7 +269,7 @@ def ma_em_violations(op: InteriorOp) -> list[str]:
     direct = ma(op)
     via_em = em_adjunction(mc(op))
     base = op.doctrine.base
-    rename = {coalgebra_object_name(x, base.id(x)): x for x in base.objects}
+    rename = {em_doctrine(mc(op)).coalgebras.by_structure[base.id(x)]: x for x in base.objects}
     if sorted(rename) != sorted(via_em.p.base.objects):
         return ["EM base of the vertical comonad is not the original base"]
     out = []
@@ -374,8 +354,8 @@ def em_universal_factor(c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransforma
     coalgebra morphism, since X is a functor and ξ is natural; x_d lands in
     the EM fiber by the lax coherence; and U reads back X, incl back x.
     It is the only factorization. A factor F over X with 2-cell ξ sends d to
-    the coalgebra named ⟨Xd, ξ_d⟩, since `coalgebra_category` refuses a
-    repeated name. EM arrows are named by their ends and base arrow, so
+    the coalgebra whose structure arrow is ξ_d, and there is one coalgebra
+    per structure arrow. EM arrows are found by their ends and base arrow, so
     U F = X fixes F on arrows, and the injective inclusion fixes its fiber
     maps."""
     P = c.p
@@ -403,13 +383,8 @@ def em_universal_factor(c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransforma
                 raise ValueError(f"lax coherence fails at ({d},{b})")
 
     bundle = em_doctrine(c)
-    emcat = bundle.coalgebras.category
-    obj = {d: coalgebra_object_name(X.obj_map[d], xi.components[d]) for d in x_arrow.src.base.objects}
-    arr = {}
-    for t in x_arrow.src.base.arrow_names():
-        d1, d2 = x_arrow.src.base.src(t), x_arrow.src.base.dst(t)
-        arr[t] = coalgebra_arrow_name(obj[d1], obj[d2], X.arr_map[t])
-    functor = Functor(x_arrow.src.base, emcat, obj, arr)
+    functor = _into_coalgebras(bundle.coalgebras, x_arrow.src.base, xi.components, X.arr_map)
+    obj = functor.obj_map
     parts = {
         d: restrict_map(x_arrow.parts[d], x_arrow.src.fibers[d], bundle.em.fibers[obj[d]])
         for d in x_arrow.src.base.objects

@@ -24,13 +24,13 @@ class FinCategory:
     objects: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (name, src, dst)
     identities: Mapping[str, str]  # object -> arrow name
-    payload: Mapping[str, Hashable] = Field(repr=False, compare=False)  # arrow name -> payload
-    compose: Callable[[Hashable, Hashable], Hashable] = Field(repr=False, compare=False)
-    named: Mapping[tuple, str] = Field(repr=False, compare=False)  # (src, dst, payload) -> arrow name
-    generators: tuple[str, ...] = Field(repr=False, compare=False)
-    composites: dict = Field(repr=False, compare=False)  # (g, f) -> g∘f, kept once asked for
-    _by_name: dict = Field(init=False, repr=False, compare=False)
-    _names: tuple = Field(init=False, repr=False, compare=False)
+    payload: Mapping[str, Hashable] = Field()  # arrow name -> payload
+    compose: Callable[[Hashable, Hashable], Hashable] = Field()
+    named: Mapping[tuple, str] = Field()  # (src, dst, payload) -> arrow name
+    generators: tuple[str, ...] = Field()
+    composites: dict = Field()  # (g, f) -> g∘f, kept once asked for
+    _by_name: dict = Field(init=False)
+    _names: tuple = Field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", {n: (s, d) for (n, s, d) in self.arrows})
@@ -418,12 +418,18 @@ def same_functor_composite(G: Functor, F: Functor, G2: Functor, F2: Functor | No
 
 @value_class
 class NatTransformation:
+    """A natural transformation given by its components, never changed after
+    it is built, so its verdict is kept on it as a functor's is."""
+
     src: Functor
     dst: Functor
     components: Mapping[str, str]  # object of src.src -> arrow of src.dst
 
 
+@kept
 def nat_violations(t: NatTransformation) -> list[str]:
+    """Empty list iff every component has the right boundary and every
+    naturality square commutes; a fresh list on every call."""
     out = []
     F, G = t.src, t.dst
     if F.src != G.src or F.dst != G.dst:
@@ -450,7 +456,9 @@ def fin_nat(src, dst, components) -> NatTransformation:
     return t
 
 
+@kept
 def identity_nat(F: Functor) -> NatTransformation:
+    """The identity transformation of F, one shared value per functor."""
     return NatTransformation(F, F, {x: F.dst.id(F.obj_map[x]) for x in F.src.objects})
 
 
@@ -512,12 +520,14 @@ def comonad_cat_violations(K: Functor, mu: NatTransformation, nu: NatTransformat
 
 @value_class
 class CoalgebraData:
-    """Category of coalgebras for a base comonad, plus the forgetful functor
-    and the structure arrow of each coalgebra object."""
+    """Category of coalgebras for a base comonad, plus the forgetful functor,
+    the structure arrow of each coalgebra object, and the coalgebra of each
+    structure arrow: c: C → KC fixes its carrier C, so there is one per arrow."""
 
     category: FinCategory
     forgetful: Functor
     structure: Mapping[str, str]  # coalgebra object -> base arrow c: C → KC
+    by_structure: Mapping[str, str]  # base arrow c: C → KC -> coalgebra object
 
 
 def coalgebra_object_name(base_obj: str, structure_arrow: str) -> str:
@@ -556,4 +566,4 @@ def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation)
                 arrow_base[n] = f
     em = concrete_category(objs, arrows, arrow_base, {o: C.id(carrier[o]) for o in objs}, C.comp)
     # U is a functor by construction: its arrow map reads off the payloads
-    return CoalgebraData(em, Functor(em, C, carrier, arrow_base), structure)
+    return CoalgebraData(em, Functor(em, C, carrier, arrow_base), structure, {c: o for o, c in structure.items()})

@@ -29,7 +29,6 @@ from .fincat import (
     compose_images,
     concrete_category,
     full_function_category,
-    function_arrow_name,
 )
 from .interior import InteriorOp
 from .order import (
@@ -44,7 +43,6 @@ from .order import (
     kept,
     label_subset,
     lattice_from_poset,
-    poset_from_pairs,
     powerset_poset,
     product_order,
     sub_poset,
@@ -63,7 +61,7 @@ from .order import (
 class KripkeFrame:
     worlds: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
-    _successors: dict = Field(init=False, repr=False, compare=False)
+    _successors: dict = Field(init=False)
 
     def __post_init__(self):
         succ: dict = {}
@@ -222,24 +220,19 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
 
     base = full_function_category({f.name: f.carrier for f in families}, keeps_parts)
 
-    def supersets(low, within):
-        return [low | extra for extra in subsets_in_order([e for e in within if e not in low])]
-
     fibers = {}
     for f in families:
-        label_of = {}
+        # (c, p) is coded by c's carrier bitmask beside each p[w]'s, so
+        # (c, p) ≤ (c', p'), that is c ⊆ c' and each p[w] ⊆ p'[w], is inclusion of codes
+        labels, codes, values = [], [], []
         for carrier_sub in subsets_in_order(f.carrier):
             sub_order = [e for e in f.carrier if e in carrier_sub]
             for parts in product(subsets_in_order(sub_order), repeat=len(worlds)):
-                label = family_element_label(carrier_sub, dict(zip(worlds, parts)), f.carrier, worlds)
-                label_of[(carrier_sub, parts)] = label
-        # the elements above (c, p) are the (c', p') with c ⊆ c' and p[w] ⊆ p'[w] ⊆ c'
-        rel = set()
-        for (c1, p1), l1 in label_of.items():
-            for c2 in supersets(c1, f.carrier):
-                for p2 in product(*(supersets(part, c2) for part in p1)):
-                    rel.add((l1, label_of[(c2, p2)]))
-        fibers[f.name] = poset_from_pairs(list(label_of.values()), rel, list(label_of))
+                labels.append(family_element_label(carrier_sub, dict(zip(worlds, parts)), f.carrier, worlds))
+                bits = enumerate(e in part for part in (carrier_sub, *parts) for e in f.carrier)
+                codes.append(sum(1 << b for b, held in bits if held))
+                values.append((carrier_sub, parts))
+        fibers[f.name] = FinPoset(tuple(labels), tuple(codes), values=tuple(values))
 
     def inverse_image(s, d, image):
         def pre(part):
@@ -353,7 +346,8 @@ class FiniteQuantale:
 def quantale_violations(q: FiniteQuantale) -> list[str]:
     """Every failing quantale law with its witness; a fresh list on every call."""
     els = q.lattice.carrier.elements
-    out = [f"tensor mentions unknown element: ({a},{b})" for a, b in sorted(q.tensor) if a not in els or b not in els]
+    out = [] if q.unit in els else [f"unit mentions unknown element: {q.unit}"]
+    out += [f"tensor mentions unknown element: ({a},{b})" for a, b in sorted(q.tensor) if a not in els or b not in els]
     for a in els:
         if q.tensor.get((a, q.unit)) != a or q.tensor.get((q.unit, a)) != a:
             out.append(f"unit law fails at {a}")
@@ -779,35 +773,24 @@ def forall_instance(
     def pair_elem(y, x):
         return f"{y}*{x}"
 
-    all_sets: dict = {}
-    prods: dict = {}
-    for y, els in y_sets.items():
-        all_sets[y] = list(els)
-    all_sets[x_name] = list(x_elements)
-    for y, els in y_sets.items():
-        pname = f"{y}x{x_name}"
-        prods[y] = pname
-        all_sets[pname] = [pair_elem(e, x) for e in els for x in x_elements]
+    prods = {y: f"{y}x{x_name}" for y in y_sets}
+    all_sets = {**{y: list(els) for y, els in y_sets.items()}, x_name: list(x_elements)}
+    all_sets.update({prods[y]: [pair_elem(e, x) for e in els for x in x_elements] for y, els in y_sets.items()})
     P = powerset_doctrine(all_sets)
     names = list(y_sets)
     sub = full_function_category(y_sets)
+    # arrows are found by their image positions: (e_i, x_j) sits at i·|X| + j in Y×X
+    arrow, n = P.base.named, len(x_elements)
     products = {}
     for y in names:
-        pname = prods[y]
-        proj1 = function_arrow_name(
-            pname, y, {pair_elem(e, x): e for e in y_sets[y] for x in x_elements}, all_sets[pname]
-        )
-        proj2 = function_arrow_name(
-            pname, x_name, {pair_elem(e, x): x for e in y_sets[y] for x in x_elements}, all_sets[pname]
-        )
-        products[y] = ProductData(pname, proj1, proj2)
-    times = {}
-    for f in sub.arrow_names():
-        y, z = sub.src(f), sub.dst(f)
-        lifted = {
-            pair_elem(e, x): pair_elem(y_sets[z][i], x) for e, i in zip(y_sets[y], sub.payload[f]) for x in x_elements
-        }
-        times[f] = function_arrow_name(prods[y], prods[z], lifted, all_sets[prods[y]])
+        at = [(i, j) for i in range(len(y_sets[y])) for j in range(n)]
+        proj1 = arrow[prods[y], y, tuple(i for i, _ in at)]
+        proj2 = arrow[prods[y], x_name, tuple(j for _, j in at)]
+        products[y] = ProductData(prods[y], proj1, proj2)
+    times = {
+        f: arrow[prods[sub.src(f)], prods[sub.dst(f)], tuple(i * n + j for i in sub.payload[f] for j in range(n))]
+        for f in sub.arrow_names()
+    }
     powered, weakening = power_doctrine(P, sub, x_name, products, times)
     restricted = restrict_doctrine(P, sub)
     rho = {

@@ -16,12 +16,12 @@ _REQUIRED = object()
 
 
 class Field:
-    """A field of a `value_class` with options, in place of a plain default:
-    it starts at `default` unless the constructor gives it (which it cannot
-    without `init`); `compare` and `repr` say whether ==, hash and repr read it."""
+    """A field of a `value_class` that ==, hash and repr leave out, in place
+    of a plain default: it starts at `default` unless the constructor gives
+    it (which it cannot without `init`)."""
 
-    def __init__(self, default=None, init=True, repr=True, compare=True):
-        self.default, self.init, self.repr, self.compare = default, init, repr, compare
+    def __init__(self, default=None, init=True):
+        self.default, self.init = default, init
 
 
 def _frozen(self, name, value=None):
@@ -33,29 +33,31 @@ def value_class(cls):
     order, as `dataclasses.dataclass(frozen=True)` does for what the library
     uses, with shared methods instead of generated code (whose `exec` every
     command line would pay at import). A field is required unless assigned a
-    default or a `Field`. The constructor takes the init fields by position
-    or keyword, raises TypeError on a missing, unknown, repeated or surplus
-    one, sets each field by `object.__setattr__` (which keeps CPython's fast
-    attribute reads), then calls the class's `__post_init__`, looked up at
-    each construction. Assigning or deleting an attribute raises
-    AttributeError. ==, hash and repr read the fields in order; a class keeps
-    its own `__eq__`, `__hash__` and `__repr__`, and gets the field hash when
-    it defines only `__eq__`."""
+    default or a `Field`, and read by ==, hash and repr unless it is a
+    `Field`. The constructor takes the init fields by position or keyword,
+    raises TypeError on a missing, unknown, repeated or surplus one, sets
+    each field by `object.__setattr__` (which keeps CPython's fast attribute
+    reads), then calls the class's `__post_init__`, looked up at each
+    construction. Assigning or deleting an attribute raises AttributeError.
+    ==, hash and repr read the fields in order; a class keeps its own
+    `__eq__`, `__hash__` and `__repr__`, and gets the field hash when it
+    defines only `__eq__`."""
     own = cls.__dict__
-    specs = {}
+    specs, shown = {}, []  # shown: the fields ==, hash and repr read
     for name in own.get("__annotations__", ()):
         spec = own.get(name, _REQUIRED)
         if name in own:
             delattr(cls, name)
-        specs[name] = spec if isinstance(spec, Field) else Field(spec)
+        if not isinstance(spec, Field):
+            shown.append(name)
+            spec = Field(spec)
+        specs[name] = spec
     names = tuple(specs)
     init = tuple(n for n, s in specs.items() if s.init)
     defaults = {n: s.default for n, s in specs.items() if s.default is not _REQUIRED}
     positional = len(names) if init == names else -1  # the arity of the fast path
-    compared = tuple(n for n, s in specs.items() if s.compare)
-    fields_of = attrgetter(*compared)
-    key = fields_of if len(compared) > 1 else lambda self: (fields_of(self),)
-    shown = tuple(n for n, s in specs.items() if s.repr)
+    fields_of = attrgetter(*shown)
+    key = fields_of if len(shown) > 1 else lambda self: (fields_of(self),)
 
     def bind(args, kwargs) -> list:
         """The value of each field, in order, for a constructor call."""
@@ -143,8 +145,9 @@ class FinPoset:
     codes[i] & ~codes[j] == 0 (`leq_at`): the poset embeds in the Boolean
     lattice of its codes' bits (Davey and Priestley, *Introduction to
     Lattices and Order*, 2002), and every finite poset does, by a ↦ ↓a.
-    `powerset_poset` codes a subset by its bitmask; `poset_from_pairs` and
-    `chain_poset` code an element by its down-set (bit j set iff
+    `powerset_poset` codes a subset by its bitmask, and `fam_doctrine` a
+    family by its carrier's and parts' bitmasks side by side; `poset_from_pairs`
+    and `chain_poset` code an element by its down-set (bit j set iff
     elements[j] <= it); products concatenate their factors' codes, since
     ↓(a, b) = ↓a × ↓b (`product_order`); `sub_poset` keeps the codes it is
     given. Two builders can code one order differently, so equality and hash
@@ -162,10 +165,11 @@ class FinPoset:
 
     Invariant: every instance is a partial order on distinct elements. Only
     the builders `poset_from_pairs` (from a relation that is already a
-    partial order; `check_poset` after its axiom scan and `fam_doctrine`),
-    `chain_poset`, `sub_poset`, `product_poset`, `powerset_poset` and
-    `instances._pointwise_fiber` construct one, each from codes that encode
-    a partial order by construction; a repeated element raises here. The
+    partial order, as `check_poset` passes it after its axiom scan),
+    `chain_poset`, `sub_poset`, `product_poset`, `powerset_poset`,
+    `instances._pointwise_fiber` and `instances.fam_doctrine` construct one,
+    each from codes that encode a partial order by construction; a repeated
+    element raises here. The
     cover certificate of `monotone_violations` relies on it: every a <= b is
     a chain of covers, and the target's <= is reflexive and transitive.
 
@@ -183,9 +187,9 @@ class FinPoset:
 
     elements: tuple[str, ...]
     codes: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...] | None = Field(repr=False, compare=False)
-    values: tuple | None = Field(repr=False, compare=False)
-    _position: dict = Field(init=False, repr=False, compare=False)
+    covers: tuple[tuple[int, int], ...] | None = Field()
+    values: tuple | None = Field()
+    _position: dict = Field(init=False)
 
     def __post_init__(self):
         position = dict(zip(self.elements, _positions(len(self.elements))))
@@ -280,17 +284,14 @@ class FinPoset:
         return a in self._position
 
 
-def poset_from_pairs(
-    elements: Sequence[str], relation: Iterable[tuple[str, str]], values: Sequence | None = None
-) -> FinPoset:
+def poset_from_pairs(elements: Sequence[str], relation: Iterable[tuple[str, str]]) -> FinPoset:
     """The poset on `elements` whose <= is `relation`, which must already be
-    a partial order on them (unchecked: `check_poset` checks first), with
-    the given `values` (by default the labels)."""
+    a partial order on them (unchecked: `check_poset` checks first)."""
     position = {e: i for i, e in enumerate(elements)}
     codes = [0] * len(elements)
     for a, b in relation:
         codes[position[b]] |= 1 << position[a]
-    return FinPoset(tuple(elements), tuple(codes), values=None if values is None else tuple(values))
+    return FinPoset(tuple(elements), tuple(codes))
 
 
 def product_order(factors: Sequence[FinPoset]) -> tuple[int, ...]:
@@ -554,7 +555,6 @@ class FinLattice:
     carrier: FinPoset
     meet: Mapping[tuple[str, str], str]
     join: Mapping[tuple[str, str], str]
-    top: str
     bottom: str
 
 
@@ -581,9 +581,8 @@ def lattice_from_poset(p: FinPoset) -> FinLattice:
             if inf is None or sup is None:
                 raise ValueError(f"not a lattice: ({a},{b}) has no meet/join")
             meet[(a, b)], join[(a, b)] = inf, sup
-    tops = [x for x in p.elements if all(p.leq(y, x) for y in p.elements)]
     bots = [x for x in p.elements if all(p.leq(x, y) for y in p.elements)]
-    return FinLattice(p, meet, join, tops[0], bots[0])
+    return FinLattice(p, meet, join, bots[0])
 
 
 def subset_label(xs: Iterable[str], ground: Sequence[str]) -> str:

@@ -68,7 +68,6 @@ from .instances import (
     kripke_doctrine,
     lukasiewicz3,
     powerset_doctrine,
-    presheaf_arrow_name,
     presheaf_decode,
     presheaf_instance,
     presheaf_oracle_mismatches,
@@ -218,11 +217,10 @@ def diamond_comonad() -> DoctrineComonad:
         reindex[t] = value_map(fibers[base.dst(t)], fibers[base.src(t)], lambda a: a & kept)
     doc = Doctrine(base, fibers, reindex)
     k = {"bot": "bot", "a": "a", "b": "bot", "top": "a"}
-    K = fin_functor(
-        base, base, k, {t: f"{k[base.src(t)]}<={k[base.dst(t)]}" for t in base.arrow_names()}
-    )
-    mu = fin_nat(K, compose_functors(K, K), {x: f"{k[x]}<={k[x]}" for x in base.objects})
-    nu = fin_nat(K, identity_functor(base), {x: f"{k[x]}<={x}" for x in base.objects})
+    # a poset arrow's payload is (), so it is found by its ends alone
+    K = fin_functor(base, base, k, {t: base.named[k[base.src(t)], k[base.dst(t)], ()] for t in base.arrow_names()})
+    mu = fin_nat(K, compose_functors(K, K), {x: base.id(k[x]) for x in base.objects})
+    nu = fin_nat(K, identity_functor(base), {x: base.named[k[x], x, ()] for x in base.objects})
     prune = {"bot": set(), "a": {"q"}, "b": set(), "top": {"q"}}
     kappa = {x: value_map(fibers[x], fibers[k[x]], lambda a: a & prune[x]) for x in base.objects}
     return DoctrineComonad(doc, K, kappa, mu, nu)
@@ -244,12 +242,12 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
     # R sends the set S to the constant presheaf on it, which is D1
     r_arr = {g: psh_base.named["D1", "D1", (p, p)] for g, p in set_base.payload.items()}
     R = fin_functor(set_base, psh_base, {"S": "D1"}, r_arr)
-    eta_comps = {
-        d.name: presheaf_arrow_name(
-            d, d1, {"w1": {x: d.act["w1<=w2"][x] for x in d.at["w1"]}, "w2": {x: x for x in d.at["w2"]}}
-        )
-        for d in (d1, d2)
-    }
+    # η at D acts along w1<=w2 at w1 and is the identity at w2, found by its
+    # image positions in D1, which lists a, b at both worlds
+    pos, eta_comps = d1.at["w1"].index, {}
+    for d in (d1, d2):
+        rows = (tuple(pos(d.act["w1<=w2"][x]) for x in d.at["w1"]), tuple(map(pos, d.at["w2"])))
+        eta_comps[d.name] = psh_base.named[d.name, "D1", rows]
     eta = NatTransformation(identity_functor(psh_base), compose_functors(R, L), eta_comps)
     eps = NatTransformation(compose_functors(L, R), identity_functor(set_base), {"S": set_base.id("S")})
     return base_change_adjunction(Q, L, R, eta, eps)
@@ -260,16 +258,10 @@ def rounding_base_change() -> DoctrineAdjunction:
     big = poset_category(chain_poset(["0", "1", "2"]))
     small = poset_category(chain_poset(["0", "2"]))
     up = {"0": "0", "1": "2", "2": "2"}
-    L = fin_functor(
-        big, small, up, {a: f"{up[big.src(a)]}<={up[big.dst(a)]}" for a in big.arrow_names()}
-    )
+    L = fin_functor(big, small, up, {a: small.named[up[big.src(a)], up[big.dst(a)], ()] for a in big.arrow_names()})
     R = fin_functor(small, big, {"0": "0", "2": "2"}, {a: a for a in small.arrow_names()})
-    eta = fin_nat(
-        identity_functor(big), compose_functors(R, L), {x: f"{x}<={up[x]}" for x in big.objects}
-    )
-    eps = fin_nat(
-        compose_functors(L, R), identity_functor(small), {x: f"{x}<={x}" for x in small.objects}
-    )
+    eta = fin_nat(identity_functor(big), compose_functors(R, L), {x: big.named[x, up[x], ()] for x in big.objects})
+    eps = fin_nat(compose_functors(L, R), identity_functor(small), {x: small.id(x) for x in small.objects})
     f0 = powerset_poset(["p"])
     f2 = powerset_poset(["p", "q"])
     Q = Doctrine(

@@ -146,7 +146,8 @@ def test_criterion_11_presheaf_oracle():
 
 
 def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
-    # verdicts, EM doctrines, stable subdoctrines, ma adjunctions and mc comonads are kept
+    # verdicts, EM doctrines, stable subdoctrines, ma adjunctions, mc comonads
+    # and identity transformations are kept
     # on their values (order.kept), so the suite, which passes one value
     # through several constructions, scans or builds from it only once; a
     # profile hook counts the runs of each kept build's own code per value
@@ -158,7 +159,7 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
         for name, fn in vars(module).items()
         if callable(fn) and getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "__wrapped__")
     }
-    assert len(builds) == 14
+    assert len(builds) == 16
     calls = {}
 
     def profile(frame, event, arg):
@@ -189,6 +190,8 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
         "ma",
         "mc",
         "stable_subdoctrine",
+        "identity_nat",
+        "nat_violations",
     }
     assert [(name, n) for (name, _), (_, n) in calls.items() if n > 1] == []
 

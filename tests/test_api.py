@@ -626,9 +626,10 @@ FUNCTOR_BUILDERS = {
     "fincat.coalgebra_category": "U reads each coalgebra arrow's payload, which composes as in the base",
     "doctrine.restrict_doctrine": "the inclusion of a subcategory, its objects and arrows as themselves",
     "doctrine.power_doctrine": "f ↦ f×id_X, checked above to commute with both chosen projections",
-    "comonad.em_adjunction": "the free coalgebras: K on arrows, which is a coalgebra arrow by μ's naturality",
-    "comonad.comparison_arrow": "L on objects and arrows, landing in coalgebras by the adjunction's triangle laws",
-    "comonad.em_universal_factor": "X on arrows, into the coalgebras ξ that the coherence scan above admits",
+    "comonad._into_coalgebras": "a base functor lifted along structure arrows its callers prove coalgebras: "
+    "the free coalgebras (K on arrows, a coalgebra arrow by μ's naturality), the comparison arrow (L, landing in "
+    "coalgebras by the adjunction's triangle laws) and the universal factor (X, into the coalgebras ξ that its "
+    "coherence scan admits)",
     "suite.presheaf_restriction_base_change": "restriction to the world w2, a functor by evaluation",
     "cli._build_comonad": "K read from model text, whose laws the comonad verdict checks (functor_violations)",
 }
@@ -1359,3 +1360,68 @@ def unrelated(c):
         "_oracle_planes: _gfp_planes",
         "_shortcut: _gfp_planes",
     ]
+
+
+# each name format is known by one builder, the one that prints the names
+# of its category: every other site finds an arrow in `FinCategory.named` by
+# its ends and payload, and a coalgebra by its structure arrow
+NAME_BUILDERS = {
+    "function_arrow_name": {"fincat.full_function_category"},
+    "coalgebra_object_name": {"fincat.coalgebra_category"},
+    "coalgebra_arrow_name": {"fincat.coalgebra_category"},
+    "presheaf_arrow_name": {"instances.presheaf_instance"},
+}
+
+
+def _poset_arrow_formats(source: str) -> list[str]:
+    """Where `source` has an f-string that is two values joined by `<=`,
+    the format of a poset arrow's name; a message that only contains such a
+    join, as a witness sentence does, is not a name."""
+    return [
+        where
+        for node, where in _placed(ast.parse(source))
+        if isinstance(node, ast.JoinedStr)
+        and [type(v) for v in node.values] == [ast.FormattedValue, ast.Constant, ast.FormattedValue]
+        and node.values[1].value == "<="
+    ]
+
+
+def test_each_name_format_is_known_by_its_builder_alone():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    for name, builders in NAME_BUILDERS.items():
+        assert {f"{stem}.{where}" for stem, text in sources.items() for where in _callers(text, name)} == builders
+    found = [f"{stem}.{where}" for stem, text in sources.items() for where in _poset_arrow_formats(text)]
+    assert found == ["fincat.poset_category"]
+
+
+def test_name_format_scans_flag_planted_formats_and_nothing_else():
+    fincat = '''
+def poset_category(p):
+    return [(f"{a}<={b}", a, b) for a in p.elements for b in p.up(a)]
+
+
+def full_function_category(sets):
+    return function_arrow_name("X", "Y", {}, ())
+
+
+def poset_violations(rel):
+    return [f"transitivity: {a}<={b} and {b}<={c} but not {a}<={c}" for a, b, c in rel]
+'''
+    suite = '''
+from . import fincat
+
+
+def diamond_comonad(base, k):
+    return {t: f"{k[base.src(t)]}<={k[base.dst(t)]}" for t in base.arrow_names()}
+
+
+class Fixture:
+    def product(self, y):
+        return fincat.function_arrow_name(y, "Y", {}, ())
+'''
+    sources = {"fincat": fincat, "suite": suite}
+    assert _unlisted_callers(sources, "function_arrow_name", NAME_BUILDERS["function_arrow_name"]) == [
+        "suite.Fixture.product"
+    ]
+    found = [f"{stem}.{where}" for stem, text in sources.items() for where in _poset_arrow_formats(text)]
+    assert found == ["fincat.poset_category", "suite.diamond_comonad"]

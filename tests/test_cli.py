@@ -706,6 +706,13 @@ def test_cli_a_name_another_declaration_does_not_declare_is_usage_error(tmp_path
          ["action along w1<=w2 mentions unknown element q"]),
         ("quantale L { elements: 0 1; pairs: 0->1; unit: 1; tensor: 0*0=0 0*1=0 1*1=1 1*zz=0 }", "quantale L",
          ["tensor mentions unknown element: (1,zz)"]),
+        ("quantale L { elements: 0 1; pairs: 0->1; unit: zz; tensor: 0*0=0 0*1=0 1*1=1 }", "quantale L",
+         ["unit mentions unknown element: zz", "unit law fails at 0", "unit law fails at 1"]),
+        ("quantale L { elements: 0 1; pairs: 0->1; unit: zz; tensor: 0*0=0 0*1=0 1*1=1 0*zz=0 1*zz=1 zz*zz=zz }",
+         "quantale L",
+         ["unit mentions unknown element: zz", "tensor mentions unknown element: (0,zz)",
+          "tensor mentions unknown element: (1,zz)", "tensor mentions unknown element: (zz,zz)",
+          "unit law fails at 0", "unit law fails at 1"]),
         ("coalgebra M { kind: stream; states: s0; step: s0=s0 zz=s0 }", "coalgebra M", ["step at unknown state: zz"]),
     ],
 )
@@ -1129,6 +1136,41 @@ def test_certificates_that_never_certify_change_no_report(tmp_path, monkeypatch)
     assert refused_in == {
         "_meets_certified", "monotone_violations", "functor_violations", "doctrine_violations", "category_violations"
     }
+
+
+def test_only_the_builders_know_the_name_formats(tmp_path, monkeypatch):
+    # each name is printed by the builder of its category alone: every other
+    # site finds an arrow by its payload and a coalgebra by its structure
+    # arrow, so with other injective formats the suite and an EM build pass
+    from doctrines import fincat, instances, suite
+
+    def clear():
+        for value in vars(suite).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    clear()
+    formats = {
+        (fincat, "function_arrow_name"): lambda s, d, graph, order: repr(("fn", s, d, tuple(graph[e] for e in order))),
+        (fincat, "coalgebra_object_name"): lambda x, c: repr(("coalgebra", x, c)),
+        (fincat, "coalgebra_arrow_name"): lambda s, d, f: repr(("em", s, d, f)),
+        (instances, "presheaf_arrow_name"): lambda d, e, phi: repr(
+            ("nat", d.name, e.name, tuple(tuple(phi[w][x] for x in d.at[w]) for w in d.base.objects))
+        ),
+    }
+    for (module, name), fmt in formats.items():
+        monkeypatch.setattr(module, name, fmt)
+    try:
+        for seed in (7, 1, 2, 3):
+            report = suite.run_acceptance(seed)
+            assert [c["id"] for c in report["criteria"] if not c["pass"]] == [], seed
+            assert report["pass"], seed
+        [(rc, out, err)] = _runs_in_process(tmp_path, [(("--json", "em", "FILE", "--from", "K.box"), MODEL)])
+        assert (rc, err) == (0, "")
+        assert "('coalgebra', " in out
+    finally:
+        # the values built under these formats are dropped with the formats
+        clear()
 
 
 def _planted_certificate_failures() -> dict:

@@ -70,6 +70,7 @@ from util import (
     comparison_landing_reference,
     constant_family_arrow,
     em_fibers_reference,
+    em_universal_two_arrow,
     fin_category,
     forgetful_top_arrow,
     graph_of,
@@ -282,7 +283,7 @@ def test_em_doctrine_identity_comonad_keeps_fibers():
     o = bundle.em.base.objects[0]
     assert bundle.em.fibers[o].elements == d.fibers["A"].elements
     assert one_arrow_violations(bundle.forgetful) == []
-    assert two_arrow_violations(bundle.universal) == []
+    assert two_arrow_violations(em_universal_two_arrow(identity_comonad(d))) == []
 
 
 def test_em_doctrine_diamond_fibers_are_proper_suborders():
@@ -468,7 +469,7 @@ def test_cmd_morphism_broken_theta():
 def test_em_universal_factor_at_forgetful_is_identity():
     c = diamond_comonad()
     bundle = em_doctrine(c)
-    factor = em_universal_factor(c, bundle.forgetful, bundle.universal.theta)
+    factor = em_universal_factor(c, bundle.forgetful, em_universal_two_arrow(c).theta)
     assert factor == identity_one_arrow(bundle.em)
 
 
@@ -648,8 +649,9 @@ def test_em_fibers_inclusions_and_universal_two_arrow_agree_with_the_references(
         bundle = em_doctrine(c)
         assert {o: bundle.em.fibers[o].elements for o in bundle.em.base.objects} == em_fibers_reference(c), name
         assert all(injective_reference(bundle.forgetful.parts[o]) for o in bundle.em.base.objects), name
-        assert two_arrow_violations(bundle.universal) == [], name
-        factor = em_universal_factor(c, bundle.forgetful, bundle.universal.theta)
+        universal = em_universal_two_arrow(c)
+        assert two_arrow_violations(universal) == [], name
+        factor = em_universal_factor(c, bundle.forgetful, universal.theta)
         assert compose_one_arrows(bundle.forgetful, factor) == bundle.forgetful, name
 
 

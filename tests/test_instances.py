@@ -259,7 +259,7 @@ def test_quantale_core_join_check_is_exact_at_any_size(ground):
         return subset_label(() if len(both) == 2 else both, ground)
 
     els = lat.carrier.elements
-    q = FiniteQuantale("pairs-vanish", lat, {(x, y): tensor(x, y) for x in els for y in els}, lat.top)
+    q = FiniteQuantale("pairs-vanish", lat, {(x, y): tensor(x, y) for x in els for y in els}, subset_label(ground, ground))
     with pytest.raises(ValueError, match=r"core not closed under the join of \['\{a\}', '\{b\}'\]"):
         quantale_core(q)
 

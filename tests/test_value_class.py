@@ -19,8 +19,8 @@ def _point(decorate, field):
     class Point:
         x: int
         y: int = 0
-        label: str = field(default="p", repr=False, compare=False)
-        _total: int = field(init=False, repr=False, compare=False, default=None)
+        label: str = field(default="p")
+        _total: int = field(init=False, default=None)
 
         def __post_init__(self):
             object.__setattr__(self, "_total", self.x + self.y)
@@ -28,7 +28,10 @@ def _point(decorate, field):
     return Point
 
 
-Point, Twin = _point(value_class, Field), _point(FROZEN, dataclasses.field)
+# a `Field` is left out of ==, hash and repr, as a dataclass field with
+# repr=False and compare=False is
+Point = _point(value_class, Field)
+Twin = _point(FROZEN, lambda **options: dataclasses.field(repr=False, compare=False, **options))
 
 CALLS = [
     ((1,), {}),

@@ -5,17 +5,20 @@ cross-checked against these. The constructions at the end, which the
 library does not use, build on them."""
 
 import argparse
+from functools import reduce
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
-from doctrines.doctrine import Doctrine, OneArrow, TwoArrow, identity_parts
-from doctrines.comonad import cmd_of_adjunction
+from doctrines.doctrine import Doctrine, OneArrow, TwoArrow, compose_one_arrows, identity_parts
+from doctrines.comonad import cmd_arrow, cmd_of_adjunction, em_doctrine
 from doctrines.fincat import (
     FinCategory,
     Functor,
+    NatTransformation,
     check_category,
     coalgebra_category,
     coalgebra_object_name,
+    compose_functors,
     full_function_category,
     function_arrow_name,
     identity_functor,
@@ -466,6 +469,20 @@ def injective_reference(m):
     return len(set(graph_of(m).values())) == len(m.src.elements)
 
 
+def em_universal_two_arrow(c):
+    """The universal 2-arrow of the EM doctrine of the comonad `c`, from the
+    forgetful 1-arrow U to the comonad's 1-arrow after it, with component c
+    at each coalgebra ⟨C,c⟩. It is valid: its boundaries hold by
+    construction, each c: C → KC is a base arrow, its naturality square at an
+    EM arrow f is c'∘f = Kf∘c, the condition `coalgebra_category` picks
+    arrows by, and its lax inequality a ≤ P(c)κ_C a holds at every fixed
+    point of the closure P(c)∘κ_C, which the EM fiber at ⟨C,c⟩ is."""
+    bundle = em_doctrine(c)
+    U = bundle.coalgebras.forgetful
+    theta = NatTransformation(U, compose_functors(c.k, U), dict(bundle.coalgebras.structure))
+    return TwoArrow(bundle.forgetful, compose_one_arrows(cmd_arrow(c), bundle.forgetful), theta)
+
+
 def comparison_landing_reference(A):
     """The two raises `comonad.comparison_arrow` no longer has, from A's
     tables and the fixed points of its comonad's closures: each ⟨LX, Lη_X⟩
@@ -669,7 +686,7 @@ def powerset_lattice(ground):
             sb = label_subset(b)
             meet[(a, b)] = subset_label(sa & sb, ground)
             join[(a, b)] = subset_label(sa | sb, ground)
-    return FinLattice(p, meet, join, subset_label(ground, ground), subset_label((), ground))
+    return FinLattice(p, meet, join, subset_label((), ground))
 
 
 def gfp_trace(lattice, f):
@@ -679,7 +696,7 @@ def gfp_trace(lattice, f):
     bad = monotone_violations_reference(f)
     if bad:
         raise ValueError("gfp: f is not monotone: " + "; ".join(bad))
-    x = lattice.top
+    x = reduce(lambda a, b: lattice.join[a, b], lattice.carrier.elements)  # the top, the join of all
     trace = [x]
     while True:
         nxt = f.apply(x)
