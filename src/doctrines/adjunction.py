@@ -10,6 +10,7 @@ from .doctrine import (
     Doctrine,
     OneArrow,
     TwoArrow,
+    _table_digest,
     base_change,
     compose_one_arrows,
     identity_parts,
@@ -33,8 +34,9 @@ from .order import MonotoneMap, _require, compose_maps, is_identity_map, kept, r
 class DoctrineAdjunction:
     """The octuple presentation of an adjunction between doctrines. A value
     is never changed after it is built, tables included, so its law verdict
-    and the constructions derived from it are computed once and kept on it
-    (`order.kept`)."""
+    and the constructions derived from it are computed once and kept on it,
+    and shared with an equal adjunction over the same base (`order.kept`,
+    which reads `_digest()`)."""
 
     p: Doctrine
     q: Doctrine
@@ -44,6 +46,12 @@ class DoctrineAdjunction:
     rho: Mapping[str, MonotoneMap]  # Y -> Q Y → P(R Y)
     eta: NatTransformation  # Id ⇒ R L
     eps: NatTransformation  # L R ⇒ Id
+
+    def _base(self):
+        return self.p.base
+
+    def _digest(self) -> tuple:
+        return _table_digest((self.p, self.q), (self.lam, self.rho))
 
 
 def left_arrow(A: DoctrineAdjunction) -> OneArrow:

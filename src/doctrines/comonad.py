@@ -18,6 +18,7 @@ from .adjunction import (
 from .doctrine import (
     Doctrine,
     OneArrow,
+    _table_digest,
     base_change,
     identity_parts,
     one_arrow_violations,
@@ -44,14 +45,21 @@ from .order import MonotoneMap, _require, compose_maps, is_identity_map, kept, r
 class DoctrineComonad:
     """The quadruple presentation of a comonad on a doctrine. A value is
     never changed after it is built, tables included, so its law verdict and
-    its Eilenberg-Moore doctrine are computed once and kept on it
-    (`order.kept`)."""
+    its Eilenberg-Moore doctrine are computed once and kept on it, and shared
+    with an equal comonad over the same base (`order.kept`, which reads
+    `_digest()`)."""
 
     p: Doctrine
     k: Functor
     kappa: Mapping[str, MonotoneMap]  # X -> P X → P(K X)
     mu: NatTransformation  # K ⇒ K K
     nu: NatTransformation  # K ⇒ Id
+
+    def _base(self):
+        return self.p.base
+
+    def _digest(self) -> tuple:
+        return _table_digest((self.p,), (self.kappa,))
 
 
 def cmd_arrow(c: DoctrineComonad) -> OneArrow:

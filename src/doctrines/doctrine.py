@@ -9,6 +9,7 @@ goes fiber(Y) → fiber(X). All equalities between maps are extensional.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from operator import attrgetter
 
 from .fincat import (
     FinCategory,
@@ -27,6 +28,7 @@ from .order import (
     compose_maps,
     identity_map,
     is_identity_map,
+    kept,
     monotone_violations,
     powerset_poset,
     product_poset,
@@ -117,16 +119,48 @@ def base_change(P: Doctrine, F: Functor) -> Doctrine:
 @value_class
 class OneArrow:
     """A doctrine morphism ⟨F, f⟩: functor on bases plus a fiberwise family
-    f_X: srcfiber(X) → dstfiber(F X), natural in X."""
+    f_X: srcfiber(X) → dstfiber(F X), natural in X. Its verdict is kept on
+    it, and shared with an equal 1-arrow over the same base (`order.kept`,
+    which reads `_digest()`)."""
 
     src: Doctrine
     dst: Doctrine
     functor: Functor
     parts: Mapping[str, MonotoneMap]
 
+    def _base(self):
+        return self.src.base
 
+    def _digest(self) -> tuple:
+        return _table_digest((self.src, self.dst), (self.parts,))
+
+
+def _table_digest(doctrines, families) -> tuple:
+    """The `_digest()` of a value over `doctrines` with the fiber-map
+    `families` (`order.kept` reads it to find an equal copy): the keys of
+    each mapping, then each fiber's values, which == leaves out, or each
+    fiber map's image tuple, in the order the mapping iterates them, all in
+    one flat tuple. Two values that == finds equal have the same keys in each
+    mapping, so equal digests pair each key with equal values on both.
+    Functor, unit and counit tables are left to ==, which a matching digest
+    runs anyway."""
+    out = []
+    for d in doctrines:
+        out += d.fibers
+        out += map(_values, d.fibers.values())
+    for parts in families:
+        out += parts
+        out += map(_images, parts.values())
+    return tuple(out)
+
+
+_values, _images = attrgetter("values"), attrgetter("images")
+
+
+@kept
 def one_arrow_violations(a: OneArrow) -> list[str]:
-    """Empty list iff the fiber family is natural (as an equality of maps)."""
+    """Empty list iff the fiber family is natural (as an equality of maps).
+    Scanned once per value; a fresh list on every call."""
     out = []
     P, Q = a.src, a.dst
     if a.functor.src != P.base or a.functor.dst != Q.base:

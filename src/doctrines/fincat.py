@@ -7,10 +7,9 @@ A category is its arrows with their payloads and the payload operation
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
-from functools import cached_property
 from itertools import product
 
-from .order import Field, FinPoset, _certified, _require, kept, value_class
+from .order import Field, FinPoset, _certified, _require, derived, kept, value_class
 
 
 @value_class
@@ -70,7 +69,7 @@ class FinCategory:
     def arrow_names(self) -> tuple[str, ...]:
         return self._names
 
-    @cached_property
+    @derived
     def into(self) -> dict[str, list[str]]:
         """The arrows into each object, in declaration order."""
         found = {x: [] for x in self.objects}

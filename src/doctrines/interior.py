@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .doctrine import Doctrine, OneArrow, _reindex_fits, identity_parts, one_arrow_violations, sub_doctrine
+from .doctrine import Doctrine, OneArrow, _reindex_fits, _table_digest, identity_parts, one_arrow_violations, sub_doctrine
 from .order import MonotoneMap, kept, monotone_violations, same_composite, value_class
 
 
@@ -15,10 +15,17 @@ class InteriorOp:
     and satisfies the 4 axiom, hence is idempotent. A value is never changed
     after it is built, `parts` included, so its law verdict, its stable
     subdoctrine, its adjunction `comonad.ma` and its comonad `comonad.mc` are
-    computed once and kept on it (`order.kept`)."""
+    computed once and kept on it, and shared with an equal operator over the
+    same base (`order.kept`, which reads `_digest()`)."""
 
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]
+
+    def _base(self):
+        return self.doctrine.base
+
+    def _digest(self) -> tuple:
+        return _table_digest((self.doctrine,), (self.parts,))
 
 
 def identity_interior(P: Doctrine) -> InteriorOp:

@@ -8,9 +8,11 @@ reported by a literal scan over the data.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import combinations
 from operator import attrgetter, eq
+
+from _weakref import ref  # weakref.ref, without the weakref module's containers to import
 
 _REQUIRED = object()
 
@@ -107,23 +109,130 @@ def value_class(cls):
     return cls
 
 
+class derived:
+    """A property computed from a value on its first read and then held on
+    the value as a plain attribute, set by `object.__setattr__` (a value
+    class is frozen). `functools.cached_property` writes the instance's
+    `__dict__` instead, which makes every later attribute read on the value
+    slower (see `kept`)."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, value, owner=None):
+        if value is None:
+            return self
+        found = self.compute(value)
+        object.__setattr__(value, self.name, found)
+        return found
+
+
 def kept(build):
     """`build` kept on the value it is called with, which must never change
-    after it is built: the first call stores `build(v)` in `v.__dict__`, as
-    `cached_property` does, under the build's dotted name, which no field can
-    have, so ==, hash and repr do not see it. A build that raises keeps
-    nothing and raises again; a list comes back as a fresh copy."""
+    after it is built: the first call stores `build(v)` under the build's
+    dotted name in the dict the value holds as its `_kept` attribute, which is
+    no field, so ==, hash and repr do not see it. The dict is set on first use
+    by `object.__setattr__`, and `v.__dict__` is never read: CPython keeps a
+    value's attributes inline until something asks for its `__dict__`, and
+    every attribute read on it is about three times slower after that.
+
+    A value whose class defines `_digest()` and `_base()` (adjunctions,
+    comonads, interior operators and 1-arrows) is kept by value as well: on
+    its first call it takes the result the build kept on an equal value over
+    the same base category object, if one is alive (`_equal_copy`), instead of
+    building again, so the paper's comparisons, which reach one adjunction,
+    comonad or operator along several routes, scan and build each value once.
+    Any other value is keyed by the object alone. A build that raises keeps
+    nothing, for no equal copy either, and raises again; a list comes back as
+    a fresh copy."""
     key = f"{build.__module__}.{build.__qualname__}"
 
     @wraps(build)
     def get(v):
-        kept_on = v.__dict__
-        if key not in kept_on:
-            kept_on[key] = build(v)
-        found = kept_on[key]
+        kept_on = getattr(v, "_kept", None)
+        if kept_on is None or key not in kept_on:
+            found = _by_value(key, build, v) if hasattr(v, "_digest") else build(v)
+            _kept_on(v)[key] = found
+        else:
+            found = kept_on[key]
         return found.copy() if type(found) is list else found
 
     return get
+
+
+def _kept_on(v) -> dict:
+    """The dict of results kept on v, set as its `_kept` attribute on first use."""
+    kept_on = getattr(v, "_kept", None)
+    if kept_on is None:
+        kept_on = {}
+        object.__setattr__(v, "_kept", kept_on)
+    return kept_on
+
+
+# id of a base category -> (a weak reference to it, {build key: the values the
+# build has kept a result on over that base, held as `_by_digest` says}). The
+# reference's callback drops the entry when the base goes, before its id can
+# be reused; the entry holds no value alive.
+_SHARED: dict = {}
+_DIGEST = "doctrines.order._digest"  # where a value keeps its digest, a name no build has
+
+
+def _digest_of(v) -> tuple:
+    """`v._digest()`, computed once per value and kept on it."""
+    kept_on = _kept_on(v)
+    if _DIGEST not in kept_on:
+        kept_on[_DIGEST] = v._digest()
+    return kept_on[_DIGEST]
+
+
+def _by_value(key: str, build, v):
+    """build(v), or the result `key`'s build kept on an alive value equal to v
+    over the same base category object (`_equal_copy`); v joins the values
+    the build has kept a result on over that base."""
+    base = v._base()
+    at = _SHARED.get(id(base))
+    if at is None:
+        bid = id(base)
+        at = _SHARED[bid] = (ref(base, lambda _, shared=_SHARED: shared.pop(bid, None)), {})
+    builds = at[1]
+    seen = _by_digest(builds, key)
+    copy = None if seen is None else _equal_copy(seen.get(_digest_of(v), ()), v)
+    found = build(v) if copy is None else copy._kept[key]
+    seen = _by_digest(builds, key)  # the build may have added values
+    if seen is None:
+        builds[key] = ref(v)
+    else:
+        seen.setdefault(_digest_of(v), []).append(ref(v))
+    return found
+
+
+def _by_digest(builds: dict, key: str) -> dict | None:
+    """The values `key`'s build has kept a result on over one base, by
+    digest, or None while none is held but one alone that is gone. The first
+    value is held alone, without its digest, until a second arrives while it
+    is alive, so a value that meets no other over its base is never digested."""
+    seen = builds.get(key)
+    if type(seen) is ref:
+        first = seen()
+        if first is None:
+            return None
+        seen = builds[key] = {_digest_of(first): [seen]}
+    return seen
+
+
+def _equal_copy(refs, v):
+    """The first alive value of `refs`, which share v's digest, that equals
+    v, or None. Equal digests mean equal fiber values, which == leaves out
+    and constructions read, and equal fiber-map images, so an equal copy of
+    v built by another route is found by one dict lookup and one ==."""
+    for r in refs:
+        u = r()
+        if u is not None and u == v:
+            return u
+    return None
 
 
 _POSITIONS: list[int] = []
@@ -215,7 +324,7 @@ class FinPoset:
     def __hash__(self) -> int:
         return hash(self.elements)
 
-    @cached_property
+    @derived
     def by_value(self) -> dict:
         """The position of each value, built on first use."""
         return dict(zip(self.values, self._position.values()))
@@ -223,11 +332,11 @@ class FinPoset:
     def value(self, a: str):
         return self.values[self._position[a]]
 
-    @cached_property
+    @derived
     def relation(self) -> frozenset[tuple[str, str]]:
         return frozenset((a, b) for a in self.elements for b in self.up(a))
 
-    @cached_property
+    @derived
     def _by_code(self) -> list[int] | None:
         """The position of each code when the codes are exactly 0 … 2ᵏ−1,
         else None: n distinct codes (distinct, since the order is
@@ -409,7 +518,7 @@ class MonotoneMap:
     """A total map: `images[i]` is the position in `dst` of the image of
     src.elements[i]. Builders total into `dst` by construction make one, and
     `graph_map` from a graph read from outside; `monotone_violations` checks
-    that it preserves the order."""
+    that it preserves the order, once per map (`kept`)."""
 
     src: FinPoset
     dst: FinPoset
@@ -481,10 +590,12 @@ def _meets_certified(m: MonotoneMap) -> bool:
     return _certified(c[x] == c[x | (b := ~x & (x + 1))] & c[top ^ b] for x in range(top))
 
 
+@kept
 def monotone_violations(m: MonotoneMap) -> list[str]:
     """Empty list iff order-preservation holds on every related pair; checked
     by the meet certificate first when the source is Boolean, then on the
-    covering pairs of the source."""
+    covering pairs of the source. Scanned once per map; a fresh list on
+    every call."""
     # every a <= b is a chain of covers and the target's <= is reflexive and
     # transitive, so preserving the covers certifies a pass; on a miss the
     # scan below finds the witnesses

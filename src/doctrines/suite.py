@@ -282,11 +282,23 @@ def identity_powerset_adjunction() -> DoctrineAdjunction:
     return identity_adjunction(doc)
 
 
+# the bundled operators and adjunctions built from one doctrine share it, so
+# each construction reached from both is found kept on an equal value over
+# the same base (`order.kept`) and built once
+@lru_cache(maxsize=1)
+def conjunction_doctrine() -> Doctrine:
+    return powerset_doctrine({"A": ["a1", "a2"]})
+
+
+@lru_cache(maxsize=1)
+def bundled_forall() -> tuple[DoctrineAdjunction, InteriorOp]:
+    return forall_instance({"Y": ["y"]}, "X", ["0", "1"])
+
+
 @lru_cache(maxsize=1)
 def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     ops = []
-    doc = powerset_doctrine({"A": ["a1"], "B": ["b1", "b2"]})
-    ops.append(("identity", identity_interior(doc)))
+    ops.append(("identity", identity_interior(identity_powerset_adjunction().p)))
     for name, (d, op) in bundled_kripke().items():
         ops.append((name, op))
     ops.append(("fam-chain2", bundled_fam()[1]))
@@ -296,9 +308,8 @@ def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     ops.append(("presheaf", bundled_presheaf()[2]))
     for tname, (tdoc, top) in bundled_temporal().items():
         ops.append((tname, top))
-    conj_doc = powerset_doctrine({"A": ["a1", "a2"]})
-    ops.append(("conjunction", conjunction_modality(conj_doc)))
-    ops.append(("forall", forall_instance({"Y": ["y"]}, "X", ["0", "1"])[1]))
+    ops.append(("conjunction", conjunction_modality(conjunction_doctrine())))
+    ops.append(("forall", bundled_forall()[1]))
     return ops
 
 
@@ -307,9 +318,8 @@ def bundled_adjunctions() -> list[tuple[str, DoctrineAdjunction]]:
     out = [("identity", identity_powerset_adjunction())]
     for qname, (qdoc, qadj, bang) in bundled_quantale_doctrines().items():
         out.append((f"quantale-{qname}", qadj))
-    conj_doc = powerset_doctrine({"A": ["a1", "a2"]})
-    out.append(("conjunction", conjunction_adjunction(conj_doc)))
-    out.append(("forall", forall_instance({"Y": ["y"]}, "X", ["0", "1"])[0]))
+    out.append(("conjunction", conjunction_adjunction(conjunction_doctrine())))
+    out.append(("forall", bundled_forall()[0]))
     out.append(("presheaf-vertical", bundled_presheaf()[0]))
     out.append(("ma-topological", ma(bundled_topological()[1])))
     out.append(("ma-kripke-chain2", ma(bundled_kripke()["kripke-chain2"][1])))

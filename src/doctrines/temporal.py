@@ -22,12 +22,11 @@ reading of the step.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from functools import cached_property
 
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp
-from .order import MonotoneMap, _require, kept, value_class
+from .order import MonotoneMap, _require, derived, kept, value_class
 
 
 STREAM, TREE = "stream", "tree"
@@ -48,7 +47,7 @@ class FCoalgebra:
             return (self.step[s],)
         return tuple(self.step[s])
 
-    @cached_property
+    @derived
     def _oracle_graph(self) -> tuple[list[list[int]], list[int], list[int]]:
         """The oracles' own reading of the step, made once from `successors`:
         per state, its distinct successor positions, its successor mask, and

@@ -49,7 +49,7 @@ from doctrines.order import (
     powerset_poset,
     value_map,
 )
-from doctrines.suite import bundled_adjunctions, identity_powerset_adjunction, random_vertical_adjunction
+from doctrines.suite import bundled_adjunctions, random_vertical_adjunction
 
 from util import (
     compose_reference,
@@ -246,10 +246,9 @@ def test_constructions_are_built_once_per_adjunction(seed=59):
     A = random_vertical_adjunction(random.Random(seed))
     assert am_modality(A) is am_modality(A)
     assert factorize(A) is factorize(A)
-    # an equal adjunction built on its own gets its own constructions
-    B = DoctrineAdjunction(A.p, A.q, A.left, A.lam, A.right, A.rho, A.eta, A.eps)
-    assert B == A and am_modality(B) is not am_modality(A)
-    assert am_modality(B)[1] == am_modality(A)[1]
+    # an equal adjunction built on its own over the same base finds them kept
+    B = DoctrineAdjunction(A.p, A.q, A.left, dict(A.lam), A.right, dict(A.rho), A.eta, A.eps)
+    assert B == A and am_modality(B) is am_modality(A) and factorize(B) is factorize(A)
 
 
 def test_is_vertical_reads_the_identity_off_the_tables():
@@ -418,7 +417,8 @@ def test_factorization_and_triviality_violations_are_empty_on_every_bundled_adju
 
 
 def test_factorization_violations_name_the_object_of_a_planted_vertical_leg(monkeypatch):
-    A = identity_adjunction(identity_powerset_adjunction().p)  # its own, not yet scanned
+    # over a base of its own, so no equal adjunction's kept scan answers
+    A = identity_adjunction(powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]}))
     vertical, base_change = factorize(A)
     planted = DoctrineAdjunction(
         vertical.p, vertical.q, vertical.left, {**vertical.lam, "B": moved_image(vertical.lam["B"])},
@@ -473,7 +473,7 @@ def test_factorize2_on_base_change_instance():
 
 
 def test_the_refined_factorization_repeats_the_bottom_squares_of_the_factorization(monkeypatch):
-    A = identity_adjunction(identity_powerset_adjunction().p)
+    A = identity_adjunction(powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]}))
     vertical, base_change = factorize(A)
     planted = DoctrineAdjunction(
         vertical.p, vertical.q, vertical.left, {**vertical.lam, "B": moved_image(vertical.lam["B"])},

@@ -6,8 +6,8 @@ no public name ends in `_check` or `_checks`, and only the acceptance
 suite's report, `run_acceptance`, returns a dict with a "pass" key. A public function whose body only passes its own
 parameters on to another function is a second name for that function, and
 so are a public function that only reads an attribute of its one parameter
-and a `cached_property` that only passes `self` to a module-level function
-(a verdict or construction is kept on its value by `order.kept` on the one
+and a `cached_property` or `order.derived` property that only passes `self`
+to a module-level function (a verdict or construction is kept on its value by `order.kept` on the one
 public function). Invariants are enforced by raising, never by `assert`,
 which `python -O` strips. A module imports only the names it uses,
 and only from the package itself or the standard library. Every module-level
@@ -78,9 +78,10 @@ def _reads_an_attribute(fn: ast.FunctionDef) -> bool:
 
 
 def _forwards_self(fn: ast.FunctionDef) -> bool:
-    """Whether `fn` is a `cached_property` whose body only returns `g(self)`
-    or `tuple(g(self))` for a module-level function g."""
-    if not any(getattr(d, "id", getattr(d, "attr", None)) == "cached_property" for d in fn.decorator_list):
+    """Whether `fn` is a `cached_property` or an `order.derived` property
+    whose body only returns `g(self)` or `tuple(g(self))` for a module-level
+    function g."""
+    if not any(getattr(d, "id", getattr(d, "attr", None)) in ("cached_property", "derived") for d in fn.decorator_list):
         return False
     call = _unwrapped(_returned(fn), "tuple")
     return (
@@ -196,6 +197,14 @@ class Law:
     @cached_property
     def _method(self):
         return self.build()
+
+    @derived
+    def _kept_verdict(self):
+        return law_violations(self)
+
+    @derived
+    def _kept_count(self):
+        return len(law_violations(self))
 '''
     assert _aliases(source) == [
         "check_law",
@@ -205,6 +214,7 @@ class Law:
         "violations",
         "_verdict",
         "_built",
+        "_kept_verdict",
     ]
 
 
@@ -1129,8 +1139,16 @@ MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "_
 # with the covering pairs of its own codes, once; FinCategory.comp keeps each
 # composite in its `composites` field the first time it is asked for, which
 # takes no part in equality either: a composite is a function of the
-# payloads and `compose`, and == compares composites by asking `comp`
-MEMO_WRITES = {"order.FinPoset.hasse: object.__setattr__", "fincat.FinCategory.comp: composites"}
+# payloads and `compose`, and == compares composites by asking `comp`;
+# order._kept_on sets the dict of results `order.kept` keeps on a value, and
+# order.derived a property computed from the value, each an attribute that is
+# no field, once
+MEMO_WRITES = {
+    "order.FinPoset.hasse: object.__setattr__",
+    "fincat.FinCategory.comp: composites",
+    "order._kept_on: object.__setattr__",
+    "order.derived.__get__: object.__setattr__",
+}
 # the constructor every value class shares (order.value_class) sets each
 # field once, before the value is returned
 CONSTRUCTION_WRITES = {"order.value_class.__init__: object.__setattr__"}

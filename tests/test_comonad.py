@@ -382,9 +382,10 @@ def test_ma_and_stable_subdoctrine_are_built_once_per_operator():
     assert ma(op) is ma(op)
     assert stable_subdoctrine(op) is stable_subdoctrine(op)
     assert ma(op).p is stable_subdoctrine(op)[0]
-    # a separately built equal operator gets its own
+    # a separately built equal operator over the same base finds them kept
     other = identity_interior(d)
-    assert other == op and ma(other) is not ma(op)
+    assert other is not op and other == op
+    assert ma(other) is ma(op) and stable_subdoctrine(other) is stable_subdoctrine(op)
 
 
 def test_ma_of_an_invalid_operator_raises_the_same_error_every_time():
@@ -397,15 +398,18 @@ def test_ma_of_an_invalid_operator_raises_the_same_error_every_time():
             for x in d.base.objects
         },
     )
+    # an equal copy over the same base raises the same error too
+    copy = InteriorOp(d, dict(op.parts))
     messages = []
-    for _ in range(2):
+    for value in (op, op, copy):
         with pytest.raises(ValueError) as raised:
-            ma(op)
+            ma(value)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1] and messages[0].startswith("invalid interior operator: ")
-    # a build that raises keeps nothing: the operator holds its fields and
-    # the verdict that ma read, and no adjunction
-    assert vars(op).keys() == {"doctrine", "parts", "doctrines.interior.interior_violations"}
+    assert messages[0] == messages[1] == messages[2] and messages[0].startswith("invalid interior operator: ")
+    # a build that raises keeps nothing, for no copy: each operator keeps the
+    # verdict that ma read and its digest, and no adjunction
+    kept = {"doctrines.interior.interior_violations", "doctrines.order._digest"}
+    assert op._kept.keys() == copy._kept.keys() == kept
 
 
 def test_local_adjunction_violations(seed=19):

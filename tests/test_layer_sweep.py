@@ -120,7 +120,11 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
             return real_run(argv, **kwargs)
         side, seed = Path(argv[argv.index("--src") + 1]).parent.name, int(argv[-1])
         seen.append((argv[-2], seed, side))
-        row = {"layer": "suite", "criterion": 1, "seed": seed, "s": 1.0 if side == "parent" else 0.5}
+        if argv[-2] == "--suite-counts":
+            runs = {"a.b": 2, "a.c": 5} if side == "parent" else {"a.b": 1, "a.c": 3, "a.d": 7}
+            row = {"seed": seed, "kept": ["a.b", "a.c"], "runs": runs, "equal_value_answers": int(side == "change")}
+        else:
+            row = {"layer": "suite", "criterion": 1, "seed": seed, "s": 1.0 if side == "parent" else 0.5}
         return subprocess.CompletedProcess(argv, 0, json.dumps([row]), "")
 
     monkeypatch.setattr(sweep.subprocess, "run", run)
@@ -128,13 +132,29 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
     monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "suite", "--parent", str(tmp_path / "parent"),
                                       "--change", str(tmp_path / "change"), "--out", str(out)])
     sweep.main()
-    turns = [side for _, seed, side in seen if seed == 7]
-    assert turns == ["parent", "change", "change", "parent"] * (sweep.ROUNDS // 2)
-    assert [seed for _, seed, _ in seen[:: 2 * sweep.ROUNDS]] == [7, 1, 2, 3]
-    assert {flag for flag, _, _ in seen} == {"--suite-seed"}
-    assert json.loads(out.read_text())["suite"] == [
+    timed = [(seed, side) for flag, seed, side in seen if flag == "--suite-seed"]
+    assert [side for seed, side in timed if seed == 7] == ["parent", "change", "change", "parent"] * (sweep.ROUNDS // 2)
+    assert [seed for seed, _ in timed[:: 2 * sweep.ROUNDS]] == [7, 1, 2, 3]
+    # then one counting interpreter per side and seed, after all the timings
+    assert seen[len(timed):] == [("--suite-counts", seed, side) for seed in (7, 1, 2, 3) for side in ("parent", "change")]
+    written = json.loads(out.read_text())
+    assert written["suite"] == [
         {"layer": "suite", "criterion": 1, "seed": seed, "parent_s": 1.0, "change_s": 0.5} for seed in (7, 1, 2, 3)
     ]
+    # the change's kept builds, counted on both sides; a run of other code is not one
+    assert written["suite_kept_builds"] == [
+        {"seed": seed, "builds": ["a.b", "a.c"], "parent_builds_run": 7, "parent_equal_value_answers": 0,
+         "parent_runs_by_build": {"a.b": 2, "a.c": 5}, "change_builds_run": 4, "change_equal_value_answers": 1,
+         "change_runs_by_build": {"a.b": 1, "a.c": 3}}
+        for seed in (7, 1, 2, 3)
+    ]
+
+
+def test_layer_sweep_counts_the_kept_builds_and_the_equal_values_of_a_suite_request():
+    (row,) = _measure("--suite-counts", 3)
+    assert row["seed"] == 3 and {"order.monotone_violations", "comonad.em_doctrine"} <= set(row["kept"])
+    assert all(row["runs"].get(name, 0) > 0 for name in ("comonad.em_doctrine", "adjunction.adjunction_violations"))
+    assert row["equal_value_answers"] > 0
 
 
 def _sweep_module():

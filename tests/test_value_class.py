@@ -162,7 +162,8 @@ def test_a_kept_entry_leaves_eq_hash_and_repr_unchanged():
     p, q = Point(1, 2), Point(1, 2)
     before = (p == q, hash(p), repr(p))
     assert get(p) == [1, 2] and get(p) == [1, 2] and runs == [p]
-    assert vars(p).keys() - vars(q).keys() == {f"{__name__}.{norm.__qualname__}"}
+    # the entry sits in the dict p holds as `_kept`, which is no field
+    assert vars(p).keys() - vars(q).keys() == {"_kept"} and p._kept.keys() == {f"{__name__}.{norm.__qualname__}"}
     assert (p == q, hash(p), repr(p)) == before == (True, hash(q), repr(q))
 
 
@@ -192,11 +193,39 @@ def test_a_kept_list_comes_back_as_a_fresh_copy_and_anything_else_as_itself():
     assert pair(p) is pair(p)
 
 
-def test_a_separately_built_equal_value_gets_its_own_entry():
+@value_class
+class Over:
+    """A value over a base object that opts in to keeping by value."""
+
+    base: object
+    x: int
+    y: int = 0
+
+    def _base(self):
+        return self.base
+
+    def _digest(self):
+        return (self.x,)
+
+
+class Base:
+    """A base object, compared by identity."""
+
+
+def test_an_equal_value_finds_the_entry_only_when_its_class_has_a_digest():
+    # a Point has no `_digest`: a separately built equal one gets its own entry
     get, _, runs = _kept_norm()
     p, q = Point(1, 2), Point(1, 2)
     assert p == q and get(p) == get(q) and get(p) == get(q)
     assert runs == [p, q] and runs[0] is p and runs[1] is q
+    # one that has: an equal value over the same base object finds the entry,
+    # one that differs beyond its digest or lies over another base does not
+    pair = kept(lambda v: runs.append(v) or (v.x, v.y))
+    base, runs[:] = Base(), []
+    first = Over(base, 1, 2)
+    same, other_y, other_base = Over(base, 1, 2), Over(base, 1, 3), Over(Base(), 1, 2)
+    assert pair(first) is pair(same) and pair(other_y) == (1, 3) and pair(other_base) == (1, 2)
+    assert runs == [first, other_y, other_base]
 
 
 def test_a_kept_function_carries_the_name_module_and_doc_of_its_build():

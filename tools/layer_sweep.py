@@ -70,7 +70,12 @@ order it runs them, at each seed the `gate` workload asks `--json suite` at
 (7, 1, 2 and 3): one fresh interpreter per side and seed runs the eleven
 criteria once each, as a `suite` request's process does, and the two sides
 take turns, `ROUNDS` times; a row is each side's best time for one
-criterion at one seed.
+criterion at one seed. Then at each of those seeds one more interpreter per
+side runs the criteria once under a profile hook, and a `suite_kept_builds`
+row records exact counts: the runs of the code of each build the change
+keeps with `order.kept`, by build and in all (a build the parent does not
+keep is counted by its own code), and how many lookups `order.kept`
+answered with the result kept on an equal value.
 
 `end-to-end` copies the `src` and `bench` of both checkouts to a temporary
 directory, runs `bench/run.py` in the two copies in turn, alternating which
@@ -318,6 +323,52 @@ def measure_suite(seed: int) -> list[dict]:
     return rows
 
 
+def measure_suite_counts(seed: int) -> list[dict]:
+    """The counts of a `suite` request at `seed`, with the eleven criteria
+    run once in this interpreter: the library's kept builds, as
+    `module.name`; the runs of each library function's own code, by the same
+    name (a kept build's code is its `__wrapped__`); and how many lookups
+    `order.kept` answered with the result kept on an equal value (0 on a
+    library that keeps by object alone)."""
+    import importlib
+
+    from doctrines import order, suite
+
+    library = Path(order.__file__).parent
+    modules = [importlib.import_module(f"doctrines.{path.stem}") for path in sorted(library.glob("[a-z]*.py"))]
+    kept_code = order.kept(len).__code__  # the code every kept function shares
+    kept = sorted(
+        f"{m.__name__.split('.')[-1]}.{fn.__wrapped__.__qualname__}"
+        for m in modules
+        for fn in vars(m).values()
+        if getattr(fn, "__code__", None) is kept_code and fn.__module__ == m.__name__
+    )
+    runs, answered = {}, [0]
+    lookup = getattr(order, "_equal_copy", None)
+    if lookup is not None:
+        def counted(refs, v):
+            found = lookup(refs, v)
+            answered[0] += found is not None
+            return found
+
+        order._equal_copy = counted
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(str(library)):
+            name = f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_qualname}"
+            runs[name] = runs.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        passed = all((getattr(suite, f"criterion_{c}")(seed) if c in SEEDED else getattr(suite, f"criterion_{c}")())[0]
+                     for c in CRITERIA)
+    finally:
+        sys.setprofile(None)
+    if not passed:
+        raise SystemExit(f"a criterion failed at seed {seed}")
+    return [{"seed": seed, "kept": kept, "runs": runs, "equal_value_answers": answered[0]}]
+
+
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
          "checkout, measured in turns on one machine; a check, full_function_category or CHANGE_ONLY row "
          "also has each side's least peak RSS in MB; a CHANGE_ONLY row has the change side alone. "
@@ -327,7 +378,10 @@ ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of t
          "the same interpreters, the first `parse_argv` "
          "call on a command line it reads itself and on one it hands to argparse, each side's best and median "
          "seconds. suite: each acceptance criterion at each gate seed, a fresh interpreter per side and seed, each "
-         "side's best seconds. end_to_end: every bench/run.py run of both, and their medians.")
+         "side's best seconds. suite_kept_builds: at each gate seed, one fresh interpreter per side running the "
+         "criteria once: the runs of the code of the change's kept builds, in all and by build, and the lookups "
+         "order.kept answered with an equal value's result. end_to_end: every bench/run.py run of both, and their "
+         "medians.")
 
 
 def _load(path: Path) -> dict:
@@ -384,6 +438,23 @@ def suite_rows(args) -> None:
     for seed in SUITE_SEEDS:
         _measure_in_turns(rows, [("parent", args.parent), ("change", args.change)], "--suite-seed", seed, ROUNDS)
     out["suite"] = sorted(rows.values(), key=lambda r: (r["criterion"], SUITE_SEEDS.index(r["seed"])))
+    out["suite_kept_builds"] = []
+    for seed in SUITE_SEEDS:
+        counts = {}
+        for side, checkout in [("parent", args.parent), ("change", args.change)]:
+            child = subprocess.run(
+                [sys.executable, __file__, "measure", "--src", str(checkout / "src"), "--suite-counts", str(seed)],
+                capture_output=True, text=True, check=True,
+            )
+            counts[side] = json.loads(child.stdout)[0]
+        row = {"seed": seed, "builds": counts["change"]["kept"]}
+        for side, c in counts.items():
+            by_build = {name: c["runs"].get(name, 0) for name in row["builds"]}
+            row[f"{side}_builds_run"] = sum(by_build.values())
+            row[f"{side}_equal_value_answers"] = c["equal_value_answers"]
+            row[f"{side}_runs_by_build"] = by_build
+        print(row, flush=True)
+        out["suite_kept_builds"].append(row)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
 
 
@@ -505,6 +576,7 @@ def main() -> None:
     size.add_argument("--states", type=int)
     size.add_argument("--check-worlds", type=int)
     size.add_argument("--suite-seed", type=int)
+    size.add_argument("--suite-counts", type=int)
     imp = sub.add_parser("import")
     imp.add_argument("--parent", type=Path, required=True)
     imp.add_argument("--change", type=Path, default=ROOT)
@@ -536,6 +608,8 @@ def main() -> None:
             print(json.dumps(measure_check(args.check_worlds)))
         elif args.suite_seed is not None:
             print(json.dumps(measure_suite(args.suite_seed)))
+        elif args.suite_counts is not None:
+            print(json.dumps(measure_suite_counts(args.suite_counts)))
         else:
             print(json.dumps(measure_temporal(args.states)))
     elif args.mode == "layers":
