@@ -35,8 +35,8 @@ class DoctrineAdjunction:
     """The octuple presentation of an adjunction between doctrines. A value
     is never changed after it is built, tables included, so its law verdict
     and the constructions derived from it are computed once and kept on it,
-    and shared with an equal adjunction over the same base (`order.kept`,
-    which reads `_digest()`)."""
+    and shared with an equal adjunction alive over the same base category
+    object (`order.kept`, which reads `_digest()` and `_base()`)."""
 
     p: Doctrine
     q: Doctrine

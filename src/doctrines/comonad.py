@@ -44,10 +44,10 @@ from .order import MonotoneMap, _require, compose_maps, is_identity_map, kept, r
 @value_class
 class DoctrineComonad:
     """The quadruple presentation of a comonad on a doctrine. A value is
-    never changed after it is built, tables included, so its law verdict and
-    its Eilenberg-Moore doctrine are computed once and kept on it, and shared
-    with an equal comonad over the same base (`order.kept`, which reads
-    `_digest()`)."""
+    never changed after it is built, tables included, so its law verdict,
+    its Eilenberg-Moore doctrine and its EM adjunction are computed once and
+    kept on it, and shared with an equal comonad alive over the same base
+    category object (`order.kept`, which reads `_digest()` and `_base()`)."""
 
     p: Doctrine
     k: Functor
@@ -164,10 +164,12 @@ def _into_coalgebras(
     return Functor(D, em, obj, arr)
 
 
+@kept
 def em_adjunction(c: DoctrineComonad) -> DoctrineAdjunction:
     """The adjunction ⟨EM, P, U, u, K̂, κ, η, ν⟩ with K̂ the free-coalgebra
     functor, ⟨KX, μ_X⟩ on objects and K on arrows (a coalgebra arrow by μ's
-    naturality), and η at ⟨X,c⟩ the structure arrow c itself."""
+    naturality), and η at ⟨X,c⟩ the structure arrow c itself. Built once
+    per comonad."""
     bundle = em_doctrine(c)
     P, base = c.p, c.p.base
     data = bundle.coalgebras

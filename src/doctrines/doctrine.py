@@ -28,7 +28,6 @@ from .order import (
     compose_maps,
     identity_map,
     is_identity_map,
-    kept,
     monotone_violations,
     powerset_poset,
     product_poset,
@@ -119,20 +118,13 @@ def base_change(P: Doctrine, F: Functor) -> Doctrine:
 @value_class
 class OneArrow:
     """A doctrine morphism ⟨F, f⟩: functor on bases plus a fiberwise family
-    f_X: srcfiber(X) → dstfiber(F X), natural in X. Its verdict is kept on
-    it, and shared with an equal 1-arrow over the same base (`order.kept`,
-    which reads `_digest()`)."""
+    f_X: srcfiber(X) → dstfiber(F X), natural in X. Its verdict is not
+    kept: the library builds each 1-arrow it checks afresh for that check."""
 
     src: Doctrine
     dst: Doctrine
     functor: Functor
     parts: Mapping[str, MonotoneMap]
-
-    def _base(self):
-        return self.src.base
-
-    def _digest(self) -> tuple:
-        return _table_digest((self.src, self.dst), (self.parts,))
 
 
 def _table_digest(doctrines, families) -> tuple:
@@ -157,10 +149,8 @@ def _table_digest(doctrines, families) -> tuple:
 _values, _images = attrgetter("values"), attrgetter("images")
 
 
-@kept
 def one_arrow_violations(a: OneArrow) -> list[str]:
-    """Empty list iff the fiber family is natural (as an equality of maps).
-    Scanned once per value; a fresh list on every call."""
+    """Empty list iff the fiber family is natural (as an equality of maps)."""
     out = []
     P, Q = a.src, a.dst
     if a.functor.src != P.base or a.functor.dst != Q.base:

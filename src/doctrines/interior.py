@@ -15,8 +15,9 @@ class InteriorOp:
     and satisfies the 4 axiom, hence is idempotent. A value is never changed
     after it is built, `parts` included, so its law verdict, its stable
     subdoctrine, its adjunction `comonad.ma` and its comonad `comonad.mc` are
-    computed once and kept on it, and shared with an equal operator over the
-    same base (`order.kept`, which reads `_digest()`)."""
+    computed once and kept on it, and shared with an equal operator alive
+    over the same base category object (`order.kept`, which reads
+    `_digest()` and `_base()`)."""
 
     doctrine: Doctrine
     parts: Mapping[str, MonotoneMap]
@@ -96,7 +97,7 @@ def modal_one_arrow_violations(a: OneArrow, op_src: InteriorOp, op_dst: Interior
     stable elements to stable elements, so that equality is not checked
     again: at □α it gives f(□α) = f(□□α) ≤ □′f(□α), and T for □′ gives
     □′f(□α) ≤ f(□α)."""
-    out = list(one_arrow_violations(a))
+    out = one_arrow_violations(a)
     if out:
         return out
     if op_src.doctrine != a.src or op_dst.doctrine != a.dst:

@@ -140,14 +140,15 @@ def kept(build):
     every attribute read on it is about three times slower after that.
 
     A value whose class defines `_digest()` and `_base()` (adjunctions,
-    comonads, interior operators and 1-arrows) is kept by value as well: on
-    its first call it takes the result the build kept on an equal value over
-    the same base category object, if one is alive (`_equal_copy`), instead of
+    comonads and interior operators) is kept by value as well: on its first
+    call it takes the result the build kept on an equal value over the same
+    base category object, if one is alive (`_equal_copy`), instead of
     building again, so the paper's comparisons, which reach one adjunction,
     comonad or operator along several routes, scan and build each value once.
-    Any other value is keyed by the object alone. A build that raises keeps
-    nothing, for no equal copy either, and raises again; a list comes back as
-    a fresh copy."""
+    The base holds the table of those values, by weak reference
+    (`_by_value`). Any other value is keyed by the object alone. A build
+    that raises keeps nothing, for no equal copy either, and raises again; a
+    list comes back as a fresh copy."""
     key = f"{build.__module__}.{build.__qualname__}"
 
     @wraps(build)
@@ -172,12 +173,7 @@ def _kept_on(v) -> dict:
     return kept_on
 
 
-# id of a base category -> (a weak reference to it, {build key: the values the
-# build has kept a result on over that base, held as `_by_digest` says}). The
-# reference's callback drops the entry when the base goes, before its id can
-# be reused; the entry holds no value alive.
-_SHARED: dict = {}
-_DIGEST = "doctrines.order._digest"  # where a value keeps its digest, a name no build has
+_DIGEST = "doctrines.order._digest"  # a name no build has: on a value its digest, on a base its table
 
 
 def _digest_of(v) -> tuple:
@@ -190,37 +186,14 @@ def _digest_of(v) -> tuple:
 
 def _by_value(key: str, build, v):
     """build(v), or the result `key`'s build kept on an alive value equal to v
-    over the same base category object (`_equal_copy`); v joins the values
-    the build has kept a result on over that base."""
-    base = v._base()
-    at = _SHARED.get(id(base))
-    if at is None:
-        bid = id(base)
-        at = _SHARED[bid] = (ref(base, lambda _, shared=_SHARED: shared.pop(bid, None)), {})
-    builds = at[1]
-    seen = _by_digest(builds, key)
-    copy = None if seen is None else _equal_copy(seen.get(_digest_of(v), ()), v)
+    (`_equal_copy`) over the same base category object. The base holds the
+    table, {build key: {digest: weak references to the values the build has
+    kept a result on}}, so it goes with the base and keeps no value alive."""
+    refs = _kept_on(v._base()).setdefault(_DIGEST, {}).setdefault(key, {}).setdefault(_digest_of(v), [])
+    copy = _equal_copy(refs, v)
     found = build(v) if copy is None else copy._kept[key]
-    seen = _by_digest(builds, key)  # the build may have added values
-    if seen is None:
-        builds[key] = ref(v)
-    else:
-        seen.setdefault(_digest_of(v), []).append(ref(v))
+    refs.append(ref(v))
     return found
-
-
-def _by_digest(builds: dict, key: str) -> dict | None:
-    """The values `key`'s build has kept a result on over one base, by
-    digest, or None while none is held but one alone that is gone. The first
-    value is held alone, without its digest, until a second arrives while it
-    is alive, so a value that meets no other over its base is never digested."""
-    seen = builds.get(key)
-    if type(seen) is ref:
-        first = seen()
-        if first is None:
-            return None
-        seen = builds[key] = {_digest_of(first): [seen]}
-    return seen
 
 
 def _equal_copy(refs, v):

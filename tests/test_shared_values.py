@@ -4,9 +4,11 @@ here runs with the lookup forced never to match, so every value builds its
 own, and compares."""
 
 import contextlib
+import gc
 import io
 import sys
 from pathlib import Path
+from weakref import ref
 
 import pytest
 
@@ -104,3 +106,19 @@ def test_values_with_one_digest_that_differ_under_eq_share_nothing():
     assert order._digest_of(op) == order._digest_of(other) and op != other
     assert stable_subdoctrine(op)[0].reindex[t].images == m.images != moved.images
     assert stable_subdoctrine(other)[0].reindex[t].images == moved.images
+
+
+def test_the_equal_value_table_goes_with_its_base_and_keeps_no_value_alive():
+    op = identity_interior(powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]}))
+    assert interior_violations(op) == [] and op.doctrine.base._kept[order._DIGEST]
+    gone_op, gone_base = ref(op), ref(op.doctrine.base)
+    gc.disable()
+    try:
+        del op
+        # the base's table holds the operator by weak reference, so it goes
+        # at once, without waiting for the cycle collector
+        assert gone_op() is None
+    finally:
+        gc.enable()
+    gc.collect()
+    assert gone_base() is None
