@@ -703,12 +703,16 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
     for frame_name, group in ws.presheaves.items():
         # two stages, as for the spaces: the Π_w |e(w)|^|d(w)| families of functions d → e to test
         # for naturality, then the law scans on the 2^n families of a presheaf of n elements over
-        # the natural transformations, plus the 3^n subfamilies of them that its oracle walks
+        # the natural transformations, plus the membership tests of its oracle on each family:
+        # along each generating arrow u → w, |d(u)| tests on the first pass and again after each
+        # removal at w, of which there are at most |d(w)|
         count = sum(reduce(mul, (len(e.at[w]) ** len(d.at[w]) for w in d.base.objects), 1) for d in group for e in group)
         if count <= ws.max_size:
             homs = {(d.name, e.name): presheaf_nat_transformations(d, e) for d in group for e in group}
-            sizes = {d.name: sum(len(d.at[w]) for w in d.base.objects) for d in group}
-            count = _hom_work({p: 2**n for p, n in sizes.items()}, homs) + sum(3**n for n in sizes.values())
+            families = {d.name: 2 ** sum(len(d.at[w]) for w in d.base.objects) for d in group}
+            B = group[0].base
+            tests = {d.name: sum(len(d.at[B.src(g)]) * (1 + len(d.at[B.dst(g)])) for g in B.generators) for d in group}
+            count = _hom_work(families, homs) + sum(families[p] * tests[p] for p in families)
         if count > ws.max_size:
             ws.refuse(f"presheaf-instance {frame_name}", count)
             continue

@@ -223,10 +223,12 @@ def cmd_of_adjunction(A: DoctrineAdjunction) -> DoctrineComonad:
     return DoctrineComonad(A.q, K, kappa, mu, nu)
 
 
+@kept
 def comparison_arrow(A: DoctrineAdjunction) -> OneArrow:
     """The comparison 1-arrow into the EM doctrine of the induced comonad
-    (K = LR, μ = LηR, ν = ε): X ↦ ⟨LX, Lη_X⟩, L on arrows, λ on fibers. The
-    adjunction scan makes it land there, so nothing is checked again.
+    (K = LR, μ = LηR, ν = ε): X ↦ ⟨LX, Lη_X⟩, L on arrows, λ on fibers, built
+    once per adjunction. The adjunction scan makes it land there, so nothing
+    is checked again.
     ⟨LX, Lη_X⟩ is a coalgebra by a triangle identity (ε_LX∘Lη_X = id) and by
     L applied to η's naturality square at η_X (LRLη_X∘Lη_X = Lη_RLX∘Lη_X).
     λ_X is monotone and natural along η_X, so it turns the unit's lax

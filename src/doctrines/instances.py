@@ -41,7 +41,6 @@ from .order import (
     _unions,
     chain_poset,
     kept,
-    label_subset,
     lattice_from_poset,
     powerset_poset,
     product_order,
@@ -604,10 +603,6 @@ def presheaf_arrow_name(d: FinPresheaf, e: FinPresheaf, phi: Mapping[str, Mappin
     )
 
 
-def presheaf_family_label(parts: Mapping[str, frozenset], d: FinPresheaf) -> str:
-    return "[" + ";".join(f"{w}:{subset_label(parts[w], d.at[w])}" for w in d.base.objects) + "]"
-
-
 @kept
 def _arrows_out(d: FinPresheaf) -> dict[str, list[tuple[Mapping[str, str], str]]]:
     """The action and target world of every arrow out of each world."""
@@ -628,27 +623,31 @@ def largest_subpresheaf(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
     return {w: frozenset(x for x in parts[w] if all(act[x] in parts[v] for act, v in out_of[w])) for w in out_of}
 
 
-@kept
-def _oracle_actions(d: FinPresheaf) -> tuple[tuple[Mapping[str, str], int, int], ...]:
-    """Each arrow's action and the positions of its two worlds, read once per
-    presheaf for `subpresheaf_union_oracle`, apart from the engine's `_arrows_out`."""
-    at = {w: i for i, w in enumerate(d.base.objects)}
-    return tuple((d.act[f], at[w], at[v]) for f, w, v in d.base.arrows)
-
-
-def subpresheaf_union_oracle(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
-    """Independent oracle: the union of all subfamilies of `parts` satisfying
-    the subpresheaf condition, tested as `is_subpresheaf` tests it, with each
-    arrow's action and its two worlds read once per presheaf, not once per
-    family or candidate."""
-    worlds = list(d.base.objects)
-    per_world = [subsets_in_order(sorted(parts[w], key=list(d.at[w]).index)) for w in worlds]
-    actions = _oracle_actions(d)
-    acc = [frozenset()] * len(worlds)
-    for cand in product(*per_world):
-        if all(act[x] in cand[v] for act, w, v in actions for x in cand[w]):
-            acc = list(map(frozenset.union, acc, cand))
-    return dict(zip(worlds, acc))
+def subpresheaf_gfp(d: FinPresheaf, parts: Sequence[frozenset]) -> tuple[frozenset, ...]:
+    """Independent oracle: the largest subpresheaf inside the family `parts`
+    (in world order), a greatest fixed point (Tarski, Pacific J. Math. 5(2),
+    1955) computed by removal: remove each x at w whose action along a
+    generator g: w → v of `d.base` leaves the current family, until nothing
+    changes. A removal at w can only fail the generators into w, so only
+    they are examined again. The result R is the union of the closed
+    subfamilies of `parts`: it is closed under the generators, so under
+    every arrow, a composite of them acting by the composite of their
+    actions (d is a functor); and removal keeps every closed S ⊆ `parts`,
+    as the image of an x in S stays in S. It shares neither algorithm nor
+    arrows with `largest_subpresheaf`, one pass over every arrow."""
+    B, at = d.base, {w: i for i, w in enumerate(d.base.objects)}
+    into = [[] for _ in parts]
+    for g in B.generators:
+        w, v = at[B.src(g)], at[B.dst(g)]
+        into[v].append((d.act[g], w, v))
+    family, todo = list(parts), [step for steps in into for step in steps]
+    while todo:
+        act, w, v = todo.pop()
+        gone = {x for x in family[w] if act[x] not in family[v]}
+        if gone:
+            family[w] -= gone
+            todo += into[w]
+    return tuple(family)
 
 
 def presheaf_instance(
@@ -678,8 +677,8 @@ def presheaf_instance(
         [d.name for d in presheaves], arrows, images, identity, lambda g, f: tuple(map(compose_images, g, f))
     )
 
-    # families ordered pointwise: labels are `presheaf_family_label`s, values
-    # the tuples of parts in world order
+    # families ordered pointwise: labels are `[w:{…};…]`, values the tuples
+    # of parts in world order
     worlds = list(presheaves[0].base.objects)
     fibers = {d.name: _pointwise_fiber(worlds, [powerset_poset(d.at[w]) for w in worlds]) for d in presheaves}
     keep = {}
@@ -711,24 +710,15 @@ def presheaf_instance(
     return adj, Qdoc, op
 
 
-def presheaf_decode(doc_fiber_label: str, d: FinPresheaf) -> dict:
-    body = doc_fiber_label[1:-1]
-    out = {}
-    for chunk in body.split(";"):
-        w, v = chunk.split(":", 1)
-        out[w] = label_subset(v)
-    return out
-
-
 def presheaf_oracle_mismatches(presheaves: Sequence[FinPresheaf], op: InteriorOp) -> list[tuple[str, str]]:
     """Every (presheaf, family) on which the box of `presheaf_instance`
-    disagrees with `subpresheaf_union_oracle`, families in fiber order."""
+    disagrees with `subpresheaf_gfp`, families in fiber order."""
     out = []
     for d in presheaves:
-        for lbl in op.doctrine.fibers[d.name].elements:
-            want = presheaf_family_label(subpresheaf_union_oracle(d, presheaf_decode(lbl, d)), d)
-            if op.parts[d.name].apply(lbl) != want:
-                out.append((d.name, lbl))
+        fiber, box = op.doctrine.fibers[d.name], op.parts[d.name]
+        for i, parts in enumerate(fiber.values):
+            if fiber.values[box.images[i]] != subpresheaf_gfp(d, parts):
+                out.append((d.name, fiber.elements[i]))
     return out
 
 

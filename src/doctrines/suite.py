@@ -68,7 +68,6 @@ from .instances import (
     kripke_doctrine,
     lukasiewicz3,
     powerset_doctrine,
-    presheaf_decode,
     presheaf_instance,
     presheaf_oracle_mismatches,
     is_subpresheaf,
@@ -595,13 +594,9 @@ def criterion_presheaf_oracle() -> tuple[bool, list[str]]:
     ok = ok and mismatch == 0
     stable_ok = True
     for d in two_chain_presheaves():
-        got = set(stable_elements(op, d.name))
-        want = {
-            lbl
-            for lbl in families.fibers[d.name].elements
-            if is_subpresheaf(d, presheaf_decode(lbl, d))
-        }
-        if got != want:
+        fiber, worlds = families.fibers[d.name], d.base.objects
+        want = {lbl for lbl, parts in zip(fiber.elements, fiber.values) if is_subpresheaf(d, dict(zip(worlds, parts)))}
+        if set(stable_elements(op, d.name)) != want:
             stable_ok = False
     details.append("stable elements are exactly the subpresheaves" if stable_ok else "stable elements differ from subpresheaves")
     ok = ok and stable_ok

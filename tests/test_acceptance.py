@@ -159,7 +159,7 @@ def test_suite_scans_each_value_and_builds_each_em_doctrine_once():
         for name, fn in vars(module).items()
         if callable(fn) and getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "__wrapped__")
     }
-    assert len(builds) == 17
+    assert len(builds) == 18
     calls = {}
 
     def profile(frame, event, arg):

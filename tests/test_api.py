@@ -681,13 +681,12 @@ def _build_doctrine(ws, d):
 
 
 # a map between fibers is read off the values its elements keep
-# (order.value_map); a label is parsed back into a subset only where model
-# text is read, and in the presheaf oracle, which stays independent of the
-# engine it checks
-LABEL_READERS = {"cli._set_atom", "instances.presheaf_decode"}
+# (order.value_map), and an oracle reads the values too; a label is parsed
+# back into a subset only where model text is read
+LABEL_READERS = {"cli._set_atom"}
 
 
-def test_only_the_model_reader_and_the_presheaf_oracle_parse_a_subset_label():
+def test_only_the_model_reader_parses_a_subset_label():
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert any(_callers(text, "label_subset") for text in sources.values())
     assert _unlisted_callers(sources, "label_subset", LABEL_READERS) == []
@@ -709,8 +708,8 @@ def _frame_worlds(atom):
 from . import order
 
 
-def presheaf_decode(label, d):
-    return {w: order.label_subset(v) for w, v in label}
+def presheaf_oracle_mismatches(labels, d):
+    return {w: order.label_subset(v) for w, v in labels}
 
 
 def kripke_doctrine(frame, sets):
@@ -721,7 +720,9 @@ def kripke_doctrine(frame, sets):
 READER = order.label_subset
 '''
     sources = {"cli": cli, "instances": instances}
-    assert _unlisted_callers(sources, "label_subset", LABEL_READERS) == ["cli._frame_worlds", "instances.kripke_doctrine"]
+    assert _unlisted_callers(sources, "label_subset", LABEL_READERS) == [
+        "cli._frame_worlds", "instances.presheaf_oracle_mismatches", "instances.kripke_doctrine"
+    ]
 
 
 # law checks compare maps and functors pointwise (order.same_composite,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -487,8 +488,10 @@ def test_cli_presheaf_size_guard_is_counted_not_enumerated(tmp_path, capsys):
         ("kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; "
          "at: w1={a,b,c,d,e} w2={a,b,c,d,e}; act: w1->w2=a>a,b>b,c>c,d>d,e>e }", 5**10),
         # 3,125 natural endo-transformations of a 1-world presheaf: the law
-        # scans, 3125 * 32 + 3125^2 * 33, and the oracle's 3^5 subfamilies
-        ("kripke-frame K { worlds: w }\npresheaf P { frame: K; at: w={a,b,c,d,e} }", 3125 * 32 + 3125**2 * 33 + 3**5),
+        # scans, 3125 * 32 + 3125^2 * 33, and on each of the 32 families the
+        # oracle's tests along the one generator, the identity: 5 on the first
+        # pass and 5 after each of at most 5 removals
+        ("kripke-frame K { worlds: w }\npresheaf P { frame: K; at: w={a,b,c,d,e} }", 3125 * 32 + 3125**2 * 33 + 32 * 5 * 6),
     ],
     ids=["candidates", "law-scans"],
 )
@@ -499,18 +502,69 @@ def test_cli_presheaf_guard_counts_the_transformations_before_building_them(tmp_
     assert f"FAIL presheaf-instance K\n  - refused: estimated work {work} exceeds --max-size 200000" in capsys.readouterr().out
 
 
-def test_cli_presheaf_guard_counts_the_subfamilies_its_oracle_walks(tmp_path, capsys):
-    # a chain of 12 worlds with one element each: one natural transformation
-    # and 4,096 families, but 3^12 subfamilies for the oracle
-    worlds = [f"w{i}" for i in range(12)]
-    text = (
+def _one_element_chain(n: int) -> str:
+    """A chain of n worlds and a presheaf holding one element at each."""
+    worlds = [f"w{i}" for i in range(n)]
+    return (
         f"kripke-frame K {{ worlds: {' '.join(worlds)}; rel: {' '.join(f'{a}->{b}' for a, b in zip(worlds, worlds[1:]))} }}\n"
         f"presheaf P {{ frame: K; at: {' '.join(f'{w}={{a}}' for w in worlds)}; "
         f"act: {' '.join(f'{a}->{b}=a>a' for i, a in enumerate(worlds) for b in worlds[i + 1:])} }}"
     )
-    assert _main(tmp_path, text, "check") == 1
-    want = f"refused: estimated work {4096 + 1 * 1 * 4097 + 3**12} exceeds --max-size 200000"
-    assert want in capsys.readouterr().out
+
+
+def _chain_oracle_tests(n: int) -> int:
+    """The guard's count of the oracle's membership tests on the n-world
+    chain: on each of 2^n families, along each of the n identities and n - 1
+    covers, one test on the first pass and one after the removal at its target."""
+    return 2**n * 2 * (2 * n - 1)
+
+
+def test_cli_presheaf_guard_admits_the_12_world_chain_and_counts_its_oracle_tests(tmp_path, capsys):
+    # one natural transformation and 4,096 families: the law scans, 4096 + 1 * 1 * 4097,
+    # and 188,416 membership tests for the oracle
+    assert _main(tmp_path, _one_element_chain(12), "check") == 0
+    assert "PASS presheaf-oracle K" in capsys.readouterr().out
+    work = 4096 + 1 * 1 * 4097 + _chain_oracle_tests(12)
+    (tmp_path / "m.dct").write_text(_one_element_chain(12))
+    assert main(["--max-size", str(work - 1), "check", str(tmp_path / "m.dct")]) == 1
+    assert f"refused: estimated work {work} exceeds --max-size {work - 1}" in capsys.readouterr().out
+
+
+class _CountingAction(dict):
+    """An action that counts its lookups: the oracle makes one per membership test."""
+
+    lookups = 0
+
+    def __getitem__(self, x):
+        _CountingAction.lookups += 1
+        return super().__getitem__(x)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_cli_presheaf_guard_bounds_the_membership_tests_its_oracle_makes(n):
+    from doctrines.instances import FinPresheaf, subpresheaf_gfp
+
+    [d] = build_workspace(parse_text(_one_element_chain(n)), 0).presheaves["K"]
+    counted = FinPresheaf(d.name, d.base, d.at, {f: _CountingAction(act) for f, act in d.act.items()})
+    _CountingAction.lookups = 0
+    for parts in product([frozenset(), frozenset({"a"})], repeat=n):
+        subpresheaf_gfp(counted, parts)
+    assert 0 < _CountingAction.lookups <= _chain_oracle_tests(n)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # a world whose name holds the `:` that a family label puts after each world
+        "kripke-frame K { worlds: w:1 w2; rel: w:1->w2 }\npresheaf P { frame: K; at: w:1={a} w2={a}; act: w:1->w2=a>a }",
+        # an element whose name holds the `;` that a family label puts between worlds
+        "kripke-frame K { worlds: w1 w2; rel: w1->w2 }\npresheaf P { frame: K; at: w1={a;b} w2={a;b}; act: w1->w2=a;b>a;b }",
+    ],
+    ids=["world-w:1", "element-a;b"],
+)
+def test_cli_presheaf_oracle_reads_no_label_back(tmp_path, capsys, model):
+    assert _main(tmp_path, model, "check") == 0
+    assert "PASS presheaf-oracle K" in capsys.readouterr().out
 
 
 DISCRETE_4 = "{} {a} {b} {c} {d} {a,b} {a,c} {a,d} {b,c} {b,d} {c,d} {a,b,c} {a,b,d} {a,c,d} {b,c,d} {a,b,c,d}"

@@ -1,6 +1,7 @@
 import random
 import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -37,13 +38,12 @@ from doctrines.instances import (
     open_continuous_maps,
     powerset_doctrine,
     presheaf_instance,
-    presheaf_decode,
-    presheaf_family_label,
     presheaf_oracle_mismatches,
+    presheaf_violations,
     quantale_core,
     quantale_doctrine,
     quantale_violations,
-    subpresheaf_union_oracle,
+    subpresheaf_gfp,
     topological_doctrine,
 )
 from doctrines.instances import _function_fiber, _pointwise_fiber
@@ -77,6 +77,7 @@ from util import (
     graph_of,
     inverse_image_reference,
     kripke_box,
+    one_object_monoid_category,
     postcomposition_reference,
     powerset_doctrine_over,
     powerset_lattice,
@@ -87,6 +88,7 @@ from util import (
     residuation_failures_reference,
     subobject_doctrine_finset,
     subset_map_reference,
+    subpresheaf_union_reference,
 )
 
 
@@ -435,25 +437,20 @@ def test_presheaf_instance_laws_and_oracle():
     assert adjunction_violations(adj) == []
     assert interior_violations(op) == []
     for d in presheaves:
-        for lbl in families.fibers[d.name].elements:
-            parts = presheaf_decode(lbl, d)
-            direct = largest_subpresheaf(d, parts)
-            oracle = subpresheaf_union_oracle(d, parts)
-            assert direct == oracle
-            assert op.parts[d.name].apply(lbl) == presheaf_family_label(direct, d)
+        fiber, box = families.fibers[d.name], op.parts[d.name]
+        for i, parts in enumerate(fiber.values):
+            direct = tuple(largest_subpresheaf(d, dict(zip(d.base.objects, parts))).values())
+            assert direct == subpresheaf_gfp(d, parts) == subpresheaf_union_reference(d, parts)
+            assert fiber.values[box.images[i]] == direct
 
 
 def test_presheaf_box_example_on_constant_presheaf():
     presheaves = _two_chain_presheaves()
     adj, families, op = presheaf_instance(presheaves)
-    d1 = presheaves[0]
     # α = ({a},{a,b}) on the constant 2-element presheaf: already a subpresheaf
-    lbl = presheaf_family_label({"w1": frozenset({"a"}), "w2": frozenset({"a", "b"})}, d1)
-    assert op.parts["D1"].apply(lbl) == lbl
+    assert op.parts["D1"].apply("[w1:{a};w2:{a,b}]") == "[w1:{a};w2:{a,b}]"
     # α = ({a,b},{b}) prunes at w1 to the part that stays in α at w2
-    lbl2 = presheaf_family_label({"w1": frozenset({"a", "b"}), "w2": frozenset({"b"})}, d1)
-    want = presheaf_family_label({"w1": frozenset({"b"}), "w2": frozenset({"b"})}, d1)
-    assert op.parts["D1"].apply(lbl2) == want
+    assert op.parts["D1"].apply("[w1:{a,b};w2:{b}]") == "[w1:{b};w2:{b}]"
 
 
 def test_presheaf_oracle_mismatches_reports_planted_disagreement_in_fiber_order(monkeypatch):
@@ -461,15 +458,15 @@ def test_presheaf_oracle_mismatches_reports_planted_disagreement_in_fiber_order(
     _, families, op = presheaf_instance(presheaves)
     assert presheaf_oracle_mismatches(presheaves, op) == []
     # an oracle that is wrong exactly on the top family of each presheaf
-    real = instances.subpresheaf_union_oracle
-    tops = {d.name: families.fibers[d.name].elements[-1] for d in presheaves}
+    real = instances.subpresheaf_gfp
+    tops = {d.name: families.fibers[d.name].values[-1] for d in presheaves}
 
     def wrong_at_top(d, parts):
         got = real(d, parts)
-        return {w: frozenset() for w in got} if presheaf_family_label(parts, d) == tops[d.name] else got
+        return tuple(frozenset() for _ in got) if parts == tops[d.name] else got
 
-    monkeypatch.setattr(instances, "subpresheaf_union_oracle", wrong_at_top)
-    assert presheaf_oracle_mismatches(presheaves, op) == [(d.name, tops[d.name]) for d in presheaves]
+    monkeypatch.setattr(instances, "subpresheaf_gfp", wrong_at_top)
+    assert presheaf_oracle_mismatches(presheaves, op) == [(d.name, families.fibers[d.name].elements[-1]) for d in presheaves]
 
 
 def test_presheaf_stable_elements_are_subpresheaves():
@@ -478,13 +475,113 @@ def test_presheaf_stable_elements_are_subpresheaves():
     from doctrines.instances import is_subpresheaf
 
     for d in presheaves:
-        got = set(stable_elements(op, d.name))
-        want = {
-            lbl
-            for lbl in families.fibers[d.name].elements
-            if is_subpresheaf(d, presheaf_decode(lbl, d))
-        }
-        assert got == want
+        fiber = families.fibers[d.name]
+        want = {lbl for lbl, parts in zip(fiber.elements, fiber.values) if is_subpresheaf(d, dict(zip(d.base.objects, parts)))}
+        assert set(stable_elements(op, d.name)) == want
+
+
+def _assert_oracle_equals_reference(d):
+    for parts in product(*(subsets_in_order(d.at[w]) for w in d.base.objects)):
+        assert subpresheaf_gfp(d, parts) == subpresheaf_union_reference(d, parts), (d, parts)
+
+
+def _chain_presheaf(worlds, at, step, top_first=False):
+    """The presheaf on the chain `worlds` with carriers `at` acting along each
+    cover w_i ≤ w_i+1 by step[i], and along the longer arrows by composites;
+    its base declares the worlds in chain order, or with `top_first` in the
+    reverse order."""
+    act = {}
+    for i, w in enumerate(worlds):
+        along = {x: x for x in at[w]}
+        for j in range(i, len(worlds)):
+            act[f"{w}<={worlds[j]}"] = along
+            if j + 1 < len(worlds):
+                along = {x: step[j][y] for x, y in along.items()}
+    order = fin_poset(worlds[::-1] if top_first else worlds, list(zip(worlds, worlds[1:])))
+    return FinPresheaf("D", poset_category(order), at, act)
+
+
+@pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_presheaf_gfp_equals_the_subfamily_union_on_one_element_chains(n, top_first):
+    # declared top first, a removal at a world fails a generator the worklist has already passed
+    worlds = [f"w{i}" for i in range(n)]
+    d = _chain_presheaf(worlds, dict.fromkeys(worlds, ("a",)), [{"a": "a"}] * (n - 1), top_first)
+    _assert_oracle_equals_reference(d)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_presheaf_gfp_equals_the_subfamily_union_on_random_chains(seed):
+    # up to 4 worlds of 1-2 elements, at most 8 in all, with random maps along the covers
+    rng = random.Random(seed)
+    worlds = [f"w{i}" for i in range(rng.randint(2, 4))]
+    at = {w: ("x", "y")[: rng.randint(1, 2)] for w in worlds}
+    step = [{x: rng.choice(at[v]) for x in at[w]} for w, v in zip(worlds, worlds[1:])]
+    _assert_oracle_equals_reference(_chain_presheaf(worlds, at, step, top_first=seed % 2 == 1))
+    for d in random_chain_presheaves(rng):
+        _assert_oracle_equals_reference(d)
+
+
+def _two_element_presheaves(worlds, covers):
+    """Every presheaf with carrier {x, y} at each world of the poset on
+    `worlds`, in that order, that `covers` generates, whose action along each
+    arrow between two worlds is not the identity: each such assignment of
+    maps, kept when it is functorial."""
+    base = poset_category(fin_poset(worlds, covers))
+    carrier = ("x", "y")
+    moving = [dict(zip(carrier, image)) for image in product(carrier, repeat=2) if image != carrier]
+    between = [f for (f, w, v) in base.arrows if w != v]
+    out = []
+    for maps in product(moving, repeat=len(between)):
+        act = {base.id(w): {x: x for x in carrier} for w in base.objects} | dict(zip(between, maps))
+        d = FinPresheaf("D", base, dict.fromkeys(base.objects, carrier), act)
+        if presheaf_violations(d) == []:
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize(
+    "worlds, covers",
+    [
+        ("blrt", [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")]),
+        ("trlb", [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")]),
+        ("blr", [("b", "l"), ("b", "r")]),
+        ("rlb", [("b", "l"), ("b", "r")]),
+    ],
+    ids=["diamond", "diamond-top-first", "V", "V-top-first"],
+)
+def test_presheaf_gfp_equals_the_subfamily_union_off_chains(worlds, covers):
+    presheaves = _two_element_presheaves(list(worlds), covers)
+    assert presheaves
+    for d in presheaves:
+        _assert_oracle_equals_reference(d)
+
+
+def test_presheaf_gfp_equals_the_subfamily_union_on_a_monoid():
+    # {e, f, g = f∘f} with f∘g = g∘f = g, generated by f, which moves x to y
+    # and y to z: removing y from {x, y} fails x along the same generator,
+    # which the worklist must examine again
+    table = {("e", m): m for m in "efg"} | {(m, "e"): m for m in "efg"} | {(m, n): "g" for m in "fg" for n in "fg"}
+    base = one_object_monoid_category("*", ["e", "f", "g"], "e", table)
+    act = {"e": {"x": "x", "y": "y", "z": "z"}, "f": {"x": "y", "y": "z", "z": "z"}, "g": dict.fromkeys("xyz", "z")}
+    d = FinPresheaf("D", base, {"*": ("x", "y", "z")}, act)
+    assert presheaf_violations(d) == []
+    _assert_oracle_equals_reference(d)
+    assert subpresheaf_gfp(d, (frozenset({"x", "y"}),)) == (frozenset(),)
+
+
+def test_presheaf_gfp_equals_the_subfamily_union_on_the_benchmark_presheaves(monkeypatch):
+    from doctrines.cli import build_workspace, parse_text
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    models = {r.model for seed in range(workloads.SEED_SPACE) for r in workloads.requests_for("modal", seed)}
+    groups = [g for m in sorted(models) if "presheaf" in m for g in build_workspace(parse_text(m), 0).presheaves.values()]
+    assert groups
+    for group in groups:
+        for d in group:
+            _assert_oracle_equals_reference(d)
 
 
 def test_one_world_presheaf_instance_trivial():
@@ -579,7 +676,7 @@ def test_presheaf_fibers_equal_all_pairs_reference():
         decode = {}
         for combo in product(*[subsets_in_order(d.at[w]) for w in worlds]):
             parts = dict(zip(worlds, combo))
-            decode[presheaf_family_label(parts, d)] = parts
+            decode["[" + ";".join(f"{w}:{subset_label(parts[w], d.at[w])}" for w in worlds) + "]"] = parts
         want = _all_pairs_order(
             list(decode), lambda l1, l2: all(decode[l1][w] <= decode[l2][w] for w in worlds)
         )

@@ -37,12 +37,13 @@ def test_layer_sweep_measures_the_function_category_row():
 
 
 def test_layer_sweep_measures_the_change_only_rows_with_their_peak_rss():
-    assert _sweep_module().CHANGE_ONLY == {("--arrows", 3125), ("--quantale-points", 5)}
-    rows = _measure("--arrows", 3125) + _measure("--quantale-points", 5)
-    assert [(r["layer"], r.get("arrows"), r.get("points")) for r in rows] == [
-        ("full_function_category", 3125, None),
-        ("quantale_doctrine", None, 5),
-        ("em_doctrine(mc(bang))", None, 5),
+    assert _sweep_module().CHANGE_ONLY == {("--arrows", 3125), ("--quantale-points", 5), ("--presheaf-worlds", 16)}
+    rows = _measure("--arrows", 3125) + _measure("--quantale-points", 5) + _measure("--presheaf-worlds", 16)
+    assert [(r["layer"], r.get("arrows"), r.get("points"), r.get("worlds")) for r in rows] == [
+        ("full_function_category", 3125, None, None),
+        ("quantale_doctrine", None, 5, None),
+        ("em_doctrine(mc(bang))", None, 5, None),
+        ("presheaf check", None, None, 16),
     ]
     assert all(r["s"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
 
@@ -97,6 +98,36 @@ def test_layer_sweep_measures_the_chain_check_row_with_its_peak_rss():
     rows = _measure("--check-worlds", 4)
     assert [(r["layer"], r["worlds"]) for r in rows] == [("check", 4)]
     assert rows[0]["s"] > 0 and rows[0]["peak_rss_mb"] > 0
+
+
+def test_layer_sweep_measures_the_presheaf_chain_check_row_with_its_peak_rss():
+    assert _sweep_module().PRESHEAF_WORLDS == (8, 10, 12, 16)
+    rows = _measure("--presheaf-worlds", 8)
+    assert [(r["layer"], r["worlds"]) for r in rows] == [("presheaf check", 8)]
+    assert rows[0]["s"] > 0 and rows[0]["peak_rss_mb"] > 0
+
+
+def test_layer_sweep_runs_only_the_rows_it_is_asked_for(tmp_path, monkeypatch):
+    sweep = _sweep_module()
+    seen, real_run = [], subprocess.run
+
+    def run(argv, **kwargs):
+        if "measure" not in argv:  # `platform` asks the system, not a checkout
+            return real_run(argv, **kwargs)
+        seen.append((argv[-2], int(argv[-1]), Path(argv[argv.index("--src") + 1]).parent.name))
+        return subprocess.CompletedProcess(argv, 0, json.dumps([{"layer": "presheaf check", "worlds": int(argv[-1]), "s": 1.0}]), "")
+
+    monkeypatch.setattr(sweep.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "layers", "--parent", str(tmp_path / "parent"), "--change",
+                                      str(tmp_path / "change"), "--rows", "presheaf-worlds", "--out", str(out)])
+    sweep.main()
+    # 8, 10 and 12 worlds on both sides in turns, 16 on the change alone
+    assert {flag for flag, _, _ in seen} == {"--presheaf-worlds"}
+    assert [side for _, n, side in seen if n == 12] == ["parent", "change", "change", "parent"] * (sweep.ROUNDS // 2)
+    assert [side for _, n, side in seen if n == 16] == ["change"] * sweep.ROUNDS
+    rows = json.loads(out.read_text())["layers"]
+    assert [(r["worlds"], "parent_s" in r) for r in rows] == [(8, True), (10, True), (12, True), (16, False)]
 
 
 def test_layer_sweep_measures_each_suite_criterion_at_a_seed():

@@ -200,6 +200,19 @@ def random_chain_presheaves(rng):
     return group
 
 
+def subpresheaf_union_reference(d, parts):
+    """The union of every subfamily of the family `parts` (its parts in world
+    order) that is closed under the action along every arrow: 2^m candidates
+    for a family of m elements, 3^n over all the families of a presheaf of n
+    elements. The reference for `instances.subpresheaf_gfp`."""
+    at = {w: i for i, w in enumerate(d.base.objects)}
+    acc = [frozenset()] * len(parts)
+    for cand in product(*([frozenset(c) for r in range(len(p) + 1) for c in combinations(p, r)] for p in parts)):
+        if all(d.act[f][x] in cand[at[v]] for (f, w, v) in d.base.arrows for x in cand[at[w]]):
+            acc = list(map(frozenset.union, acc, cand))
+    return tuple(acc)
+
+
 def category_violations_reference(objects, arrows, identities, composition):
     """Every category law by the literal scan, associativity on every
     composable triple: the reference for `fincat.category_violations`."""

@@ -1,10 +1,11 @@
 """Layer sweeps of the order kernel, the Kripke doctrine, the quantale
 doctrine, the function category and the temporal oracle sweep, the whole
-`check` of a Kripke chain, and the import of the command line, written to a
-BENCH_*.json file, and a check that two checkouts write the same reports;
-standard library only.
+`check` of a Kripke chain and of a chain of one-element presheaves, and the
+import of the command line, written to a BENCH_*.json file, and a check
+that two checkouts write the same reports; standard library only.
 
     python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_17.json
+    python tools/layer_sweep.py layers --parent ../parent --change . --rows presheaf-worlds --out BENCH_38.json
     python tools/layer_sweep.py import --parent ../parent --change . --out BENCH_18.json
     python tools/layer_sweep.py end-to-end --parent ../parent --change . \\
         --workload modal --seeds 40 41 42 --out BENCH_17.json
@@ -49,7 +50,11 @@ before its bitmask rewrite took over a minute at 18 states, and the sweep
 before its planes 19 s at 20. A `check` row runs the
 command line's `check` on a Kripke chain of 12-18 worlds once per fresh
 interpreter, and records the best time and the least peak RSS of the
-interpreter over `ROUNDS` of them.
+interpreter over `ROUNDS` of them; a `presheaf check` row does the same on
+a chain of 8-16 worlds with a presheaf of one element at each, whose 2^n
+families the presheaf oracle checks one by one (16 worlds on the change
+checkout alone). `--rows` limits `layers` to the rows of the named size
+flags.
 
 `import` times `import doctrines.cli` in fresh `python -S` interpreters
 (no site hook imports anything first), each importing from one checkout's
@@ -121,11 +126,14 @@ ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 tim
 FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4), 3125: (5,)}
 QUANTALE_POINTS = range(2, 6)
 # (flag, size) of the rows measured on the change checkout alone
-CHANGE_ONLY = {("--arrows", 3125), ("--quantale-points", 5)}
+CHANGE_ONLY = {("--arrows", 3125), ("--quantale-points", 5), ("--presheaf-worlds", 16)}
 TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
 CHECK_WORLDS = range(12, 19)
+PRESHEAF_WORLDS = (8, 10, 12, 16)
+# the size flags of `measure` that `layers` sweeps, as `--rows` names them
+SIZE_FLAGS = ("worlds", "arrows", "quantale-points", "states", "check-worlds", "presheaf-worlds")
 SUITE_SEEDS = (7, 1, 2, 3)  # the seeds of the `gate` workload's `--json suite` requests
 # the criteria of `suite.run_acceptance` in its order, and those that take the seed
 CRITERIA = ("interior_suite", "am_modality", "factorization", "factorization2", "comonad_suite", "comparison",
@@ -284,15 +292,36 @@ def measure_temporal(n: int) -> list[dict]:
     ]
 
 
+def _chain(n: int) -> tuple[list[str], str]:
+    """The worlds of an n-world chain and the `rel` entry of its covers."""
+    worlds = [f"w{i}" for i in range(n)]
+    return worlds, f"rel: {' '.join(f'{a}->{b}' for a, b in zip(worlds, worlds[1:]))}"
+
+
 def measure_check(n: int) -> list[dict]:
     """The `check` row at n worlds: `doctrines --json check` on an n-world
     Kripke chain with one carrier, timed once in this interpreter, and the
     interpreter's peak RSS, import included."""
+    worlds, rel = _chain(n)
+    return _check_row("check", n, f"kripke-frame K {{ worlds: {' '.join(worlds)}; {rel}; closure: refl-trans; sets: D=x }}\n")
+
+
+def measure_presheaf_check(n: int) -> list[dict]:
+    """The `presheaf check` row at n worlds: as the `check` row, on an n-world
+    chain and a presheaf holding one element at each world, acting along
+    every arrow."""
+    worlds, rel = _chain(n)
+    model = (f"kripke-frame K {{ worlds: {' '.join(worlds)}; {rel} }}\n"
+             f"presheaf P {{ frame: K; at: {' '.join(f'{w}={{a}}' for w in worlds)}; "
+             f"act: {' '.join(f'{a}->{b}=a>a' for i, a in enumerate(worlds) for b in worlds[i + 1:])} }}\n")
+    return _check_row("presheaf check", n, model)
+
+
+def _check_row(layer: str, n: int, model: str) -> list[dict]:
+    """`doctrines --json check` on `model`, timed once in this interpreter,
+    and the interpreter's peak RSS, import included."""
     from doctrines.cli import main
 
-    worlds = [f"w{i}" for i in range(n)]
-    model = (f"kripke-frame K {{ worlds: {' '.join(worlds)}; "
-             f"rel: {' '.join(f'{a}->{b}' for a, b in zip(worlds, worlds[1:]))}; closure: refl-trans; sets: D=x }}\n")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chain.dct"
         path.write_text(model)
@@ -301,9 +330,9 @@ def measure_check(n: int) -> list[dict]:
             code = main(["--json", "--max-size", str(10**15), "check", str(path)])
         s = time.perf_counter() - t
     if code != 0:
-        raise SystemExit(f"check on the {n}-world chain exited {code}")
+        raise SystemExit(f"{layer} on the {n}-world chain exited {code}")
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
-    return [{"layer": "check", "worlds": n, "s": s, "peak_rss_mb": rss_mb}]
+    return [{"layer": layer, "worlds": n, "s": s, "peak_rss_mb": rss_mb}]
 
 
 def measure_suite(seed: int) -> list[dict]:
@@ -370,7 +399,7 @@ def measure_suite_counts(seed: int) -> list[dict]:
 
 
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
-         "checkout, measured in turns on one machine; a check, full_function_category or CHANGE_ONLY row "
+         "checkout, measured in turns on one machine; a check, presheaf check, full_function_category or CHANGE_ONLY row "
          "also has each side's least peak RSS in MB; a CHANGE_ONLY row has the change side alone. "
          "import: `import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and "
          "median seconds and the modules it loaded. cold_check: in the same interpreters, the import and a "
@@ -419,6 +448,9 @@ def layers(args) -> None:
     sizes = [("--worlds", n) for n in [*TWO_KEY_WORLDS, *ONE_KEY_WORLDS]] + [("--arrows", a) for a in FUNCTION_CARRIERS]
     sizes += [("--quantale-points", n) for n in QUANTALE_POINTS]
     sizes += [("--states", n) for n in TEMPORAL_STATES] + [("--check-worlds", n) for n in CHECK_WORLDS]
+    sizes += [("--presheaf-worlds", n) for n in PRESHEAF_WORLDS]
+    if args.rows:
+        sizes = [(flag, n) for flag, n in sizes if flag[2:] in args.rows]
     for flag, n in sizes:
         sides = [("parent", args.parent), ("change", args.change)]
         if (flag, n) in CHANGE_ONLY:
@@ -567,6 +599,7 @@ def main() -> None:
     lay.add_argument("--parent", type=Path, required=True)
     lay.add_argument("--change", type=Path, default=ROOT)
     lay.add_argument("--out", type=Path, required=True)
+    lay.add_argument("--rows", nargs="+", choices=SIZE_FLAGS, help="sweep only the rows of these size flags")
     one = sub.add_parser("measure")
     one.add_argument("--src", type=Path, required=True)
     size = one.add_mutually_exclusive_group(required=True)
@@ -575,6 +608,7 @@ def main() -> None:
     size.add_argument("--quantale-points", type=int)
     size.add_argument("--states", type=int)
     size.add_argument("--check-worlds", type=int)
+    size.add_argument("--presheaf-worlds", type=int)
     size.add_argument("--suite-seed", type=int)
     size.add_argument("--suite-counts", type=int)
     imp = sub.add_parser("import")
@@ -606,6 +640,8 @@ def main() -> None:
             print(json.dumps(measure_quantale(args.quantale_points)))
         elif args.check_worlds is not None:
             print(json.dumps(measure_check(args.check_worlds)))
+        elif args.presheaf_worlds is not None:
+            print(json.dumps(measure_presheaf_check(args.presheaf_worlds)))
         elif args.suite_seed is not None:
             print(json.dumps(measure_suite(args.suite_seed)))
         elif args.suite_counts is not None:
