@@ -343,39 +343,39 @@ class Workspace:
             self.verdict(name, [f"build failed: {e}"])
             return None
 
-    def refuse(self, name: str, count: int):
-        self.verdict(name, [f"refused: estimated work {count} exceeds --max-size {self.max_size}"])
+    def build(self, name: str, count: int, construct, *args):
+        """`construct(*args)` as `attempt` makes it, or None after refusing
+        `name` when `count`, its estimated work, exceeds --max-size."""
+        if count > self.max_size:
+            self.verdict(name, [f"refused: estimated work {count} exceeds --max-size {self.max_size}"])
+            return None
+        return self.attempt(name, construct, *args)
 
 
-def _pointwise_doctrine_work(sets, carrier: int, covers: int) -> int:
-    """Work of building and law-checking C^(−) over the full function
-    category on `sets`, for a poset C of `carrier` elements and `covers`
-    covering pairs. The fiber over Y has carrier^|Y| elements and
-    |Y|·covers·carrier^(|Y|−1) covers; the covers are scanned once per
-    reindexing map into Y, and each composable pair of arrows into Z compares
-    two maps on the fiber over Z."""
-    sizes = [len(v) for v in sets.values()]
-
-    def arrows_into(m: int) -> int:
-        return sum(m ** n for n in sizes)
-
-    return sum(
-        m * covers * carrier ** max(m - 1, 0) * arrows_into(m) + carrier ** m * sum(m ** n * arrows_into(n) for n in sizes)
-        for m in sizes
-    )
-
-
-def _hom_work(fiber: dict, homs: dict) -> int:
+def _hom_work(fiber: dict, hom: dict) -> int:
     """Work of building and law-checking a doctrine with `fiber[X]` elements
-    at each object X over the category whose arrows X → Y are `homs[X, Y]`:
-    each arrow X → Y's reindexing map on the fiber at Y, and per composable
-    pair X → Y → Z a composite lookup and a comparison of two maps on the
-    fiber at Z (the full contravariance scan, which runs when the check on
-    generators misses)."""
-    hom = {pair: len(arrows) for pair, arrows in homs.items()}
+    at each object X over a category with `hom[X, Y]` arrows X → Y. The
+    first term bounds the reindexing maps: along each arrow X → Y, one unit
+    per element of the fiber at Y for its image and its step of the meet
+    certificate, which proves a map out of a Boolean fiber monotone. The
+    second term bounds the literal contravariance scan, which runs when the
+    check on generators misses: per composable pair X → Y → Z, a composite
+    lookup and a comparison of two maps on the fiber at Z. A non-Boolean
+    fiber C^Y (a quantale's Q^Y) is checked on its covers instead,
+    |Y|·cov(C)/|C| of them per element for a C of cov(C) covers, so its
+    maps can cost that factor more than the first term counts (under |Y|
+    when C is a chain)."""
     return sum(hom[a, b] * fiber[b] for a in fiber for b in fiber) + sum(
         hom[a, b] * hom[b, c] * (1 + fiber[c]) for a in fiber for b in fiber for c in fiber
     )
+
+
+def _function_homs(sets, c: int) -> tuple[dict, dict]:
+    """The counts `_hom_work` reads for a doctrine of functions into a poset
+    of c elements over the full function category on `sets`: c^|X| elements
+    at X and |Y|^|X| arrows X → Y."""
+    n = {x: len(points) for x, points in sets.items()}
+    return {x: c**m for x, m in n.items()}, {(x, y): n[y] ** n[x] for x in n for y in n}
 
 
 def _build_poset(ws: Workspace, d: Declaration):
@@ -420,12 +420,8 @@ def _build_frame(ws: Workspace, d: Declaration):
     ws.verdict(f"kripke-frame {d.name}", frame_violations(frame))
     sets = _named_sets(d)
     if sets:
-        w = len(frame.worlds)  # pw(W) has 2^W elements and W·2^(W−1) covers
-        count = _pointwise_doctrine_work(sets, 2 ** w, w * 2 ** w // 2)
-        if count > ws.max_size:
-            ws.refuse(f"kripke-doctrine {d.name}", count)
-            return
-        built = ws.attempt(f"kripke-doctrine {d.name}", kripke_doctrine, frame, sets)
+        count = _hom_work(*_function_homs(sets, 2 ** len(frame.worlds)))
+        built = ws.build(f"kripke-doctrine {d.name}", count, kripke_doctrine, frame, sets)
         if built is None:
             return
         doc, op = built
@@ -464,11 +460,8 @@ def _build_quantale(ws: Workspace, d: Declaration):
     sets = _named_sets(d)
     if sets:
         # the bang laws build no fiber of a valid quantale (`bang_law_violations`)
-        count = _pointwise_doctrine_work(sets, len(elements), len(lat.carrier.hasse()))
-        if count > ws.max_size:
-            ws.refuse(f"quantale-doctrine {d.name}", count)
-            return
-        built = ws.attempt(f"quantale-doctrine {d.name}", quantale_doctrine, q, sets)
+        count = _hom_work(*_function_homs(sets, len(elements)))
+        built = ws.build(f"quantale-doctrine {d.name}", count, quantale_doctrine, q, sets)
         if built is None:
             return
         doc, adj, bang = built
@@ -551,12 +544,10 @@ def _build_coalgebra(ws: Workspace, d: Declaration):
         # n + edges plane operations; n³ also bounds the n² planes it keeps
         n, edges = len(states), sum(len(c.successors(s)) for s in c.states)
         count = (2**n + 63) // 64 * (n**3 + (n + 1) * (n + edges))
-        if count > ws.max_size:
-            ws.refuse(f"coalgebra-oracle {d.name}", count)
-            return
         lifts = ["stream"] if kind == "stream" else ["forall", "exists"]
-        mism = [f"{lift} at {sorted(alpha)}" for lift, alpha in oracle_mismatches(c, lifts)]
-        ws.verdict(f"coalgebra-oracle {d.name}", mism)
+        mism = ws.build(f"coalgebra-oracle {d.name}", count, oracle_mismatches, c, lifts)
+        if mism is not None:
+            ws.verdict(f"coalgebra-oracle {d.name}", [f"{lift} at {sorted(alpha)}" for lift, alpha in mism])
 
 
 def _resolve_fiber(ws: Workspace, name: str):
@@ -686,37 +677,35 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
     if ws.spaces:
         # two stages: the functions to test for openness and continuity, then
         # the law scans over the arrows that pass
+        homs = None
         count = sum(len(t.points) ** len(s.points) for s in ws.spaces for t in ws.spaces)
         if count <= ws.max_size:
             homs = open_continuous_homs(ws.spaces)
-            count = _hom_work({s.name: 2 ** len(s.points) for s in ws.spaces}, homs)
-        if count > ws.max_size:
-            ws.refuse("topological-doctrine", count)
-        else:
-            built = ws.attempt("topological-doctrine", topological_doctrine, ws.spaces, homs)
-            if built is not None:
-                tdoc, top = built
-                ws.doctrines["topological.doctrine"] = tdoc
-                ws.interiors["topological.interior"] = top
-                ws.verdict("topological-doctrine", doctrine_violations(tdoc))
-                ws.verdict("topological-interior", interior_violations(top))
+            hom = {pair: len(maps) for pair, maps in homs.items()}
+            count = _hom_work({s.name: 2 ** len(s.points) for s in ws.spaces}, hom)
+        built = ws.build("topological-doctrine", count, topological_doctrine, ws.spaces, homs)
+        if built is not None:
+            tdoc, top = built
+            ws.doctrines["topological.doctrine"] = tdoc
+            ws.interiors["topological.interior"] = top
+            ws.verdict("topological-doctrine", doctrine_violations(tdoc))
+            ws.verdict("topological-interior", interior_violations(top))
     for frame_name, group in ws.presheaves.items():
         # two stages, as for the spaces: the Π_w |e(w)|^|d(w)| families of functions d → e to test
         # for naturality, then the law scans on the 2^n families of a presheaf of n elements over
         # the natural transformations, plus the membership tests of its oracle on each family:
         # along each generating arrow u → w, |d(u)| tests on the first pass and again after each
         # removal at w, of which there are at most |d(w)|
+        homs = None
         count = sum(reduce(mul, (len(e.at[w]) ** len(d.at[w]) for w in d.base.objects), 1) for d in group for e in group)
         if count <= ws.max_size:
             homs = {(d.name, e.name): presheaf_nat_transformations(d, e) for d in group for e in group}
             families = {d.name: 2 ** sum(len(d.at[w]) for w in d.base.objects) for d in group}
             B = group[0].base
             tests = {d.name: sum(len(d.at[B.src(g)]) * (1 + len(d.at[B.dst(g)])) for g in B.generators) for d in group}
-            count = _hom_work(families, homs) + sum(families[p] * tests[p] for p in families)
-        if count > ws.max_size:
-            ws.refuse(f"presheaf-instance {frame_name}", count)
-            continue
-        built = ws.attempt(f"presheaf-instance {frame_name}", presheaf_instance, group, homs)
+            hom = {pair: len(phis) for pair, phis in homs.items()}
+            count = _hom_work(families, hom) + sum(families[p] * tests[p] for p in families)
+        built = ws.build(f"presheaf-instance {frame_name}", count, presheaf_instance, group, homs)
         if built is None:
             continue
         adj, families, op = built

@@ -623,6 +623,19 @@ def largest_subpresheaf(d: FinPresheaf, parts: Mapping[str, frozenset]) -> dict:
     return {w: frozenset(x for x in parts[w] if all(act[x] in parts[v] for act, v in out_of[w])) for w in out_of}
 
 
+@kept
+def _generator_steps(d: FinPresheaf) -> tuple[tuple, ...]:
+    """The steps of `subpresheaf_gfp` on d, read from `d.base.generators`
+    alone: per world position v, the (action, source position, v) of each
+    generator into the world at v."""
+    B, at = d.base, {w: i for i, w in enumerate(d.base.objects)}
+    into = [[] for _ in B.objects]
+    for g in B.generators:
+        w, v = at[B.src(g)], at[B.dst(g)]
+        into[v].append((d.act[g], w, v))
+    return tuple(map(tuple, into))
+
+
 def subpresheaf_gfp(d: FinPresheaf, parts: Sequence[frozenset]) -> tuple[frozenset, ...]:
     """Independent oracle: the largest subpresheaf inside the family `parts`
     (in world order), a greatest fixed point (Tarski, Pacific J. Math. 5(2),
@@ -635,11 +648,7 @@ def subpresheaf_gfp(d: FinPresheaf, parts: Sequence[frozenset]) -> tuple[frozens
     actions (d is a functor); and removal keeps every closed S ⊆ `parts`,
     as the image of an x in S stays in S. It shares neither algorithm nor
     arrows with `largest_subpresheaf`, one pass over every arrow."""
-    B, at = d.base, {w: i for i, w in enumerate(d.base.objects)}
-    into = [[] for _ in parts]
-    for g in B.generators:
-        w, v = at[B.src(g)], at[B.dst(g)]
-        into[v].append((d.act[g], w, v))
+    into = _generator_steps(d)
     family, todo = list(parts), [step for steps in into for step in steps]
     while todo:
         act, w, v = todo.pop()
@@ -681,10 +690,14 @@ def presheaf_instance(
     # of parts in world order
     worlds = list(presheaves[0].base.objects)
     fibers = {d.name: _pointwise_fiber(worlds, [powerset_poset(d.at[w]) for w in worlds]) for d in presheaves}
-    keep = {}
+    # each family's largest subpresheaf, by one pass over the arrows, held as
+    # the fiber's own value; that result is closed, act_g(act_f x) =
+    # act_{g∘f} x, so the subpresheaves are the families equal to their own
+    largest = {}
     for d in presheaves:
-        fiber = fibers[d.name]
-        keep[d.name] = [a for a, v in zip(fiber.elements, fiber.values) if is_subpresheaf(d, dict(zip(worlds, v)))]
+        at, values = fibers[d.name].by_value, fibers[d.name].values
+        largest[d.name] = {v: values[at[tuple(largest_subpresheaf(d, dict(zip(worlds, v))).values())]] for v in values}
+    keep = {n: [a for a, v in zip(fibers[n].elements, fibers[n].values) if largest[n][v] == v] for n in fibers}
     reindex = {}
     for (n, sn, dn) in arrows:
         rows, at, to = images[n], by_name[sn].at, by_name[dn].at
@@ -697,14 +710,7 @@ def presheaf_instance(
         )
     Qdoc = Doctrine(base, fibers, reindex)
     Pdoc, inclusion = sub_doctrine(Qdoc, keep, "reindexing along {t} leaves the subpresheaves at {a}")
-    rho = {
-        d.name: value_map(
-            fibers[d.name],
-            Pdoc.fibers[d.name],
-            lambda parts: tuple(largest_subpresheaf(d, dict(zip(worlds, parts))).values()),
-        )
-        for d in presheaves
-    }
+    rho = {n: value_map(fibers[n], Pdoc.fibers[n], largest[n].__getitem__) for n in fibers}
     adj = vertical_adjunction(Pdoc, Qdoc, inclusion.parts, rho)
     op = vertical_modality(adj)
     return adj, Qdoc, op

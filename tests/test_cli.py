@@ -351,18 +351,26 @@ def test_cli_size_guard_counts_work(tmp_path, capsys):
     states = [f"s{i}" for i in range(14)]
     step = " ".join(f"{s}=({t})" for s, t in zip(states, states[1:] + states[:1]))
     tree = f"coalgebra T {{ kind: tree; states: {' '.join(states)}; step: {step} }}"
-    # one carrier D=x: the fiber's W·2^(W−1) covers plus its 2^W elements,
-    # 278,528 at 15 worlds
+    # one carrier D=x: one reindexing map on a fiber of 2^W elements, and one
+    # composable pair comparing two maps on it, 2^(W+1) + 1 in all: 262,145
+    # at 17 worlds
     for text, refusal in (
-        (_chain_frame(15), "FAIL kripke-doctrine K\n  - refused: estimated work 278528 exceeds --max-size 200000"),
+        (_chain_frame(17), "FAIL kripke-doctrine K\n  - refused: estimated work 262145 exceeds --max-size 200000"),
         (tree, "FAIL coalgebra-oracle T\n  - refused: estimated work"),
     ):
         assert _main(tmp_path, text, "check") == 1
         assert refusal in capsys.readouterr().out
-    # 12 worlds: 28,672, admitted
-    for text in (MODEL, _chain_frame(12)):
+    # 16 worlds: 131,073, admitted
+    for text in (MODEL, _chain_frame(12), _chain_frame(16)):
         assert _main(tmp_path, text, "check") == 0
         assert "refused" not in capsys.readouterr().out
+    # at the exact boundary: 8,193 at 12 worlds is refused one below and admitted at it
+    work = 2**13 + 1
+    (tmp_path / "m.dct").write_text(_chain_frame(12))
+    assert main(["--max-size", str(work - 1), "check", str(tmp_path / "m.dct")]) == 1
+    assert f"FAIL kripke-doctrine K\n  - refused: estimated work {work} exceeds --max-size {work - 1}" in capsys.readouterr().out
+    assert main(["--max-size", str(work), "check", str(tmp_path / "m.dct")]) == 0
+    assert "refused" not in capsys.readouterr().out
 
 
 def _cycle_tree(n: int) -> str:
@@ -390,8 +398,10 @@ GOEDEL_5 = (
 
 
 def test_cli_quantale_size_guard_counts_the_build_and_no_fiber_of_the_bang_laws(tmp_path, capsys):
-    # the function doctrines over X: 3·4·5²·27 + 5³·27·27 = 99,225, under the
-    # default --max-size; the bang laws build no fiber of a valid quantale
+    # the function doctrine over X: 27 maps on 5³ elements, and 27² composable
+    # pairs each a lookup and a comparison on 5³ elements, 27·125 + 27²·126 =
+    # 95,229, under the default --max-size; the bang laws build no fiber of a
+    # valid quantale
     assert _main(tmp_path, GOEDEL_5, "check") == 0
     out = capsys.readouterr().out
     assert "PASS quantale-bang-laws G" in out and out.endswith("RESULT: PASS (4/4)\n")
@@ -587,16 +597,21 @@ def test_cli_topological_size_guard_bounds_the_law_scans(tmp_path, capsys):
     assert f"refused: estimated work {4 * 12 ** 12} exceeds" in capsys.readouterr().out
 
 
-def test_cli_topological_size_guard_admits_the_benchmark_spaces():
-    models = {r.model for r in workloads.requests_for("modal", 0) if r.model and "topspace" in r.model}
-    assert models
+def test_cli_size_guards_admit_every_benchmark_and_test_model():
+    # every guard at the default --max-size, on each model the benchmark
+    # generates at seeds 0-7 and on the CLI tests' MODEL and GOEDEL_5
+    models = {r.model for w in ("temporal", "modal", "gate") for seed in range(8) for r in workloads.requests_for(w, seed)}
+    models = sorted(m for m in models | {MODEL, GOEDEL_5} if m)
+    assert any("topspace" in m for m in models)
     for text in models:
         ws = build_workspace(parse_text(text), 200000)
-        assert [v["name"] for v in ws.verdicts if v["name"].startswith("topological")] == [
-            "topological-doctrine",
-            "topological-interior",
-        ]
-        assert all(v["pass"] for v in ws.verdicts)
+        assert [v["name"] for v in ws.verdicts if any(w.startswith("refused:") for w in v["witnesses"])] == []
+        if "topspace" in text:
+            assert [v["name"] for v in ws.verdicts if v["name"].startswith("topological")] == [
+                "topological-doctrine",
+                "topological-interior",
+            ]
+            assert all(v["pass"] for v in ws.verdicts)
 
 
 def test_cut_witnesses_are_counted(monkeypatch):

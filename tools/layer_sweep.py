@@ -42,9 +42,11 @@ seeded random stream of 10-20 states; `temporal.gfp_modality`, the one-α
 box of the `temporal` command, is timed on the same tree and stream over
 100 seeded subsets α, each boxed on its own under every lift of the kind.
 Each measurement runs in a fresh interpreter that imports the library from
-one checkout's `src`, and the two checkouts take turns at each size,
-`ROUNDS` times; a row is the best of each side's timings (`REPEATS` per
-interpreter), to 4 significant digits. A temporal row is the best of
+one checkout's `src`, compiled to bytecode beforehand (an interpreter that
+may not write bytecode would otherwise compile each edited module on every
+import, in the time and peak RSS of its row), and the two checkouts take
+turns at each size, `ROUNDS` times; a row is the best of each side's
+timings (`REPEATS` per interpreter), to 4 significant digits. A temporal row is the best of
 `TEMPORAL_ROUNDS` interpreters, each timing the sweep once, since the sweep
 before its bitmask rewrite took over a minute at 18 states, and the sweep
 before its planes 19 s at 20. A `check` row runs the
@@ -421,10 +423,17 @@ def _load(path: Path) -> dict:
     return out
 
 
+def _compile(sides: list) -> None:
+    """Byte-compile the library of each (side, checkout), so no measured interpreter compiles it."""
+    for _, checkout in sides:
+        compileall.compile_dir(checkout / "src" / "doctrines", quiet=1)
+
+
 def _measure_in_turns(rows: dict, sides: list, flag: str, n: int, rounds: int) -> None:
     """`measure flag n` in one fresh interpreter per side and round, the
     sides taking turns; each row it returns joins `rows`, keeping each
     side's best time and least peak RSS."""
+    _compile(sides)
     at_size = {}
     for k in range(rounds):
         for side, checkout in sides if k % 2 == 0 else sides[::-1]:
@@ -493,8 +502,7 @@ def suite_rows(args) -> None:
 def import_rows(args) -> None:
     out = _load(args.out)
     sides = [("parent", args.parent), ("change", args.change)]
-    for _, checkout in sides:
-        compileall.compile_dir(checkout / "src" / "doctrines", quiet=1)
+    _compile(sides)
     times = {layer: {"parent": [], "change": []} for layer in ("import", "cold check", *PARSE_ARGV)}
     modules = {}
     with tempfile.TemporaryDirectory() as tmp:
