@@ -278,7 +278,18 @@ def full_function_category(
     is None), named by `function_arrow_name`, with the position in sets[dst]
     of each image, in source order, as payload, and composed as functions.
     The accepted functions must contain the identities and be closed under
-    composition; `concrete_category` rejects them otherwise."""
+    composition; `concrete_category` rejects them otherwise.
+
+    The generator walk takes the arrows by decreasing image size, in
+    declaration order within a size. Any walk order proves closure, since
+    the walk composes every generator after every arrow it has reached (see
+    `concrete_category`); this one decides how few generators it keeps. The
+    full transformation monoid on n points is generated by its bijections
+    and one idempotent of rank n − 1 (Howie, *Fundamentals of Semigroup
+    Theory*, 1995), so on one carrier the walk keeps n + 1: the identity,
+    the n − 1 adjacent transpositions and one such idempotent, where the
+    declared order keeps every function no earlier one reaches (6 of 3,125
+    arrows at 5 points against 156)."""
     names = list(sets)
     arrows, images = [], {}
     for a, b in product(names, names):
@@ -288,7 +299,8 @@ def full_function_category(
                 n = function_arrow_name(a, b, mapping, sets[a])
                 arrows.append((n, a, b))
                 images[n] = image
-    return concrete_category(names, arrows, images, {a: tuple(range(len(sets[a]))) for a in names}, compose_images)
+    walk = sorted(arrows, key=lambda t: -len(set(images[t[0]])))
+    return concrete_category(names, arrows, images, {a: tuple(range(len(sets[a]))) for a in names}, compose_images, walk)
 
 
 def all_functions(src: Iterable[str], dst: Iterable[str]):
@@ -542,6 +554,12 @@ def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation)
     counit/coassociativity squares, arrows are base arrows commuting with the
     structure maps, composed as base arrows. Two coalgebras named alike raise.
 
+    The generator walk takes the arrows over the base's generators first,
+    in the base's generator order, then the rest as declared: over a
+    vertical comonad (K the identity) every base arrow carries one arrow
+    between the one coalgebra per object, so the walk keeps the base's
+    generators and asks only for composites the base walk has kept.
+
     ⟨K,μ,ν⟩ must be a comonad on the base, which is not checked here:
     `comonad.em_doctrine`, the one caller in the library, builds it only from
     a comonad that passed `comonad_violations`, whose "(i)" part is
@@ -563,6 +581,8 @@ def coalgebra_category(K: Functor, mu: NatTransformation, nu: NatTransformation)
                 n = coalgebra_arrow_name(o1, o2, f)
                 arrows.append((n, o1, o2))
                 arrow_base[n] = f
-    em = concrete_category(objs, arrows, arrow_base, {o: C.id(carrier[o]) for o in objs}, C.comp)
+    first = {g: i for i, g in enumerate(C.generators)}
+    walk = sorted(arrows, key=lambda t: first.get(arrow_base[t[0]], len(first)))
+    em = concrete_category(objs, arrows, arrow_base, {o: C.id(carrier[o]) for o in objs}, C.comp, walk)
     # U is a functor by construction: its arrow map reads off the payloads
     return CoalgebraData(em, Functor(em, C, carrier, arrow_base), structure, {c: o for o, c in structure.items()})

@@ -215,6 +215,9 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
         raise ValueError("duplicate family names")
 
     def keeps_parts(s, d, g):
+        """Whether g sends each member of the part of s at every world into
+        the part of d at that world. The identities keep parts, and so does
+        h∘g when g and h do, so the accepted functions form a category."""
         return all(g[e] in fams[d].parts[w] for w in worlds for e in fams[s].parts[w])
 
     base = full_function_category({f.name: f.carrier for f in families}, keeps_parts)
@@ -290,6 +293,10 @@ def interior_of(space: FiniteTopSpace, a: frozenset[str]) -> frozenset[str]:
 
 
 def _open_and_continuous(s: FiniteTopSpace, t: FiniteTopSpace, g: Mapping[str, str]) -> bool:
+    """Whether g: s → t is continuous (each open of t has an open preimage)
+    and open (each open of s has an open image). The identities are both,
+    and so is h∘g when g and h are, since (h∘g)⁻¹ = g⁻¹∘h⁻¹ and
+    (h∘g)[u] = h[g[u]], so the accepted functions form a category."""
     continuous = all(frozenset(p for p in s.points if g[p] in u) in s.opens for u in t.opens)
     return continuous and all(frozenset(g[p] for p in u) in t.opens for u in s.opens)
 

@@ -593,7 +593,10 @@ def _unions(masks: Sequence[int]) -> list[int]:
     return unions
 
 
+@kept
 def identity_map(p: FinPoset) -> MonotoneMap:
+    """The identity of p, one shared value per poset, so its monotone
+    verdict is scanned once per poset."""
     return MonotoneMap(p, p, tuple(_positions(len(p.elements))[: len(p.elements)]))
 
 

@@ -327,7 +327,10 @@ def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, fr
 
 def _is_homomorphism(c1: FCoalgebra, c2: FCoalgebra, h: Mapping[str, str]) -> bool:
     """Whether h commutes with the steps of two coalgebras of one kind:
-    h∘step₁ = step₂∘h, successors in order."""
+    h∘step₁ = step₂∘h, successors in order. The identities do, and so does
+    k∘h when h: c₁ → c₂ and k: c₂ → c₃ do, since (k∘h)∘step₁ = k∘step₂∘h =
+    step₃∘(k∘h) successor by successor, so the accepted functions form a
+    category."""
     if c1.kind == STREAM:
         return all(h[c1.step[s]] == c2.step[h[s]] for s in c1.states)
     return all(tuple(h[t] for t in c1.step[s]) == tuple(c2.step[h[s]]) for s in c1.states)

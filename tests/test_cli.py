@@ -1355,6 +1355,16 @@ def test_cli_call_imports_no_code_generator_or_typing(tmp_path):
 def test_cli_call_imports_no_random(tmp_path):
     # the seeded generators live in `suite`, which only the suite command imports
     assert _modules_a_check_loads(tmp_path, {"random"}) == "0 []"
+    # and the suite draws on `_random`, the C core of `random.Random`, so after
+    # the command line's own import it loads no module but those two
+    probe = (
+        f"import io, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; "
+        "before = set(sys.modules); sys.stdout = io.StringIO(); "
+        "rc = doctrines.cli.main(['--json', '--seed', '7', 'suite']); "
+        "sys.stderr.write(f'{rc} {sorted(set(sys.modules) - before)}')"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", probe], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert run.stderr == "0 ['_random', 'doctrines.suite']"
 
 
 def test_cli_call_imports_no_json_re_or_enum(tmp_path):

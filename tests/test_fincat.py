@@ -3,9 +3,9 @@ import re
 
 import pytest
 
-from doctrines.comonad import DoctrineComonad, comonad_violations, em_doctrine
+from doctrines.comonad import DoctrineComonad, comonad_violations, em_doctrine, mc
 from doctrines.doctrine import Doctrine
-from doctrines.instances import presheaf_instance
+from doctrines.instances import lukasiewicz3, presheaf_instance, quantale_doctrine
 from doctrines.fincat import (
     FinCategory,
     Functor,
@@ -19,6 +19,7 @@ from doctrines.fincat import (
     nat_violations,
     coalgebra_category,
     compose_functors,
+    compose_images,
     concrete_category,
     discrete_category,
     fin_functor,
@@ -438,7 +439,7 @@ def _bundled_categories():
 def test_generators_generate_every_arrow():
     rng = random.Random(77)
     cats = _bundled_categories() + [random_function_category(rng)[0] for _ in range(40)]
-    posets = 0
+    posets = functions = coalgebras = 0
     for c in cats:
         table = composition_table(c)
         walk = list(c.arrows)
@@ -449,9 +450,20 @@ def test_generators_generate_every_arrow():
             ids = set(c.identities.values())
             composites = {table[g, f] for g, f in table if g not in ids and f not in ids}
             walk.sort(key=lambda a: 0 if a[0] in ids else 1 if a[0] not in composites else 2)
+        elif c.compose is compose_images:
+            # a `full_function_category` walks by decreasing image size,
+            # declared order within a size
+            functions += 1
+            walk.sort(key=lambda a: -len(set(c.payload[a[0]])))
+        elif isinstance(getattr(c.compose, "__self__", None), FinCategory):
+            # a coalgebra category, composed as its base arrows, walks the
+            # arrows over the base's generators first, in their order
+            coalgebras += 1
+            first = {g: i for i, g in enumerate(c.compose.__self__.generators)}
+            walk.sort(key=lambda a: first.get(c.payload[a[0]], len(first)))
         assert c.generators == generating_arrows(walk, table.__getitem__)
         assert closure(c.arrows, table, c.generators) == set(c.arrow_names())
-    assert posets >= 2
+    assert posets >= 2 and functions >= 2 and coalgebras >= 2
 
 
 def test_a_poset_category_walks_identities_then_covers_and_keeps_its_declared_arrows():
@@ -483,15 +495,53 @@ class _CountingDict(dict):
 
 def test_associativity_is_certified_on_generators_without_the_literal_scan():
     c = full_function_category({x: [f"{x}{i}" for i in range(3)] for x in "ABC"})
-    table = _CountingDict(composition_table(c))
+    table = composition_table(c)
+    # Light's test walks the arrows as the table declares them, not in the
+    # category's own walk order, so G counts the generators that walk finds
+    G = len(generating_arrows(list(c.arrows), table.__getitem__))
+    table = _CountingDict(table)
     assert category_violations(c.objects, c.arrows, c.identities, table) == []
-    A, G, hom_in = len(c.arrows), len(c.generators), len(c.arrows) // len(c.objects)
+    A, hom_in = len(c.arrows), len(c.arrows) // len(c.objects)
     # boundaries, identity laws, the search for G (each reached arrow times
     # each generator), then 1 + 2·|in| per (generator, f) plus |in| per generator
     bound = A * hom_in + 2 * A + A * G + G * hom_in * (2 + 2 * hom_in)
     literal = 4 * A * hom_in**2
     assert A == 243 and G < 40
     assert table.lookups <= bound < literal // 5
+
+
+@pytest.mark.parametrize("points, declared, walked", [(4, (36, 9216), (5, 1280)), (5, (156, 487500), (6, 18750))])
+def test_a_function_category_walks_by_decreasing_image_size(points, declared, walked):
+    # the identity, the points − 1 adjacent transpositions and one idempotent
+    # of rank points − 1 generate every function of one carrier (Howie 1995);
+    # the declared order keeps every function no earlier one reaches
+    sets = {"X": [f"x{i}" for i in range(points)]}
+    c = full_function_category(sets)
+    assert (len(c.generators), len(c.composites)) == walked
+    assert [len(set(c.payload[g])) for g in c.generators] == [points] * points + [points - 1]
+    key = {n: c.payload[n] for n in c.arrow_names()}
+    declared_walk = concrete_category(["X"], c.arrows, key, {"X": tuple(range(points))}, compose_images, c.arrows)
+    assert (len(declared_walk.generators), len(declared_walk.composites)) == declared
+    # every function is a generator after a function already reached
+    reached, todo = set(c.generators), list(c.generators)
+    while todo:
+        x = todo.pop()
+        for y in {c.comp(g, x) for g in c.generators} - reached:
+            reached.add(y)
+            todo.append(y)
+    assert reached == set(c.arrow_names())
+
+
+def test_the_coalgebras_of_a_vertical_comonad_keep_the_base_generators():
+    # K is the identity, so each base arrow carries one arrow between the one
+    # coalgebra per object, and the walk over the base's generators first
+    # keeps them and asks the base for no composite its own walk did not keep
+    _, _, bang = quantale_doctrine(lukasiewicz3(), {"X": [f"x{i}" for i in range(4)]})
+    base = bang.doctrine.base
+    kept = dict(base.composites)
+    em = em_doctrine(mc(bang)).coalgebras.category
+    assert [em.payload[g] for g in em.generators] == list(base.generators) and len(base.generators) == 5
+    assert base.composites == kept and len(em.composites) == 1280
 
 
 def _tables(F):

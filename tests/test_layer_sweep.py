@@ -37,10 +37,14 @@ def test_layer_sweep_measures_the_function_category_row():
 
 
 def test_layer_sweep_measures_the_change_only_rows_with_their_peak_rss():
-    assert _sweep_module().CHANGE_ONLY == {("--arrows", 3125), ("--quantale-points", 5), ("--presheaf-worlds", 16)}
-    rows = _measure("--arrows", 3125) + _measure("--quantale-points", 5) + _measure("--presheaf-worlds", 16)
+    assert _sweep_module().CHANGE_ONLY == {
+        ("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16)
+    }
+    rows = [*_measure("--arrows", 3125), *_measure("--arrows", 46656), *_measure("--quantale-points", 5),
+            *_measure("--presheaf-worlds", 16)]
     assert [(r["layer"], r.get("arrows"), r.get("points"), r.get("worlds")) for r in rows] == [
         ("full_function_category", 3125, None, None),
+        ("full_function_category", 46656, None, None),
         ("quantale_doctrine", None, 5, None),
         ("em_doctrine(mc(bang))", None, 5, None),
         ("presheaf check", None, None, 16),
@@ -147,6 +151,10 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
     seen, real_run = [], subprocess.run
 
     def run(argv, **kwargs):
+        if sweep.SUITE_IMPORT_PROBE in argv:
+            side = Path(argv[-1]).parent.name
+            seen.append(("suite import", None, side))
+            return subprocess.CompletedProcess(argv, 0, "0.002 15\n" if side == "parent" else "0.001 2\n", "")
         if "measure" not in argv:  # `platform` asks the system, not a checkout
             return real_run(argv, **kwargs)
         side, seed = Path(argv[argv.index("--src") + 1]).parent.name, int(argv[-1])
@@ -166,8 +174,11 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
     timed = [(seed, side) for flag, seed, side in seen if flag == "--suite-seed"]
     assert [side for seed, side in timed if seed == 7] == ["parent", "change", "change", "parent"] * (sweep.ROUNDS // 2)
     assert [seed for seed, _ in timed[:: 2 * sweep.ROUNDS]] == [7, 1, 2, 3]
-    # then one counting interpreter per side and seed, after all the timings
-    assert seen[len(timed):] == [("--suite-counts", seed, side) for seed in (7, 1, 2, 3) for side in ("parent", "change")]
+    # then one counting interpreter per side and seed, after all the timings,
+    # and last the import of `suite`, the sides in turns
+    counted = len(timed) + 8
+    assert seen[len(timed):counted] == [("--suite-counts", seed, side) for seed in (7, 1, 2, 3) for side in ("parent", "change")]
+    assert seen[counted:] == [("suite import", None, side) for side in ("parent", "change")] * sweep.IMPORT_ROUNDS
     written = json.loads(out.read_text())
     assert written["suite"] == [
         {"layer": "suite", "criterion": 1, "seed": seed, "parent_s": 1.0, "change_s": 0.5} for seed in (7, 1, 2, 3)
@@ -179,6 +190,20 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
          "change_runs_by_build": {"a.b": 1, "a.c": 3}}
         for seed in (7, 1, 2, 3)
     ]
+    assert written["suite_import"] == [
+        {"layer": "suite import", "interpreters": sweep.IMPORT_ROUNDS, "parent_s": 0.002, "parent_median_s": 0.002,
+         "change_s": 0.001, "change_median_s": 0.001, "parent_modules": 15, "change_modules": 2}
+    ]
+
+
+def test_the_suite_import_loads_only_suite_and_the_c_mersenne_twister():
+    sweep = _sweep_module()
+    row = sweep._import_row("suite import", sweep._probe_in_turns([("parent", ROOT), ("change", ROOT)],
+                                                                  sweep.SUITE_IMPORT_PROBE))
+    assert row["interpreters"] == sweep.IMPORT_ROUNDS
+    for side in ("parent", "change"):
+        # `doctrines.suite` and `_random`
+        assert row[f"{side}_modules"] == 2 and 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
 
 
 def test_layer_sweep_counts_the_kept_builds_and_the_equal_values_of_a_suite_request():

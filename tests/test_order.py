@@ -6,6 +6,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doctrines.doctrine import identity_parts
 from doctrines.order import (
     FinPoset,
     MonotoneMap,
@@ -35,6 +36,7 @@ from util import (
     monotone_violations_reference,
     poset_height,
     post_fixed_join,
+    powerset_doctrine_over,
     powerset_lattice,
     powerset_poset_reference,
 )
@@ -95,6 +97,30 @@ def test_monotone_violations_identity_and_constant():
     p = chain_poset(["0", "1", "2"])
     assert monotone_violations(identity_map(p)) == []
     assert monotone_violations(constant_map(p, p, "0")) == []
+
+
+def test_one_identity_map_per_poset_whose_monotone_scan_runs_once():
+    p, q = chain_poset(["0", "1", "2"]), powerset_poset(["a", "b"])
+    assert identity_map(p) is identity_map(p) and identity_map(q) is not identity_map(p)
+    # an equal poset built again is another value, with its own identity
+    assert identity_map(chain_poset(["0", "1", "2"])) == identity_map(p)
+    d = powerset_doctrine_over({"A": ["a1"], "B": ["b1", "b2"]})
+    parts = identity_parts(d)
+    assert all(parts[x] is identity_map(d.fibers[x]) for x in d.base.objects)
+    scans, scan = [], monotone_violations.__wrapped__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is scan:
+            scans.append(frame.f_locals["m"].src)
+
+    sys.setprofile(profile)
+    try:
+        for _ in range(3):
+            for poset in (p, q, *d.fibers.values()):
+                assert monotone_violations(identity_map(poset)) == []
+    finally:
+        sys.setprofile(None)
+    assert Counter(map(id, scans)) == Counter(map(id, (p, q, *d.fibers.values())))
 
 
 def test_monotone_violations_swap_violation():

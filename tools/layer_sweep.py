@@ -32,7 +32,9 @@ points; its rows also have the interpreter's peak RSS.
 
 The CHANGE_ONLY rows run on the change checkout alone, since before
 composites were looked up on demand they took 18 s and 937 MB, and 40 s and
-2 GB: `full_function_category` at A = 3,125 (one carrier of 5 points), and
+2 GB: `full_function_category` at A = 3,125 (one carrier of 5 points) and at
+A = 46,656 (one carrier of 6 points, which ran out of memory before the
+function categories walked by decreasing image size), and
 on the same Q over one carrier X of 5 points, `quantale_doctrine`, then
 `em_doctrine(mc(bang))` of its bang, each timed once per interpreter, with
 the interpreter's peak RSS after both. `temporal.oracle_mismatches`,
@@ -82,7 +84,12 @@ side runs the criteria once under a profile hook, and a `suite_kept_builds`
 row records exact counts: the runs of the code of each build the change
 keeps with `order.kept`, by build and in all (a build the parent does not
 keep is counted by its own code), and how many lookups `order.kept`
-answered with the result kept on an equal value.
+answered with the result kept on an equal value. Last, the `suite import`
+row times `from doctrines import suite` after `import doctrines.cli`, as the
+`suite` command pays it, in fresh `python -S` interpreters from each
+checkout's `src`, the two sides taking turns one interpreter at a time,
+`IMPORT_ROUNDS` per side: each side's best and median time, and the number
+of modules it loaded.
 
 `end-to-end` copies the `src` and `bench` of both checkouts to a temporary
 directory, runs `bench/run.py` in the two copies in turn, alternating which
@@ -125,10 +132,10 @@ TWO_KEY_WORLDS = range(3, 7)
 REPEATS = 3  # timings per layer in one interpreter
 ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 timings
 # arrows A = Σ |Y|^|X| over ordered pairs of carriers -> the carrier sizes
-FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4), 3125: (5,)}
+FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4), 3125: (5,), 46656: (6,)}
 QUANTALE_POINTS = range(2, 6)
 # (flag, size) of the rows measured on the change checkout alone
-CHANGE_ONLY = {("--arrows", 3125), ("--quantale-points", 5), ("--presheaf-worlds", 16)}
+CHANGE_ONLY = {("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16)}
 TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
@@ -161,6 +168,12 @@ IMPORT_PROBE = (
     f"for argv in {list(PARSE_ARGV.values())!r}:\n"
     "    t = time.perf_counter(); doctrines.cli.parse_argv(argv); out.append(time.perf_counter() - t)\n"
     "print(*out)"
+)
+# run as `python -S -c SUITE_IMPORT_PROBE SRC`: the seconds `from doctrines
+# import suite` takes after `import doctrines.cli`, and the modules it adds
+SUITE_IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); import doctrines.cli; n = len(sys.modules); "
+    "t = time.perf_counter(); from doctrines import suite; print(time.perf_counter() - t, len(sys.modules) - n)"
 )
 METRICS = ("setup_s", "run_s", "latency_p50_s", "latency_tail_s", "peak_rss_mb", "ops_ok_frac")
 REPORT_WORKLOADS = ("temporal", "modal", "gate")
@@ -411,7 +424,9 @@ ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of t
          "seconds. suite: each acceptance criterion at each gate seed, a fresh interpreter per side and seed, each "
          "side's best seconds. suite_kept_builds: at each gate seed, one fresh interpreter per side running the "
          "criteria once: the runs of the code of the change's kept builds, in all and by build, and the lookups "
-         "order.kept answered with an equal value's result. end_to_end: every bench/run.py run of both, and their "
+         "order.kept answered with an equal value's result. suite_import: `from doctrines import suite` after "
+         "`import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and median "
+         "seconds and the modules it loaded. end_to_end: every bench/run.py run of both, and their "
          "medians.")
 
 
@@ -475,14 +490,14 @@ def layers(args) -> None:
 
 def suite_rows(args) -> None:
     out = _load(args.out)
-    rows = {}
+    rows, sides = {}, [("parent", args.parent), ("change", args.change)]
     for seed in SUITE_SEEDS:
-        _measure_in_turns(rows, [("parent", args.parent), ("change", args.change)], "--suite-seed", seed, ROUNDS)
+        _measure_in_turns(rows, sides, "--suite-seed", seed, ROUNDS)
     out["suite"] = sorted(rows.values(), key=lambda r: (r["criterion"], SUITE_SEEDS.index(r["seed"])))
     out["suite_kept_builds"] = []
     for seed in SUITE_SEEDS:
         counts = {}
-        for side, checkout in [("parent", args.parent), ("change", args.change)]:
+        for side, checkout in sides:
             child = subprocess.run(
                 [sys.executable, __file__, "measure", "--src", str(checkout / "src"), "--suite-counts", str(seed)],
                 capture_output=True, text=True, check=True,
@@ -496,37 +511,52 @@ def suite_rows(args) -> None:
             row[f"{side}_runs_by_build"] = by_build
         print(row, flush=True)
         out["suite_kept_builds"].append(row)
+    out["suite_import"] = [_import_row("suite import", _probe_in_turns(sides, SUITE_IMPORT_PROBE))]
+    print(out["suite_import"][0], flush=True)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+
+
+def _probe_in_turns(sides: list, probe: str, *args: str) -> dict:
+    """The stdout fields of `python -S -c probe SRC *args` in `IMPORT_ROUNDS`
+    fresh interpreters per side, each from its checkout's `src` compiled to
+    bytecode beforehand, the sides taking turns one interpreter at a time:
+    {side: [the fields of each run]}."""
+    _compile(sides)
+    runs = {side: [] for side, _ in sides}
+    for i in range(2 * IMPORT_ROUNDS):
+        side, checkout = sides[i % 2]
+        argv = [sys.executable, "-S", "-c", probe, str(checkout / "src"), *args]
+        runs[side].append(subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split())
+    return runs
+
+
+def _timed(row: dict, runs: dict, field: int) -> dict:
+    """`row` with its interpreter count and each side's best and median of the seconds in `field` of its runs."""
+    row["interpreters"] = IMPORT_ROUNDS
+    for side, fields in runs.items():
+        sample = [float(f[field]) for f in fields]
+        row.update({f"{side}_s": _sig(min(sample)), f"{side}_median_s": _sig(statistics.median(sample))})
+    return row
+
+
+def _import_row(layer: str, runs: dict) -> dict:
+    """The row of an import whose probe prints its seconds, then the modules it added."""
+    row = _timed({"layer": layer}, runs, 0)
+    row.update((f"{side}_modules", int(fields[-1][1])) for side, fields in runs.items())
+    return row
 
 
 def import_rows(args) -> None:
     out = _load(args.out)
-    sides = [("parent", args.parent), ("change", args.change)]
-    _compile(sides)
-    times = {layer: {"parent": [], "change": []} for layer in ("import", "cold check", *PARSE_ARGV)}
-    modules = {}
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.dct"
         model.write_text(GATE_MODEL)
-        for i in range(2 * IMPORT_ROUNDS):
-            side, checkout = sides[i % 2]
-            argv = [sys.executable, "-S", "-c", IMPORT_PROBE, str(checkout / "src"), str(model)]
-            s, modules[side], *rest = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
-            for layer, t in zip(times, [s, *rest]):
-                times[layer][side].append(float(t))
-
-    def timed(row: dict, layer: str) -> dict:
-        row["interpreters"] = IMPORT_ROUNDS
-        for side, sample in times[layer].items():
-            row.update({f"{side}_s": _sig(min(sample)), f"{side}_median_s": _sig(statistics.median(sample))})
-        return row
-
-    row = timed({"layer": "import doctrines.cli"}, "import")
-    row.update((f"{side}_modules", int(n)) for side, n in modules.items())
-    out["import"] = [row]
-    out["cold_check"] = [timed({"layer": "cold check", "argv": ["--json", "check", "FILE"]}, "cold check")]
+        runs = _probe_in_turns([("parent", args.parent), ("change", args.change)], IMPORT_PROBE, str(model))
+    out["import"] = [_import_row("import doctrines.cli", runs)]
+    out["cold_check"] = [_timed({"layer": "cold check", "argv": ["--json", "check", "FILE"]}, runs, 2)]
     out["parse"] = [
-        timed({"layer": "parse_argv", "read": read, "argv": argv}, read) for read, argv in PARSE_ARGV.items()
+        _timed({"layer": "parse_argv", "read": read, "argv": argv}, runs, 3 + k)
+        for k, (read, argv) in enumerate(PARSE_ARGV.items())
     ]
     for row in out["import"] + out["cold_check"] + out["parse"]:
         print(row, flush=True)
