@@ -13,24 +13,60 @@ from doctrines.suite import Rng, random_coalgebra, random_vertical_adjunction
 SEEDS = range(200)
 
 
-def _draws(rng) -> list:
-    """The calls of the suite's two generators, in their order and with
-    their arguments: `randint` of a count, a `sample` of up to 4 positions,
-    `randrange` of a state, and `random()` of an α bit."""
-    out = []
-    for _ in range(8):
-        k = rng.randint(1, 4)
-        out.append((k, rng.sample(range(k), rng.randint(0, k))))
-        n = rng.randint(1, 8)
-        out.append([rng.randrange(n) for _ in range(rng.randint(0, 3))])
-        out.append(rng.random() < 0.5)
-        out.append(rng.random())
-    return out
+def _recording(base, log: list):
+    """`base` with each draw the suite makes recorded in `log` as (name,
+    arguments, result), outermost calls only (`randint` may call
+    `randrange`)."""
+
+    class Recording(base):
+        depth = 0
+        # a subclass of random.Random that defines `random` would draw its
+        # ranges by `_randbelow_without_getrandbits` instead (`__init_subclass__`)
+        _randbelow = random.Random._randbelow_with_getrandbits
+
+        def _draw(self, name, *args):
+            self.depth += 1
+            try:
+                found = getattr(base, name)(self, *args)
+            finally:
+                self.depth -= 1
+            if not self.depth:
+                log.append((name, args, found))
+            return found
+
+        def randint(self, a, b):
+            return self._draw("randint", a, b)
+
+        def randrange(self, *args):  # random.Random's randint calls randrange(a, b + 1)
+            return self._draw("randrange", *args)
+
+        def sample(self, population, k):
+            return self._draw("sample", population, k)
+
+        def random(self):
+            return self._draw("random")
+
+    return Recording
 
 
-def test_rng_draws_what_random_random_draws():
+def test_rng_draws_what_random_random_draws_in_the_suites_own_calls(monkeypatch):
+    # the two seeded criteria, run on a recording Rng and then on a recording
+    # random.Random in its place: both see the same calls and draw the same.
+    # The scans the criteria run on their samples draw nothing, so they are
+    # stubbed to pass, which leaves each criterion's calls as they are.
+    for name, stub in (("adjunction_violations", lambda A: []), ("am_modality", lambda A: None),
+                       ("oracle_mismatches", lambda c, lifts: []), ("_gfp_chain", lambda c, lift, alpha: [alpha]),
+                       ("_oracle_mask", lambda c, lift, alpha: alpha)):
+        monkeypatch.setattr(suite, name, stub)
     for seed in SEEDS:
-        assert _draws(Rng(seed)) == _draws(random.Random(seed)), seed
+        logs = []
+        for base in (Rng, random.Random):
+            logs.append([])
+            monkeypatch.setattr(suite, "Rng", _recording(base, logs[-1]))
+            assert suite.criterion_am_modality(seed)[0] and suite.criterion_temporal(seed)[0]
+        assert logs[0] == logs[1], seed
+        assert {name for name, _, _ in logs[0]} == {"randint", "randrange", "sample", "random"}
+        assert max(len(args[0]) for name, args, _ in logs[0] if name == "sample") <= 4
 
 
 def test_the_seeded_generators_sample_equal_instances_under_both():
