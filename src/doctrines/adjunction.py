@@ -4,8 +4,6 @@ stable subdoctrine, triviality dichotomies, and adjunction morphisms."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .doctrine import (
     Doctrine,
     OneArrow,

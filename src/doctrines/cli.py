@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from functools import reduce
-from operator import mul
 
 from . import __version__
 from .adjunction import (
@@ -697,7 +695,13 @@ def build_workspace(doc: ModelDocument, max_size: int) -> Workspace:
         # along each generating arrow u → w, |d(u)| tests on the first pass and again after each
         # removal at w, of which there are at most |d(w)|
         homs = None
-        count = sum(reduce(mul, (len(e.at[w]) ** len(d.at[w]) for w in d.base.objects), 1) for d in group for e in group)
+        count = 0
+        for d in group:
+            for e in group:
+                candidates = 1  # not math.prod: `math` loads a shared library, which every command would pay
+                for w in d.base.objects:
+                    candidates *= len(e.at[w]) ** len(d.at[w])
+                count += candidates
         if count <= ws.max_size:
             homs = {(d.name, e.name): presheaf_nat_transformations(d, e) for d in group for e in group}
             families = {d.name: 2 ** sum(len(d.at[w]) for w in d.base.objects) for d in group}

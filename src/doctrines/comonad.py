@@ -4,8 +4,6 @@ comparisons, and the interior-operator round trip (vertical comonads)."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .adjunction import (
     AdjMorphism,
     DoctrineAdjunction,

@@ -6,7 +6,6 @@ A category is its arrows with their payloads and the payload operation
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from itertools import product
 
 from .order import Field, FinPoset, _certified, _require, derived, kept, value_class

@@ -4,13 +4,12 @@ the exponential ("bang") modality, finite presheaves with the
 largest-subpresheaf modality, and the conjunction/universal-quantifier
 connective modalities.
 
-Every construction is validated eagerly and ships with an independent oracle
-where the induced operator has a second characterization.
+Every construction is validated eagerly or proves what it leaves unchecked,
+with an independent oracle where the induced operator has a second definition.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from itertools import combinations, product
 
 from .adjunction import DoctrineAdjunction, vertical_adjunction, vertical_modality
@@ -411,48 +410,39 @@ class QuantaleCore:
     r: MonotoneMap  # Q → sub
 
 
+def _core_of(q: FiniteQuantale, elements: list[str]) -> QuantaleCore:
+    """The sub-poset of Q on `elements`, its inclusion ι and r(x) =
+    ⋁{y ∈ elements | y ≤ x}. r lands in `elements` when they hold ⊥ and
+    each binary join of two of them; the callers' sets do."""
+    order, join = q.lattice.carrier, q.lattice.join
+    sub = sub_poset(order, elements)
+    iota = MonotoneMap(sub, order, tuple(map(order.index, elements)))
+    r = []
+    for x in order.elements:
+        below = q.lattice.bottom
+        for y in elements:
+            if order.leq(y, x):
+                below = join[(below, y)]
+        r.append(sub.index(below))
+    return QuantaleCore(tuple(elements), sub, iota, MonotoneMap(order, sub, tuple(r)))
+
+
 def quantale_core(q: FiniteQuantale) -> QuantaleCore:
-    """The sub-quantale of elements below the unit and below their own square,
-    with the inclusion and its right adjoint; closure and the Galois property
-    are verified exhaustively."""
-    lat = q.lattice
-    els = lat.carrier.elements
-    core = [x for x in els if lat.carrier.leq(x, q.unit) and lat.carrier.leq(x, q.tensor[(x, x)])]
-    if q.unit not in core:
-        raise ValueError("unit escaped the core")
-    for a in core:
-        for b in core:
-            if q.tensor[(a, b)] not in core:
-                raise ValueError(f"core not closed under tensor at ({a},{b})")
-    # closed under every finite join iff it holds the empty join and each binary one
-    if lat.bottom not in core:
-        raise ValueError("core not closed under the join of []")
-    for a, b in combinations(core, 2):
-        if lat.join[(a, b)] not in core:
-            raise ValueError(f"core not closed under the join of {sorted((a, b))}")
-    sub = sub_poset(lat.carrier, core)
-    iota = MonotoneMap(sub, lat.carrier, tuple(map(lat.carrier.index, core)))
-    r_map = {}
-    for x in els:
-        below = [y for y in core if lat.carrier.leq(y, x)]
-        join = lat.bottom
-        for y in below:
-            join = lat.join[(join, y)]
-        if join not in core:
-            raise ValueError(f"coreflection escapes the core at {x}")
-        r_map[x] = join
-    r = MonotoneMap(lat.carrier, sub, tuple(sub.index(r_map[x]) for x in els))
-    for x in els:
-        if not lat.carrier.leq(r_map[x], x):
-            raise ValueError(f"iota∘r not deflationary at {x}")
-    for y in core:
-        if r_map[y] != y:
-            raise ValueError(f"r∘iota not identity at {y}")
-    for y in core:
-        for x in els:
-            if lat.carrier.leq(y, x) != lat.carrier.leq(y, r_map[x]):
-                raise ValueError(f"galois property fails at ({y},{x})")
-    return QuantaleCore(tuple(core), sub, iota, r)
+    """The core C = {x | x ≤ 1, x ≤ x⊗x} of Q, a sub-quantale, with its
+    inclusion ι and the right adjoint r(x) = ⋁{y ∈ C | y ≤ x}. Raises
+    ValueError, with `valid_quantale`'s wording, unless Q passes
+    `quantale_violations`; nothing else is checked, since that scan implies
+    the rest:
+    - ⊗ is monotone: a ≤ b gives x⊗b = x⊗(a∨b) = (x⊗a)∨(x⊗b) ≥ x⊗a;
+    - 1 ∈ C, as 1⊗1 = 1, and ⊥ ∈ C;
+    - a, b ∈ C gives a⊗b ≤ 1⊗1 = 1 and (a⊗b)⊗(a⊗b) = (a⊗a)⊗(b⊗b) ≥ a⊗b, so
+      a⊗b ∈ C; and a∨b ≤ 1 and (a∨b)⊗(a∨b) ≥ (a⊗a)∨(b⊗b) ≥ a∨b, so a∨b ∈ C;
+    - so C holds every finite join of its elements, and r(x) ∈ C; r(x) ≤ x,
+      so ι∘r ≤ id; r(y) = y for y ∈ C, so r∘ι = id; and for y ∈ C, y ≤ x
+      iff y ≤ r(x), the Galois property ι ⊣ r."""
+    _require(quantale_violations(q), f"invalid quantale {q.name}")
+    order = q.lattice.carrier
+    return _core_of(q, [x for x in order.elements if order.leq(x, q.unit) and order.leq(x, q.tensor[(x, x)])])
 
 
 def quantale_doctrine(
@@ -530,20 +520,10 @@ def bang_law_violations(
 
 
 def fake_core(q: FiniteQuantale) -> QuantaleCore:
-    """The sub-poset of elements below the unit without the idempotence filter;
-    not a valid core, used as the negative control for the bang laws."""
-    lat = q.lattice
-    els = [x for x in lat.carrier.elements if lat.carrier.leq(x, q.unit)]
-    sub = sub_poset(lat.carrier, els)
-    iota = MonotoneMap(sub, lat.carrier, tuple(map(lat.carrier.index, els)))
-    r = []
-    for x in lat.carrier.elements:
-        join = lat.bottom
-        for y in els:
-            if lat.carrier.leq(y, x):
-                join = lat.join[(join, y)]
-        r.append(sub.index(join))
-    return QuantaleCore(tuple(els), sub, iota, MonotoneMap(lat.carrier, sub, tuple(r)))
+    """The down-set of elements below the unit, which holds ⊥ and binary joins:
+    no idempotence filter, so not a valid core; the bang laws' negative control."""
+    order = q.lattice.carrier
+    return _core_of(q, [x for x in order.elements if order.leq(x, q.unit)])
 
 
 # ---------------------------------------------------------------------------
@@ -740,18 +720,11 @@ def presheaf_oracle_mismatches(presheaves: Sequence[FinPresheaf], op: InteriorOp
 
 
 def conjunction_adjunction(P: Doctrine) -> DoctrineAdjunction:
-    """Diagonal ⊣ meet between P and its square; every fiber must have binary
-    meets preserved by reindexing."""
-    meets = {}
-    for x in P.base.objects:
-        meets[x] = lattice_from_poset(P.fibers[x]).meet
-    for t in P.base.arrow_names():
-        x, y = P.base.src(t), P.base.dst(t)
-        m = P.reindex[t]
-        for a in P.fibers[y].elements:
-            for b in P.fibers[y].elements:
-                if m.apply(meets[y][(a, b)]) != meets[x][(m.apply(a), m.apply(b))]:
-                    raise ValueError(f"reindexing along {t} does not preserve meets at ({a},{b})")
+    """Diagonal ⊣ meet between P and its square, whose fibers must be lattices;
+    unchecked, like `vertical_adjunction`. ρ is natural iff reindexing keeps
+    binary meets, so where it does not, `adjunction_violations` reports
+    `(ii) right: naturality fails along t`."""
+    meets = {x: lattice_from_poset(P.fibers[x]).meet for x in P.base.objects}
     squared, diagonal = square_doctrine(P)
     rho = {}
     for x in P.base.objects:
@@ -772,7 +745,15 @@ def forall_instance(
     """Weakening ⊣ universal quantification over a finite powerset fragment:
     the fragment is closed with chosen products Y×X, the left adjoint is
     reindexing along the first projection, and the right adjoint is the
-    pointwise ∀ over the X component."""
+    pointwise ∀ over the X component.
+
+    The product data passed to `power_doctrine` is right by construction:
+    Y×X lists (e_i, x_j) at i·|X| + j, and each arrow of the function category
+    `P.base` is found in `P.base.named` by its source, target and image
+    positions, so it has the boundary of its key. The first projection sends
+    i·|X| + j to i and f×id_X to f(i)·|X| + j, so f×id_X followed by the first
+    projection is i·|X| + j ↦ f(i), the first projection followed by f, and
+    followed by the second, i·|X| + j ↦ j, it is the second projection."""
     def pair_elem(y, x):
         return f"{y}*{x}"
 
@@ -782,19 +763,16 @@ def forall_instance(
     P = powerset_doctrine(all_sets)
     names = list(y_sets)
     sub = full_function_category(y_sets)
-    # arrows are found by their image positions: (e_i, x_j) sits at i·|X| + j in Y×X
     arrow, n = P.base.named, len(x_elements)
-    products = {}
-    for y in names:
-        at = [(i, j) for i in range(len(y_sets[y])) for j in range(n)]
-        proj1 = arrow[prods[y], y, tuple(i for i, _ in at)]
-        proj2 = arrow[prods[y], x_name, tuple(j for _, j in at)]
-        products[y] = ProductData(prods[y], proj1, proj2)
+    products = {
+        y: ProductData(prods[y], arrow[prods[y], y, tuple(i for i in range(len(y_sets[y])) for _ in range(n))])
+        for y in names
+    }
     times = {
         f: arrow[prods[sub.src(f)], prods[sub.dst(f)], tuple(i * n + j for i in sub.payload[f] for j in range(n))]
         for f in sub.arrow_names()
     }
-    powered, weakening = power_doctrine(P, sub, x_name, products, times)
+    powered, weakening = power_doctrine(P, sub, products, times)
     restricted = restrict_doctrine(P, sub)
     rho = {
         y: value_map(

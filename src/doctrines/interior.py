@@ -3,8 +3,6 @@ the stable subdoctrine, and morphisms that respect the operators."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .doctrine import Doctrine, OneArrow, _reindex_fits, _table_digest, identity_parts, one_arrow_violations, sub_doctrine
 from .order import MonotoneMap, kept, monotone_violations, same_composite, value_class
 

@@ -7,8 +7,6 @@ reported by a literal scan over the data.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from functools import wraps
 from itertools import combinations
 from operator import attrgetter, eq
 
@@ -151,7 +149,6 @@ def kept(build):
     list comes back as a fresh copy."""
     key = f"{build.__module__}.{build.__qualname__}"
 
-    @wraps(build)
     def get(v):
         kept_on = getattr(v, "_kept", None)
         if kept_on is None or key not in kept_on:
@@ -161,6 +158,9 @@ def kept(build):
             found = kept_on[key]
         return found.copy() if type(found) is list else found
 
+    # what functools.wraps would set, without importing functools and collections
+    get.__module__, get.__name__, get.__qualname__ = build.__module__, build.__name__, build.__qualname__
+    get.__doc__, get.__wrapped__ = build.__doc__, build
     return get
 
 

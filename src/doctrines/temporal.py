@@ -21,8 +21,6 @@ reading of the step.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
 from .doctrine import Doctrine, inverse_image_doctrine
 from .fincat import full_function_category
 from .interior import InteriorOp

@@ -574,8 +574,7 @@ MONOTONE_MAP_BUILDERS = {
     "order.identity_map": "the positions of p itself",
     "order.compose_maps": "indexes g's images by f's, positions of g.src = f.dst",
     "order.restrict_map": "reads each image's position in dst off its label",
-    "instances.quantale_core": "positions read off the carrier and the core by `index`",
-    "instances.fake_core": "positions read off the carrier and the sub-poset by `index`",
+    "instances._core_of": "positions read off the carrier and the sub-poset by `index`",
     "instances._function_doctrine": (
         "α∘g has a codomain digit at each key of s, so its digit sum is a position of the fiber at s"
     ),
@@ -635,7 +634,8 @@ FUNCTOR_BUILDERS = {
     "fincat.compose_functors": "composes the tables of two functors whose boundaries it checks",
     "fincat.coalgebra_category": "U reads each coalgebra arrow's payload, which composes as in the base",
     "doctrine.restrict_doctrine": "the inclusion of a subcategory, its objects and arrows as themselves",
-    "doctrine.power_doctrine": "f ↦ f×id_X, checked above to commute with both chosen projections",
+    "doctrine.power_doctrine": "f ↦ f×id_X, which instances.forall_instance finds by its image positions, "
+    "so that it commutes with both projections",
     "comonad._into_coalgebras": "a base functor lifted along structure arrows its callers prove coalgebras: "
     "the free coalgebras (K on arrows, a coalgebra arrow by μ's naturality), the comparison arrow (L, landing in "
     "coalgebras by the adjunction's triangle laws) and the universal factor (X, into the coalgebras ξ that its "

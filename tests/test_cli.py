@@ -270,6 +270,29 @@ def test_cli_suite_json_deterministic_and_exit_codes():
     assert len(report["verdicts"]) == 11
 
 
+@pytest.mark.parametrize("error", [ValueError("planted"), KeyError("planted")], ids=["ValueError", "KeyError"])
+def test_a_criterion_that_raises_fails_and_the_others_report_as_before(monkeypatch, capsys, error):
+    from doctrines import suite
+
+    assert main(["--json", "suite"]) == 0
+    before = json.loads(capsys.readouterr().out)
+
+    def broken(A):
+        raise error
+
+    monkeypatch.setattr(suite, "factorize", broken)
+    assert main(["--json", "suite"]) == 1
+    after = json.loads(capsys.readouterr().out)
+    named = f"raised {type(error).__name__}: {error}"
+    name = "criterion 3: factorization through the base change"
+    assert after["verdicts"][2] == {"name": name, "pass": False, "witnesses": [named]}
+    assert after["outputs"]["criteria-details"]["criterion 3"] == [named]
+    # every other criterion reports as before
+    del before["verdicts"][2], after["verdicts"][2]
+    del before["outputs"]["criteria-details"]["criterion 3"], after["outputs"]["criteria-details"]["criterion 3"]
+    assert after == before
+
+
 def _main(tmp_path, text, *args):
     """Run the CLI in-process on `text`; any escaping exception fails the test."""
     f = tmp_path / "m.dct"
@@ -1325,12 +1348,12 @@ def test_a_monotone_map_that_keeps_no_meet_falls_back_to_the_cover_certificate(m
     assert asked == [("_meets_certified", False), ("monotone_violations", True)]
 
 
-def _modules_a_check_loads(tmp_path, names: set, argvs=(("--json", "check", "FILE"),)) -> str:
+def _modules_a_check_loads(tmp_path, names: set, argvs=(("--json", "check", "FILE"),), model=MODEL) -> str:
     """The exit status of each of `argvs` (by default `--json check`), run on
-    MODEL one after another in one fresh `python -S` interpreter, and which
+    `model` one after another in one fresh `python -S` interpreter, and which
     of `names` it has loaded by the end."""
     f = tmp_path / "m.dct"
-    f.write_text(MODEL)
+    f.write_text(model)
     argvs = [[str(f) if a == "FILE" else a for a in argv] for argv in argvs]
     probe = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; "
@@ -1352,11 +1375,22 @@ def test_cli_call_imports_no_code_generator_or_typing(tmp_path):
     assert _modules_a_check_loads(tmp_path, {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}) == "0 []"
 
 
+def test_cli_call_imports_no_functools_collections_or_math(tmp_path):
+    # the modules name `collections.abc` types in annotations alone, which
+    # `from __future__ import annotations` never evaluates, `order.kept`
+    # sets what `functools.wraps` would, and the presheaf guard multiplies
+    # in a loop: `math` is a shared library, loaded from disk
+    assert _modules_a_check_loads(tmp_path, {"functools", "collections", "collections.abc", "math"},
+                                  model=MODEL + "kripke-frame C { worlds: c0 c1; rel: c0->c1 }\n"
+                                  "presheaf D { frame: C; at: c0={a} c1={a}; act: c0->c1=a>a }\n") == "0 []"
+
+
 def test_cli_call_imports_no_random(tmp_path):
     # the seeded generators live in `suite`, which only the suite command imports
     assert _modules_a_check_loads(tmp_path, {"random"}) == "0 []"
     # and the suite draws on `_random`, the C core of `random.Random`, so after
-    # the command line's own import it loads no module but those two
+    # the command line's own import it loads those two and, for the suite's
+    # `lru_cache`, `functools` and the modules it imports
     probe = (
         f"import io, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; "
         "before = set(sys.modules); sys.stdout = io.StringIO(); "
@@ -1364,7 +1398,10 @@ def test_cli_call_imports_no_random(tmp_path):
         "sys.stderr.write(f'{rc} {sorted(set(sys.modules) - before)}')"
     )
     run = subprocess.run([sys.executable, "-S", "-c", probe], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    assert run.stderr == "0 ['_random', 'doctrines.suite']"
+    assert run.stderr == (
+        "0 ['_collections', '_collections_abc', '_functools', '_random', 'collections', 'doctrines.suite', "
+        "'functools', 'keyword', 'reprlib', 'types']"
+    )
 
 
 def test_cli_call_imports_no_json_re_or_enum(tmp_path):

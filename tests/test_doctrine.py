@@ -254,12 +254,9 @@ def test_power_doctrine_with_terminal_factor_is_identity():
     sets = {"Y": ["y", "z"], "One": ["*"]}
     d = powerset_doctrine_over(sets)
     # chosen product of anything with the terminal object is the object itself
-    products = {
-        obj: ProductData(obj, d.base.id(obj), function_arrow_name(obj, "One", {e: "*" for e in sets[obj]}, sets[obj]))
-        for obj in d.base.objects
-    }
+    products = {obj: ProductData(obj, d.base.id(obj)) for obj in d.base.objects}
     times = {f: f for f in d.base.arrow_names()}
-    powered, weakening = power_doctrine(d, d.base, "One", products, times)
+    powered, weakening = power_doctrine(d, d.base, products, times)
     assert doctrine_violations(powered) == []
     assert powered.fibers == d.fibers
     assert one_arrow_violations(weakening) == []
@@ -269,8 +266,7 @@ def test_power_doctrine_powerset_instance():
     base_sets, _ = _product_fragment()
     d = powerset_doctrine_over(base_sets)
     proj1 = function_arrow_name("YxX", "Y", {"y*0": "y", "y*1": "y"}, base_sets["YxX"])
-    proj2 = function_arrow_name("YxX", "X", {"y*0": "0", "y*1": "1"}, base_sets["YxX"])
-    products = {"Y": ProductData("YxX", proj1, proj2)}
+    products = {"Y": ProductData("YxX", proj1)}
     # restrict to the single object Y, where product data is total
     sub = fin_category(
         ["Y"],
@@ -279,7 +275,7 @@ def test_power_doctrine_powerset_instance():
         {(g, f): d.base.comp(g, f) for g in d.base.hom("Y", "Y") for f in d.base.hom("Y", "Y")},
     )
     times = {a: d.base.id("YxX") for a in sub.arrow_names()}
-    powered, weakening = power_doctrine(d, sub, "X", products, times)
+    powered, weakening = power_doctrine(d, sub, products, times)
     assert doctrine_violations(powered) == []
     assert len(powered.fibers["Y"].elements) == 4
     assert one_arrow_violations(weakening) == []

@@ -1,13 +1,19 @@
 import random
 import re
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
 from doctrines.adjunction import adjunction_violations, galois_violations, triviality_violations
-from doctrines.doctrine import doctrine_violations, one_arrow_violations
-from doctrines.fincat import all_functions, category_violations, full_function_category, poset_category
+from doctrines.doctrine import Doctrine, doctrine_violations, one_arrow_violations, power_doctrine
+from doctrines.fincat import (
+    all_functions,
+    category_violations,
+    full_function_category,
+    function_arrow_name,
+    poset_category,
+)
 from doctrines.interior import (
     interior_violations,
     modal_one_arrow_violations,
@@ -45,6 +51,7 @@ from doctrines.instances import (
     quantale_violations,
     subpresheaf_gfp,
     topological_doctrine,
+    valid_quantale,
 )
 from doctrines.instances import _function_fiber, _pointwise_fiber
 from doctrines.order import (
@@ -72,6 +79,7 @@ from util import (
     composition_table,
     constant_family_arrow,
     covers_by_definition,
+    fin_category,
     forgetful_top_arrow,
     function_category_reference,
     graph_of,
@@ -84,8 +92,12 @@ from util import (
     powerset_monoid_quantale,
     precomposition_reference,
     presheaf_base_reference,
+    product_data_violations_reference,
+    quantale_core_reference,
+    quantale_core_violations_reference,
     random_chain_presheaves,
     residuation_failures_reference,
+    small_commutative_tables,
     subobject_doctrine_finset,
     subset_map_reference,
     subpresheaf_union_reference,
@@ -249,11 +261,13 @@ def test_quantale_cores():
 
 
 @pytest.mark.parametrize("ground", ["abc", "abcd"])
-def test_quantale_core_join_check_is_exact_at_any_size(ground):
+def test_quantale_core_refuses_a_table_that_is_not_a_quantale(ground):
     # pw(ground) with x⊗y = x∩y, except that an intersection of exactly two
-    # points counts as empty: the core is the subsets of size other than 2,
-    # closed under ⊗ but not under binary joins. Above 8 core elements
-    # (ground "abcd" has 10) the join check used to be skipped.
+    # points counts as empty: the filter x ≤ 1, x ≤ x⊗x keeps the subsets of
+    # size other than 2, closed under ⊗ but not under binary joins. The table
+    # is not associative, so it is no quantale: on a quantale the core holds
+    # every binary join (the proof in `quantale_core`, run literally over
+    # small quantales in test_every_small_quantale_passes_the_core_references)
     lat = powerset_lattice(ground)
 
     def tensor(x, y):
@@ -262,7 +276,8 @@ def test_quantale_core_join_check_is_exact_at_any_size(ground):
 
     els = lat.carrier.elements
     q = FiniteQuantale("pairs-vanish", lat, {(x, y): tensor(x, y) for x in els for y in els}, subset_label(ground, ground))
-    with pytest.raises(ValueError, match=r"core not closed under the join of \['\{a\}', '\{b\}'\]"):
+    first = re.escape("invalid quantale pairs-vanish: associativity fails at ({a},{a,b},{a,b}); ")
+    with pytest.raises(ValueError, match="^" + first):
         quantale_core(q)
 
 
@@ -628,6 +643,96 @@ def test_forall_instance_singleton_x_is_identity():
     for lbl in op.doctrine.fibers["Y"].elements:
         got = op.parts["Y"].apply(lbl)
         assert label_subset(got) == {f"{e}*0" for e in ("y", "z") if f"{e}*0" in label_subset(lbl)}
+
+
+def test_conjunction_verdict_names_reindexing_that_does_not_preserve_meets():
+    # x → y with P(y) = pw{a,b} and reindexing along t: S ↦ (S nonempty) into
+    # the 2-chain, monotone but not meet-preserving: {a} ∧ {b} = {} ↦ 0,
+    # while 1 ∧ 1 = 1. The meet ρ is then not natural along t.
+    base = fin_category(
+        ["x", "y"],
+        [("id_x", "x", "x"), ("id_y", "y", "y"), ("t", "x", "y")],
+        {"x": "id_x", "y": "id_y"},
+        {("id_x", "id_x"): "id_x", ("id_y", "id_y"): "id_y", ("t", "id_x"): "t", ("id_y", "t"): "t"},
+    )
+    fy, fx = powerset_poset(["a", "b"]), chain_poset(["0", "1"])
+    nonempty = graph_map(fy, fx, {s: "1" if label_subset(s) else "0" for s in fy.elements})
+    planted = Doctrine(base, {"x": fx, "y": fy}, {"id_x": identity_map(fx), "id_y": identity_map(fy), "t": nonempty})
+    assert doctrine_violations(planted) == []
+    assert adjunction_violations(conjunction_adjunction(planted)) == ["(ii) right: naturality fails along t"]
+
+
+def _lukasiewicz4():
+    """The 4-chain Łukasiewicz quantale of `tools/layer_sweep.py`'s quantale rows."""
+    ranks = ["0", "a", "b", "1"]
+    tensor = {(x, y): ranks[max(0, i + j - 3)] for i, x in enumerate(ranks) for j, y in enumerate(ranks)}
+    return valid_quantale("luk4", lattice_from_poset(chain_poset(ranks)), tensor, "1")
+
+
+def test_every_small_quantale_passes_the_core_references():
+    # `quantale_core` checks nothing but `quantale_violations`; its docstring
+    # proves the rest, run here literally on every commutative quantale on a
+    # lattice of at most 4 elements, in size order, and on the named ones
+    tables = small_commutative_tables()
+    quantales = [q for q in tables if not quantale_violations(q)]
+    assert (len(tables), len(quantales)) == (392, 25)
+    quantales = [bool_quantale(), lukasiewicz3(), _lukasiewicz4(), *quantales]
+    quantales.sort(key=lambda q: len(q.lattice.carrier.elements))
+    failures = []
+    for q in quantales:
+        try:
+            core = quantale_core(q)
+        except (KeyError, ValueError) as e:
+            failures.append((q.name, [f"raised {type(e).__name__}: {e}"]))
+            continue
+        bad = [] if core.elements == quantale_core_reference(q) else ["core is not {x | x ≤ 1, x ≤ x⊗x}"]
+        bad += quantale_core_violations_reference(q, core)
+        if bad:
+            failures.append((q.name, bad[:3]))
+    assert failures == []
+
+
+def _forall_corpus():
+    """Y-sets of 1-2 objects of 1-3 points each and X of 1-3 points, by
+    object count, then points, whose products Y×X hold at most 4 points: a
+    6-point carrier alone gives the base 6⁶ functions."""
+    for k in (1, 2):
+        for sizes in combinations_with_replacement(range(1, 4), k):
+            for n in range(1, 4):
+                if max(sizes) * n <= 4:
+                    y_sets = {f"Y{i}": [f"y{j}" for j in range(m)] for i, m in enumerate(sizes)}
+                    yield y_sets, [f"x{j}" for j in range(n)]
+
+
+def test_forall_instance_passes_power_doctrine_the_product_data_it_proves(monkeypatch):
+    # `power_doctrine` checks nothing; `forall_instance`'s docstring proves
+    # the data it passes, which the checks power_doctrine once made (and the
+    # projections read off labels (e, x) ↦ e and (e, x) ↦ x) run on here
+    passed = []
+
+    def recording(P, sub, products, times):
+        passed.append((P, sub, products, times))
+        return power_doctrine(P, sub, products, times)
+
+    monkeypatch.setattr(instances, "power_doctrine", recording)
+    failures = []
+    for y_sets, xs in _forall_corpus():
+        try:
+            verdict = adjunction_violations(forall_instance(y_sets, "X", xs)[0])
+        except (KeyError, ValueError) as e:
+            verdict = [f"raised {type(e).__name__}: {e}"]
+        ((P, sub, products, times),) = passed
+        passed.clear()
+        proj1, proj2 = {}, {}
+        for y, els in y_sets.items():
+            pairs = [f"{e}*{x}" for e in els for x in xs]
+            proj1[y] = function_arrow_name(f"{y}xX", y, {f"{e}*{x}": e for e in els for x in xs}, pairs)
+            proj2[y] = function_arrow_name(f"{y}xX", "X", {f"{e}*{x}": x for e in els for x in xs}, pairs)
+        bad = [f"first projection for {y} is not (e, x) ↦ e" for y in y_sets if products[y].proj1 != proj1[y]]
+        bad += product_data_violations_reference(P, sub, "X", products, proj2, times) + verdict
+        if bad:
+            failures.append(({y: len(els) for y, els in y_sets.items()}, len(xs), bad[:3]))
+    assert failures == []
 
 
 def test_bang_laws_on_powerset_monoid_quantale():

@@ -29,6 +29,7 @@ from doctrines.instances import (
     FinPresheaf,
     FiniteTopSpace,
     IndexedFamily,
+    FiniteQuantale,
     KripkeFrame,
     fam_doctrine,
     family_element_label,
@@ -44,8 +45,10 @@ from doctrines.order import (
     FinPoset,
     MonotoneMap,
     chain_poset,
+    fin_poset,
     graph_map,
     label_subset,
+    lattice_from_poset,
     poset_from_pairs,
     powerset_poset,
     subset_label,
@@ -823,6 +826,138 @@ def powerset_monoid_quantale(elements, op, unit):
             prod_set = {op[(a, b)] for a in s1 for b in s2}
             tensor[(l1, l2)] = subset_label(prod_set, elements)
     return valid_quantale("pw-monoid", lat, tensor, subset_label({unit}, elements))
+
+
+def small_lattices():
+    """Every lattice of at most 4 elements up to isomorphism, by name: the
+    chains of 1-4 elements and the square 2×2."""
+    chains = {f"chain{n}": ["0", "a", "b"][: n - 1] + ["1"] if n > 1 else ["0"] for n in range(1, 5)}
+    out = {name: lattice_from_poset(chain_poset(labels)) for name, labels in chains.items()}
+    square = fin_poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    out["square"] = lattice_from_poset(square)
+    return out
+
+
+def small_commutative_tables():
+    """Every commutative tensor table on a lattice of `small_lattices`, with
+    every unit, whose unit row is the identity and whose ⊥ row is ⊥, as
+    FiniteQuantale values named lattice/unit/index: any other table fails
+    the unit law or distributivity over the empty join. So a unit ⊥ occurs
+    on the 1-element lattice alone, where both rows agree."""
+    out = []
+    for name, lat in small_lattices().items():
+        els, bottom = lat.carrier.elements, lat.bottom
+        for unit in els:
+            if unit == bottom and len(els) > 1:
+                continue
+            free = [x for x in els if x not in (unit, bottom)]
+            pairs = [(a, b) for i, a in enumerate(free) for b in free[i:]]
+            for k, values in enumerate(product(els, repeat=len(pairs))):
+                tensor = {}
+                for x in els:
+                    tensor[(unit, x)] = tensor[(x, unit)] = x
+                    tensor[(bottom, x)] = tensor[(x, bottom)] = bottom
+                for (a, b), v in zip(pairs, values):
+                    tensor[(a, b)] = tensor[(b, a)] = v
+                out.append(FiniteQuantale(f"{name}/{unit}/{k}", lat, tensor, unit))
+    return out
+
+
+def quantale_core_reference(q) -> tuple[str, ...]:
+    """The core {x | x ≤ 1, x ≤ x⊗x} of Q by the literal filter over the
+    carrier's relation, in carrier order."""
+    rel = q.lattice.carrier.relation
+    return tuple(x for x in q.lattice.carrier.elements if (x, q.unit) in rel and (x, q.tensor[(x, x)]) in rel)
+
+
+def quantale_core_violations_reference(q, core) -> list[str]:
+    """The checks `instances.quantale_core` made of a core until its
+    docstring proved them, as written, each a witness in place of a raise:
+    the core holds 1, ⊥ and the ⊗ and binary join of any two members; the
+    join r_x of the members below x is a member, below x, equal to x on a
+    member, and has the Galois property. Added to those: ⊗ is monotone (the
+    proof's first step), ι is the inclusion and `core.r` sends each x to
+    r_x. Empty on every quantale that passes `quantale_violations`."""
+    lat, rel, t = q.lattice, q.lattice.carrier.relation, q.tensor
+    els, core_els = lat.carrier.elements, list(core.elements)
+    out = [
+        f"tensor not monotone at ({x},{a},{b})"
+        for x in els
+        for a in els
+        for b in els
+        if (a, b) in rel and (t[(x, a)], t[(x, b)]) not in rel
+    ]
+    if graph_of(core.iota) != {y: y for y in core_els}:
+        out.append("iota is not the inclusion")
+    if q.unit not in core_els:
+        out.append("unit escaped the core")
+    for a in core_els:
+        for b in core_els:
+            if t[(a, b)] not in core_els:
+                out.append(f"core not closed under tensor at ({a},{b})")
+    if lat.bottom not in core_els:
+        out.append("core not closed under the join of []")
+    for a, b in combinations(core_els, 2):
+        if lat.join[(a, b)] not in core_els:
+            out.append(f"core not closed under the join of {sorted((a, b))}")
+    r_map = {}
+    for x in els:
+        join = lat.bottom
+        for y in core_els:
+            if (y, x) in rel:
+                join = lat.join[(join, y)]
+        if join not in core_els:
+            out.append(f"coreflection escapes the core at {x}")
+        r_map[x] = join
+    if graph_of(core.r) != r_map:
+        out.append("r is not the join of the core below each element")
+    for x in els:
+        if (r_map[x], x) not in rel:
+            out.append(f"iota∘r not deflationary at {x}")
+    for y in core_els:
+        if r_map[y] != y:
+            out.append(f"r∘iota not identity at {y}")
+    for y in core_els:
+        for x in els:
+            if ((y, x) in rel) != ((y, r_map[x]) in rel):
+                out.append(f"galois property fails at ({y},{x})")
+    return out
+
+
+def product_data_violations_reference(P, sub, x_obj, products, proj2, times) -> list[str]:
+    """The checks `doctrine.power_doctrine` made of its product data until
+    its caller's construction proved them, as written, each a witness in
+    place of a raise, with the second projections `proj2[Y]`: Y×X → X given
+    apart, since `ProductData` no longer holds them. Each object of `sub`
+    has a product whose projections have the right boundaries, and each
+    arrow f of `sub` an f×id_X between the products that commutes with both
+    projections."""
+    out = []
+    for y in sub.objects:
+        if y not in products:
+            out.append(f"product data missing for ({y},{x_obj})")
+            continue
+        pd = products[y]
+        if P.base.src(pd.proj1) != pd.prod_obj or P.base.dst(pd.proj1) != y:
+            out.append(f"first projection for {y} has wrong boundary")
+        if P.base.src(proj2[y]) != pd.prod_obj or P.base.dst(proj2[y]) != x_obj:
+            out.append(f"second projection for {y} has wrong boundary")
+    if out:
+        return out
+    for f in sub.arrow_names():
+        if f not in times:
+            out.append(f"product data missing arrow {f}×id")
+            continue
+        y, z = sub.src(f), sub.dst(f)
+        fx = times[f]
+        if P.base.src(fx) != products[y].prod_obj or P.base.dst(fx) != products[z].prod_obj:
+            out.append(f"{f}×id has wrong boundary")
+            continue
+        if P.base.comp(products[z].proj1, fx) != P.base.comp(f, products[y].proj1):
+            out.append(f"{f}×id does not commute with first projections")
+        if P.base.comp(proj2[z], fx) != proj2[y]:
+            out.append(f"{f}×id does not commute with second projections")
+    return out
 
 
 def subobject_doctrine_finset(sets):
