@@ -270,14 +270,16 @@ def compose_images(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
 
 def full_function_category(
     sets: Mapping[str, Sequence[str]],
-    admits: Callable[[str, str, Mapping[str, str]], bool] | None = None,
+    homs: Mapping[tuple[str, str], Sequence[tuple[int, ...]]] | None = None,
 ) -> FinCategory:
-    """The category on the named finite carriers whose arrows are the
-    functions `admits(src, dst, graph)` accepts (every function when `admits`
-    is None), named by `function_arrow_name`, with the position in sets[dst]
-    of each image, in source order, as payload, and composed as functions.
-    The accepted functions must contain the identities and be closed under
-    composition; `concrete_category` rejects them otherwise.
+    """The category on the named finite carriers whose arrows src → dst are
+    the functions homs[src, dst] lists, each as the position in sets[dst] of
+    the image of each element of sets[src], in `itertools.product` order
+    (every function when `homs` is None; none for a pair it omits), named by
+    `function_arrow_name`, with those positions as payload, and composed as
+    functions. The listed functions must contain the identities and be
+    closed under composition; `concrete_category` rejects them otherwise, as
+    its generator walk proves closure whoever found the arrows.
 
     The generator walk takes the arrows by decreasing image size, in
     declaration order within a size. Any walk order proves closure, since
@@ -292,12 +294,11 @@ def full_function_category(
     names = list(sets)
     arrows, images = [], {}
     for a, b in product(names, names):
-        for image in product(range(len(sets[b])), repeat=len(sets[a])):
-            mapping = {e: sets[b][i] for e, i in zip(sets[a], image)}
-            if admits is None or admits(a, b, mapping):
-                n = function_arrow_name(a, b, mapping, sets[a])
-                arrows.append((n, a, b))
-                images[n] = image
+        listed = product(range(len(sets[b])), repeat=len(sets[a])) if homs is None else homs.get((a, b), ())
+        for image in listed:
+            n = function_arrow_name(a, b, {e: sets[b][i] for e, i in zip(sets[a], image)}, sets[a])
+            arrows.append((n, a, b))
+            images[n] = image
     walk = sorted(arrows, key=lambda t: -len(set(images[t[0]])))
     return concrete_category(names, arrows, images, {a: tuple(range(len(sets[a]))) for a in names}, compose_images, walk)
 

@@ -203,6 +203,21 @@ def family_element_label(carrier_subset, parts, carrier_order, worlds) -> str:
     return f"({c}|{body})"
 
 
+def _part_keeping_maps(s: IndexedFamily, d: IndexedFamily, worlds: Sequence[str]) -> list[tuple[int, ...]]:
+    """The functions g: s → d that send each member of the part of s at
+    every world into the part of d at that world, as the position in d of
+    the image of each element of s, in `itertools.product` order: the
+    product, over the carrier of s in order, of the positions each element
+    may go to, those in the part of d at every world whose part of s holds
+    the element. The identities keep parts, and so does h∘g when g and h
+    do, so they form a category."""
+    allowed = [
+        [j for j, y in enumerate(d.carrier) if all(y in d.parts[w] for w in worlds if e in s.parts[w])]
+        for e in s.carrier
+    ]
+    return list(product(*allowed))
+
+
 def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple[Doctrine, InteriorOp]:
     """Subfamily-style doctrine over the category of W-indexed families on the
     given objects; fiber elements are a sub-carrier plus world-indexed parts
@@ -213,13 +228,8 @@ def fam_doctrine(frame: KripkeFrame, families: Sequence[IndexedFamily]) -> tuple
     if len(fams) != len(families):
         raise ValueError("duplicate family names")
 
-    def keeps_parts(s, d, g):
-        """Whether g sends each member of the part of s at every world into
-        the part of d at that world. The identities keep parts, and so does
-        h∘g when g and h do, so the accepted functions form a category."""
-        return all(g[e] in fams[d].parts[w] for w in worlds for e in fams[s].parts[w])
-
-    base = full_function_category({f.name: f.carrier for f in families}, keeps_parts)
+    homs = {(s.name, d.name): _part_keeping_maps(s, d, worlds) for s in families for d in families}
+    base = full_function_category({f.name: f.carrier for f in families}, homs)
 
     fibers = {}
     for f in families:
@@ -291,41 +301,96 @@ def interior_of(space: FiniteTopSpace, a: frozenset[str]) -> frozenset[str]:
     return acc
 
 
-def _open_and_continuous(s: FiniteTopSpace, t: FiniteTopSpace, g: Mapping[str, str]) -> bool:
-    """Whether g: s → t is continuous (each open of t has an open preimage)
-    and open (each open of s has an open image). The identities are both,
+def _least_opens(s: FiniteTopSpace) -> list[int]:
+    """Per point x, the mask of point positions of U_x, the least open
+    holding x: the intersection of the opens that do, which is open, as a
+    topology is closed under finite intersections and holds the whole space."""
+    at, least = {p: i for i, p in enumerate(s.points)}, [(1 << len(s.points)) - 1] * len(s.points)
+    for u in s.opens:
+        mask = sum(1 << at[p] for p in u)
+        for p in u:
+            least[at[p]] &= mask
+    return least
+
+
+def _open_continuous_maps(s: FiniteTopSpace, t: FiniteTopSpace) -> list[tuple[int, ...]]:
+    """Every open continuous map g: s → t of two spaces that pass
+    `space_violations`, as the position in t of the image of each point of
+    s, in `itertools.product` order. The identities are open and continuous,
     and so is h∘g when g and h are, since (h∘g)⁻¹ = g⁻¹∘h⁻¹ and
-    (h∘g)[u] = h[g[u]], so the accepted functions form a category."""
-    continuous = all(frozenset(p for p in s.points if g[p] in u) in s.opens for u in t.opens)
-    return continuous and all(frozenset(g[p] for p in u) in t.opens for u in s.opens)
+    (h∘g)[u] = h[g[u]], so they form a category.
+
+    Found by search, not by testing all |t|^|s| functions. A finite space
+    is the preorder x ⊑ y iff y ∈ U_x, whose up-sets are its opens
+    (Alexandroff, "Diskrete Räume", Mat. Sbornik 2, 1937), and g is open and
+    continuous iff g[U_x] = U_g(x) at every x, the back-and-forth condition
+    of a bounded morphism (Blackburn, de Rijke and Venema, *Modal Logic*,
+    2001, ch. 2): continuity gives g[U_x] ⊆ U_g(x), as g⁻¹(U_g(x)) is an
+    open holding x, and openness the converse, as g[U_x] is an open holding
+    g(x); conversely the preimage of an open V holds U_x with each of its
+    points x, so it is a union of opens, and g[U] is the union of the U_g(x)
+    over the x in U. So the search gives the points of s their images in
+    order, each image in turn, drops a branch where two assigned points
+    break monotonicity (y ∈ U_x with g(y) ∉ U_g(x)), and checks
+    g[U_x] = U_g(x) once the last point of U_x is assigned. Each map is
+    reached once, and smaller images are tried first: product order."""
+    up_s, up_t = _least_opens(s), _least_opens(t)
+    n = len(up_s)
+    # per point k, the earlier points in U_k and those whose U_y holds k, and
+    # the x whose U_x is complete once k is assigned
+    inside = [[y for y in range(k) if up_s[k] >> y & 1] for k in range(n)]
+    around = [[y for y in range(k) if up_s[y] >> k & 1] for k in range(n)]
+    closes = [[x for x in range(n) if up_s[x].bit_length() - 1 == k] for k in range(n)]
+    g, out, k = [-1] * n, [], 0
+    while k >= 0:  # a loop, not a recursion, so the search leaves no reference cycle behind
+        if k == n:
+            out.append(tuple(g))
+            k -= 1
+            continue
+        g[k] += 1
+        v = g[k]
+        if v == len(up_t):
+            g[k] = -1
+            k -= 1
+        elif (
+            all(up_t[v] >> g[y] & 1 for y in inside[k])
+            and all(up_t[g[y]] >> v & 1 for y in around[k])
+            and all(_image_mask(g, up_s[x]) == up_t[g[x]] for x in closes[k])
+        ):
+            k += 1
+    return out
 
 
-def open_continuous_maps(s: FiniteTopSpace, t: FiniteTopSpace) -> list[dict]:
-    """All functions that are both continuous and open, by brute force."""
-    return [g for g in all_functions(s.points, t.points) if _open_and_continuous(s, t, g)]
+def _image_mask(g: Sequence[int], mask: int) -> int:
+    """The mask of the images under g of the positions set in `mask`."""
+    image = 0
+    while mask:
+        image |= 1 << g[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return image
 
 
-def open_continuous_homs(spaces: Sequence[FiniteTopSpace]) -> dict[tuple[str, str], list[dict]]:
-    """`open_continuous_maps` for every ordered pair of spaces, by name."""
-    return {(s.name, t.name): open_continuous_maps(s, t) for s in spaces for t in spaces}
+def open_continuous_homs(spaces: Sequence[FiniteTopSpace]) -> dict[tuple[str, str], list[tuple[int, ...]]]:
+    """The open continuous maps of every ordered pair of spaces, by name, as
+    `_open_continuous_maps` lists them; each space must pass `space_violations`."""
+    return {(s.name, t.name): _open_continuous_maps(s, t) for s in spaces for t in spaces}
 
 
 def topological_doctrine(
-    spaces: Sequence[FiniteTopSpace], homs: Mapping[tuple[str, str], list[dict]] | None = None
+    spaces: Sequence[FiniteTopSpace], homs: Mapping[tuple[str, str], list[tuple[int, ...]]] | None = None
 ) -> tuple[Doctrine, InteriorOp]:
     """Powerset fibers over the category of open continuous maps, with the
     topological interior as operator; its naturality holds as an equality.
     `homs` passes the `open_continuous_homs` of `spaces` when the caller has
-    them, so that no function is tested twice."""
+    them, so that no map is searched for twice."""
     for s in spaces:
         _require(space_violations(s), f"invalid space {s.name}")
     if len({s.name for s in spaces}) != len(spaces):
         raise ValueError("duplicate space names")
     if homs is None:
         homs = open_continuous_homs(spaces)
-    admitted = {pair: {tuple(g.values()) for g in gs} for pair, gs in homs.items()}
     points = {s.name: s.points for s in spaces}
-    base = full_function_category(points, lambda a, b, g: tuple(g.values()) in admitted[a, b])
+    base = full_function_category(points, homs)
     doc = inverse_image_doctrine(base, points)
     parts = {s.name: value_map(doc.fibers[s.name], doc.fibers[s.name], lambda a: interior_of(s, a)) for s in spaces}
     return doc, InteriorOp(doc, parts)
@@ -747,23 +812,38 @@ def forall_instance(
     reindexing along the first projection, and the right adjoint is the
     pointwise ∀ over the X component.
 
+    The base of P is the part of the function category that this reads: the
+    Y-sets and their products Y×X, with every function Y → Y′, each f×id_X:
+    Y×X → Y′×X, and each g∘π₁: Y×X → Y′, where Y×X lists (e_i, x_j) at
+    i·|X| + j, π₁ sends it to i and f×id_X to f(i)·|X| + j. These hold the
+    identities, id_Y and id_Y×id_X, and are closed under composition:
+    (f′×id_X)∘(f×id_X) = (f′∘f)×id_X, (g∘π₁)∘(f×id_X) = (g∘f)∘π₁, since
+    π₁∘(f×id_X) = f∘π₁, and g′∘(g∘π₁) = (g′∘g)∘π₁; no arrow enters a
+    product from a Y-set, so no other pair composes.
+
     The product data passed to `power_doctrine` is right by construction:
-    Y×X lists (e_i, x_j) at i·|X| + j, and each arrow of the function category
-    `P.base` is found in `P.base.named` by its source, target and image
-    positions, so it has the boundary of its key. The first projection sends
-    i·|X| + j to i and f×id_X to f(i)·|X| + j, so f×id_X followed by the first
-    projection is i·|X| + j ↦ f(i), the first projection followed by f, and
-    followed by the second, i·|X| + j ↦ j, it is the second projection."""
+    each arrow of `P.base` is found in `P.base.named` by its source, target
+    and image positions, so it has the boundary of its key, and f×id_X
+    followed by π₁ is i·|X| + j ↦ f(i), π₁ followed by f."""
     def pair_elem(y, x):
         return f"{y}*{x}"
 
     prods = {y: f"{y}x{x_name}" for y in y_sets}
-    all_sets = {**{y: list(els) for y, els in y_sets.items()}, x_name: list(x_elements)}
+    all_sets = {y: list(els) for y, els in y_sets.items()}
     all_sets.update({prods[y]: [pair_elem(e, x) for e in els for x in x_elements] for y, els in y_sets.items()})
-    P = powerset_doctrine(all_sets)
     names = list(y_sets)
     sub = full_function_category(y_sets)
-    arrow, n = P.base.named, len(x_elements)
+    n = len(x_elements)
+    homs = {}
+    for f in sub.arrow_names():
+        s, d, image = sub.src(f), sub.dst(f), sub.payload[f]
+        homs.setdefault((s, d), set()).add(image)
+        homs.setdefault((prods[s], prods[d]), set()).add(tuple(i * n + j for i in image for j in range(n)))
+        homs.setdefault((prods[s], d), set()).add(tuple(i for i in image for _ in range(n)))
+    # sets, since with X empty every f×id_X and g∘π₁ is the empty function
+    base = full_function_category(all_sets, {pair: sorted(images) for pair, images in homs.items()})
+    P = inverse_image_doctrine(base, all_sets)
+    arrow = P.base.named
     products = {
         y: ProductData(prods[y], arrow[prods[y], y, tuple(i for i in range(len(y_sets[y])) for _ in range(n))])
         for y in names

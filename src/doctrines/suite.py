@@ -8,8 +8,6 @@ adjunctions and comonads, plus one runner per acceptance criterion. The CLI
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from _random import Random  # random.Random's C core, without random.py's imports
 
 from .adjunction import (
@@ -130,13 +128,28 @@ SPACES = (
     ),
 )
 
+
+def _once(build):
+    """`build`, its result for each argument tuple computed once per process
+    and kept; `cache_clear()` forgets them, so the next call builds afresh."""
+    kept = {}
+
+    def cached(*args):
+        if args not in kept:
+            kept[args] = build(*args)
+        return kept[args]
+
+    cached.cache_clear = kept.clear
+    return cached
+
+
 STREAM_A = FCoalgebra("A", "stream", ("s0", "s1"), {"s0": "s1", "s1": "s1"})
 STREAM_B = FCoalgebra("B", "stream", ("t",), {"t": "t"})
 TREE_T = FCoalgebra("T", "tree", ("s0", "s1", "s2"), {"s0": ("s1", "s2"), "s1": ("s1",), "s2": ()})
 TREE_S = FCoalgebra("S", "tree", ("u", "v"), {"u": ("v", "v"), "v": ("v",)})
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_kripke():
     return {
         "kripke-chain2": kripke_doctrine(CHAIN2, {"D": ["x"], "E": ["x", "y"]}),
@@ -145,21 +158,23 @@ def bundled_kripke():
     }
 
 
-@lru_cache(maxsize=1)
+FAMILIES = (
+    IndexedFamily("X1", ("a",), {"w1": frozenset({"a"}), "w2": frozenset({"a"})}),
+    IndexedFamily("X2", ("a", "b"), {"w1": frozenset({"a"}), "w2": frozenset({"a", "b"})}),
+)
+
+
+@_once
 def bundled_fam():
-    fams = [
-        IndexedFamily("X1", ("a",), {"w1": frozenset({"a"}), "w2": frozenset({"a"})}),
-        IndexedFamily("X2", ("a", "b"), {"w1": frozenset({"a"}), "w2": frozenset({"a", "b"})}),
-    ]
-    return fam_doctrine(CHAIN2, fams)
+    return fam_doctrine(CHAIN2, FAMILIES)
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_topological():
     return topological_doctrine(SPACES)
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_quantale_doctrines():
     return {
         "bool": quantale_doctrine(bool_quantale(), {"X": ["x"], "Y": ["x", "y"]}),
@@ -167,7 +182,7 @@ def bundled_quantale_doctrines():
     }
 
 
-@lru_cache(maxsize=1)
+@_once
 def two_chain_presheaves():
     base = poset_category(chain_poset(["w1", "w2"]))
     d1 = FinPresheaf(
@@ -189,12 +204,12 @@ def two_chain_presheaves():
     return (d1, d2)
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_presheaf():
     return presheaf_instance(list(two_chain_presheaves()))
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_temporal():
     return {
         "temporal-G": temporal_doctrine([STREAM_A, STREAM_B], "stream"),
@@ -203,7 +218,7 @@ def bundled_temporal():
     }
 
 
-@lru_cache(maxsize=1)
+@_once
 def diamond_comonad() -> DoctrineComonad:
     p = fin_poset(
         ["bot", "a", "b", "top"], [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
@@ -226,7 +241,7 @@ def diamond_comonad() -> DoctrineComonad:
     return DoctrineComonad(doc, K, kappa, mu, nu)
 
 
-@lru_cache(maxsize=1)
+@_once
 def presheaf_restriction_base_change() -> DoctrineAdjunction:
     """Base-change along the restriction of 2-chain presheaves to the terminal
     world: the finitely closable presheaf-restriction adjunction."""
@@ -253,7 +268,7 @@ def presheaf_restriction_base_change() -> DoctrineAdjunction:
     return base_change_adjunction(Q, L, R, eta, eps)
 
 
-@lru_cache(maxsize=1)
+@_once
 def rounding_base_change() -> DoctrineAdjunction:
     big = poset_category(chain_poset(["0", "1", "2"]))
     small = poset_category(chain_poset(["0", "2"]))
@@ -276,7 +291,7 @@ def rounding_base_change() -> DoctrineAdjunction:
     return base_change_adjunction(Q, L, R, eta, eps)
 
 
-@lru_cache(maxsize=1)
+@_once
 def identity_powerset_adjunction() -> DoctrineAdjunction:
     doc = powerset_doctrine({"A": ["a1"], "B": ["b1", "b2"]})
     return identity_adjunction(doc)
@@ -285,17 +300,17 @@ def identity_powerset_adjunction() -> DoctrineAdjunction:
 # the bundled operators and adjunctions built from one doctrine share it, so
 # each construction reached from both is found kept on an equal value over
 # the same base (`order.kept`) and built once
-@lru_cache(maxsize=1)
+@_once
 def conjunction_doctrine() -> Doctrine:
     return powerset_doctrine({"A": ["a1", "a2"]})
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_forall() -> tuple[DoctrineAdjunction, InteriorOp]:
     return forall_instance({"Y": ["y"]}, "X", ["0", "1"])
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     ops = []
     ops.append(("identity", identity_interior(identity_powerset_adjunction().p)))
@@ -313,7 +328,7 @@ def bundled_interior_ops() -> list[tuple[str, InteriorOp]]:
     return ops
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_adjunctions() -> list[tuple[str, DoctrineAdjunction]]:
     out = [("identity", identity_powerset_adjunction())]
     for qname, (qdoc, qadj, bang) in bundled_quantale_doctrines().items():
@@ -329,7 +344,7 @@ def bundled_adjunctions() -> list[tuple[str, DoctrineAdjunction]]:
     return out
 
 
-@lru_cache(maxsize=1)
+@_once
 def bundled_comonads() -> list[tuple[str, DoctrineComonad]]:
     doc = powerset_doctrine({"A": ["a1"]})
     out = [("identity", identity_comonad(doc))]
@@ -381,13 +396,13 @@ class Rng(Random):
         return out
 
 
-@lru_cache(maxsize=None)
+@_once
 def _atoms_powerset(letter: str, k: int):
     """The powerset of the atoms letter0 … letter(k−1), built once per process."""
     return powerset_poset([f"{letter}{i}" for i in range(k)])
 
 
-@lru_cache(maxsize=None)
+@_once
 def _discrete_base(n: int):
     """The discrete category on X0 … X(n−1), built once per process."""
     return discrete_category([f"X{i}" for i in range(n)])

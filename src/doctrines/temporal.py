@@ -323,15 +323,71 @@ def oracle_mismatches(c: FCoalgebra, lifts: Sequence[str]) -> list[tuple[str, fr
     return out
 
 
-def _is_homomorphism(c1: FCoalgebra, c2: FCoalgebra, h: Mapping[str, str]) -> bool:
-    """Whether h commutes with the steps of two coalgebras of one kind:
-    h∘step₁ = step₂∘h, successors in order. The identities do, and so does
-    k∘h when h: c₁ → c₂ and k: c₂ → c₃ do, since (k∘h)∘step₁ = k∘step₂∘h =
-    step₃∘(k∘h) successor by successor, so the accepted functions form a
-    category."""
-    if c1.kind == STREAM:
-        return all(h[c1.step[s]] == c2.step[h[s]] for s in c1.states)
-    return all(tuple(h[t] for t in c1.step[s]) == tuple(c2.step[h[s]]) for s in c1.states)
+def _homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[tuple[int, ...]]:
+    """Every homomorphism h: c₁ → c₂ of two coalgebras of one kind, that is
+    every function with h∘step₁ = step₂∘h, successors in order, as the
+    position in c₂ of the image of each state of c₁, in `itertools.product`
+    order. The identities are homomorphisms, and so is k∘h when h: c₁ → c₂
+    and k: c₂ → c₃ are, since (k∘h)∘step₁ = k∘step₂∘h = step₃∘(k∘h)
+    successor by successor, so they form a category.
+
+    Found by search, not by testing all |c₂|^|c₁| functions: the first
+    unassigned state s takes each state v of c₂ in turn, and h(s) = v forces
+    h(t_i) = u_i for the i-th successors t_i of s and u_i of v, and so on
+    along the successors; a clash, or successor tuples of unequal length,
+    ends the branch. A state is assigned only with its successors' images
+    forced, so a total assignment that never clashed satisfies the equation
+    at every state, and every homomorphism is reached, since from its own
+    choices at the free states it forces its own values. A forced state
+    depends on the earlier choices alone, so two results first differ at a
+    free state, where the smaller image was tried first: product order."""
+    at1 = {s: i for i, s in enumerate(c1.states)}
+    at2 = {s: i for i, s in enumerate(c2.states)}
+    succ1 = [tuple(map(at1.__getitem__, c1.successors(s))) for s in c1.states]
+    succ2 = [tuple(map(at2.__getitem__, c2.successors(s))) for s in c2.states]
+    n, m = len(succ1), len(succ2)
+    h, out = [None] * n, []
+
+    def assign(s: int, v: int, trail: list[int]) -> bool:
+        todo = [(s, v)]
+        while todo:
+            s, v = todo.pop()
+            if h[s] is not None:
+                if h[s] != v:
+                    return False
+            elif len(succ1[s]) != len(succ2[v]):
+                return False
+            else:
+                h[s] = v
+                trail.append(s)
+                todo.extend(zip(succ1[s], succ2[v]))
+        return True
+
+    # per free state on the search path: [the state, its next image to try,
+    # the states its current image assigned]; a loop, not a recursion, so the
+    # search leaves no reference cycle behind
+    branches, s = [], 0
+    while True:
+        while s < n and h[s] is not None:
+            s += 1
+        if s == n:
+            out.append(tuple(h))
+        else:
+            branches.append([s, 0, []])
+        while branches:
+            branch = branches[-1]
+            for t in branch[2]:
+                h[t] = None
+            branch[2] = []
+            if branch[1] == m:
+                branches.pop()
+            else:
+                branch[1] += 1
+                if assign(branch[0], branch[1] - 1, branch[2]):
+                    s = branch[0] + 1
+                    break
+        else:
+            return out
 
 
 def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doctrine, InteriorOp]:
@@ -349,7 +405,7 @@ def temporal_doctrine(coalgebras: Sequence[FCoalgebra], lift: str) -> tuple[Doct
     if len(by_name) != len(coalgebras):
         raise ValueError("duplicate coalgebra names")
     states = {c.name: c.states for c in coalgebras}
-    base = full_function_category(states, lambda a, b, h: _is_homomorphism(by_name[a], by_name[b], h))
+    base = full_function_category(states, {(a.name, b.name): _homomorphisms(a, b) for a in coalgebras for b in coalgebras})
     doc = inverse_image_doctrine(base, states)
     parts = {}
     for c in coalgebras:

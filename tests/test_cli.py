@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import re
@@ -850,25 +851,24 @@ def test_cli_coalgebras_whose_names_collide_fail_the_em_build(tmp_path, capsys):
     assert verdicts[-1]["witnesses"] == ["em failed: repeated coalgebra name '<a|b|c>'"]
 
 
-def test_cli_tests_each_topological_function_once(monkeypatch):
+def test_cli_searches_the_maps_between_each_pair_of_spaces_once(monkeypatch):
     from doctrines import cli, instances
 
-    tested = Counter()
-    test = instances._open_and_continuous
+    searched = Counter()
+    search = instances._open_continuous_maps
 
-    def counting(s, t, g):
-        tested[s.name, t.name, tuple(g.values())] += 1
-        return test(s, t, g)
+    def counting(s, t):
+        searched[s.name, t.name] += 1
+        return search(s, t)
 
-    monkeypatch.setattr(instances, "_open_and_continuous", counting)
+    monkeypatch.setattr(instances, "_open_continuous_maps", counting)
     # and under any name the command line binds it to
-    monkeypatch.setattr(cli, "_open_and_continuous", counting, raising=False)
+    monkeypatch.setattr(cli, "_open_continuous_maps", counting, raising=False)
     text = "topspace sier { points: bot top; opens: {} {top} {bot,top} }\ntopspace V { points: a b c; opens: {} {a} {a,b,c} }"
     ws = build_workspace(parse_text(text), 200000)
     assert {v["name"]: v["pass"] for v in ws.verdicts}["topological-doctrine"]
-    # every function between the spaces, each tested once
-    assert len(tested) == 2**2 + 3**2 + 2**3 + 3**3
-    assert set(tested.values()) == {1}
+    # the guard's count and the build share one search per ordered pair
+    assert searched == {pair: 1 for pair in product(("sier", "V"), repeat=2)}
 
 
 def test_cli_world_names_whose_subset_labels_collide_fail_the_build(tmp_path, capsys):
@@ -1389,8 +1389,7 @@ def test_cli_call_imports_no_random(tmp_path):
     # the seeded generators live in `suite`, which only the suite command imports
     assert _modules_a_check_loads(tmp_path, {"random"}) == "0 []"
     # and the suite draws on `_random`, the C core of `random.Random`, so after
-    # the command line's own import it loads those two and, for the suite's
-    # `lru_cache`, `functools` and the modules it imports
+    # the command line's own import it loads those two alone
     probe = (
         f"import io, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; "
         "before = set(sys.modules); sys.stdout = io.StringIO(); "
@@ -1398,10 +1397,7 @@ def test_cli_call_imports_no_random(tmp_path):
         "sys.stderr.write(f'{rc} {sorted(set(sys.modules) - before)}')"
     )
     run = subprocess.run([sys.executable, "-S", "-c", probe], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    assert run.stderr == (
-        "0 ['_collections', '_collections_abc', '_functools', '_random', 'collections', 'doctrines.suite', "
-        "'functools', 'keyword', 'reprlib', 'types']"
-    )
+    assert run.stderr == "0 ['_random', 'doctrines.suite']"
 
 
 def test_cli_call_imports_no_json_re_or_enum(tmp_path):
@@ -1417,3 +1413,59 @@ def test_cli_import_moves_its_objects_out_of_the_collectors_generations():
     probe = f"import gc, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import doctrines.cli; print(gc.get_freeze_count())"
     r = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
     assert int(r.stdout) > 1_000
+
+
+GC_EXITS = {
+    "passes": ("--json check FILE", MODEL, 0),
+    "fails": ("check FILE", "topspace S { points: a b; opens: {a} }", 1),
+    "usage": ("--json check", MODEL, 2),
+    "parse": ("check FILE", "poset P { elements: a", 2),
+    "build": ("em FILE --from nowhere", MODEL, 2),
+    "unreadable": ("check MISSING", MODEL, 2),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", list(GC_EXITS))
+def test_cli_leaves_the_collector_as_it_found_it_on_every_exit(tmp_path, capsys, case, enabled):
+    words, text, status = GC_EXITS[case]
+    f = tmp_path / "m.dct"
+    f.write_text(text)
+    argv = [{"FILE": str(f), "MISSING": str(tmp_path / "missing.dct")}.get(w, w) for w in words.split()]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == status
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_cli_runs_a_suite_without_a_collection_and_library_calls_still_collect(capsys):
+    from doctrines import suite
+
+    def clear():
+        for value in vars(suite).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    clear()
+    gc.callbacks.append(record)
+    try:
+        assert main(["--json", "--seed", "7", "suite"]) == 0
+        assert collections == []
+        # the same work called in process collects as the caller's setting says
+        clear()
+        assert suite.run_acceptance(7)["pass"]
+        assert collections
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()

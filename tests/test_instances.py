@@ -41,7 +41,6 @@ from doctrines.instances import (
     lukasiewicz3,
     largest_subpresheaf,
     lukasiewicz3,
-    open_continuous_maps,
     powerset_doctrine,
     presheaf_instance,
     presheaf_oracle_mismatches,
@@ -84,8 +83,10 @@ from util import (
     function_category_reference,
     graph_of,
     inverse_image_reference,
+    keeps_parts,
     kripke_box,
     one_object_monoid_category,
+    open_continuous_maps,
     postcomposition_reference,
     powerset_doctrine_over,
     powerset_lattice,
@@ -694,12 +695,13 @@ def test_every_small_quantale_passes_the_core_references():
 
 def _forall_corpus():
     """Y-sets of 1-2 objects of 1-3 points each and X of 1-3 points, by
-    object count, then points, whose products Y×X hold at most 4 points: a
-    6-point carrier alone gives the base 6⁶ functions."""
+    object count, then points, whose products Y×X hold at most 6 points:
+    the base holds the functions between the Y-sets and their products by
+    X alone, so a 6-point product adds only its f×id_X and g∘π₁."""
     for k in (1, 2):
         for sizes in combinations_with_replacement(range(1, 4), k):
             for n in range(1, 4):
-                if max(sizes) * n <= 4:
+                if max(sizes) * n <= 6:
                     y_sets = {f"Y{i}": [f"y{j}" for j in range(m)] for i, m in enumerate(sizes)}
                     yield y_sets, [f"x{j}" for j in range(n)]
 
@@ -727,7 +729,7 @@ def test_forall_instance_passes_power_doctrine_the_product_data_it_proves(monkey
         for y, els in y_sets.items():
             pairs = [f"{e}*{x}" for e in els for x in xs]
             proj1[y] = function_arrow_name(f"{y}xX", y, {f"{e}*{x}": e for e in els for x in xs}, pairs)
-            proj2[y] = function_arrow_name(f"{y}xX", "X", {f"{e}*{x}": x for e in els for x in xs}, pairs)
+            proj2[y] = tuple(xs.index(x) for e in els for x in xs)
         bad = [f"first projection for {y} is not (e, x) ↦ e" for y in y_sets if products[y].proj1 != proj1[y]]
         bad += product_data_violations_reference(P, sub, "X", products, proj2, times) + verdict
         if bad:
@@ -832,11 +834,7 @@ def test_fam_doctrine_base_equals_reference_loops(frame):
     doc, _ = fam_doctrine(frame, list(fams.values()))
 
     def homs(x, y):
-        return [
-            g
-            for g in all_functions(fams[x].carrier, fams[y].carrier)
-            if all(all(g[e] in fams[y].parts[w] for e in fams[x].parts[w]) for w in frame.worlds)
-        ]
+        return [g for g in all_functions(fams[x].carrier, fams[y].carrier) if keeps_parts(fams[x], fams[y], frame.worlds, g)]
 
     assert doc.base == function_category_reference({n: f.carrier for n, f in fams.items()}, homs)
 

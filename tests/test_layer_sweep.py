@@ -20,7 +20,8 @@ ONE_KEY_LAYERS = (
 
 def _measure(flag: str, size: int) -> list[dict]:
     argv = [sys.executable, str(ROOT / "tools" / "layer_sweep.py"), "measure", "--src", str(ROOT / "src"), flag, str(size)]
-    return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout)
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout
+    return [json.loads(line) for line in out.splitlines()]
 
 
 def test_layer_sweep_measures_the_two_key_row_and_every_one_key_layer():
@@ -38,16 +39,19 @@ def test_layer_sweep_measures_the_function_category_row():
 
 def test_layer_sweep_measures_the_change_only_rows_with_their_peak_rss():
     assert _sweep_module().CHANGE_ONLY == {
-        ("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16)
+        ("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16),
+        ("--hom-states", 8),
     }
     rows = [*_measure("--arrows", 3125), *_measure("--arrows", 46656), *_measure("--quantale-points", 5),
-            *_measure("--presheaf-worlds", 16)]
-    assert [(r["layer"], r.get("arrows"), r.get("points"), r.get("worlds")) for r in rows] == [
-        ("full_function_category", 3125, None, None),
-        ("full_function_category", 46656, None, None),
-        ("quantale_doctrine", None, 5, None),
-        ("em_doctrine(mc(bang))", None, 5, None),
-        ("presheaf check", None, None, 16),
+            *_measure("--presheaf-worlds", 16), *_measure("--hom-states", 8)]
+    assert [(r["layer"], r.get("arrows"), r.get("points"), r.get("worlds"), r.get("states")) for r in rows] == [
+        ("full_function_category", 3125, None, None, None),
+        ("full_function_category", 46656, None, None, None),
+        ("quantale_doctrine", None, 5, None, None),
+        ("em_doctrine(mc(bang))", None, 5, None, None),
+        ("presheaf check", None, None, 16, None),
+        ("temporal_doctrine", None, None, None, 8),
+        ("temporal_doctrine", None, None, None, 8),
     ]
     assert all(r["s"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
 
@@ -61,7 +65,7 @@ def test_layer_sweep_runs_the_change_only_rows_on_the_change_checkout_alone(tmp_
             return real_run(argv, **kwargs)
         seen.setdefault((argv[-2], int(argv[-1])), []).append(Path(argv[argv.index("--src") + 1]).parent.name)
         row = {"layer": argv[-2], "size": int(argv[-1]), "s": 1.0}
-        return subprocess.CompletedProcess(argv, 0, json.dumps([row]), "")
+        return subprocess.CompletedProcess(argv, 0, json.dumps(row) + "\n", "")
 
     monkeypatch.setattr(sweep.subprocess, "run", run)
     out = tmp_path / "bench.json"
@@ -119,7 +123,7 @@ def test_layer_sweep_runs_only_the_rows_it_is_asked_for(tmp_path, monkeypatch):
         if "measure" not in argv:  # `platform` asks the system, not a checkout
             return real_run(argv, **kwargs)
         seen.append((argv[-2], int(argv[-1]), Path(argv[argv.index("--src") + 1]).parent.name))
-        return subprocess.CompletedProcess(argv, 0, json.dumps([{"layer": "presheaf check", "worlds": int(argv[-1]), "s": 1.0}]), "")
+        return subprocess.CompletedProcess(argv, 0, json.dumps({"layer": "presheaf check", "worlds": int(argv[-1]), "s": 1.0}) + "\n", "")
 
     monkeypatch.setattr(sweep.subprocess, "run", run)
     out = tmp_path / "bench.json"
@@ -164,7 +168,7 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
             row = {"seed": seed, "kept": ["a.b", "a.c"], "runs": runs, "equal_value_answers": int(side == "change")}
         else:
             row = {"layer": "suite", "criterion": 1, "seed": seed, "s": 1.0 if side == "parent" else 0.5}
-        return subprocess.CompletedProcess(argv, 0, json.dumps([row]), "")
+        return subprocess.CompletedProcess(argv, 0, json.dumps(row) + "\n", "")
 
     monkeypatch.setattr(sweep.subprocess, "run", run)
     out = tmp_path / "bench.json"
@@ -196,15 +200,15 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
     ]
 
 
-def test_the_suite_import_loads_only_suite_the_c_mersenne_twister_and_functools():
+def test_the_suite_import_loads_only_suite_and_the_c_mersenne_twister():
     sweep = _sweep_module()
     row = sweep._import_row("suite import", sweep._probe_in_turns([("parent", ROOT), ("change", ROOT)],
                                                                   sweep.SUITE_IMPORT_PROBE))
     assert row["interpreters"] == sweep.IMPORT_ROUNDS
     for side in ("parent", "change"):
-        # `doctrines.suite`, `_random`, and for its `lru_cache` `functools` with
-        # the 7 modules it imports, which the command line no longer loads
-        assert row[f"{side}_modules"] == 10 and 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
+        # `doctrines.suite` and `_random`: the suite keeps its bundled values
+        # in its own memo, so it loads no `functools`
+        assert row[f"{side}_modules"] == 2 and 0 < row[f"{side}_s"] <= row[f"{side}_median_s"]
 
 
 def test_layer_sweep_counts_the_kept_builds_and_the_equal_values_of_a_suite_request():
@@ -327,3 +331,32 @@ def test_reports_finds_no_difference_against_itself_and_finds_a_planted_one(tmp_
     [check] = checks("gate", 0)
     assert code == 1 and lines[1:] == ["1 of 2 requests differ"]
     assert lines[0].endswith(f" {' '.join(check.argv[1:])}: stdout differ")
+
+
+def test_layer_sweep_measures_the_temporal_and_topological_doctrine_rows():
+    rows = [*_measure("--hom-states", 4), *_measure("--space-points", 3)]
+    assert [(r["layer"], r.get("kind"), r.get("states"), r.get("points")) for r in rows] == [
+        ("temporal_doctrine", "stream", 4, None), ("temporal_doctrine", "tree", 4, None),
+        ("topological_doctrine", None, None, 3),
+    ]
+    assert all(r["s"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
+    sweep = _sweep_module()
+    assert (list(sweep.HOM_STATES), list(sweep.SPACE_POINTS)) == ([4, 5, 6, 7, 8], [3, 4, 5, 6, 7])
+
+
+def test_layer_sweep_measure_writes_each_row_as_soon_as_it_is_timed(monkeypatch, capsys):
+    # a run killed while it times its third row has written the first two
+    sweep, timed = _sweep_module(), []
+
+    def best(fn, repeats=sweep.REPEATS):
+        if len(timed) == 2:
+            raise KeyboardInterrupt
+        timed.append(fn)
+        return 1.0
+
+    monkeypatch.setattr(sweep, "_best", best)
+    monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "measure", "--src", str(ROOT / "src"), "--worlds", "8"])
+    with pytest.raises(KeyboardInterrupt):
+        sweep.main()
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["layer"], r["s"]) for r in rows] == [(layer, 1.0) for layer in ONE_KEY_LAYERS[:2]]

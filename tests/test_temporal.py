@@ -11,7 +11,6 @@ from doctrines.order import graph_map, label_subset, subset_label, subsets_in_or
 from doctrines.suite import STREAM_A, STREAM_B, TREE_S, TREE_T, random_coalgebra
 from doctrines.temporal import (
     FCoalgebra,
-    _is_homomorphism,
     gfp_modality,
     gfp_modality_trace,
     oracle_for,
@@ -25,6 +24,7 @@ from util import (
     g_oracle_reference,
     gfp_trace,
     inverse_image_reference,
+    is_homomorphism,
     post_fixed_join,
     powerset_lattice,
     random_subset,
@@ -35,7 +35,7 @@ def coalgebra_homomorphisms(c1: FCoalgebra, c2: FCoalgebra) -> list[dict]:
     """All step-compatible functions, by brute force."""
     if c1.kind != c2.kind:
         return []
-    return [h for h in all_functions(c1.states, c2.states) if _is_homomorphism(c1, c2, h)]
+    return [h for h in all_functions(c1.states, c2.states) if is_homomorphism(c1, c2, h)]
 
 
 STREAM2 = FCoalgebra("A", "stream", ("s0", "s1"), {"s0": "s1", "s1": "s1"})

@@ -15,6 +15,7 @@ from doctrines.fincat import (
     FinCategory,
     Functor,
     NatTransformation,
+    all_functions,
     check_category,
     coalgebra_category,
     coalgebra_object_name,
@@ -112,6 +113,35 @@ def function_category_reference(sets, homs):
                 comp = {e: graphs[gn][graphs[fn][e]] for e in sets[fs]}
                 composition[(gn, fn)] = function_arrow_name(fs, gd, comp, sets[fs])
     return fin_category(list(sets), arrows, identities, composition)
+
+
+def is_homomorphism(c1, c2, h: Mapping[str, str]) -> bool:
+    """The brute-force filter `temporal_doctrine` once ran on every function:
+    whether h commutes with the steps of two coalgebras of one kind,
+    h∘step₁ = step₂∘h, successors in order."""
+    if c1.kind == "stream":
+        return all(h[c1.step[s]] == c2.step[h[s]] for s in c1.states)
+    return all(tuple(h[t] for t in c1.step[s]) == tuple(c2.step[h[s]]) for s in c1.states)
+
+
+def open_and_continuous(s: FiniteTopSpace, t: FiniteTopSpace, g: Mapping[str, str]) -> bool:
+    """The brute-force filter `topological_doctrine` once ran on every
+    function: whether g: s → t is continuous (each open of t has an open
+    preimage) and open (each open of s has an open image)."""
+    continuous = all(frozenset(p for p in s.points if g[p] in u) in s.opens for u in t.opens)
+    return continuous and all(frozenset(g[p] for p in u) in t.opens for u in s.opens)
+
+
+def open_continuous_maps(s: FiniteTopSpace, t: FiniteTopSpace) -> list[dict]:
+    """All functions that are both continuous and open, by brute force."""
+    return [g for g in all_functions(s.points, t.points) if open_and_continuous(s, t, g)]
+
+
+def keeps_parts(s: IndexedFamily, d: IndexedFamily, worlds, g: Mapping[str, str]) -> bool:
+    """The brute-force filter `fam_doctrine` once ran on every function:
+    whether g sends each member of the part of s at every world into the
+    part of d at that world."""
+    return all(g[e] in d.parts[w] for w in worlds for e in s.parts[w])
 
 
 def random_function_category(rng):
@@ -927,11 +957,11 @@ def quantale_core_violations_reference(q, core) -> list[str]:
 def product_data_violations_reference(P, sub, x_obj, products, proj2, times) -> list[str]:
     """The checks `doctrine.power_doctrine` made of its product data until
     its caller's construction proved them, as written, each a witness in
-    place of a raise, with the second projections `proj2[Y]`: Y×X → X given
-    apart, since `ProductData` no longer holds them. Each object of `sub`
-    has a product whose projections have the right boundaries, and each
-    arrow f of `sub` an f×id_X between the products that commutes with both
-    projections."""
+    place of a raise, with the second projections Y×X → X given apart as
+    image positions `proj2[Y]`, since `ProductData` does not hold them and
+    the base need not hold X. Each object of `sub` has a product whose first
+    projection has the right boundary, and each arrow f of `sub` an f×id_X
+    between the products that commutes with both projections."""
     out = []
     for y in sub.objects:
         if y not in products:
@@ -940,8 +970,6 @@ def product_data_violations_reference(P, sub, x_obj, products, proj2, times) -> 
         pd = products[y]
         if P.base.src(pd.proj1) != pd.prod_obj or P.base.dst(pd.proj1) != y:
             out.append(f"first projection for {y} has wrong boundary")
-        if P.base.src(proj2[y]) != pd.prod_obj or P.base.dst(proj2[y]) != x_obj:
-            out.append(f"second projection for {y} has wrong boundary")
     if out:
         return out
     for f in sub.arrow_names():
@@ -955,7 +983,7 @@ def product_data_violations_reference(P, sub, x_obj, products, proj2, times) -> 
             continue
         if P.base.comp(products[z].proj1, fx) != P.base.comp(f, products[y].proj1):
             out.append(f"{f}×id does not commute with first projections")
-        if P.base.comp(proj2[z], fx) != proj2[y]:
+        if tuple(proj2[z][i] for i in P.base.payload[fx]) != proj2[y]:
             out.append(f"{f}×id does not commute with second projections")
     return out
 

@@ -1,8 +1,9 @@
 """Layer sweeps of the order kernel, the Kripke doctrine, the quantale
-doctrine, the function category and the temporal oracle sweep, the whole
-`check` of a Kripke chain and of a chain of one-element presheaves, and the
-import of the command line, written to a BENCH_*.json file, and a check
-that two checkouts write the same reports; standard library only.
+doctrine, the function category, the temporal oracle sweep and the temporal
+and topological doctrines, the whole `check` of a Kripke chain and of a
+chain of one-element presheaves, and the import of the command line,
+written to a BENCH_*.json file, and a check that two checkouts write the
+same reports; standard library only.
 
     python tools/layer_sweep.py layers --parent ../parent --change . --out BENCH_17.json
     python tools/layer_sweep.py layers --parent ../parent --change . --rows presheaf-worlds --out BENCH_38.json
@@ -57,8 +58,17 @@ interpreter, and records the best time and the least peak RSS of the
 interpreter over `ROUNDS` of them; a `presheaf check` row does the same on
 a chain of 8-16 worlds with a presheaf of one element at each, whose 2^n
 families the presheaf oracle checks one by one (16 worlds on the change
-checkout alone). `--rows` limits `layers` to the rows of the named size
-flags.
+checkout alone). A `temporal_doctrine` row (`--hom-states`, 4-8 states)
+builds the doctrine over two seeded random streams (the stream lift) and
+over two seeded random trees (the forall lift, 0-3 successors per state),
+most of whose cost before the hom search was testing every function
+between them (8 states on the change checkout alone: two streams took
+139 s); a `topological_doctrine` row (`--space-points`, 3-7 points) builds
+it over two chain spaces, whose opens are the up-sets of the chain. Each
+is timed once per interpreter, with the interpreter's peak RSS.
+`--rows` limits `layers` to the rows of the named size flags. `measure`
+writes each row as one JSON line as soon as it is timed, so a run killed
+during a slow row keeps the rows before it.
 
 `import` times `import doctrines.cli` in fresh `python -S` interpreters
 (no site hook imports anything first), each importing from one checkout's
@@ -135,14 +145,18 @@ ROUNDS = 4  # interpreters per checkout and size, so a row is the best of 12 tim
 FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4), 3125: (5,), 46656: (6,)}
 QUANTALE_POINTS = range(2, 6)
 # (flag, size) of the rows measured on the change checkout alone
-CHANGE_ONLY = {("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16)}
+CHANGE_ONLY = {("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16),
+               ("--hom-states", 8)}
 TEMPORAL_STATES = range(10, 21, 2)
 TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
 CHECK_WORLDS = range(12, 19)
 PRESHEAF_WORLDS = (8, 10, 12, 16)
+HOM_STATES = range(4, 9)
+SPACE_POINTS = range(3, 8)
 # the size flags of `measure` that `layers` sweeps, as `--rows` names them
-SIZE_FLAGS = ("worlds", "arrows", "quantale-points", "states", "check-worlds", "presheaf-worlds")
+SIZE_FLAGS = ("worlds", "arrows", "quantale-points", "states", "check-worlds", "presheaf-worlds", "hom-states",
+              "space-points")
 SUITE_SEEDS = (7, 1, 2, 3)  # the seeds of the `gate` workload's `--json suite` requests
 # the criteria of `suite.run_acceptance` in its order, and those that take the seed
 CRITERIA = ("interior_suite", "am_modality", "factorization", "factorization2", "comonad_suite", "comparison",
@@ -195,8 +209,13 @@ def _best(fn, repeats: int = REPEATS) -> float:
     return min(times)
 
 
-def measure(n: int) -> list[dict]:
-    """The layer rows at n worlds, timed in this interpreter."""
+def _rss_mb() -> float:
+    """This interpreter's peak RSS so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
+
+
+def measure(n: int):
+    """The layer rows at n worlds, each yielded as soon as it is timed in this interpreter."""
     from doctrines.comonad import em_doctrine, mc
     from doctrines.instances import KripkeFrame, _pointwise_fiber, kripke_doctrine
     from doctrines.interior import InteriorOp, interior_violations
@@ -205,8 +224,8 @@ def measure(n: int) -> list[dict]:
     worlds = [f"w{i}" for i in range(n)]
     p = powerset_poset(worlds)
     if n in TWO_KEY_WORLDS:
-        return [{"layer": "_pointwise_fiber", "keys": 2, "worlds": n,
-                 "s": _best(lambda: _pointwise_fiber(["x", "y"], [p, p]))}]
+        yield {"layer": "_pointwise_fiber", "keys": 2, "worlds": n, "s": _best(lambda: _pointwise_fiber(["x", "y"], [p, p]))}
+        return
     frame = KripkeFrame(tuple(worlds), frozenset((a, b) for i, a in enumerate(worlds) for b in worlds[i:]))
     built = []
 
@@ -226,11 +245,12 @@ def measure(n: int) -> list[dict]:
         ("interior_violations", lambda: interior_violations(fresh_op())),
         ("em_doctrine(mc(op))", lambda: em_doctrine(mc(fresh_op()))),
     ]
-    return [{"layer": name, "keys": 1, "worlds": n, "s": _best(fn)} for name, fn in rows]
+    for name, fn in rows:
+        yield {"layer": name, "keys": 1, "worlds": n, "s": _best(fn)}
 
 
-def measure_quantale(n: int) -> list[dict]:
-    """The quantale row at |X| = n, timed in this interpreter."""
+def measure_quantale(n: int):
+    """The quantale rows at |X| = n, timed in this interpreter."""
     from doctrines.adjunction import adjunction_violations
     from doctrines.comonad import em_doctrine, mc
     from doctrines.instances import bang_law_violations, fake_core, quantale_doctrine, valid_quantale
@@ -247,49 +267,44 @@ def measure_quantale(n: int) -> list[dict]:
         t = time.perf_counter()
         em_doctrine(mc(bang))
         em = time.perf_counter() - t
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
-        return [{"layer": "quantale_doctrine", "points": n, "s": built, "peak_rss_mb": rss_mb},
-                {"layer": "em_doctrine(mc(bang))", "points": n, "s": em, "peak_rss_mb": rss_mb}]
+        rss_mb = _rss_mb()
+        yield {"layer": "quantale_doctrine", "points": n, "s": built, "peak_rss_mb": rss_mb}
+        yield {"layer": "em_doctrine(mc(bang))", "points": n, "s": em, "peak_rss_mb": rss_mb}
+        return
 
     def run():
         _, adj, bang = quantale_doctrine(q, sets)
         adjunction_violations(adj)
         em_doctrine(mc(bang))
 
-    cores = {"real": None, "fake": fake_core(q)}
-    return [{"layer": "quantale", "points": n, "s": _best(run)}] + [
-        {"layer": "bang_law_suite", "core": core, "points": n, "s": _best(lambda: bang_law_violations(q, sets, override))}
-        for core, override in cores.items()
-    ]
+    yield {"layer": "quantale", "points": n, "s": _best(run)}
+    for core, override in {"real": None, "fake": fake_core(q)}.items():
+        yield {"layer": "bang_law_suite", "core": core, "points": n, "s": _best(lambda: bang_law_violations(q, sets, override))}
 
 
-def measure_function_category(arrows: int) -> list[dict]:
+def measure_function_category(arrows: int):
     """The `full_function_category` row at `arrows` arrows, timed in this
     interpreter, and the interpreter's peak RSS."""
     from doctrines.fincat import full_function_category
 
     sets = {f"X{i}": [f"x{i}_{j}" for j in range(m)] for i, m in enumerate(FUNCTION_CARRIERS[arrows])}
     s = _best(lambda: full_function_category(sets))
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
-    return [{"layer": "full_function_category", "arrows": arrows, "s": s, "peak_rss_mb": rss_mb}]
+    rss_mb = _rss_mb()
+    yield {"layer": "full_function_category", "arrows": arrows, "s": s, "peak_rss_mb": rss_mb}
 
 
-def measure_temporal(n: int) -> list[dict]:
+def measure_temporal(n: int):
     """The `oracle_mismatches` rows at n states, a tree and a stream, timed once
     each in this interpreter on a coalgebra built afresh, so nothing kept on
     it from an earlier call is reused; then the `gfp_modality` rows, the
     `temporal` command's path, on the same coalgebras: `ONE_ALPHA_COUNT`
     seeded subsets α each boxed on its own under every lift of the kind."""
-    from doctrines.temporal import FCoalgebra, gfp_modality, oracle_mismatches
+    from doctrines.temporal import gfp_modality, oracle_mismatches
 
     lifts = {"tree": ["forall", "exists"], "stream": ["stream"]}
 
-    def coalgebra(kind: str) -> FCoalgebra:
-        rng = random.Random(f"{kind}:{n}")
-        states = tuple(f"s{i}" for i in range(n))
-        if kind == "stream":
-            return FCoalgebra("M", kind, states, {s: rng.choice(states) for s in states})
-        return FCoalgebra("M", kind, states, {s: tuple(rng.choice(states) for _ in range(rng.randint(0, 3))) for s in states})
+    def coalgebra(kind: str):
+        return _seeded_coalgebra(kind, n, "M", f"{kind}:{n}")
 
     def one_alpha_each(kind: str) -> float:
         c = coalgebra(kind)
@@ -297,14 +312,49 @@ def measure_temporal(n: int) -> list[dict]:
         alphas = [frozenset(s for s in c.states if rng.random() < 0.75) for _ in range(ONE_ALPHA_COUNT)]
         return _best(lambda: [gfp_modality(c, lift, a) for a in alphas for lift in lifts[kind]])
 
-    return [
-        {"layer": "oracle_mismatches", "kind": kind, "states": n,
-         "s": _best(lambda: oracle_mismatches(coalgebra(kind), lifts[kind]), 1)}
-        for kind in ("tree", "stream")
-    ] + [
-        {"layer": "gfp_modality", "kind": kind, "states": n, "alphas": ONE_ALPHA_COUNT, "s": one_alpha_each(kind)}
-        for kind in ("tree", "stream")
-    ]
+    for kind in ("tree", "stream"):
+        yield {"layer": "oracle_mismatches", "kind": kind, "states": n,
+               "s": _best(lambda: oracle_mismatches(coalgebra(kind), lifts[kind]), 1)}
+    for kind in ("tree", "stream"):
+        yield {"layer": "gfp_modality", "kind": kind, "states": n, "alphas": ONE_ALPHA_COUNT, "s": one_alpha_each(kind)}
+
+
+def _seeded_coalgebra(kind: str, n: int, name: str, seed: str):
+    """A coalgebra of n states drawn from `seed`: one successor per state, or 0-3."""
+    from doctrines.temporal import FCoalgebra
+
+    rng = random.Random(seed)
+    states = tuple(f"s{i}" for i in range(n))
+    if kind == "stream":
+        return FCoalgebra(name, kind, states, {s: rng.choice(states) for s in states})
+    return FCoalgebra(name, kind, states, {s: tuple(rng.choice(states) for _ in range(rng.randint(0, 3))) for s in states})
+
+
+def measure_homs(n: int):
+    """The `temporal_doctrine` rows at n states: on two seeded streams and on
+    two seeded trees (the forall lift), each timed once in this interpreter,
+    with the interpreter's peak RSS."""
+    from doctrines.temporal import temporal_doctrine
+
+    for kind, lift in (("stream", "stream"), ("tree", "forall")):
+        pair = [_seeded_coalgebra(kind, n, name, f"{kind}:{n}:{name}") for name in "AB"]
+        s = _best(lambda: temporal_doctrine(pair, lift), 1)
+        yield {"layer": "temporal_doctrine", "kind": kind, "states": n, "s": s, "peak_rss_mb": _rss_mb()}
+
+
+def measure_spaces(n: int):
+    """The `topological_doctrine` row at n points: on two chain spaces of n
+    points, whose opens are the n + 1 up-sets of the chain, timed once in
+    this interpreter, with the interpreter's peak RSS."""
+    from doctrines.instances import FiniteTopSpace, topological_doctrine
+
+    def chain_space(name: str):
+        points = tuple(f"{name}{i}" for i in range(n))
+        return FiniteTopSpace(name, points, frozenset(frozenset(points[k:]) for k in range(n + 1)))
+
+    spaces = [chain_space("a"), chain_space("b")]
+    s = _best(lambda: topological_doctrine(spaces), 1)
+    yield {"layer": "topological_doctrine", "points": n, "s": s, "peak_rss_mb": _rss_mb()}
 
 
 def _chain(n: int) -> tuple[list[str], str]:
@@ -313,15 +363,15 @@ def _chain(n: int) -> tuple[list[str], str]:
     return worlds, f"rel: {' '.join(f'{a}->{b}' for a, b in zip(worlds, worlds[1:]))}"
 
 
-def measure_check(n: int) -> list[dict]:
+def measure_check(n: int):
     """The `check` row at n worlds: `doctrines --json check` on an n-world
     Kripke chain with one carrier, timed once in this interpreter, and the
     interpreter's peak RSS, import included."""
     worlds, rel = _chain(n)
-    return _check_row("check", n, f"kripke-frame K {{ worlds: {' '.join(worlds)}; {rel}; closure: refl-trans; sets: D=x }}\n")
+    yield from _check_row("check", n, f"kripke-frame K {{ worlds: {' '.join(worlds)}; {rel}; closure: refl-trans; sets: D=x }}\n")
 
 
-def measure_presheaf_check(n: int) -> list[dict]:
+def measure_presheaf_check(n: int):
     """The `presheaf check` row at n worlds: as the `check` row, on an n-world
     chain and a presheaf holding one element at each world, acting along
     every arrow."""
@@ -329,10 +379,10 @@ def measure_presheaf_check(n: int) -> list[dict]:
     model = (f"kripke-frame K {{ worlds: {' '.join(worlds)}; {rel} }}\n"
              f"presheaf P {{ frame: K; at: {' '.join(f'{w}={{a}}' for w in worlds)}; "
              f"act: {' '.join(f'{a}->{b}=a>a' for i, a in enumerate(worlds) for b in worlds[i + 1:])} }}\n")
-    return _check_row("presheaf check", n, model)
+    yield from _check_row("presheaf check", n, model)
 
 
-def _check_row(layer: str, n: int, model: str) -> list[dict]:
+def _check_row(layer: str, n: int, model: str):
     """`doctrines --json check` on `model`, timed once in this interpreter,
     and the interpreter's peak RSS, import included."""
     from doctrines.cli import main
@@ -346,16 +396,15 @@ def _check_row(layer: str, n: int, model: str) -> list[dict]:
         s = time.perf_counter() - t
     if code != 0:
         raise SystemExit(f"{layer} on the {n}-world chain exited {code}")
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
-    return [{"layer": layer, "worlds": n, "s": s, "peak_rss_mb": rss_mb}]
+    rss_mb = _rss_mb()
+    yield {"layer": layer, "worlds": n, "s": s, "peak_rss_mb": rss_mb}
 
 
-def measure_suite(seed: int) -> list[dict]:
+def measure_suite(seed: int):
     """The `suite` rows at `seed`: each criterion timed once, in order, in
     this interpreter, as one `suite` request runs them."""
     from doctrines import suite
 
-    rows = []
     for i, name in enumerate(CRITERIA, start=1):
         run = getattr(suite, f"criterion_{name}")
         t = time.perf_counter()
@@ -363,11 +412,10 @@ def measure_suite(seed: int) -> list[dict]:
         s = time.perf_counter() - t
         if not passed:
             raise SystemExit(f"criterion {i} failed at seed {seed}")
-        rows.append({"layer": "suite", "criterion": i, "seed": seed, "s": s})
-    return rows
+        yield {"layer": "suite", "criterion": i, "seed": seed, "s": s}
 
 
-def measure_suite_counts(seed: int) -> list[dict]:
+def measure_suite_counts(seed: int):
     """The counts of a `suite` request at `seed`, with the eleven criteria
     run once in this interpreter: the library's kept builds, as
     `module.name`; the runs of each library function's own code, by the same
@@ -410,12 +458,12 @@ def measure_suite_counts(seed: int) -> list[dict]:
         sys.setprofile(None)
     if not passed:
         raise SystemExit(f"a criterion failed at seed {seed}")
-    return [{"seed": seed, "kept": kept, "runs": runs, "equal_value_answers": answered[0]}]
+    yield {"seed": seed, "kept": kept, "runs": runs, "equal_value_answers": answered[0]}
 
 
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
-         "checkout, measured in turns on one machine; a check, presheaf check, full_function_category or CHANGE_ONLY row "
-         "also has each side's least peak RSS in MB; a CHANGE_ONLY row has the change side alone. "
+         "checkout, measured in turns on one machine; a check, presheaf check, full_function_category, "
+         "temporal_doctrine, topological_doctrine or CHANGE_ONLY row also has each side's least peak RSS in MB; a CHANGE_ONLY row has the change side alone. "
          "import: `import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and "
          "median seconds and the modules it loaded. cold_check: in the same interpreters, the import and a "
          "`--json check` of the CLI tests' model together, each side's best and median seconds. parse: then, in "
@@ -456,7 +504,7 @@ def _measure_in_turns(rows: dict, sides: list, flag: str, n: int, rounds: int) -
                 [sys.executable, __file__, "measure", "--src", str(checkout / "src"), flag, str(n)],
                 capture_output=True, text=True, check=True,
             )
-            for r in json.loads(child.stdout):
+            for r in map(json.loads, child.stdout.splitlines()):
                 s, rss = r.pop("s"), r.pop("peak_rss_mb", None)
                 key = tuple(r.items())
                 row = at_size[key] = rows.setdefault(key, r)
@@ -473,6 +521,7 @@ def layers(args) -> None:
     sizes += [("--quantale-points", n) for n in QUANTALE_POINTS]
     sizes += [("--states", n) for n in TEMPORAL_STATES] + [("--check-worlds", n) for n in CHECK_WORLDS]
     sizes += [("--presheaf-worlds", n) for n in PRESHEAF_WORLDS]
+    sizes += [("--hom-states", n) for n in HOM_STATES] + [("--space-points", n) for n in SPACE_POINTS]
     if args.rows:
         sizes = [(flag, n) for flag, n in sizes if flag[2:] in args.rows]
     for flag, n in sizes:
@@ -502,7 +551,7 @@ def suite_rows(args) -> None:
                 [sys.executable, __file__, "measure", "--src", str(checkout / "src"), "--suite-counts", str(seed)],
                 capture_output=True, text=True, check=True,
             )
-            counts[side] = json.loads(child.stdout)[0]
+            counts[side] = json.loads(child.stdout)
         row = {"seed": seed, "builds": counts["change"]["kept"]}
         for side, c in counts.items():
             by_build = {name: c["runs"].get(name, 0) for name in row["builds"]}
@@ -647,6 +696,8 @@ def main() -> None:
     size.add_argument("--states", type=int)
     size.add_argument("--check-worlds", type=int)
     size.add_argument("--presheaf-worlds", type=int)
+    size.add_argument("--hom-states", type=int)
+    size.add_argument("--space-points", type=int)
     size.add_argument("--suite-seed", type=int)
     size.add_argument("--suite-counts", type=int)
     imp = sub.add_parser("import")
@@ -670,22 +721,16 @@ def main() -> None:
     args = ap.parse_args()
     if args.mode == "measure":
         sys.path.insert(0, str(args.src.resolve()))
-        if args.worlds is not None:
-            print(json.dumps(measure(args.worlds)))
-        elif args.arrows is not None:
-            print(json.dumps(measure_function_category(args.arrows)))
-        elif args.quantale_points is not None:
-            print(json.dumps(measure_quantale(args.quantale_points)))
-        elif args.check_worlds is not None:
-            print(json.dumps(measure_check(args.check_worlds)))
-        elif args.presheaf_worlds is not None:
-            print(json.dumps(measure_presheaf_check(args.presheaf_worlds)))
-        elif args.suite_seed is not None:
-            print(json.dumps(measure_suite(args.suite_seed)))
-        elif args.suite_counts is not None:
-            print(json.dumps(measure_suite_counts(args.suite_counts)))
-        else:
-            print(json.dumps(measure_temporal(args.states)))
+        rows = {
+            "worlds": measure, "arrows": measure_function_category, "quantale_points": measure_quantale,
+            "states": measure_temporal, "check_worlds": measure_check, "presheaf_worlds": measure_presheaf_check,
+            "hom_states": measure_homs, "space_points": measure_spaces, "suite_seed": measure_suite,
+            "suite_counts": measure_suite_counts,
+        }
+        dest, size = next((dest, getattr(args, dest)) for dest in rows if getattr(args, dest) is not None)
+        # one line per row, written as soon as it is timed, so a killed run keeps the rows it finished
+        for row in rows[dest](size):
+            print(json.dumps(row), flush=True)
     elif args.mode == "layers":
         layers(args)
     elif args.mode == "import":
