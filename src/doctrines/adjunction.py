@@ -83,17 +83,13 @@ def adjunction_violations(A: DoctrineAdjunction) -> list[str]:
     P, Q, L, R = A.p, A.q, A.left, A.right
     for x in P.base.objects:
         lam, rho, back = A.lam[x].images, A.rho[L.obj_map[x]].images, P.reindex[A.eta.components[x]].images
-        leq = P.fibers[x].leq_at
-        out.extend(
-            f"(iii) eta: lax inequality fails at ({x},{a})" for i, a in enumerate(P.fibers[x].elements) if not leq(i, back[rho[lam[i]]])
-        )
+        leq, els = P.fibers[x].leq_at, P.fibers[x].elements
+        out.extend(f"(iii) eta: lax inequality fails at ({x},{els[i]})" for i in range(len(els)) if not leq(i, back[rho[lam[i]]]))
     for y in Q.base.objects:
         ry = R.obj_map[y]
         lam, rho, back = A.lam[ry].images, A.rho[y].images, Q.reindex[A.eps.components[y]].images
-        leq = Q.fibers[L.obj_map[ry]].leq_at
-        out.extend(
-            f"(iii) eps: lax inequality fails at ({y},{b})" for j, b in enumerate(Q.fibers[y].elements) if not leq(lam[rho[j]], back[j])
-        )
+        leq, els = Q.fibers[L.obj_map[ry]].leq_at, Q.fibers[y].elements
+        out.extend(f"(iii) eps: lax inequality fails at ({y},{els[j]})" for j in range(len(els)) if not leq(lam[rho[j]], back[j]))
     return out
 
 
@@ -128,10 +124,10 @@ def galois_violations(A: DoctrineAdjunction) -> list[str]:
     for x in A.p.base.objects:
         lam, rho = A.lam[x].images, A.rho[x].images
         pf, qf = A.p.fibers[x], A.q.fibers[x]
-        for i, a in enumerate(pf.elements):
-            for j, b in enumerate(qf.elements):
+        for i in range(len(pf.elements)):
+            for j in range(len(qf.elements)):
                 if qf.leq_at(lam[i], j) != pf.leq_at(i, rho[j]):
-                    out.append(f"galois fails at ({x},{a},{b})")
+                    out.append(f"galois fails at ({x},{pf.elements[i]},{qf.elements[j]})")
     return out
 
 
@@ -281,16 +277,19 @@ def factorize2_report(A: DoctrineAdjunction) -> tuple[dict[str, tuple[str, ...]]
     surjective, injective = {}, {}
     for x in A.p.base.objects:
         lam, rho, fiber = A.lam[x], rho_prime[x], stable.fibers[x]
-        image = set(lam.images)
-        missed = [f"lambda misses the stable element ({x},{s})" for s in fiber.elements if lam.dst.index(s) not in image]
-        outside = sorted(map(lam.dst.elements.__getitem__, image))
-        surjective[x] = (*missed, *(f"lambda leaves the stable fiber at ({x},{s})" for s in outside if s not in fiber))
+        # the stable fiber is a sub-poset of QL at x, the target of λ and the
+        # source of ρ′, at the positions `within` it keeps there
+        at = range(len(fiber.elements)) if fiber.within is None else fiber.within
+        image, kept, els = set(lam.images), set(at), fiber.elements
+        missed = [f"lambda misses the stable element ({x},{els[j]})" for j, i in enumerate(at) if i not in image]
+        outside = sorted(lam.dst.elements[i] for i in image if i not in kept)
+        surjective[x] = (*missed, *(f"lambda leaves the stable fiber at ({x},{s})" for s in outside))
         seen, collisions = {}, []
-        for s in fiber.elements:
-            v = rho.images[rho.src.index(s)]
+        for j, i in enumerate(at):
+            v = rho.images[i]
             if v in seen:
-                collisions.append(f"eta.rho' identifies ({x},{seen[v]}) and ({x},{s})")
-            seen[v] = s
+                collisions.append(f"eta.rho' identifies ({x},{els[seen[v]]}) and ({x},{els[j]})")
+            seen[v] = j
         injective[x] = tuple(collisions)
     return surjective, injective
 

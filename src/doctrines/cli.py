@@ -803,10 +803,12 @@ def _derive_into(ws: Workspace, label: str, src: str, what: str):
 
 
 def _box_tables(op: InteriorOp) -> dict:
-    return {
-        x: {a: op.parts[x].apply(a) for a in op.doctrine.fibers[x].elements}
-        for x in op.doctrine.base.objects
-    }
+    """Each fiber's box as a table from label to label, read by position."""
+    out = {}
+    for x in op.doctrine.base.objects:
+        els = tuple(op.doctrine.fibers[x].elements)
+        out[x] = dict(zip(els, map(els.__getitem__, op.parts[x].images)))
+    return out
 
 
 def run(document: ModelDocument | None, command: str, flags: dict) -> dict:

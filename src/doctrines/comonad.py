@@ -82,12 +82,12 @@ def comonad_violations(c: DoctrineComonad) -> list[str]:
     for x in P.base.objects:
         kx = c.k.obj_map[x]
         comul = compose_maps(P.reindex[c.mu.components[x]], compose_maps(c.kappa[kx], c.kappa[x])).images
-        lhs, counit, fib = c.kappa[x].images, P.reindex[c.nu.components[x]].images, P.fibers[kx]
-        for i, a in enumerate(P.fibers[x].elements):
+        lhs, counit, fib, els = c.kappa[x].images, P.reindex[c.nu.components[x]].images, P.fibers[kx], P.fibers[x].elements
+        for i in range(len(els)):
             if not fib.leq_at(lhs[i], comul[i]):
-                out.append(f"(iii) comultiplication inequality fails at ({x},{a})")
+                out.append(f"(iii) comultiplication inequality fails at ({x},{els[i]})")
             if not fib.leq_at(lhs[i], counit[i]):
-                out.append(f"(iii) counit inequality fails at ({x},{a})")
+                out.append(f"(iii) counit inequality fails at ({x},{els[i]})")
     return out
 
 
@@ -138,10 +138,10 @@ def em_doctrine(c: DoctrineComonad) -> EMDoctrineBundle:
         carrier = data.forgetful.obj_map[o]
         closure = compose_maps(P.reindex[data.structure[o]], c.kappa[carrier]).images
         fib = P.fibers[carrier]
-        for i, a in enumerate(fib.elements):
+        for i in range(len(closure)):
             if not fib.leq_at(closure[i], i):
-                raise ValueError(f"closure not deflationary at ({o},{a})")
-        keep[o] = [a for i, a in enumerate(fib.elements) if closure[i] == i]
+                raise ValueError(f"closure not deflationary at ({o},{fib.elements[i]})")
+        keep[o] = [i for i, j in enumerate(closure) if i == j]
     em, inclusion = sub_doctrine(
         base_change(P, data.forgetful), keep, "reindexing along {t} leaves the EM fiber at {a}"
     )
@@ -388,9 +388,9 @@ def em_universal_factor(c: DoctrineComonad, x_arrow: OneArrow, xi: NatTransforma
     for d in x_arrow.src.base.objects:
         xd = X.obj_map[d]
         closure = compose_maps(P.reindex[xi.components[d]], c.kappa[xd]).images
-        for b, v in zip(x_arrow.src.fibers[d].elements, x_arrow.parts[d].images):
+        for i, v in enumerate(x_arrow.parts[d].images):
             if not P.fibers[xd].leq_at(v, closure[v]):
-                raise ValueError(f"lax coherence fails at ({d},{b})")
+                raise ValueError(f"lax coherence fails at ({d},{x_arrow.src.fibers[d].elements[i]})")
 
     bundle = em_doctrine(c)
     functor = _into_coalgebras(bundle.coalgebras, x_arrow.src.base, xi.components, X.arr_map)

@@ -129,23 +129,23 @@ class OneArrow:
 def _table_digest(doctrines, families) -> tuple:
     """The `_digest()` of a value over `doctrines` with the fiber-map
     `families` (`order.kept` reads it to find an equal copy): the keys of
-    each mapping, then each fiber's values, which == leaves out, or each
-    fiber map's image tuple, in the order the mapping iterates them, all in
-    one flat tuple. Two values that == finds equal have the same keys in each
-    mapping, so equal digests pair each key with equal values on both.
-    Functor, unit and counit tables are left to ==, which a matching digest
-    runs anyway."""
+    each mapping, then each fiber's `value_key`, which stands for its values
+    (== leaves them out) without computing them, or each fiber map's image
+    tuple, in the order the mapping iterates them, all in one flat tuple.
+    Two values that == finds equal have the same keys in each mapping, so
+    equal digests pair each key with equal values on both. Functor, unit and
+    counit tables are left to ==, which a matching digest runs anyway."""
     out = []
     for d in doctrines:
         out += d.fibers
-        out += map(_values, d.fibers.values())
+        out += map(_value_keys, d.fibers.values())
     for parts in families:
         out += parts
         out += map(_images, parts.values())
     return tuple(out)
 
 
-_values, _images = attrgetter("values"), attrgetter("images")
+_value_keys, _images = attrgetter("value_key"), attrgetter("images")
 
 
 def one_arrow_violations(a: OneArrow) -> list[str]:
@@ -200,19 +200,21 @@ def compose_one_arrows(b: OneArrow, a: OneArrow) -> OneArrow:
     )
 
 
-def sub_doctrine(P: Doctrine, keep: Mapping[str, Sequence[str]], leaves: str) -> tuple[Doctrine, OneArrow]:
-    """The full sub-doctrine of P on the elements `keep[X]` of each fiber,
-    reindexed by restriction, with its inclusion 1-arrow. Raises
-    ValueError(leaves.format(t=..., a=...)) at the first arrow t and element
-    a, in base order, whose reindexed image is not kept."""
+def sub_doctrine(P: Doctrine, keep: Mapping[str, Sequence[int]], leaves: str) -> tuple[Doctrine, OneArrow]:
+    """The full sub-doctrine of P on the elements at the increasing positions
+    `keep[X]` of each fiber, reindexed by restriction, with its inclusion
+    1-arrow. Raises ValueError(leaves.format(t=..., a=...)) at the first
+    arrow t and element a, in base order, whose reindexed image is not kept."""
     fibers = {x: sub_poset(P.fibers[x], keep[x]) for x in P.base.objects}
+    ordered = {x: sorted(set(keep[x])) for x in P.base.objects}
+    kept = {x: set(at) for x, at in ordered.items()}
     reindex = {}
     for t in P.base.arrow_names():
         x, y = P.base.src(t), P.base.dst(t)
         m = P.reindex[t]
-        for a in fibers[y].elements:
-            if m.apply(a) not in fibers[x]:
-                raise ValueError(leaves.format(t=t, a=a))
+        for j in ordered[y]:
+            if m.images[j] not in kept[x]:
+                raise ValueError(leaves.format(t=t, a=P.fibers[y].elements[j]))
         reindex[t] = restrict_map(m, fibers[y], fibers[x])
     sub = Doctrine(P.base, fibers, reindex)
     inclusion = {x: restrict_map(identity_map(P.fibers[x]), fibers[x], P.fibers[x]) for x in P.base.objects}
@@ -242,10 +244,8 @@ def two_arrow_violations(t: TwoArrow) -> list[str]:
     Q = a.dst
     for x in a.src.base.objects:
         fx, gx = a.parts[x].images, b.parts[x].images
-        rein, fib = Q.reindex[t.theta.components[x]].images, Q.fibers[a.functor.obj_map[x]]
-        for i, alpha in enumerate(a.src.fibers[x].elements):
-            if not fib.leq_at(fx[i], rein[gx[i]]):
-                out.append(f"lax inequality fails at ({x},{alpha})")
+        rein, fib, els = Q.reindex[t.theta.components[x]].images, Q.fibers[a.functor.obj_map[x]], a.src.fibers[x].elements
+        out.extend(f"lax inequality fails at ({x},{els[i]})" for i in range(len(els)) if not fib.leq_at(fx[i], rein[gx[i]]))
     return out
 
 

@@ -35,8 +35,12 @@ from .order import (
     FinLattice,
     FinPoset,
     MonotoneMap,
+    _Lazy,
+    _SUBSETS,
+    _coded,
     _positions,
     _require,
+    _sorted_successors,
     _unions,
     chain_poset,
     kept,
@@ -72,15 +76,16 @@ class KripkeFrame:
 
 
 def frame_violations(frame: KripkeFrame) -> list[str]:
-    worlds = set(frame.worlds)
-    out = [f"relation mentions unknown world: ({a},{b})" for a, b in sorted(frame.rel) if not {a, b} <= worlds]
+    """Unknown worlds, then reflexivity, then transitivity in sorted pair
+    order, each (a, b) against its b's successors in sorted order."""
+    worlds, pairs = set(frame.worlds), sorted(frame.rel)
+    out = [f"relation mentions unknown world: ({a},{b})" for a, b in pairs if not {a, b} <= worlds]
     for w in frame.worlds:
         if (w, w) not in frame.rel:
             out.append(f"not reflexive at {w}")
-    for (a, b) in sorted(frame.rel):
-        for (c, d) in sorted(frame.rel):
-            if b == c and (a, d) not in frame.rel:
-                out.append(f"not transitive: {a}->{b}->{d}")
+    above = _sorted_successors(pairs)
+    for (a, b) in pairs:
+        out.extend(f"not transitive: {a}->{b}->{d}" for d in above.get(b, ()) if (a, d) not in frame.rel)
     return out
 
 
@@ -90,7 +95,19 @@ def _pointwise_fiber(keys: Sequence[str], factors: Sequence[FinPoset]) -> FinPos
     by the tuple of the factors' values in key order, and ordered pointwise
     by `product_order`; m is covered by raising one value to a cover of it
     in its factor. A one-key fiber keeps its factor's codes and covers, so
-    one over a powerset is Boolean and derives its covers on first use."""
+    one over a powerset is Boolean and derives its covers on first use; its
+    label `[k:e]` and value (v,) at a position are computed from its
+    factor's there on first read (see `FinPoset`)."""
+    if len(factors) == 1 and _coded(factors[0]):
+        (k,), (f,) = keys, factors
+        els, vals, n = f.elements, f.values, len(f.elements)
+        _, depth, names, codes = f.value_key
+        key = (_SUBSETS, depth + 1, names, codes)
+        labels = _Lazy(
+            n, lambda i: f"[{k}:{els[i]}]", lambda: tuple(f"[{k}:{e}]" for e in els), (_pointwise_fiber, k, els)
+        )
+        values = _Lazy(n, lambda i: (vals[i],), lambda: tuple((v,) for v in vals), key)
+        return FinPoset(labels, f.codes, f.covers, values, value_key=key)
     parts = [[f"{k}:{e}" for e in f.elements] for k, f in zip(keys, factors)]
     labels = tuple("[" + ";".join(combo) + "]" for combo in product(*parts))
     values = tuple(product(*(f.values for f in factors)))
@@ -125,11 +142,15 @@ def _digit_images(parts: Sequence[Sequence[int]], size: int) -> tuple[int, ...]:
     order (first digit slowest), built digit by digit: the images of a map
     between function fibers whose target position is a sum of one term per
     digit of the source position, as the shared positions of a target of
-    `size` elements."""
-    images = [0]
-    for part in parts:
+    `size` elements. The sums of the last digit go straight to those
+    positions, so no list of new ints as long as the map is held."""
+    at, images = _positions(size), [0]
+    for part in parts[:-1]:
         images = [p + q for p in images for q in part]
-    return tuple(map(_positions(size).__getitem__, images))
+    if not parts:
+        return (at[0],)
+    last = parts[-1]
+    return tuple([at[p + q] for p in images for q in last])
 
 
 def _function_doctrine(base: FinCategory, sets: Mapping[str, Sequence[str]], codomain: FinPoset) -> Doctrine:
@@ -145,23 +166,24 @@ def _function_doctrine(base: FinCategory, sets: Mapping[str, Sequence[str]], cod
         weights, n = [0] * len(sets[d]), len(sets[s])
         for k, j in enumerate(base.payload[a]):
             weights[j] += c ** (n - 1 - k)
-        parts = [[digit * w for digit in range(c)] for w in weights]
+        parts = [_positions(c)[:c] if w == 1 else [digit * w for digit in range(c)] for w in weights]
         reindex[a] = MonotoneMap(fibers[d], fibers[s], _digit_images(parts, len(fibers[s].elements)))
     return Doctrine(base, fibers, reindex)
 
 
-def _postcompose(src: Doctrine, dst: Doctrine, table: Sequence[int], width: int) -> dict[str, MonotoneMap]:
-    """The fiber maps α ↦ f∘α from the function doctrine `src` to `dst`, one
-    per object, where table[i] is the position of f(i) among the `width`
-    elements of the target codomain, for i a position of the source
-    codomain: on n keys, f∘α sits at Σ_k table[α_k]·width^(n−1−k). n is the
-    length of a fiber element's value, the tuple of its codomain values."""
+def _postcompose(
+    src: Doctrine, dst: Doctrine, sets: Mapping[str, Sequence[str]], table: Sequence[int], width: int
+) -> dict[str, MonotoneMap]:
+    """The fiber maps α ↦ f∘α from the function doctrine `src` on `sets` to
+    `dst`, one per object, where table[i] is the position of f(i) among the
+    `width` elements of the target codomain, for i a position of the source
+    codomain: on the n = |sets[x]| keys of x, f∘α sits at
+    Σ_k table[α_k]·width^(n−1−k)."""
     out = {}
     for x in src.base.objects:
-        fiber, size = src.fibers[x], len(dst.fibers[x].elements)
-        n = len(fiber.values[0])
-        parts = [[t * width ** (n - 1 - k) for t in table] for k in range(n)]
-        out[x] = MonotoneMap(fiber, dst.fibers[x], _digit_images(parts, size))
+        n = len(sets[x])
+        parts = [[t * width ** (n - 1 - k) for t in table] for k in range(n - 1)] + [table] * (n > 0)
+        out[x] = MonotoneMap(src.fibers[x], dst.fibers[x], _digit_images(parts, len(dst.fibers[x].elements)))
     return out
 
 
@@ -183,7 +205,7 @@ def kripke_doctrine(frame: KripkeFrame, sets: Mapping[str, Sequence[str]]) -> tu
     pred = [sum(1 << i for i, w in enumerate(worlds) if v in frame.successors(w)) for v in worlds]
     outside, top = _unions(pred), len(at) - 1
     box = [at[top ^ outside[top ^ c]] for c in wposet.codes]
-    return doc, InteriorOp(doc, _postcompose(doc, doc, box, len(box)))
+    return doc, InteriorOp(doc, _postcompose(doc, doc, sets, box, len(box)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +502,7 @@ def _core_of(q: FiniteQuantale, elements: list[str]) -> QuantaleCore:
     ⋁{y ∈ elements | y ≤ x}. r lands in `elements` when they hold ⊥ and
     each binary join of two of them; the callers' sets do."""
     order, join = q.lattice.carrier, q.lattice.join
-    sub = sub_poset(order, elements)
+    sub = sub_poset(order, map(order.index, elements))
     iota = MonotoneMap(sub, order, tuple(map(order.index, elements)))
     r = []
     for x in order.elements:
@@ -519,8 +541,8 @@ def quantale_doctrine(
     base = full_function_category(sets)
     Qdoc = _function_doctrine(base, sets, q.lattice.carrier)
     Cdoc = _function_doctrine(base, sets, core.sub)
-    lam = _postcompose(Cdoc, Qdoc, core.iota.images, len(core.iota.dst.elements))
-    rho = _postcompose(Qdoc, Cdoc, core.r.images, len(core.r.dst.elements))
+    lam = _postcompose(Cdoc, Qdoc, sets, core.iota.images, len(core.iota.dst.elements))
+    rho = _postcompose(Qdoc, Cdoc, sets, core.r.images, len(core.r.dst.elements))
     adj = vertical_adjunction(Cdoc, Qdoc, lam, rho)
     bang = vertical_modality(adj)
     return Qdoc, adj, bang
@@ -749,7 +771,7 @@ def presheaf_instance(
     for d in presheaves:
         at, values = fibers[d.name].by_value, fibers[d.name].values
         largest[d.name] = {v: values[at[tuple(largest_subpresheaf(d, dict(zip(worlds, v))).values())]] for v in values}
-    keep = {n: [a for a, v in zip(fibers[n].elements, fibers[n].values) if largest[n][v] == v] for n in fibers}
+    keep = {n: [i for i, v in enumerate(fibers[n].values) if largest[n][v] == v] for n in fibers}
     reindex = {}
     for (n, sn, dn) in arrows:
         rows, at, to = images[n], by_name[sn].at, by_name[dn].at

@@ -7,7 +7,7 @@ reported by a literal scan over the data.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter, eq
 
 from _weakref import ref  # weakref.ref, without the weakref module's containers to import
@@ -218,6 +218,95 @@ def _positions(n: int) -> list[int]:
     return _POSITIONS
 
 
+class _Lazy:
+    """A read-only sequence of n items computed from their positions, as a
+    Boolean poset's labels and values are: item i is `one(i)`, computed
+    again on each read, until the sequence is first read whole, which
+    computes every item by `every()` in one pass and keeps the tuple after
+    that. `len` reads nothing. `key` determines the items and is compared
+    without reading them, so two such sequences with equal keys are equal
+    unread, as `FinPoset.__eq__` compares labels. Equal to a tuple of the
+    same items, with that tuple's hash."""
+
+    __slots__ = ("_n", "_one", "_every", "_full", "key")
+
+    def __init__(self, n: int, one, every, key: tuple):
+        self._n, self._one, self._every, self._full, self.key = n, one, every, None, key
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if self._full is None and i.__class__ is int and -self._n <= i < self._n:
+            return self._one(i % self._n)
+        return self.tuple()[i]
+
+    def tuple(self) -> tuple:
+        """Every item, computed in one pass on the first call and kept."""
+        if self._full is None:
+            self._full = self._every()
+        return self._full
+
+    def __iter__(self):
+        return iter(self.tuple())
+
+    def __eq__(self, other):
+        if other.__class__ is _Lazy:
+            return self.key == other.key or self._n == other._n and self.tuple() == other.tuple()
+        if other.__class__ is tuple:
+            return self._n == len(other) and self.tuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.tuple())
+
+    def __repr__(self) -> str:
+        return repr(self.tuple())
+
+
+def _picked(items, kept: tuple[int, ...]):
+    """The items at the positions `kept`: a tuple from a tuple, and from a
+    `_Lazy` a `_Lazy` whose whole read reads each kept item of `items`, from
+    its tuple once that has been read whole."""
+    if items.__class__ is not _Lazy:
+        return tuple(map(items.__getitem__, kept))
+    return _Lazy(len(kept), lambda i: items[kept[i]], lambda: tuple(map(items.__getitem__, kept)), (sub_poset, items, kept))
+
+
+_SUBSETS = object()  # the tag of a value key in code form
+
+
+def _coded_key(depth: int, names: tuple[str, ...], codes) -> tuple:
+    """The value key of values in code form: value i is the frozenset of the
+    `names` at the bits of codes[i], in `depth` 1-tuples. The names no code
+    holds are dropped and the codes packed onto the rest, so two such
+    sequences whose points come in the same order have equal keys iff they
+    have equal values."""
+    codes, used = tuple(codes), 0
+    for c in codes:
+        used |= c
+    if used != (1 << len(names)) - 1:
+        if used & (used + 1):  # a name below the highest held is not held: pack each code
+            packed = {1 << j: 1 << r for r, j in enumerate(j for j in range(len(names)) if used >> j & 1)}
+            codes = tuple(sum(map(packed.__getitem__, _bits(c))) for c in codes)
+        names = tuple(n for j, n in enumerate(names) if used >> j & 1)
+    return _SUBSETS, depth, names, codes
+
+
+def _bits(code: int) -> list[int]:
+    """The powers of two that sum to `code`, lowest first."""
+    out = []
+    while code:
+        out.append(low := code & -code)
+        code ^= low
+    return out
+
+
+def _coded(p: FinPoset) -> bool:
+    """Whether p's value key is in code form (`_coded_key`)."""
+    return bool(p.value_key) and p.value_key[0] is _SUBSETS
+
+
 @value_class
 class FinPoset:
     """A finite poset: elements in declaration order, the order as bit codes,
@@ -240,18 +329,38 @@ class FinPoset:
     frozenset, a pointwise element's tuple of its factors' values, a family's
     (carrier subset, tuple of parts); `sub_poset` and `product_poset` carry
     their inputs' values over, and every other builder leaves the label
-    itself. A repeated value raises, as a repeated element does. Values take
-    no part in equality or hash. A map between fibers is the function on
-    values it computes, read back through `value_map`, so no label is parsed
-    or printed again.
+    itself. Values take no part in equality or hash. A map between fibers is
+    the function on values it computes, read back through `value_map`, so no
+    label is parsed or printed again. `value_key`, fixed when the poset is
+    built, is what `doctrine._table_digest` reads for the values, hashable
+    without computing them: the values tuple itself, or for values in code
+    form (a powerset's, a one-key fiber's over such a factor, and those of a
+    `sub_poset` of either) the names their codes hold and those codes, packed
+    onto the names some code holds (`_coded_key`). Equal keys mean equal
+    values, and equal values mean equal keys whichever of these routes built
+    them, when their points come in one order.
+
+    When labels and values are computed. Most builders pass tuples, and a
+    repeated element or value raises here. `powerset_poset` (when its labels
+    are distinct), the one-key `instances._pointwise_fiber` over it, and a
+    `sub_poset` of either pass `_Lazy` sequences: item i is computed on its
+    first read (the ground points at the bits of codes[i]; the factor's, or
+    the input's, item there), all of them in one pass on a whole read (a
+    sub-poset's reads its input's kept items), and `len` reads nothing. They are distinct without a scan: distinct codes
+    are distinct subsets of distinct points, with distinct frozensets, and
+    distinct labels when no point is empty or holds a comma (else
+    `powerset_poset` builds and scans them), since the text between the
+    braces then splits at its commas into the members; `[k:e]` and (v,) are
+    injective in e and v; a sub-poset keeps distinct items. So a law scan
+    on positions builds no label, and `_position` and `by_value` are dicts
+    built on their first read.
 
     Invariant: every instance is a partial order on distinct elements. Only
     the builders `poset_from_pairs` (from a relation that is already a
     partial order, as `check_poset` passes it after its axiom scan),
     `chain_poset`, `sub_poset`, `product_poset`, `powerset_poset`,
     `instances._pointwise_fiber` and `instances.fam_doctrine` construct one,
-    each from codes that encode a partial order by construction; a repeated
-    element raises here. The
+    each from codes that encode a partial order by construction. The
     cover certificate of `monotone_violations` relies on it: every a <= b is
     a chain of covers, and the target's <= is reflexive and transitive.
 
@@ -259,28 +368,36 @@ class FinPoset:
     elements[j] and nothing strictly between: passed by a builder that
     enumerates the order by its structure, else derived by `hasse()` on
     first use. `relation`, the label pairs a <= b, is built on first use for
-    callers that want it; the library never reads it.
+    callers that want it; the library never reads it. `within`, set by
+    `sub_poset` alone, holds the position in its input of each element when
+    it keeps fewer than all, so `restrict_map` maps positions.
 
     A Boolean poset, one whose codes are exactly 0 … 2ᵏ−1 (`powerset_poset`
     and the pointwise fibers over powersets), is the lattice of subsets of k
     bits; `_by_code`, its position of each code, is built once on first use
-    and read by the maps that compute on codes, by `hasse()` and by the meet
-    certificate of `monotone_violations`."""
+    (shared by every powerset of k points) and read by the maps that compute
+    on codes, by `hasse()`, by the meet certificate of `monotone_violations`
+    and by the coatom certificate of `interior_violations`."""
 
     elements: tuple[str, ...]
     codes: tuple[int, ...]
     covers: tuple[tuple[int, int], ...] | None = Field()
     values: tuple | None = Field()
-    _position: dict = Field(init=False)
+    within: tuple[int, ...] | None = Field()
+    value_key: tuple | None = Field()
 
     def __post_init__(self):
+        if self.values is None:
+            object.__setattr__(self, "values", self.elements)
+        if self.value_key is None:
+            object.__setattr__(self, "value_key", self.values)
+        if self.elements.__class__ is _Lazy:  # distinct by construction (see the docstring); `_position` on first use
+            return
         position = dict(zip(self.elements, _positions(len(self.elements))))
         if len(position) != len(self.elements):
             repeated = next(e for i, e in enumerate(self.elements) if position[e] != i)
             raise ValueError(f"repeated poset element {repeated!r}")
-        if self.values is None:
-            object.__setattr__(self, "values", self.elements)
-        else:
+        if self.values is not self.elements:
             last = {v: i for i, v in enumerate(self.values)}
             if len(last) != len(self.values):
                 repeated = next(v for i, v in enumerate(self.values) if last[v] != i)
@@ -291,16 +408,22 @@ class FinPoset:
         if not isinstance(other, FinPoset):
             return NotImplemented
         return self is other or self.elements == other.elements and (
-            self.codes == other.codes or all(self.up(a) == other.up(a) for a in self.elements)
+            self.codes is other.codes or self.codes == other.codes or all(self.up(a) == other.up(a) for a in self.elements)
         )
 
     def __hash__(self) -> int:
         return hash(self.elements)
 
     @derived
+    def _position(self) -> dict:
+        """The position of each element: built with the poset, save for one
+        whose labels are computed (`_Lazy`), where it is built on first use."""
+        return dict(zip(self.elements, _positions(len(self.elements))))
+
+    @derived
     def by_value(self) -> dict:
         """The position of each value, built on first use."""
-        return dict(zip(self.values, self._position.values()))
+        return dict(zip(self.values, _positions(len(self.values))))
 
     def value(self, a: str):
         return self.values[self._position[a]]
@@ -313,9 +436,15 @@ class FinPoset:
     def _by_code(self) -> list[int] | None:
         """The position of each code when the codes are exactly 0 … 2ᵏ−1,
         else None: n distinct codes (distinct, since the order is
-        antisymmetric) of at most n − 1, for n a power of two."""
+        antisymmetric) of at most n − 1, for n a power of two; for the codes
+        of a powerset of k points, shared with every other."""
         n, codes = len(self.codes), self.codes
-        if not n or n & (n - 1) or max(codes) != n - 1:
+        if not n or n & (n - 1):
+            return None
+        shared = _SUBSET_CODES.get(n.bit_length() - 1)
+        if shared is not None and codes is shared[0]:
+            return shared[1]
+        if max(codes) != n - 1:
             return None
         return sorted(_positions(n)[:n], key=codes.__getitem__)
 
@@ -326,7 +455,7 @@ class FinPoset:
         code strictly contains i's and no cover found before, O(n²) tests on
         n codes."""
         if self.covers is None:
-            at, positions = self._by_code, self._position.values()
+            at, positions = self._by_code, _positions(len(self.codes))
             if at is not None:
                 bits = [1 << b for b in range(len(at).bit_length() - 1)]
                 covers = [(i, at[c | b]) for i, c in zip(positions, self.codes) for b in bits if not c & b]
@@ -387,27 +516,39 @@ def product_order(factors: Sequence[FinPoset]) -> tuple[int, ...]:
     return tuple(codes)
 
 
+def _sorted_successors(pairs: list[tuple[str, str]]) -> dict[str, list[str]]:
+    """The d of each (c, d) of the sorted `pairs`, listed under c in sorted
+    order: for a pair (a, b), the (b, d) among them in sorted order are the
+    d listed under b."""
+    out = {}
+    for c, d in pairs:
+        out.setdefault(c, []).append(d)
+    return out
+
+
 def poset_violations(elements: Sequence[str], relation: Iterable[tuple[str, str]]) -> list[str]:
-    """Every violated poset axiom, each with a minimal witness."""
+    """Every violated poset axiom, each with a minimal witness: transitivity
+    in sorted pair order, each (a, b) against its b's successors in sorted
+    order."""
     elems = list(elements)
     rel = set(relation)
+    pairs = sorted(rel)
     out = []
     seen = set()
     for e in elems:
         if e in seen:
             out.append(f"duplicate element identifier: {e}")
         seen.add(e)
-    for (a, b) in sorted(rel):
+    for (a, b) in pairs:
         if a not in seen or b not in seen:
             out.append(f"relation mentions unknown element: ({a},{b})")
     for e in elems:
         if (e, e) not in rel:
             out.append(f"reflexivity: missing ({e},{e})")
-    for (a, b) in sorted(rel):
-        for (c, d) in sorted(rel):
-            if b == c and (a, d) not in rel:
-                out.append(f"transitivity: {a}<={b} and {b}<={d} but not {a}<={d}")
-    for (a, b) in sorted(rel):
+    above = _sorted_successors(pairs)
+    for (a, b) in pairs:
+        out.extend(f"transitivity: {a}<={b} and {b}<={d} but not {a}<={d}" for d in above.get(b, ()) if (a, d) not in rel)
+    for (a, b) in pairs:
         if a != b and (b, a) in rel and a < b:
             out.append(f"antisymmetry: ({a},{b})")
     return out
@@ -434,19 +575,24 @@ def check_poset(
 def close_relation(
     elements: Sequence[str], pairs: Iterable[tuple[str, str]], closure: str = "none"
 ) -> frozenset[tuple[str, str]]:
-    """Close a relation reflexively and/or transitively."""
+    """Close a relation reflexively and/or transitively: the transitive
+    closure pairs each a with everything a walk along successors reaches
+    from it in one step or more."""
     rel = set(pairs)
     if closure in ("refl", "refl-trans"):
         rel.update((e, e) for e in elements)
     if closure in ("trans", "refl-trans"):
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        succ = {}
+        for a, b in rel:
+            succ.setdefault(a, []).append(b)
+        for a, first in succ.items():
+            reached, todo = set(first), list(first)
+            while todo:
+                for d in succ.get(todo.pop(), ()):
+                    if d not in reached:
+                        reached.add(d)
+                        todo.append(d)
+            rel.update((a, d) for d in reached)
     return frozenset(rel)
 
 
@@ -469,13 +615,18 @@ def chain_poset(labels: Sequence[str]) -> FinPoset:
     return FinPoset(tuple(labels), tuple((2 << i) - 1 for i in range(n)), tuple(zip(at[:n], at[1:n])))
 
 
-def sub_poset(p: FinPoset, elements: Sequence[str]) -> FinPoset:
-    """The induced order on the members of `elements`, in p's order, with
-    their codes kept."""
-    wanted = set(elements)
-    kept = [i for i, e in enumerate(p.elements) if e in wanted]
-    pick = lambda xs: tuple(map(xs.__getitem__, kept))
-    return FinPoset(pick(p.elements), pick(p.codes), values=pick(p.values))
+def sub_poset(p: FinPoset, positions: Iterable[int]) -> FinPoset:
+    """The induced order on the elements of p at `positions`, in p's order,
+    with their codes and values kept, and those positions as `within`. Every
+    element kept keeps p's labels and values as they are, computed or not."""
+    kept = sorted(set(positions))
+    if len(kept) == len(p.elements):
+        return FinPoset(p.elements, p.codes, values=p.values, value_key=p.value_key)
+    kept, key = tuple(kept), p.value_key
+    return FinPoset(
+        _picked(p.elements, kept), _picked(p.codes, kept), values=_picked(p.values, kept), within=kept,
+        value_key=_coded_key(key[1], key[2], map(key[3].__getitem__, kept)) if _coded(p) else None,
+    )
 
 
 def product_poset(p: FinPoset, q: FinPoset) -> FinPoset:
@@ -521,17 +672,17 @@ def value_map(src: FinPoset, dst: FinPoset, f) -> MonotoneMap:
     value is f(its value), looked up in `dst.by_value`; raises ValueError
     naming the first source element whose image value `dst` does not hold."""
     at, images = dst.by_value, []
-    for a, v in zip(src.elements, src.values):
+    for v in src.values:
         try:
             images.append(at[f(v)])
         except KeyError:
-            raise ValueError(f"the image of {a!r} is not a value of the target poset") from None
+            raise ValueError(f"the image of {src.elements[len(images)]!r} is not a value of the target poset") from None
     return MonotoneMap(src, dst, tuple(images))
 
 
 def value_graph(m: MonotoneMap) -> dict:
     """The map `m` as a function on values: each source value to its image's value."""
-    return dict(zip(m.src.values, map(m.dst.values.__getitem__, m.images)))
+    return dict(zip(m.src.values, map(tuple(m.dst.values).__getitem__, m.images)))
 
 
 def _certified(checks) -> bool:
@@ -539,7 +690,8 @@ def _certified(checks) -> bool:
     passes, so the literal scan is skipped. It is the one seam of the
     library's certificates (meets and covers in `monotone_violations`,
     generators in `functor_violations` and `doctrine_violations`, Light's
-    test in `category_violations`). A certificate may only certify a pass: on
+    test in `category_violations`, ⊤ and the coatoms in
+    `interior_violations`). A certificate may only certify a pass: on
     False the literal scan runs and names the witnesses, so a run where it
     always returns False reports the same."""
     return all(checks)
@@ -563,16 +715,26 @@ def _meets_certified(m: MonotoneMap) -> bool:
     return _certified(c[x] == c[x | (b := ~x & (x + 1))] & c[top ^ b] for x in range(top))
 
 
+_MEETS = "doctrines.order._meets_certified"  # kept on a map that passed the meet certificate
+
+
+def _keeps_meets(m: MonotoneMap) -> bool:
+    """Whether `monotone_violations(m)` has run and certified m by the meet
+    certificate, which then also proves that m preserves binary meets."""
+    return _MEETS in getattr(m, "_kept", ())
+
+
 @kept
 def monotone_violations(m: MonotoneMap) -> list[str]:
     """Empty list iff order-preservation holds on every related pair; checked
     by the meet certificate first when the source is Boolean, then on the
     covering pairs of the source. Scanned once per map; a fresh list on
-    every call."""
+    every call. A pass of the meet certificate is kept on m (`_keeps_meets`)."""
     # every a <= b is a chain of covers and the target's <= is reflexive and
     # transitive, so preserving the covers certifies a pass; on a miss the
     # scan below finds the witnesses
     if m.src._by_code is not None and _meets_certified(m):
+        _kept_on(m)[_MEETS] = True
         return []
     images, codes = m.images, m.dst.codes
     if _certified(not codes[images[i]] & ~codes[images[j]] for (i, j) in m.src.hasse()):
@@ -632,9 +794,16 @@ def is_identity_map(m: MonotoneMap, p: FinPoset, f: MonotoneMap | None = None) -
 
 
 def restrict_map(m: MonotoneMap, src: FinPoset, dst: FinPoset) -> MonotoneMap:
-    """m on the elements of `src`, into `dst` (unchecked: every image must lie in `dst`)."""
-    at, position, els, images = dst._position, m.src._position, m.dst.elements, m.images
-    return MonotoneMap(src, dst, tuple([at[els[images[position[x]]]] for x in src.elements]))
+    """m on the elements of `src`, into `dst`, on positions: each of `src`
+    and `dst` is m's end itself (or equal to it) or a `sub_poset` of it,
+    whose `within` gives the position there of each of its elements
+    (unchecked: every image must lie in `dst`)."""
+    images = m.images
+    if src.within is not None and len(src.elements) < len(m.src.elements):
+        images = map(images.__getitem__, src.within)
+    if dst.within is not None and len(dst.elements) < len(m.dst.elements):
+        images = map(dict(zip(dst.within, _positions(len(dst.within)))).__getitem__, images)
+    return MonotoneMap(src, dst, tuple(images))
 
 
 @value_class
@@ -692,15 +861,55 @@ def subsets_in_order(ground: Sequence[str]) -> list[frozenset[str]]:
     return out
 
 
+def _combinations(ground: Sequence[str]):
+    """Every tuple of members of `ground` in position order, by size and
+    then lexicographically by positions (`itertools.combinations` order)."""
+    return (combo for r in range(len(ground) + 1) for combo in combinations(ground, r))
+
+
+_SUBSET_CODES: dict[int, tuple[tuple[int, ...], list[int]]] = {}
+
+
+def _subset_codes(k: int) -> tuple[tuple[int, ...], list[int]]:
+    """The bitmasks of the subsets of k points in `_combinations` order, and
+    the position of each bitmask, built once per k and shared, on the shared
+    position ints. The r-subsets of the points from s on, in that order, are
+    s joined to each (r−1)-subset of the points from s + 1, then the
+    r-subsets of those, so the table grows from the last point down."""
+    if k not in _SUBSET_CODES:
+        at = _positions(1 << k)
+        rows = [[0]]  # rows[r]: the r-subsets of the points from s on
+        for s in range(k - 1, -1, -1):
+            bit = 1 << s
+            rows = [[0], *(list(map(at.__getitem__, map(bit.__or__, rows[r - 1]))) + (rows[r] if r < len(rows) else [])
+                           for r in range(1, len(rows) + 1))]
+        codes = tuple(chain.from_iterable(rows))
+        by_code = [0] * len(codes)
+        list(map(by_code.__setitem__, codes, at))
+        _SUBSET_CODES[k] = codes, by_code
+    return _SUBSET_CODES[k]
+
+
+def _members(ground: Sequence[str], code: int) -> list[str]:
+    """The points of `ground` at the bits of `code`, in ground order."""
+    return [ground[b.bit_length() - 1] for b in _bits(code)]
+
+
 def powerset_poset(ground: Sequence[str]) -> FinPoset:
     """Subsets in `subsets_in_order` order under inclusion, labelled as by
     `subset_label` and coded by their bitmask of ground positions: a Boolean
-    poset, whose covers `hasse()` derives on first use."""
-    n = len(ground)
-    bits = [1 << i for i in range(n)]
-    label_of, values = {}, []
-    for r in range(n + 1):
-        for combo in combinations(range(n), r):
-            label_of[sum(map(bits.__getitem__, combo))] = "{" + ",".join(map(ground.__getitem__, combo)) + "}"
-            values.append(frozenset(map(ground.__getitem__, combo)))
-    return FinPoset(tuple(label_of.values()), tuple(label_of), values=tuple(values))
+    poset, whose covers `hasse()` derives on first use. It holds its ground
+    and the shared codes of its size (`_subset_codes`); its labels and
+    frozenset values are computed on first read (see `FinPoset`), unless a
+    ground point is empty, holds a comma or is repeated: then two labels
+    could be one, so they are built here and a repeated one raises."""
+    ground = tuple(ground)
+    codes = _subset_codes(len(ground))[0]
+    key = (_SUBSETS, 0, ground, codes)
+    every_label = lambda: tuple("{" + ",".join(combo) + "}" for combo in _combinations(ground))
+    every_value = lambda: tuple(subsets_in_order(ground))
+    if len(set(ground)) < len(ground) or any(not e or "," in e for e in ground):
+        return FinPoset(every_label(), codes, values=every_value(), value_key=key)
+    labels = _Lazy(len(codes), lambda i: "{" + ",".join(_members(ground, codes[i])) + "}", every_label, (powerset_poset, ground))
+    values = _Lazy(len(codes), lambda i: frozenset(_members(ground, codes[i])), every_value, key)
+    return FinPoset(labels, codes, values=values, value_key=key)

@@ -573,7 +573,7 @@ MONOTONE_MAP_BUILDERS = {
     "order.value_map": "looks each image value up in dst.by_value, raising on a miss",
     "order.identity_map": "the positions of p itself",
     "order.compose_maps": "indexes g's images by f's, positions of g.src = f.dst",
-    "order.restrict_map": "reads each image's position in dst off its label",
+    "order.restrict_map": "maps positions through each end's `within`, the positions sub_poset kept",
     "instances._core_of": "positions read off the carrier and the sub-poset by `index`",
     "instances._function_doctrine": (
         "α∘g has a codomain digit at each key of s, so its digit sum is a position of the fiber at s"

@@ -1270,11 +1270,14 @@ def _planted_certificate_failures() -> dict:
     verdict: the complement map on pw(2), which keeps no meet and no order;
     a map that reverses a chain, which has no meet certificate to try; a
     functor from Z/2 that sends the generator to an idempotent; a doctrine
-    over Z/2 whose reindexing along the generator is constant; and a
-    declared one-object category whose composition has identities but does
-    not associate."""
+    over Z/2 whose reindexing along the generator is constant; a declared
+    one-object category whose composition has identities but does not
+    associate; and the Kripke box of a frame without arrows, which keeps
+    meets and sends every predicate to ⊤, so T fails below ⊤."""
     from doctrines.doctrine import Doctrine, doctrine_violations
     from doctrines.fincat import Functor, category_violations, functor_violations
+    from doctrines.instances import KripkeFrame, kripke_doctrine
+    from doctrines.interior import interior_violations
     from doctrines.order import chain_poset, graph_map, identity_map, monotone_violations, powerset_poset
     from util import one_object_monoid_category
 
@@ -1294,6 +1297,9 @@ def _planted_certificate_failures() -> dict:
             Doctrine(z2, {"*": two}, {"e": identity_map(two), "s": graph_map(two, two, {"0": "0", "1": "0"})})
         ),
         "category_violations": lambda: category_violations(["*"], [(x, "*", "*") for x in "eab"], {"*": "e"}, table),
+        "interior_violations": lambda: interior_violations(
+            kripke_doctrine(KripkeFrame(("w1", "w2"), frozenset()), {"D": ["x"]})[1]
+        ),
     }
 
 
@@ -1315,6 +1321,7 @@ def test_only_the_literal_scan_names_a_failure_each_certificate_misses(monkeypat
         "doctrine_violations": ["contravariance fails on (s,s)"],
         # every triple of the two non-identities fails
         "category_violations": [f"associativity fails on ({f},{g},{h})" for h in "ab" for g in "ab" for f in "ab"],
+        "interior_violations": [f"axiom T fails at (D,[x:{a}])" for a in ("{}", "{w1}", "{w2}")],
     }
     certified_in = set()
 

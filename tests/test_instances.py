@@ -353,7 +353,7 @@ def test_bang_law_controls_fail_where_expected():
 def _bottom_core(q):
     """Only ⊥ kept, so ! is constant ⊥: a planted core that fails law 3 alone."""
     carrier, bottom = q.lattice.carrier, q.lattice.bottom
-    sub = sub_poset(carrier, [bottom])
+    sub = sub_poset(carrier, [carrier.index(bottom)])
     iota = graph_map(sub, carrier, {bottom: bottom})
     return QuantaleCore((bottom,), sub, iota, graph_map(carrier, sub, {x: bottom for x in carrier.elements}))
 
@@ -371,7 +371,7 @@ def test_a_core_that_rounds_h_up_fails_law_4_where_a_coordinate_pair_is_h_h():
     # ! sends h to 1 on luk3, so !h⊗!h = 1 while !(h⊗h) = !0 = 0
     q = lukasiewicz3()
     carrier = q.lattice.carrier
-    sub = sub_poset(carrier, ["0", "1"])
+    sub = sub_poset(carrier, map(carrier.index, ["0", "1"]))
     iota = graph_map(sub, carrier, {"0": "0", "1": "1"})
     core = QuantaleCore(("0", "1"), sub, iota, graph_map(carrier, sub, {"0": "0", "h": "1", "1": "1"}))
     bad = bang_law_violations(q, BANG_SETS, core_override=core)

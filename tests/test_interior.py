@@ -224,7 +224,7 @@ def test_modal_arrows_between_interior_operators_map_stable_elements_to_stable_e
             assert modal_one_arrow_violations(arrow, op_src, op_dst) == [], name
             for x in arrow.src.base.objects:
                 f, box, box2 = arrow.parts[x], op_src.parts[x], op_dst.parts[arrow.functor.obj_map[x]]
-                elements = arrow.src.fibers[x].elements
+                elements = tuple(arrow.src.fibers[x].elements)
                 for alpha in rng.sample(elements, min(len(elements), 16)):
                     image = f.apply(box.apply(alpha))
                     assert box2.apply(image) == image, (name, x, alpha)

@@ -40,10 +40,10 @@ def test_layer_sweep_measures_the_function_category_row():
 def test_layer_sweep_measures_the_change_only_rows_with_their_peak_rss():
     assert _sweep_module().CHANGE_ONLY == {
         ("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16),
-        ("--hom-states", 8),
+        ("--hom-states", 8), ("--check-worlds", 20),
     }
     rows = [*_measure("--arrows", 3125), *_measure("--arrows", 46656), *_measure("--quantale-points", 5),
-            *_measure("--presheaf-worlds", 16), *_measure("--hom-states", 8)]
+            *_measure("--presheaf-worlds", 16), *_measure("--hom-states", 8), *_measure("--check-worlds", 20)]
     assert [(r["layer"], r.get("arrows"), r.get("points"), r.get("worlds"), r.get("states")) for r in rows] == [
         ("full_function_category", 3125, None, None, None),
         ("full_function_category", 46656, None, None, None),
@@ -52,6 +52,7 @@ def test_layer_sweep_measures_the_change_only_rows_with_their_peak_rss():
         ("presheaf check", None, None, 16, None),
         ("temporal_doctrine", None, None, None, 8),
         ("temporal_doctrine", None, None, None, 8),
+        ("check", None, None, 20, None),
     ]
     assert all(r["s"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
 
@@ -77,6 +78,8 @@ def test_layer_sweep_runs_the_change_only_rows_on_the_change_checkout_alone(tmp_
     assert all(sorted(set(sides)) == ["change", "parent"] for size, sides in seen.items() if size not in sweep.CHANGE_ONLY)
     rows = {(r["layer"], r["size"]): r for r in json.loads(out.read_text())["layers"]}
     assert "parent_s" not in rows["--arrows", 3125] and rows["--arrows", 1024]["parent_s"] == 1.0
+    # every row has each side's median next to its best
+    assert all(f"{side}_median_s" in r for r in rows.values() for side in ("parent", "change") if f"{side}_s" in r)
 
 
 def test_layer_sweep_measures_the_quantale_row():
@@ -185,7 +188,9 @@ def test_layer_sweep_runs_the_suite_rows_at_the_gate_seeds_in_turns(tmp_path, mo
     assert seen[counted:] == [("suite import", None, side) for side in ("parent", "change")] * sweep.IMPORT_ROUNDS
     written = json.loads(out.read_text())
     assert written["suite"] == [
-        {"layer": "suite", "criterion": 1, "seed": seed, "parent_s": 1.0, "change_s": 0.5} for seed in (7, 1, 2, 3)
+        {"layer": "suite", "criterion": 1, "seed": seed, "parent_s": 1.0, "parent_median_s": 1.0, "change_s": 0.5,
+         "change_median_s": 0.5}
+        for seed in (7, 1, 2, 3)
     ]
     # the change's kept builds, counted on both sides; a run of other code is not one
     assert written["suite_kept_builds"] == [
@@ -225,10 +230,11 @@ def _sweep_module():
     return sweep
 
 
-def test_layer_sweep_sizes_reach_17_worlds_and_an_18_world_check_on_both_sides():
+def test_layer_sweep_sizes_reach_17_worlds_an_18_world_check_on_both_sides_and_a_20_world_one_on_the_change():
     sweep = _sweep_module()
     assert max(sweep.ONE_KEY_WORLDS) == 17
-    assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16, 17, 18] and not hasattr(sweep, "CHANGE_ONLY_CHECK_WORLDS")
+    assert list(sweep.CHECK_WORLDS) == [12, 13, 14, 15, 16, 17, 18, 20] and not hasattr(sweep, "CHANGE_ONLY_CHECK_WORLDS")
+    assert [n for n in sweep.CHECK_WORLDS if ("--check-worlds", n) in sweep.CHANGE_ONLY] == [20]
 
 
 def test_layer_sweep_times_the_temporal_sweep_up_to_20_states():
@@ -360,3 +366,29 @@ def test_layer_sweep_measure_writes_each_row_as_soon_as_it_is_timed(monkeypatch,
         sweep.main()
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["layer"], r["s"]) for r in rows] == [(layer, 1.0) for layer in ONE_KEY_LAYERS[:2]]
+
+
+def test_layer_sweep_times_temporal_rows_in_as_many_interpreters_as_the_others(tmp_path, monkeypatch):
+    # a row keeps each side's best and the median of its interpreters' times
+    sweep = _sweep_module()
+    seen, real_run, times = [], subprocess.run, iter(range(1, 1000))
+
+    def run(argv, **kwargs):
+        if "measure" not in argv:  # `platform` asks the system, not a checkout
+            return real_run(argv, **kwargs)
+        side = Path(argv[argv.index("--src") + 1]).parent.name
+        seen.append((int(argv[-1]), side))
+        row = {"layer": "oracle_mismatches", "kind": "tree", "states": int(argv[-1]), "s": float(next(times))}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(row) + "\n", "")
+
+    monkeypatch.setattr(sweep.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["layer_sweep.py", "layers", "--parent", str(tmp_path / "parent"), "--change",
+                                      str(tmp_path / "change"), "--rows", "states", "--out", str(out)])
+    sweep.main()
+    assert [n for n, _ in seen] == [n for n in sweep.TEMPORAL_STATES for _ in range(2 * sweep.ROUNDS)]
+    assert all(sorted(sides for m, sides in seen if m == n) == ["change"] * sweep.ROUNDS + ["parent"] * sweep.ROUNDS
+               for n in sweep.TEMPORAL_STATES)
+    first = json.loads(out.read_text())["layers"][0]
+    # at 10 states the parent ran 1, 4, 5 and 8 seconds, the change 2, 3, 6 and 7
+    assert (first["parent_s"], first["parent_median_s"], first["change_s"], first["change_median_s"]) == (1, 4.5, 2, 4.5)

@@ -223,7 +223,7 @@ def test_index_and_membership_use_positions():
 
 def test_sub_poset_keeps_order_and_restricts_relation():
     p = powerset_poset(["a", "b"])
-    sub = sub_poset(p, ["{a,b}", "{}", "{b}"])
+    sub = sub_poset(p, map(p.index, ["{a,b}", "{}", "{b}"]))
     assert sub.elements == ("{}", "{b}", "{a,b}")
     assert sub.relation == frozenset(
         (x, y) for (x, y) in p.relation if x in sub.elements and y in sub.elements

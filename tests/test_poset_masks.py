@@ -90,7 +90,7 @@ def test_sub_poset_equals_the_pair_set_reference(data):
     want = poset_from_pairs(
         [e for e in p.elements if e in keep], {(a, b) for (a, b) in p.relation if a in keep and b in keep}
     )
-    _same_order(sub_poset(p, wanted), want)
+    _same_order(sub_poset(p, map(p.index, wanted)), want)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

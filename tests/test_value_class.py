@@ -143,7 +143,7 @@ def test_post_init_is_looked_up_at_each_construction(monkeypatch):
 
 def test_every_value_class_shares_one_constructor_and_keeps_no_defaults_on_the_class():
     assert Point.__init__.__code__ is MonotoneMap.__init__.__code__ is FinPoset.__init__.__code__
-    assert not any(hasattr(FinPoset, name) for name in ("codes", "covers", "values", "_position"))
+    assert not any(hasattr(FinPoset, name) for name in ("codes", "covers", "values", "within", "value_key"))
 
 
 def _kept_norm():

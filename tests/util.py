@@ -1193,3 +1193,112 @@ def forgetful_top_arrow(spaces: Sequence[FiniteTopSpace]) -> tuple[OneArrow, Int
     arr_map = {a: a for a in src_doc.base.arrow_names()}
     functor = Functor(src_doc.base, dst_doc.base, obj_map, arr_map)
     return OneArrow(src_doc, dst_doc, functor, identity_parts(src_doc)), src_op, identity_interior(dst_doc)
+
+
+# ---------------------------------------------------------------------------
+# Eager references: the Boolean fibers as every label and value was built
+# before they were computed on first read, and the relation scans that test
+# every pair against every pair
+
+
+def powerset_poset_eager(ground):
+    """`order.powerset_poset` with every label, frozenset and position
+    built up front: subsets by size, then lexicographically by positions,
+    labelled `{a,b}` and coded by their bitmask of ground positions."""
+    n = len(ground)
+    bits = [1 << i for i in range(n)]
+    label_of, values = {}, []
+    for r in range(n + 1):
+        for combo in combinations(range(n), r):
+            label_of[sum(map(bits.__getitem__, combo))] = "{" + ",".join(map(ground.__getitem__, combo)) + "}"
+            values.append(frozenset(map(ground.__getitem__, combo)))
+    return FinPoset(tuple(label_of.values()), tuple(label_of), values=tuple(values))
+
+
+def one_key_fiber_eager(key, factor):
+    """`instances._pointwise_fiber([key], [factor])` with every label `[k:e]`
+    and value (v,) built up front, keeping the factor's codes and covers."""
+    labels = tuple(f"[{key}:{e}]" for e in factor.elements)
+    return FinPoset(labels, tuple(factor.codes), factor.covers, tuple((v,) for v in factor.values))
+
+
+def sub_poset_eager(p, positions):
+    """The induced order on the elements of p at `positions`, in p's order,
+    with their codes and values, every one read up front."""
+    kept = sorted(set(positions))
+    pick = lambda xs: tuple(xs[i] for i in kept)
+    return FinPoset(pick(tuple(p.elements)), pick(p.codes), values=pick(tuple(p.values)))
+
+
+def close_relation_reference(elements, pairs, closure="none"):
+    """`order.close_relation` by repeated passes that test every pair
+    against every pair until nothing is added."""
+    rel = set(pairs)
+    if closure in ("refl", "refl-trans"):
+        rel.update((e, e) for e in elements)
+    if closure in ("trans", "refl-trans"):
+        changed = True
+        while changed:
+            changed = False
+            for (a, b) in list(rel):
+                for (c, d) in list(rel):
+                    if b == c and (a, d) not in rel:
+                        rel.add((a, d))
+                        changed = True
+    return frozenset(rel)
+
+
+def poset_violations_reference(elements, relation):
+    """`order.poset_violations` with the relation sorted again inside its
+    transitivity loop, every (a, b) against every (c, d)."""
+    elems = list(elements)
+    rel = set(relation)
+    out = []
+    seen = set()
+    for e in elems:
+        if e in seen:
+            out.append(f"duplicate element identifier: {e}")
+        seen.add(e)
+    for (a, b) in sorted(rel):
+        if a not in seen or b not in seen:
+            out.append(f"relation mentions unknown element: ({a},{b})")
+    for e in elems:
+        if (e, e) not in rel:
+            out.append(f"reflexivity: missing ({e},{e})")
+    for (a, b) in sorted(rel):
+        for (c, d) in sorted(rel):
+            if b == c and (a, d) not in rel:
+                out.append(f"transitivity: {a}<={b} and {b}<={d} but not {a}<={d}")
+    for (a, b) in sorted(rel):
+        if a != b and (b, a) in rel and a < b:
+            out.append(f"antisymmetry: ({a},{b})")
+    return out
+
+
+def frame_violations_reference(frame):
+    """`instances.frame_violations` with the relation sorted again inside its
+    transitivity loop, every (a, b) against every (c, d)."""
+    worlds = set(frame.worlds)
+    out = [f"relation mentions unknown world: ({a},{b})" for a, b in sorted(frame.rel) if not {a, b} <= worlds]
+    for w in frame.worlds:
+        if (w, w) not in frame.rel:
+            out.append(f"not reflexive at {w}")
+    for (a, b) in sorted(frame.rel):
+        for (c, d) in sorted(frame.rel):
+            if b == c and (a, d) not in frame.rel:
+                out.append(f"not transitive: {a}->{b}->{d}")
+    return out
+
+
+def interior_t4_reference(op):
+    """The T and 4 witnesses of `interior.interior_violations`, by the
+    literal loop over every element of every fiber."""
+    out = []
+    for x in op.doctrine.base.objects:
+        box, fib = op.parts[x].images, op.doctrine.fibers[x]
+        for i, a in enumerate(fib.elements):
+            if not fib.leq_at(box[i], i):
+                out.append(f"axiom T fails at ({x},{a})")
+            if not fib.leq_at(box[i], box[box[i]]):
+                out.append(f"axiom 4 fails at ({x},{a})")
+    return out

@@ -49,11 +49,12 @@ one checkout's `src`, compiled to bytecode beforehand (an interpreter that
 may not write bytecode would otherwise compile each edited module on every
 import, in the time and peak RSS of its row), and the two checkouts take
 turns at each size, `ROUNDS` times; a row is the best of each side's
-timings (`REPEATS` per interpreter), to 4 significant digits. A temporal row is the best of
-`TEMPORAL_ROUNDS` interpreters, each timing the sweep once, since the sweep
-before its bitmask rewrite took over a minute at 18 states, and the sweep
-before its planes 19 s at 20. A `check` row runs the
-command line's `check` on a Kripke chain of 12-18 worlds once per fresh
+timings (`REPEATS` per interpreter), to 4 significant digits, and next to it
+the median over the side's interpreters of each one's best, since rows of
+code a change does not touch moved by 20-40% between sweeps. A temporal row
+times the sweep once per interpreter. A `check` row runs the
+command line's `check` on a Kripke chain of 12-18 worlds, and of 20 worlds
+on the change checkout alone, once per fresh
 interpreter, and records the best time and the least peak RSS of the
 interpreter over `ROUNDS` of them; a `presheaf check` row does the same on
 a chain of 8-16 worlds with a presheaf of one element at each, whose 2^n
@@ -146,11 +147,10 @@ FUNCTION_CARRIERS = {243: (3, 3, 3), 428: (4, 3), 1024: (4, 4), 3125: (5,), 4665
 QUANTALE_POINTS = range(2, 6)
 # (flag, size) of the rows measured on the change checkout alone
 CHANGE_ONLY = {("--arrows", 3125), ("--arrows", 46656), ("--quantale-points", 5), ("--presheaf-worlds", 16),
-               ("--hom-states", 8)}
+               ("--hom-states", 8), ("--check-worlds", 20)}
 TEMPORAL_STATES = range(10, 21, 2)
-TEMPORAL_ROUNDS = 2
 ONE_ALPHA_COUNT = 100  # one box takes well under a millisecond, so a row times 100
-CHECK_WORLDS = range(12, 19)
+CHECK_WORLDS = (*range(12, 19), 20)
 PRESHEAF_WORLDS = (8, 10, 12, 16)
 HOM_STATES = range(4, 9)
 SPACE_POINTS = range(3, 8)
@@ -462,7 +462,7 @@ def measure_suite_counts(seed: int):
 
 
 ABOUT = ("Written by tools/layer_sweep.py. layers: seconds, the best timing of the parent and of the change "
-         "checkout, measured in turns on one machine; a check, presheaf check, full_function_category, "
+         "checkout, measured in turns on one machine, and each side's median over its interpreters; a check, presheaf check, full_function_category, "
          "temporal_doctrine, topological_doctrine or CHANGE_ONLY row also has each side's least peak RSS in MB; a CHANGE_ONLY row has the change side alone. "
          "import: `import doctrines.cli` in fresh `python -S` interpreters taking turns, each side's best and "
          "median seconds and the modules it loaded. cold_check: in the same interpreters, the import and a "
@@ -495,9 +495,10 @@ def _compile(sides: list) -> None:
 def _measure_in_turns(rows: dict, sides: list, flag: str, n: int, rounds: int) -> None:
     """`measure flag n` in one fresh interpreter per side and round, the
     sides taking turns; each row it returns joins `rows`, keeping each
-    side's best time and least peak RSS."""
+    side's best time and least peak RSS, and the median of its
+    interpreters' times."""
     _compile(sides)
-    at_size = {}
+    at_size, samples = {}, {}
     for k in range(rounds):
         for side, checkout in sides if k % 2 == 0 else sides[::-1]:
             child = subprocess.run(
@@ -509,6 +510,8 @@ def _measure_in_turns(rows: dict, sides: list, flag: str, n: int, rounds: int) -
                 key = tuple(r.items())
                 row = at_size[key] = rows.setdefault(key, r)
                 row[f"{side}_s"] = _sig(min(s, row.get(f"{side}_s", s)))
+                samples.setdefault((key, side), []).append(s)
+                row[f"{side}_median_s"] = _sig(statistics.median(samples[key, side]))
                 if rss is not None:
                     row[f"{side}_peak_rss_mb"] = round(min(rss, row.get(f"{side}_peak_rss_mb", rss)), 1)
     print(list(at_size.values()), flush=True)
@@ -528,7 +531,7 @@ def layers(args) -> None:
         sides = [("parent", args.parent), ("change", args.change)]
         if (flag, n) in CHANGE_ONLY:
             sides = sides[1:]
-        _measure_in_turns(rows, sides, flag, n, TEMPORAL_ROUNDS if flag == "--states" else ROUNDS)
+        _measure_in_turns(rows, sides, flag, n, ROUNDS)
     out["layers"] = sorted(
         rows.values(),
         key=lambda r: (r["layer"], r.get("keys", 0), r.get("kind", ""), r.get("core", ""), r.get("worlds", 0),
